@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-json bench-check trace-smoke overhead profile-smoke fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
+.PHONY: all build test vet race race-hot bench bench-quick trace-smoke overhead profile-smoke fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
 
 all: build
 
@@ -29,19 +29,15 @@ race-hot:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkNoop|BenchmarkAppendTelemetry' -benchmem ./internal/telemetry/ ./internal/bitvec/
 
-# Full benchmark sweep archived as machine-readable JSON (BENCH_<date>.json)
-# for diffing across commits; cmd/benchjson parses the go test stream.
-bench-json:
-	$(GO) test -run xxx -bench . -benchmem ./internal/... | $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y%m%d).json
-	@echo wrote BENCH_$$(date +%Y%m%d).json
-
-# Benchmark-trend regression gate over the archived BENCH_*.json snapshots:
-# latest vs the previous snapshot (or -baseline), 10% noise threshold on
-# ns/op. Warn-only so organic drift never blocks CI, but malformed or
-# missing snapshots still hard-fail — a damaged archive must not read as
-# "no regressions".
-bench-check:
-	$(GO) run ./cmd/benchtrend -warn-only
+# The repository benchmark (bench/, BENCHMARK.json) is a Go module of its
+# own that compiles against internal/..., so the root module's build and
+# tests never see it. This vets it and runs its unit tests plus the -quick
+# end-to-end smoke of all four workloads (toy sizes; the numbers mean
+# nothing, the oracles do). Real runs: `bash bench/run.sh ...`, and `go run
+# -C bench . compare A.jsonl B.jsonl` to judge two sets (bench/README.md).
+bench-quick:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Trace-export roundtrip smoke: the identity-tracing e2e acceptance (slow
 # query → trace ID in the slow log → span tree from /debug/traces, Chrome
@@ -68,25 +64,30 @@ overhead:
 profile-smoke:
 	$(GO) test -run 'TestProfileSmoke|TestParse|TestCollectorRingAndHandler' -v ./internal/profiling/
 
-# Short fuzz passes over the untrusted parsers (docs/FORMATS.md): the
-# index-file reader and the run-journal parser. Full corpus exploration is
-# `go test -fuzz <target> ./internal/<pkg>/`.
+# Short fuzz passes: the untrusted parsers (docs/FORMATS.md) — the
+# index-file reader and the run-journal parser — and the query oracle
+# property (any request, codec and cache state answers exactly as the
+# brute-force model over the binned raw array does). Full corpus
+# exploration is `go test -fuzz <target> ./internal/<pkg>/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadIndex$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run xxx -fuzz 'FuzzParseJournal$$' -fuzztime 10s ./internal/insitu/
+	$(GO) test -run xxx -fuzz 'FuzzQueryMatchesOracle$$' -fuzztime 10s ./internal/query/
 
-# Planner-vs-naive differential smoke (DESIGN.md "Query planning & caching"):
-# every query entry point through the cost-based planner — cache cold and
-# warm — must be byte-identical to the fixed-order naive path across codecs,
-# including the randomized fuzz sweep and the generation-invalidation and
-# mining scan-reduction acceptance checks.
+# The query oracle suite (DESIGN.md "Query planning & caching"): every op
+# through the one plan → optimize → execute path — every codec, cache cold
+# and warm, every accounting level — must equal the brute-force model over
+# the binned raw array exactly; plus EXPLAIN/ANALYZE shape agreement, the
+# one-plan-per-request check, and the generation-invalidation and mining
+# scan-reduction acceptance checks.
 plan-diff:
-	$(GO) test -run 'TestPlanned|TestPlanDiffFuzz|TestCacheGenerationInvalidationMidStream|TestMineCache' -v ./internal/query/ ./internal/mining/
+	$(GO) test -run 'TestPlanned|FuzzQueryMatchesOracle|TestExplainMatchesAnalyzeShape|TestOnePlanPerRequest|TestCacheGenerationInvalidationMidStream|TestMineCache' -v ./internal/query/ ./internal/mining/
 
 # Workload capture/replay regression gate (docs/OBSERVABILITY.md "Workload
 # capture & replay"): a captured log must replay with byte-identical result
-# digests across all three codecs, planner on/off, and cache on/off —
-# including against a codec-recoded index — and a tampered digest must fail.
+# digests across all three codecs and cache on/off — including against a
+# codec-recoded index and from a log written before the planner switch was
+# removed — and a tampered digest must fail.
 replay-diff:
 	$(GO) test -run 'TestReplay|TestCaptureWorkload' -v ./internal/replay/ ./internal/query/ ./internal/serve/
 
@@ -112,4 +113,8 @@ serve-smoke:
 crash-matrix:
 	$(GO) test -race -run 'TestCrashMatrix|TestResume|TestTransient|TestWorkerPanic|TestFsck' -v ./internal/insitu/
 
-ci: vet build race-hot race plan-diff replay-diff trace-smoke profile-smoke bench-check overhead crash-matrix serve-chaos serve-smoke fuzz-smoke
+# `race` already executes every test the named gates above select
+# (race-hot, plan-diff, replay-diff, trace-smoke, profile-smoke,
+# crash-matrix, serve-chaos, serve-smoke), so ci runs each test once; the
+# gates stay as targets for humans chasing one failure.
+ci: vet build race overhead fuzz-smoke bench-quick

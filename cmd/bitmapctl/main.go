@@ -340,21 +340,28 @@ func cmdQuery(args []string) error {
 	op := fs.String("op", "count", "remote operator: count | sum | mean | quantile | minmax | bits | correlation | explain (with -addr)")
 	varName := fs.String("var", "", "served variable name (with -addr; optional when one variable is served)")
 	varB := fs.String("var-b", "", "second operand for -op correlation (with -addr)")
-	lo := fs.Float64("lo", 0, "lower value bound (inclusive, bin-granular)")
-	hi := fs.Float64("hi", 0, "upper value bound (exclusive, bin-granular)")
-	slo := fs.Int("slo", 0, "lower spatial bound (inclusive element position)")
-	shi := fs.Int("shi", 0, "upper spatial bound (exclusive element position)")
-	q := fs.Float64("q", 0.5, "quantile for -op quantile")
+	request := requestFlags(fs)
 	timeoutMs := fs.Int64("timeout-ms", 0, "per-request deadline override sent to the server (0 = server default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// "explain" is the wire's word for "estimate this op's plan"; with no
+	// flag to name the op here, it explains the default, count.
+	name, explain := *op, *op == "explain"
+	if explain {
+		name = "count"
+	}
+	req, err := request(name)
+	if err != nil {
+		return err
+	}
 	if *addr != "" {
-		return remoteQuery(*addr, &insitubits.ServeQueryRequest{
-			Op: *op, Var: *varName, VarB: *varB,
-			ValueLo: *lo, ValueHi: *hi, SpatialLo: *slo, SpatialHi: *shi,
-			Q: *q, BValueLo: *lo, BValueHi: *hi, TimeoutMs: *timeoutMs,
-		})
+		wire := insitubits.NewServeQueryRequest(req)
+		wire.Var, wire.VarB, wire.TimeoutMs = *varName, *varB, *timeoutMs
+		if explain {
+			wire.Op, wire.ExplainOp = "explain", wire.Op
+		}
+		return remoteQuery(*addr, wire)
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: bitmapctl query [-addr URL] -lo V -hi V FILE")
@@ -366,11 +373,11 @@ func cmdQuery(args []string) error {
 	// Route through the query layer (not x.Query directly) so the count
 	// participates in planning, caching, and workload capture (-qlog).
 	n, err := insitubits.SubsetCount(context.Background(), x,
-		insitubits.QuerySubset{ValueLo: *lo, ValueHi: *hi})
+		insitubits.QuerySubset{ValueLo: req.A.ValueLo, ValueHi: req.A.ValueHi})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d of %d elements have values in [%g, %g) (bin-granular)\n", n, x.N(), *lo, *hi)
+	fmt.Printf("%d of %d elements have values in [%g, %g) (bin-granular)\n", n, x.N(), req.A.ValueLo, req.A.ValueHi)
 	return nil
 }
 

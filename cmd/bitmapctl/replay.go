@@ -19,7 +19,7 @@ import (
 //
 //	bitmapctl replay -log workload.isql index.isbm
 //	bitmapctl replay -log workload.isql -b second.isbm -concurrency 8 index.isbm
-//	bitmapctl replay -log workload.isql -speedup 10 -planner=false index.isbm
+//	bitmapctl replay -log workload.isql -speedup 10 index.isbm
 //
 // The exit status is non-zero when any digest diverges, so the command
 // drops straight into CI.
@@ -29,14 +29,13 @@ func cmdReplay(args []string) error {
 	bPath := fs.String("b", "", "second index for correlation records (defaults to the primary)")
 	concurrency := fs.Int("concurrency", 1, "worker goroutines (1 = serial)")
 	speedup := fs.Float64("speedup", 0, "pace dispatch by recorded inter-arrival times / this factor (0 = as fast as possible)")
-	planner := fs.Bool("planner", true, "replay with the query planner enabled")
 	jsonOut := fs.Bool("json", false, "emit the full report as JSON")
 	top := fs.Int("top", 5, "show the N slowest replayed queries")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *logPath == "" || fs.NArg() != 1 {
-		return fmt.Errorf("usage: bitmapctl replay -log FILE [-b SECOND] [-concurrency N] [-speedup X] [-planner=BOOL] [-json] [-top N] INDEX")
+		return fmt.Errorf("usage: bitmapctl replay -log FILE [-b SECOND] [-concurrency N] [-speedup X] [-json] [-top N] INDEX")
 	}
 	recs, valid, err := insitubits.ReadQueryLog(*logPath)
 	if err != nil {
@@ -52,9 +51,6 @@ func cmdReplay(args []string) error {
 			return err
 		}
 	}
-	prev := insitubits.QueryPlannerEnabled()
-	insitubits.SetQueryPlanner(*planner)
-	defer insitubits.SetQueryPlanner(prev)
 	rep := insitubits.ReplayWorkload(context.Background(), recs, x, xb,
 		insitubits.ReplayOptions{Concurrency: *concurrency, Speedup: *speedup})
 	if *jsonOut {

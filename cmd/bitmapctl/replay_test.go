@@ -63,7 +63,7 @@ func TestRenderWorkload(t *testing.T) {
 	s := insitubits.WorkloadSummary{
 		Total: 20, Replayable: 16, Errors: 1,
 		ByOp:      map[string]int{"count": 10, "bits": 6, "sum": 4},
-		PlannerOn: 20, CacheHits: 6, CacheMisses: 2,
+		CacheHits: 6, CacheMisses: 2,
 		ElapsedNs: 5_000_000, Words: 123456,
 		UniqueQueries: 8, RepeatRatio: 0.5,
 		HotRanges:   []insitubits.WorkloadRangeCount{{Lo: 1, Hi: 5, Queries: 9}},

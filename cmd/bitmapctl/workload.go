@@ -70,7 +70,6 @@ func renderWorkload(s insitubits.WorkloadSummary) string {
 		}
 		fmt.Fprintf(&b, "mix         %s\n", strings.Join(parts, " "))
 	}
-	fmt.Fprintf(&b, "planner     on for %d of %d\n", s.PlannerOn, s.Total)
 	if s.CacheHits+s.CacheMisses > 0 {
 		fmt.Fprintf(&b, "cache       %d hits, %d misses (%.1f%% hit rate)\n",
 			s.CacheHits, s.CacheMisses, 100*float64(s.CacheHits)/float64(s.CacheHits+s.CacheMisses))

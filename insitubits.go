@@ -359,14 +359,33 @@ type (
 	QueryTopK     = query.TopK
 )
 
-// Query operators accepted by ExplainQuery.
+// Query operators a QueryRequest can name.
 const (
-	QueryOpBits     = query.OpBits
-	QueryOpCount    = query.OpCount
-	QueryOpSum      = query.OpSum
-	QueryOpMean     = query.OpMean
-	QueryOpQuantile = query.OpQuantile
-	QueryOpMinMax   = query.OpMinMax
+	QueryOpBits        = query.OpBits
+	QueryOpCount       = query.OpCount
+	QueryOpSum         = query.OpSum
+	QueryOpMean        = query.OpMean
+	QueryOpQuantile    = query.OpQuantile
+	QueryOpMinMax      = query.OpMinMax
+	QueryOpCorrelation = query.OpCorrelation
+)
+
+// QueryRequest is one replayable query — operator, subset(s), quantile —
+// and QueryAnswer its result, with the one canonical Digest the workload
+// log records, replay compares and the query server stamps on responses.
+// RunQuery executes a request (xb is the correlation's second index, nil
+// otherwise), AnalyzeQuery also returns the measured profile, and
+// ExplainQueryRequest estimates its plan without executing; the typed
+// Subset*/CorrelationQuery entry points are the same requests spelled out.
+type (
+	QueryRequest = query.Request
+	QueryAnswer  = query.Answer
+)
+
+var (
+	RunQuery            = query.Run
+	AnalyzeQuery        = query.Analyze
+	ExplainQueryRequest = query.ExplainRequest
 )
 
 // Re-exported EXPLAIN/ANALYZE API. ExplainQuery estimates cost from the
@@ -402,20 +421,16 @@ type (
 	BitmapCacheStats = bitcache.Stats
 )
 
-// Re-exported planner/cache API. NewBitmapCache builds a cache bounded to
-// maxBytes (<=0 disables); SetDefaultBitmapCache installs the process-wide
-// cache every query and mining run consults (nil uninstalls — caching is
-// opt-in and off by default); WithBitmapCache overrides the cache per
-// request via context. SetQueryPlanner toggles the cost-based
-// plan/optimize/execute pipeline — disabled, every entry point runs the
-// fixed-order naive path the differential tests compare against.
+// Re-exported cache API. NewBitmapCache builds a cache bounded to maxBytes
+// (<=0 disables); SetDefaultBitmapCache installs the process-wide cache
+// every query and mining run consults (nil uninstalls — caching is opt-in
+// and off by default); WithBitmapCache overrides the cache per request via
+// context.
 var (
 	NewBitmapCache        = bitcache.New
 	SetDefaultBitmapCache = bitcache.SetDefault
 	DefaultBitmapCache    = bitcache.Default
 	WithBitmapCache       = query.WithCache
-	SetQueryPlanner       = query.SetPlanner
-	QueryPlannerEnabled   = query.PlannerEnabled
 )
 
 // --- Workload capture, replay, and metrics history (internal/qlog, internal/replay, internal/telemetry) ---
@@ -454,8 +469,8 @@ const QueryLogStatusName = qlog.StatusName
 
 // ReplayWorkload re-executes a captured workload log against an index and
 // byte-compares every result digest against the recorded one — the
-// cross-codec / planner / cache regression gate behind `bitmapctl replay`
-// and `make replay-diff`.
+// cross-codec / cache regression gate behind `bitmapctl replay` and `make
+// replay-diff`.
 type (
 	ReplayOptions = replay.Options
 	ReplayResult  = replay.Result
@@ -797,8 +812,10 @@ type (
 // the admission-queue-full sentinel behind every 429.
 var (
 	NewQueryServer = serve.New
-	RunServeLoad   = serve.RunLoad
-	ErrServeShed   = serve.ErrShed
+	// NewServeQueryRequest is the wire form of a QueryRequest.
+	NewServeQueryRequest = serve.NewQueryRequest
+	RunServeLoad         = serve.RunLoad
+	ErrServeShed         = serve.ErrShed
 	// ValidTraceID reports whether a string is a well-formed W3C/OTLP
 	// 128-bit trace ID; the server uses it to vet propagated IDs.
 	ValidTraceID = telemetry.ValidTraceID

@@ -265,8 +265,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := newRunTelemetry(cfg)
-	rt.strategyDesc = strategy.Describe()
+	rt := newRunTelemetry(cfg, strategy.Describe())
 	w, err := newWriter(cfg, rt)
 	if err != nil {
 		return nil, err

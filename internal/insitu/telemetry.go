@@ -122,19 +122,21 @@ type runTelemetry struct {
 
 // newRunTelemetry attaches a fresh tracer to the registry (cfg.Telemetry,
 // defaulting to telemetry.Default), opens the run root span, and publishes
-// the live run-status provider the debug server serves at /debug/run.
-func newRunTelemetry(cfg Config) *runTelemetry {
+// the live run-status provider the debug server serves at /debug/run —
+// so every field status reads without an atomic is set before that.
+func newRunTelemetry(cfg Config, strategyDesc string) *runTelemetry {
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.Default
 	}
 	rt := &runTelemetry{
-		tr:        telemetry.NewTracer(),
-		workload:  cfg.Sim.Name(),
-		method:    cfg.Method.String(),
-		codecName: cfg.Codec.String(),
-		steps:     cfg.Steps,
-		start:     time.Now(),
+		tr:           telemetry.NewTracer(),
+		workload:     cfg.Sim.Name(),
+		method:       cfg.Method.String(),
+		codecName:    cfg.Codec.String(),
+		steps:        cfg.Steps,
+		start:        time.Now(),
+		strategyDesc: strategyDesc,
 	}
 	rt.currentStep.Store(-1)
 	rt.journal.Store("none")

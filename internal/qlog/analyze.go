@@ -18,7 +18,6 @@ type Summary struct {
 	Errors     int            `json:"errors"`
 	ByOp       map[string]int `json:"by_op"`
 
-	PlannerOn   int `json:"planner_on"`
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
 
@@ -88,9 +87,6 @@ func Analyze(recs []Record, x *index.Index) Summary {
 		s.Words += r.Words
 		if r.Err != "" {
 			s.Errors++
-		}
-		if r.Planner {
-			s.PlannerOn++
 		}
 		switch r.Cache {
 		case "hit":

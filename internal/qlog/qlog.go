@@ -78,11 +78,11 @@ type Record struct {
 	// Gen and GenB are the index generations the query read.
 	Gen  uint64 `json:"gen,omitempty"`
 	GenB uint64 `json:"gen_b,omitempty"`
-	// PlanDigest fingerprints the executable plan (op, parameters, planner
-	// mode, optimized IR shape) — joinable against slow-query log records.
+	// PlanDigest fingerprints the executable plan (op, parameters, optimized
+	// IR shape) — joinable against slow-query log records. (Logs written
+	// while a planner switch existed also carry a "planner" key; the reader
+	// ignores it, as it ignores any key it does not know.)
 	PlanDigest string `json:"plan,omitempty"`
-	// Planner records whether the cost-based planner was on.
-	Planner bool `json:"planner"`
 	// Cache is the bitmap cache's verdict: "hit" when any operator was
 	// answered from the cache, "miss" when the cache was consulted without
 	// a hit, "" when no cache was in play.
@@ -206,8 +206,8 @@ func ReadLog(path string) (recs []Record, validLen int64, err error) {
 // ---------------------------------------------------------------------------
 // Result digests. All digests are 8-hex-digit CRC32C strings over a
 // canonical byte encoding, so a digest computed at capture time compares
-// byte-for-byte against one computed at replay time — across codecs,
-// planner on/off, and cache on/off.
+// byte-for-byte against one computed at replay time — across codecs and
+// cache on/off.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 

@@ -20,7 +20,7 @@ func TestLogRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Record{
-		{Op: "count", ValueLo: 1, ValueHi: 3, N: 100, Planner: true, Cache: "miss",
+		{Op: "count", ValueLo: 1, ValueHi: 3, N: 100, Cache: "miss",
 			Bins: 2, Words: 42, Rows: 17, ElapsedNs: 1234, Result: DigestInt(17)},
 		{Op: "bits", SpatialLo: 10, SpatialHi: 90, ElapsedNs: 99, TraceID: "abc123"},
 		{Op: "quantile", Q: 0.5, Err: "boom", ElapsedNs: 5},
@@ -277,8 +277,8 @@ func TestDigestHelpers(t *testing.T) {
 
 func TestAnalyze(t *testing.T) {
 	recs := []Record{
-		{Op: "count", ValueLo: 1, ValueHi: 3, N: 100, Rows: 10, Bins: 2, Planner: true, Cache: "miss", ElapsedNs: 100, Words: 40},
-		{Op: "count", ValueLo: 1, ValueHi: 3, N: 100, Rows: 10, Bins: 2, Planner: true, Cache: "hit", ElapsedNs: 50, Words: 4},
+		{Op: "count", ValueLo: 1, ValueHi: 3, N: 100, Rows: 10, Bins: 2, Cache: "miss", ElapsedNs: 100, Words: 40},
+		{Op: "count", ValueLo: 1, ValueHi: 3, N: 100, Rows: 10, Bins: 2, Cache: "hit", ElapsedNs: 50, Words: 4},
 		{Op: "sum", ValueLo: 1, ValueHi: 3, N: 100, Rows: 10, Bins: 2, ElapsedNs: 70, Words: 40},
 		{Op: "bits", SpatialLo: 0, SpatialHi: 50, N: 100, Rows: 50, Bins: 8, ElapsedNs: 30, Words: 80},
 		{Op: "quantile", Q: 0.9, Err: "boom", ElapsedNs: 5},
@@ -291,8 +291,8 @@ func TestAnalyze(t *testing.T) {
 	if s.ByOp["count"] != 2 || s.ByOp["selection.dissimilarity"] != 1 {
 		t.Errorf("by-op = %v", s.ByOp)
 	}
-	if s.CacheHits != 1 || s.CacheMisses != 1 || s.PlannerOn != 2 {
-		t.Errorf("cache %d/%d planner %d", s.CacheHits, s.CacheMisses, s.PlannerOn)
+	if s.CacheHits != 1 || s.CacheMisses != 1 {
+		t.Errorf("cache %d/%d", s.CacheHits, s.CacheMisses)
 	}
 	// 4 replayable, 3 unique parameter sets (the two counts repeat).
 	if s.UniqueQueries != 3 {
@@ -368,7 +368,7 @@ func BenchmarkAppend(b *testing.B) {
 	}
 	defer w.Close()
 	rec := Record{Op: "count", ValueLo: 1, ValueHi: 3, N: 1 << 20, Bins: 4,
-		Words: 12345, Rows: 678, ElapsedNs: 91011, Result: "deadbeef", Planner: true}
+		Words: 12345, Rows: 678, ElapsedNs: 91011, Result: "deadbeef"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := rec

@@ -4,108 +4,56 @@ import (
 	"fmt"
 	"strings"
 
-	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 	"insitubits/internal/metrics"
 	"insitubits/internal/qlog"
 )
 
 // This file is the query side of the workload capture plane: when a
-// qlog.Writer is installed (qlog.Install), every entry point routes
-// through the same analyze funnel the slow-query log uses, and the
-// finished profile is folded into one qlog.Record — parameters, plan
-// digest, cache verdict, measured words scanned, wall time, and a
-// canonical result digest that internal/replay byte-compares against.
-// With no writer installed the plain path pays one atomic load.
-
-// captureEnabled reports whether a workload log is installed.
-func captureEnabled() bool { return qlog.Active() != nil }
-
-// profiled reports whether plain entry points must route through the
-// profiled execution path: a slow-query log or a workload log (or both)
-// is installed. Two atomic loads on the disabled path.
-func profiled() bool { return slowLogEnabled() || captureEnabled() }
-
-// captureOnly reports whether a plain entry point routing through the
-// funnel does so only to feed the workload log: no slow-query log wants
-// the full fill/literal cost breakdown, so the profile can run in light
-// accounting mode (exact words/bytes, no per-operand composition re-scan
-// — see Node.light). This is what keeps qlog-enabled production runs
-// inside the <2% overhead budget; explicit *Analyze calls never go light.
-func captureOnly() bool { return !slowLogEnabled() }
+// qlog.Writer is installed (qlog.Install), every request runs with at least
+// light accounting (request.go), and the funnel's epilogue folds the
+// finished profile into one qlog.Record — parameters, plan digest, cache
+// verdict, measured words scanned, wall time, and the answer's canonical
+// result digest that internal/replay byte-compares against. With no writer
+// installed the plain path pays one atomic load.
 
 // ---------------------------------------------------------------------------
 // Plan digests. A plan digest fingerprints the executable plan — the op,
-// its parameters, the planner mode, and (for bits-shaped queries under the
-// planner) the optimized IR shape: operand order after most-selective-first
-// sorting, pruned bins, merge hints. Index generations are deliberately
-// excluded, so the digest is stable across cache warm/cold and joins
-// slow-log records to workload records of the same logical plan.
+// its parameters, and (for bits-shaped requests) the optimized IR shape:
+// operand order after most-selective-first sorting, pruned bins, merge
+// hints. Index generations are deliberately excluded, so the digest is
+// stable across cache warm/cold and joins slow-log records to workload
+// records of the same logical plan.
 
-// stampPlan sets p.PlanDigest from the profile header plus an optional
-// rendered IR shape.
-func stampPlan(p *Profile, shape string) {
-	mode := "planner=off"
-	if PlannerEnabled() {
-		mode = "planner=on"
-	}
-	s := p.Query + "|" + p.Detail + "|" + mode
-	if shape != "" {
-		s += "|" + shape
+// stampPlan sets p.PlanDigest from the profile header plus the shape of the
+// plan the request was lowered to (nil for count-shaped requests, and for
+// requests that failed validation before planning).
+func stampPlan(p *Profile, plan *planNode) {
+	s := p.Query + "|" + p.Detail
+	if plan != nil {
+		s += "|" + planShape(plan)
 	}
 	p.PlanDigest = qlog.DigestString(s)
-}
-
-// bitsPlanShape renders the optimized IR of Bits(x, s); "" when the
-// planner is off (the naive path has no plan to fingerprint beyond the
-// parameters, which stampPlan already covers).
-func bitsPlanShape(x *index.Index, s Subset) string {
-	if !PlannerEnabled() {
-		return ""
-	}
-	pl := planBits(x, s)
-	optimize(pl)
-	return planShape(pl)
-}
-
-// corrPlanShape renders the optimized IR of the correlation subset mask.
-func corrPlanShape(xa, xb *index.Index, sa, sb Subset) string {
-	if !PlannerEnabled() {
-		return ""
-	}
-	pl := planCorrelationMask(xa, xb, sa, sb)
-	optimize(pl)
-	return planShape(pl)
 }
 
 // planShape renders an optimized plan node as a compact generation-free
 // expression, e.g. "and(or(v=[1,3),bins=2-4),range(0,500,dense))".
 func planShape(p *planNode) string {
-	var b strings.Builder
-	writeShape(&b, p)
-	return b.String()
-}
-
-func writeShape(b *strings.Builder, p *planNode) {
 	switch p.kind {
 	case planEmpty:
-		b.WriteString("empty")
+		return "empty"
 	case planOnes:
-		fmt.Fprintf(b, "ones(%d,%s)", p.n, p.hint)
+		return fmt.Sprintf("ones(%d,%s)", p.n, p.hint)
 	case planRange:
-		fmt.Fprintf(b, "range(%d,%d,%s)", p.slo, p.shi, p.hint)
+		return fmt.Sprintf("range(%d,%d,%s)", p.slo, p.shi, p.hint)
 	case planBinOr:
-		fmt.Fprintf(b, "or(v=[%g,%g),bins=%s)", p.vlo, p.vhi, formatBins(p.bins))
-	case planAnd:
-		b.WriteString("and(")
-		for i, c := range p.children {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeShape(b, c)
-		}
-		b.WriteByte(')')
+		return fmt.Sprintf("or(v=[%g,%g),bins=%s)", p.vlo, p.vhi, formatBins(p.bins))
 	}
+	parts := make([]string, len(p.children))
+	for i, c := range p.children {
+		parts[i] = planShape(c)
+	}
+	return "and(" + strings.Join(parts, ",") + ")"
 }
 
 // formatBins compresses a sorted bin list into run notation: "2-5,7".
@@ -133,8 +81,8 @@ func formatBins(bins []int) string {
 }
 
 // ---------------------------------------------------------------------------
-// Result digests shared by capture and replay: both sides must compose the
-// digest from the same fields in the same order, so they live here.
+// Result digests, composed from fixed fields in a fixed order. Answer.Digest
+// picks the one that applies.
 
 // DigestAggregate fingerprints an Aggregate result bit-exactly.
 func DigestAggregate(a Aggregate) string {
@@ -154,70 +102,64 @@ func DigestPair(pr metrics.Pair) string {
 }
 
 // ---------------------------------------------------------------------------
-// Record emission.
+// Record emission and its inverse.
 
-// capParams carries the replayable parameters of one captured query.
-type capParams struct {
-	s  Subset
-	sb *Subset // correlation second operand
-	xb *index.Index
-	q  float64
-}
-
-// capture folds a finished profile plus its parameters and result digest
-// into one workload-log record. Called by every analyze funnel after
-// finish(err); no-op (one atomic load) when no log is installed.
-func capture(p *Profile, x *index.Index, cp capParams, digest string, err error) {
-	w := qlog.Active()
-	if w == nil {
-		return
-	}
-	rec := &qlog.Record{
+// recordOf starts a workload-log record from a finished profile.
+func recordOf(p *Profile) *qlog.Record {
+	total := p.Total()
+	return &qlog.Record{
 		Op:         p.Query,
 		Detail:     p.Detail,
-		ValueLo:    cp.s.ValueLo,
-		ValueHi:    cp.s.ValueHi,
-		SpatialLo:  cp.s.SpatialLo,
-		SpatialHi:  cp.s.SpatialHi,
-		Q:          cp.q,
 		PlanDigest: p.PlanDigest,
-		Planner:    PlannerEnabled(),
 		Cache:      p.cacheVerdict(),
+		Bins:       total.BinsTouched,
+		Words:      total.WordsScanned,
+		Rows:       total.Rows,
 		ElapsedNs:  p.ElapsedNs,
 		TraceID:    p.TraceID,
 		Err:        p.Err,
 	}
-	if x != nil {
-		rec.N = x.N()
-		rec.Gen = x.Generation()
+}
+
+// capture appends one executed request to the active workload log: its
+// finished profile, its replayable parameters, and — unless it failed — its
+// answer's digest. Called by the funnel's epilogue; no-op (one atomic load)
+// when no log is installed.
+func capture(p *Profile, req *Request, xa, xb *index.Index, ans *Answer) {
+	w := qlog.Active()
+	if w == nil {
+		return
 	}
-	if cp.sb != nil {
+	rec := recordOf(p)
+	rec.ValueLo, rec.ValueHi = req.A.ValueLo, req.A.ValueHi
+	rec.SpatialLo, rec.SpatialHi = req.A.SpatialLo, req.A.SpatialHi
+	rec.Q = req.Q
+	rec.N, rec.Gen = xa.N(), xa.Generation()
+	if req.Op == OpCorrelation {
 		rec.Correlated = true
-		rec.BValueLo = cp.sb.ValueLo
-		rec.BValueHi = cp.sb.ValueHi
-		rec.BSpatialLo = cp.sb.SpatialLo
-		rec.BSpatialHi = cp.sb.SpatialHi
+		rec.BValueLo, rec.BValueHi = req.B.ValueLo, req.B.ValueHi
+		rec.BSpatialLo, rec.BSpatialHi = req.B.SpatialLo, req.B.SpatialHi
+		if xb != nil {
+			rec.GenB = xb.Generation()
+		}
 	}
-	if cp.xb != nil {
-		rec.GenB = cp.xb.Generation()
-	}
-	total := p.Total()
-	rec.Bins = total.BinsTouched
-	rec.Words = total.WordsScanned
-	rec.Rows = total.Rows
-	if err == nil {
-		rec.Result = digest
+	if p.Err == "" {
+		rec.Result = ans.Digest()
 	}
 	w.Append(rec)
 }
 
-// bitmapDigest is capture's nil-tolerant DigestBitmap wrapper.
-func bitmapDigest(v bitvec.Bitmap, err error) string {
-	if err != nil || v == nil {
-		return ""
-	}
-	d, _ := qlog.DigestBitmap(v)
-	return d
+// RequestOf rebuilds the request a workload-log record captured — the
+// inverse of capture, and what replay executes. It fails for records of
+// ops that cannot run from recorded parameters alone.
+func RequestOf(rec *qlog.Record) (Request, error) {
+	op, err := ParseOp(rec.Op)
+	return Request{
+		Op: op,
+		A:  Subset{ValueLo: rec.ValueLo, ValueHi: rec.ValueHi, SpatialLo: rec.SpatialLo, SpatialHi: rec.SpatialHi},
+		B:  Subset{ValueLo: rec.BValueLo, ValueHi: rec.BValueHi, SpatialLo: rec.BSpatialLo, SpatialHi: rec.BSpatialHi},
+		Q:  rec.Q,
+	}, err
 }
 
 // CaptureProfile appends a finished non-entry-point profile (in-situ
@@ -231,19 +173,7 @@ func CaptureProfile(p *Profile, resultDigest string) {
 	if w == nil || p == nil {
 		return
 	}
-	total := p.Total()
-	w.Append(&qlog.Record{
-		Op:         p.Query,
-		Detail:     p.Detail,
-		PlanDigest: p.PlanDigest,
-		Planner:    PlannerEnabled(),
-		Cache:      p.cacheVerdict(),
-		Bins:       total.BinsTouched,
-		Words:      total.WordsScanned,
-		Rows:       total.Rows,
-		ElapsedNs:  p.ElapsedNs,
-		Result:     resultDigest,
-		TraceID:    p.TraceID,
-		Err:        p.Err,
-	})
+	rec := recordOf(p)
+	rec.Result = resultDigest
+	w.Append(rec)
 }

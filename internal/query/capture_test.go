@@ -50,7 +50,7 @@ func TestCaptureWorkload(t *testing.T) {
 	x := explainTestIndex(t, codec.Auto)
 	xb := explainTestIndex(t, codec.WAH)
 	sub := Subset{ValueLo: 1, ValueHi: 5, SpatialLo: 31, SpatialHi: x.N() - 31}
-	masked, err := NewMasked(x, onesVector(x.N()))
+	masked, err := NewMasked(x, fillVector(1, x.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCaptureWorkload(t *testing.T) {
 			SpatialLo: sub.SpatialLo, SpatialHi: sub.SpatialHi}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SumMasked(ctx, x, onesVector(x.N())); err != nil {
+		if _, err := SumMasked(ctx, x, fillVector(1, x.N())); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := masked.Sum(ctx, sub); err != nil {
@@ -119,8 +119,8 @@ func TestCaptureWorkload(t *testing.T) {
 		count.SpatialLo != sub.SpatialLo || count.SpatialHi != sub.SpatialHi {
 		t.Errorf("count params = %+v", count)
 	}
-	if count.N != x.N() || count.Gen != x.Generation() || !count.Planner {
-		t.Errorf("count n/gen/planner = %d/%d/%t", count.N, count.Gen, count.Planner)
+	if count.N != x.N() || count.Gen != x.Generation() {
+		t.Errorf("count n/gen = %d/%d", count.N, count.Gen)
 	}
 	if count.Words <= 0 || count.Bins <= 0 || count.Rows <= 0 {
 		t.Errorf("count measured cost = words=%d bins=%d rows=%d", count.Words, count.Bins, count.Rows)
@@ -166,41 +166,26 @@ func TestLightAccountingMatchesFull(t *testing.T) {
 				t.Errorf("%s/%v: light profile paid the composition pass: %+v", op, c, l)
 			}
 		}
-		_, pf, err := countAnalyze(ctx, x, sub, false)
-		if err != nil {
-			t.Fatal(err)
+		for _, op := range []Op{OpCount, OpSum, OpBits} {
+			req := Request{Op: op, A: sub}
+			_, pf, err := run(ctx, req, x, nil, nil, acctFull)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, pl, err := run(ctx, req, x, nil, nil, acctLight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(string(op), pf, pl)
 		}
-		_, pl, err := countAnalyze(ctx, x, sub, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("count", pf, pl)
-		_, pf, err = sumAnalyze(ctx, x, sub, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, pl, err = sumAnalyze(ctx, x, sub, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("sum", pf, pl)
-		_, pf, err = bitsAnalyze(ctx, x, sub, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, pl, err = bitsAnalyze(ctx, x, sub, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("bits", pf, pl)
 	}
 }
 
 // TestCaptureDisabledByDefault: without an installed writer the plain path
 // stays plain — nothing panics and nothing is recorded anywhere.
 func TestCaptureDisabledByDefault(t *testing.T) {
-	if captureEnabled() {
-		t.Fatal("capture enabled with no writer installed")
+	if installedAccounting() != acctNone {
+		t.Fatal("accounting enabled with no sink installed")
 	}
 	x := explainTestIndex(t, codec.Auto)
 	if _, err := Count(context.Background(), x, Subset{ValueLo: 1, ValueHi: 3}); err != nil {
@@ -209,8 +194,7 @@ func TestCaptureDisabledByDefault(t *testing.T) {
 }
 
 // TestPlanDigestStability: the digest is a function of the logical plan —
-// identical across repeats and cache warmth, different across parameters
-// and planner mode.
+// identical across repeats and cache warmth, different across parameters.
 func TestPlanDigestStability(t *testing.T) {
 	x := explainTestIndex(t, codec.Auto)
 	sub := Subset{ValueLo: 1, ValueHi: 5, SpatialLo: 0, SpatialHi: 100}
@@ -244,18 +228,13 @@ func TestPlanDigestStability(t *testing.T) {
 	if p1.cacheVerdict() != "miss" || p2.cacheVerdict() != "hit" {
 		t.Errorf("cache verdicts = %q, %q", p1.cacheVerdict(), p2.cacheVerdict())
 	}
-	// Different parameters and planner mode change the digest.
+	// Different parameters change the digest.
 	_, p3, err := BitsAnalyze(context.Background(), x, Subset{ValueLo: 2, ValueHi: 5, SpatialLo: 0, SpatialHi: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p3.PlanDigest == d1 {
 		t.Error("different parameters share a plan digest")
-	}
-	SetPlanner(false)
-	defer SetPlanner(true)
-	if doff := digest(); doff == d1 {
-		t.Error("planner on/off share a plan digest")
 	}
 }
 

@@ -1,809 +1,54 @@
 package query
 
 import (
-	"context"
 	"fmt"
-	"time"
 
-	"insitubits/internal/bitcache"
 	"insitubits/internal/bitvec"
-	"insitubits/internal/codec"
 	"insitubits/internal/index"
-	"insitubits/internal/metrics"
-	"insitubits/internal/qlog"
-	"insitubits/internal/telemetry"
 )
 
-// Op names a profileable query entry point for Explain.
-type Op string
-
-// Ops accepted by Explain (Correlation and the Masked family have their
-// own dedicated Explain/Analyze entry points because of their extra
-// arguments).
-const (
-	OpBits     Op = "bits"
-	OpCount    Op = "count"
-	OpSum      Op = "sum"
-	OpMean     Op = "mean"
-	OpQuantile Op = "quantile"
-	OpMinMax   Op = "minmax"
-)
-
-// ParseOp maps a CLI flag value to an Op.
-func ParseOp(s string) (Op, error) {
-	switch op := Op(s); op {
-	case OpBits, OpCount, OpSum, OpMean, OpQuantile, OpMinMax:
-		return op, nil
-	default:
-		return "", fmt.Errorf("query: unknown op %q (want bits, count, sum, mean, quantile, or minmax)", s)
-	}
-}
-
-func (s Subset) describe() string {
-	switch {
-	case s.hasValue() && s.hasSpatial():
-		return fmt.Sprintf("value=[%g,%g) spatial=[%d,%d)", s.ValueLo, s.ValueHi, s.SpatialLo, s.SpatialHi)
-	case s.hasValue():
-		return fmt.Sprintf("value=[%g,%g)", s.ValueLo, s.ValueHi)
-	case s.hasSpatial():
-		return fmt.Sprintf("spatial=[%d,%d)", s.SpatialLo, s.SpatialHi)
-	default:
-		return "all"
-	}
-}
-
-// newAnalyze opens an ANALYZE profile whose root node collects the query's
-// operators; finish stamps the wall time, records the error, and submits
-// the profile to the slow-query log. The profile carries the trace ID from
-// ctx (when the caller runs under a trace) so slow-log records are
-// cross-referenceable against /debug/traces. light selects capture-only
-// accounting (see Node.light): exact word/byte totals, no per-operand
-// composition re-scan — the plain entry points pass captureOnly() so a
-// query that is profiled only to feed the workload log stays inside the
-// <2% budget, while explicit ANALYZE and slow-log profiles pass false.
-func newAnalyze(ctx context.Context, query, detail string, light bool) (*Profile, func(error)) {
-	p := &Profile{
-		Query:   query,
-		Mode:    ModeAnalyze,
-		Detail:  detail,
-		TraceID: telemetry.TraceIDOf(ctx),
-		Root:    &Node{Op: query, Bin: -1, light: light},
-	}
-	start := time.Now()
-	return p, func(err error) {
-		p.ElapsedNs = time.Since(start).Nanoseconds()
-		if err != nil {
-			p.Err = err.Error()
-		}
-		LogSlow(p)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Always-on per-codec operation counters. These fire on the plain path too
-// (prof == nil): each bitmap operand a query operator consumes bumps the
-// counter of its codec, and merging operands of different codecs bumps the
-// cross-codec fallback counter (those ops leave the native word/byte merge
-// kernels for the generic 31-bit run path — see internal/bitvec/generic.go).
-// Cost: one predictable-branch type switch plus an atomic add per operand,
-// the same order as the index.Count cache-hit counter.
-
-// codecTally batches per-bin operand counts inside a hot loop so the loop
-// pays one atomic add per codec instead of one per bin — that difference is
-// what keeps the disabled-ANALYZE overhead guard under its 2% budget.
-type codecTally [4]int64
-
-func (ct *codecTally) bin(x *index.Index, b int) { ct[x.Codec(b)]++ }
-
-func (ct *codecTally) flush() {
-	for id, n := range ct {
-		if n == 0 {
-			continue
-		}
-		if c := tel.codecOps[id]; c != nil {
-			c.Add(n)
-		}
-	}
-}
-
-// addOperandSpans emits one zero-duration marker child span per codec
-// class with the number of encoded operands that class contributed — the
-// bounded trace-side view of "which codecs did this operator consume"
-// (one span per codec, never one per bin). Nil-safe.
-func addOperandSpans(sp *telemetry.ActiveSpan, ct codecTally) {
-	if sp == nil {
-		return
-	}
-	for id, n := range ct {
-		if n == 0 {
-			continue
-		}
-		c := sp.Child("operand." + codec.ID(id).String())
-		c.SetAttrInt("operands", n)
-		c.End()
-	}
-}
-
-// countPairOperands counts both operands of a binary bitmap op and returns
-// 1 when their codecs differ (a fallback merge), else 0.
-func countPairOperands(a, b bitvec.Bitmap) int64 {
-	ca, cb := codec.Of(a), codec.Of(b)
-	if c := tel.codecOps[ca]; c != nil {
-		c.Inc()
-	}
-	if c := tel.codecOps[cb]; c != nil {
-		c.Inc()
-	}
-	if ca != cb {
-		tel.fallbackMerges.Inc()
-		return 1
-	}
-	return 0
-}
-
-// ---------------------------------------------------------------------------
-// Profiled implementations. Each xxxImpl is the single execution path for
-// its query: the exported plain entry points call it with prof == nil
-// (every profiling hook no-ops), the Analyze variants pass the profile
-// root. The sp parameter is the caller's identity-trace span (nil when the
-// request is untraced — every trace hook is nil-safe); operators record
-// bounded child spans under it, one per operator plus one marker span per
-// codec class consumed. ANALYZE accounting convention: an operator is
-// charged one full scan of each encoded operand it consumes (bitvec's
-// kernels are not instrumented — that would tax the hot loops the <2%
-// overhead budget protects; the physical composition of the operands is
-// the same number, read after the fact via Stats).
-
-func bitsImpl(e *executor, x *index.Index, s Subset, prof *Node, sp *telemetry.ActiveSpan) (bitvec.Bitmap, error) {
-	if err := s.validate(x.N()); err != nil {
-		return nil, err
-	}
-	if !PlannerEnabled() {
-		return bitsNaive(x, s, prof, sp)
-	}
-	p := planBits(x, s)
-	optimize(p)
-	v := e.exec(p, prof, sp)
-	if prof != nil {
-		prof.setRows(v.Count())
-	}
-	return v, nil
-}
-
-// bitsNaive is the pre-planner fixed-order execution: bins OR-merged in
-// index order, then one AND with a freshly built range indicator. Kept as
-// the reference the differential suite compares planned execution against
-// (and the SetPlanner(false) escape hatch).
-func bitsNaive(x *index.Index, s Subset, prof *Node, sp *telemetry.ActiveSpan) (bitvec.Bitmap, error) {
-	var v bitvec.Bitmap
-	if s.hasValue() {
-		n := prof.child("or-merge", fmt.Sprintf("value=[%g,%g)", s.ValueLo, s.ValueHi))
-		osp := sp.Child("or-merge")
-		touched := 0
-		var ct codecTally
-		for b := 0; b < x.Bins(); b++ {
-			if !s.binSelected(x, b) {
-				continue
-			}
-			ct.bin(x, b)
-			touched++
-			n.binChild("or", x, b)
-		}
-		ct.flush()
-		n.addCost(Cost{BinsTouched: touched})
-		v = x.Query(s.ValueLo, s.ValueHi)
-		n.setOut(v)
-		osp.SetAttrInt("bins", int64(touched))
-		addOperandSpans(osp, ct)
-		osp.End()
-	} else {
-		n := prof.child("ones", "no value predicate")
-		v = onesVector(x.N())
-		n.setOut(v)
-	}
-	if s.hasSpatial() {
-		n := prof.child("and-range", fmt.Sprintf("spatial=[%d,%d)", s.SpatialLo, s.SpatialHi))
-		asp := sp.Child("and-range")
-		r := rangeVector(x.N(), s.SpatialLo, s.SpatialHi)
-		n.scanOperand(v)
-		n.scanOperand(r)
-		n.markFallback(countPairOperands(v, r))
-		v = v.And(r)
-		n.setOut(v)
-		asp.SetAttr("codec", codecName(v))
-		asp.End()
-	}
-	if prof != nil {
-		prof.setRows(v.Count())
-	}
-	return v, nil
-}
-
-// binCounts runs the shared per-bin counting loop of Count/Sum/Quantile/
-// MinMax: for each value-selected bin, the subset count — from the cached
-// per-bin cardinality when there is no spatial restriction (no bitmap is
-// touched), else by scanning the bin's bitmap over the element range.
-// visit receives every selected bin with its count.
-func binCounts(x *index.Index, s Subset, prof *Node, sp *telemetry.ActiveSpan, visit func(b, c int)) {
-	lo, hi := s.spatialBounds(x.N())
-	bsp := sp.Child("bin-counts")
-	cached, scanned, pruned := 0, 0, 0
-	planned := PlannerEnabled()
-	var ct codecTally
-	for b := 0; b < x.Bins(); b++ {
-		if !s.binSelected(x, b) {
-			continue
-		}
-		// Planner empty-bin pruning: a bin with zero cached cardinality
-		// contributes nothing to any count, so its bitmap is never scanned.
-		// Bin order is preserved — Quantile and MinMax depend on it.
-		if planned && x.Count(b) == 0 {
-			pruned++
-			continue
-		}
-		var c int
-		if !s.hasSpatial() {
-			cached++
-			c = x.Count(b)
-			n := prof.child("cached-count", "")
-			if n != nil {
-				n.Bin = b
-				n.Codec = x.Codec(b).String()
-				n.setRows(c)
-			}
-		} else {
-			scanned++
-			ct.bin(x, b)
-			c = x.Bitmap(b).CountRange(lo, hi)
-			prof.binChild("count-range", x, b).setRows(c)
-		}
-		visit(b, c)
-	}
-	ct.flush()
-	if pruned > 0 {
-		prof.child("prune", fmt.Sprintf("skipped %d empty bins", pruned))
-	}
-	if bsp != nil {
-		bsp.SetAttrInt("cached_counts", int64(cached))
-		bsp.SetAttrInt("scanned_bins", int64(scanned))
-		addOperandSpans(bsp, ct)
-		bsp.End()
-	}
-}
-
-func countImpl(x *index.Index, s Subset, prof *Node, sp *telemetry.ActiveSpan) (int, error) {
-	if err := s.validate(x.N()); err != nil {
-		return 0, err
-	}
-	total := 0
-	bins := 0
-	binCounts(x, s, prof, sp, func(b, c int) {
-		total += c
-		bins++
-	})
-	prof.addCost(Cost{BinsTouched: bins})
-	prof.setRows(total)
-	return total, nil
-}
-
-func sumImpl(x *index.Index, s Subset, prof *Node, sp *telemetry.ActiveSpan) (Aggregate, error) {
-	if err := s.validate(x.N()); err != nil {
-		return Aggregate{}, err
-	}
-	var agg Aggregate
-	bins := 0
-	binCounts(x, s, prof, sp, func(b, c int) {
-		bins++
-		if c == 0 {
-			return
-		}
-		bl, bh := x.Mapper().Low(b), x.Mapper().High(b)
-		agg.Count += c
-		agg.Estimate += float64(c) * (bl + bh) / 2
-		agg.Lo += float64(c) * bl
-		agg.Hi += float64(c) * bh
-	})
-	prof.addCost(Cost{BinsTouched: bins})
-	prof.setRows(agg.Count)
-	return agg, nil
-}
-
-func meanImpl(x *index.Index, s Subset, prof *Node, sp *telemetry.ActiveSpan) (Aggregate, error) {
-	sum, err := sumImpl(x, s, prof.child("sum", s.describe()), sp)
-	if err != nil || sum.Count == 0 {
-		return Aggregate{}, err
-	}
-	n := float64(sum.Count)
-	prof.setRows(sum.Count)
-	return Aggregate{Count: sum.Count, Estimate: sum.Estimate / n, Lo: sum.Lo / n, Hi: sum.Hi / n}, nil
-}
-
-func quantileImpl(x *index.Index, s Subset, q float64, prof *Node, sp *telemetry.ActiveSpan) (Aggregate, error) {
-	if q < 0 || q > 1 {
-		return Aggregate{}, fmt.Errorf("query: quantile %g out of [0,1]", q)
-	}
-	if err := s.validate(x.N()); err != nil {
-		return Aggregate{}, err
-	}
-	counts := make([]int, x.Bins())
-	total := 0
-	bins := 0
-	binCounts(x, s, prof, sp, func(b, c int) {
-		counts[b] = c
-		total += c
-		bins++
-	})
-	prof.addCost(Cost{BinsTouched: bins})
-	prof.setRows(total)
-	if total == 0 {
-		return Aggregate{}, nil
-	}
-	// Rank of the quantile element (1-based), clamped into [1, total].
-	rank := int(q*float64(total-1)) + 1
-	cum := 0
-	for b := 0; b < x.Bins(); b++ {
-		cum += counts[b]
-		if cum >= rank {
-			bl, bh := x.Mapper().Low(b), x.Mapper().High(b)
-			n := prof.child("rank-scan", fmt.Sprintf("rank %d of %d", rank, total))
-			if n != nil {
-				n.Bin = b
-			}
-			return Aggregate{Count: total, Estimate: (bl + bh) / 2, Lo: bl, Hi: bh}, nil
-		}
-	}
-	return Aggregate{}, fmt.Errorf("query: internal: rank %d beyond %d elements", rank, total)
-}
-
-func minMaxImpl(x *index.Index, s Subset, prof *Node, sp *telemetry.ActiveSpan) (min, max Aggregate, err error) {
-	if err := s.validate(x.N()); err != nil {
-		return Aggregate{}, Aggregate{}, err
-	}
-	first, last := -1, -1
-	total := 0
-	bins := 0
-	binCounts(x, s, prof, sp, func(b, c int) {
-		bins++
-		if c == 0 {
-			return
-		}
-		if first < 0 {
-			first = b
-		}
-		last = b
-		total += c
-	})
-	prof.addCost(Cost{BinsTouched: bins})
-	prof.setRows(total)
-	if first < 0 {
-		return Aggregate{}, Aggregate{}, nil
-	}
-	m := x.Mapper()
-	min = Aggregate{Count: total, Estimate: (m.Low(first) + m.High(first)) / 2, Lo: m.Low(first), Hi: m.High(first)}
-	max = Aggregate{Count: total, Estimate: (m.Low(last) + m.High(last)) / 2, Lo: m.Low(last), Hi: m.High(last)}
-	return min, max, nil
-}
-
-func sumMaskedImpl(x *index.Index, mask bitvec.Bitmap, prof *Node, sp *telemetry.ActiveSpan) (Aggregate, error) {
-	if mask.Len() != x.N() {
-		return Aggregate{}, fmt.Errorf("query: mask covers %d bits for %d elements", mask.Len(), x.N())
-	}
-	msp := sp.Child("and-count-mask")
-	var ops codecTally
-	var agg Aggregate
-	bins := 0
-	for b := 0; b < x.Bins(); b++ {
-		if x.Count(b) == 0 {
-			continue
-		}
-		bins++
-		ops.bin(x, b)
-		n := prof.binChild("and-count-mask", x, b)
-		n.scanOperand(mask)
-		n.markFallback(countPairOperands(x.Bitmap(b), mask))
-		c := x.Bitmap(b).AndCount(mask)
-		n.setRows(c)
-		if c == 0 {
-			continue
-		}
-		bl, bh := x.Mapper().Low(b), x.Mapper().High(b)
-		agg.Count += c
-		agg.Estimate += float64(c) * (bl + bh) / 2
-		agg.Lo += float64(c) * bl
-		agg.Hi += float64(c) * bh
-	}
-	prof.addCost(Cost{BinsTouched: bins})
-	prof.setRows(agg.Count)
-	if msp != nil {
-		msp.SetAttrInt("bins", int64(bins))
-		addOperandSpans(msp, ops)
-		msp.End()
-	}
-	return agg, nil
-}
-
-func correlationImpl(e *executor, xa, xb *index.Index, sa, sb Subset, prof *Node, sp *telemetry.ActiveSpan) (metrics.Pair, error) {
-	if xa.N() != xb.N() {
-		return metrics.Pair{}, fmt.Errorf("query: indices over %d and %d elements", xa.N(), xb.N())
-	}
-	if err := sa.validate(xa.N()); err != nil {
-		return metrics.Pair{}, err
-	}
-	if err := sb.validate(xb.N()); err != nil {
-		return metrics.Pair{}, err
-	}
-	if sa.hasSpatial() != sb.hasSpatial() || (sa.hasSpatial() && (sa.SpatialLo != sb.SpatialLo || sa.SpatialHi != sb.SpatialHi)) {
-		return metrics.Pair{}, fmt.Errorf("query: correlation needs one common spatial range, got [%d,%d) vs [%d,%d)",
-			sa.SpatialLo, sa.SpatialHi, sb.SpatialLo, sb.SpatialHi)
-	}
-	var mask bitvec.Bitmap
-	var mn *Node
-	var maskKey string
-	var maskGens []uint64
-	if PlannerEnabled() {
-		// The planner flattens bits(xa,sa) AND bits(xb,sb) into one
-		// multi-operand AND: the shared range indicator is built once and
-		// operands merge most-selective-first.
-		pl := planCorrelationMask(xa, xb, sa, sb)
-		optimize(pl)
-		mn = prof.child("mask", "planned: elements satisfying both predicates")
-		msp := sp.Child("mask")
-		mask = e.exec(pl, mn, msp)
-		msp.End()
-		maskKey, maskGens = pl.key, pl.gens
-	} else {
-		aSpan := sp.Child("bits-a")
-		maskA, err := bitsNaive(xa, sa, prof.child("bits-a", sa.describe()), aSpan)
-		aSpan.End()
-		if err != nil {
-			return metrics.Pair{}, err
-		}
-		bSpan := sp.Child("bits-b")
-		maskB, err := bitsNaive(xb, sb, prof.child("bits-b", sb.describe()), bSpan)
-		bSpan.End()
-		if err != nil {
-			return metrics.Pair{}, err
-		}
-		mn = prof.child("and-masks", "elements satisfying both predicates")
-		mn.scanOperand(maskA)
-		mn.scanOperand(maskB)
-		mn.markFallback(countPairOperands(maskA, maskB))
-		mask = maskA.And(maskB)
-		mn.setOut(mask)
-	}
-	n := mask.Count()
-	mn.setRows(n)
-	// Per-bin restrictions below are cached under and(bin, mask): repeated
-	// correlations over the same subsets (the interactive exploration
-	// pattern) skip the whole restriction pass on a warm cache.
-	restrictKey := func(x *index.Index, b int) string {
-		if maskKey == "" {
-			return ""
-		}
-		return bitcache.AndKey(bitcache.BinKey(x.Generation(), b), maskKey)
-	}
-	restrictGens := func(x *index.Index) []uint64 {
-		return append(append([]uint64(nil), maskGens...), x.Generation())
-	}
-	if n == 0 {
-		return metrics.Pair{}, nil
-	}
-	ha := make([]int, xa.Bins())
-	hb := make([]int, xb.Bins())
-	joint := make([][]int, xa.Bins())
-	for i := range joint {
-		joint[i] = make([]int, xb.Bins())
-	}
-	// Restricted marginals and joint distribution via AND with the mask.
-	// Profile shape: one node per A-bin restriction, and one node per B-bin
-	// that folds in the cost of its row of joint AndCounts — per-pair nodes
-	// would explode the tree quadratically.
-	restrictedA := make([]bitvec.Bitmap, xa.Bins())
-	an := prof.child("restrict-a", "per-bin AND with subset mask")
-	rsp := sp.Child("restrict-a")
-	var opsA codecTally
-	binsA := 0
-	for i := 0; i < xa.Bins(); i++ {
-		if xa.Count(i) == 0 {
-			continue
-		}
-		binsA++
-		var bn *Node
-		rk := restrictKey(xa, i)
-		if hit := e.lookup(rk); hit != nil {
-			bn = e.cacheHitNode(an, "and-mask", "", hit)
-			if bn != nil {
-				bn.Bin = i
-			}
-			restrictedA[i] = hit
-		} else {
-			opsA.bin(xa, i)
-			bn = an.binChild("and-mask", xa, i)
-			bn.scanOperand(mask)
-			bn.markFallback(countPairOperands(xa.Bitmap(i), mask))
-			restrictedA[i] = xa.Bitmap(i).And(mask)
-			e.store(rk, restrictedA[i], restrictGens(xa))
-			e.markMiss(bn, rk)
-		}
-		ha[i] = restrictedA[i].Count()
-		bn.setRows(ha[i])
-	}
-	an.addCost(Cost{BinsTouched: binsA})
-	if rsp != nil {
-		rsp.SetAttrInt("bins", int64(binsA))
-		addOperandSpans(rsp, opsA)
-		rsp.End()
-	}
-	jn := prof.child("joint", "B-bin restriction + per-pair AndCount row")
-	jsp := sp.Child("joint")
-	binsB := 0
-	for j := 0; j < xb.Bins(); j++ {
-		if xb.Count(j) == 0 {
-			continue
-		}
-		binsB++
-		var bn *Node
-		var vj bitvec.Bitmap
-		rk := restrictKey(xb, j)
-		if hit := e.lookup(rk); hit != nil {
-			bn = e.cacheHitNode(jn, "and-mask", "", hit)
-			if bn != nil {
-				bn.Bin = j
-			}
-			vj = hit
-		} else {
-			bn = jn.binChild("and-mask", xb, j)
-			bn.scanOperand(mask)
-			bn.markFallback(countPairOperands(xb.Bitmap(j), mask))
-			vj = xb.Bitmap(j).And(mask)
-			e.store(rk, vj, restrictGens(xb))
-			e.markMiss(bn, rk)
-		}
-		hb[j] = vj.Count()
-		bn.setRows(hb[j])
-		if hb[j] == 0 {
-			continue
-		}
-		for i := 0; i < xa.Bins(); i++ {
-			if ha[i] == 0 {
-				continue
-			}
-			bn.scanOperand(restrictedA[i])
-			bn.scanOperand(vj)
-			bn.markFallback(countPairOperands(restrictedA[i], vj))
-			joint[i][j] = restrictedA[i].AndCount(vj)
-		}
-	}
-	jn.addCost(Cost{BinsTouched: binsB})
-	if jsp != nil {
-		jsp.SetAttrInt("bins", int64(binsB))
-		jsp.End()
-	}
-	ea := metrics.Entropy(ha, n)
-	eb := metrics.Entropy(hb, n)
-	mi := metrics.MutualInformation(joint, ha, hb, n)
-	prof.setRows(n)
-	return metrics.Pair{
-		EntropyA: ea, EntropyB: eb, MI: mi,
-		CondEntropyAB: ea - mi, CondEntropyBA: eb - mi,
-	}, nil
-}
-
-func maskedSumImpl(m *Masked, s Subset, prof *Node, sp *telemetry.ActiveSpan) (Aggregate, error) {
-	if err := s.validate(m.X.N()); err != nil {
-		return Aggregate{}, err
-	}
-	lo, hi := s.spatialBounds(m.X.N())
-	vsp := sp.Child("and-valid")
-	var ops codecTally
-	var agg Aggregate
-	bins := 0
-	for b := 0; b < m.X.Bins(); b++ {
-		if !s.binSelected(m.X, b) || m.X.Count(b) == 0 {
-			continue
-		}
-		bins++
-		ops.bin(m.X, b)
-		n := prof.binChild("and-valid", m.X, b)
-		n.scanOperand(m.Valid)
-		n.markFallback(countPairOperands(m.X.Bitmap(b), m.Valid))
-		vb := m.X.Bitmap(b).And(m.Valid)
-		n.setOut(vb)
-		c := vb.CountRange(lo, hi)
-		n.setRows(c)
-		if c == 0 {
-			continue
-		}
-		bl, bh := m.X.Mapper().Low(b), m.X.Mapper().High(b)
-		agg.Count += c
-		agg.Estimate += float64(c) * (bl + bh) / 2
-		agg.Lo += float64(c) * bl
-		agg.Hi += float64(c) * bh
-	}
-	prof.addCost(Cost{BinsTouched: bins})
-	prof.setRows(agg.Count)
-	if vsp != nil {
-		vsp.SetAttrInt("bins", int64(bins))
-		addOperandSpans(vsp, ops)
-		vsp.End()
-	}
-	return agg, nil
-}
-
-// ---------------------------------------------------------------------------
-// ANALYZE entry points: execute the query and return the result together
-// with the measured operator profile. The profile is also offered to the
-// slow-query log (SetSlowLog).
-
-// BitsAnalyze is Bits with a measured profile.
-func BitsAnalyze(ctx context.Context, x *index.Index, s Subset) (bitvec.Bitmap, *Profile, error) {
-	ctx, _, end := begin(ctx, "query.bits", tel.bits, x)
-	defer end()
-	return bitsAnalyze(ctx, x, s, false)
-}
-
-func bitsAnalyze(ctx context.Context, x *index.Index, s Subset, light bool) (bitvec.Bitmap, *Profile, error) {
-	p, finish := newAnalyze(ctx, string(OpBits), s.describe(), light)
-	stampPlan(p, bitsPlanShape(x, s))
-	v, err := bitsImpl(newExecutor(ctx), x, s, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, x, capParams{s: s}, bitmapDigest(v, err), err)
-	return v, p, err
-}
-
-// CountAnalyze is Count with a measured profile.
-func CountAnalyze(ctx context.Context, x *index.Index, s Subset) (int, *Profile, error) {
-	ctx, _, end := begin(ctx, "query.count", tel.count, x)
-	defer end()
-	return countAnalyze(ctx, x, s, false)
-}
-
-func countAnalyze(ctx context.Context, x *index.Index, s Subset, light bool) (int, *Profile, error) {
-	p, finish := newAnalyze(ctx, string(OpCount), s.describe(), light)
-	stampPlan(p, "")
-	n, err := countImpl(x, s, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, x, capParams{s: s}, qlog.DigestInt(n), err)
-	return n, p, err
-}
-
-// SumAnalyze is Sum with a measured profile.
-func SumAnalyze(ctx context.Context, x *index.Index, s Subset) (Aggregate, *Profile, error) {
-	ctx, _, end := begin(ctx, "query.sum", tel.sum, x)
-	defer end()
-	return sumAnalyze(ctx, x, s, false)
-}
-
-func sumAnalyze(ctx context.Context, x *index.Index, s Subset, light bool) (Aggregate, *Profile, error) {
-	p, finish := newAnalyze(ctx, string(OpSum), s.describe(), light)
-	stampPlan(p, "")
-	agg, err := sumImpl(x, s, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, x, capParams{s: s}, DigestAggregate(agg), err)
-	return agg, p, err
-}
-
-// MeanAnalyze is Mean with a measured profile.
-func MeanAnalyze(ctx context.Context, x *index.Index, s Subset) (Aggregate, *Profile, error) {
-	ctx, _, end := begin(ctx, "query.mean", tel.sum, x)
-	defer end()
-	return meanAnalyze(ctx, x, s, false)
-}
-
-func meanAnalyze(ctx context.Context, x *index.Index, s Subset, light bool) (Aggregate, *Profile, error) {
-	p, finish := newAnalyze(ctx, string(OpMean), s.describe(), light)
-	stampPlan(p, "")
-	agg, err := meanImpl(x, s, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, x, capParams{s: s}, DigestAggregate(agg), err)
-	return agg, p, err
-}
-
-// QuantileAnalyze is Quantile with a measured profile.
-func QuantileAnalyze(ctx context.Context, x *index.Index, s Subset, q float64) (Aggregate, *Profile, error) {
-	ctx, _, end := begin(ctx, "query.quantile", tel.quantile, x)
-	defer end()
-	return quantileAnalyze(ctx, x, s, q, false)
-}
-
-func quantileAnalyze(ctx context.Context, x *index.Index, s Subset, q float64, light bool) (Aggregate, *Profile, error) {
-	p, finish := newAnalyze(ctx, string(OpQuantile), fmt.Sprintf("q=%g %s", q, s.describe()), light)
-	stampPlan(p, "")
-	agg, err := quantileImpl(x, s, q, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, x, capParams{s: s, q: q}, DigestAggregate(agg), err)
-	return agg, p, err
-}
-
-// MinMaxAnalyze is MinMax with a measured profile.
-func MinMaxAnalyze(ctx context.Context, x *index.Index, s Subset) (min, max Aggregate, p *Profile, err error) {
-	ctx, _, end := begin(ctx, "query.minmax", tel.minmax, x)
-	defer end()
-	return minMaxAnalyze(ctx, x, s, false)
-}
-
-func minMaxAnalyze(ctx context.Context, x *index.Index, s Subset, light bool) (min, max Aggregate, p *Profile, err error) {
-	p, finish := newAnalyze(ctx, string(OpMinMax), s.describe(), light)
-	stampPlan(p, "")
-	min, max, err = minMaxImpl(x, s, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, x, capParams{s: s}, DigestMinMax(min, max), err)
-	return min, max, p, err
-}
-
-// SumMaskedAnalyze is SumMasked with a measured profile.
-func SumMaskedAnalyze(ctx context.Context, x *index.Index, mask bitvec.Bitmap) (Aggregate, *Profile, error) {
-	ctx, _, end := begin(ctx, "query.sum-masked", tel.masked, x)
-	defer end()
-	return sumMaskedAnalyze(ctx, x, mask, false)
-}
-
-func sumMaskedAnalyze(ctx context.Context, x *index.Index, mask bitvec.Bitmap, light bool) (Aggregate, *Profile, error) {
-	p, finish := newAnalyze(ctx, "sum-masked", fmt.Sprintf("mask bits=%d", mask.Len()), light)
-	stampPlan(p, "")
-	agg, err := sumMaskedImpl(x, mask, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, x, capParams{}, DigestAggregate(agg), err)
-	return agg, p, err
-}
-
-// CorrelationAnalyze is Correlation with a measured profile.
-func CorrelationAnalyze(ctx context.Context, xa, xb *index.Index, sa, sb Subset) (metrics.Pair, *Profile, error) {
-	ctx, _, end := begin(ctx, "query.correlation", tel.correlation, xa)
-	defer end()
-	return correlationAnalyze(ctx, xa, xb, sa, sb, false)
-}
-
-func correlationAnalyze(ctx context.Context, xa, xb *index.Index, sa, sb Subset, light bool) (metrics.Pair, *Profile, error) {
-	p, finish := newAnalyze(ctx, "correlation", fmt.Sprintf("a: %s | b: %s", sa.describe(), sb.describe()), light)
-	stampPlan(p, corrPlanShape(xa, xb, sa, sb))
-	pair, err := correlationImpl(newExecutor(ctx), xa, xb, sa, sb, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, xa, capParams{s: sa, sb: &sb, xb: xb}, DigestPair(pair), err)
-	return pair, p, err
-}
-
-// SumAnalyze is Masked.Sum with a measured profile.
-func (m *Masked) SumAnalyze(ctx context.Context, s Subset) (Aggregate, *Profile, error) {
-	ctx, _, end := begin(ctx, "query.masked-sum", tel.masked, m.X)
-	defer end()
-	return m.sumAnalyze(ctx, s, false)
-}
-
-func (m *Masked) sumAnalyze(ctx context.Context, s Subset, light bool) (Aggregate, *Profile, error) {
-	p, finish := newAnalyze(ctx, "masked-sum", s.describe(), light)
-	stampPlan(p, "")
-	agg, err := maskedSumImpl(m, s, p.Root, telemetry.SpanFromContext(ctx))
-	finish(err)
-	capture(p, m.X, capParams{s: s}, DigestAggregate(agg), err)
-	return agg, p, err
-}
-
-// ---------------------------------------------------------------------------
-// EXPLAIN: estimate the plan's cost from per-bin index metadata — encoded
+// EXPLAIN: estimate a request's cost from per-bin index metadata — encoded
 // size, word count, cached cardinality, codec — without executing anything.
-// O(bins), no bitmap is decoded. Estimates carry WordsScanned, BytesDecoded
-// and Rows; the fill/literal split needs a scan of the encoding, so it is
-// ANALYZE-only. Value predicates select whole bins (bin-granular semantics),
-// so estimated rows for partially-overlapped edge bins are upper bounds;
-// spatial restrictions scale row estimates by the covered fraction but not
-// scan costs (CountRange still walks the encoding from the start).
+// O(bins), no bitmap is decoded. A request's bits-shaped part comes from the
+// same lower() the executor calls and is rendered from that plan object, so
+// EXPLAIN shows the operators ANALYZE will report, in order — operand
+// order, pruned bins, a provably-empty result (zero estimated words).
+// Estimates carry WordsScanned, BytesDecoded and Rows; the fill/literal
+// split needs a scan of the encoding, so it is ANALYZE-only. Value
+// predicates are bin-granular, so estimated rows for partially-overlapped
+// edge bins are upper bounds; spatial restrictions scale row estimates by
+// the covered fraction but not scan costs (CountRange still walks the
+// encoding from the start).
 
-// Explain returns the estimated plan of op over the subset.
+// Explain returns the estimated plan of a single-index op over the subset.
 func Explain(x *index.Index, s Subset, op Op) (*Profile, error) {
-	if err := s.validate(x.N()); err != nil {
+	return ExplainRequest(Request{Op: op, A: s}, x, nil)
+}
+
+// ExplainCorrelation estimates the correlation query's plan: the planned
+// subset mask, the per-bin restrictions of both variables, and the joint
+// AndCount grid over occupied bin pairs.
+func ExplainCorrelation(xa, xb *index.Index, sa, sb Subset) (*Profile, error) {
+	return ExplainRequest(Request{Op: OpCorrelation, A: sa, B: sb}, xa, xb)
+}
+
+// ExplainRequest returns the estimated plan of any request Run accepts.
+func ExplainRequest(req Request, xa, xb *index.Index) (*Profile, error) {
+	if err := req.validate(xa, xb, nil); err != nil {
 		return nil, err
 	}
-	p := &Profile{Query: string(op), Mode: ModeExplain, Detail: s.describe(), Root: &Node{Op: string(op), Bin: -1}}
-	switch op {
+	p := &Profile{Query: string(req.Op), Mode: ModeExplain, Detail: req.describe(nil), Root: &Node{Op: string(req.Op), Bin: -1}}
+	switch req.Op {
 	case OpBits:
-		explainBits(x, s, p.Root)
-	case OpCount, OpSum, OpQuantile, OpMinMax:
-		explainBinCounts(x, s, p.Root)
+		pl := lower(&req, xa, nil)
+		explainPlanNode(pl, p.Root)
+		p.Root.setRows(int(pl.est.Rows))
 	case OpMean:
-		explainBinCounts(x, s, p.Root.child("sum", s.describe()))
+		explainBinCounts(xa, req.A, p.Root.child("sum", req.A.describe()))
+	case OpCorrelation:
+		explainCorrelation(lower(&req, xa, xb), xa, xb, p.Root)
 	default:
-		return nil, fmt.Errorf("query: cannot explain op %q", op)
+		explainBinCounts(xa, req.A, p.Root)
 	}
 	return p, nil
 }
@@ -826,59 +71,15 @@ func estBin(x *index.Index, b int, frac float64) Cost {
 	}
 }
 
-func explainBits(x *index.Index, s Subset, root *Node) {
-	if PlannerEnabled() {
-		// Show the optimized plan: chosen operand order, pruned bins, and
-		// merge strategy, with estimated costs on the same tree shapes the
-		// executor will emit.
-		p := planBits(x, s)
-		optimize(p)
-		explainPlanNode(p, root)
-		root.setRows(int(p.est.Rows))
-		return
-	}
-	frac := s.spatialFraction(x.N())
-	var rows int64
-	if s.hasValue() {
-		n := root.child("or-merge", fmt.Sprintf("value=[%g,%g)", s.ValueLo, s.ValueHi))
-		touched := 0
-		for b := 0; b < x.Bins(); b++ {
-			if !s.binSelected(x, b) {
-				continue
-			}
-			touched++
-			c := n.child("or", "")
-			c.Bin = b
-			c.Codec = x.Codec(b).String()
-			c.Cost = estBin(x, b, 1)
-			rows += c.Cost.Rows
-		}
-		n.addCost(Cost{BinsTouched: touched})
-		n.setRows(int(rows))
-	} else {
-		rows = int64(x.N())
-		root.child("ones", "no value predicate").setRows(x.N())
-	}
-	if s.hasSpatial() {
-		segWords := int64((x.N() + bitvec.SegmentBits - 1) / bitvec.SegmentBits)
-		n := root.child("and-range", fmt.Sprintf("spatial=[%d,%d)", s.SpatialLo, s.SpatialHi))
-		n.addCost(Cost{WordsScanned: segWords, BytesDecoded: 4 * segWords})
-		rows = int64(float64(rows) * frac)
-		n.setRows(int(rows))
-	}
-	root.setRows(int(rows))
-}
-
 func explainBinCounts(x *index.Index, s Subset, root *Node) {
 	frac := s.spatialFraction(x.N())
 	touched, pruned := 0, 0
-	planned := PlannerEnabled()
 	var rows int64
 	for b := 0; b < x.Bins(); b++ {
 		if !s.binSelected(x, b) {
 			continue
 		}
-		if planned && x.Count(b) == 0 {
+		if x.Count(b) == 0 {
 			pruned++
 			continue
 		}
@@ -902,26 +103,18 @@ func explainBinCounts(x *index.Index, s Subset, root *Node) {
 	root.setRows(int(rows))
 }
 
-// ExplainCorrelation estimates the correlation query's plan: both subset
-// materializations, the mask AND, the per-bin restrictions of both
-// variables, and the joint AndCount grid over occupied bin pairs.
-func ExplainCorrelation(xa, xb *index.Index, sa, sb Subset) (*Profile, error) {
-	if err := sa.validate(xa.N()); err != nil {
-		return nil, err
+// explainCorrelation renders the optimized mask plan, then — unless the
+// mask is provably empty, in which case nothing else would run — the
+// per-bin restrictions of both variables and the joint AndCount grid over
+// occupied bin pairs.
+func explainCorrelation(mask *planNode, xa, xb *index.Index, root *Node) {
+	mn := root.child("mask", "elements satisfying both predicates")
+	explainPlanNode(mask, mn)
+	mn.setRows(int(mask.est.Rows))
+	if mask.kind == planEmpty {
+		return
 	}
-	if err := sb.validate(xb.N()); err != nil {
-		return nil, err
-	}
-	p := &Profile{
-		Query: "correlation", Mode: ModeExplain,
-		Detail: fmt.Sprintf("a: %s | b: %s", sa.describe(), sb.describe()),
-		Root:   &Node{Op: "correlation", Bin: -1},
-	}
-	explainBits(xa, sa, p.Root.child("bits-a", sa.describe()))
-	explainBits(xb, sb, p.Root.child("bits-b", sb.describe()))
 	segWords := int64((xa.N() + bitvec.SegmentBits - 1) / bitvec.SegmentBits)
-	p.Root.child("and-masks", "elements satisfying both predicates").
-		addCost(Cost{WordsScanned: 2 * segWords, BytesDecoded: 8 * segWords})
 	occupied := func(x *index.Index) (bins int, words, bytes int64) {
 		for b := 0; b < x.Bins(); b++ {
 			if x.Count(b) == 0 {
@@ -935,12 +128,11 @@ func ExplainCorrelation(xa, xb *index.Index, sa, sb Subset) (*Profile, error) {
 	}
 	binsA, wordsA, bytesA := occupied(xa)
 	binsB, wordsB, bytesB := occupied(xb)
-	p.Root.child("restrict-a", "per-bin AND with subset mask").
+	root.child("restrict-a", "per-bin AND with subset mask").
 		addCost(Cost{BinsTouched: binsA, WordsScanned: wordsA + int64(binsA)*segWords, BytesDecoded: bytesA + 4*int64(binsA)*segWords})
 	// Each occupied B bin is restricted once, then AndCounted against every
 	// occupied restricted A bin; restricted bitmaps are bounded by the mask.
 	jointOps := int64(binsA) * int64(binsB)
-	p.Root.child("joint", fmt.Sprintf("%d×%d bin pairs", binsA, binsB)).
+	root.child("joint", fmt.Sprintf("%d×%d bin pairs", binsA, binsB)).
 		addCost(Cost{BinsTouched: binsB, WordsScanned: wordsB + int64(binsB)*segWords + 2*jointOps*segWords, BytesDecoded: bytesB + 4*int64(binsB)*segWords + 8*jointOps*segWords})
-	return p, nil
 }

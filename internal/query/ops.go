@@ -1,0 +1,310 @@
+package query
+
+import (
+	"fmt"
+
+	"insitubits/internal/bitcache"
+	"insitubits/internal/bitvec"
+	"insitubits/internal/index"
+	"insitubits/internal/metrics"
+)
+
+// The operators: each is the single implementation of its query, reporting
+// under a profile node that is nil on the plain path (every recorder hook
+// no-ops), and takes a validated request. ANALYZE accounting convention: an
+// operator is charged one full scan of each encoded operand it consumes
+// (bitvec's kernels are not instrumented — that would tax the hot loops the
+// <2% overhead budget protects; the operands' physical composition is the
+// same number, read after the fact via Stats). Operators check the request's
+// context between kernel calls, never inside one, and not where no bitmap
+// is read.
+
+func (e *executor) bits(req *Request, x *index.Index) (bitvec.Bitmap, error) {
+	e.plan, e.cache = lower(req, x, nil), cacheFrom(e.ctx)
+	v, err := e.exec(e.plan, e.prof, e.sp)
+	if err != nil {
+		return nil, err
+	}
+	if e.prof != nil {
+		e.prof.setRows(v.Count())
+	}
+	return v, nil
+}
+
+// binCounts runs the shared per-bin counting loop of Count/Sum/Quantile/
+// MinMax: for each value-selected bin, the subset count — from the cached
+// per-bin cardinality when there is no spatial restriction (no bitmap is
+// touched), else by scanning the bin's bitmap over the element range.
+// visit receives every selected bin with its count, in bin order (Quantile
+// and MinMax depend on it). A bin with zero cached cardinality contributes
+// nothing to any count, so it is pruned and its bitmap never scanned.
+func (e *executor) binCounts(x *index.Index, s Subset, prof *Node, visit func(b, c int)) (err error) {
+	lo, hi := s.spatialBounds(x.N())
+	o := openOperator(prof, e.sp, "bin-counts")
+	cached, pruned := 0, 0
+	for b := 0; b < x.Bins() && err == nil; b++ {
+		switch {
+		case !s.binSelected(x, b):
+		case x.Count(b) == 0:
+			pruned++
+		case !s.hasSpatial():
+			cached++
+			o.bins++
+			c := x.Count(b)
+			if n := prof.child("cached-count", ""); n != nil {
+				n.Bin = b
+				n.Codec = x.Codec(b).String()
+				n.setRows(c)
+			}
+			visit(b, c)
+		default:
+			if err = e.ctx.Err(); err == nil {
+				c := x.Bitmap(b).CountRange(lo, hi)
+				o.scan("count-range", x, b).setRows(c)
+				visit(b, c)
+			}
+		}
+	}
+	if pruned > 0 {
+		prof.child("prune", fmt.Sprintf("skipped %d empty bins", pruned))
+	}
+	if o.span != nil {
+		o.span.SetAttrInt("cached_counts", int64(cached))
+		o.span.SetAttrInt("scanned_bins", int64(o.bins-cached))
+	}
+	o.end()
+	return err
+}
+
+func (e *executor) count(x *index.Index, s Subset) (int, error) {
+	total := 0
+	err := e.binCounts(x, s, e.prof, func(b, c int) { total += c })
+	e.prof.setRows(total)
+	return total, err
+}
+
+// add folds c elements of bin b into the aggregate: midpoint estimate,
+// bin-edge bounds.
+func (a *Aggregate) add(x *index.Index, b, c int) {
+	if c == 0 {
+		return
+	}
+	bl, bh := x.Mapper().Low(b), x.Mapper().High(b)
+	a.Count += c
+	a.Estimate += float64(c) * (bl + bh) / 2
+	a.Lo += float64(c) * bl
+	a.Hi += float64(c) * bh
+}
+
+// mean divides a sum aggregate by its count.
+func (a Aggregate) mean() Aggregate {
+	if a.Count == 0 {
+		return Aggregate{}
+	}
+	n := float64(a.Count)
+	return Aggregate{Count: a.Count, Estimate: a.Estimate / n, Lo: a.Lo / n, Hi: a.Hi / n}
+}
+
+// binAggregate is the aggregate of total elements whose statistic falls in
+// bin b: the bin's midpoint, bounded by its edges.
+func binAggregate(x *index.Index, b, total int) Aggregate {
+	bl, bh := x.Mapper().Low(b), x.Mapper().High(b)
+	return Aggregate{Count: total, Estimate: (bl + bh) / 2, Lo: bl, Hi: bh}
+}
+
+func (e *executor) sum(x *index.Index, s Subset, prof *Node) (Aggregate, error) {
+	var agg Aggregate
+	err := e.binCounts(x, s, prof, func(b, c int) { agg.add(x, b, c) })
+	prof.setRows(agg.Count)
+	return agg, err
+}
+
+func (e *executor) quantile(x *index.Index, s Subset, q float64) (Aggregate, error) {
+	counts := make([]int, x.Bins())
+	total := 0
+	err := e.binCounts(x, s, e.prof, func(b, c int) {
+		counts[b] = c
+		total += c
+	})
+	e.prof.setRows(total)
+	if err != nil || total == 0 {
+		return Aggregate{}, err
+	}
+	// Rank of the quantile element (1-based), clamped into [1, total].
+	rank := int(q*float64(total-1)) + 1
+	cum := 0
+	for b := 0; b < x.Bins(); b++ {
+		cum += counts[b]
+		if cum >= rank {
+			if n := e.prof.child("rank-scan", fmt.Sprintf("rank %d of %d", rank, total)); n != nil {
+				n.Bin = b
+			}
+			return binAggregate(x, b, total), nil
+		}
+	}
+	return Aggregate{}, fmt.Errorf("query: internal: rank %d beyond %d elements", rank, total)
+}
+
+func (e *executor) minMax(x *index.Index, s Subset) (min, max Aggregate, err error) {
+	first, last := -1, -1
+	total := 0
+	err = e.binCounts(x, s, e.prof, func(b, c int) {
+		if c == 0 {
+			return
+		}
+		if first < 0 {
+			first = b
+		}
+		last = b
+		total += c
+	})
+	e.prof.setRows(total)
+	if err != nil || first < 0 {
+		return Aggregate{}, Aggregate{}, err
+	}
+	return binAggregate(x, first, total), binAggregate(x, last, total), nil
+}
+
+func (e *executor) sumMasked(x *index.Index, mask bitvec.Bitmap) (agg Aggregate, err error) {
+	o := openOperator(e.prof, e.sp, "and-count-mask")
+	for b := 0; b < x.Bins() && err == nil; b++ {
+		if x.Count(b) == 0 {
+			continue
+		}
+		if err = e.ctx.Err(); err == nil {
+			n := o.merge("and-count-mask", x, b, mask)
+			c := x.Bitmap(b).AndCount(mask)
+			n.setRows(c)
+			agg.add(x, b, c)
+		}
+	}
+	e.prof.setRows(agg.Count)
+	o.end()
+	return agg, err
+}
+
+// maskedSum aggregates over the valid elements only (Masked.Sum).
+func (e *executor) maskedSum(x *index.Index, valid bitvec.Bitmap, s Subset) (agg Aggregate, err error) {
+	lo, hi := s.spatialBounds(x.N())
+	o := openOperator(e.prof, e.sp, "and-valid")
+	for b := 0; b < x.Bins() && err == nil; b++ {
+		if !s.binSelected(x, b) || x.Count(b) == 0 {
+			continue
+		}
+		if err = e.ctx.Err(); err == nil {
+			n := o.merge("and-valid", x, b, valid)
+			vb := x.Bitmap(b).And(valid)
+			n.setOut(vb)
+			c := vb.CountRange(lo, hi)
+			n.setRows(c)
+			agg.add(x, b, c)
+		}
+	}
+	e.prof.setRows(agg.Count)
+	o.end()
+	return agg, err
+}
+
+// correlation answers the §4.1 query: the subset mask is planned and
+// executed like any bits-shaped request, then both variables' occupied bins
+// are restricted to it and the joint distribution is AndCounted.
+func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair, error) {
+	e.plan, e.cache = lower(req, xa, xb), cacheFrom(e.ctx)
+	mn := e.prof.child("mask", "elements satisfying both predicates")
+	msp := e.sp.Child("mask")
+	mask, err := e.exec(e.plan, mn, msp)
+	msp.End()
+	if err != nil {
+		return metrics.Pair{}, err
+	}
+	n := mask.Count()
+	mn.setRows(n)
+	if n == 0 {
+		return metrics.Pair{}, nil
+	}
+	ha := make([]int, xa.Bins())
+	hb := make([]int, xb.Bins())
+	joint := make([][]int, xa.Bins())
+	for i := range joint {
+		joint[i] = make([]int, xb.Bins())
+	}
+	// Restricted marginals and joint distribution via AND with the mask.
+	// Profile shape: one node per A-bin restriction, and one node per B-bin
+	// that folds in the cost of its row of joint AndCounts — per-pair nodes
+	// would explode the tree quadratically.
+	restrictedA := make([]bitvec.Bitmap, xa.Bins())
+	oa := openOperator(e.prof.child("restrict-a", "per-bin AND with subset mask"), e.sp, "restrict-a")
+	for i := 0; i < xa.Bins() && err == nil; i++ {
+		if xa.Count(i) == 0 {
+			continue
+		}
+		if err = e.ctx.Err(); err == nil {
+			var bn *Node
+			restrictedA[i], bn = e.restrict(&oa, xa, i, mask)
+			ha[i] = restrictedA[i].Count()
+			bn.setRows(ha[i])
+		}
+	}
+	oa.end()
+	ob := openOperator(e.prof.child("joint", "B-bin restriction + per-pair AndCount row"), e.sp, "joint")
+	for j := 0; j < xb.Bins() && err == nil; j++ {
+		if xb.Count(j) == 0 {
+			continue
+		}
+		if err = e.ctx.Err(); err != nil {
+			break
+		}
+		vj, bn := e.restrict(&ob, xb, j, mask)
+		hb[j] = vj.Count()
+		bn.setRows(hb[j])
+		if hb[j] == 0 {
+			continue
+		}
+		for i := 0; i < xa.Bins(); i++ {
+			if ha[i] == 0 {
+				continue
+			}
+			bn.scanOperand(restrictedA[i])
+			bn.scanOperand(vj)
+			bn.markFallback(countPairOperands(restrictedA[i], vj))
+			joint[i][j] = restrictedA[i].AndCount(vj)
+		}
+	}
+	ob.end()
+	if err != nil {
+		return metrics.Pair{}, err
+	}
+	ea := metrics.Entropy(ha, n)
+	eb := metrics.Entropy(hb, n)
+	mi := metrics.MutualInformation(joint, ha, hb, n)
+	e.prof.setRows(n)
+	return metrics.Pair{
+		EntropyA: ea, EntropyB: eb, MI: mi,
+		CondEntropyAB: ea - mi, CondEntropyBA: eb - mi,
+	}, nil
+}
+
+// restrict returns bin b of x ANDed with the request's subset mask, as one
+// bin-level child of operator o. The result is cached under and(bin, mask):
+// repeated correlations over the same subsets (the interactive exploration
+// pattern) skip the whole restriction pass on a warm cache.
+func (e *executor) restrict(o *operator, x *index.Index, b int, mask bitvec.Bitmap) (bitvec.Bitmap, *Node) {
+	key := ""
+	if e.cache != nil && e.plan.key != "" {
+		key = bitcache.AndKey(bitcache.BinKey(x.Generation(), b), e.plan.key)
+	}
+	if hit := e.lookup(key); hit != nil {
+		o.bins++
+		n := cacheHitNode(o.node, "and-mask", "", hit)
+		if n != nil {
+			n.Bin = b
+		}
+		return hit, n
+	}
+	n := o.merge("and-mask", x, b, mask)
+	v := x.Bitmap(b).And(mask)
+	if key != "" {
+		e.store(n, key, v, append(append([]uint64(nil), e.plan.gens...), x.Generation()))
+	}
+	return v, n
+}

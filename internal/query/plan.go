@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"insitubits/internal/bitcache"
 	"insitubits/internal/bitvec"
@@ -12,28 +11,17 @@ import (
 )
 
 // This file is the plan/optimize half of the query pipeline. Bits-shaped
-// requests (subset materialization, correlation masks) are first lowered to
-// a small algebraic IR — ORs of bin bitmaps, built range/ones indicators,
-// multi-operand ANDs — then optimized with the same O(1) per-bin statistics
+// requests (subset materialization, correlation masks) are lowered to a
+// small algebraic IR — ORs of bin bitmaps, built range/ones indicators,
+// multi-operand ANDs — and optimized with the same O(1) per-bin statistics
 // the EXPLAIN estimator reads: empty bins are pruned, provably-empty
 // subtrees collapse without executing anything, AND operands are reordered
 // cheapest/most-selective-first (compressed-bitmap op cost tracks encoded
 // size — Lemire, Kaser & Aouiche), and built leaves pick the codec that
-// keeps merges on a native kernel. Execution (exec.go) then walks the
-// optimized tree, consulting the bitmap cache at every node that has a
-// canonical key. SetPlanner(false) reverts every entry point to the
-// fixed-order naive path, which the differential tests compare against.
-
-// plannerOff gates the pipeline; zero value = planner enabled.
-var plannerOff atomic.Bool
-
-// SetPlanner toggles the cost-based planner. Disabled, every entry point
-// executes operands in fixed index order with no cache, exactly as before
-// the planner existed — the reference behaviour of the differential suite.
-func SetPlanner(on bool) { plannerOff.Store(!on) }
-
-// PlannerEnabled reports whether the cost-based planner is active.
-func PlannerEnabled() bool { return !plannerOff.Load() }
+// keeps merges on a native kernel. lower is the one place a request is
+// planned: the executor (exec.go) walks the tree it returns, consulting the
+// bitmap cache at every node that has a canonical key, and EXPLAIN renders
+// the very same tree.
 
 type planKind int
 
@@ -119,9 +107,8 @@ func planBits(x *index.Index, s Subset) *planNode {
 
 // planCorrelationMask lowers the correlation subset mask, flattening
 // bits(xa,sa) AND bits(xb,sb) into one multi-operand AND: both value ORs
-// plus at most one shared spatial indicator. The naive path builds the
-// range twice and merges in fixed order; flattening lets the optimizer
-// order all operands together and build the indicator once.
+// plus at most one shared spatial indicator, so the optimizer orders all
+// operands together and the indicator is built once.
 func planCorrelationMask(xa, xb *index.Index, sa, sb Subset) *planNode {
 	n := xa.N()
 	var ops []*planNode
@@ -141,6 +128,27 @@ func planCorrelationMask(xa, xb *index.Index, sa, sb Subset) *planNode {
 		return ops[0]
 	}
 	return &planNode{kind: planAnd, n: n, children: ops}
+}
+
+// testHookLowered, when non-nil, observes every plan lower hands out; the
+// one-plan-per-request test counts through it.
+var testHookLowered func(*planNode)
+
+// lower plans a bits-shaped request — Bits, or the subset mask of a
+// Correlation — and optimizes it. Every request is planned here exactly
+// once, whether it is then executed or only explained.
+func lower(req *Request, xa, xb *index.Index) *planNode {
+	var p *planNode
+	if req.Op == OpCorrelation {
+		p = planCorrelationMask(xa, xb, req.A, req.B)
+	} else {
+		p = planBits(xa, req.A)
+	}
+	optimize(p)
+	if h := testHookLowered; h != nil {
+		h(p)
+	}
+	return p
 }
 
 // optimize finalizes a plan in place using only O(1) per-bin metadata —

@@ -3,6 +3,9 @@ package query
 import (
 	"context"
 	"math/rand"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"insitubits/internal/binning"
@@ -10,58 +13,242 @@ import (
 	"insitubits/internal/bitvec"
 	"insitubits/internal/codec"
 	"insitubits/internal/index"
+	"insitubits/internal/metrics"
+	"insitubits/internal/qlog"
 )
 
-// The planner/executor differential suite: every entry point, run through
-// the cost-based pipeline (with and without a cache), must produce results
-// byte-identical — after canonical WAH re-encoding, since the planner may
-// legitimately pick a different in-memory codec — to the fixed-order naive
-// path (SetPlanner(false)), across all three codecs and mixed-codec
-// indices. The naive path is the reference precisely because it predates
-// the planner: it shares no ordering, pruning, or caching logic with it.
+// The oracle suite. The paper's claim is zero accuracy loss at equal
+// binning: any query answered from the bitmaps equals the same computation
+// brute-forced over the binned raw array. model is that brute force — the
+// naive reference: per-element bin ids from the mapper the index was built
+// with, no bitmaps, no planner, no cache — and every operator, under every
+// codec, cache state and accounting level, must agree with it exactly:
+// bitmaps after canonical WAH re-encoding, and numbers bit for bit, because
+// the model derives them from its integer per-bin counts in the same bin
+// order and through the same metrics functions as the operators do.
 
-// naively runs f with the planner disabled and restores it.
-func naively(f func()) {
-	SetPlanner(false)
-	defer SetPlanner(true)
-	f()
+type model struct {
+	m   binning.Mapper
+	ids []int // ids[i] = m.Bin(data[i])
+}
+
+func newModel(data []float64, m binning.Mapper) *model {
+	md := &model{m: m, ids: make([]int, len(data))}
+	for i, v := range data {
+		md.ids[i] = m.Bin(v)
+	}
+	return md
+}
+
+// selects reports whether element i is in the subset: inside the spatial
+// range, and in a bin overlapping the value range (value predicates are
+// bin-granular).
+func (md *model) selects(s Subset, i int) bool {
+	if s.hasSpatial() && (i < s.SpatialLo || i >= s.SpatialHi) {
+		return false
+	}
+	b := md.ids[i]
+	return !s.hasValue() || (md.m.High(b) > s.ValueLo && md.m.Low(b) < s.ValueHi)
+}
+
+// counts is the subset's per-bin histogram.
+func (md *model) counts(s Subset) (counts []int, total int) {
+	counts = make([]int, md.m.Bins())
+	for i, b := range md.ids {
+		if md.selects(s, i) {
+			counts[b]++
+			total++
+		}
+	}
+	return counts, total
+}
+
+func (md *model) binAggregate(b, total int) Aggregate {
+	lo, hi := md.m.Low(b), md.m.High(b)
+	return Aggregate{Count: total, Estimate: (lo + hi) / 2, Lo: lo, Hi: hi}
+}
+
+// answer is what req must return; other models Correlation's second index.
+func (md *model) answer(req Request, other *model) Answer {
+	want := Answer{Op: req.Op}
+	counts, total := md.counts(req.A)
+	switch req.Op {
+	case OpBits:
+		sel := make([]bool, len(md.ids))
+		for i := range sel {
+			sel[i] = md.selects(req.A, i)
+		}
+		want.Bits = bitvec.FromBools(sel)
+	case OpCount:
+		want.Count = total
+	case OpSum, OpMean:
+		for b, c := range counts {
+			if c == 0 {
+				continue
+			}
+			lo, hi := md.m.Low(b), md.m.High(b)
+			want.Agg.Count += c
+			want.Agg.Estimate += float64(c) * (lo + hi) / 2
+			want.Agg.Lo += float64(c) * lo
+			want.Agg.Hi += float64(c) * hi
+		}
+		if n := float64(total); req.Op == OpMean && total > 0 {
+			want.Agg.Estimate, want.Agg.Lo, want.Agg.Hi = want.Agg.Estimate/n, want.Agg.Lo/n, want.Agg.Hi/n
+		}
+	case OpQuantile:
+		rank, cum := int(req.Q*float64(total-1))+1, 0
+		for b, c := range counts {
+			if cum += c; total > 0 && cum >= rank {
+				want.Agg = md.binAggregate(b, total)
+				break
+			}
+		}
+	case OpMinMax:
+		first, last := -1, -1
+		for b, c := range counts {
+			if c > 0 && first < 0 {
+				first = b
+			}
+			if c > 0 {
+				last = b
+			}
+		}
+		if first >= 0 {
+			want.Min, want.Max = md.binAggregate(first, total), md.binAggregate(last, total)
+		}
+	case OpCorrelation:
+		ha, hb := make([]int, md.m.Bins()), make([]int, other.m.Bins())
+		joint := make([][]int, len(ha))
+		for i := range joint {
+			joint[i] = make([]int, len(hb))
+		}
+		n := 0
+		for i := range md.ids {
+			if md.selects(req.A, i) && other.selects(req.B, i) {
+				ha[md.ids[i]]++
+				hb[other.ids[i]]++
+				joint[md.ids[i]][other.ids[i]]++
+				n++
+			}
+		}
+		if n > 0 {
+			ea, eb := metrics.Entropy(ha, n), metrics.Entropy(hb, n)
+			mi := metrics.MutualInformation(joint, ha, hb, n)
+			want.Pair = metrics.Pair{EntropyA: ea, EntropyB: eb, MI: mi, CondEntropyAB: ea - mi, CondEntropyBA: eb - mi}
+		}
+	}
+	return want
 }
 
 // assertCanonicalEqual fails unless got and want are byte-identical after
 // canonical WAH re-encoding, and logically Equal both ways.
-func assertCanonicalEqual(t *testing.T, label string, got, want bitvec.Bitmap) {
+func assertCanonicalEqual(t testing.TB, label string, got, want bitvec.Bitmap) {
 	t.Helper()
-	gw := bitvec.ToVector(got).RawWords()
-	ww := bitvec.ToVector(want).RawWords()
-	if len(gw) != len(ww) {
-		t.Fatalf("%s: canonical encodings differ in length: %d vs %d words", label, len(gw), len(ww))
-	}
-	for i := range gw {
-		if gw[i] != ww[i] {
-			t.Fatalf("%s: canonical encodings differ at word %d: %08x vs %08x", label, i, gw[i], ww[i])
-		}
+	if !reflect.DeepEqual(bitvec.ToVector(got).RawWords(), bitvec.ToVector(want).RawWords()) {
+		t.Fatalf("%s: canonical encodings differ", label)
 	}
 	if !got.Equal(want) || !want.Equal(got) {
 		t.Fatalf("%s: bitmaps not Equal despite identical canonical bytes", label)
 	}
 }
 
-// diffSubsets is the fixed subset matrix: value-only, spatial-only, both,
-// narrow, unbounded, single-bin, and a provably-empty value range.
-func diffSubsets(n int) []Subset {
+// assertAnswer compares an executed answer with the model's, exactly.
+func assertAnswer(t testing.TB, label string, got, want Answer) {
+	t.Helper()
+	if want.Op == OpBits {
+		assertCanonicalEqual(t, label, got.Bits, want.Bits)
+		got.Bits, want.Bits = nil, nil
+	}
+	if got != want {
+		t.Fatalf("%s: answer diverges from the model:\n got  %+v\n want %+v", label, got, want)
+	}
+}
+
+// oracleFixture is one pair of indexes with the models of the data they
+// were built from.
+type oracleFixture struct {
+	xa, xb *index.Index
+	ma, mb *model
+}
+
+func newOracleFixture(da, db []float64, m binning.Mapper, ca, cb codec.ID) *oracleFixture {
+	return &oracleFixture{
+		xa: index.BuildCodec(da, m, ca), xb: index.BuildCodec(db, m, cb),
+		ma: newModel(da, m), mb: newModel(db, m),
+	}
+}
+
+// check runs req at one accounting level under each cache state — no cache,
+// cold, warm — and compares every answer with the model's.
+func (f *oracleFixture) check(t testing.TB, label string, req Request, lvl accounting) {
+	t.Helper()
+	want := f.ma.answer(req, f.mb)
+	cache := bitcache.New(1 << 20)
+	for _, st := range []struct {
+		name  string
+		cache *bitcache.Cache
+	}{{"no-cache", nil}, {"cold", cache}, {"warm", cache}} {
+		got, prof, err := run(WithCache(context.Background(), st.cache), req, f.xa, f.xb, nil, lvl)
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, st.name, err)
+		}
+		if ran := max(lvl, installedAccounting()); (prof != nil) != (ran != acctNone) {
+			t.Fatalf("%s %s: profile presence %t at level %d", label, st.name, prof != nil, ran)
+		}
+		assertAnswer(t, label+" "+st.name, got, want)
+	}
+}
+
+// oracleSubsets is the fixed subset matrix over n elements.
+func oracleSubsets(n int) []Subset {
 	return []Subset{
 		{},                                   // unbounded
 		{ValueLo: 2, ValueHi: 6},             // value only
 		{SpatialLo: 100, SpatialHi: n - 100}, // spatial only
 		{ValueLo: 1, ValueHi: 7, SpatialLo: 31, SpatialHi: n / 2},       // both
-		{ValueLo: 3, ValueHi: 4, SpatialLo: n / 4, SpatialHi: n/4 + 64}, // narrow
 		{ValueLo: 100, ValueHi: 200},                                    // provably empty value range
 		{ValueLo: 0, ValueHi: 8, SpatialLo: 0, SpatialHi: n},            // explicit full
+		{ValueLo: 3, ValueHi: 4, SpatialLo: n / 4, SpatialHi: n/4 + 64}, // narrow: empty only at run time
 	}
 }
 
+// oracleRequests is all seven ops over each subset.
+func oracleRequests(subsets []Subset) []Request {
+	var reqs []Request
+	for _, s := range subsets {
+		for _, op := range []Op{OpBits, OpCount, OpSum, OpMean, OpMinMax} {
+			reqs = append(reqs, Request{Op: op, A: s})
+		}
+		for _, q := range []float64{0, 0.5, 1} {
+			reqs = append(reqs, Request{Op: OpQuantile, A: s, Q: q})
+		}
+		// The spatial range applies to both variables, so it must match.
+		reqs = append(reqs, Request{Op: OpCorrelation, A: s,
+			B: Subset{ValueLo: 0, ValueHi: 5, SpatialLo: s.SpatialLo, SpatialHi: s.SpatialHi}})
+	}
+	return reqs
+}
+
+// shifted is explainTestData out of phase: a second variable correlated
+// with the first but not equal to it.
+func shifted(n int) []float64 {
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = float64((i/97 + i%5) % 8)
+	}
+	return d
+}
+
+// TestPlannedMatchesNaiveAllCodecs is the property itself: every op × codec
+// × cache state × accounting level — plain, light (a workload log
+// installed, which is also checked to have recorded the model's digest for
+// every request), and full ANALYZE.
 func TestPlannedMatchesNaiveAllCodecs(t *testing.T) {
 	n := 31 * 400
+	m, err := binning.NewUniform(0, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		id   codec.ID
@@ -69,168 +256,227 @@ func TestPlannedMatchesNaiveAllCodecs(t *testing.T) {
 		{"wah", codec.WAH}, {"bbc", codec.BBC}, {"dense", codec.Dense}, {"mixed", codec.Auto},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			x := explainTestIndex(t, tc.id)
-			for _, cache := range []*bitcache.Cache{nil, bitcache.New(1 << 20)} {
-				ctx := WithCache(context.Background(), cache)
-				mode := "cache-off"
-				if cache != nil {
-					mode = "cache-on"
-				}
-				for si, s := range diffSubsets(n) {
-					// Twice per subset: with a cache the second run exercises
-					// the hit path, which must be just as identical.
-					for pass := 0; pass < 2; pass++ {
-						got, err := Bits(ctx, x, s)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var want bitvec.Bitmap
-						naively(func() { want, err = Bits(context.Background(), x, s) })
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := mode + " subset " + string(rune('0'+si))
-						assertCanonicalEqual(t, label, got, want)
-
-						gotN, err := Count(ctx, x, s)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var wantN int
-						naively(func() { wantN, err = Count(context.Background(), x, s) })
-						if err != nil {
-							t.Fatal(err)
-						}
-						if gotN != wantN {
-							t.Fatalf("%s: Count %d != naive %d", label, gotN, wantN)
-						}
-					}
+			f := newOracleFixture(explainTestData(n), shifted(n), m, tc.id, tc.id)
+			reqs := oracleRequests(oracleSubsets(n))
+			for _, req := range reqs {
+				f.check(t, "plain "+string(req.Op)+" "+req.describe(nil), req, acctNone)
+				f.check(t, "full "+string(req.Op)+" "+req.describe(nil), req, acctFull)
+			}
+			// Light: the level a plain request runs at while only a workload
+			// log is installed.
+			path := filepath.Join(t.TempDir(), "oracle.isql")
+			w, err := qlog.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qlog.Install(w)
+			defer qlog.Install(nil)
+			if installedAccounting() != acctLight {
+				t.Fatalf("installed accounting = %d with only a workload log", installedAccounting())
+			}
+			for _, req := range reqs {
+				f.check(t, "light "+string(req.Op)+" "+req.describe(nil), req, acctNone)
+			}
+			qlog.Install(nil)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := qlog.ReadLog(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 3*len(reqs) {
+				t.Fatalf("captured %d records for %d requests × 3 cache states", len(recs), len(reqs))
+			}
+			for i, rec := range recs {
+				want := f.ma.answer(reqs[i/3], f.mb)
+				if rec.Result != want.Digest() {
+					t.Fatalf("record %d (%s %s): digest %s, model %s", i, rec.Op, rec.Detail, rec.Result, want.Digest())
 				}
 			}
 		})
 	}
 }
 
+// TestPlannedAggregatesMatchNaive repeats the property where the float
+// arithmetic is least forgiving: smooth data over 64 bins with fractional
+// edges, random subsets, every aggregate.
 func TestPlannedAggregatesMatchNaive(t *testing.T) {
-	x := explainTestIndex(t, codec.Auto)
-	n := x.N()
-	ctx := WithCache(context.Background(), bitcache.New(1<<20))
-	for _, s := range diffSubsets(n) {
-		gotSum, err1 := Sum(ctx, x, s)
-		gotMean, err2 := Mean(ctx, x, s)
-		gotQ, err3 := Quantile(ctx, x, s, 0.5)
-		gotMin, gotMax, err4 := MinMax(ctx, x, s)
-		var wantSum, wantMean, wantQ, wantMin, wantMax Aggregate
-		var werr1, werr2, werr3, werr4 error
-		naively(func() {
-			wantSum, werr1 = Sum(context.Background(), x, s)
-			wantMean, werr2 = Mean(context.Background(), x, s)
-			wantQ, werr3 = Quantile(context.Background(), x, s, 0.5)
-			wantMin, wantMax, werr4 = MinMax(context.Background(), x, s)
-		})
-		for i, pair := range []struct{ e1, e2 error }{{err1, werr1}, {err2, werr2}, {err3, werr3}, {err4, werr4}} {
-			if (pair.e1 == nil) != (pair.e2 == nil) {
-				t.Fatalf("op %d: error mismatch: %v vs %v", i, pair.e1, pair.e2)
-			}
-		}
-		if gotSum != wantSum || gotMean != wantMean || gotQ != wantQ || gotMin != wantMin || gotMax != wantMax {
-			t.Fatalf("subset %+v: aggregates diverge:\n planned %+v %+v %+v %+v %+v\n naive   %+v %+v %+v %+v %+v",
-				s, gotSum, gotMean, gotQ, gotMin, gotMax, wantSum, wantMean, wantQ, wantMin, wantMax)
+	rng := rand.New(rand.NewSource(11))
+	m, err := binning.NewUniform(0, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 5000
+	f := newOracleFixture(smooth(rng, n), smooth(rng, n), m, codec.Auto, codec.Auto)
+	for trial := 0; trial < 25; trial++ {
+		lo := rng.Intn(n - 1)
+		vlo := rng.Float64() * 10
+		s := Subset{ValueLo: vlo, ValueHi: vlo + rng.Float64()*(10-vlo), SpatialLo: lo, SpatialHi: lo + 1 + rng.Intn(n-lo-1)}
+		for _, req := range []Request{
+			{Op: OpSum, A: s}, {Op: OpMean, A: s}, {Op: OpMinMax, A: s},
+			{Op: OpQuantile, A: s, Q: rng.Float64()},
+			{Op: OpCorrelation, A: s, B: Subset{SpatialLo: s.SpatialLo, SpatialHi: s.SpatialHi}},
+		} {
+			f.check(t, string(req.Op)+" "+req.describe(nil), req, acctNone)
 		}
 	}
 }
 
+// TestPlannedCorrelationMatchesNaive crosses operand codecs: the two
+// variables of a correlation need not share an encoding, and the mask, the
+// restrictions and the joint grid must not care.
 func TestPlannedCorrelationMatchesNaive(t *testing.T) {
 	n := 31 * 300
 	m, err := binning.NewUniform(0, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	da := explainTestData(n)
-	db := make([]float64, n)
-	for i := range db {
-		db[i] = float64((i/97 + i%5) % 8)
-	}
-	for _, ids := range [][2]codec.ID{{codec.WAH, codec.WAH}, {codec.Dense, codec.BBC}, {codec.Auto, codec.Auto}} {
-		xa := index.BuildCodec(da, m, ids[0])
-		xb := index.BuildCodec(db, m, ids[1])
-		ctx := WithCache(context.Background(), bitcache.New(1<<20))
+	for _, ids := range [][2]codec.ID{{codec.WAH, codec.WAH}, {codec.Dense, codec.BBC}, {codec.BBC, codec.Auto}, {codec.Auto, codec.Auto}} {
+		f := newOracleFixture(explainTestData(n), shifted(n), m, ids[0], ids[1])
 		for _, sa := range []Subset{{}, {ValueLo: 1, ValueHi: 6}, {ValueLo: 2, ValueHi: 7, SpatialLo: 62, SpatialHi: n - 62}} {
-			// The spatial range applies to both variables, so it must match.
-			sb := Subset{ValueLo: 0, ValueHi: 5, SpatialLo: sa.SpatialLo, SpatialHi: sa.SpatialHi}
-			for pass := 0; pass < 2; pass++ { // second pass hits cached masks
-				got, err := Correlation(ctx, xa, xb, sa, sb)
-				if err != nil {
-					t.Fatal(err)
+			req := Request{Op: OpCorrelation, A: sa, B: Subset{ValueLo: 0, ValueHi: 5, SpatialLo: sa.SpatialLo, SpatialHi: sa.SpatialHi}}
+			f.check(t, ids[0].String()+"×"+ids[1].String()+" plain", req, acctNone)
+			f.check(t, ids[0].String()+"×"+ids[1].String()+" full", req, acctFull)
+		}
+	}
+}
+
+// FuzzQueryMatchesOracle draws the data (run-heavy to noisy), the binning,
+// the codec, the subset and the operator from the fuzz input and holds the
+// property at all three accounting levels and cache states. `make
+// fuzz-smoke` runs it for 10 s; the seed corpus alone covers each codec and
+// op with value-only, spatial-only and combined subsets.
+func FuzzQueryMatchesOracle(f *testing.F) {
+	//    seed n     bins codec noise op vlo vspan slo  sspan q
+	f.Add(int64(1), uint16(900), uint8(16), uint8(0), uint8(0), uint8(0), uint8(3), uint8(4), uint16(0), uint16(0), uint8(0))         // wah, run-heavy, bits, value only
+	f.Add(int64(2), uint16(4000), uint8(16), uint8(1), uint8(200), uint8(1), uint8(0), uint8(0), uint16(100), uint16(3000), uint8(0)) // bbc, noisy, count, spatial only
+	f.Add(int64(3), uint16(2048), uint8(8), uint8(2), uint8(30), uint8(2), uint8(1), uint8(5), uint16(31), uint16(1000), uint8(0))    // dense, sum, combined
+	f.Add(int64(4), uint16(3100), uint8(32), uint8(3), uint8(90), uint8(3), uint8(4), uint8(20), uint16(7), uint16(2500), uint8(0))   // auto, mean, combined
+	f.Add(int64(5), uint16(1500), uint8(16), uint8(3), uint8(10), uint8(4), uint8(2), uint8(9), uint16(0), uint16(0), uint8(128))     // quantile, value only
+	f.Add(int64(6), uint16(777), uint8(5), uint8(1), uint8(255), uint8(5), uint8(0), uint8(0), uint16(70), uint16(600), uint8(0))     // minmax, spatial only
+	f.Add(int64(7), uint16(2600), uint8(12), uint8(0), uint8(40), uint8(6), uint8(2), uint8(6), uint16(62), uint16(2400), uint8(0))   // correlation, combined
+	f.Add(int64(8), uint16(64), uint8(2), uint8(2), uint8(0), uint8(6), uint8(200), uint8(1), uint16(0), uint16(0), uint8(0))         // correlation, provably empty
+	ops := []Op{OpBits, OpCount, OpSum, OpMean, OpQuantile, OpMinMax, OpCorrelation}
+	codecs := []codec.ID{codec.WAH, codec.BBC, codec.Dense, codec.Auto}
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, bins8, codecSel, noise, opSel, vlo, vspan uint8, slo, sspan uint16, q8 uint8) {
+		n, bins := 1+int(n16)%8192, 1+int(bins8)%64
+		m, err := binning.NewUniform(0, float64(bins), bins)
+		if err != nil {
+			t.Skip()
+		}
+		// Runs of one value broken up by scattered noise: noise 0 is all
+		// fills, noise 255 all literals.
+		rng := rand.New(rand.NewSource(seed))
+		gen := func() []float64 {
+			data := make([]float64, n)
+			run := float64(rng.Intn(bins))
+			for i := range data {
+				if rng.Intn(20) == 0 {
+					run = float64(rng.Intn(bins))
 				}
-				var want struct {
-					p   interface{}
-					err error
+				data[i] = run
+				if rng.Intn(256) < int(noise) {
+					data[i] = float64(rng.Intn(bins))
 				}
-				naively(func() {
-					p, e := Correlation(context.Background(), xa, xb, sa, sb)
-					want.p, want.err = p, e
-				})
-				if want.err != nil {
-					t.Fatal(want.err)
-				}
-				if got != want.p {
-					t.Fatalf("codecs %v pass %d: correlation diverges:\n planned %+v\n naive   %+v", ids, pass, got, want.p)
-				}
+			}
+			return data
+		}
+		id := codecs[int(codecSel)%len(codecs)]
+		fx := newOracleFixture(gen(), gen(), m, id, codecs[int(seed&3)])
+		req := Request{Op: ops[int(opSel)%len(ops)], Q: float64(q8) / 255}
+		if vspan > 0 {
+			req.A.ValueLo = float64(vlo)
+			req.A.ValueHi = req.A.ValueLo + float64(vspan)
+		}
+		if sspan > 0 {
+			req.A.SpatialLo = int(slo) % n
+			req.A.SpatialHi = min(n, req.A.SpatialLo+int(sspan))
+		}
+		req.B = Subset{ValueLo: float64(vspan) / 2, ValueHi: float64(bins), SpatialLo: req.A.SpatialLo, SpatialHi: req.A.SpatialHi}
+		for _, lvl := range []accounting{acctNone, acctLight, acctFull} {
+			fx.check(t, string(req.Op)+" "+req.describe(nil), req, lvl)
+		}
+	})
+}
+
+// countLowered counts the plans lower hands out while f runs.
+func countLowered(f func()) int {
+	n := 0
+	testHookLowered = func(*planNode) { n++ }
+	defer func() { testHookLowered = nil }()
+	f()
+	return n
+}
+
+// TestOnePlanPerRequest: a bits-shaped request is lowered and optimized
+// exactly once however it runs — plain, profiled, or only explained — and a
+// count-shaped one never is.
+func TestOnePlanPerRequest(t *testing.T) {
+	x := explainTestIndex(t, codec.Auto)
+	ctx := WithCache(context.Background(), bitcache.New(1<<20))
+	for _, req := range oracleRequests(oracleSubsets(x.N())) {
+		want := 0
+		if req.Op == OpBits || req.Op == OpCorrelation {
+			want = 1
+		}
+		for name, f := range map[string]func(){
+			"run":     func() { Run(ctx, req, x, x) },
+			"analyze": func() { Analyze(ctx, req, x, x) },
+			"light":   func() { run(ctx, req, x, x, nil, acctLight) },
+			"explain": func() { ExplainRequest(req, x, x) },
+		} {
+			if got := countLowered(f); got != want {
+				t.Errorf("%s %s %s: lowered %d plans, want %d", name, req.Op, req.describe(nil), got, want)
 			}
 		}
 	}
 }
 
-// TestPlanDiffFuzz is the randomized smoke the `make plan-diff` target runs:
-// random data, codecs, and subsets through a shared cache, always compared
-// byte-for-byte against the naive path.
-func TestPlanDiffFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m, err := binning.NewUniform(0, 16, 16)
-	if err != nil {
-		t.Fatal(err)
+// operators lists a profile's operators in execution order: every node but
+// the bin-level leaves (whose number depends on the data, and of which
+// EXPLAIN cannot know Quantile's rank-scan).
+func operators(n *Node) []string {
+	var out []string
+	if n.Bin < 0 {
+		out = append(out, n.Op)
 	}
-	cache := bitcache.New(1 << 20)
-	ctx := WithCache(context.Background(), cache)
-	codecs := []codec.ID{codec.WAH, codec.BBC, codec.Dense, codec.Auto}
-	for iter := 0; iter < 40; iter++ {
-		n := 64 + rng.Intn(4096)
-		data := make([]float64, n)
-		runVal := float64(rng.Intn(16))
-		for i := range data {
-			if rng.Intn(20) == 0 { // new run value: fill/literal mixtures
-				runVal = float64(rng.Intn(16))
-			}
-			if rng.Intn(8) == 0 {
-				data[i] = float64(rng.Intn(16)) // scattered noise
-			} else {
-				data[i] = runVal
-			}
-		}
-		x := index.BuildCodec(data, m, codecs[rng.Intn(len(codecs))])
-		s := Subset{}
-		if rng.Intn(3) > 0 {
-			lo := float64(rng.Intn(16))
-			s.ValueLo, s.ValueHi = lo, lo+float64(1+rng.Intn(8))
-		}
-		if rng.Intn(3) > 0 {
-			lo := rng.Intn(n)
-			s.SpatialLo, s.SpatialHi = lo, lo+1+rng.Intn(n-lo)
-		}
-		got, err := Bits(ctx, x, s)
+	for _, c := range n.Children {
+		out = append(out, operators(c)...)
+	}
+	return out
+}
+
+// TestExplainMatchesAnalyzeShape: EXPLAIN renders the plan object the
+// executor runs, so with no cache to answer from both report the same
+// operators in the same order — for every op, correlation included — and a
+// provably-empty request estimates zero words. (The narrow subset is left
+// out: its mask turns out empty only when executed, where the executor
+// stops early and EXPLAIN cannot know.)
+func TestExplainMatchesAnalyzeShape(t *testing.T) {
+	x, xb := explainTestIndex(t, codec.Auto), explainTestIndex(t, codec.WAH)
+	ctx := WithCache(context.Background(), nil)
+	for _, req := range oracleRequests(oracleSubsets(x.N())[:6]) {
+		label := string(req.Op) + " " + req.describe(nil)
+		est, err := ExplainRequest(req, x, xb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bitvec.Bitmap
-		naively(func() { want, err = Bits(context.Background(), x, s) })
+		_, prof, err := Analyze(ctx, req, x, xb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertCanonicalEqual(t, "fuzz iter", got, want)
-	}
-	if st := cache.Stats(); st.Hits+st.Misses == 0 {
-		t.Fatal("fuzz never consulted the cache")
+		if got, want := operators(est.Root), operators(prof.Root); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: EXPLAIN operators %v, ANALYZE ran %v", label, got, want)
+		}
+		if req.A.ValueLo == 100 {
+			if w := est.Total().WordsScanned; w != 0 {
+				t.Errorf("%s: provably empty, yet EXPLAIN estimates %d words:\n%s", label, w, est.Render())
+			}
+			if !containsNote(est.Root, "provably empty") && req.Op == OpBits {
+				t.Errorf("%s: EXPLAIN lost the provably-empty note:\n%s", label, est.Render())
+			}
+		}
 	}
 }
 
@@ -278,13 +524,8 @@ func TestCacheGenerationInvalidationMidStream(t *testing.T) {
 		t.Fatal("query after publish served a stale cached bitmap")
 	}
 	assertCanonicalEqual(t, "pre/post publish", v2, v1) // same logical data either way
-
-	var want bitvec.Bitmap
-	naively(func() { want, err = Bits(context.Background(), x, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCanonicalEqual(t, "post-publish vs naive", v2, want)
+	want := newModel(explainTestData(x.N()), x.Mapper()).answer(Request{Op: OpBits, A: s}, nil)
+	assertCanonicalEqual(t, "post-publish vs model", v2, want.Bits)
 }
 
 // TestPlannerExplainShowsDecisions locks in the user-visible optimizer
@@ -318,12 +559,8 @@ func containsNote(n *Node, sub string) bool {
 	if n == nil {
 		return false
 	}
-	if len(sub) > 0 && len(n.Detail) >= len(sub) {
-		for i := 0; i+len(sub) <= len(n.Detail); i++ {
-			if n.Detail[i:i+len(sub)] == sub {
-				return true
-			}
-		}
+	if strings.Contains(n.Detail, sub) {
+		return true
 	}
 	for _, c := range n.Children {
 		if containsNote(c, sub) {

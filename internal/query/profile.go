@@ -128,7 +128,7 @@ func (n *Node) setOut(b bitvec.Bitmap) {
 	if n == nil {
 		return
 	}
-	outShape(&n.Cost, b)
+	n.Cost.OutBits, n.Cost.OutWords = b.Len(), b.Words()
 	if n.Codec == "" {
 		n.Codec = codecName(b)
 	}
@@ -140,14 +140,6 @@ func (n *Node) setRows(rows int) {
 		return
 	}
 	n.Cost.Rows = int64(rows)
-}
-
-// markCache records the cache verdict for this operator. Nil-safe.
-func (n *Node) markCache(verdict string) {
-	if n == nil {
-		return
-	}
-	n.Cache = verdict
 }
 
 // markFallback charges n cross-codec fallback merges. Nil-safe.
@@ -187,7 +179,7 @@ type Profile struct {
 	// (fetchable from /debug/traces while it stays in the ring), or "".
 	TraceID string `json:"trace_id,omitempty"`
 	// PlanDigest fingerprints the executable plan the optimizer chose (op,
-	// parameters, planner mode, optimized IR shape). The same digest is
+	// parameters, optimized IR shape). The same digest is
 	// stamped into workload-log records, so a slow-log entry joins against
 	// qlog/replay output by plan identity rather than by timestamp.
 	PlanDigest string `json:"plan_digest,omitempty"`
@@ -203,30 +195,20 @@ func (p *Profile) cacheVerdict() string {
 	if p == nil {
 		return ""
 	}
-	hit, miss := false, false
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
-		}
-		switch n.Cache {
-		case "hit":
-			hit = true
-		case "miss":
-			miss = true
-		}
-		for _, c := range n.Children {
-			walk(c)
+	return p.Root.cacheVerdict()
+}
+
+func (n *Node) cacheVerdict() string {
+	if n == nil {
+		return ""
+	}
+	v := n.Cache
+	for _, c := range n.Children {
+		if cv := c.cacheVerdict(); cv == "hit" || v == "" {
+			v = cv
 		}
 	}
-	walk(p.Root)
-	switch {
-	case hit:
-		return "hit"
-	case miss:
-		return "miss"
-	}
-	return ""
+	return v
 }
 
 // Modes of a Profile.
@@ -360,40 +342,21 @@ func (c Cost) describe() string {
 	return strings.Join(parts, " ")
 }
 
-// scanCost reads a bitmap's physical composition as the cost of one full
-// scan of its encoding — the unit of ANALYZE accounting: an operator that
-// consumes a bitmap is charged its complete encoded form.
-func scanCost(b bitvec.Bitmap) Cost {
-	st := b.Stats()
-	return Cost{
-		WordsScanned: int64(b.Words()),
-		FillWords:    int64(st.FillWords),
-		FillSegments: int64(st.FilledSegments),
-		LiteralWords: int64(st.LiteralWords),
-		BytesDecoded: int64(b.SizeBytes()),
-	}
-}
-
-// scanCostOf charges one full scan honoring the node's accounting mode: a
-// light (capture-only) node keeps the exact words/bytes totals — the fields
-// the workload log records — but skips Stats(), which itself re-scans the
-// whole encoding to break words into fill/literal classes. That skip is
-// what keeps qlog-enabled runs inside the <2% overhead budget; explicit
-// ANALYZE and slow-log profiles still take the full composition pass.
+// scanCostOf is the cost of one full scan of a bitmap's encoding — the unit
+// of ANALYZE accounting: an operator that consumes a bitmap is charged its
+// complete encoded form. A light (capture-only) node keeps the exact
+// words/bytes totals — the fields the workload log records — but skips
+// Stats(), which itself re-scans the whole encoding to break words into
+// fill/literal classes. That skip is what keeps qlog-enabled runs inside
+// the <2% overhead budget; explicit ANALYZE and slow-log profiles still take
+// the full composition pass.
 func (n *Node) scanCostOf(b bitvec.Bitmap) Cost {
-	if n != nil && n.light {
-		return Cost{
-			WordsScanned: int64(b.Words()),
-			BytesDecoded: int64(b.SizeBytes()),
-		}
+	c := Cost{WordsScanned: int64(b.Words()), BytesDecoded: int64(b.SizeBytes())}
+	if n == nil || !n.light {
+		st := b.Stats()
+		c.FillWords, c.FillSegments, c.LiteralWords = int64(st.FillWords), int64(st.FilledSegments), int64(st.LiteralWords)
 	}
-	return scanCost(b)
-}
-
-// outShape records the intermediate bitmap an operator materialized.
-func outShape(c *Cost, b bitvec.Bitmap) {
-	c.OutBits = b.Len()
-	c.OutWords = b.Words()
+	return c
 }
 
 // TopK keeps the K slowest profiles seen so far (by elapsed time); the

@@ -47,31 +47,48 @@ func (s Subset) spatialBounds(n int) (lo, hi int) {
 	return 0, n
 }
 
-// Bits materializes the subset as a bitvector over the index's elements.
-//
-// Like every query entry point, Bits takes a context: when it carries a
-// trace span (or a process-wide trace recorder is installed), the query
-// records an identity-carrying span tree retrievable from /debug/traces.
-// Pass context.Background() when tracing is irrelevant — the disabled
-// path is a single atomic load, covered by the gated overhead guard.
-func Bits(ctx context.Context, x *index.Index, s Subset) (bitvec.Bitmap, error) {
-	ctx, sp, end := begin(ctx, "query.bits", tel.bits, x)
-	defer end()
-	if profiled() {
-		v, _, err := bitsAnalyze(ctx, x, s, captureOnly())
-		return v, err
+func (s Subset) describe() string {
+	switch {
+	case s.hasValue() && s.hasSpatial():
+		return fmt.Sprintf("value=[%g,%g) spatial=[%d,%d)", s.ValueLo, s.ValueHi, s.SpatialLo, s.SpatialHi)
+	case s.hasValue():
+		return fmt.Sprintf("value=[%g,%g)", s.ValueLo, s.ValueHi)
+	case s.hasSpatial():
+		return fmt.Sprintf("spatial=[%d,%d)", s.SpatialLo, s.SpatialHi)
+	default:
+		return "all"
 	}
-	return bitsImpl(newExecutor(ctx), x, s, nil, sp)
 }
 
-func onesVector(n int) *bitvec.Vector {
-	var a bitvec.Appender
-	full := n / bitvec.SegmentBits
-	a.AppendFill(1, full)
-	if rem := n - full*bitvec.SegmentBits; rem > 0 {
-		a.AppendPartial(uint32(1)<<uint(rem)-1, rem)
+// binSelected reports whether bin b overlaps the value range.
+func (s Subset) binSelected(x *index.Index, b int) bool {
+	if !s.hasValue() {
+		return true
 	}
-	return a.Vector()
+	return x.Mapper().High(b) > s.ValueLo && x.Mapper().Low(b) < s.ValueHi
+}
+
+// The typed entry points. Each is a Request through the one execution
+// funnel (request.go); its *Analyze twin is the same Request asking for the
+// measured operator profile, which is also offered to the slow-query log.
+//
+// Every entry point takes a context: when it carries a trace span (or a
+// process-wide trace recorder is installed), the query records an
+// identity-carrying span tree retrievable from /debug/traces, and its
+// deadline or cancellation stops execution between operators. Pass
+// context.Background() when neither matters — the disabled path is a single
+// atomic load, covered by the gated overhead guard.
+
+// Bits materializes the subset as a bitvector over the index's elements.
+func Bits(ctx context.Context, x *index.Index, s Subset) (bitvec.Bitmap, error) {
+	a, _, err := run(ctx, Request{Op: OpBits, A: s}, x, nil, nil, acctNone)
+	return a.Bits, err
+}
+
+// BitsAnalyze is Bits with a measured profile.
+func BitsAnalyze(ctx context.Context, x *index.Index, s Subset) (bitvec.Bitmap, *Profile, error) {
+	a, p, err := run(ctx, Request{Op: OpBits, A: s}, x, nil, nil, acctFull)
+	return a.Bits, p, err
 }
 
 // rangeVector builds the indicator of [lo, hi): solid segments become fill
@@ -125,92 +142,86 @@ type Aggregate struct {
 // Count returns the exact number of subset elements (counting is exact on
 // bitmaps; only value reconstruction is approximate).
 func Count(ctx context.Context, x *index.Index, s Subset) (int, error) {
-	ctx, sp, end := begin(ctx, "query.count", tel.count, x)
-	defer end()
-	if profiled() {
-		n, _, err := countAnalyze(ctx, x, s, captureOnly())
-		return n, err
-	}
-	return countImpl(x, s, nil, sp)
+	a, _, err := run(ctx, Request{Op: OpCount, A: s}, x, nil, nil, acctNone)
+	return a.Count, err
 }
 
-// binSelected reports whether bin b overlaps the value range.
-func (s Subset) binSelected(x *index.Index, b int) bool {
-	if !s.hasValue() {
-		return true
-	}
-	return x.Mapper().High(b) > s.ValueLo && x.Mapper().Low(b) < s.ValueHi
+// CountAnalyze is Count with a measured profile.
+func CountAnalyze(ctx context.Context, x *index.Index, s Subset) (int, *Profile, error) {
+	a, p, err := run(ctx, Request{Op: OpCount, A: s}, x, nil, nil, acctFull)
+	return a.Count, p, err
 }
 
 // Sum estimates the subset's value sum.
 func Sum(ctx context.Context, x *index.Index, s Subset) (Aggregate, error) {
-	ctx, sp, end := begin(ctx, "query.sum", tel.sum, x)
-	defer end()
-	if profiled() {
-		agg, _, err := sumAnalyze(ctx, x, s, captureOnly())
-		return agg, err
-	}
-	return sumImpl(x, s, nil, sp)
+	a, _, err := run(ctx, Request{Op: OpSum, A: s}, x, nil, nil, acctNone)
+	return a.Agg, err
+}
+
+// SumAnalyze is Sum with a measured profile.
+func SumAnalyze(ctx context.Context, x *index.Index, s Subset) (Aggregate, *Profile, error) {
+	a, p, err := run(ctx, Request{Op: OpSum, A: s}, x, nil, nil, acctFull)
+	return a.Agg, p, err
 }
 
 // SumMasked aggregates the values of the elements selected by an arbitrary
 // bitvector mask — the building block for analyses whose selections are
 // produced by bitwise combinations (subgroup discovery, incomplete data).
 func SumMasked(ctx context.Context, x *index.Index, mask bitvec.Bitmap) (Aggregate, error) {
-	ctx, sp, end := begin(ctx, "query.sum-masked", tel.masked, x)
-	defer end()
-	if profiled() {
-		agg, _, err := sumMaskedAnalyze(ctx, x, mask, captureOnly())
-		return agg, err
-	}
-	return sumMaskedImpl(x, mask, nil, sp)
+	a, _, err := run(ctx, Request{Op: opSumMasked}, x, nil, mask, acctNone)
+	return a.Agg, err
+}
+
+// SumMaskedAnalyze is SumMasked with a measured profile.
+func SumMaskedAnalyze(ctx context.Context, x *index.Index, mask bitvec.Bitmap) (Aggregate, *Profile, error) {
+	a, p, err := run(ctx, Request{Op: opSumMasked}, x, nil, mask, acctFull)
+	return a.Agg, p, err
 }
 
 // MeanMasked is SumMasked divided by the selected count.
 func MeanMasked(ctx context.Context, x *index.Index, mask bitvec.Bitmap) (Aggregate, error) {
 	sum, err := SumMasked(ctx, x, mask)
-	if err != nil || sum.Count == 0 {
-		return Aggregate{}, err
-	}
-	n := float64(sum.Count)
-	return Aggregate{Count: sum.Count, Estimate: sum.Estimate / n, Lo: sum.Lo / n, Hi: sum.Hi / n}, nil
+	return sum.mean(), err
 }
 
 // Mean estimates the subset's average value.
 func Mean(ctx context.Context, x *index.Index, s Subset) (Aggregate, error) {
-	ctx, sp, end := begin(ctx, "query.mean", tel.sum, x)
-	defer end()
-	if profiled() {
-		agg, _, err := meanAnalyze(ctx, x, s, captureOnly())
-		return agg, err
-	}
-	return meanImpl(x, s, nil, sp)
+	a, _, err := run(ctx, Request{Op: OpMean, A: s}, x, nil, nil, acctNone)
+	return a.Agg, err
+}
+
+// MeanAnalyze is Mean with a measured profile.
+func MeanAnalyze(ctx context.Context, x *index.Index, s Subset) (Aggregate, *Profile, error) {
+	a, p, err := run(ctx, Request{Op: OpMean, A: s}, x, nil, nil, acctFull)
+	return a.Agg, p, err
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the subset's values,
 // bounded by the edges of the bin the quantile falls into: the true
 // quantile of the discarded data is guaranteed inside [Lo, Hi].
 func Quantile(ctx context.Context, x *index.Index, s Subset, q float64) (Aggregate, error) {
-	ctx, sp, end := begin(ctx, "query.quantile", tel.quantile, x)
-	defer end()
-	if profiled() {
-		agg, _, err := quantileAnalyze(ctx, x, s, q, captureOnly())
-		return agg, err
-	}
-	return quantileImpl(x, s, q, nil, sp)
+	a, _, err := run(ctx, Request{Op: OpQuantile, A: s, Q: q}, x, nil, nil, acctNone)
+	return a.Agg, err
+}
+
+// QuantileAnalyze is Quantile with a measured profile.
+func QuantileAnalyze(ctx context.Context, x *index.Index, s Subset, q float64) (Aggregate, *Profile, error) {
+	a, p, err := run(ctx, Request{Op: OpQuantile, A: s, Q: q}, x, nil, nil, acctFull)
+	return a.Agg, p, err
 }
 
 // MinMax returns bin-edge bounds on the subset's extreme values: the true
 // minimum lies in [Aggregate.Lo, Aggregate.Estimate] of min (and similarly
 // for max), where Estimate is the midpoint of the extreme occupied bin.
 func MinMax(ctx context.Context, x *index.Index, s Subset) (min, max Aggregate, err error) {
-	ctx, sp, end := begin(ctx, "query.minmax", tel.minmax, x)
-	defer end()
-	if profiled() {
-		min, max, _, err := minMaxAnalyze(ctx, x, s, captureOnly())
-		return min, max, err
-	}
-	return minMaxImpl(x, s, nil, sp)
+	a, _, err := run(ctx, Request{Op: OpMinMax, A: s}, x, nil, nil, acctNone)
+	return a.Min, a.Max, err
+}
+
+// MinMaxAnalyze is MinMax with a measured profile.
+func MinMaxAnalyze(ctx context.Context, x *index.Index, s Subset) (min, max Aggregate, p *Profile, err error) {
+	a, p, err := run(ctx, Request{Op: OpMinMax, A: s}, x, nil, nil, acctFull)
+	return a.Min, a.Max, p, err
 }
 
 // Correlation answers the paper's §4.1 interactive correlation query: the
@@ -218,13 +229,14 @@ func MinMax(ctx context.Context, x *index.Index, s Subset) (min, max Aggregate, 
 // to a subset — value ranges apply per variable, the spatial range applies
 // to both. It touches only bitmaps.
 func Correlation(ctx context.Context, xa, xb *index.Index, sa, sb Subset) (metrics.Pair, error) {
-	ctx, sp, end := begin(ctx, "query.correlation", tel.correlation, xa)
-	defer end()
-	if profiled() {
-		pair, _, err := correlationAnalyze(ctx, xa, xb, sa, sb, captureOnly())
-		return pair, err
-	}
-	return correlationImpl(newExecutor(ctx), xa, xb, sa, sb, nil, sp)
+	a, _, err := run(ctx, Request{Op: OpCorrelation, A: sa, B: sb}, xa, xb, nil, acctNone)
+	return a.Pair, err
+}
+
+// CorrelationAnalyze is Correlation with a measured profile.
+func CorrelationAnalyze(ctx context.Context, xa, xb *index.Index, sa, sb Subset) (metrics.Pair, *Profile, error) {
+	a, p, err := run(ctx, Request{Op: OpCorrelation, A: sa, B: sb}, xa, xb, nil, acctFull)
+	return a.Pair, p, err
 }
 
 // Masked wraps an index together with a validity bitvector for
@@ -248,13 +260,14 @@ func (m *Masked) Missing() int { return m.X.N() - m.Valid.Count() }
 
 // Sum aggregates over valid elements only.
 func (m *Masked) Sum(ctx context.Context, s Subset) (Aggregate, error) {
-	ctx, sp, end := begin(ctx, "query.masked-sum", tel.masked, m.X)
-	defer end()
-	if profiled() {
-		agg, _, err := m.sumAnalyze(ctx, s, captureOnly())
-		return agg, err
-	}
-	return maskedSumImpl(m, s, nil, sp)
+	a, _, err := run(ctx, Request{Op: opMaskedSum, A: s}, m.X, nil, m.Valid, acctNone)
+	return a.Agg, err
+}
+
+// SumAnalyze is Masked.Sum with a measured profile.
+func (m *Masked) SumAnalyze(ctx context.Context, s Subset) (Aggregate, *Profile, error) {
+	a, p, err := run(ctx, Request{Op: opMaskedSum, A: s}, m.X, nil, m.Valid, acctFull)
+	return a.Agg, p, err
 }
 
 // Impute estimates missing values from the valid value distribution inside

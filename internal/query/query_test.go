@@ -2,10 +2,12 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
@@ -390,5 +392,42 @@ func TestQuantileValidation(t *testing.T) {
 	agg, err := Quantile(context.Background(), x, Subset{ValueLo: 50, ValueHi: 60}, 0.5)
 	if err != nil || agg.Count != 0 {
 		t.Errorf("empty quantile: %+v, %v", agg, err)
+	}
+}
+
+// TestDeadlineStopsExecution: the executor checks the request's context
+// between operators, so a request whose deadline has passed returns the
+// context's error instead of holding its caller (and, behind insitu-serve,
+// an admission slot) for the rest of its work. Only the cached-count path,
+// which reads no bitmap, answers regardless.
+func TestDeadlineStopsExecution(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	x := build(t, smooth(r, 4000), 32)
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	s := Subset{ValueLo: 2, ValueHi: 8, SpatialLo: 100, SpatialHi: 3900}
+	for _, req := range []Request{
+		{Op: OpCorrelation, A: s, B: s},
+		{Op: OpCorrelation},
+		{Op: OpBits, A: s},
+		{Op: OpCount, A: s},
+		{Op: OpQuantile, A: s, Q: 0.5},
+	} {
+		ans, prof, err := Analyze(expired, req, x, x)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s %s under an expired deadline: err = %v, want context.DeadlineExceeded", req.Op, req.describe(nil), err)
+		}
+		if ans != (Answer{Op: req.Op}) || prof.Err == "" {
+			t.Errorf("%s: cancelled request left answer %+v, profile error %q", req.Op, ans, prof.Err)
+		}
+		if _, err := Run(expired, req, x, x); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s plain under an expired deadline: err = %v", req.Op, err)
+		}
+	}
+	if _, err := SumMasked(expired, x, fillVector(1, x.N())); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("SumMasked under an expired deadline: err = %v", err)
+	}
+	if n, err := Count(expired, x, Subset{ValueLo: 2, ValueHi: 8}); err != nil || n == 0 {
+		t.Errorf("cached-count path under an expired deadline: %d, %v", n, err)
 	}
 }

@@ -36,10 +36,6 @@ func SetSlowLog(logger *slog.Logger, threshold time.Duration) {
 	slowLogState.Store(&slowLogSink{logger: logger, threshold: threshold})
 }
 
-// slowLogEnabled reports whether a slow-query log is installed (one atomic
-// load — the plain entry points check it on every call).
-func slowLogEnabled() bool { return slowLogState.Load() != nil }
-
 // LogSlow offers a finished profile to the installed slow-query log; it is
 // emitted when its elapsed time reaches the threshold. The analyze entry
 // points call this automatically; the in-situ pipeline and the mining pass

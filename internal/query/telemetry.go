@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"insitubits/internal/bitvec"
 	"insitubits/internal/codec"
 	"insitubits/internal/index"
 	"insitubits/internal/profiling"
@@ -59,16 +60,43 @@ func init() { SetTelemetry(telemetry.Default) }
 
 var noopObserve = func() {}
 
-// observe counts one operation and, when enabled, times it:
-//
-//	defer observe(tel.count)()
-func observe(op *telemetry.Counter) func() {
-	op.Inc()
-	if tel.latency == nil {
-		return noopObserve
+// codecTally batches per-bin operand counts inside a hot loop so the loop
+// pays one atomic add per codec instead of one per bin. These counters are
+// always on — they fire on the plain path too — at the cost of one
+// predictable-branch type switch plus an atomic add per operand, the same
+// order as the index.Count cache-hit counter.
+type codecTally [4]int64
+
+func (ct *codecTally) bin(x *index.Index, b int) { ct[x.Codec(b)]++ }
+
+func (ct *codecTally) flush() {
+	for id, n := range ct {
+		if n == 0 {
+			continue
+		}
+		if c := tel.codecOps[id]; c != nil {
+			c.Add(n)
+		}
 	}
-	start := time.Now()
-	return func() { tel.latency.Record(time.Since(start).Nanoseconds()) }
+}
+
+// countPairOperands counts both operands of a binary bitmap op and returns
+// 1 when their codecs differ — a fallback merge: the op leaves the native
+// word/byte merge kernels for the generic 31-bit run path (see
+// internal/bitvec/generic.go) — else 0.
+func countPairOperands(a, b bitvec.Bitmap) int64 {
+	ca, cb := codec.Of(a), codec.Of(b)
+	if c := tel.codecOps[ca]; c != nil {
+		c.Inc()
+	}
+	if c := tel.codecOps[cb]; c != nil {
+		c.Inc()
+	}
+	if ca != cb {
+		tel.fallbackMerges.Inc()
+		return 1
+	}
+	return 0
 }
 
 // begin is the shared prologue of every query entry point. It counts the

@@ -3,9 +3,8 @@
 // recorded one. Because the digests are codec-canonical and the capture
 // path records exact parameters, a replay is a true end-to-end regression
 // gate: the same log must reproduce identical digests across codec
-// conversions, planner on/off, and cache on/off — and the per-query
-// latency/words-scanned deltas it measures are the comparison report
-// `bitmapctl replay` renders.
+// conversions and cache on/off — and the per-query latency/words-scanned
+// deltas it measures are the comparison report `bitmapctl replay` renders.
 package replay
 
 import (
@@ -101,9 +100,8 @@ func (r *Report) Err() error {
 
 // Run replays recs against x (and xb for correlation records; xb nil
 // falls back to x). Results keep the input order regardless of
-// concurrency. Cache and planner state are whatever the caller set up —
-// pass a query.WithCache context to replay against a cache; toggle
-// query.SetPlanner to compare modes.
+// concurrency. Cache state is whatever the caller set up — pass a
+// query.WithCache context to replay against a cache.
 func Run(ctx context.Context, recs []qlog.Record, x, xb *index.Index, opts Options) *Report {
 	if xb == nil {
 		xb = x
@@ -182,76 +180,31 @@ func (r *Report) tally(res Result) {
 	r.ReplayedWords += res.ReplayedWords
 }
 
-// runOne re-executes a single record through the Analyze entry points (the
-// profile supplies the replayed words-scanned figure) and recomputes the
-// canonical result digest.
+// runOne re-executes a single record under ANALYZE (the profile supplies
+// the replayed words-scanned figure) and recomputes its answer's digest.
 func runOne(ctx context.Context, rec *qlog.Record, x, xb *index.Index) Result {
 	res := Result{Seq: rec.Seq, Op: rec.Op, Detail: rec.Detail,
 		Recorded: rec.Result, RecordedNs: rec.ElapsedNs, RecordedWords: rec.Words}
+	req, err := query.RequestOf(rec)
 	switch {
 	case rec.Err != "":
 		res.Skipped, res.Reason = true, "recorded query failed: "+rec.Err
-		return res
-	case !rec.Replayable():
+	case err != nil:
 		res.Skipped, res.Reason = true, "op not replayable from recorded parameters"
-		return res
 	case rec.Result == "":
 		res.Skipped, res.Reason = true, "record carries no result digest"
+	}
+	if res.Skipped {
 		return res
 	}
-	sub := query.Subset{ValueLo: rec.ValueLo, ValueHi: rec.ValueHi,
-		SpatialLo: rec.SpatialLo, SpatialHi: rec.SpatialHi}
-	var (
-		digest string
-		prof   *query.Profile
-		err    error
-	)
-	switch rec.Op {
-	case "bits":
-		bm, p, e := query.BitsAnalyze(ctx, x, sub)
-		prof, err = p, e
-		if e == nil {
-			digest, _ = qlog.DigestBitmap(bm)
-		}
-	case "count":
-		n, p, e := query.CountAnalyze(ctx, x, sub)
-		prof, err = p, e
-		digest = qlog.DigestInt(n)
-	case "sum":
-		agg, p, e := query.SumAnalyze(ctx, x, sub)
-		prof, err = p, e
-		digest = query.DigestAggregate(agg)
-	case "mean":
-		agg, p, e := query.MeanAnalyze(ctx, x, sub)
-		prof, err = p, e
-		digest = query.DigestAggregate(agg)
-	case "quantile":
-		agg, p, e := query.QuantileAnalyze(ctx, x, sub, rec.Q)
-		prof, err = p, e
-		digest = query.DigestAggregate(agg)
-	case "minmax":
-		lo, hi, p, e := query.MinMaxAnalyze(ctx, x, sub)
-		prof, err = p, e
-		digest = query.DigestMinMax(lo, hi)
-	case "correlation":
-		sb := query.Subset{ValueLo: rec.BValueLo, ValueHi: rec.BValueHi,
-			SpatialLo: rec.BSpatialLo, SpatialHi: rec.BSpatialHi}
-		pair, p, e := query.CorrelationAnalyze(ctx, x, xb, sub, sb)
-		prof, err = p, e
-		digest = query.DigestPair(pair)
-	default:
-		res.Skipped, res.Reason = true, fmt.Sprintf("unknown op %q", rec.Op)
-		return res
-	}
-	if prof != nil {
-		res.ReplayedNs = prof.ElapsedNs
-		res.ReplayedWords = prof.Total().WordsScanned
-	}
+	ans, prof, err := query.Analyze(ctx, req, x, xb)
+	res.ReplayedNs = prof.ElapsedNs
+	res.ReplayedWords = prof.Total().WordsScanned
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	res.Replayed = digest
-	res.Match = digest == rec.Result
+	res.Replayed = ans.Digest()
+	res.Match = res.Replayed == rec.Result
 	return res
 }

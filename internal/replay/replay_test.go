@@ -108,11 +108,10 @@ func captureCanned(t *testing.T, dir string, x, xb *index.Index) []qlog.Record {
 
 // TestReplayDiff is the `make replay-diff` acceptance gate: a workload
 // captured against an index must replay with byte-identical result
-// digests across all three codecs, with the planner and the bitmap cache
-// both on and off, concurrently and serially — and across codec
-// conversion of the index itself.
+// digests across all three codecs, with the bitmap cache on and off,
+// concurrently and serially — and across codec conversion of the index
+// itself.
 func TestReplayDiff(t *testing.T) {
-	defer query.SetPlanner(true)
 	for _, id := range []codec.ID{codec.WAH, codec.BBC, codec.Dense} {
 		t.Run(id.String(), func(t *testing.T) {
 			x, xb := buildPair(t, id)
@@ -120,37 +119,33 @@ func TestReplayDiff(t *testing.T) {
 			if len(recs) < 20 {
 				t.Fatalf("canned workload captured only %d records", len(recs))
 			}
-			for _, planner := range []bool{true, false} {
-				for _, cached := range []bool{true, false} {
-					name := fmt.Sprintf("planner=%t/cache=%t", planner, cached)
-					query.SetPlanner(planner)
-					ctx := context.Background()
-					if cached {
-						ctx = query.WithCache(ctx, bitcache.New(32<<20))
+			for _, cached := range []bool{true, false} {
+				name := fmt.Sprintf("cache=%t", cached)
+				ctx := context.Background()
+				if cached {
+					ctx = query.WithCache(ctx, bitcache.New(32<<20))
+				}
+				// Replay twice against the same context: the second pass
+				// hits whatever the first materialized, and digests must
+				// not care.
+				for pass := 0; pass < 2; pass++ {
+					rep := Run(ctx, recs, x, xb, Options{Concurrency: 4})
+					if err := rep.Err(); err != nil {
+						for _, mm := range rep.Mismatches() {
+							t.Errorf("%s pass %d: seq %d %s (%s): recorded %s replayed %s",
+								name, pass, mm.Seq, mm.Op, mm.Detail, mm.Recorded, mm.Replayed)
+						}
+						t.Fatalf("%s pass %d: %v", name, pass, err)
 					}
-					// Replay twice against the same context: the second pass
-					// hits whatever the first materialized, and digests must
-					// not care.
-					for pass := 0; pass < 2; pass++ {
-						rep := Run(ctx, recs, x, xb, Options{Concurrency: 4})
-						if err := rep.Err(); err != nil {
-							for _, mm := range rep.Mismatches() {
-								t.Errorf("%s pass %d: seq %d %s (%s): recorded %s replayed %s",
-									name, pass, mm.Seq, mm.Op, mm.Detail, mm.Recorded, mm.Replayed)
-							}
-							t.Fatalf("%s pass %d: %v", name, pass, err)
-						}
-						if rep.Replayed == 0 || rep.Skipped == 0 {
-							t.Fatalf("%s: replayed=%d skipped=%d (want both nonzero: the failing record must skip)",
-								name, rep.Replayed, rep.Skipped)
-						}
-						if rep.Replayed+rep.Skipped != rep.Total {
-							t.Fatalf("%s: %d+%d != %d", name, rep.Replayed, rep.Skipped, rep.Total)
-						}
+					if rep.Replayed == 0 || rep.Skipped == 0 {
+						t.Fatalf("%s: replayed=%d skipped=%d (want both nonzero: the failing record must skip)",
+							name, rep.Replayed, rep.Skipped)
+					}
+					if rep.Replayed+rep.Skipped != rep.Total {
+						t.Fatalf("%s: %d+%d != %d", name, rep.Replayed, rep.Skipped, rep.Total)
 					}
 				}
 			}
-			query.SetPlanner(true)
 		})
 	}
 
@@ -169,6 +164,42 @@ func TestReplayDiff(t *testing.T) {
 			}
 			t.Fatalf("replay against %s recode: %v", id, err)
 		}
+	}
+}
+
+// oldLog is a workload log exactly as the commit before the planner switch
+// was removed wrote it: every record carries "planner":true, and plan
+// digests that embedded the planner mode. It was captured against the index
+// TestReplayOldLog rebuilds.
+const oldLog = `isqlog 1
+30b25447 {"v":1,"seq":1,"unix_ns":1790866147643072796,"op":"bits","detail":"value=[2,6) spatial=[31,2000)","n":3100,"value_lo":2,"value_hi":6,"spatial_lo":31,"spatial_hi":2000,"gen":2,"plan":"b8b0e5af","planner":true,"bins":4,"words":504,"rows":984,"elapsed_ns":40168,"result":"b09d84f7"}
+eec07e32 {"v":1,"seq":2,"unix_ns":1790866147643205777,"op":"count","detail":"spatial=[100,3000)","n":3100,"spatial_lo":100,"spatial_hi":3000,"gen":2,"plan":"6971a0df","planner":true,"bins":8,"words":800,"rows":2900,"elapsed_ns":6142,"result":"c56b7a6a"}
+978b5ada {"v":1,"seq":3,"unix_ns":1790866147643214614,"op":"quantile","detail":"q=0.25 value=[2,6) spatial=[31,2000)","n":3100,"value_lo":2,"value_hi":6,"spatial_lo":31,"spatial_hi":2000,"q":0.25,"gen":2,"plan":"4144b696","planner":true,"bins":4,"words":400,"rows":984,"elapsed_ns":3483,"result":"e4dcc4f6"}
+`
+
+// TestReplayOldLog: the reader still accepts logs written while the
+// planner switch existed — the "planner" key is simply no longer known —
+// and their records replay to the digests, and the scan costs, recorded
+// then.
+func TestReplayOldLog(t *testing.T) {
+	recs, valid, err := qlog.ParseLog([]byte(oldLog))
+	if err != nil || valid != int64(len(oldLog)) || len(recs) != 3 {
+		t.Fatalf("old log: %d records, %d of %d bytes valid, err %v", len(recs), valid, len(oldLog), err)
+	}
+	m, err := binning.NewUniform(0, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]float64, 31*100)
+	for i := range data {
+		data[i] = float64((i/31 + i%7) % 8)
+	}
+	rep := Run(context.Background(), recs, index.BuildCodec(data, m, codec.WAH), nil, Options{})
+	if err := rep.Err(); err != nil || rep.Matched != 3 {
+		t.Fatalf("old log does not replay: matched %d of 3, %v", rep.Matched, err)
+	}
+	if rep.ReplayedWords != rep.RecordedWords {
+		t.Errorf("words scanned changed since the log was written: recorded %d, replayed %d", rep.RecordedWords, rep.ReplayedWords)
 	}
 }
 
@@ -242,7 +273,7 @@ func TestReplayReportFigures(t *testing.T) {
 	if rep.RecordedWords <= 0 || rep.ReplayedWords <= 0 {
 		t.Errorf("word totals: recorded=%d replayed=%d", rep.RecordedWords, rep.ReplayedWords)
 	}
-	// Same index, same planner/cache state: scan costs must agree exactly.
+	// Same index, same cache state: scan costs must agree exactly.
 	if rep.RecordedWords != rep.ReplayedWords {
 		t.Errorf("words scanned diverged: recorded=%d replayed=%d", rep.RecordedWords, rep.ReplayedWords)
 	}

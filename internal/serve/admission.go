@@ -18,9 +18,9 @@ var ErrShed = errors.New("serve: overloaded, admission queue full")
 // respect the request context, so a deadline that expires in the queue
 // frees the waiter slot before the request ever executes.
 //
-// The queue bound is enforced with a single atomic add (increment, then
-// check), so under the race detector concurrent arrivals can never exceed
-// maxQueue waiters — the over-incrementer undoes itself and sheds.
+// The queue bound is enforced with a compare-and-swap loop (check, then
+// increment), so the waiter count never reads above maxQueue, not even
+// transiently to waiting() and the gauge it feeds.
 type admission struct {
 	slots    chan struct{}
 	queued   atomic.Int64
@@ -50,10 +50,15 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 		return a.release, nil
 	default:
 	}
-	if a.queued.Add(1) > a.maxQueue {
-		a.queued.Add(-1)
-		a.shed.Add(1)
-		return nil, ErrShed
+	for {
+		q := a.queued.Load()
+		if q >= a.maxQueue {
+			a.shed.Add(1)
+			return nil, ErrShed
+		}
+		if a.queued.CompareAndSwap(q, q+1) {
+			break
+		}
 	}
 	defer a.queued.Add(-1)
 	select {

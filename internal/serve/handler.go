@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"insitubits/internal/index"
 	"insitubits/internal/metrics"
 	"insitubits/internal/qlog"
 	"insitubits/internal/query"
@@ -272,109 +273,95 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// NewQueryRequest is the wire form of a query.Request; the caller fills in
+// Var/VarB and any transport fields. It is the inverse of the decoding
+// execute does, so a client that builds its request here cannot drop or
+// mislabel a bound.
+func NewQueryRequest(req query.Request) *QueryRequest {
+	return &QueryRequest{
+		Op:      string(req.Op),
+		ValueLo: req.A.ValueLo, ValueHi: req.A.ValueHi, SpatialLo: req.A.SpatialLo, SpatialHi: req.A.SpatialHi,
+		Q:        req.Q,
+		BValueLo: req.B.ValueLo, BValueHi: req.B.ValueHi, BSpatialLo: req.B.SpatialLo, BSpatialHi: req.B.SpatialHi,
+	}
+}
+
+// request decodes the wire form back into the query.Request it carries;
+// explain reports op "explain", whose operand is ExplainOp (default count,
+// or correlation when a second variable is named).
+func (r *QueryRequest) request() (req query.Request, explain bool, err error) {
+	name := r.Op
+	if explain = name == "explain"; explain {
+		switch name = r.ExplainOp; {
+		case name != "":
+		case r.VarB != "":
+			name = string(query.OpCorrelation)
+		default:
+			name = string(query.OpCount)
+		}
+	}
+	req = query.Request{
+		A: query.Subset{ValueLo: r.ValueLo, ValueHi: r.ValueHi, SpatialLo: r.SpatialLo, SpatialHi: r.SpatialHi},
+		B: query.Subset{ValueLo: r.BValueLo, ValueHi: r.BValueHi, SpatialLo: r.BSpatialLo, SpatialHi: r.BSpatialHi},
+		Q: r.Q,
+	}
+	req.Op, err = query.ParseOp(name)
+	return req, explain, err
+}
+
+func wireAggregate(a query.Aggregate) *AggregateResult {
+	return &AggregateResult{a.Count, a.Estimate, a.Lo, a.Hi}
+}
+
 // execute runs one decoded request against one catalog snapshot. The
 // returned code is only meaningful alongside a non-nil error.
-func (s *Server) execute(ctx context.Context, cat *catalog, req *QueryRequest) (*QueryResponse, int, error) {
-	e, err := cat.get(req.Var)
+func (s *Server) execute(ctx context.Context, cat *catalog, wire *QueryRequest) (*QueryResponse, int, error) {
+	e, err := cat.get(wire.Var)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	sub := query.Subset{ValueLo: req.ValueLo, ValueHi: req.ValueHi,
-		SpatialLo: req.SpatialLo, SpatialHi: req.SpatialHi}
-	resp := &QueryResponse{Op: req.Op, Var: e.Name, Generation: e.Gen}
-
-	switch req.Op {
-	case "count":
-		n, err := query.Count(ctx, e.X, sub)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		resp.Count = n
-		resp.Digest = qlog.DigestInt(n)
-	case "sum", "mean", "quantile":
-		var a query.Aggregate
-		switch req.Op {
-		case "sum":
-			a, err = query.Sum(ctx, e.X, sub)
-		case "mean":
-			a, err = query.Mean(ctx, e.X, sub)
-		default:
-			a, err = query.Quantile(ctx, e.X, sub, req.Q)
-		}
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		resp.Aggregate = &AggregateResult{a.Count, a.Estimate, a.Lo, a.Hi}
-		resp.Digest = query.DigestAggregate(a)
-	case "minmax":
-		mn, mx, err := query.MinMax(ctx, e.X, sub)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		resp.Min = &AggregateResult{mn.Count, mn.Estimate, mn.Lo, mn.Hi}
-		resp.Max = &AggregateResult{mx.Count, mx.Estimate, mx.Lo, mx.Hi}
-		resp.Digest = query.DigestMinMax(mn, mx)
-	case "bits":
-		v, err := query.Bits(ctx, e.X, sub)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		d, n := qlog.DigestBitmap(v)
-		resp.Count = n
-		resp.Digest = d
-	case "correlation":
-		eb, err := cat.get(req.VarB)
+	req, explain, err := wire.request()
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	resp := &QueryResponse{Op: wire.Op, Var: e.Name, Generation: e.Gen}
+	var xb *index.Index
+	if req.Op == query.OpCorrelation {
+		eb, err := cat.get(wire.VarB)
 		if err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("correlation operand b: %w", err)
 		}
-		sb := query.Subset{ValueLo: req.BValueLo, ValueHi: req.BValueHi,
-			SpatialLo: req.BSpatialLo, SpatialHi: req.BSpatialHi}
-		pr, err := query.Correlation(ctx, e.X, eb.X, sub, sb)
+		xb, resp.GenerationB = eb.X, eb.Gen
+	}
+	if explain {
+		prof, err := query.ExplainRequest(req, e.X, xb)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		resp.Pair = &pr
-		resp.GenerationB = eb.Gen
-		resp.Digest = query.DigestPair(pr)
-	case "explain":
-		opName := req.ExplainOp
-		if opName == "" {
-			opName = "count"
-		}
-		var prof *query.Profile
-		if req.VarB != "" || opName == "correlation" {
-			eb, err := cat.get(req.VarB)
-			if err != nil {
-				return nil, http.StatusBadRequest, fmt.Errorf("correlation operand b: %w", err)
-			}
-			sb := query.Subset{ValueLo: req.BValueLo, ValueHi: req.BValueHi,
-				SpatialLo: req.BSpatialLo, SpatialHi: req.BSpatialHi}
-			prof, err = query.ExplainCorrelation(e.X, eb.X, sub, sb)
-			if err != nil {
-				return nil, http.StatusBadRequest, err
-			}
-			resp.GenerationB = eb.Gen
-		} else {
-			op, err := query.ParseOp(opName)
-			if err != nil {
-				return nil, http.StatusBadRequest, err
-			}
-			prof, err = query.Explain(e.X, sub, op)
-			if err != nil {
-				return nil, http.StatusBadRequest, err
-			}
-		}
+		// An estimate has no result to digest; fingerprint its rendering so
+		// the response always carries one.
 		resp.Explain = prof.Render()
-		resp.Digest = prof.PlanDigest
-		if resp.Digest == "" {
-			// Estimated profiles carry no plan digest; fingerprint the
-			// rendered estimate so the response always has one.
-			resp.Digest = qlog.DigestString(resp.Explain)
-		}
-	default:
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("unknown op %q (count, sum, mean, quantile, minmax, bits, correlation, explain)", req.Op)
+		resp.Digest = qlog.DigestString(resp.Explain)
+		return resp, http.StatusOK, nil
 	}
+	ans, err := query.Run(ctx, req, e.X, xb)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	switch ans.Op {
+	case query.OpCount:
+		resp.Count = ans.Count
+	case query.OpBits:
+		resp.Count = ans.Bits.Count()
+	case query.OpMinMax:
+		resp.Min, resp.Max = wireAggregate(ans.Min), wireAggregate(ans.Max)
+	case query.OpCorrelation:
+		pair := ans.Pair // a copy, so only a correlation's answer escapes
+		resp.Pair = &pair
+	default:
+		resp.Aggregate = wireAggregate(ans.Agg)
+	}
+	resp.Digest = ans.Digest()
 	return resp, http.StatusOK, nil
 }
 

@@ -426,6 +426,37 @@ func TestDeadlineClamp(t *testing.T) {
 	}
 }
 
+// TestDeadlineDuringExecution: a deadline that lapses after the
+// pre-execution check — here while the hook stalls the admitted request —
+// stops the executor at its next operator. Nothing was answered, so the
+// request is retryable: 429 with Retry-After, never a 5xx, and the slot is
+// free again.
+func TestDeadlineDuringExecution(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	testHookBeforeExecute = func(req *QueryRequest) {
+		if req.TimeoutMs == 5 {
+			time.Sleep(40 * time.Millisecond)
+		}
+	}
+	defer func() { testHookBeforeExecute = nil }()
+	for _, req := range []*QueryRequest{
+		{Op: "correlation", Var: "temp", VarB: "pres", ValueLo: 1, ValueHi: 7, BValueLo: 1, BValueHi: 7, TimeoutMs: 5},
+		{Op: "sum", Var: "temp", SpatialLo: 31, SpatialHi: 9000, TimeoutMs: 5},
+	} {
+		_, hresp := postQuery(t, ts.URL, req)
+		if hresp.StatusCode != http.StatusTooManyRequests || hresp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s past its deadline: status %d Retry-After %q, want 429 with a hint",
+				req.Op, hresp.StatusCode, hresp.Header.Get("Retry-After"))
+		}
+	}
+	if got := s.adm.inflight(); got != 0 {
+		t.Fatalf("cancelled requests hold %d execution slots", got)
+	}
+	if _, hresp := postQuery(t, ts.URL, &QueryRequest{Op: "sum", Var: "temp", SpatialLo: 31, SpatialHi: 9000}); hresp.StatusCode != http.StatusOK {
+		t.Fatalf("request within its deadline: status %d", hresp.StatusCode)
+	}
+}
+
 // TestTracePropagation: a W3C traceparent (and X-Trace-Id) joins the
 // response — and the server's telemetry — to the caller's trace ID.
 func TestTracePropagation(t *testing.T) {
