@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-quick trace-smoke overhead profile-smoke fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
+.PHONY: all build test vet race race-hot bench bench-compare bench-quick trace-smoke overhead profile-smoke fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
 
 all: build
 
@@ -25,16 +25,30 @@ race:
 race-hot:
 	$(GO) test -race . ./internal/query/ ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/
 
-# Telemetry micro-benchmarks plus the instrumented-vs-disabled append pair.
+# The repository benchmark (bench/README.md, BENCHMARK.json): one workload
+# or all four, untraced end to end and then traced per layer, every
+# operation checked against its oracle. OUT appends the report as one line
+# to a set file; ten or so such lines per commit are what bench-compare
+# judges:
+#   make bench WORKLOAD=offline_ocean SEED=1 OUT=cand.jsonl
+#   make bench-compare BASE=base.jsonl CAND=cand.jsonl
+# The micro-benchmarks stay plain `go test`, e.g. `go test -run '^$$' -bench
+# 'BenchmarkNoop|BenchmarkAppendTelemetry|BenchmarkOrInto' -benchmem
+# ./internal/telemetry/ ./internal/bitvec/`.
+WORKLOAD ?= all
+SEED ?= 1
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkNoop|BenchmarkAppendTelemetry' -benchmem ./internal/telemetry/ ./internal/bitvec/
+	bash bench/run.sh -workload $(WORKLOAD) -seed $(SEED) $(if $(OUT),-out $(OUT))
 
-# The repository benchmark (bench/, BENCHMARK.json) is a Go module of its
-# own that compiles against internal/..., so the root module's build and
-# tests never see it. This vets it and runs its unit tests plus the -quick
-# end-to-end smoke of all four workloads (toy sizes; the numbers mean
-# nothing, the oracles do). Real runs: `bash bench/run.sh ...`, and `go run
-# -C bench . compare A.jsonl B.jsonl` to judge two sets (bench/README.md).
+# Applies BENCHMARK.json's bounds to two set files: within / regressed /
+# unresolved per workload and metric, against the sets' own spread.
+bench-compare:
+	bash bench/run.sh compare $(BASE) $(CAND)
+
+# bench/ is a Go module of its own that compiles against internal/..., so
+# the root module's build and tests never see it. This vets it and runs its
+# unit tests plus the -quick end-to-end smoke of all four workloads (toy
+# sizes; the numbers mean nothing, the oracles do).
 bench-quick:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
@@ -65,14 +79,16 @@ profile-smoke:
 	$(GO) test -run 'TestProfileSmoke|TestParse|TestCollectorRingAndHandler' -v ./internal/profiling/
 
 # Short fuzz passes: the untrusted parsers (docs/FORMATS.md) — the
-# index-file reader and the run-journal parser — and the query oracle
-# property (any request, codec and cache state answers exactly as the
-# brute-force model over the binned raw array does). Full corpus
-# exploration is `go test -fuzz <target> ./internal/<pkg>/`.
+# index-file reader and the run-journal parser — the query oracle property
+# (any request, codec and cache state answers exactly as the brute-force
+# model over the binned raw array does), and the flat kernels under it
+# (OrInto, FromFlat, WriteIDs, CountRange × codec against a []bool model).
+# Full corpus exploration is `go test -fuzz <target> ./internal/<pkg>/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadIndex$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run xxx -fuzz 'FuzzParseJournal$$' -fuzztime 10s ./internal/insitu/
 	$(GO) test -run xxx -fuzz 'FuzzQueryMatchesOracle$$' -fuzztime 10s ./internal/query/
+	$(GO) test -run xxx -fuzz 'FuzzFlatKernels$$' -fuzztime 10s ./internal/bitvec/
 
 # The query oracle suite (DESIGN.md "Query planning & caching"): every op
 # through the one plan → optimize → execute path — every codec, cache cold

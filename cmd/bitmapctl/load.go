@@ -27,21 +27,7 @@ func remoteQuery(addr string, req *insitubits.ServeQueryRequest) error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case resp.Aggregate != nil:
-		a := resp.Aggregate
-		fmt.Printf("%s(%s): count=%d estimate=%g bounds=[%g, %g]\n", resp.Op, resp.Var, a.Count, a.Estimate, a.Lo, a.Hi)
-	case resp.Min != nil && resp.Max != nil:
-		fmt.Printf("minmax(%s): min=[%g, %g] max=[%g, %g]\n", resp.Var, resp.Min.Lo, resp.Min.Hi, resp.Max.Lo, resp.Max.Hi)
-	case resp.Pair != nil:
-		p := resp.Pair
-		fmt.Printf("correlation(%s, %s): I(A;B)=%.6f H(A)=%.6f H(B)=%.6f H(A|B)=%.6f H(B|A)=%.6f\n",
-			resp.Var, req.VarB, p.MI, p.EntropyA, p.EntropyB, p.CondEntropyAB, p.CondEntropyBA)
-	case resp.Explain != "":
-		os.Stdout.WriteString(resp.Explain)
-	default:
-		fmt.Printf("%s(%s): %d\n", resp.Op, resp.Var, resp.Count)
-	}
+	printAnswer(resp, req.VarB)
 	fmt.Printf("digest=%s generation=%d catalog=%d step=%d server=%s round-trip=%s",
 		resp.Digest, resp.Generation, resp.CatalogGen, resp.Step,
 		time.Duration(resp.ElapsedNs), time.Since(start).Round(time.Microsecond))
@@ -53,6 +39,26 @@ func remoteQuery(addr string, req *insitubits.ServeQueryRequest) error {
 	}
 	fmt.Println()
 	return nil
+}
+
+// printAnswer prints the result line of a query answered remotely or from
+// local files; varB names a correlation's second operand.
+func printAnswer(resp *insitubits.ServeQueryResponse, varB string) {
+	switch {
+	case resp.Aggregate != nil:
+		a := resp.Aggregate
+		fmt.Printf("%s(%s): count=%d estimate=%g bounds=[%g, %g]\n", resp.Op, resp.Var, a.Count, a.Estimate, a.Lo, a.Hi)
+	case resp.Min != nil && resp.Max != nil:
+		fmt.Printf("minmax(%s): min=[%g, %g] max=[%g, %g]\n", resp.Var, resp.Min.Lo, resp.Min.Hi, resp.Max.Lo, resp.Max.Hi)
+	case resp.Pair != nil:
+		p := resp.Pair
+		fmt.Printf("correlation(%s, %s): I(A;B)=%.6f H(A)=%.6f H(B)=%.6f H(A|B)=%.6f H(B|A)=%.6f\n",
+			resp.Var, varB, p.MI, p.EntropyA, p.EntropyB, p.CondEntropyAB, p.CondEntropyBA)
+	case resp.Explain != "":
+		os.Stdout.WriteString(resp.Explain)
+	default:
+		fmt.Printf("%s(%s): %d\n", resp.Op, resp.Var, resp.Count)
+	}
 }
 
 // cmdLoad drives the open-loop load generator against a running

@@ -5,7 +5,7 @@
 //	bitmapctl info  index.isbm
 //	bitmapctl stat  index.isbm
 //	bitmapctl convert -codec wah [-v1] -in index.isbm -out recoded.isbm
-//	bitmapctl query -lo V -hi V index.isbm
+//	bitmapctl query [-op OP] [-lo V -hi V] [-slo P -shi P] index.isbm [b.isbm]
 //	bitmapctl explain -op count -lo V -hi V index.isbm
 //	bitmapctl histogram index.isbm
 //	bitmapctl entropy index.isbm
@@ -337,7 +337,7 @@ func cmdConvert(args []string) error {
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	addr := fs.String("addr", "", "query a running insitu-serve instead of a local file (e.g. http://localhost:8689)")
-	op := fs.String("op", "count", "remote operator: count | sum | mean | quantile | minmax | bits | correlation | explain (with -addr)")
+	op := fs.String("op", "count", "operator: count | sum | mean | quantile | minmax | bits | correlation (two files, or -var-b) | explain (with -addr)")
 	varName := fs.String("var", "", "served variable name (with -addr; optional when one variable is served)")
 	varB := fs.String("var-b", "", "second operand for -op correlation (with -addr)")
 	request := requestFlags(fs)
@@ -363,21 +363,37 @@ func cmdQuery(args []string) error {
 		}
 		return remoteQuery(*addr, wire)
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: bitmapctl query [-addr URL] -lo V -hi V FILE")
+	if explain {
+		return fmt.Errorf("-op explain needs -addr; on files use `bitmapctl explain`")
+	}
+	want := 1
+	if req.Op == insitubits.QueryOpCorrelation {
+		want = 2
+	}
+	if fs.NArg() != want {
+		return fmt.Errorf("usage: bitmapctl query [-addr URL] [-op OP] [-lo V -hi V] [-slo P -shi P] FILE [FILE2 for -op correlation]")
 	}
 	x, err := loadIndex(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	// Route through the query layer (not x.Query directly) so the count
-	// participates in planning, caching, and workload capture (-qlog).
-	n, err := insitubits.SubsetCount(context.Background(), x,
-		insitubits.QuerySubset{ValueLo: req.A.ValueLo, ValueHi: req.A.ValueHi})
+	var xb *insitubits.Index
+	if want == 2 {
+		if xb, err = loadIndex(fs.Arg(1)); err != nil {
+			return err
+		}
+	}
+	// The same request through the same query layer the server runs it on,
+	// so the answer plans, caches, captures (-qlog) and digests alike.
+	start := time.Now()
+	ans, err := insitubits.RunQuery(context.Background(), req, x, xb)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d of %d elements have values in [%g, %g) (bin-granular)\n", n, x.N(), req.A.ValueLo, req.A.ValueHi)
+	resp := &insitubits.ServeQueryResponse{Op: name, Var: fs.Arg(0)}
+	resp.SetAnswer(&ans)
+	printAnswer(resp, fs.Arg(1))
+	fmt.Printf("digest=%s elements=%d elapsed=%s\n", resp.Digest, x.N(), time.Since(start).Round(time.Microsecond))
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -76,5 +77,80 @@ func TestRemoteCorrelationSpatialRange(t *testing.T) {
 	}
 	if !strings.Contains(out, "correlation(early, late)") || !strings.Contains(out, "digest="+want.Digest()+" ") {
 		t.Fatalf("remote correlation over [0,100) printed\n%swant digest %s", out, want.Digest())
+	}
+}
+
+// digestOf extracts the digest=… token from a query command's output.
+func digestOf(t *testing.T, out string) string {
+	t.Helper()
+	for _, f := range strings.Fields(out) {
+		if d, ok := strings.CutPrefix(f, "digest="); ok {
+			return d
+		}
+	}
+	t.Fatalf("no digest in output:\n%s", out)
+	return ""
+}
+
+// TestLocalQueryHonoursOpAndSpatialRange: `query FILE` runs the request its
+// flags describe — the op, the spatial range, the quantile — through the
+// same query layer the server does, so it prints what `query -addr` prints
+// for the same flags, digest included.
+func TestLocalQueryHonoursOpAndSpatialRange(t *testing.T) {
+	dir := t.TempDir()
+	raw, idx := filepath.Join(dir, "v.israw"), filepath.Join(dir, "v.isbm")
+	if err := cmdGenRaw([]string{"-out", raw, "-steps", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdBuild([]string{"-in", raw, "-out", idx, "-bins", "32"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := insitubits.NewQueryServer(insitubits.ServeConfig{})
+	if err := srv.LoadFiles([]string{"v=" + idx}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	x, err := loadIndex(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := insitubits.QuerySubset{ValueLo: 30, ValueHi: 80, SpatialLo: 8000, SpatialHi: 16000}
+	want, err := insitubits.RunQuery(context.Background(), insitubits.QueryRequest{Op: "count", A: s}, x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := insitubits.SubsetCount(context.Background(), x, insitubits.QuerySubset{ValueLo: 30, ValueHi: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Count == 0 || want.Count == whole {
+		t.Fatalf("fixture: the spatial range selects %d of %d elements in the value range", want.Count, whole)
+	}
+	for _, flags := range [][]string{
+		{"-lo", "30", "-hi", "80", "-slo", "8000", "-shi", "16000"},
+		{"-op", "quantile", "-q", "0.9", "-lo", "30", "-hi", "80", "-slo", "8000", "-shi", "16000"},
+		{"-op", "bits", "-lo", "30", "-hi", "80", "-slo", "8000", "-shi", "16000"},
+	} {
+		local := captureStdout(t, func() error { return cmdQuery(append(flags[:len(flags):len(flags)], idx)) })
+		remote := captureStdout(t, func() error {
+			return cmdQuery(append([]string{"-addr", ts.URL, "-var", "v"}, flags...))
+		})
+		if dl, dr := digestOf(t, local), digestOf(t, remote); dl != dr {
+			t.Errorf("query %v: local digest %s, remote %s\n%s%s", flags, dl, dr, local, remote)
+		}
+		// Same result line, apart from the name the operand goes by.
+		ll, _, _ := strings.Cut(local, "\n")
+		rl, _, _ := strings.Cut(remote, "\n")
+		if strings.Replace(ll, "("+idx+")", "(v)", 1) != rl {
+			t.Errorf("query %v prints\n%s\nlocally, remotely\n%s", flags, ll, rl)
+		}
+	}
+	out := captureStdout(t, func() error {
+		return cmdQuery([]string{"-lo", "30", "-hi", "80", "-slo", "8000", "-shi", "16000", idx})
+	})
+	if !strings.HasPrefix(out, fmt.Sprintf("count(%s): %d\n", idx, want.Count)) || digestOf(t, out) != want.Digest() {
+		t.Errorf("count over [8000,16000) printed\n%swant %d, digest %s", out, want.Count, want.Digest())
 	}
 }

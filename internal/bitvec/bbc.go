@@ -10,9 +10,10 @@ import (
 // A byte-aligned bitmap codec in the spirit of BBC (Antoshenkov, DCC'95),
 // which the paper cites alongside WAH as the other classic run-length bitmap
 // compressor. Byte-granular runs compress sparse vectors tighter than
-// 31-bit-granular WAH fills; logical operations run directly on the
-// compressed stream by merging byte runs (see bbcBinary), so BBC bins never
-// need a full decode on the query path.
+// 31-bit-granular WAH fills; pairwise logical operations run directly on the
+// compressed stream by merging byte runs (see bbcBinary), and the kernels
+// that read one bitmap — OrInto, WriteIDs, Count, CountRange — walk the byte
+// stream a run or a literal chunk at a time.
 //
 // Stream format (not the historical BBC wire format, but byte-aligned and
 // run-length like it):
@@ -214,8 +215,51 @@ func (b *BBC) Count() int {
 	return total
 }
 
-// CountRange returns the number of set bits in [from, to).
-func (b *BBC) CountRange(from, to int) int { return genericCountRange(b, from, to) }
+// CountRange returns the number of set bits in [from, to), on the byte
+// stream: runs and chunks before from are skipped whole, a one-run counts
+// its overlap in O(1), and a literal chunk popcounts the bytes it overlaps,
+// masking the two boundary bytes.
+func (b *BBC) CountRange(from, to int) int {
+	if from < 0 || to > b.nbits || from > to {
+		panic(fmt.Sprintf("bitvec: CountRange[%d,%d) out of range [0,%d]", from, to, b.nbits))
+	}
+	total := 0
+	var t bbcTokIter
+	t.reset(b.data)
+	lo := 0 // first bit of the current run or chunk
+	for t.valid() && lo < to {
+		hi := lo + 8*t.n
+		if s, e := max(from, lo), min(to, hi); s < e {
+			switch {
+			case !t.fill:
+				total += countBytes(t.lit[t.lp:t.lp+t.n], s-lo, e-lo)
+			case t.fb != 0:
+				total += e - s
+			}
+		}
+		lo = hi
+		t.consume(t.n)
+	}
+	return total
+}
+
+// countBytes counts the set bits [s, e) of a little-endian bit buffer, s < e.
+func countBytes(buf []byte, s, e int) int {
+	first, last := s>>3, (e-1)>>3
+	head, tail := byte(0xFF)<<uint(s&7), byte(0xFF)>>uint(7-(e-1)&7)
+	if first == last {
+		return bits.OnesCount8(buf[first] & head & tail)
+	}
+	total := bits.OnesCount8(buf[first]&head) + bits.OnesCount8(buf[last]&tail)
+	mid := buf[first+1 : last]
+	for ; len(mid) >= 8; mid = mid[8:] {
+		total += bits.OnesCount64(binary.LittleEndian.Uint64(mid))
+	}
+	for _, v := range mid {
+		total += bits.OnesCount8(v)
+	}
+	return total
+}
 
 // CountUnits reports the set-bit count of each unitSize-bit unit.
 func (b *BBC) CountUnits(unitSize int) []int { return genericCountUnits(b, unitSize) }
@@ -231,8 +275,33 @@ func (b *BBC) Get(i int) bool {
 // Iterate calls fn for each set bit in ascending order.
 func (b *BBC) Iterate(fn func(pos int) bool) { genericIterate(b, fn) }
 
-// WriteIDs stores id into dst at every set-bit position.
-func (b *BBC) WriteIDs(dst []int32, id int32) { genericWriteIDs(b, dst, id) }
+// WriteIDs stores id into dst at every set-bit position, straight off the
+// byte stream: one-runs are range writes, literal bytes are walked bit by
+// bit (their padding is zero, so no position needs a bound check).
+func (b *BBC) WriteIDs(dst []int32, id int32) {
+	if len(dst) < b.nbits {
+		panic(fmt.Sprintf("bitvec: WriteIDs dst of %d for %d bits", len(dst), b.nbits))
+	}
+	var t bbcTokIter
+	t.reset(b.data)
+	base := 0 // first bit of the current run or chunk
+	for t.valid() {
+		switch {
+		case !t.fill:
+			for j, v := range t.lit[t.lp : t.lp+t.n] {
+				for p := base + 8*j; v != 0; v &= v - 1 {
+					dst[p+bits.TrailingZeros8(v)] = id
+				}
+			}
+		case t.fb != 0:
+			for p, end := base, min(base+8*t.n, b.nbits); p < end; p++ {
+				dst[p] = id
+			}
+		}
+		base += 8 * t.n
+		t.consume(t.n)
+	}
+}
 
 // And returns b AND o; a BBC pair merges byte runs on the compressed form.
 func (b *BBC) And(o Bitmap) Bitmap { return b.binaryOp(o, opAnd) }

@@ -165,10 +165,11 @@ func (d *Dense) WriteIDs(dst []int32, id int32) {
 	if len(dst) < d.nbits {
 		panic(fmt.Sprintf("bitvec: WriteIDs dst of %d for %d bits", len(dst), d.nbits))
 	}
-	d.Iterate(func(pos int) bool {
-		dst[pos] = id
-		return true
-	})
+	for s, w := range d.words {
+		for base := s * SegmentBits; w != 0; w &= w - 1 {
+			dst[base+bits.TrailingZeros32(w)] = id
+		}
+	}
 }
 
 // And returns d AND o; a Dense pair combines word-at-a-time.

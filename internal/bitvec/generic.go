@@ -6,7 +6,7 @@ import (
 )
 
 // Generic, codec-independent implementations over the Run iterator. These
-// are the cross-codec fallbacks: a WAH×Dense AND, a BBC CountRange, etc.
+// are the cross-codec fallbacks: a WAH×Dense AND, a BBC CountUnits, etc.
 // They never decompress an operand — fill runs are consumed in O(1) — and
 // binary ops emit a WAH vector, the universal intermediate form.
 
@@ -123,59 +123,6 @@ func genericCount(b Bitmap) int {
 	return total
 }
 
-// genericCountRange counts set bits in [from, to) through the runs.
-func genericCountRange(b Bitmap, from, to int) int {
-	if from < 0 || to > b.Len() || from > to {
-		panic(fmt.Sprintf("bitvec: CountRange[%d,%d) out of range [0,%d]", from, to, b.Len()))
-	}
-	if from == to {
-		return 0
-	}
-	total := 0
-	base := 0
-	var it bmIter
-	it.reset(b.Runs())
-	for it.ok && base < to {
-		if it.run.Fill {
-			span := it.run.N * SegmentBits
-			end := base + span
-			if it.run.Bit != 0 {
-				lo, hi := base, end
-				if lo < from {
-					lo = from
-				}
-				if hi > to {
-					hi = to
-				}
-				if hi > lo {
-					total += hi - lo
-				}
-			}
-			base = end
-			it.consume(it.run.N)
-			continue
-		}
-		end := base + SegmentBits
-		if end > from {
-			w := it.run.Word & literalMask
-			lo := 0
-			if from > base {
-				lo = from - base
-			}
-			hi := SegmentBits
-			if to < end {
-				hi = to - base
-			}
-			w >>= uint(lo)
-			w &= uint32(1)<<uint(hi-lo) - 1
-			total += bits.OnesCount32(w)
-		}
-		base = end
-		it.consume(1)
-	}
-	return total
-}
-
 // genericCountUnits is CountUnits for any codec (see Vector.CountUnits).
 func genericCountUnits(b Bitmap, unitSize int) []int {
 	if unitSize <= 0 {
@@ -283,44 +230,6 @@ func genericIterate(b Bitmap, fn func(pos int) bool) {
 			}
 			if !fn(p) {
 				return
-			}
-			w &= w - 1
-		}
-		base += SegmentBits
-		it.consume(1)
-	}
-}
-
-// genericWriteIDs stores id at every set-bit position (see Vector.WriteIDs).
-func genericWriteIDs(b Bitmap, dst []int32, id int32) {
-	nbits := b.Len()
-	if len(dst) < nbits {
-		panic(fmt.Sprintf("bitvec: WriteIDs dst of %d for %d bits", len(dst), nbits))
-	}
-	base := 0
-	var it bmIter
-	it.reset(b.Runs())
-	for it.ok && base < nbits {
-		if it.run.Fill {
-			end := base + it.run.N*SegmentBits
-			if it.run.Bit != 0 {
-				hi := end
-				if hi > nbits {
-					hi = nbits
-				}
-				for p := base; p < hi; p++ {
-					dst[p] = id
-				}
-			}
-			base = end
-			it.consume(it.run.N)
-			continue
-		}
-		w := it.run.Word & literalMask
-		for w != 0 {
-			j := bits.TrailingZeros32(w)
-			if p := base + j; p < nbits {
-				dst[p] = id
 			}
 			w &= w - 1
 		}

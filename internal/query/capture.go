@@ -20,8 +20,8 @@ import (
 // ---------------------------------------------------------------------------
 // Plan digests. A plan digest fingerprints the executable plan — the op,
 // its parameters, and (for bits-shaped requests) the optimized IR shape:
-// operand order after most-selective-first sorting, pruned bins, merge
-// hints. Index generations are deliberately excluded, so the digest is
+// operand order after most-selective-first sorting, pruned bins. Index
+// generations are deliberately excluded, so the digest is
 // stable across cache warm/cold and joins slow-log records to workload
 // records of the same logical plan.
 
@@ -37,15 +37,15 @@ func stampPlan(p *Profile, plan *planNode) {
 }
 
 // planShape renders an optimized plan node as a compact generation-free
-// expression, e.g. "and(or(v=[1,3),bins=2-4),range(0,500,dense))".
+// expression, e.g. "and(or(v=[1,3),bins=2-4),range(0,500))".
 func planShape(p *planNode) string {
 	switch p.kind {
 	case planEmpty:
 		return "empty"
 	case planOnes:
-		return fmt.Sprintf("ones(%d,%s)", p.n, p.hint)
+		return fmt.Sprintf("ones(%d)", p.n)
 	case planRange:
-		return fmt.Sprintf("range(%d,%d,%s)", p.slo, p.shi, p.hint)
+		return fmt.Sprintf("range(%d,%d)", p.slo, p.shi)
 	case planBinOr:
 		return fmt.Sprintf("or(v=[%g,%g),bins=%s)", p.vlo, p.vhi, formatBins(p.bins))
 	}

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"insitubits/internal/bitcache"
 	"insitubits/internal/bitvec"
@@ -11,14 +12,18 @@ import (
 	"insitubits/internal/telemetry"
 )
 
-// This file is the execute half of the query pipeline: the executor walks
-// an optimized plan, consults the bitmap cache at every node with a
-// canonical key, and reports each operator through one recorder that feeds
-// the ANALYZE profile, the identity-trace spans and the per-codec counters
-// together. ANALYZE accounting on a cache hit charges one scan of the
-// cached encoding and nothing else — the per-operand children are absent,
-// which is precisely the work the cache saved and what the scan-reduction
-// acceptance test measures.
+// This file is the execute half of the query pipeline. The executor
+// evaluates an optimized plan flat (DESIGN.md §4c): every selected bin is
+// read exactly once, ORed into pooled []uint64 scratch by its codec's own
+// kernel; AND is a word loop, a spatial range clears the words outside it,
+// and the result is encoded once, for the caller or for the cache. No
+// compressed intermediate is built in between. The bitmap cache is consulted
+// at every node with a canonical key, and each operator reports through one
+// recorder that feeds the ANALYZE profile, the identity-trace spans and the
+// per-codec counters together. ANALYZE accounting on a cache hit charges one
+// scan of the cached encoding and nothing else — the per-operand children
+// are absent, which is precisely the work the cache saved and what the
+// scan-reduction acceptance test measures.
 
 // ctxCacheKey carries a per-request cache override (WithCache).
 type ctxCacheKey struct{}
@@ -45,43 +50,70 @@ func cacheFrom(ctx context.Context) *bitcache.Cache {
 // plain path) and sp its identity span (nil when untraced); every hook on
 // either is nil-safe. plan and cache are set when a bits-shaped operator
 // lowers the request — count-shaped ones never pay the context lookup.
+// flats and ids are the scratch it borrowed; release returns them.
 type executor struct {
 	ctx   context.Context
 	prof  *Node
 	sp    *telemetry.ActiveSpan
 	plan  *planNode
 	cache *bitcache.Cache
+	flats []*[]uint64
+	ids   []*[]int32
 }
 
-func (e *executor) lookup(key string) bitvec.Bitmap {
-	if e.cache == nil || key == "" {
+// The scratch pools. A request holds at most two flat buffers (n/8 bytes
+// each: the accumulator and the operand being ANDed in) and, for a
+// correlation, two id arrays (4n bytes each), from its first bin to the end
+// of run — which returns them on every path, errors and deadlines included.
+// Nothing a request returns or caches aliases them: FromFlat copies.
+var flatPool, idPool sync.Pool
+
+func borrow[T any](pool *sync.Pool, held *[]*[]T, n int) []T {
+	p, _ := pool.Get().(*[]T)
+	if p == nil || cap(*p) < n {
+		buf := make([]T, n)
+		p = &buf
+	}
+	*held = append(*held, p)
+	return (*p)[:n]
+}
+
+// flat borrows zeroed flat scratch for n bits.
+func (e *executor) flat(n int) []uint64 {
+	words := borrow(&flatPool, &e.flats, bitvec.FlatWords(n))
+	clear(words)
+	return words
+}
+
+func (e *executor) release() {
+	for _, p := range e.flats {
+		flatPool.Put(p)
+	}
+	for _, p := range e.ids {
+		idPool.Put(p)
+	}
+	e.flats, e.ids = nil, nil
+}
+
+// flatCost is the charge for one pass over a flat buffer of n bits, in the
+// Cost's 32-bit words; EXPLAIN and ANALYZE both take it from here.
+func flatCost(n, passes int) Cost {
+	words := int64(2 * bitvec.FlatWords(n) * passes)
+	return Cost{WordsScanned: words, BytesDecoded: 4 * words}
+}
+
+// cached answers plan node p from the cache, as a hit node under prof: it is
+// charged one scan of the cached encoding, the only work its consumer pays.
+func (e *executor) cached(p *planNode, prof *Node) bitvec.Bitmap {
+	if e.cache == nil || p.key == "" {
 		return nil
 	}
-	return e.cache.Get(key)
-}
-
-// store caches a computed operator result and marks its node a miss — only
-// when a cache was actually consulted (cache-off profiles carry no verdict).
-func (e *executor) store(n *Node, key string, bm bitvec.Bitmap, gens []uint64) {
-	if e.cache == nil || key == "" {
-		return
+	hit := e.cache.Get(p.key)
+	if hit != nil && prof != nil {
+		n := prof.child(p.label())
+		n.Codec, n.Cost, n.Cache = codecName(hit), n.scanCostOf(hit), "hit"
 	}
-	e.cache.Put(key, bm, gens...)
-	if n != nil {
-		n.Cache = "miss"
-	}
-}
-
-// cacheHitNode records an operator answered from the cache: it is charged
-// one scan of the cached encoding (the only work the consumer still pays).
-func cacheHitNode(parent *Node, op, detail string, bm bitvec.Bitmap) *Node {
-	n := parent.child(op, detail)
-	if n != nil {
-		n.Codec = codecName(bm)
-		n.Cost = n.scanCostOf(bm)
-		n.Cache = "hit"
-	}
-	return n
+	return hit
 }
 
 // operator is the one recorder of a running bin-level operator: the
@@ -149,100 +181,105 @@ func (o *operator) end() {
 	o.span.End()
 }
 
-// fillVector builds the all-zeros or all-ones vector over n bits in O(1)
-// fill runs.
-func fillVector(bit uint32, n int) *bitvec.Vector {
-	var a bitvec.Appender
-	full := n / bitvec.SegmentBits
-	a.AppendFill(bit, full)
-	if rem := n - full*bitvec.SegmentBits; rem > 0 {
-		a.AppendPartial(bit*(uint32(1)<<uint(rem)-1), rem)
+// result runs the request's plan, reporting under prof and sp. The cache
+// answers with the encoded bitmap (words is nil); otherwise the plan is
+// evaluated into flat scratch, and encoded — once — only when a cache takes
+// it (else bm is nil).
+func (e *executor) result(prof *Node, sp *telemetry.ActiveSpan) (words []uint64, bm bitvec.Bitmap, err error) {
+	p := e.plan
+	if err := e.ctx.Err(); err != nil {
+		return nil, nil, err
 	}
-	return a.Vector()
+	if hit := e.cached(p, prof); hit != nil {
+		return nil, hit, nil
+	}
+	words = e.flat(p.n)
+	if err := e.compute(p, words, prof, sp); err != nil {
+		return nil, nil, err
+	}
+	if e.cache != nil && p.key != "" {
+		bm = bitvec.FromFlat(words, p.n)
+		e.cache.Put(p.key, bm, p.gens...)
+		if prof != nil {
+			prof.Cache = "miss"
+		}
+	}
+	return words, bm, nil
 }
 
-// exec runs one optimized plan node and returns its bitmap, reporting under
-// prof and sp. It checks the request's context before every operand it
-// would compute and returns the context's error.
-func (e *executor) exec(p *planNode, prof *Node, sp *telemetry.ActiveSpan) (bitvec.Bitmap, error) {
-	if err := e.ctx.Err(); err != nil {
-		return nil, err
+// exec ORs the result of plan node p into dst: its cached encoding when the
+// cache has one, else by computing it.
+func (e *executor) exec(p *planNode, dst []uint64, prof *Node, sp *telemetry.ActiveSpan) error {
+	if hit := e.cached(p, prof); hit != nil {
+		hit.OrInto(dst)
+		return nil
+	}
+	return e.compute(p, dst, prof, sp)
+}
+
+// compute evaluates plan node p into dst, zeroed flat scratch of p.n bits.
+// It checks the request's context before every bin it reads and returns the
+// context's error.
+func (e *executor) compute(p *planNode, dst []uint64, prof *Node, sp *telemetry.ActiveSpan) error {
+	if p.kind == planAnd {
+		return e.computeAnd(p, dst, prof, sp)
 	}
 	op, detail := p.label()
-	if hit := e.lookup(p.key); hit != nil {
-		cacheHitNode(prof, op, detail, hit)
-		return hit, nil
-	}
+	node := prof.child(op, detail)
 	switch p.kind {
-	case planEmpty:
-		v := fillVector(0, p.n)
-		prof.child(op, detail).setOut(v)
-		return v, nil
-
-	case planOnes, planRange:
-		var v bitvec.Bitmap
-		if p.kind == planOnes {
-			v = fillVector(1, p.n)
-		} else {
-			v = rangeVector(p.n, p.slo, p.shi)
-		}
-		if p.hint == codec.Dense {
-			v = codec.Encode(v, codec.Dense)
-		}
-		n := prof.child(op, detail)
-		n.setOut(v)
-		e.store(n, p.key, v, nil)
-		return v, nil
-
+	case planOnes:
+		bitvec.SetFlatRange(dst, 0, p.n)
+	case planRange:
+		bitvec.SetFlatRange(dst, p.slo, p.shi)
 	case planBinOr:
-		o := openOperator(prof.child(op, detail), sp, op)
+		o := openOperator(node, sp, op)
 		defer o.end()
-		acc := p.x.Bitmap(p.bins[0])
-		o.scan("or", p.x, p.bins[0])
-		for _, b := range p.bins[1:] {
+		for _, b := range p.bins {
 			if err := e.ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			o.scan("or", p.x, b)
-			acc = acc.Or(p.x.Bitmap(b))
+			p.x.Bitmap(b).OrInto(dst)
 		}
-		if len(p.bins) == 1 {
-			acc = acc.Clone()
-		}
-		o.node.setOut(acc)
-		e.store(o.node, p.key, acc, p.gens)
-		return acc, nil
 	}
+	return nil
+}
 
-	// planAnd
-	acc, err := e.exec(p.children[0], prof, sp)
-	for i := 1; i < len(p.children) && err == nil; i++ {
-		// Runtime short-circuit: an empty intermediate zeroes every
-		// further AND, so the remaining operands are never computed.
-		if acc.Count() == 0 {
-			prof.child("and-merge", fmt.Sprintf("short-circuit: empty intermediate, %d operands skipped", len(p.children)-i))
+// computeAnd lands the leading operand in dst and folds each further one in
+// with a word loop: a value OR through a second scratch buffer, a spatial
+// range by clearing the words outside it.
+func (e *executor) computeAnd(p *planNode, dst []uint64, prof *Node, sp *telemetry.ActiveSpan) error {
+	if err := e.exec(p.children[0], dst, prof, sp); err != nil {
+		return err
+	}
+	var rhs []uint64
+	for i, c := range p.children[1:] {
+		// Runtime short-circuit: an empty intermediate zeroes every further
+		// AND, so the remaining operands are never computed.
+		if bitvec.CountFlat(dst) == 0 {
+			prof.child("and-merge", fmt.Sprintf("short-circuit: empty intermediate, %d operands skipped", len(p.children)-1-i))
 			break
 		}
-		var rhs bitvec.Bitmap
-		if rhs, err = e.exec(p.children[i], prof, sp); err != nil {
-			break
+		passes := 1
+		if c.kind == planRange {
+			bitvec.KeepFlatRange(dst, c.slo, c.shi)
+		} else {
+			if rhs == nil {
+				rhs = e.flat(p.n)
+			} else {
+				clear(rhs)
+			}
+			if err := e.exec(c, rhs, prof, sp); err != nil {
+				return err
+			}
+			for w := range dst {
+				dst[w] &= rhs[w]
+			}
+			passes = 2
 		}
-		op, detail := p.andLabel(p.children[i])
-		n := prof.child(op, detail)
-		asp := sp.Child(op)
-		n.scanOperand(acc)
-		n.scanOperand(rhs)
-		n.markFallback(countPairOperands(acc, rhs))
-		acc = acc.And(rhs)
-		n.setOut(acc)
-		asp.SetAttr("codec", codecName(acc))
-		asp.End()
+		prof.child(p.andLabel(c)).addCost(flatCost(p.n, passes))
 	}
-	if err != nil {
-		return nil, err
-	}
-	e.store(nil, p.key, acc, p.gens)
-	return acc, nil
+	return nil
 }
 
 // label is the operator name and detail a leaf or OR plan node reports
@@ -275,19 +312,22 @@ func (p *planNode) andLabel(c *planNode) (op, detail string) {
 	return "and-merge", p.note
 }
 
-// explainPlanNode renders an optimized plan as the tree exec would report —
-// the same operators in the same order — with estimated costs instead of
-// measured ones, so `bitmapctl explain` shows the chosen operand order,
-// pruning, and merge strategy up front.
+// explainPlanNode renders an optimized plan as the tree compute would
+// report — the same operators in the same order — with estimated costs
+// instead of measured ones, so `bitmapctl explain` shows the chosen operand
+// order and pruning up front.
 func explainPlanNode(p *planNode, parent *Node) {
 	if p.kind == planAnd {
 		explainPlanNode(p.children[0], parent)
-		segWords := int64((p.n + bitvec.SegmentBits - 1) / bitvec.SegmentBits)
 		rows := p.children[0].est.Rows
 		for _, c := range p.children[1:] {
-			explainPlanNode(c, parent)
+			passes := 1
+			if c.kind != planRange {
+				explainPlanNode(c, parent)
+				passes = 2
+			}
 			n := parent.child(p.andLabel(c))
-			n.addCost(Cost{WordsScanned: 2 * segWords, BytesDecoded: 8 * segWords})
+			n.addCost(flatCost(p.n, passes))
 			if p.n > 0 {
 				rows = int64(float64(rows) * float64(c.est.Rows) / float64(p.n))
 			}
@@ -297,18 +337,10 @@ func explainPlanNode(p *planNode, parent *Node) {
 	}
 	n := parent.child(p.label())
 	switch p.kind {
-	case planOnes:
-		n.setRows(p.n)
-	case planRange:
-		n.addCost(p.est)
+	case planOnes, planRange:
+		n.setRows(int(p.est.Rows))
 	case planBinOr:
-		for _, b := range p.bins {
-			c := n.child("or", "")
-			c.Bin = b
-			c.Codec = p.x.Codec(b).String()
-			c.Cost = estBin(p.x, b, 1)
-		}
-		n.addCost(Cost{BinsTouched: len(p.bins)})
+		explainBins(n, "or", p.x, p.bins)
 		n.setRows(int(p.est.Rows))
 	}
 }

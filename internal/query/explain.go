@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 
-	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 )
 
@@ -26,8 +25,8 @@ func Explain(x *index.Index, s Subset, op Op) (*Profile, error) {
 }
 
 // ExplainCorrelation estimates the correlation query's plan: the planned
-// subset mask, the per-bin restrictions of both variables, and the joint
-// AndCount grid over occupied bin pairs.
+// subset mask, the id decode of both variables' selected bins, and the
+// joint tally over the mask.
 func ExplainCorrelation(xa, xb *index.Index, sa, sb Subset) (*Profile, error) {
 	return ExplainRequest(Request{Op: OpCorrelation, A: sa, B: sb}, xa, xb)
 }
@@ -46,7 +45,7 @@ func ExplainRequest(req Request, xa, xb *index.Index) (*Profile, error) {
 	case OpMean:
 		explainBinCounts(xa, req.A, p.Root.child("sum", req.A.describe()))
 	case OpCorrelation:
-		explainCorrelation(lower(&req, xa, xb), xa, xb, p.Root)
+		explainCorrelation(lower(&req, xa, xb), &req, xa, xb, p.Root)
 	default:
 		explainBinCounts(xa, req.A, p.Root)
 	}
@@ -59,6 +58,18 @@ func (s Subset) spatialFraction(n int) float64 {
 		return 1
 	}
 	return float64(s.SpatialHi-s.SpatialLo) / float64(n)
+}
+
+// explainBins renders operator n reading each of bins once, as the
+// executor's operator.scan reports it.
+func explainBins(n *Node, op string, x *index.Index, bins []int) {
+	for _, b := range bins {
+		c := n.child(op, "")
+		c.Bin = b
+		c.Codec = x.Codec(b).String()
+		c.Cost = estBin(x, b, 1)
+	}
+	n.addCost(Cost{BinsTouched: len(bins)})
 }
 
 // estBin estimates the cost of consuming bin b once: its full encoded form.
@@ -104,35 +115,19 @@ func explainBinCounts(x *index.Index, s Subset, root *Node) {
 }
 
 // explainCorrelation renders the optimized mask plan, then — unless the
-// mask is provably empty, in which case nothing else would run — the
-// per-bin restrictions of both variables and the joint AndCount grid over
-// occupied bin pairs.
-func explainCorrelation(mask *planNode, xa, xb *index.Index, root *Node) {
+// mask is provably empty, in which case nothing else would run — the id
+// decode of each variable's value-selected occupied bins and the one walk
+// of the mask that tallies the joint distribution.
+func explainCorrelation(mask *planNode, req *Request, xa, xb *index.Index, root *Node) {
 	mn := root.child("mask", "elements satisfying both predicates")
 	explainPlanNode(mask, mn)
 	mn.setRows(int(mask.est.Rows))
 	if mask.kind == planEmpty {
 		return
 	}
-	segWords := int64((xa.N() + bitvec.SegmentBits - 1) / bitvec.SegmentBits)
-	occupied := func(x *index.Index) (bins int, words, bytes int64) {
-		for b := 0; b < x.Bins(); b++ {
-			if x.Count(b) == 0 {
-				continue
-			}
-			bins++
-			words += int64(x.Bitmap(b).Words())
-			bytes += int64(x.Bitmap(b).SizeBytes())
-		}
-		return
-	}
-	binsA, wordsA, bytesA := occupied(xa)
-	binsB, wordsB, bytesB := occupied(xb)
-	root.child("restrict-a", "per-bin AND with subset mask").
-		addCost(Cost{BinsTouched: binsA, WordsScanned: wordsA + int64(binsA)*segWords, BytesDecoded: bytesA + 4*int64(binsA)*segWords})
-	// Each occupied B bin is restricted once, then AndCounted against every
-	// occupied restricted A bin; restricted bitmaps are bounded by the mask.
-	jointOps := int64(binsA) * int64(binsB)
-	root.child("joint", fmt.Sprintf("%d×%d bin pairs", binsA, binsB)).
-		addCost(Cost{BinsTouched: binsB, WordsScanned: wordsB + int64(binsB)*segWords + 2*jointOps*segWords, BytesDecoded: bytesB + 4*int64(binsB)*segWords + 8*jointOps*segWords})
+	explainBins(root.child("decode-a", decodeDetail), "ids", xa, req.A.occupiedBins(xa))
+	explainBins(root.child("decode-b", decodeDetail), "ids", xb, req.B.occupiedBins(xb))
+	jn := root.child("joint", "one walk of the mask's set bits")
+	jn.addCost(flatCost(xa.N(), 1))
+	jn.setRows(int(mask.est.Rows))
 }

@@ -307,10 +307,12 @@ func TestExplainCorrelationEstimates(t *testing.T) {
 	if et.WordsScanned == 0 || at.WordsScanned == 0 {
 		t.Fatalf("empty totals: est %+v act %+v", et, at)
 	}
-	// The joint pass dominates both sides; the estimate may assume more bin
-	// pairs than survive the subset masks, so allow a wide one-sided band.
-	if et.WordsScanned < at.WordsScanned/8 {
-		t.Errorf("correlation estimate %d words far below measured %d", et.WordsScanned, at.WordsScanned)
+	// Both sides charge the selected occupied bins (mask plan and id decode)
+	// and the flat passes from the same per-bin sizes: without a cache or an
+	// early empty intermediate the estimate is what runs.
+	if et.WordsScanned != at.WordsScanned || et.BinsTouched != at.BinsTouched {
+		t.Errorf("correlation estimate %d words over %d bins, measured %d over %d",
+			et.WordsScanned, et.BinsTouched, at.WordsScanned, at.BinsTouched)
 	}
 }
 

@@ -2,8 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 
-	"insitubits/internal/bitcache"
 	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 	"insitubits/internal/metrics"
@@ -15,17 +15,21 @@ import (
 // operator is charged one full scan of each encoded operand it consumes
 // (bitvec's kernels are not instrumented — that would tax the hot loops the
 // <2% overhead budget protects; the operands' physical composition is the
-// same number, read after the fact via Stats). Operators check the request's
-// context between kernel calls, never inside one, and not where no bitmap
-// is read.
+// same number, read after the fact via Stats), and flatCost for each pass
+// over a flat buffer. Operators check the request's context between kernel
+// calls, never inside one, and not where no bitmap is read.
 
 func (e *executor) bits(req *Request, x *index.Index) (bitvec.Bitmap, error) {
 	e.plan, e.cache = lower(req, x, nil), cacheFrom(e.ctx)
-	v, err := e.exec(e.plan, e.prof, e.sp)
+	words, v, err := e.result(e.prof, e.sp)
 	if err != nil {
 		return nil, err
 	}
+	if v == nil {
+		v = bitvec.FromFlat(words, x.N())
+	}
 	if e.prof != nil {
+		e.prof.setOut(v)
 		e.prof.setRows(v.Count())
 	}
 	return v, nil
@@ -205,75 +209,66 @@ func (e *executor) maskedSum(x *index.Index, valid bitvec.Bitmap, s Subset) (agg
 	return agg, err
 }
 
-// correlation answers the §4.1 query: the subset mask is planned and
-// executed like any bits-shaped request, then both variables' occupied bins
-// are restricted to it and the joint distribution is AndCounted.
+// correlation answers the §4.1 query. The subset mask is planned and
+// executed like any bits-shaped request; the bin ids of the value-selected
+// occupied bins of both variables are decoded into scratch; and one walk of
+// the mask's set bits tallies the joint distribution, whose row and column
+// sums are the two restricted marginals.
 func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair, error) {
 	e.plan, e.cache = lower(req, xa, xb), cacheFrom(e.ctx)
 	mn := e.prof.child("mask", "elements satisfying both predicates")
 	msp := e.sp.Child("mask")
-	mask, err := e.exec(e.plan, mn, msp)
+	mask, hit, err := e.result(mn, msp)
 	msp.End()
 	if err != nil {
 		return metrics.Pair{}, err
 	}
-	n := mask.Count()
+	if mask == nil {
+		mask = e.flat(xa.N())
+		hit.OrInto(mask)
+	}
+	n := bitvec.CountFlat(mask)
 	mn.setRows(n)
 	if n == 0 {
 		return metrics.Pair{}, nil
 	}
-	ha := make([]int, xa.Bins())
-	hb := make([]int, xb.Bins())
-	joint := make([][]int, xa.Bins())
-	for i := range joint {
-		joint[i] = make([]int, xb.Bins())
-	}
-	// Restricted marginals and joint distribution via AND with the mask.
-	// Profile shape: one node per A-bin restriction, and one node per B-bin
-	// that folds in the cost of its row of joint AndCounts — per-pair nodes
-	// would explode the tree quadratically.
-	restrictedA := make([]bitvec.Bitmap, xa.Bins())
-	oa := openOperator(e.prof.child("restrict-a", "per-bin AND with subset mask"), e.sp, "restrict-a")
-	for i := 0; i < xa.Bins() && err == nil; i++ {
-		if xa.Count(i) == 0 {
-			continue
-		}
-		if err = e.ctx.Err(); err == nil {
-			var bn *Node
-			restrictedA[i], bn = e.restrict(&oa, xa, i, mask)
-			ha[i] = restrictedA[i].Count()
-			bn.setRows(ha[i])
-		}
-	}
-	oa.end()
-	ob := openOperator(e.prof.child("joint", "B-bin restriction + per-pair AndCount row"), e.sp, "joint")
-	for j := 0; j < xb.Bins() && err == nil; j++ {
-		if xb.Count(j) == 0 {
-			continue
-		}
-		if err = e.ctx.Err(); err != nil {
-			break
-		}
-		vj, bn := e.restrict(&ob, xb, j, mask)
-		hb[j] = vj.Count()
-		bn.setRows(hb[j])
-		if hb[j] == 0 {
-			continue
-		}
-		for i := 0; i < xa.Bins(); i++ {
-			if ha[i] == 0 {
-				continue
-			}
-			bn.scanOperand(restrictedA[i])
-			bn.scanOperand(vj)
-			bn.markFallback(countPairOperands(restrictedA[i], vj))
-			joint[i][j] = restrictedA[i].AndCount(vj)
-		}
-	}
-	ob.end()
+	ida, err := e.decode("decode-a", xa, req.A)
 	if err != nil {
 		return metrics.Pair{}, err
 	}
+	idb, err := e.decode("decode-b", xb, req.B)
+	if err != nil {
+		return metrics.Pair{}, err
+	}
+	na, nb := xa.Bins(), xb.Bins()
+	jn := e.prof.child("joint", "one walk of the mask's set bits")
+	jsp := e.sp.Child("joint")
+	defer jsp.End()
+	cells := make([]int, na*nb)
+	for w, word := range mask {
+		for base := w << 6; word != 0; word &= word - 1 {
+			p := base + bits.TrailingZeros64(word)
+			i, j := int(ida[p]), int(idb[p])
+			// Every mask element lies in a selected bin of both indexes, so
+			// both ids were just decoded — unless the bins of an index read
+			// from a file do not partition its elements.
+			if uint(i) >= uint(na) || uint(j) >= uint(nb) {
+				return metrics.Pair{}, fmt.Errorf("query: element %d lies in no bin of one index", p)
+			}
+			cells[i*nb+j]++
+		}
+	}
+	ha, hb := make([]int, na), make([]int, nb)
+	joint := make([][]int, na)
+	for i := range joint {
+		joint[i] = cells[i*nb : (i+1)*nb]
+		for j, c := range joint[i] {
+			ha[i] += c
+			hb[j] += c
+		}
+	}
+	jn.addCost(flatCost(xa.N(), 1))
+	jn.setRows(n)
 	ea := metrics.Entropy(ha, n)
 	eb := metrics.Entropy(hb, n)
 	mi := metrics.MutualInformation(joint, ha, hb, n)
@@ -284,27 +279,22 @@ func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair,
 	}, nil
 }
 
-// restrict returns bin b of x ANDed with the request's subset mask, as one
-// bin-level child of operator o. The result is cached under and(bin, mask):
-// repeated correlations over the same subsets (the interactive exploration
-// pattern) skip the whole restriction pass on a warm cache.
-func (e *executor) restrict(o *operator, x *index.Index, b int, mask bitvec.Bitmap) (bitvec.Bitmap, *Node) {
-	key := ""
-	if e.cache != nil && e.plan.key != "" {
-		key = bitcache.AndKey(bitcache.BinKey(x.Generation(), b), e.plan.key)
-	}
-	if hit := e.lookup(key); hit != nil {
-		o.bins++
-		n := cacheHitNode(o.node, "and-mask", "", hit)
-		if n != nil {
-			n.Bin = b
+// decodeDetail describes the decode-a / decode-b operators.
+const decodeDetail = "bin ids of the value-selected occupied bins"
+
+// decode writes the bin id of every element in a value-selected occupied
+// bin of x into pooled scratch, reading each such bin once. Entries of
+// elements in other bins are stale, and the mask never selects those.
+func (e *executor) decode(name string, x *index.Index, s Subset) ([]int32, error) {
+	ids := borrow(&idPool, &e.ids, x.N())
+	o := openOperator(e.prof.child(name, decodeDetail), e.sp, name)
+	defer o.end()
+	for _, b := range s.occupiedBins(x) {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
 		}
-		return hit, n
+		o.scan("ids", x, b)
+		x.Bitmap(b).WriteIDs(ids, int32(b))
 	}
-	n := o.merge("and-mask", x, b, mask)
-	v := x.Bitmap(b).And(mask)
-	if key != "" {
-		e.store(n, key, v, append(append([]uint64(nil), e.plan.gens...), x.Generation()))
-	}
-	return v, n
+	return ids, nil
 }

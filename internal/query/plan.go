@@ -5,20 +5,17 @@ import (
 	"sort"
 
 	"insitubits/internal/bitcache"
-	"insitubits/internal/bitvec"
-	"insitubits/internal/codec"
 	"insitubits/internal/index"
 )
 
 // This file is the plan/optimize half of the query pipeline. Bits-shaped
 // requests (subset materialization, correlation masks) are lowered to a
-// small algebraic IR — ORs of bin bitmaps, built range/ones indicators,
+// small algebraic IR — ORs of bin bitmaps, range/ones indicators,
 // multi-operand ANDs — and optimized with the same O(1) per-bin statistics
 // the EXPLAIN estimator reads: empty bins are pruned, provably-empty
-// subtrees collapse without executing anything, AND operands are reordered
-// cheapest/most-selective-first (compressed-bitmap op cost tracks encoded
-// size — Lemire, Kaser & Aouiche), and built leaves pick the codec that
-// keeps merges on a native kernel. lower is the one place a request is
+// subtrees collapse without executing anything, and AND operands are
+// reordered cheapest/most-selective-first (an early empty intermediate
+// skips the operands after it). lower is the one place a request is
 // planned: the executor (exec.go) walks the tree it returns, consulting the
 // bitmap cache at every node that has a canonical key, and EXPLAIN renders
 // the very same tree.
@@ -27,8 +24,8 @@ type planKind int
 
 const (
 	planEmpty planKind = iota // provably zero result, nothing to execute
-	planOnes                  // built all-ones indicator
-	planRange                 // built [lo,hi) spatial indicator
+	planOnes                  // all-ones indicator
+	planRange                 // [lo,hi) spatial indicator
 	planBinOr                 // OR of the value-selected bins of one index
 	planAnd                   // multi-operand AND
 )
@@ -40,18 +37,12 @@ type planNode struct {
 	n    int // bit length of the result
 
 	// planBinOr
-	x         *index.Index
-	vlo, vhi  float64
-	bins      []int
-	uniform   bool // all kept bins share one codec
-	uniformID codec.ID
+	x        *index.Index
+	vlo, vhi float64
+	bins     []int
 
 	// planRange
 	slo, shi int
-
-	// planOnes / planRange: codec to build the leaf in (Auto = WAH default);
-	// the optimizer's cross-codec merge strategy sets it to match a sibling.
-	hint codec.ID
 
 	// planAnd
 	children []*planNode
@@ -69,12 +60,8 @@ func planLeafOnes(n int) *planNode {
 
 // planLeafRange builds the [lo,hi) indicator leaf over n bits.
 func planLeafRange(n, lo, hi int) *planNode {
-	segWords := int64((n + bitvec.SegmentBits - 1) / bitvec.SegmentBits)
-	return &planNode{
-		kind: planRange, n: n, slo: lo, shi: hi,
-		key: bitcache.RangeKey(n, lo, hi),
-		est: Cost{WordsScanned: segWords, BytesDecoded: 4 * segWords, Rows: int64(hi - lo)},
-	}
+	return &planNode{kind: planRange, n: n, slo: lo, shi: hi,
+		key: bitcache.RangeKey(n, lo, hi), est: Cost{Rows: int64(hi - lo)}}
 }
 
 // planValue lowers a value predicate to the OR of its selected bins.
@@ -159,16 +146,10 @@ func optimize(p *planNode) {
 		kept := p.bins[:0]
 		var words, bytes, rows int64
 		pruned := 0
-		p.uniform = true
 		for _, b := range p.bins {
 			if p.x.Count(b) == 0 {
 				pruned++
 				continue
-			}
-			if len(kept) == 0 {
-				p.uniformID = p.x.Codec(b)
-			} else if p.x.Codec(b) != p.uniformID {
-				p.uniform = false
 			}
 			kept = append(kept, b)
 			bm := p.x.Bitmap(b)
@@ -233,24 +214,6 @@ func optimize(p *planNode) {
 			return a.est.WordsScanned < b.est.WordsScanned
 		})
 		p.note = "operands ordered most-selective-first"
-		// Cross-codec merge strategy: built leaves (range/ones) are free to
-		// pick their codec, so match them to a uniformly-dense bin operand —
-		// the AND then stays on the native dense word kernel instead of the
-		// generic 31-bit run merge.
-		dense := false
-		for _, c := range p.children {
-			if c.kind == planBinOr && c.uniform && c.uniformID == codec.Dense {
-				dense = true
-			}
-		}
-		if dense {
-			for _, c := range p.children {
-				if c.kind == planRange || c.kind == planOnes {
-					c.hint = codec.Dense
-					c.note = "built dense: native merge with dense operands"
-				}
-			}
-		}
 		// Estimates: cost sums the operands; rows assume independent
 		// predicates (product of selectivities over n).
 		cacheable := true

@@ -56,7 +56,7 @@ func (c *Cost) add(o Cost) {
 
 // Node is one operator of a plan/profile tree.
 type Node struct {
-	// Op names the operator ("count-range", "or-merge", "and-mask", ...).
+	// Op names the operator ("count-range", "or-merge", "decode-a", ...).
 	Op string `json:"op"`
 	// Detail is a human-oriented qualifier (value range, step pair, ...).
 	Detail string `json:"detail,omitempty"`

@@ -68,6 +68,18 @@ func (s Subset) binSelected(x *index.Index, b int) bool {
 	return x.Mapper().High(b) > s.ValueLo && x.Mapper().Low(b) < s.ValueHi
 }
 
+// occupiedBins lists the bins the value range selects that hold at least
+// one element.
+func (s Subset) occupiedBins(x *index.Index) []int {
+	var bins []int
+	for b := 0; b < x.Bins(); b++ {
+		if s.binSelected(x, b) && x.Count(b) > 0 {
+			bins = append(bins, b)
+		}
+	}
+	return bins
+}
+
 // The typed entry points. Each is a Request through the one execution
 // funnel (request.go); its *Analyze twin is the same Request asking for the
 // measured operator profile, which is also offered to the slow-query log.
@@ -89,43 +101,6 @@ func Bits(ctx context.Context, x *index.Index, s Subset) (bitvec.Bitmap, error) 
 func BitsAnalyze(ctx context.Context, x *index.Index, s Subset) (bitvec.Bitmap, *Profile, error) {
 	a, p, err := run(ctx, Request{Op: OpBits, A: s}, x, nil, nil, acctFull)
 	return a.Bits, p, err
-}
-
-// rangeVector builds the indicator of [lo, hi): solid segments become fill
-// runs (merged by the appender), only the two boundary segments are built
-// bitwise.
-func rangeVector(n, lo, hi int) *bitvec.Vector {
-	var a bitvec.Appender
-	for base := 0; base < n; base += bitvec.SegmentBits {
-		width := bitvec.SegmentBits
-		if base+width > n {
-			width = n - base
-		}
-		end := base + width
-		switch {
-		case end <= lo || base >= hi: // fully outside
-			if width == bitvec.SegmentBits {
-				a.AppendFill(0, 1)
-			} else {
-				a.AppendPartial(0, width)
-			}
-		case base >= lo && end <= hi: // fully inside
-			if width == bitvec.SegmentBits {
-				a.AppendFill(1, 1)
-			} else {
-				a.AppendPartial(uint32(1)<<uint(width)-1, width)
-			}
-		default: // boundary segment
-			var seg uint32
-			for j := 0; j < width; j++ {
-				if p := base + j; p >= lo && p < hi {
-					seg |= 1 << uint(j)
-				}
-			}
-			a.AppendPartial(seg, width)
-		}
-	}
-	return a.Vector()
 }
 
 // Aggregate is the result of an approximate aggregation: the estimate uses

@@ -28,6 +28,15 @@ func smooth(r *rand.Rand, n int) []float64 {
 	return out
 }
 
+// fillVector builds the all-zeros or all-ones vector over n bits.
+func fillVector(bit uint32, n int) *bitvec.Vector {
+	bs := make([]bool, n)
+	for i := range bs {
+		bs[i] = bit != 0
+	}
+	return bitvec.FromBools(bs)
+}
+
 func build(t *testing.T, data []float64, bins int) *index.Index {
 	t.Helper()
 	m, err := binning.NewUniform(0, 10, bins)
@@ -183,8 +192,14 @@ func TestBitsMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestRangeVectorCompact: a spatial range is set straight into the flat
+// words and encoded once, and that one encode still finds the fills.
 func TestRangeVectorCompact(t *testing.T) {
-	v := rangeVector(31*1000, 31*100, 31*900)
+	x := build(t, make([]float64, 31*1000), 4)
+	v, err := Bits(context.Background(), x, Subset{SpatialLo: 31 * 100, SpatialHi: 31 * 900})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v.Count() != 31*800 {
 		t.Fatalf("Count=%d", v.Count())
 	}
@@ -192,7 +207,10 @@ func TestRangeVectorCompact(t *testing.T) {
 		t.Fatalf("aligned range uses %d words, want <=3 fills", v.Words())
 	}
 	// Ragged boundaries.
-	w := rangeVector(1000, 17, 993)
+	w, err := Bits(context.Background(), x, Subset{SpatialLo: 17, SpatialHi: 993})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if w.Count() != 993-17 {
 		t.Fatalf("ragged Count=%d", w.Count())
 	}

@@ -151,10 +151,7 @@ type Answer struct {
 func (a *Answer) Digest() string {
 	switch a.Op {
 	case OpBits:
-		if a.Bits == nil {
-			return ""
-		}
-		d, _ := qlog.DigestBitmap(a.Bits)
+		d, _ := a.BitsDigest()
 		return d
 	case OpCount:
 		return qlog.DigestInt(a.Count)
@@ -164,6 +161,15 @@ func (a *Answer) Digest() string {
 		return DigestPair(a.Pair)
 	}
 	return DigestAggregate(a.Agg)
+}
+
+// BitsDigest is an OpBits answer's digest together with its cardinality,
+// both from one walk of the bitmap's runs.
+func (a *Answer) BitsDigest() (digest string, count int) {
+	if a.Bits == nil {
+		return "", 0
+	}
+	return qlog.DigestBitmap(a.Bits)
 }
 
 // Run executes one request; xb is Correlation's second index, ignored by
@@ -215,6 +221,7 @@ func run(ctx context.Context, req Request, xa, xb *index.Index, mask bitvec.Bitm
 	ctx, sp, end := begin(ctx, name, counter, xa)
 	defer end()
 	e := executor{ctx: ctx, sp: sp}
+	defer e.release()
 	var start time.Time
 	if lvl := max(want, installedAccounting()); lvl != acctNone {
 		prof = &Profile{

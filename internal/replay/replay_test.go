@@ -179,8 +179,10 @@ eec07e32 {"v":1,"seq":2,"unix_ns":1790866147643205777,"op":"count","detail":"spa
 
 // TestReplayOldLog: the reader still accepts logs written while the
 // planner switch existed — the "planner" key is simply no longer known —
-// and their records replay to the digests, and the scan costs, recorded
-// then.
+// and their records replay to the digests recorded then. The count-shaped
+// records scan what they did; the bits record was written under pairwise
+// compressed merges, and flat execution may scan fewer words than those,
+// never more.
 func TestReplayOldLog(t *testing.T) {
 	recs, valid, err := qlog.ParseLog([]byte(oldLog))
 	if err != nil || valid != int64(len(oldLog)) || len(recs) != 3 {
@@ -198,8 +200,8 @@ func TestReplayOldLog(t *testing.T) {
 	if err := rep.Err(); err != nil || rep.Matched != 3 {
 		t.Fatalf("old log does not replay: matched %d of 3, %v", rep.Matched, err)
 	}
-	if rep.ReplayedWords != rep.RecordedWords {
-		t.Errorf("words scanned changed since the log was written: recorded %d, replayed %d", rep.RecordedWords, rep.ReplayedWords)
+	if rep.ReplayedWords > rep.RecordedWords || rep.ReplayedWords < 1200+400 {
+		t.Errorf("words scanned since the log was written: recorded %d, replayed %d", rep.RecordedWords, rep.ReplayedWords)
 	}
 }
 

@@ -348,11 +348,21 @@ func (s *Server) execute(ctx context.Context, cat *catalog, wire *QueryRequest) 
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	resp.SetAnswer(&ans)
+	return resp, http.StatusOK, nil
+}
+
+// SetAnswer fills in the result fields and the digest of an executed
+// request — what the server sends, and what `bitmapctl query FILE` prints.
+// A bits answer travels as its cardinality, which the digest's walk of the
+// bitmap already counts.
+func (resp *QueryResponse) SetAnswer(ans *query.Answer) {
 	switch ans.Op {
+	case query.OpBits:
+		resp.Digest, resp.Count = ans.BitsDigest()
+		return
 	case query.OpCount:
 		resp.Count = ans.Count
-	case query.OpBits:
-		resp.Count = ans.Bits.Count()
 	case query.OpMinMax:
 		resp.Min, resp.Max = wireAggregate(ans.Min), wireAggregate(ans.Max)
 	case query.OpCorrelation:
@@ -362,7 +372,6 @@ func (s *Server) execute(ctx context.Context, cat *catalog, wire *QueryRequest) 
 		resp.Aggregate = wireAggregate(ans.Agg)
 	}
 	resp.Digest = ans.Digest()
-	return resp, http.StatusOK, nil
 }
 
 // remoteTraceID extracts the caller's trace ID from a W3C traceparent

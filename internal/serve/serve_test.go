@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"insitubits/internal/binning"
+	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 	"insitubits/internal/qlog"
 	"insitubits/internal/query"
@@ -171,6 +172,36 @@ func TestHandlerOps(t *testing.T) {
 	resp, hresp = postQuery(t, ts.URL, &QueryRequest{Op: "explain", Var: "temp", ExplainOp: "sum", ValueLo: 1, ValueHi: 5})
 	if hresp.StatusCode != http.StatusOK || resp.Explain == "" || resp.Digest == "" {
 		t.Fatalf("explain: status %d resp %+v", hresp.StatusCode, resp)
+	}
+}
+
+// walkCounter is a bitmap that counts how often its contents are walked.
+type walkCounter struct {
+	bitvec.Bitmap
+	runs, counts int
+}
+
+func (w *walkCounter) Runs() bitvec.RunReader { w.runs++; return w.Bitmap.Runs() }
+func (w *walkCounter) Count() int             { w.counts++; return w.Bitmap.Count() }
+
+// TestBitsAnswerWalksOnce: a served bits answer is its cardinality and its
+// digest, and both come from one walk of the bitmap — the digest's.
+func TestBitsAnswerWalksOnce(t *testing.T) {
+	x := buildTestIndex(t, 0)
+	v, err := query.Bits(context.Background(), x, query.Subset{ValueLo: 1, ValueHi: 5, SpatialLo: 100, SpatialHi: 9000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &walkCounter{Bitmap: v}
+	var resp QueryResponse
+	resp.SetAnswer(&query.Answer{Op: query.OpBits, Bits: w})
+	digest, count := qlog.DigestBitmap(v)
+	if resp.Count != count || resp.Count != v.Count() || resp.Digest != digest {
+		t.Fatalf("bits answer count %d digest %s, the digest walk counts %d (Count %d) digest %s",
+			resp.Count, resp.Digest, count, v.Count(), digest)
+	}
+	if w.runs != 1 || w.counts != 0 {
+		t.Fatalf("bits answer opened Runs() %d times and Count() %d times, want 1 and 0", w.runs, w.counts)
 	}
 }
 
