@@ -20,10 +20,13 @@ race:
 # query layer (slow-log gate, capture gate, codec counters), the telemetry
 # registry (incl. the metrics-history ring), the workload-log writer, the
 # profiling label gate + snapshot ring, the query server (admission
-# semaphore, catalog generation swaps), and the root package (the /healthz
-# probe racing a pipeline's concurrent generation publishes).
+# semaphore, catalog generation swaps), the root package (the /healthz
+# probe racing a pipeline's concurrent generation publishes), and the
+# in-situ write path's goroutines: the two-phase parallel build (index),
+# the striped id decode and per-worker tallies (metrics) and the kept-step
+# id cache shared by concurrent scores (selection).
 race-hot:
-	$(GO) test -race . ./internal/query/ ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/
+	$(GO) test -race . ./internal/query/ ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
 # or all four, untraced end to end and then traced per layer, every
@@ -34,7 +37,12 @@ race-hot:
 #   make bench-compare BASE=base.jsonl CAND=cand.jsonl
 # The micro-benchmarks stay plain `go test`, e.g. `go test -run '^$$' -bench
 # 'BenchmarkNoop|BenchmarkAppendTelemetry|BenchmarkOrInto' -benchmem
-# ./internal/telemetry/ ./internal/bitvec/`.
+# ./internal/telemetry/ ./internal/bitvec/`. The in-situ write path's
+# kernels, on heat3d-shaped data (64³ elements, 160 bins):
+# BenchmarkBBCFromBitmap/{sparse,clustered,literal-heavy} (internal/bitvec),
+# BenchmarkEncodeAuto (internal/codec), BenchmarkBuildParallelCodec/{1,2}
+# (internal/index), BenchmarkCondEntropyScore/{cold,kept-cached}/{1,2}
+# (internal/selection).
 WORKLOAD ?= all
 SEED ?= 1
 bench:
@@ -81,14 +89,17 @@ profile-smoke:
 # Short fuzz passes: the untrusted parsers (docs/FORMATS.md) — the
 # index-file reader and the run-journal parser — the query oracle property
 # (any request, codec and cache state answers exactly as the brute-force
-# model over the binned raw array does), and the flat kernels under it
-# (OrInto, FromFlat, WriteIDs, CountRange × codec against a []bool model).
+# model over the binned raw array does), the flat kernels under it
+# (OrInto, FromFlat, WriteIDs, CountRange × codec against a []bool model),
+# and the run-domain BBC encoder (byte-identical to the expanded-buffer
+# model, bounded form exact).
 # Full corpus exploration is `go test -fuzz <target> ./internal/<pkg>/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadIndex$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run xxx -fuzz 'FuzzParseJournal$$' -fuzztime 10s ./internal/insitu/
 	$(GO) test -run xxx -fuzz 'FuzzQueryMatchesOracle$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run xxx -fuzz 'FuzzFlatKernels$$' -fuzztime 10s ./internal/bitvec/
+	$(GO) test -run xxx -fuzz 'FuzzBBCEncode$$' -fuzztime 10s ./internal/bitvec/
 
 # The query oracle suite (DESIGN.md "Query planning & caching"): every op
 # through the one plan → optimize → execute path — every codec, cache cold

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // A byte-aligned bitmap codec in the spirit of BBC (Antoshenkov, DCC'95),
@@ -85,7 +86,122 @@ func BBCFromBitmap(b Bitmap) *BBC {
 	if c, ok := b.(*BBC); ok {
 		return c
 	}
-	return BBCFromBytes(bitmapToBytes(b), b.Len())
+	return bbcEncode(b, 0)
+}
+
+// BBCIfSmaller re-encodes b as BBC when the stream takes fewer than limit
+// bytes and returns nil otherwise, giving up as soon as the output reaches
+// the limit. It is how the adaptive policy asks "is BBC smaller than this
+// WAH vector" without materialising a losing encoding.
+func BBCIfSmaller(b Bitmap, limit int) *BBC {
+	if c, ok := b.(*BBC); ok {
+		if c.SizeBytes() < limit {
+			return c
+		}
+		return nil
+	}
+	if limit <= 0 {
+		return nil
+	}
+	return bbcEncode(b, limit)
+}
+
+// bbcScratch pools the encoder's output buffers: a stream is built in
+// scratch and copied out at its exact size, so an encode that loses to the
+// bound allocates nothing and concurrent encoders hold one buffer each.
+var bbcScratch = sync.Pool{New: func() any { return new(bbcWriter) }}
+
+// bbcEncode is the one bitmap-to-BBC encoder. It works in the run domain:
+// the source's fills and 31-bit literals go straight into the byte stream
+// (see bbcBits), never through an expanded n/8-byte buffer, so the cost is
+// O(compressed words). The stream is the canonical one BBCFromBytes gives
+// for the same bits. A positive limit bounds the output: nil is returned
+// once the stream is known to reach limit bytes.
+func bbcEncode(b Bitmap, limit int) *BBC {
+	w := bbcScratch.Get().(*bbcWriter)
+	defer bbcScratch.Put(w)
+	w.reset(limit)
+	e := bbcBits{w: w}
+	left := b.Len() // bits still to emit; runs are clipped and masked to it
+	if v, ok := b.(*Vector); ok {
+		for _, word := range v.words { // the hot source: no reader, no interface call per run
+			if left == 0 || w.over() {
+				break
+			}
+			r := Run{N: 1, Word: word}
+			if word&fillFlag != 0 {
+				r = Run{Fill: true, Bit: word & fillValue >> 30, N: int(word & countMask)}
+			}
+			left -= e.put(r, left)
+		}
+	} else {
+		var it bmIter
+		for it.reset(b.Runs()); it.ok && left > 0 && !w.over(); it.next() {
+			left -= e.put(it.run, left)
+		}
+	}
+	e.fill(false, left) // a short reader pads with zeros
+	if e.nacc > 0 {
+		w.putByte(byte(e.acc))
+	}
+	data := w.bytes()
+	if w.over() {
+		return nil
+	}
+	return &BBC{data: append(make([]byte, 0, len(data)), data...), nbits: b.Len()}
+}
+
+// bbcBits feeds a bit stream to a bbcWriter: whole bytes go out as they
+// complete, fewer than eight bits wait in acc (LSB first).
+type bbcBits struct {
+	w    *bbcWriter
+	acc  uint64
+	nacc uint
+}
+
+// put emits one run of the source, clipped to the left bits the bitmap
+// still has, and returns how many bits that was.
+func (e *bbcBits) put(r Run, left int) int {
+	if r.Fill {
+		span := min(r.N*SegmentBits, left)
+		e.fill(r.Bit != 0, span)
+		return span
+	}
+	width := min(SegmentBits, left)
+	e.literal(r.Word, width)
+	return width
+}
+
+// literal emits the low width (≤ 31) bits of word.
+func (e *bbcBits) literal(word uint32, width int) {
+	e.acc |= uint64(word&(uint32(1)<<uint(width)-1)) << e.nacc
+	e.nacc += uint(width)
+	for ; e.nacc >= 8; e.nacc -= 8 {
+		e.w.putByte(byte(e.acc))
+		e.acc >>= 8
+	}
+}
+
+// fill emits span identical bits: it tops up the byte in flight, hands the
+// whole bytes to the writer as one run, and keeps the remainder pending.
+func (e *bbcBits) fill(one bool, span int) {
+	fb := uint64(0)
+	if one {
+		fb = 0xFF
+	}
+	if e.nacc > 0 {
+		k := min(8-int(e.nacc), span)
+		e.acc |= fb & (1<<uint(k) - 1) << e.nacc
+		e.nacc += uint(k)
+		span -= k
+		if e.nacc < 8 {
+			return
+		}
+		e.w.putByte(byte(e.acc))
+		e.acc, e.nacc = 0, 0
+	}
+	e.w.putRun(byte(fb), span/8)
+	e.acc, e.nacc = fb&(1<<uint(span%8)-1), uint(span%8)
 }
 
 // RawBytes exposes the encoded stream (read-only; used by store).
@@ -653,12 +769,24 @@ func (t *bbcTokIter) consume(k int) {
 	}
 }
 
-// bbcWriter re-encodes a byte stream with run coalescing.
+// bbcWriter re-encodes a byte stream with run coalescing; a positive limit
+// lets a bounded encode watch the size (see over).
 type bbcWriter struct {
-	out  []byte
-	lit  []byte
-	fill byte
-	run  int
+	out   []byte
+	lit   []byte
+	fill  byte
+	run   int
+	limit int
+}
+
+// over reports whether the flushed output has reached the limit. Pending
+// bytes only ever add to it, so a true is final and an encode may stop
+// early; after bytes() nothing is pending and the answer is exact.
+func (w *bbcWriter) over() bool { return w.limit > 0 && len(w.out) >= w.limit }
+
+// reset empties the writer for a new stream, keeping its buffers.
+func (w *bbcWriter) reset(limit int) {
+	*w = bbcWriter{out: w.out[:0], lit: w.lit[:0], limit: limit}
 }
 
 func (w *bbcWriter) putByte(b byte) {
@@ -713,61 +841,6 @@ func (w *bbcWriter) bytes() []byte {
 	w.flushLit()
 	w.flushRun()
 	return w.out
-}
-
-// vectorToBytes expands a WAH vector into a little-endian bit buffer.
-func vectorToBytes(v *Vector) []byte { return bitmapToBytes(v) }
-
-// bitmapToBytes expands any bitmap into a little-endian bit buffer, walking
-// runs so solid regions become byte-range writes.
-func bitmapToBytes(b Bitmap) []byte {
-	n := b.Len()
-	out := make([]byte, (n+7)/8)
-	pos := 0
-	var it bmIter
-	it.reset(b.Runs())
-	for it.ok && pos < n {
-		if it.run.Fill {
-			span := it.run.N * SegmentBits
-			if it.run.Bit != 0 {
-				end := pos + span
-				if end > n {
-					end = n
-				}
-				setBitRange(out, pos, end)
-			}
-			pos += span
-			it.consume(it.run.N)
-			continue
-		}
-		w := it.run.Word & literalMask
-		for w != 0 {
-			j := bits.TrailingZeros32(w)
-			if p := pos + j; p < n {
-				out[p/8] |= 1 << uint(p%8)
-			}
-			w &= w - 1
-		}
-		pos += SegmentBits
-		it.consume(1)
-	}
-	return out
-}
-
-// setBitRange sets bits [from, to) of a little-endian bit buffer.
-func setBitRange(out []byte, from, to int) {
-	for from < to && from%8 != 0 {
-		out[from/8] |= 1 << uint(from%8)
-		from++
-	}
-	for from+8 <= to {
-		out[from/8] = 0xFF
-		from += 8
-	}
-	for from < to {
-		out[from/8] |= 1 << uint(from%8)
-		from++
-	}
 }
 
 var _ Bitmap = (*BBC)(nil)

@@ -7,12 +7,21 @@ import "fmt"
 // parallel in-situ build guarantees this by aligning sub-block sizes to
 // SegmentBits — so the compressed words can be joined without re-encoding.
 // This is how per-core "distributed bitmaps" (paper §2.3, Figure 2) are
-// assembled into a single logical vector for global analysis.
+// assembled into a single logical vector for global analysis. The result is
+// sized up front from the parts' word counts; a single part is returned as
+// is (bitmaps are immutable, so sharing is safe).
 func Concat(parts ...Bitmap) (*Vector, error) {
 	if len(parts) == 0 {
 		return &Vector{}, nil
 	}
-	var a Appender
+	if len(parts) == 1 {
+		return ToVector(parts[0]), nil
+	}
+	words := 0
+	for _, part := range parts {
+		words += part.Words()
+	}
+	a := Appender{words: make([]uint32, 0, words)}
 	for i, part := range parts {
 		p := ToVector(part)
 		if i < len(parts)-1 && p.nbits%SegmentBits != 0 {

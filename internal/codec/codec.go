@@ -90,6 +90,17 @@ func Of(b bitvec.Bitmap) ID {
 // bins take whichever run-length encoding (WAH or BBC) is actually smaller
 // for these bits. A bitmap already in the target encoding passes through.
 func Encode(b bitvec.Bitmap, id ID) bitvec.Bitmap {
+	count := 0
+	if id == Auto { // only the policy reads the count
+		count = b.Count()
+	}
+	return EncodeCounted(b, id, count)
+}
+
+// EncodeCounted is Encode for a caller that already knows b's set-bit
+// count — an index keeps every bin's, the histogram the build yields for
+// free — so the policy decides dense-or-not without walking the bitmap.
+func EncodeCounted(b bitvec.Bitmap, id ID, count int) bitvec.Bitmap {
 	switch id {
 	case WAH:
 		return bitvec.ToVector(b)
@@ -98,26 +109,27 @@ func Encode(b bitvec.Bitmap, id ID) bitvec.Bitmap {
 	case Dense:
 		return bitvec.DenseFromBitmap(b)
 	case Auto:
-		return encodeAuto(b)
+		return encodeAuto(b, count)
 	default:
 		panic(fmt.Sprintf("codec: Encode with invalid id %d", uint8(id)))
 	}
 }
 
-func encodeAuto(b bitvec.Bitmap) bitvec.Bitmap {
+func encodeAuto(b bitvec.Bitmap, count int) bitvec.Bitmap {
 	n := b.Len()
 	if n == 0 {
 		return bitvec.ToVector(b)
 	}
-	if float64(b.Count())/float64(n) >= DenseThreshold {
+	if float64(count)/float64(n) >= DenseThreshold {
 		return bitvec.DenseFromBitmap(b)
 	}
-	// Sparse regime: both run-length codecs are cheap to materialize; keep
-	// whichever encodes these particular bits tighter (ties go to WAH,
-	// whose word-aligned ops are faster).
+	// Sparse regime: keep whichever run-length codec encodes these
+	// particular bits tighter (ties go to WAH, whose word-aligned ops are
+	// faster). The builders hand over WAH, so w is b itself, and the BBC
+	// stream is only materialised when it wins: the encoder works in pooled
+	// scratch and gives up once it reaches the WAH size.
 	w := bitvec.ToVector(b)
-	c := bitvec.BBCFromBitmap(b)
-	if c.SizeBytes() < w.SizeBytes() {
+	if c := bitvec.BBCIfSmaller(b, w.SizeBytes()); c != nil {
 		return c
 	}
 	return w

@@ -6,20 +6,22 @@ package index
 
 import (
 	"fmt"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
 	"insitubits/internal/codec"
+	"insitubits/internal/sim"
 )
 
 // Index is a bitmap index over one array of values. The per-bin 1-counts —
 // the value histogram — fall out of construction for free and are cached,
 // because every information-theoretic metric in the paper starts from them.
-// Each bin holds a bitvec.Bitmap of any codec; builders produce WAH and
-// Recode applies a per-bin encoding policy afterwards.
+// Each bin holds a bitvec.Bitmap of any codec: the builders stream WAH, and
+// the codec builders (BuildCodec, BuildParallelCodec) or a later Recode
+// apply a per-bin encoding policy to it.
 type Index struct {
 	mapper binning.Mapper
 	vecs   []bitvec.Bitmap
@@ -41,23 +43,14 @@ func nextGeneration() uint64 { return genCounter.Add(1) }
 // every in-place Recode.
 func (x *Index) Generation() uint64 { return x.gen }
 
-// Build generates the index in one pass using the lazy builder: only bins
-// touched by the current 31-element segment are visited, with untouched bins
-// accumulating pending zero-fill. This is behaviourally identical to the
-// paper's Algorithm 1 (see BuildAlgorithm1) but costs O(values + touched)
-// instead of O(values + segments×bins).
+// Build generates the index in one pass on one core, every bin in WAH,
+// using the lazy builder (StreamBuilder): only bins touched by the current
+// 31-element segment are visited, with untouched bins accumulating pending
+// zero-fill. This is behaviourally identical to the paper's Algorithm 1 (see
+// BuildAlgorithm1) but costs O(values + touched) instead of O(values +
+// segments×bins).
 func Build(data []float64, m binning.Mapper) *Index {
-	var start time.Time
-	if tel.buildNs != nil {
-		start = time.Now()
-	}
-	b := NewStreamBuilder(m)
-	b.Append(data)
-	x := b.Finish()
-	if tel.buildNs != nil {
-		tel.buildNs.Record(time.Since(start).Nanoseconds())
-	}
-	return x
+	return BuildParallelCodec(data, m, 1, codec.WAH)
 }
 
 // BuildAlgorithm1 is a faithful transcription of the paper's Algorithm 1
@@ -69,6 +62,7 @@ func BuildAlgorithm1(data []float64, m binning.Mapper) *Index {
 	binNum := m.Bins()
 	segments := make([]uint32, binNum)        // "Segments" of Algorithm 1
 	result := make([]bitvec.Appender, binNum) // "Result" of Algorithm 1
+	counts := make([]int, binNum)             // the histogram, tallied as segments merge
 	id := 0
 	for i := 0; i < len(data); i += bitvec.SegmentBits {
 		for j := range segments { // line 5: initialize Segments to 0
@@ -82,6 +76,7 @@ func BuildAlgorithm1(data []float64, m binning.Mapper) *Index {
 			width++
 		}
 		for j := 0; j < binNum; j++ { // lines 10-27: merge into Result
+			counts[j] += bits.OnesCount32(segments[j])
 			if width == bitvec.SegmentBits {
 				result[j].AppendSegment(segments[j])
 			} else {
@@ -89,12 +84,11 @@ func BuildAlgorithm1(data []float64, m binning.Mapper) *Index {
 			}
 		}
 	}
-	idx := &Index{mapper: m, vecs: make([]bitvec.Bitmap, binNum), counts: make([]int, binNum), n: len(data), gen: nextGeneration()}
+	idx := &Index{mapper: m, vecs: make([]bitvec.Bitmap, binNum), counts: counts, n: len(data), gen: nextGeneration()}
 	for j := range result {
 		idx.vecs[j] = result[j].Vector()
-		idx.counts[j] = idx.vecs[j].Count()
 	}
-	recordBuild(idx, 0)
+	recordBuild(idx, time.Time{})
 	return idx
 }
 
@@ -147,6 +141,7 @@ func BuildTwoPhase(data []float64, m binning.Mapper) *Index {
 					seg |= 1 << uint(j)
 				}
 			}
+			x.counts[b] += bits.OnesCount32(seg)
 			if width == bitvec.SegmentBits {
 				a.AppendSegment(seg)
 			} else {
@@ -154,9 +149,8 @@ func BuildTwoPhase(data []float64, m binning.Mapper) *Index {
 			}
 		}
 		x.vecs[b] = a.Vector()
-		x.counts[b] = x.vecs[b].Count()
 	}
-	recordBuild(x, 0)
+	recordBuild(x, time.Time{})
 	return x
 }
 
@@ -176,11 +170,12 @@ func (x *Index) Bitmap(b int) bitvec.Bitmap { return x.vecs[b] }
 func (x *Index) Codec(b int) codec.ID { return codec.Of(x.vecs[b]) }
 
 // Recode re-encodes every bin under the given codec (codec.Auto applies
-// the adaptive per-bin policy). Bins already in the target encoding are
-// untouched; the index is modified in place and returned for chaining.
+// the adaptive per-bin policy, fed the cached counts). Bins already in the
+// target encoding are untouched; the index is modified in place and
+// returned for chaining.
 func (x *Index) Recode(id codec.ID) *Index {
 	for b := range x.vecs {
-		x.vecs[b] = codec.Encode(x.vecs[b], id)
+		x.vecs[b] = codec.EncodeCounted(x.vecs[b], id, x.counts[b])
 	}
 	// The bitmaps were replaced in place: retire the old generation so no
 	// cached intermediate derived from them can be served against the new
@@ -189,10 +184,10 @@ func (x *Index) Recode(id codec.ID) *Index {
 	return x
 }
 
-// BuildCodec builds the index (streaming WAH generation) and then applies
-// the given encoding policy per bin.
+// BuildCodec builds the index on one core, each bin encoded under the given
+// policy as it is finished.
 func BuildCodec(data []float64, m binning.Mapper, id codec.ID) *Index {
-	return Build(data, m).Recode(id)
+	return BuildParallelCodec(data, m, 1, id)
 }
 
 // Count returns the cached number of elements in bin b.
@@ -267,6 +262,7 @@ func (x *Index) Query(lo, hi float64) bitvec.Bitmap {
 type StreamBuilder struct {
 	mapper  binning.Mapper
 	apps    []bitvec.Appender
+	counts  []int // set bits per bin: the histogram, tallied as segments flush
 	segs    []uint32
 	touched []int32
 	width   int // elements in the current (unflushed) segment
@@ -280,6 +276,7 @@ func NewStreamBuilder(m binning.Mapper) *StreamBuilder {
 	return &StreamBuilder{
 		mapper: m,
 		apps:   make([]bitvec.Appender, nb),
+		counts: make([]int, nb),
 		segs:   make([]uint32, nb),
 	}
 }
@@ -310,6 +307,7 @@ func (sb *StreamBuilder) flushSegment() {
 			sb.apps[b].AppendFill(0, gap)
 		}
 		sb.apps[b].AppendSegment(sb.segs[b])
+		sb.counts[b] += bits.OnesCount32(sb.segs[b])
 		sb.segs[b] = 0
 	}
 	sb.touched = sb.touched[:0]
@@ -320,30 +318,30 @@ func (sb *StreamBuilder) flushSegment() {
 // Finish flushes the trailing partial segment and outstanding zero runs and
 // returns the completed index. The builder must not be reused afterwards.
 func (sb *StreamBuilder) Finish() *Index {
-	nb := len(sb.apps)
-	inSeg := make([]bool, nb)
-	for _, b := range sb.touched {
-		inSeg[b] = true
+	sb.flush()
+	x := &Index{mapper: sb.mapper, vecs: make([]bitvec.Bitmap, len(sb.apps)), counts: sb.counts, n: sb.n, gen: nextGeneration()}
+	for b := range sb.apps {
+		x.vecs[b] = sb.apps[b].Vector()
 	}
-	for b := 0; b < nb; b++ {
+	recordBuild(x, time.Time{})
+	return x
+}
+
+// flush brings every bin's appender to the builder's full length: the
+// outstanding zero runs and the trailing partial segment.
+func (sb *StreamBuilder) flush() {
+	for _, b := range sb.touched {
+		sb.counts[b] += bits.OnesCount32(sb.segs[b])
+	}
+	for b := range sb.apps {
 		if gap := sb.nSegs - sb.apps[b].Len()/bitvec.SegmentBits; gap > 0 {
 			sb.apps[b].AppendFill(0, gap)
 		}
 		if sb.width > 0 {
-			if inSeg[b] {
-				sb.apps[b].AppendPartial(sb.segs[b], sb.width)
-			} else {
-				sb.apps[b].AppendPartial(0, sb.width)
-			}
+			// An untouched bin's pending segment is zero.
+			sb.apps[b].AppendPartial(sb.segs[b], sb.width)
 		}
 	}
-	x := &Index{mapper: sb.mapper, vecs: make([]bitvec.Bitmap, nb), counts: make([]int, nb), n: sb.n, gen: nextGeneration()}
-	for b := 0; b < nb; b++ {
-		x.vecs[b] = sb.apps[b].Vector()
-		x.counts[b] = x.vecs[b].Count()
-	}
-	recordBuild(x, 0)
-	return x
 }
 
 // SizeBytes reports the compressed bytes accumulated so far — the in-situ
@@ -356,78 +354,49 @@ func (sb *StreamBuilder) SizeBytes() int {
 	return total
 }
 
-// BuildParallel partitions the data into nWorkers sub-blocks aligned to the
-// 31-bit segment size, builds a sub-index per block concurrently — the
-// paper's Figure 2, where each bitmap-generation core owns one sub-block —
-// and concatenates the per-block bitvectors into one index.
+// BuildParallel is BuildParallelCodec with every bin left in the WAH the
+// builders stream.
 func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	nSegs := (len(data) + bitvec.SegmentBits - 1) / bitvec.SegmentBits
-	if nWorkers > nSegs && nSegs > 0 {
-		nWorkers = nSegs
-	}
-	if nWorkers <= 1 || len(data) == 0 {
-		return Build(data, m)
-	}
-	// Split on segment boundaries so Concat is exact.
-	segsPer := nSegs / nWorkers
-	extra := nSegs % nWorkers
-	bounds := make([]int, nWorkers+1)
-	pos := 0
-	for w := 0; w < nWorkers; w++ {
-		bounds[w] = pos
-		s := segsPer
-		if w < extra {
-			s++
-		}
-		pos += s * bitvec.SegmentBits
-		if pos > len(data) {
-			pos = len(data)
-		}
-	}
-	bounds[nWorkers] = len(data)
-	parts := make([]*Index, nWorkers)
-	var wg sync.WaitGroup
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			parts[w] = Build(data[bounds[w]:bounds[w+1]], m)
-		}(w)
-	}
-	wg.Wait()
-	return ConcatIndexes(parts...)
+	return BuildParallelCodec(data, m, nWorkers, codec.WAH)
 }
 
-// ConcatIndexes joins sub-indices built over consecutive sub-blocks of the
-// same array with the same binning. All but the last must cover a multiple
-// of 31 elements.
-func ConcatIndexes(parts ...*Index) *Index {
-	if len(parts) == 0 {
-		panic("index: ConcatIndexes needs at least one part")
+// BuildParallelCodec is the in-situ write path, in two parallel phases over
+// the same nWorkers goroutines. First the data is partitioned into
+// sub-blocks aligned to the 31-bit segment size and each is streamed into
+// per-bin WAH by its own builder — the paper's Figure 2, where each
+// bitmap-generation core owns one sub-block. Then the workers stripe the
+// bins: a bin's sub-block vectors are joined into one presized vector
+// (alignment makes the join exact) and encoded under the policy, which is
+// handed the bin's count summed from the builders' tallies. Every bin is
+// encoded exactly once and the index is stamped with one generation; the
+// result equals Build(data, m).Recode(id) bit for bit.
+func BuildParallelCodec(data []float64, m binning.Mapper, nWorkers int, id codec.ID) *Index {
+	start := buildStart()
+	nSegs := (len(data) + bitvec.SegmentBits - 1) / bitvec.SegmentBits
+	nWorkers = max(1, min(nWorkers, nSegs))
+	bound := func(w int) int { // first element of sub-block w
+		return min(w*nSegs/nWorkers*bitvec.SegmentBits, len(data))
 	}
-	first := parts[0]
-	nb := first.Bins()
-	out := &Index{mapper: first.mapper, vecs: make([]bitvec.Bitmap, nb), counts: make([]int, nb), gen: nextGeneration()}
-	vecs := make([]bitvec.Bitmap, len(parts))
-	for b := 0; b < nb; b++ {
-		for i, p := range parts {
-			if p.Bins() != nb {
-				panic(fmt.Sprintf("index: part %d has %d bins, want %d", i, p.Bins(), nb))
+	subs := make([]*StreamBuilder, nWorkers)
+	sim.ParallelEach(nWorkers, func(w int) {
+		subs[w] = NewStreamBuilder(m)
+		subs[w].Append(data[bound(w):bound(w+1)])
+		subs[w].flush()
+	})
+	nb := m.Bins()
+	x := &Index{mapper: m, vecs: make([]bitvec.Bitmap, nb), counts: make([]int, nb), n: len(data), gen: nextGeneration()}
+	sim.ParallelEach(nWorkers, func(w int) {
+		parts := make([]bitvec.Bitmap, nWorkers)
+		for b := w; b < nb; b += nWorkers {
+			for i, sb := range subs {
+				parts[i] = sb.apps[b].Vector()
+				x.counts[b] += sb.counts[b]
 			}
-			vecs[i] = p.vecs[b]
+			x.vecs[b] = codec.EncodeCounted(bitvec.MustConcat(parts...), id, x.counts[b])
 		}
-		out.vecs[b] = bitvec.MustConcat(vecs...)
-		for _, p := range parts {
-			out.counts[b] += p.counts[b]
-		}
-	}
-	for _, p := range parts {
-		out.n += p.n
-	}
-	return out
+	})
+	recordBuild(x, start)
+	return x
 }
 
 // MultiLevel couples a fine low-level index with a coarse high-level one

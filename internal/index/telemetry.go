@@ -35,8 +35,17 @@ func SetTelemetry(r *telemetry.Registry) {
 
 func init() { SetTelemetry(telemetry.Default) }
 
-// recordBuild accounts one completed index.
-func recordBuild(x *Index, elapsed time.Duration) {
+// buildStart reads the clock only when build times are being recorded.
+func buildStart() time.Time {
+	if tel.buildNs == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// recordBuild accounts one completed index; a non-zero start (buildStart)
+// also records the build's wall time.
+func recordBuild(x *Index, start time.Time) {
 	if tel.builds == nil {
 		return
 	}
@@ -44,7 +53,7 @@ func recordBuild(x *Index, elapsed time.Duration) {
 	tel.bins.Add(int64(x.Bins()))
 	tel.values.Add(int64(x.n))
 	tel.compressed.Add(int64(x.SizeBytes()))
-	if elapsed > 0 {
-		tel.buildNs.Record(elapsed.Nanoseconds())
+	if !start.IsZero() {
+		tel.buildNs.Record(time.Since(start).Nanoseconds())
 	}
 }

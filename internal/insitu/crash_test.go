@@ -85,16 +85,16 @@ func sameSnapshot(t *testing.T, label string, want, got map[string][]byte) {
 	for name, w := range want {
 		g, ok := got[name]
 		if !ok {
-			t.Errorf("%s: %s missing after resume", label, name)
+			t.Errorf("%s: %s missing", label, name)
 			continue
 		}
 		if !bytes.Equal(w, g) {
-			t.Errorf("%s: %s differs after resume (%d vs %d bytes)", label, name, len(w), len(g))
+			t.Errorf("%s: %s differs (%d vs %d bytes)", label, name, len(w), len(g))
 		}
 	}
 	for name := range got {
 		if _, ok := want[name]; !ok {
-			t.Errorf("%s: unexpected extra file %s after resume", label, name)
+			t.Errorf("%s: unexpected extra file %s", label, name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package insitu
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"insitubits/internal/codec"
 	"insitubits/internal/selection"
 	"insitubits/internal/sim/heat3d"
+	"insitubits/internal/sim/lulesh"
 	"insitubits/internal/store"
 )
 
@@ -229,5 +231,50 @@ func TestOutputDirCreationFailure(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unusable output dir accepted")
+	}
+}
+
+// TestRunOutputIdenticalAcrossCores: the worker count decides who builds,
+// encodes and scores what, never what is stored. The benchmark's two in-situ
+// shapes, small — heat3d (one array, conditional entropy, shared cores: the
+// build, the encode and the score all split inside the variable) and lulesh
+// (twelve arrays, spatial EMD, separate cores: they split across variables)
+// — must write a byte-equal manifest, journal and .isbm set at every core
+// count.
+func TestRunOutputIdenticalAcrossCores(t *testing.T) {
+	heat := func(cores int, dir string) Config {
+		h, err := heat3d.New(14, 14, 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Sim: h, Steps: 10, Select: 4, Method: Bitmaps, Bins: 48,
+			Metric: selection.ConditionalEntropy, Cores: cores, OutputDir: dir}
+	}
+	lul := func(cores int, dir string) Config {
+		l, err := lulesh.New(8, 8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Sim: l, Steps: 10, Select: 4, Method: Bitmaps, Bins: 24,
+			Metric: selection.EMDSpatial, Cores: cores + 1, OutputDir: dir,
+			Strategy: SeparateCores{SimCores: 1, ReduceCores: cores}}
+	}
+	for name, config := range map[string]func(int, string) Config{"heat3d": heat, "lulesh": lul} {
+		var want map[string][]byte
+		for _, cores := range []int{1, 2, 4} {
+			dir := t.TempDir()
+			if _, err := Run(config(cores, dir)); err != nil {
+				t.Fatalf("%s cores=%d: %v", name, cores, err)
+			}
+			got := snapshot(t, dir)
+			if want == nil {
+				want = got
+				if len(want) < 2+4 { // manifest, journal, one .isbm per kept step and variable
+					t.Fatalf("%s: run wrote only %d files", name, len(want))
+				}
+				continue
+			}
+			sameSnapshot(t, fmt.Sprintf("%s cores=%d vs cores=1", name, cores), want, got)
+		}
 	}
 }

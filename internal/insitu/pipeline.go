@@ -332,31 +332,21 @@ func (r *reducer) reduce(fields []sim.Field, nWorkers int) (*stepSummary, error)
 	memBytes := int64(0)
 	switch r.cfg.Method {
 	case Bitmaps:
-		// Multi-variable steps (Lulesh's 12 arrays) index their variables
-		// concurrently; a single-variable step parallelizes within the
-		// build via sub-block decomposition instead. Aggregation below is
-		// in variable order, so the result is deterministic either way.
-		if len(fields) > 1 && nWorkers > 1 {
-			xs := make([]*index.Index, len(fields))
-			perVar := nWorkers / len(fields)
-			if perVar < 1 {
-				perVar = 1
+		// The step's cores are spent once: multi-variable steps (Lulesh's 12
+		// arrays) index — and later score — their variables concurrently, a
+		// single-variable step parallelizes within the build and the score
+		// instead. Each bin is encoded under the codec policy as it is
+		// finished. Aggregation below is in variable order, so the result is
+		// deterministic either way.
+		xs := make([]*index.Index, len(fields))
+		perVar := max(1, nWorkers/max(1, len(fields)))
+		sim.ParallelFor(len(fields), nWorkers, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				xs[k] = index.BuildParallelCodec(fields[k].Data, r.mappers[k], perVar, r.cfg.Codec)
 			}
-			sim.ParallelFor(len(fields), nWorkers, func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					xs[k] = index.BuildParallel(fields[k].Data, r.mappers[k], perVar).Recode(r.cfg.Codec)
-				}
-			})
-			for k, x := range xs {
-				parts[k] = selection.NewBitmapSummary(x)
-				outBytes += store.IndexSize(x)
-				memBytes += int64(x.SizeBytes())
-			}
-			break
-		}
-		for k, f := range fields {
-			x := index.BuildParallel(f.Data, r.mappers[k], nWorkers).Recode(r.cfg.Codec)
-			parts[k] = selection.NewBitmapSummary(x)
+		})
+		for k, x := range xs {
+			parts[k] = &selection.BitmapSummary{X: x, Workers: perVar}
 			outBytes += store.IndexSize(x)
 			memBytes += int64(x.SizeBytes())
 		}

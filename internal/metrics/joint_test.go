@@ -1,0 +1,97 @@
+package metrics
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"insitubits/internal/bitvec"
+	"insitubits/internal/index"
+)
+
+// freshJoint is the reference JointHistogramBitmaps: decode both indexes
+// with Index.BinIDs into fresh arrays, tally pair by pair.
+func freshJoint(xa, xb *index.Index) [][]int {
+	joint := make([][]int, xa.Bins())
+	for i := range joint {
+		joint[i] = make([]int, xb.Bins())
+	}
+	ida, idb := xa.BinIDs(nil), xb.BinIDs(nil)
+	for k := range ida {
+		joint[ida[k]][idb[k]]++
+	}
+	return joint
+}
+
+// JointHistogramBitmaps is reachable from bitmapctl and internal/offline on
+// index files read from disk, whose bins need not partition their elements.
+// It must not panic on them and must keep answering as it always has: an
+// uncovered position counts as bin 0, a doubly claimed one as the highest
+// claimant — also right after a 200-bin decode, whose ids would overrun a
+// 3×3 cell table if any scratch outlived its call.
+func TestJointHistogramOnBrokenPartition(t *testing.T) {
+	const n = 2000
+	r := rand.New(rand.NewSource(41))
+	wide := index.Build(smooth(r, n), uniform(t, 200))
+	good := index.Build(smooth(r, n), uniform(t, 3))
+
+	broken := func(edit func(bins [][]bool)) *index.Index {
+		bins := make([][]bool, 3)
+		for b := range bins {
+			bins[b] = bitvec.Bools(good.Bitmap(b))
+		}
+		edit(bins)
+		vecs := make([]bitvec.Bitmap, len(bins))
+		for b, bs := range bins {
+			vecs[b] = bitvec.FromBools(bs)
+		}
+		x, err := index.FromParts(good.Mapper(), vecs, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	hole := broken(func(bins [][]bool) {
+		for p := 100; p < 700; p++ { // nobody claims [100,700)
+			bins[0][p], bins[1][p], bins[2][p] = false, false, false
+		}
+	})
+	overlap := broken(func(bins [][]bool) {
+		for p := 900; p < 1500; p++ { // bins 1 and 2 both claim [900,1500)
+			bins[1][p], bins[2][p] = true, true
+		}
+	})
+
+	for _, c := range []struct {
+		name   string
+		xa, xb *index.Index
+	}{
+		{"hole-a", hole, good}, {"hole-b", good, hole}, {"overlap-a", overlap, good},
+		{"overlap-b", good, overlap}, {"hole-overlap", hole, overlap},
+	} {
+		want := freshJoint(c.xa, c.xb)
+		JointHistogramBitmaps(wide, wide)
+		if got := JointHistogramBitmaps(c.xa, c.xb); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: joint histogram\n got %v\nwant %v", c.name, got, want)
+		}
+		if got, want := PairFromBitmaps(c.xa, c.xb), pairFrom(want, c.xa.Histogram(), c.xb.Histogram(), n); got != want {
+			t.Fatalf("%s: PairFromBitmaps %+v, want %+v", c.name, got, want)
+		}
+	}
+}
+
+// On in-process indexes the worker count must not change one integer, and a
+// decoded operand must stand in for its index exactly.
+func TestJointHistogramIDsMatchesBitmaps(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	for _, n := range []int{0, 1, 5, 3000} {
+		xa := index.Build(smooth(r, n), uniform(t, 12))
+		xb := index.Build(smooth(r, n), uniform(t, 7))
+		want := freshJoint(xa, xb)
+		for _, w := range []int{1, 2, 5, 64} {
+			if got := JointHistogramIDs(xa, DecodeBinIDs(xb, w), w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d workers=%d: joint histogram differs from the serial reference", n, w)
+			}
+		}
+	}
+}

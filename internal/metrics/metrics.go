@@ -15,6 +15,7 @@ import (
 	"insitubits/internal/binning"
 	"insitubits/internal/bitcache"
 	"insitubits/internal/index"
+	"insitubits/internal/sim"
 )
 
 // Histogram counts elements per bin by scanning the data (full-data path).
@@ -52,19 +53,82 @@ func JointHistogram(a, b []float64, ma, mb binning.Mapper) [][]int {
 // formulation, which this replaces as the default because at reproduction
 // scale the AND product term (bins² × compressed words) can exceed O(n);
 // both compute identical numbers (asserted by tests).
+//
+// It runs on one goroutine and accepts any index, including one read from
+// an untrusted file whose bins do not partition its elements: a position no
+// bin covers counts as bin 0, one several bins claim as the highest of them.
 func JointHistogramBitmaps(xa, xb *index.Index) [][]int {
 	if xa.N() != xb.N() {
 		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", xa.N(), xb.N()))
 	}
-	joint := make([][]int, xa.Bins())
-	cells := make([]int, xa.Bins()*xb.Bins())
-	for i := range joint {
-		joint[i], cells = cells[:xb.Bins()], cells[xb.Bins():]
+	return JointHistogramIDs(xa, DecodeBinIDs(xb, 1), 1)
+}
+
+// BinIDs is an index decoded to one bin id per element: what a selection
+// keeps of its last kept step, so that scoring each candidate against it
+// decodes only the candidate.
+type BinIDs struct {
+	ids  []int32
+	bins int
+}
+
+// DecodeBinIDs decodes x into a BinIDs of its own (4 bytes per element,
+// freed with its holder), bins striped over nWorkers goroutines. More than
+// one worker needs bins that partition the elements — true of every index
+// built in this process — because overlapping bins would race on a
+// position. The array starts zeroed and only x's own ids are written, so
+// an element no bin covers reads as bin 0 and no id reaches x.Bins().
+func DecodeBinIDs(x *index.Index, nWorkers int) *BinIDs {
+	ids := make([]int32, x.N())
+	counts := x.Histogram()
+	nWorkers = max(1, min(nWorkers, x.Bins()))
+	sim.ParallelEach(nWorkers, func(w int) {
+		for b := w; b < x.Bins(); b += nWorkers {
+			if counts[b] != 0 {
+				x.Bitmap(b).WriteIDs(ids, int32(b))
+			}
+		}
+	})
+	return &BinIDs{ids: ids, bins: x.Bins()}
+}
+
+// JointHistogramIDs is JointHistogramBitmaps(xa, xb) with xb already
+// decoded. Only xa is decoded, with its bins striped over nWorkers
+// goroutines (see DecodeBinIDs for when that is allowed); the pairs are
+// then tallied over one element range per worker and the per-worker tables
+// summed, so the integers do not depend on nWorkers.
+//
+// xa's id array is allocated here and dropped on return, deliberately not
+// pooled: a pooled array is live at every garbage-collection mark and the
+// heap goal is twice the live heap, so on a 16.8 MB/step run keeping 8.4 MB
+// of scratch cost 43 MB of peak RSS.
+func JointHistogramIDs(xa *index.Index, b *BinIDs, nWorkers int) [][]int {
+	n := xa.N()
+	if n != len(b.ids) {
+		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", n, len(b.ids)))
 	}
-	ida := xa.BinIDs(nil)
-	idb := xb.BinIDs(nil)
-	for k := range ida {
-		joint[ida[k]][idb[k]]++
+	a := DecodeBinIDs(xa, nWorkers)
+	nb := b.bins
+	size := a.bins * nb
+	nWorkers = max(1, min(nWorkers, n))
+	cells := make([]int, nWorkers*size) // one flat table per worker
+	sim.ParallelEach(nWorkers, func(w int) {
+		mine := cells[w*size : (w+1)*size]
+		from, to := w*n/nWorkers, (w+1)*n/nWorkers
+		ib := b.ids[from:to]
+		for k, i := range a.ids[from:to] {
+			mine[int(i)*nb+int(ib[k])]++
+		}
+	})
+	total := cells[:size]
+	for w := 1; w < nWorkers; w++ {
+		for c, v := range cells[w*size : (w+1)*size] {
+			total[c] += v
+		}
+	}
+	joint := make([][]int, a.bins)
+	for i := range joint {
+		joint[i] = total[i*nb : (i+1)*nb]
 	}
 	return joint
 }

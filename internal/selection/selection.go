@@ -8,6 +8,7 @@ package selection
 
 import (
 	"fmt"
+	"sync"
 
 	"insitubits/internal/binning"
 	"insitubits/internal/index"
@@ -107,10 +108,34 @@ func (s *DataSummary) SizeBytes() int { return 8 * len(s.Data) }
 // the raw data has been discarded.
 type BitmapSummary struct {
 	X *index.Index
+
+	// Workers is how many goroutines one conditional-entropy score against
+	// this summary's index may use; below 2 it runs on the caller's. The
+	// in-situ reducer sets it to the cores the step was given. More than one
+	// needs an index built in this process (metrics.DecodeBinIDs).
+	Workers int
+
+	// The summary's decoded bin ids, made the first time it is the selected
+	// operand of a conditional-entropy score: a selection scores a whole
+	// interval of candidates against one kept step. They live and die with
+	// the summary; idsOf is the index they were decoded from.
+	mu    sync.Mutex
+	ids   *metrics.BinIDs
+	idsOf *index.Index
 }
 
-// NewBitmapSummary wraps a built index.
+// NewBitmapSummary wraps a built index; its scores run on one goroutine.
 func NewBitmapSummary(x *index.Index) *BitmapSummary { return &BitmapSummary{X: x} }
+
+// binIDs returns the summary's decoded ids, decoding them on first use.
+func (s *BitmapSummary) binIDs(nWorkers int) *metrics.BinIDs {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.idsOf != s.X {
+		s.ids, s.idsOf = metrics.DecodeBinIDs(s.X, nWorkers), s.X
+	}
+	return s.ids
+}
 
 // Dissimilarity implements Summary on the compressed form.
 func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
@@ -120,8 +145,8 @@ func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	}
 	switch m {
 	case ConditionalEntropy:
-		p := metrics.PairFromBitmaps(s.X, o.X)
-		return p.CondEntropyAB
+		joint := metrics.JointHistogramIDs(s.X, o.binIDs(s.Workers), s.Workers)
+		return metrics.ConditionalEntropy(joint, s.X.Histogram(), o.X.Histogram(), s.X.N())
 	case EMDCount:
 		return metrics.EMDCount(s.X.Histogram(), o.X.Histogram())
 	case EMDSpatial:

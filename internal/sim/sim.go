@@ -82,3 +82,14 @@ func ParallelFor(n, workers int, fn func(lo, hi int)) {
 		panic(panicked)
 	}
 }
+
+// ParallelEach runs fn(w) for every worker index w in [0, workers)
+// concurrently: ParallelFor for work that is striped or otherwise keyed by
+// worker rather than cut into contiguous spans.
+func ParallelEach(workers int, fn func(w int)) {
+	ParallelFor(workers, workers, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			fn(w)
+		}
+	})
+}

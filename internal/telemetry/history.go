@@ -81,6 +81,7 @@ func NewHistory(reg *Registry, interval time.Duration, capacity int) *History {
 func StartHistory(reg *Registry, interval time.Duration, capacity int) *History {
 	h := NewHistory(reg, interval, capacity)
 	reg.PublishStatus(HistoryStatusName, func() any { return h.Dump() })
+	h.Sample() // the ring is never empty once published
 	go h.run()
 	return h
 }
@@ -88,7 +89,6 @@ func StartHistory(reg *Registry, interval time.Duration, capacity int) *History 
 func (h *History) run() {
 	tick := time.NewTicker(h.interval)
 	defer tick.Stop()
-	h.Sample()
 	for {
 		select {
 		case <-tick.C:
