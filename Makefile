@@ -22,11 +22,15 @@ race:
 # profiling label gate + snapshot ring, the query server (admission
 # semaphore, catalog generation swaps), the root package (the /healthz
 # probe racing a pipeline's concurrent generation publishes), and the
-# in-situ write path's goroutines: the two-phase parallel build (index),
-# the striped id decode and per-worker tallies (metrics) and the kept-step
-# id cache shared by concurrent scores (selection).
+# in-situ write path's goroutines: the two-phase parallel build that emits
+# ids as it goes and the striped id decode (index), the per-worker tallies
+# (metrics), the ids a summary shares between concurrent scores
+# (selection), and the simulate → reduce hand-off of a lent step — the
+# simulators (sim) and the pipeline's lend tests (insitu, by name: its
+# crash matrix stays in `race` / `crash-matrix`).
 race-hot:
-	$(GO) test -race . ./internal/query/ ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/
+	$(GO) test -race . ./internal/query/ ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/sim/...
+	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores' ./internal/insitu/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
 # or all four, untraced end to end and then traced per layer, every
@@ -39,10 +43,12 @@ race-hot:
 # 'BenchmarkNoop|BenchmarkAppendTelemetry|BenchmarkOrInto' -benchmem
 # ./internal/telemetry/ ./internal/bitvec/`. The in-situ write path's
 # kernels, on heat3d-shaped data (64³ elements, 160 bins):
-# BenchmarkBBCFromBitmap/{sparse,clustered,literal-heavy} (internal/bitvec),
+# BenchmarkBBCFromBitmap/{sparse,clustered,literal-heavy} and
+# BenchmarkWriteIDs/{uint8,uint16,int32}/{wah,bbc,dense} (internal/bitvec),
 # BenchmarkEncodeAuto (internal/codec), BenchmarkBuildParallelCodec/{1,2}
-# (internal/index), BenchmarkCondEntropyScore/{cold,kept-cached}/{1,2}
-# (internal/selection).
+# and .../ids/{1,2} (internal/index),
+# BenchmarkCondEntropyScore/{handed-ids,decoded-ids}/{1,2}
+# (internal/selection), BenchmarkStepHandoff/{owned,lent} (internal/insitu).
 WORKLOAD ?= all
 SEED ?= 1
 bench:

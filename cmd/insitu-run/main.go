@@ -47,6 +47,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -276,6 +277,11 @@ func main() {
 	fmt.Printf("summary size:   %.2f MB/step (%.1fx smaller than raw)\n",
 		float64(res.SummaryBytes)/1e6, float64(res.StepBytes)/float64(res.SummaryBytes))
 	fmt.Printf("modelled peak:  %.2f MB\n", float64(res.PeakMemory)/1e6)
+	if status, err := os.ReadFile("/proc/self/status"); err == nil {
+		if hwm, ok := peakRSS(string(status)); ok {
+			fmt.Printf("measured peak:  %.2f MB (process VmHWM: simulator, runtime and GC headroom included)\n", float64(hwm)/1e6)
+		}
+	}
 	if _, ok := cfg.Strategy.(insitubits.SeparateCores); ok {
 		fmt.Printf("queue peak:     %d steps (memory backpressure watermark)\n", res.QueuePeak)
 	}
@@ -306,4 +312,17 @@ func main() {
 			log.Printf("debug server shutdown: %v", err)
 		}
 	}
+}
+
+// peakRSS extracts the resident-set high-water mark, in bytes, from the text
+// of /proc/<pid>/status ("VmHWM:    95560 kB").
+func peakRSS(status string) (int64, bool) {
+	for _, line := range strings.Split(status, "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			var kb int64
+			_, err := fmt.Sscan(rest, &kb)
+			return kb << 10, err == nil
+		}
+	}
+	return 0, false
 }

@@ -391,34 +391,6 @@ func (b *BBC) Get(i int) bool {
 // Iterate calls fn for each set bit in ascending order.
 func (b *BBC) Iterate(fn func(pos int) bool) { genericIterate(b, fn) }
 
-// WriteIDs stores id into dst at every set-bit position, straight off the
-// byte stream: one-runs are range writes, literal bytes are walked bit by
-// bit (their padding is zero, so no position needs a bound check).
-func (b *BBC) WriteIDs(dst []int32, id int32) {
-	if len(dst) < b.nbits {
-		panic(fmt.Sprintf("bitvec: WriteIDs dst of %d for %d bits", len(dst), b.nbits))
-	}
-	var t bbcTokIter
-	t.reset(b.data)
-	base := 0 // first bit of the current run or chunk
-	for t.valid() {
-		switch {
-		case !t.fill:
-			for j, v := range t.lit[t.lp : t.lp+t.n] {
-				for p := base + 8*j; v != 0; v &= v - 1 {
-					dst[p+bits.TrailingZeros8(v)] = id
-				}
-			}
-		case t.fb != 0:
-			for p, end := base, min(base+8*t.n, b.nbits); p < end; p++ {
-				dst[p] = id
-			}
-		}
-		base += 8 * t.n
-		t.consume(t.n)
-	}
-}
-
 // And returns b AND o; a BBC pair merges byte runs on the compressed form.
 func (b *BBC) And(o Bitmap) Bitmap { return b.binaryOp(o, opAnd) }
 

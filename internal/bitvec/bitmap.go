@@ -26,7 +26,6 @@ type Bitmap interface {
 	CountUnits(unitSize int) []int
 	Get(i int) bool
 	Iterate(fn func(pos int) bool)
-	WriteIDs(dst []int32, id int32)
 	// OrInto ORs the bitmap into flat scratch of at least FlatWords(Len)
 	// words (see flat.go); bits of dst at and beyond Len are left alone.
 	OrInto(dst []uint64)

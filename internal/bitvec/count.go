@@ -149,46 +149,6 @@ func (v *Vector) CountUnits(unitSize int) []int {
 	return out
 }
 
-// WriteIDs stores id into dst at every set-bit position. Fill runs become
-// contiguous range writes, so decoding a whole index into per-element bin
-// ids costs O(n) with no per-bit closure overhead — the hot path of the
-// bitmap-only joint-histogram computation.
-func (v *Vector) WriteIDs(dst []int32, id int32) {
-	if len(dst) < v.nbits {
-		panic(fmt.Sprintf("bitvec: WriteIDs dst of %d for %d bits", len(dst), v.nbits))
-	}
-	var it runIter
-	it.reset(v.words)
-	base := 0
-	for it.valid() && base < v.nbits {
-		if it.fill {
-			end := base + it.run*SegmentBits
-			if it.word&fillValue != 0 {
-				hi := end
-				if hi > v.nbits {
-					hi = v.nbits
-				}
-				for p := base; p < hi; p++ {
-					dst[p] = id
-				}
-			}
-			base = end
-			it.consume(it.run)
-			continue
-		}
-		w := it.payload()
-		for w != 0 {
-			j := bits.TrailingZeros32(w)
-			if p := base + j; p < v.nbits {
-				dst[p] = id
-			}
-			w &= w - 1
-		}
-		base += SegmentBits
-		it.consume(1)
-	}
-}
-
 // AndCount returns Count(v AND o) without materializing the result vector.
 // The mining inner loop calls this for every bin pair, so avoiding the
 // intermediate allocation matters.

@@ -184,7 +184,7 @@ func TestWriteIDsProperty(t *testing.T) {
 		for i := range dst {
 			dst[i] = -1
 		}
-		v.WriteIDs(dst, 7)
+		WriteIDs(v, dst, 7)
 		for i, b := range bs {
 			want := int32(-1)
 			if b {
@@ -204,5 +204,5 @@ func TestWriteIDsShortDstPanics(t *testing.T) {
 			t.Fatal("short dst accepted")
 		}
 	}()
-	v.WriteIDs(make([]int32, 10), 1)
+	WriteIDs(v, make([]int32, 10), 1)
 }

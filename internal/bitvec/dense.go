@@ -160,18 +160,6 @@ func (d *Dense) Iterate(fn func(pos int) bool) {
 	}
 }
 
-// WriteIDs stores id into dst at every set-bit position.
-func (d *Dense) WriteIDs(dst []int32, id int32) {
-	if len(dst) < d.nbits {
-		panic(fmt.Sprintf("bitvec: WriteIDs dst of %d for %d bits", len(dst), d.nbits))
-	}
-	for s, w := range d.words {
-		for base := s * SegmentBits; w != 0; w &= w - 1 {
-			dst[base+bits.TrailingZeros32(w)] = id
-		}
-	}
-}
-
 // And returns d AND o; a Dense pair combines word-at-a-time.
 func (d *Dense) And(o Bitmap) Bitmap { return d.binaryOp(o, opAnd) }
 

@@ -22,6 +22,26 @@ func flatOf(bs []bool) []uint64 {
 	return out
 }
 
+// opaque hides a bitmap's codec from the kernels' type switches.
+type opaque struct{ Bitmap }
+
+// checkWriteIDs decodes bm at one element width into an array exactly Len
+// long (a write past it panics) and prefilled with another id: set bits
+// must read 7, every other position must be untouched.
+func checkWriteIDs[T ID](t *testing.T, tag string, bm Bitmap, bs []bool) {
+	t.Helper()
+	ids := make([]T, len(bs))
+	for p := range ids {
+		ids[p] = 99
+	}
+	WriteIDs(bm, ids, 7)
+	for p, id := range ids {
+		if (id == 7) != bs[p] || (id != 7 && id != 99) {
+			t.Fatalf("%s: WriteIDs left %d at %d (bit %v)", tag, id, p, bs[p])
+		}
+	}
+}
+
 func checkFlatKernels(t *testing.T, name string, bs []bool) {
 	t.Helper()
 	n := len(bs)
@@ -45,16 +65,11 @@ func checkFlatKernels(t *testing.T, name string, bs []bool) {
 			t.Fatalf("%s: OrInto into a populated buffer = %x, want %x", tag, dst, wantPre)
 		}
 
-		ids := make([]int32, n) // exactly Len long: a write past it panics
-		for p := range ids {
-			ids[p] = -1
-		}
-		bm.WriteIDs(ids, 7)
-		for p, id := range ids {
-			if (id == 7) != bs[p] || (id != 7 && id != -1) {
-				t.Fatalf("%s: WriteIDs left %d at %d (bit %v)", tag, id, p, bs[p])
-			}
-		}
+		checkWriteIDs[uint8](t, tag+"/uint8", bm, bs)
+		checkWriteIDs[uint16](t, tag+"/uint16", bm, bs)
+		checkWriteIDs[int32](t, tag+"/int32", bm, bs)
+		// Any other Bitmap implementation decodes through its Runs().
+		checkWriteIDs[uint8](t, tag+"/runs", opaque{bm}, bs)
 
 		// Every range of a short bitmap; odd strides (so every byte and
 		// segment alignment still comes up) over a long one.
@@ -170,6 +185,32 @@ func BenchmarkOrInto(b *testing.B) {
 			b.SetBytes(int64(bm.SizeBytes()))
 			for i := 0; i < b.N; i++ {
 				bm.OrInto(dst)
+			}
+		})
+	}
+}
+
+// BenchmarkWriteIDs is the id decode of one 1M-bit bin per codec, at the
+// density each codec is chosen for, into each element width: one and two
+// bytes (the selection scorer's ids), four (the query layer's scratch).
+func BenchmarkWriteIDs(b *testing.B) {
+	b.Run("uint8", benchWriteIDs[uint8])
+	b.Run("uint16", benchWriteIDs[uint16])
+	b.Run("int32", benchWriteIDs[int32])
+}
+
+func benchWriteIDs[T ID](b *testing.B) {
+	const n = 1 << 20
+	for _, c := range []struct {
+		name    string
+		density float64
+	}{{"wah", 0.01}, {"bbc", 0.01}, {"dense", 0.6}} {
+		bm := codecsOf(benchBits(n, c.density))[c.name]
+		dst := make([]T, n)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(bm.SizeBytes()))
+			for i := 0; i < b.N; i++ {
+				WriteIDs(bm, dst, 7)
 			}
 		})
 	}

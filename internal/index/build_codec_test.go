@@ -144,7 +144,10 @@ func benchField(b *testing.B) ([]float64, binning.Mapper) {
 	return field, m
 }
 
-var sinkIndex *Index
+var (
+	sinkIndex *Index
+	sinkIDs   *BinIDs
+)
 
 func BenchmarkBuildParallelCodec(b *testing.B) {
 	data, m := benchField(b)
@@ -154,6 +157,13 @@ func BenchmarkBuildParallelCodec(b *testing.B) {
 			b.SetBytes(int64(8 * len(data)))
 			for i := 0; i < b.N; i++ {
 				sinkIndex = BuildParallelCodec(data, m, w, codec.Auto)
+			}
+		})
+		b.Run(fmt.Sprintf("ids/%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(data)))
+			for i := 0; i < b.N; i++ {
+				sinkIndex, sinkIDs = BuildParallelCodecIDs(data, m, w, codec.Auto)
 			}
 		})
 	}

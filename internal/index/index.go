@@ -209,12 +209,7 @@ func (x *Index) BinIDs(dst []int32) []int32 {
 	if len(dst) != x.n {
 		dst = make([]int32, x.n)
 	}
-	for b, v := range x.vecs {
-		if x.counts[b] == 0 {
-			continue
-		}
-		v.WriteIDs(dst, int32(b))
-	}
+	decodeIDs(x, dst, 1)
 	return dst
 }
 
@@ -282,9 +277,16 @@ func NewStreamBuilder(m binning.Mapper) *StreamBuilder {
 }
 
 // Append indexes a chunk of values; chunks of any size may be appended.
-func (sb *StreamBuilder) Append(data []float64) {
-	for _, v := range data {
+func (sb *StreamBuilder) Append(data []float64) { appendIDs[uint8](sb, data, nil) }
+
+// appendIDs is Append which, given ids as long as data (nil: none wanted),
+// also stores there the bin id it computes for each value.
+func appendIDs[T bitvec.ID](sb *StreamBuilder, data []float64, ids []T) {
+	for i, v := range data {
 		b := sb.mapper.Bin(v)
+		if i < len(ids) {
+			ids[i] = T(b)
+		}
 		if sb.segs[b] == 0 {
 			sb.touched = append(sb.touched, int32(b))
 		}
@@ -371,6 +373,22 @@ func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 // encoded exactly once and the index is stamped with one generation; the
 // result equals Build(data, m).Recode(id) bit for bit.
 func BuildParallelCodec(data []float64, m binning.Mapper, nWorkers int, id codec.ID) *Index {
+	return buildParallel(data, m, nWorkers, id, nil)
+}
+
+// BuildParallelCodecIDs is BuildParallelCodec that also hands back what its
+// first phase computes anyway: the bin id of every element, each worker
+// storing its own sub-block's range. The ids equal DecodeBinIDs of the
+// returned index, which is the index BuildParallelCodec builds; above
+// MaxIDBins bins no ids are produced (nil).
+func BuildParallelCodecIDs(data []float64, m binning.Mapper, nWorkers int, id codec.ID) (*Index, *BinIDs) {
+	ids := newBinIDs(len(data), m.Bins())
+	return buildParallel(data, m, nWorkers, id, ids), ids
+}
+
+// buildParallel is the two-phase build; a non-nil ids (len(data) elements)
+// is filled in during the first phase.
+func buildParallel(data []float64, m binning.Mapper, nWorkers int, id codec.ID, ids *BinIDs) *Index {
 	start := buildStart()
 	nSegs := (len(data) + bitvec.SegmentBits - 1) / bitvec.SegmentBits
 	nWorkers = max(1, min(nWorkers, nSegs))
@@ -380,7 +398,15 @@ func BuildParallelCodec(data []float64, m binning.Mapper, nWorkers int, id codec
 	subs := make([]*StreamBuilder, nWorkers)
 	sim.ParallelEach(nWorkers, func(w int) {
 		subs[w] = NewStreamBuilder(m)
-		subs[w].Append(data[bound(w):bound(w+1)])
+		lo, hi := bound(w), bound(w+1)
+		switch {
+		case ids == nil:
+			subs[w].Append(data[lo:hi])
+		case ids.U8 != nil:
+			appendIDs(subs[w], data[lo:hi], ids.U8[lo:hi])
+		default:
+			appendIDs(subs[w], data[lo:hi], ids.U16[lo:hi])
+		}
 		subs[w].flush()
 	})
 	nb := m.Bins()

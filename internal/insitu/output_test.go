@@ -240,7 +240,9 @@ func TestOutputDirCreationFailure(t *testing.T) {
 // build, the encode and the score all split inside the variable) and lulesh
 // (twelve arrays, spatial EMD, separate cores: they split across variables)
 // — must write a byte-equal manifest, journal and .isbm set at every core
-// count.
+// count, and again over a simulator that poisons whatever it lent once it
+// steps on (lend_test.go): with more workers reading a lent step, none may
+// read it late.
 func TestRunOutputIdenticalAcrossCores(t *testing.T) {
 	heat := func(cores int, dir string) Config {
 		h, err := heat3d.New(14, 14, 14)
@@ -275,6 +277,10 @@ func TestRunOutputIdenticalAcrossCores(t *testing.T) {
 				continue
 			}
 			sameSnapshot(t, fmt.Sprintf("%s cores=%d vs cores=1", name, cores), want, got)
+		}
+		for _, cores := range []int{1, 2, 4} {
+			got, _ := runPoisoned(t, config(cores, ""))
+			sameSnapshot(t, fmt.Sprintf("%s cores=%d over a poisoning simulator vs cores=1", name, cores), want, got)
 		}
 	}
 }

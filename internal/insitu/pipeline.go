@@ -234,6 +234,11 @@ type Result struct {
 	StepBytes int64
 	// SummaryBytes is the average per-step summary size.
 	SummaryBytes int64
+	// IDBytes is the average per-step size of the bin ids the summaries
+	// carry in memory next to their bitmaps (conditional-entropy runs: one
+	// narrow id per element, handed from the build to the scorer). They are
+	// never written, so SummaryBytes does not count them; PeakMemory does.
+	IDBytes int64
 	// PeakMemory is the modelled in-situ working set (Figure 11).
 	PeakMemory int64
 	// QueuePeak is the high-watermark of the separate-cores step queue
@@ -330,6 +335,7 @@ func (r *reducer) reduce(fields []sim.Field, nWorkers int) (*stepSummary, error)
 	parts := make([]selection.Summary, len(fields))
 	outBytes := int64(0)
 	memBytes := int64(0)
+	idBytes := int64(0)
 	switch r.cfg.Method {
 	case Bitmaps:
 		// The step's cores are spent once: multi-variable steps (Lulesh's 12
@@ -338,17 +344,29 @@ func (r *reducer) reduce(fields []sim.Field, nWorkers int) (*stepSummary, error)
 		// instead. Each bin is encoded under the codec policy as it is
 		// finished. Aggregation below is in variable order, so the result is
 		// deterministic either way.
+		//
+		// Conditional entropy is scored from per-element bin ids, which the
+		// build computes anyway: it is asked to keep them, so the scorer never
+		// decodes the bitmaps back. The EMD metrics read histograms and
+		// bitmaps only and carry no ids.
 		xs := make([]*index.Index, len(fields))
+		ids := make([]*index.BinIDs, len(fields))
+		wantIDs := r.cfg.Metric == selection.ConditionalEntropy
 		perVar := max(1, nWorkers/max(1, len(fields)))
 		sim.ParallelFor(len(fields), nWorkers, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				xs[k] = index.BuildParallelCodec(fields[k].Data, r.mappers[k], perVar, r.cfg.Codec)
+				if wantIDs {
+					xs[k], ids[k] = index.BuildParallelCodecIDs(fields[k].Data, r.mappers[k], perVar, r.cfg.Codec)
+				} else {
+					xs[k] = index.BuildParallelCodec(fields[k].Data, r.mappers[k], perVar, r.cfg.Codec)
+				}
 			}
 		})
 		for k, x := range xs {
-			parts[k] = &selection.BitmapSummary{X: x, Workers: perVar}
+			parts[k] = selection.NewBuiltSummary(x, ids[k], perVar)
 			outBytes += store.IndexSize(x)
 			memBytes += int64(x.SizeBytes())
+			idBytes += int64(ids[k].SizeBytes())
 		}
 	case FullData:
 		for k, f := range fields {
@@ -370,7 +388,7 @@ func (r *reducer) reduce(fields []sim.Field, nWorkers int) (*stepSummary, error)
 		return nil, fmt.Errorf("insitu: unknown method %v", r.cfg.Method)
 	}
 	return &stepSummary{
-		parts: parts, outBytes: outBytes, memBytes: memBytes,
+		parts: parts, outBytes: outBytes, memBytes: memBytes, idBytes: idBytes,
 		weights: r.cfg.VarWeights, cores: nWorkers,
 	}, nil
 }
@@ -380,8 +398,9 @@ func (r *reducer) reduce(fields []sim.Field, nWorkers int) (*stepSummary, error)
 type stepSummary struct {
 	step     int
 	parts    []selection.Summary
-	outBytes int64
-	memBytes int64
+	outBytes int64     // serialized size on the output device
+	memBytes int64     // in-memory size of what gets written (bitmaps, raw or sampled arrays)
+	idBytes  int64     // in-memory bin ids handed to the scorer, never written
 	weights  []float64 // nil = equal weights
 	// cores lets multi-variable metric evaluation fan out across the
 	// pipeline's workers ("the time-steps selection time is reduced almost
@@ -454,8 +473,9 @@ func (s *stepSummary) Importance() float64 {
 	return total
 }
 
-// SizeBytes implements selection.Summary.
-func (s *stepSummary) SizeBytes() int { return int(s.memBytes) }
+// SizeBytes implements selection.Summary: everything the summary holds in
+// memory.
+func (s *stepSummary) SizeBytes() int { return int(s.memBytes + s.idBytes) }
 
 var _ selection.Summary = (*stepSummary)(nil)
 
@@ -472,6 +492,7 @@ type selector struct {
 	selected  []int
 	written   int64
 	sumBytes  int64
+	idBytes   int64
 	nSeen     int
 	w         *writer
 	rt        *runTelemetry
@@ -508,6 +529,7 @@ func newSelector(cfg Config) *selector {
 func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 	sum.step = t
 	s.sumBytes += sum.memBytes
+	s.idBytes += sum.idBytes
 	s.nSeen++
 	s.rt.stepsDone.Inc()
 	s.rt.observeStep(ctx, t, sum)
@@ -662,13 +684,14 @@ func (r *Result) finishMemory(cfg Config, red *reducer) {
 	}
 	stepBytes := int64(8*cfg.Sim.Elements()) * int64(len(cfg.Sim.Vars()))
 	r.StepBytes = stepBytes
-	r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.SummaryBytes, window)
+	r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.SummaryBytes+r.IDBytes, window)
 }
 
 // MemoryModel reproduces the paper's Figure 11 accounting. Full data holds
 // the previous selected step, one in-flight (simulating) step, and `window`
 // current steps — all raw. The reduced methods hold the in-flight raw step,
-// the previous selected summary, and `window` current summaries.
+// the previous selected summary, and `window` current summaries, each at its
+// in-memory size (a conditional-entropy summary carries its bin ids too).
 func MemoryModel(m Method, stepBytes, summaryBytes int64, window int) int64 {
 	switch m {
 	case FullData:

@@ -19,16 +19,32 @@ type Strategy interface {
 
 // runStep advances the simulator one step with panic capture: a panicking
 // simulator worker becomes an error (and a telemetry count), not a dead
-// process with a half-written output directory.
-func runStep(cfg Config, rt *runTelemetry, t, workers int) (fields []sim.Field, err error) {
+// process with a half-written output directory. With lend set, a simulator
+// that can lend its arrays (sim.Lender) is not asked for a copy.
+func runStep(cfg Config, rt *runTelemetry, t, workers int, lend bool) (fields []sim.Field, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rt.workerPanics.Inc()
 			err = fmt.Errorf("insitu: simulator panic at step %d: %v", t, r)
 		}
 	}()
-	return cfg.Sim.Step(workers), nil
+	return step(cfg.Sim, workers, lend), nil
 }
+
+// step advances s one time-step, lent when that is both wanted and possible.
+func step(s sim.Simulator, workers int, lend bool) []sim.Field {
+	if l, ok := s.(sim.Lender); ok && lend {
+		return l.StepLent(workers)
+	}
+	return s.Step(workers)
+}
+
+// lendsSteps reports whether a run that alternates simulate and reduce on
+// one goroutine may read each step in the simulator's own arrays: its
+// reduction is over before the next step starts, so what matters is that the
+// summary keeps nothing of the raw array. A bitmap index and a sample are
+// copies by construction; a full-data summary is the array itself.
+func lendsSteps(cfg Config) bool { return cfg.Method != FullData }
 
 // runReduce summarizes one step with the same panic capture. On a resumed
 // run, steps whose outcome the journal already fixes are not re-reduced —
@@ -71,7 +87,7 @@ func (SharedCores) run(cfg Config, red *reducer, sel *selector) (*Result, error)
 		sp := rt.root.Child(SpanSimulate)
 		ssp := st.Child(SpanSimulate)
 		unlabel := rt.enterPhase(stepCtx, SpanSimulate)
-		fields, err := runStep(cfg, rt, t, cfg.Cores)
+		fields, err := runStep(cfg, rt, t, cfg.Cores, lendsSteps(cfg))
 		unlabel()
 		ssp.End()
 		sp.End()
@@ -168,7 +184,8 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 			sp := rt.root.Child(SpanSimulate)
 			ssp := st.Child(SpanSimulate)
 			unlabel := rt.enterPhase(stepCtx, SpanSimulate)
-			fields, err := runStep(cfg, rt, t, s.SimCores)
+			// The queue holds steps while the simulator runs on: owned copies.
+			fields, err := runStep(cfg, rt, t, s.SimCores, false)
 			unlabel()
 			ssp.End()
 			sp.End()
@@ -243,6 +260,7 @@ func finishResult(cfg Config, sel *selector, res *Result) {
 	res.BytesWritten = sel.written
 	if sel.nSeen > 0 {
 		res.SummaryBytes = sel.sumBytes / int64(sel.nSeen)
+		res.IDBytes = sel.idBytes / int64(sel.nSeen)
 	}
 	if cfg.Store != nil {
 		res.Breakdown.Output = cfg.Store.ModeledTime()
@@ -281,7 +299,7 @@ func Calibrate(cfg Config, calibSteps int) (SeparateCores, error) {
 	var simTime, redTime time.Duration
 	for t := 0; t < calibSteps; t++ {
 		t0 := time.Now()
-		fields := cfg.Sim.Step(cfg.Cores)
+		fields := step(cfg.Sim, cfg.Cores, lendsSteps(cfg))
 		t1 := time.Now()
 		if _, err := red.reduce(fields, cfg.Cores); err != nil {
 			return SeparateCores{}, err

@@ -80,17 +80,20 @@ func TestJointHistogramOnBrokenPartition(t *testing.T) {
 	}
 }
 
-// On in-process indexes the worker count must not change one integer, and a
-// decoded operand must stand in for its index exactly.
+// On in-process indexes the worker count must not change one integer, and
+// decoded operands must stand in for their indexes exactly — at every pairing
+// of the two id widths (one byte up to 256 bins, two beyond).
 func TestJointHistogramIDsMatchesBitmaps(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	for _, n := range []int{0, 1, 5, 3000} {
-		xa := index.Build(smooth(r, n), uniform(t, 12))
-		xb := index.Build(smooth(r, n), uniform(t, 7))
-		want := freshJoint(xa, xb)
-		for _, w := range []int{1, 2, 5, 64} {
-			if got := JointHistogramIDs(xa, DecodeBinIDs(xb, w), w); !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d workers=%d: joint histogram differs from the serial reference", n, w)
+	for _, bins := range [][2]int{{12, 7}, {256, 7}, {300, 7}, {7, 257}, {300, 257}} {
+		for _, n := range []int{0, 1, 5, 3000} {
+			xa := index.Build(smooth(r, n), uniform(t, bins[0]))
+			xb := index.Build(smooth(r, n), uniform(t, bins[1]))
+			want := freshJoint(xa, xb)
+			for _, w := range []int{1, 2, 5, 64} {
+				if got := JointFromIDs(index.DecodeBinIDs(xa, w), index.DecodeBinIDs(xb, w), w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("bins=%v n=%d workers=%d: joint histogram differs from the serial reference", bins, n, w)
+				}
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitcache"
+	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 	"insitubits/internal/sim"
 )
@@ -54,69 +55,58 @@ func JointHistogram(a, b []float64, ma, mb binning.Mapper) [][]int {
 // scale the AND product term (bins² × compressed words) can exceed O(n);
 // both compute identical numbers (asserted by tests).
 //
-// It runs on one goroutine and accepts any index, including one read from
-// an untrusted file whose bins do not partition its elements: a position no
-// bin covers counts as bin 0, one several bins claim as the highest of them.
+// It runs on one goroutine and accepts any index of up to index.MaxIDBins
+// bins, including one read from an untrusted file whose bins do not
+// partition its elements: a position no bin covers counts as bin 0, one
+// several bins claim as the highest of them.
 func JointHistogramBitmaps(xa, xb *index.Index) [][]int {
 	if xa.N() != xb.N() {
 		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", xa.N(), xb.N()))
 	}
-	return JointHistogramIDs(xa, DecodeBinIDs(xb, 1), 1)
+	return JointFromIDs(index.DecodeBinIDs(xa, 1), index.DecodeBinIDs(xb, 1), 1)
 }
 
-// BinIDs is an index decoded to one bin id per element: what a selection
-// keeps of its last kept step, so that scoring each candidate against it
-// decodes only the candidate.
-type BinIDs struct {
-	ids  []int32
-	bins int
-}
-
-// DecodeBinIDs decodes x into a BinIDs of its own (4 bytes per element,
-// freed with its holder), bins striped over nWorkers goroutines. More than
-// one worker needs bins that partition the elements — true of every index
-// built in this process — because overlapping bins would race on a
-// position. The array starts zeroed and only x's own ids are written, so
-// an element no bin covers reads as bin 0 and no id reaches x.Bins().
-func DecodeBinIDs(x *index.Index, nWorkers int) *BinIDs {
-	ids := make([]int32, x.N())
-	counts := x.Histogram()
-	nWorkers = max(1, min(nWorkers, x.Bins()))
-	sim.ParallelEach(nWorkers, func(w int) {
-		for b := w; b < x.Bins(); b += nWorkers {
-			if counts[b] != 0 {
-				x.Bitmap(b).WriteIDs(ids, int32(b))
-			}
-		}
-	})
-	return &BinIDs{ids: ids, bins: x.Bins()}
-}
-
-// JointHistogramIDs is JointHistogramBitmaps(xa, xb) with xb already
-// decoded. Only xa is decoded, with its bins striped over nWorkers
-// goroutines (see DecodeBinIDs for when that is allowed); the pairs are
-// then tallied over one element range per worker and the per-worker tables
-// summed, so the integers do not depend on nWorkers.
-//
-// xa's id array is allocated here and dropped on return, deliberately not
-// pooled: a pooled array is live at every garbage-collection mark and the
-// heap goal is twice the live heap, so on a 16.8 MB/step run keeping 8.4 MB
-// of scratch cost 43 MB of peak RSS.
-func JointHistogramIDs(xa *index.Index, b *BinIDs, nWorkers int) [][]int {
-	n := xa.N()
-	if n != len(b.ids) {
-		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", n, len(b.ids)))
+// JointFromIDs is the joint histogram of two indexes in decoded form:
+// joint[i][j] = |{k : a_k = i, b_k = j}|. The pairs are tallied over one
+// element range per worker into flat per-worker tables, which are then
+// summed, so the integers do not depend on nWorkers. A nil operand is an
+// index of more than index.MaxIDBins bins, whose joint table would not fit
+// in memory anyway.
+func JointFromIDs(a, b *index.BinIDs, nWorkers int) [][]int {
+	if a == nil || b == nil {
+		panic(fmt.Sprintf("metrics: joint histogram over an index of more than %d bins", index.MaxIDBins))
 	}
-	a := DecodeBinIDs(xa, nWorkers)
-	nb := b.bins
-	size := a.bins * nb
+	if a.Len() != b.Len() {
+		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", a.Len(), b.Len()))
+	}
+	var cells []int
+	switch {
+	case a.U8 != nil && b.U8 != nil:
+		cells = tally(a.U8, b.U8, a.Bins, b.Bins, nWorkers)
+	case a.U8 != nil:
+		cells = tally(a.U8, b.U16, a.Bins, b.Bins, nWorkers)
+	case b.U8 != nil:
+		cells = tally(a.U16, b.U8, a.Bins, b.Bins, nWorkers)
+	default:
+		cells = tally(a.U16, b.U16, a.Bins, b.Bins, nWorkers)
+	}
+	joint := make([][]int, a.Bins)
+	for i := range joint {
+		joint[i] = cells[i*b.Bins : (i+1)*b.Bins]
+	}
+	return joint
+}
+
+// tally counts the (a[k], b[k]) pairs into a flat na×nb table.
+func tally[A, B bitvec.ID](a []A, b []B, na, nb, nWorkers int) []int {
+	n, size := len(a), na*nb
 	nWorkers = max(1, min(nWorkers, n))
 	cells := make([]int, nWorkers*size) // one flat table per worker
 	sim.ParallelEach(nWorkers, func(w int) {
 		mine := cells[w*size : (w+1)*size]
 		from, to := w*n/nWorkers, (w+1)*n/nWorkers
-		ib := b.ids[from:to]
-		for k, i := range a.ids[from:to] {
+		ib := b[from:to]
+		for k, i := range a[from:to] {
 			mine[int(i)*nb+int(ib[k])]++
 		}
 	})
@@ -126,11 +116,7 @@ func JointHistogramIDs(xa *index.Index, b *BinIDs, nWorkers int) [][]int {
 			total[c] += v
 		}
 	}
-	joint := make([][]int, a.bins)
-	for i := range joint {
-		joint[i] = total[i*nb : (i+1)*nb]
-	}
-	return joint
+	return total
 }
 
 // JointHistogramBitmapsAND is the paper's Figure 5 formulation verbatim:

@@ -294,7 +294,7 @@ func (e *executor) decode(name string, x *index.Index, s Subset) ([]int32, error
 			return nil, err
 		}
 		o.scan("ids", x, b)
-		x.Bitmap(b).WriteIDs(ids, int32(b))
+		bitvec.WriteIDs(x.Bitmap(b), ids, int32(b))
 	}
 	return ids, nil
 }

@@ -14,32 +14,44 @@ import (
 
 // The paper's claim at the scorer: the conditional-entropy score from the
 // bitmaps is the full-data score to the last bit, whatever the bins are
-// encoded as, however many workers decode and tally, and with the kept
-// step's ids cached on its summary. One kept summary is scored against
-// several candidates (the cache's whole point), then a candidate replaces
-// it, as a selection does at each interval's end: the ids used must always
-// be the current kept step's own.
+// encoded as, however many workers build, decode and tally, and wherever a
+// summary's ids come from — handed over by the build that computed them,
+// decoded from the bitmaps the first time the summary is scored, or one of
+// each in a pair. One kept summary is scored against several candidates,
+// then a candidate replaces it, as a selection does at each interval's end:
+// the ids used must always be the current kept step's own.
 func TestCondEntropyScoreMatchesFullData(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	m := mapper(t)
 	raw := evolvingSteps(r, 9, 4000)
 	codecs := []codec.ID{codec.WAH, codec.BBC, codec.Dense, codec.Auto}
-	for _, workers := range []int{1, 2, 5} {
-		summary := func(step int) (*DataSummary, *BitmapSummary) {
-			// A different encoding per step, so a score's two operands mix codecs.
-			x := index.BuildCodec(raw[step], m, codecs[(step+workers)%len(codecs)])
-			return NewDataSummary(raw[step], m), &BitmapSummary{X: x, Workers: workers}
-		}
-		keptData, kept := summary(0)
-		for step := 1; step < len(raw); step++ {
-			data, bmp := summary(step)
-			for rep := 0; rep < 2; rep++ { // the second score runs entirely from the cache
-				if got, want := bmp.Dissimilarity(kept, ConditionalEntropy), data.Dissimilarity(keptData, ConditionalEntropy); got != want {
-					t.Fatalf("workers=%d: step %d vs kept: bitmaps score %v, full data %v", workers, step, got, want)
+	for name, handed := range map[string]func(step int) bool{
+		"handed-ids":  func(int) bool { return true },
+		"decoded-ids": func(int) bool { return false },
+		"mixed":       func(step int) bool { return step%2 == 0 }, // kept steps 0, 3, 6 alternate too
+	} {
+		for _, workers := range []int{1, 2, 5} {
+			summary := func(step int) (*DataSummary, *BitmapSummary) {
+				// A different encoding per step, so a score's two operands mix codecs.
+				id := codecs[(step+workers)%len(codecs)]
+				data := NewDataSummary(raw[step], m)
+				if handed(step) {
+					x, ids := index.BuildParallelCodecIDs(raw[step], m, workers, id)
+					return data, NewBuiltSummary(x, ids, workers)
 				}
+				return data, &BitmapSummary{X: index.BuildCodec(raw[step], m, id), Workers: workers}
 			}
-			if step%3 == 0 {
-				keptData, kept = data, bmp
+			keptData, kept := summary(0)
+			for step := 1; step < len(raw); step++ {
+				data, bmp := summary(step)
+				for rep := 0; rep < 2; rep++ { // the second score decodes nothing
+					if got, want := bmp.Dissimilarity(kept, ConditionalEntropy), data.Dissimilarity(keptData, ConditionalEntropy); got != want {
+						t.Fatalf("%s workers=%d: step %d vs kept: bitmaps score %v, full data %v", name, workers, step, got, want)
+					}
+				}
+				if step%3 == 0 {
+					keptData, kept = data, bmp
+				}
 			}
 		}
 	}
@@ -72,9 +84,10 @@ func TestCondEntropyScoreConcurrentCandidates(t *testing.T) {
 var sinkScore float64
 
 // One conditional-entropy score between two heat3d steps (64³ elements, 160
-// bins, adaptive codecs): cold builds both summaries' state from scratch, as
-// the first candidate of an interval does; kept-cached is every later
-// candidate, which decodes only itself.
+// bins, adaptive codecs). handed-ids is the in-situ pipeline's score: both
+// summaries carry the ids their builds emitted, so it is one tally.
+// decoded-ids is what a score over indexes read from files pays the first
+// time: both summaries decode their bitmaps, then the same tally.
 func BenchmarkCondEntropyScore(b *testing.B) {
 	h, err := heat3d.New(64, 64, 64)
 	if err != nil {
@@ -85,24 +98,29 @@ func BenchmarkCondEntropyScore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var xs []*index.Index
+	var fields [][]float64
 	for step := 0; step < 21; step++ {
 		if field := h.Step(1)[0].Data; step >= 19 {
-			xs = append(xs, index.BuildCodec(field, m, codec.Auto))
+			fields = append(fields, field)
 		}
 	}
 	for _, workers := range []int{1, 2} {
-		cand := &BitmapSummary{X: xs[1], Workers: workers}
-		b.Run(fmt.Sprintf("cold/%d", workers), func(b *testing.B) {
+		var xs [2]*index.Index
+		var ids [2]*index.BinIDs
+		for k, field := range fields {
+			xs[k], ids[k] = index.BuildParallelCodecIDs(field, m, workers, codec.Auto)
+		}
+		b.Run(fmt.Sprintf("handed-ids/%d", workers), func(b *testing.B) {
+			kept, cand := NewBuiltSummary(xs[0], ids[0], workers), NewBuiltSummary(xs[1], ids[1], workers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkScore = cand.Dissimilarity(&BitmapSummary{X: xs[0], Workers: workers}, ConditionalEntropy)
+				sinkScore = cand.Dissimilarity(kept, ConditionalEntropy)
 			}
 		})
-		b.Run(fmt.Sprintf("kept-cached/%d", workers), func(b *testing.B) {
-			kept := &BitmapSummary{X: xs[0], Workers: workers}
+		b.Run(fmt.Sprintf("decoded-ids/%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				kept, cand := &BitmapSummary{X: xs[0], Workers: workers}, &BitmapSummary{X: xs[1], Workers: workers}
 				sinkScore = cand.Dissimilarity(kept, ConditionalEntropy)
 			}
 		})

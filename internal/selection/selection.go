@@ -109,30 +109,37 @@ func (s *DataSummary) SizeBytes() int { return 8 * len(s.Data) }
 type BitmapSummary struct {
 	X *index.Index
 
-	// Workers is how many goroutines one conditional-entropy score against
-	// this summary's index may use; below 2 it runs on the caller's. The
-	// in-situ reducer sets it to the cores the step was given. More than one
-	// needs an index built in this process (metrics.DecodeBinIDs).
+	// Workers is how many goroutines one conditional-entropy score of this
+	// summary may use; below 2 it runs on the caller's. The in-situ reducer
+	// sets it to the cores the step was given. More than one needs an index
+	// built in this process (index.DecodeBinIDs).
 	Workers int
 
-	// The summary's decoded bin ids, made the first time it is the selected
-	// operand of a conditional-entropy score: a selection scores a whole
-	// interval of candidates against one kept step. They live and die with
-	// the summary; idsOf is the index they were decoded from.
-	mu    sync.Mutex
-	ids   *metrics.BinIDs
-	idsOf *index.Index
+	// X in decoded form, one narrow bin id per element, which is what a
+	// conditional-entropy score tallies. Either the build that produced X
+	// emitted it (NewBuiltSummary) or the first such score decodes it from
+	// X's bitmaps; it then lives and dies with the summary, so a kept step
+	// scored against a whole interval of candidates is decoded at most once.
+	mu  sync.Mutex
+	ids *index.BinIDs
 }
 
 // NewBitmapSummary wraps a built index; its scores run on one goroutine.
 func NewBitmapSummary(x *index.Index) *BitmapSummary { return &BitmapSummary{X: x} }
 
-// binIDs returns the summary's decoded ids, decoding them on first use.
-func (s *BitmapSummary) binIDs(nWorkers int) *metrics.BinIDs {
+// NewBuiltSummary wraps an index together with the ids its build emitted
+// (index.BuildParallelCodecIDs; nil ids are decoded on demand) and the
+// worker count its scores may use.
+func NewBuiltSummary(x *index.Index, ids *index.BinIDs, workers int) *BitmapSummary {
+	return &BitmapSummary{X: x, Workers: workers, ids: ids}
+}
+
+// binIDs returns the summary's ids, decoding them on first use.
+func (s *BitmapSummary) binIDs() *index.BinIDs {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.idsOf != s.X {
-		s.ids, s.idsOf = metrics.DecodeBinIDs(s.X, nWorkers), s.X
+	if s.ids == nil {
+		s.ids = index.DecodeBinIDs(s.X, s.Workers)
 	}
 	return s.ids
 }
@@ -145,7 +152,7 @@ func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	}
 	switch m {
 	case ConditionalEntropy:
-		joint := metrics.JointHistogramIDs(s.X, o.binIDs(s.Workers), s.Workers)
+		joint := metrics.JointFromIDs(s.binIDs(), o.binIDs(), s.Workers)
 		return metrics.ConditionalEntropy(joint, s.X.Histogram(), o.X.Histogram(), s.X.N())
 	case EMDCount:
 		return metrics.EMDCount(s.X.Histogram(), o.X.Histogram())
@@ -161,8 +168,13 @@ func (s *BitmapSummary) Importance() float64 {
 	return metrics.Entropy(s.X.Histogram(), s.X.N())
 }
 
-// SizeBytes implements Summary: the compressed index size.
-func (s *BitmapSummary) SizeBytes() int { return s.X.SizeBytes() }
+// SizeBytes implements Summary: the compressed index plus the ids the
+// summary holds so far.
+func (s *BitmapSummary) SizeBytes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.X.SizeBytes() + s.ids.SizeBytes()
+}
 
 // Partitioner splits steps 1..n-1 (step 0 is always pre-selected, as in the
 // paper's Figure 3) into k-1 intervals, returning half-open [lo, hi) pairs.

@@ -376,6 +376,11 @@ func TestChaosDrainUnderLoad(t *testing.T) {
 	if got := s.adm.inflight(); got != 0 {
 		t.Fatalf("drain returned with %d requests still holding slots", got)
 	}
+	// The storm is still arriving: let one of its requests meet the gate
+	// before stopping it (Drain can return before any worker's next request).
+	for deadline := time.Now().Add(5 * time.Second); refused.load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
 

@@ -168,10 +168,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// In-flight accounting opens before the drain check: Drain flips the
-	// state and then waits the group, so a request that passes the check
-	// is guaranteed to be waited for.
-	s.inflight.Add(1)
-	defer s.inflight.Done()
+	// state and then waits for the group to empty, so a request that passes
+	// the check is guaranteed to be waited for.
+	s.inflight.enter()
+	defer s.inflight.leave()
 	if s.state.Load() != stateReady {
 		s.refused.Add(1)
 		_, reason := s.ready()

@@ -111,8 +111,8 @@ type Server struct {
 	cat atomic.Pointer[catalog]
 
 	state    atomic.Int32
-	reloadMu sync.Mutex     // serializes catalog swaps
-	inflight sync.WaitGroup // admitted /v1/query requests, for Drain
+	reloadMu sync.Mutex    // serializes catalog swaps
+	inflight inflightGroup // requests inside handleQuery, for Drain
 
 	requests atomic.Int64 // /v1/query arrivals
 	panics   atomic.Int64 // recovered request panics
@@ -278,15 +278,10 @@ func (s *Server) Watch(ctx context.Context, interval time.Duration, onSwap func(
 // in-flight request completed, or an error naming how many were abandoned.
 func (s *Server) Drain(ctx context.Context) error {
 	s.state.Store(stateDraining)
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
 	timeout := time.NewTimer(s.cfg.DrainTimeout)
 	defer timeout.Stop()
 	select {
-	case <-done:
+	case <-s.inflight.idle():
 		return nil
 	case <-timeout.C:
 		return fmt.Errorf("serve: drain deadline (%s) passed with %d requests still in flight",
@@ -294,6 +289,48 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain cancelled: %w", ctx.Err())
 	}
+}
+
+// inflightGroup counts the requests inside handleQuery so that Drain can
+// wait for them. It is not a sync.WaitGroup because requests keep arriving
+// while Drain waits — each is counted, refused and released — and a
+// WaitGroup forbids an Add from zero concurrent with Wait.
+type inflightGroup struct {
+	mu     sync.Mutex
+	n      int
+	zeroed chan struct{} // a waiter's channel while n > 0; closed when n returns to 0
+}
+
+func (g *inflightGroup) enter() {
+	g.mu.Lock()
+	g.n++
+	g.mu.Unlock()
+}
+
+func (g *inflightGroup) leave() {
+	g.mu.Lock()
+	g.n--
+	if g.n == 0 && g.zeroed != nil {
+		close(g.zeroed)
+		g.zeroed = nil
+	}
+	g.mu.Unlock()
+}
+
+// idle returns a channel that is closed once no request is in flight: at
+// once if none is now, else when the count next returns to zero.
+func (g *inflightGroup) idle() <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.n == 0 {
+		done := make(chan struct{})
+		close(done)
+		return done
+	}
+	if g.zeroed == nil {
+		g.zeroed = make(chan struct{})
+	}
+	return g.zeroed
 }
 
 // Draining reports whether Drain has started.

@@ -240,6 +240,49 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestInflightGroupAdmitDuringDrain is what a sync.WaitGroup may not do:
+// arrivals keep entering and leaving — from a count of zero too — while a
+// drain waits. The waiter must be released by the first return to zero
+// after the long request ends, never before. Run with -race.
+func TestInflightGroupAdmitDuringDrain(t *testing.T) {
+	var g inflightGroup
+	select {
+	case <-g.idle():
+	default:
+		t.Fatal("an empty group is not idle")
+	}
+	g.enter() // the long request a drain waits for
+	idle := g.idle()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ { // arrivals a draining server refuses
+				g.enter()
+				g.leave()
+			}
+		}()
+	}
+	select {
+	case <-idle:
+		t.Fatal("idle while a request was still in flight")
+	default:
+	}
+	g.leave()
+	wg.Wait()
+	select {
+	case <-idle:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter was never released")
+	}
+	select {
+	case <-g.idle():
+	default:
+		t.Fatal("a drained group is not idle")
+	}
+}
+
 // TestAdmissionBounds hammers acquire/release from many goroutines and
 // checks the invariants the race detector alone can't: waiters never
 // exceed the queue bound, slots never exceed max-inflight, and every

@@ -65,12 +65,11 @@ func (f *FeedSimulator) Step(nWorkers int) []Field {
 	if len(fields) != len(f.vars) {
 		panic(fmt.Sprintf("sim: feed %q step %d has %d fields, declared %d", f.name, f.steps, len(fields), len(f.vars)))
 	}
-	for k, fd := range fields {
+	for _, fd := range fields {
 		if len(fd.Data) != f.elements {
 			panic(fmt.Sprintf("sim: feed %q step %d field %q has %d elements, declared %d",
 				f.name, f.steps, fd.Name, len(fd.Data), f.elements))
 		}
-		_ = k
 	}
 	f.steps++
 	return fields

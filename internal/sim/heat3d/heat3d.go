@@ -74,17 +74,22 @@ func (s *Sim) Elements() int { return s.nx * s.ny * s.nz }
 func (s *Sim) Dims() (nx, ny, nz int) { return s.nx, s.ny, s.nz }
 
 // Step implements sim.Simulator: one explicit Euler step of the 7-point
-// stencil, slab-parallel over z, plus the orbiting source injection.
+// stencil, slab-parallel over z, plus the orbiting source injection, copied
+// out into an array the caller owns.
 func (s *Sim) Step(nWorkers int) []sim.Field {
-	s.StepInto(nWorkers, nil)
-	out := make([]float64, len(s.cur))
-	copy(out, s.cur)
-	return []sim.Field{{Name: "temperature", Data: out}}
+	return sim.CloneFields(s.StepLent(nWorkers))
 }
 
-// StepInto advances one step and, when dst is non-nil, copies the new state
-// into dst instead of allocating — the zero-copy path the in-situ pipeline
-// uses when it immediately consumes and discards the data.
+// StepLent implements sim.Lender: the same step, returned as a view of the
+// simulator's current grid.
+func (s *Sim) StepLent(nWorkers int) []sim.Field {
+	return []sim.Field{{Name: "temperature", Data: s.StepInto(nWorkers, nil)}}
+}
+
+// StepInto advances one step. A non-nil dst receives a copy of the new
+// state (no allocation; the cluster driver's reused buffers); with a nil dst
+// the simulator's own current grid is returned, read-only and valid until
+// the next step.
 func (s *Sim) StepInto(nWorkers int, dst []float64) []float64 {
 	nx, ny, nz := s.nx, s.ny, s.nz
 	a := s.alpha
@@ -188,4 +193,4 @@ func (s *Sim) SetPlaneZ(z int, vals []float64) {
 // StepCount returns how many steps have run.
 func (s *Sim) StepCount() int { return s.step }
 
-var _ sim.Simulator = (*Sim)(nil)
+var _ sim.Lender = (*Sim)(nil)

@@ -116,19 +116,22 @@ func (s *Sim) Ranges() [][2]float64 {
 // Step implements sim.Simulator: EOS → corner forces → integrate, each
 // phase slab-parallel, then a fresh copy of all 12 arrays is returned.
 func (s *Sim) Step(nWorkers int) []sim.Field {
+	return sim.CloneFields(s.StepLent(nWorkers))
+}
+
+// StepLent implements sim.Lender: the same step, returned as views of the
+// simulator's own twelve nodal arrays, which the next step updates in place.
+func (s *Sim) StepLent(nWorkers int) []sim.Field {
 	s.Advance(nWorkers)
-	names := s.Vars()
-	arrays := []*[]float64{
-		&s.posX, &s.posY, &s.posZ,
-		&s.frcX, &s.frcY, &s.frcZ,
-		&s.accX, &s.accY, &s.accZ,
-		&s.velX, &s.velY, &s.velZ,
+	arrays := [][]float64{
+		s.posX, s.posY, s.posZ,
+		s.frcX, s.frcY, s.frcZ,
+		s.accX, s.accY, s.accZ,
+		s.velX, s.velY, s.velZ,
 	}
-	out := make([]sim.Field, len(names))
-	for k := range names {
-		cp := make([]float64, len(*arrays[k]))
-		copy(cp, *arrays[k])
-		out[k] = sim.Field{Name: names[k], Data: cp}
+	out := make([]sim.Field, len(arrays))
+	for k, name := range s.Vars() {
+		out[k] = sim.Field{Name: name, Data: arrays[k]}
 	}
 	return out
 }
@@ -310,4 +313,4 @@ func clamp(v, lo, hi float64) float64 {
 // StepCount returns how many steps have run.
 func (s *Sim) StepCount() int { return s.step }
 
-var _ sim.Simulator = (*Sim)(nil)
+var _ sim.Lender = (*Sim)(nil)

@@ -33,6 +33,30 @@ type Simulator interface {
 	Ranges() [][2]float64
 }
 
+// Lender is a Simulator that can also lend a time-step instead of handing
+// over a copy: the capability of simulators that keep their state in arrays
+// of their own. A consumer that is done with the step before it asks for
+// the next one, and keeps nothing of it, reads the arrays where they are.
+type Lender interface {
+	Simulator
+	// StepLent advances one time-step exactly as Step does, but the
+	// returned fields alias the simulator's own arrays: they are read-only
+	// and valid only until the simulator's next Step or StepLent.
+	StepLent(nWorkers int) []Field
+}
+
+// CloneFields copies lent fields into slices the caller owns: how a Lender
+// implements Step.
+func CloneFields(lent []Field) []Field {
+	out := make([]Field, len(lent))
+	for k, f := range lent {
+		data := make([]float64, len(f.Data))
+		copy(data, f.Data)
+		out[k] = Field{Name: f.Name, Data: data}
+	}
+	return out
+}
+
 // ParallelFor splits [0, n) into one contiguous span per worker and runs fn
 // on each span concurrently; it is the slab decomposition used by all
 // simulators and the bitmap generators. A panic in any worker is re-raised
