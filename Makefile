@@ -22,15 +22,16 @@ race:
 # profiling label gate + snapshot ring, the query server (admission
 # semaphore, catalog generation swaps), the root package (the /healthz
 # probe racing a pipeline's concurrent generation publishes), and the
-# in-situ write path's goroutines: the two-phase parallel build that emits
-# ids as it goes and the striped id decode (index), the per-worker tallies
-# (metrics), the ids a summary shares between concurrent scores
-# (selection), and the simulate → reduce hand-off of a lent step — the
-# simulators (sim) and the pipeline's lend tests (insitu, by name: its
-# crash matrix stays in `race` / `crash-matrix`).
+# in-situ write path's goroutines: the parallel map to ids, the two-phase
+# parallel build from them and the striped id decode (index), the
+# per-worker tallies (metrics), the ids a summary shares between concurrent
+# scores (selection), and the simulate → reduce hand-off of a lent step
+# staged on the simulate side of the separate-cores queue — the simulators
+# (sim) and the pipeline's lend, staging and queue tests (insitu, by name:
+# its crash matrix stays in `race` / `crash-matrix`).
 race-hot:
 	$(GO) test -race . ./internal/query/ ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/sim/...
-	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores' ./internal/insitu/
+	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate' ./internal/insitu/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
 # or all four, untraced end to end and then traced per layer, every
@@ -45,10 +46,13 @@ race-hot:
 # kernels, on heat3d-shaped data (64³ elements, 160 bins):
 # BenchmarkBBCFromBitmap/{sparse,clustered,literal-heavy} and
 # BenchmarkWriteIDs/{uint8,uint16,int32}/{wah,bbc,dense} (internal/bitvec),
-# BenchmarkEncodeAuto (internal/codec), BenchmarkBuildParallelCodec/{1,2}
-# and .../ids/{1,2} (internal/index),
+# BenchmarkEncodeAuto (internal/codec),
+# BenchmarkBinInto/{uniform,explicit,interface}/{uint8,uint16}
+# (internal/binning), BenchmarkBuildParallelCodec/{1,2}, .../ids/{1,2} and
+# BenchmarkBuildFromIDs/{1,2} (internal/index),
 # BenchmarkCondEntropyScore/{handed-ids,decoded-ids}/{1,2}
-# (internal/selection), BenchmarkStepHandoff/{owned,lent} (internal/insitu).
+# (internal/selection), BenchmarkStepHandoff/{owned,lent,staged}
+# (internal/insitu).
 WORKLOAD ?= all
 SEED ?= 1
 bench:
@@ -97,8 +101,9 @@ profile-smoke:
 # (any request, codec and cache state answers exactly as the brute-force
 # model over the binned raw array does), the flat kernels under it
 # (OrInto, FromFlat, WriteIDs, CountRange × codec against a []bool model),
-# and the run-domain BBC encoder (byte-identical to the expanded-buffer
-# model, bounded form exact).
+# the run-domain BBC encoder (byte-identical to the expanded-buffer
+# model, bounded form exact), and the batch bin kernel (BinInto equals the
+# mapper's own Bin on any float64 bit pattern, at every width).
 # Full corpus exploration is `go test -fuzz <target> ./internal/<pkg>/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadIndex$$' -fuzztime 10s ./internal/store/
@@ -106,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzQueryMatchesOracle$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run xxx -fuzz 'FuzzFlatKernels$$' -fuzztime 10s ./internal/bitvec/
 	$(GO) test -run xxx -fuzz 'FuzzBBCEncode$$' -fuzztime 10s ./internal/bitvec/
+	$(GO) test -run xxx -fuzz 'FuzzBinInto$$' -fuzztime 10s ./internal/binning/
 
 # The query oracle suite (DESIGN.md "Query planning & caching"): every op
 # through the one plan → optimize → execute path — every codec, cache cold

@@ -9,6 +9,12 @@
 //	insitu-run -sim heat3d -strategy auto      # Eq. 1/2 calibration
 //	insitu-run -sim heat3d -out run1/ -resume  # continue a crashed run
 //
+// Under -strategy separate (and auto) the simulation cores also stage each
+// step — map it to one- or two-byte bin ids where it lies — so the queue
+// between the two core sets holds staged steps, not raw ones; the report
+// breaks the busy time down per core set and counts the queue in the
+// modelled peak.
+//
 // Runs with -out are crash-safe: every artifact is written atomically and
 // committed through a fsync'd journal (journal.isbj), so a killed run
 // resumes with -resume and `bitmapctl fsck` can audit the directory.
@@ -283,7 +289,12 @@ func main() {
 		}
 	}
 	if _, ok := cfg.Strategy.(insitubits.SeparateCores); ok {
-		fmt.Printf("queue peak:     %d steps (memory backpressure watermark)\n", res.QueuePeak)
+		fmt.Printf("queue peak:     %d steps of %.2f MB staged (memory backpressure watermark)\n",
+			res.QueuePeak, float64(res.StagedBytes)/1e6)
+		fmt.Printf("simulate cores: %.3fs busy (simulate + stage %.3fs)\n",
+			(res.Breakdown.Simulate + res.StageTime).Seconds(), res.StageTime.Seconds())
+		fmt.Printf("reduce cores:   %.3fs busy (reduce - stage, select)\n",
+			(res.Breakdown.Reduce - res.StageTime + res.Breakdown.Select).Seconds())
 	}
 	if *outDir != "" {
 		fmt.Printf("write time:     %.3fs (measured file output)\n", res.WriteTime.Seconds())

@@ -220,6 +220,30 @@ func NewEquiDepth(sample []float64, n int) (*Explicit, error) {
 	return NewExplicit(edges)
 }
 
+// BinInto maps src onto bin ids, dst[i] = T(m.Bin(src[i])) for every i, and
+// is how a whole array is binned: the mapper's kind is resolved once per
+// call, so the uniform and explicit-edge mappers run their own Bin inlined in
+// a concrete loop (the same clamps, NaN and top-edge guards, by construction)
+// instead of an interface call per element; any other Mapper is called
+// through the interface. T must hold m.Bins()-1 and dst be as long as src.
+func BinInto[T uint8 | uint16 | int32](m Mapper, dst []T, src []float64) {
+	dst = dst[:len(src)]
+	switch m := m.(type) {
+	case *Uniform:
+		for i, v := range src {
+			dst[i] = T(m.Bin(v))
+		}
+	case *Explicit:
+		for i, v := range src {
+			dst[i] = T(m.Bin(v))
+		}
+	default:
+		for i, v := range src {
+			dst[i] = T(m.Bin(v))
+		}
+	}
+}
+
 // MinMax scans a slice once and returns its range; it returns (0, 1) for an
 // empty slice so downstream mapper constructors remain valid.
 func MinMax(data []float64) (min, max float64) {

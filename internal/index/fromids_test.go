@@ -1,0 +1,198 @@
+package index_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"insitubits/internal/binning"
+	"insitubits/internal/codec"
+	"insitubits/internal/index"
+	"insitubits/internal/sim/heat3d"
+	"insitubits/internal/store"
+)
+
+// frontsAndNoise is a field with something for every codec: long ambient
+// stretches, smooth fronts sweeping the value range and a noisy band, with a
+// few values outside [0, 10) and the odd NaN for the clamps.
+func frontsAndNoise(r *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := 0; i < n; {
+		run := 1 + r.Intn(300)
+		from, to := r.Float64()*11-0.5, r.Float64()*11-0.5
+		kind := r.Intn(5)
+		for j := 0; j < run && i < n; j, i = j+1, i+1 {
+			switch kind {
+			case 0:
+				out[i] = from + (to-from)*float64(j)/float64(run)
+			case 1:
+				out[i] = 6 + r.Float64()*3
+			default:
+				out[i] = 2.5
+			}
+		}
+	}
+	if n > 3 {
+		out[n/2] = r.NormFloat64() * 1e9
+		out[n/3] = math.NaN()
+	}
+	return out
+}
+
+// fromIDsLengths are 0, lengths under 7 workers × 31 and both sides of
+// multiples of the 31-bit segment.
+func fromIDsLengths() []int {
+	lengths := []int{0, 1, 5, 40, 100}
+	for _, k := range []int{1, 2, 7, 33, 300} {
+		for d := -2; d <= 2; d++ {
+			lengths = append(lengths, 31*k+d)
+		}
+	}
+	return lengths
+}
+
+var fromIDsCodecs = []codec.ID{codec.WAH, codec.BBC, codec.Dense, codec.Auto}
+
+// buildDigests is the parent commit's BuildParallelCodec, one worker: per
+// (bins, codec) the first eight bytes of the SHA-256 over store.WriteIndex
+// of the index of every fromIDsLengths field, in order (seed 41 + bins).
+var buildDigests = map[string]string{
+	"2/wah":      "21e1577691f9bbf1",
+	"2/bbc":      "898d7a72734d5c43",
+	"2/dense":    "169f8126e602c0ea",
+	"2/auto":     "e15140b9cda557ee",
+	"120/wah":    "d4ed3d2205a571ca",
+	"120/bbc":    "b1a55dd8ed5eb98c",
+	"120/dense":  "7f72020e74c273ed",
+	"120/auto":   "a52604131cf908b8",
+	"160/wah":    "0c48fbfa46ac0990",
+	"160/bbc":    "ccaf7ef5bb4ed3aa",
+	"160/dense":  "54b9f191f9abdb36",
+	"160/auto":   "68428de61fea71cc",
+	"256/wah":    "34c41c4a8326f5a4",
+	"256/bbc":    "0c06a325098f32af",
+	"256/dense":  "7cba390a41fe4788",
+	"256/auto":   "c23b927a0019ccec",
+	"257/wah":    "47e22e9788bd33ef",
+	"257/bbc":    "e01dd181e2428661",
+	"257/dense":  "706852537c83f133",
+	"257/auto":   "68240804909a066d",
+	"1000/wah":   "a0ab83546a343e92",
+	"1000/bbc":   "79f8a3510b885152",
+	"1000/dense": "dddff17ca13a998e",
+	"1000/auto":  "2fb6c671f41e7e73",
+}
+
+// BuildFromIDs(MapIDs(data)) stores, for any worker count, exactly the bytes
+// the build from raw values stored before the map was split from it — codec
+// tag, count and payload of every bin — and decoding the index gives the ids
+// back.
+func TestBuildFromIDsMatchesBuild(t *testing.T) {
+	for _, bins := range []int{2, 120, 160, 256, 257, 1000} {
+		m, err := binning.NewUniform(0, 10, bins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range fromIDsCodecs {
+			for _, w := range []int{1, 2, 3, 7} {
+				r := rand.New(rand.NewSource(int64(41 + bins)))
+				h := sha256.New()
+				for _, n := range fromIDsLengths() {
+					data := frontsAndNoise(r, n)
+					ids := index.MapIDs(data, m, w)
+					x := index.BuildFromIDs(ids, m, w, id)
+					if _, err := store.WriteIndex(h, x); err != nil {
+						t.Fatal(err)
+					}
+					back := index.DecodeBinIDs(x, w)
+					if x.N() != n || back.Bins != bins || !slices.Equal(back.U8, ids.U8) || !slices.Equal(back.U16, ids.U16) {
+						t.Fatalf("bins=%d %v workers=%d n=%d: decoding the index does not give back the ids it was built from", bins, id, w, n)
+					}
+					for b, total := 0, 0; b < bins; b++ {
+						if x.Count(b) != x.Bitmap(b).Count() {
+							t.Fatalf("bins=%d %v workers=%d n=%d: bin %d tallied %d, holds %d", bins, id, w, n, b, x.Count(b), x.Bitmap(b).Count())
+						}
+						if total += x.Count(b); b == bins-1 && total != n {
+							t.Fatalf("bins=%d %v workers=%d n=%d: counts sum to %d", bins, id, w, n, total)
+						}
+					}
+				}
+				key := fmt.Sprintf("%d/%v", bins, id)
+				if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != buildDigests[key] {
+					t.Errorf("%s workers=%d: stored bytes digest %s, the build from raw values gave %s", key, w, got, buildDigests[key])
+				}
+			}
+		}
+	}
+}
+
+// Ids that are not the mapper's — another bin count, or the wrong width for
+// it — are refused before anything is indexed.
+func TestBuildFromIDsRefusesForeignIDs(t *testing.T) {
+	mapper := func(bins int) binning.Mapper {
+		m, err := binning.NewUniform(0, 10, bins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	data := frontsAndNoise(rand.New(rand.NewSource(42)), 500)
+	narrow, wide := index.MapIDs(data, mapper(100), 2), index.MapIDs(data, mapper(300), 2)
+	for name, c := range map[string]struct {
+		ids *index.BinIDs
+		m   binning.Mapper
+	}{
+		"nil ids":           {nil, mapper(100)},
+		"fewer bins":        {narrow, mapper(101)},
+		"more bins":         {wide, mapper(299)},
+		"one byte, wide":    {&index.BinIDs{U8: narrow.U8, Bins: 300}, mapper(300)},
+		"two bytes, narrow": {&index.BinIDs{U16: wide.U16, Bins: 100}, mapper(100)},
+		"both widths":       {&index.BinIDs{U8: narrow.U8, U16: wide.U16, Bins: 100}, mapper(100)},
+		"beyond MaxIDBins":  {&index.BinIDs{U16: wide.U16, Bins: index.MaxIDBins + 1}, mapper(index.MaxIDBins + 1)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: BuildFromIDs indexed ids that are not the mapper's", name)
+				}
+			}()
+			index.BuildFromIDs(c.ids, c.m, 2, codec.Auto)
+		}()
+	}
+	if index.MapIDs(data, mapper(index.MaxIDBins+1), 2) != nil {
+		t.Error("MapIDs produced narrow ids above MaxIDBins")
+	}
+}
+
+var sinkIndex *index.Index
+
+// One heat3d step (64³, 160 bins), its ids already mapped: the build as the
+// separate-cores reduce side runs it.
+func BenchmarkBuildFromIDs(b *testing.B) {
+	h, err := heat3d.New(64, 64, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var field []float64
+	for step := 0; step < 20; step++ {
+		field = h.Step(1)[0].Data
+	}
+	rg := h.Ranges()[0]
+	m, err := binning.NewUniform(rg[0], rg[1], 160)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := index.MapIDs(field, m, 2)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprint(w), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(field)))
+			for i := 0; i < b.N; i++ {
+				sinkIndex = index.BuildFromIDs(ids, m, w, codec.Auto)
+			}
+		})
+	}
+}

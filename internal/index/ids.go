@@ -1,6 +1,7 @@
 package index
 
 import (
+	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
 	"insitubits/internal/sim"
 )
@@ -13,9 +14,9 @@ const MaxIDBins = 1 << 16
 // narrowest unsigned width that holds a bin id: U8 for an index of at most
 // 256 bins, U16 up to MaxIDBins — one or two bytes per element against the
 // raw array's eight. Exactly one of the two arrays is non-nil. The ids are a
-// pure function of the bitmaps: the build can emit them as it computes them
-// (BuildParallelCodecIDs) or DecodeBinIDs recovers them from the finished
-// index, to the same bytes.
+// pure function of the bitmaps, and the bitmaps of the ids: MapIDs computes
+// them from the raw array for BuildFromIDs to index, DecodeBinIDs recovers
+// them from the finished index, to the same bytes.
 type BinIDs struct {
 	U8   []uint8
 	U16  []uint16
@@ -44,6 +45,27 @@ func (ids *BinIDs) SizeBytes() int {
 		return 0
 	}
 	return len(ids.U8) + 2*len(ids.U16)
+}
+
+// MapIDs bins data under m, element ranges split over nWorkers goroutines:
+// the only part of a build that reads the raw array. It returns nil when m
+// has more than MaxIDBins bins.
+func MapIDs(data []float64, m binning.Mapper, nWorkers int) *BinIDs {
+	ids := newBinIDs(len(data), m.Bins())
+	switch {
+	case ids == nil:
+	case ids.U8 != nil:
+		mapIDs(m, ids.U8, data, nWorkers)
+	default:
+		mapIDs(m, ids.U16, data, nWorkers)
+	}
+	return ids
+}
+
+func mapIDs[T uint8 | uint16 | int32](m binning.Mapper, dst []T, data []float64, nWorkers int) {
+	sim.ParallelFor(len(data), nWorkers, func(lo, hi int) {
+		binning.BinInto(m, dst[lo:hi], data[lo:hi])
+	})
 }
 
 // DecodeBinIDs decodes x into a BinIDs of its own, bins striped over

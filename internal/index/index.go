@@ -276,17 +276,22 @@ func NewStreamBuilder(m binning.Mapper) *StreamBuilder {
 	}
 }
 
-// Append indexes a chunk of values; chunks of any size may be appended.
-func (sb *StreamBuilder) Append(data []float64) { appendIDs[uint8](sb, data, nil) }
+// Append indexes a chunk of values; chunks of any size may be appended. They
+// are mapped a fixed on-stack batch at a time, at the width of any bin count.
+func (sb *StreamBuilder) Append(data []float64) {
+	var batch [512]int32
+	for len(data) > 0 {
+		k := min(len(data), len(batch))
+		binning.BinInto(sb.mapper, batch[:k], data[:k])
+		appendBins(sb, batch[:k])
+		data = data[k:]
+	}
+}
 
-// appendIDs is Append which, given ids as long as data (nil: none wanted),
-// also stores there the bin id it computes for each value.
-func appendIDs[T bitvec.ID](sb *StreamBuilder, data []float64, ids []T) {
-	for i, v := range data {
-		b := sb.mapper.Bin(v)
-		if i < len(ids) {
-			ids[i] = T(b)
-		}
+// appendBins sets one bit per element in the bin its id names: the one
+// bit-setting loop every builder of this file ends in.
+func appendBins[T bitvec.ID](sb *StreamBuilder, ids []T) {
+	for _, b := range ids {
 		if sb.segs[b] == 0 {
 			sb.touched = append(sb.touched, int32(b))
 		}
@@ -296,7 +301,7 @@ func appendIDs[T bitvec.ID](sb *StreamBuilder, data []float64, ids []T) {
 			sb.flushSegment()
 		}
 	}
-	sb.n += len(data)
+	sb.n += len(ids)
 }
 
 // flushSegment merges the current 31-element segment into each touched bin.
@@ -362,55 +367,73 @@ func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 	return BuildParallelCodec(data, m, nWorkers, codec.WAH)
 }
 
-// BuildParallelCodec is the in-situ write path, in two parallel phases over
-// the same nWorkers goroutines. First the data is partitioned into
-// sub-blocks aligned to the 31-bit segment size and each is streamed into
-// per-bin WAH by its own builder — the paper's Figure 2, where each
-// bitmap-generation core owns one sub-block. Then the workers stripe the
-// bins: a bin's sub-block vectors are joined into one presized vector
-// (alignment makes the join exact) and encoded under the policy, which is
-// handed the bin's count summed from the builders' tallies. Every bin is
-// encoded exactly once and the index is stamped with one generation; the
-// result equals Build(data, m).Recode(id) bit for bit.
+// BuildParallelCodec is the in-situ write path from raw values: MapIDs, then
+// BuildFromIDs, over the same nWorkers goroutines. The result equals
+// Build(data, m).Recode(id) bit for bit.
 func BuildParallelCodec(data []float64, m binning.Mapper, nWorkers int, id codec.ID) *Index {
-	return buildParallel(data, m, nWorkers, id, nil)
+	x, _ := BuildParallelCodecIDs(data, m, nWorkers, id)
+	return x
 }
 
-// BuildParallelCodecIDs is BuildParallelCodec that also hands back what its
-// first phase computes anyway: the bin id of every element, each worker
-// storing its own sub-block's range. The ids equal DecodeBinIDs of the
-// returned index, which is the index BuildParallelCodec builds; above
-// MaxIDBins bins no ids are produced (nil).
+// BuildParallelCodecIDs is BuildParallelCodec that also hands back the ids
+// the index was built from; they equal DecodeBinIDs of it. Above MaxIDBins
+// bins there are none (nil): the build maps into wide ids nobody keeps.
 func BuildParallelCodecIDs(data []float64, m binning.Mapper, nWorkers int, id codec.ID) (*Index, *BinIDs) {
-	ids := newBinIDs(len(data), m.Bins())
-	return buildParallel(data, m, nWorkers, id, ids), ids
+	start := buildStart()
+	ids := MapIDs(data, m, nWorkers)
+	if ids == nil {
+		wide := make([]int32, len(data))
+		mapIDs(m, wide, data, nWorkers)
+		return buildParallel(wide, m, nWorkers, id, start), nil
+	}
+	return ids.build(m, nWorkers, id, start), ids
 }
 
-// buildParallel is the two-phase build; a non-nil ids (len(data) elements)
-// is filled in during the first phase.
-func buildParallel(data []float64, m binning.Mapper, nWorkers int, id codec.ID, ids *BinIDs) *Index {
-	start := buildStart()
-	nSegs := (len(data) + bitvec.SegmentBits - 1) / bitvec.SegmentBits
+// BuildFromIDs builds the index of the array whose elements' bins ids names:
+// an index is a pure function of (bin ids, mapper), so whoever holds the raw
+// array maps it (MapIDs) and only the ids — one or two bytes per element —
+// travel to the build. Ids that are not the mapper's — another bin count, or
+// not the width MapIDs gives that count — are a caller's bug and panic before
+// anything is indexed.
+func BuildFromIDs(ids *BinIDs, m binning.Mapper, nWorkers int, id codec.ID) *Index {
+	if ids == nil || ids.Bins != m.Bins() || ids.Bins > MaxIDBins ||
+		(ids.U8 != nil) != (ids.Bins <= 1<<8) || (ids.U16 != nil) != (ids.Bins > 1<<8) {
+		panic(fmt.Sprintf("index: BuildFromIDs: the ids do not belong to a %d-bin mapper", m.Bins()))
+	}
+	return ids.build(m, nWorkers, id, buildStart())
+}
+
+func (ids *BinIDs) build(m binning.Mapper, nWorkers int, id codec.ID, start time.Time) *Index {
+	if ids.U8 != nil {
+		return buildParallel(ids.U8, m, nWorkers, id, start)
+	}
+	return buildParallel(ids.U16, m, nWorkers, id, start)
+}
+
+// buildParallel is the build, in two parallel phases over the same nWorkers
+// goroutines. First the ids are partitioned into sub-blocks aligned to the
+// 31-bit segment size and each is streamed into per-bin WAH by its own
+// builder — the paper's Figure 2, where each bitmap-generation core owns one
+// sub-block. Then the workers stripe the bins: a bin's sub-block vectors are
+// joined into one presized vector (alignment makes the join exact) and
+// encoded under the policy, which is handed the bin's count summed from the
+// builders' tallies. Every bin is encoded exactly once and the index is
+// stamped with one generation. A non-zero start records the build's wall
+// time from there.
+func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id codec.ID, start time.Time) *Index {
+	nSegs := (len(ids) + bitvec.SegmentBits - 1) / bitvec.SegmentBits
 	nWorkers = max(1, min(nWorkers, nSegs))
 	bound := func(w int) int { // first element of sub-block w
-		return min(w*nSegs/nWorkers*bitvec.SegmentBits, len(data))
+		return min(w*nSegs/nWorkers*bitvec.SegmentBits, len(ids))
 	}
 	subs := make([]*StreamBuilder, nWorkers)
 	sim.ParallelEach(nWorkers, func(w int) {
 		subs[w] = NewStreamBuilder(m)
-		lo, hi := bound(w), bound(w+1)
-		switch {
-		case ids == nil:
-			subs[w].Append(data[lo:hi])
-		case ids.U8 != nil:
-			appendIDs(subs[w], data[lo:hi], ids.U8[lo:hi])
-		default:
-			appendIDs(subs[w], data[lo:hi], ids.U16[lo:hi])
-		}
+		appendBins(subs[w], ids[bound(w):bound(w+1)])
 		subs[w].flush()
 	})
 	nb := m.Bins()
-	x := &Index{mapper: m, vecs: make([]bitvec.Bitmap, nb), counts: make([]int, nb), n: len(data), gen: nextGeneration()}
+	x := &Index{mapper: m, vecs: make([]bitvec.Bitmap, nb), counts: make([]int, nb), n: len(ids), gen: nextGeneration()}
 	sim.ParallelEach(nWorkers, func(w int) {
 		parts := make([]bitvec.Bitmap, nWorkers)
 		for b := w; b < nb; b += nWorkers {

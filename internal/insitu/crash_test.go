@@ -7,10 +7,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"insitubits/internal/binning"
 	"insitubits/internal/iosim"
 	"insitubits/internal/sim"
+	"insitubits/internal/telemetry"
 )
 
 // triSim is a tiny deterministic 3-variable workload for the crash suite:
@@ -306,4 +309,114 @@ func (s *panicSim) Step(nWorkers int) []sim.Field {
 		})
 	}
 	return s.triSim.Step(nWorkers)
+}
+
+// sentinelSim is triSim with one value far outside its range in one step.
+type sentinelSim struct {
+	triSim
+	at int
+}
+
+func (s *sentinelSim) Step(nWorkers int) []sim.Field {
+	fields := s.triSim.Step(nWorkers)
+	if s.t-1 == s.at {
+		fields[0].Data[0] = 9
+	}
+	return fields
+}
+
+// faultyMapper breaks on sentinelSim's value: it panics, which is the stage
+// failing (the map), or names a bin one past the last, which the map stores
+// without a word and the build — summarize — trips over.
+type faultyMapper struct {
+	binning.Mapper
+	overflow bool
+}
+
+func (m faultyMapper) Bin(v float64) int {
+	switch {
+	case v < 5:
+		return m.Mapper.Bin(v)
+	case m.overflow:
+		return m.Bins()
+	default:
+		panic("injected map panic")
+	}
+}
+
+// A panic in either stage of the reduction, on whichever goroutine the
+// strategy runs it, surfaces as an error naming the step and one counted
+// worker panic.
+func TestStageAndSummarizePanicsBecomeErrors(t *testing.T) {
+	for _, strategy := range []Strategy{SharedCores{}, SeparateCores{SimCores: 1, ReduceCores: 1}} {
+		for _, overflow := range []bool{false, true} {
+			cfg := triConfig(t.TempDir())
+			cfg.Sim, cfg.Strategy, cfg.Telemetry = &sentinelSim{triSim: triSim{n: 60}, at: 7}, strategy, telemetry.NewRegistry()
+			red, err := newReducer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			red.mappers[0] = faultyMapper{red.mappers[0], overflow}
+			label := fmt.Sprintf("%s, summarize=%v", strategy.Describe(), overflow)
+			if _, err := runReducer(cfg, red); err == nil || !strings.Contains(err.Error(), "panic at step 7") {
+				t.Errorf("%s: the run ended with %v, want an error naming step 7", label, err)
+			}
+			if n := cfg.Telemetry.Counter("insitu.worker_panics").Value(); n != 1 {
+				t.Errorf("%s: %d worker panics counted, want 1", label, n)
+			}
+		}
+	}
+}
+
+// A resumed run neither stages nor summarizes a step the journal already
+// decided: of the steps up to the journal's frontier only the last committed
+// winner and the open interval's incumbent are reduced again.
+func TestResumeStagesOnlyNeededSteps(t *testing.T) {
+	for _, strategy := range []Strategy{SharedCores{}, SeparateCores{SimCores: 1, ReduceCores: 1}} {
+		dir := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := triConfig(dir)
+		cfg.Strategy, cfg.Ctx = strategy, ctx
+		cfg.OnPublish = func(step int) {
+			if step > 8 {
+				cancel()
+			}
+		}
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("%s: the cancelled run completed", strategy.Describe())
+		}
+		cancel()
+		data, err := os.ReadFile(filepath.Join(dir, JournalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := ParseJournal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frontier := -1
+		for _, rec := range recs {
+			if (rec.Kind == KindScore || rec.Kind == KindSelect) && rec.Step > frontier {
+				frontier = rec.Step
+			}
+		}
+		cfg = triConfig(dir)
+		cfg.Strategy, cfg.Telemetry = strategy, telemetry.NewRegistry()
+		if _, err := Resume(dir, cfg); err != nil {
+			t.Fatal(err)
+		}
+		fresh := int64(cfg.Steps - 1 - frontier)
+		staged := cfg.Telemetry.Tracer(TracerName).Phase(SpanRun, SpanReduce, SpanStage).Count
+		if frontier < 8 || staged < fresh+1 || staged > fresh+2 {
+			t.Errorf("%s: journal frontier %d of %d steps, the resumed run staged %d; want the %d steps past the frontier and one or two needed before it",
+				strategy.Describe(), frontier, cfg.Steps, staged, fresh)
+		}
+		want := t.TempDir()
+		whole := triConfig(want)
+		whole.Strategy = strategy
+		if _, err := Run(whole); err != nil {
+			t.Fatal(err)
+		}
+		sameSnapshot(t, strategy.Describe()+": resumed vs uninterrupted", snapshot(t, want), snapshot(t, dir))
+	}
 }

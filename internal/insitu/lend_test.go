@@ -68,40 +68,45 @@ func runPoisoned(t *testing.T, cfg Config) (map[string][]byte, *poisoningLender)
 	return snapshot(t, cfg.OutputDir), p
 }
 
-// A lent step is never retained: shared-cores bitmap and sampling runs read
-// each step where the simulator keeps it, and must write exactly the bytes —
-// manifest, journal with its scores, every artifact — of the same run over a
-// simulator that hands out copies.
+// A lent step is never retained: whatever the strategy and the queue's
+// capacity, bitmap and sampling runs read each step where the simulator keeps
+// it — staging it before the simulator steps on — and must write exactly the
+// bytes — manifest, journal with its scores, every artifact — of the same run
+// over a simulator that hands out copies.
 func TestLentStepNeverRetained(t *testing.T) {
+	strategies := []Strategy{SharedCores{},
+		SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 1}, SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 4}}
 	for _, method := range []Method{Bitmaps, Sampling} {
 		for _, mk := range []func() sim.Simulator{
 			func() sim.Simulator { h, _ := heat3d.New(14, 14, 14); return h },
 			func() sim.Simulator { l, _ := lulesh.New(7, 7, 7); return l },
 		} {
-			config := func() Config {
-				return Config{Sim: mk(), Steps: 12, Select: 4, Method: method, Bins: 48, SamplePct: 25, Seed: 3,
-					Metric: selection.ConditionalEntropy, Cores: 2, OutputDir: t.TempDir()}
-			}
-			owning := config()
-			owning.Sim = ownerOnly{owning.Sim}
-			if _, err := Run(owning); err != nil {
-				t.Fatal(err)
-			}
-			want := snapshot(t, owning.OutputDir)
-			label := fmt.Sprintf("%v over %s", method, owning.Sim.Name())
+			for _, strategy := range strategies {
+				config := func() Config {
+					return Config{Sim: mk(), Steps: 12, Select: 4, Method: method, Bins: 48, SamplePct: 25, Seed: 3,
+						Metric: selection.ConditionalEntropy, Cores: 2, Strategy: strategy, OutputDir: t.TempDir()}
+				}
+				owning := config()
+				owning.Sim = ownerOnly{owning.Sim}
+				if _, err := Run(owning); err != nil {
+					t.Fatal(err)
+				}
+				want := snapshot(t, owning.OutputDir)
+				label := fmt.Sprintf("%v over %s, %+v", method, owning.Sim.Name(), strategy)
 
-			got, p := runPoisoned(t, config())
-			if p.owned != 0 || p.lends != 12 {
-				t.Fatalf("%s: %d owned and %d lent steps, want all 12 lent", label, p.owned, p.lends)
-			}
-			sameSnapshot(t, label+": poisoned lender vs owning simulator", want, got)
+				got, p := runPoisoned(t, config())
+				if p.owned != 0 || p.lends != 12 {
+					t.Fatalf("%s: %d owned and %d lent steps, want all 12 lent", label, p.owned, p.lends)
+				}
+				sameSnapshot(t, label+": poisoned lender vs owning simulator", want, got)
 
-			// The shipped simulators' own StepLent, for good measure.
-			lending := config()
-			if _, err := Run(lending); err != nil {
-				t.Fatal(err)
+				// The shipped simulators' own StepLent, for good measure.
+				lending := config()
+				if _, err := Run(lending); err != nil {
+					t.Fatal(err)
+				}
+				sameSnapshot(t, label+": lender vs owning simulator", want, snapshot(t, lending.OutputDir))
 			}
-			sameSnapshot(t, label+": lender vs owning simulator", want, snapshot(t, lending.OutputDir))
 		}
 	}
 }
@@ -109,10 +114,11 @@ func TestLentStepNeverRetained(t *testing.T) {
 // ownerOnly hides a simulator's StepLent, leaving the plain sim.Simulator.
 type ownerOnly struct{ sim.Simulator }
 
-// A lent step is never taken where it would be retained: a full-data summary
-// is the raw array and the separate-cores queue holds steps while the
-// simulator runs on, so both must ask for owned copies — and calibration,
-// which alternates like shared cores, may lend.
+// Every strategy lends under every method: a staged step keeps nothing of
+// the simulator's arrays — ids and samples are new arrays, a full-data step
+// is cloned while it is still valid — so no run asks a Lender for the copy
+// Step makes, calibration included, and each writes the directory the same
+// run writes over a simulator that can only hand out copies.
 func TestLentStepOnlyWhereSafe(t *testing.T) {
 	base := func() Config {
 		h, err := heat3d.New(12, 12, 12)
@@ -121,24 +127,22 @@ func TestLentStepOnlyWhereSafe(t *testing.T) {
 		}
 		return Config{Sim: h, Steps: 8, Select: 3, Bins: 32, SamplePct: 50, Metric: selection.EMDCount, Cores: 3}
 	}
-	for _, c := range []struct {
-		name     string
-		method   Method
-		strategy Strategy
-		lent     bool
-	}{
-		{"shared/bitmaps", Bitmaps, SharedCores{}, true},
-		{"shared/sampling", Sampling, SharedCores{}, true},
-		{"shared/fulldata", FullData, SharedCores{}, false},
-		{"separate/bitmaps", Bitmaps, SeparateCores{SimCores: 1, ReduceCores: 2}, false},
-		{"separate/sampling", Sampling, SeparateCores{SimCores: 1, ReduceCores: 2}, false},
-		{"separate/fulldata", FullData, SeparateCores{SimCores: 1, ReduceCores: 2}, false},
-	} {
-		cfg := base()
-		cfg.Method, cfg.Strategy = c.method, c.strategy
-		_, p := runPoisoned(t, cfg)
-		if wantLent, wantOwned := lentOwned(c.lent, 8); p.lends != wantLent || p.owned != wantOwned {
-			t.Errorf("%s: %d lent and %d owned steps, want %d and %d", c.name, p.lends, p.owned, wantLent, wantOwned)
+	for _, strategy := range []Strategy{SharedCores{}, SeparateCores{SimCores: 1, ReduceCores: 2}} {
+		for _, method := range []Method{Bitmaps, Sampling, FullData} {
+			cfg := base()
+			cfg.Method, cfg.Strategy = method, strategy
+			got, p := runPoisoned(t, cfg)
+			label := fmt.Sprintf("%s/%v", strategy.Describe(), method)
+			if p.lends != 8 || p.owned != 0 {
+				t.Errorf("%s: %d lent and %d owned steps, want 8 and 0", label, p.lends, p.owned)
+			}
+			owning := base()
+			owning.Method, owning.Strategy, owning.OutputDir = method, strategy, t.TempDir()
+			owning.Sim = ownerOnly{owning.Sim}
+			if _, err := Run(owning); err != nil {
+				t.Fatal(err)
+			}
+			sameSnapshot(t, label+": poisoned lender vs owning simulator", snapshot(t, owning.OutputDir), got)
 		}
 	}
 	for _, method := range []Method{Bitmaps, FullData} {
@@ -148,18 +152,10 @@ func TestLentStepOnlyWhereSafe(t *testing.T) {
 		if _, err := Calibrate(cfg, 3); err != nil {
 			t.Fatal(err)
 		}
-		if wantLent, wantOwned := lentOwned(method != FullData, 3); p.lends != wantLent || p.owned != wantOwned {
-			t.Errorf("calibrate/%v: %d lent and %d owned steps, want %d and %d", method, p.lends, p.owned, wantLent, wantOwned)
+		if p.lends != 3 || p.owned != 0 {
+			t.Errorf("calibrate/%v: %d lent and %d owned steps, want 3 and 0", method, p.lends, p.owned)
 		}
 	}
-}
-
-// lentOwned is how many of a run's steps should have been lent and owned.
-func lentOwned(lent bool, steps int) (int, int) {
-	if lent {
-		return steps, 0
-	}
-	return 0, steps
 }
 
 // Allocation guard: a shared-cores conditional-entropy step over heat3d may
@@ -184,6 +180,35 @@ func TestLentStepAllocatesLessThanOneRawStep(t *testing.T) {
 		t.Fatalf("the run allocated %d bytes per step, a raw step is %d: the step is being copied or its ids re-derived", perStep, rawStep)
 	}
 	t.Logf("%d bytes allocated per step, %.2f of one raw step", perStep, float64(perStep)/float64(8*dim*dim*dim))
+}
+
+// Allocation guard for the separate-cores queue: a lulesh emd-spatial step
+// (twelve arrays, 120 bins) allocates its twelve one-byte id arrays — an
+// eighth of the raw step — and its indexes as they grow (about 0.3 of one),
+// 0.43 in all (0.49 under the race detector, whose sync.Pool drops buffers).
+// A clone of the step for the queue (what Step makes of a lent step) is a
+// whole raw step more.
+func TestStagedStepAllocatesAFractionOfOneRawStep(t *testing.T) {
+	const dim, steps = 48, 10
+	l, err := lulesh.New(dim, dim, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Sim: l, Steps: steps, Select: 3, Method: Bitmaps, Bins: 120, Metric: selection.EMDSpatial, Cores: 2,
+		Strategy: SeparateCores{SimCores: 1, ReduceCores: 1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perStep := float64(after.TotalAlloc-before.TotalAlloc) / steps
+	if frac := perStep / float64(res.StepBytes); frac >= 0.75 {
+		t.Fatalf("the run allocated %.0f bytes per step, %.2f of one raw step (%d): a raw step is being copied into the queue", perStep, frac, res.StepBytes)
+	} else {
+		t.Logf("%.0f bytes allocated per step, %.2f of one raw step", perStep, frac)
+	}
 }
 
 // The Figure 11 model counts what summaries hold in memory: a conditional-
@@ -216,13 +241,120 @@ func TestModelledPeakCountsIDs(t *testing.T) {
 	}
 }
 
+// The separate-cores queue is sized and modelled in the bytes it holds — a
+// staged step: one byte per element for bitmaps of up to 256 bins, two
+// beyond, the sample, or the raw step for full data. A budget of four raw
+// steps buys 32 slots of 120-bin ids and 4 of full data, and the modelled
+// peak of a separate-cores run is the shared-cores one plus the steps that
+// were in flight.
+func TestQueueSizedAndModelledInStagedBytes(t *testing.T) {
+	config := func(method Method, bins int, strategy Strategy) Config {
+		l, err := lulesh.New(8, 8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Sim: l, Steps: 10, Select: 3, Method: method, Bins: bins, SamplePct: 25, Seed: 5,
+			Metric: selection.EMDCount, Cores: 2, Strategy: strategy}
+	}
+	const n, vars = 8 * 8 * 8, 12
+	split := SeparateCores{SimCores: 1, ReduceCores: 1}
+	for _, c := range []struct {
+		name   string
+		method Method
+		bins   int
+		staged int64
+		cap    int // with a budget of four raw steps
+	}{
+		{"bitmaps/120", Bitmaps, 120, n * vars, 32},
+		{"bitmaps/256", Bitmaps, 256, n * vars, 32},
+		{"bitmaps/257", Bitmaps, 257, 2 * n * vars, 16},
+		{"sampling/25%", Sampling, 120, 8 * (n / 4) * vars, 16},
+		{"fulldata", FullData, 120, 8 * n * vars, 4},
+	} {
+		cfg := config(c.method, c.bins, split)
+		cfg.MemoryBudgetBytes = 4 * 8 * n * vars
+		red, err := newReducer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := red.stagedBytes(); got != c.staged {
+			t.Errorf("%s: a staged step is %d bytes, want %d", c.name, got, c.staged)
+		}
+		if got := split.queueCap(cfg, red); got != c.cap {
+			t.Errorf("%s: a budget of four raw steps gives the queue %d slots, want %d", c.name, got, c.cap)
+		}
+		if got := (SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 3}).queueCap(cfg, red); got != 3 {
+			t.Errorf("%s: an explicit QueueCap of 3 became %d", c.name, got)
+		}
+
+		separate, err := Run(config(c.method, c.bins, split))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := Run(config(c.method, c.bins, SharedCores{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if separate.QueuePeak < 1 || shared.QueuePeak != 0 || separate.StagedBytes != c.staged {
+			t.Fatalf("%s: queue peak %d (shared %d), staged step %d bytes", c.name, separate.QueuePeak, shared.QueuePeak, separate.StagedBytes)
+		}
+		if got, want := separate.PeakMemory-shared.PeakMemory, int64(separate.QueuePeak)*c.staged; got != want {
+			t.Errorf("%s: the separate-cores modelled peak exceeds the shared-cores one by %d, want %d queued steps × %d = %d",
+				c.name, got, separate.QueuePeak, c.staged, want)
+		}
+	}
+}
+
+// constSim hands out the same precomputed arrays at no cost, so what
+// calibration times is the reducer alone.
+type constSim struct {
+	fields []sim.Field
+}
+
+func (s *constSim) Name() string                  { return "const" }
+func (s *constSim) Elements() int                 { return len(s.fields[0].Data) }
+func (s *constSim) Ranges() [][2]float64          { return [][2]float64{{0, 1}} }
+func (s *constSim) Step(nWorkers int) []sim.Field { return s.fields }
+func (s *constSim) Vars() []string                { return []string{s.fields[0].Name} }
+
+// Eq. 1's T_sim is what the simulate cores run under the split it returns:
+// the simulator and the stage. Over a free simulator, a method whose stage is
+// the expensive half (sampling: the gather; its summary is a wrapper) pulls
+// the split to the simulate side, further than one whose summarize is
+// (bitmaps: the build and encode outweigh the map).
+func TestCalibrateChargesStageToTheSimulateSide(t *testing.T) {
+	data := make([]float64, 1<<18)
+	for i := range data {
+		data[i] = 0.5 + 0.5*math.Sin(float64(i)*0.01)
+	}
+	calibrate := func(method Method) SeparateCores {
+		split, err := Calibrate(Config{Sim: &constSim{[]sim.Field{{Name: "v", Data: data}}}, Steps: 4, Select: 2,
+			Method: method, Bins: 120, SamplePct: 100, Seed: 1, Cores: 8}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if split.SimCores < 1 || split.ReduceCores < 1 || split.SimCores+split.ReduceCores != 8 {
+			t.Fatalf("%v: split %+v", method, split)
+		}
+		return split
+	}
+	sampling, bitmaps := calibrate(Sampling), calibrate(Bitmaps)
+	if sampling.SimCores <= sampling.ReduceCores {
+		t.Errorf("sampling, where staging is all the work: split %+v leaves the simulate side the smaller", sampling)
+	}
+	if bitmaps.SimCores >= sampling.SimCores {
+		t.Errorf("bitmaps, where the build outweighs the map, got %+v: no fewer simulate cores than sampling's %+v", bitmaps, sampling)
+	}
+}
+
 var sinkIndex *index.Index
 
 // The hand-off between simulate and reduce on heat3d 64³: a step the caller
-// owns (Step: allocate, copy) against one read in place (StepLent), each
-// followed by the build that reads it.
+// owns (Step: allocate, copy), one read in place (StepLent), each followed by
+// the build that reads it — and one staged: mapped to ids where it lies, the
+// ids being all the build gets.
 func BenchmarkStepHandoff(b *testing.B) {
-	for _, mode := range []string{"owned", "lent"} {
+	for _, mode := range []string{"owned", "lent", "staged"} {
 		b.Run(mode, func(b *testing.B) {
 			h, err := heat3d.New(64, 64, 64)
 			if err != nil {
@@ -236,8 +368,15 @@ func BenchmarkStepHandoff(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * h.Elements()))
 			for i := 0; i < b.N; i++ {
-				fields := step(h, 2, mode == "lent")
-				sinkIndex = index.BuildParallelCodec(fields[0].Data, m, 2, codec.Auto)
+				switch mode {
+				case "owned":
+					sinkIndex = index.BuildParallelCodec(h.Step(2)[0].Data, m, 2, codec.Auto)
+				case "lent":
+					sinkIndex = index.BuildParallelCodec(h.StepLent(2)[0].Data, m, 2, codec.Auto)
+				default:
+					ids := index.MapIDs(h.StepLent(2)[0].Data, m, 2)
+					sinkIndex = index.BuildFromIDs(ids, m, 2, codec.Auto)
+				}
 			}
 		})
 	}

@@ -242,7 +242,8 @@ func TestOutputDirCreationFailure(t *testing.T) {
 // — must write a byte-equal manifest, journal and .isbm set at every core
 // count, and again over a simulator that poisons whatever it lent once it
 // steps on (lend_test.go): with more workers reading a lent step, none may
-// read it late.
+// read it late — nor, under separate cores, may the queue's capacity (how far
+// the simulator runs ahead of the build) show in a single byte.
 func TestRunOutputIdenticalAcrossCores(t *testing.T) {
 	heat := func(cores int, dir string) Config {
 		h, err := heat3d.New(14, 14, 14)
@@ -281,6 +282,15 @@ func TestRunOutputIdenticalAcrossCores(t *testing.T) {
 		for _, cores := range []int{1, 2, 4} {
 			got, _ := runPoisoned(t, config(cores, ""))
 			sameSnapshot(t, fmt.Sprintf("%s cores=%d over a poisoning simulator vs cores=1", name, cores), want, got)
+		}
+		for _, qcap := range []int{1, 4} {
+			cfg := config(2, "")
+			if split, ok := cfg.Strategy.(SeparateCores); ok {
+				split.QueueCap = qcap
+				cfg.Strategy = split
+				got, _ := runPoisoned(t, cfg)
+				sameSnapshot(t, fmt.Sprintf("%s queue cap %d over a poisoning simulator vs cores=1", name, qcap), want, got)
+			}
 		}
 	}
 }

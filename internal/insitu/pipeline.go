@@ -162,8 +162,15 @@ func (c *Config) validate() error {
 	if c.Select < 1 || c.Select > c.Steps {
 		return fmt.Errorf("insitu: select %d of %d steps", c.Select, c.Steps)
 	}
+	if c.Method < Bitmaps || c.Method > Sampling {
+		return fmt.Errorf("insitu: unknown method %v", c.Method)
+	}
 	if c.Bins < 1 && c.Method != Sampling {
 		return fmt.Errorf("insitu: %d bins", c.Bins)
+	}
+	if c.Method == Bitmaps && c.Bins > index.MaxIDBins {
+		// A step is staged as narrow bin ids; two bytes address MaxIDBins.
+		return fmt.Errorf("insitu: %d bins, bitmaps take at most %d", c.Bins, index.MaxIDBins)
 	}
 	if c.Method == Sampling && (c.SamplePct <= 0 || c.SamplePct > 100) {
 		return fmt.Errorf("insitu: sample percentage %g", c.SamplePct)
@@ -239,13 +246,20 @@ type Result struct {
 	// narrow id per element, handed from the build to the scorer). They are
 	// never written, so SummaryBytes does not count them; PeakMemory does.
 	IDBytes int64
-	// PeakMemory is the modelled in-situ working set (Figure 11).
+	// StagedBytes is the size of one staged step, what a slot of the
+	// separate-cores queue holds: bin ids, the sample, or the raw step.
+	StagedBytes int64
+	// PeakMemory is the modelled in-situ working set (Figure 11), plus the
+	// QueuePeak staged steps a separate-cores run had in flight.
 	PeakMemory int64
 	// QueuePeak is the high-watermark of the separate-cores step queue
 	// (counting a produced step blocked on a full queue); 0 under
 	// SharedCores. The paper's memory-capacity bound on the queue makes
 	// this the run's backpressure signal.
 	QueuePeak int
+	// StageTime is the part of Breakdown.Reduce spent staging steps (the
+	// "stage" spans): under SeparateCores, busy time of the simulation cores.
+	StageTime time.Duration
 	// WriteTime is the measured time spent persisting selected summaries
 	// (the "write" spans); distinct from Breakdown.Output, which stays the
 	// bandwidth-modelled transfer time (see DESIGN.md).
@@ -262,13 +276,18 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	strategy := cfg.Strategy
-	if strategy == nil {
-		strategy = SharedCores{}
-	}
 	red, err := newReducer(cfg)
 	if err != nil {
 		return nil, err
+	}
+	return runReducer(cfg, red)
+}
+
+// runReducer is Run once the configuration is valid and its reducer made.
+func runReducer(cfg Config, red *reducer) (*Result, error) {
+	strategy := cfg.Strategy
+	if strategy == nil {
+		strategy = SharedCores{}
 	}
 	rt := newRunTelemetry(cfg, strategy.Describe())
 	w, err := newWriter(cfg, rt)
@@ -298,8 +317,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// reducer turns one time-step's fields into a selection.Summary plus the
-// byte count its serialized form would occupy on the output device.
+// reducer turns one time-step into a selection.Summary plus the byte count
+// its serialized form would occupy on the output device, in two stages: stage
+// reads the raw step and leaves the small owned thing the summary is a pure
+// function of, summarize makes the summary of that. Stage runs where the raw
+// step is — under separate cores on the simulate side of the queue.
 type reducer struct {
 	cfg     Config
 	mappers []binning.Mapper
@@ -330,67 +352,106 @@ func newReducer(cfg Config) (*reducer, error) {
 	return r, nil
 }
 
-// reduce summarizes one step's fields using nWorkers cores.
-func (r *reducer) reduce(fields []sim.Field, nWorkers int) (*stepSummary, error) {
-	parts := make([]selection.Summary, len(fields))
-	outBytes := int64(0)
-	memBytes := int64(0)
-	idBytes := int64(0)
-	switch r.cfg.Method {
-	case Bitmaps:
+// staged is one time-step in the form its summary is made from, owning all
+// it holds: per variable the narrow bin ids (Bitmaps: an index is a pure
+// function of ids and mapper), or the array a data summary wraps — the sample
+// (Sampling) or the whole step (FullData).
+type staged struct {
+	ids    []*index.BinIDs
+	arrays [][]float64
+}
+
+// stage reads one step's fields using nWorkers cores and keeps nothing of
+// them, so they may be lent (sim.Lender); only the full-data method, whose
+// staged step is the step, takes fields it owns as they are.
+func (r *reducer) stage(fields []sim.Field, owned bool, nWorkers int) (staged, error) {
+	if r.cfg.Method == Bitmaps {
 		// The step's cores are spent once: multi-variable steps (Lulesh's 12
-		// arrays) index — and later score — their variables concurrently, a
-		// single-variable step parallelizes within the build and the score
-		// instead. Each bin is encoded under the codec policy as it is
-		// finished. Aggregation below is in variable order, so the result is
-		// deterministic either way.
-		//
-		// Conditional entropy is scored from per-element bin ids, which the
-		// build computes anyway: it is asked to keep them, so the scorer never
-		// decodes the bitmaps back. The EMD metrics read histograms and
-		// bitmaps only and carry no ids.
-		xs := make([]*index.Index, len(fields))
-		ids := make([]*index.BinIDs, len(fields))
-		wantIDs := r.cfg.Metric == selection.ConditionalEntropy
-		perVar := max(1, nWorkers/max(1, len(fields)))
+		// arrays) map — and later build and score — their variables
+		// concurrently, a single-variable step parallelizes within each call.
+		st := staged{ids: make([]*index.BinIDs, len(fields))}
+		perVar := perVar(len(fields), nWorkers)
 		sim.ParallelFor(len(fields), nWorkers, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				if wantIDs {
-					xs[k], ids[k] = index.BuildParallelCodecIDs(fields[k].Data, r.mappers[k], perVar, r.cfg.Codec)
-				} else {
-					xs[k] = index.BuildParallelCodec(fields[k].Data, r.mappers[k], perVar, r.cfg.Codec)
-				}
+				st.ids[k] = index.MapIDs(fields[k].Data, r.mappers[k], perVar)
+			}
+		})
+		return st, nil
+	}
+	if r.cfg.Method == FullData && !owned {
+		fields = sim.CloneFields(fields)
+	}
+	st := staged{arrays: make([][]float64, len(fields))}
+	for k, f := range fields {
+		st.arrays[k] = f.Data
+		if r.sampler != nil {
+			sampled, err := r.sampler.Sample(f.Data)
+			if err != nil {
+				return staged{}, err
+			}
+			st.arrays[k] = sampled
+		}
+	}
+	return st, nil
+}
+
+// perVar is the worker count each of a step's nVars variables gets.
+func perVar(nVars, nWorkers int) int { return max(1, nWorkers/max(1, nVars)) }
+
+// stagedBytes is the size of one staged step: what a slot of the
+// separate-cores queue holds.
+func (r *reducer) stagedBytes() int64 {
+	n, vars := int64(r.cfg.Sim.Elements()), int64(len(r.mappers))
+	switch r.cfg.Method {
+	case Bitmaps:
+		if r.cfg.Bins > 1<<8 {
+			return 2 * n * vars
+		}
+		return n * vars
+	case Sampling:
+		return int64(r.sampler.SampleBytes()) * vars
+	default:
+		return 8 * n * vars
+	}
+}
+
+// summarize builds one staged step's summary using nWorkers cores.
+func (r *reducer) summarize(st staged, nWorkers int) *stepSummary {
+	nVars := len(st.ids) + len(st.arrays)
+	sum := &stepSummary{parts: make([]selection.Summary, nVars), weights: r.cfg.VarWeights, cores: nWorkers}
+	if r.cfg.Method == Bitmaps {
+		// Each bin is encoded under the codec policy as it is finished.
+		// Aggregation below is in variable order, so the result is
+		// deterministic whatever the worker count.
+		xs := make([]*index.Index, nVars)
+		perVar := perVar(nVars, nWorkers)
+		sim.ParallelFor(nVars, nWorkers, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				xs[k] = index.BuildFromIDs(st.ids[k], r.mappers[k], perVar, r.cfg.Codec)
 			}
 		})
 		for k, x := range xs {
-			parts[k] = selection.NewBuiltSummary(x, ids[k], perVar)
-			outBytes += store.IndexSize(x)
-			memBytes += int64(x.SizeBytes())
-			idBytes += int64(ids[k].SizeBytes())
-		}
-	case FullData:
-		for k, f := range fields {
-			parts[k] = selection.NewDataSummary(f.Data, r.mappers[k])
-			outBytes += store.RawSize(len(f.Data))
-			memBytes += int64(8 * len(f.Data))
-		}
-	case Sampling:
-		for k, f := range fields {
-			sampled, err := r.sampler.Sample(f.Data)
-			if err != nil {
-				return nil, err
+			// Conditional entropy is scored from per-element bin ids: the
+			// summary keeps the ids it was built from, so the scorer never
+			// decodes the bitmaps back. The EMD metrics read histograms and
+			// bitmaps only; their ids end here.
+			var ids *index.BinIDs
+			if r.cfg.Metric == selection.ConditionalEntropy {
+				ids = st.ids[k]
 			}
-			parts[k] = selection.NewDataSummary(sampled, r.mappers[k])
-			outBytes += store.RawSize(len(sampled))
-			memBytes += int64(8 * len(sampled))
+			sum.parts[k] = selection.NewBuiltSummary(x, ids, perVar)
+			sum.outBytes += store.IndexSize(x)
+			sum.memBytes += int64(x.SizeBytes())
+			sum.idBytes += int64(ids.SizeBytes())
 		}
-	default:
-		return nil, fmt.Errorf("insitu: unknown method %v", r.cfg.Method)
+		return sum
 	}
-	return &stepSummary{
-		parts: parts, outBytes: outBytes, memBytes: memBytes, idBytes: idBytes,
-		weights: r.cfg.VarWeights, cores: nWorkers,
-	}, nil
+	for k, data := range st.arrays {
+		sum.parts[k] = selection.NewDataSummary(data, r.mappers[k])
+		sum.outBytes += store.RawSize(len(data))
+		sum.memBytes += int64(8 * len(data))
+	}
+	return sum
 }
 
 // stepSummary aggregates one time-step's per-variable summaries; metric
@@ -684,7 +745,9 @@ func (r *Result) finishMemory(cfg Config, red *reducer) {
 	}
 	stepBytes := int64(8*cfg.Sim.Elements()) * int64(len(cfg.Sim.Vars()))
 	r.StepBytes = stepBytes
-	r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.SummaryBytes+r.IDBytes, window)
+	r.StagedBytes = red.stagedBytes()
+	r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.SummaryBytes+r.IDBytes, window) +
+		int64(r.QueuePeak)*r.StagedBytes
 }
 
 // MemoryModel reproduces the paper's Figure 11 accounting. Full data holds

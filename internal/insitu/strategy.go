@@ -17,50 +17,92 @@ type Strategy interface {
 	Describe() string
 }
 
-// runStep advances the simulator one step with panic capture: a panicking
-// simulator worker becomes an error (and a telemetry count), not a dead
-// process with a half-written output directory. With lend set, a simulator
-// that can lend its arrays (sim.Lender) is not asked for a copy.
-func runStep(cfg Config, rt *runTelemetry, t, workers int, lend bool) (fields []sim.Field, err error) {
+// lentStep advances the simulator one time-step and returns the fields where
+// they lie: a sim.Lender lends its own arrays (not owned: read-only, valid
+// until its next step), any other simulator's Step hands over fresh ones.
+// Every strategy stages the step (reducer.stage) before the simulator's next
+// one, and a staged step keeps nothing of lent arrays.
+func lentStep(s sim.Simulator, workers int) (fields []sim.Field, owned bool) {
+	if l, ok := s.(sim.Lender); ok {
+		return l.StepLent(workers), false
+	}
+	return s.Step(workers), true
+}
+
+// spans is a position in the run's two span trees: the aggregate phase tree
+// every run has, and the step's identity trace (a no-op unless a trace
+// recorder is installed).
+type spans struct {
+	agg *telemetry.Span
+	id  *telemetry.ActiveSpan
+}
+
+func (s spans) child(name string) spans { return spans{s.agg.Child(name), s.id.Child(name)} }
+
+func (s spans) end() {
+	s.id.End()
+	s.agg.End()
+}
+
+// runPhase runs fn as the named phase of step t: a span under parent in both
+// trees, the profiler's phase labels, and panic capture — a panicking
+// simulator or reduction worker becomes an error naming the step (and a
+// telemetry count), not a dead process with a half-written output directory.
+func (rt *runTelemetry) runPhase(ctx context.Context, parent spans, name string, t int, fn func(spans) error) (err error) {
+	sp := parent.child(name)
+	defer sp.end()
+	defer rt.enterPhase(ctx, name)()
 	defer func() {
 		if r := recover(); r != nil {
 			rt.workerPanics.Inc()
-			err = fmt.Errorf("insitu: simulator panic at step %d: %v", t, r)
+			err = fmt.Errorf("insitu: %s panic at step %d: %v", name, t, r)
 		}
 	}()
-	return step(cfg.Sim, workers, lend), nil
+	return fn(sp)
 }
 
-// step advances s one time-step, lent when that is both wanted and possible.
-func step(s sim.Simulator, workers int, lend bool) []sim.Field {
-	if l, ok := s.(sim.Lender); ok && lend {
-		return l.StepLent(workers)
+// produce is the simulate side of step t: advance the simulator, then stage
+// the step — the one reader of its raw arrays — before anything can advance
+// the simulator again. The stage is reduction work (a "stage" span inside a
+// reduce phase), paid on whichever goroutine simulates. On a resumed run a
+// step whose outcome the journal already fixes is not staged.
+func (rt *runTelemetry) produce(ctx context.Context, step spans, cfg Config, red *reducer, t, workers int) (st staged, err error) {
+	var fields []sim.Field
+	var owned bool
+	err = rt.runPhase(ctx, step, SpanSimulate, t, func(spans) error {
+		fields, owned = lentStep(cfg.Sim, workers)
+		return nil
+	})
+	if err != nil || red.replayed(t) {
+		return st, err
 	}
-	return s.Step(workers)
+	err = rt.runPhase(ctx, step, SpanReduce, t, func(reduce spans) error {
+		defer reduce.child(SpanStage).end()
+		st, err = red.stage(fields, owned, workers)
+		return err
+	})
+	return st, err
 }
 
-// lendsSteps reports whether a run that alternates simulate and reduce on
-// one goroutine may read each step in the simulator's own arrays: its
-// reduction is over before the next step starts, so what matters is that the
-// summary keeps nothing of the raw array. A bitmap index and a sample are
-// copies by construction; a full-data summary is the array itself.
-func lendsSteps(cfg Config) bool { return cfg.Method != FullData }
-
-// runReduce summarizes one step with the same panic capture. On a resumed
-// run, steps whose outcome the journal already fixes are not re-reduced —
-// a cheap replay stub carries the step number through the selector, which
-// scores it from the journal.
-func runReduce(cfg Config, red *reducer, rt *runTelemetry, fields []sim.Field, workers, t int) (sum *stepSummary, err error) {
-	if rs := cfg.resume; rs != nil && !rs.needsReduce(t) {
-		return rs.stub(t), nil
+// consume is the reduce side of step t: the summary of the staged step, or —
+// for a step a resumed run did not stage — a cheap replay stub that carries
+// the step number through the selector, which scores it from the journal.
+func (rt *runTelemetry) consume(ctx context.Context, step spans, red *reducer, t int, st staged, workers int) (sum *stepSummary, err error) {
+	if red.replayed(t) {
+		return red.cfg.resume.stub(t), nil
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			rt.workerPanics.Inc()
-			err = fmt.Errorf("insitu: reduction panic at step %d: %v", t, r)
-		}
-	}()
-	return red.reduce(fields, workers)
+	err = rt.runPhase(ctx, step, SpanReduce, t, func(spans) error {
+		sum = red.summarize(st, workers)
+		return nil
+	})
+	return sum, err
+}
+
+// replayed reports whether a resumed run's journal already fixes step t's
+// outcome.
+func (r *reducer) replayed(t int) bool {
+	rs := r.cfg.resume
+	return rs != nil && !rs.needsReduce(t)
 }
 
 // SharedCores assigns all cores to simulation, then all cores to reduction,
@@ -84,29 +126,17 @@ func (SharedCores) run(cfg Config, red *reducer, sel *selector) (*Result, error)
 		// child spans mirroring the aggregate phase tree.
 		stepCtx, st := telemetry.StartSpan(ctx, SpanStep)
 		st.SetAttrInt("step", int64(t))
-		sp := rt.root.Child(SpanSimulate)
-		ssp := st.Child(SpanSimulate)
-		unlabel := rt.enterPhase(stepCtx, SpanSimulate)
-		fields, err := runStep(cfg, rt, t, cfg.Cores, lendsSteps(cfg))
-		unlabel()
-		ssp.End()
-		sp.End()
+		step := spans{rt.root, st}
+		var summary *stepSummary
+		staged, err := rt.produce(stepCtx, step, cfg, red, t, cfg.Cores)
+		if err == nil {
+			summary, err = rt.consume(stepCtx, step, red, t, staged, cfg.Cores)
+		}
 		if err != nil {
 			st.End()
 			return nil, err
 		}
-		sp = rt.root.Child(SpanReduce)
-		rsp := st.Child(SpanReduce)
-		unlabel = rt.enterPhase(stepCtx, SpanReduce)
-		summary, err := runReduce(cfg, red, rt, fields, cfg.Cores, t)
-		unlabel()
-		rsp.End()
-		sp.End()
-		if err != nil {
-			st.End()
-			return nil, err
-		}
-		unlabel = rt.enterPhase(stepCtx, SpanSelect)
+		unlabel := rt.enterPhase(stepCtx, SpanSelect)
 		sel.offer(stepCtx, t, summary)
 		unlabel()
 		st.End()
@@ -123,7 +153,10 @@ func (SharedCores) run(cfg Config, red *reducer, sel *selector) (*Result, error)
 // SeparateCores splits the cores into a simulation set and a reduction set
 // connected by a bounded time-step queue — the paper's second strategy. The
 // queue blocks the producer when full (memory capacity) and the consumer
-// when empty, exactly as described in §2.3.
+// when empty, exactly as described in §2.3. What it holds are staged steps:
+// the simulation set maps each step where it lies, so a slot costs
+// reducer.stagedBytes — for bitmaps a byte or two per element, not eight —
+// and no raw step is ever copied.
 type SeparateCores struct {
 	SimCores    int
 	ReduceCores int
@@ -136,6 +169,20 @@ func (s SeparateCores) Describe() string {
 	return fmt.Sprintf("c%d_c%d", s.SimCores, s.ReduceCores)
 }
 
+// queueCap is the capacity of the run's step queue — the paper's bound on how
+// far simulation may run ahead of reduction: QueueCap when set, else what the
+// memory budget buys in staged steps, else 2.
+func (s SeparateCores) queueCap(cfg Config, red *reducer) int {
+	switch {
+	case s.QueueCap > 0:
+		return s.QueueCap
+	case cfg.MemoryBudgetBytes > 0:
+		return QueueCapForMemory(cfg.MemoryBudgetBytes, red.stagedBytes())
+	default:
+		return 2
+	}
+}
+
 func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, error) {
 	if s.SimCores < 1 || s.ReduceCores < 1 {
 		return nil, fmt.Errorf("insitu: separate-cores split %d/%d invalid", s.SimCores, s.ReduceCores)
@@ -143,17 +190,9 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 	if s.SimCores+s.ReduceCores > cfg.Cores {
 		return nil, fmt.Errorf("insitu: split %d+%d exceeds %d cores", s.SimCores, s.ReduceCores, cfg.Cores)
 	}
-	qcap := s.QueueCap
-	if qcap <= 0 && cfg.MemoryBudgetBytes > 0 {
-		stepBytes := int64(8*cfg.Sim.Elements()) * int64(len(cfg.Sim.Vars()))
-		qcap = QueueCapForMemory(cfg.MemoryBudgetBytes, stepBytes)
-	}
-	if qcap <= 0 {
-		qcap = 2
-	}
 	type queued struct {
 		step   int
-		fields []sim.Field
+		staged staged
 		err    error
 		// ctx/span carry the step's identity trace from the producer to the
 		// consumer; both are no-ops when no trace recorder is installed.
@@ -162,16 +201,16 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 	}
 	rt := sel.rt
 	ctx := cfg.context()
-	queue := make(chan queued, qcap)
+	queue := make(chan queued, s.queueCap(cfg, red))
 	simDone := make(chan struct{})
 
-	// Producer: the simulation owns its core set. Simulate spans end on
-	// this goroutine; the tracer aggregates them with the consumer's spans.
-	// The queue gauge counts a step as queued from the moment it is
-	// produced, so a producer blocked on a full queue reads as
-	// depth == cap+1 — the backpressure signal. A simulator panic travels
-	// through the queue as an error; cancellation unblocks a full-queue
-	// send so the producer can exit.
+	// Producer: the simulation owns its core set, and stages each step there
+	// before simulating the next. Its spans end on this goroutine; the tracer
+	// aggregates them with the consumer's spans. The queue gauge counts a
+	// step as queued from the moment it is produced, so a producer blocked on
+	// a full queue reads as depth == cap+1 — the backpressure signal. A
+	// simulator or staging panic travels through the queue as an error;
+	// cancellation unblocks a full-queue send so the producer can exit.
 	go func() {
 		defer close(simDone)
 		defer close(queue)
@@ -181,17 +220,10 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 			}
 			stepCtx, st := telemetry.StartSpan(ctx, SpanStep)
 			st.SetAttrInt("step", int64(t))
-			sp := rt.root.Child(SpanSimulate)
-			ssp := st.Child(SpanSimulate)
-			unlabel := rt.enterPhase(stepCtx, SpanSimulate)
-			// The queue holds steps while the simulator runs on: owned copies.
-			fields, err := runStep(cfg, rt, t, s.SimCores, false)
-			unlabel()
-			ssp.End()
-			sp.End()
+			staged, err := rt.produce(stepCtx, spans{rt.root, st}, cfg, red, t, s.SimCores)
 			rt.enqueued()
 			select {
-			case queue <- queued{step: t, fields: fields, err: err, ctx: stepCtx, span: st}:
+			case queue <- queued{step: t, staged: staged, err: err, ctx: stepCtx, span: st}:
 			case <-ctx.Done():
 				rt.dequeued()
 				st.End()
@@ -203,9 +235,9 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 		}
 	}()
 
-	// Consumer: reduction + streaming selection own the other set. A single
-	// consumer preserves step order (selection is order-dependent); the
-	// parallelism is inside the per-step reduction.
+	// Consumer: the rest of the reduction + streaming selection own the other
+	// set. A single consumer preserves step order (selection is
+	// order-dependent); the parallelism is inside the per-step reduction.
 	drain := func() {
 		for q := range queue {
 			rt.dequeued()
@@ -217,25 +249,18 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 	wallStart := time.Now()
 	for q := range queue {
 		rt.dequeued()
-		if q.err != nil {
-			q.span.End()
-			drain()
-			return nil, q.err
+		var summary *stepSummary
+		err := q.err
+		if err == nil {
+			summary, err = rt.consume(q.ctx, spans{rt.root, q.span}, red, q.step, q.staged, s.ReduceCores)
 		}
-		sp := rt.root.Child(SpanReduce)
-		rsp := q.span.Child(SpanReduce)
-		unlabel := rt.enterPhase(q.ctx, SpanReduce)
-		summary, err := runReduce(cfg, red, rt, q.fields, s.ReduceCores, q.step)
-		unlabel()
-		rsp.End()
-		sp.End()
 		if err != nil {
 			// Drain so the producer can finish; first error wins.
 			q.span.End()
 			drain()
 			return nil, err
 		}
-		unlabel = rt.enterPhase(q.ctx, SpanSelect)
+		unlabel := rt.enterPhase(q.ctx, SpanSelect)
 		sel.offer(q.ctx, q.step, summary)
 		unlabel()
 		q.span.End()
@@ -270,8 +295,9 @@ func finishResult(cfg Config, sel *selector, res *Result) {
 
 // QueueCapForMemory derives the separate-cores queue capacity from a
 // memory budget, implementing the paper's "the queue size is limited by the
-// memory capacity": the queue holds raw time-steps of stepBytes each, and
-// at least one slot is always granted so the pipeline can make progress.
+// memory capacity": the queue holds staged time-steps of stepBytes each
+// (reducer.stagedBytes), and at least one slot is always granted so the
+// pipeline can make progress.
 func QueueCapForMemory(budgetBytes, stepBytes int64) int {
 	if stepBytes <= 0 {
 		return 1
@@ -284,10 +310,12 @@ func QueueCapForMemory(budgetBytes, stepBytes int64) int {
 }
 
 // Calibrate implements the paper's Equations 1 and 2: run a few steps with
-// all cores, measure average simulation and reduction time, and split the
-// cores proportionally. The returned strategy always grants each side at
-// least one core. The calibration steps advance the simulator, mirroring
-// the paper's "initial set of cores" warm-up.
+// all cores, measure the average time of the work each side of the queue
+// does under the split it returns — simulating and staging on one, building
+// the summary on the other — and split the cores proportionally. The returned
+// strategy always grants each side at least one core. The calibration steps
+// advance the simulator, mirroring the paper's "initial set of cores"
+// warm-up.
 func Calibrate(cfg Config, calibSteps int) (SeparateCores, error) {
 	if calibSteps < 1 {
 		calibSteps = 2
@@ -299,11 +327,13 @@ func Calibrate(cfg Config, calibSteps int) (SeparateCores, error) {
 	var simTime, redTime time.Duration
 	for t := 0; t < calibSteps; t++ {
 		t0 := time.Now()
-		fields := step(cfg.Sim, cfg.Cores, lendsSteps(cfg))
-		t1 := time.Now()
-		if _, err := red.reduce(fields, cfg.Cores); err != nil {
+		fields, owned := lentStep(cfg.Sim, cfg.Cores)
+		st, err := red.stage(fields, owned, cfg.Cores)
+		if err != nil {
 			return SeparateCores{}, err
 		}
+		t1 := time.Now()
+		red.summarize(st, cfg.Cores)
 		simTime += t1.Sub(t0)
 		redTime += time.Since(t1)
 	}

@@ -159,8 +159,8 @@ func TestQueueCapForMemory(t *testing.T) {
 }
 
 func TestMemoryBudgetBoundsQueue(t *testing.T) {
-	// A budget of exactly 3 steps must run (cap 3); a tiny budget degrades
-	// to cap 1 but still completes.
+	// A budget of 3 raw steps must run (24 slots of one-byte ids); a tiny
+	// budget degrades to cap 1 but still completes.
 	for _, budgetSteps := range []float64{3, 0.1} {
 		h, err := heat3d.New(8, 8, 8)
 		if err != nil {

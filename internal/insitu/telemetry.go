@@ -29,6 +29,9 @@ const (
 	SpanReduce   = "reduce"
 	SpanSelect   = "select"
 	SpanWrite    = "write"
+	// SpanStage nests under SpanReduce: the part of the reduction that reads
+	// the raw step, paid on the simulate side under separate cores.
+	SpanStage = "stage"
 )
 
 // SpanStep is the identity-trace root each pipeline step runs under when a
@@ -322,6 +325,7 @@ func (rt *runTelemetry) finish(res *Result) {
 	rt.phase.Store("done")
 	res.Breakdown.Simulate = rt.tr.Phase(SpanRun, SpanSimulate).Total
 	res.Breakdown.Reduce = rt.tr.Phase(SpanRun, SpanReduce).Total
+	res.StageTime = rt.tr.Phase(SpanRun, SpanReduce, SpanStage).Total
 	res.Breakdown.Select = rt.tr.Phase(SpanRun, SpanSelect).Total
 	res.WriteTime = rt.tr.Phase(SpanRun, SpanWrite).Total
 	res.QueuePeak = int(rt.peak.Load())
