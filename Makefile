@@ -7,8 +7,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite (bench/ included), so ci
+# catches an unformatted one.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -28,9 +31,12 @@ race:
 # scores (selection), and the simulate → reduce hand-off of a lent step
 # staged on the simulate side of the separate-cores queue — the simulators
 # (sim) and the pipeline's lend, staging and queue tests (insitu, by name:
-# its crash matrix stays in `race` / `crash-matrix`).
+# its crash matrix stays in `race` / `crash-matrix`). ./internal/query/...
+# includes the correlation's pooled id array: concurrent requests over two
+# index sizes (TestPooledScratchNeverEscapes) and the arrays that requests
+# on broken indexes abandon (TestCorrelationOnBrokenPartition).
 race-hot:
-	$(GO) test -race . ./internal/query/ ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/sim/...
+	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/sim/...
 	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate' ./internal/insitu/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
@@ -42,7 +48,13 @@ race-hot:
 #   make bench-compare BASE=base.jsonl CAND=cand.jsonl
 # The micro-benchmarks stay plain `go test`, e.g. `go test -run '^$$' -bench
 # 'BenchmarkNoop|BenchmarkAppendTelemetry|BenchmarkOrInto' -benchmem
-# ./internal/telemetry/ ./internal/bitvec/`. The in-situ write path's
+# ./internal/telemetry/ ./internal/bitvec/`. The offline read path's
+# kernels, on ocean-like clustered bins (1M elements):
+# BenchmarkOrInto/{wah,bbc,dense},
+# BenchmarkWriteIDsMasked/{wah,bbc,dense}/{1pct,25pct,full} and
+# BenchmarkTallyMasked/... (internal/bitvec), and the operator they serve on
+# the benchmark's own ocean, BenchmarkCorrelation/{cold,warm}/{spatial,whole}
+# (internal/query). The in-situ write path's
 # kernels, on heat3d-shaped data (64³ elements, 160 bins):
 # BenchmarkBBCFromBitmap/{sparse,clustered,literal-heavy} and
 # BenchmarkWriteIDs/{uint8,uint16,int32}/{wah,bbc,dense} (internal/bitvec),
@@ -100,7 +112,9 @@ profile-smoke:
 # index-file reader and the run-journal parser — the query oracle property
 # (any request, codec and cache state answers exactly as the brute-force
 # model over the binned raw array does), the flat kernels under it
-# (OrInto, FromFlat, WriteIDs, CountRange × codec against a []bool model),
+# (OrInto, FromFlat, WriteIDs, CountRange and the masked id kernels —
+# WriteIDsMasked, TallyMasked × mask shape × id width — × codec against a
+# []bool model),
 # the run-domain BBC encoder (byte-identical to the expanded-buffer
 # model, bounded form exact), and the batch bin kernel (BinInto equals the
 # mapper's own Bin on any float64 bit pattern, at every width).

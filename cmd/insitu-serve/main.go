@@ -17,6 +17,8 @@
 //   - W3C traceparent / X-Trace-Id propagation into traces, the slow-query
 //     log and the workload log (captured records carry source=serve).
 //
+// A session:
+//
 //	insitu-run -sim heat3d -out run1/ -method bitmaps &
 //	insitu-serve -dir run1/ -watch 2s -debug-addr :6060
 //	bitmapctl query -addr http://localhost:8689 -op count -lo 1 -hi 5

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -666,6 +667,50 @@ func (r *bbcRunReader) readBits(n uint) uint32 {
 	r.acc >>= n
 	r.nacc -= n
 	return v
+}
+
+// bbcToken decodes the token at data[i] for the kernels that walk one stream
+// a whole token at a time (OrInto, the masked id kernels): the n bytes it
+// covers and the index just past its header — where the n bytes of a literal
+// chunk lie, which the caller checks against len(data). It is small enough
+// to inline, so a walker keeps its cursor in registers: a literal chunk is
+// its length byte, a run a count of one byte when below 128. For a longer
+// count n is -1 and the caller asks bbcLongRun at next.
+func bbcToken(data []byte, i int) (n, next int) {
+	if tok := data[i]; tok != bbcZeroRun && tok != bbcOneRun {
+		return int(tok) + 1, i + 1
+	}
+	if i+1 < len(data) && data[i+1] < 0x80 {
+		return int(data[i+1]), i + 2
+	}
+	return -1, i + 1
+}
+
+// bbcLongRun decodes the run count at data[i:]. n is 0 for a count that is
+// malformed, cut short or beyond any bitmap's byte length: a walker stops
+// there, as it does on a zero-length run (which no encoder writes).
+func bbcLongRun(data []byte, i int) (n, next int) {
+	v, k := binary.Uvarint(data[i:])
+	if k <= 0 || v > math.MaxInt {
+		return 0, i
+	}
+	return int(v), i + k
+}
+
+// bbcPiece loads the head of the n literal bytes at data[i:], whose first is
+// logical byte a of the bitmap: the k bytes that fall into a's flat word, at
+// their place in it. One unaligned load when the stream has eight bytes left
+// (the excess, later tokens, is masked off), byte by byte at its very end.
+func bbcPiece(data []byte, i, n, a int) (w uint64, k int) {
+	k = min(8-a&7, n)
+	if i+8 <= len(data) {
+		w = binary.LittleEndian.Uint64(data[i:]) & (^uint64(0) >> uint(64-8*k))
+	} else {
+		for j, v := range data[i : i+k] {
+			w |= uint64(v) << (8 * uint(j))
+		}
+	}
+	return w << (uint(a&7) * 8), k
 }
 
 // bbcTokIter walks the token stream as byte-granular runs: a fill run of n

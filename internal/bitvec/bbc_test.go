@@ -3,6 +3,7 @@ package bitvec
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -82,5 +83,75 @@ func TestBBCLiteralChunkLimit(t *testing.T) {
 	c := BBCFromBytes(raw, len(raw)*8)
 	if !bytes.Equal(c.Bytes(), raw) {
 		t.Fatal("long literal round trip failed")
+	}
+}
+
+// TestBBCWalkersStopOnMalformedStreams: the walkers that decode tokens in
+// place (OrInto, the masked id kernels) are handed streams no encoder writes
+// and BBCFromRaw rejects — cut short, overlong, with counts that do not
+// parse — through the unexported constructor. They must return having
+// touched nothing outside their buffers, which are exactly as long as the
+// bitmap's length asks for (an access past them panics); what they decoded
+// before the damage is not checked. Random streams follow: those BBCFromRaw
+// accepts must decode to their own Bytes().
+func TestBBCWalkersStopOnMalformedStreams(t *testing.T) {
+	const nbits = 200 // 25 bytes, 4 flat words
+	walk := func(data []byte) []uint64 {
+		b := &BBC{data: data, nbits: nbits}
+		dst := make([]uint64, FlatWords(nbits))
+		b.OrInto(dst)
+		full := make([]uint64, FlatWords(nbits))
+		SetFlatRange(full, 0, nbits)
+		ids := make([]int32, nbits)
+		for p := range ids {
+			ids[p] = NoID[int32]()
+		}
+		WriteIDsMasked(b, full, ids, 0)
+		TallyMasked(b, full, ids, make([]int, 1))
+		return dst
+	}
+	huge := []byte{bbcOneRun, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F} // a count of 2^63-1
+	for name, data := range map[string][]byte{
+		"literal cut short":         {4, 0xA5, 0x5A},
+		"literal past the bitmap":   {bbcZeroRun, 24, 1, 0xA5, 0x5A},
+		"long literal token":        {0xFE, 1, 2, 3},
+		"run with no count":         {2, 1, 2, 3, bbcOneRun},
+		"run count cut short":       {bbcOneRun, 0x80},
+		"run count of eleven bytes": {bbcOneRun, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"run count beyond an int":   append(huge[:9:9], 0xFF, 0x01),
+		"run of 2^63-1 bytes":       huge,
+		"literals around that run":  append(append([]byte{0, 0xA5}, huge...), 0, 0xA5),
+		"run past the bitmap":       {bbcOneRun, 26},
+		"zero-length run":           {bbcOneRun, 0, bbcOneRun, 25},
+		"stream past the bitmap":    {bbcOneRun, 25, 0, 0xFF},
+	} {
+		if _, err := BBCFromRaw(data, nbits); err == nil {
+			t.Errorf("%s: BBCFromRaw accepted the stream", name)
+		}
+		walk(data)
+	}
+	r := rand.New(rand.NewSource(23))
+	for i := 0; i < 20000; i++ {
+		data := make([]byte, 1+r.Intn(12))
+		for j := range data {
+			switch r.Intn(3) {
+			case 0:
+				data[j] = byte(r.Intn(256))
+			case 1:
+				data[j] = bbcZeroRun + byte(r.Intn(2))
+			default:
+				data[j] = byte(r.Intn(26))
+			}
+		}
+		dst := walk(data)
+		if b, err := BBCFromRaw(data, nbits); err == nil {
+			want := make([]uint64, FlatWords(nbits))
+			for j, v := range b.Bytes() {
+				want[j>>3] |= uint64(v) << (uint(j) & 7 * 8)
+			}
+			if !slices.Equal(dst, want) {
+				t.Fatalf("stream %x: OrInto = %x, its bytes are %x", data, dst, want)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package bitvec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -119,36 +118,40 @@ func (d *Dense) OrInto(dst []uint64) {
 }
 
 // OrInto ORs the bitmap into a flat buffer of at least FlatWords(Len)
-// words. The stream is byte-aligned, so literal chunks OR in eight bytes at
-// a time once they reach a word boundary and one-runs are range sets.
+// words. The stream is byte-aligned, so a literal chunk ORs in a flat word's
+// worth of bytes at a time (bbcPiece) and one-runs are range sets. Tokens
+// are decoded in place (bbcToken) and held to the bitmap's byte length, so a
+// stream that is cut short or malformed stops the walk inside both buffers.
 func (b *BBC) OrInto(dst []uint64) {
 	checkFlat(dst, b.nbits)
-	var t bbcTokIter
-	t.reset(b.data)
+	data, need := b.data, (b.nbits+7)>>3
 	at := 0 // logical byte position of the current run or chunk
-	for t.valid() {
-		switch {
-		case !t.fill:
-			orBytes(dst, at, t.lit[t.lp:t.lp+t.n])
-		case t.fb != 0:
-			SetFlatRange(dst, 8*at, min(8*(at+t.n), b.nbits))
+	for i := 0; i < len(data); {
+		tok := data[i]
+		n, next := bbcToken(data, i)
+		if n < 0 {
+			n, next = bbcLongRun(data, next)
 		}
-		at += t.n
-		t.consume(t.n)
-	}
-}
-
-// orBytes ORs little-endian bit-buffer bytes in at logical byte position at.
-func orBytes(dst []uint64, at int, lit []byte) {
-	j := 0
-	for ; j < len(lit) && (at+j)&7 != 0; j++ {
-		dst[(at+j)>>3] |= uint64(lit[j]) << (uint(at+j) & 7 * 8)
-	}
-	for ; j+8 <= len(lit); j += 8 {
-		dst[(at+j)>>3] |= binary.LittleEndian.Uint64(lit[j:])
-	}
-	for ; j < len(lit); j++ {
-		dst[(at+j)>>3] |= uint64(lit[j]) << (uint(at+j) & 7 * 8)
+		if n <= 0 || n > need-at {
+			return
+		}
+		i = next
+		switch tok {
+		case bbcZeroRun:
+		case bbcOneRun:
+			SetFlatRange(dst, 8*at, min(8*(at+n), b.nbits))
+		default:
+			if i+n > len(data) {
+				return
+			}
+			for j := 0; j < n; {
+				w, k := bbcPiece(data, i+j, n-j, at+j)
+				dst[(at+j)>>3] |= w
+				j += k
+			}
+			i += n
+		}
+		at += n
 	}
 }
 

@@ -74,7 +74,7 @@ func TestJointHistogramOnBrokenPartition(t *testing.T) {
 		if got := JointHistogramBitmaps(c.xa, c.xb); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: joint histogram\n got %v\nwant %v", c.name, got, want)
 		}
-		if got, want := PairFromBitmaps(c.xa, c.xb), pairFrom(want, c.xa.Histogram(), c.xb.Histogram(), n); got != want {
+		if got, want := PairFromBitmaps(c.xa, c.xb), PairFromJoint(want, c.xa.Histogram(), c.xb.Histogram(), n); got != want {
 			t.Fatalf("%s: PairFromBitmaps %+v, want %+v", c.name, got, want)
 		}
 	}

@@ -294,16 +294,18 @@ func PairFromData(a, b []float64, ma, mb binning.Mapper) Pair {
 	ha := Histogram(a, ma)
 	hb := Histogram(b, mb)
 	joint := JointHistogram(a, b, ma, mb)
-	return pairFrom(joint, ha, hb, len(a))
+	return PairFromJoint(joint, ha, hb, len(a))
 }
 
 // PairFromBitmaps computes the identical metrics from two indices.
 func PairFromBitmaps(xa, xb *index.Index) Pair {
 	joint := JointHistogramBitmaps(xa, xb)
-	return pairFrom(joint, xa.Histogram(), xb.Histogram(), xa.N())
+	return PairFromJoint(joint, xa.Histogram(), xb.Histogram(), xa.N())
 }
 
-func pairFrom(joint [][]int, ha, hb []int, n int) Pair {
+// PairFromJoint computes them from a joint distribution of n elements and
+// its two marginals.
+func PairFromJoint(joint [][]int, ha, hb []int, n int) Pair {
 	ea := Entropy(ha, n)
 	eb := Entropy(hb, n)
 	mi := MutualInformation(joint, ha, hb, n)

@@ -1,0 +1,92 @@
+package query
+
+import (
+	"context"
+	"testing"
+
+	"insitubits/internal/binning"
+	"insitubits/internal/bitcache"
+	"insitubits/internal/codec"
+	"insitubits/internal/index"
+	"insitubits/internal/metrics"
+	"insitubits/internal/sim/ocean"
+)
+
+// oceanPair indexes the benchmark's ocean (256×256×16 cells in Z-curve
+// order, 48 uniform bins, adaptive codec): temperature and salinity.
+func oceanPair(b *testing.B) (xs [2]*index.Index, ranges [2][2]float64) {
+	b.Helper()
+	d, err := ocean.Generate(256, 256, 16, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, name := range []string{"temperature", "salinity"} {
+		raw, err := d.VarCurveOrder(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lo, hi := binning.MinMax(raw)
+		hi += (hi - lo) * 1e-9
+		m, err := binning.NewUniform(lo, hi, 48)
+		if err != nil {
+			b.Fatal(err)
+		}
+		xs[i], ranges[i] = index.BuildParallelCodec(raw, m, 1, codec.Auto), [2]float64{lo, hi}
+	}
+	return xs, ranges
+}
+
+var sinkPair metrics.Pair
+
+// BenchmarkCorrelation is the offline batch's heavy operator on its own
+// data: six value windows per iteration (widths 10–45 % of each variable's
+// range), over the whole domain or a quarter-length spatial range, with no
+// cache (every mask is planned and computed) and on a warm one (the mask is
+// a cached bitmap; the decode and the tally are what remains).
+func BenchmarkCorrelation(b *testing.B) {
+	xs, ranges := oceanPair(b)
+	n := xs[0].N()
+	window := func(r [2]float64, width, u float64) (lo, hi float64) {
+		span := r[1] - r[0]
+		lo = r[0] + u*(span-width*span)
+		return lo, lo + width*span
+	}
+	for _, cache := range []string{"cold", "warm"} {
+		for _, shape := range []string{"spatial", "whole"} {
+			var reqs []Request
+			for i, width := range []float64{0.10, 0.275, 0.45} {
+				for j, u := range []float64{0.2, 0.6} {
+					var sa, sb Subset
+					sa.ValueLo, sa.ValueHi = window(ranges[0], width, u)
+					sb.ValueLo, sb.ValueHi = window(ranges[1], 0.5-width, 1-u)
+					if shape == "spatial" {
+						at := (2*i + j) * n / 8
+						sa.SpatialLo, sa.SpatialHi = at, at+n/4
+						sb.SpatialLo, sb.SpatialHi = at, at+n/4
+					}
+					reqs = append(reqs, Request{Op: OpCorrelation, A: sa, B: sb})
+				}
+			}
+			ctx := WithCache(context.Background(), nil)
+			if cache == "warm" {
+				ctx = WithCache(context.Background(), bitcache.New(64<<20))
+			}
+			pass := func() {
+				for _, req := range reqs {
+					ans, err := Run(ctx, req, xs[0], xs[1])
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkPair = ans.Pair
+				}
+			}
+			b.Run(cache+"/"+shape, func(b *testing.B) {
+				pass() // fills the cache, grows the scratch pools
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+			})
+		}
+	}
+}

@@ -50,7 +50,7 @@ func cacheFrom(ctx context.Context) *bitcache.Cache {
 // plain path) and sp its identity span (nil when untraced); every hook on
 // either is nil-safe. plan and cache are set when a bits-shaped operator
 // lowers the request — count-shaped ones never pay the context lookup.
-// flats and ids are the scratch it borrowed; release returns them.
+// flats is the flat scratch it borrowed; release returns it.
 type executor struct {
 	ctx   context.Context
 	prof  *Node
@@ -58,29 +58,35 @@ type executor struct {
 	plan  *planNode
 	cache *bitcache.Cache
 	flats []*[]uint64
-	ids   []*[]int32
 }
 
 // The scratch pools. A request holds at most two flat buffers (n/8 bytes
-// each: the accumulator and the operand being ANDed in) and, for a
-// correlation, two id arrays (4n bytes each), from its first bin to the end
-// of run — which returns them on every path, errors and deadlines included.
-// Nothing a request returns or caches aliases them: FromFlat copies.
+// each: the accumulator and the operand being ANDed in) from its first bin
+// to the end of run, which returns them on every path, errors and deadlines
+// included. A correlation holds one id array besides (4n bytes), all
+// bitvec.NoID when borrowed: it puts the array back only once its tally has
+// taken every id its decode stored, and drops it on any other path. Nothing a
+// request returns or caches aliases either: FromFlat copies.
 var flatPool, idPool sync.Pool
 
-func borrow[T any](pool *sync.Pool, held *[]*[]T, n int) []T {
-	p, _ := pool.Get().(*[]T)
-	if p == nil || cap(*p) < n {
-		buf := make([]T, n)
-		p = &buf
+// borrow takes a buffer of at least n elements out of pool; one it has to
+// make is filled with fill.
+func borrow[T any](pool *sync.Pool, n int, fill T) *[]T {
+	if p, _ := pool.Get().(*[]T); p != nil && len(*p) >= n {
+		return p
 	}
-	*held = append(*held, p)
-	return (*p)[:n]
+	buf := make([]T, n)
+	for i := range buf {
+		buf[i] = fill
+	}
+	return &buf
 }
 
 // flat borrows zeroed flat scratch for n bits.
 func (e *executor) flat(n int) []uint64 {
-	words := borrow(&flatPool, &e.flats, bitvec.FlatWords(n))
+	p := borrow(&flatPool, bitvec.FlatWords(n), uint64(0))
+	e.flats = append(e.flats, p)
+	words := (*p)[:bitvec.FlatWords(n)]
 	clear(words)
 	return words
 }
@@ -89,10 +95,7 @@ func (e *executor) release() {
 	for _, p := range e.flats {
 		flatPool.Put(p)
 	}
-	for _, p := range e.ids {
-		idPool.Put(p)
-	}
-	e.flats, e.ids = nil, nil
+	e.flats = nil
 }
 
 // flatCost is the charge for one pass over a flat buffer of n bits, in the

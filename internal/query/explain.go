@@ -25,8 +25,8 @@ func Explain(x *index.Index, s Subset, op Op) (*Profile, error) {
 }
 
 // ExplainCorrelation estimates the correlation query's plan: the planned
-// subset mask, the id decode of both variables' selected bins, and the
-// joint tally over the mask.
+// subset mask, the id decode of B's selected bins over it, and the tally of
+// A's.
 func ExplainCorrelation(xa, xb *index.Index, sa, sb Subset) (*Profile, error) {
 	return ExplainRequest(Request{Op: OpCorrelation, A: sa, B: sb}, xa, xb)
 }
@@ -115,9 +115,8 @@ func explainBinCounts(x *index.Index, s Subset, root *Node) {
 }
 
 // explainCorrelation renders the optimized mask plan, then — unless the
-// mask is provably empty, in which case nothing else would run — the id
-// decode of each variable's value-selected occupied bins and the one walk
-// of the mask that tallies the joint distribution.
+// mask is provably empty, in which case nothing else would run — the two
+// phases that read each variable's value-selected occupied bins over it.
 func explainCorrelation(mask *planNode, req *Request, xa, xb *index.Index, root *Node) {
 	mn := root.child("mask", "elements satisfying both predicates")
 	explainPlanNode(mask, mn)
@@ -125,9 +124,6 @@ func explainCorrelation(mask *planNode, req *Request, xa, xb *index.Index, root 
 	if mask.kind == planEmpty {
 		return
 	}
-	explainBins(root.child("decode-a", decodeDetail), "ids", xa, req.A.occupiedBins(xa))
-	explainBins(root.child("decode-b", decodeDetail), "ids", xb, req.B.occupiedBins(xb))
-	jn := root.child("joint", "one walk of the mask's set bits")
-	jn.addCost(flatCost(xa.N(), 1))
-	jn.setRows(int(mask.est.Rows))
+	explainBins(root.child(decodePhase.op, decodePhase.detail), decodePhase.leaf, xb, req.B.occupiedBins(xb))
+	explainBins(root.child(jointPhase.op, jointPhase.detail), jointPhase.leaf, xa, req.A.occupiedBins(xa))
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math/bits"
 
 	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
@@ -209,11 +208,25 @@ func (e *executor) maskedSum(x *index.Index, valid bitvec.Bitmap, s Subset) (agg
 	return agg, err
 }
 
-// correlation answers the §4.1 query. The subset mask is planned and
-// executed like any bits-shaped request; the bin ids of the value-selected
-// occupied bins of both variables are decoded into scratch; and one walk of
-// the mask's set bits tallies the joint distribution, whose row and column
-// sums are the two restricted marginals.
+// phase names one of the correlation's two phases after the mask — its
+// operator, the leaf each bin it reads reports as, and the index (A or B)
+// those bins belong to — for the executor and EXPLAIN alike.
+type phase struct{ op, detail, leaf, side string }
+
+var (
+	decodePhase = phase{"decode-b", "bin ids of B's value-selected occupied bins, stored at the mask's elements", "ids", "B"}
+	jointPhase  = phase{"joint", "A's value-selected occupied bins tallied over the mask, a row each", "tally", "A"}
+)
+
+// correlation answers the §4.1 query in work proportional to the subset. The
+// mask is planned and executed like any bits-shaped request; each selected
+// bin of B stores its id at the elements it shares with the mask, and each
+// selected bin of A tallies the ids at the elements it shares with the mask
+// into its row of the joint distribution. An index read from a file may not
+// partition its elements, and the id array, all NoID between requests, is
+// what shows it: a store that finds an id, or a tally that finds none, is at
+// an element two bins of its index hold; past that, bins that visit fewer
+// than |mask| elements leave one in no bin.
 func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair, error) {
 	e.plan, e.cache = lower(req, xa, xb), cacheFrom(e.ctx)
 	mn := e.prof.child("mask", "elements satisfying both predicates")
@@ -232,69 +245,55 @@ func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair,
 	if n == 0 {
 		return metrics.Pair{}, nil
 	}
-	ida, err := e.decode("decode-a", xa, req.A)
-	if err != nil {
-		return metrics.Pair{}, err
+	for mask[len(mask)-1] == 0 { // no bin is walked past the mask's last element
+		mask = mask[:len(mask)-1]
 	}
-	idb, err := e.decode("decode-b", xb, req.B)
-	if err != nil {
-		return metrics.Pair{}, err
-	}
+	ids := borrow(&idPool, xa.N(), bitvec.NoID[int32]())
 	na, nb := xa.Bins(), xb.Bins()
-	jn := e.prof.child("joint", "one walk of the mask's set bits")
-	jsp := e.sp.Child("joint")
-	defer jsp.End()
-	cells := make([]int, na*nb)
-	for w, word := range mask {
-		for base := w << 6; word != 0; word &= word - 1 {
-			p := base + bits.TrailingZeros64(word)
-			i, j := int(ida[p]), int(idb[p])
-			// Every mask element lies in a selected bin of both indexes, so
-			// both ids were just decoded — unless the bins of an index read
-			// from a file do not partition its elements.
-			if uint(i) >= uint(na) || uint(j) >= uint(nb) {
-				return metrics.Pair{}, fmt.Errorf("query: element %d lies in no bin of one index", p)
-			}
-			cells[i*nb+j]++
-		}
+	cells, ha, hb := make([]int, na*nb), make([]int, na), make([]int, nb)
+	err = e.overMask(decodePhase, xb, req.B, n, func(b int, bm bitvec.Bitmap) (int, int) {
+		return bitvec.WriteIDsMasked(bm, mask, *ids, int32(b))
+	})
+	if err == nil {
+		err = e.overMask(jointPhase, xa, req.A, n, func(a int, bm bitvec.Bitmap) (c, bad int) {
+			ha[a], bad = bitvec.TallyMasked(bm, mask, *ids, cells[a*nb:(a+1)*nb])
+			return ha[a], bad
+		})
 	}
-	ha, hb := make([]int, na), make([]int, nb)
+	if err != nil {
+		return metrics.Pair{}, err // ids is not all NoID again: dropped
+	}
+	idPool.Put(ids)
 	joint := make([][]int, na)
 	for i := range joint {
 		joint[i] = cells[i*nb : (i+1)*nb]
 		for j, c := range joint[i] {
-			ha[i] += c
 			hb[j] += c
 		}
 	}
-	jn.addCost(flatCost(xa.N(), 1))
-	jn.setRows(n)
-	ea := metrics.Entropy(ha, n)
-	eb := metrics.Entropy(hb, n)
-	mi := metrics.MutualInformation(joint, ha, hb, n)
 	e.prof.setRows(n)
-	return metrics.Pair{
-		EntropyA: ea, EntropyB: eb, MI: mi,
-		CondEntropyAB: ea - mi, CondEntropyBA: eb - mi,
-	}, nil
+	return metrics.PairFromJoint(joint, ha, hb, n), nil
 }
 
-// decodeDetail describes the decode-a / decode-b operators.
-const decodeDetail = "bin ids of the value-selected occupied bins"
-
-// decode writes the bin id of every element in a value-selected occupied
-// bin of x into pooled scratch, reading each such bin once. Entries of
-// elements in other bins are stale, and the mask never selects those.
-func (e *executor) decode(name string, x *index.Index, s Subset) ([]int32, error) {
-	ids := borrow(&idPool, &e.ids, x.N())
-	o := openOperator(e.prof.child(name, decodeDetail), e.sp, name)
+// overMask runs one phase of a correlation: kernel over every value-selected
+// occupied bin of x, each read once. Between them the bins must visit each of
+// the mask's want elements once.
+func (e *executor) overMask(ph phase, x *index.Index, s Subset, want int, kernel func(b int, bm bitvec.Bitmap) (n, bad int)) error {
+	o := openOperator(e.prof.child(ph.op, ph.detail), e.sp, ph.op)
 	defer o.end()
+	got := 0
 	for _, b := range s.occupiedBins(x) {
 		if err := e.ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		o.scan("ids", x, b)
-		bitvec.WriteIDs(x.Bitmap(b), ids, int32(b))
+		o.scan(ph.leaf, x, b)
+		n, bad := kernel(b, x.Bitmap(b))
+		if got += n; bad >= 0 {
+			return fmt.Errorf("query: index %s is not a partition: element %d lies in two bins", ph.side, bad)
+		}
 	}
-	return ids, nil
+	if got != want {
+		return fmt.Errorf("query: index %s is not a partition: an element of the subset lies in no bin (its selected bins hold %d of %d)", ph.side, got, want)
+	}
+	return nil
 }

@@ -450,7 +450,7 @@ func operators(n *Node) []string {
 // TestExplainMatchesAnalyzeShape: EXPLAIN renders the plan object the
 // executor runs, so with no cache to answer from both report the same
 // operators in the same order — for every op, correlation included (mask,
-// decode-a, decode-b, joint) — and a provably-empty request estimates zero
+// decode-b, joint) — and a provably-empty request estimates zero
 // words. (The narrow subset is left
 // out: its mask turns out empty only when executed, where the executor
 // stops early and EXPLAIN cannot know.)
@@ -471,8 +471,9 @@ func TestExplainMatchesAnalyzeShape(t *testing.T) {
 			t.Errorf("%s: EXPLAIN operators %v, ANALYZE ran %v", label, got, want)
 		}
 		// A correlation is charged the selected occupied bins only — the
-		// mask plan's and the id decode's — plus the flat passes, so its
-		// estimate stays within the estimator's 4x of what ANALYZE measures.
+		// mask plan's, the id decode's and the tally's — plus the mask's flat
+		// passes, so its estimate stays within the estimator's 4x of what
+		// ANALYZE measures.
 		if et, at := est.Total().WordsScanned, prof.Total().WordsScanned; req.Op == OpCorrelation && (et > 4*at || at > 4*et) {
 			t.Errorf("%s: EXPLAIN estimates %d words, ANALYZE scanned %d (beyond 4x)", label, et, at)
 		}

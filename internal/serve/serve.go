@@ -155,12 +155,16 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // LoadFiles loads explicit "name=path" index specs as the served catalog.
-func (s *Server) LoadFiles(specs []string) error { return s.swapFrom(func() (*catalog, error) { return loadFiles(specs) }) }
+func (s *Server) LoadFiles(specs []string) error {
+	return s.swapFrom(func() (*catalog, error) { return loadFiles(specs) })
+}
 
 // LoadDir loads the newest committed step of an in-situ run's output
 // directory (live runs are read through the journal, finished ones through
 // the manifest).
-func (s *Server) LoadDir(dir string) error { return s.swapFrom(func() (*catalog, error) { return loadDir(dir) }) }
+func (s *Server) LoadDir(dir string) error {
+	return s.swapFrom(func() (*catalog, error) { return loadDir(dir) })
+}
 
 // Reload re-runs the loader the current catalog came from and swaps in the
 // result if it changed. It returns true when a new catalog was published.
