@@ -411,14 +411,12 @@ func BenchmarkAblationBBCAnd(b *testing.B) {
 	}
 }
 
-// Three-way codec ablation: the same random bits encoded under each codec,
-// measured for logical-op latency and encoded size across bin densities.
-// Results are recorded in EXPERIMENTS.md ("Codec ablation").
+// Codec ablation: the same random bits encoded under each codec, measured
+// for logical-op latency and encoded size across bin densities. Results are
+// recorded in EXPERIMENTS.md ("Codec ablation").
 var codecBenchDensities = []float64{0.001, 0.01, 0.1, 0.5}
 
-var codecBenchIDs = []insitubits.Codec{
-	insitubits.CodecWAH, insitubits.CodecBBC, insitubits.CodecDense,
-}
+var codecBenchIDs = []insitubits.Codec{insitubits.CodecWAH, insitubits.CodecBBC}
 
 func codecBenchPair(b *testing.B, density float64, id insitubits.Codec) (insitubits.Bitmap, insitubits.Bitmap) {
 	b.Helper()

@@ -1,7 +1,7 @@
 // Command bitmapctl builds, inspects and queries bitmap index files (the
 // .isbm format written by the in-situ pipeline).
 //
-//	bitmapctl build -in data.israw -out index.isbm [-bins N] [-codec auto|wah|bbc|dense]
+//	bitmapctl build -in data.israw -out index.isbm [-bins N] [-codec auto|wah|bbc]
 //	bitmapctl info  index.isbm
 //	bitmapctl stat  index.isbm
 //	bitmapctl convert -codec wah [-v1] -in index.isbm -out recoded.isbm
@@ -172,7 +172,7 @@ func cmdBuild(args []string) error {
 	in := fs.String("in", "", "input raw array file (.israw)")
 	out := fs.String("out", "", "output index file (.isbm)")
 	bins := fs.Int("bins", 128, "number of value bins")
-	codecName := fs.String("codec", "auto", "per-bin bitmap codec: auto | wah | bbc | dense")
+	codecName := fs.String("codec", "auto", "per-bin bitmap codec: auto | wah | bbc")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -243,7 +243,7 @@ func cmdInfo(args []string) error {
 }
 
 // cmdStat reports the physical encoding of every bin: codec, compressed
-// bytes, and the compression ratio against the uncompressed (dense) form.
+// bytes, and the compression ratio against the uncompressed form.
 func cmdStat(args []string) error {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	all := fs.Bool("all", false, "also list empty bins")
@@ -257,9 +257,9 @@ func cmdStat(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Dense reference: one 31-bit segment word per bin row.
-	denseBytes := 4 * ((x.N() + insitubits.SegmentBits - 1) / insitubits.SegmentBits)
-	fmt.Printf("%4s  %-6s %9s %10s %8s %9s\n", "bin", "codec", "count", "bytes", "vs dense", "density")
+	// Uncompressed reference: one 31-bit segment word per bin row.
+	plainBytes := 4 * ((x.N() + insitubits.SegmentBits - 1) / insitubits.SegmentBits)
+	fmt.Printf("%4s  %-6s %9s %10s %8s %9s\n", "bin", "codec", "count", "bytes", "vs plain", "density")
 	perCodec := map[insitubits.Codec]int{}
 	total := 0
 	for b := 0; b < x.Bins(); b++ {
@@ -271,8 +271,8 @@ func cmdStat(args []string) error {
 			continue
 		}
 		ratio := 0.0
-		if denseBytes > 0 {
-			ratio = float64(sz) / float64(denseBytes)
+		if plainBytes > 0 {
+			ratio = float64(sz) / float64(plainBytes)
 		}
 		density := 0.0
 		if x.N() > 0 {
@@ -281,13 +281,13 @@ func cmdStat(args []string) error {
 		fmt.Printf("%4d  %-6s %9d %10d %7.1f%% %8.4f\n", b, id, x.Count(b), sz, 100*ratio, density)
 	}
 	fmt.Printf("codecs: ")
-	for _, id := range []insitubits.Codec{insitubits.CodecWAH, insitubits.CodecBBC, insitubits.CodecDense} {
+	for _, id := range []insitubits.Codec{insitubits.CodecWAH, insitubits.CodecBBC} {
 		if n := perCodec[id]; n > 0 {
 			fmt.Printf("%s=%d ", id, n)
 		}
 	}
-	fmt.Printf("\ntotal:  %d bytes across %d bins (%.1f%% of %d dense bytes)\n",
-		total, x.Bins(), 100*float64(total)/float64(denseBytes*x.Bins()+1), denseBytes*x.Bins())
+	fmt.Printf("\ntotal:  %d bytes across %d bins (%.1f%% of %d uncompressed bytes)\n",
+		total, x.Bins(), 100*float64(total)/float64(plainBytes*x.Bins()+1), plainBytes*x.Bins())
 	return nil
 }
 
@@ -297,7 +297,7 @@ func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("in", "", "input index file (.isbm)")
 	out := fs.String("out", "", "output index file (.isbm)")
-	codecName := fs.String("codec", "auto", "target codec: auto | wah | bbc | dense")
+	codecName := fs.String("codec", "auto", "target codec: auto | wah | bbc")
 	v1 := fs.Bool("v1", false, "write the legacy all-WAH v1 layout")
 	if err := fs.Parse(args); err != nil {
 		return err

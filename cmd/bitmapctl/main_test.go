@@ -52,7 +52,7 @@ func TestCodecFlagConvertAndStat(t *testing.T) {
 	}
 	// Build once per codec; every variant must load and answer queries.
 	paths := map[string]string{}
-	for _, c := range []string{"auto", "wah", "bbc", "dense"} {
+	for _, c := range []string{"auto", "wah", "bbc"} {
 		idx := filepath.Join(dir, c+".isbm")
 		if err := cmdBuild([]string{"-in", raw, "-out", idx, "-bins", "64", "-codec", c}); err != nil {
 			t.Fatalf("build -codec %s: %v", c, err)
@@ -64,7 +64,7 @@ func TestCodecFlagConvertAndStat(t *testing.T) {
 	}
 	// Pinned builds really carry the pinned codec on disk.
 	for c, want := range map[string]insitubits.Codec{
-		"wah": insitubits.CodecWAH, "bbc": insitubits.CodecBBC, "dense": insitubits.CodecDense,
+		"wah": insitubits.CodecWAH, "bbc": insitubits.CodecBBC,
 	} {
 		x, err := loadIndex(paths[c])
 		if err != nil {
@@ -78,7 +78,7 @@ func TestCodecFlagConvertAndStat(t *testing.T) {
 	}
 	// convert re-encodes, and -v1 emits the legacy layout that still loads.
 	conv := filepath.Join(dir, "conv.isbm")
-	if err := cmdConvert([]string{"-in", paths["dense"], "-out", conv, "-codec", "wah"}); err != nil {
+	if err := cmdConvert([]string{"-in", paths["bbc"], "-out", conv, "-codec", "wah"}); err != nil {
 		t.Fatal(err)
 	}
 	legacy := filepath.Join(dir, "legacy.isbm")
@@ -103,12 +103,14 @@ func TestCodecFlagConvertAndStat(t *testing.T) {
 			}
 		}
 	}
-	// Bad codec names error cleanly everywhere.
-	if err := cmdBuild([]string{"-in", raw, "-out", conv, "-codec", "zstd"}); err == nil {
-		t.Error("build accepted unknown codec")
-	}
-	if err := cmdConvert([]string{"-in", paths["wah"], "-out", conv, "-codec", "zstd"}); err == nil {
-		t.Error("convert accepted unknown codec")
+	// Bad codec names — the retired dense included — error cleanly everywhere.
+	for _, c := range []string{"zstd", "dense"} {
+		if err := cmdBuild([]string{"-in", raw, "-out", conv, "-codec", c}); err == nil {
+			t.Errorf("build accepted codec %q", c)
+		}
+		if err := cmdConvert([]string{"-in", paths["wah"], "-out", conv, "-codec", c}); err == nil {
+			t.Errorf("convert accepted codec %q", c)
+		}
 	}
 	if err := cmdConvert([]string{"-in", "", "-out", ""}); err == nil {
 		t.Error("convert accepted missing paths")

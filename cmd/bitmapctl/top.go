@@ -189,7 +189,7 @@ func renderTop(st insitubits.RunStatus) string {
 	}
 	if len(st.CodecBins) > 0 {
 		parts := make([]string, 0, len(st.CodecBins))
-		for _, id := range []string{"wah", "bbc", "dense", "other"} {
+		for _, id := range []string{"wah", "bbc", "other"} {
 			if n := st.CodecBins[id]; n > 0 {
 				parts = append(parts, fmt.Sprintf("%s=%d", id, n))
 			}
@@ -277,7 +277,7 @@ func renderHistory(d insitubits.MetricsHistoryDump, width int) string {
 	line("queries", "/s", sumRates(queryOpCounters...))
 	line("served", "/s", sumRates("serve.requests"))
 	line("shed", "/s", sumRates("serve.shed"))
-	line("scans", " words/s", sumRates("query.codec_ops.wah", "query.codec_ops.bbc", "query.codec_ops.dense", "query.codec_ops.other"))
+	line("scans", " words/s", sumRates("query.codec_ops.wah", "query.codec_ops.bbc", "query.codec_ops.other"))
 	line("steps", "/s", sumRates("insitu.steps_processed"))
 	line("qlog", " rec/s", sumRates("qlog.records"))
 	// Cache hit-rate needs hits and misses per interval, not a plain sum.

@@ -21,7 +21,7 @@ func topStatus() insitubits.RunStatus {
 		QueueDepth:   2,
 		QueuePeak:    5,
 		BytesWritten: 3 << 20,
-		CodecBins:    map[string]int64{"wah": 120, "dense": 8},
+		CodecBins:    map[string]int64{"wah": 120, "bbc": 8},
 		Phases: map[string]insitubits.RunPhaseStatus{
 			"simulate": {Count: 40, TotalNs: 2_000_000_000},
 			"reduce":   {Count: 40, TotalNs: 500_000_000},
@@ -45,7 +45,7 @@ func TestRenderTop(t *testing.T) {
 		"elapsed   3s",
 		"reduce 500ms/40",
 		"simulate 2s/40",
-		"wah=120 dense=8",
+		"wah=120 bbc=8",
 		"trace     00000000000000000000000000abcdef",
 		"/debug/traces?id=00000000000000000000000000abcdef",
 	} {

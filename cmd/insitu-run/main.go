@@ -67,7 +67,7 @@ func main() {
 	steps := flag.Int("steps", 50, "time-steps to simulate")
 	selectK := flag.Int("select", 10, "time-steps to keep")
 	bins := flag.Int("bins", 160, "value bins per variable")
-	codecName := flag.String("codec", "auto", "bitmap codec per bin: auto | wah | bbc | dense")
+	codecName := flag.String("codec", "auto", "bitmap codec per bin: auto | wah | bbc")
 	sample := flag.Float64("sample", 10, "sampling percentage (method=sampling)")
 	cores := flag.Int("cores", runtime.NumCPU(), "worker goroutines")
 	strategy := flag.String("strategy", "shared", "core allocation: shared | separate | auto")

@@ -134,12 +134,12 @@ const PipelineRunStatusName = insitu.RunStatusName
 // --- Compressed bitvectors (internal/bitvec, internal/codec) ---
 
 // Bitmap is the codec-independent compressed bitmap interface every
-// analysis layer operates on: AND/OR/XOR/NOT, population counts and range
-// counts on the compressed form, plus decode-free run iteration. Three
-// codecs implement it: BitVector (WAH), BBC, and DenseBitmap.
+// analysis layer operates on: AND/OR, AND- and XOR-counts, population counts
+// and range counts on the compressed form, plus decode-free run iteration.
+// Two codecs implement it: BitVector (WAH) and BBC.
 type Bitmap = bitvec.Bitmap
 
-// BitVector is a WAH-compressed bitvector supporting AND/OR/XOR/NOT,
+// BitVector is a WAH-compressed bitvector supporting AND/OR, AND/XOR counts,
 // population counts and range counts directly on the compressed form.
 type BitVector = bitvec.Vector
 
@@ -151,20 +151,15 @@ type BitAppender = bitvec.Appender
 // runs on the compressed stream.
 type BBC = bitvec.BBC
 
-// DenseBitmap is the uncompressed codec, the fast path for high-density
-// bins where fill runs never pay off.
-type DenseBitmap = bitvec.Dense
-
 // Codec names a bitmap encoding; CodecAuto is the adaptive per-bin policy.
 type Codec = codec.ID
 
-// Available codecs. CodecAuto picks per bin by density at build time
-// (dense at ≥50%, the smaller run-length codec below).
+// Available codecs. CodecAuto keeps, per bin at build time, whichever of
+// the two run-length codecs encodes it smaller.
 const (
-	CodecAuto  = codec.Auto
-	CodecWAH   = codec.WAH
-	CodecBBC   = codec.BBC
-	CodecDense = codec.Dense
+	CodecAuto = codec.Auto
+	CodecWAH  = codec.WAH
+	CodecBBC  = codec.BBC
 )
 
 // SegmentBits is the number of logical bits per WAH word (31).
@@ -172,16 +167,14 @@ const SegmentBits = bitvec.SegmentBits
 
 // Re-exported bitvec/codec constructors.
 var (
-	FromBools       = bitvec.FromBools
-	FromIndices     = bitvec.FromIndices
-	ConcatVectors   = bitvec.Concat
-	ToBitVector     = bitvec.ToVector
-	BBCFromVector   = bitvec.BBCFromVector
-	BBCFromBitmap   = bitvec.BBCFromBitmap
-	DenseFromBitmap = bitvec.DenseFromBitmap
-	ParseCodec      = codec.Parse
-	EncodeBitmap    = codec.Encode
-	CodecOf         = codec.Of
+	FromBools     = bitvec.FromBools
+	FromIndices   = bitvec.FromIndices
+	ConcatVectors = bitvec.Concat
+	ToBitVector   = bitvec.ToVector
+	BBCFromBitmap = bitvec.BBCFromBitmap
+	ParseCodec    = codec.Parse
+	EncodeBitmap  = codec.Encode
+	CodecOf       = codec.Of
 )
 
 // --- Binning (internal/binning) ---

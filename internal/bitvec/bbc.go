@@ -25,8 +25,8 @@ import (
 //	token 0x81       : one  run; uvarint byte count follows
 //
 // Invariants: the runs cover exactly ceil(nbits/8) bytes, and the padding
-// bits of the final byte beyond nbits are zero (so byte-wise AND/OR/XOR/
-// ANDNOT preserve the padding without masking).
+// bits of the final byte beyond nbits are zero (so byte-wise AND/OR/XOR
+// preserve the padding without masking).
 
 const (
 	bbcZeroRun = 0x80
@@ -78,9 +78,6 @@ func BBCFromBytes(raw []byte, nbits int) *BBC {
 	return &BBC{data: out, nbits: nbits}
 }
 
-// BBCFromVector converts a WAH vector to byte-aligned form.
-func BBCFromVector(v *Vector) *BBC { return BBCFromBitmap(v) }
-
 // BBCFromBitmap re-encodes any bitmap as BBC. A *BBC passes through
 // unchanged (bitmaps are immutable, so sharing is safe).
 func BBCFromBitmap(b Bitmap) *BBC {
@@ -113,35 +110,28 @@ func BBCIfSmaller(b Bitmap, limit int) *BBC {
 var bbcScratch = sync.Pool{New: func() any { return new(bbcWriter) }}
 
 // bbcEncode is the one bitmap-to-BBC encoder. It works in the run domain:
-// the source's fills and 31-bit literals go straight into the byte stream
-// (see bbcBits), never through an expanded n/8-byte buffer, so the cost is
-// O(compressed words). The stream is the canonical one BBCFromBytes gives
-// for the same bits. A positive limit bounds the output: nil is returned
-// once the stream is known to reach limit bytes.
+// the WAH source's fills and 31-bit literals go straight into the byte
+// stream (see bbcBits), never through an expanded n/8-byte buffer, so the
+// cost is O(compressed words). The stream is the canonical one BBCFromBytes
+// gives for the same bits. A positive limit bounds the output: nil is
+// returned once the stream is known to reach limit bytes.
 func bbcEncode(b Bitmap, limit int) *BBC {
 	w := bbcScratch.Get().(*bbcWriter)
 	defer bbcScratch.Put(w)
 	w.reset(limit)
 	e := bbcBits{w: w}
-	left := b.Len() // bits still to emit; runs are clipped and masked to it
-	if v, ok := b.(*Vector); ok {
-		for _, word := range v.words { // the hot source: no reader, no interface call per run
-			if left == 0 || w.over() {
-				break
-			}
-			r := Run{N: 1, Word: word}
-			if word&fillFlag != 0 {
-				r = Run{Fill: true, Bit: word & fillValue >> 30, N: int(word & countMask)}
-			}
-			left -= e.put(r, left)
+	v := ToVector(b) // the builders' WAH passes through
+	left := v.nbits  // bits still to emit; runs are clipped and masked to it
+	for _, word := range v.words {
+		if left == 0 || w.over() {
+			break
 		}
-	} else {
-		var it bmIter
-		for it.reset(b.Runs()); it.ok && left > 0 && !w.over(); it.next() {
-			left -= e.put(it.run, left)
+		r := Run{N: 1, Word: word}
+		if word&fillFlag != 0 {
+			r = Run{Fill: true, Bit: word & fillValue >> 30, N: int(word & countMask)}
 		}
+		left -= e.put(r, left)
 	}
-	e.fill(false, left) // a short reader pads with zeros
 	if e.nacc > 0 {
 		w.putByte(byte(e.acc))
 	}
@@ -381,14 +371,6 @@ func countBytes(buf []byte, s, e int) int {
 // CountUnits reports the set-bit count of each unitSize-bit unit.
 func (b *BBC) CountUnits(unitSize int) []int { return genericCountUnits(b, unitSize) }
 
-// Get reports the value of logical bit i.
-func (b *BBC) Get(i int) bool {
-	if i < 0 || i >= b.nbits {
-		panic(fmt.Sprintf("bitvec: Get(%d) out of range [0,%d)", i, b.nbits))
-	}
-	return b.byteAt(i/8)&(1<<uint(i%8)) != 0
-}
-
 // Iterate calls fn for each set bit in ascending order.
 func (b *BBC) Iterate(fn func(pos int) bool) { genericIterate(b, fn) }
 
@@ -397,12 +379,6 @@ func (b *BBC) And(o Bitmap) Bitmap { return b.binaryOp(o, opAnd) }
 
 // Or returns b OR o.
 func (b *BBC) Or(o Bitmap) Bitmap { return b.binaryOp(o, opOr) }
-
-// Xor returns b XOR o.
-func (b *BBC) Xor(o Bitmap) Bitmap { return b.binaryOp(o, opXor) }
-
-// AndNot returns b AND NOT o.
-func (b *BBC) AndNot(o Bitmap) Bitmap { return b.binaryOp(o, opAndNot) }
 
 func (b *BBC) binaryOp(o Bitmap, k opKind) Bitmap {
 	ob, ok := o.(*BBC)
@@ -415,7 +391,7 @@ func (b *BBC) binaryOp(o Bitmap, k opKind) Bitmap {
 // bbcBinary merges two BBC streams byte-run by byte-run: aligned fill runs
 // combine in O(1), literal regions byte-wise, with the output re-coalesced
 // by bbcWriter. Both operands keep zero padding, so the result does too
-// (x OP y over zero bits yields zero for all four ops).
+// (x OP y over zero bits yields zero for every op).
 func bbcBinary(a, b *BBC, k opKind) *BBC {
 	if a.nbits != b.nbits {
 		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", a.nbits, b.nbits))
@@ -443,50 +419,11 @@ func bbcBinary(a, b *BBC, k opKind) *BBC {
 	return &BBC{data: w.bytes(), nbits: a.nbits}
 }
 
-// Not returns the complement of b within its logical length.
-func (b *BBC) Not() Bitmap {
-	tel.opNot.Inc()
-	total := (b.nbits + 7) / 8
-	rem := b.nbits % 8
-	var t bbcTokIter
-	t.reset(b.data)
-	var w bbcWriter
-	pos := 0
-	for t.valid() {
-		if t.fill {
-			m := t.n
-			if rem != 0 && pos+m == total {
-				m-- // hold back the final byte for padding masking
-			}
-			if m > 0 {
-				w.putRun(^t.fb, m)
-				pos += m
-				t.consume(m)
-				continue
-			}
-		}
-		v := ^t.cur()
-		if rem != 0 && pos == total-1 {
-			v &= byte(1)<<uint(rem) - 1
-		}
-		w.putByte(v)
-		pos++
-		t.consume(1)
-	}
-	return &BBC{data: w.bytes(), nbits: b.nbits}
-}
-
 // AndCount returns Count(b AND o) without materializing the result.
 func (b *BBC) AndCount(o Bitmap) int { return b.binaryCount(o, opAnd) }
 
-// OrCount returns Count(b OR o) without materializing the result.
-func (b *BBC) OrCount(o Bitmap) int { return b.binaryCount(o, opOr) }
-
 // XorCount returns Count(b XOR o) without materializing the result.
 func (b *BBC) XorCount(o Bitmap) int { return b.binaryCount(o, opXor) }
-
-// AndNotCount returns Count(b AND NOT o) without materializing the result.
-func (b *BBC) AndNotCount(o Bitmap) int { return b.binaryCount(o, opAndNot) }
 
 func (b *BBC) binaryCount(o Bitmap, k opKind) int {
 	ob, ok := o.(*BBC)
@@ -525,11 +462,6 @@ func (b *BBC) binaryCount(o Bitmap, k opKind) int {
 		total -= bits.OnesCount8(last &^ (byte(1)<<uint(rem) - 1))
 	}
 	return total
-}
-
-// Clone returns a deep copy.
-func (b *BBC) Clone() Bitmap {
-	return &BBC{data: append([]byte(nil), b.data...), nbits: b.nbits}
 }
 
 // Equal reports whether two bitmaps have identical logical contents.

@@ -21,7 +21,8 @@ func packBools(bs []bool) []byte {
 }
 
 // checkBBCEncode holds the encoder to the model for one bit pattern, from a
-// WAH and from a Dense source: the unbounded stream is byte-identical, and
+// WAH and from a foreign Bitmap source: the unbounded stream is
+// byte-identical, and
 // the bounded form answers "not smaller" exactly when the stream reaches
 // the limit — at the policy's limit (the WAH size) and around the stream's
 // own size.
@@ -29,7 +30,7 @@ func checkBBCEncode(t *testing.T, bs []bool) {
 	t.Helper()
 	want := BBCFromBytes(packBools(bs), len(bs)).RawBytes()
 	v := FromBools(bs)
-	for _, src := range []Bitmap{v, DenseFromBitmap(v)} {
+	for _, src := range []Bitmap{v, opaque{v}} {
 		got := BBCFromBitmap(src)
 		if got.Len() != len(bs) || !bytes.Equal(got.RawBytes(), want) {
 			t.Fatalf("%T of %d bits: stream % x, want % x", src, len(bs), got.RawBytes(), want)
@@ -166,11 +167,7 @@ func TestBBCEncodeLongAndOverhangingFills(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := make([]bool, c.nbits)
-		for i := range bs {
-			bs[i] = v.Get(i)
-		}
-		want := BBCFromBytes(packBools(bs), c.nbits).RawBytes()
+		want := BBCFromBytes(packBools(Bools(v)), c.nbits).RawBytes()
 		if got := BBCFromBitmap(v).RawBytes(); !bytes.Equal(got, want) {
 			t.Fatalf("words %x, %d bits: stream % x, want % x", c.words, c.nbits, got, want)
 		}

@@ -27,7 +27,7 @@ func TestBBCRoundTripProperty(t *testing.T) {
 func TestBBCCountMatchesVector(t *testing.T) {
 	f := func(bs boolsValue) bool {
 		v := FromBools(bs)
-		c := BBCFromVector(v)
+		c := BBCFromBitmap(v)
 		return c.Count() == v.Count() && c.Len() == v.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -38,7 +38,7 @@ func TestBBCCountMatchesVector(t *testing.T) {
 func TestBBCAndMatchesWAH(t *testing.T) {
 	f := func(p pairValue) bool {
 		va, vb := FromBools(p.A), FromBools(p.B)
-		ca, cb := BBCFromVector(va), BBCFromVector(vb)
+		ca, cb := BBCFromBitmap(va), BBCFromBitmap(vb)
 		return ca.And(cb).Count() == va.AndCount(vb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -3,11 +3,12 @@ package bitvec
 import "fmt"
 
 // Bitmap is the codec-independent compressed bitvector every analysis layer
-// operates on. Three implementations live in this package: the WAH *Vector
-// (31-bit word-aligned runs), the byte-aligned *BBC, and the uncompressed
-// *Dense fast path. All of them expose the same logical contents through
-// Runs(), a 31-bit-segment-granular run iterator, which is what lets two
-// bitmaps of different codecs be combined without decompressing either.
+// operates on. Two implementations live in this package, the paper's two
+// run-length codecs: the WAH *Vector (31-bit word-aligned runs) and the
+// byte-aligned *BBC. Both expose the same logical contents through Runs(),
+// a 31-bit-segment-granular run iterator, which is what lets two bitmaps of
+// different codecs be combined without decompressing either. Bitmaps are
+// immutable once built, so they are shared, never copied.
 //
 // Binary operations accept any Bitmap: same-codec pairs dispatch to the
 // codec's native compressed-form implementation; mixed pairs merge through
@@ -24,7 +25,6 @@ type Bitmap interface {
 	Count() int
 	CountRange(from, to int) int
 	CountUnits(unitSize int) []int
-	Get(i int) bool
 	Iterate(fn func(pos int) bool)
 	// OrInto ORs the bitmap into flat scratch of at least FlatWords(Len)
 	// words (see flat.go); bits of dst at and beyond Len are left alone.
@@ -32,15 +32,9 @@ type Bitmap interface {
 
 	And(o Bitmap) Bitmap
 	Or(o Bitmap) Bitmap
-	Xor(o Bitmap) Bitmap
-	AndNot(o Bitmap) Bitmap
-	Not() Bitmap
 	AndCount(o Bitmap) int
-	OrCount(o Bitmap) int
 	XorCount(o Bitmap) int
-	AndNotCount(o Bitmap) int
 
-	Clone() Bitmap
 	Equal(o Bitmap) bool
 	Stats() Stats
 

@@ -106,18 +106,6 @@ func (v *Vector) OrInto(dst []uint64) {
 }
 
 // OrInto ORs the bitmap into a flat buffer of at least FlatWords(Len)
-// words, one shifted segment per word (the tail invariant keeps bits beyond
-// Len clear).
-func (d *Dense) OrInto(dst []uint64) {
-	checkFlat(dst, d.nbits)
-	for s, w := range d.words {
-		if w != 0 {
-			orSegment(dst, s*SegmentBits, w)
-		}
-	}
-}
-
-// OrInto ORs the bitmap into a flat buffer of at least FlatWords(Len)
 // words. The stream is byte-aligned, so a literal chunk ORs in a flat word's
 // worth of bytes at a time (bbcPiece) and one-runs are range sets. Tokens
 // are decoded in place (bbcToken) and held to the bitmap's byte length, so a

@@ -177,7 +177,7 @@ func checkFlatKernels(t *testing.T, name string, bs []bool) {
 		checkWriteIDs[uint8](t, tag+"/uint8", bm, bs)
 		checkWriteIDs[uint16](t, tag+"/uint16", bm, bs)
 		checkWriteIDs[int32](t, tag+"/int32", bm, bs)
-		// Any other Bitmap implementation decodes through its Runs().
+		// Any other Bitmap implementation is re-encoded as WAH first.
 		checkWriteIDs[uint8](t, tag+"/runs", opaque{bm}, bs)
 		checkMasked[uint8](t, tag+"/uint8", bm, bs)
 		checkMasked[uint16](t, tag+"/uint16", bm, bs)
@@ -304,10 +304,10 @@ func clusteredBits(n, gap, span int, p float64) []bool {
 	return bs
 }
 
-// oceanLikeBins are the three codecs' bins at the shapes the adaptive policy
+// oceanLikeBins are the two codecs' bins at the shapes the adaptive policy
 // gives them on that data: BBC for the sparse bands (3 % set, clusters of
 // three or four bytes), WAH for the wide ones (7 %, six literal words a
-// cluster); Dense, which the ocean never picks, at the 60 % it is chosen for.
+// cluster).
 func oceanLikeBins() []struct {
 	name string
 	bm   Bitmap
@@ -319,7 +319,6 @@ func oceanLikeBins() []struct {
 	}{
 		{"wah", codecsOf(clusteredBits(n, 355, 190, 0.16))["wah"]},
 		{"bbc", codecsOf(clusteredBits(n, 300, 28, 0.35))["bbc"]},
-		{"dense", codecsOf(benchBits(n, 0.6))["dense"]},
 	}
 }
 
@@ -381,8 +380,8 @@ func benchMasked(b *testing.B, store bool) {
 	}
 }
 
-// BenchmarkWriteIDs is the id decode of one 1M-bit bin per codec, at the
-// density each codec is chosen for, into each element width: one and two
+// BenchmarkWriteIDs is the id decode of one sparse 1M-bit bin per codec,
+// into each element width: one and two
 // bytes (the selection scorer's ids), four (the query layer's scratch).
 func BenchmarkWriteIDs(b *testing.B) {
 	b.Run("uint8", benchWriteIDs[uint8])
@@ -395,7 +394,7 @@ func benchWriteIDs[T ID](b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		density float64
-	}{{"wah", 0.01}, {"bbc", 0.01}, {"dense", 0.6}} {
+	}{{"wah", 0.01}, {"bbc", 0.01}} {
 		bm := codecsOf(benchBits(n, c.density))[c.name]
 		dst := make([]T, n)
 		b.Run(c.name, func(b *testing.B) {

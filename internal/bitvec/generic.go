@@ -1,12 +1,9 @@
 package bitvec
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Generic, codec-independent implementations over the Run iterator. These
-// are the cross-codec fallbacks: a WAH×Dense AND, a BBC CountUnits, etc.
+// are the cross-codec fallbacks: a WAH×BBC AND, a BBC CountUnits, etc.
 // They never decompress an operand — fill runs are consumed in O(1) — and
 // binary ops emit a WAH vector, the universal intermediate form.
 
@@ -93,36 +90,6 @@ func genericBinaryCount(a, b Bitmap, k opKind) int {
 	return total
 }
 
-// genericCount sums the set bits of any bitmap through its runs.
-func genericCount(b Bitmap) int {
-	total := 0
-	left := b.Len()
-	var it bmIter
-	it.reset(b.Runs())
-	for it.ok && left > 0 {
-		if it.run.Fill {
-			span := it.run.N * SegmentBits
-			if span > left {
-				span = left
-			}
-			if it.run.Bit != 0 {
-				total += span
-			}
-			left -= it.run.N * SegmentBits
-			it.consume(it.run.N)
-			continue
-		}
-		w := it.run.Word & literalMask
-		if left < SegmentBits {
-			w &= uint32(1)<<uint(left) - 1
-		}
-		total += bits.OnesCount32(w)
-		left -= SegmentBits
-		it.consume(1)
-	}
-	return total
-}
-
 // genericCountUnits is CountUnits for any codec (see Vector.CountUnits).
 func genericCountUnits(b Bitmap, unitSize int) []int {
 	if unitSize <= 0 {
@@ -174,29 +141,6 @@ func genericCountUnits(b Bitmap, unitSize int) []int {
 	return out
 }
 
-// genericGet reads one logical bit through the runs.
-func genericGet(b Bitmap, i int) bool {
-	if i < 0 || i >= b.Len() {
-		panic(fmt.Sprintf("bitvec: Get(%d) out of range [0,%d)", i, b.Len()))
-	}
-	seg := i / SegmentBits
-	off := uint(i % SegmentBits)
-	pos := 0
-	var it bmIter
-	it.reset(b.Runs())
-	for it.ok {
-		if seg < pos+it.run.N {
-			if it.run.Fill {
-				return it.run.Bit != 0
-			}
-			return it.run.Word&(1<<off) != 0
-		}
-		pos += it.run.N
-		it.consume(it.run.N)
-	}
-	return false
-}
-
 // genericIterate visits every set bit in ascending order.
 func genericIterate(b Bitmap, fn func(pos int) bool) {
 	nbits := b.Len()
@@ -244,17 +188,6 @@ func genericEqual(a, b Bitmap) bool {
 		return false
 	}
 	return genericBinaryCount(a, b, opXor) == 0
-}
-
-// Jaccard returns |A∩B| / |A∪B|, the similarity measure used to compare
-// bin occupancy patterns; two empty bitmaps have similarity 1.
-func Jaccard(a, b Bitmap) float64 {
-	inter := a.AndCount(b)
-	union := a.Count() + b.Count() - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }
 
 // Bools decompresses any bitmap into a boolean slice (tests/debugging).

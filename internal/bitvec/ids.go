@@ -15,22 +15,17 @@ type ID interface {
 // WriteIDs stores id into dst at every set-bit position of b — the id-decode
 // kernel: calling it for every bin of an index turns the index into one bin
 // id per element in O(n). Each codec has one kernel body, instantiated per
-// element width; any other Bitmap implementation is decoded through Runs().
+// element width; any other Bitmap implementation is re-encoded as WAH first.
 // dst must hold at least b.Len() elements.
 func WriteIDs[T ID](b Bitmap, dst []T, id T) {
 	if len(dst) < b.Len() {
 		panic(fmt.Sprintf("bitvec: WriteIDs dst of %d for %d bits", len(dst), b.Len()))
 	}
-	switch v := b.(type) {
-	case *Vector:
-		writeIDsWAH(v, dst, id)
-	case *BBC:
-		writeIDsBBC(v, dst, id)
-	case *Dense:
-		writeIDsDense(v, dst, id)
-	default:
-		writeIDsRuns(b, dst, id)
+	if c, ok := b.(*BBC); ok {
+		writeIDsBBC(c, dst, id)
+		return
 	}
+	writeIDsWAH(ToVector(b), dst, id)
 }
 
 // writeIDsWAH turns fill runs into contiguous range writes, so a decode has
@@ -90,40 +85,5 @@ func writeIDsBBC[T ID](b *BBC, dst []T, id T) {
 		}
 		base += 8 * t.n
 		t.consume(t.n)
-	}
-}
-
-func writeIDsDense[T ID](d *Dense, dst []T, id T) {
-	for s, w := range d.words {
-		for base := s * SegmentBits; w != 0; w &= w - 1 {
-			dst[base+bits.TrailingZeros32(w)] = id
-		}
-	}
-}
-
-// writeIDsRuns is the codec-independent form, over the run iterator every
-// Bitmap exposes; runs may overhang the logical length (see Run).
-func writeIDsRuns[T ID](b Bitmap, dst []T, id T) {
-	n := b.Len()
-	rr := b.Runs()
-	base := 0
-	for base < n {
-		r, ok := rr.NextRun()
-		if !ok {
-			return
-		}
-		switch {
-		case !r.Fill:
-			for w := r.Word & literalMask; w != 0; w &= w - 1 {
-				if p := base + bits.TrailingZeros32(w); p < n {
-					dst[p] = id
-				}
-			}
-		case r.Bit != 0:
-			for p, end := base, min(base+r.N*SegmentBits, n); p < end; p++ {
-				dst[p] = id
-			}
-		}
-		base += r.N * SegmentBits
 	}
 }

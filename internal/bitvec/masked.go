@@ -69,16 +69,11 @@ func (m *masked[T]) walk(b Bitmap) {
 		panic(fmt.Sprintf("bitvec: masked kernel over ids of %d for %d bits", len(m.ids), b.Len()))
 	}
 	m.end = min(b.Len(), len(m.mask)<<6)
-	switch v := b.(type) {
-	case *Vector:
-		m.wah(v)
-	case *BBC:
-		m.bbc(v)
-	case *Dense:
-		m.dense(v)
-	default:
-		m.runs(b)
+	if c, ok := b.(*BBC); ok {
+		m.bbc(c)
+		return
 	}
+	m.wah(ToVector(b))
 }
 
 // word visits the set bits of w, a mask word already ANDed with the
@@ -163,18 +158,6 @@ func (m *masked[T]) wah(v *Vector) {
 	}
 }
 
-func (m *masked[T]) dense(d *Dense) {
-	for s, w := range d.words {
-		pos := s * SegmentBits
-		if pos >= m.end {
-			return
-		}
-		if w != 0 && !m.segment(w, pos) {
-			return
-		}
-	}
-}
-
 // bbc reads the byte stream token by token (bbcToken), a literal chunk in
 // pieces that each lie inside one mask word (bbcPiece).
 func (m *masked[T]) bbc(b *BBC) {
@@ -210,28 +193,5 @@ func (m *masked[T]) bbc(b *BBC) {
 			i += n
 		}
 		at += min(n, need-at)
-	}
-}
-
-// runs is the codec-independent form, over the run iterator every Bitmap
-// exposes.
-func (m *masked[T]) runs(b Bitmap) {
-	rr := b.Runs()
-	for pos := 0; pos < m.end; {
-		r, ok := rr.NextRun()
-		if !ok {
-			return
-		}
-		switch {
-		case !r.Fill:
-			if !m.segment(r.Word&literalMask, pos) {
-				return
-			}
-		case r.Bit != 0:
-			if !m.span(pos, pos+r.N*SegmentBits) {
-				return
-			}
-		}
-		pos += r.N * SegmentBits
 	}
 }

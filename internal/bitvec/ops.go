@@ -15,64 +15,11 @@ func (v *Vector) And(o Bitmap) Bitmap { return v.binaryOp(o, opAnd) }
 // Or returns v OR o.
 func (v *Vector) Or(o Bitmap) Bitmap { return v.binaryOp(o, opOr) }
 
-// Xor returns v XOR o.
-func (v *Vector) Xor(o Bitmap) Bitmap { return v.binaryOp(o, opXor) }
-
-// AndNot returns v AND NOT o.
-func (v *Vector) AndNot(o Bitmap) Bitmap { return v.binaryOp(o, opAndNot) }
-
 func (v *Vector) binaryOp(o Bitmap, k opKind) Bitmap {
 	if ov, ok := o.(*Vector); ok {
 		return v.binary(ov, k)
 	}
 	return genericBinary(v, o, k)
-}
-
-// Not returns the complement of v (within its logical length).
-func (v *Vector) Not() Bitmap {
-	tel.opNot.Inc()
-	var a Appender
-	var it runIter
-	it.reset(v.words)
-	remaining := v.nbits
-	for it.valid() && remaining > 0 {
-		if it.fill {
-			n := it.run
-			covered := n * SegmentBits
-			if covered <= remaining {
-				a.appendFill(1-it.fillBit(), n)
-				a.nbits += covered
-				remaining -= covered
-				it.consume(n)
-				continue
-			}
-			// trailing fill extends past the logical end; emit full segments
-			// then the partial remainder
-			full := remaining / SegmentBits
-			if full > 0 {
-				a.appendFill(1-it.fillBit(), full)
-				a.nbits += full * SegmentBits
-				remaining -= full * SegmentBits
-				it.consume(full)
-			}
-			if remaining > 0 {
-				inv := ^it.payload() & literalMask
-				a.AppendPartial(inv, remaining)
-				remaining = 0
-			}
-			break
-		}
-		inv := ^it.payload() & literalMask
-		if remaining >= SegmentBits {
-			a.AppendSegment(inv)
-			remaining -= SegmentBits
-		} else {
-			a.AppendPartial(inv, remaining)
-			remaining = 0
-		}
-		it.consume(1)
-	}
-	return a.Vector()
 }
 
 type opKind uint8
@@ -81,7 +28,6 @@ const (
 	opAnd opKind = iota
 	opOr
 	opXor
-	opAndNot
 )
 
 func (k opKind) apply(x, y uint32) uint32 {
@@ -90,15 +36,13 @@ func (k opKind) apply(x, y uint32) uint32 {
 		return x & y
 	case opOr:
 		return x | y
-	case opXor:
-		return x ^ y
 	default:
-		return x &^ y
+		return x ^ y
 	}
 }
 
-// fillResult returns, for two fill bits, whether the op yields a fill and of
-// what value. For all four ops, fill ⊗ fill is always a fill.
+// fillBits returns the fill value two fills combine to: for every op,
+// fill ⊗ fill is a fill.
 func (k opKind) fillBits(x, y uint32) uint32 {
 	return k.apply(x, y) & 1
 }

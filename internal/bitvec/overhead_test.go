@@ -3,7 +3,6 @@ package bitvec
 import (
 	"os"
 	"testing"
-	"time"
 
 	"insitubits/internal/telemetry"
 )
@@ -43,11 +42,10 @@ func BenchmarkAppendTelemetryOff(b *testing.B) {
 }
 
 // TestInstrumentationOverhead guards the observability budget: the
-// telemetry-enabled append path must stay within 2% of the disabled path.
-// Timing comparisons are too noisy for every `go test` run, so the guard
-// only engages when TELEMETRY_OVERHEAD_GUARD=1 (the Makefile `overhead`
-// target sets it); it compares best-of-N times, the stablest point
-// estimate under scheduler noise.
+// telemetry-enabled append path must stay within 2% of the disabled path,
+// as telemetry.MeasureOverhead reads it. Timing comparisons are too noisy
+// for every `go test` run, so the guard only engages when
+// TELEMETRY_OVERHEAD_GUARD=1 (the Makefile `overhead` target sets it).
 func TestInstrumentationOverhead(t *testing.T) {
 	if os.Getenv("TELEMETRY_OVERHEAD_GUARD") == "" {
 		t.Skip("set TELEMETRY_OVERHEAD_GUARD=1 to run the timing guard (make overhead)")
@@ -55,39 +53,20 @@ func TestInstrumentationOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")
 	}
-	measure := func(enabled bool) time.Duration {
-		if enabled {
+	overhead, q1, q3 := telemetry.MeasureOverhead(400, func(on bool) {
+		if on {
 			SetTelemetry(telemetry.Default)
 		} else {
 			SetTelemetry(nil)
 		}
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				appendWorkload(8, 4096)
-			}
-		})
-		return time.Duration(r.NsPerOp())
-	}
-	// Interleave off/on rounds so CPU frequency drift hits both sides
-	// equally, and take each side's minimum — a block design would charge
-	// whichever side runs during a slow spell.
-	measure(false)
-	measure(true) // warmup both paths
-	min := time.Duration(1<<63 - 1)
-	off, on := min, min
-	for round := 0; round < 5; round++ {
-		if d := measure(false); d < off {
-			off = d
+	}, func() {
+		for i := 0; i < 60; i++ {
+			appendWorkload(8, 4096)
 		}
-		if d := measure(true); d < on {
-			on = d
-		}
-	}
+	})
 	SetTelemetry(telemetry.Default)
-	overhead := float64(on-off) / float64(off)
-	t.Logf("append hot loop: off=%v on=%v overhead=%.2f%%", off, on, 100*overhead)
+	t.Logf("append hot loop: median overhead %.2f%% (quartiles %.2f%%, %.2f%%)", 100*overhead, 100*q1, 100*q3)
 	if overhead > 0.02 {
-		t.Errorf("telemetry overhead %.2f%% exceeds the 2%% budget (off=%v on=%v)",
-			100*overhead, off, on)
+		t.Errorf("telemetry overhead %.2f%% exceeds the 2%% budget", 100*overhead)
 	}
 }

@@ -48,19 +48,3 @@ func (v *Vector) Stats() Stats {
 	}
 	return st
 }
-
-// OrCount returns Count(v OR o) without materializing the result.
-func (v *Vector) OrCount(o Bitmap) int {
-	// |A ∪ B| = |A| + |B| − |A ∩ B|: two cached counts and one fused pass.
-	return v.Count() + o.Count() - v.AndCount(o)
-}
-
-// AndNotCount returns Count(v AND NOT o) without materializing the result.
-func (v *Vector) AndNotCount(o Bitmap) int {
-	// |A \ B| = |A| − |A ∩ B|.
-	return v.Count() - v.AndCount(o)
-}
-
-// Jaccard returns |A∩B| / |A∪B|, the similarity measure used to compare
-// bin occupancy patterns; two empty vectors have similarity 1.
-func (v *Vector) Jaccard(o Bitmap) float64 { return Jaccard(v, o) }

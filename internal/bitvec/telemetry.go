@@ -14,9 +14,6 @@ var tel struct {
 	fillWords *telemetry.Counter // fill words appended (one per run, not per segment)
 	opAnd     *telemetry.Counter
 	opOr      *telemetry.Counter
-	opXor     *telemetry.Counter
-	opAndNot  *telemetry.Counter
-	opNot     *telemetry.Counter
 }
 
 // SetTelemetry (re)binds the package's instruments to a registry; nil
@@ -28,24 +25,16 @@ func SetTelemetry(r *telemetry.Registry) {
 	tel.fillWords = r.Counter("bitvec.fill_words")
 	tel.opAnd = r.Counter("bitvec.ops_and")
 	tel.opOr = r.Counter("bitvec.ops_or")
-	tel.opXor = r.Counter("bitvec.ops_xor")
-	tel.opAndNot = r.Counter("bitvec.ops_andnot")
-	tel.opNot = r.Counter("bitvec.ops_not")
 }
 
 func init() { SetTelemetry(telemetry.Default) }
 
-// countOp records one bitwise operation of the given kind.
+// countOp records one materializing bitwise operation (And or Or).
 func countOp(k opKind) {
-	switch k {
-	case opAnd:
+	if k == opAnd {
 		tel.opAnd.Inc()
-	case opOr:
+	} else {
 		tel.opOr.Inc()
-	case opXor:
-		tel.opXor.Inc()
-	default:
-		tel.opAndNot.Inc()
 	}
 }
 

@@ -8,11 +8,11 @@
 //   - fill word: bit 31 = 1, bit 30 is the fill value, bits 0..29 count how
 //     many consecutive 31-bit segments carry that value.
 //
-// All bitwise operations (And, Or, Xor, AndNot) work directly on the
+// The bitwise operations (And, Or, AndCount, XorCount) work directly on the
 // compressed form, never materializing the uncompressed bits, as does
 // counting (Count, CountRange). The package also provides the streaming
 // Appender used by the paper's in-place, in-situ compression (Algorithm 1)
-// and a byte-aligned (BBC-style) codec for size comparisons.
+// and the byte-aligned (BBC-style) codec, the paper's other run-length code.
 package bitvec
 
 import (
@@ -132,11 +132,6 @@ func FromRawWords(words []uint32, nbits int) (*Vector, error) {
 	return &Vector{words: append([]uint32(nil), words...), nbits: nbits}, nil
 }
 
-// Clone returns a deep copy.
-func (v *Vector) Clone() Bitmap {
-	return &Vector{words: append([]uint32(nil), v.words...), nbits: v.nbits}
-}
-
 // Equal reports whether two bitmaps have identical logical contents.
 // Physical encodings may differ (e.g. two adjacent fills vs one); Equal
 // compares run-by-run, not word-by-word.
@@ -171,41 +166,6 @@ func (v *Vector) Equal(bm Bitmap) bool {
 		b.consume(n)
 	}
 	return !a.valid() && !b.valid()
-}
-
-// Get reports the value of logical bit i.
-func (v *Vector) Get(i int) bool {
-	if i < 0 || i >= v.nbits {
-		panic(fmt.Sprintf("bitvec: Get(%d) out of range [0,%d)", i, v.nbits))
-	}
-	seg := i / SegmentBits
-	off := uint(i % SegmentBits)
-	var it runIter
-	it.reset(v.words)
-	pos := 0
-	for it.valid() {
-		if seg < pos+it.run {
-			if it.fill {
-				return it.word&fillValue != 0
-			}
-			return it.payload()&(1<<off) != 0
-		}
-		pos += it.run
-		it.consume(it.run)
-	}
-	return false
-}
-
-// Bools decompresses the vector into a boolean slice (for tests/debugging).
-func (v *Vector) Bools() []bool {
-	out := make([]bool, v.nbits)
-	i := 0
-	v.Iterate(func(pos int) bool {
-		out[pos] = true
-		i++
-		return true
-	})
-	return out
 }
 
 // Iterate calls fn for each set bit in ascending order; fn returning false

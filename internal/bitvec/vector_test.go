@@ -61,7 +61,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if v.Len() != len(bs) {
 			return false
 		}
-		got := v.Bools()
+		got := Bools(v)
 		for i := range bs {
 			if got[i] != bs[i] {
 				return false
@@ -74,26 +74,11 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestGetProperty(t *testing.T) {
-	f := func(bs boolsValue) bool {
-		v := FromBools(bs)
-		for i, want := range bs {
-			if v.Get(i) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEqualProperty(t *testing.T) {
 	f := func(bs boolsValue) bool {
 		v := FromBools(bs)
 		w := FromBools(bs)
-		return v.Equal(w) && w.Equal(v) && v.Equal(v.Clone())
+		return v.Equal(w) && w.Equal(v) && v.Equal(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -146,7 +131,7 @@ func TestFromIndices(t *testing.T) {
 		for _, i := range c.idx {
 			want[i] = true
 		}
-		got := v.Bools()
+		got := Bools(v)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d idx=%v: bit %d = %v, want %v", c.n, c.idx, i, got[i], want[i])

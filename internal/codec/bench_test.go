@@ -14,7 +14,7 @@ var sinkBitmap bitvec.Bitmap
 
 // BenchmarkEncodeAuto runs the adaptive policy over every bin of one
 // heat3d step (64³ elements, 160 bins) built as the in-situ path builds it:
-// WAH sources with their counts known. One op is one whole index.
+// WAH sources. One op is one whole index.
 func BenchmarkEncodeAuto(b *testing.B) {
 	h, err := heat3d.New(64, 64, 64)
 	if err != nil {
@@ -32,14 +32,14 @@ func BenchmarkEncodeAuto(b *testing.B) {
 	x := index.Build(field, m)
 	chosen := map[codec.ID]int{}
 	for bin := 0; bin < x.Bins(); bin++ {
-		chosen[codec.Of(codec.EncodeCounted(x.Bitmap(bin), codec.Auto, x.Count(bin)))]++
+		chosen[codec.Of(codec.Encode(x.Bitmap(bin), codec.Auto))]++
 	}
-	b.Logf("policy chose wah=%d bbc=%d dense=%d", chosen[codec.WAH], chosen[codec.BBC], chosen[codec.Dense])
+	b.Logf("policy chose wah=%d bbc=%d", chosen[codec.WAH], chosen[codec.BBC])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for bin := 0; bin < x.Bins(); bin++ {
-			sinkBitmap = codec.EncodeCounted(x.Bitmap(bin), codec.Auto, x.Count(bin))
+			sinkBitmap = codec.Encode(x.Bitmap(bin), codec.Auto)
 		}
 	}
 }

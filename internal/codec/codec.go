@@ -1,10 +1,10 @@
 // Package codec names the bitmap encodings and implements the adaptive
-// per-bin policy. The paper's observation (shared by Roaring and CONCISE)
-// is that the right encoding is density-dependent: run-length codecs win on
-// sparse bins, while bins past ~50% occupancy produce so few runs that the
-// uncompressed form is both smaller per useful bit and faster to operate
-// on. Auto applies that rule per bin at build time; the explicit IDs pin a
-// single codec for benches and format conversion.
+// per-bin policy. The paper stores bins with run-length codecs, WAH or BBC
+// (§2.1), and which one is smaller depends on the bits: BBC's byte-granular
+// runs win on sparse, scattered bins, WAH's 31-bit fills on long runs. Auto
+// keeps whichever encodes the bin smaller, as Roaring picks each container's
+// form by size rather than by density; the explicit IDs pin one codec for
+// benches and format conversion.
 package codec
 
 import (
@@ -18,20 +18,19 @@ import (
 type ID uint8
 
 const (
-	// Auto is the adaptive policy: per-bin choice by observed density.
+	// Auto is the adaptive policy: per bin, the smaller of WAH and BBC.
 	// It never appears on disk; stored bins carry the resolved codec.
 	Auto ID = 0
 	// WAH is the 32-bit word-aligned hybrid codec (bitvec.Vector).
 	WAH ID = 1
 	// BBC is the byte-aligned run-length codec (bitvec.BBC).
 	BBC ID = 2
-	// Dense is the uncompressed segment-array codec (bitvec.Dense).
+	// Dense is the tag of the retired uncompressed codec: one 31-bit
+	// segment per 32-bit word, no fill words. Files written before it was
+	// retired still carry it; New reads such a payload into a WAH vector.
+	// Nothing encodes or writes it.
 	Dense ID = 3
 )
-
-// DenseThreshold is the bin density (set bits / bits) at and above which
-// Auto picks the uncompressed codec.
-const DenseThreshold = 0.5
 
 // String returns the flag-friendly name.
 func (id ID) String() string {
@@ -50,10 +49,10 @@ func (id ID) String() string {
 }
 
 // Valid reports whether id names a known codec (including Auto).
-func (id ID) Valid() bool { return id <= Dense }
+func (id ID) Valid() bool { return id <= BBC }
 
 // Concrete reports whether id names a storable encoding (not Auto).
-func (id ID) Concrete() bool { return id >= WAH && id <= Dense }
+func (id ID) Concrete() bool { return id == WAH || id == BBC }
 
 // Parse maps a flag value to an ID.
 func Parse(s string) (ID, error) {
@@ -64,10 +63,8 @@ func Parse(s string) (ID, error) {
 		return WAH, nil
 	case "bbc":
 		return BBC, nil
-	case "dense":
-		return Dense, nil
 	default:
-		return Auto, fmt.Errorf("codec: unknown codec %q (want auto, wah, bbc, or dense)", s)
+		return Auto, fmt.Errorf("codec: unknown codec %q (want auto, wah, or bbc)", s)
 	}
 }
 
@@ -78,65 +75,38 @@ func Of(b bitvec.Bitmap) ID {
 		return WAH
 	case *bitvec.BBC:
 		return BBC
-	case *bitvec.Dense:
-		return Dense
 	default:
 		return Auto
 	}
 }
 
 // Encode re-encodes b under the given codec. Auto resolves per the policy:
-// density at or above DenseThreshold takes the uncompressed codec, sparser
-// bins take whichever run-length encoding (WAH or BBC) is actually smaller
-// for these bits. A bitmap already in the target encoding passes through.
+// whichever run-length encoding (WAH or BBC) is smaller for these bits,
+// ties to WAH, whose word-aligned ops are faster. A bitmap already in the
+// target encoding passes through.
 func Encode(b bitvec.Bitmap, id ID) bitvec.Bitmap {
-	count := 0
-	if id == Auto { // only the policy reads the count
-		count = b.Count()
-	}
-	return EncodeCounted(b, id, count)
-}
-
-// EncodeCounted is Encode for a caller that already knows b's set-bit
-// count — an index keeps every bin's, the histogram the build yields for
-// free — so the policy decides dense-or-not without walking the bitmap.
-func EncodeCounted(b bitvec.Bitmap, id ID, count int) bitvec.Bitmap {
 	switch id {
 	case WAH:
 		return bitvec.ToVector(b)
 	case BBC:
 		return bitvec.BBCFromBitmap(b)
-	case Dense:
-		return bitvec.DenseFromBitmap(b)
 	case Auto:
-		return encodeAuto(b, count)
+		// The builders hand over WAH, so w is b itself, and the BBC stream
+		// is only materialised when it wins: the encoder works in pooled
+		// scratch and gives up once it reaches the WAH size.
+		w := bitvec.ToVector(b)
+		if c := bitvec.BBCIfSmaller(b, w.SizeBytes()); c != nil {
+			return c
+		}
+		return w
 	default:
 		panic(fmt.Sprintf("codec: Encode with invalid id %d", uint8(id)))
 	}
 }
 
-func encodeAuto(b bitvec.Bitmap, count int) bitvec.Bitmap {
-	n := b.Len()
-	if n == 0 {
-		return bitvec.ToVector(b)
-	}
-	if float64(count)/float64(n) >= DenseThreshold {
-		return bitvec.DenseFromBitmap(b)
-	}
-	// Sparse regime: keep whichever run-length codec encodes these
-	// particular bits tighter (ties go to WAH, whose word-aligned ops are
-	// faster). The builders hand over WAH, so w is b itself, and the BBC
-	// stream is only materialised when it wins: the encoder works in pooled
-	// scratch and gives up once it reaches the WAH size.
-	w := bitvec.ToVector(b)
-	if c := bitvec.BBCIfSmaller(b, w.SizeBytes()); c != nil {
-		return c
-	}
-	return w
-}
-
-// New decodes stored payload bytes under the given concrete codec,
-// validating the encoding; the inverse of the store writer's Payload.
+// New decodes stored payload bytes under the given codec tag, validating
+// the encoding; the inverse of the store writer's Payload. A legacy Dense
+// payload is read into the WAH vector of the same bits.
 func New(id ID, payload []byte, nbits int) (bitvec.Bitmap, error) {
 	switch id {
 	case WAH:
@@ -150,7 +120,7 @@ func New(id ID, payload []byte, nbits int) (bitvec.Bitmap, error) {
 		if err != nil {
 			return nil, err
 		}
-		return bitvec.DenseFromRawWords(words, nbits)
+		return fromDenseWords(words, nbits)
 	case BBC:
 		return bitvec.BBCFromRaw(payload, nbits)
 	default:
@@ -159,12 +129,10 @@ func New(id ID, payload []byte, nbits int) (bitvec.Bitmap, error) {
 }
 
 // Payload returns the raw encoded bytes of b for storage, little-endian
-// for the word-aligned codecs.
+// for WAH's words.
 func Payload(b bitvec.Bitmap) []byte {
 	switch v := b.(type) {
 	case *bitvec.Vector:
-		return bytesOf(v.RawWords())
-	case *bitvec.Dense:
 		return bytesOf(v.RawWords())
 	case *bitvec.BBC:
 		return v.RawBytes()
@@ -194,4 +162,30 @@ func wordsOf(payload []byte) ([]uint32, error) {
 			uint32(payload[4*i+2])<<16 | uint32(payload[4*i+3])<<24
 	}
 	return words, nil
+}
+
+// fromDenseWords validates a Dense payload — one word per 31-bit segment,
+// bit 31 of every word clear, no set bit at or beyond nbits — and appends
+// its segments to a WAH vector, which merges the all-zero and all-one words
+// into fills.
+func fromDenseWords(words []uint32, nbits int) (*bitvec.Vector, error) {
+	if nbits < 0 {
+		return nil, fmt.Errorf("codec: negative bit length %d", nbits)
+	}
+	segs := (nbits + bitvec.SegmentBits - 1) / bitvec.SegmentBits
+	if len(words) != segs {
+		return nil, fmt.Errorf("codec: dense encoding has %d words, want %d for %d bits", len(words), segs, nbits)
+	}
+	var a bitvec.Appender
+	for i, w := range words {
+		width := min(bitvec.SegmentBits, nbits-i*bitvec.SegmentBits)
+		if w>>bitvec.SegmentBits != 0 {
+			return nil, fmt.Errorf("codec: dense word %d has bit 31 set (%#x)", i, w)
+		}
+		if w>>uint(width) != 0 {
+			return nil, fmt.Errorf("codec: dense encoding has set bits beyond length %d", nbits)
+		}
+		a.AppendPartial(w, width)
+	}
+	return a.Vector(), nil
 }

@@ -16,7 +16,7 @@ func TestIndexDifferentialAcrossCodecs(t *testing.T) {
 		data := testData(r, n)
 		m := mustUniform(t, 16)
 		ref := Build(data, m)
-		for _, id := range []codec.ID{codec.WAH, codec.BBC, codec.Dense, codec.Auto} {
+		for _, id := range []codec.ID{codec.WAH, codec.BBC, codec.Auto} {
 			x := BuildCodec(data, m, id)
 			if id.Concrete() {
 				for b := 0; b < x.Bins(); b++ {
@@ -52,7 +52,7 @@ func TestRecodeRoundTrip(t *testing.T) {
 	data := testData(r, 3000)
 	x := Build(data, mustUniform(t, 12))
 	ref := Build(data, mustUniform(t, 12))
-	ids := []codec.ID{codec.BBC, codec.Dense, codec.Auto, codec.WAH, codec.Dense, codec.BBC, codec.WAH}
+	ids := []codec.ID{codec.BBC, codec.Auto, codec.WAH, codec.BBC, codec.Auto, codec.WAH}
 	for _, id := range ids {
 		x.Recode(id)
 		for b := 0; b < x.Bins(); b++ {

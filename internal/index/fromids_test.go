@@ -54,36 +54,34 @@ func fromIDsLengths() []int {
 	return lengths
 }
 
-var fromIDsCodecs = []codec.ID{codec.WAH, codec.BBC, codec.Dense, codec.Auto}
+var fromIDsCodecs = []codec.ID{codec.WAH, codec.BBC, codec.Auto}
 
-// buildDigests is the parent commit's BuildParallelCodec, one worker: per
-// (bins, codec) the first eight bytes of the SHA-256 over store.WriteIndex
-// of the index of every fromIDsLengths field, in order (seed 41 + bins).
+// buildDigests is the build from raw values that mapped as it went, one
+// worker: per (bins, codec) the first eight bytes of the SHA-256 over
+// store.WriteIndex of the index of every fromIDsLengths field, in order (seed
+// 41 + bins). The wah and bbc digests are that build's, byte for byte. The
+// auto digests were regenerated when the uncompressed Dense codec was
+// retired: auto used to store the bins at ≥ 50 % density as Dense, and now
+// stores them as the smaller of WAH and BBC, so only those bins' bytes moved.
 var buildDigests = map[string]string{
-	"2/wah":      "21e1577691f9bbf1",
-	"2/bbc":      "898d7a72734d5c43",
-	"2/dense":    "169f8126e602c0ea",
-	"2/auto":     "e15140b9cda557ee",
-	"120/wah":    "d4ed3d2205a571ca",
-	"120/bbc":    "b1a55dd8ed5eb98c",
-	"120/dense":  "7f72020e74c273ed",
-	"120/auto":   "a52604131cf908b8",
-	"160/wah":    "0c48fbfa46ac0990",
-	"160/bbc":    "ccaf7ef5bb4ed3aa",
-	"160/dense":  "54b9f191f9abdb36",
-	"160/auto":   "68428de61fea71cc",
-	"256/wah":    "34c41c4a8326f5a4",
-	"256/bbc":    "0c06a325098f32af",
-	"256/dense":  "7cba390a41fe4788",
-	"256/auto":   "c23b927a0019ccec",
-	"257/wah":    "47e22e9788bd33ef",
-	"257/bbc":    "e01dd181e2428661",
-	"257/dense":  "706852537c83f133",
-	"257/auto":   "68240804909a066d",
-	"1000/wah":   "a0ab83546a343e92",
-	"1000/bbc":   "79f8a3510b885152",
-	"1000/dense": "dddff17ca13a998e",
-	"1000/auto":  "2fb6c671f41e7e73",
+	"2/wah":     "21e1577691f9bbf1",
+	"2/bbc":     "898d7a72734d5c43",
+	"2/auto":    "e312a8cf71b83edf",
+	"120/wah":   "d4ed3d2205a571ca",
+	"120/bbc":   "b1a55dd8ed5eb98c",
+	"120/auto":  "f168ff125c353954",
+	"160/wah":   "0c48fbfa46ac0990",
+	"160/bbc":   "ccaf7ef5bb4ed3aa",
+	"160/auto":  "291a688252e91c43",
+	"256/wah":   "34c41c4a8326f5a4",
+	"256/bbc":   "0c06a325098f32af",
+	"256/auto":  "aa56ea0eb4eb8020",
+	"257/wah":   "47e22e9788bd33ef",
+	"257/bbc":   "e01dd181e2428661",
+	"257/auto":  "71d3b33f6c70901f",
+	"1000/wah":  "a0ab83546a343e92",
+	"1000/bbc":  "79f8a3510b885152",
+	"1000/auto": "df2862dab6f75c54",
 }
 
 // BuildFromIDs(MapIDs(data)) stores, for any worker count, exactly the bytes

@@ -170,12 +170,11 @@ func (x *Index) Bitmap(b int) bitvec.Bitmap { return x.vecs[b] }
 func (x *Index) Codec(b int) codec.ID { return codec.Of(x.vecs[b]) }
 
 // Recode re-encodes every bin under the given codec (codec.Auto applies
-// the adaptive per-bin policy, fed the cached counts). Bins already in the
-// target encoding are untouched; the index is modified in place and
-// returned for chaining.
+// the adaptive per-bin policy). Bins already in the target encoding are
+// untouched; the index is modified in place and returned for chaining.
 func (x *Index) Recode(id codec.ID) *Index {
 	for b := range x.vecs {
-		x.vecs[b] = codec.EncodeCounted(x.vecs[b], id, x.counts[b])
+		x.vecs[b] = codec.Encode(x.vecs[b], id)
 	}
 	// The bitmaps were replaced in place: retire the old generation so no
 	// cached intermediate derived from them can be served against the new
@@ -246,7 +245,7 @@ func (x *Index) Query(lo, hi float64) bitvec.Bitmap {
 	if acc == nil {
 		return bitvec.FromBools(make([]bool, x.n))
 	}
-	return acc.Clone()
+	return acc
 }
 
 // StreamBuilder incrementally indexes a stream of values — the in-situ
@@ -415,9 +414,9 @@ func (ids *BinIDs) build(m binning.Mapper, nWorkers int, id codec.ID, start time
 // 31-bit segment size and each is streamed into per-bin WAH by its own
 // builder — the paper's Figure 2, where each bitmap-generation core owns one
 // sub-block. Then the workers stripe the bins: a bin's sub-block vectors are
-// joined into one presized vector (alignment makes the join exact) and
-// encoded under the policy, which is handed the bin's count summed from the
-// builders' tallies. Every bin is encoded exactly once and the index is
+// joined into one presized vector (alignment makes the join exact), its
+// count summed from the builders' tallies, and encoded under the policy.
+// Every bin is encoded exactly once and the index is
 // stamped with one generation. A non-zero start records the build's wall
 // time from there.
 func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id codec.ID, start time.Time) *Index {
@@ -441,7 +440,7 @@ func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id code
 				parts[i] = sb.apps[b].Vector()
 				x.counts[b] += sb.counts[b]
 			}
-			x.vecs[b] = codec.EncodeCounted(bitvec.MustConcat(parts...), id, x.counts[b])
+			x.vecs[b] = codec.Encode(bitvec.MustConcat(parts...), id)
 		}
 	})
 	recordBuild(x, start)
@@ -471,9 +470,6 @@ func BuildMultiLevel(low *Index, fanout int) (*MultiLevel, error) {
 		var acc bitvec.Bitmap = low.vecs[lo]
 		for b := lo + 1; b < hi; b++ {
 			acc = acc.Or(low.vecs[b])
-		}
-		if hi == lo+1 {
-			acc = acc.Clone()
 		}
 		high.vecs[h] = acc
 		c := 0

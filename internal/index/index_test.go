@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"insitubits/internal/binning"
+	"insitubits/internal/bitvec"
 )
 
 func testData(r *rand.Rand, n int) []float64 {
@@ -64,11 +65,15 @@ func TestEveryElementInExactlyOneBin(t *testing.T) {
 	data := testData(r, 5000)
 	m := mustUniform(t, 32)
 	x := Build(data, m)
+	bins := make([][]bool, x.Bins())
+	for b := range bins {
+		bins[b] = bitvec.Bools(x.Bitmap(b))
+	}
 	for i, v := range data {
 		want := m.Bin(v)
 		hits := 0
 		for b := 0; b < x.Bins(); b++ {
-			if x.Bitmap(b).Get(i) {
+			if bins[b][i] {
 				hits++
 				if b != want {
 					t.Fatalf("element %d (value %g) in bin %d, want %d", i, v, b, want)
@@ -163,7 +168,7 @@ func TestQuery(t *testing.T) {
 		t.Fatalf("Query(1,3) count=%d want 4", q.Count())
 	}
 	for _, i := range []int{1, 2, 6, 7} {
-		if !q.Get(i) {
+		if !bitvec.Bools(q)[i] {
 			t.Fatalf("Query(1,3) missing element %d", i)
 		}
 	}
@@ -193,7 +198,7 @@ func TestPaperFigure1(t *testing.T) {
 			t.Fatalf("bin %d count=%d want %d", b, x.Count(b), len(positions))
 		}
 		for _, p := range positions {
-			if !x.Bitmap(b).Get(p) {
+			if !bitvec.Bools(x.Bitmap(b))[p] {
 				t.Fatalf("bin %d missing bit %d", b, p)
 			}
 		}
@@ -211,7 +216,7 @@ func TestPaperFigure1(t *testing.T) {
 			t.Fatalf("high bin %d count=%d want %d", h, ml.High.Count(h), len(positions))
 		}
 		for _, p := range positions {
-			if !ml.High.Bitmap(h).Get(p) {
+			if !bitvec.Bools(ml.High.Bitmap(h))[p] {
 				t.Fatalf("high bin %d missing bit %d", h, p)
 			}
 		}
@@ -228,7 +233,7 @@ func TestMultiLevelHighIsOrOfChildren(t *testing.T) {
 	}
 	for h := 0; h < ml.High.Bins(); h++ {
 		lo, hi := ml.G.Children(h)
-		acc := x.Bitmap(lo).Clone()
+		acc := x.Bitmap(lo)
 		for b := lo + 1; b < hi; b++ {
 			acc = acc.Or(x.Bitmap(b))
 		}

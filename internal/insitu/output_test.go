@@ -16,7 +16,7 @@ import (
 // TestPipelineCodecReachesDisk pins a codec in the config and checks the
 // persisted index files carry it bin by bin.
 func TestPipelineCodecReachesDisk(t *testing.T) {
-	for _, id := range []codec.ID{codec.WAH, codec.BBC, codec.Dense} {
+	for _, id := range []codec.ID{codec.WAH, codec.BBC} {
 		dir := t.TempDir()
 		h, err := heat3d.New(10, 10, 10)
 		if err != nil {

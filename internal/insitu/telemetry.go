@@ -115,8 +115,9 @@ type runTelemetry struct {
 	currentStep atomic.Int64
 	selectedN   atomic.Int64
 	bytesOut    atomic.Int64
-	// codecBins counts bins by encoding: wah, bbc, dense, other.
-	codecBins   [4]atomic.Int64
+	// codecBins counts bins by encoding, indexed by codec.ID (Auto stands
+	// for any other Bitmap implementation).
+	codecBins   [3]atomic.Int64
 	generation  atomic.Uint64
 	journal     atomic.Value // string: "none", "active", "sealed"
 	done        atomic.Bool
@@ -185,11 +186,11 @@ func (rt *runTelemetry) status() any {
 	if s, ok := rt.journal.Load().(string); ok {
 		st.Journal = s
 	}
-	names := [4]string{"wah", "bbc", "dense", "other"}
+	names := [3]string{codec.Auto: "other", codec.WAH: "wah", codec.BBC: "bbc"}
 	for i, name := range names {
 		if n := rt.codecBins[i].Load(); n > 0 {
 			if st.CodecBins == nil {
-				st.CodecBins = make(map[string]int64, 4)
+				st.CodecBins = make(map[string]int64, len(names))
 			}
 			st.CodecBins[name] = n
 		}
@@ -257,16 +258,7 @@ func (rt *runTelemetry) observeStep(ctx context.Context, t int, sum *stepSummary
 		x := bs.X
 		rt.observeGeneration(x.Generation())
 		for b := 0; b < x.Bins(); b++ {
-			switch x.Codec(b) {
-			case codec.WAH:
-				rt.codecBins[0].Add(1)
-			case codec.BBC:
-				rt.codecBins[1].Add(1)
-			case codec.Dense:
-				rt.codecBins[2].Add(1)
-			default:
-				rt.codecBins[3].Add(1)
-			}
+			rt.codecBins[x.Codec(b)].Add(1)
 		}
 	}
 }

@@ -241,9 +241,9 @@ func DigestFloats(vs ...float64) string {
 // segments (all-zero, or all-ones over a full segment) become fills,
 // adjacent same-bit fills merge, a trailing zero-fill overhanging the
 // logical length is truncated, and the final partial segment is masked to
-// the valid bits — so the WAH, BBC and Dense encodings of equal contents
-// hash identically, which is what lets replay byte-compare results across
-// codec conversions.
+// the valid bits — so the WAH and BBC encodings of equal contents hash
+// identically, which is what lets replay byte-compare results across codec
+// conversions.
 func DigestBitmap(b bitvec.Bitmap) (digest string, count int) {
 	const literalMask = 1<<bitvec.SegmentBits - 1
 	n := b.Len()

@@ -222,7 +222,7 @@ func TestDigestBitmapCodecIndependent(t *testing.T) {
 			return b
 		}()},
 	}
-	ids := []codec.ID{codec.WAH, codec.BBC, codec.Dense}
+	ids := []codec.ID{codec.WAH, codec.BBC}
 	for _, tc := range cases {
 		base := bitvec.FromBools(tc.bits)
 		wantCount := 0

@@ -90,9 +90,6 @@ func refScan(t *testing.T, bm bitvec.Bitmap) Cost {
 		}
 		c.FillSegments = int64(runBytes * 8 / bitvec.SegmentBits)
 		return c
-	case *bitvec.Dense:
-		n := len(v.RawWords())
-		return Cost{WordsScanned: int64(n), LiteralWords: int64(n), BytesDecoded: int64(4 * n)}
 	}
 	t.Fatalf("unknown bitmap type %T", bm)
 	return Cost{}
@@ -107,7 +104,7 @@ func scanFields(c Cost) [5]int64 {
 // the composition obtained by independently parsing each bin's encoded
 // payload byte-for-byte.
 func TestAnalyzeMatchesEncodedComposition(t *testing.T) {
-	for _, id := range []codec.ID{codec.WAH, codec.BBC, codec.Dense} {
+	for _, id := range []codec.ID{codec.WAH, codec.BBC} {
 		t.Run(id.String(), func(t *testing.T) {
 			x := explainTestIndex(t, id)
 			// Spatial restriction forces the bitmap-scanning count path.
@@ -183,7 +180,7 @@ func TestAnalyzeMatchesPlainResults(t *testing.T) {
 		{SpatialLo: 100, SpatialHi: 9000},
 		{ValueLo: 0, ValueHi: 7, SpatialLo: 31, SpatialHi: 11000},
 	}
-	for _, id := range []codec.ID{codec.WAH, codec.BBC, codec.Dense} {
+	for _, id := range []codec.ID{codec.WAH, codec.BBC} {
 		x := explainTestIndex(t, id)
 		for _, s := range subsets {
 			name := id.String() + "/" + s.describe()
@@ -245,7 +242,7 @@ func TestExplainWithinFactorOfAnalyze(t *testing.T) {
 		r := float64(est) / float64(act)
 		return r >= 1/factor && r <= factor
 	}
-	for _, id := range []codec.ID{codec.WAH, codec.BBC, codec.Dense} {
+	for _, id := range []codec.ID{codec.WAH, codec.BBC} {
 		x := explainTestIndex(t, id)
 		s := Subset{ValueLo: 1, ValueHi: 6, SpatialLo: 0, SpatialHi: x.N()}
 		for _, op := range []Op{OpBits, OpCount, OpSum, OpMean, OpQuantile, OpMinMax} {

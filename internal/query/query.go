@@ -261,9 +261,13 @@ func (m *Masked) Impute(window int) ([]float64, error) {
 	for b := 0; b < m.X.Bins(); b++ {
 		mid[b] = (m.X.Mapper().Low(b) + m.X.Mapper().High(b)) / 2
 	}
-	valid := m.Valid
+	// The mask is decoded once into flat words: a per-position read of the
+	// compressed form walks it from the start, which is quadratic in n.
+	valid := make([]uint64, bitvec.FlatWords(n))
+	m.Valid.OrInto(valid)
+	isValid := func(i int) bool { return valid[i>>6]&(1<<uint(i&63)) != 0 }
 	for i := 0; i < n; i++ {
-		if valid.Get(i) {
+		if isValid(i) {
 			out[i] = mid[ids[i]]
 			continue
 		}
@@ -277,7 +281,7 @@ func (m *Masked) Impute(window int) ([]float64, error) {
 		}
 		sum, cnt := 0.0, 0
 		for j := lo; j < hi; j++ {
-			if valid.Get(j) {
+			if isValid(j) {
 				sum += mid[ids[j]]
 				cnt++
 			}

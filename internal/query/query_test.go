@@ -11,6 +11,7 @@ import (
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
+	"insitubits/internal/codec"
 	"insitubits/internal/index"
 	"insitubits/internal/metrics"
 )
@@ -181,12 +182,13 @@ func TestBitsMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bs := bitvec.Bools(v)
 		for i := range data {
 			inSpace := i >= lo && i < hi
 			b := x.Mapper().Bin(data[i])
 			inValue := !s.hasValue() || (x.Mapper().High(b) > vlo && x.Mapper().Low(b) < vhi)
-			if v.Get(i) != (inSpace && inValue) {
-				t.Fatalf("trial %d: bit %d = %v, want %v", trial, i, v.Get(i), inSpace && inValue)
+			if bs[i] != (inSpace && inValue) {
+				t.Fatalf("trial %d: bit %d = %v, want %v", trial, i, bs[i], inSpace && inValue)
 			}
 		}
 	}
@@ -347,6 +349,81 @@ func TestImpute(t *testing.T) {
 	}
 	if worst > 1.0 {
 		t.Fatalf("worst imputation error %g too large for smooth data", worst)
+	}
+
+	// Bit for bit against a brute-force reference that reads the mask as
+	// []bool and maps the raw values itself: a random mask, every window
+	// size class, the mask under either codec.
+	r := rand.New(rand.NewSource(26))
+	data = smooth(r, 10007)
+	x = build(t, data, 64)
+	mid := func(i int) float64 {
+		b := x.Mapper().Bin(data[i])
+		return (x.Mapper().Low(b) + x.Mapper().High(b)) / 2
+	}
+	mask := make([]bool, len(data))
+	for i := range mask {
+		mask[i] = r.Intn(3) != 0
+	}
+	for _, id := range []codec.ID{codec.WAH, codec.BBC} {
+		valid := codec.Encode(bitvec.FromBools(mask), id)
+		bs := bitvec.Bools(valid)
+		m, err := NewMasked(x, valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4, 33} {
+			got, err := m.Impute(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range data {
+				want := math.NaN()
+				if bs[i] {
+					want = mid(i)
+				} else {
+					sum, cnt := 0.0, 0
+					for j := max(0, i-w); j < min(len(data), i+w+1); j++ {
+						if bs[j] {
+							sum += mid(j)
+							cnt++
+						}
+					}
+					if cnt > 0 {
+						want = sum / float64(cnt)
+					}
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%v mask, window %d: position %d imputed %v, want %v", id, w, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkImpute fills the gaps of a 2^16-element array a third of whose
+// elements are missing, at random, with window 4.
+func BenchmarkImpute(b *testing.B) {
+	r := rand.New(rand.NewSource(27))
+	data := smooth(r, 1<<16)
+	m, err := binning.NewUniform(0, 10, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mask := make([]bool, len(data))
+	for i := range mask {
+		mask[i] = r.Intn(3) != 0
+	}
+	mk, err := NewMasked(index.Build(data, m), bitvec.FromBools(mask))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mk.Impute(4); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ var tel struct {
 	correlation *telemetry.Counter
 	masked      *telemetry.Counter
 
-	codecOps       [4]*telemetry.Counter // by codec.ID; 0 = unknown wrappers
+	codecOps       [3]*telemetry.Counter // by codec.ID; 0 = unknown wrappers
 	fallbackMerges *telemetry.Counter
 	slowQueries    *telemetry.Counter // profiles emitted to the slow-query log
 }
@@ -51,7 +51,6 @@ func SetTelemetry(r *telemetry.Registry) {
 	tel.codecOps[codec.Auto] = r.Counter("query.codec_ops.other")
 	tel.codecOps[codec.WAH] = r.Counter("query.codec_ops.wah")
 	tel.codecOps[codec.BBC] = r.Counter("query.codec_ops.bbc")
-	tel.codecOps[codec.Dense] = r.Counter("query.codec_ops.dense")
 	tel.fallbackMerges = r.Counter("query.fallback_merges")
 	tel.slowQueries = r.Counter("query.slow")
 }
@@ -65,7 +64,7 @@ var noopObserve = func() {}
 // always on — they fire on the plain path too — at the cost of one
 // predictable-branch type switch plus an atomic add per operand, the same
 // order as the index.Count cache-hit counter.
-type codecTally [4]int64
+type codecTally [3]int64
 
 func (ct *codecTally) bin(x *index.Index, b int) { ct[x.Codec(b)]++ }
 

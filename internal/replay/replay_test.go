@@ -108,11 +108,11 @@ func captureCanned(t *testing.T, dir string, x, xb *index.Index) []qlog.Record {
 
 // TestReplayDiff is the `make replay-diff` acceptance gate: a workload
 // captured against an index must replay with byte-identical result
-// digests across all three codecs, with the bitmap cache on and off,
+// digests across both codecs, with the bitmap cache on and off,
 // concurrently and serially — and across codec conversion of the index
 // itself.
 func TestReplayDiff(t *testing.T) {
-	for _, id := range []codec.ID{codec.WAH, codec.BBC, codec.Dense} {
+	for _, id := range []codec.ID{codec.WAH, codec.BBC} {
 		t.Run(id.String(), func(t *testing.T) {
 			x, xb := buildPair(t, id)
 			recs := captureCanned(t, t.TempDir(), x, xb)
@@ -149,12 +149,12 @@ func TestReplayDiff(t *testing.T) {
 		})
 	}
 
-	// Cross-codec: capture on WAH, replay against the BBC and Dense
+	// Cross-codec: capture on WAH, replay against the BBC and auto
 	// recodings — the digests are codec-canonical, so content equality is
 	// exactly digest equality.
 	x, xb := buildPair(t, codec.WAH)
 	recs := captureCanned(t, t.TempDir(), x, xb)
-	for _, id := range []codec.ID{codec.BBC, codec.Dense} {
+	for _, id := range []codec.ID{codec.BBC, codec.Auto} {
 		rx, rxb := x.Recode(id), xb.Recode(id)
 		rep := Run(context.Background(), recs, rx, rxb, Options{})
 		if err := rep.Err(); err != nil {

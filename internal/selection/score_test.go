@@ -24,7 +24,7 @@ func TestCondEntropyScoreMatchesFullData(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	m := mapper(t)
 	raw := evolvingSteps(r, 9, 4000)
-	codecs := []codec.ID{codec.WAH, codec.BBC, codec.Dense, codec.Auto}
+	codecs := []codec.ID{codec.WAH, codec.BBC, codec.Auto}
 	for name, handed := range map[string]func(step int) bool{
 		"handed-ids":  func(int) bool { return true },
 		"decoded-ids": func(int) bool { return false },

@@ -21,6 +21,7 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("ISBM"))
 	f.Add([]byte{})
+	f.Add(LegacyDenseFile(LegacyDenseIndex(f), 3, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		y, err := ReadIndex(bytes.NewReader(data))
 		if err == nil && y.Bins() == 0 {

@@ -14,7 +14,7 @@
 //	bins    u32
 //	edges   (bins+1) × f64   bin boundaries (reconstructs the binning)
 //	per bin (v3):
-//	    codec  u8            codec tag (1=WAH, 2=BBC, 3=Dense)
+//	    codec  u8            codec tag (1=WAH, 2=BBC; 3=Dense is read, never written)
 //	    nbytes u32
 //	    nbytes × u8          encoded payload
 //	    crc    u32           CRC32C of codec ‖ nbytes ‖ payload
@@ -334,10 +334,6 @@ func readBinV2(r io.Reader, nbits int) (bitvec.Bitmap, error) {
 	if _, err := io.ReadFull(r, tag[:]); err != nil {
 		return nil, fmt.Errorf("header: %w", err)
 	}
-	id := codec.ID(tag[0])
-	if !id.Concrete() {
-		return nil, fmt.Errorf("unknown codec tag %d", tag[0])
-	}
 	var nbytes uint32
 	if err := binary.Read(r, binary.LittleEndian, &nbytes); err != nil {
 		return nil, fmt.Errorf("header: %w", err)
@@ -349,7 +345,7 @@ func readBinV2(r io.Reader, nbits int) (bitvec.Bitmap, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
-	return codec.New(id, payload, nbits)
+	return codec.New(codec.ID(tag[0]), payload, nbits)
 }
 
 // readBinV3 parses one checksummed bin record: the v2 record followed by a
@@ -380,11 +376,7 @@ func readBinV3(cr *sumReader, nbits int) (bitvec.Bitmap, error) {
 	if stored != sect {
 		return nil, fmt.Errorf("record checksum %08x, stored %08x: %w", sect, stored, ErrChecksum)
 	}
-	id := codec.ID(tag[0])
-	if !id.Concrete() {
-		return nil, fmt.Errorf("unknown codec tag %d", tag[0])
-	}
-	return codec.New(id, payload, nbits)
+	return codec.New(codec.ID(tag[0]), payload, nbits)
 }
 
 // WriteRaw serializes a raw float64 array (the full-data baseline's

@@ -166,7 +166,7 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 
 // conditionExtent ORs the condition's bin vectors.
 func conditionExtent(x *index.Index, c Condition) bitvec.Bitmap {
-	acc := x.Bitmap(c.BinLo).Clone()
+	acc := x.Bitmap(c.BinLo)
 	for b := c.BinLo + 1; b < c.BinHi; b++ {
 		acc = acc.Or(x.Bitmap(b))
 	}

@@ -11,8 +11,8 @@
 //     type (*Counter, *Gauge, *Histogram, *Span, *Tracer) is nil-safe: all
 //     methods on a nil receiver are no-ops, so packages keep plain handle
 //     variables and never branch on an "enabled" flag. The budget —
-//     enforced by BenchmarkOverheadGuard — is < 2% on the bitvec/index hot
-//     loops.
+//     enforced by the guards that read MeasureOverhead — is < 2% on the
+//     bitvec append hot loop.
 //  2. Enabled instrumentation must stay off the hot path. Hot loops count
 //     into plain struct fields (e.g. bitvec.Appender) and flush once per
 //     built artifact; only coarse-grained events (a query, a span, a build)
