@@ -28,15 +28,17 @@ race:
 # in-situ write path's goroutines: the parallel map to ids, the two-phase
 # parallel build from them and the striped id decode (index), the
 # per-worker tallies (metrics), the ids a summary shares between concurrent
-# scores (selection), and the simulate → reduce hand-off of a lent step
-# staged on the simulate side of the separate-cores queue — the simulators
-# (sim) and the pipeline's lend, staging and queue tests (insitu, by name:
-# its crash matrix stays in `race` / `crash-matrix`). ./internal/query/...
+# scores (selection), the unit-range workers of mining's second tally,
+# which share the two decoded id arrays (mining), and the simulate →
+# reduce hand-off of a lent step staged on the simulate side of the
+# separate-cores queue — the simulators (sim) and the pipeline's lend,
+# staging and queue tests (insitu, by name: its crash matrix stays in
+# `race` / `crash-matrix`). ./internal/query/...
 # includes the correlation's pooled id array: concurrent requests over two
 # index sizes (TestPooledScratchNeverEscapes) and the arrays that requests
 # on broken indexes abandon (TestCorrelationOnBrokenPartition).
 race-hot:
-	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/sim/...
+	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/...
 	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate' ./internal/insitu/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
@@ -54,7 +56,9 @@ race-hot:
 # BenchmarkWriteIDsMasked/{wah,bbc}/{1pct,25pct,full} and
 # BenchmarkTallyMasked/... (internal/bitvec), and the operator they serve on
 # the benchmark's own ocean, BenchmarkCorrelation/{cold,warm}/{spatial,whole}
-# (internal/query). The in-situ write path's
+# (internal/query), and mining: BenchmarkMine and BenchmarkMineParallel4
+# (internal/mining), one whole decode-and-tally pass. The in-situ write
+# path's
 # kernels, on heat3d-shaped data (64³ elements, 160 bins):
 # BenchmarkBBCFromBitmap/{sparse,clustered,literal-heavy} and
 # BenchmarkWriteIDs/{uint8,uint16,int32}/{wah,bbc} (internal/bitvec),
@@ -118,8 +122,10 @@ profile-smoke:
 # WriteIDsMasked, TallyMasked × mask shape × id width — × codec against a
 # []bool model),
 # the run-domain BBC encoder (byte-identical to the expanded-buffer
-# model, bounded form exact), and the batch bin kernel (BinInto equals the
-# mapper's own Bin on any float64 bit pattern, at every width).
+# model, bounded form exact), the batch bin kernel (BinInto equals the
+# mapper's own Bin on any float64 bit pattern, at every width), and mining
+# from the bitmaps (Mine and MineParallel equal MineFullData over random
+# arrays, bin counts and unit sizes).
 # Full corpus exploration is `go test -fuzz <target> ./internal/<pkg>/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadIndex$$' -fuzztime 10s ./internal/store/
@@ -128,15 +134,17 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzFlatKernels$$' -fuzztime 10s ./internal/bitvec/
 	$(GO) test -run xxx -fuzz 'FuzzBBCEncode$$' -fuzztime 10s ./internal/bitvec/
 	$(GO) test -run xxx -fuzz 'FuzzBinInto$$' -fuzztime 10s ./internal/binning/
+	$(GO) test -run xxx -fuzz 'FuzzMineMatchesFullData$$' -fuzztime 10s ./internal/mining/
 
 # The query oracle suite (DESIGN.md "Query planning & caching"): every op
 # through the one plan → optimize → execute path — every codec, cache cold
 # and warm, every accounting level — must equal the brute-force model over
 # the binned raw array exactly; plus EXPLAIN/ANALYZE shape agreement, the
-# one-plan-per-request check, and the generation-invalidation and mining
-# scan-reduction acceptance checks.
+# one-plan-per-request check, the generation-invalidation check, and the
+# mining property (Mine = MineParallel = MineFullData) with its
+# broken-partition check.
 plan-diff:
-	$(GO) test -run 'TestPlanned|FuzzQueryMatchesOracle|TestExplainMatchesAnalyzeShape|TestOnePlanPerRequest|TestCacheGenerationInvalidationMidStream|TestMineCache' -v ./internal/query/ ./internal/mining/
+	$(GO) test -run 'TestPlanned|FuzzQueryMatchesOracle|TestExplainMatchesAnalyzeShape|TestOnePlanPerRequest|TestCacheGenerationInvalidationMidStream|TestMineProperty|TestMineOnBrokenPartition' -v ./internal/query/ ./internal/mining/
 
 # Workload capture/replay regression gate (docs/OBSERVABILITY.md "Workload
 # capture & replay"): a captured log must replay with byte-identical result

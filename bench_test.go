@@ -322,36 +322,7 @@ func BenchmarkAblationDenseBuilder(b *testing.B) {
 	}
 }
 
-// Multi-level pruning vs flat low-level mining.
-func BenchmarkAblationFlatMining(b *testing.B) {
-	_, _, _, _, xt, xs := fig14Setup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := insitubits.Mine(xt, xs, miningCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationMultiLevelMining(b *testing.B) {
-	_, _, _, _, xt, xs := fig14Setup(b)
-	mlt, err := insitubits.BuildMultiLevel(xt, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mls, err := insitubits.BuildMultiLevel(xs, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := insitubits.MineMultiLevel(mlt, mls, miningCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Z-order vs row-major layout: locality of joint-vector 1-bits.
+// Z-order vs row-major layout: the same mining over the two element orders.
 func BenchmarkAblationMiningZOrder(b *testing.B)   { benchMiningLayout(b, true) }
 func BenchmarkAblationMiningRowMajor(b *testing.B) { benchMiningLayout(b, false) }
 
@@ -385,29 +356,6 @@ func benchMiningLayout(b *testing.B, curve bool) {
 		if _, err := insitubits.Mine(xt, xs, miningCfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// WAH compressed ops vs BBC decode-operate-encode.
-func BenchmarkAblationWAHAnd(b *testing.B) {
-	data, m := ablationData(b)
-	x := insitubits.BuildIndex(data, m)
-	va, vb := busiestVectors(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		va.AndCount(vb)
-	}
-}
-
-func BenchmarkAblationBBCAnd(b *testing.B) {
-	data, m := ablationData(b)
-	x := insitubits.BuildIndex(data, m)
-	va, vb := busiestVectors(x)
-	ca := insitubits.BBCFromBitmap(va)
-	cb := insitubits.BBCFromBitmap(vb)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ca.And(cb)
 	}
 }
 
@@ -461,38 +409,6 @@ func BenchmarkCodecOr(b *testing.B) {
 
 func BenchmarkCodecCountRange(b *testing.B) {
 	benchCodecOp(b, func(x, y insitubits.Bitmap) { x.CountRange(x.Len()/4, 3*x.Len()/4) })
-}
-
-func busiestVectors(x *insitubits.Index) (insitubits.Bitmap, insitubits.Bitmap) {
-	best, second := 0, 1
-	for bin := 0; bin < x.Bins(); bin++ {
-		if x.Count(bin) > x.Count(best) {
-			second = best
-			best = bin
-		}
-	}
-	return x.Bitmap(best), x.Bitmap(second)
-}
-
-// Decode-based vs AND-based joint histograms (see metrics package docs).
-func BenchmarkAblationJointDecode(b *testing.B) {
-	data, m := ablationData(b)
-	x := insitubits.BuildIndex(data, m)
-	y := insitubits.BuildIndex(data, m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		insitubits.JointHistogramBitmaps(x, y)
-	}
-}
-
-func BenchmarkAblationJointAND(b *testing.B) {
-	data, m := ablationData(b)
-	x := insitubits.BuildIndex(data, m)
-	y := insitubits.BuildIndex(data, m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		insitubits.JointHistogramBitmapsAND(x, y)
-	}
 }
 
 // Core allocation: Equation 1/2 calibration cost.

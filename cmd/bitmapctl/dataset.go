@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"insitubits"
@@ -102,8 +103,7 @@ func cmdMine(args []string) error {
 	unit := fs.Int("unit", 512, "spatial unit size (elements)")
 	t1 := fs.Float64("t", 0.002, "value threshold T")
 	t2 := fs.Float64("t2", 0.05, "spatial threshold T'")
-	top := fs.Int("top", 10, "findings to print")
-	slow := fs.Int("slow", 0, "also print the N slowest bin-pair profiles")
+	top := fs.Int("top", 10, "findings to print, strongest first")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,40 +122,19 @@ func cmdMine(args []string) error {
 	if err != nil {
 		return err
 	}
-	var slowPairs *insitubits.QueryTopK
-	if *slow > 0 {
-		slowPairs = insitubits.NewQueryTopK(*slow)
-	}
 	findings, err := insitubits.Mine(xa, xb, insitubits.MiningConfig{
-		UnitSize: *unit, ValueThreshold: *t1, SpatialThreshold: *t2, Slow: slowPairs,
+		UnitSize: *unit, ValueThreshold: *t1, SpatialThreshold: *t2,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%d correlated (value pair, spatial unit) findings\n", len(findings))
-	// Strongest first.
-	for i := 0; i < len(findings)-1; i++ {
-		for j := i + 1; j < len(findings); j++ {
-			if findings[j].SpatialMI > findings[i].SpatialMI {
-				findings[i], findings[j] = findings[j], findings[i]
-			}
-		}
-	}
-	if *top > len(findings) {
-		*top = len(findings)
-	}
-	for _, f := range findings[:*top] {
+	sort.SliceStable(findings, func(i, j int) bool { return findings[i].SpatialMI > findings[j].SpatialMI })
+	for _, f := range findings[:min(max(*top, 0), len(findings))] {
 		fmt.Printf("  %s[%.3g,%.3g) x %s[%.3g,%.3g)  cells [%d,%d)  localMI=%.4f\n",
 			*varA, xa.Mapper().Low(f.BinA), xa.Mapper().High(f.BinA),
 			*varB, xb.Mapper().Low(f.BinB), xb.Mapper().High(f.BinB),
 			f.Begin, f.End, f.SpatialMI)
-	}
-	if slowPairs != nil {
-		profiles := slowPairs.Profiles()
-		fmt.Printf("slowest %d of %d profiled bin pairs:\n", len(profiles), slowPairs.Seen())
-		for _, p := range profiles {
-			fmt.Print(p.Render())
-		}
 	}
 	return nil
 }

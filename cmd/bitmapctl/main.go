@@ -453,6 +453,10 @@ func cmdPair(args []string, kind string) error {
 	if xa.N() != xb.N() {
 		return fmt.Errorf("indices cover %d and %d elements", xa.N(), xb.N())
 	}
+	// Both metrics pair the elements up through bin ids of at most two bytes.
+	if bins := max(xa.Bins(), xb.Bins()); bins > 1<<16 {
+		return fmt.Errorf("%s needs indexes of at most %d bins, not %d", kind, 1<<16, bins)
+	}
 	switch kind {
 	case "mi":
 		p := insitubits.PairFromBitmaps(xa, xb)

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"insitubits"
@@ -41,6 +45,24 @@ func TestBuildInfoQueryFlow(t *testing.T) {
 	}
 	if err := cmdAggregate([]string{"-slo", "0", "-shi", "100", idx}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mi and emd pair elements up through bin ids of at most two bytes: a file
+// of more bins is refused with an error, not a panic.
+func TestPairRefusesTooManyBins(t *testing.T) {
+	dir := t.TempDir()
+	raw, idx := filepath.Join(dir, "data.israw"), filepath.Join(dir, "wide.isbm")
+	if err := cmdGenRaw([]string{"-out", raw, "-steps", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdBuild([]string{"-in", raw, "-out", idx, "-bins", "65537"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"mi", "emd"} {
+		if err := cmdPair([]string{idx, idx}, kind); err == nil || !strings.Contains(err.Error(), "at most 65536 bins") {
+			t.Fatalf("%s over 65537 bins: %v", kind, err)
+		}
 	}
 }
 
@@ -159,6 +181,45 @@ func TestOceanWorkflow(t *testing.T) {
 	}
 	if err := cmdVars([]string{filepath.Join(dir, "missing.isds")}); err == nil {
 		t.Error("missing dataset accepted")
+	}
+}
+
+// `mine -top` prints the strongest findings: none for a negative or zero
+// count, all of them for one larger than the finding count, never a panic.
+func TestMineTopClamped(t *testing.T) {
+	ds := filepath.Join(t.TempDir(), "ocean.isds")
+	if err := cmdGenOcean([]string{"-out", ds, "-lon", "32", "-lat", "32", "-depth", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	printed := func(top string) (found, lines int) {
+		out := captureStdout(t, func() error { return cmdMine([]string{"-in", ds, "-unit", "256", "-top", top}) })
+		if _, err := fmt.Sscanf(out, "%d correlated", &found); err != nil {
+			t.Fatalf("-top %s: %v in %q", top, err, out)
+		}
+		return found, strings.Count(out, "localMI=")
+	}
+	found, lines := printed("1000000")
+	if found == 0 || lines != found {
+		t.Fatalf("-top beyond the count printed %d of %d findings", lines, found)
+	}
+	for _, top := range []string{"-1", "0"} {
+		if _, lines := printed(top); lines != 0 {
+			t.Fatalf("-top %s printed %d findings", top, lines)
+		}
+	}
+	out := captureStdout(t, func() error { return cmdMine([]string{"-in", ds, "-unit", "256", "-top", "3"}) })
+	var mi []float64
+	for _, line := range strings.Split(out, "\n") {
+		if i := strings.Index(line, "localMI="); i >= 0 {
+			v, err := strconv.ParseFloat(line[i+len("localMI="):], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mi = append(mi, v)
+		}
+	}
+	if len(mi) != min(3, found) || !sort.IsSorted(sort.Reverse(sort.Float64Slice(mi))) {
+		t.Fatalf("-top 3 printed local MI %v, want the strongest first", mi)
 	}
 }
 

@@ -61,64 +61,15 @@ func figAblations() error {
 	tDense := timeIt(func() { insitubits.BuildIndexAlgorithm1(data, m) })
 	pr("lazy builder vs dense Algorithm 1", tStream, tDense)
 
-	// 3. Decode-based joint histogram vs bins x bins AND.
-	xa := insitubits.BuildIndex(data, m)
-	data2 := h.Step(1)[0].Data
-	xb := insitubits.BuildIndex(data2, m)
-	tDecode := timeIt(func() { insitubits.JointHistogramBitmaps(xa, xb) })
-	tAND := timeIt(func() { insitubits.JointHistogramBitmapsAND(xa, xb) })
-	pr("joint histogram: decode vs AND product", tDecode, tAND)
-
-	// 4. WAH compressed AND vs BBC decode-operate-encode.
-	best, second := 0, 1
-	for b := 0; b < xa.Bins(); b++ {
-		if xa.Count(b) > xa.Count(best) {
-			second = best
-			best = b
-		}
-	}
-	va, vb := xa.Bitmap(best), xa.Bitmap(second)
-	ba := insitubits.BBCFromBitmap(va)
-	bb := insitubits.BBCFromBitmap(vb)
-	tWAH := timeIt(func() { va.AndCount(vb) })
-	tBBC := timeIt(func() { ba.And(bb) })
-	pr("WAH AND (compressed) vs BBC AND", tWAH, tBBC)
-
-	// 5. Multi-level vs flat mining on ocean data.
+	// 3. Equi-depth vs uniform binning on skewed data: compare index sizes.
 	d, err := insitubits.GenerateOcean(64, 64, 16, 7)
 	if err != nil {
 		return err
 	}
 	temp, _ := d.VarCurveOrder("temperature")
-	salt, _ := d.VarCurveOrder("salinity")
 	tlo, thi := insitubits.MinMax(temp)
-	slo, shi := insitubits.MinMax(salt)
 	mt, _ := insitubits.NewUniformBins(tlo, thi+1e-9, 48)
-	ms, _ := insitubits.NewUniformBins(slo, shi+1e-9, 48)
 	xt := insitubits.BuildIndex(temp, mt)
-	xs := insitubits.BuildIndex(salt, ms)
-	mlt, err := insitubits.BuildMultiLevel(xt, 6)
-	if err != nil {
-		return err
-	}
-	mls, err := insitubits.BuildMultiLevel(xs, 6)
-	if err != nil {
-		return err
-	}
-	cfg := insitubits.MiningConfig{UnitSize: 512, ValueThreshold: 0.002, SpatialThreshold: 0.05}
-	tFlat := timeIt(func() {
-		if _, err := insitubits.Mine(xt, xs, cfg); err != nil {
-			panic(err)
-		}
-	})
-	tMulti := timeIt(func() {
-		if _, err := insitubits.MineMultiLevel(mlt, mls, cfg); err != nil {
-			panic(err)
-		}
-	})
-	pr("multi-level mining vs flat low-level", tMulti, tFlat)
-
-	// 6. Equi-depth vs uniform binning on skewed data: compare index sizes.
 	eq, err := insitubits.NewEquiDepthBins(temp, 48)
 	if err != nil {
 		return err

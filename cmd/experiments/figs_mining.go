@@ -207,57 +207,26 @@ func subsetMI(a, b []float64, ma, mb insitubits.Mapper) float64 {
 	return insitubits.MutualInformation(joint, insitubits.Histogram(a, ma), insitubits.Histogram(b, mb), len(a))
 }
 
-// unitMIBitmaps computes every subset's MI purely from the indices: one
-// AND + CountUnits per bin pair yields all units' joint counts in a single
-// pass, and CountUnits per bin gives the per-unit marginals.
+// unitMIBitmaps computes every subset's MI purely from the indices: both
+// are decoded into bin ids once, and each unit tallies its joint
+// distribution and marginals from them.
 func unitMIBitmaps(s *miningSetup, unit int) []float64 {
 	n := s.xt.N()
-	nUnits := (n + unit - 1) / unit
-	nbA, nbB := s.xt.Bins(), s.xs.Bins()
-	ha := make([][]int, nbA)
-	for i := range ha {
-		ha[i] = s.xt.Bitmap(i).CountUnits(unit)
-	}
-	hb := make([][]int, nbB)
-	for j := range hb {
-		hb[j] = s.xs.Bitmap(j).CountUnits(unit)
-	}
-	jointU := make([][][]int, nUnits) // [unit][binA][binB]
-	for u := range jointU {
-		jointU[u] = make([][]int, nbA)
-		for i := range jointU[u] {
-			jointU[u][i] = make([]int, nbB)
+	ida, idb := s.xt.BinIDs(nil), s.xs.BinIDs(nil)
+	out := make([]float64, (n+unit-1)/unit)
+	for u := range out {
+		lo, hi := u*unit, min((u+1)*unit, n)
+		joint := make([][]int, s.xt.Bins())
+		for i := range joint {
+			joint[i] = make([]int, s.xs.Bins())
 		}
-	}
-	for i := 0; i < nbA; i++ {
-		if s.xt.Count(i) == 0 {
-			continue
+		ha, hb := make([]int, s.xt.Bins()), make([]int, s.xs.Bins())
+		for k := lo; k < hi; k++ {
+			joint[ida[k]][idb[k]]++
+			ha[ida[k]]++
+			hb[idb[k]]++
 		}
-		for j := 0; j < nbB; j++ {
-			if s.xs.Count(j) == 0 {
-				continue
-			}
-			cu := s.xt.Bitmap(i).And(s.xs.Bitmap(j)).CountUnits(unit)
-			for u, c := range cu {
-				jointU[u][i][j] = c
-			}
-		}
-	}
-	out := make([]float64, nUnits)
-	margA := make([]int, nbA)
-	margB := make([]int, nbB)
-	for u := 0; u < nUnits; u++ {
-		lo, hi := u*unit, (u+1)*unit
-		if hi > n {
-			hi = n
-		}
-		for i := range margA {
-			margA[i] = ha[i][u]
-		}
-		for j := range margB {
-			margB[j] = hb[j][u]
-		}
-		out[u] = insitubits.MutualInformation(jointU[u], margA, margB, hi-lo)
+		out[u] = insitubits.MutualInformation(joint, ha, hb, hi-lo)
 	}
 	return out
 }

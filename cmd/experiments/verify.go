@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 
 	"insitubits"
 )
@@ -96,7 +97,7 @@ func figVerify() error {
 	}
 	check("selection identical on both paths (all 3 metrics)", sameSel, "5 of 16 steps")
 
-	// Claim 4 (§4): mining results identical across all four code paths.
+	// Claim 4 (§4): mining results identical across all three code paths.
 	d, err := insitubits.GenerateOcean(48, 48, 8, 3)
 	if err != nil {
 		return err
@@ -118,18 +119,12 @@ func figVerify() error {
 	if err != nil {
 		return err
 	}
-	mlt, _ := insitubits.BuildMultiLevel(xt, 4)
-	mls, _ := insitubits.BuildMultiLevel(xs, 4)
-	multi, err := insitubits.MineMultiLevel(mlt, mls, cfg)
-	if err != nil {
-		return err
-	}
 	full, err := insitubits.MineFullData(temp, salt, mt, ms, cfg)
 	if err != nil {
 		return err
 	}
-	check("mining identical: serial = parallel = multi-level = full-data",
-		len(flat) == len(par) && len(flat) == len(multi) && len(flat) == len(full) && len(flat) > 0,
+	check("mining identical: serial = parallel = full-data",
+		reflect.DeepEqual(flat, par) && reflect.DeepEqual(flat, full) && len(flat) > 0,
 		fmt.Sprintf("%d findings each", len(flat)))
 
 	// Claim 5 (Algorithm 1): streaming build = dense = two-phase, bit-exact.

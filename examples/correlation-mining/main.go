@@ -1,7 +1,8 @@
 // Correlation mining on a POP-like ocean dataset: generate multi-variable
 // ocean state with planted temperature/salinity "currents", index both
 // variables in Z-order, and run the paper's Algorithm 2 to rediscover the
-// planted regions — comparing the flat, multi-level, and full-data paths.
+// planted regions — comparing the bitmap, parallel bitmap and full-data
+// paths.
 //
 //	go run ./examples/correlation-mining
 package main
@@ -62,20 +63,12 @@ func main() {
 	}
 	tFlat := time.Since(t0)
 
-	mlt, err := insitubits.BuildMultiLevel(xt, 6)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mls, err := insitubits.BuildMultiLevel(xs, 6)
-	if err != nil {
-		log.Fatal(err)
-	}
 	t1 := time.Now()
-	multi, err := insitubits.MineMultiLevel(mlt, mls, cfg)
+	par, err := insitubits.MineParallel(xt, xs, cfg, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tMulti := time.Since(t1)
+	tPar := time.Since(t1)
 
 	t2 := time.Now()
 	full, err := insitubits.MineFullData(temp, salt, mt, ms, cfg)
@@ -84,9 +77,9 @@ func main() {
 	}
 	tFull := time.Since(t2)
 
-	fmt.Printf("findings: flat %d (%.1fms) | multi-level %d (%.1fms) | full-data %d (%.1fms)\n",
-		len(flat), 1e3*tFlat.Seconds(), len(multi), 1e3*tMulti.Seconds(), len(full), 1e3*tFull.Seconds())
-	if len(flat) != len(full) || len(flat) != len(multi) {
+	fmt.Printf("findings: bitmaps %d (%.1fms) | 4 workers %d (%.1fms) | full-data %d (%.1fms)\n",
+		len(flat), 1e3*tFlat.Seconds(), len(par), 1e3*tPar.Seconds(), len(full), 1e3*tFull.Seconds())
+	if len(flat) != len(full) || len(flat) != len(par) {
 		log.Fatal("paths disagree — should be identical")
 	}
 

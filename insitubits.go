@@ -239,19 +239,18 @@ type CFP = metrics.CFP
 // Re-exported metric functions; the *Bitmaps variants compute identical
 // values from indices alone.
 var (
-	Histogram                = metrics.Histogram
-	JointHistogram           = metrics.JointHistogram
-	JointHistogramBitmaps    = metrics.JointHistogramBitmaps
-	JointHistogramBitmapsAND = metrics.JointHistogramBitmapsAND
-	Entropy                  = metrics.Entropy
-	MutualInformation        = metrics.MutualInformation
-	ConditionalEntropy       = metrics.ConditionalEntropy
-	EMDCount                 = metrics.EMDCount
-	EMDSpatialData           = metrics.EMDSpatialData
-	EMDSpatialBitmaps        = metrics.EMDSpatialBitmaps
-	PairFromData             = metrics.PairFromData
-	PairFromBitmaps          = metrics.PairFromBitmaps
-	NewCFP                   = metrics.NewCFP
+	Histogram             = metrics.Histogram
+	JointHistogram        = metrics.JointHistogram
+	JointHistogramBitmaps = metrics.JointHistogramBitmaps
+	Entropy               = metrics.Entropy
+	MutualInformation     = metrics.MutualInformation
+	ConditionalEntropy    = metrics.ConditionalEntropy
+	EMDCount              = metrics.EMDCount
+	EMDSpatialData        = metrics.EMDSpatialData
+	EMDSpatialBitmaps     = metrics.EMDSpatialBitmaps
+	PairFromData          = metrics.PairFromData
+	PairFromBitmaps       = metrics.PairFromBitmaps
+	NewCFP                = metrics.NewCFP
 )
 
 // --- Time-step selection (internal/selection) ---
@@ -306,7 +305,6 @@ type MinedRegion = mining.Region
 var (
 	Mine                  = mining.Mine
 	MineParallel          = mining.MineParallel
-	MineMultiLevel        = mining.MineMultiLevel
 	MineFullData          = mining.MineFullData
 	MergeFindings         = mining.MergeFindings
 	DefaultValueThreshold = mining.DefaultValueThreshold

@@ -12,10 +12,9 @@ import (
 // A byte-aligned bitmap codec in the spirit of BBC (Antoshenkov, DCC'95),
 // which the paper cites alongside WAH as the other classic run-length bitmap
 // compressor. Byte-granular runs compress sparse vectors tighter than
-// 31-bit-granular WAH fills; pairwise logical operations run directly on the
-// compressed stream by merging byte runs (see bbcBinary), and the kernels
-// that read one bitmap — OrInto, WriteIDs, Count, CountRange — walk the byte
-// stream a run or a literal chunk at a time.
+// 31-bit-granular WAH fills. The kernels that read one bitmap — OrInto,
+// WriteIDs, Count, CountRange — walk the byte stream a run or a literal
+// chunk at a time; pairwise operations merge its runs through Runs (ops.go).
 //
 // Stream format (not the historical BBC wire format, but byte-aligned and
 // run-length like it):
@@ -25,8 +24,8 @@ import (
 //	token 0x81       : one  run; uvarint byte count follows
 //
 // Invariants: the runs cover exactly ceil(nbits/8) bytes, and the padding
-// bits of the final byte beyond nbits are zero (so byte-wise AND/OR/XOR
-// preserve the padding without masking).
+// bits of the final byte beyond nbits are zero (so the kernels that walk
+// literal bytes need no mask).
 
 const (
 	bbcZeroRun = 0x80
@@ -368,101 +367,8 @@ func countBytes(buf []byte, s, e int) int {
 	return total
 }
 
-// CountUnits reports the set-bit count of each unitSize-bit unit.
-func (b *BBC) CountUnits(unitSize int) []int { return genericCountUnits(b, unitSize) }
-
 // Iterate calls fn for each set bit in ascending order.
 func (b *BBC) Iterate(fn func(pos int) bool) { genericIterate(b, fn) }
-
-// And returns b AND o; a BBC pair merges byte runs on the compressed form.
-func (b *BBC) And(o Bitmap) Bitmap { return b.binaryOp(o, opAnd) }
-
-// Or returns b OR o.
-func (b *BBC) Or(o Bitmap) Bitmap { return b.binaryOp(o, opOr) }
-
-func (b *BBC) binaryOp(o Bitmap, k opKind) Bitmap {
-	ob, ok := o.(*BBC)
-	if !ok {
-		return genericBinary(b, o, k)
-	}
-	return bbcBinary(b, ob, k)
-}
-
-// bbcBinary merges two BBC streams byte-run by byte-run: aligned fill runs
-// combine in O(1), literal regions byte-wise, with the output re-coalesced
-// by bbcWriter. Both operands keep zero padding, so the result does too
-// (x OP y over zero bits yields zero for every op).
-func bbcBinary(a, b *BBC, k opKind) *BBC {
-	if a.nbits != b.nbits {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", a.nbits, b.nbits))
-	}
-	countOp(k)
-	var x, y bbcTokIter
-	x.reset(a.data)
-	y.reset(b.data)
-	var w bbcWriter
-	for x.valid() && y.valid() {
-		if x.fill && y.fill {
-			m := x.n
-			if y.n < m {
-				m = y.n
-			}
-			w.putRun(byte(k.apply(uint32(x.fb), uint32(y.fb))), m)
-			x.consume(m)
-			y.consume(m)
-			continue
-		}
-		w.putByte(byte(k.apply(uint32(x.cur()), uint32(y.cur()))))
-		x.consume(1)
-		y.consume(1)
-	}
-	return &BBC{data: w.bytes(), nbits: a.nbits}
-}
-
-// AndCount returns Count(b AND o) without materializing the result.
-func (b *BBC) AndCount(o Bitmap) int { return b.binaryCount(o, opAnd) }
-
-// XorCount returns Count(b XOR o) without materializing the result.
-func (b *BBC) XorCount(o Bitmap) int { return b.binaryCount(o, opXor) }
-
-func (b *BBC) binaryCount(o Bitmap, k opKind) int {
-	ob, ok := o.(*BBC)
-	if !ok {
-		return genericBinaryCount(b, o, k)
-	}
-	if b.nbits != ob.nbits {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", b.nbits, ob.nbits))
-	}
-	var x, y bbcTokIter
-	x.reset(b.data)
-	y.reset(ob.data)
-	total := 0
-	for x.valid() && y.valid() {
-		if x.fill && y.fill {
-			m := x.n
-			if y.n < m {
-				m = y.n
-			}
-			if byte(k.apply(uint32(x.fb), uint32(y.fb))) == 0xFF {
-				total += 8 * m
-			}
-			x.consume(m)
-			y.consume(m)
-			continue
-		}
-		total += bits.OnesCount8(byte(k.apply(uint32(x.cur()), uint32(y.cur()))))
-		x.consume(1)
-		y.consume(1)
-	}
-	if rem := b.nbits % 8; rem != 0 {
-		// Aligned one-fills may have counted the padded final byte in full;
-		// recount it masked.
-		need := (b.nbits + 7) / 8
-		last := byte(k.apply(uint32(b.byteAt(need-1)), uint32(ob.byteAt(need-1))))
-		total -= bits.OnesCount8(last &^ (byte(1)<<uint(rem) - 1))
-	}
-	return total
-}
 
 // Equal reports whether two bitmaps have identical logical contents.
 func (b *BBC) Equal(o Bitmap) bool {

@@ -10,9 +10,9 @@ import "fmt"
 // different codecs be combined without decompressing either. Bitmaps are
 // immutable once built, so they are shared, never copied.
 //
-// Binary operations accept any Bitmap: same-codec pairs dispatch to the
-// codec's native compressed-form implementation; mixed pairs merge through
-// the run iterators and yield a WAH result (the universal intermediate).
+// Binary operations accept any Bitmap and merge the two run streams, one
+// body for every codec pairing; the result is WAH (the universal
+// intermediate), re-encoded as BBC when both operands are BBC.
 type Bitmap interface {
 	// Len is the logical number of bits.
 	Len() int

@@ -2,10 +2,11 @@ package bitvec
 
 import "math/bits"
 
-// Generic, codec-independent implementations over the Run iterator. These
-// are the cross-codec fallbacks: a WAH×BBC AND, a BBC CountUnits, etc.
-// They never decompress an operand — fill runs are consumed in O(1) — and
-// binary ops emit a WAH vector, the universal intermediate form.
+// Generic, codec-independent implementations over the Run iterator: the one
+// body of every pairwise operation and of CountUnits, for either codec and
+// any mix (ops.go). They never decompress an operand — fill runs are
+// consumed in O(1) — and binary ops emit a WAH vector, the universal
+// intermediate form.
 
 // genericBinary merges two bitmaps of any codecs into a WAH result.
 func genericBinary(a, b Bitmap, k opKind) *Vector {

@@ -1,26 +1,52 @@
 package bitvec
 
-import "fmt"
+// The pairwise operations on the compressed form, and CountUnits. Both
+// operands must have the same logical length; the result has that length.
+// Each has one body, over the run iterators (generic.go), whatever the
+// codecs: no operand is ever decompressed, and aligned fill runs combine in
+// O(1) per run. No analysis calls them on a hot path — the metrics and
+// mining decode each index into bin ids once and tally — so a per-codec
+// kernel would be code without a caller that needs it.
 
-// Binary bitwise operations on the compressed form. Both operands must have
-// the same logical length; the result has that length. No operand is ever
-// decompressed: aligned runs of fill words are combined in O(1) per run,
-// which is what makes the paper's metric computations (XOR for EMD, AND for
-// joint distributions) fast.
+// And returns v AND o as a WAH vector.
+func (v *Vector) And(o Bitmap) Bitmap { return genericBinary(v, o, opAnd) }
 
-// And returns v AND o. A WAH pair dispatches to the native run merge;
-// mixed-codec pairs go through the generic run-iterator merge.
-func (v *Vector) And(o Bitmap) Bitmap { return v.binaryOp(o, opAnd) }
+// Or returns v OR o as a WAH vector.
+func (v *Vector) Or(o Bitmap) Bitmap { return genericBinary(v, o, opOr) }
 
-// Or returns v OR o.
-func (v *Vector) Or(o Bitmap) Bitmap { return v.binaryOp(o, opOr) }
+// AndCount returns Count(v AND o) without materializing the result.
+func (v *Vector) AndCount(o Bitmap) int { return genericBinaryCount(v, o, opAnd) }
 
-func (v *Vector) binaryOp(o Bitmap, k opKind) Bitmap {
-	if ov, ok := o.(*Vector); ok {
-		return v.binary(ov, k)
+// XorCount returns Count(v XOR o) without materializing the result: the
+// number of positions where exactly one of the two has a bit.
+func (v *Vector) XorCount(o Bitmap) int { return genericBinaryCount(v, o, opXor) }
+
+// CountUnits splits the vector into consecutive units of unitSize bits (the
+// last unit may be short) and returns the set-bit count of each.
+func (v *Vector) CountUnits(unitSize int) []int { return genericCountUnits(v, unitSize) }
+
+// And returns b AND o. A BBC pair's result is re-encoded as BBC, so an
+// operation on one codec stays in it; a mixed pair yields WAH.
+func (b *BBC) And(o Bitmap) Bitmap { return b.keepCodec(o, genericBinary(b, o, opAnd)) }
+
+// Or returns b OR o, in BBC for a BBC pair.
+func (b *BBC) Or(o Bitmap) Bitmap { return b.keepCodec(o, genericBinary(b, o, opOr)) }
+
+func (b *BBC) keepCodec(o Bitmap, v *Vector) Bitmap {
+	if _, ok := o.(*BBC); ok {
+		return bbcEncode(v, 0)
 	}
-	return genericBinary(v, o, k)
+	return v
 }
+
+// AndCount returns Count(b AND o) without materializing the result.
+func (b *BBC) AndCount(o Bitmap) int { return genericBinaryCount(b, o, opAnd) }
+
+// XorCount returns Count(b XOR o) without materializing the result.
+func (b *BBC) XorCount(o Bitmap) int { return genericBinaryCount(b, o, opXor) }
+
+// CountUnits reports the set-bit count of each unitSize-bit unit.
+func (b *BBC) CountUnits(unitSize int) []int { return genericCountUnits(b, unitSize) }
 
 type opKind uint8
 
@@ -45,46 +71,4 @@ func (k opKind) apply(x, y uint32) uint32 {
 // fill ⊗ fill is a fill.
 func (k opKind) fillBits(x, y uint32) uint32 {
 	return k.apply(x, y) & 1
-}
-
-func (v *Vector) binary(o *Vector, k opKind) *Vector {
-	if v.nbits != o.nbits {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.nbits, o.nbits))
-	}
-	countOp(k)
-	var a runIter
-	var b runIter
-	a.reset(v.words)
-	b.reset(o.words)
-	var out Appender
-	for a.valid() && b.valid() {
-		if a.fill && b.fill {
-			n := a.run
-			if b.run < n {
-				n = b.run
-			}
-			out.appendFill(k.fillBits(a.fillBit(), b.fillBit()), n)
-			out.nbits += n * SegmentBits
-			a.consume(n)
-			b.consume(n)
-			continue
-		}
-		// at least one literal: process exactly one segment
-		w := k.apply(a.payload(), b.payload()) & literalMask
-		switch w {
-		case literalMask:
-			out.appendFill(1, 1)
-		case 0:
-			out.appendFill(0, 1)
-		default:
-			out.words = append(out.words, w)
-			out.lits++
-		}
-		out.nbits += SegmentBits
-		a.consume(1)
-		b.consume(1)
-	}
-	res := out.Vector()
-	res.nbits = v.nbits // trailing partial segment keeps the logical length
-	return res
 }

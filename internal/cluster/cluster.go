@@ -344,19 +344,13 @@ func dissimilarity(a, b *stepSummary, metric selection.Metric, sc *scratch) floa
 		}
 		return metrics.ConditionalEntropy(sc.joint, sc.ha, sc.hb, n)
 	case selection.EMDSpatial:
-		// Per-bin XOR counts sum across nodes; the CFP accumulates over the
+		// Per-bin differences sum across nodes; the CFP accumulates over the
 		// global per-bin differences.
 		diffs := make([]int, a.mapper.Bins())
 		for k := 0; k < a.nNodes(); k++ {
-			addXorDiffs(a, b, k, diffs)
+			addSpatialDiffs(a, b, k, diffs, sc)
 		}
-		cfp := 0
-		total := 0.0
-		for _, d := range diffs {
-			cfp += d
-			total += float64(cfp)
-		}
-		return total
+		return metrics.EMDFromDiffs(diffs)
 	default:
 		panic("cluster: unsupported metric " + metric.String())
 	}
@@ -383,12 +377,7 @@ func accumulateNode(a, b *stepSummary, k int, wantJoint bool, sc *scratch) int {
 			sc.hb[j] += c
 		}
 		if wantJoint {
-			n := xa.N()
-			if cap(sc.ids) < 2*n {
-				sc.ids = make([]int32, 2*n)
-			}
-			ida := xa.BinIDs(sc.ids[:n])
-			idb := xb.BinIDs(sc.ids[n : 2*n])
+			ida, idb := sc.binIDs(xa, xb)
 			for p := range ida {
 				sc.joint[ida[p]][idb[p]]++
 			}
@@ -408,12 +397,21 @@ func accumulateNode(a, b *stepSummary, k int, wantJoint bool, sc *scratch) int {
 	return len(da)
 }
 
-func addXorDiffs(a, b *stepSummary, k int, diffs []int) {
+// binIDs decodes two slab indices into the scratch id buffer, which is
+// reused across nodes and steps.
+func (sc *scratch) binIDs(xa, xb *index.Index) (ida, idb []int32) {
+	n := xa.N()
+	if cap(sc.ids) < 2*n {
+		sc.ids = make([]int32, 2*n)
+	}
+	return xa.BinIDs(sc.ids[:n]), xb.BinIDs(sc.ids[n : 2*n])
+}
+
+// addSpatialDiffs adds node k's Equation 3 differences into diffs.
+func addSpatialDiffs(a, b *stepSummary, k int, diffs []int, sc *scratch) {
 	if a.indices != nil {
-		xa, xb := a.indices[k], b.indices[k]
-		for j := 0; j < xa.Bins(); j++ {
-			diffs[j] += xa.Bitmap(j).XorCount(xb.Bitmap(j))
-		}
+		ida, idb := sc.binIDs(a.indices[k], b.indices[k])
+		metrics.SpatialDiffs(ida, idb, diffs)
 		return
 	}
 	da, db := a.slabs[k], b.slabs[k]

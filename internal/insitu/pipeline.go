@@ -431,12 +431,12 @@ func (r *reducer) summarize(st staged, nWorkers int) *stepSummary {
 			}
 		})
 		for k, x := range xs {
-			// Conditional entropy is scored from per-element bin ids: the
-			// summary keeps the ids it was built from, so the scorer never
-			// decodes the bitmaps back. The EMD metrics read histograms and
-			// bitmaps only; their ids end here.
+			// Conditional entropy and the spatial EMD are scored from
+			// per-element bin ids: the summary keeps the ids it was built
+			// from, so a candidate is scored without decoding its bitmaps
+			// back. The count EMD reads histograms only; its ids end here.
 			var ids *index.BinIDs
-			if r.cfg.Metric == selection.ConditionalEntropy {
+			if r.cfg.Metric != selection.EMDCount {
 				ids = st.ids[k]
 			}
 			sum.parts[k] = selection.NewBuiltSummary(x, ids, perVar)
@@ -523,6 +523,16 @@ func (s *stepSummary) generations() []uint64 {
 		}
 	}
 	return out
+}
+
+// dropIDs releases the bin ids of the summary's bitmap parts
+// (selection.BitmapSummary.DropIDs).
+func (s *stepSummary) dropIDs() {
+	for _, p := range s.parts {
+		if bs, ok := p.(*selection.BitmapSummary); ok {
+			bs.DropIDs()
+		}
+	}
 }
 
 // Importance implements selection.Summary.
@@ -634,6 +644,10 @@ func (s *selector) applyScore(ctx context.Context, t int, sum *stepSummary, scor
 		if t >= iv[0] && t < iv[1] {
 			if s.best == nil || score > s.bestScore {
 				s.retire(s.best)
+				// No score reads the incumbent until it is the selection, so
+				// it drops its ids and the first score against it decodes
+				// them again: one step's ids live across an interval, not two.
+				sum.dropIDs()
 				s.best, s.bestScore = sum, score
 			} else {
 				s.retire(sum)

@@ -80,19 +80,48 @@ func TestJointHistogramOnBrokenPartition(t *testing.T) {
 	}
 }
 
+// widen returns ids at two bytes an id.
+func widen(ids *index.BinIDs) *index.BinIDs {
+	if ids.U8 == nil {
+		return ids
+	}
+	w := &index.BinIDs{U16: make([]uint16, len(ids.U8)), Bins: ids.Bins}
+	for k, id := range ids.U8 {
+		w.U16[k] = uint16(id)
+	}
+	return w
+}
+
 // On in-process indexes the worker count must not change one integer, and
 // decoded operands must stand in for their indexes exactly — at every pairing
-// of the two id widths (one byte up to 256 bins, two beyond).
+// of the two id widths (one byte up to 256 bins, two beyond). Over one
+// binning the spatial EMD from ids is the one from the raw arrays, at every
+// width pairing too.
 func TestJointHistogramIDsMatchesBitmaps(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	for _, bins := range [][2]int{{12, 7}, {256, 7}, {300, 7}, {7, 257}, {300, 257}} {
+	for _, bins := range [][2]int{{12, 7}, {256, 7}, {300, 7}, {7, 257}, {300, 257}, {48, 48}, {300, 300}} {
 		for _, n := range []int{0, 1, 5, 3000} {
-			xa := index.Build(smooth(r, n), uniform(t, bins[0]))
-			xb := index.Build(smooth(r, n), uniform(t, bins[1]))
+			a, b := smooth(r, n), smooth(r, n)
+			xa := index.Build(a, uniform(t, bins[0]))
+			xb := index.Build(b, uniform(t, bins[1]))
 			want := freshJoint(xa, xb)
 			for _, w := range []int{1, 2, 5, 64} {
 				if got := JointFromIDs(index.DecodeBinIDs(xa, w), index.DecodeBinIDs(xb, w), w); !reflect.DeepEqual(got, want) {
 					t.Fatalf("bins=%v n=%d workers=%d: joint histogram differs from the serial reference", bins, n, w)
+				}
+			}
+			if bins[0] != bins[1] {
+				continue
+			}
+			emd := EMDSpatialData(a, b, uniform(t, bins[0]))
+			if got := EMDSpatialBitmaps(xa, xb); got != emd {
+				t.Fatalf("bins=%v n=%d: EMDSpatialBitmaps %g, EMDSpatialData %g", bins, n, got, emd)
+			}
+			ida, idb := index.DecodeBinIDs(xa, 1), index.DecodeBinIDs(xb, 1)
+			for _, p := range [][2]*index.BinIDs{{ida, idb}, {ida, widen(idb)}, {widen(ida), idb}, {widen(ida), widen(idb)}} {
+				if got := EMDSpatialFromIDs(p[0], p[1]); got != emd {
+					t.Fatalf("bins=%v n=%d widths %d,%d bytes: EMDSpatialFromIDs %g, EMDSpatialData %g",
+						bins, n, p[0].SizeBytes()/max(1, n), p[1].SizeBytes()/max(1, n), got, emd)
 				}
 			}
 		}

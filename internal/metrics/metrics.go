@@ -4,8 +4,9 @@
 // variants — each computable two ways: from raw data arrays (the "full data"
 // baseline) and from bitmap indices (the paper's method). Because both paths
 // bin identically, they produce *identical* results; the bitmap path is just
-// cheaper, replacing full-array scans with cached histograms, bitwise AND
-// (joint distributions) and XOR (spatial differences) on compressed vectors.
+// cheaper, replacing full-array scans with cached histograms and, for the
+// metrics that pair elements up (joint distributions, spatial differences),
+// one pass over the two indexes decoded into bin ids.
 package metrics
 
 import (
@@ -13,7 +14,6 @@ import (
 	"math"
 
 	"insitubits/internal/binning"
-	"insitubits/internal/bitcache"
 	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 	"insitubits/internal/sim"
@@ -49,11 +49,8 @@ func JointHistogram(a, b []float64, ma, mb binning.Mapper) [][]int {
 // JointHistogramBitmaps produces the same joint distribution as
 // JointHistogram from the two indices alone (the raw data may already be
 // discarded). It decodes each index into per-element bin ids in one pass —
-// O(n) total regardless of bin count — and tallies the pairs. See
-// JointHistogramBitmapsAND for the paper's literal bins×bins AND
-// formulation, which this replaces as the default because at reproduction
-// scale the AND product term (bins² × compressed words) can exceed O(n);
-// both compute identical numbers (asserted by tests).
+// O(n) total regardless of bin count — and tallies the pairs, where the
+// paper's Figure 5 ANDs every bin pair: bins² × compressed words.
 //
 // It runs on one goroutine and accepts any index of up to index.MaxIDBins
 // bins, including one read from an untrusted file whose bins do not
@@ -117,46 +114,6 @@ func tally[A, B bitvec.ID](a []A, b []B, na, nb, nWorkers int) []int {
 		}
 	}
 	return total
-}
-
-// JointHistogramBitmapsAND is the paper's Figure 5 formulation verbatim:
-// one compressed AndCount per bin pair, with a zero-count shortcut. Kept as
-// the mining building block (where only surviving pairs are ANDed) and as
-// the decode-vs-AND ablation baseline.
-func JointHistogramBitmapsAND(xa, xb *index.Index) [][]int {
-	if xa.N() != xb.N() {
-		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", xa.N(), xb.N()))
-	}
-	joint := make([][]int, xa.Bins())
-	cells := make([]int, xa.Bins()*xb.Bins())
-	for i := range joint {
-		joint[i], cells = cells[:xb.Bins()], cells[xb.Bins():]
-	}
-	// Consult the process cache read-only: a joint vector materialized by
-	// mining or a correlation query answers the pair's count by popcount.
-	// Counts are not worth storing (the cache holds bitmaps), so misses
-	// compute AndCount without a Put.
-	c := bitcache.Default()
-	genA, genB := xa.Generation(), xb.Generation()
-	for i := 0; i < xa.Bins(); i++ {
-		if xa.Count(i) == 0 {
-			continue
-		}
-		va := xa.Bitmap(i)
-		for j := 0; j < xb.Bins(); j++ {
-			if xb.Count(j) == 0 {
-				continue
-			}
-			if c != nil {
-				if hit := c.Get(bitcache.AndKey(bitcache.BinKey(genA, i), bitcache.BinKey(genB, j))); hit != nil {
-					joint[i][j] = hit.Count()
-					continue
-				}
-			}
-			joint[i][j] = va.AndCount(xb.Bitmap(j))
-		}
-	}
-	return joint
 }
 
 // Entropy returns Shannon's entropy H = -Σ p·log2(p) in bits over a count
@@ -255,6 +212,12 @@ func EMDSpatialData(a, b []float64, m binning.Mapper) float64 {
 			diffs[bb]++
 		}
 	}
+	return EMDFromDiffs(diffs)
+}
+
+// EMDFromDiffs is Equation 3's distance over the per-bin differences:
+// CFP(j) accumulates Diff(0..j), and the distance sums CFP.
+func EMDFromDiffs(diffs []int) float64 {
 	cfp := 0
 	total := 0.0
 	for _, d := range diffs {
@@ -264,20 +227,52 @@ func EMDSpatialData(a, b []float64, m binning.Mapper) float64 {
 	return total
 }
 
-// EMDSpatialBitmaps computes the identical spatial EMD from two indices
-// with one XorCount per bin pair of the same bin id (Figure 4): the XOR
-// popcount is exactly the number of positions where the bins differ.
+// EMDSpatialBitmaps computes the identical spatial EMD from two indices of
+// the same bin count: both are decoded into bin ids and compared position by
+// position (EMDSpatialFromIDs). Figure 4's XOR popcount of bin j is the same
+// number, the positions where exactly one of the two steps lies in bin j.
+// Like JointHistogramBitmaps it accepts any index of up to
+// index.MaxIDBins bins.
 func EMDSpatialBitmaps(xa, xb *index.Index) float64 {
 	if xa.Bins() != xb.Bins() {
 		panic(fmt.Sprintf("metrics: spatial EMD over indices with %d and %d bins", xa.Bins(), xb.Bins()))
 	}
-	cfp := 0
-	total := 0.0
-	for j := 0; j < xa.Bins(); j++ {
-		cfp += xa.Bitmap(j).XorCount(xb.Bitmap(j))
-		total += float64(cfp)
+	return EMDSpatialFromIDs(index.DecodeBinIDs(xa, 1), index.DecodeBinIDs(xb, 1))
+}
+
+// EMDSpatialFromIDs is the spatial EMD of two indexes of the same bin count
+// in decoded form: Diff(j) from one pass over the two id arrays.
+func EMDSpatialFromIDs(a, b *index.BinIDs) float64 {
+	if a == nil || b == nil {
+		panic(fmt.Sprintf("metrics: spatial EMD over an index of more than %d bins", index.MaxIDBins))
 	}
-	return total
+	if a.Len() != b.Len() || a.Bins != b.Bins {
+		panic(fmt.Sprintf("metrics: spatial EMD over %d and %d ids of %d and %d bins", a.Len(), b.Len(), a.Bins, b.Bins))
+	}
+	diffs := make([]int, a.Bins)
+	switch {
+	case a.U8 != nil && b.U8 != nil:
+		SpatialDiffs(a.U8, b.U8, diffs)
+	case a.U8 != nil:
+		SpatialDiffs(a.U8, b.U16, diffs)
+	case b.U8 != nil:
+		SpatialDiffs(a.U16, b.U8, diffs)
+	default:
+		SpatialDiffs(a.U16, b.U16, diffs)
+	}
+	return EMDFromDiffs(diffs)
+}
+
+// SpatialDiffs adds Equation 3's Diff over two equally long id arrays into
+// diffs: a position whose ids differ counts once in each of its two bins.
+func SpatialDiffs[A, B bitvec.ID](a []A, b []B, diffs []int) {
+	b = b[:len(a)]
+	for k, ia := range a {
+		if ib := int(b[k]); int(ia) != ib {
+			diffs[ia]++
+			diffs[ib]++
+		}
+	}
 }
 
 // Pair bundles the full set of pairwise metrics the selection algorithm

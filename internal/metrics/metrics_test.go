@@ -118,18 +118,14 @@ func TestBitmapPathMatchesDataPath(t *testing.T) {
 				t.Fatalf("trial %d: histogram bin %d: bitmap %d data %d", trial, i, c, ha[i])
 			}
 		}
-		// Joint distribution: the decode path, the paper's AND path, and
-		// the full-data scan must agree cell by cell.
+		// Joint distribution: the decode path and the full-data scan must
+		// agree cell by cell.
 		jd := JointHistogram(a, b, m, m)
 		jb := JointHistogramBitmaps(xa, xb)
-		ja := JointHistogramBitmapsAND(xa, xb)
 		for i := range jd {
 			for j := range jd[i] {
 				if jd[i][j] != jb[i][j] {
 					t.Fatalf("trial %d: joint[%d][%d]: bitmap %d data %d", trial, i, j, jb[i][j], jd[i][j])
-				}
-				if jd[i][j] != ja[i][j] {
-					t.Fatalf("trial %d: joint[%d][%d]: AND-path %d data %d", trial, i, j, ja[i][j], jd[i][j])
 				}
 			}
 		}

@@ -1,25 +1,27 @@
 // Package mining implements the paper's offline analysis: correlation mining
-// between two variables (§4, Algorithm 2). Joint bitvectors are produced by
-// AND-ing every bin pair, low-correlation value subsets are pruned top-down
-// with threshold T (justified by the paper's Equation 7), and surviving
-// joint vectors are scanned bottom-up over basic spatial units with
-// threshold T' (Equation 8 shows why spatial pruning cannot be top-down).
-// Spatial units are contiguous ranges of the (Z-order) element layout, so
-// per-unit counting is CountRange on compressed vectors.
+// between two variables (§4, Algorithm 2). Low-correlation value subsets are
+// pruned top-down with threshold T (justified by the paper's Equation 7),
+// and the surviving joint bins are scanned bottom-up over basic spatial
+// units with threshold T' (Equation 8 shows why spatial pruning cannot be
+// top-down). Spatial units are contiguous ranges of the (Z-order) element
+// layout.
+//
+// Both indexes are decoded into one bin id per element, once. Every joint
+// count Algorithm 2 reads — the value-level c_ij of line 3 and the per-unit
+// counts of line 7 — is then a tally over the two id arrays, O(n) whatever
+// the number of bin pairs, instead of a compressed AND per pair.
 package mining
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"insitubits/internal/binning"
-	"insitubits/internal/bitcache"
 	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 	"insitubits/internal/metrics"
-	"insitubits/internal/qlog"
-	"insitubits/internal/query"
+	"insitubits/internal/sim"
 )
 
 // Config parameterizes Algorithm 2.
@@ -35,62 +37,15 @@ type Config struct {
 	// SpatialThreshold is T': a spatial unit is reported only if its local
 	// mutual-information term reaches it (Algorithm 2 line 8).
 	SpatialThreshold float64
-	// Slow, when set, receives one profile per bin pair surviving the value
-	// filter in Mine — the pairs that pay for a materialized AND and the
-	// per-unit scan — ranked by wall time. Profiles also feed the
-	// process-wide slow-query log (query.SetSlowLog). Nil disables.
-	Slow *query.TopK
-	// Cache overrides the process-default materialized-bitmap cache
-	// (bitcache.Default()) for joint vectors. Bin-pair joints are keyed by
-	// the same canonical AND keys the query planner uses, so joints
-	// materialized by one mining run — or by a correlation query over the
-	// same indices — are reused by the next. Nil falls back to the default;
-	// when that is also nil (no cache installed), caching is off and the
-	// per-pair work is exactly the pre-cache computation.
-	Cache *bitcache.Cache
 }
 
-// cache resolves the effective joint-vector cache for a run.
-func (c Config) cache() *bitcache.Cache {
-	if c.Cache != nil {
-		return c.Cache
+// validate checks cfg for two variables of n and nb elements. Per-unit
+// counts are int32, so a unit holds at most MaxInt32 elements.
+func (c Config) validate(n, nb int) error {
+	if n != nb {
+		return fmt.Errorf("mining: variables of %d and %d elements", n, nb)
 	}
-	return bitcache.Default()
-}
-
-// pairCache consults the bitmap cache for materialized bin-pair joints of
-// one (xa, xb) run. The zero value (nil cache) is inert.
-type pairCache struct {
-	c          *bitcache.Cache
-	genA, genB uint64
-}
-
-func newPairCache(cfg Config, xa, xb *index.Index) pairCache {
-	return pairCache{c: cfg.cache(), genA: xa.Generation(), genB: xb.Generation()}
-}
-
-func (p pairCache) key(i, j int) string {
-	if p.c == nil {
-		return ""
-	}
-	return bitcache.AndKey(bitcache.BinKey(p.genA, i), bitcache.BinKey(p.genB, j))
-}
-
-func (p pairCache) get(key string) bitvec.Bitmap {
-	if key == "" {
-		return nil
-	}
-	return p.c.Get(key)
-}
-
-func (p pairCache) put(key string, joint bitvec.Bitmap) {
-	if key != "" {
-		p.c.Put(key, joint, p.genA, p.genB)
-	}
-}
-
-func (c Config) validate(n int) error {
-	if c.UnitSize <= 0 || c.UnitSize > n {
+	if c.UnitSize <= 0 || c.UnitSize > n || c.UnitSize > math.MaxInt32 {
 		return fmt.Errorf("mining: unit size %d out of range [1,%d]", c.UnitSize, n)
 	}
 	if c.ValueThreshold < 0 || c.SpatialThreshold < 0 {
@@ -110,259 +65,163 @@ type Finding struct {
 }
 
 // Mine runs Algorithm 2 over two single-level indices built over the same
-// element layout.
-func Mine(xa, xb *index.Index, cfg Config) ([]Finding, error) {
-	if xa.N() != xb.N() {
-		return nil, fmt.Errorf("mining: indices over %d and %d elements", xa.N(), xb.N())
-	}
-	if err := cfg.validate(xa.N()); err != nil {
+// element layout. An index whose bins do not partition its elements — one
+// read from a damaged file — is an error naming it, never findings.
+func Mine(xa, xb *index.Index, cfg Config) ([]Finding, error) { return mine(xa, xb, cfg, 1) }
+
+// MineParallel is Mine with the two tallies split over nWorkers goroutines
+// — the parallel setting of the authors' correlation framework [30]. The
+// output is identical to Mine's, order included.
+func MineParallel(xa, xb *index.Index, cfg Config, nWorkers int) ([]Finding, error) {
+	return mine(xa, xb, cfg, nWorkers)
+}
+
+func mine(xa, xb *index.Index, cfg Config, workers int) ([]Finding, error) {
+	n := xa.N()
+	if err := cfg.validate(n, xb.N()); err != nil {
 		return nil, err
 	}
-	n := xa.N()
-	pc := newPairCache(cfg, xa, xb)
-	// Per-unit marginal counts are computed lazily: only needed once a
-	// pair survives the value filter.
-	var unitsA, unitsB [][]int
-	var out []Finding
-	for i := 0; i < xa.Bins(); i++ { // Algorithm 2 lines 1-2
-		ci := xa.Count(i)
-		if ci == 0 {
-			continue
+	wide := max(xa.Bins(), xb.Bins()) >= 1<<8 // both at one width
+	ida, errA := decode(xa, "A", wide)
+	idb, errB := decode(xb, "B", wide)
+	if err := errors.Join(errA, errB); err != nil {
+		return nil, err
+	}
+	// Lines 1-5, in bin-pair order; slot numbers the survivors (-1: pruned).
+	// Both indexes were just shown to partition the elements, so their
+	// histograms are the joint table's marginals.
+	ca, cb := xa.Histogram(), xb.Histogram()
+	t := tables{units: (n + cfg.UnitSize - 1) / cfg.UnitSize, size: cfg.UnitSize, nb: xb.Bins(),
+		slot: make([]int32, xa.Bins()*xb.Bins())}
+	var kept []Finding
+	for i, row := range metrics.JointFromIDs(ida, idb, workers) { // line 3, every bin pair
+		for j, cij := range row {
+			t.slot[i*t.nb+j] = -1
+			// Line 4, then line 5. An empty joint bin has no unit to find.
+			valueMI := metrics.MutualInformationTerm(cij, ca[i], cb[j], n)
+			if cij == 0 || valueMI < cfg.ValueThreshold {
+				continue
+			}
+			t.slot[i*t.nb+j] = int32(len(kept))
+			kept = append(kept, Finding{BinA: i, BinB: j, ValueMI: valueMI})
 		}
-		va := xa.Bitmap(i)
-		for j := 0; j < xb.Bins(); j++ {
-			cj := xb.Count(j)
-			if cj == 0 {
-				continue
-			}
-			// Cheap pre-filter: the joint count cannot exceed either
-			// marginal, so the pair's MI term is bounded before any AND.
-			if childTermUpperBound(minInt(ci, cj), n) < cfg.ValueThreshold {
-				continue
-			}
-			start := time.Now()
-			key := pc.key(i, j)
-			cached := pc.get(key)
-			var cij int
-			if cached != nil {
-				cij = cached.Count() // popcount of the cached joint
-			} else {
-				cij = va.AndCount(xb.Bitmap(j)) // line 3: LogicAND (count only)
-			}
-			valueMI := metrics.MutualInformationTerm(cij, ci, cj, n) // line 4
-			if valueMI < cfg.ValueThreshold {                        // line 5
-				continue
-			}
-			if unitsA == nil {
-				unitsA = unitCounts(xa, cfg.UnitSize)
-				unitsB = unitCounts(xb, cfg.UnitSize)
-			}
-			joint := cached
-			if joint == nil {
-				joint = va.And(xb.Bitmap(j))
-				pc.put(key, joint)
-			}
-			jointUnits := joint.CountUnits(cfg.UnitSize)
-			found := scanUnits(i, j, valueMI, jointUnits, unitsA[i], unitsB[j], n, cfg)
-			out = append(out, found...)
-			profilePair(cfg, xa, xb, i, j, valueMI, joint, len(found), time.Since(start), pairVerdict(key, cached))
-		}
+	}
+	t.joint = make([]int32, len(kept)*t.units)
+	t.ua, t.ub = make([]int32, xa.Bins()*t.units), make([]int32, xb.Bins()*t.units)
+	if wide {
+		tallyUnits(&t, ida.U16, idb.U16, workers)
+	} else {
+		tallyUnits(&t, ida.U8, idb.U8, workers)
+	}
+	var out []Finding // lines 6-11
+	for s, p := range kept {
+		out = append(out, scanUnits(p, t.row(t.joint, s), t.row(t.ua, p.BinA), t.row(t.ub, p.BinB), n, cfg)...)
 	}
 	return out, nil
 }
 
-// pairVerdict names the cache outcome of one surviving bin pair for its
-// slow-log record: "" when no cache was consulted (annotation-free profiles,
-// byte-identical to pre-cache runs).
-func pairVerdict(key string, cached bitvec.Bitmap) string {
-	switch {
-	case key == "":
-		return ""
-	case cached != nil:
-		return "hit"
-	default:
-		return "miss"
-	}
+// tables hold per-unit counts, a row of units cells each: the joint counts
+// of every survivor and the marginals of every bin of A and of B.
+type tables struct {
+	units, size   int     // units, of size elements each
+	nb            int     // bins of B: slot is indexed by a*nb+b
+	slot          []int32 // survivor of each joint bin, -1 if pruned
+	joint, ua, ub []int32
 }
 
-// profilePair records one surviving bin pair's bitmap work for cfg.Slow and
-// the slow-query log. Costs come from the operands' encoded shape (O(1)
-// metadata reads, no decode). On a cache miss (or with no cache) the pair
-// consumed both bin bitmaps twice — once for the AndCount filter, once for
-// the materialized AND; on a hit both steps were answered from the cached
-// joint, each charged one scan of its encoding — the operand scans are the
-// work the cache saved, and their absence is what the scan-reduction test
-// measures. verdict ("hit"/"miss"/"") annotates the nodes and the record
-// header so `bitmapctl mine -slow` shows the outcome per pair.
-func profilePair(cfg Config, xa, xb *index.Index, i, j int, valueMI float64, joint bitvec.Bitmap, found int, elapsed time.Duration, verdict string) {
-	if cfg.Slow == nil {
-		return
-	}
-	jointScan := query.Cost{WordsScanned: int64(joint.Words()), BytesDecoded: int64(joint.SizeBytes())}
-	andCount := &query.Node{Op: "and-count", Detail: "value filter", Bin: -1, Cache: verdict}
-	and := &query.Node{Op: "and", Detail: "materialize joint vector", Bin: -1, Cache: verdict}
-	if verdict == "hit" {
-		andCount.Cost = jointScan
-		and.Cost = jointScan
-	} else {
-		opCost := func(x *index.Index, b int) query.Cost {
-			bm := x.Bitmap(b)
-			return query.Cost{WordsScanned: int64(bm.Words()), BytesDecoded: int64(bm.SizeBytes())}
+func (t *tables) row(cells []int32, r int) []int32 { return cells[r*t.units : (r+1)*t.units] }
+
+// tallyUnits is the second pass over the two id arrays: every element adds
+// one to its unit's cell in the marginal rows of its two bins and, when its
+// joint bin survived, in that survivor's row. Workers take unit ranges, so
+// they write disjoint cells.
+func tallyUnits[T bitvec.ID](t *tables, a, b []T, workers int) {
+	sim.ParallelFor(t.units, workers, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for k, to := u*t.size, min((u+1)*t.size, len(a)); k < to; k++ {
+				i, j := int(a[k]), int(b[k])
+				t.ua[i*t.units+u]++
+				t.ub[j*t.units+u]++
+				if s := t.slot[i*t.nb+j]; s >= 0 {
+					t.joint[int(s)*t.units+u]++
+				}
+			}
 		}
-		andCount.Cost.WordsScanned = opCost(xa, i).WordsScanned + opCost(xb, j).WordsScanned
-		andCount.Cost.BytesDecoded = opCost(xa, i).BytesDecoded + opCost(xb, j).BytesDecoded
-		and.Cost = andCount.Cost
-	}
-	and.Cost.OutWords = joint.Words()
-	units := &query.Node{
-		Op: "count-units", Detail: fmt.Sprintf("unit size %d", cfg.UnitSize), Bin: -1,
-		Cost: query.Cost{WordsScanned: int64(joint.Words()), BytesDecoded: int64(joint.SizeBytes()), Rows: int64(found)},
-	}
-	detail := fmt.Sprintf("binA=%d (%s) binB=%d (%s) valueMI=%.4g findings=%d", i, xa.Codec(i), j, xb.Codec(j), valueMI, found)
-	if verdict != "" {
-		detail += " cache=" + verdict
-	}
-	p := &query.Profile{
-		Query:     "mine.pair",
-		Mode:      query.ModeAnalyze,
-		Detail:    detail,
-		ElapsedNs: elapsed.Nanoseconds(),
-		Root:      &query.Node{Op: "mine.pair", Bin: -1, Children: []*query.Node{andCount, and, units}},
-	}
-	cfg.Slow.Offer(p)
-	query.LogSlow(p)
-	query.CaptureProfile(p, qlog.DigestFloats(valueMI, float64(found)))
+	})
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// decode turns x into one bin id per element, two bytes an id when wide, or
+// names side in an error when x's bins do not partition its elements, by
+// the query layer's NoID protocol: the array starts all NoID, which is no
+// bin id of x, and each bin stores its id over NoID slots only
+// (bitvec.WriteIDsMasked under an all-ones mask). A slot already taken is an
+// element two bins hold; with none, a total short of n is an element no bin
+// holds, so a hole and an overlap cannot cancel out.
+func decode(x *index.Index, side string, wide bool) (*index.BinIDs, error) {
+	ids := &index.BinIDs{Bins: x.Bins()}
+	var got, bad int
+	switch {
+	case x.Bins() > 1<<16-1:
+		return nil, fmt.Errorf("mining: index %s has %d bins, more than %d", side, x.Bins(), 1<<16-1)
+	case wide:
+		ids.U16 = make([]uint16, x.N())
+		got, bad = decodeInto(x, ids.U16)
+	default:
+		ids.U8 = make([]uint8, x.N())
+		got, bad = decodeInto(x, ids.U8)
 	}
-	return b
+	if bad >= 0 {
+		return nil, fmt.Errorf("mining: index %s is not a partition: element %d lies in two bins", side, bad)
+	}
+	if got != x.N() {
+		return nil, fmt.Errorf("mining: index %s is not a partition: its bins hold %d of %d elements", side, got, x.N())
+	}
+	return ids, nil
 }
 
-// scanUnits is Algorithm 2's spatial loop (lines 6-11): the local MI term of
-// each unit, computed from unit-local joint and marginal counts.
-func scanUnits(binA, binB int, valueMI float64, joint, ca, cb []int, n int, cfg Config) []Finding {
+func decodeInto[T bitvec.ID](x *index.Index, ids []T) (got, bad int) {
+	for p := range ids {
+		ids[p] = bitvec.NoID[T]()
+	}
+	all := make([]uint64, bitvec.FlatWords(len(ids)))
+	bitvec.SetFlatRange(all, 0, len(ids))
+	for b := 0; b < x.Bins(); b++ {
+		n, bad := bitvec.WriteIDsMasked(x.Bitmap(b), all, ids, T(b))
+		if got += n; bad >= 0 {
+			return got, bad
+		}
+	}
+	return got, -1
+}
+
+// scanUnits is Algorithm 2's spatial loop (lines 6-11) over one surviving
+// joint bin: the local MI term of each unit, computed from unit-local joint
+// and marginal counts, reported as a copy of pair.
+func scanUnits(pair Finding, joint, ca, cb []int32, n int, cfg Config) []Finding {
 	var out []Finding
 	for u := range joint {
 		if joint[u] == 0 {
 			continue
 		}
-		begin := u * cfg.UnitSize
-		end := begin + cfg.UnitSize
-		if end > n {
-			end = n
-		}
-		local := metrics.MutualInformationTerm(joint[u], ca[u], cb[u], end-begin)
-		if local >= cfg.SpatialThreshold { // line 8
-			out = append(out, Finding{
-				BinA: binA, BinB: binB,
-				Unit: u, Begin: begin, End: end,
-				ValueMI: valueMI, SpatialMI: local,
-			})
+		f := pair
+		f.Unit, f.Begin, f.End = u, u*cfg.UnitSize, min((u+1)*cfg.UnitSize, n)
+		f.SpatialMI = metrics.MutualInformationTerm(int(joint[u]), int(ca[u]), int(cb[u]), f.End-f.Begin)
+		if f.SpatialMI >= cfg.SpatialThreshold { // line 8
+			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// unitCounts materializes per-unit 1-bit counts for every bin of an index.
-func unitCounts(x *index.Index, unitSize int) [][]int {
-	out := make([][]int, x.Bins())
-	for b := range out {
-		out[b] = x.Bitmap(b).CountUnits(unitSize)
-	}
-	return out
-}
-
-// MineMultiLevel is the paper's multi-level optimization (§4.2): high-level
-// (coarse) joint bins are tested first, and only the low-level children of
-// promising high-level pairs are examined. The skip test uses a provable
-// upper bound on any child's MI term derived from the high-level joint
-// count, so the result set is guaranteed identical to Mine on the low level.
-func MineMultiLevel(mla, mlb *index.MultiLevel, cfg Config) ([]Finding, error) {
-	xa, xb := mla.Low, mlb.Low
-	if xa.N() != xb.N() {
-		return nil, fmt.Errorf("mining: indices over %d and %d elements", xa.N(), xb.N())
-	}
-	if err := cfg.validate(xa.N()); err != nil {
-		return nil, err
-	}
-	n := xa.N()
-	pc := newPairCache(cfg, xa, xb)
-	var unitsA, unitsB [][]int // computed lazily: only if any pair survives
-	var out []Finding
-	for hi := 0; hi < mla.High.Bins(); hi++ {
-		if mla.High.Count(hi) == 0 {
-			continue
-		}
-		vhi := mla.High.Bitmap(hi)
-		for hj := 0; hj < mlb.High.Bins(); hj++ {
-			if mlb.High.Count(hj) == 0 {
-				continue
-			}
-			cHH := vhi.AndCount(mlb.High.Bitmap(hj))
-			if childTermUpperBound(cHH, n) < cfg.ValueThreshold {
-				continue // no child pair can pass T
-			}
-			loA, hiA := mla.G.Children(hi)
-			loB, hiB := mlb.G.Children(hj)
-			for i := loA; i < hiA; i++ {
-				ci := xa.Count(i)
-				if ci == 0 {
-					continue
-				}
-				va := xa.Bitmap(i)
-				for j := loB; j < hiB; j++ {
-					cj := xb.Count(j)
-					if cj == 0 {
-						continue
-					}
-					if childTermUpperBound(minInt(ci, cj), n) < cfg.ValueThreshold {
-						continue
-					}
-					key := pc.key(i, j)
-					cached := pc.get(key)
-					var cij int
-					if cached != nil {
-						cij = cached.Count()
-					} else {
-						cij = va.AndCount(xb.Bitmap(j))
-					}
-					valueMI := metrics.MutualInformationTerm(cij, ci, cj, n)
-					if valueMI < cfg.ValueThreshold {
-						continue
-					}
-					if unitsA == nil {
-						unitsA = unitCounts(xa, cfg.UnitSize)
-						unitsB = unitCounts(xb, cfg.UnitSize)
-					}
-					joint := cached
-					if joint == nil {
-						joint = va.And(xb.Bitmap(j))
-						pc.put(key, joint)
-					}
-					jointUnits := joint.CountUnits(cfg.UnitSize)
-					out = append(out, scanUnits(i, j, valueMI, jointUnits, unitsA[i], unitsB[j], n, cfg)...)
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// childTermUpperBound bounds the MI term of any low-level child pair whose
-// joint count is at most cHH. With p = c/n for a child pair, its term is
-// p·log2(p/(pa·pb)) ≤ p·log2(1/p) because pa, pb ≥ p. The map p ↦ p·log2(1/p)
-// increases until p = 1/e, so capping there yields a monotone, safe bound.
-func childTermUpperBound(cHH, n int) float64 {
-	if cHH == 0 || n == 0 {
+// childTermUpperBound bounds the MI term of any joint bin whose count is at
+// most c. With p = c/n, its term is p·log2(p/(pa·pb)) ≤ p·log2(1/p) because
+// pa, pb ≥ p. The map p ↦ p·log2(1/p) increases until p = 1/e, so capping
+// there yields a monotone, safe bound.
+func childTermUpperBound(c, n int) float64 {
+	if c == 0 || n == 0 {
 		return 0
 	}
-	p := float64(cHH) / float64(n)
-	if p > 1/math.E {
-		p = 1 / math.E
-	}
+	p := min(float64(c)/float64(n), 1/math.E)
 	return p * math.Log2(1/p)
 }
 
@@ -372,10 +231,7 @@ func childTermUpperBound(cHH, n int) float64 {
 // assemble its per-unit counts. Results are identical to Mine with the same
 // binning; only the cost differs.
 func MineFullData(a, b []float64, ma, mb binning.Mapper, cfg Config) ([]Finding, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("mining: arrays of %d and %d elements", len(a), len(b))
-	}
-	if err := cfg.validate(len(a)); err != nil {
+	if err := cfg.validate(len(a), len(b)); err != nil {
 		return nil, err
 	}
 	n := len(a)
@@ -387,27 +243,24 @@ func MineFullData(a, b []float64, ma, mb binning.Mapper, cfg Config) ([]Finding,
 	for i := range joint {
 		for j := range joint[i] {
 			valueMI := metrics.MutualInformationTerm(joint[i][j], ha[i], hb[j], n)
-			if valueMI < cfg.ValueThreshold {
+			if joint[i][j] == 0 || valueMI < cfg.ValueThreshold {
 				continue
 			}
 			// Exhaustive per-pair re-scan: unit-local joint and marginals.
-			ju := make([]int, nUnits)
-			cau := make([]int, nUnits)
-			cbu := make([]int, nUnits)
+			ju, cau, cbu := make([]int32, nUnits), make([]int32, nUnits), make([]int32, nUnits)
 			for k := range a {
-				u := k / cfg.UnitSize
-				ba, bb := ma.Bin(a[k]), mb.Bin(b[k])
-				if ba == i {
+				u, inA, inB := k/cfg.UnitSize, ma.Bin(a[k]) == i, mb.Bin(b[k]) == j
+				if inA {
 					cau[u]++
 				}
-				if bb == j {
+				if inB {
 					cbu[u]++
 				}
-				if ba == i && bb == j {
+				if inA && inB {
 					ju[u]++
 				}
 			}
-			out = append(out, scanUnits(i, j, valueMI, ju, cau, cbu, n, cfg)...)
+			out = append(out, scanUnits(Finding{BinA: i, BinB: j, ValueMI: valueMI}, ju, cau, cbu, n, cfg)...)
 		}
 	}
 	return out, nil

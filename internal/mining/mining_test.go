@@ -1,12 +1,17 @@
 package mining
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"insitubits/internal/binning"
+	"insitubits/internal/bitvec"
+	"insitubits/internal/codec"
 	"insitubits/internal/index"
 )
 
@@ -122,31 +127,118 @@ func TestMineMatchesFullData(t *testing.T) {
 	}
 }
 
-func TestMineMultiLevelMatchesFlat(t *testing.T) {
+// mineAll runs Mine, MineParallel at each worker count and MineFullData, and
+// fails unless every result equals Mine's, order and MI terms included.
+func mineAll(t testing.TB, name string, a, b []float64, xa, xb *index.Index, m binning.Mapper, cfg Config, workers ...int) {
+	t.Helper()
+	want, err := Mine(xa, xb, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	full, err := MineFullData(a, b, m, m, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !reflect.DeepEqual(full, want) {
+		t.Fatalf("%s: Mine found %d, MineFullData %d, or they differ", name, len(want), len(full))
+	}
+	for _, w := range workers {
+		if got, err := MineParallel(xa, xb, cfg, w); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: MineParallel(%d) = %d findings, %v; Mine %d", name, w, len(got), err, len(want))
+		}
+	}
+}
+
+// Algorithm 2 from the bitmaps is Algorithm 2 over the binned raw arrays,
+// at any worker count: one- and two-byte ids (300 bins), units from one
+// element to the whole array, a last unit cut short, every codec pairing,
+// and T from nothing pruned to the paper's rule.
+func TestMineProperty(t *testing.T) {
+	const n = 1000 // a multiple of neither 31 nor any unit size below n
 	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 5; trial++ {
-		n := 4096
-		a, b := correlatedPair(r, n, 512, 1536)
-		m := mapper(t, 24)
-		xa, xb := index.Build(a, m), index.Build(b, m)
-		mla, err := index.BuildMultiLevel(xa, 4)
+	a, b := correlatedPair(r, n, n/4, n/2)
+	for _, bins := range []int{2, 48, 300} {
+		m := mapper(t, bins)
+		for _, unit := range []int{1, 7, 512, n} {
+			for _, ids := range [][2]codec.ID{{codec.WAH, codec.BBC}, {codec.BBC, codec.Auto}, {codec.Auto, codec.WAH}} {
+				xa, xb := index.BuildCodec(a, m, ids[0]), index.BuildCodec(b, m, ids[1])
+				for _, thr := range []float64{0, DefaultValueThreshold(20, n)} {
+					cfg := Config{UnitSize: unit, ValueThreshold: thr, SpatialThreshold: 0.01}
+					mineAll(t, fmt.Sprintf("bins=%d unit=%d codecs=%v T=%g", bins, unit, ids, thr), a, b, xa, xb, m, cfg, 1, 2, 3)
+				}
+			}
+		}
+	}
+}
+
+func FuzzMineMatchesFullData(f *testing.F) {
+	f.Add(int64(1), uint16(1000), uint16(48), uint16(64), true)
+	f.Add(int64(2), uint16(97), uint16(300), uint16(1), false)
+	f.Add(int64(3), uint16(31), uint16(1), uint16(31), false)
+	f.Fuzz(func(t *testing.T, seed int64, n, bins, unit uint16, prune bool) {
+		size := 1 + int(n)%1200
+		r := rand.New(rand.NewSource(seed))
+		a, b := correlatedPair(r, size, r.Intn(size), size)
+		m := mapper(t, 1+int(bins)%300)
+		cfg := Config{UnitSize: 1 + int(unit)%size, SpatialThreshold: 0.01}
+		if prune {
+			cfg.ValueThreshold = DefaultValueThreshold(1+r.Intn(20), size)
+		}
+		mineAll(t, "fuzz", a, b, index.BuildCodec(a, m, codec.Auto), index.BuildCodec(b, m, codec.BBC), m, cfg, 2)
+	})
+}
+
+// An index read from a damaged file may not partition its elements. Mining
+// must say which index and what is wrong, never answer: for an element no
+// bin holds, one two bins hold, and both at once, which leaves every count
+// as it was.
+func TestMineOnBrokenPartition(t *testing.T) {
+	const n = 2000
+	r := rand.New(rand.NewSource(8))
+	a, b := correlatedPair(r, n, 0, n)
+	m := mapper(t, 6)
+	good := index.Build(a, m)
+	broken := func(edit func(bins [][]bool)) *index.Index {
+		bins := make([][]bool, m.Bins())
+		for k := range bins {
+			bins[k] = bitvec.Bools(good.Bitmap(k))
+		}
+		edit(bins)
+		vecs := make([]bitvec.Bitmap, len(bins))
+		for k, bs := range bins {
+			vecs[k] = bitvec.FromBools(bs)
+		}
+		x, err := index.FromParts(m, vecs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mlb, err := index.BuildMultiLevel(xb, 4)
-		if err != nil {
-			t.Fatal(err)
+		return x
+	}
+	hole := func(bins [][]bool) { bins[m.Bin(a[700])][700] = false }
+	overlap := func(bins [][]bool) { bins[(m.Bin(a[1500])+1)%len(bins)][1500] = true }
+	for name, c := range map[string]struct {
+		x    *index.Index
+		want string
+	}{
+		"hole":         {broken(hole), "its bins hold 1999 of 2000 elements"},
+		"overlap":      {broken(overlap), "element 1500 lies in two bins"},
+		"hole+overlap": {broken(func(bins [][]bool) { hole(bins); overlap(bins) }), "element 1500 lies in two bins"},
+	} {
+		x := c.x
+		total := 0
+		for _, k := range x.Histogram() {
+			total += k
 		}
-		cfg := Config{UnitSize: 256, ValueThreshold: 0.002, SpatialThreshold: 0.05}
-		flat, err := Mine(xa, xb, cfg)
-		if err != nil {
-			t.Fatal(err)
+		if name == "hole+overlap" && total != n {
+			t.Fatalf("the hole and the overlap leave %d of %d elements counted", total, n)
 		}
-		ml, err := MineMultiLevel(mla, mlb, cfg)
-		if err != nil {
-			t.Fatal(err)
+		sound := index.Build(b, m)
+		for side, pair := range map[string][2]*index.Index{"A": {x, sound}, "B": {sound, x}} {
+			fs, err := Mine(pair[0], pair[1], Config{UnitSize: 100})
+			if err == nil || fs != nil || !strings.Contains(err.Error(), "index "+side+" is not a partition: "+c.want) {
+				t.Fatalf("%s in %s: %d findings, error %v", name, side, len(fs), err)
+			}
 		}
-		assertSameFindings(t, "multi-level vs flat", ml, flat)
 	}
 }
 

@@ -42,38 +42,6 @@ func TestMineParallelValidation(t *testing.T) {
 	}
 }
 
-func TestWorkerSlot(t *testing.T) {
-	// For every decomposition sim.ParallelFor can produce, the span start
-	// must map back to a unique, in-range slot.
-	for _, n := range []int{1, 2, 7, 16, 100} {
-		for _, workers := range []int{1, 2, 3, 8, 200} {
-			w := workers
-			if w > n {
-				w = n
-			}
-			chunk := n / w
-			extra := n % w
-			lo := 0
-			seen := map[int]bool{}
-			for k := 0; k < w; k++ {
-				size := chunk
-				if k < extra {
-					size++
-				}
-				slot := workerSlot(lo, n, workers)
-				if slot != k {
-					t.Fatalf("n=%d workers=%d: span %d starting at %d -> slot %d", n, workers, k, lo, slot)
-				}
-				if seen[slot] {
-					t.Fatalf("slot %d reused", slot)
-				}
-				seen[slot] = true
-				lo += size
-			}
-		}
-	}
-}
-
 func TestMergeFindings(t *testing.T) {
 	fs := []Finding{
 		{BinA: 1, BinB: 2, Unit: 4, Begin: 400, End: 500, SpatialMI: 0.2},
@@ -123,21 +91,26 @@ func TestMergeFindingsCoversAllUnits(t *testing.T) {
 	}
 }
 
-func BenchmarkMineParallel4(b *testing.B) {
+// BenchmarkMine and BenchmarkMineParallel4 time one whole mining pass —
+// decode, value filter, per-unit tally, scan — over 2^16 elements in 48 bins.
+func BenchmarkMine(b *testing.B)          { benchMine(b, 1) }
+func BenchmarkMineParallel4(b *testing.B) { benchMine(b, 4) }
+
+func benchMine(b *testing.B, workers int) {
 	r := rand.New(rand.NewSource(13))
 	n := 1 << 16
 	aa, bb := correlatedPair(r, n, n/4, n/2)
-	m, _ := newMapper(48)
+	m, err := binning.NewUniform(0, 10, 48)
+	if err != nil {
+		b.Fatal(err)
+	}
 	xa, xb := index.Build(aa, m), index.Build(bb, m)
 	cfg := Config{UnitSize: 512, ValueThreshold: 0.001, SpatialThreshold: 0.03}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineParallel(xa, xb, cfg, 4); err != nil {
+		if _, err := MineParallel(xa, xb, cfg, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func newMapper(bins int) (binning.Mapper, error) {
-	return binning.NewUniform(0, 10, bins)
 }

@@ -12,14 +12,15 @@ import (
 	"insitubits/internal/sim/heat3d"
 )
 
-// The paper's claim at the scorer: the conditional-entropy score from the
-// bitmaps is the full-data score to the last bit, whatever the bins are
-// encoded as, however many workers build, decode and tally, and wherever a
-// summary's ids come from — handed over by the build that computed them,
-// decoded from the bitmaps the first time the summary is scored, or one of
-// each in a pair. One kept summary is scored against several candidates,
-// then a candidate replaces it, as a selection does at each interval's end:
-// the ids used must always be the current kept step's own.
+// The paper's claim at the scorer: the conditional-entropy and spatial-EMD
+// scores from the bitmaps are the full-data scores to the last bit, whatever
+// the bins are encoded as, however many workers build, decode and tally, and
+// wherever a summary's ids come from — handed over by the build that
+// computed them, decoded from the bitmaps the first time the summary is
+// scored, or one of each in a pair. One kept summary is scored against
+// several candidates, then a candidate replaces it, as a selection does at
+// each interval's end, dropping its ids as the in-situ pipeline does: the ids
+// used must always be the current kept step's own.
 func TestCondEntropyScoreMatchesFullData(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	m := mapper(t)
@@ -45,11 +46,14 @@ func TestCondEntropyScoreMatchesFullData(t *testing.T) {
 			for step := 1; step < len(raw); step++ {
 				data, bmp := summary(step)
 				for rep := 0; rep < 2; rep++ { // the second score decodes nothing
-					if got, want := bmp.Dissimilarity(kept, ConditionalEntropy), data.Dissimilarity(keptData, ConditionalEntropy); got != want {
-						t.Fatalf("%s workers=%d: step %d vs kept: bitmaps score %v, full data %v", name, workers, step, got, want)
+					for _, metric := range []Metric{ConditionalEntropy, EMDSpatial} {
+						if got, want := bmp.Dissimilarity(kept, metric), data.Dissimilarity(keptData, metric); got != want {
+							t.Fatalf("%s workers=%d: step %d vs kept, %v: bitmaps score %v, full data %v", name, workers, step, metric, got, want)
+						}
 					}
 				}
 				if step%3 == 0 {
+					bmp.DropIDs()
 					keptData, kept = data, bmp
 				}
 			}

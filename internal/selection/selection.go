@@ -109,17 +109,18 @@ func (s *DataSummary) SizeBytes() int { return 8 * len(s.Data) }
 type BitmapSummary struct {
 	X *index.Index
 
-	// Workers is how many goroutines one conditional-entropy score of this
-	// summary may use; below 2 it runs on the caller's. The in-situ reducer
+	// Workers is how many goroutines one score of this summary may use to
+	// decode and tally; below 2 it runs on the caller's. The in-situ reducer
 	// sets it to the cores the step was given. More than one needs an index
 	// built in this process (index.DecodeBinIDs).
 	Workers int
 
-	// X in decoded form, one narrow bin id per element, which is what a
-	// conditional-entropy score tallies. Either the build that produced X
-	// emitted it (NewBuiltSummary) or the first such score decodes it from
-	// X's bitmaps; it then lives and dies with the summary, so a kept step
-	// scored against a whole interval of candidates is decoded at most once.
+	// X in decoded form, one narrow bin id per element, which is what the
+	// conditional-entropy and spatial-EMD scores pass over. Either the build
+	// that produced X emitted it (NewBuiltSummary) or the first such score
+	// decodes it from X's bitmaps; it then stays on the summary until
+	// DropIDs, so a kept step scored against a whole interval of candidates
+	// is decoded at most once.
 	mu  sync.Mutex
 	ids *index.BinIDs
 }
@@ -144,6 +145,14 @@ func (s *BitmapSummary) binIDs() *index.BinIDs {
 	return s.ids
 }
 
+// DropIDs releases the summary's ids; the next score that reads them
+// decodes them from X again, to the same bytes.
+func (s *BitmapSummary) DropIDs() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ids = nil
+}
+
 // Dissimilarity implements Summary on the compressed form.
 func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	o, ok := selected.(*BitmapSummary)
@@ -157,7 +166,7 @@ func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	case EMDCount:
 		return metrics.EMDCount(s.X.Histogram(), o.X.Histogram())
 	case EMDSpatial:
-		return metrics.EMDSpatialBitmaps(s.X, o.X)
+		return metrics.EMDSpatialFromIDs(s.binIDs(), o.binIDs())
 	default:
 		panic("selection: unknown metric " + m.String())
 	}
