@@ -65,7 +65,9 @@ race-hot:
 # BenchmarkEncodeAuto (internal/codec),
 # BenchmarkBinInto/{uniform,explicit,interface}/{uint8,uint16}
 # (internal/binning), BenchmarkBuildParallelCodec/{1,2}, .../ids/{1,2} and
-# BenchmarkBuildFromIDs/{1,2} (internal/index),
+# BenchmarkBuildFromIDs/{1,2} (internal/index), with
+# BenchmarkBuildFromIDs/lulesh/{1,2} pricing the build on lulesh's shorter
+# id runs (one 48³ step, all twelve arrays at 120 bins),
 # BenchmarkCondEntropyScore/{handed-ids,decoded-ids}/{1,2}
 # (internal/selection), BenchmarkStepHandoff/{owned,lent,staged}
 # (internal/insitu).
@@ -121,8 +123,10 @@ profile-smoke:
 # (OrInto, FromFlat, WriteIDs, CountRange and the masked id kernels —
 # WriteIDsMasked, TallyMasked × mask shape × id width — × codec against a
 # []bool model),
-# the run-domain BBC encoder (byte-identical to the expanded-buffer
-# model, bounded form exact), the batch bin kernel (BinInto equals the
+# the run-domain encoders (byte-identical to the expanded-buffer
+# model, bounded form exact), the index build from ids (every bin, count
+# and auto choice against a []bool model, on run-structured ids at every
+# worker count and codec), the batch bin kernel (BinInto equals the
 # mapper's own Bin on any float64 bit pattern, at every width), and mining
 # from the bitmaps (Mine and MineParallel equal MineFullData over random
 # arrays, bin counts and unit sizes).
@@ -133,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzQueryMatchesOracle$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run xxx -fuzz 'FuzzFlatKernels$$' -fuzztime 10s ./internal/bitvec/
 	$(GO) test -run xxx -fuzz 'FuzzBBCEncode$$' -fuzztime 10s ./internal/bitvec/
+	$(GO) test -run xxx -fuzz 'FuzzBuildFromIDs$$' -fuzztime 10s ./internal/index/
 	$(GO) test -run xxx -fuzz 'FuzzBinInto$$' -fuzztime 10s ./internal/binning/
 	$(GO) test -run xxx -fuzz 'FuzzMineMatchesFullData$$' -fuzztime 10s ./internal/mining/
 

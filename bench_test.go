@@ -311,7 +311,7 @@ func BenchmarkAblationTwoPhaseBuild(b *testing.B) {
 	}
 }
 
-// Dense (paper-literal Algorithm 1) vs lazy touched-bin builder.
+// Dense (paper-literal Algorithm 1) vs the run build.
 func BenchmarkAblationDenseBuilder(b *testing.B) {
 	data, m := ablationData(b)
 	b.SetBytes(int64(8 * len(data)))

@@ -57,9 +57,9 @@ func figAblations() error {
 	tTwo := timeIt(func() { insitubits.BuildIndexTwoPhase(data, m) })
 	pr("streaming build vs two-phase", tStream, tTwo)
 
-	// 2. Lazy touched-bin builder vs paper-literal dense merge.
+	// 2. Run build vs paper-literal dense per-segment merge.
 	tDense := timeIt(func() { insitubits.BuildIndexAlgorithm1(data, m) })
-	pr("lazy builder vs dense Algorithm 1", tStream, tDense)
+	pr("run build vs dense Algorithm 1", tStream, tDense)
 
 	// 3. Equi-depth vs uniform binning on skewed data: compare index sizes.
 	d, err := insitubits.GenerateOcean(64, 64, 16, 7)

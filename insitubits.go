@@ -169,7 +169,6 @@ const SegmentBits = bitvec.SegmentBits
 var (
 	FromBools     = bitvec.FromBools
 	FromIndices   = bitvec.FromIndices
-	ConcatVectors = bitvec.Concat
 	ToBitVector   = bitvec.ToVector
 	BBCFromBitmap = bitvec.BBCFromBitmap
 	ParseCodec    = codec.Parse

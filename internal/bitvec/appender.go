@@ -135,9 +135,8 @@ func (a *Appender) Vector() *Vector {
 	return v
 }
 
-// Snapshot returns a copy of the current contents without resetting,
-// allowing the caller to keep appending (used by the in-situ pipeline to
-// publish per-step vectors while a multi-step stream continues).
+// Snapshot returns a copy of the current contents without resetting, so
+// the appender may go on or be reused as scratch (the RunEncoder's).
 func (a *Appender) Snapshot() *Vector {
 	return &Vector{words: append([]uint32(nil), a.words...), nbits: a.nbits}
 }

@@ -103,10 +103,10 @@ func BBCIfSmaller(b Bitmap, limit int) *BBC {
 	return bbcEncode(b, limit)
 }
 
-// bbcScratch pools the encoder's output buffers: a stream is built in
+// encoders pools the encoders' output buffers: a stream is built in
 // scratch and copied out at its exact size, so an encode that loses to the
 // bound allocates nothing and concurrent encoders hold one buffer each.
-var bbcScratch = sync.Pool{New: func() any { return new(bbcWriter) }}
+var encoders = sync.Pool{New: func() any { return new(RunEncoder) }}
 
 // bbcEncode is the one bitmap-to-BBC encoder. It works in the run domain:
 // the WAH source's fills and 31-bit literals go straight into the byte
@@ -115,8 +115,9 @@ var bbcScratch = sync.Pool{New: func() any { return new(bbcWriter) }}
 // gives for the same bits. A positive limit bounds the output: nil is
 // returned once the stream is known to reach limit bytes.
 func bbcEncode(b Bitmap, limit int) *BBC {
-	w := bbcScratch.Get().(*bbcWriter)
-	defer bbcScratch.Put(w)
+	s := encoders.Get().(*RunEncoder)
+	defer encoders.Put(s)
+	w := &s.bbc
 	w.reset(limit)
 	e := bbcBits{w: w}
 	v := ToVector(b) // the builders' WAH passes through
@@ -125,20 +126,22 @@ func bbcEncode(b Bitmap, limit int) *BBC {
 		if left == 0 || w.over() {
 			break
 		}
-		r := Run{N: 1, Word: word}
+		span := min(SegmentBits, left)
 		if word&fillFlag != 0 {
-			r = Run{Fill: true, Bit: word & fillValue >> 30, N: int(word & countMask)}
+			span = min(int(word&countMask)*SegmentBits, left)
+			e.fill(word&fillValue != 0, span)
+		} else {
+			e.literal(word, span)
 		}
-		left -= e.put(r, left)
+		left -= span
 	}
 	if e.nacc > 0 {
 		w.putByte(byte(e.acc))
 	}
-	data := w.bytes()
-	if w.over() {
+	if w.bytes(); w.over() {
 		return nil
 	}
-	return &BBC{data: append(make([]byte, 0, len(data)), data...), nbits: b.Len()}
+	return s.stream(b.Len())
 }
 
 // bbcBits feeds a bit stream to a bbcWriter: whole bytes go out as they
@@ -147,19 +150,6 @@ type bbcBits struct {
 	w    *bbcWriter
 	acc  uint64
 	nacc uint
-}
-
-// put emits one run of the source, clipped to the left bits the bitmap
-// still has, and returns how many bits that was.
-func (e *bbcBits) put(r Run, left int) int {
-	if r.Fill {
-		span := min(r.N*SegmentBits, left)
-		e.fill(r.Bit != 0, span)
-		return span
-	}
-	width := min(SegmentBits, left)
-	e.literal(r.Word, width)
-	return width
 }
 
 // literal emits the low width (≤ 31) bits of word.

@@ -3,7 +3,9 @@ package bitvec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,16 +22,57 @@ func packBools(bs []bool) []byte {
 	return raw
 }
 
-// checkBBCEncode holds the encoder to the model for one bit pattern, from a
-// WAH and from a foreign Bitmap source: the unbounded stream is
-// byte-identical, and
-// the bounded form answers "not smaller" exactly when the stream reaches
-// the limit — at the policy's limit (the WAH size) and around the stream's
-// own size.
+// setRuns lists the set runs of bs as the build hands them to the run
+// encoders, cutting runs and lists at every multiple of cut: runs then
+// touch within a list and across two, as a bin's runs do across workers.
+func setRuns(bs []bool, cut int) [][]uint32 {
+	var lists [][]uint32
+	var runs []uint32
+	for i := 0; i < len(bs); {
+		if i > 0 && i%cut == 0 {
+			lists, runs = append(lists, runs), nil
+		}
+		if !bs[i] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(bs) && bs[j] && j%cut != 0 {
+			j++
+		}
+		runs = append(runs, uint32(i), uint32(j-i))
+		i = j
+	}
+	return append(lists, runs)
+}
+
+// checkBBCEncode holds the encoders to the model for one bit pattern. From
+// a WAH and from a foreign Bitmap source, the unbounded stream is
+// byte-identical, and the bounded form answers "not smaller" exactly when
+// the stream reaches the limit — at the policy's limit (the WAH size) and
+// around the stream's own size. From the set runs, however they are cut,
+// both codecs give the canonical bytes and the policy keeps the smaller,
+// ties to WAH.
 func checkBBCEncode(t *testing.T, bs []bool) {
 	t.Helper()
 	want := BBCFromBytes(packBools(bs), len(bs)).RawBytes()
-	v := FromBools(bs)
+	v := ToVector(BBCFromBytes(packBools(bs), len(bs))) // by the Appender, not the run encoder
+	for _, cut := range []int{len(bs) + 1, SegmentBits, 7} {
+		runs := setRuns(bs, cut)
+		if w := new(RunEncoder).WAH(len(bs), runs...); w.nbits != len(bs) || !slices.Equal(w.words, v.words) {
+			t.Fatalf("%d bits cut every %d: WAH from runs %v, want %v", len(bs), cut, w, v)
+		}
+		if c := new(RunEncoder).BBC(len(bs), runs...); c.Len() != len(bs) || !bytes.Equal(c.RawBytes(), want) {
+			t.Fatalf("%d bits cut every %d: BBC from runs % x, want % x", len(bs), cut, c.RawBytes(), want)
+		}
+		var kept Bitmap = v
+		if len(want) < v.SizeBytes() {
+			kept = BBCFromBytes(packBools(bs), len(bs))
+		}
+		if got := new(RunEncoder).Smaller(len(bs), runs...); fmt.Sprintf("%T", got) != fmt.Sprintf("%T", kept) || got.SizeBytes() != kept.SizeBytes() || !got.Equal(kept) {
+			t.Fatalf("%d bits cut every %d: kept %T of %d bytes; WAH %d, BBC %d", len(bs), cut, got, got.SizeBytes(), v.SizeBytes(), len(want))
+		}
+	}
 	for _, src := range []Bitmap{v, opaque{v}} {
 		got := BBCFromBitmap(src)
 		if got.Len() != len(bs) || !bytes.Equal(got.RawBytes(), want) {

@@ -18,18 +18,6 @@ type Stats struct {
 	PhysicalBytes int
 }
 
-// CompressionRatio is the compressed size relative to the uncompressed
-// bitmap (1 bit per element, 32/31 overhead ignored); lower is better.
-func (s Stats) CompressionRatio() float64 {
-	if s.Bits == 0 {
-		return 0
-	}
-	if s.PhysicalBytes > 0 {
-		return float64(8*s.PhysicalBytes) / float64(s.Bits)
-	}
-	return float64(32*(s.LiteralWords+s.FillWords)) / float64(s.Bits)
-}
-
 // Stats scans the encoded words.
 func (v *Vector) Stats() Stats {
 	st := Stats{Bits: v.nbits, SetBits: v.Count(), PhysicalBytes: v.SizeBytes()}

@@ -24,13 +24,6 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Bits != 14*SegmentBits || st.SetBits != 2+3*SegmentBits {
 		t.Fatalf("bit accounting %+v", st)
 	}
-	if r := st.CompressionRatio(); r <= 0 || r > 1 {
-		t.Fatalf("ratio %g", r)
-	}
-	empty := (&Vector{}).Stats()
-	if empty.CompressionRatio() != 0 {
-		t.Fatal("empty ratio nonzero")
-	}
 }
 
 func TestStatsConsistentWithWords(t *testing.T) {

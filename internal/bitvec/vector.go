@@ -11,7 +11,8 @@
 // The bitwise operations (And, Or, AndCount, XorCount) work directly on the
 // compressed form, never materializing the uncompressed bits, as does
 // counting (Count, CountRange). The package also provides the streaming
-// Appender used by the paper's in-place, in-situ compression (Algorithm 1)
+// Appender of the paper's in-place compression (Algorithm 1), the
+// RunEncoder the index build writes either codec with from runs of set bits,
 // and the byte-aligned (BBC-style) codec, the paper's other run-length code.
 package bitvec
 
@@ -40,60 +41,31 @@ type Vector struct {
 	nbits int // logical length in bits
 }
 
-// New returns an empty vector with capacity hints for w words.
-func New(hintWords int) *Vector {
-	return &Vector{words: make([]uint32, 0, hintWords)}
-}
-
-// FromBools compresses a boolean slice.
+// FromBools compresses a boolean slice, each set element a one-bit run for
+// the run encoder, which merges the runs that touch.
 func FromBools(bs []bool) *Vector {
-	var a Appender
-	for i := 0; i < len(bs); i += SegmentBits {
-		var seg uint32
-		w := len(bs) - i
-		if w > SegmentBits {
-			w = SegmentBits
+	var runs []uint32
+	for i, set := range bs {
+		if set {
+			runs = append(runs, uint32(i), 1)
 		}
-		for j := 0; j < w; j++ {
-			if bs[i+j] {
-				seg |= 1 << uint(j)
-			}
-		}
-		a.AppendPartial(seg, w)
 	}
-	return a.Vector()
+	return new(RunEncoder).WAH(len(bs), runs)
 }
 
 // FromIndices builds a vector of length n with 1-bits at the given sorted,
-// distinct positions. It panics if an index is out of range or unsorted.
+// distinct positions, as FromBools does; it panics on any other.
 func FromIndices(n int, idx []int) *Vector {
-	var a Appender
+	runs := make([]uint32, 0, 2*len(idx))
 	prev := -1
-	cur := 0
-	var seg uint32
-	segStart := 0
-	flush := func(upTo int) { // emit full segments until segStart+31 > upTo
-		for segStart+SegmentBits <= upTo {
-			a.AppendSegment(seg)
-			seg = 0
-			segStart += SegmentBits
-		}
-	}
 	for _, i := range idx {
 		if i <= prev || i >= n {
 			panic(fmt.Sprintf("bitvec: FromIndices: index %d out of order or range [0,%d)", i, n))
 		}
 		prev = i
-		flush(i)
-		seg |= 1 << uint(i-segStart)
-		cur = i + 1
+		runs = append(runs, uint32(i), 1)
 	}
-	_ = cur
-	flush(n)
-	if segStart < n {
-		a.AppendPartial(seg, n-segStart)
-	}
-	return a.Vector()
+	return new(RunEncoder).WAH(n, runs)
 }
 
 // Len returns the logical number of bits.

@@ -104,6 +104,22 @@ func Encode(b bitvec.Bitmap, id ID) bitvec.Bitmap {
 	}
 }
 
+// EncodeRuns encodes the n-bit bitmap whose set bits are the given runs
+// (see bitvec.RunEncoder) under the given codec, Auto by the same policy as
+// Encode: the smaller exact encoding, ties to WAH.
+func EncodeRuns(e *bitvec.RunEncoder, id ID, n int, runs ...[]uint32) bitvec.Bitmap {
+	switch id {
+	case WAH:
+		return e.WAH(n, runs...)
+	case BBC:
+		return e.BBC(n, runs...)
+	case Auto:
+		return e.Smaller(n, runs...)
+	default:
+		panic(fmt.Sprintf("codec: EncodeRuns with invalid id %d", uint8(id)))
+	}
+}
+
 // New decodes stored payload bytes under the given codec tag, validating
 // the encoding; the inverse of the store writer's Payload. A legacy Dense
 // payload is read into the WAH vector of the same bits.

@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -9,9 +10,12 @@ import (
 	"testing"
 
 	"insitubits/internal/binning"
+	"insitubits/internal/bitvec"
 	"insitubits/internal/codec"
 	"insitubits/internal/index"
+	"insitubits/internal/sim"
 	"insitubits/internal/sim/heat3d"
+	"insitubits/internal/sim/lulesh"
 	"insitubits/internal/store"
 )
 
@@ -165,10 +169,134 @@ func TestBuildFromIDsRefusesForeignIDs(t *testing.T) {
 	}
 }
 
+// checkBuildFromIDs builds the index of want — one bin id per element, bins
+// bins — at every worker count and codec, and holds it to a []bool model:
+// every bin has the model's bits and count, in the canonical bytes of its
+// codec (BBCFromBytes for BBC, its ToVector for WAH), and auto keeps BBC
+// exactly when its encoding is the smaller, WAH on a tie.
+func checkBuildFromIDs(t *testing.T, want []int, bins int) {
+	t.Helper()
+	m, err := binning.NewUniform(0, 10, bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := &index.BinIDs{Bins: bins}
+	if bins <= 1<<8 {
+		ids.U8 = make([]uint8, len(want))
+	} else {
+		ids.U16 = make([]uint16, len(want))
+	}
+	model := make([][]bool, bins)
+	for b := range model {
+		model[b] = make([]bool, len(want))
+	}
+	for i, b := range want {
+		model[b][i] = true
+		if ids.U8 != nil {
+			ids.U8[i] = uint8(b)
+		} else {
+			ids.U16[i] = uint16(b)
+		}
+	}
+	enc := map[codec.ID][]bitvec.Bitmap{}
+	for _, bs := range model {
+		raw := make([]byte, (len(bs)+7)/8)
+		for i, set := range bs {
+			if set {
+				raw[i/8] |= 1 << uint(i%8)
+			}
+		}
+		bbc := bitvec.BBCFromBytes(raw, len(bs))
+		wah := bitvec.ToVector(bbc)
+		auto := bitvec.Bitmap(wah)
+		if bbc.SizeBytes() < wah.SizeBytes() {
+			auto = bbc
+		}
+		enc[codec.WAH], enc[codec.BBC], enc[codec.Auto] = append(enc[codec.WAH], wah), append(enc[codec.BBC], bbc), append(enc[codec.Auto], auto)
+	}
+	for _, w := range []int{1, 2, 3, 7} {
+		for id, bms := range enc {
+			x := index.BuildFromIDs(ids, m, w, id)
+			for b, want := range bms {
+				got := x.Bitmap(b)
+				if x.N() != want.Len() || codec.Of(got) != codec.Of(want) ||
+					!bytes.Equal(codec.Payload(got), codec.Payload(want)) || !slices.Equal(bitvec.Bools(got), model[b]) {
+					t.Fatalf("n=%d bins=%d workers=%d %v: bin %d is %v %v, want %v %v", x.N(), bins, w, id, b, codec.Of(got), got, codec.Of(want), want)
+				}
+				if x.Count(b) != want.Count() {
+					t.Fatalf("n=%d bins=%d workers=%d %v: bin %d counted %d, holds %d", x.N(), bins, w, id, b, x.Count(b), want.Count())
+				}
+			}
+		}
+	}
+}
+
+// runIDs lays out n ids as runs: byte k of runs gives the k-th run a length
+// of 1 to 100 and an id drawn from r; once runs is used up, one run of the
+// next id covers the rest of the array.
+func runIDs(r *rand.Rand, n, bins int, runs []byte) []int {
+	ids := make([]int, 0, n)
+	for len(ids) < n {
+		id, k := r.Intn(bins), n-len(ids)
+		if len(runs) > 0 {
+			k = min(k, 1+int(runs[0])%100)
+			runs = runs[1:]
+		}
+		for ; k > 0; k-- {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// fuzzBuildLengths are the array lengths FuzzBuildFromIDs picks from: the
+// empty array, one element and both sides of one and two 31-bit segments,
+// 248 (eight segments, a multiple of 8), or any length below 2000.
+var fuzzBuildLengths = []int{0, 1, 30, 31, 32, 62, 248}
+
+// FuzzBuildFromIDs checks the run build against the []bool model on
+// run-structured ids (checkBuildFromIDs): any run pattern, at every worker
+// count and codec, with 2, 120, 256 (the widest one-byte id) or 257 bins.
+func FuzzBuildFromIDs(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(0), []byte{})
+	f.Add(int64(2), uint16(5), uint8(1), []byte{9, 19, 33})
+	f.Add(int64(3), uint16(6), uint8(2), []byte{0, 0, 0, 99, 3})
+	f.Add(int64(4), uint16(1500), uint8(3), []byte{15, 15, 40, 7, 99, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, seed int64, nPick uint16, binsPick uint8, runs []byte) {
+		n := int(nPick) % 2000
+		if int(nPick) < len(fuzzBuildLengths) {
+			n = fuzzBuildLengths[nPick]
+		}
+		bins := []int{2, 120, 256, 257}[int(binsPick)%4]
+		checkBuildFromIDs(t, runIDs(rand.New(rand.NewSource(seed)), n, bins, runs), bins)
+	})
+}
+
+// The two edges a run build can get wrong: a run ending exactly on the last
+// of whole segments, and an empty array under auto, which must stay WAH
+// (both encodings are empty; ties go to WAH).
+func TestBuildFromIDsRunEdges(t *testing.T) {
+	t.Run("tail-run-reaches-a-segment-multiple", func(t *testing.T) {
+		for _, n := range []int{31, 62, 248} {
+			ids := make([]int, n)
+			for i := n / 3; i < n; i++ {
+				ids[i] = 1
+			}
+			checkBuildFromIDs(t, ids, 2)
+			checkBuildFromIDs(t, ids, 257)
+		}
+	})
+	t.Run("empty-under-auto-is-wah", func(t *testing.T) {
+		checkBuildFromIDs(t, nil, 120)
+	})
+}
+
 var sinkIndex *index.Index
 
-// One heat3d step (64³, 160 bins), its ids already mapped: the build as the
-// separate-cores reduce side runs it.
+// The build as the separate-cores reduce side runs it, its ids already
+// mapped, on both run regimes of the benchmark: one heat3d step (64³, 160
+// bins; a mean id run of about 16 elements) and the twelve arrays of one
+// lulesh step (48³, 120 bins each; about 12).
 func BenchmarkBuildFromIDs(b *testing.B) {
 	h, err := heat3d.New(64, 64, 64)
 	if err != nil {
@@ -184,12 +312,37 @@ func BenchmarkBuildFromIDs(b *testing.B) {
 		b.Fatal(err)
 	}
 	ids := index.MapIDs(field, m, 2)
+	l, err := lulesh.New(48, 48, 48)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fields []sim.Field
+	for step := 0; step < 20; step++ {
+		fields = l.Step(1)
+	}
+	lm := make([]binning.Mapper, len(fields))
+	lids := make([]*index.BinIDs, len(fields))
+	for k, f := range fields {
+		if lm[k], err = binning.NewUniform(l.Ranges()[k][0], l.Ranges()[k][1], 120); err != nil {
+			b.Fatal(err)
+		}
+		lids[k] = index.MapIDs(f.Data, lm[k], 2)
+	}
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprint(w), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * len(field)))
 			for i := 0; i < b.N; i++ {
 				sinkIndex = index.BuildFromIDs(ids, m, w, codec.Auto)
+			}
+		})
+		b.Run(fmt.Sprintf("lulesh/%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(fields) * l.Elements()))
+			for i := 0; i < b.N; i++ {
+				for k := range lids {
+					sinkIndex = index.BuildFromIDs(lids[k], lm[k], w, codec.Auto)
+				}
 			}
 		})
 	}

@@ -1,12 +1,16 @@
 // Package index builds and queries the paper's bitmap indices: one
 // compressed bitvector per value bin (the low level of Figure 1), optionally
-// grouped into high-level interval vectors, generated in a single streaming
-// pass over the data with in-place WAH compression (Algorithm 1).
+// grouped into high-level interval vectors, each bin encoded straight from
+// the data's runs of equal bin ids, never held uncompressed (Algorithm 1).
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,9 +23,8 @@ import (
 // Index is a bitmap index over one array of values. The per-bin 1-counts —
 // the value histogram — fall out of construction for free and are cached,
 // because every information-theoretic metric in the paper starts from them.
-// Each bin holds a bitvec.Bitmap of any codec: the builders stream WAH, and
-// the codec builders (BuildCodec, BuildParallelCodec) or a later Recode
-// apply a per-bin encoding policy to it.
+// Each bin holds a bitvec.Bitmap in the codec the build's policy or a later
+// Recode chose for it.
 type Index struct {
 	mapper binning.Mapper
 	vecs   []bitvec.Bitmap
@@ -43,12 +46,10 @@ func nextGeneration() uint64 { return genCounter.Add(1) }
 // every in-place Recode.
 func (x *Index) Generation() uint64 { return x.gen }
 
-// Build generates the index in one pass on one core, every bin in WAH,
-// using the lazy builder (StreamBuilder): only bins touched by the current
-// 31-element segment are visited, with untouched bins accumulating pending
-// zero-fill. This is behaviourally identical to the paper's Algorithm 1 (see
-// BuildAlgorithm1) but costs O(values + touched) instead of O(values +
-// segments×bins).
+// Build generates the index on one core, every bin in WAH, from the runs of
+// equal bin ids (buildParallel): a run is a few bits or a fill in one bin
+// and nothing in the others. The bitmaps are the paper's Algorithm 1's (see
+// BuildAlgorithm1), at O(values + runs) instead of O(values + segments×bins).
 func Build(data []float64, m binning.Mapper) *Index {
 	return BuildParallelCodec(data, m, 1, codec.WAH)
 }
@@ -57,7 +58,7 @@ func Build(data []float64, m binning.Mapper) *Index {
 // ("Generate_Bitmaps"): for every 31-element segment it materializes the
 // uncompressed per-bin segment words and merges each — including the
 // untouched all-zero ones — into the compressed result. Kept as the fidelity
-// reference and the baseline of the dense-vs-lazy ablation bench.
+// reference and the baseline of the dense-vs-run-build ablation bench.
 func BuildAlgorithm1(data []float64, m binning.Mapper) *Index {
 	binNum := m.Bins()
 	segments := make([]uint32, binNum)        // "Segments" of Algorithm 1
@@ -110,17 +111,16 @@ func FromParts(m binning.Mapper, vecs []bitvec.Bitmap, n int) (*Index, error) {
 }
 
 // BuildTwoPhase is the strawman Algorithm 1 replaces: materialize every
-// bin's *uncompressed* bitvector first, then compress in a second pass.
-// The paper rules this out for in-situ use because the uncompressed bitmaps
-// occupy bins × n bits — potentially more than the data itself — while the
-// streaming builder never holds more than one 31-bit segment per bin.
-// Kept as the streaming-vs-two-phase ablation baseline.
+// bin's *uncompressed* bitvector first, then compress each in a second pass
+// (bitvec.FromFlat). The paper rules this out for in-situ use because the
+// uncompressed bitmaps occupy bins × n bits — potentially more than the
+// data itself — while the run build holds O(runs). Kept as the
+// streaming-vs-two-phase ablation baseline.
 func BuildTwoPhase(data []float64, m binning.Mapper) *Index {
 	nb := m.Bins()
-	words := (len(data) + 63) / 64
 	dense := make([][]uint64, nb)
 	for b := range dense {
-		dense[b] = make([]uint64, words)
+		dense[b] = make([]uint64, bitvec.FlatWords(len(data)))
 	}
 	for i, v := range data {
 		b := m.Bin(v)
@@ -128,27 +128,8 @@ func BuildTwoPhase(data []float64, m binning.Mapper) *Index {
 	}
 	x := &Index{mapper: m, vecs: make([]bitvec.Bitmap, nb), counts: make([]int, nb), n: len(data), gen: nextGeneration()}
 	for b := range dense {
-		var a bitvec.Appender
-		for i := 0; i < len(data); i += bitvec.SegmentBits {
-			var seg uint32
-			width := len(data) - i
-			if width > bitvec.SegmentBits {
-				width = bitvec.SegmentBits
-			}
-			for j := 0; j < width; j++ {
-				p := i + j
-				if dense[b][p/64]&(1<<uint(p%64)) != 0 {
-					seg |= 1 << uint(j)
-				}
-			}
-			x.counts[b] += bits.OnesCount32(seg)
-			if width == bitvec.SegmentBits {
-				a.AppendSegment(seg)
-			} else {
-				a.AppendPartial(seg, width)
-			}
-		}
-		x.vecs[b] = a.Vector()
+		x.vecs[b] = bitvec.FromFlat(dense[b], len(data))
+		x.counts[b] = bitvec.CountFlat(dense[b])
 	}
 	recordBuild(x, time.Time{})
 	return x
@@ -243,125 +224,53 @@ func (x *Index) Query(lo, hi float64) bitvec.Bitmap {
 		}
 	}
 	if acc == nil {
-		return bitvec.FromBools(make([]bool, x.n))
+		return bitvec.FromIndices(x.n, nil)
 	}
 	return acc
 }
 
-// StreamBuilder incrementally indexes a stream of values — the in-situ
-// generation path, where simulation output is consumed segment by segment
-// and immediately discarded (paper §2.3 "Online Compression"). Each bin
-// holds a compressed appender plus a pending count of all-zero segments, so
-// a segment only costs work proportional to the bins it actually touches.
+// StreamBuilder incrementally indexes a stream of values, consumed chunk by
+// chunk and immediately discarded (paper §2.3 "Online Compression"). Each
+// block of streamBlock mapped ids is kept only as its runs, as a sub-block
+// of the parallel build is, and Finish encodes every bin from them.
 type StreamBuilder struct {
-	mapper  binning.Mapper
-	apps    []bitvec.Appender
-	counts  []int // set bits per bin: the histogram, tallied as segments flush
-	segs    []uint32
-	touched []int32
-	width   int // elements in the current (unflushed) segment
-	nSegs   int // full segments flushed so far
-	n       int
+	mapper binning.Mapper
+	block  []int32
+	lists  []*runList // one per full block
 }
+
+const streamBlock = 1 << 16
 
 // NewStreamBuilder returns an empty builder for the given binning.
-func NewStreamBuilder(m binning.Mapper) *StreamBuilder {
-	nb := m.Bins()
-	return &StreamBuilder{
-		mapper: m,
-		apps:   make([]bitvec.Appender, nb),
-		counts: make([]int, nb),
-		segs:   make([]uint32, nb),
-	}
-}
+func NewStreamBuilder(m binning.Mapper) *StreamBuilder { return &StreamBuilder{mapper: m} }
 
-// Append indexes a chunk of values; chunks of any size may be appended. They
-// are mapped a fixed on-stack batch at a time, at the width of any bin count.
+// Append indexes a chunk of values; chunks of any size may be appended.
 func (sb *StreamBuilder) Append(data []float64) {
-	var batch [512]int32
 	for len(data) > 0 {
-		k := min(len(data), len(batch))
-		binning.BinInto(sb.mapper, batch[:k], data[:k])
-		appendBins(sb, batch[:k])
-		data = data[k:]
+		k := min(len(data), streamBlock-len(sb.block))
+		sb.block = append(sb.block, make([]int32, k)...)
+		binning.BinInto(sb.mapper, sb.block[len(sb.block)-k:], data[:k])
+		if data = data[k:]; len(sb.block) == streamBlock {
+			sb.scan()
+		}
 	}
 }
 
-// appendBins sets one bit per element in the bin its id names: the one
-// bit-setting loop every builder of this file ends in.
-func appendBins[T bitvec.ID](sb *StreamBuilder, ids []T) {
-	for _, b := range ids {
-		if sb.segs[b] == 0 {
-			sb.touched = append(sb.touched, int32(b))
-		}
-		sb.segs[b] |= 1 << uint(sb.width)
-		sb.width++
-		if sb.width == bitvec.SegmentBits {
-			sb.flushSegment()
-		}
-	}
-	sb.n += len(ids)
+// scan turns the block into a run list.
+func (sb *StreamBuilder) scan() {
+	sb.lists = append(sb.lists, runsOf(sb.block, sb.mapper.Bins(), len(sb.lists)*streamBlock))
+	sb.block = sb.block[:0]
 }
 
-// flushSegment merges the current 31-element segment into each touched bin.
-// A touched bin that fell behind (untouched for some segments) first catches
-// up with one zero-fill run, so untouched bins cost nothing per segment —
-// the lazy improvement over Algorithm 1's dense merge loop.
-func (sb *StreamBuilder) flushSegment() {
-	for _, b := range sb.touched {
-		if gap := sb.nSegs - sb.apps[b].Len()/bitvec.SegmentBits; gap > 0 {
-			sb.apps[b].AppendFill(0, gap)
-		}
-		sb.apps[b].AppendSegment(sb.segs[b])
-		sb.counts[b] += bits.OnesCount32(sb.segs[b])
-		sb.segs[b] = 0
-	}
-	sb.touched = sb.touched[:0]
-	sb.nSegs++
-	sb.width = 0
-}
-
-// Finish flushes the trailing partial segment and outstanding zero runs and
-// returns the completed index. The builder must not be reused afterwards.
+// Finish encodes every bin in WAH and returns the completed index. The
+// builder must not be reused afterwards.
 func (sb *StreamBuilder) Finish() *Index {
-	sb.flush()
-	x := &Index{mapper: sb.mapper, vecs: make([]bitvec.Bitmap, len(sb.apps)), counts: sb.counts, n: sb.n, gen: nextGeneration()}
-	for b := range sb.apps {
-		x.vecs[b] = sb.apps[b].Vector()
-	}
-	recordBuild(x, time.Time{})
-	return x
+	n := len(sb.lists)*streamBlock + len(sb.block)
+	sb.scan()
+	return fromRuns(sb.mapper, sb.lists, n, 1, codec.WAH, time.Time{})
 }
 
-// flush brings every bin's appender to the builder's full length: the
-// outstanding zero runs and the trailing partial segment.
-func (sb *StreamBuilder) flush() {
-	for _, b := range sb.touched {
-		sb.counts[b] += bits.OnesCount32(sb.segs[b])
-	}
-	for b := range sb.apps {
-		if gap := sb.nSegs - sb.apps[b].Len()/bitvec.SegmentBits; gap > 0 {
-			sb.apps[b].AppendFill(0, gap)
-		}
-		if sb.width > 0 {
-			// An untouched bin's pending segment is zero.
-			sb.apps[b].AppendPartial(sb.segs[b], sb.width)
-		}
-	}
-}
-
-// SizeBytes reports the compressed bytes accumulated so far — the in-situ
-// memory footprint of the partially built index.
-func (sb *StreamBuilder) SizeBytes() int {
-	total := 0
-	for i := range sb.apps {
-		total += sb.apps[i].SizeBytes()
-	}
-	return total
-}
-
-// BuildParallel is BuildParallelCodec with every bin left in the WAH the
-// builders stream.
+// BuildParallel is BuildParallelCodec with every bin in WAH.
 func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 	return BuildParallelCodec(data, m, nWorkers, codec.WAH)
 }
@@ -410,39 +319,99 @@ func (ids *BinIDs) build(m binning.Mapper, nWorkers int, id codec.ID, start time
 }
 
 // buildParallel is the build, in two parallel phases over the same nWorkers
-// goroutines. First the ids are partitioned into sub-blocks aligned to the
-// 31-bit segment size and each is streamed into per-bin WAH by its own
-// builder — the paper's Figure 2, where each bitmap-generation core owns one
-// sub-block. Then the workers stripe the bins: a bin's sub-block vectors are
-// joined into one presized vector (alignment makes the join exact), its
-// count summed from the builders' tallies, and encoded under the policy.
-// Every bin is encoded exactly once and the index is
-// stamped with one generation. A non-zero start records the build's wall
-// time from there.
+// goroutines. First each worker lays out the runs of its element range per
+// bin — the paper's Figure 2, where each bitmap-generation core owns one
+// sub-block; no alignment is needed, as runs that touch encode as one. Then
+// fromRuns encodes every bin. A non-zero start records the build's time.
 func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id codec.ID, start time.Time) *Index {
-	nSegs := (len(ids) + bitvec.SegmentBits - 1) / bitvec.SegmentBits
-	nWorkers = max(1, min(nWorkers, nSegs))
-	bound := func(w int) int { // first element of sub-block w
-		return min(w*nSegs/nWorkers*bitvec.SegmentBits, len(ids))
-	}
-	subs := make([]*StreamBuilder, nWorkers)
+	nWorkers = max(1, min(nWorkers, len(ids)))
+	lists := make([]*runList, nWorkers)
 	sim.ParallelEach(nWorkers, func(w int) {
-		subs[w] = NewStreamBuilder(m)
-		appendBins(subs[w], ids[bound(w):bound(w+1)])
-		subs[w].flush()
+		lo, hi := w*len(ids)/nWorkers, (w+1)*len(ids)/nWorkers
+		lists[w] = runsOf(ids[lo:hi], m.Bins(), lo)
 	})
-	nb := m.Bins()
-	x := &Index{mapper: m, vecs: make([]bitvec.Bitmap, nb), counts: make([]int, nb), n: len(ids), gen: nextGeneration()}
-	sim.ParallelEach(nWorkers, func(w int) {
-		parts := make([]bitvec.Bitmap, nWorkers)
-		for b := w; b < nb; b += nWorkers {
-			for i, sb := range subs {
-				parts[i] = sb.apps[b].Vector()
-				x.counts[b] += sb.counts[b]
+	return fromRuns(m, lists, len(ids), nWorkers, id, start)
+}
+
+// runList is one element range's runs of equal bin ids — what a spatially
+// coherent field is made of — bin by bin, CSR style: bin b's (start,
+// length) pairs are runs[2*at[b] : 2*at[b+1]]. Lists are pooled with their
+// encoder's scratch, so a warm build allocates nothing but its bitmaps.
+type runList struct {
+	runs   []uint32
+	at     []int
+	counts []int // elements per bin
+	enc    bitvec.RunEncoder
+}
+
+var runLists = sync.Pool{New: func() any { return new(runList) }}
+
+// runsOf scans ids, elements base on of the array, twice: once to count
+// each bin's runs, which sizes the list and places each bin's share, and
+// once to fill them in, at[b+1] the cursor of bin b.
+func runsOf[T bitvec.ID](ids []T, bins, base int) *runList {
+	if uint64(base+len(ids)) > math.MaxUint32 {
+		panic("index: a build indexes at most 2³² elements")
+	}
+	rl := runLists.Get().(*runList)
+	rl.at = append(rl.at[:0], make([]int, bins+1)...)
+	rl.counts = append(rl.counts[:0], make([]int, bins)...)
+	for i := 0; i < len(ids); i = runEnd(ids, i) {
+		rl.at[int(ids[i])+1]++
+	}
+	total := 0
+	for b, k := range rl.at[1:] {
+		rl.at[b+1], total = total, total+k
+	}
+	rl.runs = slices.Grow(rl.runs[:0], 2*total)[:2*total]
+	for i, j := 0, 0; i < len(ids); i = j {
+		j = runEnd(ids, i)
+		b := int(ids[i])
+		rl.runs[2*rl.at[b+1]], rl.runs[2*rl.at[b+1]+1] = uint32(base+i), uint32(j-i)
+		rl.at[b+1]++
+		rl.counts[b] += j - i
+	}
+	return rl
+}
+
+// runEnd returns the end of the run of ids that starts at i, one-byte ids
+// eight a load: their XOR with the id broadcast is zero up to a change.
+func runEnd[T bitvec.ID](ids []T, i int) int {
+	j := i + 1
+	if u8, ok := any(ids).([]uint8); ok {
+		for id := uint64(u8[i]) * 0x0101010101010101; j+8 <= len(u8); j += 8 {
+			if d := binary.LittleEndian.Uint64(u8[j:]) ^ id; d != 0 {
+				return j + bits.TrailingZeros64(d)/8
 			}
-			x.vecs[b] = codec.Encode(bitvec.MustConcat(parts...), id)
+		}
+	}
+	for j < len(ids) && ids[j] == ids[i] {
+		j++
+	}
+	return j
+}
+
+// fromRuns is phase 2 of every build: nWorkers workers, each with one
+// list's encoder, stripe the bins and encode each bin's runs, read from the
+// lists in element order, exactly once; its count is the lists' sum. The
+// lists go back to the pool. A non-zero start records the build's time.
+func fromRuns(m binning.Mapper, lists []*runList, n, nWorkers int, id codec.ID, start time.Time) *Index {
+	nb := m.Bins()
+	x := &Index{mapper: m, vecs: make([]bitvec.Bitmap, nb), counts: make([]int, nb), n: n, gen: nextGeneration()}
+	sim.ParallelEach(nWorkers, func(w int) {
+		parts := make([][]uint32, len(lists))
+		for b := w; b < nb; b += nWorkers {
+			for i, rl := range lists {
+				parts[i] = rl.runs[2*rl.at[b] : 2*rl.at[b+1]]
+				x.counts[b] += rl.counts[b]
+			}
+			x.vecs[b] = codec.EncodeRuns(&lists[w].enc, id, n, parts...)
 		}
 	})
+	for _, rl := range lists {
+		tel.idRuns.Add(int64(len(rl.runs) / 2))
+		runLists.Put(rl)
+	}
 	recordBuild(x, start)
 	return x
 }

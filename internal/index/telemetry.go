@@ -13,8 +13,9 @@ var tel struct {
 	builds     *telemetry.Counter   // indexes completed (any build path)
 	bins       *telemetry.Counter   // bitvectors those indexes hold
 	values     *telemetry.Counter   // float64 values indexed
+	idRuns     *telemetry.Counter   // runs of equal bin ids the build scans found
 	compressed *telemetry.Counter   // compressed bytes produced
-	buildNs    *telemetry.Histogram // wall time of single-threaded builds
+	buildNs    *telemetry.Histogram // wall time of BuildFromIDs / BuildParallel* builds
 	queries    *telemetry.Counter   // range queries answered
 	orMergeNs  *telemetry.Histogram // OR-merge time per range query
 	cacheHits  *telemetry.Counter   // cached per-bin count lookups
@@ -26,6 +27,7 @@ func SetTelemetry(r *telemetry.Registry) {
 	tel.builds = r.Counter("index.builds")
 	tel.bins = r.Counter("index.bins_built")
 	tel.values = r.Counter("index.values_indexed")
+	tel.idRuns = r.Counter("index.id_runs")
 	tel.compressed = r.Counter("index.compressed_bytes")
 	tel.buildNs = r.Histogram("index.build_ns")
 	tel.queries = r.Counter("index.queries")

@@ -184,10 +184,12 @@ func TestLentStepAllocatesLessThanOneRawStep(t *testing.T) {
 
 // Allocation guard for the separate-cores queue: a lulesh emd-spatial step
 // (twelve arrays, 120 bins) allocates its twelve one-byte id arrays — an
-// eighth of the raw step — and its indexes as they grow (about 0.3 of one),
-// 0.43 in all (0.49 under the race detector, whose sync.Pool drops buffers).
-// A clone of the step for the queue (what Step makes of a lent step) is a
-// whole raw step more.
+// eighth of the raw step — and its indexes, each bin once at its exact size
+// (the build's run lists and encode scratch are pooled): 0.22 of a raw step
+// in all, 0.36–0.38 under the race detector, whose pool drops buffers the
+// builds then regrow. The bounds add 0.08 and 0.07 to those. A clone of the
+// step for the queue (what Step makes of a lent step) is a whole raw step
+// more.
 func TestStagedStepAllocatesAFractionOfOneRawStep(t *testing.T) {
 	const dim, steps = 48, 10
 	l, err := lulesh.New(dim, dim, dim)
@@ -204,7 +206,11 @@ func TestStagedStepAllocatesAFractionOfOneRawStep(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perStep := float64(after.TotalAlloc-before.TotalAlloc) / steps
-	if frac := perStep / float64(res.StepBytes); frac >= 0.75 {
+	bound := 0.30
+	if raceEnabled {
+		bound = 0.45
+	}
+	if frac := perStep / float64(res.StepBytes); frac >= bound {
 		t.Fatalf("the run allocated %.0f bytes per step, %.2f of one raw step (%d): a raw step is being copied into the queue", perStep, frac, res.StepBytes)
 	} else {
 		t.Logf("%.0f bytes allocated per step, %.2f of one raw step", perStep, frac)
