@@ -36,9 +36,16 @@ race:
 # `race` / `crash-matrix`). ./internal/query/...
 # includes the correlation's pooled id array: concurrent requests over two
 # index sizes (TestPooledScratchNeverEscapes) and the arrays that requests
-# on broken indexes abandon (TestCorrelationOnBrokenPartition).
+# on broken indexes abandon (TestCorrelationOnBrokenPartition), both again
+# with every pass split into one-, two- and seven-word windows on their own
+# goroutines (TestExecutorAtForcedWindows). internal/bitvec, by name, holds
+# the window kernels' own checks: adjacent windows of one buffer on
+# concurrent goroutines (TestWindowsTileTheWhole), eight first windowed
+# calls racing to build one bitmap's skip table
+# (TestSkipTableConcurrentFirstUse), and seeks into malformed streams.
 race-hot:
 	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/...
+	$(GO) test -race -run 'TestWindowsTileTheWhole|TestSkipTableConcurrentFirstUse|TestBBCWalkers' ./internal/bitvec/
 	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate' ./internal/insitu/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
@@ -52,11 +59,14 @@ race-hot:
 # 'BenchmarkNoop|BenchmarkAppendTelemetry|BenchmarkOrInto' -benchmem
 # ./internal/telemetry/ ./internal/bitvec/`. The offline read path's
 # kernels, on ocean-like clustered bins (1M elements):
-# BenchmarkOrInto/{wah,bbc},
+# BenchmarkOrInto/{wah,bbc}/{whole,quarter} (the quarter is a window past
+# the first block, reached through the skip table),
 # BenchmarkWriteIDsMasked/{wah,bbc}/{1pct,25pct,full} and
 # BenchmarkTallyMasked/... (internal/bitvec), and the operator they serve on
-# the benchmark's own ocean, BenchmarkCorrelation/{cold,warm}/{spatial,whole}
-# (internal/query), and mining: BenchmarkMine and BenchmarkMineParallel4
+# the benchmark's own ocean,
+# BenchmarkCorrelation/{cold,warm}/{spatial,whole}/{procs=1,procs=max,window=grain}
+# (internal/query: one worker, the executor's split over GOMAXPROCS, and
+# windows of parGrain words), and mining: BenchmarkMine and BenchmarkMineParallel4
 # (internal/mining), one whole decode-and-tally pass. The in-situ write
 # path's
 # kernels, on heat3d-shaped data (64³ elements, 160 bins):
@@ -120,9 +130,10 @@ profile-smoke:
 # index-file reader and the run-journal parser — the query oracle property
 # (any request, codec and cache state answers exactly as the brute-force
 # model over the binned raw array does), the flat kernels under it
-# (OrInto, FromFlat, WriteIDs, CountRange and the masked id kernels —
-# WriteIDsMasked, TallyMasked × mask shape × id width — × codec against a
-# []bool model),
+# (OrInto, FromFlat, WriteIDs, CountRange and the masked kernels —
+# WriteIDsMasked, TallyMasked, CountMasked × mask shape × word window × id
+# width — × codec against a []bool model, on bitmaps up to four skip blocks
+# long),
 # the run-domain encoders (byte-identical to the expanded-buffer
 # model, bounded form exact), the index build from ids (every bin, count
 # and auto choice against a []bool model, on run-structured ids at every

@@ -153,4 +153,14 @@ func TestLocalQueryHonoursOpAndSpatialRange(t *testing.T) {
 	if !strings.HasPrefix(out, fmt.Sprintf("count(%s): %d\n", idx, want.Count)) || digestOf(t, out) != want.Digest() {
 		t.Errorf("count over [8000,16000) printed\n%swant %d, digest %s", out, want.Count, want.Digest())
 	}
+	// An inverted or empty range is refused, locally and by the server,
+	// rather than answered over the whole variable.
+	for _, r := range [][2]string{{"9000", "100"}, {"5", "5"}} {
+		if err := cmdQuery([]string{"-slo", r[0], "-shi", r[1], idx}); err == nil {
+			t.Errorf("local query over [%s,%s) answered", r[0], r[1])
+		}
+		if err := cmdQuery([]string{"-addr", ts.URL, "-var", "v", "-slo", r[0], "-shi", r[1]}); err == nil {
+			t.Errorf("remote query over [%s,%s) answered", r[0], r[1])
+		}
+	}
 }

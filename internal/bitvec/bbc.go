@@ -37,6 +37,7 @@ const (
 type BBC struct {
 	data  []byte
 	nbits int
+	skip  skipTable
 }
 
 // BBCFromBytes compresses a raw little-endian bit buffer of nbits bits.
@@ -312,29 +313,31 @@ func (b *BBC) Count() int {
 }
 
 // CountRange returns the number of set bits in [from, to), on the byte
-// stream: runs and chunks before from are skipped whole, a one-run counts
-// its overlap in O(1), and a literal chunk popcounts the bytes it overlaps,
-// masking the two boundary bytes.
+// stream: it seeks to from (the skip table), a one-run counts its overlap in
+// O(1), and a literal chunk popcounts the bytes it overlaps, masking the two
+// boundary bytes.
 func (b *BBC) CountRange(from, to int) int {
 	if from < 0 || to > b.nbits || from > to {
 		panic(fmt.Sprintf("bitvec: CountRange[%d,%d) out of range [0,%d]", from, to, b.nbits))
 	}
+	if from == to {
+		return 0
+	}
 	total := 0
-	var t bbcTokIter
-	t.reset(b.data)
-	lo := 0 // first bit of the current run or chunk
-	for t.valid() && lo < to {
-		hi := lo + 8*t.n
-		if s, e := max(from, lo), min(to, hi); s < e {
-			switch {
-			case !t.fill:
-				total += countBytes(t.lit[t.lp:t.lp+t.n], s-lo, e-lo)
-			case t.fb != 0:
-				total += e - s
-			}
+	for i, at := b.seek(from); i < len(b.data) && at<<3 < to; {
+		next, end, ok := b.step(i, at)
+		if !ok || next > len(b.data) {
+			break
 		}
-		lo = hi
-		t.consume(t.n)
+		s, e := max(from, at<<3), min(to, end<<3)
+		switch b.data[i] {
+		case bbcZeroRun:
+		case bbcOneRun:
+			total += e - s
+		default: // the chunk's bytes end at next
+			total += countBytes(b.data[next-(end-at):next], s-at<<3, e-at<<3)
+		}
+		i, at = next, end
 	}
 	return total
 }

@@ -87,28 +87,44 @@ func TestBBCLiteralChunkLimit(t *testing.T) {
 }
 
 // TestBBCWalkersStopOnMalformedStreams: the walkers that decode tokens in
-// place (OrInto, the masked id kernels) are handed streams no encoder writes
-// and BBCFromRaw rejects — cut short, overlong, with counts that do not
-// parse — through the unexported constructor. They must return having
-// touched nothing outside their buffers, which are exactly as long as the
-// bitmap's length asks for (an access past them panics); what they decoded
-// before the damage is not checked. Random streams follow: those BBCFromRaw
-// accepts must decode to their own Bytes().
+// place (OrInto, the masked id kernels, CountRange, and the skip table's
+// build and seek) are handed streams no encoder writes and BBCFromRaw
+// rejects — cut short, overlong, with counts that do not parse — through
+// the unexported constructor. They must return having touched nothing
+// outside their buffers, which are exactly as long as the bitmap's length
+// asks for (an access past them panics); what they decoded before the
+// damage is not checked. Each stream is walked whole and from later words,
+// as a 200-bit bitmap and again after a 999-byte zero run, as an 8192-bit
+// one, where a window past the first block seeks through the skip table
+// into the damaged tail. Random streams follow: those BBCFromRaw accepts
+// must decode to their own Bytes() in every window.
 func TestBBCWalkersStopOnMalformedStreams(t *testing.T) {
-	const nbits = 200 // 25 bytes, 4 flat words
-	walk := func(data []byte) []uint64 {
-		b := &BBC{data: data, nbits: nbits}
-		dst := make([]uint64, FlatWords(nbits))
-		b.OrInto(dst)
-		full := make([]uint64, FlatWords(nbits))
+	const short, long = 200, 2 * skipBlock   // both 25 bytes past the prefix
+	prefix := []byte{bbcZeroRun, 0xE7, 0x07} // a zero run of 999 bytes
+	walk := func(data []byte, nbits int) [][]uint64 {
+		nw := FlatWords(nbits)
+		full := make([]uint64, nw)
 		SetFlatRange(full, 0, nbits)
 		ids := make([]int32, nbits)
-		for p := range ids {
-			ids[p] = NoID[int32]()
+		var got [][]uint64
+		for _, w0 := range []int{0, nw / 2, 999 / 8, nw - 1} {
+			if w0 >= nw {
+				got = append(got, nil)
+				continue
+			}
+			b := &BBC{data: data, nbits: nbits}
+			dst := make([]uint64, nw)
+			b.OrInto(dst, w0, nw)
+			got = append(got, dst)
+			for p := range ids {
+				ids[p] = NoID[int32]()
+			}
+			CountMasked(b, full, w0)
+			WriteIDsMasked(b, full, ids, 0, w0)
+			TallyMasked(b, full, ids, make([]int, 1), w0)
+			b.CountRange(w0<<6, nbits)
 		}
-		WriteIDsMasked(b, full, ids, 0)
-		TallyMasked(b, full, ids, make([]int, 1))
-		return dst
+		return got
 	}
 	huge := []byte{bbcOneRun, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F} // a count of 2^63-1
 	for name, data := range map[string][]byte{
@@ -125,10 +141,15 @@ func TestBBCWalkersStopOnMalformedStreams(t *testing.T) {
 		"zero-length run":           {bbcOneRun, 0, bbcOneRun, 25},
 		"stream past the bitmap":    {bbcOneRun, 25, 0, 0xFF},
 	} {
-		if _, err := BBCFromRaw(data, nbits); err == nil {
-			t.Errorf("%s: BBCFromRaw accepted the stream", name)
+		for _, c := range []struct {
+			data  []byte
+			nbits int
+		}{{data, short}, {append(prefix[:3:3], data...), long}} {
+			if _, err := BBCFromRaw(c.data, c.nbits); err == nil {
+				t.Errorf("%s (%d bits): BBCFromRaw accepted the stream", name, c.nbits)
+			}
+			walk(c.data, c.nbits)
 		}
-		walk(data)
 	}
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < 20000; i++ {
@@ -143,14 +164,26 @@ func TestBBCWalkersStopOnMalformedStreams(t *testing.T) {
 				data[j] = byte(r.Intn(26))
 			}
 		}
-		dst := walk(data)
-		if b, err := BBCFromRaw(data, nbits); err == nil {
-			want := make([]uint64, FlatWords(nbits))
+		for _, c := range []struct {
+			data  []byte
+			nbits int
+		}{{data, short}, {append(prefix[:3:3], data...), long}} {
+			got := walk(c.data, c.nbits)
+			b, err := BBCFromRaw(c.data, c.nbits)
+			if err != nil {
+				continue
+			}
+			want := make([]uint64, FlatWords(c.nbits))
 			for j, v := range b.Bytes() {
 				want[j>>3] |= uint64(v) << (uint(j) & 7 * 8)
 			}
-			if !slices.Equal(dst, want) {
-				t.Fatalf("stream %x: OrInto = %x, its bytes are %x", data, dst, want)
+			for k, w0 := range []int{0, len(want) / 2, 999 / 8, len(want) - 1} {
+				if got[k] == nil {
+					continue
+				}
+				if !slices.Equal(got[k][w0:], want[w0:]) || slices.ContainsFunc(got[k][:w0], func(w uint64) bool { return w != 0 }) {
+					t.Fatalf("stream %x (%d bits): OrInto from word %d = %x, its bytes are %x", c.data, c.nbits, w0, got[k], want)
+				}
 			}
 		}
 	}

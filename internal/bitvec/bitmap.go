@@ -26,9 +26,10 @@ type Bitmap interface {
 	CountRange(from, to int) int
 	CountUnits(unitSize int) []int
 	Iterate(fn func(pos int) bool)
-	// OrInto ORs the bitmap into flat scratch of at least FlatWords(Len)
-	// words (see flat.go); bits of dst at and beyond Len are left alone.
-	OrInto(dst []uint64)
+	// OrInto ORs the bitmap's bits in the flat words [w0, w1) into dst
+	// (see flat.go), touching no word outside them and no bit at or beyond
+	// Len. The whole bitmap is the window [0, FlatWords(Len)).
+	OrInto(dst []uint64, w0, w1 int)
 
 	And(o Bitmap) Bitmap
 	Or(o Bitmap) Bitmap

@@ -38,57 +38,31 @@ func (v *Vector) Count() int {
 }
 
 // CountRange returns the number of set bits in the half-open logical bit
-// range [from, to). It walks the compressed runs, so a range covered by fill
-// words costs O(1) per run. This is the primitive behind the spatial-unit
-// scan of the correlation-mining algorithm (Algorithm 2, line 7).
+// range [from, to). It seeks to from (the skip table) and walks the
+// compressed words from there, so a range covered by fill words costs O(1)
+// per run. This is the primitive behind the spatial-unit scan of the
+// correlation-mining algorithm (Algorithm 2, line 7).
 func (v *Vector) CountRange(from, to int) int {
 	if from < 0 || to > v.nbits || from > to {
 		panic(fmt.Sprintf("bitvec: CountRange[%d,%d) out of range [0,%d]", from, to, v.nbits))
 	}
-	if from == to {
-		return 0
-	}
 	total := 0
-	base := 0 // logical bit offset of the start of the current run
-	var it runIter
-	it.reset(v.words)
-	for it.valid() && base < to {
-		if it.fill {
-			span := it.run * SegmentBits
-			end := base + span
-			if it.word&fillValue != 0 {
-				lo, hi := base, end
-				if lo < from {
-					lo = from
-				}
-				if hi > to {
-					hi = to
-				}
-				if hi > lo {
-					total += hi - lo
-				}
-			}
-			base = end
-			it.consume(it.run)
-			continue
+	j, pos := v.seek(from)
+	for ; j < len(v.words) && pos < to; j++ {
+		w := v.words[j]
+		end := pos + SegmentBits
+		if w&fillFlag != 0 {
+			end = pos + int(w&countMask)*SegmentBits
 		}
-		end := base + SegmentBits
-		if end > from { // segment overlaps the range
-			w := it.payload()
-			lo := 0
-			if from > base {
-				lo = from - base
+		if s, e := max(pos, from), min(end, to); s < e {
+			switch {
+			case w&fillFlag == 0:
+				total += bits.OnesCount32((w & literalMask >> uint(s-pos)) & (uint32(1)<<uint(e-s) - 1))
+			case w&fillValue != 0:
+				total += e - s
 			}
-			hi := SegmentBits
-			if to < end {
-				hi = to - base
-			}
-			w >>= uint(lo)
-			w &= uint32(1)<<uint(hi-lo) - 1
-			total += bits.OnesCount32(w)
 		}
-		base = end
-		it.consume(1)
+		pos = end
 	}
 	return total
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -59,13 +60,34 @@ func maskModels(n int) map[string][]bool {
 	return out
 }
 
+// windowsOf are the word windows [w0, w1) every kernel is also run over:
+// from the first and the second word, from the first block boundary and
+// past it (the skip table), from a third and half of the way in (inside the
+// patterns' long fills and literal runs), from the last word, and one at
+// random; each to one word past its start, seven, and the end.
+func windowsOf(n int) [][2]int {
+	nw := FlatWords(n)
+	r := rand.New(rand.NewSource(int64(n)))
+	var out [][2]int
+	for _, w0 := range []int{0, 1, skipBlock / 64, skipBlock/64 + 5, nw / 3, nw / 2, nw - 1, r.Intn(nw + 1)} {
+		for _, w1 := range []int{w0 + 1, w0 + 7, nw} {
+			if w0 >= 0 && w0 < w1 && w1 <= nw {
+				out = append(out, [2]int{w0, w1})
+			}
+		}
+	}
+	return out
+}
+
 // checkMasked runs the masked id kernels over bm at one element width
 // against the model bs ∧ mask: what WriteIDsMasked stores and where, what
 // TallyMasked counts and takes, every other slot left as it was (the arrays
 // are exactly Len long, so a write past them panics), and the report — not
-// an overwrite, not an index out of range — at a slot of the wrong kind. The
-// mask is also passed trimmed of its trailing zero words, and cut in half:
-// positions past its end are outside it.
+// an overwrite, not an index out of range — at a slot of the wrong kind;
+// and what CountMasked counts. The mask is also passed trimmed of its
+// trailing zero words, and cut in half: positions past its end are outside
+// it. Each window of windowsOf is a mask cut at the window's end and walked
+// from its start: positions before it are outside too.
 func checkMasked[T ID](t *testing.T, tag string, bm Bitmap, bs []bool) {
 	t.Helper()
 	const id, stray = 2, 9 // stray: an id no row below has room for
@@ -75,11 +97,22 @@ func checkMasked[T ID](t *testing.T, tag string, bm Bitmap, bs []bool) {
 		for len(trimmed) > 0 && trimmed[len(trimmed)-1] == 0 {
 			trimmed = trimmed[:len(trimmed)-1]
 		}
-		for _, words := range [][]uint64{flat, trimmed, flat[:len(flat)/2]} {
-			tag := fmt.Sprintf("%s mask %s[:%d]", tag, mname, len(words))
-			var hits []int // the positions of bs ∧ mask inside words, ascending
+		cuts := []struct {
+			words []uint64
+			w0    int
+		}{{flat, 0}, {trimmed, 0}, {flat[:len(flat)/2], 0}}
+		for _, w := range windowsOf(len(bs)) {
+			cuts = append(cuts, struct {
+				words []uint64
+				w0    int
+			}{flat[:w[1]], w[0]})
+		}
+		for _, cut := range cuts {
+			words, w0 := cut.words, cut.w0
+			tag := fmt.Sprintf("%s mask %s[%d:%d]", tag, mname, w0, len(words))
+			var hits []int // the positions of bs ∧ mask inside the window, ascending
 			for p, b := range bs {
-				if b && mask[p] && p < len(words)<<6 {
+				if b && mask[p] && p >= w0<<6 && p < len(words)<<6 {
 					hits = append(hits, p)
 				}
 			}
@@ -104,13 +137,16 @@ func checkMasked[T ID](t *testing.T, tag string, bm Bitmap, bs []bool) {
 				}
 			}
 
+			if n := CountMasked(bm, words, w0); n != len(hits) {
+				t.Fatalf("%s: CountMasked = %d, want %d", tag, n, len(hits))
+			}
 			fill(NoID[T]())
-			if n, bad := WriteIDsMasked(bm, words, ids, id); n != len(hits) || bad != -1 {
+			if n, bad := WriteIDsMasked(bm, words, ids, id, w0); n != len(hits) || bad != -1 {
 				t.Fatalf("%s: WriteIDsMasked = %d, %d, want %d, -1", tag, n, bad, len(hits))
 			}
 			same("WriteIDsMasked", NoID[T](), len(hits), id)
 			row := make([]int, id+1)
-			if n, bad := TallyMasked(bm, words, ids, row); n != len(hits) || bad != -1 || row[id] != len(hits) {
+			if n, bad := TallyMasked(bm, words, ids, row, w0); n != len(hits) || bad != -1 || row[id] != len(hits) {
 				t.Fatalf("%s: TallyMasked = %d, %d with row %v, want %d, -1", tag, n, bad, row, len(hits))
 			}
 			same("TallyMasked", NoID[T](), 0, 0) // every id taken: all NoID again
@@ -122,7 +158,7 @@ func checkMasked[T ID](t *testing.T, tag string, bm Bitmap, bs []bool) {
 			// A filled slot stops the store there, and is not overwritten.
 			fill(NoID[T]())
 			ids[hits[k]] = stray
-			if n, bad := WriteIDsMasked(bm, words, ids, id); n != k || bad != hits[k] {
+			if n, bad := WriteIDsMasked(bm, words, ids, id, w0); n != k || bad != hits[k] {
 				t.Fatalf("%s: WriteIDsMasked over a filled slot = %d, %d, want %d, %d", tag, n, bad, k, hits[k])
 			}
 			ids[hits[k]] = NoID[T]()
@@ -136,7 +172,7 @@ func checkMasked[T ID](t *testing.T, tag string, bm Bitmap, bs []bool) {
 				}
 				ids[hits[k]] = out
 				row := make([]int, id+1)
-				if n, bad := TallyMasked(bm, words, ids, row); n != k || bad != hits[k] || row[id] != k {
+				if n, bad := TallyMasked(bm, words, ids, row, w0); n != k || bad != hits[k] || row[id] != k {
 					t.Fatalf("%s: TallyMasked over id %d = %d, %d with row %v, want %d, %d", tag, out, n, bad, row, k, hits[k])
 				}
 				if ids[hits[k]] != out {
@@ -151,6 +187,32 @@ func checkMasked[T ID](t *testing.T, tag string, bm Bitmap, bs []bool) {
 	}
 }
 
+// checkOrInto ORs bm's window [w0, w1) into zeros and into the flat form of
+// pre, in buffers exactly w1 words long (a write past the window's end
+// panics): inside the window the bits of bs are added, outside it nothing
+// changes.
+func checkOrInto(t *testing.T, tag string, bm Bitmap, bs, pre []bool, w0, w1 int) {
+	t.Helper()
+	want, wantPre, base := flatOf(bs), flatOf(pre), flatOf(pre)
+	for w := range want {
+		if w < w0 || w >= w1 {
+			want[w] = 0
+		} else {
+			wantPre[w] |= want[w]
+		}
+	}
+	dst := make([]uint64, w1)
+	bm.OrInto(dst, w0, w1)
+	if !slices.Equal(dst, want[:w1]) { // also: no bit at or beyond Len was set
+		t.Fatalf("%s: OrInto[%d,%d) into zeros = %x, want %x", tag, w0, w1, dst, want[:w1])
+	}
+	dst = base[:w1]
+	bm.OrInto(dst, w0, w1)
+	if !slices.Equal(dst, wantPre[:w1]) {
+		t.Fatalf("%s: OrInto[%d,%d) into a populated buffer = %x, want %x", tag, w0, w1, dst, wantPre[:w1])
+	}
+}
+
 func checkFlatKernels(t *testing.T, name string, bs []bool) {
 	t.Helper()
 	n := len(bs)
@@ -160,18 +222,11 @@ func checkFlatKernels(t *testing.T, name string, bs []bool) {
 	for p := range pre {
 		pre[p] = p%5 == 0
 	}
-	wantPre := flatOf(naiveOp(bs, pre, func(x, y bool) bool { return x || y }))
 	for cname, bm := range codecsOf(bs) {
 		tag := fmt.Sprintf("n=%d %s/%s", n, name, cname)
-		dst := make([]uint64, FlatWords(n))
-		bm.OrInto(dst)
-		if !slices.Equal(dst, want) { // also: no bit at or beyond Len was set
-			t.Fatalf("%s: OrInto into zeros = %x, want %x", tag, dst, want)
-		}
-		dst = flatOf(pre)
-		bm.OrInto(dst)
-		if !slices.Equal(dst, wantPre) {
-			t.Fatalf("%s: OrInto into a populated buffer = %x, want %x", tag, dst, wantPre)
+		checkOrInto(t, tag, bm, bs, pre, 0, FlatWords(n))
+		for _, w := range windowsOf(n) {
+			checkOrInto(t, tag, bm, bs, pre, w[0], w[1])
 		}
 
 		checkWriteIDs[uint8](t, tag+"/uint8", bm, bs)
@@ -185,12 +240,19 @@ func checkFlatKernels(t *testing.T, name string, bs []bool) {
 		checkMasked[uint8](t, tag+"/runs", opaque{bm}, bs)
 
 		// Every range of a short bitmap; odd strides (so every byte and
-		// segment alignment still comes up) over a long one.
+		// segment alignment still comes up) over a long one, and ranges
+		// from each window's first bit.
 		for from := 0; from <= n; from += 1 + n/97*2 {
 			for to := from; to <= n; to += 1 + n/89*2 {
 				if got, w := bm.CountRange(from, to), naiveCount(bs, from, to); got != w {
 					t.Fatalf("%s: CountRange[%d,%d) = %d, want %d", tag, from, to, got, w)
 				}
+			}
+		}
+		for _, w := range windowsOf(n) {
+			from, to := w[0]<<6, min(w[1]<<6, n)
+			if got, w := bm.CountRange(from, to), naiveCount(bs, from, to); got != w {
+				t.Fatalf("%s: CountRange[%d,%d) = %d, want %d", tag, from, to, got, w)
 			}
 		}
 	}
@@ -230,6 +292,8 @@ func TestFlatKernels(t *testing.T) {
 	for n := 130; n < 130+64; n++ { // every tail: n mod 8, mod 31 and mod 64
 		lengths = append(lengths, n)
 	}
+	// Past the first block, where windows seek through the skip table.
+	lengths = append(lengths, skipBlock+1, 2*skipBlock, 3*skipBlock+77)
 	for _, n := range lengths {
 		for name, bs := range flatPatterns(r, n) {
 			checkFlatKernels(t, name, bs)
@@ -260,6 +324,128 @@ func TestFlatRanges(t *testing.T) {
 	}
 }
 
+// TestWindowsTileTheWhole: adjacent windows of one buffer, each on its own
+// goroutine, do what one whole-range call does — OrInto, the masked store,
+// count and tally, CountRange — for windows of 1, 2, 7 and 64 words on a
+// bitmap several skip blocks long. Run with -race: a kernel that reads or
+// writes a word of its neighbour's window, even to OR in nothing, races
+// with the neighbour.
+func TestWindowsTileTheWhole(t *testing.T) {
+	const n = 3*skipBlock + 77
+	r := rand.New(rand.NewSource(29))
+	bs, mask := clusteredBits(n, 90, 60, 0.6), make([]bool, n)
+	for p := range bs {
+		bs[p] = bs[p] || p/301%7 == 0 // long one-runs: fills straddle windows
+		mask[p] = r.Intn(4) != 0
+	}
+	flat, nw := flatOf(mask), FlatWords(n)
+	for cname, bm := range codecsOf(bs) {
+		wantOr := flatOf(bs)
+		wantIDs := make([]int32, n)
+		wantCount := 0
+		for p := range wantIDs {
+			wantIDs[p] = NoID[int32]()
+			if bs[p] && mask[p] {
+				wantIDs[p], wantCount = 3, wantCount+1
+			}
+		}
+		for _, size := range []int{1, 2, 7, 64} {
+			tag := fmt.Sprintf("%s windows of %d words", cname, size)
+			dst, ids := make([]uint64, nw), make([]int32, n)
+			for p := range ids {
+				ids[p] = NoID[int32]()
+			}
+			windows := (nw + size - 1) / size
+			counts, stored, ranges, rows := make([]int, windows), make([]int, windows), make([]int, windows), make([][]int, windows)
+			each := func(f func(k, lo, hi int)) {
+				var wg sync.WaitGroup
+				for k := 0; k < windows; k++ {
+					wg.Add(1)
+					go func(k int) {
+						defer wg.Done()
+						f(k, k*size, min(nw, (k+1)*size))
+					}(k)
+				}
+				wg.Wait()
+			}
+			each(func(k, lo, hi int) {
+				bm.OrInto(dst, lo, hi)
+				counts[k] = CountMasked(bm, flat[:hi], lo)
+				stored[k], _ = WriteIDsMasked(bm, flat[:hi], ids, 3, lo)
+				ranges[k] = bm.CountRange(lo<<6, min(hi<<6, n))
+			})
+			if !slices.Equal(dst, wantOr) {
+				t.Fatalf("%s: OrInto = %x, want %x", tag, dst, wantOr)
+			}
+			if !slices.Equal(ids, wantIDs) {
+				t.Fatalf("%s: WriteIDsMasked stored %v, want %v", tag, ids, wantIDs)
+			}
+			sum := func(xs []int) (s int) {
+				for _, x := range xs {
+					s += x
+				}
+				return s
+			}
+			if sum(counts) != wantCount || sum(stored) != wantCount || sum(ranges) != naiveCount(bs, 0, n) {
+				t.Fatalf("%s: counts %d, stored %d, ranges %d, want %d, %d, %d", tag, sum(counts), sum(stored), sum(ranges), wantCount, wantCount, naiveCount(bs, 0, n))
+			}
+			each(func(k, lo, hi int) {
+				rows[k] = make([]int, 4)
+				TallyMasked(bm, flat[:hi], ids, rows[k], lo)
+			})
+			tallied := 0
+			for _, row := range rows {
+				tallied += row[3]
+			}
+			if tallied != wantCount || slices.ContainsFunc(ids, func(id int32) bool { return id != NoID[int32]() }) {
+				t.Fatalf("%s: TallyMasked counted %d of %d, or left an id behind", tag, tallied, wantCount)
+			}
+		}
+	}
+}
+
+// TestSkipTableConcurrentFirstUse: eight goroutines make the first windowed
+// call on one shared bitmap at once, each from a different block, so each
+// may build the skip table; all read right, and one table is published.
+// Run with -race.
+func TestSkipTableConcurrentFirstUse(t *testing.T) {
+	const n = 9*skipBlock + 5
+	bs := clusteredBits(n, 40, 30, 0.5)
+	want := flatOf(bs)
+	for cname, bm := range codecsOf(bs) {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				w0 := (g + 1) * skipBlock / 64
+				dst := make([]uint64, len(want))
+				<-start
+				bm.OrInto(dst, w0, len(want))
+				if !slices.Equal(dst[w0:], want[w0:]) {
+					t.Errorf("%s goroutine %d: OrInto from word %d differs from the model", cname, g, w0)
+				}
+				if got, w := bm.CountRange(w0<<6+g, n), naiveCount(bs, w0<<6+g, n); got != w {
+					t.Errorf("%s goroutine %d: CountRange = %d, want %d", cname, g, got, w)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		var tab *skipTable
+		switch c := bm.(type) {
+		case *Vector:
+			tab = &c.skip
+		case *BBC:
+			tab = &c.skip
+		}
+		if p := tab.p.Load(); p == nil || len(*p) != (n+skipBlock-1)/skipBlock {
+			t.Fatalf("%s: no table of %d blocks published", cname, (n+skipBlock-1)/skipBlock)
+		}
+	}
+}
+
 // FuzzFlatKernels draws the bits from the fuzzer's bytes, each repeated
 // stretch+1 times so fills of every length and alignment appear.
 func FuzzFlatKernels(f *testing.F) {
@@ -270,7 +456,7 @@ func FuzzFlatKernels(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		bs := make([]bool, int(n)%4096)
+		bs := make([]bool, int(n)%(4*skipBlock))
 		for p := range bs {
 			q := p / (int(stretch) + 1)
 			bs[p] = data[q/8%len(data)]>>(uint(q)&7)&1 != 0
@@ -322,16 +508,24 @@ func oceanLikeBins() []struct {
 	}
 }
 
-// BenchmarkOrInto is the flat decode of one 1M-bit ocean-like bin per codec.
+// BenchmarkOrInto is the flat decode of one 1M-bit ocean-like bin per codec:
+// the whole bin, and the quarter of its words the offline batch's spatial
+// ranges cover, which a window reaches through the skip table.
 func BenchmarkOrInto(b *testing.B) {
 	for _, c := range oceanLikeBins() {
-		dst := make([]uint64, FlatWords(c.bm.Len()))
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(c.bm.SizeBytes()))
-			for i := 0; i < b.N; i++ {
-				c.bm.OrInto(dst)
-			}
-		})
+		nw := FlatWords(c.bm.Len())
+		dst := make([]uint64, nw)
+		for _, w := range []struct {
+			name   string
+			w0, w1 int
+		}{{"whole", 0, nw}, {"quarter", nw / 2, 3 * nw / 4}} {
+			b.Run(c.name+"/"+w.name, func(b *testing.B) {
+				b.SetBytes(int64(c.bm.SizeBytes()))
+				for i := 0; i < b.N; i++ {
+					c.bm.OrInto(dst, w.w0, w.w1)
+				}
+			})
+		}
 	}
 }
 
@@ -364,15 +558,15 @@ func benchMasked(b *testing.B, store bool) {
 				b.SetBytes(int64(c.bm.SizeBytes()))
 				for i := 0; i < b.N; i++ {
 					if store {
-						WriteIDsMasked(c.bm, mask, ids, 7)
+						WriteIDsMasked(c.bm, mask, ids, 7, 0)
 						b.StopTimer()
-						TallyMasked(c.bm, mask, ids, row)
+						TallyMasked(c.bm, mask, ids, row, 0)
 						b.StartTimer()
 					} else {
 						b.StopTimer()
-						WriteIDsMasked(c.bm, mask, ids, 7)
+						WriteIDsMasked(c.bm, mask, ids, 7, 0)
 						b.StartTimer()
-						TallyMasked(c.bm, mask, ids, row)
+						TallyMasked(c.bm, mask, ids, row, 0)
 					}
 				}
 			})

@@ -39,6 +39,7 @@ const (
 type Vector struct {
 	words []uint32
 	nbits int // logical length in bits
+	skip  skipTable
 }
 
 // FromBools compresses a boolean slice, each set element a one-bit run for

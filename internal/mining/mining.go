@@ -186,7 +186,7 @@ func decodeInto[T bitvec.ID](x *index.Index, ids []T) (got, bad int) {
 	all := make([]uint64, bitvec.FlatWords(len(ids)))
 	bitvec.SetFlatRange(all, 0, len(ids))
 	for b := 0; b < x.Bins(); b++ {
-		n, bad := bitvec.WriteIDsMasked(x.Bitmap(b), all, ids, T(b))
+		n, bad := bitvec.WriteIDsMasked(x.Bitmap(b), all, ids, T(b), 0)
 		if got += n; bad >= 0 {
 			return got, bad
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"insitubits/internal/binning"
@@ -42,7 +43,10 @@ var sinkPair metrics.Pair
 // data: six value windows per iteration (widths 10–45 % of each variable's
 // range), over the whole domain or a quarter-length spatial range, with no
 // cache (every mask is planned and computed) and on a warm one (the mask is
-// a cached bitmap; the decode and the tally are what remains).
+// a cached bitmap; the decode and the tally are what remains). Each runs
+// its passes on one worker (GOMAXPROCS 1), split over GOMAXPROCS workers
+// (the executor's choice), and cut into windows of parGrain words, the
+// finest split the executor makes: what a window costs beyond its work.
 func BenchmarkCorrelation(b *testing.B) {
 	xs, ranges := oceanPair(b)
 	n := xs[0].N()
@@ -80,13 +84,23 @@ func BenchmarkCorrelation(b *testing.B) {
 					sinkPair = ans.Pair
 				}
 			}
-			b.Run(cache+"/"+shape, func(b *testing.B) {
-				pass() // fills the cache, grows the scratch pools
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pass()
-				}
-			})
+			for _, split := range []struct {
+				name          string
+				procs, window int
+			}{{"procs=1", 1, 0}, {"procs=max", 0, 0}, {"window=grain", 0, parGrain}} {
+				b.Run(cache+"/"+shape+"/"+split.name, func(b *testing.B) {
+					if split.procs > 0 {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(split.procs))
+					}
+					testHookWindow = split.window
+					defer func() { testHookWindow = 0 }()
+					pass() // fills the cache, grows the scratch pools
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						pass()
+					}
+				})
+			}
 		}
 	}
 }

@@ -3,12 +3,14 @@ package query
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
+	"slices"
 
 	"insitubits/internal/bitcache"
 	"insitubits/internal/bitvec"
 	"insitubits/internal/codec"
 	"insitubits/internal/index"
+	"insitubits/internal/sim"
 	"insitubits/internal/telemetry"
 )
 
@@ -60,20 +62,31 @@ type executor struct {
 	flats []*[]uint64
 }
 
-// The scratch pools. A request holds at most two flat buffers (n/8 bytes
-// each: the accumulator and the operand being ANDed in) from its first bin
-// to the end of run, which returns them on every path, errors and deadlines
-// included. A correlation holds one id array besides (4n bytes), all
-// bitvec.NoID when borrowed: it puts the array back only once its tally has
-// taken every id its decode stored, and drops it on any other path. Nothing a
-// request returns or caches aliases either: FromFlat copies.
-var flatPool, idPool sync.Pool
+// The scratch free lists. A request holds at most two flat buffers (n/8
+// bytes each: the accumulator and the operand being ANDed in) from its first
+// bin to the end of run, which returns them on every path, errors and
+// deadlines included. A correlation holds one id array besides (4n bytes),
+// all bitvec.NoID when taken: it puts the array back only once its tally
+// has taken every id its decode stored, and drops it on any other path.
+// Nothing a request returns or caches aliases either: FromFlat copies. A
+// list keeps what GOMAXPROCS requests hold; a sync.Pool would keep one per
+// P, and the parallel passes move a request from P to P.
+var (
+	flatFree = make(freeList[uint64], 2*runtime.GOMAXPROCS(0))
+	idFree   = make(freeList[int32], runtime.GOMAXPROCS(0))
+)
 
-// borrow takes a buffer of at least n elements out of pool; one it has to
+type freeList[T any] chan *[]T
+
+// get takes a buffer of at least n elements off the list; one it has to
 // make is filled with fill.
-func borrow[T any](pool *sync.Pool, n int, fill T) *[]T {
-	if p, _ := pool.Get().(*[]T); p != nil && len(*p) >= n {
-		return p
+func (l freeList[T]) get(n int, fill T) *[]T {
+	select {
+	case p := <-l:
+		if len(*p) >= n {
+			return p
+		}
+	default:
 	}
 	buf := make([]T, n)
 	for i := range buf {
@@ -82,9 +95,17 @@ func borrow[T any](pool *sync.Pool, n int, fill T) *[]T {
 	return &buf
 }
 
+// put returns a buffer to the list, or drops it when the list is full.
+func (l freeList[T]) put(p *[]T) {
+	select {
+	case l <- p:
+	default:
+	}
+}
+
 // flat borrows zeroed flat scratch for n bits.
 func (e *executor) flat(n int) []uint64 {
-	p := borrow(&flatPool, bitvec.FlatWords(n), uint64(0))
+	p := flatFree.get(bitvec.FlatWords(n), 0)
 	e.flats = append(e.flats, p)
 	words := (*p)[:bitvec.FlatWords(n)]
 	clear(words)
@@ -93,9 +114,34 @@ func (e *executor) flat(n int) []uint64 {
 
 func (e *executor) release() {
 	for _, p := range e.flats {
-		flatPool.Put(p)
+		flatFree.put(p)
 	}
 	e.flats = nil
+}
+
+// parGrain is the fewest flat words a pass gives one worker (16 Ki elements):
+// below it a fan-out costs more than it saves (DESIGN.md §4c).
+const parGrain = 256
+
+// testHookWindow, when positive, cuts every pass into windows of exactly
+// that many words, one goroutine each.
+var testHookWindow int
+
+// par runs fn over disjoint windows tiling the words [w0, w1), one per
+// worker, on up to GOMAXPROCS goroutines, and returns when all are done. A
+// worker's panic is raised again here (sim.ParallelFor), where serve's
+// per-request recovery catches it. fn must touch only its window's words.
+func (e *executor) par(w0, w1 int, fn func(lo, hi int)) {
+	size := max(parGrain, (w1-w0+runtime.GOMAXPROCS(0)-1)/runtime.GOMAXPROCS(0))
+	if testHookWindow > 0 {
+		size = testHookWindow
+	}
+	k := (w1 - w0 + size - 1) / size
+	sim.ParallelFor(k, k, func(a, b int) {
+		for j := a; j < b; j++ {
+			fn(w0+j*size, min(w1, w0+(j+1)*size))
+		}
+	})
 }
 
 // flatCost is the charge for one pass over a flat buffer of n bits, in the
@@ -137,8 +183,8 @@ func openOperator(node *Node, sp *telemetry.ActiveSpan, name string) operator {
 	return operator{node: node, span: sp.Child(name)}
 }
 
-// scan records the operator reading bin b of x on its own (an OR operand, a
-// range count) and returns the bin-level node, charged one full scan. The
+// scan records the operator reading bin b of x and returns the bin-level
+// node, charged one full scan however few of its words the operator reads. The
 // codec counters are bumped at end: one atomic add per codec, not per bin,
 // keeps the disabled-ANALYZE overhead guard under its 2% budget.
 func (o *operator) scan(op string, x *index.Index, b int) *Node {
@@ -146,18 +192,6 @@ func (o *operator) scan(op string, x *index.Index, b int) *Node {
 	o.ops.bin(x, b)
 	o.bins++
 	return o.node.binChild(op, x, b)
-}
-
-// merge records the operator combining bin b of x with another bitmap in a
-// binary kernel call: both operands are charged and counted, and a codec
-// mismatch between them is a fallback merge.
-func (o *operator) merge(op string, x *index.Index, b int, other bitvec.Bitmap) *Node {
-	o.ops.bin(x, b)
-	o.bins++
-	n := o.node.binChild(op, x, b)
-	n.scanOperand(other)
-	n.markFallback(countPairOperands(x.Bitmap(b), other))
-	return n
 }
 
 // end closes the operator: bins touched on the node, and on the span the
@@ -197,7 +231,7 @@ func (e *executor) result(prof *Node, sp *telemetry.ActiveSpan) (words []uint64,
 		return nil, hit, nil
 	}
 	words = e.flat(p.n)
-	if err := e.compute(p, words, prof, sp); err != nil {
+	if err := e.compute(p, words, 0, len(words), prof, sp); err != nil {
 		return nil, nil, err
 	}
 	if e.cache != nil && p.key != "" {
@@ -210,72 +244,88 @@ func (e *executor) result(prof *Node, sp *telemetry.ActiveSpan) (words []uint64,
 	return words, bm, nil
 }
 
-// exec ORs the result of plan node p into dst: its cached encoding when the
-// cache has one, else by computing it.
-func (e *executor) exec(p *planNode, dst []uint64, prof *Node, sp *telemetry.ActiveSpan) error {
+// exec ORs the words [w0, w1) of the result of plan node p into dst: its
+// cached encoding when the cache has one, else by computing it.
+func (e *executor) exec(p *planNode, dst []uint64, w0, w1 int, prof *Node, sp *telemetry.ActiveSpan) error {
 	if hit := e.cached(p, prof); hit != nil {
-		hit.OrInto(dst)
+		e.par(w0, w1, func(lo, hi int) { hit.OrInto(dst, lo, hi) })
 		return nil
 	}
-	return e.compute(p, dst, prof, sp)
+	return e.compute(p, dst, w0, w1, prof, sp)
 }
 
-// compute evaluates plan node p into dst, zeroed flat scratch of p.n bits.
-// It checks the request's context before every bin it reads and returns the
-// context's error.
-func (e *executor) compute(p *planNode, dst []uint64, prof *Node, sp *telemetry.ActiveSpan) error {
+// compute evaluates the words [w0, w1) of plan node p into dst, zeroed flat
+// scratch of p.n bits. Its workers check the request's context between
+// bins, and it returns the context's error.
+func (e *executor) compute(p *planNode, dst []uint64, w0, w1 int, prof *Node, sp *telemetry.ActiveSpan) error {
 	if p.kind == planAnd {
-		return e.computeAnd(p, dst, prof, sp)
+		return e.computeAnd(p, dst, w0, w1, prof, sp)
 	}
 	op, detail := p.label()
 	node := prof.child(op, detail)
 	switch p.kind {
 	case planOnes:
-		bitvec.SetFlatRange(dst, 0, p.n)
+		bitvec.SetFlatRange(dst, w0<<6, min(w1<<6, p.n))
 	case planRange:
-		bitvec.SetFlatRange(dst, p.slo, p.shi)
+		bitvec.SetFlatRange(dst, max(p.slo, w0<<6), min(p.shi, w1<<6))
 	case planBinOr:
 		o := openOperator(node, sp, op)
 		defer o.end()
 		for _, b := range p.bins {
-			if err := e.ctx.Err(); err != nil {
-				return err
-			}
 			o.scan("or", p.x, b)
-			p.x.Bitmap(b).OrInto(dst)
 		}
+		e.par(w0, w1, func(lo, hi int) {
+			for _, b := range p.bins {
+				if e.ctx.Err() != nil {
+					return
+				}
+				p.x.Bitmap(b).OrInto(dst, lo, hi)
+			}
+		})
+		return e.ctx.Err()
 	}
 	return nil
 }
 
 // computeAnd lands the leading operand in dst and folds each further one in
 // with a word loop: a value OR through a second scratch buffer, a spatial
-// range by clearing the words outside it.
-func (e *executor) computeAnd(p *planNode, dst []uint64, prof *Node, sp *telemetry.ActiveSpan) error {
-	if err := e.exec(p.children[0], dst, prof, sp); err != nil {
+// range by clearing the words outside it. Operands are evaluated over the
+// range's words only, from the range on — or from the first, never empty,
+// when the range is second — so no short-circuit test sees fewer words.
+func (e *executor) computeAnd(p *planNode, dst []uint64, w0, w1 int, prof *Node, sp *telemetry.ActiveSpan) error {
+	r := slices.IndexFunc(p.children, func(c *planNode) bool { return c.kind == planRange })
+	lo, hi := w0, w1 // the range's words
+	if r >= 0 {
+		lo, hi = max(w0, p.children[r].slo>>6), min(w1, bitvec.FlatWords(p.children[r].shi))
+	}
+	if r <= 1 {
+		w0, w1 = lo, hi
+	}
+	if err := e.exec(p.children[0], dst, w0, w1, prof, sp); err != nil {
 		return err
 	}
 	var rhs []uint64
 	for i, c := range p.children[1:] {
 		// Runtime short-circuit: an empty intermediate zeroes every further
-		// AND, so the remaining operands are never computed.
-		if bitvec.CountFlat(dst) == 0 {
+		// AND, so the rest are never computed (the leading one is not empty).
+		if i > 0 && bitvec.CountFlat(dst[w0:w1]) == 0 {
 			prof.child("and-merge", fmt.Sprintf("short-circuit: empty intermediate, %d operands skipped", len(p.children)-1-i))
 			break
 		}
 		passes := 1
 		if c.kind == planRange {
 			bitvec.KeepFlatRange(dst, c.slo, c.shi)
+			w0, w1 = lo, hi
 		} else {
 			if rhs == nil {
 				rhs = e.flat(p.n)
 			} else {
-				clear(rhs)
+				clear(rhs[w0:w1])
 			}
-			if err := e.exec(c, rhs, prof, sp); err != nil {
+			if err := e.exec(c, rhs, w0, w1, prof, sp); err != nil {
 				return err
 			}
-			for w := range dst {
+			for w := w0; w < w1; w++ {
 				dst[w] &= rhs[w]
 			}
 			passes = 2

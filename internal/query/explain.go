@@ -16,8 +16,8 @@ import (
 // split needs a scan of the encoding, so it is ANALYZE-only. Value
 // predicates are bin-granular, so estimated rows for partially-overlapped
 // edge bins are upper bounds; spatial restrictions scale row estimates by
-// the covered fraction but not scan costs (CountRange still walks the
-// encoding from the start).
+// the covered fraction but not scan costs: a windowed read is charged one
+// full scan of each operand, as ANALYZE charges it.
 
 // Explain returns the estimated plan of a single-index op over the subset.
 func Explain(x *index.Index, s Subset, op Op) (*Profile, error) {

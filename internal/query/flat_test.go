@@ -275,3 +275,74 @@ func TestCorrelationOnBrokenPartition(t *testing.T) {
 		}
 	}
 }
+
+// TestShortCircuitSeesEveryWord: operands are evaluated over a spatial
+// range's words only, yet the runtime short-circuit decides as it would over
+// every word, so the accounting is the same with or without windows. Here
+// the value operands lie wholly before the range: over its words they are
+// empty, over the whole index they are not, so no test before the range
+// fires — as the range comes second (Bits) and third (a correlation mask
+// after two value operands) — and ANALYZE charges what EXPLAIN estimates.
+func TestShortCircuitSeesEveryWord(t *testing.T) {
+	const n = 31 * 400
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = 7
+		if i < n/8 {
+			data[i] = 0
+		}
+	}
+	m, err := binning.NewUniform(0, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := index.Build(data, m)
+	s := Subset{ValueLo: 0, ValueHi: 1, SpatialLo: n / 2, SpatialHi: n}
+	ctx := WithCache(context.Background(), nil)
+	for _, req := range []Request{{Op: OpBits, A: s}, {Op: OpCorrelation, A: s, B: s}} {
+		est, err := ExplainRequest(req, x, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, prof, err := Analyze(ctx, req, x, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := func(root *Node) *Node {
+			if req.Op == OpCorrelation {
+				return findOps(root, "mask")[0]
+			}
+			return root
+		}
+		if containsNote(prof.Root, "short-circuit") || len(findOps(prof.Root, "and-range")) != 1 {
+			t.Errorf("%s: the range was not applied:\n%s", req.Op, prof.Render())
+		}
+		if a, e := plan(prof.Root).Total().WordsScanned, plan(est.Root).Total().WordsScanned; a != e {
+			t.Errorf("%s: ANALYZE charged %d words, EXPLAIN %d:\n%s%s", req.Op, a, e, prof.Render(), est.Render())
+		}
+	}
+}
+
+// TestExecutorAtForcedWindows runs the executor's checks with every parallel
+// pass cut into windows of one, two and seven words, a goroutine each (the
+// ocean splits into two): the partition errors, element numbers included,
+// the pooled scratch under concurrent requests, the deadline, the EXPLAIN
+// shape and the oracle, with its fuzz seeds, must not see the split.
+func TestExecutorAtForcedWindows(t *testing.T) {
+	defer func() { testHookWindow = 0 }()
+	for _, size := range []int{1, 2, 7} {
+		testHookWindow = size
+		t.Run(fmt.Sprintf("%d-word", size), func(t *testing.T) {
+			t.Run("broken-partition", TestCorrelationOnBrokenPartition)
+			t.Run("pooled-scratch", TestPooledScratchNeverEscapes)
+			t.Run("deadline", TestDeadlineStopsExecution)
+			t.Run("explain-shape", TestExplainMatchesAnalyzeShape)
+			t.Run("oracle", TestPlannedCorrelationMatchesNaive)
+			t.Run("oracle-fuzz-seeds", func(t *testing.T) {
+				for _, in := range oracleSeeds {
+					in.check(t)
+				}
+			})
+		})
+	}
+}

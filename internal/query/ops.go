@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
@@ -168,40 +170,24 @@ func (e *executor) minMax(x *index.Index, s Subset) (min, max Aggregate, err err
 	return binAggregate(x, first, total), binAggregate(x, last, total), nil
 }
 
-func (e *executor) sumMasked(x *index.Index, mask bitvec.Bitmap) (agg Aggregate, err error) {
-	o := openOperator(e.prof, e.sp, "and-count-mask")
-	for b := 0; b < x.Bins() && err == nil; b++ {
-		if x.Count(b) == 0 {
-			continue
-		}
-		if err = e.ctx.Err(); err == nil {
-			n := o.merge("and-count-mask", x, b, mask)
-			c := x.Bitmap(b).AndCount(mask)
-			n.setRows(c)
-			agg.add(x, b, c)
-		}
-	}
-	e.prof.setRows(agg.Count)
-	o.end()
-	return agg, err
-}
-
-// maskedSum aggregates over the valid elements only (Masked.Sum).
-func (e *executor) maskedSum(x *index.Index, valid bitvec.Bitmap, s Subset) (agg Aggregate, err error) {
+// maskedAgg aggregates the elements of subset s of x that a caller's mask
+// keeps (SumMasked, Masked.Sum): the mask is ORed once into flat scratch
+// over s's spatial words, and each selected bin counts its elements under it.
+func (e *executor) maskedAgg(op string, x *index.Index, mask bitvec.Bitmap, s Subset) (agg Aggregate, err error) {
 	lo, hi := s.spatialBounds(x.N())
-	o := openOperator(e.prof, e.sp, "and-valid")
-	for b := 0; b < x.Bins() && err == nil; b++ {
-		if !s.binSelected(x, b) || x.Count(b) == 0 {
-			continue
+	w0, w1 := lo>>6, bitvec.FlatWords(hi)
+	flat := e.flat(x.N())
+	mask.OrInto(flat, w0, w1)
+	bitvec.KeepFlatRange(flat, lo, hi)
+	e.prof.child("mask", "the caller's bitmap, ORed once").scanOperand(mask)
+	o := openOperator(e.prof, e.sp, op)
+	for _, b := range s.occupiedBins(x) {
+		if err = e.ctx.Err(); err != nil {
+			break
 		}
-		if err = e.ctx.Err(); err == nil {
-			n := o.merge("and-valid", x, b, valid)
-			vb := x.Bitmap(b).And(valid)
-			n.setOut(vb)
-			c := vb.CountRange(lo, hi)
-			n.setRows(c)
-			agg.add(x, b, c)
-		}
+		c := bitvec.CountMasked(x.Bitmap(b), flat[:w1], w0)
+		o.scan(op, x, b).setRows(c)
+		agg.add(x, b, c)
 	}
 	e.prof.setRows(agg.Count)
 	o.end()
@@ -222,11 +208,13 @@ var (
 // mask is planned and executed like any bits-shaped request; each selected
 // bin of B stores its id at the elements it shares with the mask, and each
 // selected bin of A tallies the ids at the elements it shares with the mask
-// into its row of the joint distribution. An index read from a file may not
-// partition its elements, and the id array, all NoID between requests, is
-// what shows it: a store that finds an id, or a tally that finds none, is at
-// an element two bins of its index hold; past that, bins that visit fewer
-// than |mask| elements leave one in no bin.
+// into its row of the joint distribution; both phases walk the mask's words
+// from its first set one to its last, in parallel windows. An index read
+// from a file may not partition its elements, and the id array, all NoID
+// between requests, is what shows it: a store that finds an id, or a tally
+// that finds none, is at an element two bins of its index hold; past that,
+// bins that visit fewer of a window's elements than the mask has there
+// leave one in no bin.
 func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair, error) {
 	e.plan, e.cache = lower(req, xa, xb), cacheFrom(e.ctx)
 	mn := e.prof.child("mask", "elements satisfying both predicates")
@@ -238,62 +226,108 @@ func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair,
 	}
 	if mask == nil {
 		mask = e.flat(xa.N())
-		hit.OrInto(mask)
+		e.par(0, len(mask), func(lo, hi int) { hit.OrInto(mask, lo, hi) })
 	}
 	n := bitvec.CountFlat(mask)
 	mn.setRows(n)
 	if n == 0 {
 		return metrics.Pair{}, nil
 	}
-	for mask[len(mask)-1] == 0 { // no bin is walked past the mask's last element
-		mask = mask[:len(mask)-1]
+	w0, w1 := 0, len(mask) // no bin is walked outside the mask's first and last elements
+	for mask[w0] == 0 {
+		w0++
 	}
-	ids := borrow(&idPool, xa.N(), bitvec.NoID[int32]())
+	for mask[w1-1] == 0 {
+		w1--
+	}
+	ids := idFree.get(xa.N(), bitvec.NoID[int32]())
 	na, nb := xa.Bins(), xb.Bins()
-	cells, ha, hb := make([]int, na*nb), make([]int, na), make([]int, nb)
-	err = e.overMask(decodePhase, xb, req.B, n, func(b int, bm bitvec.Bitmap) (int, int) {
-		return bitvec.WriteIDsMasked(bm, mask, *ids, int32(b))
+	_, err = e.overMask(decodePhase, xb, req.B, mask, w0, w1, n, func(w *maskWindow, b int, bm bitvec.Bitmap) (int, int) {
+		return bitvec.WriteIDsMasked(bm, mask[:w.hi], *ids, int32(b), w.lo)
 	})
+	var windows []*maskWindow
 	if err == nil {
-		err = e.overMask(jointPhase, xa, req.A, n, func(a int, bm bitvec.Bitmap) (c, bad int) {
-			ha[a], bad = bitvec.TallyMasked(bm, mask, *ids, cells[a*nb:(a+1)*nb])
-			return ha[a], bad
+		windows, err = e.overMask(jointPhase, xa, req.A, mask, w0, w1, n, func(w *maskWindow, a int, bm bitvec.Bitmap) (int, int) {
+			if w.cells == nil {
+				w.cells = make([]int, na*nb)
+			}
+			return bitvec.TallyMasked(bm, mask[:w.hi], *ids, w.cells[a*nb:(a+1)*nb], w.lo)
 		})
 	}
 	if err != nil {
 		return metrics.Pair{}, err // ids is not all NoID again: dropped
 	}
-	idPool.Put(ids)
-	joint := make([][]int, na)
-	for i := range joint {
-		joint[i] = cells[i*nb : (i+1)*nb]
-		for j, c := range joint[i] {
-			hb[j] += c
+	idFree.put(ids)
+	// A tally counts the cells it increments: marginals are the table's sums.
+	cells, ha, hb := make([]int, na*nb), make([]int, na), make([]int, nb)
+	for _, w := range windows {
+		for i, c := range w.cells {
+			cells[i] += c
+			ha[i/nb] += c
+			hb[i%nb] += c
 		}
+	}
+	joint := make([][]int, na)
+	for a := range joint {
+		joint[a] = cells[a*nb : (a+1)*nb]
 	}
 	e.prof.setRows(n)
 	return metrics.PairFromJoint(joint, ha, hb, n), nil
 }
 
+// maskWindow is a worker's share of a phase: mask words [lo, hi) holding want
+// elements, those its bins visited, the first in two (-1: none), its cells.
+type maskWindow struct {
+	lo, hi, want int
+	got, bad     int
+	cells        []int
+}
+
 // overMask runs one phase of a correlation: kernel over every value-selected
-// occupied bin of x, each read once. Between them the bins must visit each of
-// the mask's want elements once.
-func (e *executor) overMask(ph phase, x *index.Index, s Subset, want int, kernel func(b int, bm bitvec.Bitmap) (n, bad int)) error {
+// occupied bin of x in each window of the mask's words [w0, w1). Each window
+// checks that its bins visit each of its mask elements once, so whether a
+// phase fails does not depend on the split; the lowest failing window names
+// the element.
+func (e *executor) overMask(ph phase, x *index.Index, s Subset, mask []uint64, w0, w1, want int, kernel func(w *maskWindow, b int, bm bitvec.Bitmap) (n, bad int)) ([]*maskWindow, error) {
 	o := openOperator(e.prof.child(ph.op, ph.detail), e.sp, ph.op)
 	defer o.end()
-	got := 0
-	for _, b := range s.occupiedBins(x) {
-		if err := e.ctx.Err(); err != nil {
-			return err
-		}
+	bins := s.occupiedBins(x)
+	for _, b := range bins {
 		o.scan(ph.leaf, x, b)
-		n, bad := kernel(b, x.Bitmap(b))
-		if got += n; bad >= 0 {
-			return fmt.Errorf("query: index %s is not a partition: element %d lies in two bins", ph.side, bad)
+	}
+	var mu sync.Mutex
+	var windows []*maskWindow
+	e.par(w0, w1, func(lo, hi int) {
+		w := &maskWindow{lo: lo, hi: hi, bad: -1, want: bitvec.CountFlat(mask[lo:hi])}
+		for _, b := range bins {
+			if e.ctx.Err() != nil {
+				break
+			}
+			n, bad := kernel(w, b, x.Bitmap(b))
+			if w.got += n; bad >= 0 {
+				w.bad = bad
+				break
+			}
+		}
+		mu.Lock()
+		windows = append(windows, w)
+		mu.Unlock()
+	})
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
+	}
+	slices.SortFunc(windows, func(a, b *maskWindow) int { return a.lo - b.lo })
+	got := 0
+	for _, w := range windows {
+		got += w.got
+	}
+	for _, w := range windows {
+		if w.bad >= 0 {
+			return nil, fmt.Errorf("query: index %s is not a partition: element %d lies in two bins", ph.side, w.bad)
+		}
+		if w.got != w.want {
+			return nil, fmt.Errorf("query: index %s is not a partition: an element of the subset lies in no bin (its selected bins hold %d of %d)", ph.side, got, want)
 		}
 	}
-	if got != want {
-		return fmt.Errorf("query: index %s is not a partition: an element of the subset lies in no bin (its selected bins hold %d of %d)", ph.side, got, want)
-	}
-	return nil
+	return windows, nil
 }

@@ -348,56 +348,76 @@ func TestPlannedCorrelationMatchesNaive(t *testing.T) {
 // fuzz-smoke` runs it for 10 s; the seed corpus alone covers each codec and
 // op with value-only, spatial-only and combined subsets.
 func FuzzQueryMatchesOracle(f *testing.F) {
-	//    seed n     bins codec noise op vlo vspan slo  sspan q
-	f.Add(int64(1), uint16(900), uint8(16), uint8(0), uint8(0), uint8(0), uint8(3), uint8(4), uint16(0), uint16(0), uint8(0))         // wah, run-heavy, bits, value only
-	f.Add(int64(2), uint16(4000), uint8(16), uint8(1), uint8(200), uint8(1), uint8(0), uint8(0), uint16(100), uint16(3000), uint8(0)) // bbc, noisy, count, spatial only
-	f.Add(int64(3), uint16(2048), uint8(8), uint8(2), uint8(30), uint8(2), uint8(1), uint8(5), uint16(31), uint16(1000), uint8(0))    // auto, sum, combined
-	f.Add(int64(4), uint16(3100), uint8(32), uint8(3), uint8(90), uint8(3), uint8(4), uint8(20), uint16(7), uint16(2500), uint8(0))   // wah, mean, combined
-	f.Add(int64(5), uint16(1500), uint8(16), uint8(3), uint8(10), uint8(4), uint8(2), uint8(9), uint16(0), uint16(0), uint8(128))     // quantile, value only
-	f.Add(int64(6), uint16(777), uint8(5), uint8(1), uint8(255), uint8(5), uint8(0), uint8(0), uint16(70), uint16(600), uint8(0))     // minmax, spatial only
-	f.Add(int64(7), uint16(2600), uint8(12), uint8(0), uint8(40), uint8(6), uint8(2), uint8(6), uint16(62), uint16(2400), uint8(0))   // correlation, combined
-	f.Add(int64(8), uint16(64), uint8(2), uint8(2), uint8(0), uint8(6), uint8(200), uint8(1), uint16(0), uint16(0), uint8(0))         // correlation, provably empty
+	for _, in := range oracleSeeds {
+		f.Add(in.seed, in.n16, in.bins8, in.codecSel, in.noise, in.opSel, in.vlo, in.vspan, in.slo, in.sspan, in.q8)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, bins8, codecSel, noise, opSel, vlo, vspan uint8, slo, sspan uint16, q8 uint8) {
+		oracleInput{seed, n16, bins8, codecSel, noise, opSel, vlo, vspan, slo, sspan, q8}.check(t)
+	})
+}
+
+// oracleInput is one input of FuzzQueryMatchesOracle.
+type oracleInput struct {
+	seed                                      int64
+	n16                                       uint16
+	bins8, codecSel, noise, opSel, vlo, vspan uint8
+	slo, sspan                                uint16
+	q8                                        uint8
+}
+
+// oracleSeeds is FuzzQueryMatchesOracle's seed corpus.
+var oracleSeeds = []oracleInput{
+	//seed n     bins codec noise op vlo vspan slo  sspan q
+	{1, 900, 16, 0, 0, 0, 3, 4, 0, 0, 0},         // wah, run-heavy, bits, value only
+	{2, 4000, 16, 1, 200, 1, 0, 0, 100, 3000, 0}, // bbc, noisy, count, spatial only
+	{3, 2048, 8, 2, 30, 2, 1, 5, 31, 1000, 0},    // auto, sum, combined
+	{4, 3100, 32, 3, 90, 3, 4, 20, 7, 2500, 0},   // wah, mean, combined
+	{5, 1500, 16, 3, 10, 4, 2, 9, 0, 0, 128},     // quantile, value only
+	{6, 777, 5, 1, 255, 5, 0, 0, 70, 600, 0},     // minmax, spatial only
+	{7, 2600, 12, 0, 40, 6, 2, 6, 62, 2400, 0},   // correlation, combined
+	{8, 64, 2, 2, 0, 6, 200, 1, 0, 0, 0},         // correlation, provably empty
+}
+
+func (in oracleInput) check(t *testing.T) {
 	ops := []Op{OpBits, OpCount, OpSum, OpMean, OpQuantile, OpMinMax, OpCorrelation}
 	codecs := []codec.ID{codec.WAH, codec.BBC, codec.Auto}
-	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, bins8, codecSel, noise, opSel, vlo, vspan uint8, slo, sspan uint16, q8 uint8) {
-		n, bins := 1+int(n16)%8192, 1+int(bins8)%64
-		m, err := binning.NewUniform(0, float64(bins), bins)
-		if err != nil {
-			t.Skip()
-		}
-		// Runs of one value broken up by scattered noise: noise 0 is all
-		// fills, noise 255 all literals.
-		rng := rand.New(rand.NewSource(seed))
-		gen := func() []float64 {
-			data := make([]float64, n)
-			run := float64(rng.Intn(bins))
-			for i := range data {
-				if rng.Intn(20) == 0 {
-					run = float64(rng.Intn(bins))
-				}
-				data[i] = run
-				if rng.Intn(256) < int(noise) {
-					data[i] = float64(rng.Intn(bins))
-				}
+	n, bins := 1+int(in.n16)%8192, 1+int(in.bins8)%64
+	m, err := binning.NewUniform(0, float64(bins), bins)
+	if err != nil {
+		t.Skip()
+	}
+	// Runs of one value broken up by scattered noise: noise 0 is all
+	// fills, noise 255 all literals.
+	rng := rand.New(rand.NewSource(in.seed))
+	gen := func() []float64 {
+		data := make([]float64, n)
+		run := float64(rng.Intn(bins))
+		for i := range data {
+			if rng.Intn(20) == 0 {
+				run = float64(rng.Intn(bins))
 			}
-			return data
+			data[i] = run
+			if rng.Intn(256) < int(in.noise) {
+				data[i] = float64(rng.Intn(bins))
+			}
 		}
-		id := codecs[int(codecSel)%len(codecs)]
-		fx := newOracleFixture(gen(), gen(), m, id, codecs[int(seed&3)%len(codecs)])
-		req := Request{Op: ops[int(opSel)%len(ops)], Q: float64(q8) / 255}
-		if vspan > 0 {
-			req.A.ValueLo = float64(vlo)
-			req.A.ValueHi = req.A.ValueLo + float64(vspan)
-		}
-		if sspan > 0 {
-			req.A.SpatialLo = int(slo) % n
-			req.A.SpatialHi = min(n, req.A.SpatialLo+int(sspan))
-		}
-		req.B = Subset{ValueLo: float64(vspan) / 2, ValueHi: float64(bins), SpatialLo: req.A.SpatialLo, SpatialHi: req.A.SpatialHi}
-		for _, lvl := range []accounting{acctNone, acctLight, acctFull} {
-			fx.check(t, string(req.Op)+" "+req.describe(nil), req, lvl)
-		}
-	})
+		return data
+	}
+	id := codecs[int(in.codecSel)%len(codecs)]
+	fx := newOracleFixture(gen(), gen(), m, id, codecs[int(in.seed&3)%len(codecs)])
+	req := Request{Op: ops[int(in.opSel)%len(ops)], Q: float64(in.q8) / 255}
+	if in.vspan > 0 {
+		req.A.ValueLo = float64(in.vlo)
+		req.A.ValueHi = req.A.ValueLo + float64(in.vspan)
+	}
+	if in.sspan > 0 {
+		req.A.SpatialLo = int(in.slo) % n
+		req.A.SpatialHi = min(n, req.A.SpatialLo+int(in.sspan))
+	}
+	req.B = Subset{ValueLo: float64(in.vspan) / 2, ValueHi: float64(bins), SpatialLo: req.A.SpatialLo, SpatialHi: req.A.SpatialHi}
+	for _, lvl := range []accounting{acctNone, acctLight, acctFull} {
+		fx.check(t, string(req.Op)+" "+req.describe(nil), req, lvl)
+	}
 }
 
 // countLowered counts the plans lower hands out while f runs.

@@ -26,13 +26,12 @@ import (
 // FillSegments is the number of 31-bit segments covered by fill runs — the
 // "how much work did compression save" figure.
 type Cost struct {
-	BinsTouched    int   `json:"bins_touched,omitempty"`
-	WordsScanned   int64 `json:"words_scanned,omitempty"`
-	FillWords      int64 `json:"fill_words,omitempty"`
-	FillSegments   int64 `json:"fill_segments,omitempty"`
-	LiteralWords   int64 `json:"literal_words,omitempty"`
-	BytesDecoded   int64 `json:"bytes_decoded,omitempty"`
-	FallbackMerges int64 `json:"fallback_merges,omitempty"`
+	BinsTouched  int   `json:"bins_touched,omitempty"`
+	WordsScanned int64 `json:"words_scanned,omitempty"`
+	FillWords    int64 `json:"fill_words,omitempty"`
+	FillSegments int64 `json:"fill_segments,omitempty"`
+	LiteralWords int64 `json:"literal_words,omitempty"`
+	BytesDecoded int64 `json:"bytes_decoded,omitempty"`
 	// OutBits/OutWords describe the intermediate bitmap an operator
 	// produced (0 for count-only operators that never materialize).
 	OutBits  int `json:"out_bits,omitempty"`
@@ -51,7 +50,6 @@ func (c *Cost) add(o Cost) {
 	c.FillSegments += o.FillSegments
 	c.LiteralWords += o.LiteralWords
 	c.BytesDecoded += o.BytesDecoded
-	c.FallbackMerges += o.FallbackMerges
 }
 
 // Node is one operator of a plan/profile tree.
@@ -140,14 +138,6 @@ func (n *Node) setRows(rows int) {
 		return
 	}
 	n.Cost.Rows = int64(rows)
-}
-
-// markFallback charges n cross-codec fallback merges. Nil-safe.
-func (n *Node) markFallback(count int64) {
-	if n == nil {
-		return
-	}
-	n.Cost.FallbackMerges += count
 }
 
 // Total returns the node's cost including all descendants.
@@ -329,9 +319,6 @@ func (c Cost) describe() string {
 	}
 	if c.BytesDecoded > 0 {
 		parts = append(parts, fmt.Sprintf("bytes=%d", c.BytesDecoded))
-	}
-	if c.FallbackMerges > 0 {
-		parts = append(parts, fmt.Sprintf("fallback=%d", c.FallbackMerges))
 	}
 	if c.OutBits > 0 {
 		parts = append(parts, fmt.Sprintf("out=%db/%dw", c.OutBits, c.OutWords))

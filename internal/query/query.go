@@ -24,8 +24,8 @@ type Subset struct {
 	// [ValueLo, ValueHi) at bin granularity; active when ValueHi > ValueLo.
 	ValueLo, ValueHi float64
 	// SpatialLo/SpatialHi restrict to element positions [SpatialLo,
-	// SpatialHi); active when SpatialHi > SpatialLo. With Z-order layouts
-	// this is an axis-aligned block of the domain.
+	// SpatialHi), 0 ≤ SpatialLo < SpatialHi ≤ n, unless both are 0 (no
+	// restriction). With Z-order layouts this is an axis-aligned block.
 	SpatialLo, SpatialHi int
 }
 
@@ -33,8 +33,8 @@ func (s Subset) hasValue() bool   { return s.ValueHi > s.ValueLo }
 func (s Subset) hasSpatial() bool { return s.SpatialHi > s.SpatialLo }
 
 func (s Subset) validate(n int) error {
-	if s.hasSpatial() && (s.SpatialLo < 0 || s.SpatialHi > n) {
-		return fmt.Errorf("query: spatial range [%d,%d) outside [0,%d)", s.SpatialLo, s.SpatialHi, n)
+	if (s.SpatialLo != 0 || s.SpatialHi != 0) && (s.SpatialLo < 0 || s.SpatialLo >= s.SpatialHi || s.SpatialHi > n) {
+		return fmt.Errorf("query: spatial range [%d,%d) is empty or outside [0,%d)", s.SpatialLo, s.SpatialHi, n)
 	}
 	return nil
 }
@@ -264,7 +264,7 @@ func (m *Masked) Impute(window int) ([]float64, error) {
 	// The mask is decoded once into flat words: a per-position read of the
 	// compressed form walks it from the start, which is quadratic in n.
 	valid := make([]uint64, bitvec.FlatWords(n))
-	m.Valid.OrInto(valid)
+	m.Valid.OrInto(valid, 0, len(valid))
 	isValid := func(i int) bool { return valid[i>>6]&(1<<uint(i&63)) != 0 }
 	for i := 0; i < n; i++ {
 		if isValid(i) {

@@ -156,14 +156,32 @@ func TestMinMaxBounds(t *testing.T) {
 	}
 }
 
+// TestSubsetValidation: a spatial range is [0,0) (none) or non-empty inside
+// [0,n); an inverted or empty one is an error for every op, never a
+// request over the whole variable.
 func TestSubsetValidation(t *testing.T) {
 	x := build(t, make([]float64, 100), 4)
 	for _, s := range []Subset{
 		{SpatialLo: -1, SpatialHi: 10},
 		{SpatialLo: 0, SpatialHi: 101},
+		{SpatialLo: 90, SpatialHi: 10},
+		{SpatialLo: 5, SpatialHi: 5},
+		{SpatialLo: 100, SpatialHi: 100},
+		{SpatialLo: -3, SpatialHi: -3},
+		{SpatialLo: 5, SpatialHi: 0},
 	} {
-		if _, err := Count(context.Background(), x, s); err == nil {
-			t.Errorf("subset %+v accepted", s)
+		for _, req := range []Request{{Op: OpCount, A: s}, {Op: OpBits, A: s}, {Op: OpCorrelation, A: s, B: s}} {
+			if _, err := Run(context.Background(), req, x, x); err == nil {
+				t.Errorf("%s over subset %+v accepted", req.Op, s)
+			}
+		}
+		if _, err := ExplainRequest(Request{Op: OpCount, A: s}, x, nil); err == nil {
+			t.Errorf("EXPLAIN over subset %+v accepted", s)
+		}
+	}
+	for _, s := range []Subset{{}, {SpatialLo: 0, SpatialHi: 100}, {SpatialLo: 99, SpatialHi: 100}} {
+		if _, err := Count(context.Background(), x, s); err != nil {
+			t.Errorf("subset %+v rejected: %v", s, err)
 		}
 	}
 }

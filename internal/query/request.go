@@ -273,9 +273,9 @@ func (e *executor) execute(req *Request, xa, xb *index.Index, mask bitvec.Bitmap
 	case OpCorrelation:
 		ans.Pair, err = e.correlation(req, xa, xb)
 	case opSumMasked:
-		ans.Agg, err = e.sumMasked(xa, mask)
+		ans.Agg, err = e.maskedAgg("count-mask", xa, mask, Subset{})
 	case opMaskedSum:
-		ans.Agg, err = e.maskedSum(xa, mask, req.A)
+		ans.Agg, err = e.maskedAgg("count-valid", xa, mask, req.A)
 	}
 	return err
 }

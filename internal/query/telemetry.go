@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"insitubits/internal/bitvec"
 	"insitubits/internal/codec"
 	"insitubits/internal/index"
 	"insitubits/internal/profiling"
@@ -20,8 +19,6 @@ import (
 // codecOps (indexed by codec.ID) counts bitmap operands consumed by query
 // operators per codec — every bin bitmap or mask an operator reads bumps
 // the counter of its encoding, on the plain and profiled paths alike.
-// fallbackMerges counts binary ops whose operands had different codecs
-// (they leave the native merge kernels for the generic run path).
 var tel struct {
 	latency     *telemetry.Histogram // ns per query operation
 	bits        *telemetry.Counter
@@ -32,9 +29,8 @@ var tel struct {
 	correlation *telemetry.Counter
 	masked      *telemetry.Counter
 
-	codecOps       [3]*telemetry.Counter // by codec.ID; 0 = unknown wrappers
-	fallbackMerges *telemetry.Counter
-	slowQueries    *telemetry.Counter // profiles emitted to the slow-query log
+	codecOps    [3]*telemetry.Counter // by codec.ID; 0 = unknown wrappers
+	slowQueries *telemetry.Counter    // profiles emitted to the slow-query log
 }
 
 // SetTelemetry (re)binds the package's instruments to a registry; nil
@@ -51,7 +47,6 @@ func SetTelemetry(r *telemetry.Registry) {
 	tel.codecOps[codec.Auto] = r.Counter("query.codec_ops.other")
 	tel.codecOps[codec.WAH] = r.Counter("query.codec_ops.wah")
 	tel.codecOps[codec.BBC] = r.Counter("query.codec_ops.bbc")
-	tel.fallbackMerges = r.Counter("query.fallback_merges")
 	tel.slowQueries = r.Counter("query.slow")
 }
 
@@ -77,25 +72,6 @@ func (ct *codecTally) flush() {
 			c.Add(n)
 		}
 	}
-}
-
-// countPairOperands counts both operands of a binary bitmap op and returns
-// 1 when their codecs differ — a fallback merge: the op leaves the native
-// word/byte merge kernels for the generic 31-bit run path (see
-// internal/bitvec/generic.go) — else 0.
-func countPairOperands(a, b bitvec.Bitmap) int64 {
-	ca, cb := codec.Of(a), codec.Of(b)
-	if c := tel.codecOps[ca]; c != nil {
-		c.Inc()
-	}
-	if c := tel.codecOps[cb]; c != nil {
-		c.Inc()
-	}
-	if ca != cb {
-		tel.fallbackMerges.Inc()
-		return 1
-	}
-	return 0
 }
 
 // begin is the shared prologue of every query entry point. It counts the

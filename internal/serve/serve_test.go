@@ -216,6 +216,10 @@ func TestHandlerErrors(t *testing.T) {
 		{"unknown var", &QueryRequest{Op: "count", Var: "nope"}, http.StatusBadRequest},
 		{"ambiguous var", &QueryRequest{Op: "count"}, http.StatusBadRequest},
 		{"correlation missing b", &QueryRequest{Op: "correlation", Var: "temp"}, http.StatusBadRequest},
+		{"inverted spatial range", &QueryRequest{Op: "count", Var: "temp", SpatialLo: 9000, SpatialHi: 100}, http.StatusBadRequest},
+		{"empty spatial range", &QueryRequest{Op: "bits", Var: "temp", SpatialLo: 5, SpatialHi: 5}, http.StatusBadRequest},
+		{"inverted correlation range", &QueryRequest{Op: "correlation", Var: "temp", VarB: "temp", SpatialLo: 9000, SpatialHi: 100, BSpatialLo: 9000, BSpatialHi: 100}, http.StatusBadRequest},
+		{"inverted explain range", &QueryRequest{Op: "explain", Var: "temp", SpatialLo: 9000, SpatialHi: 100}, http.StatusBadRequest},
 	} {
 		_, hresp := postQuery(t, ts.URL, tc.req)
 		if hresp.StatusCode != tc.code {
