@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-compare bench-quick trace-smoke overhead profile-smoke fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
+.PHONY: all build test vet race race-hot bench bench-compare bench-quick trace-smoke overhead fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
 
 all: build
 
@@ -21,8 +21,8 @@ race:
 
 # Race pass focused on the packages with the most lock-free state: the
 # query layer (slow-log gate, capture gate, codec counters), the telemetry
-# registry (incl. the metrics-history ring), the workload-log writer, the
-# profiling label gate + snapshot ring, the query server (admission
+# registry (incl. the metrics-history ring and the pprof label gate's
+# live-server count), the workload-log writer, the query server (admission
 # semaphore, catalog generation swaps), the root package (the /healthz
 # probe racing a pipeline's concurrent generation publishes), and the
 # in-situ write path's goroutines: the parallel map to ids, the two-phase
@@ -44,7 +44,7 @@ race:
 # calls racing to build one bitmap's skip table
 # (TestSkipTableConcurrentFirstUse), and seeks into malformed streams.
 race-hot:
-	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/profiling/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/...
+	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/...
 	$(GO) test -race -run 'TestWindowsTileTheWhole|TestSkipTableConcurrentFirstUse|TestBBCWalkers' ./internal/bitvec/
 	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate' ./internal/insitu/
 
@@ -113,18 +113,11 @@ trace-smoke:
 # behind the env var because wall-clock assertions flap on loaded CI hosts;
 # run it on a quiet machine. -p 1 runs the packages one at a time: a guard
 # must not time its path while another guard's loop holds a core.
-# TestAnalyzeOverheadDisabled's measured prologue now includes the
-# profiling label gate, and TestDisabledLabelZeroCost pins that gate to a
-# single atomic load on its own.
+# TestAnalyzeOverheadDisabled's measured prologue includes the pprof
+# label gate, and TestDisabledLabelZeroCost pins that gate to a single
+# atomic load on its own.
 overhead:
-	TELEMETRY_OVERHEAD_GUARD=1 $(GO) test -p 1 -count 1 -run 'TestInstrumentationOverhead|TestAnalyzeOverheadDisabled|TestQlogCaptureOverhead|TestDisabledLabelZeroCost' -v ./internal/bitvec/ ./internal/query/ ./internal/profiling/
-
-# Continuous-profiling acceptance (docs/OBSERVABILITY.md "Continuous
-# profiling"): capture two CPU snapshots around an index recode under a
-# codec-heavy query load and require the symbolized top/diff to name a
-# codec word-loop function, plus the parser round-trip suite.
-profile-smoke:
-	$(GO) test -run 'TestProfileSmoke|TestParse|TestCollectorRingAndHandler' -v ./internal/profiling/
+	TELEMETRY_OVERHEAD_GUARD=1 $(GO) test -p 1 -count 1 -run 'TestInstrumentationOverhead|TestAnalyzeOverheadDisabled|TestQlogCaptureOverhead|TestDisabledLabelZeroCost' -v ./internal/bitvec/ ./internal/query/ ./internal/telemetry/
 
 # Short fuzz passes: the untrusted parsers (docs/FORMATS.md) — the
 # index-file reader and the run-journal parser — the query oracle property
@@ -193,7 +186,7 @@ crash-matrix:
 	$(GO) test -race -run 'TestCrashMatrix|TestResume|TestTransient|TestWorkerPanic|TestFsck' -v ./internal/insitu/
 
 # `race` already executes every test the named gates above select
-# (race-hot, plan-diff, replay-diff, trace-smoke, profile-smoke,
-# crash-matrix, serve-chaos, serve-smoke), so ci runs each test once; the
+# (race-hot, plan-diff, replay-diff, trace-smoke, crash-matrix,
+# serve-chaos, serve-smoke), so ci runs each test once; the
 # gates stay as targets for humans chasing one failure.
 ci: vet build race overhead fuzz-smoke bench-quick

@@ -1,13 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
-	"time"
 
 	"insitubits"
 )
@@ -42,23 +38,8 @@ func cmdCacheStats(args []string) error {
 // fetchCacheStats GETs and decodes one /debug/cache snapshot.
 func fetchCacheStats(url string) (insitubits.BitmapCacheStats, error) {
 	var st insitubits.BitmapCacheStats
-	client := http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("%s: %s (%s)", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, fmt.Errorf("decoding cache stats: %w", err)
-	}
-	return st, nil
+	err := debugGetJSON(url, 1<<20, "cache stats", &st)
+	return st, err
 }
 
 // renderCacheStats formats one cache snapshot. Pure — shared with tests.

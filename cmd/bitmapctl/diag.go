@@ -6,10 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -25,11 +22,10 @@ import (
 //
 // The bundle holds the debug surfaces (healthz, telemetry, both metrics
 // expositions, the metrics-history ring, traces, run, query-server and
-// cache status),
-// the profiling ring (listing plus the newest snapshots' raw pprof
-// profiles), and — when pointed at local artifacts — a workload-log tail
-// and summary, a slow-log tail, and an fsck summary of an output
-// directory. Endpoints the server does not expose are recorded as
+// cache status), a one-second CPU profile plus heap and goroutine profiles
+// from /debug/pprof (gzipped pprof protos for `go tool pprof`), and — when
+// pointed at local artifacts — a workload-log tail and summary, a
+// slow-log tail, and an fsck summary of an output directory. Endpoints the server does not expose are recorded as
 // missing in MANIFEST.json rather than failing the capture: a degraded
 // server is exactly when a bundle matters most.
 func cmdDiag(args []string) error {
@@ -40,7 +36,6 @@ func cmdDiag(args []string) error {
 	slowlogPath := fs.String("slowlog", "", "also bundle the tail of this slow-query log file")
 	fsckDir := fs.String("fsck", "", "also bundle an fsck summary of this pipeline output directory")
 	tail := fs.Int("tail", 200, "records/lines to keep from qlog and slow-log tails")
-	snaps := fs.Int("profiles", 2, "newest profile snapshots to bundle raw (0 = listing only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -70,11 +65,12 @@ func cmdDiag(args []string) error {
 		{"serve.json", base + "/debug/serve"},
 		{"cache.json", base + "/debug/cache"},
 		{"traces.json", base + "/debug/traces"},
-		{"profiles/status.json", base + "/debug/profiles"},
+		{"profiles/cpu.pb.gz", base + "/debug/pprof/profile?seconds=1"},
+		{"profiles/heap.pb.gz", base + "/debug/pprof/heap"},
+		{"profiles/goroutine.pb.gz", base + "/debug/pprof/goroutine"},
 	} {
 		b.addURL(e.name, e.url)
 	}
-	b.addProfileRing(base, *snaps)
 	if *qlogPath != "" {
 		b.addQlog(*qlogPath, *tail)
 	}
@@ -133,39 +129,12 @@ func (b *diagBundle) miss(name string, err error) {
 }
 
 func (b *diagBundle) addURL(name, url string) {
-	data, err := diagFetch(url)
+	data, err := debugGet(url, 64<<20, 10*time.Second)
 	if err != nil {
 		b.miss(name, err)
 		return
 	}
 	b.add(name, data)
-}
-
-// addProfileRing bundles the newest n snapshots' raw profiles, every kind,
-// as pprof-compatible .pb.gz files.
-func (b *diagBundle) addProfileRing(base string, n int) {
-	if n <= 0 {
-		return
-	}
-	var st insitubits.ProfilingStatus
-	if err := fetchJSONInto(base+"/debug/profiles", &st); err != nil {
-		return // the listing section already recorded the miss
-	}
-	metas := st.Snapshots
-	if len(metas) > n {
-		metas = metas[len(metas)-n:]
-	}
-	for _, m := range metas {
-		kinds := make([]string, 0, len(m.Sizes))
-		for kind := range m.Sizes {
-			kinds = append(kinds, kind)
-		}
-		sort.Strings(kinds)
-		for _, kind := range kinds {
-			name := fmt.Sprintf("profiles/%d-%s.pb.gz", m.ID, kind)
-			b.addURL(name, fmt.Sprintf("%s/debug/profiles?id=%d&kind=%s", base, m.ID, kind))
-		}
-	}
 }
 
 // addQlog bundles the analyzed summary and the last n records of a local
@@ -244,22 +213,4 @@ func (b *diagBundle) counts() (ok, missing int) {
 		}
 	}
 	return ok, missing
-}
-
-// diagFetch GETs one endpoint body with a short timeout.
-func diagFetch(url string) ([]byte, error) {
-	client := http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s (%s)", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return body, nil
 }

@@ -13,7 +13,6 @@
 //	bitmapctl emd a.isbm b.isbm
 //	bitmapctl fsck [-repair] [-json] outdir/
 //	bitmapctl top -addr localhost:6060 [-interval 1s] [-once]
-//	bitmapctl profile top|diff|list|watch -addr localhost:6060 [-kind cpu] [-by op]
 //	bitmapctl diag -addr localhost:6060 -out diag.tar.gz
 //	bitmapctl replay -log workload.isql [-concurrency N] [-speedup X] index.isbm
 //	bitmapctl workload -log workload.isql [index.isbm]
@@ -25,7 +24,8 @@
 //
 // The global -debug-addr flag (before the subcommand) starts the telemetry
 // debug server for the duration of the command, exposing live counters,
-// histograms and pprof (see docs/OBSERVABILITY.md):
+// histograms and pprof, with the command's queries pprof-labelled by op
+// (see docs/OBSERVABILITY.md "Profiling"):
 //
 //	bitmapctl -debug-addr :6060 mine -units 64 a.isbm b.isbm
 //
@@ -132,8 +132,6 @@ func main() {
 		err = cmdFsck(args)
 	case "top":
 		err = cmdTop(args)
-	case "profile":
-		err = cmdProfile(args)
 	case "diag":
 		err = cmdDiag(args)
 	case "cache-stats":
@@ -155,7 +153,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: bitmapctl [-debug-addr ADDR] [-cache-mb N] [-qlog FILE] <build|info|stat|convert|query|explain|histogram|entropy|mi|emd|aggregate|mine|subgroup|vars|manifest|fsck|top|profile|diag|cache-stats|replay|workload|load|evolve|genraw|genocean> ...`)
+	fmt.Fprintln(os.Stderr, `usage: bitmapctl [-debug-addr ADDR] [-cache-mb N] [-qlog FILE] <build|info|stat|convert|query|explain|histogram|entropy|mi|emd|aggregate|mine|subgroup|vars|manifest|fsck|top|diag|cache-stats|replay|workload|load|evolve|genraw|genocean> ...`)
 }
 
 func loadIndex(path string) (*insitubits.Index, error) {

@@ -71,70 +71,57 @@ func cmdTop(args []string) error {
 	}
 }
 
+// debugGet GETs one debug endpoint, reading at most limit bytes of its
+// body; a status other than 200 is an error that carries the body.
+func debugGet(url string, limit int64, timeout time.Duration) ([]byte, error) {
+	client := http.Client{Timeout: timeout}
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: %s (%s)", url, resp.Status, strings.TrimSpace(string(body)))
+	}
+	return body, nil
+}
+
+// debugGetJSON is debugGet with a five-second timeout, decoding the body
+// into v; what names the payload in a decode error.
+func debugGetJSON(url string, limit int64, what string, v any) error {
+	body, err := debugGet(url, limit, 5*time.Second)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("decoding %s: %w", what, err)
+	}
+	return nil
+}
+
 // fetchRunStatus GETs and decodes one /debug/run snapshot.
 func fetchRunStatus(url string) (insitubits.RunStatus, error) {
 	var st insitubits.RunStatus
-	client := http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("%s: %s (%s)", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, fmt.Errorf("decoding run status: %w", err)
-	}
-	return st, nil
+	err := debugGetJSON(url, 1<<20, "run status", &st)
+	return st, err
 }
 
 // fetchServeStatus GETs and decodes one /debug/serve snapshot.
 func fetchServeStatus(url string) (insitubits.ServeStatus, error) {
 	var st insitubits.ServeStatus
-	client := http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("%s: %s (%s)", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, fmt.Errorf("decoding serve status: %w", err)
-	}
-	return st, nil
+	err := debugGetJSON(url, 1<<20, "serve status", &st)
+	return st, err
 }
 
 // fetchMetricsHistory GETs and decodes one /debug/metrics/history dump.
 func fetchMetricsHistory(url string) (insitubits.MetricsHistoryDump, error) {
 	var d insitubits.MetricsHistoryDump
-	client := http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return d, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return d, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return d, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	if err := json.Unmarshal(body, &d); err != nil {
-		return d, fmt.Errorf("decoding metrics history: %w", err)
-	}
-	return d, nil
+	err := debugGetJSON(url, 8<<20, "metrics history", &d)
+	return d, err
 }
 
 // renderTop formats one run-status snapshot as a terminal screen. Pure —

@@ -25,11 +25,11 @@
 // full telemetry snapshot as JSON after the run; -slowlog/-slowlog-threshold
 // emit every query slower than the threshold as a JSON line with its full
 // ANALYZE profile; -qlog captures every selection query into a workload
-// log for `bitmapctl replay` / `bitmapctl workload`; -profile runs the
-// continuous profiler (pprof-labelled run phases, periodic CPU/heap/
-// goroutine/mutex/block snapshots served at /debug/profiles and browsed
-// with `bitmapctl profile top|diff|watch`); -hold keeps the process (and
-// debug server) alive until SIGINT/SIGTERM.
+// log for `bitmapctl replay` / `bitmapctl workload`; -hold keeps the
+// process (and debug server) alive until SIGINT/SIGTERM. While the debug
+// server serves, run phases and queries carry pprof labels (phase,
+// workload, codec, op), so `go tool pprof -tags` on /debug/pprof/profile
+// attributes CPU to them.
 //
 // Identity tracing: -trace records one TraceID'd span tree per pipeline
 // step, browsable at /debug/traces (plain, Chrome trace-event, or OTLP
@@ -87,8 +87,6 @@ func main() {
 	traceSlow := flag.Duration("trace-slow", 0, "always keep traces slower than this, regardless of sampling")
 	traceRing := flag.Int("trace-ring", 256, "completed traces held in memory")
 	traceOTLP := flag.String("trace-otlp", "", "append kept traces to this file as OTLP JSON lines (implies -trace)")
-	profile := flag.Bool("profile", false, "run the continuous profiler: pprof-labelled phases, periodic CPU/heap/goroutine snapshots at /debug/profiles (bitmapctl profile)")
-	profileInterval := flag.Duration("profile-interval", 30*time.Second, "snapshot interval for -profile")
 	hold := flag.Bool("hold", false, "keep the process (and debug server) alive after the report; ctrl-C shuts down cleanly")
 	flag.Parse()
 
@@ -123,7 +121,6 @@ func main() {
 	}
 
 	var dbg *insitubits.TelemetryDebugServer
-	var hist *insitubits.MetricsHistory
 	if *debugAddr != "" {
 		var err error
 		dbg, err = insitubits.Telemetry.ServeDebug(*debugAddr)
@@ -135,17 +132,9 @@ func main() {
 		// they land in /metrics, the history ring, and `bitmapctl top` for
 		// free.
 		insitubits.Telemetry.EnableRuntimeMetrics()
-		hist = insitubits.StartMetricsHistory(insitubits.Telemetry, time.Second, 300)
+		hist := insitubits.StartMetricsHistory(insitubits.Telemetry, time.Second, 300)
 		defer hist.Stop()
-		fmt.Printf("debug server:   http://%s  (/telemetry /metrics /debug/metrics/history /debug/profiles /debug/vars /debug/pprof/)\n", dbg.Addr)
-	}
-	if *profile {
-		col := insitubits.StartProfiling(insitubits.ProfilingConfig{
-			Registry: insitubits.Telemetry,
-			History:  hist, // nil without -debug-addr; snapshots just lose the cursor stamp
-			Interval: *profileInterval,
-		})
-		defer col.Stop()
+		fmt.Printf("debug server:   http://%s  (/telemetry /metrics /debug/metrics/history /debug/vars /debug/pprof/, pprof-labelled)\n", dbg.Addr)
 	}
 	if *qlogPath != "" {
 		w, err := insitubits.CreateQueryLog(*qlogPath)

@@ -43,7 +43,6 @@ import (
 	"insitubits/internal/metrics"
 	"insitubits/internal/mining"
 	"insitubits/internal/offline"
-	"insitubits/internal/profiling"
 	"insitubits/internal/qlog"
 	"insitubits/internal/query"
 	"insitubits/internal/replay"
@@ -399,9 +398,9 @@ var (
 
 // --- Query planner and materialized-bitmap cache (internal/query, internal/bitcache) ---
 
-// BitmapCache is a byte-bounded LRU of materialized bitmaps (subset ORs,
-// range indicators, mining joints) shared by the query planner, correlation
-// mining, and the metrics AND formulation. Keys embed the owning index
+// BitmapCache is a byte-bounded LRU of materialized bitmaps: the root
+// results (subset ORs, range masks) the query executor caches, in-process
+// or behind `insitu-serve -cache-mb`. Keys embed the owning index
 // generations, and the in-situ pipeline invalidates superseded generations
 // when it publishes a new step, so hits are always sound. BitmapCacheStats
 // is its counter snapshot, published at /debug/cache and as bitcache.*
@@ -413,8 +412,8 @@ type (
 
 // Re-exported cache API. NewBitmapCache builds a cache bounded to maxBytes
 // (<=0 disables); SetDefaultBitmapCache installs the process-wide cache
-// every query and mining run consults (nil uninstalls — caching is opt-in
-// and off by default); WithBitmapCache overrides the cache per request via
+// the query executor consults (nil uninstalls — caching is opt-in and off
+// by default); WithBitmapCache overrides the cache per request via
 // context.
 var (
 	NewBitmapCache        = bitcache.New
@@ -493,44 +492,6 @@ const MetricsHistoryStatusName = telemetry.HistoryStatusName
 // OpenMetrics exposition on /metrics attaches it to the matching
 // histogram bucket so a slow bucket links to /debug/traces?id=.
 type MetricExemplar = telemetry.Exemplar
-
-// --- Continuous profiling (internal/profiling) ---
-
-// ProfilingConfig configures the background profile collector;
-// ProfileSnapshotMeta describes one captured snapshot (stamped with the
-// in-situ run's generation/phase/step and the metrics-history cursor);
-// ProfileTopReport is the symbolized top/diff view /debug/profiles and
-// `bitmapctl profile` serve; Profile/ProfileFuncValue/ProfileLabelValue
-// are the parsed pprof views behind it; ProfilingStatus is the
-// collector's live status (the "profiling" registry status key).
-type (
-	ProfilingConfig     = profiling.Config
-	ProfileCollector    = profiling.Collector
-	ProfileSnapshot     = profiling.Snapshot
-	ProfileSnapshotMeta = profiling.SnapshotMeta
-	ProfileTopReport    = profiling.TopReport
-	Profile             = profiling.Profile
-	ProfileFuncValue    = profiling.FuncValue
-	ProfileLabelValue   = profiling.LabelValue
-	ProfilingStatus     = profiling.Status
-	ProfilingRunInfo    = profiling.RunInfo
-)
-
-// StartProfiling starts the continuous collector (and enables the pprof
-// label plane); ParseProfile decodes a gzipped pprof profile without
-// external dependencies; DiffProfiles is the symbolized delta between two
-// parsed profiles; ProfilingEnabled/SetProfilingEnabled expose the label
-// gate on its own (one atomic load on the query path when off).
-var (
-	StartProfiling      = profiling.Start
-	ParseProfile        = profiling.Parse
-	DiffProfiles        = profiling.Diff
-	ProfilingEnabled    = profiling.Enabled
-	SetProfilingEnabled = profiling.SetEnabled
-	ProfileWithLabels   = profiling.Label
-	ProfilingKinds      = profiling.Kinds
-	ProfilingStatusName = profiling.StatusName
-)
 
 // --- Subgroup discovery (internal/subgroup) ---
 

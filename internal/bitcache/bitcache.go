@@ -1,10 +1,12 @@
 // Package bitcache is a size-bounded LRU of materialized intermediate
-// bitmaps, shared by the query planner, the correlation miner, and (via the
-// facade) the future query server. Entries are keyed by a canonicalized
-// operand expression plus the generations of every index the expression
-// reads, so a cached bitmap can never be served after any of its source
-// indices changes: an in-situ step publish (or an in-place Recode) bumps
-// the generation and invalidates every dependent entry.
+// bitmaps: the query executor caches its plans' root results here, in
+// process or behind `insitu-serve -cache-mb`, and the in-situ pipeline
+// invalidates the generations each published step supersedes. Entries are
+// keyed by a canonicalized operand expression plus the generations of
+// every index the expression reads, so a cached bitmap can never be served
+// after any of its source indices changes: an in-situ step publish (or an
+// in-place Recode) bumps the generation and invalidates every dependent
+// entry.
 //
 // The bound is bytes of encoded bitmap payload, not entry count — a handful
 // of dense intermediates must not pin out thousands of tiny WAH ones.

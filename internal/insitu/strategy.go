@@ -45,7 +45,7 @@ func (s spans) end() {
 }
 
 // runPhase runs fn as the named phase of step t: a span under parent in both
-// trees, the profiler's phase labels, and panic capture — a panicking
+// trees, the pprof phase labels, and panic capture — a panicking
 // simulator or reduction worker becomes an error naming the step (and a
 // telemetry count), not a dead process with a half-written output directory.
 func (rt *runTelemetry) runPhase(ctx context.Context, parent spans, name string, t int, fn func(spans) error) (err error) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"insitubits/internal/codec"
-	"insitubits/internal/profiling"
 	"insitubits/internal/selection"
 	"insitubits/internal/telemetry"
 )
@@ -109,12 +108,9 @@ type runTelemetry struct {
 	strategyDesc string
 	steps        int
 	start        time.Time
-	// phase is the in-situ phase currently executing (SpanSimulate, ...,
-	// "done"); the profiling collector stamps snapshots with it.
-	phase       atomic.Value // string
-	currentStep atomic.Int64
-	selectedN   atomic.Int64
-	bytesOut    atomic.Int64
+	currentStep  atomic.Int64
+	selectedN    atomic.Int64
+	bytesOut     atomic.Int64
 	// codecBins counts bins by encoding, indexed by codec.ID (Auto stands
 	// for any other Bitmap implementation).
 	codecBins   [3]atomic.Int64
@@ -144,19 +140,8 @@ func newRunTelemetry(cfg Config, strategyDesc string) *runTelemetry {
 	}
 	rt.currentStep.Store(-1)
 	rt.journal.Store("none")
-	rt.phase.Store("")
 	reg.AttachTracer(TracerName, rt.tr)
 	reg.PublishStatus(RunStatusName, rt.status)
-	// The profiling collector stamps each snapshot with this run's
-	// generation, phase, and step. Like the run status, the last run's
-	// info stays visible after the run completes.
-	profiling.SetRunInfo(func() profiling.RunInfo {
-		return profiling.RunInfo{
-			Generation: rt.generation.Load(),
-			Phase:      rt.phaseName(),
-			Step:       int(rt.currentStep.Load()),
-		}
-	})
 	rt.root = rt.tr.Start(SpanRun)
 	rt.queueDepth = reg.Gauge("insitu.queue_depth")
 	rt.stepsDone = reg.Counter("insitu.steps_processed")
@@ -211,25 +196,13 @@ func (rt *runTelemetry) status() any {
 	return st
 }
 
-// phaseName returns the current in-situ phase, "" before the first one.
-func (rt *runTelemetry) phaseName() string {
-	if s, ok := rt.phase.Load().(string); ok {
-		return s
-	}
-	return ""
-}
-
-// enterPhase marks phase as the run's current in-situ phase and — when
-// continuous profiling is enabled — tags the goroutine (and any workers
-// it spawns) with pprof labels for the phase, workload, and codec, so
-// CPU samples attribute to "reduce under WAH" rather than a bare stack.
-// The returned closure restores the caller's labels; the phase marker
-// stays until the next enterPhase, matching how the profiling collector
-// samples it. One atomic store plus one atomic load when profiling is
-// disabled.
+// enterPhase — while a debug server serves /debug/pprof — tags the
+// goroutine (and any workers it spawns) with pprof labels for the in-situ
+// phase, workload, and codec, so CPU samples attribute to "reduce under
+// WAH" rather than a bare stack. The returned closure restores the
+// caller's labels. One atomic load when no debug server serves.
 func (rt *runTelemetry) enterPhase(ctx context.Context, phase string) func() {
-	rt.phase.Store(phase)
-	_, unlabel := profiling.Label(ctx,
+	_, unlabel := telemetry.Label(ctx,
 		"phase", phase, "workload", rt.workload, "codec", rt.codecName)
 	return unlabel
 }
@@ -314,7 +287,6 @@ func (rt *runTelemetry) dequeued() {
 func (rt *runTelemetry) finish(res *Result) {
 	rt.root.End()
 	rt.done.Store(true)
-	rt.phase.Store("done")
 	res.Breakdown.Simulate = rt.tr.Phase(SpanRun, SpanSimulate).Total
 	res.Breakdown.Reduce = rt.tr.Phase(SpanRun, SpanReduce).Total
 	res.StageTime = rt.tr.Phase(SpanRun, SpanReduce, SpanStage).Total

@@ -7,7 +7,6 @@ import (
 
 	"insitubits/internal/codec"
 	"insitubits/internal/index"
-	"insitubits/internal/profiling"
 	"insitubits/internal/telemetry"
 )
 
@@ -75,26 +74,26 @@ func (ct *codecTally) flush() {
 }
 
 // begin is the shared prologue of every query entry point. It counts the
-// operation, opens the identity span, and — when continuous profiling is
-// enabled — tags the goroutine with pprof labels (op, index generation,
-// trace ID) so CPU samples taken during the query attribute to it. The
-// returned end closure restores the labels, ends the span, and records
-// the operation latency; when the query was traced, the latency sample
-// carries the trace ID as a histogram exemplar, which the OpenMetrics
-// exposition surfaces on /metrics. With profiling disabled the label
-// plane costs exactly one atomic load (profiling.Enabled), on top of the
-// tracing gate's own load — the gated overhead guard covers the whole
+// operation, opens the identity span, and — while a debug server serves
+// /debug/pprof — tags the goroutine with pprof labels (op, index
+// generation, trace ID) so CPU samples taken during the query attribute to
+// it. The returned end closure restores the labels, ends the span, and
+// records the operation latency; when the query was traced, the latency
+// sample carries the trace ID as a histogram exemplar, which the
+// OpenMetrics exposition surfaces on /metrics. With no debug server the
+// label gate costs exactly one atomic load (telemetry.LabelsOn), on top of
+// the tracing gate's own load — the gated overhead guard covers the whole
 // prologue.
 func begin(ctx context.Context, name string, op *telemetry.Counter, x *index.Index) (context.Context, *telemetry.ActiveSpan, func()) {
 	op.Inc()
 	ctx, sp := telemetry.StartSpan(ctx, name)
 	unlabel := noopObserve
-	if profiling.Enabled() {
+	if telemetry.LabelsOn() {
 		gen := ""
 		if x != nil {
 			gen = strconv.FormatUint(x.Generation(), 10)
 		}
-		ctx, unlabel = profiling.Label(ctx,
+		ctx, unlabel = telemetry.Label(ctx,
 			"op", name, "generation", gen, "trace_id", sp.TraceID())
 	}
 	if tel.latency == nil {

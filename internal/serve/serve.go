@@ -2,7 +2,7 @@
 // loads immutable .isbm indexes once (shared, read-only,
 // generation-stamped) and executes Count/Sum/Mean/Quantile/MinMax/Bits/
 // Correlation/EXPLAIN requests through the existing planner, bitmap cache,
-// workload log, tracing, and profiling planes (cmd/insitu-serve is the
+// workload log, tracing, and pprof labels (cmd/insitu-serve is the
 // binary; docs/SERVING.md the manual).
 //
 // Robustness is the core of the design, not a wrapper:

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -28,15 +29,20 @@ import (
 //	/debug/metrics/history the metrics-history ring (StartHistory) with derived rates
 //	/debug/vars            expvar (includes the "telemetry" var)
 //	/debug/pprof/          the standard pprof profiles
+//
+// While at least one DebugServer is serving, Label tags query and pipeline
+// goroutines with pprof labels, so /debug/pprof/profile attributes samples
+// to the work that ran.
 type DebugServer struct {
 	// Addr is the bound address (useful when the caller passed ":0").
 	Addr string
 	srv  *http.Server
 	ln   net.Listener
+	stop sync.Once // drops this server from the label gate's count once
 }
 
 // ServeDebug binds addr and serves the debug endpoints for this registry in
-// a background goroutine until Close is called.
+// a background goroutine until Close or Shutdown is called.
 func (r *Registry) ServeDebug(addr string) (*DebugServer, error) {
 	if r == nil {
 		return nil, fmt.Errorf("telemetry: ServeDebug on nil registry")
@@ -109,10 +115,9 @@ func (r *Registry) ServeDebug(addr string) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		// Late-registered debug handlers (the profiling collector's
-		// /debug/profiles) are looked up per request, so they work no
-		// matter whether the collector started before or after the
-		// server.
+		// Late-registered debug handlers (the query server's /debug/serve)
+		// are looked up per request, so they work no matter whether they
+		// were registered before or after the server started.
 		if h := r.DebugHandler(req.URL.Path); h != nil {
 			h.ServeHTTP(w, req)
 			return
@@ -132,6 +137,7 @@ func (r *Registry) ServeDebug(addr string) (*DebugServer, error) {
 		return nil, fmt.Errorf("telemetry: debug server: %w", err)
 	}
 	d := &DebugServer{Addr: ln.Addr().String(), srv: &http.Server{Handler: mux}, ln: ln}
+	liveDebugServers.Add(1)
 	go d.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
 	return d, nil
 }
@@ -142,7 +148,14 @@ func (d *DebugServer) Close() error {
 	if d == nil || d.srv == nil {
 		return nil
 	}
+	d.stopped()
 	return d.srv.Close()
+}
+
+// stopped takes the server out of the label gate's count; Close after
+// Shutdown (or either twice) counts once.
+func (d *DebugServer) stopped() {
+	d.stop.Do(func() { liveDebugServers.Add(-1) })
 }
 
 // processStart anchors /healthz uptime.
@@ -153,7 +166,7 @@ var processStart = time.Now()
 type debugHandler = http.Handler
 
 // RegisterDebugHandler mounts an extra handler on the registry's debug
-// server under path (e.g. "/debug/profiles"). Registration is dynamic:
+// server under path (e.g. "/debug/serve"). Registration is dynamic:
 // the route serves whether it was registered before or after ServeDebug.
 // A nil handler unregisters the path. Nil-safe.
 func (r *Registry) RegisterDebugHandler(path string, h http.Handler) {
@@ -302,5 +315,6 @@ func (d *DebugServer) Shutdown(ctx context.Context) error {
 	if d == nil || d.srv == nil {
 		return nil
 	}
+	d.stopped()
 	return d.srv.Shutdown(ctx)
 }

@@ -21,14 +21,9 @@ type HistorySample struct {
 // samples oldest-first plus per-second rates derived from consecutive
 // counter deltas — what `bitmapctl top` renders as sparklines.
 type HistoryDump struct {
-	IntervalNs int64 `json:"interval_ns"`
-	Capacity   int   `json:"capacity"`
-	// Cursor is the monotonic count of samples taken since the history
-	// started (it keeps counting past ring wraparound). The profiling
-	// collector stamps each profile snapshot with this cursor, so a
-	// profile aligns with the metrics window it was captured in.
-	Cursor  uint64          `json:"cursor"`
-	Samples []HistorySample `json:"samples"`
+	IntervalNs int64           `json:"interval_ns"`
+	Capacity   int             `json:"capacity"`
+	Samples    []HistorySample `json:"samples"`
 	// Rates maps counter name → per-second rate between consecutive
 	// samples (len(Samples)-1 points). A counter reset — a registry swap,
 	// an index Recode, a process restart behind the same scrape target —
@@ -51,7 +46,6 @@ type History struct {
 	samples []HistorySample // ring storage
 	next    int             // next write position
 	full    bool
-	cursor  uint64 // monotonic samples taken (never wraps with the ring)
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -113,23 +107,10 @@ func (h *History) Sample() {
 	h.mu.Lock()
 	h.samples[h.next] = s
 	h.next++
-	h.cursor++
 	if h.next == len(h.samples) {
 		h.next, h.full = 0, true
 	}
 	h.mu.Unlock()
-}
-
-// Cursor returns the monotonic count of samples taken so far. Profile
-// snapshots record it to correlate with the metrics-history window.
-// Nil-safe.
-func (h *History) Cursor() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cursor
 }
 
 // Dump returns the retained samples oldest-first with derived per-second
@@ -146,7 +127,6 @@ func (h *History) Dump() HistoryDump {
 	out := HistoryDump{
 		IntervalNs: h.interval.Nanoseconds(),
 		Capacity:   len(h.samples),
-		Cursor:     h.cursor,
 		Samples:    make([]HistorySample, 0, n),
 	}
 	if h.full {
