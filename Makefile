@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-compare bench-quick trace-smoke overhead fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
+.PHONY: all build test vet race race-hot bench bench-compare bench-pairs bench-quick trace-smoke overhead fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
 
 all: build
 
@@ -55,6 +55,12 @@ race-hot:
 # judges:
 #   make bench WORKLOAD=offline_ocean SEED=1 OUT=cand.jsonl
 #   make bench-compare BASE=base.jsonl CAND=cand.jsonl
+# bench-pairs builds both sets against a git revision: it exports BASE with
+# git archive under .bench_build/base/, runs N pairs alternating that tree
+# and the working tree (the side that runs first flips every pair), appends
+# to .bench_build/pairs/{base,cand}.jsonl (delete them to start new sets)
+# and ends with bench-compare on the two:
+#   make bench-pairs BASE=HEAD WORKLOAD=offline_ocean N=10 SEED=1
 # The micro-benchmarks stay plain `go test`, e.g. `go test -run '^$$' -bench
 # 'BenchmarkNoop|BenchmarkAppendTelemetry|BenchmarkOrInto' -benchmem
 # ./internal/telemetry/ ./internal/bitvec/`. The offline read path's
@@ -90,6 +96,23 @@ bench:
 # unresolved per workload and metric, against the sets' own spread.
 bench-compare:
 	bash bench/run.sh compare $(BASE) $(CAND)
+
+N ?= 10
+pairs := .bench_build/pairs
+bench-pairs:
+	@test -n "$(BASE)" || { echo "bench-pairs: set BASE=<git revision>"; exit 2; }
+	rm -rf .bench_build/base
+	mkdir -p .bench_build/base $(pairs)
+	git archive $(BASE) | tar -x -C .bench_build/base
+	@for i in $$(seq 1 $(N)); do \
+		order="base cand"; [ $$((i % 2)) -eq 1 ] || order="cand base"; \
+		for side in $$order; do \
+			dir=.; [ $$side = cand ] || dir=.bench_build/base; \
+			echo "bench-pairs: pair $$i/$(N), $$side"; \
+			(cd $$dir && bash bench/run.sh -workload $(WORKLOAD) -seed $(SEED) -out "$(CURDIR)/$(pairs)/$$side.jsonl") || exit 1; \
+		done; \
+	done
+	bash bench/run.sh compare $(pairs)/base.jsonl $(pairs)/cand.jsonl
 
 # bench/ is a Go module of its own that compiles against internal/..., so
 # the root module's build and tests never see it. This vets it and runs its

@@ -322,7 +322,8 @@ func BenchmarkAblationDenseBuilder(b *testing.B) {
 	}
 }
 
-// Z-order vs row-major layout: the same mining over the two element orders.
+// Tiled Z-order (Z order between 8³ tiles, row order inside them) vs
+// row-major layout: the same mining over the two element orders.
 func BenchmarkAblationMiningZOrder(b *testing.B)   { benchMiningLayout(b, true) }
 func BenchmarkAblationMiningRowMajor(b *testing.B) { benchMiningLayout(b, false) }
 

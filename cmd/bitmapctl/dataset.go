@@ -49,7 +49,7 @@ func cmdGenOcean(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d variables x %d cells (%d bytes, Z-order layout) to %s\n",
+	fmt.Printf("wrote %d variables x %d cells (%d bytes, tiled Z-order layout) to %s\n",
 		len(ds.Names), d.N(), written, *out)
 	return nil
 }

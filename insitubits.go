@@ -56,7 +56,6 @@ import (
 	"insitubits/internal/store"
 	"insitubits/internal/subgroup"
 	"insitubits/internal/telemetry"
-	"insitubits/internal/zorder"
 )
 
 // --- Telemetry (internal/telemetry) ---
@@ -723,18 +722,6 @@ var (
 	NewFaultFS      = iosim.NewFaultFS
 	RetryIO         = iosim.Retry
 	IsTransientIO   = iosim.IsTransient
-)
-
-// --- Z-order curves (internal/zorder) ---
-
-// ZLayout3 maps a 3-D grid between row-major and Z-order positions.
-type ZLayout3 = zorder.Layout3
-
-// Re-exported Z-order API.
-var (
-	NewZLayout3 = zorder.NewLayout3
-	ZEncode3    = zorder.Encode3
-	ZDecode3    = zorder.Decode3
 )
 
 // --- Query serving (internal/serve) ---

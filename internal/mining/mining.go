@@ -26,9 +26,11 @@ import (
 
 // Config parameterizes Algorithm 2.
 type Config struct {
-	// UnitSize is the basic spatial unit in elements. With Z-order layout
-	// this is the paper's "smallest unit of Z orders"; powers of two keep
-	// units cube-shaped.
+	// UnitSize is the basic spatial unit in elements. With the tiled Z-order
+	// layout (internal/zorder) this is the paper's "smallest unit of Z
+	// orders": on power-of-two grids a multiple of the 512-cell tile is a
+	// union of 8³ cubes, and a smaller power of two an axis-aligned box
+	// inside one (256 → 8×8×4, 64 → 8×8×1).
 	UnitSize int
 	// ValueThreshold is T: a joint bin (value-subset pair) whose global
 	// mutual-information term falls below it is pruned before any spatial

@@ -25,7 +25,8 @@ type Subset struct {
 	ValueLo, ValueHi float64
 	// SpatialLo/SpatialHi restrict to element positions [SpatialLo,
 	// SpatialHi), 0 ≤ SpatialLo < SpatialHi ≤ n, unless both are 0 (no
-	// restriction). With Z-order layouts this is an axis-aligned block.
+	// restriction). With the tiled Z-order layout a tile-aligned range
+	// is a union of 8³ cubes; an arbitrary range need not be a box.
 	SpatialLo, SpatialHi int
 }
 

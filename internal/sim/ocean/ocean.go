@@ -145,8 +145,10 @@ func (d *Dataset) Var(name string) ([]float64, error) {
 	return v, nil
 }
 
-// VarCurveOrder returns a variable permuted into Z-order — the layout the
-// mining optimization indexes so spatial units are contiguous bit ranges.
+// VarCurveOrder returns a variable permuted into the tiled Z order of
+// zorder.Layout3 — Z order between 8³ tiles, row order inside them — the
+// layout the mining optimization indexes so spatial units are contiguous
+// bit ranges.
 func (d *Dataset) VarCurveOrder(name string) ([]float64, error) {
 	src, err := d.Var(name)
 	if err != nil {
@@ -157,11 +159,11 @@ func (d *Dataset) VarCurveOrder(name string) ([]float64, error) {
 	return dst, nil
 }
 
-// Layout exposes the Z-order permutation (for decoding mined unit ranges
-// back into grid coordinates).
+// Layout exposes the tiled Z-order permutation (for decoding mined unit
+// ranges back into grid coordinates).
 func (d *Dataset) Layout() *zorder.Layout3 { return d.layout }
 
-// PlantedCurveCells marks, per Z-order position, whether the cell belongs
+// PlantedCurveCells marks, per curve position, whether the cell belongs
 // to a planted region; accuracy scoring uses it as ground truth.
 func (d *Dataset) PlantedCurveCells() []bool {
 	out := make([]bool, d.N())

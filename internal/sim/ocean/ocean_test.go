@@ -2,11 +2,16 @@ package ocean
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"insitubits/internal/binning"
+	"insitubits/internal/codec"
 	"insitubits/internal/index"
 	"insitubits/internal/metrics"
+	"insitubits/internal/mining"
+	"insitubits/internal/zorder"
 )
 
 func TestGenerateValidation(t *testing.T) {
@@ -163,4 +168,76 @@ func TestOceanDataCompresses(t *testing.T) {
 		t.Fatalf("ocean temperature index is %.0f%% of raw size", 100*ratio)
 	}
 	t.Logf("ocean temperature index: %.1f%% of raw", 100*ratio)
+}
+
+// pureZ returns a variable permuted into untiled Morton order: the cells
+// dense-ranked by their Morton code alone.
+func pureZ(t *testing.T, d *Dataset, name string) []float64 {
+	t.Helper()
+	src, err := d.Var(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, d.N())
+	code := make([]uint64, d.N())
+	for i := range rows {
+		x, y, z := i%d.NLon, i/d.NLon%d.NLat, i/(d.NLon*d.NLat)
+		rows[i], code[i] = i, zorder.Encode3(uint32(x), uint32(y), uint32(z))
+	}
+	sort.Slice(rows, func(a, b int) bool { return code[rows[a]] < code[rows[b]] })
+	dst := make([]float64, len(src))
+	for p, row := range rows {
+		dst[p] = src[row]
+	}
+	return dst
+}
+
+// buildIndex indexes v as the stored ocean files are: 48 uniform bins
+// spanning its range, which do not depend on the element order, each bin in
+// the smaller of the two codecs.
+func buildIndex(v []float64) *index.Index {
+	lo, hi := binning.MinMax(v)
+	m, _ := binning.NewUniform(lo, hi+(hi-lo)*1e-9, 48)
+	return index.BuildCodec(v, m, codec.Auto)
+}
+
+// Mining at the tile size reads the same cells per unit as in pure Z order,
+// so its findings, unit ranges included, are those of pure Z order.
+func TestTiledMiningMatchesPureZ(t *testing.T) {
+	d, err := Generate(64, 64, 16, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mining.Config{UnitSize: zorder.Tile, ValueThreshold: 0.002, SpatialThreshold: 0.05}
+	mine := func(a, b []float64) []mining.Finding {
+		f, err := mining.Mine(buildIndex(a), buildIndex(b), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	ta, _ := d.VarCurveOrder("temperature")
+	sa, _ := d.VarCurveOrder("salinity")
+	tiled := mine(ta, sa)
+	pure := mine(pureZ(t, d, "temperature"), pureZ(t, d, "salinity"))
+	if len(tiled) == 0 {
+		t.Fatal("no findings: the comparison proves nothing")
+	}
+	if !reflect.DeepEqual(tiled, pure) {
+		t.Fatalf("tiled order found %d findings, pure Z order %d, or they differ", len(tiled), len(pure))
+	}
+}
+
+// Row order inside the tiles is there to shrink the indexes.
+func TestTiledOrderIndexesSmaller(t *testing.T) {
+	d, err := Generate(64, 64, 16, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv, _ := d.VarCurveOrder("temperature")
+	tiled, pure := buildIndex(cv).SizeBytes(), buildIndex(pureZ(t, d, "temperature")).SizeBytes()
+	if tiled >= pure {
+		t.Fatalf("temperature index is %d B in tiled order, %d B in pure Z order", tiled, pure)
+	}
+	t.Logf("temperature index: tiled %d B, pure Z %d B (%.2fx)", tiled, pure, float64(tiled)/float64(pure))
 }

@@ -1,35 +1,34 @@
-// Package zorder implements Morton (Z-order) space-filling curves for 2-D
-// and 3-D grids. The paper's correlation-mining optimization (§4.2) lays the
-// dataset out in Z order before bitmap generation so that every "basic
-// spatial unit" — an axis-aligned sub-cube — becomes one contiguous bit range
-// of every bitvector, which turns per-unit 1-bit counting into CountRange
-// calls on the compressed form.
+// Package zorder lays a 3-D grid out along a tiled Morton (Z-order) curve.
+// The paper's correlation-mining optimization (§4.2) lays the dataset out in
+// Z order before bitmap generation so that every "basic spatial unit" — an
+// axis-aligned sub-cube — becomes one contiguous bit range of every
+// bitvector, which turns per-unit 1-bit counting into CountRange calls on the
+// compressed form.
+//
+// The curve is Z order between tiles of Tile cells and row order (x fastest)
+// inside them: the Morton ranking is cut into Tile-aligned chunks and each
+// chunk is sorted by row-major index. Every Tile-aligned position range
+// therefore holds exactly the cells it holds in pure Z order, on any grid, so
+// spatial units that are multiples of Tile are the same cubes as before. Row
+// order inside a tile keeps neighbouring cells of a smooth field next to each
+// other along x, which lengthens the runs of every bin's bitvector and shrinks
+// the compressed indexes.
 package zorder
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// spread2 inserts one zero bit between each of the low 16 bits of x.
-func spread2(x uint32) uint64 {
-	v := uint64(x & 0xFFFF)
-	v = (v | v<<8) & 0x00FF00FF
-	v = (v | v<<4) & 0x0F0F0F0F
-	v = (v | v<<2) & 0x33333333
-	v = (v | v<<1) & 0x55555555
-	return v
-}
+// Tile is the number of curve positions ordered row-major inside one Z-order
+// tile: an 8×8×8 cube on power-of-two grids, the mining unit the examples,
+// the CLI and the benchmark use.
+const Tile = 512
 
-// compact2 is the inverse of spread2.
-func compact2(v uint64) uint32 {
-	v &= 0x55555555
-	v = (v | v>>1) & 0x33333333
-	v = (v | v>>2) & 0x0F0F0F0F
-	v = (v | v>>4) & 0x00FF00FF
-	v = (v | v>>8) & 0x0000FFFF
-	return uint32(v)
-}
+// maxDim is the largest dimension Encode3 keeps apart: spread3 keeps 21 bits
+// per coordinate.
+const maxDim = 1 << 21
 
 // spread3 inserts two zero bits between each of the low 21 bits of x.
 func spread3(x uint32) uint64 {
@@ -42,33 +41,14 @@ func spread3(x uint32) uint64 {
 	return v
 }
 
-// compact3 is the inverse of spread3.
-func compact3(v uint64) uint32 {
-	v &= 0x1249249249249249
-	v = (v | v>>2) & 0x10C30C30C30C30C3
-	v = (v | v>>4) & 0x100F00F00F00F00F
-	v = (v | v>>8) & 0x1F0000FF0000FF
-	v = (v | v>>16) & 0x1F00000000FFFF
-	v = (v | v>>32) & 0x1FFFFF
-	return uint32(v)
-}
-
-// Encode2 interleaves (x, y) into a Morton code.
-func Encode2(x, y uint32) uint64 { return spread2(x) | spread2(y)<<1 }
-
-// Decode2 splits a Morton code back into (x, y).
-func Decode2(z uint64) (x, y uint32) { return compact2(z), compact2(z >> 1) }
-
-// Encode3 interleaves (x, y, z) into a Morton code.
+// Encode3 interleaves (x, y, z) into a Morton code. Coordinates must be below
+// 1<<21.
 func Encode3(x, y, z uint32) uint64 { return spread3(x) | spread3(y)<<1 | spread3(z)<<2 }
 
-// Decode3 splits a Morton code back into (x, y, z).
-func Decode3(m uint64) (x, y, z uint32) { return compact3(m), compact3(m >> 1), compact3(m >> 2) }
-
-// Layout3 maps between row-major and Z-order positions of an nx×ny×nz grid.
-// Non-power-of-two grids are handled by ranking: the Morton codes of all
-// in-grid coordinates are dense-ranked so the curve remains a bijection onto
-// [0, nx*ny*nz) with Z-order locality preserved.
+// Layout3 maps between row-major and tiled Z-order positions of an nx×ny×nz
+// grid. Non-power-of-two grids are handled by ranking: the Morton codes of
+// all in-grid coordinates are dense-ranked so the curve remains a bijection
+// onto [0, nx*ny*nz) with Z-order locality preserved between tiles.
 type Layout3 struct {
 	NX, NY, NZ int
 	toZ        []int32 // row-major index -> curve position
@@ -76,15 +56,18 @@ type Layout3 struct {
 }
 
 // NewLayout3 precomputes the permutation for the given grid. Dimensions must
-// be positive and the total size must fit in int32.
+// be positive and at most 1<<21, and the total size must fit in int32.
 func NewLayout3(nx, ny, nz int) (*Layout3, error) {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("zorder: non-positive grid %dx%dx%d", nx, ny, nz)
 	}
-	n := nx * ny * nz
-	if n > 1<<31-1 {
+	if nx > maxDim || ny > maxDim || nz > maxDim {
+		return nil, fmt.Errorf("zorder: grid %dx%dx%d has a dimension above %d", nx, ny, nz, maxDim)
+	}
+	if nx*ny > (1<<31-1)/nz {
 		return nil, fmt.Errorf("zorder: grid %dx%dx%d too large", nx, ny, nz)
 	}
+	n := nx * ny * nz
 	l := &Layout3{NX: nx, NY: ny, NZ: nz,
 		toZ:   make([]int32, n),
 		fromZ: make([]int32, n),
@@ -109,7 +92,13 @@ func NewLayout3(nx, ny, nz int) (*Layout3, error) {
 	sort.Slice(items, func(a, b int) bool { return items[a].code < items[b].code })
 	for pos, it := range items {
 		l.fromZ[pos] = it.row
-		l.toZ[it.row] = int32(pos)
+	}
+	// Row order inside each tile.
+	for lo := 0; lo < n; lo += Tile {
+		slices.Sort(l.fromZ[lo:min(lo+Tile, n)])
+	}
+	for pos, row := range l.fromZ {
+		l.toZ[row] = int32(pos)
 	}
 	return l, nil
 }
@@ -117,10 +106,10 @@ func NewLayout3(nx, ny, nz int) (*Layout3, error) {
 // Len returns the number of grid cells.
 func (l *Layout3) Len() int { return len(l.toZ) }
 
-// CurvePos returns the Z-order position of row-major index i.
+// CurvePos returns the curve position of row-major index i.
 func (l *Layout3) CurvePos(i int) int { return int(l.toZ[i]) }
 
-// RowMajor returns the row-major index at Z-order position p.
+// RowMajor returns the row-major index at curve position p.
 func (l *Layout3) RowMajor(p int) int { return int(l.fromZ[p]) }
 
 // Permute writes src (row-major) into dst in curve order. dst and src must

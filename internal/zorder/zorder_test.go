@@ -2,45 +2,9 @@ package zorder
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
-	"testing/quick"
 )
-
-func TestEncode2RoundTrip(t *testing.T) {
-	f := func(x, y uint16) bool {
-		gx, gy := Decode2(Encode2(uint32(x), uint32(y)))
-		return gx == uint32(x) && gy == uint32(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEncode3RoundTrip(t *testing.T) {
-	f := func(x, y, z uint32) bool {
-		x &= 0x1FFFFF
-		y &= 0x1FFFFF
-		z &= 0x1FFFFF
-		gx, gy, gz := Decode3(Encode3(x, y, z))
-		return gx == x && gy == y && gz == z
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEncode2KnownValues(t *testing.T) {
-	// The canonical Z pattern on a 2x2 grid: (0,0)=0 (1,0)=1 (0,1)=2 (1,1)=3.
-	cases := []struct {
-		x, y uint32
-		want uint64
-	}{{0, 0, 0}, {1, 0, 1}, {0, 1, 2}, {1, 1, 3}, {2, 0, 4}, {3, 3, 15}}
-	for _, c := range cases {
-		if got := Encode2(c.x, c.y); got != c.want {
-			t.Errorf("Encode2(%d,%d)=%d want %d", c.x, c.y, got, c.want)
-		}
-	}
-}
 
 func TestEncode3KnownValues(t *testing.T) {
 	cases := []struct {
@@ -54,9 +18,14 @@ func TestEncode3KnownValues(t *testing.T) {
 	}
 }
 
+// tiledGrids are the grids the tile invariants are checked on: a
+// power-of-two one and a ragged one.
+var tiledGrids = [][3]int{{16, 16, 16}, {20, 12, 10}}
+
 func TestLayout3Bijection(t *testing.T) {
-	for _, dims := range [][3]int{{4, 4, 4}, {3, 5, 7}, {1, 1, 1}, {8, 1, 2}, {16, 16, 1}} {
-		l, err := NewLayout3(dims[0], dims[1], dims[2])
+	dims := append([][3]int{{4, 4, 4}, {3, 5, 7}, {1, 1, 1}, {8, 1, 2}, {16, 16, 1}, {33, 9, 5}}, tiledGrids...)
+	for _, d := range dims {
+		l, err := NewLayout3(d[0], d[1], d[2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,32 +34,87 @@ func TestLayout3Bijection(t *testing.T) {
 		for i := 0; i < n; i++ {
 			p := l.CurvePos(i)
 			if p < 0 || p >= n {
-				t.Fatalf("dims %v: CurvePos(%d)=%d out of range", dims, i, p)
+				t.Fatalf("dims %v: CurvePos(%d)=%d out of range", d, i, p)
 			}
 			if seen[p] {
-				t.Fatalf("dims %v: curve position %d assigned twice", dims, p)
+				t.Fatalf("dims %v: curve position %d assigned twice", d, p)
 			}
 			seen[p] = true
 			if l.RowMajor(p) != i {
-				t.Fatalf("dims %v: RowMajor(CurvePos(%d)) = %d", dims, i, l.RowMajor(p))
+				t.Fatalf("dims %v: RowMajor(CurvePos(%d)) = %d", d, i, l.RowMajor(p))
 			}
 		}
 	}
 }
 
-func TestLayout3PowerOfTwoMatchesMorton(t *testing.T) {
-	// On power-of-two grids, ranking by Morton code IS the Morton order.
-	l, err := NewLayout3(4, 4, 4)
+// pureZ returns the row-major indexes of a grid in dense-ranked Morton
+// order, computed independently of NewLayout3.
+func pureZ(nx, ny, nz int) []int {
+	rows := make([]int, nx*ny*nz)
+	code := make([]uint64, len(rows))
+	for i := range rows {
+		x, y, z := i%nx, i/nx%ny, i/(nx*ny)
+		rows[i], code[i] = i, Encode3(uint32(x), uint32(y), uint32(z))
+	}
+	sort.Slice(rows, func(a, b int) bool { return code[rows[a]] < code[rows[b]] })
+	return rows
+}
+
+func TestTilesHoldThePureZCells(t *testing.T) {
+	for _, d := range tiledGrids {
+		l, err := NewLayout3(d[0], d[1], d[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := pureZ(d[0], d[1], d[2])
+		for lo := 0; lo < l.Len(); lo += Tile {
+			hi := min(lo+Tile, l.Len())
+			want := map[int]bool{}
+			for _, row := range z[lo:hi] {
+				want[row] = true
+			}
+			prev := -1
+			for p := lo; p < hi; p++ {
+				row := l.RowMajor(p)
+				if !want[row] {
+					t.Fatalf("%v: tile [%d,%d) holds row %d, which pure Z order puts elsewhere", d, lo, hi, row)
+				}
+				if row <= prev {
+					t.Fatalf("%v: tile [%d,%d) is not in row order at %d", d, lo, hi, p)
+				}
+				prev = row
+			}
+		}
+	}
+}
+
+// TestZOrderLocality is the property mining relies on below the tile size:
+// on a power-of-two grid every aligned power-of-two range of up to Tile
+// positions covers an axis-aligned box exactly.
+func TestZOrderLocality(t *testing.T) {
+	const nx, ny, nz = 16, 16, 16
+	l, err := NewLayout3(nx, ny, nz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for z := 0; z < 4; z++ {
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				row := z*16 + y*4 + x
-				if got, want := l.CurvePos(row), int(Encode3(uint32(x), uint32(y), uint32(z))); got != want {
-					t.Fatalf("(%d,%d,%d): CurvePos=%d want Morton %d", x, y, z, got, want)
+	for size := 1; size <= Tile; size *= 2 {
+		for lo := 0; lo < l.Len(); lo += size {
+			var minc, maxc [3]int
+			for p := lo; p < lo+size; p++ {
+				row := l.RowMajor(p)
+				c := [3]int{row % nx, row / nx % ny, row / (nx * ny)}
+				for k := range c {
+					if p == lo || c[k] < minc[k] {
+						minc[k] = c[k]
+					}
+					if p == lo || c[k] > maxc[k] {
+						maxc[k] = c[k]
+					}
 				}
+			}
+			box := (maxc[0] - minc[0] + 1) * (maxc[1] - minc[1] + 1) * (maxc[2] - minc[2] + 1)
+			if box != size {
+				t.Fatalf("range [%d,%d) spans box %v..%v of %d cells", lo, lo+size, minc, maxc, box)
 			}
 		}
 	}
@@ -128,44 +152,18 @@ func TestPermuteLengthMismatchPanics(t *testing.T) {
 }
 
 func TestNewLayout3Validation(t *testing.T) {
-	if _, err := NewLayout3(0, 2, 2); err == nil {
-		t.Error("zero dimension accepted")
-	}
-	if _, err := NewLayout3(-1, 2, 2); err == nil {
-		t.Error("negative dimension accepted")
-	}
-}
-
-func TestZOrderLocality(t *testing.T) {
-	// The defining property the mining optimization relies on: every aligned
-	// 2x2x2 block of a power-of-two grid occupies 8 consecutive curve
-	// positions.
-	l, err := NewLayout3(8, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bz := 0; bz < 8; bz += 2 {
-		for by := 0; by < 8; by += 2 {
-			for bx := 0; bx < 8; bx += 2 {
-				min, max := 1<<30, -1
-				for dz := 0; dz < 2; dz++ {
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							row := (bz+dz)*64 + (by+dy)*8 + (bx + dx)
-							p := l.CurvePos(row)
-							if p < min {
-								min = p
-							}
-							if p > max {
-								max = p
-							}
-						}
-					}
-				}
-				if max-min != 7 {
-					t.Fatalf("block (%d,%d,%d) spans curve [%d,%d], not contiguous", bx, by, bz, min, max)
-				}
-			}
+	for _, d := range [][3]int{
+		{0, 2, 2}, {-1, 2, 2},
+		// Encode3 keeps 21 bits per coordinate: x=0 and x=1<<21 would
+		// share a code.
+		{1<<21 + 1, 1, 1}, {2, 1<<21 + 1, 1}, {1, 1, 1<<21 + 1}, {1<<21 + 4, 2, 2},
+		{1 << 16, 1 << 16, 1},
+	} {
+		if _, err := NewLayout3(d[0], d[1], d[2]); err == nil {
+			t.Errorf("grid %v accepted", d)
 		}
+	}
+	if _, err := NewLayout3(1<<21, 1, 1); err != nil {
+		t.Errorf("grid 1<<21 x 1 x 1 rejected: %v", err)
 	}
 }
