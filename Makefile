@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-compare bench-pairs bench-quick trace-smoke overhead fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke ci
+.PHONY: all build test vet race race-hot bench bench-compare bench-pairs bench-quick trace-smoke overhead fuzz-smoke crash-matrix plan-diff replay-diff serve-chaos serve-smoke loc ci
 
 all: build
 
@@ -148,8 +148,9 @@ overhead:
 # model over the binned raw array does), the flat kernels under it
 # (OrInto, FromFlat, WriteIDs, CountRange and the masked kernels —
 # WriteIDsMasked, TallyMasked, CountMasked × mask shape × word window × id
-# width — × codec against a []bool model, on bitmaps up to four skip blocks
-# long),
+# width — × codec, and what is built on them — And, Or, AndCount,
+# XorCount, Equal × codec pair, CountUnits, Iterate, ToVector — against a
+# []bool model, on bitmaps up to four skip blocks long),
 # the run-domain encoders (byte-identical to the expanded-buffer
 # model, bounded form exact), the index build from ids (every bin, count
 # and auto choice against a []bool model, on run-structured ids at every
@@ -207,6 +208,13 @@ serve-smoke:
 # detector, together with the fault-injection and fsck corruption tables.
 crash-matrix:
 	$(GO) test -race -run 'TestCrashMatrix|TestResume|TestTransient|TestWorkerPanic|TestFsck' -v ./internal/insitu/
+
+# Non-test Go lines outside bench/, per package directory (largest first)
+# and in total: the count ROADMAP quotes.
+loc:
+	@find . -path './.*' -prune -o -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; all += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -rn"; close("sort -rn"); printf "%7d total\n", all }'
 
 # `race` already executes every test the named gates above select
 # (race-hot, plan-diff, replay-diff, trace-smoke, crash-matrix,

@@ -132,21 +132,17 @@ const PipelineRunStatusName = insitu.RunStatusName
 // --- Compressed bitvectors (internal/bitvec, internal/codec) ---
 
 // Bitmap is the codec-independent compressed bitmap interface every
-// analysis layer operates on: AND/OR, AND- and XOR-counts, population counts
-// and range counts on the compressed form, plus decode-free run iteration.
-// Two codecs implement it: BitVector (WAH) and BBC.
+// analysis layer operates on: population counts and range counts on the
+// compressed form, OrInto its flat words, and AND/OR, AND- and XOR-counts
+// through them. Two codecs implement it: BitVector (WAH) and BBC.
 type Bitmap = bitvec.Bitmap
 
-// BitVector is a WAH-compressed bitvector supporting AND/OR, AND/XOR counts,
-// population counts and range counts directly on the compressed form.
+// BitVector is a WAH-compressed bitvector: population counts and range
+// counts on the compressed words, and the Bitmap operations.
 type BitVector = bitvec.Vector
 
-// BitAppender builds a BitVector incrementally, one 31-bit segment at a
-// time, merging fills in place (the paper's Algorithm 1 primitive).
-type BitAppender = bitvec.Appender
-
-// BBC is a byte-aligned compressed bitmap whose logical ops merge byte
-// runs on the compressed stream.
+// BBC is a byte-aligned compressed bitmap, counted and decoded token by
+// token on the compressed stream.
 type BBC = bitvec.BBC
 
 // Codec names a bitmap encoding; CodecAuto is the adaptive per-bin policy.
@@ -167,7 +163,6 @@ const SegmentBits = bitvec.SegmentBits
 var (
 	FromBools     = bitvec.FromBools
 	FromIndices   = bitvec.FromIndices
-	ToBitVector   = bitvec.ToVector
 	BBCFromBitmap = bitvec.BBCFromBitmap
 	ParseCodec    = codec.Parse
 	EncodeBitmap  = codec.Encode
@@ -389,7 +384,6 @@ var (
 	SubsetMeanAnalyze       = query.MeanAnalyze
 	SubsetQuantileAnalyze   = query.QuantileAnalyze
 	SubsetMinMaxAnalyze     = query.MinMaxAnalyze
-	SumMaskedAnalyze        = query.SumMaskedAnalyze
 	CorrelationAnalyze      = query.CorrelationAnalyze
 	SetSlowQueryLog         = query.SetSlowLog
 	NewQueryTopK            = query.NewTopK
@@ -667,13 +661,12 @@ var (
 type DatasetFile = store.Dataset
 
 // Re-exported storage API. WriteIndexFile emits the v3 checksummed
-// container; the V1/V2 writers keep the legacy layouts producible.
+// container; the V1 writer keeps the legacy all-WAH layout producible.
 var (
 	NewIOStore       = iosim.NewStore
 	NewIOStoreWriter = iosim.NewStoreWriter
 	WriteIndexFile   = store.WriteIndex
 	WriteIndexFileV1 = store.WriteIndexV1
-	WriteIndexFileV2 = store.WriteIndexV2
 	ReadIndexFile    = store.ReadIndex
 	IndexFileSize    = store.IndexSize
 	WriteRawFile     = store.WriteRaw
@@ -685,7 +678,6 @@ var (
 	WriteIndexFileCtx = store.WriteIndexCtx
 	ReadIndexFileCtx  = store.ReadIndexCtx
 	WriteRawFileCtx   = store.WriteRawCtx
-	ReadRawFileCtx    = store.ReadRawCtx
 	NewDatasetFile    = store.NewDataset
 	WriteDatasetFile  = store.WriteDataset
 	ReadDatasetFile   = store.ReadDataset

@@ -1,7 +1,6 @@
 package bitvec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -12,9 +11,9 @@ import (
 // A byte-aligned bitmap codec in the spirit of BBC (Antoshenkov, DCC'95),
 // which the paper cites alongside WAH as the other classic run-length bitmap
 // compressor. Byte-granular runs compress sparse vectors tighter than
-// 31-bit-granular WAH fills. The kernels that read one bitmap — OrInto,
-// WriteIDs, Count, CountRange — walk the byte stream a run or a literal
-// chunk at a time; pairwise operations merge its runs through Runs (ops.go).
+// 31-bit-granular WAH fills. Every walker reads the byte stream the same
+// way, a run or a literal chunk at a time (bbcToken, step); what combines
+// bitmaps goes through the flat form (ops.go).
 //
 // Stream format (not the historical BBC wire format, but byte-aligned and
 // run-length like it):
@@ -197,6 +196,7 @@ func BBCFromRaw(data []byte, nbits int) (*BBC, error) {
 	}
 	need := (nbits + 7) / 8
 	covered := 0
+	last := byte(0) // the last logical byte covered so far
 	i := 0
 	for i < len(data) {
 		tok := data[i]
@@ -215,6 +215,10 @@ func BBCFromRaw(data []byte, nbits int) (*BBC, error) {
 			}
 			i += k
 			covered += int(n)
+			last = 0
+			if tok == bbcOneRun {
+				last = 0xFF
+			}
 		default:
 			n := int(tok) + 1
 			if i+n > len(data) {
@@ -225,54 +229,36 @@ func BBCFromRaw(data []byte, nbits int) (*BBC, error) {
 			}
 			i += n
 			covered += n
+			last = data[i-1]
 		}
 	}
 	if covered != need {
 		return nil, fmt.Errorf("bitvec: BBC stream covers %d bytes, want %d for %d bits", covered, need, nbits)
 	}
-	b := &BBC{data: append([]byte(nil), data...), nbits: nbits}
-	if rem := nbits % 8; rem != 0 && need > 0 {
-		// The padding-zero invariant: check the final byte without decoding
-		// the rest of the stream.
-		if last := b.byteAt(need - 1); last&^(byte(1)<<uint(rem)-1) != 0 {
-			return nil, fmt.Errorf("bitvec: BBC encoding has set bits beyond length %d", nbits)
-		}
+	if rem := nbits % 8; rem != 0 && last&^(byte(1)<<uint(rem)-1) != 0 {
+		return nil, fmt.Errorf("bitvec: BBC encoding has set bits beyond length %d", nbits)
 	}
-	return b, nil
-}
-
-// byteAt decodes the logical byte at index idx (validated streams only).
-func (b *BBC) byteAt(idx int) byte {
-	var t bbcTokIter
-	t.reset(b.data)
-	pos := 0
-	for t.valid() {
-		if idx < pos+t.n {
-			if t.fill {
-				return t.fb
-			}
-			return t.lit[t.lp+idx-pos]
-		}
-		pos += t.n
-		t.consume(t.n)
-	}
-	return 0
+	return &BBC{data: append([]byte(nil), data...), nbits: nbits}, nil
 }
 
 // Bytes decompresses into a raw little-endian bit buffer.
 func (b *BBC) Bytes() []byte {
-	out := make([]byte, 0, (b.nbits+7)/8)
-	var t bbcTokIter
-	t.reset(b.data)
-	for t.valid() {
-		if t.fill {
-			for j := 0; j < t.n; j++ {
-				out = append(out, t.fb)
-			}
-		} else {
-			out = append(out, t.lit[t.lp:t.lp+t.n]...)
+	out := make([]byte, (b.nbits+7)/8)
+	for i, at := 0, 0; i < len(b.data); {
+		next, end, ok := b.step(i, at)
+		if !ok {
+			break
 		}
-		t.consume(t.n)
+		switch b.data[i] {
+		case bbcZeroRun:
+		case bbcOneRun:
+			for j := at; j < end; j++ {
+				out[j] = 0xFF
+			}
+		default: // the chunk's bytes end at next
+			copy(out[at:end], b.data[next-(end-at):next])
+		}
+		i, at = next, end
 	}
 	return out
 }
@@ -286,28 +272,23 @@ func (b *BBC) Words() int { return (len(b.data) + 3) / 4 }
 // SizeBytes returns the compressed size.
 func (b *BBC) SizeBytes() int { return len(b.data) }
 
-// Count returns the number of set bits, counting fill runs in O(1); the
-// padding-zero invariant makes masking unnecessary.
+// Count returns the number of set bits, a run in O(1); the padding-zero
+// invariant makes masking unnecessary (no one-run covers a padded byte).
 func (b *BBC) Count() int {
 	total := 0
-	var t bbcTokIter
-	t.reset(b.data)
-	for t.valid() {
-		if t.fill {
-			if t.fb == 0xFF {
-				total += 8 * t.n
-			}
-		} else {
-			for _, v := range t.lit[t.lp : t.lp+t.n] {
-				total += bits.OnesCount8(v)
-			}
+	for i, at := 0, 0; i < len(b.data); {
+		next, end, ok := b.step(i, at)
+		if !ok {
+			break
 		}
-		t.consume(t.n)
-	}
-	if rem := b.nbits % 8; rem != 0 {
-		// A one-fill may cover the padded final byte; subtract its padding.
-		need := (b.nbits + 7) / 8
-		total -= bits.OnesCount8(b.byteAt(need-1) &^ (byte(1)<<uint(rem) - 1))
+		switch b.data[i] {
+		case bbcZeroRun:
+		case bbcOneRun:
+			total += 8 * (end - at)
+		default: // the chunk's bytes end at next
+			total += countAll(b.data[next-(end-at) : next])
+		}
+		i, at = next, end
 	}
 	return total
 }
@@ -326,7 +307,7 @@ func (b *BBC) CountRange(from, to int) int {
 	total := 0
 	for i, at := b.seek(from); i < len(b.data) && at<<3 < to; {
 		next, end, ok := b.step(i, at)
-		if !ok || next > len(b.data) {
+		if !ok {
 			break
 		}
 		s, e := max(from, at<<3), min(to, end<<3)
@@ -349,33 +330,27 @@ func countBytes(buf []byte, s, e int) int {
 	if first == last {
 		return bits.OnesCount8(buf[first] & head & tail)
 	}
-	total := bits.OnesCount8(buf[first]&head) + bits.OnesCount8(buf[last]&tail)
-	mid := buf[first+1 : last]
-	for ; len(mid) >= 8; mid = mid[8:] {
-		total += bits.OnesCount64(binary.LittleEndian.Uint64(mid))
+	return bits.OnesCount8(buf[first]&head) + countAll(buf[first+1:last]) + bits.OnesCount8(buf[last]&tail)
+}
+
+// countAll counts the set bits of a byte buffer, eight bytes at a time.
+func countAll(buf []byte) int {
+	total := 0
+	for ; len(buf) >= 8; buf = buf[8:] {
+		total += bits.OnesCount64(binary.LittleEndian.Uint64(buf))
 	}
-	for _, v := range mid {
+	for _, v := range buf {
 		total += bits.OnesCount8(v)
 	}
 	return total
 }
 
-// Iterate calls fn for each set bit in ascending order.
-func (b *BBC) Iterate(fn func(pos int) bool) { genericIterate(b, fn) }
+// Iterate calls fn for each set bit in ascending order, over the WAH form.
+func (b *BBC) Iterate(fn func(pos int) bool) { ToVector(b).Iterate(fn) }
 
-// Equal reports whether two bitmaps have identical logical contents.
-func (b *BBC) Equal(o Bitmap) bool {
-	if ob, ok := o.(*BBC); ok {
-		if b.nbits != ob.nbits {
-			return false
-		}
-		if bytes.Equal(b.data, ob.data) {
-			return true
-		}
-		// Encodings may differ physically (split runs); fall through.
-	}
-	return genericEqual(b, o)
-}
+// Runs streams the contents at 31-bit segment granularity: the words of the
+// WAH form.
+func (b *BBC) Runs() RunReader { return ToVector(b).Runs() }
 
 // Stats describes the physical composition. For the byte-aligned stream the
 // WAH word tallies don't apply; PhysicalBytes carries the true footprint.
@@ -390,114 +365,28 @@ func (b *BBC) Stats() Stats {
 		SetBits:       b.Count(),
 		PhysicalBytes: b.SizeBytes(),
 	}
-	var t bbcTokIter
-	t.reset(b.data)
 	runBits := 0
-	for t.valid() {
-		if t.fill {
-			st.FillWords++
-			if t.fb == 0 {
-				st.ZeroFillWords++
-			} else {
-				st.OneFillWords++
-			}
-			runBits += 8 * t.n
-		} else {
-			st.LiteralWords += t.n
+	for i, at := 0, 0; i < len(b.data); {
+		next, end, ok := b.step(i, at)
+		if !ok {
+			break
 		}
-		t.consume(t.n)
+		switch b.data[i] {
+		case bbcZeroRun:
+			st.FillWords++
+			st.ZeroFillWords++
+			runBits += 8 * (end - at)
+		case bbcOneRun:
+			st.FillWords++
+			st.OneFillWords++
+			runBits += 8 * (end - at)
+		default:
+			st.LiteralWords += end - at
+		}
+		i, at = next, end
 	}
 	st.FilledSegments = runBits / SegmentBits
 	return st
-}
-
-// Runs streams the contents at 31-bit segment granularity directly from the
-// byte stream: fill runs covering ≥31 homogeneous bits become fill runs
-// without decoding, and segment boundaries are assembled through a bit
-// accumulator.
-func (b *BBC) Runs() RunReader {
-	r := &bbcRunReader{segsLeft: (b.nbits + SegmentBits - 1) / SegmentBits}
-	r.t.reset(b.data)
-	return r
-}
-
-type bbcRunReader struct {
-	t        bbcTokIter
-	acc      uint64 // pending bits, LSB first
-	nacc     uint   // number of pending bits
-	segsLeft int
-}
-
-func (r *bbcRunReader) NextRun() (Run, bool) {
-	if r.segsLeft == 0 {
-		return Run{}, false
-	}
-	// Fill fast path: the pending bits (if any) agree with the current byte
-	// run's fill value, and together they cover at least one full segment.
-	if r.t.valid() && r.t.fill {
-		bit := uint32(0)
-		if r.t.fb == 0xFF {
-			bit = 1
-		}
-		homogeneous := r.nacc == 0 ||
-			(bit == 0 && r.acc == 0) ||
-			(bit == 1 && r.acc == uint64(1)<<r.nacc-1)
-		if homogeneous {
-			avail := int(r.nacc) + 8*r.t.n
-			segs := avail / SegmentBits
-			if segs > r.segsLeft {
-				segs = r.segsLeft
-			}
-			if bit == 1 && r.segsLeft*SegmentBits > avail+8*r.remStreamBytes() {
-				// Guard (unreachable for valid streams): never let a one-fill
-				// cover segments the stream doesn't back.
-				segs = 0
-			}
-			if segs > 0 {
-				used := segs*SegmentBits - int(r.nacc) // bits taken from the byte run
-				fullBytes := used / 8
-				remBits := used % 8
-				r.t.consume(fullBytes)
-				r.acc, r.nacc = 0, 0
-				if remBits > 0 {
-					r.acc = uint64(r.t.cur() >> uint(remBits))
-					r.nacc = 8 - uint(remBits)
-					r.t.consume(1)
-				}
-				r.segsLeft -= segs
-				return Run{Fill: true, Bit: bit, N: segs}, true
-			}
-		}
-	}
-	w := r.readBits(SegmentBits)
-	r.segsLeft--
-	if w == 0 {
-		return Run{Fill: true, N: 1}, true
-	}
-	return Run{N: 1, Word: w}, true
-}
-
-// remStreamBytes reports the bytes remaining in the token stream beyond the
-// current run (conservative; only used by the one-fill guard).
-func (r *bbcRunReader) remStreamBytes() int {
-	return len(r.t.data) - r.t.i
-}
-
-// readBits pulls n (≤ 31) bits LSB-first, zero-padding past the stream end.
-func (r *bbcRunReader) readBits(n uint) uint32 {
-	for r.nacc < n {
-		var b byte
-		if r.t.valid() {
-			b = r.t.cur()
-			r.t.consume(1)
-		}
-		r.acc |= uint64(b) << r.nacc
-		r.nacc += 8
-	}
-	v := uint32(r.acc & (uint64(1)<<n - 1))
-	r.acc >>= n
-	r.nacc -= n
-	return v
 }
 
 // bbcToken decodes the token at data[i] for the kernels that walk one stream
@@ -542,79 +431,6 @@ func bbcPiece(data []byte, i, n, a int) (w uint64, k int) {
 		}
 	}
 	return w << (uint(a&7) * 8), k
-}
-
-// bbcTokIter walks the token stream as byte-granular runs: a fill run of n
-// identical bytes, or a literal chunk viewed byte by byte.
-type bbcTokIter struct {
-	data []byte
-	i    int
-	fill bool
-	fb   byte   // fill byte (0x00 or 0xFF) when fill
-	n    int    // remaining bytes in the current run
-	lit  []byte // current literal chunk when !fill
-	lp   int    // cursor within lit
-}
-
-func (t *bbcTokIter) reset(data []byte) {
-	t.data = data
-	t.i = 0
-	t.n = 0
-	t.load()
-}
-
-func (t *bbcTokIter) load() {
-	t.n = 0
-	for t.i < len(t.data) && t.n == 0 {
-		tok := t.data[t.i]
-		t.i++
-		switch tok {
-		case bbcZeroRun, bbcOneRun:
-			v, k := binary.Uvarint(t.data[t.i:])
-			if k <= 0 {
-				// Validated streams never hit this; stop rather than spin.
-				t.i = len(t.data)
-				return
-			}
-			t.i += k
-			t.fill = true
-			t.fb = 0x00
-			if tok == bbcOneRun {
-				t.fb = 0xFF
-			}
-			t.n = int(v)
-		default:
-			cnt := int(tok) + 1
-			if t.i+cnt > len(t.data) {
-				t.i = len(t.data)
-				return
-			}
-			t.fill = false
-			t.lit = t.data[t.i : t.i+cnt]
-			t.lp = 0
-			t.n = cnt
-			t.i += cnt
-		}
-	}
-}
-
-func (t *bbcTokIter) valid() bool { return t.n > 0 }
-
-func (t *bbcTokIter) cur() byte {
-	if t.fill {
-		return t.fb
-	}
-	return t.lit[t.lp]
-}
-
-func (t *bbcTokIter) consume(k int) {
-	t.n -= k
-	if !t.fill {
-		t.lp += k
-	}
-	if t.n <= 0 {
-		t.load()
-	}
 }
 
 // bbcWriter re-encodes a byte stream with run coalescing; a positive limit

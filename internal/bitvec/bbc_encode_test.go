@@ -173,8 +173,8 @@ func TestBBCEncodeMatchesExpanded(t *testing.T) {
 }
 
 // Sources the []bool model cannot reach: fills past one WAH counter (the
-// expanded buffer would be gigabytes) and raw words whose final run
-// overhangs the logical length.
+// expanded buffer would be gigabytes) and raw words whose final zero-fill
+// overhangs the logical length (the one overhang FromRawWords accepts).
 func TestBBCEncodeLongAndOverhangingFills(t *testing.T) {
 	segs := maxRun + 5
 	nbits := segs * SegmentBits
@@ -201,10 +201,9 @@ func TestBBCEncodeLongAndOverhangingFills(t *testing.T) {
 		words []uint32
 		nbits int
 	}{
-		{[]uint32{fillFlag | fillValue | 2}, 40},             // one-fill covering 62 bits of a 40-bit vector
-		{[]uint32{fillFlag | 3}, 63},                         // zero-fill overhanging
-		{[]uint32{literalMask}, 5},                           // literal with set bits past the length
-		{[]uint32{0x2AAAAAAA, fillFlag | fillValue | 1}, 33}, // literal, then a clipped one-fill
+		{[]uint32{fillFlag | 3}, 63},                  // zero-fill overhanging
+		{[]uint32{0x2AAAAAAA, fillFlag | 1}, 33},      // literal, then an overhanging zero-fill
+		{[]uint32{fillFlag | fillValue | 1, 0x5}, 34}, // one-fill, then a short literal
 	} {
 		v, err := FromRawWords(c.words, c.nbits)
 		if err != nil {

@@ -35,17 +35,6 @@ func TestBBCCountMatchesVector(t *testing.T) {
 	}
 }
 
-func TestBBCAndMatchesWAH(t *testing.T) {
-	f := func(p pairValue) bool {
-		va, vb := FromBools(p.A), FromBools(p.B)
-		ca, cb := BBCFromBitmap(va), BBCFromBitmap(vb)
-		return ca.And(cb).Count() == va.AndCount(vb)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBBCCompressesSparse(t *testing.T) {
 	n := 1 << 16
 	raw := make([]byte, n/8)
@@ -88,34 +77,37 @@ func TestBBCLiteralChunkLimit(t *testing.T) {
 
 // TestBBCWalkersStopOnMalformedStreams: the walkers that decode tokens in
 // place (OrInto, the masked id kernels, CountRange, and the skip table's
-// build and seek) are handed streams no encoder writes and BBCFromRaw
-// rejects — cut short, overlong, with counts that do not parse — through
-// the unexported constructor. They must return having touched nothing
-// outside their buffers, which are exactly as long as the bitmap's length
-// asks for (an access past them panics); what they decoded before the
-// damage is not checked. Each stream is walked whole and from later words,
-// as a 200-bit bitmap and again after a 999-byte zero run, as an 8192-bit
-// one, where a window past the first block seeks through the skip table
-// into the damaged tail. Random streams follow: those BBCFromRaw accepts
-// must decode to their own Bytes() in every window.
+// build and seek) and the readers of a whole bitmap built on them (Count,
+// Stats, Bytes, WriteIDs, ToVector, Runs, Iterate) are handed streams no
+// encoder writes and BBCFromRaw rejects — cut short, overlong, with counts
+// that do not parse — through the unexported constructor. They must return
+// having touched nothing outside their buffers, which are exactly as long
+// as the bitmap's length asks for (an access past them panics); what they
+// decoded before the damage is not checked. Each stream is walked whole and
+// from later words, as a 200-bit bitmap and again after a 999-byte zero
+// run, as an 8192-bit one, where a window past the first block seeks
+// through the skip table into the damaged tail. Random streams follow:
+// those BBCFromRaw accepts must decode to their own Bytes() in every window
+// and through every reader.
 func TestBBCWalkersStopOnMalformedStreams(t *testing.T) {
 	const short, long = 200, 2 * skipBlock   // both 25 bytes past the prefix
 	prefix := []byte{bbcZeroRun, 0xE7, 0x07} // a zero run of 999 bytes
-	walk := func(data []byte, nbits int) [][]uint64 {
+	// walk returns what OrInto decoded from each window's first word, and
+	// the bitmap as each whole-bitmap reader sees it, in flat words.
+	walk := func(data []byte, nbits int) (windows [][]uint64, whole map[string][]uint64) {
 		nw := FlatWords(nbits)
 		full := make([]uint64, nw)
 		SetFlatRange(full, 0, nbits)
 		ids := make([]int32, nbits)
-		var got [][]uint64
 		for _, w0 := range []int{0, nw / 2, 999 / 8, nw - 1} {
 			if w0 >= nw {
-				got = append(got, nil)
+				windows = append(windows, nil)
 				continue
 			}
 			b := &BBC{data: data, nbits: nbits}
 			dst := make([]uint64, nw)
 			b.OrInto(dst, w0, nw)
-			got = append(got, dst)
+			windows = append(windows, dst)
 			for p := range ids {
 				ids[p] = NoID[int32]()
 			}
@@ -124,7 +116,40 @@ func TestBBCWalkersStopOnMalformedStreams(t *testing.T) {
 			TallyMasked(b, full, ids, make([]int, 1), w0)
 			b.CountRange(w0<<6, nbits)
 		}
-		return got
+		b := &BBC{data: data, nbits: nbits}
+		whole = map[string][]uint64{"count": {uint64(b.Count())}, "stats": {uint64(b.Stats().SetBits)}}
+		bytes := make([]uint64, nw)
+		for j, v := range b.Bytes() {
+			bytes[j>>3] |= uint64(v) << (uint(j) & 7 * 8)
+		}
+		whole["Bytes"] = bytes
+		idBits := make([]uint64, nw)
+		WriteIDs(b, ids, 1)
+		for p, id := range ids {
+			if id == 1 {
+				idBits[p>>6] |= 1 << uint(p&63)
+			}
+		}
+		whole["WriteIDs"] = idBits
+		whole["ToVector"] = flatOf(Bools(ToVector(b)))
+		runBits, pos := make([]uint64, nw), 0
+		for rd := b.Runs(); ; {
+			r, ok := rd.NextRun()
+			if !ok {
+				break
+			}
+			for p := pos; p < min(pos+r.N*SegmentBits, nbits); p++ {
+				if r.Fill && r.Bit == 1 || !r.Fill && r.Word>>uint(p-pos)&1 == 1 {
+					runBits[p>>6] |= 1 << uint(p&63)
+				}
+			}
+			pos += r.N * SegmentBits
+		}
+		whole["Runs"] = runBits
+		iterBits := make([]uint64, nw)
+		b.Iterate(func(p int) bool { iterBits[p>>6] |= 1 << uint(p&63); return true })
+		whole["Iterate"] = iterBits
+		return windows, whole
 	}
 	huge := []byte{bbcOneRun, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F} // a count of 2^63-1
 	for name, data := range map[string][]byte{
@@ -168,14 +193,19 @@ func TestBBCWalkersStopOnMalformedStreams(t *testing.T) {
 			data  []byte
 			nbits int
 		}{{data, short}, {append(prefix[:3:3], data...), long}} {
-			got := walk(c.data, c.nbits)
-			b, err := BBCFromRaw(c.data, c.nbits)
-			if err != nil {
+			got, whole := walk(c.data, c.nbits)
+			if _, err := BBCFromRaw(c.data, c.nbits); err != nil {
 				continue
 			}
-			want := make([]uint64, FlatWords(c.nbits))
-			for j, v := range b.Bytes() {
-				want[j>>3] |= uint64(v) << (uint(j) & 7 * 8)
+			want := whole["Bytes"]
+			for name, w := range whole {
+				if name == "count" || name == "stats" {
+					if w[0] != uint64(CountFlat(want)) {
+						t.Fatalf("stream %x (%d bits): %s %d, its bytes hold %d", c.data, c.nbits, name, w[0], CountFlat(want))
+					}
+				} else if !slices.Equal(w, want) {
+					t.Fatalf("stream %x (%d bits): %s = %x, its bytes are %x", c.data, c.nbits, name, w, want)
+				}
 			}
 			for k, w0 := range []int{0, len(want) / 2, 999 / 8, len(want) - 1} {
 				if got[k] == nil {

@@ -5,14 +5,13 @@ import "fmt"
 // Bitmap is the codec-independent compressed bitvector every analysis layer
 // operates on. Two implementations live in this package, the paper's two
 // run-length codecs: the WAH *Vector (31-bit word-aligned runs) and the
-// byte-aligned *BBC. Both expose the same logical contents through Runs(),
-// a 31-bit-segment-granular run iterator, which is what lets two bitmaps of
-// different codecs be combined without decompressing either. Bitmaps are
-// immutable once built, so they are shared, never copied.
+// byte-aligned *BBC. Bitmaps are immutable once built, so they are shared,
+// never copied.
 //
-// Binary operations accept any Bitmap and merge the two run streams, one
-// body for every codec pairing; the result is WAH (the universal
-// intermediate), re-encoded as BBC when both operands are BBC.
+// Each codec is walked one way: WAH by a loop over its words, BBC token by
+// token (bbcToken). Whatever combines bitmaps, of one codec or two, goes
+// through the flat form (flat.go): each operand ORs itself into flat words,
+// the words are combined, and a result is encoded once, as WAH (ops.go).
 type Bitmap interface {
 	// Len is the logical number of bits.
 	Len() int
@@ -57,102 +56,37 @@ type Run struct {
 	Word uint32 // 31-bit literal payload when !Fill
 }
 
-// RunReader pulls a bitmap's runs in order. It is a pull iterator (not a
-// callback) so two bitmaps can be co-iterated for compressed merges.
+// RunReader pulls a bitmap's runs in order: the words of its WAH form.
 type RunReader interface {
 	// NextRun returns the next run; ok is false when exhausted.
 	NextRun() (r Run, ok bool)
 }
 
-// bmIter adapts a RunReader for merging: it tracks the current run and
-// supports consuming it partially, mirroring the WAH runIter.
-type bmIter struct {
-	r   RunReader
-	run Run
-	ok  bool
-}
-
-func (it *bmIter) reset(r RunReader) {
-	it.r = r
-	it.next()
-}
-
-func (it *bmIter) next() {
-	for {
-		it.run, it.ok = it.r.NextRun()
-		if !it.ok || it.run.N > 0 {
-			return
-		}
-	}
-}
-
-// payload expands the current run's first segment to its 31-bit contents.
-func (it *bmIter) payload() uint32 {
-	if it.run.Fill {
-		if it.run.Bit != 0 {
-			return literalMask
-		}
-		return 0
-	}
-	return it.run.Word & literalMask
-}
-
-func (it *bmIter) consume(n int) {
-	it.run.N -= n
-	if it.run.N <= 0 {
-		it.next()
-	}
-}
-
-// ToVector re-encodes any bitmap as a WAH vector. A *Vector passes through
-// unchanged (bitmaps are immutable, so sharing is safe).
+// ToVector re-encodes any bitmap as a WAH vector: FromFlat of its OrInto.
+// A *Vector passes through unchanged (bitmaps are immutable, so sharing is
+// safe).
 func ToVector(b Bitmap) *Vector {
 	if v, ok := b.(*Vector); ok {
 		return v
 	}
-	var a Appender
-	var it bmIter
-	it.reset(b.Runs())
-	left := b.Len()
-	for it.ok && left > 0 {
-		if it.run.Fill {
-			span := it.run.N * SegmentBits
-			if span <= left {
-				a.AppendFill(it.run.Bit, it.run.N)
-				left -= span
-				it.consume(it.run.N)
-				continue
-			}
-			full := left / SegmentBits
-			if full > 0 {
-				a.AppendFill(it.run.Bit, full)
-				left -= full * SegmentBits
-				it.consume(full)
-			}
-			if left > 0 {
-				a.AppendPartial(it.payload(), left)
-				left = 0
-			}
-			break
-		}
-		if left >= SegmentBits {
-			a.AppendSegment(it.run.Word)
-			left -= SegmentBits
-		} else {
-			a.AppendPartial(it.run.Word, left)
-			left = 0
-		}
-		it.consume(1)
-	}
-	for left >= SegmentBits { // defensive: a short reader pads with zeros
-		full := left / SegmentBits
-		a.AppendFill(0, full)
-		left -= full * SegmentBits
-	}
-	if left > 0 {
-		a.AppendPartial(0, left)
-	}
-	return a.Vector()
+	return FromFlat(flat(b), b.Len())
+}
+
+// flat returns b's bits in a fresh flat buffer.
+func flat(b Bitmap) []uint64 {
+	dst := make([]uint64, FlatWords(b.Len()))
+	b.OrInto(dst, 0, len(dst))
+	return dst
+}
+
+// Bools decompresses any bitmap into a boolean slice (tests/debugging).
+func Bools(b Bitmap) []bool {
+	out := make([]bool, b.Len())
+	b.Iterate(func(pos int) bool {
+		out[pos] = true
+		return true
+	})
+	return out
 }
 
 func checkLen(a, b Bitmap) int {

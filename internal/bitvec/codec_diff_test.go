@@ -1,14 +1,15 @@
 package bitvec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // Differential suite over the two codecs: the same logical bits encoded as
-// WAH and BBC must agree bit-for-bit on every query primitive and on every
-// binary operation, for every codec pairing (4 combinations). This is what
-// keeps a changed kernel or merge from silently diverging.
+// WAH and BBC must agree bit-for-bit on every query primitive. The binary
+// operations, for every codec pairing, are checked against the []bool model
+// in checkFlatKernels.
 
 // codecsOf encodes bs under both codecs.
 func codecsOf(bs []bool) map[string]Bitmap {
@@ -76,39 +77,9 @@ func TestCodecDifferentialUnary(t *testing.T) {
 	}
 }
 
-func TestCodecDifferentialBinary(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for _, n := range []int{31, 93, 100, 1000} {
-		dens := diffDensities(r, n)
-		pairs := [][2]string{
-			{"sparse", "mid"}, {"mid", "heavy"}, {"empty", "full"},
-			{"runs", "sparse"}, {"full", "runs"}, {"heavy", "heavy"},
-		}
-		for _, p := range pairs {
-			aBits, bBits := dens[p[0]], dens[p[1]]
-			as := codecsOf(aBits)
-			bsM := codecsOf(bBits)
-			wantAnd := naiveOp(aBits, bBits, func(x, y bool) bool { return x && y })
-			wantOr := naiveOp(aBits, bBits, func(x, y bool) bool { return x || y })
-			wantXor := naiveOp(aBits, bBits, func(x, y bool) bool { return x != y })
-			for an, a := range as {
-				for bn, b := range bsM {
-					tag := p[0] + "." + an + "×" + p[1] + "." + bn
-					sameBits(t, tag+"/and", a.And(b), wantAnd)
-					sameBits(t, tag+"/or", a.Or(b), wantOr)
-					if got, w := a.AndCount(b), naiveCount(wantAnd, 0, n); got != w {
-						t.Fatalf("%s: AndCount=%d want %d", tag, got, w)
-					}
-					if got, w := a.XorCount(b), naiveCount(wantXor, 0, n); got != w {
-						t.Fatalf("%s: XorCount=%d want %d", tag, got, w)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestCodecOpsPreserveCodec(t *testing.T) {
+// TestPairwiseResultsAreWAH: And and Or encode their result once, from
+// the flat form, as WAH, whatever the operands' codecs.
+func TestPairwiseResultsAreWAH(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	bs := make([]bool, 500)
 	cs := make([]bool, 500)
@@ -118,15 +89,14 @@ func TestCodecOpsPreserveCodec(t *testing.T) {
 	}
 	a := codecsOf(bs)
 	b := codecsOf(cs)
-	if _, ok := a["wah"].And(b["wah"]).(*Vector); !ok {
-		t.Fatal("WAH×WAH did not stay WAH")
-	}
-	if _, ok := a["bbc"].Or(b["bbc"]).(*BBC); !ok {
-		t.Fatal("BBC×BBC did not stay BBC")
-	}
-	// Mixed pairs land on the WAH intermediate.
-	if _, ok := a["bbc"].And(b["wah"]).(*Vector); !ok {
-		t.Fatal("mixed-codec op did not produce a WAH result")
+	for an, x := range a {
+		for bn, y := range b {
+			for op, got := range map[string]Bitmap{"and": x.And(y), "or": x.Or(y)} {
+				if _, ok := got.(*Vector); !ok {
+					t.Fatalf("%s %s %s: result is %T, want WAH", an, op, bn, got)
+				}
+			}
+		}
 	}
 }
 
@@ -167,5 +137,65 @@ func TestRawValidationRejectsMalformed(t *testing.T) {
 	}
 	if _, err := BBCFromRaw([]byte{bbcZeroRun, 1}, 16); err == nil {
 		t.Fatal("BBC short coverage accepted")
+	}
+	// WAH's padding-zero invariant, which BBC's checks above enforce too:
+	// no set bit at or beyond the length, so no one-fill overhangs it.
+	for _, c := range []struct {
+		words []uint32
+		nbits int
+	}{
+		{[]uint32{1 << 5}, 3},
+		{[]uint32{literalMask}, 5},
+		{[]uint32{fillFlag | fillValue | 1}, 3},
+		{[]uint32{fillFlag | fillValue | 2}, 40},
+		{[]uint32{0x2AAAAAAA, fillFlag | fillValue | 1}, 33},
+	} {
+		if _, err := FromRawWords(c.words, c.nbits); err == nil {
+			t.Fatalf("WAH words %x with set bits past length %d accepted", c.words, c.nbits)
+		}
+	}
+}
+
+// TestEqualAgreesWithCounts: every encoding FromRawWords accepts — split
+// fills, a literal of zeros or ones where a fill would do, a zero-fill
+// overhanging the length — is Equal to another of the same bits exactly
+// when XorCount finds no difference, and Count and Bools agree with it.
+// The two that set bits past the length are rejected.
+func TestEqualAgreesWithCounts(t *testing.T) {
+	upTo := func(n int) []int {
+		out := make([]int, n)
+		for p := range out {
+			out[p] = p
+		}
+		return out
+	}
+	for _, c := range []struct {
+		words    []uint32
+		nbits    int
+		bits     []int // the set positions
+		rejected bool
+	}{
+		// Bits past the length, the logical contents those before it.
+		{[]uint32{1 << 5}, 3, nil, true},
+		{[]uint32{fillFlag | fillValue | 1}, 3, upTo(3), true},
+		{[]uint32{fillFlag | 1, fillFlag | 1}, 62, nil, false},
+		{[]uint32{0, fillFlag | 1}, 40, nil, false},
+		{[]uint32{literalMask, 1}, 33, upTo(32), false},
+		{[]uint32{fillFlag | fillValue | 1, fillFlag | 1}, 40, upTo(31), false},
+	} {
+		v, err := FromRawWords(c.words, c.nbits)
+		if (err != nil) != c.rejected {
+			t.Errorf("words %x (%d bits): FromRawWords error %v", c.words, c.nbits, err)
+		}
+		if err != nil {
+			continue
+		}
+		want := Bools(FromIndices(c.nbits, c.bits))
+		sameBits(t, fmt.Sprintf("words %x", c.words), v, want)
+		for cname, o := range codecsOf(want) {
+			if x := v.XorCount(o); x != 0 || !v.Equal(o) || !o.Equal(v) || v.Count() != len(c.bits) {
+				t.Fatalf("words %x (%d bits) vs %s: Equal %v/%v, XorCount %d, Count %d", c.words, c.nbits, cname, v.Equal(o), o.Equal(v), x, v.Count())
+			}
+		}
 	}
 }

@@ -7,32 +7,17 @@ import (
 
 // Count returns the number of set bits. Fill runs are counted in O(1),
 // giving the "fast 1-bits count operations" the paper relies on for EMD and
-// joint-distribution counting.
+// joint-distribution counting; the padding-zero invariant (no one-fill
+// overhangs Len, no literal has a bit past it) makes masking unnecessary.
 func (v *Vector) Count() int {
 	total := 0
-	bitsLeft := v.nbits
-	var it runIter
-	it.reset(v.words)
-	for it.valid() && bitsLeft > 0 {
-		if it.fill {
-			n := it.run * SegmentBits
-			if n > bitsLeft {
-				n = bitsLeft
-			}
-			if it.word&fillValue != 0 {
-				total += n
-			}
-			bitsLeft -= it.run * SegmentBits
-			it.consume(it.run)
-			continue
+	for _, w := range v.words {
+		switch {
+		case w&fillFlag == 0:
+			total += bits.OnesCount32(w)
+		case w&fillValue != 0:
+			total += int(w&countMask) * SegmentBits
 		}
-		w := it.payload()
-		if bitsLeft < SegmentBits {
-			w &= uint32(1)<<uint(bitsLeft) - 1
-		}
-		total += bits.OnesCount32(w)
-		bitsLeft -= SegmentBits
-		it.consume(1)
 	}
 	return total
 }

@@ -206,3 +206,18 @@ func TestWriteIDsShortDstPanics(t *testing.T) {
 	}()
 	WriteIDs(v, make([]int32, 10), 1)
 }
+
+var sinkCount int
+
+// BenchmarkCount is the population count of one 1M-bit ocean-like bin per
+// codec, as an index load and a bits answer's row count pay it per bin.
+func BenchmarkCount(b *testing.B) {
+	for _, c := range oceanLikeBins() {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(c.bm.SizeBytes()))
+			for i := 0; i < b.N; i++ {
+				sinkCount = c.bm.Count()
+			}
+		})
+	}
+}

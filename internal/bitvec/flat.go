@@ -106,8 +106,10 @@ func (v *Vector) seek(bit int) (j, pos int) {
 	return j, seg * SegmentBits
 }
 
-// step holds a token to the walkers' bounds: bbcToken, bbcLongRun and the
-// byte length.
+// step moves past one token, held to the walkers' bounds: bbcToken,
+// bbcLongRun, the byte length and the stream's end. It is how every BBC
+// walker but the hot kernels (OrInto, the masked ones), which inline it,
+// reads the stream.
 func (b *BBC) step(i, at int) (int, int, bool) {
 	n, next := bbcToken(b.data, i)
 	if n < 0 {
@@ -117,7 +119,9 @@ func (b *BBC) step(i, at int) (int, int, bool) {
 		return i, at, false
 	}
 	if b.data[i] < bbcZeroRun {
-		next += n // a literal chunk's bytes
+		if next += n; next > len(b.data) { // a literal chunk's bytes
+			return i, at, false
+		}
 	}
 	return next, at + n, true
 }
@@ -166,6 +170,17 @@ func CountFlat(words []uint64) int {
 		total += bits.OnesCount64(w)
 	}
 	return total
+}
+
+// countFlatRange returns the number of set bits in [from, to) of a flat
+// buffer, from < to.
+func countFlatRange(words []uint64, from, to int) int {
+	first, last := from>>6, (to-1)>>6
+	lo, hi := ^uint64(0)<<uint(from&63), ^uint64(0)>>uint(63-(to-1)&63)
+	if first == last {
+		return bits.OnesCount64(words[first] & lo & hi)
+	}
+	return bits.OnesCount64(words[first]&lo) + CountFlat(words[first+1:last]) + bits.OnesCount64(words[last]&hi)
 }
 
 // orSegment ORs one 31-bit segment payload in at bit position pos, never

@@ -9,8 +9,10 @@ import (
 )
 
 // The flat kernels — OrInto, FromFlat, WriteIDs, the masked id kernels and
-// the byte-stream CountRange — against a []bool model, for every codec. One
-// checker serves the table below and FuzzFlatKernels.
+// the byte-stream CountRange — and what is built on them — the pairwise
+// operations, CountUnits, Equal, Iterate and ToVector — against a []bool
+// model, for every codec and codec pair. One checker serves the table below
+// and FuzzFlatKernels.
 
 // flatOf packs a model into flat words.
 func flatOf(bs []bool) []uint64 {
@@ -213,6 +215,87 @@ func checkOrInto(t *testing.T, tag string, bm Bitmap, bs, pre []bool, w0, w1 int
 	}
 }
 
+// checkWhole checks what reads a whole bitmap: Count, CountUnits, Iterate
+// (all of it and stopped early), ToVector (the canonical WAH words, also
+// through a wrapper that hides the codec) and Equal, which must tell the
+// bitmap from one with a bit flipped.
+func checkWhole(t *testing.T, tag string, bm Bitmap, bs []bool) {
+	t.Helper()
+	n := len(bs)
+	if got, w := bm.Count(), naiveCount(bs, 0, n); got != w {
+		t.Fatalf("%s: Count = %d, want %d", tag, got, w)
+	}
+	for _, unit := range []int{1, 7, 31, 64, 100} {
+		got := bm.CountUnits(unit)
+		if len(got) != (n+unit-1)/unit {
+			t.Fatalf("%s: CountUnits(%d) has %d units", tag, unit, len(got))
+		}
+		for u := range got {
+			if w := naiveCount(bs, u*unit, min((u+1)*unit, n)); got[u] != w {
+				t.Fatalf("%s: CountUnits(%d)[%d] = %d, want %d", tag, unit, u, got[u], w)
+			}
+		}
+	}
+	var want, seen []int
+	for p, b := range bs {
+		if b {
+			want = append(want, p)
+		}
+	}
+	bm.Iterate(func(p int) bool { seen = append(seen, p); return true })
+	if !slices.Equal(seen, want) {
+		t.Fatalf("%s: Iterate visits %v, want %v", tag, seen, want)
+	}
+	seen = seen[:0]
+	bm.Iterate(func(p int) bool { seen = append(seen, p); return len(seen) < 3 })
+	if !slices.Equal(seen, want[:min(3, len(want))]) {
+		t.Fatalf("%s: Iterate stopped after %v, want %v", tag, seen, want[:min(3, len(want))])
+	}
+	ref := FromBools(bs)
+	for _, b := range []Bitmap{bm, opaque{bm}} {
+		if v := ToVector(b); !slices.Equal(v.RawWords(), ref.RawWords()) || v.Len() != n {
+			t.Fatalf("%s: ToVector(%T) = %v, want %v", tag, b, v, ref)
+		}
+	}
+	for cname, o := range codecsOf(bs) {
+		if !bm.Equal(o) || !o.Equal(bm) {
+			t.Fatalf("%s: not Equal to itself as %s", tag, cname)
+		}
+	}
+	if n > 0 {
+		flipped := slices.Clone(bs)
+		flipped[n/2] = !flipped[n/2]
+		for cname, o := range codecsOf(flipped) {
+			if bm.Equal(o) || o.Equal(bm) {
+				t.Fatalf("%s: Equal to itself as %s with bit %d flipped", tag, cname, n/2)
+			}
+		}
+	}
+}
+
+// checkPairwise checks And, Or, AndCount, XorCount and Equal on a and b,
+// whose models are as and bs, both ways round.
+func checkPairwise(t *testing.T, tag string, a, b Bitmap, as, bs []bool) {
+	t.Helper()
+	and := naiveOp(as, bs, func(x, y bool) bool { return x && y })
+	or := naiveOp(as, bs, func(x, y bool) bool { return x || y })
+	xor := naiveCount(naiveOp(as, bs, func(x, y bool) bool { return x != y }), 0, len(as))
+	for _, c := range [][2]Bitmap{{a, b}, {b, a}} {
+		x, y := c[0], c[1]
+		sameBits(t, tag+"/and", x.And(y), and)
+		sameBits(t, tag+"/or", x.Or(y), or)
+		if got, w := x.AndCount(y), naiveCount(and, 0, len(and)); got != w {
+			t.Fatalf("%s: AndCount = %d, want %d", tag, got, w)
+		}
+		if got := x.XorCount(y); got != xor {
+			t.Fatalf("%s: XorCount = %d, want %d", tag, got, xor)
+		}
+		if x.Equal(y) != (xor == 0) {
+			t.Fatalf("%s: Equal = %v with %d bits differing", tag, x.Equal(y), xor)
+		}
+	}
+}
+
 func checkFlatKernels(t *testing.T, name string, bs []bool) {
 	t.Helper()
 	n := len(bs)
@@ -222,8 +305,20 @@ func checkFlatKernels(t *testing.T, name string, bs []bool) {
 	for p := range pre {
 		pre[p] = p%5 == 0
 	}
+	// The second operands of the pairwise operations: pre, and the
+	// complement, which meets every fill of bs with the opposite fill.
+	not := make([]bool, n)
+	for p := range not {
+		not[p] = !bs[p]
+	}
 	for cname, bm := range codecsOf(bs) {
 		tag := fmt.Sprintf("n=%d %s/%s", n, name, cname)
+		checkWhole(t, tag, bm, bs)
+		for _, other := range [][]bool{pre, not} {
+			for oname, o := range codecsOf(other) {
+				checkPairwise(t, tag+"×"+oname, bm, o, bs, other)
+			}
+		}
 		checkOrInto(t, tag, bm, bs, pre, 0, FlatWords(n))
 		for _, w := range windowsOf(n) {
 			checkOrInto(t, tag, bm, bs, pre, w[0], w[1])

@@ -28,62 +28,54 @@ func WriteIDs[T ID](b Bitmap, dst []T, id T) {
 	writeIDsWAH(ToVector(b), dst, id)
 }
 
-// writeIDsWAH turns fill runs into contiguous range writes, so a decode has
-// no per-bit closure overhead.
+// writeIDsWAH turns one-fills into contiguous range writes, so a decode has
+// no per-bit closure overhead; no position needs a bound check (the
+// padding-zero invariant).
 func writeIDsWAH[T ID](v *Vector, dst []T, id T) {
-	var it runIter
-	it.reset(v.words)
-	base := 0
-	for it.valid() && base < v.nbits {
-		if it.fill {
-			end := base + it.run*SegmentBits
-			if it.word&fillValue != 0 {
-				hi := end
-				if hi > v.nbits {
-					hi = v.nbits
-				}
-				for p := base; p < hi; p++ {
-					dst[p] = id
-				}
+	pos := 0
+	for _, w := range v.words {
+		if w&fillFlag == 0 {
+			for ; w != 0; w &= w - 1 {
+				dst[pos+bits.TrailingZeros32(w)] = id
 			}
-			base = end
-			it.consume(it.run)
+			pos += SegmentBits
 			continue
 		}
-		w := it.payload()
-		for w != 0 {
-			j := bits.TrailingZeros32(w)
-			if p := base + j; p < v.nbits {
-				dst[p] = id
-			}
-			w &= w - 1
+		end := pos + int(w&countMask)*SegmentBits
+		if w&fillValue != 0 {
+			fillIDs(dst[pos:end], id)
 		}
-		base += SegmentBits
-		it.consume(1)
+		pos = end
 	}
 }
 
-// writeIDsBBC reads straight off the byte stream: one-runs are range
-// writes, literal bytes are walked bit by bit (their padding is zero, so no
-// position needs a bound check).
+// writeIDsBBC reads straight off the byte stream, token by token: one-runs
+// are range writes, literal bytes are walked bit by bit (the padding-zero
+// invariant: no position needs a bound check).
 func writeIDsBBC[T ID](b *BBC, dst []T, id T) {
-	var t bbcTokIter
-	t.reset(b.data)
-	base := 0 // first bit of the current run or chunk
-	for t.valid() {
-		switch {
-		case !t.fill:
-			for j, v := range t.lit[t.lp : t.lp+t.n] {
-				for p := base + 8*j; v != 0; v &= v - 1 {
+	data := b.data
+	for i, at := 0, 0; i < len(data); {
+		next, end, ok := b.step(i, at)
+		if !ok {
+			return
+		}
+		switch data[i] {
+		case bbcZeroRun:
+		case bbcOneRun:
+			fillIDs(dst[8*at:8*end], id)
+		default: // the chunk's bytes end at next
+			for j, v := range data[next-(end-at) : next] {
+				for p := 8 * (at + j); v != 0; v &= v - 1 {
 					dst[p+bits.TrailingZeros8(v)] = id
 				}
 			}
-		case t.fb != 0:
-			for p, end := base, min(base+8*t.n, b.nbits); p < end; p++ {
-				dst[p] = id
-			}
 		}
-		base += 8 * t.n
-		t.consume(t.n)
+		i, at = next, end
+	}
+}
+
+func fillIDs[T ID](dst []T, id T) {
+	for p := range dst {
+		dst[p] = id
 	}
 }

@@ -24,6 +24,15 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Bits != 14*SegmentBits || st.SetBits != 2+3*SegmentBits {
 		t.Fatalf("bit accounting %+v", st)
 	}
+	// BBC's tallies are per token: a zero run of 10 bytes, a literal byte,
+	// a one run of 3 bytes.
+	raw := append(make([]byte, 10), 0x05, 0xFF, 0xFF, 0xFF)
+	bst := BBCFromBytes(raw, 8*len(raw)).Stats()
+	want := Stats{LiteralWords: 1, FillWords: 2, ZeroFillWords: 1, OneFillWords: 1,
+		FilledSegments: 13 * 8 / SegmentBits, Bits: 8 * len(raw), SetBits: 2 + 24, PhysicalBytes: 6}
+	if bst != want {
+		t.Fatalf("BBC stats %+v, want %+v", bst, want)
+	}
 }
 
 func TestStatsConsistentWithWords(t *testing.T) {

@@ -29,15 +29,6 @@ func SetTelemetry(r *telemetry.Registry) {
 
 func init() { SetTelemetry(telemetry.Default) }
 
-// countOp records one materializing bitwise operation (And or Or).
-func countOp(k opKind) {
-	if k == opAnd {
-		tel.opAnd.Inc()
-	} else {
-		tel.opOr.Inc()
-	}
-}
-
 // flushTelemetry folds the appender's private word tallies into the package
 // counters; called once per finalized vector (Appender.Vector).
 func (a *Appender) flushTelemetry() {

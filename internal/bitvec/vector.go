@@ -8,12 +8,14 @@
 //   - fill word: bit 31 = 1, bit 30 is the fill value, bits 0..29 count how
 //     many consecutive 31-bit segments carry that value.
 //
-// The bitwise operations (And, Or, AndCount, XorCount) work directly on the
-// compressed form, never materializing the uncompressed bits, as does
-// counting (Count, CountRange). The package also provides the streaming
-// Appender of the paper's in-place compression (Algorithm 1), the
-// RunEncoder the index build writes either codec with from runs of set bits,
-// and the byte-aligned (BBC-style) codec, the paper's other run-length code.
+// Counting (Count, CountRange) and the id decode (WriteIDs) walk the
+// compressed words, one loop per codec, never materializing the
+// uncompressed bits. Whatever combines bitmaps — And, Or, the counts of
+// both — goes through the flat form (flat.go), where k bitmaps combine with
+// one encode at the end. The package also provides the streaming Appender
+// of the paper's in-place compression (Algorithm 1), the RunEncoder the
+// index build writes either codec with from runs of set bits, and the
+// byte-aligned (BBC-style) codec, the paper's other run-length code.
 package bitvec
 
 import (
@@ -102,82 +104,41 @@ func FromRawWords(words []uint32, nbits int) (*Vector, error) {
 	if total < nbits || total-nbits >= SegmentBits {
 		return nil, fmt.Errorf("bitvec: words cover %d bits, incompatible with declared length %d", total, nbits)
 	}
+	// The padding-zero invariant: no bit at or beyond nbits is set, so the
+	// walkers need no mask. Only a trailing zero-fill may overhang.
+	if pad := total - nbits; pad > 0 {
+		last := words[len(words)-1]
+		oneFill := last&(fillFlag|fillValue) == fillFlag|fillValue
+		if oneFill || last&fillFlag == 0 && last>>uint(SegmentBits-pad) != 0 {
+			return nil, fmt.Errorf("bitvec: encoding has set bits beyond length %d", nbits)
+		}
+	}
 	return &Vector{words: append([]uint32(nil), words...), nbits: nbits}, nil
-}
-
-// Equal reports whether two bitmaps have identical logical contents.
-// Physical encodings may differ (e.g. two adjacent fills vs one); Equal
-// compares run-by-run, not word-by-word.
-func (v *Vector) Equal(bm Bitmap) bool {
-	o, ok := bm.(*Vector)
-	if !ok {
-		return genericEqual(v, bm)
-	}
-	if v.nbits != o.nbits {
-		return false
-	}
-	var a, b runIter
-	a.reset(v.words)
-	b.reset(o.words)
-	for a.valid() && b.valid() {
-		n := a.run
-		if b.run < n {
-			n = b.run
-		}
-		if a.fill && b.fill {
-			if a.fillBit() != b.fillBit() {
-				return false
-			}
-		} else {
-			// at least one is a literal, so n == 1 for that side; compare payloads
-			if a.payload() != b.payload() {
-				return false
-			}
-			n = 1
-		}
-		a.consume(n)
-		b.consume(n)
-	}
-	return !a.valid() && !b.valid()
 }
 
 // Iterate calls fn for each set bit in ascending order; fn returning false
 // stops the iteration early.
 func (v *Vector) Iterate(fn func(pos int) bool) {
-	var it runIter
-	it.reset(v.words)
-	base := 0
-	for it.valid() {
-		if it.fill {
-			if it.word&fillValue != 0 {
-				end := base + it.run*SegmentBits
-				if end > v.nbits {
-					end = v.nbits
-				}
-				for p := base; p < end; p++ {
+	pos := 0
+	for _, w := range v.words {
+		if w&fillFlag != 0 {
+			end := pos + int(w&countMask)*SegmentBits
+			if w&fillValue != 0 {
+				for p := pos; p < end; p++ {
 					if !fn(p) {
 						return
 					}
 				}
 			}
-			base += it.run * SegmentBits
-			it.consume(it.run)
+			pos = end
 			continue
 		}
-		w := it.payload()
-		for w != 0 {
-			j := bits.TrailingZeros32(w)
-			p := base + j
-			if p >= v.nbits {
-				break
-			}
-			if !fn(p) {
+		for ; w != 0; w &= w - 1 {
+			if !fn(pos + bits.TrailingZeros32(w)) {
 				return
 			}
-			w &= w - 1
 		}
-		base += SegmentBits
-		it.consume(1)
+		pos += SegmentBits
 	}
 }
 
@@ -203,89 +164,22 @@ func (v *Vector) String() string {
 	return sb.String()
 }
 
-// Runs streams the contents at segment granularity (see Bitmap).
-func (v *Vector) Runs() RunReader {
-	r := &vecRunReader{}
-	r.it.reset(v.words)
-	return r
-}
+// Runs streams the contents at segment granularity (see Bitmap): one run
+// per word.
+func (v *Vector) Runs() RunReader { return &vecRunReader{v.words} }
 
-type vecRunReader struct{ it runIter }
+type vecRunReader struct{ words []uint32 }
 
 func (r *vecRunReader) NextRun() (Run, bool) {
-	if !r.it.valid() {
+	if len(r.words) == 0 {
 		return Run{}, false
 	}
-	if r.it.fill {
-		run := Run{Fill: true, Bit: r.it.fillBit(), N: r.it.run}
-		r.it.consume(r.it.run)
-		return run, true
+	w := r.words[0]
+	r.words = r.words[1:]
+	if w&fillFlag != 0 {
+		return Run{Fill: true, Bit: w & fillValue >> 30, N: int(w & countMask)}, true
 	}
-	run := Run{N: 1, Word: r.it.payload()}
-	r.it.consume(1)
-	return run, true
+	return Run{N: 1, Word: w & literalMask}, true
 }
 
 var _ Bitmap = (*Vector)(nil)
-
-// runIter walks the encoded words as a sequence of runs. For a fill word the
-// run is its segment count; for a literal the run is 1. consume(n) advances
-// by n segments within the current run (n must not exceed run).
-type runIter struct {
-	words []uint32
-	pos   int
-	fill  bool
-	word  uint32 // current raw word
-	run   int    // remaining segments in current run
-}
-
-func (it *runIter) reset(words []uint32) {
-	it.words = words
-	it.pos = 0
-	it.load()
-}
-
-func (it *runIter) load() {
-	if it.pos >= len(it.words) {
-		it.run = 0
-		return
-	}
-	w := it.words[it.pos]
-	it.word = w
-	if w&fillFlag != 0 {
-		it.fill = true
-		it.run = int(w & countMask)
-	} else {
-		it.fill = false
-		it.run = 1
-	}
-}
-
-func (it *runIter) valid() bool { return it.run > 0 }
-
-// payload returns the expanded 31-bit segment content of the current run.
-func (it *runIter) payload() uint32 {
-	if it.fill {
-		if it.word&fillValue != 0 {
-			return literalMask
-		}
-		return 0
-	}
-	return it.word & literalMask
-}
-
-// fillBit reports the repeated bit of a fill run (only valid when fill).
-func (it *runIter) fillBit() uint32 {
-	if it.word&fillValue != 0 {
-		return 1
-	}
-	return 0
-}
-
-func (it *runIter) consume(n int) {
-	it.run -= n
-	if it.run == 0 {
-		it.pos++
-		it.load()
-	}
-}

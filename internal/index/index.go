@@ -204,29 +204,22 @@ func (x *Index) SizeBytes() int {
 }
 
 // Query returns the bitvector of elements whose value lies in [lo, hi),
-// OR-ing together every bin overlapping the range. Bins straddling the
-// endpoints are included whole (bin-granular semantics, as in the paper).
+// OR-ing together every bin overlapping the range into one flat buffer and
+// encoding it once, as WAH. Bins straddling the endpoints are included
+// whole (bin-granular semantics, as in the paper).
 func (x *Index) Query(lo, hi float64) bitvec.Bitmap {
 	tel.queries.Inc()
 	if tel.orMergeNs != nil {
 		start := time.Now()
 		defer func() { tel.orMergeNs.Record(time.Since(start).Nanoseconds()) }()
 	}
-	var acc bitvec.Bitmap
+	buf := make([]uint64, bitvec.FlatWords(x.n))
 	for b := 0; b < x.Bins(); b++ {
-		if x.mapper.High(b) <= lo || x.mapper.Low(b) >= hi {
-			continue
-		}
-		if acc == nil {
-			acc = x.vecs[b]
-		} else {
-			acc = acc.Or(x.vecs[b])
+		if x.mapper.High(b) > lo && x.mapper.Low(b) < hi {
+			x.vecs[b].OrInto(buf, 0, len(buf))
 		}
 	}
-	if acc == nil {
-		return bitvec.FromIndices(x.n, nil)
-	}
-	return acc
+	return bitvec.FromFlat(buf, x.n)
 }
 
 // StreamBuilder incrementally indexes a stream of values, consumed chunk by
@@ -418,8 +411,8 @@ func fromRuns(m binning.Mapper, lists []*runList, n, nWorkers int, id codec.ID, 
 
 // MultiLevel couples a fine low-level index with a coarse high-level one
 // (Figure 1's value-interval vectors). The high-level vectors are the ORs of
-// their low-level children, so they are derived rather than rebuilt from
-// data.
+// their low-level children, each ORed in one flat buffer and encoded once
+// as WAH, so they are derived rather than rebuilt from data.
 type MultiLevel struct {
 	Low  *Index
 	High *Index
@@ -434,18 +427,15 @@ func BuildMultiLevel(low *Index, fanout int) (*MultiLevel, error) {
 		return nil, err
 	}
 	high := &Index{mapper: g, vecs: make([]bitvec.Bitmap, g.Bins()), counts: make([]int, g.Bins()), n: low.n, gen: nextGeneration()}
+	buf := make([]uint64, bitvec.FlatWords(low.n))
 	for h := 0; h < g.Bins(); h++ {
 		lo, hi := g.Children(h)
-		var acc bitvec.Bitmap = low.vecs[lo]
-		for b := lo + 1; b < hi; b++ {
-			acc = acc.Or(low.vecs[b])
-		}
-		high.vecs[h] = acc
-		c := 0
+		clear(buf)
 		for b := lo; b < hi; b++ {
-			c += low.counts[b]
+			low.vecs[b].OrInto(buf, 0, len(buf))
+			high.counts[h] += low.counts[b]
 		}
-		high.counts[h] = c
+		high.vecs[h] = bitvec.FromFlat(buf, low.n)
 	}
 	return &MultiLevel{Low: low, High: high, G: g}, nil
 }

@@ -148,12 +148,6 @@ func SumMasked(ctx context.Context, x *index.Index, mask bitvec.Bitmap) (Aggrega
 	return a.Agg, err
 }
 
-// SumMaskedAnalyze is SumMasked with a measured profile.
-func SumMaskedAnalyze(ctx context.Context, x *index.Index, mask bitvec.Bitmap) (Aggregate, *Profile, error) {
-	a, p, err := run(ctx, Request{Op: opSumMasked}, x, nil, mask, acctFull)
-	return a.Agg, p, err
-}
-
 // MeanMasked is SumMasked divided by the selected count.
 func MeanMasked(ctx context.Context, x *index.Index, mask bitvec.Bitmap) (Aggregate, error) {
 	sum, err := SumMasked(ctx, x, mask)

@@ -44,12 +44,3 @@ func WriteRawCtx(ctx context.Context, w io.Writer, data []float64) (int64, error
 	sp.End()
 	return n, err
 }
-
-// ReadRawCtx is ReadRaw with a trace span recorded under ctx.
-func ReadRawCtx(ctx context.Context, r io.Reader) ([]float64, error) {
-	sp := telemetry.SpanFromContext(ctx).Child("store.read_raw")
-	data, err := ReadRaw(r)
-	sp.SetAttrInt("values", int64(len(data)))
-	sp.End()
-	return data, err
-}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"insitubits/internal/binning"
@@ -22,10 +23,35 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte("ISBM"))
 	f.Add([]byte{})
 	f.Add(LegacyDenseFile(LegacyDenseIndex(f), 3, nil))
+	// A v1 file of three elements whose second bin, one literal word, has
+	// bit 5 set: a bit past the length, which no reader may accept.
+	buf.Reset()
+	if _, err := WriteIndexV1(&buf, buildIndexF(f, 3, 2)); err != nil {
+		f.Fatal(err)
+	}
+	past := buf.Bytes()
+	binary.LittleEndian.PutUint32(past[len(past)-4:], 1<<5)
+	f.Add(past)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		y, err := ReadIndex(bytes.NewReader(data))
-		if err == nil && y.Bins() == 0 {
+		if err != nil {
+			return
+		}
+		if y.Bins() == 0 {
 			t.Fatal("parsed index with zero bins")
+		}
+		for b := 0; b < y.Bins(); b++ {
+			bm, n := y.Bitmap(b), 0
+			bm.Iterate(func(p int) bool {
+				if p >= y.N() {
+					t.Fatalf("bin %d has bit %d set past %d elements", b, p, y.N())
+				}
+				n++
+				return true
+			})
+			if n != bm.Count() {
+				t.Fatalf("bin %d: Count %d, Iterate visits %d", b, bm.Count(), n)
+			}
 		}
 	})
 }

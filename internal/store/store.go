@@ -98,29 +98,6 @@ func WriteIndex(w io.Writer, x *index.Index) (int64, error) {
 	return cw.n, nil
 }
 
-// WriteIndexV2 serializes an index in the version-2 layout (per-bin codec
-// tags, no checksums). Kept so tools that must interoperate with pre-v3
-// readers can still produce v2 files.
-func WriteIndexV2(w io.Writer, x *index.Index) (int64, error) {
-	defer timeIO(tel.writeNs)()
-	bw := bufio.NewWriter(w)
-	cw := &sumWriter{w: bw}
-	if err := writeHeaderVersion(cw, x, versionV2); err != nil {
-		return cw.n, err
-	}
-	for b := 0; b < x.Bins(); b++ {
-		if err := writeBinV2(cw, x, b); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	tel.indexesWritten.Inc()
-	tel.bytesWritten.Add(cw.n)
-	return cw.n, nil
-}
-
 // writeBinV2 emits one codec-tagged bin record (the v2 layout, which v3
 // wraps with a trailing checksum).
 func writeBinV2(cw *sumWriter, x *index.Index, b int) error {

@@ -110,7 +110,7 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 			}
 			for lo := 0; lo+w <= x.Bins(); lo++ {
 				cond := Condition{Var: vi, BinLo: lo, BinHi: lo + w}
-				extent := conditionExtent(x, cond)
+				extent := conditionExtent(x, cond, nil)
 				sg, ok := evaluate([]Condition{cond}, extent, target, globalMean, cfg)
 				if ok {
 					beam = append(beam, sg)
@@ -126,6 +126,8 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 	for depth := 2; depth <= cfg.MaxConditions; depth++ {
 		var next []Subgroup
 		for _, sg := range beam {
+			within := make([]uint64, bitvec.FlatWords(sg.extent.Len()))
+			sg.extent.OrInto(within, 0, len(within))
 			used := map[int]bool{}
 			for _, c := range sg.Conditions {
 				used[c.Var] = true
@@ -140,7 +142,7 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 					}
 					for lo := 0; lo+w <= x.Bins(); lo++ {
 						cond := Condition{Var: vi, BinLo: lo, BinHi: lo + w}
-						extent := sg.extent.And(conditionExtent(x, cond))
+						extent := conditionExtent(x, cond, within)
 						conds := append(append([]Condition(nil), sg.Conditions...), cond)
 						child, ok := evaluate(conds, extent, target, globalMean, cfg)
 						if ok {
@@ -164,13 +166,18 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 	return best, nil
 }
 
-// conditionExtent ORs the condition's bin vectors.
-func conditionExtent(x *index.Index, c Condition) bitvec.Bitmap {
-	acc := x.Bitmap(c.BinLo)
-	for b := c.BinLo + 1; b < c.BinHi; b++ {
-		acc = acc.Or(x.Bitmap(b))
+// conditionExtent ORs the condition's bin vectors into one flat buffer,
+// ANDs it with within (a parent extent's flat words) unless that is nil,
+// and encodes the result once.
+func conditionExtent(x *index.Index, c Condition, within []uint64) bitvec.Bitmap {
+	buf := make([]uint64, bitvec.FlatWords(x.N()))
+	for b := c.BinLo; b < c.BinHi; b++ {
+		x.Bitmap(b).OrInto(buf, 0, len(buf))
 	}
-	return acc
+	for i := range within {
+		buf[i] &= within[i]
+	}
+	return bitvec.FromFlat(buf, x.N())
 }
 
 // evaluate scores one candidate; ok is false when pruned by MinCount.

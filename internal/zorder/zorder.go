@@ -16,9 +16,9 @@
 package zorder
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Tile is the number of curve positions ordered row-major inside one Z-order
@@ -89,7 +89,7 @@ func NewLayout3(nx, ny, nz int) (*Layout3, error) {
 			}
 		}
 	}
-	sort.Slice(items, func(a, b int) bool { return items[a].code < items[b].code })
+	slices.SortFunc(items, func(a, b cm) int { return cmp.Compare(a.code, b.code) })
 	for pos, it := range items {
 		l.fromZ[pos] = it.row
 	}
