@@ -20,12 +20,13 @@ import (
 //	bitmapctl diag -addr localhost:6060 -out diag.tar.gz
 //	bitmapctl diag -addr localhost:6060 -qlog workload.isql -fsck outdir/ -out diag.tar.gz
 //
-// The bundle holds the debug surfaces (healthz, telemetry, both metrics
-// expositions, the metrics-history ring, traces, run, query-server and
-// cache status), a one-second CPU profile plus heap and goroutine profiles
-// from /debug/pprof (gzipped pprof protos for `go tool pprof`), and — when
-// pointed at local artifacts — a workload-log tail and summary, a
-// slow-log tail, and an fsck summary of an output directory. Endpoints the server does not expose are recorded as
+// The bundle holds the debug surfaces (healthz, telemetry with its
+// histogram exemplars, the Prometheus metrics, the metrics-history ring,
+// traces, run, query-server and cache status), a one-second CPU profile
+// plus heap and goroutine profiles from /debug/pprof (gzipped pprof protos
+// for `go tool pprof`), and — when pointed at local artifacts — a
+// workload-log tail and summary, a slow-log tail, and an fsck summary of an
+// output directory. Endpoints the server does not expose are recorded as
 // missing in MANIFEST.json rather than failing the capture: a degraded
 // server is exactly when a bundle matters most.
 func cmdDiag(args []string) error {
@@ -59,7 +60,6 @@ func cmdDiag(args []string) error {
 		{"healthz.json", base + "/healthz"},
 		{"telemetry.json", base + "/telemetry"},
 		{"metrics.prom", base + "/metrics"},
-		{"metrics.om", base + "/metrics?format=openmetrics"},
 		{"metrics-history.json", base + "/debug/metrics/history"},
 		{"run.json", base + "/debug/run"},
 		{"serve.json", base + "/debug/serve"},

@@ -14,9 +14,10 @@ import (
 )
 
 // TestDiagBundlesPprofProfiles drives `diag` against a live debug server
-// and opens the bundle: the debug surfaces are there, a surface this
-// server does not expose is a recorded miss, and the cpu, heap and
-// goroutine profiles are non-empty gzipped pprof protos recorded ok.
+// and opens the bundle: the debug surfaces are there, with one metrics
+// exposition, a surface this server does not expose is a recorded miss,
+// and the cpu, heap and goroutine profiles are non-empty gzipped pprof
+// protos recorded ok.
 func TestDiagBundlesPprofProfiles(t *testing.T) {
 	reg := insitubits.NewTelemetryRegistry()
 	srv, err := reg.ServeDebug("127.0.0.1:0")
@@ -30,14 +31,19 @@ func TestDiagBundlesPprofProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	sections := readBundle(t, bundle)
-	for _, name := range []string{"healthz.json", "telemetry.json", "metrics.prom",
-		"metrics.om", "MANIFEST.json"} {
+	for _, name := range []string{"healthz.json", "telemetry.json", "metrics.prom", "MANIFEST.json"} {
 		if _, ok := sections[name]; !ok {
 			t.Errorf("bundle missing %s; has %v", name, keys(sections))
 		}
 	}
-	if !strings.Contains(string(sections["metrics.om"]), "# EOF") {
-		t.Error("bundled OpenMetrics exposition unterminated")
+	var expositions []string
+	for name := range sections {
+		if strings.HasPrefix(name, "metrics.") {
+			expositions = append(expositions, name)
+		}
+	}
+	if len(expositions) != 1 {
+		t.Errorf("bundle holds metrics expositions %v, want only metrics.prom", expositions)
 	}
 	var man struct {
 		Sections map[string]string `json:"sections"`

@@ -4,7 +4,7 @@
 //	bitmapctl build -in data.israw -out index.isbm [-bins N] [-codec auto|wah|bbc]
 //	bitmapctl info  index.isbm
 //	bitmapctl stat  index.isbm
-//	bitmapctl convert -codec wah [-v1] -in index.isbm -out recoded.isbm
+//	bitmapctl convert -codec wah -in index.isbm -out recoded.isbm
 //	bitmapctl query [-op OP] [-lo V -hi V] [-slo P -shi P] index.isbm [b.isbm]
 //	bitmapctl explain -op count -lo V -hi V index.isbm
 //	bitmapctl histogram index.isbm
@@ -48,7 +48,7 @@ import (
 func main() {
 	global := flag.NewFlagSet("bitmapctl", flag.ExitOnError)
 	global.Usage = func() { usage() }
-	debugAddr := global.String("debug-addr", "", "serve live telemetry, expvar and pprof on this address (e.g. :6060)")
+	debugAddr := global.String("debug-addr", "", "serve live telemetry, metrics, traces and pprof on this address (e.g. :6060)")
 	cacheMB := global.Int("cache-mb", 0, "install a materialized-bitmap cache of this many MB for the command (0 = off)")
 	qlogPath := global.String("qlog", "", "capture every executed query into this workload log (.isql)")
 	global.Parse(os.Args[1:]) // stops at the subcommand (first non-flag)
@@ -289,14 +289,13 @@ func cmdStat(args []string) error {
 	return nil
 }
 
-// cmdConvert re-encodes an index file under a different codec (or down to
-// the legacy v1 layout with -v1, which is always all-WAH on disk).
+// cmdConvert re-encodes an index file under a different codec and writes it
+// as v3, whatever version it was read from.
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("in", "", "input index file (.isbm)")
 	out := fs.String("out", "", "output index file (.isbm)")
 	codecName := fs.String("codec", "auto", "target codec: auto | wah | bbc")
-	v1 := fs.Bool("v1", false, "write the legacy all-WAH v1 layout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -318,12 +317,7 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	defer g.Close()
-	var written int64
-	if *v1 {
-		written, err = insitubits.WriteIndexFileV1(g, x)
-	} else {
-		written, err = insitubits.WriteIndexFile(g, x)
-	}
+	written, err := insitubits.WriteIndexFile(g, x)
 	if err != nil {
 		return err
 	}

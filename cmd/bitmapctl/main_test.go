@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,31 +99,51 @@ func TestCodecFlagConvertAndStat(t *testing.T) {
 			}
 		}
 	}
-	// convert re-encodes, and -v1 emits the legacy layout that still loads.
+	// convert re-encodes.
 	conv := filepath.Join(dir, "conv.isbm")
 	if err := cmdConvert([]string{"-in", paths["bbc"], "-out", conv, "-codec", "wah"}); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(dir, "legacy.isbm")
-	if err := cmdConvert([]string{"-in", paths["auto"], "-out", legacy, "-codec", "wah", "-v1"}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := loadIndex(paths["wah"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{conv, legacy} {
-		x, err := loadIndex(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+	x, err := loadIndex(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.N() != want.N() || x.Bins() != want.Bins() {
+		t.Fatal("shape changed")
+	}
+	for b := 0; b < x.Bins(); b++ {
+		if x.Codec(b) != insitubits.CodecWAH || !x.Bitmap(b).Equal(want.Bitmap(b)) {
+			t.Fatalf("bin %d diverged after conversion", b)
 		}
-		if x.N() != want.N() || x.Bins() != want.Bins() {
-			t.Fatalf("%s: shape changed", p)
-		}
-		for b := 0; b < x.Bins(); b++ {
-			if x.Codec(b) != insitubits.CodecWAH || !x.Bitmap(b).Equal(want.Bitmap(b)) {
-				t.Fatalf("%s: bin %d diverged after conversion", p, b)
-			}
+	}
+	// A legacy v1 file converts to v3 with the same bits.
+	v1 := filepath.Join("..", "..", "internal", "store", "testdata", "v1.isbm")
+	v3 := filepath.Join(dir, "from-v1.isbm")
+	if err := cmdConvert([]string{"-in", v1, "-out", v3, "-codec", "auto"}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := loadIndex(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := os.ReadFile(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(head) < 8 || binary.LittleEndian.Uint32(head[4:8]) != 3 {
+		t.Fatalf("convert of a v1 file wrote header % x, want version 3", head[:min(8, len(head))])
+	}
+	x, err = loadIndex(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < old.Bins(); b++ {
+		if !x.Bitmap(b).Equal(old.Bitmap(b)) || x.Count(b) != old.Count(b) {
+			t.Fatalf("bin %d diverged converting v1 to v3", b)
 		}
 	}
 	// Bad codec names — the retired dense included — error cleanly everywhere.

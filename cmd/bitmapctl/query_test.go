@@ -2,10 +2,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -161,6 +163,40 @@ func TestLocalQueryHonoursOpAndSpatialRange(t *testing.T) {
 		}
 		if err := cmdQuery([]string{"-addr", ts.URL, "-var", "v", "-slo", r[0], "-shi", r[1]}); err == nil {
 			t.Errorf("remote query over [%s,%s) answered", r[0], r[1])
+		}
+	}
+}
+
+// TestBadRequestExitsNonZero runs the command as a process: a NaN quantile
+// and a value range with -lo but no -hi are refused with a non-zero exit,
+// by query and explain alike, instead of answering over the whole variable.
+func TestBadRequestExitsNonZero(t *testing.T) {
+	if args := os.Getenv("BITMAPCTL_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"bitmapctl"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	dir := t.TempDir()
+	raw, idx := filepath.Join(dir, "v.israw"), filepath.Join(dir, "v.isbm")
+	if err := cmdGenRaw([]string{"-out", raw, "-steps", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdBuild([]string{"-in", raw, "-out", idx, "-bins", "16"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"query", "-op", "quantile", "-q", "NaN", idx},
+		{"explain", "-op", "quantile", "-q", "NaN", idx},
+		{"query", "-lo", "50", idx},
+		{"query", "-lo", "90", "-hi", "50", idx},
+		{"explain", "-lo", "50", idx},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadRequestExitsNonZero$")
+		cmd.Env = append(os.Environ(), "BITMAPCTL_TEST_ARGS="+strings.Join(args, "\n"))
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("bitmapctl %s: exit %v, want non-zero\n%s", strings.Join(args[:len(args)-1], " "), err, out)
 		}
 	}
 }

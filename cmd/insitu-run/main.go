@@ -20,7 +20,7 @@
 // resumes with -resume and `bitmapctl fsck` can audit the directory.
 //
 // Observability (see docs/OBSERVABILITY.md): -debug-addr starts a debug
-// HTTP server with live expvar counters, Prometheus /metrics, the pipeline
+// HTTP server with live JSON counters, Prometheus /metrics, the pipeline
 // span tree, the live /debug/run dashboard and pprof; -telemetry dumps the
 // full telemetry snapshot as JSON after the run; -slowlog/-slowlog-threshold
 // emit every query slower than the threshold as a JSON line with its full
@@ -32,16 +32,14 @@
 // attributes CPU to them.
 //
 // Identity tracing: -trace records one TraceID'd span tree per pipeline
-// step, browsable at /debug/traces (plain, Chrome trace-event, or OTLP
-// JSON). -trace-sample keeps 1 of every N step traces, -trace-slow always
-// keeps steps slower than the given duration regardless of sampling,
-// -trace-ring sizes the in-memory ring of kept traces, and -trace-otlp
-// additionally appends every kept trace to a file as OTLP JSON lines.
+// step, browsable as JSON at /debug/traces. -trace-sample keeps 1 of every
+// N step traces, -trace-slow always keeps steps slower than the given
+// duration regardless of sampling, and -trace-ring sizes the in-memory ring
+// of kept traces.
 //
 //	insitu-run -sim heat3d -debug-addr :6060 -steps 200 -select 50 -hold
 //	insitu-run -sim heat3d -slowlog slow.jsonl -slowlog-threshold 5ms
-//	insitu-run -sim heat3d -trace -trace-sample 10 -trace-slow 50ms \
-//	    -trace-otlp traces.jsonl -debug-addr :6060
+//	insitu-run -sim heat3d -trace -trace-sample 10 -trace-slow 50ms -debug-addr :6060
 package main
 
 import (
@@ -77,7 +75,7 @@ func main() {
 	dim := flag.Int("dim", 32, "grid/mesh edge length")
 	outDir := flag.String("out", "", "persist selected summaries (+manifest.json) to this directory")
 	resume := flag.Bool("resume", false, "continue a crashed run from -out's journal instead of starting over")
-	debugAddr := flag.String("debug-addr", "", "serve live telemetry, expvar and pprof on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve live telemetry, metrics, traces and pprof on this address (e.g. :6060)")
 	telemetryDump := flag.Bool("telemetry", false, "print the telemetry snapshot as JSON after the run")
 	slowLog := flag.String("slowlog", "", `slow-query log destination: "stderr" or a file path (JSON lines)`)
 	slowLogThreshold := flag.Duration("slowlog-threshold", 10*time.Millisecond, "log queries slower than this (with -slowlog)")
@@ -86,37 +84,20 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "keep 1 of every N traces (head sampling; 1 keeps all)")
 	traceSlow := flag.Duration("trace-slow", 0, "always keep traces slower than this, regardless of sampling")
 	traceRing := flag.Int("trace-ring", 256, "completed traces held in memory")
-	traceOTLP := flag.String("trace-otlp", "", "append kept traces to this file as OTLP JSON lines (implies -trace)")
 	hold := flag.Bool("hold", false, "keep the process (and debug server) alive after the report; ctrl-C shuts down cleanly")
 	flag.Parse()
 
-	var otlpErr func() error
-	if *trace || *traceOTLP != "" {
+	if *trace {
 		rec := insitubits.NewTraceRecorder(insitubits.TraceConfig{
 			Capacity:      *traceRing,
 			SampleEvery:   *traceSample,
 			SlowThreshold: *traceSlow,
 		})
-		if *traceOTLP != "" {
-			f, err := os.OpenFile(*traceOTLP, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			var sink func(*insitubits.Trace)
-			sink, otlpErr = insitubits.NewOTLPFileSink(f)
-			rec.SetSink(sink)
-		}
 		insitubits.SetTraceRecorder(rec)
 		defer func() {
 			st := rec.Stats()
 			fmt.Printf("traces:         %d started, %d kept (%d slow), %d dropped\n",
 				st.Started, st.Kept, st.KeptSlow, st.Dropped)
-			if otlpErr != nil {
-				if err := otlpErr(); err != nil {
-					log.Printf("trace export: %v", err)
-				}
-			}
 		}()
 	}
 
@@ -134,7 +115,7 @@ func main() {
 		insitubits.Telemetry.EnableRuntimeMetrics()
 		hist := insitubits.StartMetricsHistory(insitubits.Telemetry, time.Second, 300)
 		defer hist.Stop()
-		fmt.Printf("debug server:   http://%s  (/telemetry /metrics /debug/metrics/history /debug/vars /debug/pprof/, pprof-labelled)\n", dbg.Addr)
+		fmt.Printf("debug server:   http://%s  (/telemetry /metrics /debug/metrics/history /debug/traces /debug/pprof/, pprof-labelled)\n", dbg.Addr)
 	}
 	if *qlogPath != "" {
 		w, err := insitubits.CreateQueryLog(*qlogPath)

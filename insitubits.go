@@ -5,7 +5,7 @@
 //
 //   - WAH-compressed bitvectors with in-place streaming compression
 //     (the paper's Algorithm 1) and compressed bitwise operations;
-//   - binned, multi-level bitmap indices over floating-point arrays;
+//   - binned bitmap indices over floating-point arrays;
 //   - information-theoretic metrics (entropy, mutual information,
 //     conditional entropy, Earth Mover's Distance) computed either from raw
 //     data or — with identical results — from bitmaps alone;
@@ -61,16 +61,10 @@ import (
 // --- Telemetry (internal/telemetry) ---
 
 // TelemetryRegistry names and owns a set of instruments (counters, gauges,
-// histograms, span tracers) and exports them as JSON, expvar, or over the
-// debug HTTP server. See docs/OBSERVABILITY.md for the metric catalog.
+// histograms, span tracers) and exports them as JSON, Prometheus text, or
+// over the debug HTTP server. See docs/OBSERVABILITY.md for the metric catalog.
 type (
 	TelemetryRegistry    = telemetry.Registry
-	TelemetryCounter     = telemetry.Counter
-	TelemetryGauge       = telemetry.Gauge
-	TelemetryHistogram   = telemetry.Histogram
-	TelemetryTracer      = telemetry.Tracer
-	TelemetrySpan        = telemetry.Span
-	TelemetrySnapshot    = telemetry.Snapshot
 	TelemetryDebugServer = telemetry.DebugServer
 )
 
@@ -80,26 +74,17 @@ type (
 var (
 	Telemetry            = telemetry.Default
 	NewTelemetryRegistry = telemetry.NewRegistry
-	NewTelemetryTracer   = telemetry.NewTracer
 )
-
-// PipelineTracerName is the registry key the in-situ pipeline attaches its
-// per-run span tracer under.
-const PipelineTracerName = insitu.TracerName
 
 // --- Identity tracing (internal/telemetry) ---
 
 // TraceRecorder collects identity-carrying request traces: each traced
 // query or pipeline step gets a TraceID/SpanID span tree, head-sampled and
-// kept in a fixed-size ring, fetchable from /debug/traces as plain JSON,
-// Chrome trace-event JSON, or OTLP-shaped JSON. Distinct from the aggregate
-// TelemetryTracer, which only keeps per-phase totals.
+// kept in a fixed-size ring, fetchable as JSON from /debug/traces. Distinct
+// from the registry's span tracers, which only keep per-phase totals.
 type (
 	TraceRecorder = telemetry.TraceRecorder
 	TraceConfig   = telemetry.TraceConfig
-	Trace         = telemetry.Trace
-	TraceSpan     = telemetry.TraceSpan
-	TraceStats    = telemetry.TraceStats
 	ActiveSpan    = telemetry.ActiveSpan
 )
 
@@ -108,14 +93,10 @@ type (
 // callers open (or join) a trace, and TraceIDOf reads the trace identity a
 // context carries.
 var (
-	NewTraceRecorder     = telemetry.NewTraceRecorder
-	SetTraceRecorder     = telemetry.SetTraceRecorder
-	DefaultTraceRecorder = telemetry.DefaultTraceRecorder
-	StartSpan            = telemetry.StartSpan
-	SpanFromContext      = telemetry.SpanFromContext
-	ContextWithSpan      = telemetry.ContextWithSpan
-	TraceIDOf            = telemetry.TraceIDOf
-	NewOTLPFileSink      = telemetry.NewOTLPFileSink
+	NewTraceRecorder = telemetry.NewTraceRecorder
+	SetTraceRecorder = telemetry.SetTraceRecorder
+	StartSpan        = telemetry.StartSpan
+	TraceIDOf        = telemetry.TraceIDOf
 )
 
 // RunStatus is the live pipeline snapshot published while a run is in
@@ -124,10 +105,6 @@ type (
 	RunStatus      = insitu.RunStatus
 	RunPhaseStatus = insitu.PhaseStatus
 )
-
-// PipelineRunStatusName is the registry status key the live RunStatus is
-// published under.
-const PipelineRunStatusName = insitu.RunStatusName
 
 // --- Compressed bitvectors (internal/bitvec, internal/codec) ---
 
@@ -145,15 +122,15 @@ type BitVector = bitvec.Vector
 // token on the compressed stream.
 type BBC = bitvec.BBC
 
-// Codec names a bitmap encoding; CodecAuto is the adaptive per-bin policy.
+// Codec names a bitmap encoding; ParseCodec("auto") is the adaptive per-bin
+// policy, which keeps, per bin at build time, whichever of the two
+// run-length codecs encodes it smaller.
 type Codec = codec.ID
 
-// Available codecs. CodecAuto keeps, per bin at build time, whichever of
-// the two run-length codecs encodes it smaller.
+// The two stored codecs.
 const (
-	CodecAuto = codec.Auto
-	CodecWAH  = codec.WAH
-	CodecBBC  = codec.BBC
+	CodecWAH = codec.WAH
+	CodecBBC = codec.BBC
 )
 
 // SegmentBits is the number of logical bits per WAH word (31).
@@ -166,7 +143,6 @@ var (
 	BBCFromBitmap = bitvec.BBCFromBitmap
 	ParseCodec    = codec.Parse
 	EncodeBitmap  = codec.Encode
-	CodecOf       = codec.Of
 )
 
 // --- Binning (internal/binning) ---
@@ -181,16 +157,11 @@ type UniformBins = binning.Uniform
 // ExplicitBins is an arbitrary-edge Mapper.
 type ExplicitBins = binning.Explicit
 
-// GroupedBins coarsens a base Mapper into high-level interval bins.
-type GroupedBins = binning.Grouped
-
 // Re-exported binning constructors.
 var (
 	NewUniformBins   = binning.NewUniform
-	NewPrecisionBins = binning.NewPrecision
 	NewEquiDepthBins = binning.NewEquiDepth
 	NewExplicitBins  = binning.NewExplicit
-	NewGroupedBins   = binning.NewGrouped
 	MinMax           = binning.MinMax
 )
 
@@ -200,14 +171,6 @@ var (
 // per-bin counts (the histogram) cached.
 type Index = index.Index
 
-// MultiLevelIndex pairs a fine low-level index with derived high-level
-// interval vectors (Figure 1 of the paper).
-type MultiLevelIndex = index.MultiLevel
-
-// StreamIndexBuilder indexes a value stream chunk by chunk — the in-situ
-// generation path.
-type StreamIndexBuilder = index.StreamBuilder
-
 // Re-exported index constructors.
 var (
 	BuildIndex           = index.Build
@@ -215,8 +178,6 @@ var (
 	BuildIndexAlgorithm1 = index.BuildAlgorithm1
 	BuildIndexTwoPhase   = index.BuildTwoPhase
 	BuildIndexParallel   = index.BuildParallel
-	BuildMultiLevel      = index.BuildMultiLevel
-	NewStreamIndex       = index.NewStreamBuilder
 )
 
 // --- Metrics (internal/metrics) ---
@@ -231,18 +192,16 @@ type CFP = metrics.CFP
 // Re-exported metric functions; the *Bitmaps variants compute identical
 // values from indices alone.
 var (
-	Histogram             = metrics.Histogram
-	JointHistogram        = metrics.JointHistogram
-	JointHistogramBitmaps = metrics.JointHistogramBitmaps
-	Entropy               = metrics.Entropy
-	MutualInformation     = metrics.MutualInformation
-	ConditionalEntropy    = metrics.ConditionalEntropy
-	EMDCount              = metrics.EMDCount
-	EMDSpatialData        = metrics.EMDSpatialData
-	EMDSpatialBitmaps     = metrics.EMDSpatialBitmaps
-	PairFromData          = metrics.PairFromData
-	PairFromBitmaps       = metrics.PairFromBitmaps
-	NewCFP                = metrics.NewCFP
+	Histogram         = metrics.Histogram
+	JointHistogram    = metrics.JointHistogram
+	Entropy           = metrics.Entropy
+	MutualInformation = metrics.MutualInformation
+	EMDCount          = metrics.EMDCount
+	EMDSpatialData    = metrics.EMDSpatialData
+	EMDSpatialBitmaps = metrics.EMDSpatialBitmaps
+	PairFromData      = metrics.PairFromData
+	PairFromBitmaps   = metrics.PairFromBitmaps
+	NewCFP            = metrics.NewCFP
 )
 
 // --- Time-step selection (internal/selection) ---
@@ -263,12 +222,8 @@ const (
 	MetricEMDSpatial         = selection.EMDSpatial
 )
 
-// FixedLengthPartitioning and InfoVolumePartitioning are the paper's two
-// interval partitioners.
-type (
-	FixedLengthPartitioning = selection.FixedLength
-	InfoVolumePartitioning  = selection.InfoVolume
-)
+// FixedLengthPartitioning is the paper's fixed-length interval partitioner.
+type FixedLengthPartitioning = selection.FixedLength
 
 // Re-exported selection API. SelectTimeSteps is the paper's greedy
 // algorithm; SelectTimeStepsDP the dynamic-programming alternative it
@@ -295,11 +250,10 @@ type MinedRegion = mining.Region
 
 // Re-exported mining API.
 var (
-	Mine                  = mining.Mine
-	MineParallel          = mining.MineParallel
-	MineFullData          = mining.MineFullData
-	MergeFindings         = mining.MergeFindings
-	DefaultValueThreshold = mining.DefaultValueThreshold
+	Mine          = mining.Mine
+	MineParallel  = mining.MineParallel
+	MineFullData  = mining.MineFullData
+	MergeFindings = mining.MergeFindings
 )
 
 // --- Bitmap-only queries and aggregation (internal/query) ---
@@ -316,14 +270,11 @@ type (
 
 // Re-exported query API — all of it consumes indices only.
 var (
-	SubsetBits       = query.Bits
 	SubsetCount      = query.Count
 	SubsetSum        = query.Sum
 	SubsetMean       = query.Mean
 	SubsetMinMax     = query.MinMax
 	SubsetQuantile   = query.Quantile
-	SumMasked        = query.SumMasked
-	MeanMasked       = query.MeanMasked
 	CorrelationQuery = query.Correlation
 	NewMaskedIndex   = query.NewMasked
 )
@@ -333,25 +284,15 @@ var (
 // QueryProfile is the plan-profile tree an EXPLAIN or ANALYZE run returns:
 // per-operator cost accounting (bins touched, words scanned split into
 // fills and literals, bytes decoded, output shape) plus wall time for
-// ANALYZE. QueryTopK keeps the K slowest profiles seen.
+// ANALYZE.
 type (
-	QueryProfile  = query.Profile
-	QueryPlanNode = query.Node
-	QueryCost     = query.Cost
-	QueryOp       = query.Op
-	QueryTopK     = query.TopK
+	QueryProfile = query.Profile
+	QueryOp      = query.Op
 )
 
-// Query operators a QueryRequest can name.
-const (
-	QueryOpBits        = query.OpBits
-	QueryOpCount       = query.OpCount
-	QueryOpSum         = query.OpSum
-	QueryOpMean        = query.OpMean
-	QueryOpQuantile    = query.OpQuantile
-	QueryOpMinMax      = query.OpMinMax
-	QueryOpCorrelation = query.OpCorrelation
-)
+// QueryOpCorrelation is the pair operator a QueryRequest can name (the
+// others parse with ParseQueryOp).
+const QueryOpCorrelation = query.OpCorrelation
 
 // QueryRequest is one replayable query — operator, subset(s), quantile —
 // and QueryAnswer its result, with the one canonical Digest the workload
@@ -371,22 +312,11 @@ var (
 	ExplainQueryRequest = query.ExplainRequest
 )
 
-// Re-exported EXPLAIN/ANALYZE API. ExplainQuery estimates cost from the
-// index's per-bin stats without executing; the *Analyze variants execute
-// and return the measured profile alongside the normal result.
+// ParseQueryOp reads an operator name; SetSlowQueryLog installs the
+// slow-query log every query entry point reports to.
 var (
-	ExplainQuery            = query.Explain
-	ExplainCorrelationQuery = query.ExplainCorrelation
-	ParseQueryOp            = query.ParseOp
-	SubsetBitsAnalyze       = query.BitsAnalyze
-	SubsetCountAnalyze      = query.CountAnalyze
-	SubsetSumAnalyze        = query.SumAnalyze
-	SubsetMeanAnalyze       = query.MeanAnalyze
-	SubsetQuantileAnalyze   = query.QuantileAnalyze
-	SubsetMinMaxAnalyze     = query.MinMaxAnalyze
-	CorrelationAnalyze      = query.CorrelationAnalyze
-	SetSlowQueryLog         = query.SetSlowLog
-	NewQueryTopK            = query.NewTopK
+	ParseQueryOp    = query.ParseOp
+	SetSlowQueryLog = query.SetSlowLog
 )
 
 // --- Query planner and materialized-bitmap cache (internal/query, internal/bitcache) ---
@@ -406,27 +336,24 @@ type (
 // Re-exported cache API. NewBitmapCache builds a cache bounded to maxBytes
 // (<=0 disables); SetDefaultBitmapCache installs the process-wide cache
 // the query executor consults (nil uninstalls — caching is opt-in and off
-// by default); WithBitmapCache overrides the cache per request via
-// context.
+// by default).
 var (
 	NewBitmapCache        = bitcache.New
 	SetDefaultBitmapCache = bitcache.SetDefault
 	DefaultBitmapCache    = bitcache.Default
-	WithBitmapCache       = query.WithCache
 )
 
 // --- Workload capture, replay, and metrics history (internal/qlog, internal/replay, internal/telemetry) ---
 
 // QueryLogWriter appends one checksummed QueryLogRecord per executed query
-// to a workload log (the .isql format); QueryLogHealth is the writer's
-// live health snapshot (records, drops, queue depth), published under the
-// "qlog" status key and embedded in /healthz. WorkloadSummary is the
+// to a workload log (the .isql format); its live health snapshot is
+// published under the "qlog" status key and embedded in /healthz.
+// WorkloadSummary is the
 // analyzer's report: per-op mix, hot bins, operand arity/selectivity
 // distributions, and the repeat ratio that bounds cache-hit potential.
 type (
 	QueryLogWriter       = qlog.Writer
 	QueryLogRecord       = qlog.Record
-	QueryLogHealth       = qlog.Health
 	WorkloadSummary      = qlog.Summary
 	WorkloadDistribution = qlog.Distribution
 	WorkloadBinCount     = qlog.BinCount
@@ -440,14 +367,9 @@ type (
 var (
 	CreateQueryLog  = qlog.Create
 	InstallQueryLog = qlog.Install
-	ActiveQueryLog  = qlog.Active
 	ReadQueryLog    = qlog.ReadLog
 	AnalyzeWorkload = qlog.Analyze
 )
-
-// QueryLogStatusName is the registry status key the active workload-log
-// writer publishes its health under.
-const QueryLogStatusName = qlog.StatusName
 
 // ReplayWorkload re-executes a captured workload log against an index and
 // byte-compares every result digest against the recorded one — the
@@ -472,28 +394,15 @@ type (
 
 // StartMetricsHistory publishes and starts a sampler over a registry; the
 // ring is served at /debug/metrics/history.
-var (
-	StartMetricsHistory = telemetry.StartHistory
-	NewMetricsHistory   = telemetry.NewHistory
-)
-
-// MetricsHistoryStatusName is the registry status key a started history
-// publishes its dump under.
-const MetricsHistoryStatusName = telemetry.HistoryStatusName
-
-// MetricExemplar is one traced sample a latency histogram retains; the
-// OpenMetrics exposition on /metrics attaches it to the matching
-// histogram bucket so a slow bucket links to /debug/traces?id=.
-type MetricExemplar = telemetry.Exemplar
+var StartMetricsHistory = telemetry.StartHistory
 
 // --- Subgroup discovery (internal/subgroup) ---
 
-// SubgroupCondition, Subgroup and SubgroupConfig drive bitmap-based
+// Subgroup and SubgroupConfig drive bitmap-based
 // subgroup discovery (the SciSD companion analysis).
 type (
-	SubgroupCondition = subgroup.Condition
-	Subgroup          = subgroup.Subgroup
-	SubgroupConfig    = subgroup.Config
+	Subgroup       = subgroup.Subgroup
+	SubgroupConfig = subgroup.Config
 )
 
 // Re-exported subgroup API.
@@ -510,7 +419,6 @@ type (
 	PipelineResult  = insitu.Result
 	Breakdown       = insitu.Breakdown
 	ReductionMethod = insitu.Method
-	CoreStrategy    = insitu.Strategy
 	SharedCores     = insitu.SharedCores
 	SeparateCores   = insitu.SeparateCores
 )
@@ -527,10 +435,7 @@ const PipelineManifestName = insitu.ManifestName
 
 // Manifest records what a pipeline run persisted when
 // PipelineConfig.OutputDir is set.
-type (
-	Manifest     = insitu.Manifest
-	ManifestFile = insitu.ManifestFile
-)
+type Manifest = insitu.Manifest
 
 // Re-exported pipeline API.
 var (
@@ -542,43 +447,29 @@ var (
 
 // --- Crash safety: run journal, resume, fsck (internal/insitu) ---
 
-// PipelineJournalName is the append-only run journal written into
-// OutputDir; PipelineQuarantineDir is where Resume and fsck park damaged
-// or stray files instead of deleting them.
-const (
-	PipelineJournalName   = insitu.JournalName
-	PipelineQuarantineDir = insitu.QuarantineDir
-)
+// PipelineQuarantineDir is where Resume and fsck park damaged or stray
+// files instead of deleting them.
+const PipelineQuarantineDir = insitu.QuarantineDir
 
-// JournalRecord is one entry of the run journal; JournalFile is one
-// durable artifact a select record covers. FsckReport and FsckIssue
-// describe a directory verification.
+// FsckReport describes a directory verification; FsckOptions configures
+// one.
 type (
-	JournalRecord = insitu.JournalRecord
-	JournalFile   = insitu.JournalFile
-	FsckReport    = insitu.FsckReport
-	FsckIssue     = insitu.FsckIssue
-	FsckOptions   = insitu.FsckOptions
+	FsckReport  = insitu.FsckReport
+	FsckOptions = insitu.FsckOptions
 )
 
 // Re-exported crash-safety API: ResumePipeline continues a crashed run
 // from its journal; Fsck verifies (and optionally repairs) an output
-// directory; ReadJournal/ParseJournal expose the journal itself.
+// directory.
 var (
 	ResumePipeline = insitu.Resume
 	Fsck           = insitu.Fsck
-	ReadJournal    = insitu.ReadJournal
-	ParseJournal   = insitu.ParseJournal
 )
 
 // --- Offline archives (internal/offline) ---
 
-// Archive is a loaded pipeline output directory (manifest + artifacts);
-// ArchiveEvolution is one point of a variable's evolution series.
-type (
-	Archive          = offline.Archive
-	ArchiveEvolution = offline.Evolution
-)
+// Archive is a loaded pipeline output directory (manifest + artifacts).
+type Archive = offline.Archive
 
 // LoadArchive reads a pipeline's OutputDir back for offline analysis.
 var LoadArchive = offline.Load
@@ -614,7 +505,6 @@ type (
 	Heat3D       = heat3d.Sim
 	Lulesh       = lulesh.Sim
 	OceanDataset = ocean.Dataset
-	OceanRegion  = ocean.Region
 )
 
 // FeedSimulator adapts an external simulation loop to the pipeline: the
@@ -635,11 +525,8 @@ var (
 // Sampler keeps a fixed element subset of every array (the §5.5 baseline).
 type Sampler = sampling.Sampler
 
-// Re-exported sampler constructors.
-var (
-	NewStridedSampler = sampling.NewStrided
-	NewRandomSampler  = sampling.NewRandom
-)
+// NewRandomSampler keeps a seeded random subset.
+var NewRandomSampler = sampling.NewRandom
 
 // --- Storage (internal/store, internal/iosim, internal/machine) ---
 
@@ -661,59 +548,21 @@ var (
 type DatasetFile = store.Dataset
 
 // Re-exported storage API. WriteIndexFile emits the v3 checksummed
-// container; the V1 writer keeps the legacy all-WAH layout producible.
+// container; ReadIndexFile also reads the v2 and legacy all-WAH v1 layouts.
+// ReadIndexFileCtx records a store.* child span when the context carries an
+// identity-trace span (see TraceRecorder).
 var (
 	NewIOStore       = iosim.NewStore
-	NewIOStoreWriter = iosim.NewStoreWriter
 	WriteIndexFile   = store.WriteIndex
-	WriteIndexFileV1 = store.WriteIndexV1
 	ReadIndexFile    = store.ReadIndex
 	IndexFileSize    = store.IndexSize
 	WriteRawFile     = store.WriteRaw
 	ReadRawFile      = store.ReadRaw
 	RawFileSize      = store.RawSize
-	// Ctx variants record a store.* child span when the context carries an
-	// identity-trace span (see TraceRecorder); otherwise they cost one
-	// context lookup and delegate to the plain functions.
-	WriteIndexFileCtx = store.WriteIndexCtx
-	ReadIndexFileCtx  = store.ReadIndexCtx
-	WriteRawFileCtx   = store.WriteRawCtx
-	NewDatasetFile    = store.NewDataset
-	WriteDatasetFile  = store.WriteDataset
-	ReadDatasetFile   = store.ReadDataset
-)
-
-// --- Durability and fault injection (internal/store, internal/iosim) ---
-
-// ErrChecksum is the sentinel wrapped by every checksum failure in the
-// container formats; ErrTransientIO and ErrCrashedIO are the fault layer's
-// injected error kinds.
-var (
-	ErrChecksum    = store.ErrChecksum
-	ErrTransientIO = iosim.ErrTransient
-	ErrCrashedIO   = iosim.ErrCrashed
-)
-
-// FaultPlan schedules injected I/O faults; FaultFS applies one to a whole
-// filesystem; Backoff parameterizes RetryIO. FileSystem is the pluggable
-// filesystem the pipeline writes through (PipelineConfig.FS).
-type (
-	FaultPlan   = iosim.FaultPlan
-	FaultWriter = iosim.FaultWriter
-	FaultFS     = iosim.FaultFS
-	FileSystem  = iosim.FS
-	Backoff     = iosim.Backoff
-)
-
-// Re-exported durability API: CRC32C is the checksum every container and
-// journal frame uses; AtomicWriteFile stages-fsyncs-renames so files are
-// never torn; RetryIO retries transient store errors with backoff.
-var (
-	CRC32C          = store.CRC32C
-	AtomicWriteFile = store.AtomicWrite
-	NewFaultFS      = iosim.NewFaultFS
-	RetryIO         = iosim.Retry
-	IsTransientIO   = iosim.IsTransient
+	ReadIndexFileCtx = store.ReadIndexCtx
+	NewDatasetFile   = store.NewDataset
+	WriteDatasetFile = store.WriteDataset
+	ReadDatasetFile  = store.ReadDataset
 )
 
 // --- Query serving (internal/serve) ---
@@ -728,29 +577,18 @@ type (
 	ServeConfig        = serve.Config
 	QueryServer        = serve.Server
 	ServeStatus        = serve.Status
-	ServeEntry         = serve.Entry
 	ServeClient        = serve.Client
 	ServeQueryRequest  = serve.QueryRequest
 	ServeQueryResponse = serve.QueryResponse
-	ServeStatusError   = serve.StatusError
 	ServeLoadConfig    = serve.LoadConfig
 	ServeLoadReport    = serve.LoadReport
 )
 
 // NewQueryServer builds a server; RunServeLoad is the open-loop load
-// generator the chaos harness and `bitmapctl load` drive; ErrServeShed is
-// the admission-queue-full sentinel behind every 429.
+// generator the chaos harness and `bitmapctl load` drive.
 var (
 	NewQueryServer = serve.New
 	// NewServeQueryRequest is the wire form of a QueryRequest.
 	NewServeQueryRequest = serve.NewQueryRequest
 	RunServeLoad         = serve.RunLoad
-	ErrServeShed         = serve.ErrShed
-	// ValidTraceID reports whether a string is a well-formed W3C/OTLP
-	// 128-bit trace ID; the server uses it to vet propagated IDs.
-	ValidTraceID = telemetry.ValidTraceID
 )
-
-// ServeStatusName is the registry status key the server publishes its
-// admission/shed counters under (read by bitmapctl top and diag).
-const ServeStatusName = serve.StatusName

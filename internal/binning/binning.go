@@ -74,27 +74,6 @@ func (u *Uniform) Low(b int) float64 { return u.Min + float64(b)*u.width }
 // High implements Mapper.
 func (u *Uniform) High(b int) float64 { return u.Min + float64(b+1)*u.width }
 
-// NewPrecision builds the paper's decimal-precision binning: one bin per
-// value rounded to `digits` decimal places over the observed [min, max]
-// range (e.g. Heat3D uses digits=1, yielding 64–206 bins depending on the
-// temperature range of the time-step). The bin count adapts to the range.
-func NewPrecision(min, max float64, digits int) (*Uniform, error) {
-	if digits < 0 || digits > 9 {
-		return nil, fmt.Errorf("binning: digits %d out of range [0,9]", digits)
-	}
-	step := math.Pow(10, -float64(digits))
-	lo := math.Floor(min/step) * step
-	hi := math.Ceil(max/step) * step
-	if hi <= lo {
-		hi = lo + step
-	}
-	n := int(math.Round((hi - lo) / step))
-	if n < 1 {
-		n = 1
-	}
-	return NewUniform(lo, hi, n)
-}
-
 // Explicit maps values by binary search over caller-provided edges:
 // bin b covers [Edges[b], Edges[b+1]).
 type Explicit struct {

@@ -74,41 +74,6 @@ func TestUniformBinRespectsEdges(t *testing.T) {
 	}
 }
 
-func TestPrecisionBinning(t *testing.T) {
-	// The paper's Heat3D binning: 1 digit after the decimal point.
-	u, err := NewPrecision(0.0, 20.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Bins() != 205 {
-		t.Fatalf("Bins=%d want 205 (0.1-wide bins over [0,20.5])", u.Bins())
-	}
-	// Two values that agree to 1 decimal share a bin; differing ones do not.
-	if u.Bin(3.14) != u.Bin(3.19) {
-		t.Error("3.14 and 3.19 should share the 0.1-wide bin [3.1,3.2)")
-	}
-	if u.Bin(3.14) == u.Bin(3.24) {
-		t.Error("3.14 and 3.24 must be in different bins")
-	}
-}
-
-func TestPrecisionValidation(t *testing.T) {
-	if _, err := NewPrecision(0, 1, -1); err == nil {
-		t.Error("negative digits accepted")
-	}
-	if _, err := NewPrecision(0, 1, 10); err == nil {
-		t.Error("excessive digits accepted")
-	}
-	// Degenerate range must still produce a valid single bin.
-	u, err := NewPrecision(5, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Bins() < 1 {
-		t.Error("degenerate range produced no bins")
-	}
-}
-
 func TestExplicit(t *testing.T) {
 	e, err := NewExplicit([]float64{0, 1, 4, 9})
 	if err != nil {

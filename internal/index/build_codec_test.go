@@ -47,12 +47,6 @@ func TestBuilderCountsMatchBitmaps(t *testing.T) {
 	builders := map[string]func([]float64) *Index{
 		"algorithm1": func(d []float64) *Index { return BuildAlgorithm1(d, m) },
 		"two-phase":  func(d []float64) *Index { return BuildTwoPhase(d, m) },
-		"stream": func(d []float64) *Index {
-			sb := NewStreamBuilder(m)
-			sb.Append(d[:len(d)/3]) // chunk seams anywhere, not on segment boundaries
-			sb.Append(d[len(d)/3:])
-			return sb.Finish()
-		},
 	}
 	for _, w := range []int{1, 2, 3, 7} {
 		builders[fmt.Sprintf("parallel-%d", w)] = func(d []float64) *Index { return BuildParallel(d, m, w) }
@@ -94,9 +88,7 @@ func TestBuildParallelCodecMatchesBuildThenRecode(t *testing.T) {
 	for _, n := range []int{0, 1, 30, 31, 32, 61, 7*31 - 1, 7 * 31, 5000, 40000} {
 		data := heatLike(r, n)
 		for _, id := range []codec.ID{codec.Auto, codec.WAH, codec.BBC} {
-			sb := NewStreamBuilder(m)
-			sb.Append(data)
-			want := sb.Finish().Recode(id)
+			want := BuildAlgorithm1(data, m).Recode(id)
 			for _, w := range []int{1, 2, 3, 7} {
 				before := genCounter.Load()
 				got := BuildParallelCodec(data, m, w, id)

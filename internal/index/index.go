@@ -222,47 +222,6 @@ func (x *Index) Query(lo, hi float64) bitvec.Bitmap {
 	return bitvec.FromFlat(buf, x.n)
 }
 
-// StreamBuilder incrementally indexes a stream of values, consumed chunk by
-// chunk and immediately discarded (paper §2.3 "Online Compression"). Each
-// block of streamBlock mapped ids is kept only as its runs, as a sub-block
-// of the parallel build is, and Finish encodes every bin from them.
-type StreamBuilder struct {
-	mapper binning.Mapper
-	block  []int32
-	lists  []*runList // one per full block
-}
-
-const streamBlock = 1 << 16
-
-// NewStreamBuilder returns an empty builder for the given binning.
-func NewStreamBuilder(m binning.Mapper) *StreamBuilder { return &StreamBuilder{mapper: m} }
-
-// Append indexes a chunk of values; chunks of any size may be appended.
-func (sb *StreamBuilder) Append(data []float64) {
-	for len(data) > 0 {
-		k := min(len(data), streamBlock-len(sb.block))
-		sb.block = append(sb.block, make([]int32, k)...)
-		binning.BinInto(sb.mapper, sb.block[len(sb.block)-k:], data[:k])
-		if data = data[k:]; len(sb.block) == streamBlock {
-			sb.scan()
-		}
-	}
-}
-
-// scan turns the block into a run list.
-func (sb *StreamBuilder) scan() {
-	sb.lists = append(sb.lists, runsOf(sb.block, sb.mapper.Bins(), len(sb.lists)*streamBlock))
-	sb.block = sb.block[:0]
-}
-
-// Finish encodes every bin in WAH and returns the completed index. The
-// builder must not be reused afterwards.
-func (sb *StreamBuilder) Finish() *Index {
-	n := len(sb.lists)*streamBlock + len(sb.block)
-	sb.scan()
-	return fromRuns(sb.mapper, sb.lists, n, 1, codec.WAH, time.Time{})
-}
-
 // BuildParallel is BuildParallelCodec with every bin in WAH.
 func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 	return BuildParallelCodec(data, m, nWorkers, codec.WAH)

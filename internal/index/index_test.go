@@ -1,13 +1,11 @@
 package index
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
-	"insitubits/internal/codec"
 )
 
 func testData(r *rand.Rand, n int) []float64 {
@@ -99,34 +97,6 @@ func TestHistogramSumsToN(t *testing.T) {
 		}
 		if sum != len(data) {
 			t.Fatalf("trial %d: histogram sums to %d, want %d", trial, sum, len(data))
-		}
-	}
-}
-
-// Chunks of any size, within one of the builder's blocks or across
-// several, and streams ending on a block boundary or past one, give the
-// one-shot build's bytes and counts.
-func TestStreamBuilderChunkInvariance(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	m := mustUniform(t, 40)
-	for _, size := range []int{2500, 2 * streamBlock, 2*streamBlock + 777} {
-		data := testData(r, size)
-		oneShot := Build(data, m)
-		sb := NewStreamBuilder(m)
-		for i := 0; i < len(data); {
-			n := 1 + r.Intn(200)
-			if r.Intn(50) == 0 {
-				n = r.Intn(3 * streamBlock / 2)
-			}
-			n = min(n, len(data)-i)
-			sb.Append(data[i : i+n])
-			i += n
-		}
-		chunked := sb.Finish()
-		for b := 0; b < oneShot.Bins(); b++ {
-			if !bytes.Equal(codec.Payload(oneShot.Bitmap(b)), codec.Payload(chunked.Bitmap(b))) || oneShot.Count(b) != chunked.Count(b) {
-				t.Fatalf("n=%d: bin %d differs between one-shot and chunked append", size, b)
-			}
 		}
 	}
 }

@@ -11,39 +11,6 @@ import (
 	"time"
 )
 
-// TestStoreShortWriteAccounting pins the accounting fix: a sink that
-// accepts only part of the buffer must leave the store counting the
-// accepted bytes, not the attempted ones, and the sink's error must
-// surface.
-func TestStoreShortWriteAccounting(t *testing.T) {
-	plan := &FaultPlan{TransientErrs: 1, ShortWrites: true}
-	var buf bytes.Buffer
-	s, err := NewStoreWriter(100, &FaultWriter{W: &buf, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.Write(make([]byte, 100))
-	if err == nil {
-		t.Fatal("short write reported no error")
-	}
-	if n != 50 {
-		t.Fatalf("sink accepted 50 bytes, Write returned %d", n)
-	}
-	if s.BytesWritten() != 50 {
-		t.Fatalf("store accounted %d bytes for a 50-byte short write", s.BytesWritten())
-	}
-	if s.Writes() != 1 {
-		t.Fatalf("Writes = %d", s.Writes())
-	}
-	// The next write goes through and accounting resumes from the truth.
-	if n, err := s.Write(make([]byte, 10)); err != nil || n != 10 {
-		t.Fatalf("post-fault write = %d, %v", n, err)
-	}
-	if s.BytesWritten() != 60 {
-		t.Fatalf("accounted %d bytes total", s.BytesWritten())
-	}
-}
-
 func TestFaultWriterTransientThenClear(t *testing.T) {
 	plan := &FaultPlan{TransientErrs: 2}
 	var buf bytes.Buffer

@@ -1,15 +1,13 @@
 // Package iosim provides bandwidth-modelled storage accounting. A Store
 // tallies the bytes written to a device of fixed bandwidth and reports the
-// modelled transfer time, optionally passing the bytes through to a real
-// io.Writer. Sharing one Store between several writers models contention on
-// a shared device (the paper's single remote data server in Figure 13):
-// modelled time is total bytes over device bandwidth regardless of who
-// wrote them.
+// modelled transfer time. Sharing one Store between several writers models
+// contention on a shared device (the paper's single remote data server in
+// Figure 13): modelled time is total bytes over device bandwidth regardless
+// of who wrote them.
 package iosim
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -20,7 +18,6 @@ type Store struct {
 	bandwidthMBps float64
 	bytes         int64
 	writes        int64
-	sink          io.Writer // optional write-through
 }
 
 // NewStore models a device with the given bandwidth in MB/s.
@@ -31,36 +28,8 @@ func NewStore(bandwidthMBps float64) (*Store, error) {
 	return &Store{bandwidthMBps: bandwidthMBps}, nil
 }
 
-// NewStoreWriter models a device and forwards all written bytes to sink.
-func NewStoreWriter(bandwidthMBps float64, sink io.Writer) (*Store, error) {
-	s, err := NewStore(bandwidthMBps)
-	if err != nil {
-		return nil, err
-	}
-	s.sink = sink
-	return s, nil
-}
-
-// Write implements io.Writer, accounting (and optionally forwarding) p.
-// With a sink attached, only the bytes the sink actually accepted are
-// accounted: a short write must not inflate the modelled transfer volume.
-func (s *Store) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	sink := s.sink
-	s.mu.Unlock()
-	n, err := len(p), error(nil)
-	if sink != nil {
-		n, err = sink.Write(p)
-	}
-	s.mu.Lock()
-	s.bytes += int64(n)
-	s.writes++
-	s.mu.Unlock()
-	return n, err
-}
-
-// Account records n bytes without materializing them — used when the
-// experiment only needs the cost model, not the artifact.
+// Account records one write of n bytes; the experiments need the cost
+// model, not the artifact.
 func (s *Store) Account(n int64) {
 	if n < 0 {
 		panic(fmt.Sprintf("iosim: negative byte count %d", n))
@@ -97,7 +66,7 @@ func (s *Store) ModeledTime() time.Duration {
 	return ModelTransfer(b, s.bandwidthMBps)
 }
 
-// Reset clears the accounting (bandwidth and sink are kept).
+// Reset clears the accounting (the bandwidth is kept).
 func (s *Store) Reset() {
 	s.mu.Lock()
 	s.bytes = 0

@@ -1,7 +1,6 @@
 package iosim
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -21,9 +20,7 @@ func TestAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.Write(make([]byte, 1000)); err != nil || n != 1000 {
-		t.Fatalf("Write = %d, %v", n, err)
-	}
+	s.Account(1000)
 	s.Account(9000)
 	if s.BytesWritten() != 10000 {
 		t.Fatalf("BytesWritten = %d", s.BytesWritten())
@@ -38,24 +35,6 @@ func TestAccounting(t *testing.T) {
 	s.Reset()
 	if s.BytesWritten() != 0 || s.ModeledTime() != 0 {
 		t.Fatal("Reset incomplete")
-	}
-}
-
-func TestWriteThrough(t *testing.T) {
-	var buf bytes.Buffer
-	s, err := NewStoreWriter(10, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("hello bitmaps")
-	if _, err := s.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != string(payload) {
-		t.Fatalf("sink got %q", buf.String())
-	}
-	if s.BytesWritten() != int64(len(payload)) {
-		t.Fatalf("accounted %d bytes", s.BytesWritten())
 	}
 }
 

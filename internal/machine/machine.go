@@ -36,17 +36,3 @@ var (
 
 // RemoteStoreMBps is the shared remote data server bandwidth of Figure 13.
 const RemoteStoreMBps = 100.0
-
-// ByName resolves a profile by its name; ok is false for unknown names.
-func ByName(name string) (Profile, bool) {
-	switch name {
-	case Xeon.Name:
-		return Xeon, true
-	case MIC.Name:
-		return MIC, true
-	case OakleyNode.Name:
-		return OakleyNode, true
-	default:
-		return Profile{}, false
-	}
-}

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // CFP is the Cumulative Frequency Plot the paper uses to report accuracy
 // loss (§5.5, Figures 16 and 17): for a set of error values, a point (x, y)
@@ -76,46 +73,4 @@ func (c *CFP) Points(k int) [][2]float64 {
 		out = append(out, [2]float64{c.sorted[idx], float64(i) / float64(k)})
 	}
 	return out
-}
-
-// RelativeErrors converts (original, approx) value pairs into the paper's
-// relative loss |original − approx| / |original|; pairs with original == 0
-// fall back to the absolute error.
-func RelativeErrors(original, approx []float64) ([]float64, error) {
-	if len(original) != len(approx) {
-		return nil, fmt.Errorf("metrics: %d original vs %d approximate values", len(original), len(approx))
-	}
-	out := make([]float64, len(original))
-	for i := range original {
-		d := original[i] - approx[i]
-		if d < 0 {
-			d = -d
-		}
-		o := original[i]
-		if o < 0 {
-			o = -o
-		}
-		if o > 0 {
-			out[i] = d / o
-		} else {
-			out[i] = d
-		}
-	}
-	return out, nil
-}
-
-// AbsoluteErrors returns |original − approx| per pair.
-func AbsoluteErrors(original, approx []float64) ([]float64, error) {
-	if len(original) != len(approx) {
-		return nil, fmt.Errorf("metrics: %d original vs %d approximate values", len(original), len(approx))
-	}
-	out := make([]float64, len(original))
-	for i := range original {
-		d := original[i] - approx[i]
-		if d < 0 {
-			d = -d
-		}
-		out[i] = d
-	}
-	return out, nil
 }

@@ -238,26 +238,6 @@ func TestCFP(t *testing.T) {
 	}
 }
 
-func TestRelativeErrors(t *testing.T) {
-	errs, err := RelativeErrors([]float64{2, 0, -4}, []float64{1, 0.5, -5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.5, 0.5, 0.25}
-	for i := range want {
-		if math.Abs(errs[i]-want[i]) > eps {
-			t.Fatalf("rel err %d = %g want %g", i, errs[i], want[i])
-		}
-	}
-	if _, err := RelativeErrors([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	abs, err := AbsoluteErrors([]float64{1, -2}, []float64{3, -1})
-	if err != nil || abs[0] != 2 || abs[1] != 1 {
-		t.Fatalf("AbsoluteErrors = %v, %v", abs, err)
-	}
-}
-
 func BenchmarkJointHistogramData(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	a := smooth(r, 1<<18)

@@ -267,11 +267,3 @@ func MineFullData(a, b []float64, ma, mb binning.Mapper, cfg Config) ([]Finding,
 	}
 	return out, nil
 }
-
-// DefaultValueThreshold derives the paper's rule for T: even if every 1-bit
-// of a joint bin landed in a single spatial unit, a bin with fewer than
-// minCount elements is still considered uncorrelated. The returned T is the
-// largest MI term such a bin could achieve.
-func DefaultValueThreshold(minCount, n int) float64 {
-	return childTermUpperBound(minCount, n)
-}

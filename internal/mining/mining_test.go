@@ -162,7 +162,7 @@ func TestMineProperty(t *testing.T) {
 		for _, unit := range []int{1, 7, 512, n} {
 			for _, ids := range [][2]codec.ID{{codec.WAH, codec.BBC}, {codec.BBC, codec.Auto}, {codec.Auto, codec.WAH}} {
 				xa, xb := index.BuildCodec(a, m, ids[0]), index.BuildCodec(b, m, ids[1])
-				for _, thr := range []float64{0, DefaultValueThreshold(20, n)} {
+				for _, thr := range []float64{0, childTermUpperBound(20, n)} {
 					cfg := Config{UnitSize: unit, ValueThreshold: thr, SpatialThreshold: 0.01}
 					mineAll(t, fmt.Sprintf("bins=%d unit=%d codecs=%v T=%g", bins, unit, ids, thr), a, b, xa, xb, m, cfg, 1, 2, 3)
 				}
@@ -182,7 +182,7 @@ func FuzzMineMatchesFullData(f *testing.F) {
 		m := mapper(t, 1+int(bins)%300)
 		cfg := Config{UnitSize: 1 + int(unit)%size, SpatialThreshold: 0.01}
 		if prune {
-			cfg.ValueThreshold = DefaultValueThreshold(1+r.Intn(20), size)
+			cfg.ValueThreshold = childTermUpperBound(1+r.Intn(20), size)
 		}
 		mineAll(t, "fuzz", a, b, index.BuildCodec(a, m, codec.Auto), index.BuildCodec(b, m, codec.BBC), m, cfg, 2)
 	})
@@ -328,17 +328,6 @@ func termFor(cij, ci, cj, n int) float64 {
 	}
 	p := float64(cij) / float64(n)
 	return p * math.Log2(p/(float64(ci)/float64(n)*float64(cj)/float64(n)))
-}
-
-func TestDefaultValueThreshold(t *testing.T) {
-	if DefaultValueThreshold(0, 1000) != 0 {
-		t.Error("zero count should yield zero threshold")
-	}
-	lo := DefaultValueThreshold(5, 10000)
-	hi := DefaultValueThreshold(50, 10000)
-	if !(lo < hi) {
-		t.Errorf("threshold not increasing with count: %g vs %g", lo, hi)
-	}
 }
 
 func TestFindingRanges(t *testing.T) {

@@ -198,9 +198,9 @@ func TestAnalyzeMatchesPlainResults(t *testing.T) {
 				t.Errorf("%s: sum %+v != analyzed %+v", name, a1, a2)
 			}
 			m1, _ := Mean(context.Background(), x, s)
-			m2, _, _ := MeanAnalyze(context.Background(), x, s)
-			if m1 != m2 {
-				t.Errorf("%s: mean %+v != analyzed %+v", name, m1, m2)
+			m2, _, _ := Analyze(context.Background(), Request{Op: OpMean, A: s}, x, nil)
+			if m1 != m2.Agg {
+				t.Errorf("%s: mean %+v != analyzed %+v", name, m1, m2.Agg)
 			}
 			q1, _ := Quantile(context.Background(), x, s, 0.5)
 			q2, _, _ := QuantileAnalyze(context.Background(), x, s, 0.5)
@@ -262,7 +262,7 @@ func TestExplainWithinFactorOfAnalyze(t *testing.T) {
 			case OpSum:
 				_, prof, err = SumAnalyze(context.Background(), x, s)
 			case OpMean:
-				_, prof, err = MeanAnalyze(context.Background(), x, s)
+				_, prof, err = Analyze(context.Background(), Request{Op: OpMean, A: s}, x, nil)
 			case OpQuantile:
 				_, prof, err = QuantileAnalyze(context.Background(), x, s, 0.5)
 			case OpMinMax:

@@ -376,6 +376,7 @@ var oracleSeeds = []oracleInput{
 	{6, 777, 5, 1, 255, 5, 0, 0, 70, 600, 0},     // minmax, spatial only
 	{7, 2600, 12, 0, 40, 6, 2, 6, 62, 2400, 0},   // correlation, combined
 	{8, 64, 2, 2, 0, 6, 200, 1, 0, 0, 0},         // correlation, provably empty
+	{9, 500, 3, 0, 10, 6, 0, 200, 0, 0, 0},       // correlation, B's value range inverted
 }
 
 func (in oracleInput) check(t *testing.T) {
@@ -416,6 +417,14 @@ func (in oracleInput) check(t *testing.T) {
 	}
 	req.B = Subset{ValueLo: float64(in.vspan) / 2, ValueHi: float64(bins), SpatialLo: req.A.SpatialLo, SpatialHi: req.A.SpatialHi}
 	for _, lvl := range []accounting{acctNone, acctLight, acctFull} {
+		if req.Op == OpCorrelation && req.B.ValueLo >= req.B.ValueHi {
+			// An empty or inverted value range is refused, never read as
+			// no predicate.
+			if _, _, err := run(context.Background(), req, fx.xa, fx.xb, nil, lvl); err == nil {
+				t.Fatalf("correlation with B %+v accepted", req.B)
+			}
+			continue
+		}
 		fx.check(t, string(req.Op)+" "+req.describe(nil), req, lvl)
 	}
 }

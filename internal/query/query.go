@@ -21,7 +21,8 @@ import (
 // Zero values mean "unbounded": an all-zero Subset selects everything.
 type Subset struct {
 	// ValueLo/ValueHi restrict to elements whose value lies in
-	// [ValueLo, ValueHi) at bin granularity; active when ValueHi > ValueLo.
+	// [ValueLo, ValueHi) at bin granularity, ValueLo < ValueHi, unless both
+	// are 0 (no restriction).
 	ValueLo, ValueHi float64
 	// SpatialLo/SpatialHi restrict to element positions [SpatialLo,
 	// SpatialHi), 0 ≤ SpatialLo < SpatialHi ≤ n, unless both are 0 (no
@@ -34,6 +35,9 @@ func (s Subset) hasValue() bool   { return s.ValueHi > s.ValueLo }
 func (s Subset) hasSpatial() bool { return s.SpatialHi > s.SpatialLo }
 
 func (s Subset) validate(n int) error {
+	if (s.ValueLo != 0 || s.ValueHi != 0) && !(s.ValueLo < s.ValueHi) {
+		return fmt.Errorf("query: value range [%g,%g) is empty, inverted or NaN", s.ValueLo, s.ValueHi)
+	}
 	if (s.SpatialLo != 0 || s.SpatialHi != 0) && (s.SpatialLo < 0 || s.SpatialLo >= s.SpatialHi || s.SpatialHi > n) {
 		return fmt.Errorf("query: spatial range [%d,%d) is empty or outside [0,%d)", s.SpatialLo, s.SpatialHi, n)
 	}
@@ -158,12 +162,6 @@ func MeanMasked(ctx context.Context, x *index.Index, mask bitvec.Bitmap) (Aggreg
 func Mean(ctx context.Context, x *index.Index, s Subset) (Aggregate, error) {
 	a, _, err := run(ctx, Request{Op: OpMean, A: s}, x, nil, nil, acctNone)
 	return a.Agg, err
-}
-
-// MeanAnalyze is Mean with a measured profile.
-func MeanAnalyze(ctx context.Context, x *index.Index, s Subset) (Aggregate, *Profile, error) {
-	a, p, err := run(ctx, Request{Op: OpMean, A: s}, x, nil, nil, acctFull)
-	return a.Agg, p, err
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the subset's values,

@@ -157,11 +157,19 @@ func TestMinMaxBounds(t *testing.T) {
 }
 
 // TestSubsetValidation: a spatial range is [0,0) (none) or non-empty inside
-// [0,n); an inverted or empty one is an error for every op, never a
-// request over the whole variable.
+// [0,n), and a value range is [0,0) (none) or lo < hi; an inverted, empty
+// or NaN one is an error for every op, never a request over the whole
+// variable.
 func TestSubsetValidation(t *testing.T) {
 	x := build(t, make([]float64, 100), 4)
+	nan := math.NaN()
 	for _, s := range []Subset{
+		{ValueLo: 60, ValueHi: 20},
+		{ValueLo: 50},
+		{ValueLo: 5, ValueHi: 5},
+		{ValueLo: nan, ValueHi: 10},
+		{ValueLo: 0, ValueHi: nan},
+		{ValueLo: nan, ValueHi: nan},
 		{SpatialLo: -1, SpatialHi: 10},
 		{SpatialLo: 0, SpatialHi: 101},
 		{SpatialLo: 90, SpatialHi: 10},
@@ -178,8 +186,12 @@ func TestSubsetValidation(t *testing.T) {
 		if _, err := ExplainRequest(Request{Op: OpCount, A: s}, x, nil); err == nil {
 			t.Errorf("EXPLAIN over subset %+v accepted", s)
 		}
+		// The pair query checks its second subset as it checks the first.
+		if _, err := Run(context.Background(), Request{Op: OpCorrelation, B: s}, x, x); err == nil {
+			t.Errorf("correlation with B %+v accepted", s)
+		}
 	}
-	for _, s := range []Subset{{}, {SpatialLo: 0, SpatialHi: 100}, {SpatialLo: 99, SpatialHi: 100}} {
+	for _, s := range []Subset{{}, {SpatialLo: 0, SpatialHi: 100}, {SpatialLo: 99, SpatialHi: 100}, {ValueLo: -5, ValueHi: 0}} {
 		if _, err := Count(context.Background(), x, s); err != nil {
 			t.Errorf("subset %+v rejected: %v", s, err)
 		}
@@ -500,6 +512,15 @@ func TestQuantileValidation(t *testing.T) {
 	}
 	if _, err := Quantile(context.Background(), x, Subset{}, 1.1); err == nil {
 		t.Error("quantile > 1 accepted")
+	}
+	// NaN fails every comparison, so it must be rejected by what it is not:
+	// a q in [0,1]. Taken as a rank it used to answer the first bin.
+	nan := Request{Op: OpQuantile, Q: math.NaN()}
+	if a, err := Run(context.Background(), nan, x, nil); err == nil {
+		t.Errorf("NaN quantile answered %+v", a.Agg)
+	}
+	if _, err := ExplainRequest(nan, x, nil); err == nil {
+		t.Error("EXPLAIN of a NaN quantile accepted")
 	}
 	// Empty subset yields zero aggregate.
 	agg, err := Quantile(context.Background(), x, Subset{ValueLo: 50, ValueHi: 60}, 0.5)

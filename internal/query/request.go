@@ -105,7 +105,7 @@ func (r *Request) validate(xa, xb *index.Index, mask bitvec.Bitmap) error {
 	switch r.Op {
 	case OpBits, OpCount, OpSum, OpMean, OpMinMax:
 	case OpQuantile:
-		if r.Q < 0 || r.Q > 1 {
+		if !(r.Q >= 0 && r.Q <= 1) { // NaN too
 			return fmt.Errorf("query: quantile %g out of [0,1]", r.Q)
 		}
 	case OpCorrelation:

@@ -79,8 +79,8 @@ func (ct *codecTally) flush() {
 // generation, trace ID) so CPU samples taken during the query attribute to
 // it. The returned end closure restores the labels, ends the span, and
 // records the operation latency; when the query was traced, the latency
-// sample carries the trace ID as a histogram exemplar, which the
-// OpenMetrics exposition surfaces on /metrics. With no debug server the
+// sample carries the trace ID as a histogram exemplar, which the /telemetry
+// snapshot lists beside the histogram. With no debug server the
 // label gate costs exactly one atomic load (telemetry.LabelsOn), on top of
 // the tracing gate's own load — the gated overhead guard covers the whole
 // prologue.

@@ -20,22 +20,6 @@ type Sampler struct {
 	pos []int // ascending element positions
 }
 
-// NewStrided samples every k-th element so that about pct percent survive.
-func NewStrided(n int, pct float64) (*Sampler, error) {
-	if err := validate(n, pct); err != nil {
-		return nil, err
-	}
-	stride := int(100/pct + 0.5)
-	if stride < 1 {
-		stride = 1
-	}
-	s := &Sampler{n: n}
-	for i := 0; i < n; i += stride {
-		s.pos = append(s.pos, i)
-	}
-	return s, nil
-}
-
 // NewRandom samples a uniform pseudo-random pct percent of positions,
 // deterministic for a given seed.
 func NewRandom(n int, pct float64, seed int64) (*Sampler, error) {

@@ -16,24 +16,8 @@ func TestValidation(t *testing.T) {
 		pct float64
 	}{{0, 10}, {-5, 10}, {100, 0}, {100, -1}, {100, 101}}
 	for _, c := range cases {
-		if _, err := NewStrided(c.n, c.pct); err == nil {
-			t.Errorf("NewStrided(%d, %g) accepted", c.n, c.pct)
-		}
 		if _, err := NewRandom(c.n, c.pct, 1); err == nil {
 			t.Errorf("NewRandom(%d, %g) accepted", c.n, c.pct)
-		}
-	}
-}
-
-func TestStridedFraction(t *testing.T) {
-	for _, pct := range []float64{1, 5, 15, 30, 50, 100} {
-		s, err := NewStrided(10000, pct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := 100 * s.Fraction()
-		if math.Abs(got-pct) > pct*0.2+0.5 {
-			t.Errorf("pct=%g: realized %.2f%%", pct, got)
 		}
 	}
 }
@@ -51,21 +35,16 @@ func TestRandomFraction(t *testing.T) {
 }
 
 func TestPositionsSortedDistinctInRange(t *testing.T) {
-	for name, mk := range map[string]func() (*Sampler, error){
-		"strided": func() (*Sampler, error) { return NewStrided(5000, 13) },
-		"random":  func() (*Sampler, error) { return NewRandom(5000, 13, 3) },
-	} {
-		s, err := mk()
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewRandom(5000, 13, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := -1
+	for _, p := range s.Positions() {
+		if p <= prev || p >= 5000 {
+			t.Fatalf("position %d after %d invalid", p, prev)
 		}
-		prev := -1
-		for _, p := range s.Positions() {
-			if p <= prev || p >= 5000 {
-				t.Fatalf("%s: position %d after %d invalid", name, p, prev)
-			}
-			prev = p
-		}
+		prev = p
 	}
 }
 
@@ -94,7 +73,7 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 }
 
 func TestSample(t *testing.T) {
-	s, _ := NewStrided(10, 30)
+	s, _ := NewRandom(10, 30, 5)
 	data := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	got, err := s.Sample(data)
 	if err != nil {
@@ -162,7 +141,7 @@ func TestSelectionOnSamplesRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	n := 4000
 	m, _ := binning.NewUniform(0, 10, 32)
-	s, _ := NewStrided(n, 10)
+	s, _ := NewRandom(n, 10, 5)
 	var exact, approx []selection.Summary
 	for step := 0; step < 12; step++ {
 		data := make([]float64, n)

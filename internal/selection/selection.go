@@ -303,19 +303,3 @@ func Select(steps []Summary, k int, p Partitioner, m Metric) (*Result, error) {
 	}
 	return res, nil
 }
-
-// PairwiseScores evaluates the metric between every ordered pair of steps;
-// the sampling-accuracy experiments (Figure 16) compare these matrices
-// between the exact and the approximated summaries.
-func PairwiseScores(steps []Summary, m Metric) []float64 {
-	var out []float64
-	for i := range steps {
-		for j := range steps {
-			if i == j {
-				continue
-			}
-			out = append(out, steps[i].Dissimilarity(steps[j], m))
-		}
-	}
-	return out
-}

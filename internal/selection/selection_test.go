@@ -276,23 +276,6 @@ func TestMixedSummaryTypesPanic(t *testing.T) {
 	d.Dissimilarity(b, EMDCount)
 }
 
-func TestPairwiseScores(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	raw := evolvingSteps(r, 6, 300)
-	m := mapper(t)
-	data, bmp := summaries(t, raw, m)
-	sd := PairwiseScores(data, ConditionalEntropy)
-	sb := PairwiseScores(bmp, ConditionalEntropy)
-	if len(sd) != 30 || len(sb) != 30 { // 6*5 ordered pairs
-		t.Fatalf("lens %d %d", len(sd), len(sb))
-	}
-	for i := range sd {
-		if math.Abs(sd[i]-sb[i]) > 1e-9 {
-			t.Fatalf("pair %d: %g vs %g", i, sd[i], sb[i])
-		}
-	}
-}
-
 func TestMetricString(t *testing.T) {
 	if ConditionalEntropy.String() == "" || EMDCount.String() == "" || EMDSpatial.String() == "" {
 		t.Fatal("empty metric names")

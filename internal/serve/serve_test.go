@@ -220,6 +220,9 @@ func TestHandlerErrors(t *testing.T) {
 		{"empty spatial range", &QueryRequest{Op: "bits", Var: "temp", SpatialLo: 5, SpatialHi: 5}, http.StatusBadRequest},
 		{"inverted correlation range", &QueryRequest{Op: "correlation", Var: "temp", VarB: "temp", SpatialLo: 9000, SpatialHi: 100, BSpatialLo: 9000, BSpatialHi: 100}, http.StatusBadRequest},
 		{"inverted explain range", &QueryRequest{Op: "explain", Var: "temp", SpatialLo: 9000, SpatialHi: 100}, http.StatusBadRequest},
+		{"inverted value range", &QueryRequest{Op: "count", Var: "temp", ValueLo: 60, ValueHi: 20}, http.StatusBadRequest},
+		{"value range without hi", &QueryRequest{Op: "sum", Var: "temp", ValueLo: 50}, http.StatusBadRequest},
+		{"inverted correlation value range", &QueryRequest{Op: "correlation", Var: "temp", VarB: "temp", BValueLo: 60, BValueHi: 20}, http.StatusBadRequest},
 	} {
 		_, hresp := postQuery(t, ts.URL, tc.req)
 		if hresp.StatusCode != tc.code {

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"insitubits/internal/binning"
@@ -25,13 +27,10 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(LegacyDenseFile(LegacyDenseIndex(f), 3, nil))
 	// A v1 file of three elements whose second bin, one literal word, has
 	// bit 5 set: a bit past the length, which no reader may accept.
-	buf.Reset()
-	if _, err := WriteIndexV1(&buf, buildIndexF(f, 3, 2)); err != nil {
-		f.Fatal(err)
-	}
-	past := buf.Bytes()
+	past := readFixture(f, "v1-three.isbm")
 	binary.LittleEndian.PutUint32(past[len(past)-4:], 1<<5)
 	f.Add(past)
+	f.Add(readFixture(f, "v1.isbm"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		y, err := ReadIndex(bytes.NewReader(data))
 		if err != nil {
@@ -82,6 +81,20 @@ func FuzzReadDataset(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = ReadDataset(bytes.NewReader(data))
 	})
+}
+
+// readFixture returns a file of testdata/. The v1 files there were written
+// once by the v1 writer this package had at commit 420eb42, the last to
+// have one: v1.isbm is buildIndex(t, 22, 2000, 12) recoded under codec.Auto,
+// v1-three.isbm is buildIndexF(f, 3, 2). Nothing writes v1 any more; the
+// reader must keep reading it.
+func readFixture(tb testing.TB, name string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // buildIndexF is buildIndex for fuzz setup (testing.F instead of *testing.T).

@@ -71,7 +71,7 @@ func WriteIndex(w io.Writer, x *index.Index) (int64, error) {
 	defer timeIO(tel.writeNs)()
 	bw := bufio.NewWriter(w)
 	cw := &sumWriter{w: bw}
-	if err := writeHeaderVersion(cw, x, version); err != nil {
+	if err := writeHeader(cw, x); err != nil {
 		return cw.n, err
 	}
 	for b := 0; b < x.Bins(); b++ {
@@ -117,38 +117,11 @@ func writeBinV2(cw *sumWriter, x *index.Index, b int) error {
 	return err
 }
 
-// WriteIndexV1 serializes an index in the legacy all-WAH version-1 layout,
-// re-encoding non-WAH bins. Kept so compatibility tests (and tools that
-// must interoperate with pre-v2 readers) can produce v1 files.
-func WriteIndexV1(w io.Writer, x *index.Index) (int64, error) {
-	defer timeIO(tel.writeNs)()
-	bw := bufio.NewWriter(w)
-	cw := &sumWriter{w: bw}
-	if err := writeHeaderVersion(cw, x, versionV1); err != nil {
-		return cw.n, err
-	}
-	for b := 0; b < x.Bins(); b++ {
-		words := bitvec.ToVector(x.Bitmap(b)).RawWords()
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(words))); err != nil {
-			return cw.n, err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, words); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	tel.indexesWritten.Inc()
-	tel.bytesWritten.Add(cw.n)
-	return cw.n, nil
-}
-
-func writeHeaderVersion(w io.Writer, x *index.Index, ver uint32) error {
+func writeHeader(w io.Writer, x *index.Index) error {
 	if _, err := io.WriteString(w, indexMagic); err != nil {
 		return err
 	}
-	for _, v := range []any{ver, uint64(x.N()), uint32(x.Bins())} {
+	for _, v := range []any{uint32(version), uint64(x.N()), uint32(x.Bins())} {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 			return err
 		}
@@ -183,8 +156,9 @@ func validEdges(edges []float64) error {
 	return nil
 }
 
-// ReadIndex parses an index written by WriteIndex (v3), the un-checksummed
-// v2 writer, or the legacy v1 writer; v1 bins load as WAH. For v3 files
+// ReadIndex parses an index written by WriteIndex (v3), an un-checksummed
+// v2 file, or a legacy all-WAH v1 file (nothing writes v1 or v2 any more);
+// v1 bins load as WAH. For v3 files
 // every per-bin checksum and the whole-file footer are verified — a
 // mismatch returns an error wrapping ErrChecksum, never a silently wrong
 // index. Trailing bytes after the container are rejected for all versions.

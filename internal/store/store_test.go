@@ -174,17 +174,10 @@ func TestCompressionRatioOnDisk(t *testing.T) {
 }
 
 func TestMachineProfiles(t *testing.T) {
-	for _, name := range []string{"xeon", "mic", "oakley"} {
-		p, ok := machine.ByName(name)
-		if !ok {
-			t.Fatalf("profile %q missing", name)
-		}
+	for _, p := range []machine.Profile{machine.Xeon, machine.MIC, machine.OakleyNode} {
 		if p.Cores <= 0 || p.DiskMBps <= 0 || p.NetMBps <= 0 || p.MemoryBytes <= 0 {
-			t.Fatalf("profile %q has non-positive fields: %+v", name, p)
+			t.Fatalf("profile %q has non-positive fields: %+v", p.Name, p)
 		}
-	}
-	if _, ok := machine.ByName("cray"); ok {
-		t.Error("unknown profile resolved")
 	}
 	if machine.MIC.Cores <= machine.Xeon.Cores {
 		t.Error("MIC should have more cores than Xeon")

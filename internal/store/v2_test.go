@@ -43,18 +43,15 @@ func TestV2PreservesCodecs(t *testing.T) {
 }
 
 // TestV1Compat checks the legacy all-WAH layout still loads, bit-for-bit,
-// regardless of what codecs the in-memory index used.
+// from a file the retired v1 writer made of an index recoded under auto.
 func TestV1Compat(t *testing.T) {
 	x := buildIndex(t, 22, 2000, 12).Recode(codec.Auto)
-	var buf bytes.Buffer
-	if _, err := WriteIndexV1(&buf, x); err != nil {
-		t.Fatal(err)
-	}
+	data := readFixture(t, "v1.isbm")
 	// The v1 header literally declares version 1.
-	if ver := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); ver != 1 {
-		t.Fatalf("v1 writer stamped version %d", ver)
+	if ver := binary.LittleEndian.Uint32(data[4:8]); ver != 1 {
+		t.Fatalf("fixture declares version %d", ver)
 	}
-	y, err := ReadIndex(&buf)
+	y, err := ReadIndex(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

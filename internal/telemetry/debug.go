@@ -3,14 +3,12 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 )
@@ -20,14 +18,11 @@ import (
 //
 //	/telemetry             the registry snapshot as JSON
 //	/metrics               the snapshot in Prometheus text exposition format
-//	                       (OpenMetrics with exemplars when the request
-//	                       Accepts application/openmetrics-text)
 //	/healthz               liveness plus run/qlog/cache component status
-//	/debug/traces          recent kept traces; ?id= fetches one (&format=chrome|otlp|json)
+//	/debug/traces          recent kept traces; ?id= fetches one as JSON
 //	/debug/run             the "run" live-status provider (the in-situ pipeline)
 //	/debug/cache           the "cache" live-status provider (the bitmap cache)
 //	/debug/metrics/history the metrics-history ring (StartHistory) with derived rates
-//	/debug/vars            expvar (includes the "telemetry" var)
 //	/debug/pprof/          the standard pprof profiles
 //
 // While at least one DebugServer is serving, Label tags query and pipeline
@@ -47,7 +42,6 @@ func (r *Registry) ServeDebug(addr string) (*DebugServer, error) {
 	if r == nil {
 		return nil, fmt.Errorf("telemetry: ServeDebug on nil registry")
 	}
-	r.PublishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -58,12 +52,7 @@ func (r *Registry) ServeDebug(addr string) (*DebugServer, error) {
 		}
 		w.Write(data)
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if wantsOpenMetrics(req) {
-			w.Header().Set("Content-Type", openMetricsContentType)
-			r.WriteOpenMetrics(w) //nolint:errcheck // best-effort over HTTP
-			return
-		}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w) //nolint:errcheck // best-effort over HTTP
 	})
@@ -108,7 +97,6 @@ func (r *Registry) ServeDebug(addr string) (*DebugServer, error) {
 		}
 		writeJSON(w, v)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -126,7 +114,7 @@ func (r *Registry) ServeDebug(addr string) (*DebugServer, error) {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "insitubits debug server\n\n/telemetry\n/metrics\n/healthz\n/debug/traces\n/debug/run\n/debug/cache\n/debug/metrics/history\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "insitubits debug server\n\n/telemetry\n/metrics\n/healthz\n/debug/traces\n/debug/run\n/debug/cache\n/debug/metrics/history\n/debug/pprof/\n")
 		for _, p := range r.debugHandlerPaths() {
 			fmt.Fprintf(w, "%s\n", p)
 		}
@@ -205,17 +193,6 @@ func (r *Registry) debugHandlerPaths() []string {
 	return names(r.handlers)
 }
 
-// wantsOpenMetrics reports whether a /metrics request negotiated the
-// OpenMetrics exposition: an Accept header naming
-// application/openmetrics-text, or the explicit ?format=openmetrics
-// escape hatch for curl.
-func wantsOpenMetrics(req *http.Request) bool {
-	if req.URL.Query().Get("format") == "openmetrics" {
-		return true
-	}
-	return strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text")
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	data, err := json.Marshal(v)
@@ -249,9 +226,7 @@ func (r *Registry) ensureBuildInfo() {
 
 // handleTraces serves /debug/traces off the process-wide trace recorder:
 // with no query parameters, a JSON listing of kept traces (newest first)
-// plus recorder stats; with ?id=, the full trace in the requested
-// &format= — "json" (native, default), "chrome" (trace-event JSON for
-// Perfetto / chrome://tracing), or "otlp" (OTLP-shaped JSON).
+// plus recorder stats; with ?id=, the full trace as JSON.
 func handleTraces(w http.ResponseWriter, req *http.Request) {
 	rec := DefaultTraceRecorder()
 	if rec == nil {
@@ -287,25 +262,7 @@ func handleTraces(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "trace not found (evicted or never kept)", http.StatusNotFound)
 		return
 	}
-	var data []byte
-	var err error
-	switch format := req.URL.Query().Get("format"); format {
-	case "", "json":
-		data, err = json.Marshal(t)
-	case "chrome":
-		data, err = t.ChromeTrace()
-	case "otlp":
-		data, err = t.OTLPJSON()
-	default:
-		http.Error(w, "unknown format "+format+" (want json, chrome, or otlp)", http.StatusBadRequest)
-		return
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data) //nolint:errcheck // best-effort over HTTP
+	writeJSON(w, t)
 }
 
 // Shutdown stops accepting new connections, waits for in-flight requests

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
-	"sync"
 )
 
 // GaugeSnapshot is an immutable view of a gauge.
@@ -13,7 +11,7 @@ type GaugeSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of everything a registry holds —
-// the JSON document served at /telemetry and published over expvar.
+// the JSON document served at /telemetry.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]GaugeSnapshot     `json:"gauges"`
@@ -73,18 +71,4 @@ func (r *Registry) Snapshot() Snapshot {
 // output is deterministic for a fixed state).
 func (r *Registry) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Snapshot())
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar publishes the registry under the expvar name "telemetry",
-// so `GET /debug/vars` includes a live snapshot. Safe to call repeatedly;
-// only the first registry wins (expvar names are process-global).
-func (r *Registry) PublishExpvar() {
-	if r == nil {
-		return
-	}
-	expvarOnce.Do(func() {
-		expvar.Publish("telemetry", expvar.Func(func() any { return r.Snapshot() }))
-	})
 }

@@ -42,9 +42,9 @@ type Histogram struct {
 // everything.
 const exemplarSlots = 8
 
-// Exemplar links one recorded sample to the trace it came from — the
-// OpenMetrics exposition attaches it to the histogram bucket the value
-// falls in, closing the metrics→trace loop.
+// Exemplar links one recorded sample to the trace it came from: the
+// /telemetry snapshot lists a histogram's exemplars beside its summary, so
+// a slow sample leads to /debug/traces?id=.
 type Exemplar struct {
 	Value   int64  `json:"value"`
 	TraceID string `json:"trace_id"`

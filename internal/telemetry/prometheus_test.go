@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -171,5 +172,90 @@ func TestMetricsEndpointAndShutdown(t *testing.T) {
 	}
 	if err := nilSrv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTelemetryExemplarRoundTrip records latency samples stamped with known
+// trace IDs and reads them back from /telemetry with a decoder of its own:
+// each trace ID arrives with its exact value beside the histogram's count,
+// so a slow bucket still leads to /debug/traces?id=.
+func TestTelemetryExemplarRoundTrip(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("query.latency_ns")
+	// Two traced samples in different magnitude bands plus untraced bulk.
+	h.RecordExemplar(900, "tracefast01")
+	h.RecordExemplar(2_000_000, "traceslow02")
+	for i := 0; i < 100; i++ {
+		h.Record(int64(1000 + i))
+	}
+	srv, err := reg.ServeDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr + "/telemetry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap struct {
+		Histograms map[string]struct {
+			Count     int64 `json:"count"`
+			Exemplars []struct {
+				Value   int64  `json:"value"`
+				TraceID string `json:"trace_id"`
+				UnixNs  int64  `json:"unix_ns"`
+			} `json:"exemplars"`
+		} `json:"histograms"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	got := snap.Histograms["query.latency_ns"]
+	if got.Count != 102 {
+		t.Errorf("histogram count = %d, want 102", got.Count)
+	}
+	want := map[string]int64{"tracefast01": 900, "traceslow02": 2_000_000}
+	if len(got.Exemplars) != len(want) {
+		t.Fatalf("exemplars = %+v, want %v", got.Exemplars, want)
+	}
+	for _, ex := range got.Exemplars {
+		if v, ok := want[ex.TraceID]; !ok || v != ex.Value || ex.UnixNs == 0 {
+			t.Errorf("exemplar %+v, want one of %v with a timestamp", ex, want)
+		}
+	}
+}
+
+// TestMetricsContentNegotiation pins /metrics to one exposition: Prometheus
+// text whatever the Accept header names.
+func TestMetricsContentNegotiation(t *testing.T) {
+	reg := NewRegistry()
+	reg.Histogram("query.latency_ns").RecordExemplar(5000, "tracenego03")
+	srv, err := reg.ServeDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, accept := range []string{"", "application/openmetrics-text; version=1.0.0"} {
+		req, _ := http.NewRequest("GET", "http://"+srv.Addr+"/metrics", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Errorf("Accept %q: content type %q", accept, ct)
+		}
+		if strings.Contains(string(body), "# EOF") || strings.Contains(string(body), "trace_id") {
+			t.Errorf("Accept %q: OpenMetrics syntax in the exposition:\n%s", accept, body)
+		}
+		promParse(t, string(body))
 	}
 }

@@ -9,9 +9,9 @@ import (
 // Runtime-metrics bridge: a pre-snapshot updater that publishes Go
 // scheduler, heap, and GC health from the runtime/metrics package as
 // ordinary registry instruments. Because it runs inside Snapshot, the
-// values flow into the JSON snapshot, the Prometheus/OpenMetrics
-// expositions, the metrics-history ring, and `bitmapctl top` without any
-// of those consumers knowing it exists.
+// values flow into the JSON snapshot, the Prometheus exposition, the
+// metrics-history ring, and `bitmapctl top` without any of those consumers
+// knowing it exists.
 //
 // Published instruments:
 //

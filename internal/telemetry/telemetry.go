@@ -2,7 +2,7 @@
 // layer: atomic counters and gauges, lock-striped latency/size histograms
 // with quantile export, and a span-based phase tracer with hierarchical
 // timers. A Registry names and owns a set of instruments and exports them
-// as JSON, expvar, or over an optional debug HTTP server (expvar + pprof),
+// as JSON or Prometheus text, over an optional debug HTTP server (+ pprof),
 // so a running in-situ pipeline or query workload can be inspected live.
 //
 // Design rules, in order:

@@ -15,8 +15,7 @@ import (
 // traced context records one concrete span with a TraceID/SpanID pair,
 // wall-clock bounds, and free-form attributes. Completed traces land in a
 // fixed-size ring buffer, so memory stays bounded no matter how long the
-// process runs, and can be fetched back by ID and exported as Chrome
-// trace-event JSON or OTLP-shaped JSON (traceexport.go).
+// process runs, and can be fetched back by ID as JSON (/debug/traces?id=).
 //
 // Keep policy: head sampling (keep 1 in SampleEvery traces, decided at
 // StartTrace) plus always-keep-slow (a trace whose root span runs at least
@@ -99,9 +98,6 @@ type TraceRecorder struct {
 	slow    atomic.Uint64
 	dropped atomic.Uint64
 
-	sinkMu sync.Mutex
-	sink   func(*Trace)
-
 	mu   sync.Mutex
 	ring []*Trace // capacity cfg.Capacity, oldest overwritten first
 	pos  int
@@ -116,17 +112,6 @@ func NewTraceRecorder(cfg TraceConfig) *TraceRecorder {
 		ring: make([]*Trace, cfg.Capacity),
 		byID: make(map[string]*Trace, cfg.Capacity),
 	}
-}
-
-// SetSink installs a callback invoked (outside the ring lock) for every
-// kept trace — the OTLP JSONL file exporter hangs off this. Nil clears it.
-func (r *TraceRecorder) SetSink(fn func(*Trace)) {
-	if r == nil {
-		return
-	}
-	r.sinkMu.Lock()
-	r.sink = fn
-	r.sinkMu.Unlock()
 }
 
 // Stats returns recorder activity counts. Nil-safe.
@@ -178,12 +163,6 @@ func (r *TraceRecorder) keep(t *Trace) {
 	r.byID[t.TraceID] = t
 	r.pos = (r.pos + 1) % len(r.ring)
 	r.mu.Unlock()
-	r.sinkMu.Lock()
-	sink := r.sink
-	r.sinkMu.Unlock()
-	if sink != nil {
-		sink(t)
-	}
 }
 
 // defaultRecorder gates the process-wide tracing fast path: one atomic

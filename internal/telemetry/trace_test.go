@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -241,7 +242,7 @@ func TestConcurrentTraceRing(t *testing.T) {
 					if rec.Get(tr.TraceID) == nil {
 						continue // evicted between list and fetch: fine
 					}
-					if _, err := tr.ChromeTrace(); err != nil {
+					if _, err := json.Marshal(tr); err != nil {
 						t.Errorf("export: %v", err)
 						return
 					}

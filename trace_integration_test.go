@@ -2,7 +2,7 @@
 // traceable from the slow-query log record, through the trace ID it
 // carries, to the span tree served at /debug/traces — which must cover the
 // query, its per-operand codec work, and the store read that loaded the
-// index — with the Chrome export parsed by an independent decoder.
+// index — with the served JSON parsed by an independent decoder.
 package insitubits_test
 
 import (
@@ -77,13 +77,13 @@ func TestSlowQueryTraceEndToEnd(t *testing.T) {
 	}
 
 	// 2. Fetching that ID from the live /debug/traces endpoint returns the
-	// trace as Chrome trace-event JSON.
+	// trace as JSON.
 	dbg, err := insitubits.Telemetry.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dbg.Close()
-	url := fmt.Sprintf("http://%s/debug/traces?id=%s&format=chrome", dbg.Addr, traceID)
+	url := fmt.Sprintf("http://%s/debug/traces?id=%s", dbg.Addr, traceID)
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
@@ -97,27 +97,43 @@ func TestSlowQueryTraceEndToEnd(t *testing.T) {
 		t.Fatalf("GET %s: %s\n%s", url, resp.Status, body)
 	}
 
-	// 3. An independent decode of the export shows the full span tree:
-	// query → per-operand codec ops → store read.
+	// 3. An independent decode of the trace shows the full span tree:
+	// query → per-operand codec ops → store read, every span linked to a
+	// parent in the same trace and one root.
 	var doc struct {
-		TraceEvents []struct {
-			Name string            `json:"name"`
-			Ph   string            `json:"ph"`
-			Args map[string]string `json:"args"`
-		} `json:"traceEvents"`
+		TraceID string `json:"trace_id"`
+		Spans   []struct {
+			SpanID   string `json:"span_id"`
+			ParentID string `json:"parent_id"`
+			Name     string `json:"name"`
+		} `json:"spans"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("independent parse of Chrome export: %v", err)
+		t.Fatalf("independent parse of the trace: %v", err)
+	}
+	if doc.TraceID != traceID {
+		t.Errorf("trace_id = %q, want %q", doc.TraceID, traceID)
 	}
 	names := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
+	ids := map[string]bool{}
+	for _, sp := range doc.Spans {
+		names[sp.Name] = true
+		ids[sp.SpanID] = true
+	}
+	roots := 0
+	for _, sp := range doc.Spans {
+		switch {
+		case sp.ParentID == "":
+			roots++
+			if sp.Name != "request" {
+				t.Errorf("root span %q, want request", sp.Name)
+			}
+		case !ids[sp.ParentID]:
+			t.Errorf("span %s has parent %s outside trace %s", sp.Name, sp.ParentID, traceID)
 		}
-		names[ev.Name] = true
-		if got := ev.Args["trace_id"]; got != traceID {
-			t.Errorf("event %s trace_id = %q, want %q", ev.Name, got, traceID)
-		}
+	}
+	if roots != 1 {
+		t.Errorf("trace %s has %d roots, want 1", traceID, roots)
 	}
 	for _, want := range []string{"request", "query.count", "store.read_index"} {
 		if !names[want] {
