@@ -33,7 +33,9 @@ race:
 # reduce hand-off of a lent step staged on the simulate side of the
 # separate-cores queue — the simulators (sim) and the pipeline's lend,
 # staging and queue tests (insitu, by name: its crash matrix stays in
-# `race` / `crash-matrix`). ./internal/query/...
+# `race` / `crash-matrix`), with the queue-depth accounting the producer and
+# consumer share (TestQueueBackpressure) and the phase record both
+# strategies' goroutines add into (TestPhaseRecord). ./internal/query/...
 # includes the correlation's pooled id array: concurrent requests over two
 # index sizes (TestPooledScratchNeverEscapes) and the arrays that requests
 # on broken indexes abandon (TestCorrelationOnBrokenPartition), both again
@@ -46,7 +48,7 @@ race:
 race-hot:
 	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/...
 	$(GO) test -race -run 'TestWindowsTileTheWhole|TestSkipTableConcurrentFirstUse|TestBBCWalkers' ./internal/bitvec/
-	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate' ./internal/insitu/
+	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate|TestQueueBackpressure|TestPhaseRecord' ./internal/insitu/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
 # or all four, untraced end to end and then traced per layer, every

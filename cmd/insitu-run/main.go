@@ -20,13 +20,14 @@
 // resumes with -resume and `bitmapctl fsck` can audit the directory.
 //
 // Observability (see docs/OBSERVABILITY.md): -debug-addr starts a debug
-// HTTP server with live JSON counters, Prometheus /metrics, the pipeline
-// span tree, the live /debug/run dashboard and pprof; -telemetry dumps the
-// full telemetry snapshot as JSON after the run; -slowlog/-slowlog-threshold
-// emit every query slower than the threshold as a JSON line with its full
-// ANALYZE profile; -qlog captures every selection query into a workload
-// log for `bitmapctl replay` / `bitmapctl workload`; -hold keeps the
-// process (and debug server) alive until SIGINT/SIGTERM. While the debug
+// HTTP server with live JSON counters, Prometheus /metrics, the live
+// /debug/run dashboard (with the run's phase record) and pprof; -telemetry
+// dumps the full telemetry snapshot as JSON after the run;
+// -slowlog/-slowlog-threshold emit every query slower than the threshold
+// as a JSON line with its full ANALYZE profile; -qlog captures every
+// selection query into a workload log for `bitmapctl replay` / `bitmapctl
+// workload`; -hold keeps the process (and debug server) alive until
+// SIGINT/SIGTERM. While the debug
 // server serves, run phases and queries carry pprof labels (phase,
 // workload, codec, op), so `go tool pprof -tags` on /debug/pprof/profile
 // attributes CPU to them.

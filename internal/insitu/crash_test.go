@@ -406,7 +406,8 @@ func TestResumeStagesOnlyNeededSteps(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh := int64(cfg.Steps - 1 - frontier)
-		staged := cfg.Telemetry.Tracer(TracerName).Phase(SpanRun, SpanReduce, SpanStage).Count
+		status, _ := cfg.Telemetry.StatusValue(RunStatusName)
+		staged := status.(RunStatus).Phases[SpanStage].Count
 		if frontier < 8 || staged < fresh+1 || staged > fresh+2 {
 			t.Errorf("%s: journal frontier %d of %d steps, the resumed run staged %d; want the %d steps past the frontier and one or two needed before it",
 				strategy.Describe(), frontier, cfg.Steps, staged, fresh)

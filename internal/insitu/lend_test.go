@@ -220,15 +220,15 @@ func TestStagedStepAllocatesAFractionOfOneRawStep(t *testing.T) {
 // The Figure 11 model counts what summaries hold in memory: a conditional-
 // entropy summary carries one id per element next to its bitmaps, an
 // EMD-count summary of the same data does not, and the model keeps window+1
-// summaries.
+// summaries at the paper's window of 10.
 func TestModelledPeakCountsIDs(t *testing.T) {
-	const dim, window = 16, 6
+	const dim, window = 16, 10
 	run := func(metric selection.Metric) *Result {
 		h, err := heat3d.New(dim, dim, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{Sim: h, Steps: 9, Select: 3, Method: Bitmaps, Bins: 64, Metric: metric, Cores: 2, Window: window})
+		res, err := Run(Config{Sim: h, Steps: 9, Select: 3, Method: Bitmaps, Bins: 64, Metric: metric, Cores: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

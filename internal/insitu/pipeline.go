@@ -72,8 +72,11 @@ type Config struct {
 	// codec. Pin codec.WAH to reproduce pre-v2 output exactly.
 	Codec codec.ID
 
+	// Metric scores each step against the previous selection; the steps
+	// are partitioned into Select fixed-length intervals (online selection
+	// sees them as they stream, so importance-balanced partitioning, which
+	// needs all importances up front, is offline-only).
 	Metric selection.Metric
-	Part   selection.Partitioner
 
 	// VarWeights optionally weights each variable's contribution to the
 	// multi-variable selection score (nil = equal weights, the paper's
@@ -97,14 +100,10 @@ type Config struct {
 	// variable, plus a manifest.json index (see Manifest).
 	OutputDir string
 
-	// Window is how many current time-steps the memory model assumes held
-	// in memory for selection (paper Figure 11 uses 10).
-	Window int
-
-	// Telemetry selects the registry the run reports into (phase span tree
-	// under "pipeline", queue-depth gauge, step counter). Nil means
-	// telemetry.Default; the phase breakdown is always measured either way
-	// because each run traces into its own tracer.
+	// Telemetry selects the registry the run reports into (the live
+	// RunStatus under RunStatusName, queue-depth gauge, step counter). Nil
+	// means telemetry.Default; the phase breakdown is measured either way,
+	// into the run's own phase record.
 	Telemetry *telemetry.Registry
 
 	// Ctx, when set, cancels the run: both strategies stop between steps
@@ -199,14 +198,6 @@ func (c *Config) validate() error {
 		}
 		if !positive {
 			return fmt.Errorf("insitu: all variable weights are zero")
-		}
-	}
-	if c.Part != nil {
-		if _, ok := c.Part.(selection.FixedLength); !ok {
-			// Online selection sees steps as they stream, so importance-
-			// balanced partitioning (which needs all importances up front)
-			// is an offline-only feature.
-			return fmt.Errorf("insitu: online selection supports fixed-length partitioning only, got %T", c.Part)
 		}
 	}
 	return nil
@@ -577,21 +568,17 @@ const selectorSlowK = 5
 
 func newSelector(cfg Config) *selector {
 	imp := make([]float64, cfg.Steps) // fixed-length partitioning ignores it
-	part := cfg.Part
-	if part == nil {
-		part = selection.FixedLength{}
-	}
 	return &selector{
 		cfg:       cfg,
-		intervals: part.Partition(imp, cfg.Select),
+		intervals: selection.FixedLength{}.Partition(imp, cfg.Select),
 		slow:      query.NewTopK(selectorSlowK),
 	}
 }
 
-// offer consumes step t's summary in order; metric evaluation is recorded
-// as a "select" span and committed writes as "write" spans, which is where
-// the run report's Select phase and WriteTime come from. When ctx carries
-// the step's identity-trace span (the strategies open one per step while a
+// offer consumes step t's summary in order; metric evaluation is timed as
+// the select phase and committed writes as write phases, which is where the
+// run report's Select phase and WriteTime come from. When ctx carries the
+// step's identity-trace span (the strategies open one per step while a
 // trace recorder is installed) the same phases appear as child spans of
 // that trace and the journaled score carries its trace ID. On a resumed
 // run, steps whose score is already journaled skip the metric evaluation
@@ -617,19 +604,19 @@ func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 			return
 		}
 	}
-	sp := s.rt.root.Child(SpanSelect)
-	tsp := telemetry.SpanFromContext(ctx).Child(SpanSelect)
-	start := time.Now()
-	score := sum.Dissimilarity(s.prev, s.cfg.Metric)
-	elapsed := time.Since(start)
-	tsp.SetAttrInt("vs_step", int64(s.prev.step))
-	tsp.End()
-	sp.End()
+	var score float64
+	elapsed, err := s.rt.phase(ctx, phaseSelect, t, func(ctx context.Context) error {
+		telemetry.SpanFromContext(ctx).SetAttrInt("vs_step", int64(s.prev.step))
+		score = sum.Dissimilarity(s.prev, s.cfg.Metric)
+		return nil
+	})
+	if err != nil {
+		s.fail(err)
+		return
+	}
 	// The score is durable before the interval logic can commit on it, so a
 	// crash between here and the commit resumes with the selection intact.
-	if err := s.w.recordScore(t, score, telemetry.TraceIDOf(ctx)); err != nil && s.err == nil {
-		s.err = err
-	}
+	s.fail(s.w.recordScore(t, score, telemetry.TraceIDOf(ctx)))
 	s.recordSelect(ctx, t, sum, score, elapsed)
 	s.applyScore(ctx, t, sum, score)
 }
@@ -732,37 +719,47 @@ func (s *selector) recordSelect(ctx context.Context, t int, sum *stepSummary, sc
 }
 
 func (s *selector) write(ctx context.Context, sum *stepSummary) {
-	sp := s.rt.root.Child(SpanWrite)
-	defer sp.End()
-	wsp := telemetry.SpanFromContext(ctx).Child(SpanWrite)
-	wsp.SetAttrInt("step", int64(sum.step))
-	wsp.SetAttrInt("bytes", sum.outBytes)
-	defer wsp.End()
-	ctx = telemetry.ContextWithSpan(ctx, wsp)
-	s.written += sum.outBytes
-	s.rt.wroteStep(sum.outBytes)
-	if s.cfg.Store != nil {
-		s.cfg.Store.Account(sum.outBytes)
-	}
-	if s.w != nil && s.err == nil {
-		s.err = s.w.writeStep(ctx, sum)
-		if s.err == nil && s.cfg.OnPublish != nil {
+	_, err := s.rt.phase(ctx, phaseWrite, sum.step, func(ctx context.Context) error {
+		sp := telemetry.SpanFromContext(ctx)
+		sp.SetAttrInt("step", int64(sum.step))
+		sp.SetAttrInt("bytes", sum.outBytes)
+		s.written += sum.outBytes
+		s.rt.wroteStep(sum.outBytes)
+		if s.cfg.Store != nil {
+			s.cfg.Store.Account(sum.outBytes)
+		}
+		if s.w == nil || s.err != nil {
+			return nil
+		}
+		if err := s.w.writeStep(ctx, sum); err != nil {
+			return err
+		}
+		if s.cfg.OnPublish != nil {
 			s.cfg.OnPublish(sum.step)
 		}
+		return nil
+	})
+	s.fail(err)
+}
+
+// fail keeps the run's first persistence (or phase) error.
+func (s *selector) fail(err error) {
+	if err != nil && s.err == nil {
+		s.err = err
 	}
 }
 
 func (r *Result) finishMemory(cfg Config, red *reducer) {
-	window := cfg.Window
-	if window < 1 {
-		window = 10
-	}
 	stepBytes := int64(8*cfg.Sim.Elements()) * int64(len(cfg.Sim.Vars()))
 	r.StepBytes = stepBytes
 	r.StagedBytes = red.stagedBytes()
-	r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.SummaryBytes+r.IDBytes, window) +
+	r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.SummaryBytes+r.IDBytes, memoryWindow) +
 		int64(r.QueuePeak)*r.StagedBytes
 }
+
+// memoryWindow is how many current time-steps the run's memory model
+// assumes held in memory for selection: the paper's Figure 11 window.
+const memoryWindow = 10
 
 // MemoryModel reproduces the paper's Figure 11 accounting. Full data holds
 // the previous selected step, one in-flight (simulating) step, and `window`

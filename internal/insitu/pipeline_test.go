@@ -42,7 +42,6 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Cores = 0 },
 		func(c *Config) { c.Method = Sampling; c.SamplePct = 0 },
 		func(c *Config) { c.Method = Sampling; c.SamplePct = 150 },
-		func(c *Config) { c.Part = selection.InfoVolume{} },
 	}
 	for i, mutate := range bad {
 		cfg := base
@@ -203,6 +202,26 @@ func TestCalibrate(t *testing.T) {
 	if split.SimCores+split.ReduceCores != cfg.Cores {
 		t.Fatalf("split %+v does not use all %d cores", split, cfg.Cores)
 	}
+}
+
+// Calibrate returns a split Run accepts or an error: it validates the
+// configuration first, and one core cannot be split.
+func TestCalibrateRejectsUnsplittableConfigs(t *testing.T) {
+	one := heatConfig(t, Bitmaps)
+	one.Cores = 1
+	if split, err := Calibrate(one, 2); err == nil {
+		t.Errorf("one core calibrated to %+v, want an error", split)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("Calibrate of an empty config panicked: %v", r)
+			}
+		}()
+		if split, err := Calibrate(Config{}, 2); err == nil {
+			t.Errorf("empty config calibrated to %+v, want an error", split)
+		}
+	}()
 }
 
 func TestLuleshPipelineAllArrays(t *testing.T) {

@@ -176,11 +176,7 @@ func Resume(dir string, cfg Config) (*Result, error) {
 	}
 	// The open interval's incumbent (journal-exact argmax, same strict ">"
 	// first-wins rule as the selector) may still be committed and written.
-	part := cfg.Part
-	if part == nil {
-		part = selection.FixedLength{}
-	}
-	intervals := part.Partition(make([]float64, cfg.Steps), cfg.Select)
+	intervals := selection.FixedLength{}.Partition(make([]float64, cfg.Steps), cfg.Select)
 	committed := len(selects)
 	if _, ok := selects[0]; ok {
 		committed-- // step 0 is not an interval winner

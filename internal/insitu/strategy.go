@@ -29,56 +29,26 @@ func lentStep(s sim.Simulator, workers int) (fields []sim.Field, owned bool) {
 	return s.Step(workers), true
 }
 
-// spans is a position in the run's two span trees: the aggregate phase tree
-// every run has, and the step's identity trace (a no-op unless a trace
-// recorder is installed).
-type spans struct {
-	agg *telemetry.Span
-	id  *telemetry.ActiveSpan
-}
-
-func (s spans) child(name string) spans { return spans{s.agg.Child(name), s.id.Child(name)} }
-
-func (s spans) end() {
-	s.id.End()
-	s.agg.End()
-}
-
-// runPhase runs fn as the named phase of step t: a span under parent in both
-// trees, the pprof phase labels, and panic capture — a panicking
-// simulator or reduction worker becomes an error naming the step (and a
-// telemetry count), not a dead process with a half-written output directory.
-func (rt *runTelemetry) runPhase(ctx context.Context, parent spans, name string, t int, fn func(spans) error) (err error) {
-	sp := parent.child(name)
-	defer sp.end()
-	defer rt.enterPhase(ctx, name)()
-	defer func() {
-		if r := recover(); r != nil {
-			rt.workerPanics.Inc()
-			err = fmt.Errorf("insitu: %s panic at step %d: %v", name, t, r)
-		}
-	}()
-	return fn(sp)
-}
-
 // produce is the simulate side of step t: advance the simulator, then stage
 // the step — the one reader of its raw arrays — before anything can advance
-// the simulator again. The stage is reduction work (a "stage" span inside a
+// the simulator again. The stage is reduction work (a stage phase inside a
 // reduce phase), paid on whichever goroutine simulates. On a resumed run a
 // step whose outcome the journal already fixes is not staged.
-func (rt *runTelemetry) produce(ctx context.Context, step spans, cfg Config, red *reducer, t, workers int) (st staged, err error) {
+func (rt *runTelemetry) produce(ctx context.Context, cfg Config, red *reducer, t, workers int) (st staged, err error) {
 	var fields []sim.Field
 	var owned bool
-	err = rt.runPhase(ctx, step, SpanSimulate, t, func(spans) error {
+	_, err = rt.phase(ctx, phaseSimulate, t, func(context.Context) error {
 		fields, owned = lentStep(cfg.Sim, workers)
 		return nil
 	})
 	if err != nil || red.replayed(t) {
 		return st, err
 	}
-	err = rt.runPhase(ctx, step, SpanReduce, t, func(reduce spans) error {
-		defer reduce.child(SpanStage).end()
-		st, err = red.stage(fields, owned, workers)
+	_, err = rt.phase(ctx, phaseReduce, t, func(ctx context.Context) error {
+		_, err := rt.phase(ctx, phaseStage, t, func(context.Context) (err error) {
+			st, err = red.stage(fields, owned, workers)
+			return err
+		})
 		return err
 	})
 	return st, err
@@ -87,11 +57,11 @@ func (rt *runTelemetry) produce(ctx context.Context, step spans, cfg Config, red
 // consume is the reduce side of step t: the summary of the staged step, or —
 // for a step a resumed run did not stage — a cheap replay stub that carries
 // the step number through the selector, which scores it from the journal.
-func (rt *runTelemetry) consume(ctx context.Context, step spans, red *reducer, t int, st staged, workers int) (sum *stepSummary, err error) {
+func (rt *runTelemetry) consume(ctx context.Context, red *reducer, t int, st staged, workers int) (sum *stepSummary, err error) {
 	if red.replayed(t) {
 		return red.cfg.resume.stub(t), nil
 	}
-	err = rt.runPhase(ctx, step, SpanReduce, t, func(spans) error {
+	_, err = rt.phase(ctx, phaseReduce, t, func(context.Context) error {
 		sum = red.summarize(st, workers)
 		return nil
 	})
@@ -122,23 +92,19 @@ func (SharedCores) run(cfg Config, red *reducer, sel *selector) (*Result, error)
 			return nil, fmt.Errorf("insitu: run cancelled at step %d: %w", t, err)
 		}
 		// Identity trace: one trace per step when a recorder is installed
-		// (no-op context otherwise), with simulate/reduce/select/write
-		// child spans mirroring the aggregate phase tree.
+		// (no-op context otherwise), with a child span per phase.
 		stepCtx, st := telemetry.StartSpan(ctx, SpanStep)
 		st.SetAttrInt("step", int64(t))
-		step := spans{rt.root, st}
 		var summary *stepSummary
-		staged, err := rt.produce(stepCtx, step, cfg, red, t, cfg.Cores)
+		staged, err := rt.produce(stepCtx, cfg, red, t, cfg.Cores)
 		if err == nil {
-			summary, err = rt.consume(stepCtx, step, red, t, staged, cfg.Cores)
+			summary, err = rt.consume(stepCtx, red, t, staged, cfg.Cores)
 		}
 		if err != nil {
 			st.End()
 			return nil, err
 		}
-		unlabel := rt.enterPhase(stepCtx, SpanSelect)
 		sel.offer(stepCtx, t, summary)
-		unlabel()
 		st.End()
 		if sel.err != nil {
 			// Persistence failed; later steps could compute but never land.
@@ -205,12 +171,13 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 	simDone := make(chan struct{})
 
 	// Producer: the simulation owns its core set, and stages each step there
-	// before simulating the next. Its spans end on this goroutine; the tracer
-	// aggregates them with the consumer's spans. The queue gauge counts a
-	// step as queued from the moment it is produced, so a producer blocked on
-	// a full queue reads as depth == cap+1 — the backpressure signal. A
-	// simulator or staging panic travels through the queue as an error;
-	// cancellation unblocks a full-queue send so the producer can exit.
+	// before simulating the next; its phases add into the same record as the
+	// consumer's. Before each send the queue depth counts the step it holds,
+	// so a producer blocked on a full queue reads as depth cap+1 — the
+	// backpressure signal; after each receive the depth is what the channel
+	// holds. A simulator or staging panic travels through the queue as an
+	// error; cancellation unblocks a full-queue send so the producer can
+	// exit.
 	go func() {
 		defer close(simDone)
 		defer close(queue)
@@ -220,12 +187,12 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 			}
 			stepCtx, st := telemetry.StartSpan(ctx, SpanStep)
 			st.SetAttrInt("step", int64(t))
-			staged, err := rt.produce(stepCtx, spans{rt.root, st}, cfg, red, t, s.SimCores)
-			rt.enqueued()
+			staged, err := rt.produce(stepCtx, cfg, red, t, s.SimCores)
+			rt.queueAt(len(queue) + 1)
 			select {
 			case queue <- queued{step: t, staged: staged, err: err, ctx: stepCtx, span: st}:
 			case <-ctx.Done():
-				rt.dequeued()
+				rt.queueAt(len(queue))
 				st.End()
 				return
 			}
@@ -240,7 +207,7 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 	// order-dependent); the parallelism is inside the per-step reduction.
 	drain := func() {
 		for q := range queue {
-			rt.dequeued()
+			rt.queueAt(len(queue))
 			q.span.End()
 		}
 		<-simDone
@@ -248,11 +215,11 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 	res := &Result{}
 	wallStart := time.Now()
 	for q := range queue {
-		rt.dequeued()
+		rt.queueAt(len(queue))
 		var summary *stepSummary
 		err := q.err
 		if err == nil {
-			summary, err = rt.consume(q.ctx, spans{rt.root, q.span}, red, q.step, q.staged, s.ReduceCores)
+			summary, err = rt.consume(q.ctx, red, q.step, q.staged, s.ReduceCores)
 		}
 		if err != nil {
 			// Drain so the producer can finish; first error wins.
@@ -260,9 +227,7 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 			drain()
 			return nil, err
 		}
-		unlabel := rt.enterPhase(q.ctx, SpanSelect)
 		sel.offer(q.ctx, q.step, summary)
-		unlabel()
 		q.span.End()
 		if sel.err != nil {
 			drain()
@@ -279,7 +244,7 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 }
 
 // finishResult assembles the run report: selection outcome, I/O volume,
-// and the phase breakdown regenerated from the run's telemetry spans.
+// and the phase breakdown from the run's phase record.
 func finishResult(cfg Config, sel *selector, res *Result) {
 	res.Selected = sel.selected
 	res.BytesWritten = sel.written
@@ -313,10 +278,16 @@ func QueueCapForMemory(budgetBytes, stepBytes int64) int {
 // all cores, measure the average time of the work each side of the queue
 // does under the split it returns — simulating and staging on one, building
 // the summary on the other — and split the cores proportionally. The returned
-// strategy always grants each side at least one core. The calibration steps
-// advance the simulator, mirroring the paper's "initial set of cores"
-// warm-up.
+// strategy always grants each side at least one core, so it needs at least
+// two. The calibration steps advance the simulator, mirroring the paper's
+// "initial set of cores" warm-up.
 func Calibrate(cfg Config, calibSteps int) (SeparateCores, error) {
+	if err := cfg.validate(); err != nil {
+		return SeparateCores{}, err
+	}
+	if cfg.Cores < 2 {
+		return SeparateCores{}, fmt.Errorf("insitu: separate cores need at least 2 cores to split, have %d", cfg.Cores)
+	}
 	if calibSteps < 1 {
 		calibSteps = 2
 	}

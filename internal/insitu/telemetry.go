@@ -2,6 +2,7 @@ package insitu
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -10,33 +11,42 @@ import (
 	"insitubits/internal/telemetry"
 )
 
-// TracerName is the registry key the pipeline attaches its per-run tracer
-// under; the debug server shows the live span tree of the current run.
-const TracerName = "pipeline"
-
 // RunStatusName is the registry status key the pipeline publishes its live
 // RunStatus under; the debug server serves it at /debug/run and
 // `bitmapctl top` renders it.
 const RunStatusName = "run"
 
-// Span names of the per-step phases under the "run" root. The Figure 7-10
-// phase breakdowns are regenerated from these spans (Result.Breakdown is
-// filled from the tracer, not from ad-hoc timers).
+// The per-step phases of a run. Each is timed once, into the run's phase
+// record — the one source of Result.Breakdown, StageTime, WriteTime and
+// RunStatus.Phases — and opened as a child span of the step's identity
+// trace under the same name. SpanStage nests under SpanReduce: the part of
+// the reduction that reads the raw step, paid on the simulate side under
+// separate cores.
 const (
-	SpanRun      = "run"
 	SpanSimulate = "simulate"
 	SpanReduce   = "reduce"
+	SpanStage    = "stage"
 	SpanSelect   = "select"
 	SpanWrite    = "write"
-	// SpanStage nests under SpanReduce: the part of the reduction that reads
-	// the raw step, paid on the simulate side under separate cores.
-	SpanStage = "stage"
 )
 
 // SpanStep is the identity-trace root each pipeline step runs under when a
-// trace recorder is installed (distinct from the aggregate SpanRun tree,
-// which always exists).
+// trace recorder is installed.
 const SpanStep = "insitu.step"
+
+// phase indexes the run's phase record.
+type phase int
+
+const (
+	phaseSimulate phase = iota
+	phaseReduce
+	phaseStage
+	phaseSelect
+	phaseWrite
+	numPhases
+)
+
+var phaseNames = [numPhases]string{SpanSimulate, SpanReduce, SpanStage, SpanSelect, SpanWrite}
 
 // RunStatus is the live snapshot of the current (or most recent) pipeline
 // run, published under the registry status key RunStatusName and served as
@@ -59,7 +69,8 @@ type RunStatus struct {
 	// CodecBins is the cumulative per-codec bin mix of every bitmap summary
 	// the run reduced ("wah"/"bbc"/"dense"); empty for non-bitmap methods.
 	CodecBins map[string]int64 `json:"codec_bins,omitempty"`
-	// Phases aggregates the run's phase spans (simulate/reduce/select/write).
+	// Phases is the run's phase record so far: count and total time of
+	// each phase that has run (simulate, reduce, stage, select, write).
 	Phases    map[string]PhaseStatus `json:"phases,omitempty"`
 	ElapsedNs int64                  `json:"elapsed_ns"`
 	Done      bool                   `json:"done"`
@@ -82,14 +93,14 @@ type PhaseStatus struct {
 	TotalNs int64 `json:"total_ns"`
 }
 
-// runTelemetry carries one run's tracing state through the strategies and
-// the selector. Everything is nil-safe, so a run with a nil registry works
-// (it just measures into a private tracer).
+// runTelemetry carries one run's measurement state through the strategies
+// and the selector.
 type runTelemetry struct {
-	tr   *telemetry.Tracer
-	root *telemetry.Span
+	// phases is the run's phase record: per phase, how often it ran and
+	// its total time in ns.
+	phases [numPhases]struct{ count, ns atomic.Int64 }
 	// queueDepth mirrors the separate-cores step queue into the registry
-	// for live introspection; depth/peak are the run-local truth.
+	// for live introspection; peak is the run-local watermark.
 	queueDepth *telemetry.Gauge
 	stepsDone  *telemetry.Counter
 	// Robustness counters: transient store errors retried, pipeline worker
@@ -98,7 +109,6 @@ type runTelemetry struct {
 	storeRetries   *telemetry.Counter
 	workerPanics   *telemetry.Counter
 	stepsRecovered *telemetry.Counter
-	depth          atomic.Int64
 	peak           atomic.Int64
 
 	// Live run-status state behind the RunStatusName provider.
@@ -120,17 +130,16 @@ type runTelemetry struct {
 	lastTraceID atomic.Value // string
 }
 
-// newRunTelemetry attaches a fresh tracer to the registry (cfg.Telemetry,
-// defaulting to telemetry.Default), opens the run root span, and publishes
-// the live run-status provider the debug server serves at /debug/run —
-// so every field status reads without an atomic is set before that.
+// newRunTelemetry binds the run's instruments in the registry
+// (cfg.Telemetry, defaulting to telemetry.Default) and publishes the live
+// run-status provider the debug server serves at /debug/run — so every
+// field status reads without an atomic is set before that.
 func newRunTelemetry(cfg Config, strategyDesc string) *runTelemetry {
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.Default
 	}
 	rt := &runTelemetry{
-		tr:           telemetry.NewTracer(),
 		workload:     cfg.Sim.Name(),
 		method:       cfg.Method.String(),
 		codecName:    cfg.Codec.String(),
@@ -140,9 +149,7 @@ func newRunTelemetry(cfg Config, strategyDesc string) *runTelemetry {
 	}
 	rt.currentStep.Store(-1)
 	rt.journal.Store("none")
-	reg.AttachTracer(TracerName, rt.tr)
 	reg.PublishStatus(RunStatusName, rt.status)
-	rt.root = rt.tr.Start(SpanRun)
 	rt.queueDepth = reg.Gauge("insitu.queue_depth")
 	rt.stepsDone = reg.Counter("insitu.steps_processed")
 	rt.storeRetries = reg.Counter("store.retries")
@@ -161,7 +168,7 @@ func (rt *runTelemetry) status() any {
 		StepsDone:    int(rt.currentStepCount()),
 		CurrentStep:  int(rt.currentStep.Load()),
 		Selected:     int(rt.selectedN.Load()),
-		QueueDepth:   int(rt.depth.Load()),
+		QueueDepth:   int(rt.queueDepth.Value()),
 		QueuePeak:    int(rt.peak.Load()),
 		BytesWritten: rt.bytesOut.Load(),
 		ElapsedNs:    time.Since(rt.start).Nanoseconds(),
@@ -180,15 +187,15 @@ func (rt *runTelemetry) status() any {
 			st.CodecBins[name] = n
 		}
 	}
-	for _, phase := range []string{SpanSimulate, SpanReduce, SpanSelect, SpanWrite} {
-		p := rt.tr.Phase(SpanRun, phase)
-		if p.Count == 0 {
+	for p, name := range phaseNames {
+		n := rt.phases[p].count.Load()
+		if n == 0 {
 			continue
 		}
 		if st.Phases == nil {
-			st.Phases = make(map[string]PhaseStatus, 4)
+			st.Phases = make(map[string]PhaseStatus, numPhases)
 		}
-		st.Phases[phase] = PhaseStatus{Count: p.Count, TotalNs: p.Total.Nanoseconds()}
+		st.Phases[name] = PhaseStatus{Count: n, TotalNs: rt.phases[p].ns.Load()}
 	}
 	if id, ok := rt.lastTraceID.Load().(string); ok && id != "" {
 		st.TraceID = id
@@ -196,15 +203,31 @@ func (rt *runTelemetry) status() any {
 	return st
 }
 
-// enterPhase — while a debug server serves /debug/pprof — tags the
-// goroutine (and any workers it spawns) with pprof labels for the in-situ
-// phase, workload, and codec, so CPU samples attribute to "reduce under
-// WAH" rather than a bare stack. The returned closure restores the
-// caller's labels. One atomic load when no debug server serves.
-func (rt *runTelemetry) enterPhase(ctx context.Context, phase string) func() {
-	_, unlabel := telemetry.Label(ctx,
-		"phase", phase, "workload", rt.workload, "codec", rt.codecName)
-	return unlabel
+// phase runs fn as phase p of step t and times it once, into the phase
+// record. fn runs under the phase's child span of the step's identity trace
+// (carried by the context it gets; a no-op without a trace recorder) and —
+// while a debug server serves /debug/pprof — under pprof labels for the
+// phase, workload and codec, which the workers it spawns inherit. A panic
+// in fn (a simulator, a reduction worker) becomes an error naming the step,
+// and a telemetry count, not a dead process with a half-written output
+// directory. It returns the phase's time.
+func (rt *runTelemetry) phase(ctx context.Context, p phase, t int, fn func(context.Context) error) (d time.Duration, err error) {
+	name := phaseNames[p]
+	sp := telemetry.SpanFromContext(ctx).Child(name)
+	ctx, unlabel := telemetry.Label(ctx, "phase", name, "workload", rt.workload, "codec", rt.codecName)
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			rt.workerPanics.Inc()
+			err = fmt.Errorf("insitu: %s panic at step %d: %v", name, t, r)
+		}
+		d = time.Since(start)
+		rt.phases[p].count.Add(1)
+		rt.phases[p].ns.Add(int64(d))
+		unlabel()
+		sp.End()
+	}()
+	return 0, fn(telemetry.ContextWithSpan(ctx, sp))
 }
 
 // currentStepCount is the steps-offered count (currentStep+1, floored at 0).
@@ -261,36 +284,36 @@ func (rt *runTelemetry) wroteStep(bytes int64) {
 	rt.bytesOut.Add(bytes)
 }
 
-// enqueued records one step entering the separate-cores queue (called
-// before the blocking send, so a blocked producer shows as backpressure).
-func (rt *runTelemetry) enqueued() {
-	d := rt.depth.Add(1)
+// queueAt records the separate-cores queue's depth: the steps in the
+// channel, plus one while the producer holds a step it is about to send —
+// so a producer blocked on a full queue reads as depth cap+1, the
+// backpressure signal.
+func (rt *runTelemetry) queueAt(depth int) {
+	d := int64(depth)
+	rt.queueDepth.Set(d)
 	for {
 		p := rt.peak.Load()
 		if d <= p || rt.peak.CompareAndSwap(p, d) {
-			break
+			return
 		}
 	}
-	rt.queueDepth.Set(d)
 }
 
-// dequeued records one step leaving the queue.
-func (rt *runTelemetry) dequeued() {
-	rt.queueDepth.Set(rt.depth.Add(-1))
+// phaseTime is phase p's total time so far.
+func (rt *runTelemetry) phaseTime(p phase) time.Duration {
+	return time.Duration(rt.phases[p].ns.Load())
 }
 
-// finish closes the root span and copies the span totals into the result's
-// phase breakdown — the run report is produced from telemetry, the tracer
-// is the single source of phase truth. The run status stays published with
-// Done set, so a dashboard shows the completed run until the next one
-// starts.
+// finish copies the phase record into the result's phase breakdown — the
+// run report and /debug/run read the same record. The run status stays
+// published with Done set, so a dashboard shows the completed run until the
+// next one starts.
 func (rt *runTelemetry) finish(res *Result) {
-	rt.root.End()
 	rt.done.Store(true)
-	res.Breakdown.Simulate = rt.tr.Phase(SpanRun, SpanSimulate).Total
-	res.Breakdown.Reduce = rt.tr.Phase(SpanRun, SpanReduce).Total
-	res.StageTime = rt.tr.Phase(SpanRun, SpanReduce, SpanStage).Total
-	res.Breakdown.Select = rt.tr.Phase(SpanRun, SpanSelect).Total
-	res.WriteTime = rt.tr.Phase(SpanRun, SpanWrite).Total
+	res.Breakdown.Simulate = rt.phaseTime(phaseSimulate)
+	res.Breakdown.Reduce = rt.phaseTime(phaseReduce)
+	res.StageTime = rt.phaseTime(phaseStage)
+	res.Breakdown.Select = rt.phaseTime(phaseSelect)
+	res.WriteTime = rt.phaseTime(phaseWrite)
 	res.QueuePeak = int(rt.peak.Load())
 }

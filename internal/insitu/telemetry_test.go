@@ -5,85 +5,115 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"insitubits/internal/telemetry"
 )
 
-// findSpan returns the named child of a span forest, or nil.
-func findSpan(nodes []telemetry.SpanSnapshot, name string) *telemetry.SpanSnapshot {
-	for i := range nodes {
-		if nodes[i].Name == name {
-			return &nodes[i]
-		}
-	}
-	return nil
-}
+// bothStrategies are the two core allocations the phase tests run under,
+// by subtest name.
+var bothStrategies = map[string]Strategy{"shared": SharedCores{}, "separate": SeparateCores{SimCores: 2, ReduceCores: 2}}
 
-// TestRunEmitsSpanTree asserts that one pipeline run produces the full
-// simulate → reduce → select → write phase tree under the "pipeline"
-// tracer, and that the run report's breakdown is derived from those spans.
-func TestRunEmitsSpanTree(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		strategy Strategy
-	}{
-		{"shared", SharedCores{}},
-		{"separate", SeparateCores{SimCores: 2, ReduceCores: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+// TestPhaseRecordIsTheRunReport asserts that the run report's breakdown and
+// the /debug/run phases are one record: Breakdown, StageTime and WriteTime
+// equal RunStatus.Phases to the nanosecond, under both strategies.
+func TestPhaseRecordIsTheRunReport(t *testing.T) {
+	for name, strategy := range bothStrategies {
+		t.Run(name, func(t *testing.T) {
 			cfg := heatConfig(t, Bitmaps)
-			cfg.Strategy = tc.strategy
+			cfg.Strategy = strategy
 			cfg.OutputDir = t.TempDir()
 			reg := telemetry.NewRegistry()
 			cfg.Telemetry = reg
-
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			tr := reg.Tracer(TracerName)
-			if tr == nil {
-				t.Fatalf("no %q tracer attached to the run registry", TracerName)
-			}
-			root := findSpan(tr.Snapshot(), SpanRun)
-			if root == nil {
-				t.Fatalf("no %q root span; forest: %+v", SpanRun, tr.Snapshot())
-			}
-			if root.Count != 1 {
-				t.Errorf("root span count %d, want 1", root.Count)
-			}
-			for _, phase := range []string{SpanSimulate, SpanReduce, SpanSelect, SpanWrite} {
-				child := findSpan(root.Children, phase)
-				if child == nil {
-					t.Fatalf("span tree missing %s → %s; children: %+v", SpanRun, phase, root.Children)
-				}
-				if child.Count == 0 || child.TotalNs <= 0 {
-					t.Errorf("phase %s: count=%d total=%dns, want both positive",
-						phase, child.Count, child.TotalNs)
+			v, _ := reg.StatusValue(RunStatusName)
+			phases := v.(RunStatus).Phases
+			for name, got := range map[string]time.Duration{
+				SpanSimulate: res.Breakdown.Simulate,
+				SpanReduce:   res.Breakdown.Reduce,
+				SpanStage:    res.StageTime,
+				SpanSelect:   res.Breakdown.Select,
+				SpanWrite:    res.WriteTime,
+			} {
+				p := phases[name]
+				if p.Count == 0 || got <= 0 || int64(got) != p.TotalNs {
+					t.Errorf("phase %s: report %v, /debug/run %dns over %d runs; want equal and positive",
+						name, got, p.TotalNs, p.Count)
 				}
 			}
-			if got := tr.Phase(SpanRun, SpanSimulate).Count; got != int64(cfg.Steps) {
-				t.Errorf("simulate span count %d, want one per step (%d)", got, cfg.Steps)
+			if got := phases[SpanSimulate].Count; got != int64(cfg.Steps) {
+				t.Errorf("simulate ran %d times, want once per step (%d)", got, cfg.Steps)
 			}
-			// Breakdown must be the span totals, not an independent clock.
-			if res.Breakdown.Simulate != tr.Phase(SpanRun, SpanSimulate).Total {
-				t.Errorf("Breakdown.Simulate %v != span total %v",
-					res.Breakdown.Simulate, tr.Phase(SpanRun, SpanSimulate).Total)
+			if res.StageTime > res.Breakdown.Reduce {
+				t.Errorf("stage %v exceeds the reduce time %v it nests in", res.StageTime, res.Breakdown.Reduce)
 			}
-			if res.Breakdown.Reduce != tr.Phase(SpanRun, SpanReduce).Total {
-				t.Errorf("Breakdown.Reduce %v != span total %v",
-					res.Breakdown.Reduce, tr.Phase(SpanRun, SpanReduce).Total)
-			}
-			if res.WriteTime != tr.Phase(SpanRun, SpanWrite).Total {
-				t.Errorf("WriteTime %v != span total %v",
-					res.WriteTime, tr.Phase(SpanRun, SpanWrite).Total)
-			}
-			if g := reg.Gauge("insitu.queue_depth"); tc.name == "separate" && g.Max() < 1 {
+			if g := reg.Gauge("insitu.queue_depth"); name == "separate" && g.Max() < 1 {
 				t.Errorf("separate-cores run never raised the queue depth watermark")
 			}
 			if c := reg.Counter("insitu.steps_processed"); c.Value() != int64(cfg.Steps) {
 				t.Errorf("steps_processed = %d, want %d", c.Value(), cfg.Steps)
+			}
+		})
+	}
+}
+
+// TestStepTraceHasEveryPhase asserts the identity trace of each step: with
+// a recorder installed, every insitu.step trace has simulate, a reduce with
+// a stage under it and the reduce that summarizes, a select for every step
+// scored against a selection (all but step 0), and the write phases add up
+// to the selected steps, step 0's among them.
+func TestStepTraceHasEveryPhase(t *testing.T) {
+	for name, strategy := range bothStrategies {
+		t.Run(name, func(t *testing.T) {
+			rec := telemetry.NewTraceRecorder(telemetry.TraceConfig{Capacity: 64})
+			telemetry.SetTraceRecorder(rec)
+			defer telemetry.SetTraceRecorder(nil)
+			cfg := heatConfig(t, Bitmaps)
+			cfg.Strategy = strategy
+			cfg.OutputDir = t.TempDir()
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces := rec.Traces()
+			if len(traces) != cfg.Steps {
+				t.Fatalf("%d traces kept, want one per step (%d)", len(traces), cfg.Steps)
+			}
+			writes := 0
+			for _, tr := range traces {
+				if tr.Name != SpanStep {
+					t.Fatalf("trace %s is a %q, want %q", tr.TraceID, tr.Name, SpanStep)
+				}
+				root, step := tr.Spans[0], tr.Spans[0].Attrs["step"]
+				names := map[string]string{}
+				for _, sp := range tr.Spans {
+					names[sp.SpanID] = sp.Name
+				}
+				n := map[string]int{} // phases where they belong: stage under reduce, the rest under the step
+				for _, sp := range tr.Spans[1:] {
+					if sp.Name == SpanStage && names[sp.ParentID] == SpanReduce ||
+						sp.Name != SpanStage && sp.ParentID == root.SpanID {
+						n[sp.Name]++
+					}
+				}
+				wantSelect := 1
+				if step == "0" {
+					wantSelect = 0
+					if n[SpanWrite] != 1 {
+						t.Errorf("step 0 (always selected) has %d write phases, want 1", n[SpanWrite])
+					}
+				}
+				if n[SpanSimulate] != 1 || n[SpanReduce] != 2 || n[SpanStage] != 1 || n[SpanSelect] != wantSelect {
+					t.Errorf("step %s trace phases %v, want simulate 1, reduce 2, stage 1 under reduce, select %d",
+						step, n, wantSelect)
+				}
+				writes += n[SpanWrite]
+			}
+			if writes != len(res.Selected) {
+				t.Errorf("%d write phases across the step traces, want one per selected step (%d)", writes, len(res.Selected))
 			}
 		})
 	}

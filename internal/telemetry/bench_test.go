@@ -29,14 +29,6 @@ func BenchmarkNoopHistogramRecord(b *testing.B) {
 	}
 }
 
-func BenchmarkNoopSpan(b *testing.B) {
-	var tr *Tracer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Start("run").End()
-	}
-}
-
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("live")
 	b.ReportAllocs()
@@ -71,16 +63,6 @@ func BenchmarkHistogramRecordParallel(b *testing.B) {
 			v += 6151 // spread across shards
 		}
 	})
-}
-
-func BenchmarkSpanChildEnd(b *testing.B) {
-	tr := NewTracer()
-	root := tr.Start("run")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		root.Child("phase").End()
-	}
-	root.End()
 }
 
 func BenchmarkGaugeAdd(b *testing.B) {

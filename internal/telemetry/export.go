@@ -16,7 +16,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]GaugeSnapshot     `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	Spans      map[string][]SpanSnapshot    `json:"spans"`
 	BuildInfo  map[string]string            `json:"build_info,omitempty"`
 }
 
@@ -27,7 +26,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   map[string]int64{},
 		Gauges:     map[string]GaugeSnapshot{},
 		Histograms: map[string]HistogramSnapshot{},
-		Spans:      map[string][]SpanSnapshot{},
 	}
 	if r == nil {
 		return snap
@@ -46,10 +44,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, h := range r.hists {
 		hists = append(hists, h)
 	}
-	tracers := make(map[string]*Tracer, len(r.tracers))
-	for name, t := range r.tracers {
-		tracers[name] = t
-	}
 	r.mu.RUnlock()
 	for _, c := range counters {
 		snap.Counters[c.Name()] = c.Value()
@@ -59,9 +53,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for _, h := range hists {
 		snap.Histograms[h.Name()] = h.Snapshot()
-	}
-	for name, t := range tracers {
-		snap.Spans[name] = t.Snapshot()
 	}
 	snap.BuildInfo = r.BuildInfo()
 	return snap

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -16,8 +15,6 @@ import (
 //	            insitubits_<name>_max                    gauge (watermark)
 //	histograms  insitubits_<name>{quantile="0.5|0.9|0.99"}  summary
 //	            insitubits_<name>_sum / _count
-//	spans       insitubits_span_count_total{tracer,path}    counter
-//	            insitubits_span_duration_ns_total{tracer,path}
 //
 // docs/OBSERVABILITY.md carries the full catalog.
 
@@ -81,32 +78,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		bw.printf("%s_sum %d\n", m, h.Sum)
 		bw.printf("%s_count %d\n", m, h.Count)
 	}
-	if len(s.Spans) > 0 {
-		countMetric := promPrefix + "span_count_total"
-		durMetric := promPrefix + "span_duration_ns_total"
-		bw.printf("# TYPE %s counter\n# TYPE %s counter\n", countMetric, durMetric)
-		tracers := make([]string, 0, len(s.Spans))
-		for t := range s.Spans {
-			tracers = append(tracers, t)
-		}
-		sort.Strings(tracers)
-		for _, t := range tracers {
-			for _, root := range s.Spans[t] {
-				writePromSpan(bw, countMetric, durMetric, t, "", root)
-			}
-		}
-	}
 	return bw.err
-}
-
-func writePromSpan(bw *errWriter, countMetric, durMetric, tracer, prefix string, sp SpanSnapshot) {
-	path := prefix + sp.Name
-	labels := fmt.Sprintf("{tracer=\"%s\",path=\"%s\"}", promLabel(tracer), promLabel(path))
-	bw.printf("%s%s %d\n", countMetric, labels, sp.Count)
-	bw.printf("%s%s %d\n", durMetric, labels, sp.TotalNs)
-	for _, c := range sp.Children {
-		writePromSpan(bw, countMetric, durMetric, tracer, path+"/", c)
-	}
 }
 
 // errWriter latches the first write error so render code stays linear.

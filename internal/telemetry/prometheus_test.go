@@ -80,14 +80,7 @@ func TestWritePrometheus(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		h.Record(i * 1000)
 	}
-	tr := NewTracer()
-	func() {
-		s := tr.Start("run")
-		defer s.End()
-		c := s.Child("sim\"ulate") // exercises label escaping
-		c.End()
-	}()
-	r.AttachTracer("pipeline", tr)
+	r.SetBuildInfo(map[string]string{"version": `v"1`}) // exercises label escaping
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -109,8 +102,7 @@ func TestWritePrometheus(t *testing.T) {
 		"insitubits_query_count_total 7",
 		`quantile="0.99"`,
 		"insitubits_query_latency_ns_count 100",
-		`insitubits_span_count_total{tracer="pipeline",path="run"} 1`,
-		`path="run/sim\"ulate"`,
+		`insitubits_build_info{version="v\"1"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

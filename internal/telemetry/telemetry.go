@@ -1,18 +1,19 @@
 // Package telemetry is the repository's zero-dependency observability
 // layer: atomic counters and gauges, lock-striped latency/size histograms
-// with quantile export, and a span-based phase tracer with hierarchical
-// timers. A Registry names and owns a set of instruments and exports them
-// as JSON or Prometheus text, over an optional debug HTTP server (+ pprof),
-// so a running in-situ pipeline or query workload can be inspected live.
+// with quantile export, identity-carrying traces (trace.go) and live status
+// providers. A Registry names and owns a set of instruments and exports
+// them as JSON or Prometheus text, over an optional debug HTTP server (+
+// pprof), so a running in-situ pipeline or query workload can be inspected
+// live.
 //
 // Design rules, in order:
 //
 //  1. Disabled instrumentation must cost (almost) nothing. Every handle
-//     type (*Counter, *Gauge, *Histogram, *Span, *Tracer) is nil-safe: all
-//     methods on a nil receiver are no-ops, so packages keep plain handle
-//     variables and never branch on an "enabled" flag. The budget —
-//     enforced by the guards that read MeasureOverhead — is < 2% on the
-//     bitvec append hot loop.
+//     type (*Counter, *Gauge, *Histogram, *ActiveSpan, *TraceRecorder) is
+//     nil-safe: all methods on a nil receiver are no-ops, so packages keep
+//     plain handle variables and never branch on an "enabled" flag. The
+//     budget — enforced by the guards that read MeasureOverhead — is < 2%
+//     on the bitvec append hot loop.
 //  2. Enabled instrumentation must stay off the hot path. Hot loops count
 //     into plain struct fields (e.g. bitvec.Appender) and flush once per
 //     built artifact; only coarse-grained events (a query, a span, a build)
@@ -37,7 +38,6 @@ type Registry struct {
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
-	tracers   map[string]*Tracer
 	status    map[string]func() any
 	buildInfo map[string]string
 	updaters  []func()
@@ -55,7 +55,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		tracers:  make(map[string]*Tracer),
 	}
 }
 
@@ -118,28 +117,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// AttachTracer registers (or replaces) a named tracer so its live span tree
-// shows up in snapshots — the in-situ pipeline attaches a fresh tracer per
-// run under "pipeline". Nil-safe: attaching to a nil registry is a no-op.
-func (r *Registry) AttachTracer(name string, t *Tracer) {
-	if r == nil || t == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tracers[name] = t
-	r.mu.Unlock()
-}
-
-// Tracer returns the named attached tracer, or nil.
-func (r *Registry) Tracer(name string) *Tracer {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.tracers[name]
 }
 
 // PublishStatus registers (or replaces) a named live-status provider: a

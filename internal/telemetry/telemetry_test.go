@@ -2,13 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -78,13 +76,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram not a no-op")
 	}
-	var tr *Tracer
-	sp := tr.Start("run")
-	sp.Child("inner").End()
-	if sp.End() != 0 || tr.Phase("run").Count != 0 {
-		t.Fatal("nil tracer not a no-op")
-	}
-	r.AttachTracer("t", NewTracer())
 	if snap := r.Snapshot(); len(snap.Counters) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
@@ -166,71 +157,11 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Start("run")
-	for i := 0; i < 3; i++ {
-		sp := root.Child("phase")
-		inner := sp.Child("inner")
-		time.Sleep(time.Millisecond)
-		inner.End()
-		sp.End()
-	}
-	root.End()
-	if got := tr.Phase("run").Count; got != 1 {
-		t.Fatalf("root count %d", got)
-	}
-	ph := tr.Phase("run", "phase")
-	if ph.Count != 3 {
-		t.Fatalf("phase count %d", ph.Count)
-	}
-	in := tr.Phase("run", "phase", "inner")
-	if in.Count != 3 || in.Total < 3*time.Millisecond {
-		t.Fatalf("inner stats %+v", in)
-	}
-	if ph.Total < in.Total {
-		t.Fatalf("parent total %v < child total %v", ph.Total, in.Total)
-	}
-	snap := tr.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "run" || len(snap[0].Children) != 1 ||
-		snap[0].Children[0].Name != "phase" || snap[0].Children[0].Children[0].Name != "inner" {
-		t.Fatalf("snapshot tree %+v", snap)
-	}
-	if tr.Phase("run", "missing").Count != 0 || tr.Phase().Count != 0 {
-		t.Fatal("missing phases must read zero")
-	}
-}
-
-func TestSpanConcurrent(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Start("run")
-	const workers, per = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			name := fmt.Sprintf("worker-%d", w%2)
-			for i := 0; i < per; i++ {
-				root.Child(name).End()
-			}
-		}(w)
-	}
-	wg.Wait()
-	root.End()
-	if n := tr.Phase("run", "worker-0").Count + tr.Phase("run", "worker-1").Count; n != workers*per {
-		t.Fatalf("span count %d, want %d", n, workers*per)
-	}
-}
-
 func TestRegistrySnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(7)
 	r.Gauge("g").Set(3)
 	r.Histogram("h").Record(100)
-	tr := NewTracer()
-	tr.Start("run").End()
-	r.AttachTracer("pipeline", tr)
 	data, err := r.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -240,11 +171,15 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap.Counters["a"] != 7 || snap.Gauges["g"].Value != 3 ||
-		snap.Histograms["h"].Count != 1 || len(snap.Spans["pipeline"]) != 1 {
+		snap.Histograms["h"].Count != 1 {
 		t.Fatalf("round-tripped snapshot %+v", snap)
 	}
-	if r.Tracer("pipeline") != tr || r.Tracer("absent") != nil {
-		t.Fatal("tracer lookup broken")
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["spans"]; ok {
+		t.Fatalf("snapshot has a spans key: %s", data)
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 	"time"
 )
 
-// Identity-carrying request tracing. Where Tracer (span.go) aggregates
-// spans by name path and deliberately forgets which request produced them,
-// a TraceRecorder keeps *individual* traces: every StartSpan call under a
-// traced context records one concrete span with a TraceID/SpanID pair,
-// wall-clock bounds, and free-form attributes. Completed traces land in a
+// Identity-carrying request tracing. A TraceRecorder keeps *individual*
+// traces: every StartSpan call under a traced context records one concrete
+// span with a TraceID/SpanID pair, wall-clock bounds, and free-form
+// attributes. Completed traces land in a
 // fixed-size ring buffer, so memory stays bounded no matter how long the
 // process runs, and can be fetched back by ID as JSON (/debug/traces?id=).
 //
