@@ -40,7 +40,9 @@ race:
 # index sizes (TestPooledScratchNeverEscapes) and the arrays that requests
 # on broken indexes abandon (TestCorrelationOnBrokenPartition), both again
 # with every pass split into one-, two- and seven-word windows on their own
-# goroutines (TestExecutorAtForcedWindows). internal/bitvec, by name, holds
+# goroutines (TestExecutorAtForcedWindows). ./internal/index/ includes the
+# lazily derived high-level groups: eight first calls racing to build and
+# publish one index's groups (TestGroupsConcurrentFirstUse). internal/bitvec, by name, holds
 # the window kernels' own checks: adjacent windows of one buffer on
 # concurrent goroutines (TestWindowsTileTheWhole), eight first windowed
 # calls racing to build one bitmap's skip table
@@ -74,7 +76,8 @@ race-hot:
 # the benchmark's own ocean,
 # BenchmarkCorrelation/{cold,warm}/{spatial,whole}/{procs=1,procs=max,window=grain}
 # (internal/query: one worker, the executor's split over GOMAXPROCS, and
-# windows of parGrain words), and mining: BenchmarkMine and BenchmarkMineParallel4
+# windows of parGrain words), its value ORs alone, each reading the cheaper
+# side, BenchmarkBits/{whole,quarter} (internal/query), and mining: BenchmarkMine and BenchmarkMineParallel4
 # (internal/mining), one whole decode-and-tally pass. The in-situ write
 # path's
 # kernels, on heat3d-shaped data (64³ elements, 160 bins):
@@ -175,11 +178,13 @@ fuzz-smoke:
 # through the one plan → optimize → execute path — every codec, cache cold
 # and warm, every accounting level — must equal the brute-force model over
 # the binned raw array exactly; plus EXPLAIN/ANALYZE shape agreement, the
-# one-plan-per-request check, the generation-invalidation check, and the
-# mining property (Mine = MineParallel = MineFullData) with its
-# broken-partition check.
+# one-plan-per-request check, the generation-invalidation check, the
+# cheaper side of every value OR (its seeds, the side choice over every run
+# of bins, the groups' partition proof and their concurrent first build,
+# bits on broken partitions), and the mining property (Mine = MineParallel
+# = MineFullData) with its broken-partition check.
 plan-diff:
-	$(GO) test -run 'TestPlanned|FuzzQueryMatchesOracle|TestExplainMatchesAnalyzeShape|TestOnePlanPerRequest|TestCacheGenerationInvalidationMidStream|TestMineProperty|TestMineOnBrokenPartition' -v ./internal/query/ ./internal/mining/
+	$(GO) test -run 'TestPlanned|FuzzQueryMatchesOracle|TestOracleSeedsReadBothSidesAndLevels|TestExplainMatchesAnalyzeShape|TestOnePlanPerRequest|TestCacheGenerationInvalidationMidStream|TestCorrelationOnBrokenPartition|TestChooseSideReadsTheCheaperSide|TestGroupsConcurrentFirstUse|TestPaperFigure1|TestMultiLevelHighIsOrOfChildren|TestMineProperty|TestMineOnBrokenPartition' -v ./internal/query/ ./internal/index/ ./internal/mining/
 
 # Workload capture/replay regression gate (docs/OBSERVABILITY.md "Workload
 # capture & replay"): a captured log must replay with byte-identical result

@@ -1,7 +1,8 @@
 // Package index builds and queries the paper's bitmap indices: one
-// compressed bitvector per value bin (the low level of Figure 1), optionally
-// grouped into high-level interval vectors, each bin encoded straight from
-// the data's runs of equal bin ids, never held uncompressed (Algorithm 1).
+// compressed bitvector per value bin (the low level of Figure 1), each bin
+// encoded straight from the data's runs of equal bin ids, never held
+// uncompressed (Algorithm 1), and the high-level interval vectors derived
+// from them on first use, which value ORs read where they are cheaper.
 package index
 
 import (
@@ -24,13 +25,14 @@ import (
 // the value histogram — fall out of construction for free and are cached,
 // because every information-theoretic metric in the paper starts from them.
 // Each bin holds a bitvec.Bitmap in the codec the build's policy or a later
-// Recode chose for it.
+// Recode chose for it. Its high level (Levels) is derived on first use.
 type Index struct {
 	mapper binning.Mapper
 	vecs   []bitvec.Bitmap
 	counts []int
 	n      int
 	gen    uint64
+	levels atomic.Pointer[MultiLevel]
 }
 
 // genCounter issues process-unique index generations. Every constructor
@@ -161,6 +163,7 @@ func (x *Index) Recode(id codec.ID) *Index {
 	// cached intermediate derived from them can be served against the new
 	// encodings (logically equal, but physically different objects).
 	x.gen = nextGeneration()
+	x.levels.Store(nil) // the groups were derived from the old encodings
 	return x
 }
 
@@ -204,20 +207,25 @@ func (x *Index) SizeBytes() int {
 }
 
 // Query returns the bitvector of elements whose value lies in [lo, hi),
-// OR-ing together every bin overlapping the range into one flat buffer and
-// encoding it once, as WAH. Bins straddling the endpoints are included
-// whole (bin-granular semantics, as in the paper).
+// reading the cheaper side of the occupied bins overlapping the range
+// (ChooseSide) into one flat buffer and encoding it once, as WAH. Bins
+// straddling the endpoints are included whole (bin-granular semantics, as
+// in the paper).
 func (x *Index) Query(lo, hi float64) bitvec.Bitmap {
 	tel.queries.Inc()
 	if tel.orMergeNs != nil {
 		start := time.Now()
 		defer func() { tel.orMergeNs.Record(time.Since(start).Nanoseconds()) }()
 	}
-	buf := make([]uint64, bitvec.FlatWords(x.n))
+	var sel []int
 	for b := 0; b < x.Bins(); b++ {
-		if x.mapper.High(b) > lo && x.mapper.Low(b) < hi {
-			x.vecs[b].OrInto(buf, 0, len(buf))
+		if x.counts[b] > 0 && x.mapper.High(b) > lo && x.mapper.Low(b) < hi {
+			sel = append(sel, b)
 		}
+	}
+	buf := make([]uint64, bitvec.FlatWords(x.n))
+	if len(sel) > 0 {
+		x.ChooseSide(sel).Or(buf, 0, len(buf), nil)
 	}
 	return bitvec.FromFlat(buf, x.n)
 }
@@ -368,18 +376,31 @@ func fromRuns(m binning.Mapper, lists []*runList, n, nWorkers int, id codec.ID, 
 	return x
 }
 
+// groupFanout is the fanout of the high level the query path reads: each
+// group is the OR of four adjacent bins (the value-interval vectors of
+// Figure 1). Four read the fewest words on the ocean's batch of the fanouts
+// 2, 4 and 8 measured (EXPERIMENTS.md, "The cheaper side").
+const groupFanout = 4
+
 // MultiLevel couples a fine low-level index with a coarse high-level one
 // (Figure 1's value-interval vectors). The high-level vectors are the ORs of
 // their low-level children, each ORed in one flat buffer and encoded once
-// as WAH, so they are derived rather than rebuilt from data.
+// under codec.Auto's policy, so they are derived rather than rebuilt from
+// data. They are never stored.
 type MultiLevel struct {
 	Low  *Index
 	High *Index
 	G    *binning.Grouped
+	// Partition reports that the build proved the low bins partition the
+	// elements: each group holds as many elements as its children's counts
+	// sum to, the counts sum to N, and the groups' union holds N elements.
+	// Only then may a value OR be read through its complement.
+	Partition bool
 }
 
 // BuildMultiLevel derives a high-level index with the given fanout from an
-// existing low-level index.
+// existing low-level index, and checks in the same pass whether the low
+// bins partition the elements (MultiLevel.Partition).
 func BuildMultiLevel(low *Index, fanout int) (*MultiLevel, error) {
 	g, err := binning.NewGrouped(low.mapper, fanout)
 	if err != nil {
@@ -387,6 +408,8 @@ func BuildMultiLevel(low *Index, fanout int) (*MultiLevel, error) {
 	}
 	high := &Index{mapper: g, vecs: make([]bitvec.Bitmap, g.Bins()), counts: make([]int, g.Bins()), n: low.n, gen: nextGeneration()}
 	buf := make([]uint64, bitvec.FlatWords(low.n))
+	union := make([]uint64, len(buf))
+	sound, total := true, 0
 	for h := 0; h < g.Bins(); h++ {
 		lo, hi := g.Children(h)
 		clear(buf)
@@ -394,7 +417,120 @@ func BuildMultiLevel(low *Index, fanout int) (*MultiLevel, error) {
 			low.vecs[b].OrInto(buf, 0, len(buf))
 			high.counts[h] += low.counts[b]
 		}
-		high.vecs[h] = bitvec.FromFlat(buf, low.n)
+		total += high.counts[h]
+		sound = sound && bitvec.CountFlat(buf) == high.counts[h]
+		for w, v := range buf {
+			union[w] |= v
+		}
+		high.vecs[h] = codec.Encode(bitvec.FromFlat(buf, low.n), codec.Auto)
 	}
-	return &MultiLevel{Low: low, High: high, G: g}, nil
+	sound = sound && total == low.n && bitvec.CountFlat(union) == low.n
+	return &MultiLevel{Low: low, High: high, G: g, Partition: sound}, nil
+}
+
+// Levels returns the index's high level, groups of groupFanout bins, built
+// on the first call and kept until Recode. Concurrent first calls may each
+// build one; the first published is the one every caller gets.
+func (x *Index) Levels() *MultiLevel {
+	if ml := x.levels.Load(); ml != nil {
+		return ml
+	}
+	ml, err := BuildMultiLevel(x, groupFanout)
+	if err != nil {
+		panic(err) // only a non-positive fanout fails
+	}
+	x.levels.CompareAndSwap(nil, ml)
+	return x.levels.Load()
+}
+
+// Operand is one bitmap a value OR reads: the low bin Lo (Group -1), or
+// the high-level group Group, which holds the low bins [Lo, Hi).
+type Operand struct {
+	Group  int
+	Lo, Hi int
+	Bitmap bitvec.Bitmap
+}
+
+// Cover is how a value OR is read: the OR of Ops, or, when Complement is
+// set, the NOT of it, cleared at and past the index's N.
+type Cover struct {
+	Complement bool
+	Ops        []Operand
+	Words      int // the operands' encoded words (Bitmap.Words)
+	n          int
+}
+
+// ChooseSide returns the cheaper cover of the OR of the occupied bins sel.
+// Either side is covered the same way: a group replaces its children when
+// every occupied child is on that side and the group encodes in fewer
+// words than they do. The complement side — the occupied bins not in sel —
+// is only built when the partition is proved, and it is taken when it reads
+// fewer words: one comparison, ties to sel. Its NOT costs a pass over the
+// flat words the OR writes anyway, so no threshold is needed.
+func (x *Index) ChooseSide(sel []int) Cover {
+	ml := x.Levels()
+	in := make([]bool, len(x.vecs))
+	for _, b := range sel {
+		in[b] = true
+	}
+	c := ml.cover(in, len(sel))
+	if ml.Partition {
+		for b := range in {
+			in[b] = !in[b] && x.counts[b] > 0
+		}
+		if not := ml.cover(in, len(in)-len(sel)); not.Words < c.Words {
+			not.Complement = true
+			c = not
+		}
+	}
+	return c
+}
+
+// cover reads the occupied bins marked in, at most size of them, group by
+// group.
+func (ml *MultiLevel) cover(in []bool, size int) Cover {
+	c := Cover{Ops: make([]Operand, 0, size), n: ml.Low.n}
+	for h := 0; h < ml.High.Bins(); h++ {
+		lo, hi := ml.G.Children(h)
+		whole, words, k := true, 0, len(c.Ops)
+		for b := lo; b < hi; b++ {
+			switch {
+			case ml.Low.counts[b] == 0:
+			case in[b]:
+				bm := ml.Low.vecs[b]
+				c.Ops = append(c.Ops, Operand{Group: -1, Lo: b, Hi: b + 1, Bitmap: bm})
+				words += bm.Words()
+			default:
+				whole = false
+			}
+		}
+		if gw := ml.High.vecs[h].Words(); whole && len(c.Ops) > k && gw < words {
+			c.Ops = append(c.Ops[:k], Operand{Group: h, Lo: lo, Hi: hi, Bitmap: ml.High.vecs[h]})
+			words = gw
+		}
+		c.Words += words
+	}
+	return c
+}
+
+// Or writes the words [w0, w1) of the cover's value into dst, zero there:
+// each operand ORed in, then, for a complement, the window's words NOT-ed
+// and the bits at and past N cleared. It stops between operands once stop
+// (nil: never) reports true, leaving the window unfinished.
+func (c Cover) Or(dst []uint64, w0, w1 int, stop func() bool) {
+	for _, op := range c.Ops {
+		if stop != nil && stop() {
+			return
+		}
+		op.Bitmap.OrInto(dst, w0, w1)
+	}
+	if !c.Complement {
+		return
+	}
+	for w := w0; w < w1; w++ {
+		dst[w] = ^dst[w]
+	}
+	if tail := c.n & 63; tail != 0 && w1 == bitvec.FlatWords(c.n) && w1 > w0 {
+		dst[w1-1] &= 1<<tail - 1
+	}
 }

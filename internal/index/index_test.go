@@ -2,10 +2,13 @@ package index
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
+	"insitubits/internal/codec"
 )
 
 func testData(r *rand.Rand, n int) []float64 {
@@ -198,6 +201,42 @@ func TestPaperFigure1(t *testing.T) {
 			}
 		}
 	}
+	if !ml.Partition {
+		t.Fatal("Figure 1's bins partition its elements, yet the proof failed")
+	}
+	for name, edit := range brokenEdits(x) {
+		broken, err := FromParts(m, edit, x.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ml, err := BuildMultiLevel(broken, 2); err != nil || ml.Partition {
+			t.Fatalf("%s: the proof passed a broken Figure 1 (%v)", name, err)
+		}
+	}
+}
+
+// brokenEdits returns x's bins three ways broken, as a file might hold
+// them: a bin emptied (a hole), a bin ORed into its neighbour (an
+// overlap), and the first element of bin 0 moved into the last bin (a hole
+// and an overlap at equal counts).
+func brokenEdits(x *Index) map[string][]bitvec.Bitmap {
+	bins := func() []bitvec.Bitmap { return append([]bitvec.Bitmap(nil), x.vecs...) }
+	hole, twice, moved := bins(), bins(), bins()
+	hole[len(hole)-1] = bitvec.FromBools(make([]bool, x.N()))
+	twice[1] = twice[1].Or(twice[0])
+	from, to := bitvec.Bools(moved[0]), bitvec.Bools(moved[len(moved)-1])
+	first := func(bs []bool) int {
+		for i, v := range bs {
+			if v {
+				return i
+			}
+		}
+		return -1
+	}
+	p, q := first(from), first(to)
+	from[p], from[q] = false, true
+	moved[0] = bitvec.FromBools(from)
+	return map[string][]bitvec.Bitmap{"hole": hole, "overlap": twice, "moved": moved}
 }
 
 func TestMultiLevelHighIsOrOfChildren(t *testing.T) {
@@ -225,6 +264,124 @@ func TestMultiLevelHighIsOrOfChildren(t *testing.T) {
 	}
 	if sum != x.N() {
 		t.Fatalf("high histogram sums to %d want %d", sum, x.N())
+	}
+	// The groups are encoded under the adaptive policy, and the proof
+	// passes the sound index and fails each broken one.
+	for h := 0; h < ml.High.Bins(); h++ {
+		if got, want := codec.Of(ml.High.Bitmap(h)), codec.Of(codec.Encode(ml.High.Bitmap(h), codec.Auto)); got != want {
+			t.Fatalf("high bin %d is %s, the adaptive policy picks %s", h, got, want)
+		}
+	}
+	if !ml.Partition {
+		t.Fatal("the proof failed a sound index")
+	}
+	for name, vecs := range brokenEdits(x) {
+		broken, err := FromParts(x.Mapper(), vecs, x.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bml, err := BuildMultiLevel(broken, 5); err != nil || bml.Partition {
+			t.Fatalf("%s: the proof passed a broken index (%v)", name, err)
+		}
+		if broken.Levels().Partition {
+			t.Fatalf("%s: Levels proved a broken index", name)
+		}
+	}
+}
+
+// TestChooseSideReadsTheCheaperSide: over every contiguous run of bins of a
+// 37-bin index (the last group of four partial) — sound, recoded, and three
+// ways broken — the chosen cover's value is the OR of the selected bins, it
+// reads no more words than they encode to, and only a proved partition is
+// ever read through its complement.
+func TestChooseSideReadsTheCheaperSide(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	x := BuildCodec(testData(r, 5000), mustUniform(t, 37), codec.Auto)
+	xs := map[string]*Index{"sound": x, "recoded": BuildCodec(testData(r, 5000), mustUniform(t, 37), codec.WAH).Recode(codec.BBC)}
+	for name, vecs := range brokenEdits(x) {
+		broken, err := FromParts(x.Mapper(), vecs, x.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs[name] = broken
+	}
+	for name, y := range xs {
+		sides := map[bool]int{}
+		for lo := 0; lo < y.Bins(); lo++ {
+			for hi := lo + 1; hi <= y.Bins(); hi++ {
+				var sel []int
+				want := make([]uint64, bitvec.FlatWords(y.N()))
+				words := 0
+				for b := lo; b < hi; b++ {
+					if y.Count(b) > 0 {
+						sel = append(sel, b)
+						y.Bitmap(b).OrInto(want, 0, len(want))
+						words += y.Bitmap(b).Words()
+					}
+				}
+				if len(sel) == 0 {
+					continue
+				}
+				c := y.ChooseSide(sel)
+				got := make([]uint64, len(want))
+				c.Or(got, 0, len(got), nil)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s bins [%d,%d): the %v-complement cover reads other bits than the selected bins", name, lo, hi, c.Complement)
+				}
+				if c.Words > words {
+					t.Fatalf("%s bins [%d,%d): the cover reads %d words, the selected bins %d", name, lo, hi, c.Words, words)
+				}
+				if c.Complement && !y.Levels().Partition {
+					t.Fatalf("%s bins [%d,%d): complement taken on an unproved index", name, lo, hi)
+				}
+				sides[c.Complement]++
+			}
+		}
+		if name == "sound" && (sides[true] == 0 || sides[false] == 0) {
+			t.Fatalf("%s: sides taken %v, want both", name, sides)
+		}
+	}
+	before := x.Levels()
+	if x.Recode(codec.WAH); x.Levels() == before {
+		t.Fatal("Recode kept the groups derived from the old encodings")
+	}
+}
+
+// TestGroupsConcurrentFirstUse: eight goroutines make the first call that
+// needs an index's groups at once, so each may build them; all read the
+// same bits, and one set of groups is published. Run with -race.
+func TestGroupsConcurrentFirstUse(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	x := BuildCodec(testData(r, 20000), mustUniform(t, 30), codec.Auto)
+	flat := make([]uint64, bitvec.FlatWords(x.N()))
+	for b := 0; b < x.Bins(); b++ { // the bins Query(2, 7) selects, read alone
+		if x.Mapper().High(b) > 2 && x.Mapper().Low(b) < 7 {
+			x.Bitmap(b).OrInto(flat, 0, len(flat))
+		}
+	}
+	want := bitvec.FromFlat(flat, x.N())
+	start := make(chan struct{})
+	got := make([]*MultiLevel, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			if g%2 == 1 {
+				if q := x.Query(2, 7); !q.Equal(want) {
+					t.Errorf("goroutine %d: Query differs from the OR of its bins", g)
+				}
+			}
+			got[g] = x.Levels()
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g, ml := range got {
+		if ml != got[0] || ml != x.Levels() {
+			t.Fatalf("goroutine %d got groups %p, goroutine 0 %p: more than one set published", g, ml, got[0])
+		}
 	}
 }
 

@@ -149,12 +149,12 @@ func newRunTelemetry(cfg Config, strategyDesc string) *runTelemetry {
 	}
 	rt.currentStep.Store(-1)
 	rt.journal.Store("none")
-	reg.PublishStatus(RunStatusName, rt.status)
 	rt.queueDepth = reg.Gauge("insitu.queue_depth")
 	rt.stepsDone = reg.Counter("insitu.steps_processed")
 	rt.storeRetries = reg.Counter("store.retries")
 	rt.workerPanics = reg.Counter("insitu.worker_panics")
 	rt.stepsRecovered = reg.Counter("insitu.steps_recovered")
+	reg.PublishStatus(RunStatusName, rt.status)
 	return rt
 }
 

@@ -15,10 +15,12 @@ import (
 )
 
 // This file is the execute half of the query pipeline. The executor
-// evaluates an optimized plan flat (DESIGN.md §4c): every selected bin is
-// read exactly once, ORed into pooled []uint64 scratch by its codec's own
-// kernel; AND is a word loop, a spatial range clears the words outside it,
-// and the result is encoded once, for the caller or for the cache. No
+// evaluates an optimized plan flat (DESIGN.md §4c): each value OR reads the
+// bitmaps of the side the planner chose exactly once, ORed into pooled
+// []uint64 scratch by their codec's own kernel, and NOTs the words when
+// that side is the complement; AND is a word loop, a spatial range clears
+// the words outside it, and the result is encoded once, for the caller or
+// for the cache. No
 // compressed intermediate is built in between. The bitmap cache is consulted
 // at every node with a canonical key, and each operator reports through one
 // recorder that feeds the ANALYZE profile, the identity-trace spans and the
@@ -194,6 +196,17 @@ func (o *operator) scan(op string, x *index.Index, b int) *Node {
 	return o.node.binChild(op, x, b)
 }
 
+// read records the operator reading one operand of a value OR, charged one
+// full scan of its encoding.
+func (o *operator) read(op index.Operand) {
+	o.batched = true
+	o.ops[codec.Of(op.Bitmap)]++
+	o.bins++
+	if c := o.node.operandChild(op); c != nil {
+		c.Cost = c.scanCostOf(op.Bitmap)
+	}
+}
+
 // end closes the operator: bins touched on the node, and on the span the
 // bin count plus one zero-duration marker child per codec class with the
 // operands it contributed — the bounded trace-side view of "which codecs did
@@ -271,17 +284,11 @@ func (e *executor) compute(p *planNode, dst []uint64, w0, w1 int, prof *Node, sp
 	case planBinOr:
 		o := openOperator(node, sp, op)
 		defer o.end()
-		for _, b := range p.bins {
-			o.scan("or", p.x, b)
+		for _, c := range p.cover.Ops {
+			o.read(c)
 		}
-		e.par(w0, w1, func(lo, hi int) {
-			for _, b := range p.bins {
-				if e.ctx.Err() != nil {
-					return
-				}
-				p.x.Bitmap(b).OrInto(dst, lo, hi)
-			}
-		})
+		stop := func() bool { return e.ctx.Err() != nil }
+		e.par(w0, w1, func(lo, hi int) { p.cover.Or(dst, lo, hi, stop) })
 		return e.ctx.Err()
 	}
 	return nil
@@ -350,7 +357,11 @@ func (p *planNode) label() (op, detail string) {
 	case planRange:
 		op, detail = "range", fmt.Sprintf("spatial=[%d,%d)", p.slo, p.shi)
 	case planBinOr:
-		op, detail = "or-merge", fmt.Sprintf("value=[%g,%g)", p.vlo, p.vhi)
+		side := "selected"
+		if p.cover.Complement {
+			side = "complement"
+		}
+		op, detail = "or-merge", fmt.Sprintf("value=[%g,%g) side=%s", p.vlo, p.vhi, side)
 	}
 	if p.note != "" {
 		detail += "; " + p.note
@@ -393,7 +404,14 @@ func explainPlanNode(p *planNode, parent *Node) {
 	case planOnes, planRange:
 		n.setRows(int(p.est.Rows))
 	case planBinOr:
-		explainBins(n, "or", p.x, p.bins)
+		for _, op := range p.cover.Ops {
+			c := n.operandChild(op)
+			c.Cost = Cost{WordsScanned: int64(op.Bitmap.Words()), BytesDecoded: int64(op.Bitmap.SizeBytes())}
+			for b := op.Lo; b < op.Hi; b++ {
+				c.Cost.Rows += int64(p.x.Count(b))
+			}
+		}
+		n.addCost(Cost{BinsTouched: len(p.cover.Ops)})
 		n.setRows(int(p.est.Rows))
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // EXPLAIN: estimate a request's cost from per-bin index metadata — encoded
 // size, word count, cached cardinality, codec — without executing anything.
-// O(bins), no bitmap is decoded. A request's bits-shaped part comes from the
+// O(bins), no bitmap is decoded, once an index's high-level groups exist:
+// the first value OR planned on an index derives them (index.Levels). A request's bits-shaped part comes from the
 // same lower() the executor calls and is rendered from that plan object, so
 // EXPLAIN shows the operators ANALYZE will report, in order — operand
 // order, pruned bins, a provably-empty result (zero estimated words).

@@ -46,7 +46,8 @@ func findOps(n *Node, op string) []*Node {
 
 // TestCorrelationReadsEachSelectedBinOnce: a correlation's id decode reads
 // the value-selected occupied bins of B and its tally those of A — each
-// once, and no other bin — its mask plan ORs in exactly those bins too, and
+// once, and no other bin — its mask plan reads the side of each value
+// predicate its index chose, never more words than the selected bins, and
 // nothing else is charged: no pass over the mask after it is built, no bin
 // restricted to it beforehand.
 func TestCorrelationReadsEachSelectedBinOnce(t *testing.T) {
@@ -103,19 +104,32 @@ func TestCorrelationReadsEachSelectedBinOnce(t *testing.T) {
 		if total := prof.Total().WordsScanned; total != mask+read {
 			t.Errorf("%s: %d words scanned, want mask %d + selected bins %d", label, total, mask, read)
 		}
-		// The mask plan ORs each selected bin in once, and reads no others.
+		// The mask plan reads each operand of the side its index chose for a
+		// value predicate once, and no other bitmap: never more words than
+		// the selected bins encode to.
 		var ored, want int
+		var oredWords, wantWords, selWords int64
 		for _, or := range findOps(prof.Root, "or-merge") {
 			ored += or.Cost.BinsTouched
+			oredWords += or.Total().WordsScanned
 		}
-		if req.A.hasValue() {
-			want += len(selectedOccupied(xa, req.A))
+		for _, side := range []struct {
+			x *index.Index
+			s Subset
+		}{{xa, req.A}, {xb, req.B}} {
+			if !side.s.hasValue() {
+				continue
+			}
+			sel := selectedOccupied(side.x, side.s)
+			c := side.x.ChooseSide(sel)
+			want, wantWords = want+len(c.Ops), wantWords+int64(c.Words)
+			for _, b := range sel {
+				selWords += int64(side.x.Bitmap(b).Words())
+			}
 		}
-		if req.B.hasValue() {
-			want += len(selectedOccupied(xb, req.B))
-		}
-		if ored != want {
-			t.Errorf("%s: mask plan ORed %d bins, the value predicates select %d", label, ored, want)
+		if ored != want || oredWords != wantWords || oredWords > selWords {
+			t.Errorf("%s: mask plan read %d bitmaps, %d words; the chosen sides are %d bitmaps, %d words; the selected bins %d words",
+				label, ored, oredWords, want, wantWords, selWords)
 		}
 	}
 }
@@ -207,7 +221,8 @@ func TestPooledScratchNeverEscapes(t *testing.T) {
 // 48 of this data moved between bins 2 and 6). It is the id array that shows
 // them, not the counts, because it is all NoID between requests — a tally
 // takes every id it counts: in B the second store at the doubled element
-// finds the first one's id, in A the second tally there finds none.
+// finds the first one's id, in A the second tally there finds none. Bits on
+// each broken index still answers: the plain OR of its selected bins.
 func TestCorrelationOnBrokenPartition(t *testing.T) {
 	const n = 31 * 40
 	data := make([]float64, n)
@@ -251,6 +266,17 @@ func TestCorrelationOnBrokenPartition(t *testing.T) {
 	if err != nil || sound.MI == 0 {
 		t.Fatalf("the sound pair answers %+v, %v", sound, err)
 	}
+	// plainBits is the OR of the bins s selects in y, read one by one.
+	plainBits := func(y *index.Index, s Subset) bitvec.Bitmap {
+		flat := make([]uint64, bitvec.FlatWords(n))
+		for _, b := range selectedOccupied(y, s) {
+			y.Bitmap(b).OrInto(flat, 0, len(flat))
+		}
+		if s.hasSpatial() {
+			bitvec.KeepFlatRange(flat, s.SpatialLo, s.SpatialHi)
+		}
+		return bitvec.FromFlat(flat, n)
+	}
 	for _, c := range []struct {
 		name   string
 		xa, xb *index.Index
@@ -264,6 +290,27 @@ func TestCorrelationOnBrokenPartition(t *testing.T) {
 		{"overlap and hole in B", x, rebuilt(func(vecs []bitvec.Bitmap) { moved(vecs, 2, 6) }), "index B is not a partition: element 48 lies in two bins"},
 		{"hole and overlap in A", rebuilt(func(vecs []bitvec.Bitmap) { moved(vecs, 6, 2) }), x, "index A is not a partition: element 16 lies in two bins"},
 	} {
+		// Bits on the broken index is the plain OR of its selected bins,
+		// for every run of bins, with and without a spatial window: the
+		// partition is not proved, so no value OR reads the complement.
+		broken := c.xa
+		if broken == x {
+			broken = c.xb
+		}
+		if broken.Levels().Partition {
+			t.Fatalf("%s: the partition proof passed", c.name)
+		}
+		for lo := 0; lo < 8; lo++ {
+			for hi := lo + 1; hi <= 8; hi++ {
+				for _, w := range [][2]int{{0, 0}, {31, n/2 + 5}} {
+					s := Subset{ValueLo: float64(8 * lo), ValueHi: float64(8 * hi), SpatialLo: w[0], SpatialHi: w[1]}
+					got, err := Bits(ctx, broken, s)
+					if err != nil || !got.Equal(plainBits(broken, s)) {
+						t.Fatalf("%s: bits %s is not the OR of its selected bins (%v)", c.name, s.describe(), err)
+					}
+				}
+			}
+		}
 		for round := 0; round < 2; round++ { // the second on the pool the first left behind
 			_, err := Correlation(ctx, c.xa, c.xb, Subset{}, Subset{})
 			if err == nil || !strings.Contains(err.Error(), c.want) {

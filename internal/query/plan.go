@@ -13,12 +13,14 @@ import (
 // small algebraic IR — ORs of bin bitmaps, range/ones indicators,
 // multi-operand ANDs — and optimized with the same O(1) per-bin statistics
 // the EXPLAIN estimator reads: empty bins are pruned, provably-empty
-// subtrees collapse without executing anything, and AND operands are
-// reordered cheapest/most-selective-first (an early empty intermediate
-// skips the operands after it). lower is the one place a request is
-// planned: the executor (exec.go) walks the tree it returns, consulting the
-// bitmap cache at every node that has a canonical key, and EXPLAIN renders
-// the very same tree.
+// subtrees collapse without executing anything, each value OR reads its
+// cheaper side — the selected bins or the complement, through Figure 1's
+// high-level groups where those are smaller (index.ChooseSide) — and AND
+// operands are reordered cheapest/most-selective-first (an early empty
+// intermediate skips the operands after it). lower is the one place a
+// request is planned: the executor (exec.go) walks the tree it returns,
+// consulting the bitmap cache at every node that has a canonical key, and
+// EXPLAIN renders the very same tree.
 
 type planKind int
 
@@ -36,10 +38,12 @@ type planNode struct {
 	kind planKind
 	n    int // bit length of the result
 
-	// planBinOr
+	// planBinOr: the selected occupied bins, and the cheaper side of their
+	// OR the executor reads (index.ChooseSide)
 	x        *index.Index
 	vlo, vhi float64
 	bins     []int
+	cover    index.Cover
 
 	// planRange
 	slo, shi int
@@ -138,13 +142,14 @@ func lower(req *Request, xa, xb *index.Index) *planNode {
 	return p
 }
 
-// optimize finalizes a plan in place using only O(1) per-bin metadata —
-// the same inputs as the EXPLAIN estimator. It never touches a bitmap.
+// optimize finalizes a plan in place using only O(1) per-bin and per-group
+// metadata — the same inputs as the EXPLAIN estimator. It reads no bitmap
+// but on an index's first value OR, which derives its groups (index.Levels).
 func optimize(p *planNode) {
 	switch p.kind {
 	case planBinOr:
 		kept := p.bins[:0]
-		var words, bytes, rows int64
+		var rows int64
 		pruned := 0
 		for _, b := range p.bins {
 			if p.x.Count(b) == 0 {
@@ -152,9 +157,6 @@ func optimize(p *planNode) {
 				continue
 			}
 			kept = append(kept, b)
-			bm := p.x.Bitmap(b)
-			words += int64(bm.Words())
-			bytes += int64(bm.SizeBytes())
 			rows += int64(p.x.Count(b))
 		}
 		p.bins = kept
@@ -167,7 +169,14 @@ func optimize(p *planNode) {
 			p.est, p.key, p.gens = Cost{}, "", nil
 			return
 		}
-		p.est = Cost{BinsTouched: len(p.bins), WordsScanned: words, BytesDecoded: bytes, Rows: rows}
+		// The result bits are the selected bins' OR whichever side is read,
+		// so the cache key below names the selected bins.
+		p.cover = p.x.ChooseSide(p.bins)
+		var bytes int64
+		for _, op := range p.cover.Ops {
+			bytes += int64(op.Bitmap.SizeBytes())
+		}
+		p.est = Cost{BinsTouched: len(p.cover.Ops), WordsScanned: int64(p.cover.Words), BytesDecoded: bytes, Rows: rows}
 		keys := make([]string, len(p.bins))
 		for i, b := range p.bins {
 			keys[i] = bitcache.BinKey(p.x.Generation(), b)

@@ -342,17 +342,19 @@ func TestPlannedCorrelationMatchesNaive(t *testing.T) {
 	}
 }
 
-// FuzzQueryMatchesOracle draws the data (run-heavy to noisy), the binning,
-// the codec, the subset and the operator from the fuzz input and holds the
-// property at all three accounting levels and cache states. `make
-// fuzz-smoke` runs it for 10 s; the seed corpus alone covers each codec and
-// op with value-only, spatial-only and combined subsets.
+// FuzzQueryMatchesOracle draws the data (run-heavy to noisy, every bin
+// used or every k-th left empty), the binning, the codec, the subset and
+// the operator from the fuzz input and holds the property at all three
+// accounting levels and cache states. `make fuzz-smoke` runs it for 10 s;
+// the seed corpus alone covers each codec and op with value-only,
+// spatial-only and combined subsets, and each side and level of a value OR
+// (TestOracleSeedsReadBothSidesAndLevels).
 func FuzzQueryMatchesOracle(f *testing.F) {
 	for _, in := range oracleSeeds {
-		f.Add(in.seed, in.n16, in.bins8, in.codecSel, in.noise, in.opSel, in.vlo, in.vspan, in.slo, in.sspan, in.q8)
+		f.Add(in.seed, in.n16, in.bins8, in.codecSel, in.noise, in.opSel, in.vlo, in.vspan, in.slo, in.sspan, in.q8, in.holes)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, bins8, codecSel, noise, opSel, vlo, vspan uint8, slo, sspan uint16, q8 uint8) {
-		oracleInput{seed, n16, bins8, codecSel, noise, opSel, vlo, vspan, slo, sspan, q8}.check(t)
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, bins8, codecSel, noise, opSel, vlo, vspan uint8, slo, sspan uint16, q8, holes uint8) {
+		oracleInput{seed, n16, bins8, codecSel, noise, opSel, vlo, vspan, slo, sspan, q8, holes}.check(t)
 	})
 }
 
@@ -363,43 +365,61 @@ type oracleInput struct {
 	bins8, codecSel, noise, opSel, vlo, vspan uint8
 	slo, sspan                                uint16
 	q8                                        uint8
+	holes                                     uint8 // k > 0: the data leaves every bin b with b%(k%4+2) == 0 empty
 }
 
 // oracleSeeds is FuzzQueryMatchesOracle's seed corpus.
 var oracleSeeds = []oracleInput{
-	//seed n     bins codec noise op vlo vspan slo  sspan q
-	{1, 900, 16, 0, 0, 0, 3, 4, 0, 0, 0},         // wah, run-heavy, bits, value only
-	{2, 4000, 16, 1, 200, 1, 0, 0, 100, 3000, 0}, // bbc, noisy, count, spatial only
-	{3, 2048, 8, 2, 30, 2, 1, 5, 31, 1000, 0},    // auto, sum, combined
-	{4, 3100, 32, 3, 90, 3, 4, 20, 7, 2500, 0},   // wah, mean, combined
-	{5, 1500, 16, 3, 10, 4, 2, 9, 0, 0, 128},     // quantile, value only
-	{6, 777, 5, 1, 255, 5, 0, 0, 70, 600, 0},     // minmax, spatial only
-	{7, 2600, 12, 0, 40, 6, 2, 6, 62, 2400, 0},   // correlation, combined
-	{8, 64, 2, 2, 0, 6, 200, 1, 0, 0, 0},         // correlation, provably empty
-	{9, 500, 3, 0, 10, 6, 0, 200, 0, 0, 0},       // correlation, B's value range inverted
+	//seed n     bins codec noise op vlo vspan slo  sspan q holes
+	{1, 900, 16, 0, 0, 0, 3, 4, 0, 0, 0, 0},         // wah, run-heavy, bits, value only
+	{2, 4000, 16, 1, 200, 1, 0, 0, 100, 3000, 0, 0}, // bbc, noisy, count, spatial only
+	{3, 2048, 8, 2, 30, 2, 1, 5, 31, 1000, 0, 0},    // auto, sum, combined
+	{4, 3100, 32, 3, 90, 3, 4, 20, 7, 2500, 0, 0},   // wah, mean, combined
+	{5, 1500, 16, 3, 10, 4, 2, 9, 0, 0, 128, 0},     // quantile, value only
+	{6, 777, 5, 1, 255, 5, 0, 0, 70, 600, 0, 0},     // minmax, spatial only
+	{7, 2600, 12, 0, 40, 6, 2, 6, 62, 2400, 0, 0},   // correlation, combined
+	{8, 64, 2, 2, 0, 6, 200, 1, 0, 0, 0, 0},         // correlation, provably empty
+	{9, 500, 3, 0, 10, 6, 0, 200, 0, 0, 0, 0},       // correlation, B's value range inverted
+	{10, 6000, 22, 2, 0, 0, 9, 1, 0, 0, 0, 0},       // bits, one bin, a partial last group
+	{11, 6000, 23, 1, 20, 0, 0, 23, 0, 0, 0, 0},     // bits, every bin: the complement reads nothing
+	{12, 5000, 30, 2, 0, 0, 4, 13, 0, 0, 0, 2},      // bits, empty bins inside groups
+	{13, 7000, 30, 0, 0, 0, 2, 26, 0, 0, 0, 0},      // bits, complement through groups
+	{14, 7000, 26, 2, 5, 0, 0, 20, 70, 3000, 0, 0},  // bits, groups read in a spatial window
+	{15, 8000, 27, 1, 0, 6, 1, 22, 333, 5555, 0, 1}, // correlation, complement in a window, holes
+	{16, 3000, 20, 0, 0, 0, 6, 1, 0, 0, 0, 1},       // bits, one empty bin
 }
 
-func (in oracleInput) check(t *testing.T) {
+// fixture builds the input's pair of indexes and its request.
+func (in oracleInput) fixture() (*oracleFixture, Request, bool) {
 	ops := []Op{OpBits, OpCount, OpSum, OpMean, OpQuantile, OpMinMax, OpCorrelation}
 	codecs := []codec.ID{codec.WAH, codec.BBC, codec.Auto}
 	n, bins := 1+int(in.n16)%8192, 1+int(in.bins8)%64
 	m, err := binning.NewUniform(0, float64(bins), bins)
 	if err != nil {
-		t.Skip()
+		return nil, Request{}, false
+	}
+	var used []int // the bins the data draws from
+	for b := 0; b < bins; b++ {
+		if in.holes == 0 || b%(int(in.holes)%4+2) != 0 {
+			used = append(used, b)
+		}
+	}
+	if len(used) == 0 {
+		used = []int{0}
 	}
 	// Runs of one value broken up by scattered noise: noise 0 is all
 	// fills, noise 255 all literals.
 	rng := rand.New(rand.NewSource(in.seed))
 	gen := func() []float64 {
 		data := make([]float64, n)
-		run := float64(rng.Intn(bins))
+		run := float64(used[rng.Intn(len(used))])
 		for i := range data {
 			if rng.Intn(20) == 0 {
-				run = float64(rng.Intn(bins))
+				run = float64(used[rng.Intn(len(used))])
 			}
 			data[i] = run
 			if rng.Intn(256) < int(in.noise) {
-				data[i] = float64(rng.Intn(bins))
+				data[i] = float64(used[rng.Intn(len(used))])
 			}
 		}
 		return data
@@ -416,6 +436,14 @@ func (in oracleInput) check(t *testing.T) {
 		req.A.SpatialHi = min(n, req.A.SpatialLo+int(in.sspan))
 	}
 	req.B = Subset{ValueLo: float64(in.vspan) / 2, ValueHi: float64(bins), SpatialLo: req.A.SpatialLo, SpatialHi: req.A.SpatialHi}
+	return fx, req, true
+}
+
+func (in oracleInput) check(t *testing.T) {
+	fx, req, ok := in.fixture()
+	if !ok {
+		t.Skip()
+	}
 	for _, lvl := range []accounting{acctNone, acctLight, acctFull} {
 		if req.Op == OpCorrelation && req.B.ValueLo >= req.B.ValueHi {
 			// An empty or inverted value range is refused, never read as
@@ -426,6 +454,52 @@ func (in oracleInput) check(t *testing.T) {
 			continue
 		}
 		fx.check(t, string(req.Op)+" "+req.describe(nil), req, lvl)
+	}
+}
+
+// TestOracleSeedsReadBothSidesAndLevels: the seed corpus plans value ORs
+// that read the selected bins alone, through a group, through the
+// complement, and through the complement's groups, and one whose value
+// range selects only empty bins — so every fuzz run checks each against
+// the model.
+func TestOracleSeedsReadBothSidesAndLevels(t *testing.T) {
+	seen := map[string]bool{}
+	var visit func(p *planNode)
+	visit = func(p *planNode) {
+		for _, c := range p.children {
+			visit(c)
+		}
+		if p.kind == planEmpty && p.x != nil { // a pruned value OR
+			s := Subset{ValueLo: p.vlo, ValueHi: p.vhi}
+			for b := 0; b < p.x.Bins(); b++ {
+				seen["empty bins"] = seen["empty bins"] || s.binSelected(p.x, b)
+			}
+		}
+		if p.kind != planBinOr {
+			return
+		}
+		side := "selected"
+		if p.cover.Complement {
+			side = "complement"
+		}
+		seen[side] = true
+		for _, op := range p.cover.Ops {
+			if op.Group >= 0 {
+				seen[side+"+group"] = true
+			}
+		}
+	}
+	for _, in := range oracleSeeds {
+		fx, req, ok := in.fixture()
+		if !ok || (req.Op != OpBits && req.Op != OpCorrelation) || req.validate(fx.xa, fx.xb, nil) != nil {
+			continue
+		}
+		visit(lower(&req, fx.xa, fx.xb))
+	}
+	for _, want := range []string{"selected", "selected+group", "complement", "complement+group", "empty bins"} {
+		if !seen[want] {
+			t.Errorf("no seed plans a value OR reading %s (saw %v)", want, seen)
+		}
 	}
 }
 

@@ -105,6 +105,21 @@ func (n *Node) binChild(op string, x *index.Index, b int) *Node {
 	return c
 }
 
+// operandChild appends the node of one operand a value OR reads: "or" at
+// its low bin, or "or-group" at its high-level group, naming the bins the
+// group holds. Its cost is the caller's to set. Nil-safe.
+func (n *Node) operandChild(op index.Operand) *Node {
+	if n == nil {
+		return nil
+	}
+	c := &Node{Op: "or", Bin: op.Lo, Codec: codecName(op.Bitmap), light: n.light}
+	if op.Group >= 0 {
+		c.Op, c.Bin, c.Detail = "or-group", op.Group, fmt.Sprintf("bins [%d,%d)", op.Lo, op.Hi)
+	}
+	n.Children = append(n.Children, c)
+	return c
+}
+
 // addCost folds extra cost into the node's own accounting. Nil-safe.
 func (n *Node) addCost(c Cost) {
 	if n == nil {

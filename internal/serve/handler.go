@@ -192,9 +192,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		// Clamp before converting: a large count of milliseconds overflows
+		// a Duration, to zero or a negative span.
+		timeout = s.cfg.MaxTimeout
+		if req.TimeoutMs < s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)

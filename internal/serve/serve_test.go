@@ -494,16 +494,20 @@ func TestReadiness(t *testing.T) {
 	}
 }
 
-// TestDeadlineClamp sends an absurd timeout override and checks the server
-// clamps it rather than holding a request slot for minutes.
+// TestDeadlineClamp sends absurd timeout overrides and checks the server
+// clamps them rather than holding a request slot for minutes — including
+// ones whose product with a millisecond overflows a Duration (to 0, and to
+// a negative span), which must not become an already-expired deadline.
 func TestDeadlineClamp(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxTimeout: 50 * time.Millisecond})
-	resp, hresp := postQuery(t, ts.URL, &QueryRequest{Op: "count", Var: "temp", TimeoutMs: 3_600_000})
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", hresp.StatusCode)
-	}
-	if resp.Digest == "" {
-		t.Fatal("no digest")
+	for _, ms := range []int64{3_600_000, 1 << 62, 9_300_000_000_000} {
+		resp, hresp := postQuery(t, ts.URL, &QueryRequest{Op: "count", Var: "temp", TimeoutMs: ms})
+		if hresp.StatusCode != http.StatusOK {
+			t.Fatalf("timeout_ms %d: status %d", ms, hresp.StatusCode)
+		}
+		if resp.Digest == "" {
+			t.Fatalf("timeout_ms %d: no digest", ms)
+		}
 	}
 }
 
