@@ -47,8 +47,11 @@ race:
 # concurrent goroutines (TestWindowsTileTheWhole), eight first windowed
 # calls racing to build one bitmap's skip table
 # (TestSkipTableConcurrentFirstUse), and seeks into malformed streams.
+# ./internal/cluster/ holds the halo exchange's per-node channels and the
+# per-node goroutines that simulate into their slabs and write their parts
+# into one step, whose scores then add every node's counts into one table.
 race-hot:
-	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/...
+	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/... ./internal/cluster/
 	$(GO) test -race -run 'TestWindowsTileTheWhole|TestSkipTableConcurrentFirstUse|TestBBCWalkers' ./internal/bitvec/
 	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate|TestQueueBackpressure|TestPhaseRecord' ./internal/insitu/
 

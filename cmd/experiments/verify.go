@@ -81,11 +81,11 @@ func figVerify() error {
 	for _, metric := range []insitubits.SelectionMetric{
 		insitubits.MetricConditionalEntropy, insitubits.MetricEMDCount, insitubits.MetricEMDSpatial,
 	} {
-		rb, err := insitubits.SelectTimeSteps(sumsB, 5, insitubits.FixedLengthPartitioning{}, metric)
+		rb, err := insitubits.SelectTimeSteps(sumsB, 5, metric)
 		if err != nil {
 			return err
 		}
-		rd, err := insitubits.SelectTimeSteps(sumsD, 5, insitubits.FixedLengthPartitioning{}, metric)
+		rd, err := insitubits.SelectTimeSteps(sumsD, 5, metric)
 		if err != nil {
 			return err
 		}

@@ -162,7 +162,7 @@ func ExampleSelectTimeSteps() {
 		}
 		steps = append(steps, insitubits.NewBitmapSummary(insitubits.BuildIndex(data, m)))
 	}
-	res, err := insitubits.SelectTimeSteps(steps, 3, insitubits.FixedLengthPartitioning{}, insitubits.MetricConditionalEntropy)
+	res, err := insitubits.SelectTimeSteps(steps, 3, insitubits.MetricConditionalEntropy)
 	if err != nil {
 		panic(err)
 	}

@@ -37,11 +37,11 @@ func main() {
 		exact = append(exact, insitubits.NewDataSummary(data, mapper))
 		viaBitmaps = append(viaBitmaps, insitubits.NewBitmapSummary(insitubits.BuildIndex(data, mapper)))
 	}
-	selExact, err := insitubits.SelectTimeSteps(exact, 6, insitubits.FixedLengthPartitioning{}, insitubits.MetricConditionalEntropy)
+	selExact, err := insitubits.SelectTimeSteps(exact, 6, insitubits.MetricConditionalEntropy)
 	if err != nil {
 		log.Fatal(err)
 	}
-	selBits, err := insitubits.SelectTimeSteps(viaBitmaps, 6, insitubits.FixedLengthPartitioning{}, insitubits.MetricConditionalEntropy)
+	selBits, err := insitubits.SelectTimeSteps(viaBitmaps, 6, insitubits.MetricConditionalEntropy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func main() {
 			}
 			approx = append(approx, insitubits.NewDataSummary(sd, mapper))
 		}
-		selS, err := insitubits.SelectTimeSteps(approx, 6, insitubits.FixedLengthPartitioning{}, insitubits.MetricConditionalEntropy)
+		selS, err := insitubits.SelectTimeSteps(approx, 6, insitubits.MetricConditionalEntropy)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -222,12 +222,9 @@ const (
 	MetricEMDSpatial         = selection.EMDSpatial
 )
 
-// FixedLengthPartitioning is the paper's fixed-length interval partitioner.
-type FixedLengthPartitioning = selection.FixedLength
-
 // Re-exported selection API. SelectTimeSteps is the paper's greedy
-// algorithm; SelectTimeStepsDP the dynamic-programming alternative it
-// references (offline only).
+// algorithm over fixed-length intervals; SelectTimeStepsDP the
+// dynamic-programming alternative it references (offline only).
 var (
 	SelectTimeSteps     = selection.Select
 	SelectTimeStepsDP   = selection.SelectDP

@@ -124,7 +124,7 @@ func TestGreedyVsDPThroughFacade(t *testing.T) {
 	for i := 0; i < 18; i++ {
 		steps = append(steps, insitubits.NewBitmapSummary(insitubits.BuildIndex(sim.Step(2)[0].Data, m)))
 	}
-	greedy, err := insitubits.SelectTimeSteps(steps, 5, insitubits.FixedLengthPartitioning{}, insitubits.MetricConditionalEntropy)
+	greedy, err := insitubits.SelectTimeSteps(steps, 5, insitubits.MetricConditionalEntropy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@
 // Figure 13): the global Heat3D grid is decomposed into z-slabs, one per
 // simulated node; nodes exchange boundary planes every step (goroutines and
 // channels standing in for MPI); each node generates bitmaps over its own
-// slab ("distributed bitmaps", Figure 2); and the selection metrics are
-// computed globally by reducing per-node histograms and joint counts —
-// never moving the data itself. Output goes either to per-node local disks
-// (parallel) or to one shared remote data server (contended).
+// slab ("distributed bitmaps", Figure 2); and selection scores each step as
+// one selection.NodeSummary, which adds the nodes' histograms and joint
+// counts (or Equation 3 differences) into one table — never moving the data
+// itself — and feeds the scores to selection's streaming greedy. Output
+// goes either to per-node local disks (parallel) or to one shared remote
+// data server (contended).
 package cluster
 
 import (
@@ -14,9 +16,9 @@ import (
 	"time"
 
 	"insitubits/internal/binning"
+	"insitubits/internal/codec"
 	"insitubits/internal/index"
 	"insitubits/internal/iosim"
-	"insitubits/internal/metrics"
 	"insitubits/internal/selection"
 	"insitubits/internal/sim/heat3d"
 	"insitubits/internal/store"
@@ -40,11 +42,10 @@ type Config struct {
 	// plane per node).
 	GridX, GridY, GridZ int
 
-	Steps  int
-	Select int
-	Metric selection.Metric
-	Method Method
-	Bins   int
+	Steps, Select int
+	Metric        selection.Metric
+	Method        Method
+	Bins          int
 
 	// LocalMBps is each node's local disk bandwidth; used when Remote is
 	// nil. Writes proceed in parallel across nodes, so modelled output
@@ -68,8 +69,15 @@ func (c *Config) validate() error {
 	if c.Steps < 1 || c.Select < 1 || c.Select > c.Steps {
 		return fmt.Errorf("cluster: select %d of %d steps", c.Select, c.Steps)
 	}
-	if c.Bins < 1 {
-		return fmt.Errorf("cluster: %d bins", c.Bins)
+	if !c.Metric.Valid() {
+		return fmt.Errorf("cluster: unknown metric %v", c.Metric)
+	}
+	if c.Method != Bitmaps && c.Method != FullData {
+		return fmt.Errorf("cluster: unknown method %d", c.Method)
+	}
+	if c.Bins < 1 || c.Bins > index.MaxIDBins {
+		// A node's bitmaps are built from, and scored on, narrow bin ids.
+		return fmt.Errorf("cluster: %d bins, want 1 to %d", c.Bins, index.MaxIDBins)
 	}
 	if c.Remote == nil && c.LocalMBps <= 0 {
 		return fmt.Errorf("cluster: local bandwidth %g MB/s", c.LocalMBps)
@@ -84,28 +92,23 @@ type Result struct {
 	// Output is the modelled transfer time (max node for local, shared
 	// total for remote).
 	Simulate, Reduce, Select, Output time.Duration
-	Selected                         []int
 	BytesWritten                     int64
+	selection.Result                 // the selected steps and their winning scores
 }
 
-// Total sums the phases.
-func (r *Result) Total() time.Duration { return r.Simulate + r.Reduce + r.Select + r.Output }
-
-// node is one simulated machine.
+// node is one simulated machine. Its slab holds its own planes [lo, hi) and
+// a ghost plane on each side that has a neighbor.
 type node struct {
-	sim  *heat3d.Sim
-	up   chan []float64 // plane flowing to the node above (z+)
-	down chan []float64 // plane flowing to the node below (z-)
+	sim    *heat3d.Sim
+	lo, hi int
+	up     chan []float64 // plane flowing to the node above (z+)
+	down   chan []float64 // plane flowing to the node below (z-)
 }
 
-// stepSummary is one global time-step: per-node pieces of either indices or
-// raw slabs, plus the bytes its selected form would occupy on storage.
+// stepSummary is one global time-step's node parts and their stored bytes.
 type stepSummary struct {
-	step     int
-	indices  []*index.Index // Bitmaps
-	slabs    [][]float64    // FullData
-	mapper   binning.Mapper
-	outBytes []int64 // per node
+	selection.NodeSummary
+	outBytes []int64
 }
 
 // Run executes the cluster experiment.
@@ -121,98 +124,71 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Step 0 is kept, then the greedy keeps one winner per interval.
 	res := &Result{}
-	sc := newScratch(cfg.Bins)
-	// Streaming greedy selection over intervals (as in the single-node
-	// pipeline): step 0 is kept, then one winner per interval.
-	intervals := selection.FixedLength{}.Partition(make([]float64, cfg.Steps), cfg.Select)
-	ivPos := 0
+	g := selection.NewGreedy(cfg.Steps, cfg.Select)
 	var prev, best *stepSummary
-	bestScore := 0.0
-	commit := func(s *stepSummary) {
-		res.Selected = append(res.Selected, s.step)
-		prev = s
-		var maxNode int64
-		for _, b := range s.outBytes {
-			res.BytesWritten += b
-			if b > maxNode {
-				maxNode = b
-			}
-			if cfg.Remote != nil {
-				cfg.Remote.Account(b)
-			}
-		}
-		if cfg.Remote == nil {
-			// Local disks write in parallel; the slowest node gates.
-			res.Output += iosim.ModelTransfer(maxNode, cfg.LocalMBps)
-		}
-	}
-
 	for t := 0; t < cfg.Steps; t++ {
 		t0 := time.Now()
 		parallelStep(nodes, cfg.CoresPerNode)
 		t1 := time.Now()
-		summary := reduceStep(cfg, nodes, mapper, t)
+		step := reduceStep(cfg, nodes, mapper)
 		t2 := time.Now()
 		res.Simulate += t1.Sub(t0)
 		res.Reduce += t2.Sub(t1)
-
-		if t == 0 {
-			commit(summary)
-			continue
-		}
-		t3 := time.Now()
-		score := dissimilarity(summary, prev, cfg.Metric, sc)
-		res.Select += time.Since(t3)
-		if ivPos < len(intervals) {
-			iv := intervals[ivPos]
-			if t >= iv[0] && t < iv[1] {
-				if best == nil || score > bestScore {
-					best, bestScore = summary, score
-				}
-				if t == iv[1]-1 {
-					commit(best)
-					best = nil
-					ivPos++
-				}
+		if t > 0 {
+			out := g.Offer(t, step.Dissimilarity(&prev.NodeSummary, cfg.Metric))
+			res.Select += time.Since(t2)
+			if out&selection.Keep != 0 {
+				best = step
 			}
+			if out&selection.Commit == 0 {
+				continue
+			}
+			step = best
 		}
+		prev = step
+		res.write(cfg, step)
 	}
+	res.Result = g.Result
 	if cfg.Remote != nil {
 		res.Output = cfg.Remote.ModeledTime()
 	}
 	return res, nil
 }
 
+// write accounts one selected step's output.
+func (r *Result) write(cfg Config, s *stepSummary) {
+	var slowest int64
+	for _, b := range s.outBytes {
+		r.BytesWritten += b
+		slowest = max(slowest, b)
+		if cfg.Remote != nil {
+			cfg.Remote.Account(b)
+		}
+	}
+	if cfg.Remote == nil {
+		// Local disks write in parallel; the slowest node gates.
+		r.Output += iosim.ModelTransfer(slowest, cfg.LocalMBps)
+	}
+}
+
 // buildNodes decomposes the global grid into z-slabs with ghost planes and
-// wires neighbor channels.
+// wires neighbor channels. The global domain ends keep the physical
+// Dirichlet boundary instead of a ghost plane.
 func buildNodes(cfg Config) ([]*node, error) {
-	slab := cfg.GridZ / cfg.Nodes
-	extra := cfg.GridZ % cfg.Nodes
 	nodes := make([]*node, cfg.Nodes)
 	for k := range nodes {
-		nz := slab
-		if k < extra {
+		nz := cfg.GridZ / cfg.Nodes
+		if k < cfg.GridZ%cfg.Nodes {
 			nz++
 		}
-		// +2 ghost planes except at the global domain ends (which keep the
-		// physical Dirichlet boundary).
-		local := nz
-		if k > 0 {
-			local++
-		}
-		if k < cfg.Nodes-1 {
-			local++
-		}
-		s, err := heat3d.New(cfg.GridX, cfg.GridY, local)
+		lo := min(k, 1)
+		s, err := heat3d.New(cfg.GridX, cfg.GridY, lo+nz+min(cfg.Nodes-1-k, 1))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", k, err)
 		}
-		nodes[k] = &node{
-			sim:  s,
-			up:   make(chan []float64, 1),
-			down: make(chan []float64, 1),
-		}
+		nodes[k] = &node{sim: s, lo: lo, hi: lo + nz, up: make(chan []float64, 1), down: make(chan []float64, 1)}
 	}
 	return nodes, nil
 }
@@ -227,15 +203,13 @@ func parallelStep(nodes []*node, coresPerNode int) {
 			defer wg.Done()
 			n := nodes[k]
 			_, _, nz := n.sim.Dims()
-			// Send interior boundary planes to neighbors.
+			// Send interior boundary planes to neighbors (one-plane buffers:
+			// no send blocks), then install the ghosts received from them.
 			if k < len(nodes)-1 {
 				nodes[k+1].down <- n.sim.PlaneZ(nz-2, nil)
 			}
 			if k > 0 {
 				nodes[k-1].up <- n.sim.PlaneZ(1, nil)
-			}
-			// Install ghosts received from neighbors.
-			if k > 0 {
 				n.sim.SetPlaneZ(0, <-n.down)
 			}
 			if k < len(nodes)-1 {
@@ -247,179 +221,35 @@ func parallelStep(nodes []*node, coresPerNode int) {
 	wg.Wait()
 }
 
-// reduceStep builds the per-node summaries concurrently.
-func reduceStep(cfg Config, nodes []*node, mapper binning.Mapper, t int) *stepSummary {
-	s := &stepSummary{step: t, mapper: mapper, outBytes: make([]int64, len(nodes))}
-	switch cfg.Method {
-	case Bitmaps:
-		s.indices = make([]*index.Index, len(nodes))
-	default:
-		s.slabs = make([][]float64, len(nodes))
+// reduceStep builds the per-node parts concurrently: a node's bitmaps keep
+// the bin ids they were built from, so no score decodes them.
+func reduceStep(cfg Config, nodes []*node, mapper binning.Mapper) *stepSummary {
+	s := &stepSummary{
+		NodeSummary: selection.NodeSummary{Parts: make([]selection.Summary, len(nodes))},
+		outBytes:    make([]int64, len(nodes)),
 	}
 	var wg sync.WaitGroup
 	for k := range nodes {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			data := interiorCopy(cfg, nodes, k)
+			// Node k's own planes, without ghosts, so the same global element
+			// set is analyzed at any node count: mapped in place for the
+			// bitmaps, copied for full data, as the simulator steps on.
+			n := nodes[k]
+			nx, ny, _ := n.sim.Dims()
+			own := n.sim.Temperature()[n.lo*nx*ny : n.hi*nx*ny]
 			if cfg.Method == Bitmaps {
-				x := index.BuildParallel(data, mapper, cfg.CoresPerNode)
-				s.indices[k] = x
+				ids := index.MapIDs(own, mapper, cfg.CoresPerNode)
+				x := index.BuildFromIDs(ids, mapper, cfg.CoresPerNode, codec.WAH)
+				s.Parts[k] = selection.NewBuiltSummary(x, ids, 1)
 				s.outBytes[k] = store.IndexSize(x)
 			} else {
-				s.slabs[k] = data
-				s.outBytes[k] = store.RawSize(len(data))
+				s.Parts[k] = selection.NewDataSummary(append([]float64(nil), own...), mapper)
+				s.outBytes[k] = store.RawSize(len(own))
 			}
 		}(k)
 	}
 	wg.Wait()
 	return s
-}
-
-// interiorCopy extracts node k's owned planes (excluding ghosts) so the
-// same global element set is analyzed regardless of node count.
-func interiorCopy(cfg Config, nodes []*node, k int) []float64 {
-	n := nodes[k]
-	nx, ny, nz := n.sim.Dims()
-	lo, hi := 0, nz
-	if k > 0 {
-		lo++
-	}
-	if k < len(nodes)-1 {
-		hi--
-	}
-	plane := nx * ny
-	out := make([]float64, (hi-lo)*plane)
-	copy(out, n.sim.Temperature()[lo*plane:hi*plane])
-	return out
-}
-
-// scratch holds reusable metric buffers so scoring a step pair allocates
-// nothing proportional to node count — essential at high node counts where
-// per-node joint-matrix allocations would otherwise dominate selection.
-type scratch struct {
-	ha, hb     []int
-	joint      [][]int
-	jointCells []int
-	ids        []int32
-}
-
-func newScratch(nBins int) *scratch {
-	s := &scratch{
-		ha:         make([]int, nBins),
-		hb:         make([]int, nBins),
-		joint:      make([][]int, nBins),
-		jointCells: make([]int, nBins*nBins),
-	}
-	cells := s.jointCells
-	for i := range s.joint {
-		s.joint[i], cells = cells[:nBins], cells[nBins:]
-	}
-	return s
-}
-
-func (s *scratch) reset() {
-	for i := range s.ha {
-		s.ha[i] = 0
-		s.hb[i] = 0
-	}
-	for i := range s.jointCells {
-		s.jointCells[i] = 0
-	}
-}
-
-// dissimilarity computes the global metric by reducing per-node pieces into
-// the shared scratch buffers.
-func dissimilarity(a, b *stepSummary, metric selection.Metric, sc *scratch) float64 {
-	switch metric {
-	case selection.EMDCount, selection.ConditionalEntropy:
-		sc.reset()
-		wantJoint := metric == selection.ConditionalEntropy
-		n := 0
-		for k := 0; k < a.nNodes(); k++ {
-			n += accumulateNode(a, b, k, wantJoint, sc)
-		}
-		if metric == selection.EMDCount {
-			return metrics.EMDCount(sc.ha, sc.hb)
-		}
-		return metrics.ConditionalEntropy(sc.joint, sc.ha, sc.hb, n)
-	case selection.EMDSpatial:
-		// Per-bin differences sum across nodes; the CFP accumulates over the
-		// global per-bin differences.
-		diffs := make([]int, a.mapper.Bins())
-		for k := 0; k < a.nNodes(); k++ {
-			addSpatialDiffs(a, b, k, diffs, sc)
-		}
-		return metrics.EMDFromDiffs(diffs)
-	default:
-		panic("cluster: unsupported metric " + metric.String())
-	}
-}
-
-func (s *stepSummary) nNodes() int {
-	if s.indices != nil {
-		return len(s.indices)
-	}
-	return len(s.slabs)
-}
-
-// accumulateNode adds node k's marginals (and, when requested, its joint
-// distribution) into the scratch buffers and returns its element count.
-// For bitmaps, the joint tally decodes both slab indices into bin ids in
-// O(slab); the decoded-id buffer is reused across nodes and steps.
-func accumulateNode(a, b *stepSummary, k int, wantJoint bool, sc *scratch) int {
-	if a.indices != nil {
-		xa, xb := a.indices[k], b.indices[k]
-		for i, c := range xa.Histogram() {
-			sc.ha[i] += c
-		}
-		for j, c := range xb.Histogram() {
-			sc.hb[j] += c
-		}
-		if wantJoint {
-			ida, idb := sc.binIDs(xa, xb)
-			for p := range ida {
-				sc.joint[ida[p]][idb[p]]++
-			}
-		}
-		return xa.N()
-	}
-	da, db := a.slabs[k], b.slabs[k]
-	for p := range da {
-		i := a.mapper.Bin(da[p])
-		j := b.mapper.Bin(db[p])
-		sc.ha[i]++
-		sc.hb[j]++
-		if wantJoint {
-			sc.joint[i][j]++
-		}
-	}
-	return len(da)
-}
-
-// binIDs decodes two slab indices into the scratch id buffer, which is
-// reused across nodes and steps.
-func (sc *scratch) binIDs(xa, xb *index.Index) (ida, idb []int32) {
-	n := xa.N()
-	if cap(sc.ids) < 2*n {
-		sc.ids = make([]int32, 2*n)
-	}
-	return xa.BinIDs(sc.ids[:n]), xb.BinIDs(sc.ids[n : 2*n])
-}
-
-// addSpatialDiffs adds node k's Equation 3 differences into diffs.
-func addSpatialDiffs(a, b *stepSummary, k int, diffs []int, sc *scratch) {
-	if a.indices != nil {
-		ida, idb := sc.binIDs(a.indices[k], b.indices[k])
-		metrics.SpatialDiffs(ida, idb, diffs)
-		return
-	}
-	da, db := a.slabs[k], b.slabs[k]
-	for i := range da {
-		ba, bb := a.mapper.Bin(da[i]), b.mapper.Bin(db[i])
-		if ba != bb {
-			diffs[ba]++
-			diffs[bb]++
-		}
-	}
 }

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"insitubits/internal/index"
 	"insitubits/internal/iosim"
 	"insitubits/internal/selection"
 	"insitubits/internal/sim/heat3d"
@@ -31,6 +34,9 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Select = 0 },
 		func(c *Config) { c.Select = c.Steps + 1 },
 		func(c *Config) { c.Bins = 0 },
+		func(c *Config) { c.Bins = index.MaxIDBins + 1 },
+		func(c *Config) { c.Metric = selection.Metric(7) },
+		func(c *Config) { c.Method = Method(9) },
 		func(c *Config) { c.LocalMBps = 0 },
 	}
 	for i, mutate := range bad {
@@ -91,25 +97,80 @@ func TestRemoteSharedContention(t *testing.T) {
 }
 
 func TestMethodsSelectSameSteps(t *testing.T) {
-	// Bitmaps vs full data on the cluster path: identical selections
-	// (global metrics reduce to identical numbers).
-	run := func(m Method) []int {
-		cfg := baseConfig()
-		cfg.Method = m
-		res, err := Run(cfg)
+	// Bitmaps vs full data on the cluster path: identical selections and
+	// winning scores to the bit at every node count (global metrics reduce
+	// to identical integers).
+	for _, nodes := range []int{1, 2, 4} {
+		run := func(m Method) *Result {
+			cfg := baseConfig()
+			cfg.Method, cfg.Nodes = m, nodes
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		rb, rf := run(Bitmaps), run(FullData)
+		if !reflect.DeepEqual(rb.Selected, rf.Selected) || len(rb.Scores) != len(rb.Selected)-1 {
+			t.Fatalf("nodes=%d: bitmaps %v, full data %v", nodes, rb.Selected, rf.Selected)
+		}
+		for i := range rb.Scores {
+			if math.Float64bits(rb.Scores[i]) != math.Float64bits(rf.Scores[i]) {
+				t.Fatalf("nodes=%d: score %d: bitmaps %v, full data %v", nodes, i, rb.Scores[i], rf.Scores[i])
+			}
+		}
+	}
+}
+
+// TestGoldenFig13Quick pins what a run at Figure 13's -quick dimensions
+// selects, writes and scores, for every metric, method and node count. The
+// table was recorded before the cluster scored through
+// selection.NodeSummary and selection.Greedy (EXPERIMENTS.md, "One greedy
+// and one scorer"); the scores compare as float64 bits.
+func TestGoldenFig13Quick(t *testing.T) {
+	type golden struct {
+		metric   selection.Metric
+		method   Method
+		nodes    int
+		selected []int
+		bytes    int64
+		scores   []uint64
+	}
+	ce, count, spatial := selection.ConditionalEntropy, selection.EMDCount, selection.EMDSpatial
+	for _, g := range []golden{
+		{ce, Bitmaps, 1, []int{0, 4, 8, 11}, 26624, []uint64{0x3fe48bd750f4a8a0, 0x3fe18d42add33596, 0x3fddaecef5b73e80}},
+		{ce, Bitmaps, 2, []int{0, 4, 8, 11}, 52012, []uint64{0x3feff6115fa19904, 0x3fedf8ad83ed88dc, 0x3feb2063fcc3460e}},
+		{ce, Bitmaps, 4, []int{0, 4, 8, 11}, 101896, []uint64{0x3ff9b9510989eb41, 0x3ff86159686d67c0, 0x3ff69f353ceb8196}},
+		{ce, FullData, 1, []int{0, 4, 8, 11}, 221264, []uint64{0x3fe48bd750f4a8a0, 0x3fe18d42add33596, 0x3fddaecef5b73e80}},
+		{ce, FullData, 2, []int{0, 4, 8, 11}, 221344, []uint64{0x3feff6115fa19904, 0x3fedf8ad83ed88dc, 0x3feb2063fcc3460e}},
+		{ce, FullData, 4, []int{0, 4, 8, 11}, 221504, []uint64{0x3ff9b9510989eb41, 0x3ff86159686d67c0, 0x3ff69f353ceb8196}},
+		{count, Bitmaps, 1, []int{0, 4, 8, 11}, 26624, []uint64{0x40bbe30000000000, 0x40b5f00000000000, 0x40ad0e0000000000}},
+		{count, Bitmaps, 2, []int{0, 4, 8, 11}, 52012, []uint64{0x40c6090000000000, 0x40c2308000000000, 0x40b8d60000000000}},
+		{count, Bitmaps, 4, []int{0, 4, 8, 11}, 101896, []uint64{0x40d30a8000000000, 0x40d0464000000000, 0x40c6a88000000000}},
+		{count, FullData, 1, []int{0, 4, 8, 11}, 221264, []uint64{0x40bbe30000000000, 0x40b5f00000000000, 0x40ad0e0000000000}},
+		{count, FullData, 2, []int{0, 4, 8, 11}, 221344, []uint64{0x40c6090000000000, 0x40c2308000000000, 0x40b8d60000000000}},
+		{count, FullData, 4, []int{0, 4, 8, 11}, 221504, []uint64{0x40d30a8000000000, 0x40d0464000000000, 0x40c6a88000000000}},
+		{spatial, Bitmaps, 1, []int{0, 4, 8, 11}, 26624, []uint64{0x410e852800000000, 0x4112236800000000, 0x411179f400000000}},
+		{spatial, Bitmaps, 2, []int{0, 4, 8, 11}, 52012, []uint64{0x411a1f7800000000, 0x411e812c00000000, 0x411cb5b800000000}},
+		{spatial, Bitmaps, 4, []int{0, 4, 8, 11}, 101896, []uint64{0x412692ac00000000, 0x4129185200000000, 0x4127321e00000000}},
+		{spatial, FullData, 1, []int{0, 4, 8, 11}, 221264, []uint64{0x410e852800000000, 0x4112236800000000, 0x411179f400000000}},
+		{spatial, FullData, 2, []int{0, 4, 8, 11}, 221344, []uint64{0x411a1f7800000000, 0x411e812c00000000, 0x411cb5b800000000}},
+		{spatial, FullData, 4, []int{0, 4, 8, 11}, 221504, []uint64{0x412692ac00000000, 0x4129185200000000, 0x4127321e00000000}},
+	} {
+		res, err := Run(Config{
+			Nodes: g.nodes, CoresPerNode: 2, GridX: 12, GridY: 12, GridZ: 48,
+			Steps: 12, Select: 4, Metric: g.metric, Method: g.method, Bins: 160, LocalMBps: 100,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Selected
-	}
-	sb := run(Bitmaps)
-	sf := run(FullData)
-	if len(sb) != len(sf) {
-		t.Fatalf("lengths differ: %v vs %v", sb, sf)
-	}
-	for i := range sb {
-		if sb[i] != sf[i] {
-			t.Fatalf("bitmaps %v, full data %v", sb, sf)
+		scores := make([]uint64, len(res.Scores))
+		for i, s := range res.Scores {
+			scores[i] = math.Float64bits(s)
+		}
+		if !reflect.DeepEqual(res.Selected, g.selected) || res.BytesWritten != g.bytes || !reflect.DeepEqual(scores, g.scores) {
+			t.Errorf("%v, method %d, %d nodes: selected %v, %d bytes, scores %#x; want %v, %d, %#x",
+				g.metric, g.method, g.nodes, res.Selected, res.BytesWritten, scores, g.selected, g.bytes, g.scores)
 		}
 	}
 }
@@ -197,8 +258,8 @@ func TestInteriorCoversGlobalGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := 0
-		for k := range ns {
-			total += len(interiorCopy(cfg, ns, k))
+		for _, n := range ns {
+			total += (n.hi - n.lo) * cfg.GridX * cfg.GridY
 		}
 		if want := cfg.GridX * cfg.GridY * cfg.GridZ; total != want {
 			t.Fatalf("nodes=%d: interiors cover %d cells, want %d", nodes, total, want)

@@ -155,7 +155,8 @@ func BenchmarkBuildParallelCodec(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * len(data)))
 			for i := 0; i < b.N; i++ {
-				sinkIndex, sinkIDs = BuildParallelCodecIDs(data, m, w, codec.Auto)
+				sinkIDs = MapIDs(data, m, w)
+				sinkIndex = BuildFromIDs(sinkIDs, m, w, codec.Auto)
 			}
 		})
 	}

@@ -36,7 +36,8 @@ func TestBuildIDsMatchMapperAndDecode(t *testing.T) {
 			data := heatLike(r, n)
 			plain := BuildParallelCodec(data, m, 1, codec.Auto)
 			for _, w := range []int{1, 2, 3, 7} {
-				x, ids := BuildParallelCodecIDs(data, m, w, codec.Auto)
+				ids := MapIDs(data, m, w)
+				x := BuildFromIDs(ids, m, w, codec.Auto)
 				if wide := bins > 256; ids == nil || ids.Bins != bins || ids.Len() != n ||
 					(ids.U16 != nil) != wide || (ids.U8 != nil) == wide || ids.SizeBytes() != len(ids.U8)+2*len(ids.U16) {
 					t.Fatalf("bins=%d n=%d workers=%d: ids %+v have the wrong shape", bins, n, w, ids)
@@ -71,7 +72,7 @@ func TestNoIDsAboveMaxIDBins(t *testing.T) {
 	data := heatLike(rand.New(rand.NewSource(34)), 500)
 	for _, bins := range []int{MaxIDBins, MaxIDBins + 1} {
 		m := mustUniform(t, bins)
-		x, ids := BuildParallelCodecIDs(data, m, 2, codec.WAH)
+		x, ids := BuildParallelCodec(data, m, 2, codec.WAH), MapIDs(data, m, 2)
 		if decoded := DecodeBinIDs(x, 2); (ids != nil) != (bins <= MaxIDBins) || (decoded != nil) != (bins <= MaxIDBins) {
 			t.Fatalf("%d bins: emitted ids %v, decoded ids %v", bins, ids != nil, decoded != nil)
 		}

@@ -237,24 +237,17 @@ func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 
 // BuildParallelCodec is the in-situ write path from raw values: MapIDs, then
 // BuildFromIDs, over the same nWorkers goroutines. The result equals
-// Build(data, m).Recode(id) bit for bit.
+// Build(data, m).Recode(id) bit for bit. Above MaxIDBins bins it maps into
+// wide ids of its own.
 func BuildParallelCodec(data []float64, m binning.Mapper, nWorkers int, id codec.ID) *Index {
-	x, _ := BuildParallelCodecIDs(data, m, nWorkers, id)
-	return x
-}
-
-// BuildParallelCodecIDs is BuildParallelCodec that also hands back the ids
-// the index was built from; they equal DecodeBinIDs of it. Above MaxIDBins
-// bins there are none (nil): the build maps into wide ids nobody keeps.
-func BuildParallelCodecIDs(data []float64, m binning.Mapper, nWorkers int, id codec.ID) (*Index, *BinIDs) {
 	start := buildStart()
 	ids := MapIDs(data, m, nWorkers)
 	if ids == nil {
 		wide := make([]int32, len(data))
 		mapIDs(m, wide, data, nWorkers)
-		return buildParallel(wide, m, nWorkers, id, start), nil
+		return buildParallel(wide, m, nWorkers, id, start)
 	}
-	return ids.build(m, nWorkers, id, start), ids
+	return ids.build(m, nWorkers, id, start)
 }
 
 // BuildFromIDs builds the index of the array whose elements' bins ids names:

@@ -164,6 +164,9 @@ func (c *Config) validate() error {
 	if c.Method < Bitmaps || c.Method > Sampling {
 		return fmt.Errorf("insitu: unknown method %v", c.Method)
 	}
+	if !c.Metric.Valid() {
+		return fmt.Errorf("insitu: unknown metric %v", c.Metric)
+	}
 	if c.Bins < 1 && c.Method != Sampling {
 		return fmt.Errorf("insitu: %d bins", c.Bins)
 	}
@@ -504,18 +507,6 @@ func (s *stepSummary) Dissimilarity(other selection.Summary, m selection.Metric)
 	return total
 }
 
-// generations lists the index generations of the summary's bitmap parts,
-// for retiring their cached bitmaps once the summary leaves the selection.
-func (s *stepSummary) generations() []uint64 {
-	var out []uint64
-	for _, p := range s.parts {
-		if bs, ok := p.(*selection.BitmapSummary); ok && bs.X != nil {
-			out = append(out, bs.X.Generation())
-		}
-	}
-	return out
-}
-
 // dropIDs releases the bin ids of the summary's bitmap parts
 // (selection.BitmapSummary.DropIDs).
 func (s *stepSummary) dropIDs() {
@@ -526,40 +517,29 @@ func (s *stepSummary) dropIDs() {
 	}
 }
 
-// Importance implements selection.Summary.
-func (s *stepSummary) Importance() float64 {
-	total := 0.0
-	for _, p := range s.parts {
-		total += p.Importance()
-	}
-	return total
-}
-
 // SizeBytes implements selection.Summary: everything the summary holds in
 // memory.
 func (s *stepSummary) SizeBytes() int { return int(s.memBytes + s.idBytes) }
 
 var _ selection.Summary = (*stepSummary)(nil)
 
-// selector performs the streaming greedy selection: each interval's steps
-// are scored against the previously selected step as they arrive, so only
-// the incumbent best (plus the previous selection) stays referenced.
+// selector drives the streaming greedy selection (selection.Greedy): each
+// interval's steps are scored against the previously selected step as they
+// arrive, so only the incumbent best (plus the previous selection) stays
+// referenced.
 type selector struct {
-	cfg       Config
-	intervals [][2]int
-	ivPos     int
-	prev      *stepSummary
-	best      *stepSummary
-	bestScore float64
-	selected  []int
-	written   int64
-	sumBytes  int64
-	idBytes   int64
-	nSeen     int
-	w         *writer
-	rt        *runTelemetry
-	slow      *query.TopK
-	err       error
+	cfg      Config
+	greedy   *selection.Greedy
+	prev     *stepSummary
+	best     *stepSummary
+	written  int64
+	sumBytes int64
+	idBytes  int64
+	nSeen    int
+	w        *writer
+	rt       *runTelemetry
+	slow     *query.TopK
+	err      error
 }
 
 // selectorSlowK is how many of the slowest per-step selection scorings
@@ -567,11 +547,10 @@ type selector struct {
 const selectorSlowK = 5
 
 func newSelector(cfg Config) *selector {
-	imp := make([]float64, cfg.Steps) // fixed-length partitioning ignores it
 	return &selector{
-		cfg:       cfg,
-		intervals: selection.FixedLength{}.Partition(imp, cfg.Select),
-		slow:      query.NewTopK(selectorSlowK),
+		cfg:    cfg,
+		greedy: selection.NewGreedy(cfg.Steps, cfg.Select),
+		slow:   query.NewTopK(selectorSlowK),
 	}
 }
 
@@ -593,7 +572,6 @@ func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 	s.rt.observeStep(ctx, t, sum)
 	if t == 0 { // step 0 is always selected (paper Figure 3)
 		s.prev = sum
-		s.selected = append(s.selected, 0)
 		s.write(ctx, sum)
 		return
 	}
@@ -621,37 +599,29 @@ func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 	s.applyScore(ctx, t, sum, score)
 }
 
-// applyScore runs the streaming interval logic for one scored step. Every
+// applyScore acts on the greedy's outcome for one scored step. Every
 // summary that leaves the selection here — a losing interval candidate or
 // the superseded previous selection once a new step is committed — retires
 // its cached bitmaps: queries will never see those index generations again.
 func (s *selector) applyScore(ctx context.Context, t int, sum *stepSummary, score float64) {
-	if s.ivPos < len(s.intervals) {
-		iv := s.intervals[s.ivPos]
-		if t >= iv[0] && t < iv[1] {
-			if s.best == nil || score > s.bestScore {
-				s.retire(s.best)
-				// No score reads the incumbent until it is the selection, so
-				// it drops its ids and the first score against it decodes
-				// them again: one step's ids live across an interval, not two.
-				sum.dropIDs()
-				s.best, s.bestScore = sum, score
-			} else {
-				s.retire(sum)
-			}
-			if t == iv[1]-1 { // interval complete: commit the winner
-				superseded := s.prev
-				s.selected = append(s.selected, s.best.step)
-				s.prev = s.best
-				s.write(ctx, s.best)
-				s.retire(superseded)
-				s.best = nil
-				s.ivPos++
-			}
-			return
-		}
+	out := s.greedy.Offer(t, score)
+	if out&selection.Keep != 0 {
+		s.retire(s.best)
+		// No score reads the incumbent until it is the selection, so it
+		// drops its ids and the first score against it decodes them
+		// again: one step's ids live across an interval, not two.
+		sum.dropIDs()
+		s.best = sum
+	} else {
+		s.retire(sum)
 	}
-	s.retire(sum)
+	if out&selection.Commit != 0 {
+		superseded := s.prev
+		s.prev = s.best
+		s.write(ctx, s.best)
+		s.retire(superseded)
+		s.best = nil
+	}
 }
 
 // retire invalidates the default bitmap cache's entries for a summary whose
@@ -660,15 +630,14 @@ func (s *selector) applyScore(ctx context.Context, t int, sum *stepSummary, scor
 // serving cached results for retired generations' keys — never wrong (keys
 // embed the generation) but dead weight crowding out live entries.
 func (s *selector) retire(sum *stepSummary) {
-	if sum == nil {
-		return
-	}
 	c := bitcache.Default()
-	if c == nil {
+	if sum == nil || c == nil {
 		return
 	}
-	for _, g := range sum.generations() {
-		c.InvalidateGeneration(g)
+	for _, p := range sum.parts {
+		if bs, ok := p.(*selection.BitmapSummary); ok && bs.X != nil {
+			c.InvalidateGeneration(bs.X.Generation())
+		}
 	}
 }
 

@@ -42,12 +42,17 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Cores = 0 },
 		func(c *Config) { c.Method = Sampling; c.SamplePct = 0 },
 		func(c *Config) { c.Method = Sampling; c.SamplePct = 150 },
+		func(c *Config) { c.Metric = selection.Metric(7) },
 	}
 	for i, mutate := range bad {
 		cfg := base
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+		// Refused before anything is simulated or written.
+		if n := base.Store.BytesWritten(); n != 0 {
+			t.Fatalf("bad config %d wrote %d bytes before failing", i, n)
 		}
 	}
 }

@@ -174,23 +174,22 @@ func Resume(dir string, cfg Config) (*Result, error) {
 	if lastWinner >= 0 {
 		needed[lastWinner] = true
 	}
-	// The open interval's incumbent (journal-exact argmax, same strict ">"
-	// first-wins rule as the selector) may still be committed and written.
+	// The open interval's incumbent may still be committed and written: the
+	// selector's greedy, fed that interval's journaled scores, keeps it last.
 	intervals := selection.FixedLength{}.Partition(make([]float64, cfg.Steps), cfg.Select)
 	committed := len(selects)
 	if _, ok := selects[0]; ok {
 		committed-- // step 0 is not an interval winner
 	}
-	if committed >= 0 && committed < len(intervals) {
-		iv := intervals[committed]
-		bestT, bestScore, found := 0, 0.0, false
+	if committed < len(intervals) {
+		g, iv, incumbent := selection.NewGreedy(cfg.Steps, cfg.Select), intervals[committed], -1
 		for t := iv[0]; t < iv[1] && t <= frontier; t++ {
-			if sc, ok := scores[t]; ok && (!found || sc > bestScore) {
-				bestT, bestScore, found = t, sc, true
+			if sc, ok := scores[t]; ok && g.Offer(t, sc)&selection.Keep != 0 {
+				incumbent = t
 			}
 		}
-		if found {
-			needed[bestT] = true
+		if incumbent >= 0 {
+			needed[incumbent] = true
 		}
 	}
 

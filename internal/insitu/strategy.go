@@ -246,7 +246,7 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 // finishResult assembles the run report: selection outcome, I/O volume,
 // and the phase breakdown from the run's phase record.
 func finishResult(cfg Config, sel *selector, res *Result) {
-	res.Selected = sel.selected
+	res.Selected = sel.greedy.Selected
 	res.BytesWritten = sel.written
 	if sel.nSeen > 0 {
 		res.SummaryBytes = sel.sumBytes / int64(sel.nSeen)

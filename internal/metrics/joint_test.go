@@ -119,9 +119,10 @@ func TestJointHistogramIDsMatchesBitmaps(t *testing.T) {
 			}
 			ida, idb := index.DecodeBinIDs(xa, 1), index.DecodeBinIDs(xb, 1)
 			for _, p := range [][2]*index.BinIDs{{ida, idb}, {ida, widen(idb)}, {widen(ida), idb}, {widen(ida), widen(idb)}} {
-				if got := EMDSpatialFromIDs(p[0], p[1]); got != emd {
-					t.Fatalf("bins=%v n=%d widths %d,%d bytes: EMDSpatialFromIDs %g, EMDSpatialData %g",
-						bins, n, p[0].SizeBytes()/max(1, n), p[1].SizeBytes()/max(1, n), got, emd)
+				diffs := make([]int, bins[0])
+				if AddSpatialDiffs(p[0], p[1], diffs); EMDFromDiffs(diffs) != emd {
+					t.Fatalf("bins=%v n=%d widths %d,%d bytes: AddSpatialDiffs' EMD %g, EMDSpatialData %g",
+						bins, n, p[0].SizeBytes()/max(1, n), p[1].SizeBytes()/max(1, n), EMDFromDiffs(diffs), emd)
 				}
 			}
 		}

@@ -76,17 +76,9 @@ func JointFromIDs(a, b *index.BinIDs, nWorkers int) [][]int {
 	if a.Len() != b.Len() {
 		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", a.Len(), b.Len()))
 	}
-	var cells []int
-	switch {
-	case a.U8 != nil && b.U8 != nil:
-		cells = tally(a.U8, b.U8, a.Bins, b.Bins, nWorkers)
-	case a.U8 != nil:
-		cells = tally(a.U8, b.U16, a.Bins, b.Bins, nWorkers)
-	case b.U8 != nil:
-		cells = tally(a.U16, b.U8, a.Bins, b.Bins, nWorkers)
-	default:
-		cells = tally(a.U16, b.U16, a.Bins, b.Bins, nWorkers)
-	}
+	nWorkers = max(1, min(nWorkers, a.Len()))
+	cells := make([]int, nWorkers*a.Bins*b.Bins) // one flat table per worker
+	AddJoint(a, b, cells, nWorkers)
 	joint := make([][]int, a.Bins)
 	for i := range joint {
 		joint[i] = cells[i*b.Bins : (i+1)*b.Bins]
@@ -94,11 +86,25 @@ func JointFromIDs(a, b *index.BinIDs, nWorkers int) [][]int {
 	return joint
 }
 
-// tally counts the (a[k], b[k]) pairs into a flat na×nb table.
-func tally[A, B bitvec.ID](a []A, b []B, na, nb, nWorkers int) []int {
-	n, size := len(a), na*nb
-	nWorkers = max(1, min(nWorkers, n))
-	cells := make([]int, nWorkers*size) // one flat table per worker
+// AddJoint adds the pairs of two equally long id arrays into the first of
+// the nWorkers flat a.Bins×b.Bins tables in cells, each worker tallying one
+// element range into a table of its own; the other tables must be zero.
+func AddJoint(a, b *index.BinIDs, cells []int, nWorkers int) {
+	switch {
+	case a.U8 != nil && b.U8 != nil:
+		tally(a.U8, b.U8, b.Bins, cells, nWorkers)
+	case a.U8 != nil:
+		tally(a.U8, b.U16, b.Bins, cells, nWorkers)
+	case b.U8 != nil:
+		tally(a.U16, b.U8, b.Bins, cells, nWorkers)
+	default:
+		tally(a.U16, b.U16, b.Bins, cells, nWorkers)
+	}
+}
+
+// tally counts the (a[k], b[k]) pairs into flat tables of nb columns.
+func tally[A, B bitvec.ID](a []A, b []B, nb int, cells []int, nWorkers int) {
+	n, size := len(a), len(cells)/nWorkers
 	sim.ParallelEach(nWorkers, func(w int) {
 		mine := cells[w*size : (w+1)*size]
 		from, to := w*n/nWorkers, (w+1)*n/nWorkers
@@ -113,7 +119,6 @@ func tally[A, B bitvec.ID](a []A, b []B, na, nb, nWorkers int) []int {
 			total[c] += v
 		}
 	}
-	return total
 }
 
 // Entropy returns Shannon's entropy H = -Σ p·log2(p) in bits over a count
@@ -229,27 +234,26 @@ func EMDFromDiffs(diffs []int) float64 {
 
 // EMDSpatialBitmaps computes the identical spatial EMD from two indices of
 // the same bin count: both are decoded into bin ids and compared position by
-// position (EMDSpatialFromIDs). Figure 4's XOR popcount of bin j is the same
+// position (AddSpatialDiffs). Figure 4's XOR popcount of bin j is the same
 // number, the positions where exactly one of the two steps lies in bin j.
 // Like JointHistogramBitmaps it accepts any index of up to
 // index.MaxIDBins bins.
 func EMDSpatialBitmaps(xa, xb *index.Index) float64 {
-	if xa.Bins() != xb.Bins() {
-		panic(fmt.Sprintf("metrics: spatial EMD over indices with %d and %d bins", xa.Bins(), xb.Bins()))
+	if xa.Bins() != xb.Bins() || xa.N() != xb.N() {
+		panic(fmt.Sprintf("metrics: spatial EMD over indices of %d and %d elements in %d and %d bins", xa.N(), xb.N(), xa.Bins(), xb.Bins()))
 	}
-	return EMDSpatialFromIDs(index.DecodeBinIDs(xa, 1), index.DecodeBinIDs(xb, 1))
-}
-
-// EMDSpatialFromIDs is the spatial EMD of two indexes of the same bin count
-// in decoded form: Diff(j) from one pass over the two id arrays.
-func EMDSpatialFromIDs(a, b *index.BinIDs) float64 {
-	if a == nil || b == nil {
+	a, b := index.DecodeBinIDs(xa, 1), index.DecodeBinIDs(xb, 1)
+	if a == nil {
 		panic(fmt.Sprintf("metrics: spatial EMD over an index of more than %d bins", index.MaxIDBins))
 	}
-	if a.Len() != b.Len() || a.Bins != b.Bins {
-		panic(fmt.Sprintf("metrics: spatial EMD over %d and %d ids of %d and %d bins", a.Len(), b.Len(), a.Bins, b.Bins))
-	}
-	diffs := make([]int, a.Bins)
+	diffs := make([]int, xa.Bins())
+	AddSpatialDiffs(a, b, diffs)
+	return EMDFromDiffs(diffs)
+}
+
+// AddSpatialDiffs is SpatialDiffs over two equally long id arrays of the
+// same bin count, at any widths.
+func AddSpatialDiffs(a, b *index.BinIDs, diffs []int) {
 	switch {
 	case a.U8 != nil && b.U8 != nil:
 		SpatialDiffs(a.U8, b.U8, diffs)
@@ -260,7 +264,6 @@ func EMDSpatialFromIDs(a, b *index.BinIDs) float64 {
 	default:
 		SpatialDiffs(a.U16, b.U16, diffs)
 	}
-	return EMDFromDiffs(diffs)
 }
 
 // SpatialDiffs adds Equation 3's Diff over two equally long id arrays into

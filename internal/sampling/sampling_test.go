@@ -155,11 +155,11 @@ func TestSelectionOnSamplesRuns(t *testing.T) {
 		}
 		approx = append(approx, selection.NewDataSummary(sd, m))
 	}
-	re, err := selection.Select(exact, 4, selection.FixedLength{}, selection.ConditionalEntropy)
+	re, err := selection.Select(exact, 4, selection.ConditionalEntropy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := selection.Select(approx, 4, selection.FixedLength{}, selection.ConditionalEntropy)
+	ra, err := selection.Select(approx, 4, selection.ConditionalEntropy)
 	if err != nil {
 		t.Fatal(err)
 	}

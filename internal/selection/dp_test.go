@@ -66,7 +66,7 @@ func TestDPDominatesGreedy(t *testing.T) {
 		m := mapper(t)
 		_, bmp := summaries(t, raw, m)
 		for _, metric := range []Metric{ConditionalEntropy, EMDCount} {
-			greedy, err := Select(bmp, 6, FixedLength{}, metric)
+			greedy, err := Select(bmp, 6, metric)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,8 +37,8 @@ func TestCondEntropyScoreMatchesFullData(t *testing.T) {
 				id := codecs[(step+workers)%len(codecs)]
 				data := NewDataSummary(raw[step], m)
 				if handed(step) {
-					x, ids := index.BuildParallelCodecIDs(raw[step], m, workers, id)
-					return data, NewBuiltSummary(x, ids, workers)
+					ids := index.MapIDs(raw[step], m, workers)
+					return data, NewBuiltSummary(index.BuildFromIDs(ids, m, workers, id), ids, workers)
 				}
 				return data, &BitmapSummary{X: index.BuildCodec(raw[step], m, id), Workers: workers}
 			}
@@ -112,7 +112,8 @@ func BenchmarkCondEntropyScore(b *testing.B) {
 		var xs [2]*index.Index
 		var ids [2]*index.BinIDs
 		for k, field := range fields {
-			xs[k], ids[k] = index.BuildParallelCodecIDs(field, m, workers, codec.Auto)
+			ids[k] = index.MapIDs(field, m, workers)
+			xs[k] = index.BuildFromIDs(ids[k], m, workers, codec.Auto)
 		}
 		b.Run(fmt.Sprintf("handed-ids/%d", workers), func(b *testing.B) {
 			kept, cand := NewBuiltSummary(xs[0], ids[0], workers), NewBuiltSummary(xs[1], ids[1], workers)

@@ -1,9 +1,11 @@
 // Package selection implements the paper's online analysis: importance-
 // driven time-step selection (§3). The greedy algorithm of Wang et al. —
-// partition the time-steps into intervals, then per interval keep the step
-// least correlated with the previously selected one — runs over an abstract
-// Summary, so the same code drives the full-data baseline, the bitmap path,
-// and the sampling baseline; only the metric evaluation differs.
+// partition the time-steps into fixed-length intervals, then per interval
+// keep the step least correlated with the previously selected one — is one
+// streaming Greedy, fed by Select, the in-situ pipeline, its resume and the
+// cluster run. It runs over an abstract Summary, so the same code drives
+// the full-data baseline, the bitmap path, the sampling baseline and a step
+// distributed over nodes (NodeSummary); only the metric evaluation differs.
 package selection
 
 import (
@@ -28,6 +30,9 @@ const (
 	EMDSpatial
 )
 
+// Valid reports whether m is one of the three metrics.
+func (m Metric) Valid() bool { return m >= ConditionalEntropy && m <= EMDSpatial }
+
 // String implements fmt.Stringer.
 func (m Metric) String() string {
 	switch m {
@@ -48,9 +53,6 @@ type Summary interface {
 	// the greedy algorithm keeps the interval's maximum. Implementations
 	// must accept the other summaries produced by the same source.
 	Dissimilarity(selected Summary, m Metric) float64
-	// Importance is the step's standalone information content (Shannon
-	// entropy), used by information-volume partitioning.
-	Importance() float64
 	// SizeBytes is the in-memory footprint, for the memory model.
 	SizeBytes() int
 }
@@ -96,10 +98,9 @@ func (s *DataSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	}
 }
 
-// Importance implements Summary.
-func (s *DataSummary) Importance() float64 {
-	return metrics.Entropy(s.histogram(), len(s.Data))
-}
+// binIDs maps the array for a NodeSummary's score.
+func (s *DataSummary) binIDs() *index.BinIDs { return index.MapIDs(s.Data, s.M, 1) }
+func (s *DataSummary) len() int              { return len(s.Data) }
 
 // SizeBytes implements Summary: 8 bytes per float64.
 func (s *DataSummary) SizeBytes() int { return 8 * len(s.Data) }
@@ -128,9 +129,9 @@ type BitmapSummary struct {
 // NewBitmapSummary wraps a built index; its scores run on one goroutine.
 func NewBitmapSummary(x *index.Index) *BitmapSummary { return &BitmapSummary{X: x} }
 
-// NewBuiltSummary wraps an index together with the ids its build emitted
-// (index.BuildParallelCodecIDs; nil ids are decoded on demand) and the
-// worker count its scores may use.
+// NewBuiltSummary wraps an index together with the ids it was built from
+// (index.MapIDs, then index.BuildFromIDs; nil ids are decoded on demand) and
+// the worker count its scores may use.
 func NewBuiltSummary(x *index.Index, ids *index.BinIDs, workers int) *BitmapSummary {
 	return &BitmapSummary{X: x, Workers: workers, ids: ids}
 }
@@ -153,29 +154,18 @@ func (s *BitmapSummary) DropIDs() {
 	s.ids = nil
 }
 
-// Dissimilarity implements Summary on the compressed form.
+// Dissimilarity implements Summary on the compressed form: the scorer of a
+// one-node step, its joint counts tallied over Workers goroutines.
 func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	o, ok := selected.(*BitmapSummary)
 	if !ok {
 		panic(fmt.Sprintf("selection: BitmapSummary compared against %T", selected))
 	}
-	switch m {
-	case ConditionalEntropy:
-		joint := metrics.JointFromIDs(s.binIDs(), o.binIDs(), s.Workers)
-		return metrics.ConditionalEntropy(joint, s.X.Histogram(), o.X.Histogram(), s.X.N())
-	case EMDCount:
-		return metrics.EMDCount(s.X.Histogram(), o.X.Histogram())
-	case EMDSpatial:
-		return metrics.EMDSpatialFromIDs(s.binIDs(), o.binIDs())
-	default:
-		panic("selection: unknown metric " + m.String())
-	}
+	return score([]nodePart{s}, []nodePart{o}, m, s.Workers)
 }
 
-// Importance implements Summary from the cached histogram.
-func (s *BitmapSummary) Importance() float64 {
-	return metrics.Entropy(s.X.Histogram(), s.X.N())
-}
+func (s *BitmapSummary) histogram() []int { return s.X.Histogram() }
+func (s *BitmapSummary) len() int         { return s.X.N() }
 
 // SizeBytes implements Summary: the compressed index plus the ids the
 // summary holds so far.
@@ -185,121 +175,73 @@ func (s *BitmapSummary) SizeBytes() int {
 	return s.X.SizeBytes() + s.ids.SizeBytes()
 }
 
-// Partitioner splits steps 1..n-1 (step 0 is always pre-selected, as in the
-// paper's Figure 3) into k-1 intervals, returning half-open [lo, hi) pairs.
-type Partitioner interface {
-	Partition(importance []float64, k int) [][2]int
+// NodeSummary is one time-step distributed over nodes (§5.3, Figure 2): a
+// *BitmapSummary or *DataSummary per node over the node's own elements, in
+// the same node order at every step.
+type NodeSummary struct {
+	Parts []Summary
 }
 
-// FixedLength gives every interval the same number of steps (±1).
-type FixedLength struct{}
-
-// Partition implements Partitioner.
-func (FixedLength) Partition(importance []float64, k int) [][2]int {
-	n := len(importance)
-	if k <= 1 || n <= 1 {
-		return nil
+// Dissimilarity scores this step against a previously selected one, as
+// Summary.Dissimilarity does, without moving any node's data.
+func (s *NodeSummary) Dissimilarity(o *NodeSummary, m Metric) float64 {
+	a, b := make([]nodePart, len(s.Parts)), make([]nodePart, len(s.Parts))
+	for k := range s.Parts {
+		a[k], b[k] = s.Parts[k].(nodePart), o.Parts[k].(nodePart)
 	}
-	intervals := k - 1
-	remaining := n - 1
-	if intervals > remaining {
-		intervals = remaining
-	}
-	out := make([][2]int, 0, intervals)
-	pos := 1
-	for i := 0; i < intervals; i++ {
-		size := remaining / intervals
-		if i < remaining%intervals {
-			size++
-		}
-		out = append(out, [2]int{pos, pos + size})
-		pos += size
-	}
-	return out
+	return score(a, b, m, 1)
 }
 
-// InfoVolume balances the *accumulated importance* (entropy) per interval,
-// the paper's "information-volume based partitioning": busy phases of the
-// simulation get more intervals, quiet ones fewer.
-type InfoVolume struct{}
-
-// Partition implements Partitioner.
-func (InfoVolume) Partition(importance []float64, k int) [][2]int {
-	n := len(importance)
-	if k <= 1 || n <= 1 {
-		return nil
-	}
-	intervals := k - 1
-	if intervals > n-1 {
-		intervals = n - 1
-	}
-	total := 0.0
-	for _, v := range importance[1:] {
-		total += v
-	}
-	out := make([][2]int, 0, intervals)
-	pos := 1
-	acc := 0.0
-	for i := 0; i < intervals; i++ {
-		target := total * float64(i+1) / float64(intervals)
-		hi := pos
-		// Extend until the cumulative importance reaches this interval's
-		// share, but always leave enough steps for the remaining intervals.
-		for hi < n-(intervals-i-1) && (acc < target || hi == pos) {
-			acc += importance[hi]
-			hi++
-		}
-		out = append(out, [2]int{pos, hi})
-		pos = hi
-	}
-	out[len(out)-1][1] = n // absorb any rounding remainder
-	return out
+// nodePart is what the scorer reads of one node's summary.
+type nodePart interface {
+	histogram() []int
+	binIDs() *index.BinIDs
+	len() int
 }
 
-// Result reports what Select chose and why.
-type Result struct {
-	// Selected holds the chosen step indices in ascending order; index 0 is
-	// always included.
-	Selected []int
-	// Intervals are the partitions the greedy pass walked.
-	Intervals [][2]int
-	// Scores[i] is the winning dissimilarity of Selected[i+1] within its
-	// interval (the pre-selected step 0 has no score).
-	Scores []float64
-}
-
-// Select runs the greedy algorithm: keep step 0, then per interval keep the
-// step with maximum dissimilarity to the previously selected step.
-// It returns an error if the request is malformed.
-func Select(steps []Summary, k int, p Partitioner, m Metric) (*Result, error) {
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("selection: no steps")
-	}
-	if k < 1 || k > len(steps) {
-		return nil, fmt.Errorf("selection: k=%d out of range [1,%d]", k, len(steps))
-	}
-	imp := make([]float64, len(steps))
-	if _, ok := p.(InfoVolume); ok { // only info-volume needs importances
-		for i, s := range steps {
-			imp[i] = s.Importance()
-		}
-	}
-	res := &Result{Selected: []int{0}, Intervals: p.Partition(imp, k)}
-	prev := steps[0]
-	for _, iv := range res.Intervals {
-		best, bestScore := -1, 0.0
-		for i := iv[0]; i < iv[1]; i++ {
-			score := steps[i].Dissimilarity(prev, m)
-			if best == -1 || score > bestScore {
-				best, bestScore = i, score
+// score is the scorer of bitmap and distributed steps: node k holds a[k]
+// of the scored step and b[k] of the selected one. Every node pair adds its
+// marginals, its element count and its joint counts (conditional entropy)
+// or Equation 3's differences (spatial EMD) into one table, and the metric
+// is computed once from the sums, which are the whole array's. A one-node
+// step reads its marginals in place and may tally its joint counts over
+// workers goroutines; a step of several nodes tallies on the caller's.
+func score(a, b []nodePart, m Metric, workers int) float64 {
+	ha, hb, n := a[0].histogram(), b[0].histogram(), 0
+	if len(a) > 1 {
+		ha, hb = make([]int, len(ha)), make([]int, len(hb))
+		for k := range a {
+			for i, v := range a[k].histogram() {
+				ha[i] += v
+			}
+			for j, v := range b[k].histogram() {
+				hb[j] += v
 			}
 		}
-		if best == -1 {
-			continue
-		}
-		res.Selected = append(res.Selected, best)
-		res.Scores = append(res.Scores, bestScore)
-		prev = steps[best]
 	}
-	return res, nil
+	for _, p := range a {
+		n += p.len()
+	}
+	switch m {
+	case ConditionalEntropy:
+		workers = max(1, min(workers, n))
+		cells, joint := make([]int, workers*len(ha)*len(hb)), make([][]int, len(ha))
+		for k := range a {
+			metrics.AddJoint(a[k].binIDs(), b[k].binIDs(), cells, workers)
+		}
+		for i := range joint {
+			joint[i] = cells[i*len(hb) : (i+1)*len(hb)]
+		}
+		return metrics.ConditionalEntropy(joint, ha, hb, n)
+	case EMDCount:
+		return metrics.EMDCount(ha, hb)
+	case EMDSpatial:
+		diffs := make([]int, len(ha))
+		for k := range a {
+			metrics.AddSpatialDiffs(a[k].binIDs(), b[k].binIDs(), diffs)
+		}
+		return metrics.EMDFromDiffs(diffs)
+	default:
+		panic("selection: unknown metric " + m.String())
+	}
 }

@@ -103,54 +103,6 @@ func TestFixedLengthDegenerate(t *testing.T) {
 	}
 }
 
-func TestInfoVolumePartition(t *testing.T) {
-	// Importance concentrated early: early intervals must be shorter.
-	imp := make([]float64, 101)
-	for i := 1; i <= 100; i++ {
-		if i <= 20 {
-			imp[i] = 10
-		} else {
-			imp[i] = 1
-		}
-	}
-	p := InfoVolume{}.Partition(imp, 5) // 4 intervals
-	if len(p) != 4 {
-		t.Fatalf("%d intervals", len(p))
-	}
-	if p[0][0] != 1 || p[len(p)-1][1] != 101 {
-		t.Fatalf("coverage [%d,%d)", p[0][0], p[len(p)-1][1])
-	}
-	for i := 1; i < len(p); i++ {
-		if p[i][0] != p[i-1][1] {
-			t.Fatal("intervals not contiguous")
-		}
-	}
-	first := p[0][1] - p[0][0]
-	last := p[3][1] - p[3][0]
-	if first >= last {
-		t.Fatalf("info-volume ignored importance skew: first=%d last=%d", first, last)
-	}
-}
-
-func TestInfoVolumeUniformMatchesFixed(t *testing.T) {
-	imp := make([]float64, 41)
-	for i := range imp {
-		imp[i] = 1
-	}
-	pv := InfoVolume{}.Partition(imp, 9)
-	pf := FixedLength{}.Partition(imp, 9)
-	if len(pv) != len(pf) {
-		t.Fatalf("interval counts differ: %d vs %d", len(pv), len(pf))
-	}
-	for i := range pv {
-		sv := pv[i][1] - pv[i][0]
-		sf := pf[i][1] - pf[i][0]
-		if d := sv - sf; d < -1 || d > 1 {
-			t.Fatalf("interval %d: info-volume %d vs fixed %d", i, sv, sf)
-		}
-	}
-}
-
 // TestBitmapSelectionMatchesFullData is the paper's claim for online
 // analysis: selection over bitmaps picks the same steps as over full data.
 func TestBitmapSelectionMatchesFullData(t *testing.T) {
@@ -159,28 +111,26 @@ func TestBitmapSelectionMatchesFullData(t *testing.T) {
 	m := mapper(t)
 	data, bmp := summaries(t, raw, m)
 	for _, metric := range []Metric{ConditionalEntropy, EMDCount, EMDSpatial} {
-		for _, part := range []Partitioner{FixedLength{}, InfoVolume{}} {
-			rd, err := Select(data, 10, part, metric)
-			if err != nil {
-				t.Fatal(err)
+		rd, err := Select(data, 10, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := Select(bmp, 10, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rd.Selected) != len(rb.Selected) {
+			t.Fatalf("%v: %d vs %d selections", metric, len(rd.Selected), len(rb.Selected))
+		}
+		for i := range rd.Selected {
+			if rd.Selected[i] != rb.Selected[i] {
+				t.Fatalf("%v: selection %d: data chose %d, bitmaps chose %d",
+					metric, i, rd.Selected[i], rb.Selected[i])
 			}
-			rb, err := Select(bmp, 10, part, metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rd.Selected) != len(rb.Selected) {
-				t.Fatalf("%v/%T: %d vs %d selections", metric, part, len(rd.Selected), len(rb.Selected))
-			}
-			for i := range rd.Selected {
-				if rd.Selected[i] != rb.Selected[i] {
-					t.Fatalf("%v/%T: selection %d: data chose %d, bitmaps chose %d",
-						metric, part, i, rd.Selected[i], rb.Selected[i])
-				}
-			}
-			for i := range rd.Scores {
-				if math.Abs(rd.Scores[i]-rb.Scores[i]) > 1e-9 {
-					t.Fatalf("%v/%T: score %d: %g vs %g", metric, part, i, rd.Scores[i], rb.Scores[i])
-				}
+		}
+		for i := range rd.Scores {
+			if math.Abs(rd.Scores[i]-rb.Scores[i]) > 1e-9 {
+				t.Fatalf("%v: score %d: %g vs %g", metric, i, rd.Scores[i], rb.Scores[i])
 			}
 		}
 	}
@@ -191,7 +141,7 @@ func TestSelectProperties(t *testing.T) {
 	raw := evolvingSteps(r, 30, 500)
 	m := mapper(t)
 	_, bmp := summaries(t, raw, m)
-	res, err := Select(bmp, 8, FixedLength{}, ConditionalEntropy)
+	res, err := Select(bmp, 8, ConditionalEntropy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +157,7 @@ func TestSelectProperties(t *testing.T) {
 		}
 	}
 	// One selection per interval, inside that interval.
-	for i, iv := range res.Intervals {
+	for i, iv := range (FixedLength{}).Partition(make([]float64, len(bmp)), 8) {
 		s := res.Selected[i+1]
 		if s < iv[0] || s >= iv[1] {
 			t.Fatalf("selection %d (step %d) outside interval %v", i, s, iv)
@@ -220,20 +170,20 @@ func TestSelectValidation(t *testing.T) {
 	raw := evolvingSteps(r, 5, 100)
 	m := mapper(t)
 	_, bmp := summaries(t, raw, m)
-	if _, err := Select(nil, 1, FixedLength{}, EMDCount); err == nil {
+	if _, err := Select(nil, 1, EMDCount); err == nil {
 		t.Error("empty steps accepted")
 	}
-	if _, err := Select(bmp, 0, FixedLength{}, EMDCount); err == nil {
+	if _, err := Select(bmp, 0, EMDCount); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Select(bmp, 6, FixedLength{}, EMDCount); err == nil {
+	if _, err := Select(bmp, 6, EMDCount); err == nil {
 		t.Error("k > n accepted")
 	}
-	res, err := Select(bmp, 1, FixedLength{}, EMDCount)
+	res, err := Select(bmp, 1, EMDCount)
 	if err != nil || len(res.Selected) != 1 || res.Selected[0] != 0 {
 		t.Errorf("k=1 gave %v, %v", res, err)
 	}
-	res, err = Select(bmp, 5, FixedLength{}, EMDCount)
+	res, err = Select(bmp, 5, EMDCount)
 	if err != nil || len(res.Selected) != 5 {
 		t.Errorf("k=n gave %v, %v", res, err)
 	}
@@ -255,7 +205,7 @@ func TestSelectPicksAbruptEvent(t *testing.T) {
 		}
 		steps = append(steps, NewBitmapSummary(index.Build(data, m)))
 	}
-	res, err := Select(steps, 2, FixedLength{}, ConditionalEntropy)
+	res, err := Select(steps, 2, ConditionalEntropy)
 	if err != nil {
 		t.Fatal(err)
 	}
