@@ -215,9 +215,12 @@ serve-smoke:
 # The crash-safety acceptance suite (docs/ROBUSTNESS.md): kill a run at
 # every recorded write boundary and every mid-write offset, resume, and
 # require a byte-identical directory plus a clean fsck — under the race
-# detector, together with the fault-injection and fsck corruption tables.
+# detector, together with the fault-injection and fsck corruption tables,
+# and the query server's run-directory loader, which reads the journal
+# through the same recovery reader as Resume and fsck.
 crash-matrix:
 	$(GO) test -race -run 'TestCrashMatrix|TestResume|TestTransient|TestWorkerPanic|TestFsck' -v ./internal/insitu/
+	$(GO) test -race -run 'TestLoadDir' -v ./internal/serve/
 
 # Non-test Go lines outside bench/, per package directory (largest first)
 # and in total: the count ROADMAP quotes.

@@ -9,13 +9,13 @@ import (
 	"insitubits"
 )
 
-// cmdFsck verifies a pipeline output directory: journal integrity,
-// manifest consistency, and every artifact's checksum. Exit codes follow
+// cmdFsck verifies a pipeline output directory against its journal:
+// journal integrity, every committed artifact's checksum, and the manifest. Exit codes follow
 // fsck convention — 0 clean, 1 issues found, 2 usage error (the dispatcher
 // maps the returned errIssuesFound to exit 1 like any other error).
 func cmdFsck(args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ExitOnError)
-	repair := fs.Bool("repair", false, "quarantine damaged steps and strays, rewrite a consistent manifest")
+	repair := fs.Bool("repair", false, "quarantine damaged steps and strays; for a completed run, rewrite a consistent manifest and journal")
 	asJSON := fs.Bool("json", false, "emit the full report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -37,7 +37,7 @@ func cmdFsck(args []string) error {
 	} else {
 		state := "complete"
 		if !rep.Complete {
-			state = "incomplete (resumable)"
+			state = "incomplete"
 		}
 		fmt.Printf("%s: %d files checked, %s\n", rep.Dir, rep.FilesChecked, state)
 		for _, is := range rep.Issues {

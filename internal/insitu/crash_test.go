@@ -253,6 +253,57 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// escapingJournal makes parent/run hold a journal with this run's begin
+// record and one select record whose file climbs out of the directory to
+// parent/outside.bin, a file that exists. It returns the run directory and
+// the outside file's path.
+func escapingJournal(t *testing.T) (dir, outside string) {
+	t.Helper()
+	parent := t.TempDir()
+	dir, outside = filepath.Join(parent, "run"), filepath.Join(parent, "outside.bin")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(outside, bytes.Repeat([]byte{7}, 999), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf := journalHeader()
+	for _, rec := range []*JournalRecord{
+		beginRecord(triConfig(dir)),
+		{Kind: KindSelect, Files: []JournalFile{{Var: "alpha", Path: "../outside.bin", Bytes: 999}}},
+	} {
+		frame, err := encodeFrame(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf, frame...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, JournalName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, outside
+}
+
+// TestResumeRejectsEscapingPath: a select record naming a file outside the
+// output directory is no commit — it ends the journal's valid prefix, so
+// Resume quarantines it as a torn tail, leaves the outside file alone and
+// finishes the run as an uninterrupted one would.
+func TestResumeRejectsEscapingPath(t *testing.T) {
+	want := snapshot(t, completedRun(t))
+	dir, outside := escapingJournal(t)
+	if _, err := Resume(dir, triConfig(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(outside); err != nil {
+		t.Fatalf("the file outside the run directory moved: %v", err)
+	}
+	got := snapshot(t, dir)
+	if _, ok := got["outside.bin"]; ok {
+		t.Fatal("the file outside the run directory was pulled into it")
+	}
+	sameSnapshot(t, "escaping path", want, got)
+}
+
 // TestTransientFaultsRetried proves the retry path absorbs injected
 // transient store errors: the run succeeds and its output is identical to
 // a fault-free run.

@@ -1,7 +1,6 @@
 package insitu
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,8 +13,8 @@ import (
 	"insitubits/internal/store"
 )
 
-// Damage classes Fsck assigns to issues. "missing" is an artifact the
-// journal or manifest references that is not on disk; "truncated" is a file
+// Damage classes Fsck assigns to issues. "missing" is the journal, or a
+// file the journal references, that is not on disk; "truncated" is a file
 // (or journal tail) cut short, the signature of a crash; "corrupt" is
 // content that fails its checksum or parses invalid — flipped bytes, not a
 // crash; "orphan" is a file nothing references (stray staging files
@@ -42,12 +41,11 @@ type FsckIssue struct {
 // FsckReport summarizes one directory verification.
 type FsckReport struct {
 	Dir string `json:"dir"`
-	// FilesChecked counts artifacts actually verified (journal CRC or full
-	// format parse), not counting the journal and manifest themselves.
-	FilesChecked int  `json:"files_checked"`
-	HasJournal   bool `json:"has_journal"`
-	// Complete is true when the journal records a finished run (or the
-	// directory predates journals and only a manifest exists).
+	// FilesChecked counts artifacts verified against their journaled
+	// length and CRC32C, not counting the journal and manifest themselves.
+	FilesChecked int `json:"files_checked"`
+	// Complete is true when the journal records a finished run: it has an
+	// end record.
 	Complete bool        `json:"complete"`
 	Issues   []FsckIssue `json:"issues,omitempty"`
 	Repaired bool        `json:"repaired,omitempty"`
@@ -58,129 +56,84 @@ func (r *FsckReport) Clean() bool { return len(r.Issues) == 0 }
 
 // FsckOptions configures Fsck.
 type FsckOptions struct {
-	// Repair quarantines damaged steps and strays and rewrites a
-	// consistent manifest (and, for completed runs, journal) covering only
-	// the surviving steps. Nothing is deleted — everything moves to
-	// quarantine/.
+	// Repair quarantines damaged steps and strays and, for a completed run,
+	// rewrites a consistent manifest and journal covering only the
+	// surviving steps. Nothing is deleted — everything moves to
+	// quarantine/. A directory whose journal is missing or corrupt is left
+	// as it is.
 	Repair bool
 }
 
-// Fsck verifies an output directory end to end: journal integrity,
-// manifest consistency, and every artifact's checksum (via the journal's
-// whole-file CRC32C when available, by full format parse otherwise —
-// which also covers directories written before journals existed, and
-// detects v3 per-bin and footer checksum violations). Damage is classified
-// per FsckIssue; the error return is reserved for fsck itself failing, not
-// for problems it found.
+// Fsck verifies an output directory end to end against its journal, the
+// only record of what the run committed: the journal's integrity (header,
+// frame checksums, torn tail, a begin record first), every committed
+// artifact's length and whole-file CRC32C, the manifest against the select
+// records, and files nothing references. A directory without a journal is
+// reported as missing it. Damage is classified per FsckIssue; the error
+// return is reserved for fsck itself failing, not for problems it found.
 func Fsck(dir string, opt FsckOptions) (*FsckReport, error) {
 	rep := &FsckReport{Dir: dir}
-	issue := func(path string, step int, class, detail, action string) {
-		rep.Issues = append(rep.Issues, FsckIssue{Path: path, Step: step, Class: class, Detail: detail, Action: action})
+	issue := func(path string, step int, class, detail string) {
+		rep.Issues = append(rep.Issues, FsckIssue{Path: path, Step: step, Class: class, Detail: detail})
 	}
-	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-		return nil, fmt.Errorf("insitu: fsck: %s is not a directory", dir)
+	log, err := ReadRunLog(dir)
+	if err != nil {
+		return nil, fmt.Errorf("insitu: fsck: %w", err)
 	}
 
-	// Journal pass: parse, note torn tails and incompleteness, and verify
-	// every committed artifact against its journaled length + CRC32C.
-	var (
-		begin      *JournalRecord
-		selects    = map[int]*JournalRecord{}
-		end        *JournalRecord
-		tornTail   []byte
-		journalLen int64
-		referenced = map[string]bool{}
-		badSteps   = map[int]bool{}
-	)
-	jdata, jerr := os.ReadFile(filepath.Join(dir, JournalName))
+	// Journal pass: damage, torn tail and incompleteness, then every
+	// committed artifact against its journaled length + CRC32C.
 	switch {
-	case errors.Is(jerr, fs.ErrNotExist):
-		// Pre-journal directory: the manifest pass does all the work.
-	case jerr != nil:
-		return nil, jerr
-	default:
-		rep.HasJournal = true
-		recs, validLen, perr := ParseJournal(jdata)
-		if perr != nil {
-			issue(JournalName, -1, DamageCorrupt, perr.Error(), "")
-		} else {
-			if int64(len(jdata)) > validLen {
-				tornTail = jdata[validLen:]
-				journalLen = validLen
-				issue(JournalName, -1, DamageTruncated,
-					fmt.Sprintf("torn tail of %d bytes after %d valid records", len(tornTail), len(recs)), "")
-			}
-			for i := range recs {
-				rec := &recs[i]
-				switch rec.Kind {
-				case KindBegin:
-					if begin == nil {
-						begin = rec
-					}
-				case KindSelect:
-					selects[rec.Step] = rec // later record supersedes
-				case KindEnd:
-					end = rec
-				}
-			}
-			if end == nil {
-				issue(JournalName, -1, DamageIncomplete,
-					"no end record: the run did not finish (resumable with insitu-run -resume)", "")
-			}
-		}
-		for step, rec := range selects {
-			for _, jf := range rec.Files {
-				referenced[jf.Path] = true
-				rep.FilesChecked++
-				if err := verifyArtifact(dir, jf); err != nil {
-					badSteps[step] = true
-					issue(jf.Path, step, classifyDamage(err), err.Error(), "")
-				}
+	case log.Damage != nil:
+		issue(JournalName, -1, classifyDamage(log.Damage), log.Damage.Error())
+	case len(log.Tail) > 0:
+		issue(JournalName, -1, DamageTruncated,
+			fmt.Sprintf("torn tail of %d bytes after a valid prefix of %d", len(log.Tail), log.ValidLen))
+	}
+	if log.Damage == nil && log.End == nil {
+		issue(JournalName, -1, DamageIncomplete,
+			"no end record: the run did not finish (resumable with insitu-run -resume)")
+	}
+	rep.Complete = log.End != nil
+	journaled := map[string]int64{} // committed artifact → its length
+	badSteps := map[int]bool{}
+	for step, rec := range log.Selects {
+		for _, jf := range rec.Files {
+			journaled[jf.Path] = jf.Bytes
+			rep.FilesChecked++
+			if err := verifyArtifact(dir, jf); err != nil {
+				badSteps[step] = true
+				issue(jf.Path, step, classifyDamage(err), err.Error())
 			}
 		}
 	}
-	rep.Complete = end != nil || !rep.HasJournal
 
-	// Manifest pass: structural validation, then verify files the journal
-	// did not already cover by fully parsing them (the only integrity
-	// check available for pre-journal directories).
+	// Manifest pass: structural validation, and every entry must be one a
+	// select record commits (same path, same length).
+	listed := map[string]bool{}
 	m, merr := ReadManifest(dir)
 	switch {
 	case errors.Is(merr, fs.ErrNotExist):
-		if !rep.HasJournal {
-			issue(ManifestName, -1, DamageMissing, "neither manifest nor journal present", "")
-		} else if end != nil {
-			issue(ManifestName, -1, DamageMissing, "journal records a completed run but the manifest is gone", "")
+		if log.End != nil {
+			issue(ManifestName, -1, DamageMissing, "journal records a completed run but the manifest is gone")
 		}
 		// An incomplete run legitimately has no manifest yet.
 	case merr != nil:
-		issue(ManifestName, -1, DamageCorrupt, merr.Error(), "")
+		issue(ManifestName, -1, DamageCorrupt, merr.Error())
 	default:
 		for _, mf := range m.Files {
-			referenced[mf.Path] = true
-			if journalCovers(selects, mf) {
-				continue
-			}
-			rep.FilesChecked++
-			if err := parseArtifact(dir, mf); err != nil {
-				badSteps[mf.Step] = true
-				issue(mf.Path, mf.Step, classifyDamage(err), err.Error(), "")
+			listed[mf.Path] = true
+			if n, ok := journaled[mf.Path]; log.Damage == nil && (!ok || n != mf.Bytes) {
+				issue(ManifestName, mf.Step, DamageCorrupt,
+					fmt.Sprintf("lists %s (%d bytes), which no select record commits", mf.Path, mf.Bytes))
 			}
 		}
 	}
 
 	// Orphan pass: staging strays and unreferenced files.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
 	var orphans []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || name == JournalName || name == ManifestName {
-			continue
-		}
-		if referenced[name] {
+	for _, name := range log.Files {
+		if _, ok := journaled[name]; ok || listed[name] {
 			continue
 		}
 		orphans = append(orphans, name)
@@ -188,32 +141,17 @@ func Fsck(dir string, opt FsckOptions) (*FsckReport, error) {
 		if strings.HasSuffix(name, store.TempSuffix) {
 			detail = "staging file stranded by a crash"
 		}
-		issue(name, -1, DamageOrphan, detail, "")
+		issue(name, -1, DamageOrphan, detail)
 	}
 
-	if !opt.Repair || rep.Clean() {
-		return rep, nil
+	if !opt.Repair || rep.Clean() || log.Damage != nil {
+		return rep, nil // a missing or corrupt journal leaves nothing to repair from
 	}
-	if err := repair(dir, rep, begin, selects, end, badSteps, orphans, tornTail, journalLen); err != nil {
+	if err := repair(dir, rep, log, badSteps, orphans); err != nil {
 		return rep, err
 	}
 	rep.Repaired = true
 	return rep, nil
-}
-
-// journalCovers reports whether a manifest entry was already verified via a
-// journal select record (same step, path, and length).
-func journalCovers(selects map[int]*JournalRecord, mf ManifestFile) bool {
-	rec, ok := selects[mf.Step]
-	if !ok {
-		return false
-	}
-	for _, jf := range rec.Files {
-		if jf.Path == mf.Path && jf.Bytes == mf.Bytes {
-			return true
-		}
-	}
-	return false
 }
 
 // classifyDamage maps a verification error to a damage class.
@@ -221,52 +159,20 @@ func classifyDamage(err error) string {
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return DamageMissing
-	case errors.Is(err, store.ErrChecksum):
-		return DamageCorrupt
-	case errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, io.EOF):
+	case errors.Is(err, io.ErrUnexpectedEOF):
 		return DamageTruncated
 	default:
 		return DamageCorrupt
 	}
 }
 
-// parseArtifact fully decodes one artifact by its format — the verification
-// path for files with no journaled checksum.
-func parseArtifact(dir string, mf ManifestFile) error {
-	path := filepath.Join(dir, mf.Path)
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if st.Size() < mf.Bytes {
-		return fmt.Errorf("insitu: %s is %d bytes, manifest records %d: %w", mf.Path, st.Size(), mf.Bytes, io.ErrUnexpectedEOF)
-	}
-	if st.Size() > mf.Bytes {
-		return fmt.Errorf("insitu: %s is %d bytes, manifest records %d: %w", mf.Path, st.Size(), mf.Bytes, store.ErrChecksum)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch filepath.Ext(mf.Path) {
-	case ".isbm":
-		_, err = store.ReadIndex(f)
-	case ".israw":
-		_, err = store.ReadRaw(f)
-	default:
-		err = fmt.Errorf("insitu: unrecognized artifact extension on %s", mf.Path)
-	}
-	return err
-}
-
 // repair executes the -repair plan: quarantine the torn journal tail,
-// orphans, and every file of each damaged step, then rewrite a manifest
-// (and, for completed runs, a journal) that covers only the surviving
-// steps. Incomplete journals are left in place minus their torn tail so
-// Resume can still continue the run.
-func repair(dir string, rep *FsckReport, begin *JournalRecord, selects map[int]*JournalRecord,
-	end *JournalRecord, badSteps map[int]bool, orphans []string, tornTail []byte, journalLen int64) error {
+// orphans, and every file of each damaged step, then — for a completed run
+// only — rewrite a manifest and a journal that cover only the surviving
+// steps. An incomplete journal is left in place minus its torn tail so
+// Resume can still continue the run; without a begin record nothing is
+// rewritten. Fsck never calls it on a damaged journal.
+func repair(dir string, rep *FsckReport, log *RunLog, badSteps map[int]bool, orphans []string) error {
 	act := func(path, action string) {
 		for i := range rep.Issues {
 			if rep.Issues[i].Path == path && rep.Issues[i].Action == "" {
@@ -274,11 +180,11 @@ func repair(dir string, rep *FsckReport, begin *JournalRecord, selects map[int]*
 			}
 		}
 	}
-	if tornTail != nil {
-		if err := quarantineBytes(dir, JournalName+".tail", tornTail); err != nil {
+	if len(log.Tail) > 0 {
+		if err := quarantineBytes(dir, JournalName+".tail", log.Tail); err != nil {
 			return err
 		}
-		if err := os.Truncate(filepath.Join(dir, JournalName), journalLen); err != nil {
+		if err := os.Truncate(filepath.Join(dir, JournalName), log.ValidLen); err != nil {
 			return err
 		}
 		act(JournalName, "torn tail quarantined and truncated")
@@ -293,59 +199,36 @@ func repair(dir string, rep *FsckReport, begin *JournalRecord, selects map[int]*
 	// variable per selected step, so a step with any damaged artifact is
 	// dropped entirely and its surviving siblings quarantined with it.
 	for step := range badSteps {
-		rec, ok := selects[step]
-		if !ok {
-			continue
-		}
-		for _, jf := range rec.Files {
-			if _, err := os.Stat(filepath.Join(dir, jf.Path)); err == nil {
-				if err := quarantineFile(dir, jf.Path); err != nil {
-					return err
-				}
+		for _, jf := range log.Selects[step].Files {
+			if err := quarantineFile(dir, jf.Path); err != nil {
+				return err
 			}
 			act(jf.Path, "step quarantined")
 		}
 	}
+	if log.End == nil {
+		// The run is resumable (or has no begin record to rebuild from);
+		// rewriting the manifest now would claim completeness it does not
+		// have. Quarantining was enough.
+		return nil
+	}
 
-	// Rebuild the manifest from the authoritative source. With a journal,
-	// that is the surviving select records; without one, the existing
-	// manifest minus the damaged steps.
-	var nm Manifest
-	if begin != nil {
-		nm = Manifest{Workload: begin.Workload, Method: begin.Method, Vars: begin.Vars, Steps: begin.Steps}
-		steps := make([]int, 0, len(selects))
-		for step := range selects {
-			if !badSteps[step] {
-				steps = append(steps, step)
-			}
-		}
-		sort.Ints(steps)
-		for _, step := range steps {
+	// Rebuild the manifest and the journal from the surviving select
+	// records: begin, those selects, and an end record over them.
+	begin := log.Begin
+	nm := Manifest{Workload: begin.Workload, Method: begin.Method, Vars: begin.Vars, Steps: begin.Steps}
+	for step := range log.Selects {
+		if !badSteps[step] {
 			nm.Selected = append(nm.Selected, step)
-			for _, jf := range selects[step].Files {
-				nm.Files = append(nm.Files, ManifestFile{Step: step, Var: jf.Var, Path: jf.Path, Bytes: jf.Bytes})
-			}
 		}
-		if end == nil {
-			// The run is resumable; rewriting the manifest now would claim
-			// completeness it does not have. Quarantining was enough.
-			return nil
-		}
-	} else {
-		m, err := ReadManifest(dir)
-		if err != nil {
-			return fmt.Errorf("insitu: repair needs a readable journal or manifest: %w", err)
-		}
-		nm = Manifest{Workload: m.Workload, Method: m.Method, Vars: m.Vars, Steps: m.Steps}
-		for _, s := range m.Selected {
-			if !badSteps[s] {
-				nm.Selected = append(nm.Selected, s)
-			}
-		}
-		for _, f := range m.Files {
-			if !badSteps[f.Step] {
-				nm.Files = append(nm.Files, f)
-			}
+	}
+	sort.Ints(nm.Selected)
+	out := []*JournalRecord{begin}
+	for _, step := range nm.Selected {
+		rec := log.Selects[step]
+		out = append(out, rec)
+		for _, jf := range rec.Files {
+			nm.Files = append(nm.Files, ManifestFile{Step: step, Var: jf.Var, Path: jf.Path, Bytes: jf.Bytes})
 		}
 	}
 	data, err := marshalManifest(&nm)
@@ -357,32 +240,18 @@ func repair(dir string, rep *FsckReport, begin *JournalRecord, selects map[int]*
 	}
 	act(ManifestName, "rewritten")
 
-	if begin != nil && end != nil {
-		// Rewrite the completed journal to match: begin, the surviving
-		// selects, and an end record over the surviving selection.
-		buf := journalHeader()
-		out := []*JournalRecord{begin}
-		for _, step := range nm.Selected {
-			out = append(out, selects[step])
-		}
-		out = append(out, &JournalRecord{Kind: KindEnd, Selected: nm.Selected})
-		for _, rec := range out {
-			frame, err := encodeFrame(rec)
-			if err != nil {
-				return err
-			}
-			buf = append(buf, frame...)
-		}
-		if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, JournalName), buf); err != nil {
+	buf := journalHeader()
+	out = append(out, &JournalRecord{Kind: KindEnd, Selected: nm.Selected})
+	for _, rec := range out {
+		frame, err := encodeFrame(rec)
+		if err != nil {
 			return err
 		}
-		act(JournalName, "rewritten")
+		buf = append(buf, frame...)
 	}
+	if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, JournalName), buf); err != nil {
+		return err
+	}
+	act(JournalName, "rewritten")
 	return nil
-}
-
-// marshalManifest renders a manifest exactly as writer.finish does, so a
-// repaired manifest is byte-identical to a freshly written one.
-func marshalManifest(m *Manifest) ([]byte, error) {
-	return json.MarshalIndent(m, "", "  ")
 }

@@ -1,9 +1,9 @@
 package insitu
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"insitubits/internal/iosim"
@@ -40,7 +40,7 @@ func TestFsckCleanDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() || !rep.Complete || !rep.HasJournal {
+	if !rep.Clean() || !rep.Complete {
 		t.Fatalf("clean completed run reported %+v", rep)
 	}
 	if rep.FilesChecked != 15 { // 5 selected steps x 3 variables
@@ -86,6 +86,17 @@ func TestFsckDetectsCorruptionTable(t *testing.T) {
 			}
 			f.Close()
 		}, DamageTruncated},
+		"journal without begin record": {func(t *testing.T, dir string) {
+			path := filepath.Join(dir, JournalName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := journalHeaderLen + 4 + int(binary.LittleEndian.Uint32(data[journalHeaderLen:])) + 4
+			if err := os.WriteFile(path, append(data[:journalHeaderLen:journalHeaderLen], data[end:]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, DamageCorrupt},
 		"flipped journal header": {func(t *testing.T, dir string) {
 			flipByte(t, filepath.Join(dir, JournalName), 0)
 		}, DamageCorrupt},
@@ -230,35 +241,48 @@ func TestFsckRepairIncompleteLeavesResumable(t *testing.T) {
 	sameSnapshot(t, "repair+resume", want, got)
 }
 
-// TestFsckPreJournalDir: a directory with only a manifest (written before
-// journals existed) verifies by full parse and counts as complete; flipping
-// an artifact byte is still caught.
+// TestFsckPreJournalDir: the journal is the only record of what a run
+// committed, so a directory with only a manifest is missing its journal and
+// is not complete. Its manifest still names its files, so they are not
+// orphans, and -repair moves none of them.
 func TestFsckPreJournalDir(t *testing.T) {
 	dir := completedRun(t)
 	if err := os.Remove(filepath.Join(dir, JournalName)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Fsck(dir, FsckOptions{})
+	before := snapshot(t, dir)
+	rep, err := Fsck(dir, FsckOptions{Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() || !rep.Complete || rep.HasJournal {
+	if rep.Complete || rep.Repaired || len(rep.Issues) != 1 {
 		t.Fatalf("pre-journal dir reported %+v with issues %+v", rep, rep.Issues)
 	}
-	if rep.FilesChecked != 15 {
-		t.Fatalf("checked %d files, want 15", rep.FilesChecked)
+	if is := rep.Issues[0]; is.Path != JournalName || is.Class != DamageMissing {
+		t.Fatalf("pre-journal dir issue %+v, want %s %s", is, JournalName, DamageMissing)
 	}
-	name := artifactNames(t, dir)[0]
-	if strings.HasSuffix(name, ".isbm") {
-		flipByte(t, filepath.Join(dir, name), 30) // inside the edges region
-	} else {
-		flipByte(t, filepath.Join(dir, name), 20)
+	sameSnapshot(t, "repaired pre-journal dir", before, snapshot(t, dir))
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir)); err == nil {
+		t.Fatal("repair quarantined files of a directory without a journal")
 	}
-	rep2, err := Fsck(dir, FsckOptions{})
+}
+
+// TestFsckRejectsEscapingPath: fsck -repair of a journal whose select
+// record names a file outside the directory reports the record as a torn
+// tail and leaves the outside file where it is.
+func TestFsckRejectsEscapingPath(t *testing.T) {
+	dir, outside := escapingJournal(t)
+	rep, err := Fsck(dir, FsckOptions{Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Clean() {
-		t.Fatal("pre-journal corruption went undetected")
+	if _, err := os.Stat(outside); err != nil {
+		t.Fatalf("the file outside the run directory moved: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "outside.bin")); err == nil {
+		t.Fatal("the file outside the run directory was pulled into it")
+	}
+	if rep.Clean() || rep.FilesChecked != 0 {
+		t.Fatalf("escaping select record verified: %+v", rep)
 	}
 }

@@ -1,12 +1,16 @@
 package insitu
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"insitubits/internal/iosim"
 	"insitubits/internal/store"
@@ -19,18 +23,11 @@ import (
 // quarantine whatever a crash left half-written, and continue the run from
 // the last durable step without recomputing what already survived.
 //
-// File layout (little-endian; byte-level spec in docs/FORMATS.md):
-//
-//	magic   "ISBJ" (4 bytes)
-//	version u32 = 1
-//	records, each:
-//	    len u32         payload length, in (0, 2^20]
-//	    payload         len bytes of JSON (one JournalRecord)
-//	    crc u32         CRC32C of payload
-//
-// A torn tail — a partial frame, or a frame whose checksum disagrees — ends
-// the valid prefix; everything after it is quarantined on resume, never
-// trusted.
+// The file is an 8-byte header (magic "ISBJ", u32 version 1) and then
+// frames of u32 length, that many bytes of JSON (one JournalRecord) and the
+// payload's u32 CRC32C, little-endian (docs/FORMATS.md). A torn tail — a
+// partial frame, or a frame whose checksum disagrees — ends the valid
+// prefix; everything after it is quarantined on resume, never trusted.
 
 // JournalName is the journal's file name inside the output directory.
 const JournalName = "journal.isbj"
@@ -108,7 +105,6 @@ type JournalFile struct {
 // (modulo the torn tail a kill can leave, which replay cuts off).
 type journal struct {
 	f     iosim.File
-	path  string
 	ctx   context.Context
 	retry iosim.Backoff
 }
@@ -140,7 +136,7 @@ func createJournal(fsys iosim.FS, dir string, ctx context.Context, retry iosim.B
 	if err != nil {
 		return nil, fmt.Errorf("insitu: creating journal: %w", err)
 	}
-	j := &journal{f: f, path: path, ctx: ctx, retry: retry}
+	j := &journal{f: f, ctx: ctx, retry: retry}
 	if err := j.writeAll(journalHeader()); err != nil {
 		f.Close()
 		return nil, err
@@ -164,7 +160,7 @@ func openJournalAppend(fsys iosim.FS, dir string, ctx context.Context, retry ios
 	if err != nil {
 		return nil, fmt.Errorf("insitu: reopening journal: %w", err)
 	}
-	return &journal{f: f, path: path, ctx: ctx, retry: retry}, nil
+	return &journal{f: f, ctx: ctx, retry: retry}, nil
 }
 
 // journalHeader returns the 8-byte magic+version prefix.
@@ -215,8 +211,11 @@ func (j *journal) close() error {
 // ParseJournal decodes journal bytes. It returns every record of the valid
 // prefix and the prefix's byte length; a torn or corrupt tail is not an
 // error — it is exactly what a kill mid-append leaves — but any byte past
-// validLen must be quarantined, never replayed. Malformed bytes never
-// panic; a journal whose header is damaged yields an error.
+// validLen must be quarantined, never replayed. A select record naming a
+// file that is not a plain name (plainName) ends the valid prefix as a
+// failed checksum does, so no reader ever resolves a journaled path outside
+// the directory. Malformed bytes never panic; a journal whose header is
+// damaged yields an error.
 func ParseJournal(data []byte) (recs []JournalRecord, validLen int64, err error) {
 	if len(data) < journalHeaderLen {
 		return nil, 0, fmt.Errorf("insitu: journal too short (%d bytes)", len(data))
@@ -246,18 +245,101 @@ func ParseJournal(data []byte) (recs []JournalRecord, validLen int64, err error)
 		if json.Unmarshal(payload, &rec) != nil || rec.Kind == "" {
 			return recs, pos, nil
 		}
+		for _, jf := range rec.Files {
+			if !plainName(jf.Path) {
+				return recs, pos, nil
+			}
+		}
 		recs = append(recs, rec)
 		pos += 4 + int64(n) + 4
 	}
 }
 
-// ReadJournal loads and parses dir's journal from disk.
-func ReadJournal(dir string) (recs []JournalRecord, validLen int64, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, JournalName))
-	if err != nil {
-		return nil, 0, err
+// plainName reports whether a journaled artifact path names a file directly
+// inside the output directory: no separator of either platform, not "" or
+// a dot name, and none of the names the directory reserves for itself.
+func plainName(p string) bool {
+	switch p {
+	case "", ".", "..", JournalName, ManifestName, QuarantineDir:
+		return false
 	}
-	return ParseJournal(data)
+	return !strings.ContainsAny(p, `/\`)
+}
+
+// RunLog is one read of a run's output directory: the journal folded into
+// what Resume, fsck and the serve loader act on, and the files beside it.
+type RunLog struct {
+	// Files lists every non-directory entry except the journal and the
+	// manifest: the artifacts, staging strays (store.TempSuffix) and
+	// anything else.
+	Files []string
+	// ValidLen is the length of the journal's valid prefix and Tail the
+	// bytes after it: a torn tail, or the whole journal when not even its
+	// header verifies (ValidLen 0).
+	ValidLen int64
+	Tail     []byte
+	// Damage says why the journal cannot be folded: it is missing, its
+	// header does not verify, or its first record is not a begin record.
+	// The fields below are empty then.
+	Damage error
+
+	Begin *JournalRecord
+	// Scores holds every journaled selection score by step.
+	Scores map[int]float64
+	// Selects holds each committed step's select record; a later record
+	// supersedes an earlier one (Resume recommits a damaged step).
+	Selects map[int]*JournalRecord
+	End     *JournalRecord
+	// Frontier is the last step with a score or select record, -1 if none.
+	Frontier int
+}
+
+// ReadRunLog reads dir's listing and journal and folds the journal's valid
+// prefix. It is the only reader of the journal: every check of its bytes
+// happens here and in ParseJournal. The error is reserved for I/O failing;
+// a missing or damaged journal is reported in RunLog.Damage.
+func ReadRunLog(dir string) (*RunLog, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	log := &RunLog{Scores: map[int]float64{}, Selects: map[int]*JournalRecord{}, Frontier: -1}
+	for _, e := range entries {
+		if name := e.Name(); !e.IsDir() && name != JournalName && name != ManifestName {
+			log.Files = append(log.Files, name)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, JournalName))
+	if errors.Is(err, fs.ErrNotExist) {
+		log.Damage = fmt.Errorf("insitu: no journal: %w", err)
+		return log, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	recs, validLen, err := ParseJournal(data)
+	log.ValidLen, log.Tail, log.Damage = validLen, data[validLen:], err
+	if err != nil || len(recs) == 0 {
+		return log, nil // a damaged header, or a crash before the begin record
+	}
+	if recs[0].Kind != KindBegin {
+		log.Damage = fmt.Errorf("insitu: journal does not open with a begin record (got %q)", recs[0].Kind)
+		return log, nil
+	}
+	log.Begin = &recs[0]
+	for i := 1; i < len(recs); i++ {
+		switch rec := &recs[i]; rec.Kind {
+		case KindScore:
+			log.Scores[rec.Step] = rec.Score
+			log.Frontier = max(log.Frontier, rec.Step)
+		case KindSelect:
+			log.Selects[rec.Step] = rec
+			log.Frontier = max(log.Frontier, rec.Step)
+		case KindEnd:
+			log.End = rec
+		}
+	}
+	return log, nil
 }
 
 // beginRecord captures the config fingerprint the journal opens with.
@@ -279,48 +361,20 @@ func beginRecord(cfg Config) *JournalRecord {
 }
 
 // matchesConfig checks a begin record against a resume config: everything
-// that shapes the deterministic replay must agree, or continuing would
-// splice two different runs into one directory.
+// that shapes the deterministic replay — every field beginRecord writes —
+// must agree, or continuing would splice two different runs into one
+// directory.
 func (r *JournalRecord) matchesConfig(cfg Config) error {
-	if r.Kind != KindBegin {
-		return fmt.Errorf("insitu: journal does not open with a begin record (got %q)", r.Kind)
+	got, err := json.Marshal(r)
+	if err != nil {
+		return err
 	}
-	mismatch := func(field string, got, want any) error {
-		return fmt.Errorf("insitu: resume config mismatch: journal %s %v, config %v", field, got, want)
+	want, err := json.Marshal(beginRecord(cfg))
+	if err != nil {
+		return err
 	}
-	switch {
-	case r.Workload != cfg.Sim.Name():
-		return mismatch("workload", r.Workload, cfg.Sim.Name())
-	case r.Method != cfg.Method.String():
-		return mismatch("method", r.Method, cfg.Method.String())
-	case r.Steps != cfg.Steps:
-		return mismatch("steps", r.Steps, cfg.Steps)
-	case r.Select != cfg.Select:
-		return mismatch("select", r.Select, cfg.Select)
-	case r.Bins != cfg.Bins:
-		return mismatch("bins", r.Bins, cfg.Bins)
-	case r.Codec != cfg.Codec.String():
-		return mismatch("codec", r.Codec, cfg.Codec.String())
-	case r.Metric != cfg.Metric.String():
-		return mismatch("metric", r.Metric, cfg.Metric.String())
-	case r.SamplePct != cfg.SamplePct:
-		return mismatch("sample pct", r.SamplePct, cfg.SamplePct)
-	case r.Seed != cfg.Seed:
-		return mismatch("seed", r.Seed, cfg.Seed)
-	case len(r.Vars) != len(cfg.Sim.Vars()):
-		return mismatch("variable count", len(r.Vars), len(cfg.Sim.Vars()))
-	case len(r.Weights) != len(cfg.VarWeights):
-		return mismatch("weight count", len(r.Weights), len(cfg.VarWeights))
-	}
-	for i, v := range cfg.Sim.Vars() {
-		if r.Vars[i] != v {
-			return mismatch(fmt.Sprintf("variable %d", i), r.Vars[i], v)
-		}
-	}
-	for i, w := range cfg.VarWeights {
-		if r.Weights[i] != w {
-			return mismatch(fmt.Sprintf("weight %d", i), r.Weights[i], w)
-		}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("insitu: resume config mismatch: the journal begins %s, the config gives %s", got, want)
 	}
 	return nil
 }

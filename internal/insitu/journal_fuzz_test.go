@@ -1,6 +1,7 @@
 package insitu
 
 import (
+	"path/filepath"
 	"testing"
 )
 
@@ -9,7 +10,8 @@ import (
 // field (the frame cap bounds it), and on success return a valid prefix —
 // validLen within [header, len(data)] — whose re-parse is a fixed point
 // (same records, same length). That last property is what Resume's
-// truncate-then-append depends on.
+// truncate-then-append depends on. Every file a returned record names is a
+// plain name: no reader resolves a journaled path outside the directory.
 func FuzzParseJournal(f *testing.F) {
 	// Seed: a real journal shape — header plus begin/score/select/end.
 	buf := journalHeader()
@@ -30,6 +32,12 @@ func FuzzParseJournal(f *testing.F) {
 	f.Add(journalHeader())
 	f.Add([]byte("ISBJ"))
 	f.Add([]byte{})
+	escaping, err := encodeFrame(&JournalRecord{Kind: KindSelect, Step: 2,
+		Files: []JournalFile{{Var: "a", Path: "../outside.bin", Bytes: 999}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(buf[:len(buf):len(buf)], escaping...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, validLen, err := ParseJournal(data)
@@ -46,6 +54,14 @@ func FuzzParseJournal(f *testing.F) {
 		if validLen2 != validLen || len(recs2) != len(recs) {
 			t.Fatalf("re-parse not a fixed point: %d/%d records, %d/%d bytes",
 				len(recs2), len(recs), validLen2, validLen)
+		}
+		for _, rec := range recs {
+			for _, jf := range rec.Files {
+				p := filepath.Join("run", jf.Path)
+				if filepath.Dir(p) != "run" || jf.Path == JournalName || jf.Path == ManifestName {
+					t.Fatalf("%s record names %q, not a plain name", rec.Kind, jf.Path)
+				}
+			}
 		}
 	})
 }

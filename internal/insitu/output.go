@@ -183,7 +183,7 @@ func (w *writer) recordScore(t int, score float64, traceID string) error {
 // journal's end record — in that order, so an end record on disk implies a
 // durable manifest.
 func (w *writer) finish() error {
-	data, err := json.MarshalIndent(&w.manifest, "", "  ")
+	data, err := marshalManifest(&w.manifest)
 	if err != nil {
 		return err
 	}
@@ -244,9 +244,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// marshalManifest renders a manifest: writer.finish and fsck's repair both
+// write through it, so a repaired manifest is byte-identical to a freshly
+// written one.
+func marshalManifest(m *Manifest) ([]byte, error) {
+	return json.MarshalIndent(m, "", "  ")
 }

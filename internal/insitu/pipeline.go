@@ -576,7 +576,7 @@ func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 		return
 	}
 	if rs := s.cfg.resume; rs != nil {
-		if score, ok := rs.scores[t]; ok {
+		if score, ok := rs.log.Scores[t]; ok {
 			s.rt.stepsRecovered.Inc()
 			s.applyScore(ctx, t, sum, score)
 			return

@@ -1,8 +1,10 @@
 package insitu
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,37 +13,34 @@ import (
 	"insitubits/internal/store"
 )
 
-// resumeState is the replay plan Resume derives from a run journal: which
-// steps' scores are already decided, which committed steps' artifacts
-// verified on disk, and which steps must be fully re-reduced because the
-// continuation still needs their real summaries.
+// resumeState is the replay plan Resume derives from the run log: which
+// committed steps' artifacts verified on disk, and which steps must be
+// fully re-reduced because the continuation still needs their real
+// summaries.
 type resumeState struct {
-	// frontier is the last step with a durable journal record; steps past
-	// it are fresh work.
-	frontier int
-	// scores replays the journaled selection scores (exact: Go's float64
-	// JSON representation round-trips bit-for-bit).
-	scores map[int]float64
+	// log holds the journaled scores (exact: Go's float64 JSON
+	// representation round-trips bit-for-bit) and the frontier, the last
+	// step with a durable record; steps past it are fresh work.
+	log *RunLog
 	// durable maps committed steps whose artifacts verified (length and
 	// whole-file CRC32C) to their journal file records; the writer copies
-	// their manifest entries instead of rewriting them.
+	// their manifest entries instead of rewriting them, and their replay
+	// stubs carry the journaled output volume so the resumed run's
+	// accounting stays honest.
 	durable map[int][]JournalFile
 	// needed marks steps the replay must re-reduce for real: the last
 	// committed winner (future steps score against it), the open
 	// interval's incumbent (it may yet be committed and written), and any
 	// committed winner whose artifacts were damaged.
 	needed map[int]bool
-	// stubBytes carries the journaled output volume of durable steps into
-	// their replay stubs so the resumed run's accounting stays honest.
-	stubBytes map[int]int64
-}
-
-func (rs *resumeState) needsReduce(t int) bool {
-	return t > rs.frontier || rs.needed[t]
 }
 
 func (rs *resumeState) stub(t int) *stepSummary {
-	return &stepSummary{step: t, replay: true, outBytes: rs.stubBytes[t]}
+	s := &stepSummary{step: t, replay: true}
+	for _, jf := range rs.durable[t] {
+		s.outBytes += jf.Bytes
+	}
+	return s
 }
 
 // Resume continues a crashed or cancelled run from dir's journal. It
@@ -61,81 +60,59 @@ func Resume(dir string, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	jpath := filepath.Join(dir, JournalName)
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		return nil, fmt.Errorf("insitu: no resumable run in %s: %w", dir, err)
-	}
-	// Stray staging files are uncommitted by construction.
-	entries, err := os.ReadDir(dir)
+	log, err := ReadRunLog(dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), store.TempSuffix) {
-			if err := quarantineFile(dir, e.Name()); err != nil {
+	if errors.Is(log.Damage, fs.ErrNotExist) {
+		return nil, fmt.Errorf("insitu: no resumable run in %s: %w", dir, log.Damage)
+	}
+	// Stray staging files are uncommitted by construction.
+	for _, name := range log.Files {
+		if strings.HasSuffix(name, store.TempSuffix) {
+			if err := quarantineFile(dir, name); err != nil {
 				return nil, err
 			}
 		}
 	}
-	recs, validLen, perr := ParseJournal(data)
-	if perr != nil {
+	if log.ValidLen == 0 {
 		// A journal whose very header is unreadable (a kill during the
 		// first write leaves fewer than 8 bytes) holds nothing durable:
 		// park it and start the run over.
-		if err := quarantineBytes(dir, JournalName+".damaged", data); err != nil {
+		if err := quarantineBytes(dir, JournalName+".damaged", log.Tail); err != nil {
 			return nil, err
 		}
 		return Run(cfg)
+	}
+	if log.Damage != nil {
+		return nil, log.Damage
 	}
 	// A torn tail is the expected residue of a kill mid-append: park the
 	// bytes in quarantine and truncate the journal to its valid prefix so
 	// the continuation appends cleanly.
-	if int64(len(data)) > validLen {
-		if err := quarantineBytes(dir, JournalName+".tail", data[validLen:]); err != nil {
+	if len(log.Tail) > 0 {
+		if err := quarantineBytes(dir, JournalName+".tail", log.Tail); err != nil {
 			return nil, err
 		}
-		if err := os.Truncate(jpath, validLen); err != nil {
+		if err := os.Truncate(filepath.Join(dir, JournalName), log.ValidLen); err != nil {
 			return nil, fmt.Errorf("insitu: truncating torn journal tail: %w", err)
 		}
 	}
-	if len(recs) == 0 {
+	if log.Begin == nil {
 		// The crash predates even the begin record; nothing is durable, so
 		// this is a fresh run (Run truncates the journal).
 		return Run(cfg)
 	}
-	if err := recs[0].matchesConfig(cfg); err != nil {
+	if err := log.Begin.matchesConfig(cfg); err != nil {
 		return nil, err
 	}
-
-	scores := map[int]float64{}
-	selects := map[int]*JournalRecord{}
-	frontier := -1
-	var end *JournalRecord
-	for i := range recs {
-		rec := &recs[i]
-		switch rec.Kind {
-		case KindScore:
-			scores[rec.Step] = rec.Score
-		case KindSelect:
-			selects[rec.Step] = rec // last record wins: a rewrite supersedes
-		case KindEnd:
-			end = rec
-			continue
-		default:
-			continue
-		}
-		if rec.Step > frontier {
-			frontier = rec.Step
-		}
-	}
-	if end != nil {
+	if log.End != nil {
 		// The run completed; the end record guarantees the manifest was
 		// durable when it was written, so only verify, never recompute.
 		if _, err := ReadManifest(dir); err != nil {
 			return nil, fmt.Errorf("insitu: journal records a completed run but the manifest does not verify (run fsck): %w", err)
 		}
-		return &Result{Selected: end.Selected}, nil
+		return &Result{Selected: log.End.Selected}, nil
 	}
 
 	// Verify every committed step's artifacts by length and whole-file
@@ -144,29 +121,19 @@ func Resume(dir string, cfg Config) (*Result, error) {
 	// when the replay re-commits it.
 	durable := map[int][]JournalFile{}
 	needed := map[int]bool{}
-	stubBytes := map[int]int64{}
 	lastWinner := -1
-	for step, rec := range selects {
-		if step > lastWinner {
-			lastWinner = step
-		}
-		total, bad := int64(0), false
+	for step, rec := range log.Selects {
+		lastWinner = max(lastWinner, step)
 		for _, jf := range rec.Files {
-			total += jf.Bytes
 			if verifyArtifact(dir, jf) != nil {
-				bad = true
-				if _, serr := os.Stat(filepath.Join(dir, jf.Path)); serr == nil {
-					if qerr := quarantineFile(dir, jf.Path); qerr != nil {
-						return nil, qerr
-					}
+				needed[step] = true
+				if err := quarantineFile(dir, jf.Path); err != nil {
+					return nil, err
 				}
 			}
 		}
-		if bad {
-			needed[step] = true
-		} else {
+		if !needed[step] {
 			durable[step] = rec.Files
-			stubBytes[step] = total
 		}
 	}
 	// Future steps score against the last committed winner, so its real
@@ -177,14 +144,14 @@ func Resume(dir string, cfg Config) (*Result, error) {
 	// The open interval's incumbent may still be committed and written: the
 	// selector's greedy, fed that interval's journaled scores, keeps it last.
 	intervals := selection.FixedLength{}.Partition(make([]float64, cfg.Steps), cfg.Select)
-	committed := len(selects)
-	if _, ok := selects[0]; ok {
+	committed := len(log.Selects)
+	if _, ok := log.Selects[0]; ok {
 		committed-- // step 0 is not an interval winner
 	}
 	if committed < len(intervals) {
 		g, iv, incumbent := selection.NewGreedy(cfg.Steps, cfg.Select), intervals[committed], -1
-		for t := iv[0]; t < iv[1] && t <= frontier; t++ {
-			if sc, ok := scores[t]; ok && g.Offer(t, sc)&selection.Keep != 0 {
+		for t := iv[0]; t < iv[1] && t <= log.Frontier; t++ {
+			if sc, ok := log.Scores[t]; ok && g.Offer(t, sc)&selection.Keep != 0 {
 				incumbent = t
 			}
 		}
@@ -193,13 +160,7 @@ func Resume(dir string, cfg Config) (*Result, error) {
 		}
 	}
 
-	cfg.resume = &resumeState{
-		frontier:  frontier,
-		scores:    scores,
-		durable:   durable,
-		needed:    needed,
-		stubBytes: stubBytes,
-	}
+	cfg.resume = &resumeState{log: log, durable: durable, needed: needed}
 	return Run(cfg)
 }
 
@@ -210,13 +171,12 @@ func verifyArtifact(dir string, jf JournalFile) error {
 	if err != nil {
 		return err
 	}
-	if int64(len(data)) < jf.Bytes {
-		return fmt.Errorf("insitu: %s is %d bytes, journal records %d: %w",
-			jf.Path, len(data), jf.Bytes, io.ErrUnexpectedEOF)
-	}
-	if int64(len(data)) > jf.Bytes {
-		return fmt.Errorf("insitu: %s is %d bytes, journal records %d: %w",
-			jf.Path, len(data), jf.Bytes, store.ErrChecksum)
+	if n := int64(len(data)); n != jf.Bytes {
+		cause := io.ErrUnexpectedEOF
+		if n > jf.Bytes {
+			cause = store.ErrChecksum
+		}
+		return fmt.Errorf("insitu: %s is %d bytes, journal records %d: %w", jf.Path, n, jf.Bytes, cause)
 	}
 	if store.CRC32C(data) != jf.CRC {
 		return fmt.Errorf("insitu: %s: %w", jf.Path, store.ErrChecksum)
@@ -224,9 +184,12 @@ func verifyArtifact(dir string, jf JournalFile) error {
 	return nil
 }
 
-// quarantineFile moves dir/name into dir/quarantine/, replacing any earlier
-// quarantined file of the same name.
+// quarantineFile moves dir/name, if it exists, into dir/quarantine/,
+// replacing any earlier quarantined file of the same name.
 func quarantineFile(dir, name string) error {
+	if _, err := os.Lstat(filepath.Join(dir, name)); errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
 	qdir := filepath.Join(dir, QuarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return fmt.Errorf("insitu: quarantine dir: %w", err)

@@ -69,10 +69,10 @@ func (rt *runTelemetry) consume(ctx context.Context, red *reducer, t int, st sta
 }
 
 // replayed reports whether a resumed run's journal already fixes step t's
-// outcome.
+// outcome: the step is at or before the frontier and not needed.
 func (r *reducer) replayed(t int) bool {
 	rs := r.cfg.resume
-	return rs != nil && !rs.needsReduce(t)
+	return rs != nil && t <= rs.log.Frontier && !rs.needed[t]
 }
 
 // SharedCores assigns all cores to simulation, then all cores to reduction,

@@ -232,7 +232,11 @@ func TestJournalTraceIDs(t *testing.T) {
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		recs, _, err := ReadJournal(cfg.OutputDir)
+		data, err := os.ReadFile(filepath.Join(cfg.OutputDir, JournalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := ParseJournal(data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,83 +131,55 @@ func filesFingerprint(entries []*Entry) string {
 	return strings.Join(parts, ";")
 }
 
-// loadDir builds a catalog from an in-situ run's output directory. The run
-// journal is the source of truth while a run is live — its select records
-// are the commit markers, appended only after the step's artifacts are
-// durable — so the newest select record names exactly the files that are
-// safe to serve mid-run. A finished run without a journal falls back to
-// the manifest.
+// loadDir builds a catalog from an in-situ run's output directory through
+// the run's recovery reader (insitu.ReadRunLog). The journal is the source
+// of truth — its select records are the commit markers, appended only
+// after the step's artifacts are durable — so the newest committed step's
+// select record names exactly the files that are safe to serve, mid-run or
+// finished.
 func loadDir(dir string) (*catalog, error) {
 	fprint, err := dirFingerprint(dir)
 	if err != nil {
 		return nil, err
 	}
-	recs, _, jerr := insitu.ReadJournal(dir)
-	if jerr == nil {
-		var newest *insitu.JournalRecord
-		for i := range recs {
-			if recs[i].Kind == insitu.KindSelect {
-				newest = &recs[i]
-			}
-		}
-		if newest == nil {
-			return nil, fmt.Errorf("serve: %s: journal has no committed step yet", dir)
-		}
-		var entries []*Entry
-		for _, jf := range newest.Files {
-			if !strings.HasSuffix(jf.Path, ".isbm") {
-				return nil, fmt.Errorf("serve: %s holds %s summaries, not bitmap indexes (run with -method bitmaps)", dir, filepath.Ext(jf.Path))
-			}
-			e, err := loadIndexFile(jf.Var, filepath.Join(dir, jf.Path), newest.Step)
-			if err != nil {
-				return nil, err
-			}
-			entries = append(entries, e)
-		}
-		return newCatalog(entries, newest.Step, dir, fprint), nil
+	log, err := insitu.ReadRunLog(dir)
+	if err != nil {
+		return nil, err
 	}
-	man, merr := insitu.ReadManifest(dir)
-	if merr != nil {
-		return nil, fmt.Errorf("serve: %s: no readable journal (%v) or manifest (%v)", dir, jerr, merr)
+	if log.Damage != nil {
+		return nil, fmt.Errorf("serve: %s: %w", dir, log.Damage)
 	}
-	if len(man.Selected) == 0 {
-		return nil, fmt.Errorf("serve: %s: manifest lists no selected steps", dir)
+	var newest *insitu.JournalRecord
+	for step, rec := range log.Selects {
+		if newest == nil || step > newest.Step {
+			newest = rec
+		}
 	}
-	last := man.Selected[len(man.Selected)-1]
+	if newest == nil {
+		return nil, fmt.Errorf("serve: %s: journal has no committed step yet", dir)
+	}
 	var entries []*Entry
-	for _, mf := range man.Files {
-		if mf.Step != last {
-			continue
+	for _, jf := range newest.Files {
+		if !strings.HasSuffix(jf.Path, ".isbm") {
+			return nil, fmt.Errorf("serve: %s holds %s summaries, not bitmap indexes (run with -method bitmaps)", dir, filepath.Ext(jf.Path))
 		}
-		if !strings.HasSuffix(mf.Path, ".isbm") {
-			return nil, fmt.Errorf("serve: %s holds %s summaries, not bitmap indexes (run with -method bitmaps)", dir, filepath.Ext(mf.Path))
-		}
-		e, err := loadIndexFile(mf.Var, filepath.Join(dir, mf.Path), mf.Step)
+		e, err := loadIndexFile(jf.Var, filepath.Join(dir, jf.Path), newest.Step)
 		if err != nil {
 			return nil, err
 		}
 		entries = append(entries, e)
 	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("serve: %s: no artifacts for newest step %d", dir, last)
-	}
-	return newCatalog(entries, last, dir, fprint), nil
+	return newCatalog(entries, newest.Step, dir, fprint), nil
 }
 
 // dirFingerprint captures the directory state a watcher polls: the journal
-// grows by whole appended frames on every publish, so its size (plus the
-// manifest's, written once at run end) changes exactly when there is
+// grows by whole appended frames on every publish — the end record too,
+// which follows the manifest — so its size changes exactly when there is
 // something new to load.
 func dirFingerprint(dir string) (string, error) {
-	var jn, mn int64 = -1, -1
-	if st, err := os.Stat(filepath.Join(dir, insitu.JournalName)); err == nil {
-		jn = st.Size()
+	st, err := os.Stat(filepath.Join(dir, insitu.JournalName))
+	if err != nil {
+		return "", fmt.Errorf("serve: %s: %w", dir, err)
 	}
-	if st, err := os.Stat(filepath.Join(dir, insitu.ManifestName)); err == nil {
-		mn = st.Size()
-	}
-	if jn < 0 && mn < 0 {
-		return "", fmt.Errorf("serve: %s: neither %s nor %s exists", dir, insitu.JournalName, insitu.ManifestName)
-	}
-	return fmt.Sprintf("journal=%d manifest=%d", jn, mn), nil
+	return fmt.Sprintf("journal=%d", st.Size()), nil
 }

@@ -160,8 +160,7 @@ func (s *Server) LoadFiles(specs []string) error {
 }
 
 // LoadDir loads the newest committed step of an in-situ run's output
-// directory (live runs are read through the journal, finished ones through
-// the manifest).
+// directory, live or finished, as its journal records it.
 func (s *Server) LoadDir(dir string) error {
 	return s.swapFrom(func() (*catalog, error) { return loadDir(dir) })
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -18,6 +19,7 @@ import (
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
+	"insitubits/internal/insitu"
 	"insitubits/internal/qlog"
 	"insitubits/internal/query"
 	"insitubits/internal/replay"
@@ -658,8 +660,8 @@ func TestReplayServerCapturedLog(t *testing.T) {
 	}
 }
 
-// TestLoadDirJournal serves the newest committed step of a live run
-// directory (journal present, no manifest yet) — the in-situ coupling.
+// TestLoadDirJournal serves the newest committed step of a run directory,
+// read through the run's journal — the in-situ coupling.
 func TestLoadDirJournal(t *testing.T) {
 	dir := runInsituFixture(t, 6)
 	s := New(Config{})
@@ -675,6 +677,61 @@ func TestLoadDirJournal(t *testing.T) {
 	resp, hresp := postQuery(t, ts.URL, &QueryRequest{Op: "count", Var: st.Vars[0], ValueLo: 1, ValueHi: 5})
 	if hresp.StatusCode != http.StatusOK || resp.Digest == "" {
 		t.Fatalf("query against journal-loaded catalog: status %d resp %+v", hresp.StatusCode, resp)
+	}
+}
+
+// TestLoadDirNeedsJournal: the journal is the only record of what a run
+// committed, so a directory holding a manifest but no journal serves
+// nothing.
+func TestLoadDirNeedsJournal(t *testing.T) {
+	dir := runInsituFixture(t, 3)
+	if err := os.Remove(filepath.Join(dir, insitu.JournalName)); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(Config{}).LoadDir(dir); err == nil {
+		t.Fatal("loaded a directory without a journal")
+	}
+}
+
+// TestLoadDirRejectsEscapingPath appends a select record for a later step
+// whose file lies outside the run directory — a valid index file. The
+// journal reader ends the valid prefix at that record, so the server keeps
+// serving the newest step the run itself committed.
+func TestLoadDirRejectsEscapingPath(t *testing.T) {
+	dir := runInsituFixture(t, 3)
+	s := New(Config{})
+	if err := s.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Status().Step
+	data, err := os.ReadFile(s.cat.Load().entries[s.Status().Vars[0]].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(filepath.Dir(dir), "outside.isbm")
+	if err := os.WriteFile(outside, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(&insitu.JournalRecord{Kind: insitu.KindSelect, Step: want + 1,
+		Files: []insitu.JournalFile{{Var: "temperature", Path: "../outside.isbm", Bytes: int64(len(data)), CRC: store.CRC32C(data)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(append(frame, payload...), store.CRC32C(payload))
+	f, err := os.OpenFile(filepath.Join(dir, insitu.JournalName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Status(); st.Step != want {
+		t.Fatalf("serving step %d after an escaping select record, want %d", st.Step, want)
 	}
 }
 
