@@ -26,9 +26,14 @@ race:
 # semaphore, catalog generation swaps), the root package (the /healthz
 # probe racing a pipeline's concurrent generation publishes), and the
 # in-situ write path's goroutines: the parallel map to ids, the two-phase
-# parallel build from them and the striped id decode (index), the
-# per-worker tallies (metrics), the ids a summary shares between concurrent
-# scores (selection), the unit-range workers of mining's second tally,
+# parallel build from them, whose worker run streams it joins
+# (TestRunListMatchesTwoScans, TestBuildFromIDsRunEdges), and the striped
+# id decode (index), the
+# per-worker tallies and run merges (metrics: FuzzRunMerge's seeds), the run
+# stream a summary decodes once and shares between concurrent scores
+# (selection: TestCondEntropyScoreConcurrentCandidates, and
+# TestCondEntropyScoreMatchesFullData and TestNodeSplitScoresEqualWhole on
+# handed and decoded streams), the unit-range workers of mining's second tally,
 # which share the two decoded id arrays (mining), and the simulate →
 # reduce hand-off of a lent step staged on the simulate side of the
 # separate-cores queue — the simulators (sim) and the pipeline's lend,
@@ -47,7 +52,9 @@ race:
 # concurrent goroutines (TestWindowsTileTheWhole), eight first windowed
 # calls racing to build one bitmap's skip table
 # (TestSkipTableConcurrentFirstUse), and seeks into malformed streams.
-# ./internal/cluster/ holds the halo exchange's per-node channels and the
+# ./internal/sim/... includes the stencil's slab workers, row for row
+# against the per-element oracle at every worker count
+# (TestStencilMatchesReference). ./internal/cluster/ holds the halo exchange's per-node channels and the
 # per-node goroutines that simulate into their slabs and write their parts
 # into one step, whose scores then add every node's counts into one table.
 race-hot:
@@ -92,9 +99,10 @@ race-hot:
 # BenchmarkBuildFromIDs/{1,2} (internal/index), with
 # BenchmarkBuildFromIDs/lulesh/{1,2} pricing the build on lulesh's shorter
 # id runs (one 48³ step, all twelve arrays at 120 bins),
-# BenchmarkCondEntropyScore/{handed-ids,decoded-ids}/{1,2}
+# BenchmarkCondEntropyScore/{handed-runs,decoded-runs}/{1,2}
 # (internal/selection), BenchmarkStepHandoff/{owned,lent,staged}
-# (internal/insitu).
+# (internal/insitu), and the simulator itself, BenchmarkStep/128/{1,2}
+# (internal/sim/heat3d, the benchmark's grid).
 WORKLOAD ?= all
 SEED ?= 1
 bench:
@@ -163,9 +171,12 @@ overhead:
 # model, bounded form exact), the index build from ids (every bin, count
 # and auto choice against a []bool model, on run-structured ids at every
 # worker count and codec), the batch bin kernel (BinInto equals the
-# mapper's own Bin on any float64 bit pattern, at every width), and mining
+# mapper's own Bin on any float64 bit pattern, at every width), mining
 # from the bitmaps (Mine and MineParallel equal MineFullData over random
-# arrays, bin counts and unit sizes).
+# arrays, bin counts and unit sizes), and the selection scorer's run merge
+# (joint counts and spatial differences of two run streams, whole or cut
+# where a build's workers cut them, equal the id tallies at every width
+# pairing).
 # Full corpus exploration is `go test -fuzz <target> ./internal/<pkg>/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadIndex$$' -fuzztime 10s ./internal/store/
@@ -176,6 +187,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzBuildFromIDs$$' -fuzztime 10s ./internal/index/
 	$(GO) test -run xxx -fuzz 'FuzzBinInto$$' -fuzztime 10s ./internal/binning/
 	$(GO) test -run xxx -fuzz 'FuzzMineMatchesFullData$$' -fuzztime 10s ./internal/mining/
+	$(GO) test -run xxx -fuzz 'FuzzRunMerge$$' -fuzztime 10s ./internal/metrics/
 
 # The query oracle suite (DESIGN.md "Query planning & caching"): every op
 # through the one plan → optimize → execute path — every codec, cache cold

@@ -222,7 +222,7 @@ func parallelStep(nodes []*node, coresPerNode int) {
 }
 
 // reduceStep builds the per-node parts concurrently: a node's bitmaps keep
-// the bin ids they were built from, so no score decodes them.
+// the run stream their build found, so no score decodes them.
 func reduceStep(cfg Config, nodes []*node, mapper binning.Mapper) *stepSummary {
 	s := &stepSummary{
 		NodeSummary: selection.NodeSummary{Parts: make([]selection.Summary, len(nodes))},
@@ -241,8 +241,8 @@ func reduceStep(cfg Config, nodes []*node, mapper binning.Mapper) *stepSummary {
 			own := n.sim.Temperature()[n.lo*nx*ny : n.hi*nx*ny]
 			if cfg.Method == Bitmaps {
 				ids := index.MapIDs(own, mapper, cfg.CoresPerNode)
-				x := index.BuildFromIDs(ids, mapper, cfg.CoresPerNode, codec.WAH)
-				s.Parts[k] = selection.NewBuiltSummary(x, ids, 1)
+				x, runs := index.BuildFromIDs(ids, mapper, cfg.CoresPerNode, codec.WAH)
+				s.Parts[k] = selection.NewBuiltSummary(x, runs, 1)
 				s.outBytes[k] = store.IndexSize(x)
 			} else {
 				s.Parts[k] = selection.NewDataSummary(append([]float64(nil), own...), mapper)

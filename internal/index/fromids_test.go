@@ -105,7 +105,7 @@ func TestBuildFromIDsMatchesBuild(t *testing.T) {
 				for _, n := range fromIDsLengths() {
 					data := frontsAndNoise(r, n)
 					ids := index.MapIDs(data, m, w)
-					x := index.BuildFromIDs(ids, m, w, id)
+					x, _ := index.BuildFromIDs(ids, m, w, id)
 					if _, err := store.WriteIndex(h, x); err != nil {
 						t.Fatal(err)
 					}
@@ -214,9 +214,10 @@ func checkBuildFromIDs(t *testing.T, want []int, bins int) {
 		}
 		enc[codec.WAH], enc[codec.BBC], enc[codec.Auto] = append(enc[codec.WAH], wah), append(enc[codec.BBC], bbc), append(enc[codec.Auto], auto)
 	}
-	for _, w := range []int{1, 2, 3, 7} {
+	for _, w := range []int{1, 2, 3, 5, 7} {
 		for id, bms := range enc {
-			x := index.BuildFromIDs(ids, m, w, id)
+			x, runs := index.BuildFromIDs(ids, m, w, id)
+			checkRuns(t, runs, want, bins)
 			for b, want := range bms {
 				got := x.Bitmap(b)
 				if x.N() != want.Len() || codec.Of(got) != codec.Of(want) ||
@@ -228,6 +229,36 @@ func checkBuildFromIDs(t *testing.T, want []int, bins int) {
 				}
 			}
 		}
+	}
+}
+
+// checkRuns holds a build's run stream to the ids it was built from: the
+// workers' streams joined expand to exactly want, in want's id width, every
+// run non-empty and no two neighbours holding the same id, so the stream is
+// the same at every worker count.
+func checkRuns(t *testing.T, r *index.Runs, want []int, bins int) {
+	t.Helper()
+	if r.Bins != bins || (r.U8 != nil) != (bins <= 1<<8) || (r.U16 != nil) != (bins > 1<<8) ||
+		len(r.U8)+len(r.U16) != len(r.End) || r.Len() != len(want) || r.SizeBytes() != len(r.U8)+2*len(r.U16)+4*len(r.End) {
+		t.Fatalf("n=%d bins=%d: run stream of shape %d+%d ids, %d ends, %d elements", len(want), bins, len(r.U8), len(r.U16), len(r.End), r.Len())
+	}
+	from, prev := uint32(0), -1
+	for k, end := range r.End {
+		id := 0
+		if r.U8 != nil {
+			id = int(r.U8[k])
+		} else {
+			id = int(r.U16[k])
+		}
+		if end <= from || id == prev {
+			t.Fatalf("n=%d bins=%d: run %d (id %d) over [%d,%d) after id %d", len(want), bins, k, id, from, end, prev)
+		}
+		for i := from; i < end; i++ {
+			if want[i] != id {
+				t.Fatalf("n=%d bins=%d: run %d says element %d is in bin %d, it is in %d", len(want), bins, k, i, id, want[i])
+			}
+		}
+		from, prev = end, id
 	}
 }
 
@@ -333,7 +364,7 @@ func BenchmarkBuildFromIDs(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * len(field)))
 			for i := 0; i < b.N; i++ {
-				sinkIndex = index.BuildFromIDs(ids, m, w, codec.Auto)
+				sinkIndex, _ = index.BuildFromIDs(ids, m, w, codec.Auto)
 			}
 		})
 		b.Run(fmt.Sprintf("lulesh/%d", w), func(b *testing.B) {
@@ -341,7 +372,7 @@ func BenchmarkBuildFromIDs(b *testing.B) {
 			b.SetBytes(int64(8 * len(fields) * l.Elements()))
 			for i := 0; i < b.N; i++ {
 				for k := range lids {
-					sinkIndex = index.BuildFromIDs(lids[k], lm[k], w, codec.Auto)
+					sinkIndex, _ = index.BuildFromIDs(lids[k], lm[k], w, codec.Auto)
 				}
 			}
 		})

@@ -2,7 +2,9 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"insitubits/internal/bitvec"
@@ -37,7 +39,7 @@ func TestBuildIDsMatchMapperAndDecode(t *testing.T) {
 			plain := BuildParallelCodec(data, m, 1, codec.Auto)
 			for _, w := range []int{1, 2, 3, 7} {
 				ids := MapIDs(data, m, w)
-				x := BuildFromIDs(ids, m, w, codec.Auto)
+				x, _ := BuildFromIDs(ids, m, w, codec.Auto)
 				if wide := bins > 256; ids == nil || ids.Bins != bins || ids.Len() != n ||
 					(ids.U16 != nil) != wide || (ids.U8 != nil) == wide || ids.SizeBytes() != len(ids.U8)+2*len(ids.U16) {
 					t.Fatalf("bins=%d n=%d workers=%d: ids %+v have the wrong shape", bins, n, w, ids)
@@ -83,6 +85,85 @@ func TestNoIDsAboveMaxIDBins(t *testing.T) {
 		for k, v := range data {
 			if int(wide[k]) != m.Bin(v) || (ids != nil && ids.at(k) != m.Bin(v)) {
 				t.Fatalf("%d bins: element %d decodes to %d, mapper says %d", bins, k, wide[k], m.Bin(v))
+			}
+		}
+	}
+}
+
+// sameRuns reports whether two streams hold the same runs at the same width.
+func sameRuns(a, b *Runs) bool {
+	return a.Bins == b.Bins && (a.U8 == nil) == (b.U8 == nil) &&
+		slices.Equal(a.U8, b.U8) && slices.Equal(a.U16, b.U16) && slices.Equal(a.End, b.End)
+}
+
+// twoScanRuns is the run layout the build made before it kept a run
+// stream: one scan of the ids counts each bin's runs, a second places them,
+// bin b's (start, length) pairs at runs[2*at[b] : 2*at[b+1]].
+func twoScanRuns[T bitvec.ID](ids []T, bins, base int) (runs []uint32, at, counts []int) {
+	at, counts = make([]int, bins+1), make([]int, bins)
+	for i := 0; i < len(ids); i = runEnd(ids, i) {
+		at[int(ids[i])+1]++
+	}
+	total := 0
+	for b, k := range at[1:] {
+		at[b+1], total = total, total+k
+	}
+	runs = make([]uint32, 2*total)
+	for i, j := 0, 0; i < len(ids); i = j {
+		j = runEnd(ids, i)
+		b := int(ids[i])
+		runs[2*at[b+1]], runs[2*at[b+1]+1] = uint32(base+i), uint32(j-i)
+		at[b+1]++
+		counts[b] += j - i
+	}
+	return runs, at, counts
+}
+
+// The run lists a build encodes from are placed from the scan's run stream
+// in O(runs): every bin's runs and count must be what the two scans of the
+// ids gave, on any element range of run-structured ids at both widths; and
+// the stream RunsOf scans from ids is the one a build returns.
+func TestRunListMatchesTwoScans(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	check := func(t *testing.T, name string, got *runList, runs []uint32, at, counts []int) {
+		t.Helper()
+		if !slices.Equal(got.runs, runs) || !slices.Equal(got.at, at) || !slices.Equal(got.counts, counts) {
+			t.Fatalf("%s: run list\n runs %v at %v counts %v\nwant %v at %v counts %v", name, got.runs, got.at, got.counts, runs, at, counts)
+		}
+		runLists.Put(got)
+	}
+	for _, bins := range []int{2, 120, 256, 257, 1000} {
+		for _, n := range []int{0, 1, 7, 8, 9, 300, 4001} {
+			ids := make([]int, 0, n)
+			for len(ids) < n {
+				id := r.Intn(bins)
+				for k := 1 + r.Intn(40); k > 0 && len(ids) < n; k-- {
+					ids = append(ids, id)
+				}
+			}
+			base := r.Intn(1000)
+			name := fmt.Sprintf("bins=%d n=%d base=%d", bins, n, base)
+			x := &BinIDs{Bins: bins}
+			if bins <= 1<<8 {
+				x.U8 = make([]uint8, n)
+				for i, id := range ids {
+					x.U8[i] = uint8(id)
+				}
+				runs, at, counts := twoScanRuns(x.U8, bins, base)
+				check(t, name, runsOf(x.U8, bins, base), runs, at, counts)
+			} else {
+				x.U16 = make([]uint16, n)
+				for i, id := range ids {
+					x.U16[i] = uint16(id)
+				}
+				runs, at, counts := twoScanRuns(x.U16, bins, base)
+				check(t, name, runsOf(x.U16, bins, base), runs, at, counts)
+			}
+			m := mustUniform(t, bins)
+			for _, w := range []int{1, 2, 5} {
+				if _, built := BuildFromIDs(x, m, w, codec.Auto); !sameRuns(built, RunsOf(x)) {
+					t.Fatalf("%s workers=%d: the build's run stream is not RunsOf's", name, w)
+				}
 			}
 		}
 	}

@@ -241,56 +241,69 @@ func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 // wide ids of its own.
 func BuildParallelCodec(data []float64, m binning.Mapper, nWorkers int, id codec.ID) *Index {
 	start := buildStart()
-	ids := MapIDs(data, m, nWorkers)
-	if ids == nil {
+	var x *Index
+	switch ids := MapIDs(data, m, nWorkers); {
+	case ids == nil:
 		wide := make([]int32, len(data))
 		mapIDs(m, wide, data, nWorkers)
-		return buildParallel(wide, m, nWorkers, id, start)
+		x, _ = buildParallel(wide, m, nWorkers, id, start, false)
+	case ids.U8 != nil:
+		x, _ = buildParallel(ids.U8, m, nWorkers, id, start, false)
+	default:
+		x, _ = buildParallel(ids.U16, m, nWorkers, id, start, false)
 	}
-	return ids.build(m, nWorkers, id, start)
+	return x
 }
 
 // BuildFromIDs builds the index of the array whose elements' bins ids names:
 // an index is a pure function of (bin ids, mapper), so whoever holds the raw
 // array maps it (MapIDs) and only the ids — one or two bytes per element —
-// travel to the build. Ids that are not the mapper's — another bin count, or
-// not the width MapIDs gives that count — are a caller's bug and panic before
-// anything is indexed.
-func BuildFromIDs(ids *BinIDs, m binning.Mapper, nWorkers int, id codec.ID) *Index {
+// travel to the build. Next to the index it returns the ids' run stream,
+// which the build's scan finds anyway (Runs): the form the selection scorer
+// merges. Ids that are not the mapper's — another bin count, or not the width
+// MapIDs gives that count — are a caller's bug and panic before anything is
+// indexed.
+func BuildFromIDs(ids *BinIDs, m binning.Mapper, nWorkers int, id codec.ID) (*Index, *Runs) {
 	if ids == nil || ids.Bins != m.Bins() || ids.Bins > MaxIDBins ||
 		(ids.U8 != nil) != (ids.Bins <= 1<<8) || (ids.U16 != nil) != (ids.Bins > 1<<8) {
 		panic(fmt.Sprintf("index: BuildFromIDs: the ids do not belong to a %d-bin mapper", m.Bins()))
 	}
-	return ids.build(m, nWorkers, id, buildStart())
-}
-
-func (ids *BinIDs) build(m binning.Mapper, nWorkers int, id codec.ID, start time.Time) *Index {
+	start := buildStart()
 	if ids.U8 != nil {
-		return buildParallel(ids.U8, m, nWorkers, id, start)
+		return buildParallel(ids.U8, m, nWorkers, id, start, true)
 	}
-	return buildParallel(ids.U16, m, nWorkers, id, start)
+	return buildParallel(ids.U16, m, nWorkers, id, start, true)
 }
 
 // buildParallel is the build, in two parallel phases over the same nWorkers
 // goroutines. First each worker lays out the runs of its element range per
 // bin — the paper's Figure 2, where each bitmap-generation core owns one
 // sub-block; no alignment is needed, as runs that touch encode as one. Then
-// fromRuns encodes every bin. A non-zero start records the build's time.
-func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id codec.ID, start time.Time) *Index {
+// fromRuns encodes every bin. With stream set it also returns the workers'
+// run streams joined into one. A non-zero start records the build's time.
+func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id codec.ID, start time.Time, stream bool) (*Index, *Runs) {
 	nWorkers = max(1, min(nWorkers, len(ids)))
 	lists := make([]*runList, nWorkers)
 	sim.ParallelEach(nWorkers, func(w int) {
 		lo, hi := w*len(ids)/nWorkers, (w+1)*len(ids)/nWorkers
 		lists[w] = runsOf(ids[lo:hi], m.Bins(), lo)
 	})
-	return fromRuns(m, lists, len(ids), nWorkers, id, start)
+	var runs *Runs
+	if stream {
+		runs = joinRuns(ids, lists, m.Bins())
+	}
+	return fromRuns(m, lists, len(ids), nWorkers, id, start), runs
 }
 
 // runList is one element range's runs of equal bin ids — what a spatially
-// coherent field is made of — bin by bin, CSR style: bin b's (start,
-// length) pairs are runs[2*at[b] : 2*at[b+1]]. Lists are pooled with their
-// encoder's scratch, so a warm build allocates nothing but its bitmaps.
+// coherent field is made of — twice: as the scan found them, in element
+// order (each run's end; its id is the ids' at its start), and bin by bin,
+// CSR style: bin b's (start, length) pairs are runs[2*at[b] : 2*at[b+1]].
+// Lists are pooled with their encoder's scratch, so a warm build allocates
+// nothing but its bitmaps and its stream.
 type runList struct {
+	base   int // the element the list's range starts at
+	ends   []uint32
 	runs   []uint32
 	at     []int
 	counts []int // elements per bin
@@ -299,32 +312,51 @@ type runList struct {
 
 var runLists = sync.Pool{New: func() any { return new(runList) }}
 
-// runsOf scans ids, elements base on of the array, twice: once to count
-// each bin's runs, which sizes the list and places each bin's share, and
-// once to fill them in, at[b+1] the cursor of bin b.
+// runsOf lays out the runs of ids, elements base on of the array: one scan
+// of the ids finds them and counts each bin's (scanRuns), which sizes the
+// list and places each bin's part, then one pass over the runs fills them
+// in, at[b+1] the cursor of bin b.
 func runsOf[T bitvec.ID](ids []T, bins, base int) *runList {
-	if uint64(base+len(ids)) > math.MaxUint32 {
-		panic("index: a build indexes at most 2³² elements")
-	}
 	rl := runLists.Get().(*runList)
 	rl.at = append(rl.at[:0], make([]int, bins+1)...)
 	rl.counts = append(rl.counts[:0], make([]int, bins)...)
-	for i := 0; i < len(ids); i = runEnd(ids, i) {
-		rl.at[int(ids[i])+1]++
-	}
+	scanRuns(rl, ids, base, rl.at[1:])
 	total := 0
 	for b, k := range rl.at[1:] {
 		rl.at[b+1], total = total, total+k
 	}
 	rl.runs = slices.Grow(rl.runs[:0], 2*total)[:2*total]
-	for i, j := 0, 0; i < len(ids); i = j {
-		j = runEnd(ids, i)
-		b := int(ids[i])
-		rl.runs[2*rl.at[b+1]], rl.runs[2*rl.at[b+1]+1] = uint32(base+i), uint32(j-i)
+	from := base
+	for _, to := range rl.ends {
+		b := int(ids[from-base])
+		rl.runs[2*rl.at[b+1]], rl.runs[2*rl.at[b+1]+1] = uint32(from), to-uint32(from)
 		rl.at[b+1]++
-		rl.counts[b] += j - i
+		rl.counts[b] += int(to) - from
+		from = int(to)
 	}
 	return rl
+}
+
+// scanRuns records in rl where the runs of ids, elements base on of the
+// array, end, and counts each bin's runs into perBin unless it is nil.
+func scanRuns[T bitvec.ID](rl *runList, ids []T, base int, perBin []int) {
+	if uint64(base+len(ids)) > math.MaxUint32 {
+		panic("index: a build indexes at most 2³² elements")
+	}
+	rl.base, rl.ends = base, slices.Grow(rl.ends[:0], len(ids)/32)
+	for i := 0; i < len(ids); {
+		if k := len(rl.ends); k == cap(rl.ends) {
+			// Room for as many runs again as the scan so far projects onto
+			// the rest of the range, and an eighth: a fresh list grows once
+			// or twice instead of by append's quarters.
+			rl.ends = slices.Grow(rl.ends, int(float64(k)*float64(len(ids)-i)/float64(max(i, 1)))+k/8+16)
+		}
+		if perBin != nil {
+			perBin[ids[i]]++
+		}
+		i = runEnd(ids, i)
+		rl.ends = append(rl.ends, uint32(base+i))
+	}
 }
 
 // runEnd returns the end of the run of ids that starts at i, one-byte ids
@@ -362,7 +394,7 @@ func fromRuns(m binning.Mapper, lists []*runList, n, nWorkers int, id codec.ID, 
 		}
 	})
 	for _, rl := range lists {
-		tel.idRuns.Add(int64(len(rl.runs) / 2))
+		tel.idRuns.Add(int64(len(rl.ends)))
 		runLists.Put(rl)
 	}
 	recordBuild(x, start)

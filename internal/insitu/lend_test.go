@@ -159,9 +159,11 @@ func TestLentStepOnlyWhereSafe(t *testing.T) {
 }
 
 // Allocation guard: a shared-cores conditional-entropy step over heat3d may
-// allocate its index, its n one-byte ids and small change — less than one
-// raw step (8n bytes). A copy of the step (8n) or an id array decoded per
-// score (4n at the old width) would put it back above.
+// allocate its index, its run stream and small change — less than one raw
+// step (8n bytes); its n one-byte ids are mapped into the previous step's
+// (0.34 of a raw step; 0.38–0.42 when every step allocated its ids). A copy
+// of the step (8n) or an id array decoded per score (4n at the old width)
+// would put it back above.
 func TestLentStepAllocatesLessThanOneRawStep(t *testing.T) {
 	const dim, steps = 64, 12
 	h, err := heat3d.New(dim, dim, dim)
@@ -183,13 +185,15 @@ func TestLentStepAllocatesLessThanOneRawStep(t *testing.T) {
 }
 
 // Allocation guard for the separate-cores queue: a lulesh emd-spatial step
-// (twelve arrays, 120 bins) allocates its twelve one-byte id arrays — an
-// eighth of the raw step — and its indexes, each bin once at its exact size
-// (the build's run lists and encode scratch are pooled): 0.22 of a raw step
-// in all, 0.36–0.38 under the race detector, whose pool drops buffers the
-// builds then regrow. The bounds add 0.08 and 0.07 to those. A clone of the
-// step for the queue (what Step makes of a lent step) is a whole raw step
-// more.
+// (twelve arrays, 120 bins) allocates its indexes, each bin once at its
+// exact size (the build's run lists and encode scratch are pooled), and its
+// twelve run streams (0.05 of the raw step); its twelve one-byte id arrays
+// — an eighth of the raw step — are mostly the previous step's, mapped
+// again. That is 0.13–0.17 of a raw step in all, 0.36–0.41 under the race
+// detector, whose pool drops buffers the builds then regrow (0.22 and
+// 0.36–0.38 when the summaries held the ids). The bounds are 0.30 and 0.45.
+// A clone of the step for the queue (what Step makes of a lent step) is a
+// whole raw step more.
 func TestStagedStepAllocatesAFractionOfOneRawStep(t *testing.T) {
 	const dim, steps = 48, 10
 	l, err := lulesh.New(dim, dim, dim)
@@ -218,32 +222,44 @@ func TestStagedStepAllocatesAFractionOfOneRawStep(t *testing.T) {
 }
 
 // The Figure 11 model counts what summaries hold in memory: a conditional-
-// entropy summary carries one id per element next to its bitmaps, an
-// EMD-count summary of the same data does not, and the model keeps window+1
-// summaries at the paper's window of 10.
+// entropy summary carries its run stream next to its bitmaps, the average
+// per step of which is IDBytes, an EMD-count summary of the same data
+// carries none, and the model keeps window+1 summaries at the paper's window
+// of 10.
 func TestModelledPeakCountsIDs(t *testing.T) {
-	const dim, window = 16, 10
+	const dim, window, steps, bins = 16, 10, 9, 64
 	run := func(metric selection.Metric) *Result {
 		h, err := heat3d.New(dim, dim, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{Sim: h, Steps: 9, Select: 3, Method: Bitmaps, Bins: 64, Metric: metric, Cores: 2})
+		res, err := Run(Config{Sim: h, Steps: steps, Select: 3, Method: Bitmaps, Bins: bins, Metric: metric, Cores: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	ce, emd := run(selection.ConditionalEntropy), run(selection.EMDCount)
-	const idArray = dim * dim * dim // 64 bins: one byte per element
-	if ce.IDBytes != idArray || emd.IDBytes != 0 {
-		t.Fatalf("id bytes per step: cond-entropy %d (want %d), emd-count %d (want 0)", ce.IDBytes, idArray, emd.IDBytes)
+	h, err := heat3d.New(dim, dim, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := binning.NewUniform(h.Ranges()[0][0], h.Ranges()[0][1], bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := 0
+	for step := 0; step < steps; step++ {
+		streams += index.RunsOf(index.MapIDs(h.StepLent(1)[0].Data, m, 1)).SizeBytes()
+	}
+	if want := int64(streams / steps); ce.IDBytes != want || emd.IDBytes != 0 || want == 0 {
+		t.Fatalf("run-stream bytes per step: cond-entropy %d (want %d), emd-count %d (want 0)", ce.IDBytes, want, emd.IDBytes)
 	}
 	if ce.SummaryBytes != emd.SummaryBytes {
 		t.Fatalf("written summary size moved with the metric: %d vs %d", ce.SummaryBytes, emd.SummaryBytes)
 	}
-	if got, want := ce.PeakMemory-emd.PeakMemory, int64((window+1)*idArray); got != want {
-		t.Fatalf("modelled peak grew by %d bytes with ids, want window+1 = %d id arrays = %d", got, window+1, want)
+	if got, want := ce.PeakMemory-emd.PeakMemory, (window+1)*ce.IDBytes; got != want {
+		t.Fatalf("modelled peak grew by %d bytes with run streams, want window+1 = %d streams = %d", got, window+1, want)
 	}
 }
 
@@ -381,7 +397,7 @@ func BenchmarkStepHandoff(b *testing.B) {
 					sinkIndex = index.BuildParallelCodec(h.StepLent(2)[0].Data, m, 2, codec.Auto)
 				default:
 					ids := index.MapIDs(h.StepLent(2)[0].Data, m, 2)
-					sinkIndex = index.BuildFromIDs(ids, m, 2, codec.Auto)
+					sinkIndex, _ = index.BuildFromIDs(ids, m, 2, codec.Auto)
 				}
 			}
 		})

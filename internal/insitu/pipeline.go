@@ -235,10 +235,11 @@ type Result struct {
 	StepBytes int64
 	// SummaryBytes is the average per-step summary size.
 	SummaryBytes int64
-	// IDBytes is the average per-step size of the bin ids the summaries
-	// carry in memory next to their bitmaps (conditional-entropy runs: one
-	// narrow id per element, handed from the build to the scorer). They are
-	// never written, so SummaryBytes does not count them; PeakMemory does.
+	// IDBytes is the average per-step size of the run streams the summaries
+	// carry in memory next to their bitmaps (conditional-entropy and
+	// spatial-EMD runs: each variable's runs of equal bin ids, handed from
+	// the build to the scorer). They are never written, so SummaryBytes does
+	// not count them; PeakMemory does.
 	IDBytes int64
 	// StagedBytes is the size of one staged step, what a slot of the
 	// separate-cores queue holds: bin ids, the sample, or the raw step.
@@ -320,10 +321,15 @@ type reducer struct {
 	cfg     Config
 	mappers []binning.Mapper
 	sampler *sampling.Sampler
+	// spare holds the id arrays of the step summarized last, which its
+	// summary no longer needs — it keeps the run stream its build found —
+	// for the next stage to map into (index.MapIDsInto): one step's ids
+	// are kept, not one per step.
+	spare chan []*index.BinIDs
 }
 
 func newReducer(cfg Config) (*reducer, error) {
-	r := &reducer{cfg: cfg}
+	r := &reducer{cfg: cfg, spare: make(chan []*index.BinIDs, 1)}
 	ranges := cfg.Sim.Ranges()
 	if len(ranges) != len(cfg.Sim.Vars()) {
 		return nil, fmt.Errorf("insitu: simulator %s declares %d ranges for %d vars",
@@ -364,10 +370,15 @@ func (r *reducer) stage(fields []sim.Field, owned bool, nWorkers int) (staged, e
 		// arrays) map — and later build and score — their variables
 		// concurrently, a single-variable step parallelizes within each call.
 		st := staged{ids: make([]*index.BinIDs, len(fields))}
+		select {
+		case spare := <-r.spare:
+			copy(st.ids, spare)
+		default:
+		}
 		perVar := perVar(len(fields), nWorkers)
 		sim.ParallelFor(len(fields), nWorkers, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				st.ids[k] = index.MapIDs(fields[k].Data, r.mappers[k], perVar)
+				st.ids[k] = index.MapIDsInto(st.ids[k], fields[k].Data, r.mappers[k], perVar)
 			}
 		})
 		return st, nil
@@ -417,26 +428,29 @@ func (r *reducer) summarize(st staged, nWorkers int) *stepSummary {
 		// Each bin is encoded under the codec policy as it is finished.
 		// Aggregation below is in variable order, so the result is
 		// deterministic whatever the worker count.
-		xs := make([]*index.Index, nVars)
+		xs, runs := make([]*index.Index, nVars), make([]*index.Runs, nVars)
 		perVar := perVar(nVars, nWorkers)
 		sim.ParallelFor(nVars, nWorkers, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				xs[k] = index.BuildFromIDs(st.ids[k], r.mappers[k], perVar, r.cfg.Codec)
+				xs[k], runs[k] = index.BuildFromIDs(st.ids[k], r.mappers[k], perVar, r.cfg.Codec)
 			}
 		})
+		select {
+		case r.spare <- st.ids:
+		default:
+		}
 		for k, x := range xs {
-			// Conditional entropy and the spatial EMD are scored from
-			// per-element bin ids: the summary keeps the ids it was built
-			// from, so a candidate is scored without decoding its bitmaps
-			// back. The count EMD reads histograms only; its ids end here.
-			var ids *index.BinIDs
-			if r.cfg.Metric != selection.EMDCount {
-				ids = st.ids[k]
+			// Conditional entropy and the spatial EMD are scored by merging
+			// run streams: the summary keeps the one its build found, so a
+			// candidate is scored without decoding its bitmaps back. The
+			// count EMD reads histograms only; its stream ends here.
+			if r.cfg.Metric == selection.EMDCount {
+				runs[k] = nil
 			}
-			sum.parts[k] = selection.NewBuiltSummary(x, ids, perVar)
+			sum.parts[k] = selection.NewBuiltSummary(x, runs[k], perVar)
 			sum.outBytes += store.IndexSize(x)
 			sum.memBytes += int64(x.SizeBytes())
-			sum.idBytes += int64(ids.SizeBytes())
+			sum.idBytes += int64(runs[k].SizeBytes())
 		}
 		return sum
 	}
@@ -455,7 +469,7 @@ type stepSummary struct {
 	parts    []selection.Summary
 	outBytes int64     // serialized size on the output device
 	memBytes int64     // in-memory size of what gets written (bitmaps, raw or sampled arrays)
-	idBytes  int64     // in-memory bin ids handed to the scorer, never written
+	idBytes  int64     // in-memory run streams handed to the scorer, never written
 	weights  []float64 // nil = equal weights
 	// cores lets multi-variable metric evaluation fan out across the
 	// pipeline's workers ("the time-steps selection time is reduced almost
@@ -505,16 +519,6 @@ func (s *stepSummary) Dissimilarity(other selection.Summary, m selection.Metric)
 		}
 	}
 	return total
-}
-
-// dropIDs releases the bin ids of the summary's bitmap parts
-// (selection.BitmapSummary.DropIDs).
-func (s *stepSummary) dropIDs() {
-	for _, p := range s.parts {
-		if bs, ok := p.(*selection.BitmapSummary); ok {
-			bs.DropIDs()
-		}
-	}
 }
 
 // SizeBytes implements selection.Summary: everything the summary holds in
@@ -607,10 +611,6 @@ func (s *selector) applyScore(ctx context.Context, t int, sum *stepSummary, scor
 	out := s.greedy.Offer(t, score)
 	if out&selection.Keep != 0 {
 		s.retire(s.best)
-		// No score reads the incumbent until it is the selection, so it
-		// drops its ids and the first score against it decodes them
-		// again: one step's ids live across an interval, not two.
-		sum.dropIDs()
 		s.best = sum
 	} else {
 		s.retire(sum)
@@ -734,7 +734,8 @@ const memoryWindow = 10
 // the previous selected step, one in-flight (simulating) step, and `window`
 // current steps — all raw. The reduced methods hold the in-flight raw step,
 // the previous selected summary, and `window` current summaries, each at its
-// in-memory size (a conditional-entropy summary carries its bin ids too).
+// in-memory size (a summary scored by a run merge carries its run stream
+// too).
 func MemoryModel(m Method, stepBytes, summaryBytes int64, window int) int64 {
 	switch m {
 	case FullData:

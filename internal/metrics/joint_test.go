@@ -28,7 +28,10 @@ func freshJoint(xa, xb *index.Index) [][]int {
 // It must not panic on them and must keep answering as it always has: an
 // uncovered position counts as bin 0, a doubly claimed one as the highest
 // claimant — also right after a 200-bin decode, whose ids would overrun a
-// 3×3 cell table if any scratch outlived its call.
+// 3×3 cell table if any scratch outlived its call. A selection summary of
+// such an index scores its run stream, decoded on one worker and scanned
+// once: the merge of those streams must count exactly what the decoded
+// ids do, joint table and spatial differences alike.
 func TestJointHistogramOnBrokenPartition(t *testing.T) {
 	const n = 2000
 	r := rand.New(rand.NewSource(41))
@@ -77,6 +80,8 @@ func TestJointHistogramOnBrokenPartition(t *testing.T) {
 		if got, want := PairFromBitmaps(c.xa, c.xb), PairFromJoint(want, c.xa.Histogram(), c.xb.Histogram(), n); got != want {
 			t.Fatalf("%s: PairFromBitmaps %+v, want %+v", c.name, got, want)
 		}
+		ida, idb := index.DecodeBinIDs(c.xa, 1), index.DecodeBinIDs(c.xb, 1)
+		checkMerge(t, ida, idb, index.RunsOf(ida), index.RunsOf(idb))
 	}
 }
 

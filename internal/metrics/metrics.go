@@ -6,12 +6,15 @@
 // bin identically, they produce *identical* results; the bitmap path is just
 // cheaper, replacing full-array scans with cached histograms and, for the
 // metrics that pair elements up (joint distributions, spatial differences),
-// one pass over the two indexes decoded into bin ids.
+// one pass over the two indexes decoded into bin ids, or a merge of their
+// run streams (AddJointRuns, AddSpatialDiffsRuns), which is what time-step
+// selection scores by.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
@@ -78,18 +81,6 @@ func JointFromIDs(a, b *index.BinIDs, nWorkers int) [][]int {
 	}
 	nWorkers = max(1, min(nWorkers, a.Len()))
 	cells := make([]int, nWorkers*a.Bins*b.Bins) // one flat table per worker
-	AddJoint(a, b, cells, nWorkers)
-	joint := make([][]int, a.Bins)
-	for i := range joint {
-		joint[i] = cells[i*b.Bins : (i+1)*b.Bins]
-	}
-	return joint
-}
-
-// AddJoint adds the pairs of two equally long id arrays into the first of
-// the nWorkers flat a.Bins×b.Bins tables in cells, each worker tallying one
-// element range into a table of its own; the other tables must be zero.
-func AddJoint(a, b *index.BinIDs, cells []int, nWorkers int) {
 	switch {
 	case a.U8 != nil && b.U8 != nil:
 		tally(a.U8, b.U8, b.Bins, cells, nWorkers)
@@ -100,9 +91,15 @@ func AddJoint(a, b *index.BinIDs, cells []int, nWorkers int) {
 	default:
 		tally(a.U16, b.U16, b.Bins, cells, nWorkers)
 	}
+	joint := make([][]int, a.Bins)
+	for i := range joint {
+		joint[i] = cells[i*b.Bins : (i+1)*b.Bins]
+	}
+	return joint
 }
 
-// tally counts the (a[k], b[k]) pairs into flat tables of nb columns.
+// tally counts the (a[k], b[k]) pairs into flat tables of nb columns, one
+// element range per worker, and sums the tables into the first.
 func tally[A, B bitvec.ID](a []A, b []B, nb int, cells []int, nWorkers int) {
 	n, size := len(a), len(cells)/nWorkers
 	sim.ParallelEach(nWorkers, func(w int) {
@@ -113,11 +110,91 @@ func tally[A, B bitvec.ID](a []A, b []B, nb int, cells []int, nWorkers int) {
 			mine[int(i)*nb+int(ib[k])]++
 		}
 	})
+	sumTables(cells, nWorkers)
+}
+
+// sumTables adds the nWorkers equally long tables in cells into the first.
+func sumTables(cells []int, nWorkers int) {
+	size := len(cells) / nWorkers
 	total := cells[:size]
 	for w := 1; w < nWorkers; w++ {
 		for c, v := range cells[w*size : (w+1)*size] {
 			total[c] += v
 		}
+	}
+}
+
+// AddJointRuns adds the joint counts of two run streams over the same
+// elements — what JointFromIDs tallies over their ids — into the first of
+// the nWorkers flat a.Bins×b.Bins tables in cells, each worker merging one
+// element range into a table of its own; the other tables must be zero.
+// It costs O(runs), not O(elements) (merge).
+func AddJointRuns(a, b *index.Runs, cells []int, nWorkers int) {
+	n := sameLength(a, b)
+	size := len(cells) / nWorkers
+	sim.ParallelEach(nWorkers, func(w int) {
+		mergeRuns(a, b, uint32(w*n/nWorkers), uint32((w+1)*n/nWorkers), cells[w*size:(w+1)*size], false)
+	})
+	sumTables(cells, nWorkers)
+}
+
+// AddSpatialDiffsRuns adds Equation 3's Diff of two run streams over the
+// same elements into diffs: what SpatialDiffs adds over their ids.
+func AddSpatialDiffsRuns(a, b *index.Runs, diffs []int) {
+	mergeRuns(a, b, 0, uint32(sameLength(a, b)), diffs, true)
+}
+
+// sameLength returns the elements two run streams cover, which must agree;
+// a nil stream is an index of more than index.MaxIDBins bins.
+func sameLength(a, b *index.Runs) int {
+	if a == nil || b == nil {
+		panic(fmt.Sprintf("metrics: run merge over an index of more than %d bins", index.MaxIDBins))
+	}
+	if a.Len() != b.Len() {
+		panic(fmt.Sprintf("metrics: run merge over streams of %d and %d elements", a.Len(), b.Len()))
+	}
+	return a.Len()
+}
+
+// mergeRuns is merge at any pair of id widths.
+func mergeRuns(a, b *index.Runs, lo, hi uint32, out []int, spatial bool) {
+	switch {
+	case a.U8 != nil && b.U8 != nil:
+		merge(a.U8, a.End, b.U8, b.End, lo, hi, out, b.Bins, spatial)
+	case a.U8 != nil:
+		merge(a.U8, a.End, b.U16, b.End, lo, hi, out, b.Bins, spatial)
+	case b.U8 != nil:
+		merge(a.U16, a.End, b.U8, b.End, lo, hi, out, b.Bins, spatial)
+	default:
+		merge(a.U16, a.End, b.U16, b.End, lo, hi, out, b.Bins, spatial)
+	}
+}
+
+// merge is the one merge of two run streams: a cursor each walks their
+// ends, from the runs holding element lo up to element hi, and every stretch
+// on which neither stream changes id is one id pair (x, y) over l elements.
+// Joint counts add l to cell x×nb+y of out; Equation 3's Diff (spatial) adds
+// it to out[x] and out[y] where x ≠ y. The integers are the element-wise
+// tallies', so every score computed from them is bit-identical.
+func merge[A, B bitvec.ID](ia []A, ea []uint32, ib []B, eb []uint32, lo, hi uint32, out []int, nb int, spatial bool) {
+	i, _ := slices.BinarySearch(ea, lo+1) // the first run ending past lo
+	j, _ := slices.BinarySearch(eb, lo+1)
+	for pos := lo; pos < hi; {
+		e := min(ea[i], eb[j], hi)
+		l, x, y := int(e-pos), int(ia[i]), int(ib[j])
+		if !spatial {
+			out[x*nb+y] += l
+		} else if x != y {
+			out[x] += l
+			out[y] += l
+		}
+		if ea[i] == e {
+			i++
+		}
+		if eb[j] == e {
+			j++
+		}
+		pos = e
 	}
 }
 

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -91,7 +92,7 @@ func TestNodeSplitScoresEqualWhole(t *testing.T) {
 	for _, metric := range []Metric{ConditionalEntropy, EMDCount, EMDSpatial} {
 		wantBitmaps := NewBitmapSummary(index.Build(raw[1], m)).Dissimilarity(NewBitmapSummary(index.Build(raw[0], m)), metric)
 		wantData := NewDataSummary(raw[1], m).Dissimilarity(NewDataSummary(raw[0], m), metric)
-		if wantBitmaps != wantData {
+		if math.Float64bits(wantBitmaps) != math.Float64bits(wantData) {
 			t.Fatalf("%v: whole bitmaps %v, whole data %v", metric, wantBitmaps, wantData)
 		}
 		for nodes := 1; nodes <= 4; nodes++ {
@@ -101,9 +102,9 @@ func TestNodeSplitScoresEqualWhole(t *testing.T) {
 			}
 			for kind, part := range map[string]func(node int, piece []float64) Summary{
 				"bitmaps": func(node int, piece []float64) Summary {
-					if node%2 == 0 { // handed ids and decoded ones
-						ids := index.MapIDs(piece, m, 1)
-						return NewBuiltSummary(index.BuildFromIDs(ids, m, 1, codec.WAH), ids, 1)
+					if node%2 == 0 { // handed run streams and decoded ones
+						x, runs := index.BuildFromIDs(index.MapIDs(piece, m, 1), m, 1, codec.WAH)
+						return NewBuiltSummary(x, runs, 1)
 					}
 					return NewBitmapSummary(index.Build(piece, m))
 				},
@@ -122,8 +123,8 @@ func TestNodeSplitScoresEqualWhole(t *testing.T) {
 						steps[s].Parts = append(steps[s].Parts, part(k, raw[s][cuts[k]:cuts[k+1]]))
 					}
 				}
-				for rep := 0; rep < 2; rep++ { // the second score reads cached ids and histograms
-					if got := steps[1].Dissimilarity(steps[0], metric); got != wantBitmaps {
+				for rep := 0; rep < 2; rep++ { // the second score reads cached streams and histograms
+					if got := steps[1].Dissimilarity(steps[0], metric); math.Float64bits(got) != math.Float64bits(wantBitmaps) {
 						t.Fatalf("%v, %d %s nodes cut at %v: %v, whole %v", metric, nodes, kind, cuts, got, wantBitmaps)
 					}
 				}

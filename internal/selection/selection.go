@@ -98,9 +98,9 @@ func (s *DataSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	}
 }
 
-// binIDs maps the array for a NodeSummary's score.
-func (s *DataSummary) binIDs() *index.BinIDs { return index.MapIDs(s.Data, s.M, 1) }
-func (s *DataSummary) len() int              { return len(s.Data) }
+// runs maps the array and scans it for a NodeSummary's score.
+func (s *DataSummary) runs() *index.Runs { return index.RunsOf(index.MapIDs(s.Data, s.M, 1)) }
+func (s *DataSummary) len() int          { return len(s.Data) }
 
 // SizeBytes implements Summary: 8 bytes per float64.
 func (s *DataSummary) SizeBytes() int { return 8 * len(s.Data) }
@@ -111,51 +111,43 @@ type BitmapSummary struct {
 	X *index.Index
 
 	// Workers is how many goroutines one score of this summary may use to
-	// decode and tally; below 2 it runs on the caller's. The in-situ reducer
+	// decode and merge; below 2 it runs on the caller's. The in-situ reducer
 	// sets it to the cores the step was given. More than one needs an index
 	// built in this process (index.DecodeBinIDs).
 	Workers int
 
-	// X in decoded form, one narrow bin id per element, which is what the
-	// conditional-entropy and spatial-EMD scores pass over. Either the build
-	// that produced X emitted it (NewBuiltSummary) or the first such score
-	// decodes it from X's bitmaps; it then stays on the summary until
-	// DropIDs, so a kept step scored against a whole interval of candidates
-	// is decoded at most once.
-	mu  sync.Mutex
-	ids *index.BinIDs
+	// X's run stream (index.Runs), which the conditional-entropy and
+	// spatial-EMD scores merge. Either the build that produced X handed it
+	// over (NewBuiltSummary) or the first such score decodes X's ids and
+	// scans them once; it then stays with the summary, a fraction of the ids'
+	// size, so a kept step is decoded at most once however many candidates
+	// are scored against it.
+	mu sync.Mutex
+	rs *index.Runs
 }
 
 // NewBitmapSummary wraps a built index; its scores run on one goroutine.
 func NewBitmapSummary(x *index.Index) *BitmapSummary { return &BitmapSummary{X: x} }
 
-// NewBuiltSummary wraps an index together with the ids it was built from
-// (index.MapIDs, then index.BuildFromIDs; nil ids are decoded on demand) and
-// the worker count its scores may use.
-func NewBuiltSummary(x *index.Index, ids *index.BinIDs, workers int) *BitmapSummary {
-	return &BitmapSummary{X: x, Workers: workers, ids: ids}
+// NewBuiltSummary wraps an index together with the run stream its build
+// returned (index.BuildFromIDs; a nil stream is decoded on demand) and the
+// worker count its scores may use.
+func NewBuiltSummary(x *index.Index, runs *index.Runs, workers int) *BitmapSummary {
+	return &BitmapSummary{X: x, Workers: workers, rs: runs}
 }
 
-// binIDs returns the summary's ids, decoding them on first use.
-func (s *BitmapSummary) binIDs() *index.BinIDs {
+// runs returns the summary's run stream, decoding it on first use.
+func (s *BitmapSummary) runs() *index.Runs {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ids == nil {
-		s.ids = index.DecodeBinIDs(s.X, s.Workers)
+	if s.rs == nil {
+		s.rs = index.RunsOf(index.DecodeBinIDs(s.X, s.Workers))
 	}
-	return s.ids
-}
-
-// DropIDs releases the summary's ids; the next score that reads them
-// decodes them from X again, to the same bytes.
-func (s *BitmapSummary) DropIDs() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ids = nil
+	return s.rs
 }
 
 // Dissimilarity implements Summary on the compressed form: the scorer of a
-// one-node step, its joint counts tallied over Workers goroutines.
+// one-node step, its joint counts merged over Workers goroutines.
 func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	o, ok := selected.(*BitmapSummary)
 	if !ok {
@@ -167,12 +159,12 @@ func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
 func (s *BitmapSummary) histogram() []int { return s.X.Histogram() }
 func (s *BitmapSummary) len() int         { return s.X.N() }
 
-// SizeBytes implements Summary: the compressed index plus the ids the
-// summary holds so far.
+// SizeBytes implements Summary: the compressed index plus the run stream
+// the summary holds so far.
 func (s *BitmapSummary) SizeBytes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.X.SizeBytes() + s.ids.SizeBytes()
+	return s.X.SizeBytes() + s.rs.SizeBytes()
 }
 
 // NodeSummary is one time-step distributed over nodes (§5.3, Figure 2): a
@@ -195,17 +187,18 @@ func (s *NodeSummary) Dissimilarity(o *NodeSummary, m Metric) float64 {
 // nodePart is what the scorer reads of one node's summary.
 type nodePart interface {
 	histogram() []int
-	binIDs() *index.BinIDs
+	runs() *index.Runs
 	len() int
 }
 
 // score is the scorer of bitmap and distributed steps: node k holds a[k]
 // of the scored step and b[k] of the selected one. Every node pair adds its
-// marginals, its element count and its joint counts (conditional entropy)
-// or Equation 3's differences (spatial EMD) into one table, and the metric
-// is computed once from the sums, which are the whole array's. A one-node
-// step reads its marginals in place and may tally its joint counts over
-// workers goroutines; a step of several nodes tallies on the caller's.
+// marginals, its element count and, merging the two run streams, its joint
+// counts (conditional entropy) or Equation 3's differences (spatial EMD)
+// into one table, and the metric is computed once from the sums, which are
+// the whole array's. A one-node step reads its marginals in place and may
+// merge its joint counts over workers goroutines; a step of several nodes
+// merges on the caller's.
 func score(a, b []nodePart, m Metric, workers int) float64 {
 	ha, hb, n := a[0].histogram(), b[0].histogram(), 0
 	if len(a) > 1 {
@@ -227,7 +220,7 @@ func score(a, b []nodePart, m Metric, workers int) float64 {
 		workers = max(1, min(workers, n))
 		cells, joint := make([]int, workers*len(ha)*len(hb)), make([][]int, len(ha))
 		for k := range a {
-			metrics.AddJoint(a[k].binIDs(), b[k].binIDs(), cells, workers)
+			metrics.AddJointRuns(a[k].runs(), b[k].runs(), cells, workers)
 		}
 		for i := range joint {
 			joint[i] = cells[i*len(hb) : (i+1)*len(hb)]
@@ -238,7 +231,7 @@ func score(a, b []nodePart, m Metric, workers int) float64 {
 	case EMDSpatial:
 		diffs := make([]int, len(ha))
 		for k := range a {
-			metrics.AddSpatialDiffs(a[k].binIDs(), b[k].binIDs(), diffs)
+			metrics.AddSpatialDiffsRuns(a[k].runs(), b[k].runs(), diffs)
 		}
 		return metrics.EMDFromDiffs(diffs)
 	default:

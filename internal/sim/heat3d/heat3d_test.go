@@ -1,8 +1,11 @@
 package heat3d
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"insitubits/internal/sim"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -147,6 +150,89 @@ func BenchmarkStep32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.StepInto(4, nil)
+	}
+}
+
+// BenchmarkStep prices one step of the benchmark's grid, 128³, on one and
+// two workers.
+func BenchmarkStep(b *testing.B) {
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("128/%d", w), func(b *testing.B) {
+			s, _ := New(128, 128, 128)
+			b.SetBytes(int64(8 * s.Elements()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.StepInto(w, nil)
+			}
+		})
+	}
+}
+
+// referenceStep is the stencil as one loop over every element, the
+// boundary test inside it: the oracle StepInto's row form must match bit for
+// bit.
+func referenceStep(s *Sim, nWorkers int) {
+	nx, ny, nz := s.nx, s.ny, s.nz
+	a := s.alpha
+	cur, next := s.cur, s.next
+	sim.ParallelFor(nz, nWorkers, func(zlo, zhi int) {
+		for z := zlo; z < zhi; z++ {
+			for y := 0; y < ny; y++ {
+				base := (z*ny + y) * nx
+				for x := 0; x < nx; x++ {
+					i := base + x
+					c := cur[i]
+					if x == 0 || y == 0 || z == 0 || x == nx-1 || y == ny-1 || z == nz-1 {
+						next[i] = c
+						continue
+					}
+					lap := cur[i-1] + cur[i+1] +
+						cur[i-nx] + cur[i+nx] +
+						cur[i-nx*ny] + cur[i+nx*ny] - 6*c
+					next[i] = c + a*lap
+				}
+			}
+		}
+	})
+	s.cur, s.next = next, cur
+	s.step++
+	if s.SourceEnabled {
+		s.injectSource()
+	}
+}
+
+// StepInto's branch-free rows hold every value of the per-element stencil
+// to the bit, on grids from the smallest to ones whose rows and planes are
+// not multiples of anything, at every worker count (more workers than
+// planes too), with the source on and off, on the lent path and into a
+// caller's buffer.
+func TestStencilMatchesReference(t *testing.T) {
+	for _, g := range [][3]int{{3, 3, 3}, {4, 5, 6}, {17, 9, 12}, {32, 32, 32}} {
+		for _, w := range []int{1, 2, 3, g[2] + 5} {
+			for _, source := range []bool{true, false} {
+				for _, lent := range []bool{true, false} {
+					got, _ := New(g[0], g[1], g[2])
+					want, _ := New(g[0], g[1], g[2])
+					got.SourceEnabled, want.SourceEnabled = source, source
+					buf := make([]float64, got.Elements())
+					for step := 1; step <= 30; step++ {
+						referenceStep(want, w)
+						out := got.Temperature()
+						if lent {
+							out = got.StepInto(w, nil)
+						} else if out = got.StepInto(w, buf); &out[0] != &buf[0] {
+							t.Fatal("StepInto did not write into the provided buffer")
+						}
+						for i, v := range want.Temperature() {
+							if math.Float64bits(got.Temperature()[i]) != math.Float64bits(v) || math.Float64bits(out[i]) != math.Float64bits(v) {
+								t.Fatalf("grid %v workers=%d source=%v lent=%v: step %d, element %d is %v (returned %v), want %v",
+									g, w, source, lent, step, i, got.Temperature()[i], out[i], v)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
