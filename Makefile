@@ -228,11 +228,14 @@ serve-smoke:
 # every recorded write boundary and every mid-write offset, resume, and
 # require a byte-identical directory plus a clean fsck — under the race
 # detector, together with the fault-injection and fsck corruption tables,
-# and the query server's run-directory loader, which reads the journal
-# through the same recovery reader as Resume and fsck.
+# the query server's run-directory loader and the offline archive: both
+# read a run's committed steps through the same recovery reader as Resume
+# and fsck, so a crashed run's committed prefix, an escaping path or a
+# damaged artifact must reach them as it reaches Resume.
 crash-matrix:
 	$(GO) test -race -run 'TestCrashMatrix|TestResume|TestTransient|TestWorkerPanic|TestFsck' -v ./internal/insitu/
 	$(GO) test -race -run 'TestLoadDir' -v ./internal/serve/
+	$(GO) test -race -run 'TestLoad' -v ./internal/offline/
 
 # Non-test Go lines outside bench/, per package directory (largest first)
 # and in total: the count ROADMAP quotes.

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -181,53 +180,6 @@ func cmdSubgroup(args []string) error {
 		fmt.Printf("  %d. %s -> mean %.4f over %d cells (quality %.4f)\n",
 			i+1, insitubits.DescribeSubgroup(sg, vars, names), sg.Mean, sg.Count, sg.Quality)
 	}
-	return nil
-}
-
-func cmdManifest(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: bitmapctl manifest DIR")
-	}
-	dir := args[0]
-	m, err := insitubits.ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workload: %s (%s), %d steps simulated, %d selected: %v\n",
-		m.Workload, m.Method, m.Steps, len(m.Selected), m.Selected)
-	fmt.Printf("variables: %v\n", m.Vars)
-	var total int64
-	bad := 0
-	for _, mf := range m.Files {
-		total += mf.Bytes
-		// Validate: every listed artifact must parse.
-		path := filepath.Join(dir, mf.Path)
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Printf("  MISSING %s (%v)\n", mf.Path, err)
-			bad++
-			continue
-		}
-		switch {
-		case strings.HasSuffix(mf.Path, ".isbm"):
-			_, err = insitubits.ReadIndexFile(f)
-		case strings.HasSuffix(mf.Path, ".israw"):
-			_, err = insitubits.ReadRawFile(f)
-		default:
-			err = fmt.Errorf("unknown artifact type")
-		}
-		f.Close()
-		if err != nil {
-			fmt.Printf("  CORRUPT %s (%v)\n", mf.Path, err)
-			bad++
-		}
-	}
-	fmt.Printf("%d artifacts, %.2f MB total", len(m.Files), float64(total)/1e6)
-	if bad > 0 {
-		fmt.Printf(", %d FAILED validation\n", bad)
-		return fmt.Errorf("%d artifacts failed validation", bad)
-	}
-	fmt.Println(", all validate")
 	return nil
 }
 

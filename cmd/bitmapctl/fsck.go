@@ -10,7 +10,9 @@ import (
 )
 
 // cmdFsck verifies a pipeline output directory against its journal:
-// journal integrity, every committed artifact's checksum, and the manifest. Exit codes follow
+// journal integrity, every committed artifact's checksum, and the manifest.
+// Its summary line names the run (workload, method, committed steps,
+// variables) as the journal records it. Exit codes follow
 // fsck convention — 0 clean, 1 issues found, 2 usage error (the dispatcher
 // maps the returned errIssuesFound to exit 1 like any other error).
 func cmdFsck(args []string) error {
@@ -39,7 +41,13 @@ func cmdFsck(args []string) error {
 		if !rep.Complete {
 			state = "incomplete"
 		}
-		fmt.Printf("%s: %d files checked, %s\n", rep.Dir, rep.FilesChecked, state)
+		run := ""
+		if b := rep.Begin; b != nil {
+			run = fmt.Sprintf(" %s (%s), %d of %d steps committed %v, vars %v;",
+				b.Workload, b.Method, len(rep.Committed), b.Steps, rep.Committed, b.Vars)
+		}
+		fmt.Printf("%s:%s %d files checked (%.2f MB), %s\n",
+			rep.Dir, run, rep.FilesChecked, float64(rep.BytesChecked)/1e6, state)
 		for _, is := range rep.Issues {
 			loc := is.Path
 			if is.Step >= 0 {

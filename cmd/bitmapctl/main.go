@@ -126,8 +126,6 @@ func main() {
 		err = cmdAggregate(args)
 	case "evolve":
 		err = cmdEvolve(args)
-	case "manifest":
-		err = cmdManifest(args)
 	case "fsck":
 		err = cmdFsck(args)
 	case "top":
@@ -153,7 +151,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: bitmapctl [-debug-addr ADDR] [-cache-mb N] [-qlog FILE] <build|info|stat|convert|query|explain|histogram|entropy|mi|emd|aggregate|mine|subgroup|vars|manifest|fsck|top|diag|cache-stats|replay|workload|load|evolve|genraw|genocean> ...`)
+	fmt.Fprintln(os.Stderr, `usage: bitmapctl [-debug-addr ADDR] [-cache-mb N] [-qlog FILE] <build|info|stat|convert|query|explain|histogram|entropy|mi|emd|aggregate|mine|subgroup|vars|fsck|top|diag|cache-stats|replay|workload|load|evolve|genraw|genocean> ...`)
 }
 
 func loadIndex(path string) (*insitubits.Index, error) {

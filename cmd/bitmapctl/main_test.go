@@ -250,7 +250,7 @@ func TestManifestAndEvolve(t *testing.T) {
 	if err := runPipelineForTest(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdManifest([]string{dir}); err != nil {
+	if err := cmdFsck([]string{dir}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdEvolve([]string{dir}); err != nil {
@@ -259,7 +259,7 @@ func TestManifestAndEvolve(t *testing.T) {
 	if err := cmdEvolve([]string{"-var", "nope", dir}); err == nil {
 		t.Error("unknown variable accepted")
 	}
-	// Corrupt one artifact: manifest validation must fail.
+	// Corrupt one artifact: fsck must fail.
 	m, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestManifestAndEvolve(t *testing.T) {
 			break
 		}
 	}
-	if err := cmdManifest([]string{dir}); err == nil {
+	if err := cmdFsck([]string{dir}); err == nil {
 		t.Error("corrupt archive passed validation")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 
 	"insitubits"
@@ -92,22 +91,19 @@ func main() {
 		float64(res.PeakMemory)/1e6,
 		float64(insitubits.MemoryModel(insitubits.MethodFullData, res.StepBytes, 0, 10))/1e6)
 
-	// The pipeline persisted the selected bitmaps itself (OutputDir);
-	// read the manifest back and reload one index offline.
-	m, err := insitubits.ReadManifest(dir)
+	// The pipeline persisted the selected bitmaps itself (OutputDir); read
+	// the committed steps back through the journal and reload one index
+	// offline.
+	a, err := insitubits.LoadArchive(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %d bitmap files + %s to %s\n", len(m.Files), insitubits.PipelineManifestName, dir)
-	f, err := os.Open(filepath.Join(dir, m.Files[0].Path))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	x, err := insitubits.ReadIndexFile(f)
+	kept := a.Steps()
+	fmt.Printf("wrote %d bitmap files to %s\n", len(kept)*len(a.Vars()), dir)
+	x, err := a.Index(kept[0], a.Vars()[0])
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("reloaded step %d: %d elements, %d bins, entropy %.4f bits\n",
-		m.Files[0].Step, x.N(), x.Bins(), insitubits.Entropy(x.Histogram(), x.N()))
+		kept[0], x.N(), x.Bins(), insitubits.Entropy(x.Histogram(), x.N()))
 }

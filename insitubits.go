@@ -427,19 +427,11 @@ const (
 	MethodSampling = insitu.Sampling
 )
 
-// PipelineManifestName is the manifest file written into OutputDir.
-const PipelineManifestName = insitu.ManifestName
-
-// Manifest records what a pipeline run persisted when
-// PipelineConfig.OutputDir is set.
-type Manifest = insitu.Manifest
-
 // Re-exported pipeline API.
 var (
-	RunPipeline  = insitu.Run
-	Calibrate    = insitu.Calibrate
-	MemoryModel  = insitu.MemoryModel
-	ReadManifest = insitu.ReadManifest
+	RunPipeline = insitu.Run
+	Calibrate   = insitu.Calibrate
+	MemoryModel = insitu.MemoryModel
 )
 
 // --- Crash safety: run journal, resume, fsck (internal/insitu) ---
@@ -465,7 +457,8 @@ var (
 
 // --- Offline archives (internal/offline) ---
 
-// Archive is a loaded pipeline output directory (manifest + artifacts).
+// Archive is the committed steps of a pipeline output directory, read
+// through its journal.
 type Archive = offline.Archive
 
 // LoadArchive reads a pipeline's OutputDir back for offline analysis.

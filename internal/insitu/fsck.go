@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"insitubits/internal/store"
@@ -41,9 +40,16 @@ type FsckIssue struct {
 // FsckReport summarizes one directory verification.
 type FsckReport struct {
 	Dir string `json:"dir"`
+	// Begin is the journal's begin record (the run's workload, method,
+	// variables and step count); nil when the journal has none.
+	Begin *JournalRecord `json:"begin,omitempty"`
+	// Committed lists the steps the journal commits, ascending.
+	Committed []int `json:"committed,omitempty"`
 	// FilesChecked counts artifacts verified against their journaled
-	// length and CRC32C, not counting the journal and manifest themselves.
-	FilesChecked int `json:"files_checked"`
+	// length and CRC32C, not counting the journal and manifest themselves;
+	// BytesChecked is their journaled total.
+	FilesChecked int   `json:"files_checked"`
+	BytesChecked int64 `json:"bytes_checked"`
 	// Complete is true when the journal records a finished run: it has an
 	// end record.
 	Complete bool        `json:"complete"`
@@ -94,16 +100,18 @@ func Fsck(dir string, opt FsckOptions) (*FsckReport, error) {
 		issue(JournalName, -1, DamageIncomplete,
 			"no end record: the run did not finish (resumable with insitu-run -resume)")
 	}
-	rep.Complete = log.End != nil
+	rep.Begin, rep.Complete = log.Begin, log.End != nil
 	journaled := map[string]int64{} // committed artifact → its length
 	badSteps := map[int]bool{}
-	for step, rec := range log.Selects {
+	for _, rec := range log.Committed() {
+		rep.Committed = append(rep.Committed, rec.Step)
 		for _, jf := range rec.Files {
 			journaled[jf.Path] = jf.Bytes
 			rep.FilesChecked++
-			if err := verifyArtifact(dir, jf); err != nil {
-				badSteps[step] = true
-				issue(jf.Path, step, classifyDamage(err), err.Error())
+			rep.BytesChecked += jf.Bytes
+			if _, err := ReadArtifact(dir, jf); err != nil {
+				badSteps[rec.Step] = true
+				issue(jf.Path, rec.Step, classifyDamage(err), err.Error())
 			}
 		}
 	}
@@ -198,8 +206,13 @@ func repair(dir string, rep *FsckReport, log *RunLog, badSteps map[int]bool, orp
 	// Whole-step granularity: the manifest invariant is one file per
 	// variable per selected step, so a step with any damaged artifact is
 	// dropped entirely and its surviving siblings quarantined with it.
-	for step := range badSteps {
-		for _, jf := range log.Selects[step].Files {
+	var kept []*JournalRecord
+	for _, rec := range log.Committed() {
+		if !badSteps[rec.Step] {
+			kept = append(kept, rec)
+			continue
+		}
+		for _, jf := range rec.Files {
 			if err := quarantineFile(dir, jf.Path); err != nil {
 				return err
 			}
@@ -217,18 +230,12 @@ func repair(dir string, rep *FsckReport, log *RunLog, badSteps map[int]bool, orp
 	// records: begin, those selects, and an end record over them.
 	begin := log.Begin
 	nm := Manifest{Workload: begin.Workload, Method: begin.Method, Vars: begin.Vars, Steps: begin.Steps}
-	for step := range log.Selects {
-		if !badSteps[step] {
-			nm.Selected = append(nm.Selected, step)
-		}
-	}
-	sort.Ints(nm.Selected)
 	out := []*JournalRecord{begin}
-	for _, step := range nm.Selected {
-		rec := log.Selects[step]
+	for _, rec := range kept {
+		nm.Selected = append(nm.Selected, rec.Step)
 		out = append(out, rec)
 		for _, jf := range rec.Files {
-			nm.Files = append(nm.Files, ManifestFile{Step: step, Var: jf.Var, Path: jf.Path, Bytes: jf.Bytes})
+			nm.Files = append(nm.Files, ManifestFile{Step: rec.Step, Var: jf.Var, Path: jf.Path, Bytes: jf.Bytes})
 		}
 	}
 	data, err := marshalManifest(&nm)

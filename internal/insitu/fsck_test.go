@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"insitubits/internal/iosim"
@@ -137,6 +138,35 @@ func TestFsckDetectsCorruptionTable(t *testing.T) {
 				t.Fatalf("no %s issue in %+v", tc.class, rep.Issues)
 			}
 		})
+	}
+}
+
+// TestFsckIssueOrderStable damages two committed steps: fsck reports them
+// in ascending step order, and the same issues on every pass.
+func TestFsckIssueOrderStable(t *testing.T) {
+	dir := completedRun(t)
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := m.Files[0], m.Files[len(m.Files)-1]
+	flipByte(t, filepath.Join(dir, last.Path), -10)
+	flipByte(t, filepath.Join(dir, first.Path), -10)
+	var want []FsckIssue
+	for i := 0; i < 10; i++ {
+		rep, err := Fsck(dir, FsckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = rep.Issues
+			if len(want) != 2 || want[0].Path != first.Path || want[1].Path != last.Path {
+				t.Fatalf("issues %+v, want %s then %s", want, first.Path, last.Path)
+			}
+		}
+		if !reflect.DeepEqual(rep.Issues, want) {
+			t.Fatalf("pass %d reported %+v, pass 0 %+v", i, rep.Issues, want)
+		}
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"insitubits/internal/iosim"
@@ -267,7 +269,8 @@ func plainName(p string) bool {
 }
 
 // RunLog is one read of a run's output directory: the journal folded into
-// what Resume, fsck and the serve loader act on, and the files beside it.
+// what Resume, fsck, the serve loader and the offline archive act on, and
+// the files beside it.
 type RunLog struct {
 	// Files lists every non-directory entry except the journal and the
 	// manifest: the artifacts, staging strays (store.TempSuffix) and
@@ -286,13 +289,17 @@ type RunLog struct {
 	Begin *JournalRecord
 	// Scores holds every journaled selection score by step.
 	Scores map[int]float64
-	// Selects holds each committed step's select record; a later record
-	// supersedes an earlier one (Resume recommits a damaged step).
-	Selects map[int]*JournalRecord
-	End     *JournalRecord
+	End    *JournalRecord
 	// Frontier is the last step with a score or select record, -1 if none.
 	Frontier int
+
+	committed []*JournalRecord
 }
+
+// Committed returns each committed step's select record in ascending step
+// order; a later record for a step supersedes an earlier one (Resume
+// recommits a damaged step).
+func (l *RunLog) Committed() []*JournalRecord { return l.committed }
 
 // ReadRunLog reads dir's listing and journal and folds the journal's valid
 // prefix. It is the only reader of the journal: every check of its bytes
@@ -303,7 +310,7 @@ func ReadRunLog(dir string) (*RunLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	log := &RunLog{Scores: map[int]float64{}, Selects: map[int]*JournalRecord{}, Frontier: -1}
+	log := &RunLog{Scores: map[int]float64{}, Frontier: -1}
 	for _, e := range entries {
 		if name := e.Name(); !e.IsDir() && name != JournalName && name != ManifestName {
 			log.Files = append(log.Files, name)
@@ -327,19 +334,46 @@ func ReadRunLog(dir string) (*RunLog, error) {
 		return log, nil
 	}
 	log.Begin = &recs[0]
+	selects := map[int]*JournalRecord{}
 	for i := 1; i < len(recs); i++ {
 		switch rec := &recs[i]; rec.Kind {
 		case KindScore:
 			log.Scores[rec.Step] = rec.Score
 			log.Frontier = max(log.Frontier, rec.Step)
 		case KindSelect:
-			log.Selects[rec.Step] = rec
+			selects[rec.Step] = rec
 			log.Frontier = max(log.Frontier, rec.Step)
 		case KindEnd:
 			log.End = rec
 		}
 	}
+	for _, rec := range selects {
+		log.committed = append(log.committed, rec)
+	}
+	slices.SortFunc(log.committed, func(a, b *JournalRecord) int { return a.Step - b.Step })
 	return log, nil
+}
+
+// ReadArtifact reads one committed artifact of dir and checks it against
+// its select record: exact length and whole-file CRC32C. Every read of a
+// run's artifacts goes through it, so nothing parses bytes the journal
+// does not vouch for.
+func ReadArtifact(dir string, jf JournalFile) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(dir, jf.Path))
+	if err != nil {
+		return nil, err
+	}
+	if n := int64(len(data)); n != jf.Bytes {
+		cause := io.ErrUnexpectedEOF
+		if n > jf.Bytes {
+			cause = store.ErrChecksum
+		}
+		return nil, fmt.Errorf("insitu: %s is %d bytes, journal records %d: %w", jf.Path, n, jf.Bytes, cause)
+	}
+	if store.CRC32C(data) != jf.CRC {
+		return nil, fmt.Errorf("insitu: %s: %w", jf.Path, store.ErrChecksum)
+	}
+	return data, nil
 }
 
 // beginRecord captures the config fingerprint the journal opens with.

@@ -3,7 +3,6 @@ package insitu
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -119,37 +118,36 @@ func Resume(dir string, cfg Config) (*Result, error) {
 	// CRC32C. Damage demotes the step to "needed": its files are
 	// quarantined here and rewritten (with a superseding select record)
 	// when the replay re-commits it.
+	committed := log.Committed()
 	durable := map[int][]JournalFile{}
 	needed := map[int]bool{}
-	lastWinner := -1
-	for step, rec := range log.Selects {
-		lastWinner = max(lastWinner, step)
+	for _, rec := range committed {
 		for _, jf := range rec.Files {
-			if verifyArtifact(dir, jf) != nil {
-				needed[step] = true
+			if _, err := ReadArtifact(dir, jf); err != nil {
+				needed[rec.Step] = true
 				if err := quarantineFile(dir, jf.Path); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if !needed[step] {
-			durable[step] = rec.Files
+		if !needed[rec.Step] {
+			durable[rec.Step] = rec.Files
 		}
 	}
 	// Future steps score against the last committed winner, so its real
 	// summary must exist even when its files are durable.
-	if lastWinner >= 0 {
-		needed[lastWinner] = true
+	winners := len(committed)
+	if winners > 0 {
+		needed[committed[winners-1].Step] = true
+		if committed[0].Step == 0 {
+			winners-- // step 0 is not an interval winner
+		}
 	}
 	// The open interval's incumbent may still be committed and written: the
 	// selector's greedy, fed that interval's journaled scores, keeps it last.
 	intervals := selection.FixedLength{}.Partition(make([]float64, cfg.Steps), cfg.Select)
-	committed := len(log.Selects)
-	if _, ok := log.Selects[0]; ok {
-		committed-- // step 0 is not an interval winner
-	}
-	if committed < len(intervals) {
-		g, iv, incumbent := selection.NewGreedy(cfg.Steps, cfg.Select), intervals[committed], -1
+	if winners < len(intervals) {
+		g, iv, incumbent := selection.NewGreedy(cfg.Steps, cfg.Select), intervals[winners], -1
 		for t := iv[0]; t < iv[1] && t <= log.Frontier; t++ {
 			if sc, ok := log.Scores[t]; ok && g.Offer(t, sc)&selection.Keep != 0 {
 				incumbent = t
@@ -162,26 +160,6 @@ func Resume(dir string, cfg Config) (*Result, error) {
 
 	cfg.resume = &resumeState{log: log, durable: durable, needed: needed}
 	return Run(cfg)
-}
-
-// verifyArtifact checks one journaled artifact against the bytes on disk:
-// exact length and whole-file CRC32C, no format parsing needed.
-func verifyArtifact(dir string, jf JournalFile) error {
-	data, err := os.ReadFile(filepath.Join(dir, jf.Path))
-	if err != nil {
-		return err
-	}
-	if n := int64(len(data)); n != jf.Bytes {
-		cause := io.ErrUnexpectedEOF
-		if n > jf.Bytes {
-			cause = store.ErrChecksum
-		}
-		return fmt.Errorf("insitu: %s is %d bytes, journal records %d: %w", jf.Path, n, jf.Bytes, cause)
-	}
-	if store.CRC32C(data) != jf.CRC {
-		return fmt.Errorf("insitu: %s: %w", jf.Path, store.ErrChecksum)
-	}
-	return nil
 }
 
 // quarantineFile moves dir/name, if it exists, into dir/quarantine/,

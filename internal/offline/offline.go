@@ -7,9 +7,8 @@
 package offline
 
 import (
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"insitubits/internal/index"
@@ -19,66 +18,78 @@ import (
 	"insitubits/internal/store"
 )
 
-// Archive is a loaded pipeline output directory.
+// Archive is the committed steps of a pipeline output directory.
 type Archive struct {
-	Manifest *insitu.Manifest
+	steps []int
+	vars  []string
 	// indices[step][var] — only present for bitmap archives.
 	indices map[int]map[string]*index.Index
 	// raws[step][var] — for full-data / sampling archives.
 	raws map[int]map[string][]float64
 }
 
-// Load reads the manifest and every artifact it lists.
+// Load reads every step dir's journal commits — a finished run's whole
+// selection, or the committed prefix of one that crashed — each artifact
+// checked against its journaled length and CRC32C before it is parsed. A
+// damaged journal, a journal that commits nothing, or a committed artifact
+// that fails its check is an error; the archive never drops a step
+// (`bitmapctl fsck -repair` does that).
 func Load(dir string) (*Archive, error) {
-	m, err := insitu.ReadManifest(dir)
+	log, err := insitu.ReadRunLog(dir)
 	if err != nil {
 		return nil, err
 	}
-	a := &Archive{
-		Manifest: m,
-		indices:  map[int]map[string]*index.Index{},
-		raws:     map[int]map[string][]float64{},
+	if log.Damage != nil {
+		return nil, fmt.Errorf("offline: %s: %w", dir, log.Damage)
 	}
-	for _, mf := range m.Files {
-		path := filepath.Join(dir, mf.Path)
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case strings.HasSuffix(mf.Path, ".isbm"):
-			x, err := store.ReadIndex(f)
-			f.Close()
+	committed := log.Committed()
+	if len(committed) == 0 {
+		return nil, fmt.Errorf("offline: %s: the journal commits no step", dir)
+	}
+	a := &Archive{
+		vars:    log.Begin.Vars,
+		indices: map[int]map[string]*index.Index{},
+		raws:    map[int]map[string][]float64{},
+	}
+	for _, rec := range committed {
+		a.steps = append(a.steps, rec.Step)
+		for _, jf := range rec.Files {
+			data, err := insitu.ReadArtifact(dir, jf)
 			if err != nil {
-				return nil, fmt.Errorf("offline: %s: %w", mf.Path, err)
+				return nil, fmt.Errorf("offline: %w", err)
 			}
-			if a.indices[mf.Step] == nil {
-				a.indices[mf.Step] = map[string]*index.Index{}
+			switch {
+			case strings.HasSuffix(jf.Path, ".isbm"):
+				x, err := store.ReadIndex(bytes.NewReader(data))
+				if err != nil {
+					return nil, fmt.Errorf("offline: %s: %w", jf.Path, err)
+				}
+				if a.indices[rec.Step] == nil {
+					a.indices[rec.Step] = map[string]*index.Index{}
+				}
+				a.indices[rec.Step][jf.Var] = x
+			case strings.HasSuffix(jf.Path, ".israw"):
+				raw, err := store.ReadRaw(bytes.NewReader(data))
+				if err != nil {
+					return nil, fmt.Errorf("offline: %s: %w", jf.Path, err)
+				}
+				if a.raws[rec.Step] == nil {
+					a.raws[rec.Step] = map[string][]float64{}
+				}
+				a.raws[rec.Step][jf.Var] = raw
+			default:
+				return nil, fmt.Errorf("offline: unknown artifact type %q", jf.Path)
 			}
-			a.indices[mf.Step][mf.Var] = x
-		case strings.HasSuffix(mf.Path, ".israw"):
-			data, err := store.ReadRaw(f)
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("offline: %s: %w", mf.Path, err)
-			}
-			if a.raws[mf.Step] == nil {
-				a.raws[mf.Step] = map[string][]float64{}
-			}
-			a.raws[mf.Step][mf.Var] = data
-		default:
-			f.Close()
-			return nil, fmt.Errorf("offline: unknown artifact type %q", mf.Path)
 		}
 	}
 	return a, nil
 }
 
 // Steps returns the archived step numbers in ascending order.
-func (a *Archive) Steps() []int { return append([]int(nil), a.Manifest.Selected...) }
+func (a *Archive) Steps() []int { return append([]int(nil), a.steps...) }
 
 // Vars returns the archived variable names.
-func (a *Archive) Vars() []string { return append([]string(nil), a.Manifest.Vars...) }
+func (a *Archive) Vars() []string { return append([]string(nil), a.vars...) }
 
 // IsBitmaps reports whether the archive holds indices (vs raw arrays).
 func (a *Archive) IsBitmaps() bool { return len(a.indices) > 0 }

@@ -1,31 +1,44 @@
 package offline
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"insitubits/internal/index"
 	"insitubits/internal/insitu"
+	"insitubits/internal/iosim"
 	"insitubits/internal/selection"
 	"insitubits/internal/sim/heat3d"
+	"insitubits/internal/store"
 )
 
-// runPipeline produces a persisted archive for the tests.
-func runPipeline(t *testing.T, method insitu.Method, dir string) *insitu.Result {
+// pipelineConfig is the tests' run: heat3d 12³, 18 steps, keep 6.
+func pipelineConfig(t *testing.T, method insitu.Method, dir string) insitu.Config {
 	t.Helper()
 	h, err := heat3d.New(12, 12, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := insitu.Run(insitu.Config{
+	return insitu.Config{
 		Sim: h, Steps: 18, Select: 6,
 		Method: method, Bins: 64, SamplePct: 25, Seed: 1,
 		Metric:    selection.ConditionalEntropy,
 		Cores:     2,
 		OutputDir: dir,
-	})
+	}
+}
+
+// runPipeline produces a persisted archive for the tests.
+func runPipeline(t *testing.T, method insitu.Method, dir string) *insitu.Result {
+	t.Helper()
+	res, err := insitu.Run(pipelineConfig(t, method, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,4 +245,164 @@ func TestLoadRejectsMissingArtifact(t *testing.T) {
 	if _, err := Load(dir); err == nil {
 		t.Fatal("missing artifact accepted")
 	}
+}
+
+// TestLoadMatchesManifest: on a completed run, the steps and variables the
+// journal commits are the ones the manifest lists.
+func TestLoadMatchesManifest(t *testing.T) {
+	dir := t.TempDir()
+	runPipeline(t, insitu.Bitmaps, dir)
+	a, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := insitu.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.Steps(), m.Selected) || !slices.Equal(a.Vars(), m.Vars) {
+		t.Fatalf("archive steps %v vars %v, manifest %v %v", a.Steps(), a.Vars(), m.Selected, m.Vars)
+	}
+}
+
+// TestLoadReadsCommittedPrefix kills a run mid-way: the directory has no
+// manifest, and Load returns exactly the steps its journal commits, each
+// index equal to the one an uninterrupted run wrote for that step.
+func TestLoadReadsCommittedPrefix(t *testing.T) {
+	full := t.TempDir()
+	runPipeline(t, insitu.Bitmaps, full)
+	want, err := Load(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &iosim.FaultPlan{}
+	cfg := pipelineConfig(t, insitu.Bitmaps, t.TempDir())
+	cfg.FS = iosim.NewFaultFS(iosim.OS, rec)
+	if _, err := insitu.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	bounds := rec.WriteBoundaries()
+
+	dir := t.TempDir()
+	cfg = pipelineConfig(t, insitu.Bitmaps, dir)
+	cfg.FS = iosim.NewFaultFS(iosim.OS, &iosim.FaultPlan{CrashAtByte: bounds[len(bounds)/2]})
+	if _, err := insitu.Run(cfg); err == nil {
+		t.Fatal("run survived its crash")
+	}
+	if _, err := os.Stat(filepath.Join(dir, insitu.ManifestName)); err == nil {
+		t.Fatal("a crashed run wrote its manifest")
+	}
+	committed := journalCommits(t, dir)
+	if len(committed) == 0 || len(committed) >= len(want.Steps()) {
+		t.Fatalf("the crash left %v committed of %v; pick another kill point", committed, want.Steps())
+	}
+	a, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.Steps(), committed) {
+		t.Fatalf("archive steps %v, journal commits %v", a.Steps(), committed)
+	}
+	for _, s := range committed {
+		got, err := a.Index(s, "temperature")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := want.Index(s, "temperature")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(indexBytes(t, got), indexBytes(t, ref)) {
+			t.Fatalf("step %d: the crashed run's index differs from the completed run's", s)
+		}
+	}
+}
+
+// TestLoadRejectsEscapingPath: a journal whose only select record names a
+// file outside the run directory commits nothing, so Load fails and never
+// reads the outside file — even though a manifest lists it.
+func TestLoadRejectsEscapingPath(t *testing.T) {
+	parent := t.TempDir()
+	src := filepath.Join(parent, "src")
+	runPipeline(t, insitu.Bitmaps, src)
+	m, err := insitu.ReadManifest(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact, err := os.ReadFile(filepath.Join(src, m.Files[0].Path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(parent, "outside.isbm"), artifact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(src, insitu.JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := insitu.ParseJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const escaping = "../outside.isbm"
+	jf := insitu.JournalFile{Var: "temperature", Path: escaping, Bytes: int64(len(artifact)), CRC: store.CRC32C(artifact)}
+	buf := journal[:8:8] // the header
+	for _, rec := range []*insitu.JournalRecord{&recs[0], {Kind: insitu.KindSelect, Step: 1, Files: []insitu.JournalFile{jf}}} {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(append(buf, payload...), store.CRC32C(payload))
+	}
+	dir := filepath.Join(parent, "run")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, insitu.JournalName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.Selected, m.Files = []int{1}, []insitu.ManifestFile{{Step: 1, Var: "temperature", Path: escaping, Bytes: jf.Bytes}}
+	manifest, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, insitu.ManifestName), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := Load(dir); err == nil {
+		t.Fatalf("loaded %v from a journal that commits no step inside the directory", a.Steps())
+	}
+}
+
+// journalCommits lists the steps dir's journal holds select records for,
+// ascending.
+func journalCommits(t *testing.T, dir string) []int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, insitu.JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := insitu.ParseJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []int
+	for _, rec := range recs {
+		if rec.Kind == insitu.KindSelect && !slices.Contains(steps, rec.Step) {
+			steps = append(steps, rec.Step)
+		}
+	}
+	slices.Sort(steps)
+	return steps
+}
+
+// indexBytes is an index's stored form.
+func indexBytes(t *testing.T, x *index.Index) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := store.WriteIndex(&b, x); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }

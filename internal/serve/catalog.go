@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,23 +73,15 @@ func newCatalog(entries []*Entry, step int, source, fprint string) *catalog {
 	return c
 }
 
-// loadIndexFile reads one .isbm container into an Entry.
-func loadIndexFile(name, path string, step int) (*Entry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	x, err := store.ReadIndex(f)
+// newEntry parses one .isbm container's bytes into an Entry; both loaders
+// read the file and hand its bytes here.
+func newEntry(name, path string, step int, data []byte) (*Entry, error) {
+	x, err := store.ReadIndex(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading %s: %w", path, err)
 	}
 	return &Entry{
-		Name: name, Path: path, Step: step, Bytes: st.Size(),
+		Name: name, Path: path, Step: step, Bytes: int64(len(data)),
 		N: x.N(), Bins: x.Bins(), Gen: x.Generation(), X: x,
 	}, nil
 }
@@ -111,7 +104,11 @@ func loadFiles(specs []string) (*catalog, error) {
 			return nil, fmt.Errorf("serve: duplicate variable name %q", name)
 		}
 		seen[name] = true
-		e, err := loadIndexFile(name, path, -1)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		e, err := newEntry(name, path, -1, data)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +133,8 @@ func filesFingerprint(entries []*Entry) string {
 // of truth — its select records are the commit markers, appended only
 // after the step's artifacts are durable — so the newest committed step's
 // select record names exactly the files that are safe to serve, mid-run or
-// finished.
+// finished, each read through insitu.ReadArtifact against its journaled
+// length and CRC32C.
 func loadDir(dir string) (*catalog, error) {
 	fprint, err := dirFingerprint(dir)
 	if err != nil {
@@ -149,21 +147,21 @@ func loadDir(dir string) (*catalog, error) {
 	if log.Damage != nil {
 		return nil, fmt.Errorf("serve: %s: %w", dir, log.Damage)
 	}
-	var newest *insitu.JournalRecord
-	for step, rec := range log.Selects {
-		if newest == nil || step > newest.Step {
-			newest = rec
-		}
-	}
-	if newest == nil {
+	committed := log.Committed()
+	if len(committed) == 0 {
 		return nil, fmt.Errorf("serve: %s: journal has no committed step yet", dir)
 	}
+	newest := committed[len(committed)-1]
 	var entries []*Entry
 	for _, jf := range newest.Files {
 		if !strings.HasSuffix(jf.Path, ".isbm") {
 			return nil, fmt.Errorf("serve: %s holds %s summaries, not bitmap indexes (run with -method bitmaps)", dir, filepath.Ext(jf.Path))
 		}
-		e, err := loadIndexFile(jf.Var, filepath.Join(dir, jf.Path), newest.Step)
+		data, err := insitu.ReadArtifact(dir, jf)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		e, err := newEntry(jf.Var, filepath.Join(dir, jf.Path), newest.Step, data)
 		if err != nil {
 			return nil, err
 		}

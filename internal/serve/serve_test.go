@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -732,6 +733,42 @@ func TestLoadDirRejectsEscapingPath(t *testing.T) {
 	}
 	if st := s.Status(); st.Step != want {
 		t.Fatalf("serving step %d after an escaping select record, want %d", st.Step, want)
+	}
+}
+
+// TestLoadDirRejectsDamagedArtifact puts an older step's index, a valid
+// container of another length, in place of the newest step's: the load
+// fails against the journal's record, and the error names the file.
+func TestLoadDirRejectsDamagedArtifact(t *testing.T) {
+	dir := runInsituFixture(t, 3)
+	s := New(Config{})
+	if err := s.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	newest := s.cat.Load().entries[s.Status().Vars[0]]
+	older, err := filepath.Glob(filepath.Join(dir, "*.isbm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	for _, path := range older {
+		if b, err := os.ReadFile(path); err == nil && int64(len(b)) != newest.Bytes {
+			data = b
+			break
+		}
+	}
+	if data == nil {
+		t.Fatal("no committed index of another length to swap in")
+	}
+	if err := os.WriteFile(newest.Path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = New(Config{}).LoadDir(dir)
+	if err == nil {
+		t.Fatal("loaded an artifact whose length disagrees with the journal")
+	}
+	if !strings.Contains(err.Error(), filepath.Base(newest.Path)) {
+		t.Fatalf("error %q does not name %s", err, filepath.Base(newest.Path))
 	}
 }
 
