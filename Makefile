@@ -159,7 +159,8 @@ overhead:
 	TELEMETRY_OVERHEAD_GUARD=1 $(GO) test -p 1 -count 1 -run 'TestInstrumentationOverhead|TestAnalyzeOverheadDisabled|TestQlogCaptureOverhead|TestDisabledLabelZeroCost' -v ./internal/bitvec/ ./internal/query/ ./internal/telemetry/
 
 # Short fuzz passes: the untrusted parsers (docs/FORMATS.md) — the
-# index-file reader and the run-journal parser — the query oracle property
+# index-file reader, the raw-step and dataset readers, the run-journal
+# parser and the workload-log parser — the query oracle property
 # (any request, codec and cache state answers exactly as the brute-force
 # model over the binned raw array does), the flat kernels under it
 # (OrInto, FromFlat, WriteIDs, CountRange and the masked kernels —
@@ -180,7 +181,10 @@ overhead:
 # Full corpus exploration is `go test -fuzz <target> ./internal/<pkg>/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadIndex$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run xxx -fuzz 'FuzzReadRaw$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run xxx -fuzz 'FuzzReadDataset$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run xxx -fuzz 'FuzzParseJournal$$' -fuzztime 10s ./internal/insitu/
+	$(GO) test -run xxx -fuzz 'FuzzParseLog$$' -fuzztime 10s ./internal/qlog/
 	$(GO) test -run xxx -fuzz 'FuzzQueryMatchesOracle$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run xxx -fuzz 'FuzzFlatKernels$$' -fuzztime 10s ./internal/bitvec/
 	$(GO) test -run xxx -fuzz 'FuzzBBCEncode$$' -fuzztime 10s ./internal/bitvec/

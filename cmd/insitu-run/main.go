@@ -22,15 +22,14 @@
 // Observability (see docs/OBSERVABILITY.md): -debug-addr starts a debug
 // HTTP server with live JSON counters, Prometheus /metrics, the live
 // /debug/run dashboard (with the run's phase record) and pprof; -telemetry
-// dumps the full telemetry snapshot as JSON after the run;
-// -slowlog/-slowlog-threshold emit every query slower than the threshold
-// as a JSON line with its full ANALYZE profile; -qlog captures every
-// selection query into a workload log for `bitmapctl replay` / `bitmapctl
-// workload`; -hold keeps the process (and debug server) alive until
-// SIGINT/SIGTERM. While the debug
-// server serves, run phases and queries carry pprof labels (phase,
-// workload, codec, op), so `go tool pprof -tags` on /debug/pprof/profile
-// attributes CPU to them.
+// dumps the full telemetry snapshot as JSON after the run; -hold keeps the
+// process (and debug server) alive until SIGINT/SIGTERM. While the debug
+// server serves, run phases carry pprof labels (phase, workload, codec), so
+// `go tool pprof -tags` on /debug/pprof/profile attributes CPU to them.
+// Selection scores are not queries: each step's score lives in the journal
+// and its time in the select phase and span, so a run writes nothing to a
+// slow-query or workload log (those record the requests `insitu-serve` and
+// `bitmapctl` execute).
 //
 // Identity tracing: -trace records one TraceID'd span tree per pipeline
 // step, browsable as JSON at /debug/traces. -trace-sample keeps 1 of every
@@ -39,7 +38,6 @@
 // of kept traces.
 //
 //	insitu-run -sim heat3d -debug-addr :6060 -steps 200 -select 50 -hold
-//	insitu-run -sim heat3d -slowlog slow.jsonl -slowlog-threshold 5ms
 //	insitu-run -sim heat3d -trace -trace-sample 10 -trace-slow 50ms -debug-addr :6060
 package main
 
@@ -48,7 +46,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"os"
 	"os/signal"
 	"runtime"
@@ -78,9 +75,6 @@ func main() {
 	resume := flag.Bool("resume", false, "continue a crashed run from -out's journal instead of starting over")
 	debugAddr := flag.String("debug-addr", "", "serve live telemetry, metrics, traces and pprof on this address (e.g. :6060)")
 	telemetryDump := flag.Bool("telemetry", false, "print the telemetry snapshot as JSON after the run")
-	slowLog := flag.String("slowlog", "", `slow-query log destination: "stderr" or a file path (JSON lines)`)
-	slowLogThreshold := flag.Duration("slowlog-threshold", 10*time.Millisecond, "log queries slower than this (with -slowlog)")
-	qlogPath := flag.String("qlog", "", "capture every selection query into this workload log (.isql)")
 	trace := flag.Bool("trace", false, "record identity traces (one per pipeline step), served at /debug/traces")
 	traceSample := flag.Int("trace-sample", 1, "keep 1 of every N traces (head sampling; 1 keeps all)")
 	traceSlow := flag.Duration("trace-slow", 0, "always keep traces slower than this, regardless of sampling")
@@ -117,36 +111,6 @@ func main() {
 		hist := insitubits.StartMetricsHistory(insitubits.Telemetry, time.Second, 300)
 		defer hist.Stop()
 		fmt.Printf("debug server:   http://%s  (/telemetry /metrics /debug/metrics/history /debug/traces /debug/pprof/, pprof-labelled)\n", dbg.Addr)
-	}
-	if *qlogPath != "" {
-		w, err := insitubits.CreateQueryLog(*qlogPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		insitubits.InstallQueryLog(w)
-		defer func() {
-			insitubits.InstallQueryLog(nil)
-			if err := w.Close(); err != nil {
-				log.Printf("workload log: %v", err)
-			}
-			// Health after Close: records are counted as the drain goroutine
-			// writes them, so the final count is only stable once drained.
-			h := w.Health()
-			fmt.Printf("workload log:   %d records to %s (%d dropped, %d errors)\n",
-				h.Records, *qlogPath, h.Dropped, h.Errors)
-		}()
-	}
-	if *slowLog != "" {
-		w := os.Stderr
-		if *slowLog != "stderr" {
-			f, err := os.OpenFile(*slowLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		insitubits.SetSlowQueryLog(slog.New(slog.NewJSONHandler(w, nil)), *slowLogThreshold)
 	}
 
 	mkSim := func() (insitubits.Simulator, error) {
@@ -269,12 +233,6 @@ func main() {
 	}
 	if *outDir != "" {
 		fmt.Printf("write time:     %.3fs (measured file output)\n", res.WriteTime.Seconds())
-	}
-	if len(res.SlowQueries) > 0 {
-		fmt.Printf("slowest selection queries (top %d):\n", len(res.SlowQueries))
-		for _, p := range res.SlowQueries {
-			fmt.Printf("  %-28s %8.3fms  %s\n", p.Query, float64(p.ElapsedNs)/1e6, p.Detail)
-		}
 	}
 	if *telemetryDump {
 		data, err := insitubits.Telemetry.MarshalJSON()

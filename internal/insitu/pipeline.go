@@ -11,7 +11,6 @@ package insitu
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"insitubits/internal/binning"
@@ -19,8 +18,6 @@ import (
 	"insitubits/internal/codec"
 	"insitubits/internal/index"
 	"insitubits/internal/iosim"
-	"insitubits/internal/qlog"
-	"insitubits/internal/query"
 	"insitubits/internal/sampling"
 	"insitubits/internal/selection"
 	"insitubits/internal/sim"
@@ -259,11 +256,6 @@ type Result struct {
 	// (the "write" spans); distinct from Breakdown.Output, which stays the
 	// bandwidth-modelled transfer time (see DESIGN.md).
 	WriteTime time.Duration
-	// SlowQueries are the slowest per-step selection scorings of the run
-	// (slowest first, at most selectorSlowK), each with a profile of the
-	// step's per-variable summary shape. They also feed query.LogSlow, so
-	// an installed slow-query log sees them with full detail.
-	SlowQueries []*query.Profile
 }
 
 // Run executes the configured pipeline and reports the phase breakdown.
@@ -307,7 +299,6 @@ func runReducer(cfg Config, red *reducer) (*Result, error) {
 			return nil, err
 		}
 	}
-	res.SlowQueries = sel.slow.Profiles()
 	res.finishMemory(cfg, red)
 	return res, nil
 }
@@ -542,19 +533,13 @@ type selector struct {
 	nSeen    int
 	w        *writer
 	rt       *runTelemetry
-	slow     *query.TopK
 	err      error
 }
-
-// selectorSlowK is how many of the slowest per-step selection scorings
-// every run keeps for its report (Result.SlowQueries).
-const selectorSlowK = 5
 
 func newSelector(cfg Config) *selector {
 	return &selector{
 		cfg:    cfg,
 		greedy: selection.NewGreedy(cfg.Steps, cfg.Select),
-		slow:   query.NewTopK(selectorSlowK),
 	}
 }
 
@@ -587,7 +572,7 @@ func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 		}
 	}
 	var score float64
-	elapsed, err := s.rt.phase(ctx, phaseSelect, t, func(ctx context.Context) error {
+	err := s.rt.phase(ctx, phaseSelect, t, func(ctx context.Context) error {
 		telemetry.SpanFromContext(ctx).SetAttrInt("vs_step", int64(s.prev.step))
 		score = sum.Dissimilarity(s.prev, s.cfg.Metric)
 		return nil
@@ -599,7 +584,6 @@ func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 	// The score is durable before the interval logic can commit on it, so a
 	// crash between here and the commit resumes with the selection intact.
 	s.fail(s.w.recordScore(t, score, telemetry.TraceIDOf(ctx)))
-	s.recordSelect(ctx, t, sum, score, elapsed)
 	s.applyScore(ctx, t, sum, score)
 }
 
@@ -641,54 +625,8 @@ func (s *selector) retire(sum *stepSummary) {
 	}
 }
 
-// recordSelect profiles one dissimilarity scoring for the run report's
-// top-K slowest selection queries and the process-wide slow-query log. The
-// per-variable nodes carry only O(bins) metadata reads (bin count, codec,
-// encoded words/bytes) — no bitmap is decoded, so the profile costs far
-// less than the scoring it describes.
-func (s *selector) recordSelect(ctx context.Context, t int, sum *stepSummary, score float64, elapsed time.Duration) {
-	root := &query.Node{Op: "dissimilarity", Bin: -1}
-	for k, part := range sum.parts {
-		bs, ok := part.(*selection.BitmapSummary)
-		if !ok || bs.X == nil {
-			continue
-		}
-		x := bs.X
-		var words, bytes int64
-		perCodec := map[string]int{}
-		for b := 0; b < x.Bins(); b++ {
-			words += int64(x.Bitmap(b).Words())
-			bytes += int64(x.Bitmap(b).SizeBytes())
-			perCodec[x.Codec(b).String()]++
-		}
-		mix := make([]string, 0, len(perCodec))
-		for _, id := range []string{"wah", "bbc", "dense"} {
-			if n := perCodec[id]; n > 0 {
-				mix = append(mix, fmt.Sprintf("%s=%d", id, n))
-			}
-		}
-		root.Children = append(root.Children, &query.Node{
-			Op:     "variable",
-			Detail: fmt.Sprintf("var %d, codecs %s", k, strings.Join(mix, " ")),
-			Bin:    -1,
-			Cost:   query.Cost{BinsTouched: x.Bins(), WordsScanned: words, BytesDecoded: bytes},
-		})
-	}
-	p := &query.Profile{
-		Query:     "selection.dissimilarity",
-		Mode:      query.ModeAnalyze,
-		Detail:    fmt.Sprintf("step %d vs selected step %d, metric %s, score %g", t, s.prev.step, s.cfg.Metric, score),
-		ElapsedNs: elapsed.Nanoseconds(),
-		TraceID:   telemetry.TraceIDOf(ctx),
-		Root:      root,
-	}
-	s.slow.Offer(p)
-	query.LogSlow(p)
-	query.CaptureProfile(p, qlog.DigestFloats(score))
-}
-
 func (s *selector) write(ctx context.Context, sum *stepSummary) {
-	_, err := s.rt.phase(ctx, phaseWrite, sum.step, func(ctx context.Context) error {
+	err := s.rt.phase(ctx, phaseWrite, sum.step, func(ctx context.Context) error {
 		sp := telemetry.SpanFromContext(ctx)
 		sp.SetAttrInt("step", int64(sum.step))
 		sp.SetAttrInt("bytes", sum.outBytes)

@@ -37,19 +37,18 @@ func lentStep(s sim.Simulator, workers int) (fields []sim.Field, owned bool) {
 func (rt *runTelemetry) produce(ctx context.Context, cfg Config, red *reducer, t, workers int) (st staged, err error) {
 	var fields []sim.Field
 	var owned bool
-	_, err = rt.phase(ctx, phaseSimulate, t, func(context.Context) error {
+	err = rt.phase(ctx, phaseSimulate, t, func(context.Context) error {
 		fields, owned = lentStep(cfg.Sim, workers)
 		return nil
 	})
 	if err != nil || red.replayed(t) {
 		return st, err
 	}
-	_, err = rt.phase(ctx, phaseReduce, t, func(ctx context.Context) error {
-		_, err := rt.phase(ctx, phaseStage, t, func(context.Context) (err error) {
+	err = rt.phase(ctx, phaseReduce, t, func(ctx context.Context) error {
+		return rt.phase(ctx, phaseStage, t, func(context.Context) (err error) {
 			st, err = red.stage(fields, owned, workers)
 			return err
 		})
-		return err
 	})
 	return st, err
 }
@@ -61,7 +60,7 @@ func (rt *runTelemetry) consume(ctx context.Context, red *reducer, t int, st sta
 	if red.replayed(t) {
 		return red.cfg.resume.stub(t), nil
 	}
-	_, err = rt.phase(ctx, phaseReduce, t, func(context.Context) error {
+	err = rt.phase(ctx, phaseReduce, t, func(context.Context) error {
 		sum = red.summarize(st, workers)
 		return nil
 	})

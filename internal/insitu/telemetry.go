@@ -67,7 +67,7 @@ type RunStatus struct {
 	QueuePeak    int   `json:"queue_peak"`
 	BytesWritten int64 `json:"bytes_written"`
 	// CodecBins is the cumulative per-codec bin mix of every bitmap summary
-	// the run reduced ("wah"/"bbc"/"dense"); empty for non-bitmap methods.
+	// the run reduced ("wah"/"bbc"/"other"); empty for non-bitmap methods.
 	CodecBins map[string]int64 `json:"codec_bins,omitempty"`
 	// Phases is the run's phase record so far: count and total time of
 	// each phase that has run (simulate, reduce, stage, select, write).
@@ -210,8 +210,8 @@ func (rt *runTelemetry) status() any {
 // phase, workload and codec, which the workers it spawns inherit. A panic
 // in fn (a simulator, a reduction worker) becomes an error naming the step,
 // and a telemetry count, not a dead process with a half-written output
-// directory. It returns the phase's time.
-func (rt *runTelemetry) phase(ctx context.Context, p phase, t int, fn func(context.Context) error) (d time.Duration, err error) {
+// directory.
+func (rt *runTelemetry) phase(ctx context.Context, p phase, t int, fn func(context.Context) error) (err error) {
 	name := phaseNames[p]
 	sp := telemetry.SpanFromContext(ctx).Child(name)
 	ctx, unlabel := telemetry.Label(ctx, "phase", name, "workload", rt.workload, "codec", rt.codecName)
@@ -221,13 +221,12 @@ func (rt *runTelemetry) phase(ctx context.Context, p phase, t int, fn func(conte
 			rt.workerPanics.Inc()
 			err = fmt.Errorf("insitu: %s panic at step %d: %v", name, t, r)
 		}
-		d = time.Since(start)
 		rt.phases[p].count.Add(1)
-		rt.phases[p].ns.Add(int64(d))
+		rt.phases[p].ns.Add(int64(time.Since(start)))
 		unlabel()
 		sp.End()
 	}()
-	return 0, fn(telemetry.ContextWithSpan(ctx, sp))
+	return fn(telemetry.ContextWithSpan(ctx, sp))
 }
 
 // currentStepCount is the steps-offered count (currentStep+1, floored at 0).

@@ -2,11 +2,14 @@ package insitu
 
 import (
 	"bytes"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"insitubits/internal/qlog"
+	"insitubits/internal/query"
 	"insitubits/internal/telemetry"
 )
 
@@ -274,4 +277,48 @@ func TestJournalTraceIDs(t *testing.T) {
 			t.Error("untraced run wrote trace_id fields into the journal")
 		}
 	})
+}
+
+// TestRunRecordsNoQueries pins that time-step selection is not a query: a
+// run with a slow-query log at threshold 0 and a workload log installed
+// scores every step yet writes nothing to either. A step's score lives in
+// the journal, its time in the select phase.
+func TestRunRecordsNoQueries(t *testing.T) {
+	var slow bytes.Buffer
+	query.SetSlowLog(slog.New(slog.NewJSONHandler(&slow, nil)), 0)
+	defer query.SetSlowLog(nil, 0)
+	path := filepath.Join(t.TempDir(), "workload.isql")
+	w, err := qlog.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qlog.Install(w)
+	defer qlog.Install(nil)
+
+	cfg := heatConfig(t, Bitmaps)
+	cfg.OutputDir = t.TempDir()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	qlog.Install(nil)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := ReadRunLog(cfg.OutputDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Scores) != cfg.Steps-1 {
+		t.Fatalf("journal holds %d scores, want %d", len(log.Scores), cfg.Steps-1)
+	}
+	if slow.Len() != 0 {
+		t.Errorf("run wrote to the slow-query log:\n%s", slow.String())
+	}
+	recs, _, err := qlog.ReadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Errorf("run wrote %d workload-log records, first %+v", len(recs), recs[0])
+	}
 }

@@ -26,6 +26,7 @@ import (
 	"math/bits"
 	"os"
 	"strconv"
+	"strings"
 
 	"insitubits/internal/bitvec"
 	"insitubits/internal/store"
@@ -41,11 +42,12 @@ const (
 
 // Record is one captured query. Op names the entry point using the query
 // package's operator names ("bits", "count", "sum", "mean", "quantile",
-// "minmax", "correlation", "sum-masked", "masked-sum", plus non-replayable
-// internal producers like "selection.dissimilarity"). Subset parameters
-// are recorded verbatim so the query is re-executable; Words/Bins/Rows
-// come from the ANALYZE cost accounting of the captured execution; Result
-// is the canonical result digest replay byte-compares against.
+// "minmax", "correlation", "sum-masked", "masked-sum"; logs written before
+// in-situ selection stopped being captured also hold non-replayable
+// "selection.dissimilarity" records). Subset parameters are recorded
+// verbatim so the query is re-executable; Words/Bins/Rows come from the
+// ANALYZE cost accounting of the captured execution; Result is the
+// canonical result digest replay byte-compares against.
 type Record struct {
 	// Schema is the record's format version (Version at capture time).
 	Schema int `json:"v"`
@@ -112,8 +114,9 @@ type Record struct {
 
 // Replayable reports whether a record can be re-executed from its recorded
 // parameters alone: the masked entry points carry a caller-built bitmap
-// that is not captured, and internal producers (pipeline scoring, mining)
-// have no entry-point equivalent.
+// that is not captured, and ops that are not entry points (the
+// "selection.dissimilarity" records of older logs) have no request to
+// rebuild.
 func (r *Record) Replayable() bool {
 	if r.Err != "" {
 		return false
@@ -149,19 +152,21 @@ func header() []byte { return []byte(fmt.Sprintf("%s %d\n", Magic, Version)) }
 // ParseLog decodes workload-log bytes. Like the run journal's parser, it
 // returns every record of the valid prefix plus the prefix's byte length;
 // a torn or corrupt tail is not an error — it is what a kill mid-append
-// leaves — but bytes past validLen must not be replayed. A damaged header
-// or unknown version is an error.
+// leaves — but bytes past validLen must not be replayed. The header line
+// must equal header() byte for byte: a damaged header or an unknown
+// version is an error.
 func ParseLog(data []byte) (recs []Record, validLen int64, err error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, 0, fmt.Errorf("qlog: missing header line")
 	}
-	var ver int
-	if n, _ := fmt.Sscanf(string(data[:nl]), Magic+" %d", &ver); n != 1 {
-		return nil, 0, fmt.Errorf("qlog: bad header %q", data[:nl])
-	}
-	if ver != Version {
-		return nil, 0, fmt.Errorf("qlog: unsupported version %d", ver)
+	if !bytes.Equal(data[:nl+1], header()) {
+		line := string(data[:nl])
+		v, ok := strings.CutPrefix(line, Magic+" ")
+		if ver, err := strconv.Atoi(v); ok && err == nil && strconv.Itoa(ver) == v {
+			return nil, 0, fmt.Errorf("qlog: unsupported version %d", ver)
+		}
+		return nil, 0, fmt.Errorf("qlog: bad header %q", line)
 	}
 	pos := int64(nl + 1)
 	for {

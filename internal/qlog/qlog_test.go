@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,6 +26,10 @@ func TestLogRoundtrip(t *testing.T) {
 		{Op: "bits", SpatialLo: 10, SpatialHi: 90, ElapsedNs: 99, TraceID: "abc123"},
 		{Op: "quantile", Q: 0.5, Err: "boom", ElapsedNs: 5},
 		{Op: "correlation", Correlated: true, BValueLo: -1, BValueHi: 1, GenB: 7, ElapsedNs: 8},
+		// Logs written before selection scoring stopped posing as a query
+		// hold records like this one; they still read, and never replay.
+		{Op: "selection.dissimilarity", Detail: "steps 3~4", Words: 99, Rows: 7,
+			ElapsedNs: 42, Result: DigestFloats(0.25)},
 	}
 	for i := range want {
 		rec := want[i]
@@ -67,6 +72,37 @@ func TestLogRoundtrip(t *testing.T) {
 	}
 	if !recs[0].Replayable() || !recs[1].Replayable() {
 		t.Error("count/bits records should be replayable")
+	}
+	if recs[4].Replayable() {
+		t.Error("selection.dissimilarity record reports replayable")
+	}
+}
+
+// TestParseLogHeader requires the header line byte for byte: a version
+// with trailing bytes, a fraction or a leading zero is a damaged header,
+// and a well-formed unknown version is named as such.
+func TestParseLogHeader(t *testing.T) {
+	for _, tc := range []struct {
+		header, wantErr string
+	}{
+		{"isqlog 1\n", ""},
+		{"isqlog 1xyz\n", "bad header"},
+		{"isqlog 1.5\n", "bad header"},
+		{"isqlog 1 extra\n", "bad header"},
+		{"isqlog 01\n", "bad header"},
+		{"isqlog  1\n", "bad header"},
+		{"isqlog 1\r\n", "bad header"},
+		{"isqlog 2\n", "unsupported version 2"},
+	} {
+		_, validLen, err := ParseLog([]byte(tc.header))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%q: %v", tc.header, err)
+		case tc.wantErr == "" && validLen != int64(len(tc.header)):
+			t.Errorf("%q: validLen %d, want %d", tc.header, validLen, len(tc.header))
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%q: err %v, want %q", tc.header, err, tc.wantErr)
+		}
 	}
 }
 

@@ -104,10 +104,17 @@ func DigestPair(pr metrics.Pair) string {
 // ---------------------------------------------------------------------------
 // Record emission and its inverse.
 
-// recordOf starts a workload-log record from a finished profile.
-func recordOf(p *Profile) *qlog.Record {
+// capture appends one executed request to the active workload log: its
+// finished profile, its replayable parameters, and — unless it failed — its
+// answer's digest. Called by the funnel's epilogue; no-op (one atomic load)
+// when no log is installed.
+func capture(p *Profile, req *Request, xa, xb *index.Index, ans *Answer) {
+	w := qlog.Active()
+	if w == nil {
+		return
+	}
 	total := p.Total()
-	return &qlog.Record{
+	rec := &qlog.Record{
 		Op:         p.Query,
 		Detail:     p.Detail,
 		PlanDigest: p.PlanDigest,
@@ -118,23 +125,14 @@ func recordOf(p *Profile) *qlog.Record {
 		ElapsedNs:  p.ElapsedNs,
 		TraceID:    p.TraceID,
 		Err:        p.Err,
+		ValueLo:    req.A.ValueLo,
+		ValueHi:    req.A.ValueHi,
+		SpatialLo:  req.A.SpatialLo,
+		SpatialHi:  req.A.SpatialHi,
+		Q:          req.Q,
+		N:          xa.N(),
+		Gen:        xa.Generation(),
 	}
-}
-
-// capture appends one executed request to the active workload log: its
-// finished profile, its replayable parameters, and — unless it failed — its
-// answer's digest. Called by the funnel's epilogue; no-op (one atomic load)
-// when no log is installed.
-func capture(p *Profile, req *Request, xa, xb *index.Index, ans *Answer) {
-	w := qlog.Active()
-	if w == nil {
-		return
-	}
-	rec := recordOf(p)
-	rec.ValueLo, rec.ValueHi = req.A.ValueLo, req.A.ValueHi
-	rec.SpatialLo, rec.SpatialHi = req.A.SpatialLo, req.A.SpatialHi
-	rec.Q = req.Q
-	rec.N, rec.Gen = xa.N(), xa.Generation()
 	if req.Op == OpCorrelation {
 		rec.Correlated = true
 		rec.BValueLo, rec.BValueHi = req.B.ValueLo, req.B.ValueHi
@@ -160,20 +158,4 @@ func RequestOf(rec *qlog.Record) (Request, error) {
 		B:  Subset{ValueLo: rec.BValueLo, ValueHi: rec.BValueHi, SpatialLo: rec.BSpatialLo, SpatialHi: rec.BSpatialHi},
 		Q:  rec.Q,
 	}, err
-}
-
-// CaptureProfile appends a finished non-entry-point profile (in-situ
-// selection scoring, mining pair profiling) to the active workload log.
-// The record is not replayable — it carries no subset parameters — but it
-// records the op, words scanned, elapsed time, cache verdict, and result
-// digest, so workload analysis sees the full query mix an in-situ run
-// generates. Nil-safe; one atomic load when no log is installed.
-func CaptureProfile(p *Profile, resultDigest string) {
-	w := qlog.Active()
-	if w == nil || p == nil {
-		return
-	}
-	rec := recordOf(p)
-	rec.Result = resultDigest
-	w.Append(rec)
 }

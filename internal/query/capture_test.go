@@ -256,26 +256,6 @@ func TestSlowLogCarriesPlanDigest(t *testing.T) {
 	}
 }
 
-// TestCaptureProfile covers the exported non-entry-point hook the in-situ
-// pipeline and mining pass use.
-func TestCaptureProfile(t *testing.T) {
-	recs := withCaptureLog(t, func(ctx context.Context) {
-		p := &Profile{Query: "selection.dissimilarity", Detail: "steps 3~4",
-			ElapsedNs: 42, Root: &Node{Op: "selection.dissimilarity", Bin: -1,
-				Cost: Cost{WordsScanned: 99, Rows: 7}}}
-		CaptureProfile(p, qlog.DigestFloats(0.25))
-		CaptureProfile(nil, "") // nil-safe
-	})
-	if len(recs) != 1 {
-		t.Fatalf("captured %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Op != "selection.dissimilarity" || r.Words != 99 || r.Rows != 7 ||
-		r.Result != qlog.DigestFloats(0.25) || r.Replayable() {
-		t.Errorf("record = %+v", r)
-	}
-}
-
 func TestFormatBins(t *testing.T) {
 	cases := []struct {
 		in   []int

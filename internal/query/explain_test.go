@@ -368,24 +368,3 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("disabled slow log still wrote: %s", buf.String())
 	}
 }
-
-func TestTopK(t *testing.T) {
-	tk := NewTopK(3)
-	for _, ns := range []int64{5, 1, 9, 3, 7, 2} {
-		tk.Offer(&Profile{Query: "q", ElapsedNs: ns})
-	}
-	ps := tk.Profiles()
-	if len(ps) != 3 || tk.Seen() != 6 {
-		t.Fatalf("kept %d of %d, want 3 of 6", len(ps), tk.Seen())
-	}
-	for i, want := range []int64{9, 7, 5} {
-		if ps[i].ElapsedNs != want {
-			t.Errorf("rank %d: ElapsedNs = %d, want %d", i, ps[i].ElapsedNs, want)
-		}
-	}
-	var nilTK *TopK
-	nilTK.Offer(&Profile{})
-	if got := nilTK.Profiles(); got != nil {
-		t.Errorf("nil TopK returned %v", got)
-	}
-}

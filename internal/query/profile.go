@@ -3,9 +3,7 @@ package query
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"insitubits/internal/bitvec"
@@ -359,70 +357,6 @@ func (n *Node) scanCostOf(b bitvec.Bitmap) Cost {
 		c.FillWords, c.FillSegments, c.LiteralWords = int64(st.FillWords), int64(st.FilledSegments), int64(st.LiteralWords)
 	}
 	return c
-}
-
-// TopK keeps the K slowest profiles seen so far (by elapsed time); the
-// in-situ pipeline and the mining CLI use it to embed the slowest
-// selection/mining queries in their run reports. Safe for concurrent
-// Offer/Profiles. A nil *TopK ignores everything.
-type TopK struct {
-	mu    sync.Mutex
-	k     int
-	slow  []*Profile // unordered; smallest elapsed tracked on insert
-	count int64
-}
-
-// NewTopK returns a recorder keeping the k slowest profiles (k < 1 → 1).
-func NewTopK(k int) *TopK {
-	if k < 1 {
-		k = 1
-	}
-	return &TopK{k: k}
-}
-
-// Offer records p if it ranks among the K slowest. Nil-safe on both sides.
-func (t *TopK) Offer(p *Profile) {
-	if t == nil || p == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.count++
-	if len(t.slow) < t.k {
-		t.slow = append(t.slow, p)
-		return
-	}
-	min := 0
-	for i, q := range t.slow {
-		if q.ElapsedNs < t.slow[min].ElapsedNs {
-			min = i
-		}
-	}
-	if p.ElapsedNs > t.slow[min].ElapsedNs {
-		t.slow[min] = p
-	}
-}
-
-// Profiles returns the recorded profiles, slowest first.
-func (t *TopK) Profiles() []*Profile {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := append([]*Profile(nil), t.slow...)
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ElapsedNs > out[j].ElapsedNs })
-	return out
-}
-
-// Seen returns how many profiles were offered in total.
-func (t *TopK) Seen() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
 }
 
 // codecName labels a bitmap's encoding for plan nodes.

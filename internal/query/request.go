@@ -247,7 +247,7 @@ func run(ctx context.Context, req Request, xa, xb *index.Index, mask bitvec.Bitm
 			prof.Err = err.Error()
 		}
 		stampPlan(prof, e.plan)
-		LogSlow(prof)
+		logSlow(prof)
 		capture(prof, &req, xa, xb, &ans)
 	}
 	return ans, prof, err

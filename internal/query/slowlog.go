@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// slowLog is the installed slow-query sink: queries (and pipeline/mining
-// profiles fed through LogSlow) at or above the threshold are emitted as
-// one structured record with the full profile attached as JSON.
+// slowLogSink is the installed slow-query sink: executed requests at or
+// above the threshold are emitted as one structured record with the full
+// profile attached as JSON.
 type slowLogSink struct {
 	logger    *slog.Logger
 	threshold time.Duration
@@ -36,12 +36,11 @@ func SetSlowLog(logger *slog.Logger, threshold time.Duration) {
 	slowLogState.Store(&slowLogSink{logger: logger, threshold: threshold})
 }
 
-// LogSlow offers a finished profile to the installed slow-query log; it is
-// emitted when its elapsed time reaches the threshold. The analyze entry
-// points call this automatically; the in-situ pipeline and the mining pass
-// feed their selection/mining profiles through it too. Nil-safe, no-op
-// when no log is installed.
-func LogSlow(p *Profile) {
+// logSlow offers a finished request profile to the installed slow-query
+// log; it is emitted when its elapsed time reaches the threshold. The
+// funnel's epilogue is its one caller. Nil-safe, no-op when no log is
+// installed.
+func logSlow(p *Profile) {
 	sink := slowLogState.Load()
 	if sink == nil || p == nil {
 		return

@@ -155,11 +155,8 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
-		if n > 1<<34 {
-			return nil, fmt.Errorf("store: implausible element count %d", n)
-		}
-		data := make([]float64, n)
-		if err := binary.Read(br, binary.LittleEndian, data); err != nil {
+		data, err := readFloats(br, n)
+		if err != nil {
 			return nil, fmt.Errorf("store: variable %q payload: %w", nameBytes, err)
 		}
 		if err := d.Add(string(nameBytes), data); err != nil {

@@ -366,11 +366,30 @@ func WriteRaw(w io.Writer, data []float64) (int64, error) {
 // (including the checksum footer).
 func RawSize(n int) int64 { return 4 + 8 + int64(8*n) + footerSize }
 
-// rawChunk is how many elements ReadRaw reads per step: allocation grows
-// only as fast as bytes actually arrive, so a header whose count lies (a
-// flipped bit can inflate it by 2^32) fails at EOF instead of demanding
+// rawChunk is how many elements readFloats reads per step: allocation
+// grows only as fast as bytes actually arrive, so a header whose count lies
+// (a flipped bit can inflate it by 2^32) fails at EOF instead of demanding
 // the whole declared size up front.
 const rawChunk = 1 << 15
+
+// readFloats reads the n little-endian float64s a header declared, in
+// rawChunk steps.
+func readFloats(r io.Reader, n uint64) ([]float64, error) {
+	if n > 1<<34 {
+		return nil, fmt.Errorf("store: implausible element count %d", n)
+	}
+	data := make([]float64, 0, min(n, rawChunk))
+	for remaining := n; remaining > 0; {
+		c := min(remaining, rawChunk)
+		at := len(data)
+		data = append(data, make([]float64, c)...)
+		if err := binary.Read(r, binary.LittleEndian, data[at:]); err != nil {
+			return nil, err
+		}
+		remaining -= c
+	}
+	return data, nil
+}
 
 // ReadRaw parses an array written by WriteRaw. Files that end exactly
 // after the data are the legacy un-checksummed layout and load as-is; a
@@ -389,25 +408,9 @@ func ReadRaw(r io.Reader) ([]float64, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
 		return nil, err
 	}
-	if n > 1<<34 {
-		return nil, fmt.Errorf("store: implausible element count %d", n)
-	}
-	first := uint64(rawChunk)
-	if n < first {
-		first = n
-	}
-	data := make([]float64, 0, first)
-	for remaining := n; remaining > 0; {
-		c := uint64(rawChunk)
-		if remaining < c {
-			c = remaining
-		}
-		at := len(data)
-		data = append(data, make([]float64, c)...)
-		if err := binary.Read(cr, binary.LittleEndian, data[at:]); err != nil {
-			return nil, err
-		}
-		remaining -= c
+	data, err := readFloats(cr, n)
+	if err != nil {
+		return nil, err
 	}
 	fileCRC := cr.file
 	var fmagic [4]byte

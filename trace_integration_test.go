@@ -209,7 +209,7 @@ func TestRunStatusEndpoint(t *testing.T) {
 	if st.Steps != 6 || st.StepsDone != 6 || st.Selected != 2 {
 		t.Errorf("run progress: steps %d/%d, selected %d", st.StepsDone, st.Steps, st.Selected)
 	}
-	if st.CodecBins["wah"]+st.CodecBins["bbc"]+st.CodecBins["dense"] == 0 {
+	if st.CodecBins["wah"]+st.CodecBins["bbc"]+st.CodecBins["other"] == 0 {
 		t.Errorf("no codec mix recorded: %+v", st.CodecBins)
 	}
 	if len(st.Phases) == 0 || st.Phases["simulate"].Count == 0 {
