@@ -250,6 +250,7 @@ loc:
 
 # `race` already executes every test the named gates above select
 # (race-hot, plan-diff, replay-diff, trace-smoke, crash-matrix,
-# serve-chaos, serve-smoke), so ci runs each test once; the
-# gates stay as targets for humans chasing one failure.
-ci: vet build race overhead fuzz-smoke bench-quick
+# serve-chaos, serve-smoke); the gates stay as targets for humans chasing
+# one failure. `test` runs the suite once more without the race detector,
+# where the tighter non-race bounds (race_test.go / norace_test.go) apply.
+ci: vet build test race overhead fuzz-smoke bench-quick

@@ -424,7 +424,7 @@ func BenchmarkAblationCalibrate(b *testing.B) {
 			Sim: s, Steps: 8, Select: 2,
 			Method: insitubits.MethodBitmaps, Bins: 160,
 			Metric: insitubits.MetricConditionalEntropy, Cores: 4,
-		}, 2); err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -478,8 +478,7 @@ func BenchmarkSubgroupDiscovery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := insitubits.DiscoverSubgroups([]*insitubits.Index{xt, xs}, xo,
-			insitubits.SubgroupConfig{TopK: 3}); err != nil {
+		if _, err := insitubits.DiscoverSubgroups([]*insitubits.Index{xt, xs}, xo, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -167,7 +167,7 @@ func cmdSubgroup(args []string) error {
 	if err != nil {
 		return err
 	}
-	sgs, err := insitubits.DiscoverSubgroups(vars, xt, insitubits.SubgroupConfig{TopK: *top})
+	sgs, err := insitubits.DiscoverSubgroups(vars, xt, *top)
 	if err != nil {
 		return err
 	}

@@ -176,7 +176,7 @@ func main() {
 		}
 		calCfg := cfg
 		calCfg.Sim = calibSim
-		split, err := insitubits.Calibrate(calCfg, 2)
+		split, err := insitubits.Calibrate(calCfg)
 		if err != nil {
 			log.Fatal(err)
 		}

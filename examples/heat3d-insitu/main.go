@@ -54,7 +54,7 @@ func main() {
 	}
 	var split insitubits.SeparateCores
 	if *cores >= 2 {
-		split, err = insitubits.Calibrate(base, 2)
+		split, err = insitubits.Calibrate(base)
 		if err != nil {
 			log.Fatal(err)
 		}

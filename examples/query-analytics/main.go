@@ -107,9 +107,7 @@ func main() {
 
 	// 5. Subgroup discovery: under which (T, S) conditions is oxygen
 	//    unusually low? (Physically: warm saline water holds less oxygen.)
-	sgs, err := insitubits.DiscoverSubgroups([]*insitubits.Index{xt, xs}, xo, insitubits.SubgroupConfig{
-		TopK: 3, MaxConditions: 2,
-	})
+	sgs, err := insitubits.DiscoverSubgroups([]*insitubits.Index{xt, xs}, xo, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -395,12 +395,9 @@ var StartMetricsHistory = telemetry.StartHistory
 
 // --- Subgroup discovery (internal/subgroup) ---
 
-// Subgroup and SubgroupConfig drive bitmap-based
-// subgroup discovery (the SciSD companion analysis).
-type (
-	Subgroup       = subgroup.Subgroup
-	SubgroupConfig = subgroup.Config
-)
+// Subgroup is one finding of bitmap-based subgroup discovery (the SciSD
+// companion analysis).
+type Subgroup = subgroup.Subgroup
 
 // Re-exported subgroup API.
 var (

@@ -206,7 +206,7 @@ func TestMiningQuerySubgroupOnOcean(t *testing.T) {
 	}
 
 	// Subgroup discovery over (T, S) explaining oxygen runs end to end.
-	sgs, err := insitubits.DiscoverSubgroups([]*insitubits.Index{xt, xs}, xo, insitubits.SubgroupConfig{TopK: 3})
+	sgs, err := insitubits.DiscoverSubgroups([]*insitubits.Index{xt, xs}, xo, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@ package insitu
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -234,6 +236,80 @@ func TestResumeCompletedRun(t *testing.T) {
 	}
 }
 
+// A configuration Run, Resume and Calibrate reject writes nothing. A
+// separate-cores split wider than the run's cores, aimed at a completed
+// run's directory, leaves it byte-identical and fsck-clean; aimed at a
+// crashed run's, it leaves the torn journal tail for a valid Resume to
+// quarantine; and a fresh directory gets no journal.
+func TestFsckCleanAfterRejectedSplit(t *testing.T) {
+	bad := func(dir string) Config {
+		cfg := triConfig(dir)
+		cfg.Strategy = SeparateCores{SimCores: 2, ReduceCores: 2}
+		return cfg
+	}
+	dir := t.TempDir()
+	if _, err := Run(triConfig(dir)); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshot(t, dir)
+	if _, err := Run(bad(dir)); err == nil {
+		t.Error("Run accepted a 2+2 split of 2 cores")
+	}
+	if _, err := Resume(dir, bad(dir)); err == nil {
+		t.Error("Resume accepted a 2+2 split of 2 cores")
+	}
+	if _, err := Calibrate(bad(dir)); err == nil {
+		t.Error("Calibrate accepted a 2+2 split of 2 cores")
+	}
+	sameSnapshot(t, "completed run after rejected configs", want, snapshot(t, dir))
+	rep, err := Fsck(dir, FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || !rep.Complete {
+		t.Fatalf("fsck after rejected configs: complete %v, issues %+v", rep.Complete, rep.Issues)
+	}
+
+	crashed := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg := triConfig(crashed)
+	cfg.Sim = &cancelSim{triSim: triSim{n: 60}, at: 9, cancel: cancel}
+	cfg.Ctx = ctx
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("the cancelled run completed")
+	}
+	jf, err := os.OpenFile(filepath.Join(crashed, JournalName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jf.Write([]byte("torn")); err != nil {
+		t.Fatal(err)
+	}
+	if err := jf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := snapshot(t, crashed)
+	if _, err := Resume(crashed, bad(crashed)); err == nil {
+		t.Error("Resume accepted a 2+2 split of 2 cores")
+	}
+	sameSnapshot(t, "crashed run after a rejected resume", torn, snapshot(t, crashed))
+	if _, err := os.Stat(filepath.Join(crashed, QuarantineDir)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a rejected resume made %s: %v", QuarantineDir, err)
+	}
+	if _, err := Resume(crashed, triConfig(crashed)); err != nil {
+		t.Fatal(err)
+	}
+	sameSnapshot(t, "crashed run resumed", want, snapshot(t, crashed))
+
+	fresh := t.TempDir()
+	if _, err := Run(bad(fresh)); err == nil {
+		t.Error("Run accepted a 2+2 split of 2 cores")
+	}
+	if _, err := os.Stat(filepath.Join(fresh, JournalName)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a rejected run left a journal: %v", err)
+	}
+}
+
 // TestResumeRejectsMismatchedConfig guards against splicing two different
 // runs into one directory.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
@@ -376,6 +452,20 @@ func (s *sentinelSim) Step(nWorkers int) []sim.Field {
 	return fields
 }
 
+// cancelSim is triSim that cancels its run as it simulates step at.
+type cancelSim struct {
+	triSim
+	at     int
+	cancel context.CancelFunc
+}
+
+func (s *cancelSim) Step(nWorkers int) []sim.Field {
+	if s.t == s.at {
+		s.cancel()
+	}
+	return s.triSim.Step(nWorkers)
+}
+
 // faultyMapper breaks on sentinelSim's value: it panics, which is the stage
 // failing (the map), or names a bin one past the last, which the map stores
 // without a word and the build — summarize — trips over.
@@ -427,12 +517,8 @@ func TestResumeStagesOnlyNeededSteps(t *testing.T) {
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := triConfig(dir)
+		cfg.Sim = &cancelSim{triSim: triSim{n: 60}, at: 13, cancel: cancel}
 		cfg.Strategy, cfg.Ctx = strategy, ctx
-		cfg.OnPublish = func(step int) {
-			if step > 8 {
-				cancel()
-			}
-		}
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("%s: the cancelled run completed", strategy.Describe())
 		}

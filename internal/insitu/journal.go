@@ -62,17 +62,16 @@ type JournalRecord struct {
 	Kind string `json:"kind"`
 
 	// Begin: the config fingerprint Resume validates against.
-	Workload  string    `json:"workload,omitempty"`
-	Method    string    `json:"method,omitempty"`
-	Vars      []string  `json:"vars,omitempty"`
-	Steps     int       `json:"steps,omitempty"`
-	Select    int       `json:"select,omitempty"`
-	Bins      int       `json:"bins,omitempty"`
-	Codec     string    `json:"codec,omitempty"`
-	Metric    string    `json:"metric,omitempty"`
-	SamplePct float64   `json:"sample_pct,omitempty"`
-	Seed      int64     `json:"seed,omitempty"`
-	Weights   []float64 `json:"weights,omitempty"`
+	Workload  string   `json:"workload,omitempty"`
+	Method    string   `json:"method,omitempty"`
+	Vars      []string `json:"vars,omitempty"`
+	Steps     int      `json:"steps,omitempty"`
+	Select    int      `json:"select,omitempty"`
+	Bins      int      `json:"bins,omitempty"`
+	Codec     string   `json:"codec,omitempty"`
+	Metric    string   `json:"metric,omitempty"`
+	SamplePct float64  `json:"sample_pct,omitempty"`
+	Seed      int64    `json:"seed,omitempty"`
 
 	// Score and Select.
 	Step int `json:"step,omitempty"`
@@ -390,7 +389,6 @@ func beginRecord(cfg Config) *JournalRecord {
 		Metric:    cfg.Metric.String(),
 		SamplePct: cfg.SamplePct,
 		Seed:      cfg.Seed,
-		Weights:   cfg.VarWeights,
 	}
 }
 

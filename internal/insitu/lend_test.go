@@ -149,11 +149,11 @@ func TestLentStepOnlyWhereSafe(t *testing.T) {
 		cfg := base()
 		p := &poisoningLender{Simulator: cfg.Sim}
 		cfg.Sim, cfg.Method = p, method
-		if _, err := Calibrate(cfg, 3); err != nil {
+		if _, err := Calibrate(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if p.lends != 3 || p.owned != 0 {
-			t.Errorf("calibrate/%v: %d lent and %d owned steps, want 3 and 0", method, p.lends, p.owned)
+		if p.lends != calibSteps || p.owned != 0 {
+			t.Errorf("calibrate/%v: %d lent and %d owned steps, want %d and 0", method, p.lends, p.owned, calibSteps)
 		}
 	}
 }
@@ -263,10 +263,9 @@ func TestModelledPeakCountsIDs(t *testing.T) {
 	}
 }
 
-// The separate-cores queue is sized and modelled in the bytes it holds — a
-// staged step: one byte per element for bitmaps of up to 256 bins, two
-// beyond, the sample, or the raw step for full data. A budget of four raw
-// steps buys 32 slots of 120-bin ids and 4 of full data, and the modelled
+// The separate-cores queue holds QueueCap staged steps (2 unless set) and is
+// modelled in their bytes: one byte per element for bitmaps of up to 256
+// bins, two beyond, the sample, or the raw step for full data. The modelled
 // peak of a separate-cores run is the shared-cores one plus the steps that
 // were in flight.
 func TestQueueSizedAndModelledInStagedBytes(t *testing.T) {
@@ -280,33 +279,30 @@ func TestQueueSizedAndModelledInStagedBytes(t *testing.T) {
 	}
 	const n, vars = 8 * 8 * 8, 12
 	split := SeparateCores{SimCores: 1, ReduceCores: 1}
+	if got := split.queueCap(); got != 2 {
+		t.Errorf("an unset QueueCap gives the queue %d slots, want 2", got)
+	}
+	if got := (SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 3}).queueCap(); got != 3 {
+		t.Errorf("an explicit QueueCap of 3 became %d", got)
+	}
 	for _, c := range []struct {
 		name   string
 		method Method
 		bins   int
 		staged int64
-		cap    int // with a budget of four raw steps
 	}{
-		{"bitmaps/120", Bitmaps, 120, n * vars, 32},
-		{"bitmaps/256", Bitmaps, 256, n * vars, 32},
-		{"bitmaps/257", Bitmaps, 257, 2 * n * vars, 16},
-		{"sampling/25%", Sampling, 120, 8 * (n / 4) * vars, 16},
-		{"fulldata", FullData, 120, 8 * n * vars, 4},
+		{"bitmaps/120", Bitmaps, 120, n * vars},
+		{"bitmaps/256", Bitmaps, 256, n * vars},
+		{"bitmaps/257", Bitmaps, 257, 2 * n * vars},
+		{"sampling/25%", Sampling, 120, 8 * (n / 4) * vars},
+		{"fulldata", FullData, 120, 8 * n * vars},
 	} {
-		cfg := config(c.method, c.bins, split)
-		cfg.MemoryBudgetBytes = 4 * 8 * n * vars
-		red, err := newReducer(cfg)
+		red, err := newReducer(config(c.method, c.bins, split))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := red.stagedBytes(); got != c.staged {
 			t.Errorf("%s: a staged step is %d bytes, want %d", c.name, got, c.staged)
-		}
-		if got := split.queueCap(cfg, red); got != c.cap {
-			t.Errorf("%s: a budget of four raw steps gives the queue %d slots, want %d", c.name, got, c.cap)
-		}
-		if got := (SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 3}).queueCap(cfg, red); got != 3 {
-			t.Errorf("%s: an explicit QueueCap of 3 became %d", c.name, got)
 		}
 
 		separate, err := Run(config(c.method, c.bins, split))
@@ -351,7 +347,7 @@ func TestCalibrateChargesStageToTheSimulateSide(t *testing.T) {
 	}
 	calibrate := func(method Method) SeparateCores {
 		split, err := Calibrate(Config{Sim: &constSim{[]sim.Field{{Name: "v", Data: data}}}, Steps: 4, Select: 2,
-			Method: method, Bins: 120, SamplePct: 100, Seed: 1, Cores: 8}, 3)
+			Method: method, Bins: 120, SamplePct: 100, Seed: 1, Cores: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

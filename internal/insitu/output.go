@@ -71,7 +71,6 @@ func newWriter(cfg Config, rt *runTelemetry) (*writer, error) {
 		vars:   cfg.Sim.Vars(),
 		fs:     cfg.fsys(),
 		ctx:    cfg.context(),
-		retry:  cfg.Retry,
 		resume: cfg.resume,
 		rt:     rt,
 		manifest: Manifest{
@@ -81,14 +80,8 @@ func newWriter(cfg Config, rt *runTelemetry) (*writer, error) {
 			Steps:    cfg.Steps,
 		},
 	}
-	// Retries surface in telemetry on top of whatever hook the caller set.
-	userHook := w.retry.OnRetry
-	w.retry.OnRetry = func(attempt int, err error) {
-		rt.storeRetries.Inc()
-		if userHook != nil {
-			userHook(attempt, err)
-		}
-	}
+	// iosim.Retry's default policy; each retry surfaces in telemetry.
+	w.retry.OnRetry = func(int, error) { rt.storeRetries.Inc() }
 	var err error
 	if cfg.resume != nil {
 		// The journal already opens with this run's begin record; the torn

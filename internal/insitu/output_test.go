@@ -1,6 +1,7 @@
 package insitu
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -292,5 +293,24 @@ func TestRunOutputIdenticalAcrossCores(t *testing.T) {
 				sameSnapshot(t, fmt.Sprintf("%s queue cap %d over a poisoning simulator vs cores=1", name, qcap), want, got)
 			}
 		}
+	}
+}
+
+// The begin record is the fingerprint Resume matches a directory against:
+// its bytes for a bitmaps run are pinned, so a Config field added, dropped
+// or renamed cannot change the journal a resumed run must agree with
+// unnoticed.
+func TestBeginRecordGolden(t *testing.T) {
+	cfg := triConfig(t.TempDir())
+	cfg.Metric, cfg.Codec, cfg.Seed = selection.EMDSpatial, codec.BBC, 7
+	cfg.Strategy, cfg.Cores = SeparateCores{SimCores: 1, ReduceCores: 1}, 2
+	got, err := json.Marshal(beginRecord(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"kind":"begin","workload":"tri","method":"bitmaps","vars":["alpha","beta","gamma"],` +
+		`"steps":20,"select":5,"bins":4,"codec":"bbc","metric":"emd-spatial","seed":7}`
+	if string(got) != want {
+		t.Fatalf("begin record\n got %s\nwant %s", got, want)
 	}
 }

@@ -29,8 +29,8 @@ import (
 type Method int
 
 const (
-	// Bitmaps is the paper's method: compress each variable into a WAH
-	// bitmap index and discard the raw data.
+	// Bitmaps is the paper's method: compress each variable into a bitmap
+	// index (each bin WAH or BBC, see Config.Codec) and discard the raw data.
 	Bitmaps Method = iota
 	// FullData is the baseline: keep (and eventually write) raw arrays.
 	FullData
@@ -64,9 +64,8 @@ type Config struct {
 	Seed      int64   // sampler seed
 
 	// Codec selects the per-bin bitmap encoding for Method == Bitmaps. The
-	// zero value (codec.Auto) applies the adaptive density policy — dense
-	// bins store uncompressed, sparse bins take the smaller run-length
-	// codec. Pin codec.WAH to reproduce pre-v2 output exactly.
+	// zero value (codec.Auto) stores each bin in the smaller of WAH and BBC.
+	// Pin codec.WAH to reproduce pre-v2 output exactly.
 	Codec codec.ID
 
 	// Metric scores each step against the previous selection; the steps
@@ -75,20 +74,8 @@ type Config struct {
 	// needs all importances up front, is offline-only).
 	Metric selection.Metric
 
-	// VarWeights optionally weights each variable's contribution to the
-	// multi-variable selection score (nil = equal weights, the paper's
-	// implicit choice for Lulesh's 12 arrays). Length must match the
-	// simulator's variable count; weights must be non-negative.
-	VarWeights []float64
-
 	Cores    int      // total cores (worker goroutines)
 	Strategy Strategy // nil defaults to SharedCores
-
-	// MemoryBudgetBytes, when positive, bounds the separate-cores step
-	// queue: its capacity becomes QueueCapForMemory(budget, step bytes)
-	// whenever the strategy leaves QueueCap zero — the paper's "the queue
-	// size is limited by the memory capacity".
-	MemoryBudgetBytes int64
 
 	Store *iosim.Store // output device; nil disables output accounting
 
@@ -113,19 +100,6 @@ type Config struct {
 	// (iosim.OS); tests inject an iosim.FaultFS here to rehearse crashes
 	// and transient store errors.
 	FS iosim.FS
-
-	// Retry is the backoff policy applied to transient store errors while
-	// persisting artifacts. The zero value gets iosim.Retry's defaults
-	// (4 attempts, 1ms base, 100ms cap). Crashes are never retried.
-	Retry iosim.Backoff
-
-	// OnPublish, when set, is invoked after each selected step's artifacts
-	// are durably committed — written, fsynced, and sealed by the journal's
-	// select record. An embedded query server (internal/serve) hangs its
-	// zero-downtime catalog reload off this; cross-process servers poll the
-	// journal instead. Called on the selection goroutine between steps, so
-	// the hook must not block for long.
-	OnPublish func(step int)
 
 	// resume carries the replay state Resume derived from the run journal;
 	// nil for a fresh run.
@@ -183,22 +157,10 @@ func (c *Config) validate() error {
 	if c.Method == Sampling && c.Bins < 1 {
 		return fmt.Errorf("insitu: sampling still needs bins for selection metrics, got %d", c.Bins)
 	}
-	if c.VarWeights != nil {
-		if len(c.VarWeights) != len(c.Sim.Vars()) {
-			return fmt.Errorf("insitu: %d weights for %d variables", len(c.VarWeights), len(c.Sim.Vars()))
-		}
-		positive := false
-		for i, w := range c.VarWeights {
-			if w < 0 {
-				return fmt.Errorf("insitu: negative weight %g for variable %d", w, i)
-			}
-			if w > 0 {
-				positive = true
-			}
-		}
-		if !positive {
-			return fmt.Errorf("insitu: all variable weights are zero")
-		}
+	if c.Strategy != nil {
+		// Before anything is written: a rejected run must leave the output
+		// directory as it found it.
+		return c.Strategy.validate(c.Cores)
 	}
 	return nil
 }
@@ -414,7 +376,7 @@ func (r *reducer) stagedBytes() int64 {
 // summarize builds one staged step's summary using nWorkers cores.
 func (r *reducer) summarize(st staged, nWorkers int) *stepSummary {
 	nVars := len(st.ids) + len(st.arrays)
-	sum := &stepSummary{parts: make([]selection.Summary, nVars), weights: r.cfg.VarWeights, cores: nWorkers}
+	sum := &stepSummary{parts: make([]selection.Summary, nVars), cores: nWorkers}
 	if r.cfg.Method == Bitmaps {
 		// Each bin is encoded under the codec policy as it is finished.
 		// Aggregation below is in variable order, so the result is
@@ -458,10 +420,9 @@ func (r *reducer) summarize(st staged, nWorkers int) *stepSummary {
 type stepSummary struct {
 	step     int
 	parts    []selection.Summary
-	outBytes int64     // serialized size on the output device
-	memBytes int64     // in-memory size of what gets written (bitmaps, raw or sampled arrays)
-	idBytes  int64     // in-memory run streams handed to the scorer, never written
-	weights  []float64 // nil = equal weights
+	outBytes int64 // serialized size on the output device
+	memBytes int64 // in-memory size of what gets written (bitmaps, raw or sampled arrays)
+	idBytes  int64 // in-memory run streams handed to the scorer, never written
 	// cores lets multi-variable metric evaluation fan out across the
 	// pipeline's workers ("the time-steps selection time is reduced almost
 	// linearly" with cores, §5.1). Scores are accumulated in variable
@@ -475,13 +436,6 @@ type stepSummary struct {
 	replay bool
 }
 
-func (s *stepSummary) weight(k int) float64 {
-	if s.weights == nil {
-		return 1
-	}
-	return s.weights[k]
-}
-
 // Dissimilarity implements selection.Summary.
 func (s *stepSummary) Dissimilarity(other selection.Summary, m selection.Metric) float64 {
 	o, ok := other.(*stepSummary)
@@ -492,9 +446,7 @@ func (s *stepSummary) Dissimilarity(other selection.Summary, m selection.Metric)
 		scores := make([]float64, len(s.parts))
 		sim.ParallelFor(len(s.parts), s.cores, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				if w := s.weight(k); w > 0 {
-					scores[k] = w * s.parts[k].Dissimilarity(o.parts[k], m)
-				}
+				scores[k] = s.parts[k].Dissimilarity(o.parts[k], m)
 			}
 		})
 		total := 0.0
@@ -505,9 +457,7 @@ func (s *stepSummary) Dissimilarity(other selection.Summary, m selection.Metric)
 	}
 	total := 0.0
 	for k := range s.parts {
-		if w := s.weight(k); w > 0 {
-			total += w * s.parts[k].Dissimilarity(o.parts[k], m)
-		}
+		total += s.parts[k].Dissimilarity(o.parts[k], m)
 	}
 	return total
 }
@@ -638,13 +588,7 @@ func (s *selector) write(ctx context.Context, sum *stepSummary) {
 		if s.w == nil || s.err != nil {
 			return nil
 		}
-		if err := s.w.writeStep(ctx, sum); err != nil {
-			return err
-		}
-		if s.cfg.OnPublish != nil {
-			s.cfg.OnPublish(sum.step)
-		}
-		return nil
+		return s.w.writeStep(ctx, sum)
 	})
 	s.fail(err)
 }

@@ -197,7 +197,7 @@ func TestStrategyDescribe(t *testing.T) {
 func TestCalibrate(t *testing.T) {
 	cfg := heatConfig(t, Bitmaps)
 	cfg.Cores = 8
-	split, err := Calibrate(cfg, 2)
+	split, err := Calibrate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCalibrate(t *testing.T) {
 func TestCalibrateRejectsUnsplittableConfigs(t *testing.T) {
 	one := heatConfig(t, Bitmaps)
 	one.Cores = 1
-	if split, err := Calibrate(one, 2); err == nil {
+	if split, err := Calibrate(one); err == nil {
 		t.Errorf("one core calibrated to %+v, want an error", split)
 	}
 	func() {
@@ -223,7 +223,7 @@ func TestCalibrateRejectsUnsplittableConfigs(t *testing.T) {
 				t.Errorf("Calibrate of an empty config panicked: %v", r)
 			}
 		}()
-		if split, err := Calibrate(Config{}, 2); err == nil {
+		if split, err := Calibrate(Config{}); err == nil {
 			t.Errorf("empty config calibrated to %+v, want an error", split)
 		}
 	}()

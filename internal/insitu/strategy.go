@@ -12,6 +12,8 @@ import (
 // Strategy is a core-allocation policy for running the pipeline (§2.3).
 type Strategy interface {
 	run(cfg Config, red *reducer, sel *selector) (*Result, error)
+	// validate checks the strategy against the run's core count.
+	validate(cores int) error
 	// Describe names the strategy for experiment output (e.g. "c_all",
 	// "c12_c16").
 	Describe() string
@@ -81,6 +83,8 @@ type SharedCores struct{}
 // Describe implements Strategy.
 func (SharedCores) Describe() string { return "c_all" }
 
+func (SharedCores) validate(int) error { return nil }
+
 func (SharedCores) run(cfg Config, red *reducer, sel *selector) (*Result, error) {
 	res := &Result{}
 	rt := sel.rt
@@ -134,27 +138,26 @@ func (s SeparateCores) Describe() string {
 	return fmt.Sprintf("c%d_c%d", s.SimCores, s.ReduceCores)
 }
 
-// queueCap is the capacity of the run's step queue — the paper's bound on how
-// far simulation may run ahead of reduction: QueueCap when set, else what the
-// memory budget buys in staged steps, else 2.
-func (s SeparateCores) queueCap(cfg Config, red *reducer) int {
-	switch {
-	case s.QueueCap > 0:
-		return s.QueueCap
-	case cfg.MemoryBudgetBytes > 0:
-		return QueueCapForMemory(cfg.MemoryBudgetBytes, red.stagedBytes())
-	default:
-		return 2
+func (s SeparateCores) validate(cores int) error {
+	if s.SimCores < 1 || s.ReduceCores < 1 {
+		return fmt.Errorf("insitu: separate-cores split %d/%d invalid", s.SimCores, s.ReduceCores)
 	}
+	if s.SimCores+s.ReduceCores > cores {
+		return fmt.Errorf("insitu: split %d+%d exceeds %d cores", s.SimCores, s.ReduceCores, cores)
+	}
+	return nil
+}
+
+// queueCap is the capacity of the run's step queue — the paper's bound on how
+// far simulation may run ahead of reduction: QueueCap when set, else 2.
+func (s SeparateCores) queueCap() int {
+	if s.QueueCap > 0 {
+		return s.QueueCap
+	}
+	return 2
 }
 
 func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, error) {
-	if s.SimCores < 1 || s.ReduceCores < 1 {
-		return nil, fmt.Errorf("insitu: separate-cores split %d/%d invalid", s.SimCores, s.ReduceCores)
-	}
-	if s.SimCores+s.ReduceCores > cfg.Cores {
-		return nil, fmt.Errorf("insitu: split %d+%d exceeds %d cores", s.SimCores, s.ReduceCores, cfg.Cores)
-	}
 	type queued struct {
 		step   int
 		staged staged
@@ -166,7 +169,7 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 	}
 	rt := sel.rt
 	ctx := cfg.context()
-	queue := make(chan queued, s.queueCap(cfg, red))
+	queue := make(chan queued, s.queueCap())
 	simDone := make(chan struct{})
 
 	// Producer: the simulation owns its core set, and stages each step there
@@ -257,38 +260,23 @@ func finishResult(cfg Config, sel *selector, res *Result) {
 	sel.rt.finish(res)
 }
 
-// QueueCapForMemory derives the separate-cores queue capacity from a
-// memory budget, implementing the paper's "the queue size is limited by the
-// memory capacity": the queue holds staged time-steps of stepBytes each
-// (reducer.stagedBytes), and at least one slot is always granted so the
-// pipeline can make progress.
-func QueueCapForMemory(budgetBytes, stepBytes int64) int {
-	if stepBytes <= 0 {
-		return 1
-	}
-	cap := int(budgetBytes / stepBytes)
-	if cap < 1 {
-		cap = 1
-	}
-	return cap
-}
+// calibSteps is how many steps Calibrate times: the paper's short initial
+// set of steps.
+const calibSteps = 2
 
-// Calibrate implements the paper's Equations 1 and 2: run a few steps with
-// all cores, measure the average time of the work each side of the queue
+// Calibrate implements the paper's Equations 1 and 2: run calibSteps steps
+// with all cores, measure the average time of the work each side of the queue
 // does under the split it returns — simulating and staging on one, building
 // the summary on the other — and split the cores proportionally. The returned
 // strategy always grants each side at least one core, so it needs at least
 // two. The calibration steps advance the simulator, mirroring the paper's
 // "initial set of cores" warm-up.
-func Calibrate(cfg Config, calibSteps int) (SeparateCores, error) {
+func Calibrate(cfg Config) (SeparateCores, error) {
 	if err := cfg.validate(); err != nil {
 		return SeparateCores{}, err
 	}
 	if cfg.Cores < 2 {
 		return SeparateCores{}, fmt.Errorf("insitu: separate cores need at least 2 cores to split, have %d", cfg.Cores)
-	}
-	if calibSteps < 1 {
-		calibSteps = 2
 	}
 	red, err := newReducer(cfg)
 	if err != nil {

@@ -139,108 +139,3 @@ func newTestLulesh(t *testing.T) sim.Simulator {
 	}
 	return l
 }
-
-func TestQueueCapForMemory(t *testing.T) {
-	cases := []struct {
-		budget, step int64
-		want         int
-	}{
-		{1 << 30, 1 << 20, 1024},
-		{1 << 20, 1 << 30, 1}, // budget below one step: still one slot
-		{0, 100, 1},
-		{100, 0, 1},
-		{-5, 100, 1},
-	}
-	for _, c := range cases {
-		if got := QueueCapForMemory(c.budget, c.step); got != c.want {
-			t.Errorf("QueueCapForMemory(%d, %d) = %d, want %d", c.budget, c.step, got, c.want)
-		}
-	}
-}
-
-func TestMemoryBudgetBoundsQueue(t *testing.T) {
-	// A budget of 3 raw steps must run (24 slots of one-byte ids); a tiny
-	// budget degrades to cap 1 but still completes.
-	for _, budgetSteps := range []float64{3, 0.1} {
-		h, err := heat3d.New(8, 8, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stepBytes := int64(8 * h.Elements())
-		res, err := Run(Config{
-			Sim: h, Steps: 12, Select: 3,
-			Method: Bitmaps, Bins: 32,
-			Metric:            selection.EMDCount,
-			Cores:             2,
-			Strategy:          SeparateCores{SimCores: 1, ReduceCores: 1},
-			MemoryBudgetBytes: int64(budgetSteps * float64(stepBytes)),
-		})
-		if err != nil {
-			t.Fatalf("budget=%g steps: %v", budgetSteps, err)
-		}
-		if len(res.Selected) != 3 {
-			t.Fatalf("budget=%g steps: selected %v", budgetSteps, res.Selected)
-		}
-	}
-}
-
-func TestVarWeights(t *testing.T) {
-	// Weighting one Lulesh variable to zero must not crash and can change
-	// the selection; invalid weight vectors are rejected.
-	base := Config{
-		Steps: 10, Select: 4,
-		Method: Bitmaps, Bins: 48,
-		Metric: selection.EMDSpatial,
-		Cores:  1,
-	}
-	run := func(weights []float64) ([]int, error) {
-		cfg := base
-		cfg.Sim = newTestLulesh(t)
-		cfg.VarWeights = weights
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return res.Selected, nil
-	}
-	equal, err := run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All-equal explicit weights reproduce the nil-weights selection.
-	ones := make([]float64, 12)
-	for i := range ones {
-		ones[i] = 1
-	}
-	same, err := run(ones)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range equal {
-		if equal[i] != same[i] {
-			t.Fatalf("explicit equal weights changed selection: %v vs %v", same, equal)
-		}
-	}
-	// Only-coordinates weighting runs and yields a valid selection.
-	coordOnly := make([]float64, 12)
-	coordOnly[0], coordOnly[1], coordOnly[2] = 1, 1, 1
-	sel, err := run(coordOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != 4 || sel[0] != 0 {
-		t.Fatalf("weighted selection %v", sel)
-	}
-	// Invalid vectors.
-	if _, err := run(make([]float64, 3)); err == nil {
-		t.Error("wrong-length weights accepted")
-	}
-	if _, err := run(make([]float64, 12)); err == nil {
-		t.Error("all-zero weights accepted")
-	}
-	bad := make([]float64, 12)
-	bad[0] = -1
-	if _, err := run(bad); err == nil {
-		t.Error("negative weight accepted")
-	}
-}

@@ -54,9 +54,6 @@ func (s *Store) Writes() int64 {
 	return s.writes
 }
 
-// BandwidthMBps returns the modelled device bandwidth.
-func (s *Store) BandwidthMBps() float64 { return s.bandwidthMBps }
-
 // ModeledTime converts the bytes written so far into transfer time on the
 // modelled device.
 func (s *Store) ModeledTime() time.Duration {

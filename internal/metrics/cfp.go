@@ -17,18 +17,6 @@ func NewCFP(errors []float64) *CFP {
 	return &CFP{sorted: s}
 }
 
-// Len returns the number of samples.
-func (c *CFP) Len() int { return len(c.sorted) }
-
-// FractionBelow returns the fraction of samples strictly less than x.
-func (c *CFP) FractionBelow(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the error distribution.
 func (c *CFP) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
@@ -54,23 +42,4 @@ func (c *CFP) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(c.sorted))
-}
-
-// Points samples the curve at k evenly spaced cumulative fractions,
-// returning (x, y) pairs ready for plotting or for the experiment harness
-// to print as the paper's figure series.
-func (c *CFP) Points(k int) [][2]float64 {
-	out := make([][2]float64, 0, k)
-	n := len(c.sorted)
-	if n == 0 || k <= 0 {
-		return out
-	}
-	for i := 1; i <= k; i++ {
-		idx := i*n/k - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, [2]float64{c.sorted[idx], float64(i) / float64(k)})
-	}
-	return out
 }

@@ -24,9 +24,6 @@ import (
 type Client struct {
 	// Base is the server address, e.g. "http://localhost:8689".
 	Base string
-	// HTTP is the transport; nil means a client with a 35s total timeout
-	// (past the server's maximum request deadline).
-	HTTP *http.Client
 	// Backoff paces retries. The zero value retries 4 times from 1ms; load
 	// tests and bitmapctl widen it.
 	Backoff iosim.Backoff
@@ -46,12 +43,9 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("serve: server answered %d: %s", e.Code, e.Msg)
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Timeout: 35 * time.Second}
-}
+// httpClient bounds each attempt at 35s, past the server's maximum request
+// deadline.
+var httpClient = &http.Client{Timeout: 35 * time.Second}
 
 // Query executes one request, retrying sheds and transport errors under
 // the client's backoff. The context bounds the whole retry loop.
@@ -117,7 +111,7 @@ func (c *Client) once(ctx context.Context, body []byte) (_ *QueryResponse, hint 
 		return nil, 0, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := c.httpClient().Do(hreq)
+	hresp, err := httpClient.Do(hreq)
 	if err != nil {
 		return nil, 0, err // transport error: retryable
 	}
@@ -162,7 +156,7 @@ func (c *Client) Vars(ctx context.Context) (map[string]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	hresp, err := c.httpClient().Do(hreq)
+	hresp, err := httpClient.Do(hreq)
 	if err != nil {
 		return nil, err
 	}

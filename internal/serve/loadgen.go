@@ -24,7 +24,6 @@ type LoadConfig struct {
 	Ops      []string      // op mix to draw from, default count/sum/mean
 	Timeout  time.Duration // per-request timeout_ms sent to the server, 0 = server default
 	Retry    bool          // retry sheds through the Client backoff; off = raw status counts
-	HTTP     *http.Client  // shared transport, nil = per-worker default
 }
 
 // LoadReport aggregates one load run.
@@ -98,7 +97,7 @@ launch:
 		rep.Sent++
 		go func(seed int64) {
 			defer wg.Done()
-			cl := &Client{Base: cfg.Base, HTTP: cfg.HTTP}
+			cl := &Client{Base: cfg.Base}
 			cl.Backoff.Seed = seed
 			if !cfg.Retry {
 				cl.Backoff.Tries = 1

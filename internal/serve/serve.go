@@ -65,9 +65,6 @@ type Config struct {
 	// RetryAfter is the backoff hint stamped on shed responses (the
 	// Retry-After / X-Retry-After-Ms headers). Default 250ms.
 	RetryAfter time.Duration
-	// Registry receives the serve.* counters/gauges and the "serve" status
-	// provider. Nil means telemetry.Default.
-	Registry *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -88,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 250 * time.Millisecond
-	}
-	if c.Registry == nil {
-		c.Registry = telemetry.Default
 	}
 	return c
 }
@@ -133,7 +127,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, adm: newAdmission(cfg.MaxInflight, cfg.MaxQueue)}
 	s.state.Store(stateLoading)
-	r := cfg.Registry
+	r := telemetry.Default
 	s.tel.requests = r.Counter("serve.requests")
 	s.tel.admitted = r.Counter("serve.admitted")
 	s.tel.shed = r.Counter("serve.shed")
@@ -252,8 +246,8 @@ func (s *Server) publish(next, old *catalog) {
 
 // Watch polls the catalog source every interval and reloads on change,
 // until ctx ends. onSwap (optional) observes each successful swap. This is
-// the cross-process subscription to a live insitu-run; in-process
-// embedders wire Server.Reload to PipelineConfig.OnPublish instead.
+// the subscription to a live insitu-run: the server sees each step the
+// run's journal commits.
 func (s *Server) Watch(ctx context.Context, interval time.Duration, onSwap func(step int)) {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -336,9 +330,6 @@ func (g *inflightGroup) idle() <-chan struct{} {
 	return g.zeroed
 }
 
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.state.Load() == stateDraining }
-
 // Status is the server's live snapshot, published as the "serve" registry
 // status (so /debug/serve, /healthz embedding, `bitmapctl top`, and the
 // diag bundle all see it) and embedded in /readyz responses.
@@ -395,12 +386,12 @@ func (s *Server) Status() Status {
 // StatusName is the registry status key PublishStatus registers under.
 const StatusName = "serve"
 
-// PublishStatus registers the server's live status with its registry (and
-// mounts /debug/serve and /readyz on the registry's debug server), so the
+// PublishStatus registers the server's live status with telemetry.Default
+// (and mounts /debug/serve and /readyz on its debug server), so the
 // ops surface — `bitmapctl top`, `bitmapctl diag`, load balancers probing
 // the debug port — sees admission and shed counters without new plumbing.
 func (s *Server) PublishStatus() {
-	r := s.cfg.Registry
+	r := telemetry.Default
 	r.PublishStatus(StatusName, func() any { return s.Status() })
 	r.RegisterDebugHandler("/debug/serve", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.Status())

@@ -35,56 +35,33 @@ type Subgroup struct {
 	// Mean is the estimated target mean over the subgroup; MeanLo/MeanHi
 	// bound the true mean.
 	Mean, MeanLo, MeanHi float64
-	// Quality = coverage^Alpha × |Mean − global mean| (classic mean-based
+	// Quality = coverage^0.5 × |Mean − global mean| (classic mean-based
 	// interestingness).
 	Quality float64
 
 	extent bitvec.Bitmap
 }
 
-// Config tunes the beam search.
-type Config struct {
-	// BeamWidth is how many subgroups survive each refinement level
-	// (default 8).
-	BeamWidth int
-	// MaxConditions bounds the conjunction depth (default 2).
-	MaxConditions int
-	// TopK is how many subgroups to return (default 5).
-	TopK int
-	// Alpha is the coverage exponent of the quality measure (default 0.5).
-	Alpha float64
-	// MinCount prunes subgroups covering fewer elements (default 1% of n).
-	MinCount int
-	// WindowSizes are the bin-range widths used to generate candidate
-	// conditions (default {1, 2, 4, 8}).
-	WindowSizes []int
-}
+// The beam search's fixed shape.
+const (
+	// beamWidth is how many subgroups survive each refinement level.
+	beamWidth = 8
+	// maxConditions bounds the conjunction depth.
+	maxConditions = 2
+	// alpha is the coverage exponent of the quality measure.
+	alpha = 0.5
+)
 
-func (c *Config) fill(n int) {
-	if c.BeamWidth <= 0 {
-		c.BeamWidth = 8
-	}
-	if c.MaxConditions <= 0 {
-		c.MaxConditions = 2
-	}
-	if c.TopK <= 0 {
-		c.TopK = 5
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.5
-	}
-	if c.MinCount <= 0 {
-		c.MinCount = n/100 + 1
-	}
-	if len(c.WindowSizes) == 0 {
-		c.WindowSizes = []int{1, 2, 4, 8}
-	}
-}
+// windowSizes are the bin-range widths used to generate candidate
+// conditions.
+var windowSizes = [...]int{1, 2, 4, 8}
 
-// Discover runs beam search over conjunctions of bin-range conditions.
-// vars are the explanatory variables' indices, target the variable whose
-// mean deviation defines interestingness; all must cover the same elements.
-func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup, error) {
+// Discover runs beam search over conjunctions of bin-range conditions and
+// returns the topK best subgroups (5 when topK < 1). vars are the
+// explanatory variables' indices, target the variable whose mean deviation
+// defines interestingness; all must cover the same n elements. Subgroups
+// covering at most n/100 of them are pruned.
+func Discover(vars []*index.Index, target *index.Index, topK int) ([]Subgroup, error) {
 	if len(vars) == 0 {
 		return nil, fmt.Errorf("subgroup: no explanatory variables")
 	}
@@ -97,21 +74,24 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 	if n == 0 {
 		return nil, fmt.Errorf("subgroup: empty dataset")
 	}
-	cfg.fill(n)
+	if topK < 1 {
+		topK = 5
+	}
+	minCount := n/100 + 1
 
 	globalMean := estimateMean(target)
 
 	// Level 1: all single conditions.
 	var beam []Subgroup
 	for vi, x := range vars {
-		for _, w := range cfg.WindowSizes {
+		for _, w := range windowSizes {
 			if w > x.Bins() {
 				continue
 			}
 			for lo := 0; lo+w <= x.Bins(); lo++ {
 				cond := Condition{Var: vi, BinLo: lo, BinHi: lo + w}
 				extent := conditionExtent(x, cond, nil)
-				sg, ok := evaluate([]Condition{cond}, extent, target, globalMean, cfg)
+				sg, ok := evaluate([]Condition{cond}, extent, target, globalMean, minCount)
 				if ok {
 					beam = append(beam, sg)
 				}
@@ -119,11 +99,11 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 		}
 	}
 	best := append([]Subgroup(nil), beam...)
-	beam = topQuality(beam, cfg.BeamWidth)
+	beam = topQuality(beam, beamWidth)
 
 	// Refinement levels: extend each beam member with a condition on a
 	// variable it does not constrain yet.
-	for depth := 2; depth <= cfg.MaxConditions; depth++ {
+	for depth := 2; depth <= maxConditions; depth++ {
 		var next []Subgroup
 		for _, sg := range beam {
 			within := make([]uint64, bitvec.FlatWords(sg.extent.Len()))
@@ -136,7 +116,7 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 				if used[vi] {
 					continue
 				}
-				for _, w := range cfg.WindowSizes {
+				for _, w := range windowSizes {
 					if w > x.Bins() {
 						continue
 					}
@@ -144,7 +124,7 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 						cond := Condition{Var: vi, BinLo: lo, BinHi: lo + w}
 						extent := conditionExtent(x, cond, within)
 						conds := append(append([]Condition(nil), sg.Conditions...), cond)
-						child, ok := evaluate(conds, extent, target, globalMean, cfg)
+						child, ok := evaluate(conds, extent, target, globalMean, minCount)
 						if ok {
 							next = append(next, child)
 						}
@@ -156,10 +136,10 @@ func Discover(vars []*index.Index, target *index.Index, cfg Config) ([]Subgroup,
 			break
 		}
 		best = append(best, next...)
-		beam = topQuality(next, cfg.BeamWidth)
+		beam = topQuality(next, beamWidth)
 	}
 
-	best = topQuality(best, cfg.TopK)
+	best = topQuality(best, topK)
 	for i := range best {
 		best[i].extent = nil // do not leak working state
 	}
@@ -180,10 +160,11 @@ func conditionExtent(x *index.Index, c Condition, within []uint64) bitvec.Bitmap
 	return bitvec.FromFlat(buf, x.N())
 }
 
-// evaluate scores one candidate; ok is false when pruned by MinCount.
+// evaluate scores one candidate; ok is false when it covers fewer than
+// minCount elements.
 // Conditions are stored in canonical (Var, BinLo) order so the same
 // conjunction reached via different refinement orders deduplicates.
-func evaluate(conds []Condition, extent bitvec.Bitmap, target *index.Index, globalMean float64, cfg Config) (Subgroup, bool) {
+func evaluate(conds []Condition, extent bitvec.Bitmap, target *index.Index, globalMean float64, minCount int) (Subgroup, bool) {
 	sort.Slice(conds, func(i, j int) bool {
 		if conds[i].Var != conds[j].Var {
 			return conds[i].Var < conds[j].Var
@@ -191,11 +172,11 @@ func evaluate(conds []Condition, extent bitvec.Bitmap, target *index.Index, glob
 		return conds[i].BinLo < conds[j].BinLo
 	})
 	agg, err := query.MeanMasked(context.Background(), target, extent)
-	if err != nil || agg.Count < cfg.MinCount {
+	if err != nil || agg.Count < minCount {
 		return Subgroup{}, false
 	}
 	coverage := float64(agg.Count) / float64(target.N())
-	quality := math.Pow(coverage, cfg.Alpha) * math.Abs(agg.Estimate-globalMean)
+	quality := math.Pow(coverage, alpha) * math.Abs(agg.Estimate-globalMean)
 	return Subgroup{
 		Conditions: conds,
 		Count:      agg.Count,

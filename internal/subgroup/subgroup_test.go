@@ -46,7 +46,7 @@ func TestDiscoverFindsPlantedSubgroup(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	v0, v1, target := plantedDataset(r, 20000)
 	idx := buildAll(t, v0, v1, target)
-	sgs, err := Discover(idx[:2], idx[2], Config{MaxConditions: 2, TopK: 3})
+	sgs, err := Discover(idx[:2], idx[2], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSubgroupMeanBoundsHoldTruth(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	v0, v1, target := plantedDataset(r, 8000)
 	idx := buildAll(t, v0, v1, target)
-	sgs, err := Discover(idx[:2], idx[2], Config{TopK: 5})
+	sgs, err := Discover(idx[:2], idx[2], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,29 +124,38 @@ func TestDiscoverValidation(t *testing.T) {
 	m, _ := binning.NewUniform(0, 1, 4)
 	x := index.Build(make([]float64, 100), m)
 	y := index.Build(make([]float64, 50), m)
-	if _, err := Discover(nil, x, Config{}); err == nil {
+	if _, err := Discover(nil, x, 0); err == nil {
 		t.Error("no variables accepted")
 	}
-	if _, err := Discover([]*index.Index{y}, x, Config{}); err == nil {
+	if _, err := Discover([]*index.Index{y}, x, 0); err == nil {
 		t.Error("mismatched sizes accepted")
 	}
 	empty := index.Build(nil, m)
-	if _, err := Discover([]*index.Index{empty}, empty, Config{}); err == nil {
+	if _, err := Discover([]*index.Index{empty}, empty, 0); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
 
+// Subgroups covering at most 1% of the elements are pruned, however far
+// their mean deviates: here 25 of 5000 elements sit alone in variable 0's
+// top bin with an extreme target, and would otherwise rank first.
 func TestMinCountPrunes(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	v0, v1, target := plantedDataset(r, 5000)
+	for i := 0; i < 25; i++ {
+		v0[i], target[i] = 19.99, 10000
+	}
 	idx := buildAll(t, v0, v1, target)
-	sgs, err := Discover(idx[:2], idx[2], Config{MinCount: 500, TopK: 10})
+	sgs, err := Discover(idx[:2], idx[2], 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(sgs) != 10 {
+		t.Fatalf("%d subgroups, want 10", len(sgs))
+	}
 	for _, sg := range sgs {
-		if sg.Count < 500 {
-			t.Fatalf("subgroup %v has count %d below MinCount", sg.Conditions, sg.Count)
+		if sg.Count <= len(target)/100 {
+			t.Fatalf("subgroup %v covers %d of %d elements, at most 1%%", sg.Conditions, sg.Count, len(target))
 		}
 	}
 }
@@ -155,7 +164,7 @@ func TestQualityOrdering(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	v0, v1, target := plantedDataset(r, 5000)
 	idx := buildAll(t, v0, v1, target)
-	sgs, err := Discover(idx[:2], idx[2], Config{TopK: 8})
+	sgs, err := Discover(idx[:2], idx[2], 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +188,7 @@ func TestDescribe(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	v0, v1, target := plantedDataset(r, 3000)
 	idx := buildAll(t, v0, v1, target)
-	sgs, err := Discover(idx[:2], idx[2], Config{TopK: 1})
+	sgs, err := Discover(idx[:2], idx[2], 1)
 	if err != nil || len(sgs) == 0 {
 		t.Fatal(err)
 	}

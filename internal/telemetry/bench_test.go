@@ -88,7 +88,7 @@ func BenchmarkTraceStartSpanDisabled(b *testing.B) {
 // BenchmarkTraceChildEnd is one identity child span open/close inside an
 // already-traced request (the per-operator cost when tracing is on).
 func BenchmarkTraceChildEnd(b *testing.B) {
-	rec := NewTraceRecorder(TraceConfig{MaxSpans: 8})
+	rec := NewTraceRecorder(TraceConfig{})
 	_, root := rec.StartTrace(context.Background(), "request")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

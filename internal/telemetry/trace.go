@@ -19,7 +19,7 @@ import (
 // Keep policy: head sampling (keep 1 in SampleEvery traces, decided at
 // StartTrace) plus always-keep-slow (a trace whose root span runs at least
 // SlowThreshold is kept even when head sampling dropped it). Spans are
-// collected for every in-flight trace — cheaply, bounded by MaxSpans — so
+// collected for every in-flight trace — cheaply, bounded by maxSpans — so
 // the slow-keep decision can be made at root End without losing the tree.
 //
 // The disabled path is a single atomic pointer load (SpanFromContext on a
@@ -38,10 +38,11 @@ type TraceConfig struct {
 	// SlowThreshold, when > 0, keeps any trace whose root span runs at
 	// least this long, regardless of the head-sampling decision.
 	SlowThreshold time.Duration
-	// MaxSpans caps the spans recorded per trace; further spans are
-	// counted but dropped. Default 512.
-	MaxSpans int
 }
+
+// maxSpans caps the spans recorded per trace; further spans are counted but
+// dropped.
+const maxSpans = 512
 
 func (c TraceConfig) withDefaults() TraceConfig {
 	if c.Capacity <= 0 {
@@ -49,9 +50,6 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 1
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 512
 	}
 	return c
 }
@@ -405,7 +403,7 @@ func (s *ActiveSpan) End() {
 	at := s.at
 	rec := at.rec
 	at.mu.Lock()
-	if len(at.spans) < rec.cfg.MaxSpans {
+	if len(at.spans) < maxSpans {
 		span := TraceSpan{
 			SpanID:   s.spanID,
 			ParentID: s.parentID,

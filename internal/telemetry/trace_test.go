@@ -143,10 +143,10 @@ func TestKeepSlowOverridesSampling(t *testing.T) {
 	}
 }
 
-func TestMaxSpansTruncation(t *testing.T) {
-	rec := NewTraceRecorder(TraceConfig{MaxSpans: 4})
+func TestSpanCapTruncation(t *testing.T) {
+	rec := NewTraceRecorder(TraceConfig{})
 	_, root := rec.StartTrace(context.Background(), "big")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+10; i++ {
 		root.Child("c").End()
 	}
 	root.End()
@@ -157,8 +157,8 @@ func TestMaxSpansTruncation(t *testing.T) {
 	if !tr.Truncated {
 		t.Error("truncation not flagged")
 	}
-	if len(tr.Spans) > 4 {
-		t.Errorf("%d spans survived a MaxSpans=4 cap", len(tr.Spans))
+	if len(tr.Spans) != maxSpans {
+		t.Errorf("%d spans survived a cap of %d", len(tr.Spans), maxSpans)
 	}
 }
 
