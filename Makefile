@@ -25,15 +25,15 @@ race:
 # live-server count), the workload-log writer, the query server (admission
 # semaphore, catalog generation swaps), the root package (the /healthz
 # probe racing a pipeline's concurrent generation publishes), and the
-# in-situ write path's goroutines: the parallel map to ids, the two-phase
-# parallel build from them, whose worker run streams it joins
-# (TestRunListMatchesTwoScans, TestBuildFromIDsRunEdges), and the striped
-# id decode (index), the
+# in-situ write path's goroutines: the parallel map to ids, the parallel
+# scan of them, whose worker run streams it joins, the parallel placement
+# of a stream's shares and the striped encode (TestRunListMatchesTwoScans,
+# TestBuildFromIDsRunEdges), and the striped id decode (index), the
 # per-worker tallies and run merges (metrics: FuzzRunMerge's seeds), the run
 # stream a summary decodes once and shares between concurrent scores
 # (selection: TestCondEntropyScoreConcurrentCandidates, and
 # TestCondEntropyScoreMatchesFullData and TestNodeSplitScoresEqualWhole on
-# handed and decoded streams), the unit-range workers of mining's second tally,
+# scanned and decoded streams), the unit-range workers of mining's second tally,
 # which share the two decoded id arrays (mining), and the simulate →
 # reduce hand-off of a lent step staged on the simulate side of the
 # separate-cores queue — the simulators (sim) and the pipeline's lend,
@@ -56,11 +56,14 @@ race:
 # against the per-element oracle at every worker count
 # (TestStencilMatchesReference). ./internal/cluster/ holds the halo exchange's per-node channels and the
 # per-node goroutines that simulate into their slabs and write their parts
-# into one step, whose scores then add every node's counts into one table.
+# into one step, whose scores then add every node's counts into one table,
+# and the nodes that encode a written step's parts concurrently. The
+# insitu names include the encode at commit, one index per variable over
+# the step's cores on either strategy's consumer (TestOnlyWrittenStepsAreEncoded).
 race-hot:
 	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/... ./internal/cluster/
 	$(GO) test -race -run 'TestWindowsTileTheWhole|TestSkipTableConcurrentFirstUse|TestBBCWalkers' ./internal/bitvec/
-	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate|TestQueueBackpressure|TestPhaseRecord' ./internal/insitu/
+	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate|TestQueueBackpressure|TestPhaseRecord|TestOnlyWrittenStepsAreEncoded' ./internal/insitu/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
 # or all four, untraced end to end and then traced per layer, every
@@ -98,8 +101,10 @@ race-hot:
 # (internal/binning), BenchmarkBuildParallelCodec/{1,2}, .../ids/{1,2} and
 # BenchmarkBuildFromIDs/{1,2} (internal/index), with
 # BenchmarkBuildFromIDs/lulesh/{1,2} pricing the build on lulesh's shorter
-# id runs (one 48³ step, all twelve arrays at 120 bins),
-# BenchmarkCondEntropyScore/{handed-runs,decoded-runs}/{1,2}
+# id runs (one 48³ step, all twelve arrays at 120 bins), the in-situ
+# build's two halves on the benchmark's own 128³ heat3d step 40,
+# BenchmarkScanIDs/{1,2} (every step) and BenchmarkFromRuns/{1,2} (the
+# written steps), BenchmarkCondEntropyScore/{runs/{1,2},decoded}
 # (internal/selection), BenchmarkStepHandoff/{owned,lent,staged}
 # (internal/insitu), and the simulator itself, BenchmarkStep/128/{1,2}
 # (internal/sim/heat3d, the benchmark's grid).

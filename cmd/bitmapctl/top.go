@@ -181,7 +181,7 @@ func renderTop(st insitubits.RunStatus) string {
 				parts = append(parts, fmt.Sprintf("%s=%d", id, n))
 			}
 		}
-		fmt.Fprintf(&b, "codecs    %s (bins reduced)\n", strings.Join(parts, " "))
+		fmt.Fprintf(&b, "codecs    %s (bins encoded)\n", strings.Join(parts, " "))
 	}
 	if st.TraceID != "" {
 		fmt.Fprintf(&b, "trace     %s (GET /debug/traces?id=%s)\n", st.TraceID, st.TraceID)

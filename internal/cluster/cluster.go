@@ -2,7 +2,8 @@
 // Figure 13): the global Heat3D grid is decomposed into z-slabs, one per
 // simulated node; nodes exchange boundary planes every step (goroutines and
 // channels standing in for MPI); each node generates bitmaps over its own
-// slab ("distributed bitmaps", Figure 2); and selection scores each step as
+// slab ("distributed bitmaps", Figure 2) — each node's run stream, encoded
+// into bitmaps for the steps it writes; and selection scores each step as
 // one selection.NodeSummary, which adds the nodes' histograms and joint
 // counts (or Equation 3 differences) into one table — never moving the data
 // itself — and feeds the scores to selection's streaming greedy. Output
@@ -105,7 +106,8 @@ type node struct {
 	down   chan []float64 // plane flowing to the node below (z-)
 }
 
-// stepSummary is one global time-step's node parts and their stored bytes.
+// stepSummary is one global time-step's node parts and, for full data,
+// their stored bytes; a bitmap step's are known once it is encoded (write).
 type stepSummary struct {
 	selection.NodeSummary
 	outBytes []int64
@@ -148,7 +150,7 @@ func Run(cfg Config) (*Result, error) {
 			step = best
 		}
 		prev = step
-		res.write(cfg, step)
+		res.write(cfg, step, mapper)
 	}
 	res.Result = g.Result
 	if cfg.Remote != nil {
@@ -157,8 +159,23 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// write accounts one selected step's output.
-func (r *Result) write(cfg Config, s *stepSummary) {
+// write accounts one selected step's output. The nodes of a bitmap step
+// encode their parts first, concurrently, as bitmap generation.
+func (r *Result) write(cfg Config, s *stepSummary, mapper binning.Mapper) {
+	if cfg.Method == Bitmaps {
+		start := time.Now()
+		var wg sync.WaitGroup
+		for k, part := range s.Parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				x := index.FromRuns(part.(*selection.RunSummary).Runs, mapper, cfg.CoresPerNode, codec.WAH)
+				s.outBytes[k] = store.IndexSize(x)
+			}()
+		}
+		wg.Wait()
+		r.Reduce += time.Since(start)
+	}
 	var slowest int64
 	for _, b := range s.outBytes {
 		r.BytesWritten += b
@@ -221,8 +238,8 @@ func parallelStep(nodes []*node, coresPerNode int) {
 	wg.Wait()
 }
 
-// reduceStep builds the per-node parts concurrently: a node's bitmaps keep
-// the run stream their build found, so no score decodes them.
+// reduceStep builds the per-node parts concurrently: a node's bitmap part is
+// its run stream, which the scores merge and write encodes.
 func reduceStep(cfg Config, nodes []*node, mapper binning.Mapper) *stepSummary {
 	s := &stepSummary{
 		NodeSummary: selection.NodeSummary{Parts: make([]selection.Summary, len(nodes))},
@@ -241,9 +258,7 @@ func reduceStep(cfg Config, nodes []*node, mapper binning.Mapper) *stepSummary {
 			own := n.sim.Temperature()[n.lo*nx*ny : n.hi*nx*ny]
 			if cfg.Method == Bitmaps {
 				ids := index.MapIDs(own, mapper, cfg.CoresPerNode)
-				x, runs := index.BuildFromIDs(ids, mapper, cfg.CoresPerNode, codec.WAH)
-				s.Parts[k] = selection.NewBuiltSummary(x, runs, 1)
-				s.outBytes[k] = store.IndexSize(x)
+				s.Parts[k] = selection.NewRunSummary(index.ScanIDs(ids, mapper, cfg.CoresPerNode), 1)
 			} else {
 				s.Parts[k] = selection.NewDataSummary(append([]float64(nil), own...), mapper)
 				s.outBytes[k] = store.RawSize(len(own))

@@ -156,7 +156,7 @@ func BenchmarkBuildParallelCodec(b *testing.B) {
 			b.SetBytes(int64(8 * len(data)))
 			for i := 0; i < b.N; i++ {
 				sinkIDs = MapIDs(data, m, w)
-				sinkIndex, _ = BuildFromIDs(sinkIDs, m, w, codec.Auto)
+				sinkIndex = BuildFromIDs(sinkIDs, m, w, codec.Auto)
 			}
 		})
 	}

@@ -90,8 +90,8 @@ var buildDigests = map[string]string{
 
 // BuildFromIDs(MapIDs(data)) stores, for any worker count, exactly the bytes
 // the build from raw values stored before the map was split from it — codec
-// tag, count and payload of every bin — and decoding the index gives the ids
-// back.
+// tag, count and payload of every bin — and so does the build in two steps,
+// FromRuns(ScanIDs(ids)); decoding the index gives the ids back.
 func TestBuildFromIDsMatchesBuild(t *testing.T) {
 	for _, bins := range []int{2, 120, 160, 256, 257, 1000} {
 		m, err := binning.NewUniform(0, 10, bins)
@@ -105,10 +105,18 @@ func TestBuildFromIDsMatchesBuild(t *testing.T) {
 				for _, n := range fromIDsLengths() {
 					data := frontsAndNoise(r, n)
 					ids := index.MapIDs(data, m, w)
-					x, _ := index.BuildFromIDs(ids, m, w, id)
-					if _, err := store.WriteIndex(h, x); err != nil {
+					x := index.BuildFromIDs(ids, m, w, id)
+					var eager, streamed bytes.Buffer
+					if _, err := store.WriteIndex(&eager, x); err != nil {
 						t.Fatal(err)
 					}
+					if _, err := store.WriteIndex(&streamed, index.FromRuns(index.ScanIDs(ids, m, w), m, w, id)); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(eager.Bytes(), streamed.Bytes()) {
+						t.Fatalf("bins=%d %v workers=%d n=%d: the build from the run stream stores other bytes", bins, id, w, n)
+					}
+					h.Write(eager.Bytes())
 					back := index.DecodeBinIDs(x, w)
 					if x.N() != n || back.Bins != bins || !slices.Equal(back.U8, ids.U8) || !slices.Equal(back.U16, ids.U16) {
 						t.Fatalf("bins=%d %v workers=%d n=%d: decoding the index does not give back the ids it was built from", bins, id, w, n)
@@ -132,7 +140,8 @@ func TestBuildFromIDsMatchesBuild(t *testing.T) {
 }
 
 // Ids that are not the mapper's — another bin count, or the wrong width for
-// it — are refused before anything is indexed.
+// it — are refused before anything is indexed or scanned, and so is a run
+// stream of another bin count.
 func TestBuildFromIDsRefusesForeignIDs(t *testing.T) {
 	mapper := func(bins int) binning.Mapper {
 		m, err := binning.NewUniform(0, 10, bins)
@@ -155,13 +164,28 @@ func TestBuildFromIDsRefusesForeignIDs(t *testing.T) {
 		"both widths":       {&index.BinIDs{U8: narrow.U8, U16: wide.U16, Bins: 100}, mapper(100)},
 		"beyond MaxIDBins":  {&index.BinIDs{U16: wide.U16, Bins: index.MaxIDBins + 1}, mapper(index.MaxIDBins + 1)},
 	} {
+		for call, build := range map[string]func(){
+			"BuildFromIDs": func() { index.BuildFromIDs(c.ids, c.m, 2, codec.Auto) },
+			"ScanIDs":      func() { index.ScanIDs(c.ids, c.m, 2) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s took ids that are not the mapper's", name, call)
+					}
+				}()
+				build()
+			}()
+		}
+	}
+	for name, r := range map[string]*index.Runs{"nil stream": nil, "fewer bins": index.RunsOf(narrow)} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: BuildFromIDs indexed ids that are not the mapper's", name)
+					t.Errorf("%s: FromRuns indexed a stream that is not the mapper's", name)
 				}
 			}()
-			index.BuildFromIDs(c.ids, c.m, 2, codec.Auto)
+			index.FromRuns(r, mapper(101), 2, codec.Auto)
 		}()
 	}
 	if index.MapIDs(data, mapper(index.MaxIDBins+1), 2) != nil {
@@ -170,10 +194,12 @@ func TestBuildFromIDsRefusesForeignIDs(t *testing.T) {
 }
 
 // checkBuildFromIDs builds the index of want — one bin id per element, bins
-// bins — at every worker count and codec, and holds it to a []bool model:
-// every bin has the model's bits and count, in the canonical bytes of its
-// codec (BBCFromBytes for BBC, its ToVector for WAH), and auto keeps BBC
-// exactly when its encoding is the smaller, WAH on a tie.
+// bins — at every worker count and codec, both in one go (BuildFromIDs) and
+// from the run stream ScanIDs finds (FromRuns), and holds each to a []bool
+// model: every bin has the model's bits and count, in the canonical bytes of
+// its codec (BBCFromBytes for BBC, its ToVector for WAH), and auto keeps BBC
+// exactly when its encoding is the smaller, WAH on a tie. The stream's
+// histogram is the model's counts.
 func checkBuildFromIDs(t *testing.T, want []int, bins int) {
 	t.Helper()
 	m, err := binning.NewUniform(0, 10, bins)
@@ -215,24 +241,30 @@ func checkBuildFromIDs(t *testing.T, want []int, bins int) {
 		enc[codec.WAH], enc[codec.BBC], enc[codec.Auto] = append(enc[codec.WAH], wah), append(enc[codec.BBC], bbc), append(enc[codec.Auto], auto)
 	}
 	for _, w := range []int{1, 2, 3, 5, 7} {
+		runs := index.ScanIDs(ids, m, w)
+		checkRuns(t, runs, want, bins)
+		hist := runs.Histogram()
 		for id, bms := range enc {
-			x, runs := index.BuildFromIDs(ids, m, w, id)
-			checkRuns(t, runs, want, bins)
-			for b, want := range bms {
-				got := x.Bitmap(b)
-				if x.N() != want.Len() || codec.Of(got) != codec.Of(want) ||
-					!bytes.Equal(codec.Payload(got), codec.Payload(want)) || !slices.Equal(bitvec.Bools(got), model[b]) {
-					t.Fatalf("n=%d bins=%d workers=%d %v: bin %d is %v %v, want %v %v", x.N(), bins, w, id, b, codec.Of(got), got, codec.Of(want), want)
-				}
-				if x.Count(b) != want.Count() {
-					t.Fatalf("n=%d bins=%d workers=%d %v: bin %d counted %d, holds %d", x.N(), bins, w, id, b, x.Count(b), want.Count())
+			for build, x := range map[string]*index.Index{
+				"eager":    index.BuildFromIDs(ids, m, w, id),
+				"streamed": index.FromRuns(runs, m, w, id),
+			} {
+				for b, want := range bms {
+					got := x.Bitmap(b)
+					if x.N() != want.Len() || codec.Of(got) != codec.Of(want) ||
+						!bytes.Equal(codec.Payload(got), codec.Payload(want)) || !slices.Equal(bitvec.Bools(got), model[b]) {
+						t.Fatalf("n=%d bins=%d workers=%d %v %s: bin %d is %v %v, want %v %v", x.N(), bins, w, id, build, b, codec.Of(got), got, codec.Of(want), want)
+					}
+					if x.Count(b) != want.Count() || hist[b] != want.Count() {
+						t.Fatalf("n=%d bins=%d workers=%d %v %s: bin %d counted %d, stream sums %d, holds %d", x.N(), bins, w, id, build, b, x.Count(b), hist[b], want.Count())
+					}
 				}
 			}
 		}
 	}
 }
 
-// checkRuns holds a build's run stream to the ids it was built from: the
+// checkRuns holds a scan's run stream to the ids it was scanned from: the
 // workers' streams joined expand to exactly want, in want's id width, every
 // run non-empty and no two neighbours holding the same id, so the stream is
 // the same at every worker count.
@@ -364,7 +396,7 @@ func BenchmarkBuildFromIDs(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * len(field)))
 			for i := 0; i < b.N; i++ {
-				sinkIndex, _ = index.BuildFromIDs(ids, m, w, codec.Auto)
+				sinkIndex = index.BuildFromIDs(ids, m, w, codec.Auto)
 			}
 		})
 		b.Run(fmt.Sprintf("lulesh/%d", w), func(b *testing.B) {
@@ -372,8 +404,60 @@ func BenchmarkBuildFromIDs(b *testing.B) {
 			b.SetBytes(int64(8 * len(fields) * l.Elements()))
 			for i := 0; i < b.N; i++ {
 				for k := range lids {
-					sinkIndex, _ = index.BuildFromIDs(lids[k], lm[k], w, codec.Auto)
+					sinkIndex = index.BuildFromIDs(lids[k], lm[k], w, codec.Auto)
 				}
+			}
+		})
+	}
+}
+
+// heat3dStep40 is the run stream of the in-situ benchmark's heat3d field at
+// its last step: 128³ elements after 40 steps, 160 bins.
+func heat3dStep40(b *testing.B) (*index.BinIDs, binning.Mapper) {
+	h, err := heat3d.New(128, 128, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var field []float64
+	for step := 0; step < 40; step++ {
+		field = h.Step(2)[0].Data
+	}
+	rg := h.Ranges()[0]
+	m, err := binning.NewUniform(rg[0], rg[1], 160)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return index.MapIDs(field, m, 2), m
+}
+
+var sinkRuns *index.Runs
+
+// The first half of the in-situ build, paid on every step: the scan of one
+// step's ids into their run stream.
+func BenchmarkScanIDs(b *testing.B) {
+	ids, m := heat3dStep40(b)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprint(w), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(ids.Len()))
+			for i := 0; i < b.N; i++ {
+				sinkRuns = index.ScanIDs(ids, m, w)
+			}
+		})
+	}
+}
+
+// The second half, paid only on the steps written: the placement and encode
+// of one step's run stream.
+func BenchmarkFromRuns(b *testing.B) {
+	ids, m := heat3dStep40(b)
+	runs := index.ScanIDs(ids, m, 2)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprint(w), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(ids.Len()))
+			for i := 0; i < b.N; i++ {
+				sinkIndex = index.FromRuns(runs, m, w, codec.Auto)
 			}
 		})
 	}

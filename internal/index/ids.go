@@ -15,9 +15,9 @@ const MaxIDBins = 1 << 16
 // 256 bins, U16 up to MaxIDBins — one or two bytes per element against the
 // raw array's eight. Exactly one of the two arrays is non-nil. The ids are a
 // pure function of the bitmaps, and the bitmaps of the ids: MapIDs computes
-// them from the raw array for BuildFromIDs to index, DecodeBinIDs recovers
-// them from the finished index, to the same bytes. Their runs (Runs) are the
-// smaller form selection scores by.
+// them from the raw array for ScanIDs or BuildFromIDs to index, DecodeBinIDs
+// recovers them from the finished index, to the same bytes. Their runs (Runs)
+// are the smaller form selection scores by and FromRuns encodes.
 type BinIDs struct {
 	U8   []uint8
 	U16  []uint16
@@ -141,24 +141,38 @@ func (r *Runs) SizeBytes() int {
 	return len(r.U8) + 2*len(r.U16) + 4*len(r.End)
 }
 
-// RunsOf is the run stream of ids, found in one scan; nil ids (an index of
-// more than MaxIDBins bins) have none.
+// RunsOf is the run stream of ids, found in one scan (ScanIDs on one
+// goroutine, for ids of any bin count); nil ids (an index of more than
+// MaxIDBins bins) have none.
 func RunsOf(ids *BinIDs) *Runs {
 	switch {
 	case ids == nil:
 		return nil
 	case ids.U8 != nil:
-		return runsOfIDs(ids.U8, ids.Bins)
+		return scanIDs(ids.U8, ids.Bins, 1)
 	default:
-		return runsOfIDs(ids.U16, ids.Bins)
+		return scanIDs(ids.U16, ids.Bins, 1)
 	}
 }
 
-func runsOfIDs[T uint8 | uint16](ids []T, bins int) *Runs {
-	rl := runLists.Get().(*runList)
-	defer runLists.Put(rl)
-	scanRuns(rl, ids, 0, nil)
-	return joinRuns(ids, []*runList{rl}, bins)
+// Histogram is the stream's per-id element sum: the element count of every
+// bin, the counts of the index FromRuns builds from it.
+func (r *Runs) Histogram() []int {
+	h := make([]int, r.Bins)
+	if r.U8 != nil {
+		addRunLengths(h, r.U8, r.End)
+	} else {
+		addRunLengths(h, r.U16, r.End)
+	}
+	return h
+}
+
+func addRunLengths[T uint8 | uint16](h []int, ids []T, end []uint32) {
+	from := uint32(0)
+	for k, b := range ids {
+		h[b] += int(end[k] - from)
+		from = end[k]
+	}
 }
 
 // joinRuns concatenates the streams of lists, which cover consecutive

@@ -39,7 +39,7 @@ func TestBuildIDsMatchMapperAndDecode(t *testing.T) {
 			plain := BuildParallelCodec(data, m, 1, codec.Auto)
 			for _, w := range []int{1, 2, 3, 7} {
 				ids := MapIDs(data, m, w)
-				x, _ := BuildFromIDs(ids, m, w, codec.Auto)
+				x := BuildFromIDs(ids, m, w, codec.Auto)
 				if wide := bins > 256; ids == nil || ids.Bins != bins || ids.Len() != n ||
 					(ids.U16 != nil) != wide || (ids.U8 != nil) == wide || ids.SizeBytes() != len(ids.U8)+2*len(ids.U16) {
 					t.Fatalf("bins=%d n=%d workers=%d: ids %+v have the wrong shape", bins, n, w, ids)
@@ -119,10 +119,12 @@ func twoScanRuns[T bitvec.ID](ids []T, bins, base int) (runs []uint32, at, count
 	return runs, at, counts
 }
 
-// The run lists a build encodes from are placed from the scan's run stream
-// in O(runs): every bin's runs and count must be what the two scans of the
-// ids gave, on any element range of run-structured ids at both widths; and
-// the stream RunsOf scans from ids is the one a build returns.
+// The run lists a build encodes are placed in O(runs), from the ids a scan
+// of its element range found (runsOf) or from a run stream (placeRuns): every
+// bin's runs and count must be what the two scans of the ids gave, on any
+// element range of run-structured ids at both widths, and on any share of
+// the stream; and the stream RunsOf scans from ids is the one ScanIDs finds
+// at any worker count.
 func TestRunListMatchesTwoScans(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	check := func(t *testing.T, name string, got *runList, runs []uint32, at, counts []int) {
@@ -159,11 +161,28 @@ func TestRunListMatchesTwoScans(t *testing.T) {
 				runs, at, counts := twoScanRuns(x.U16, bins, base)
 				check(t, name, runsOf(x.U16, bins, base), runs, at, counts)
 			}
-			m := mustUniform(t, bins)
+			m, stream := mustUniform(t, bins), RunsOf(x)
 			for _, w := range []int{1, 2, 5} {
-				if _, built := BuildFromIDs(x, m, w, codec.Auto); !sameRuns(built, RunsOf(x)) {
-					t.Fatalf("%s workers=%d: the build's run stream is not RunsOf's", name, w)
+				if !sameRuns(ScanIDs(x, m, w), stream) {
+					t.Fatalf("%s workers=%d: ScanIDs' run stream is not RunsOf's", name, w)
 				}
+			}
+			// The runs from a cut of the stream on: a share starting at run
+			// lo holds the elements from its start, as if its ids began there.
+			lo := 0
+			if len(stream.End) > 0 {
+				lo = r.Intn(len(stream.End))
+			}
+			from := 0
+			if lo > 0 {
+				from = int(stream.End[lo-1])
+			}
+			if x.U8 != nil {
+				runs, at, counts := twoScanRuns(x.U8[from:], bins, from)
+				check(t, name+" stream", placeRuns(stream.U8[lo:], stream.End, lo, bins), runs, at, counts)
+			} else {
+				runs, at, counts := twoScanRuns(x.U16[from:], bins, from)
+				check(t, name+" stream", placeRuns(stream.U16[lo:], stream.End, lo, bins), runs, at, counts)
 			}
 		}
 	}

@@ -235,72 +235,126 @@ func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 	return BuildParallelCodec(data, m, nWorkers, codec.WAH)
 }
 
-// BuildParallelCodec is the in-situ write path from raw values: MapIDs, then
+// BuildParallelCodec is the write path from raw values: MapIDs, then
 // BuildFromIDs, over the same nWorkers goroutines. The result equals
 // Build(data, m).Recode(id) bit for bit. Above MaxIDBins bins it maps into
 // wide ids of its own.
 func BuildParallelCodec(data []float64, m binning.Mapper, nWorkers int, id codec.ID) *Index {
 	start := buildStart()
-	var x *Index
 	switch ids := MapIDs(data, m, nWorkers); {
 	case ids == nil:
 		wide := make([]int32, len(data))
 		mapIDs(m, wide, data, nWorkers)
-		x, _ = buildParallel(wide, m, nWorkers, id, start, false)
+		return buildParallel(wide, m, nWorkers, id, start)
 	case ids.U8 != nil:
-		x, _ = buildParallel(ids.U8, m, nWorkers, id, start, false)
+		return buildParallel(ids.U8, m, nWorkers, id, start)
 	default:
-		x, _ = buildParallel(ids.U16, m, nWorkers, id, start, false)
+		return buildParallel(ids.U16, m, nWorkers, id, start)
 	}
-	return x
 }
 
-// BuildFromIDs builds the index of the array whose elements' bins ids names:
-// an index is a pure function of (bin ids, mapper), so whoever holds the raw
-// array maps it (MapIDs) and only the ids — one or two bytes per element —
-// travel to the build. Next to the index it returns the ids' run stream,
-// which the build's scan finds anyway (Runs): the form the selection scorer
-// merges. Ids that are not the mapper's — another bin count, or not the width
-// MapIDs gives that count — are a caller's bug and panic before anything is
-// indexed.
-func BuildFromIDs(ids *BinIDs, m binning.Mapper, nWorkers int, id codec.ID) (*Index, *Runs) {
-	if ids == nil || ids.Bins != m.Bins() || ids.Bins > MaxIDBins ||
-		(ids.U8 != nil) != (ids.Bins <= 1<<8) || (ids.U16 != nil) != (ids.Bins > 1<<8) {
-		panic(fmt.Sprintf("index: BuildFromIDs: the ids do not belong to a %d-bin mapper", m.Bins()))
-	}
+// BuildFromIDs builds the index of the array whose elements' bins ids names
+// in one go: an index is a pure function of (bin ids, mapper), so whoever
+// holds the raw array maps it (MapIDs) and only the ids — one or two bytes
+// per element — travel to the build. FromRuns(ScanIDs(ids)) builds the same
+// bitmaps in two steps, with the run stream between them. Ids that are not
+// the mapper's panic before anything is indexed.
+func BuildFromIDs(ids *BinIDs, m binning.Mapper, nWorkers int, id codec.ID) *Index {
+	checkIDs(ids, m)
 	start := buildStart()
 	if ids.U8 != nil {
-		return buildParallel(ids.U8, m, nWorkers, id, start, true)
+		return buildParallel(ids.U8, m, nWorkers, id, start)
 	}
-	return buildParallel(ids.U16, m, nWorkers, id, start, true)
+	return buildParallel(ids.U16, m, nWorkers, id, start)
 }
 
-// buildParallel is the build, in two parallel phases over the same nWorkers
-// goroutines. First each worker lays out the runs of its element range per
-// bin — the paper's Figure 2, where each bitmap-generation core owns one
-// sub-block; no alignment is needed, as runs that touch encode as one. Then
-// fromRuns encodes every bin. With stream set it also returns the workers'
-// run streams joined into one. A non-zero start records the build's time.
-func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id codec.ID, start time.Time, stream bool) (*Index, *Runs) {
+// checkIDs panics unless ids are m's: its bin count, at the width MapIDs
+// gives that count — anything else is a caller's bug.
+func checkIDs(ids *BinIDs, m binning.Mapper) {
+	if ids == nil || ids.Bins != m.Bins() || ids.Bins > MaxIDBins ||
+		(ids.U8 != nil) != (ids.Bins <= 1<<8) || (ids.U16 != nil) != (ids.Bins > 1<<8) {
+		panic(fmt.Sprintf("index: the ids do not belong to a %d-bin mapper", m.Bins()))
+	}
+}
+
+// ScanIDs is the first half of a build: the run stream of ids (Runs), each
+// of nWorkers goroutines scanning one element range and the ranges' streams
+// joined, so the stream does not depend on the worker count. It reads each
+// id once and places nothing; FromRuns makes the bitmaps of the stream, when
+// they are wanted. Ids that are not the mapper's panic.
+func ScanIDs(ids *BinIDs, m binning.Mapper, nWorkers int) *Runs {
+	checkIDs(ids, m)
+	if ids.U8 != nil {
+		return scanIDs(ids.U8, ids.Bins, nWorkers)
+	}
+	return scanIDs(ids.U16, ids.Bins, nWorkers)
+}
+
+func scanIDs[T uint8 | uint16](ids []T, bins, nWorkers int) *Runs {
+	nWorkers = max(1, min(nWorkers, len(ids)))
+	lists := make([]*runList, nWorkers)
+	sim.ParallelEach(nWorkers, func(w int) {
+		lo, hi := w*len(ids)/nWorkers, (w+1)*len(ids)/nWorkers
+		lists[w] = runLists.Get().(*runList)
+		scanRuns(lists[w], ids[lo:hi], lo, nil)
+	})
+	r := joinRuns(ids, lists, bins)
+	for _, rl := range lists {
+		runLists.Put(rl)
+	}
+	return r
+}
+
+// FromRuns is the second half of a build: the index of the array whose run
+// stream r is, under m, bit for bit the one BuildFromIDs builds from the ids
+// r was scanned from. Each of nWorkers goroutines places the runs of one
+// share of the stream bin by bin — O(runs), reading no ids — and fromRuns
+// encodes every bin. A stream that is not m's panics.
+func FromRuns(r *Runs, m binning.Mapper, nWorkers int, id codec.ID) *Index {
+	if r == nil || r.Bins != m.Bins() || len(r.U8)+len(r.U16) != len(r.End) {
+		panic(fmt.Sprintf("index: the run stream does not belong to a %d-bin mapper", m.Bins()))
+	}
+	start := buildStart()
+	runs := len(r.End)
+	nWorkers = max(1, min(nWorkers, runs))
+	lists := make([]*runList, nWorkers)
+	sim.ParallelEach(nWorkers, func(w int) {
+		lo, hi := w*runs/nWorkers, (w+1)*runs/nWorkers
+		if r.U8 != nil {
+			lists[w] = placeRuns(r.U8[lo:hi], r.End, lo, r.Bins)
+		} else {
+			lists[w] = placeRuns(r.U16[lo:hi], r.End, lo, r.Bins)
+		}
+	})
+	tel.idRuns.Add(int64(runs))
+	return fromRuns(m, lists, r.Len(), nWorkers, id, start)
+}
+
+// buildParallel is the build from ids in one go, in two parallel phases over
+// the same nWorkers goroutines. First each worker lays out the runs of its
+// element range per bin — the paper's Figure 2, where each
+// bitmap-generation core owns one sub-block; no alignment is needed, as runs
+// that touch encode as one. Then fromRuns encodes every bin. A non-zero
+// start records the build's time.
+func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id codec.ID, start time.Time) *Index {
 	nWorkers = max(1, min(nWorkers, len(ids)))
 	lists := make([]*runList, nWorkers)
 	sim.ParallelEach(nWorkers, func(w int) {
 		lo, hi := w*len(ids)/nWorkers, (w+1)*len(ids)/nWorkers
 		lists[w] = runsOf(ids[lo:hi], m.Bins(), lo)
 	})
-	var runs *Runs
-	if stream {
-		runs = joinRuns(ids, lists, m.Bins())
+	for _, rl := range lists {
+		tel.idRuns.Add(int64(len(rl.ends)))
 	}
-	return fromRuns(m, lists, len(ids), nWorkers, id, start), runs
+	return fromRuns(m, lists, len(ids), nWorkers, id, start)
 }
 
 // runList is one element range's runs of equal bin ids — what a spatially
-// coherent field is made of — twice: as the scan found them, in element
-// order (each run's end; its id is the ids' at its start), and bin by bin,
-// CSR style: bin b's (start, length) pairs are runs[2*at[b] : 2*at[b+1]].
-// Lists are pooled with their encoder's scratch, so a warm build allocates
-// nothing but its bitmaps and its stream.
+// coherent field is made of — as the scan found them, in element order (each
+// run's end; its id is the ids' at its start), and bin by bin, CSR style:
+// bin b's (start, length) pairs are runs[2*at[b] : 2*at[b+1]]. Lists are
+// pooled with their encoder's scratch, so a warm build allocates nothing but
+// its bitmaps and its stream.
 type runList struct {
 	base   int // the element the list's range starts at
 	ends   []uint32
@@ -312,27 +366,65 @@ type runList struct {
 
 var runLists = sync.Pool{New: func() any { return new(runList) }}
 
-// runsOf lays out the runs of ids, elements base on of the array: one scan
-// of the ids finds them and counts each bin's (scanRuns), which sizes the
-// list and places each bin's part, then one pass over the runs fills them
-// in, at[b+1] the cursor of bin b.
-func runsOf[T bitvec.ID](ids []T, bins, base int) *runList {
-	rl := runLists.Get().(*runList)
+// reset empties rl's layout for bins bins: at[b+1] is where bin b's runs
+// are counted (open turns the counts into places).
+func (rl *runList) reset(bins int) {
 	rl.at = append(rl.at[:0], make([]int, bins+1)...)
 	rl.counts = append(rl.counts[:0], make([]int, bins)...)
-	scanRuns(rl, ids, base, rl.at[1:])
+}
+
+// open turns the per-bin run counts in at[1:] into each bin's first slot and
+// sizes runs for them all; put then fills the slots, at[b+1] the cursor of
+// bin b.
+func (rl *runList) open() {
 	total := 0
 	for b, k := range rl.at[1:] {
 		rl.at[b+1], total = total, total+k
 	}
 	rl.runs = slices.Grow(rl.runs[:0], 2*total)[:2*total]
-	from := base
+}
+
+// put places the run of elements [from, to) in bin b.
+func (rl *runList) put(b int, from, to uint32) {
+	c := rl.at[b+1]
+	rl.runs[2*c], rl.runs[2*c+1] = from, to-from
+	rl.at[b+1] = c + 1
+	rl.counts[b] += int(to - from)
+}
+
+// runsOf lays out the runs of ids, elements base on of the array: one scan
+// of the ids finds them and counts each bin's (scanRuns), then one pass over
+// the runs places them, reading each run's id at its start.
+func runsOf[T bitvec.ID](ids []T, bins, base int) *runList {
+	rl := runLists.Get().(*runList)
+	rl.reset(bins)
+	scanRuns(rl, ids, base, rl.at[1:])
+	rl.open()
+	from := uint32(base)
 	for _, to := range rl.ends {
-		b := int(ids[from-base])
-		rl.runs[2*rl.at[b+1]], rl.runs[2*rl.at[b+1]+1] = uint32(from), to-uint32(from)
-		rl.at[b+1]++
-		rl.counts[b] += int(to) - from
-		from = int(to)
+		rl.put(int(ids[int(from)-base]), from, to)
+		from = to
+	}
+	return rl
+}
+
+// placeRuns lays out runs lo on of a stream whose ends are end, their ids
+// ids: one pass counts each bin's runs, one places them.
+func placeRuns[T uint8 | uint16](ids []T, end []uint32, lo, bins int) *runList {
+	rl := runLists.Get().(*runList)
+	rl.reset(bins)
+	for _, b := range ids {
+		rl.at[int(b)+1]++
+	}
+	rl.open()
+	from := uint32(0)
+	if lo > 0 {
+		from = end[lo-1]
+	}
+	for k, b := range ids {
+		to := end[lo+k]
+		rl.put(int(b), from, to)
+		from = to
 	}
 	return rl
 }
@@ -394,7 +486,6 @@ func fromRuns(m binning.Mapper, lists []*runList, n, nWorkers int, id codec.ID, 
 		}
 	})
 	for _, rl := range lists {
-		tel.idRuns.Add(int64(len(rl.ends)))
 		runLists.Put(rl)
 	}
 	recordBuild(x, start)

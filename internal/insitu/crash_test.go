@@ -186,6 +186,50 @@ func TestCrashMatrixResume(t *testing.T) {
 	}
 }
 
+// A run killed after its last winner's select record — before the manifest
+// and the end record — has every selected step durable: the resumed run
+// re-reduces the last winner as a run stream, as it must for scoring, but
+// encodes no step, and the directory comes out byte-identical.
+func TestResumeAfterLastSelectEncodesNothing(t *testing.T) {
+	baseDir := t.TempDir()
+	if _, err := Run(triConfig(baseDir)); err != nil {
+		t.Fatal(err)
+	}
+	recPlan := &iosim.FaultPlan{}
+	recCfg := triConfig(t.TempDir())
+	recCfg.FS = iosim.NewFaultFS(iosim.OS, recPlan)
+	if _, err := Run(recCfg); err != nil {
+		t.Fatal(err)
+	}
+	bounds := recPlan.WriteBoundaries() // …, last select, manifest, end record
+	dir := t.TempDir()
+	cfg := triConfig(dir)
+	cfg.FS = iosim.NewFaultFS(iosim.OS, &iosim.FaultPlan{CrashAtByte: bounds[len(bounds)-3]})
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("the run survived its own crash")
+	}
+	log, err := ReadRunLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Committed()) != cfg.Select || log.End != nil {
+		t.Fatalf("killed with %d of %d steps committed (end record %v), want all and no end", len(log.Committed()), cfg.Select, log.End != nil)
+	}
+	builds := telemetry.Default.Counter("index.builds")
+	before := builds.Value()
+	cfg = triConfig(dir)
+	cfg.Telemetry = telemetry.NewRegistry()
+	if _, err := Resume(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	status, _ := cfg.Telemetry.StatusValue(RunStatusName)
+	phases := status.(RunStatus).Phases
+	if got := builds.Value() - before; got != 0 || phases[SpanEncode].Count != 0 || phases[SpanStage].Count == 0 {
+		t.Errorf("resumed run built %d indexes in %d encode phases after %d stages, want none of the first two", got, phases[SpanEncode].Count, phases[SpanStage].Count)
+	}
+	sameSnapshot(t, "killed after the last select", snapshot(t, baseDir), snapshot(t, dir))
+}
+
 // f is a tiny fmt.Sprintf alias to keep the matrix loop readable.
 func f(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"insitubits/internal/binning"
@@ -221,11 +222,12 @@ func TestStagedStepAllocatesAFractionOfOneRawStep(t *testing.T) {
 	}
 }
 
-// The Figure 11 model counts what summaries hold in memory: a conditional-
-// entropy summary carries its run stream next to its bitmaps, the average
-// per step of which is IDBytes, an EMD-count summary of the same data
-// carries none, and the model keeps window+1 summaries at the paper's window
-// of 10.
+// The Figure 11 model counts what summaries hold in memory: every bitmap
+// summary waits for selection as its run stream, whatever the metric — the
+// average per step of which is IDBytes — and one committed step at a time
+// holds its bitmaps, the average of which over the written steps is
+// SummaryBytes. The model keeps window+1 streams at the paper's window of
+// 10, plus one step's bitmaps.
 func TestModelledPeakCountsIDs(t *testing.T) {
 	const dim, window, steps, bins = 16, 10, 9, 64
 	run := func(metric selection.Metric) *Result {
@@ -239,7 +241,6 @@ func TestModelledPeakCountsIDs(t *testing.T) {
 		}
 		return res
 	}
-	ce, emd := run(selection.ConditionalEntropy), run(selection.EMDCount)
 	h, err := heat3d.New(dim, dim, dim)
 	if err != nil {
 		t.Fatal(err)
@@ -248,18 +249,26 @@ func TestModelledPeakCountsIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := 0
-	for step := 0; step < steps; step++ {
-		streams += index.RunsOf(index.MapIDs(h.StepLent(1)[0].Data, m, 1)).SizeBytes()
+	streams, fields := 0, make([][]float64, steps)
+	for step := range fields {
+		fields[step] = slices.Clone(h.StepLent(1)[0].Data)
+		streams += index.RunsOf(index.MapIDs(fields[step], m, 1)).SizeBytes()
 	}
-	if want := int64(streams / steps); ce.IDBytes != want || emd.IDBytes != 0 || want == 0 {
-		t.Fatalf("run-stream bytes per step: cond-entropy %d (want %d), emd-count %d (want 0)", ce.IDBytes, want, emd.IDBytes)
-	}
-	if ce.SummaryBytes != emd.SummaryBytes {
-		t.Fatalf("written summary size moved with the metric: %d vs %d", ce.SummaryBytes, emd.SummaryBytes)
-	}
-	if got, want := ce.PeakMemory-emd.PeakMemory, (window+1)*ce.IDBytes; got != want {
-		t.Fatalf("modelled peak grew by %d bytes with run streams, want window+1 = %d streams = %d", got, window+1, want)
+	want := int64(streams / steps)
+	for metric, res := range map[string]*Result{"cond-entropy": run(selection.ConditionalEntropy), "emd-count": run(selection.EMDCount)} {
+		if res.IDBytes != want || want == 0 {
+			t.Fatalf("%s: run-stream bytes per step %d, want %d", metric, res.IDBytes, want)
+		}
+		written := 0
+		for _, step := range res.Selected {
+			written += index.BuildParallelCodec(fields[step], m, 1, codec.Auto).SizeBytes()
+		}
+		if got, want := res.SummaryBytes, int64(written/len(res.Selected)); got != want {
+			t.Fatalf("%s: summary bytes %d, want the written steps' mean bitmap size %d", metric, got, want)
+		}
+		if got, want := res.PeakMemory, res.StepBytes+(window+1)*res.IDBytes+res.SummaryBytes; got != want {
+			t.Fatalf("%s: modelled peak %d bytes, want a raw step, window+1 = %d streams and one step's bitmaps = %d", metric, got, window+1, want)
+		}
 	}
 }
 
@@ -393,7 +402,7 @@ func BenchmarkStepHandoff(b *testing.B) {
 					sinkIndex = index.BuildParallelCodec(h.StepLent(2)[0].Data, m, 2, codec.Auto)
 				default:
 					ids := index.MapIDs(h.StepLent(2)[0].Data, m, 2)
-					sinkIndex, _ = index.BuildFromIDs(ids, m, 2, codec.Auto)
+					sinkIndex = index.BuildFromIDs(ids, m, 2, codec.Auto)
 				}
 			}
 		})

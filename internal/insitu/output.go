@@ -125,9 +125,10 @@ func (w *writer) writeStep(ctx context.Context, sum *stepSummary) error {
 		var path string
 		var body func(io.Writer) (int64, error)
 		switch p := part.(type) {
-		case *selection.BitmapSummary:
+		case *selection.RunSummary:
+			x := sum.xs[k]
 			path = filepath.Join(w.dir, name+".isbm")
-			body = func(f io.Writer) (int64, error) { return store.WriteIndexCtx(ctx, f, p.X) }
+			body = func(f io.Writer) (int64, error) { return store.WriteIndexCtx(ctx, f, x) }
 		case *selection.DataSummary:
 			path = filepath.Join(w.dir, name+".israw")
 			body = func(f io.Writer) (int64, error) { return store.WriteRawCtx(ctx, f, p.Data) }

@@ -2,9 +2,10 @@
 // simulation produces time-steps in memory; a reduction method (bitmaps,
 // full data, or sampling) summarizes each step; time-step selection runs
 // online over the summaries; and only the selected summaries are written
-// out. Core allocation between simulation and bitmap generation follows the
-// paper's two strategies — Shared Cores and Separate Cores with the
-// Equation 1/2 calibrated split — and all phase costs are reported
+// out — for bitmaps, a step's run streams are encoded into bitmaps when it
+// is committed. Core allocation between simulation and bitmap generation
+// follows the paper's two strategies — Shared Cores and Separate Cores with
+// the Equation 1/2 calibrated split — and all phase costs are reported
 // separately so the Figure 7-10/12/15 breakdowns can be regenerated.
 package insitu
 
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"insitubits/internal/binning"
-	"insitubits/internal/bitcache"
 	"insitubits/internal/codec"
 	"insitubits/internal/index"
 	"insitubits/internal/iosim"
@@ -192,13 +192,13 @@ type Result struct {
 	BytesWritten int64
 	// StepBytes is the raw size of one time-step (all variables).
 	StepBytes int64
-	// SummaryBytes is the average per-step summary size.
+	// SummaryBytes is the average in-memory size of a written step's
+	// summaries: for bitmaps, the encoded bitmaps (Figure 10's bitmap size).
 	SummaryBytes int64
-	// IDBytes is the average per-step size of the run streams the summaries
-	// carry in memory next to their bitmaps (conditional-entropy and
-	// spatial-EMD runs: each variable's runs of equal bin ids, handed from
-	// the build to the scorer). They are never written, so SummaryBytes does
-	// not count them; PeakMemory does.
+	// IDBytes is the average per-step size of the run streams a bitmap
+	// summary holds while it waits for selection (each variable's runs of
+	// equal bin ids, what the scorer merges and a committed step is encoded
+	// from), over every step. They are never written; PeakMemory counts them.
 	IDBytes int64
 	// StagedBytes is the size of one staged step, what a slot of the
 	// separate-cores queue holds: bin ids, the sample, or the raw step.
@@ -243,7 +243,7 @@ func runReducer(cfg Config, red *reducer) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel := newSelector(cfg)
+	sel := newSelector(cfg, red)
 	sel.w = w
 	sel.rt = rt
 	res, err := strategy.run(cfg, red, sel)
@@ -265,17 +265,18 @@ func runReducer(cfg Config, red *reducer) (*Result, error) {
 	return res, nil
 }
 
-// reducer turns one time-step into a selection.Summary plus the byte count
-// its serialized form would occupy on the output device, in two stages: stage
-// reads the raw step and leaves the small owned thing the summary is a pure
-// function of, summarize makes the summary of that. Stage runs where the raw
-// step is — under separate cores on the simulate side of the queue.
+// reducer turns one time-step into a selection.Summary, in two stages:
+// stage reads the raw step and leaves the small owned thing the summary is a
+// pure function of, summarize makes the summary of that. Stage runs where
+// the raw step is — under separate cores on the simulate side of the queue.
+// A bitmap summary is its run streams; encode makes a committed step's
+// bitmaps from them.
 type reducer struct {
 	cfg     Config
 	mappers []binning.Mapper
 	sampler *sampling.Sampler
 	// spare holds the id arrays of the step summarized last, which its
-	// summary no longer needs — it keeps the run stream its build found —
+	// summary no longer needs — it keeps the run stream its scan found —
 	// for the next stage to map into (index.MapIDsInto): one step's ids
 	// are kept, not one per step.
 	spare chan []*index.BinIDs
@@ -378,32 +379,24 @@ func (r *reducer) summarize(st staged, nWorkers int) *stepSummary {
 	nVars := len(st.ids) + len(st.arrays)
 	sum := &stepSummary{parts: make([]selection.Summary, nVars), cores: nWorkers}
 	if r.cfg.Method == Bitmaps {
-		// Each bin is encoded under the codec policy as it is finished.
+		// Each variable's ids are scanned into their run stream, which the
+		// scorer merges and a committed step is encoded from (encode).
 		// Aggregation below is in variable order, so the result is
 		// deterministic whatever the worker count.
-		xs, runs := make([]*index.Index, nVars), make([]*index.Runs, nVars)
+		runs := make([]*index.Runs, nVars)
 		perVar := perVar(nVars, nWorkers)
 		sim.ParallelFor(nVars, nWorkers, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				xs[k], runs[k] = index.BuildFromIDs(st.ids[k], r.mappers[k], perVar, r.cfg.Codec)
+				runs[k] = index.ScanIDs(st.ids[k], r.mappers[k], perVar)
 			}
 		})
 		select {
 		case r.spare <- st.ids:
 		default:
 		}
-		for k, x := range xs {
-			// Conditional entropy and the spatial EMD are scored by merging
-			// run streams: the summary keeps the one its build found, so a
-			// candidate is scored without decoding its bitmaps back. The
-			// count EMD reads histograms only; its stream ends here.
-			if r.cfg.Metric == selection.EMDCount {
-				runs[k] = nil
-			}
-			sum.parts[k] = selection.NewBuiltSummary(x, runs[k], perVar)
-			sum.outBytes += store.IndexSize(x)
-			sum.memBytes += int64(x.SizeBytes())
-			sum.idBytes += int64(runs[k].SizeBytes())
+		for k, rs := range runs {
+			sum.parts[k] = selection.NewRunSummary(rs, perVar)
+			sum.idBytes += int64(rs.SizeBytes())
 		}
 		return sum
 	}
@@ -415,14 +408,35 @@ func (r *reducer) summarize(st staged, nWorkers int) *stepSummary {
 	return sum
 }
 
+// encode makes a bitmap step's indexes from its run streams, each bin under
+// the run's codec, over the cores the step was summarized with, and sets
+// what the step writes. The bitmaps are the ones the step's ids index to,
+// bit for bit (index.FromRuns).
+func (r *reducer) encode(sum *stepSummary) {
+	sum.xs = make([]*index.Index, len(sum.parts))
+	perVar := perVar(len(sum.parts), sum.cores)
+	sim.ParallelFor(len(sum.parts), sum.cores, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			sum.xs[k] = index.FromRuns(sum.parts[k].(*selection.RunSummary).Runs, r.mappers[k], perVar, r.cfg.Codec)
+		}
+	})
+	for _, x := range sum.xs {
+		sum.outBytes += store.IndexSize(x)
+		sum.memBytes += int64(x.SizeBytes())
+	}
+}
+
 // stepSummary aggregates one time-step's per-variable summaries; metric
 // scores sum across variables (the paper analyzes all 12 Lulesh arrays).
 type stepSummary struct {
-	step     int
-	parts    []selection.Summary
+	step  int
+	parts []selection.Summary
+	// xs are a bitmap step's indexes, one per variable, from its encode at
+	// commit until it is written.
+	xs       []*index.Index
 	outBytes int64 // serialized size on the output device
 	memBytes int64 // in-memory size of what gets written (bitmaps, raw or sampled arrays)
-	idBytes  int64 // in-memory run streams handed to the scorer, never written
+	idBytes  int64 // in-memory run streams the scorer merges, never written
 	// cores lets multi-variable metric evaluation fan out across the
 	// pipeline's workers ("the time-steps selection time is reduced almost
 	// linearly" with cores, §5.1). Scores are accumulated in variable
@@ -471,14 +485,17 @@ var _ selection.Summary = (*stepSummary)(nil)
 // selector drives the streaming greedy selection (selection.Greedy): each
 // interval's steps are scored against the previously selected step as they
 // arrive, so only the incumbent best (plus the previous selection) stays
-// referenced.
+// referenced. A committed bitmap step is encoded (reducer.encode), then
+// written.
 type selector struct {
 	cfg      Config
+	red      *reducer
 	greedy   *selection.Greedy
 	prev     *stepSummary
 	best     *stepSummary
 	written  int64
-	sumBytes int64
+	sumBytes int64 // in-memory size of the written steps' summaries
+	nSums    int   // written steps sumBytes counts
 	idBytes  int64
 	nSeen    int
 	w        *writer
@@ -486,9 +503,10 @@ type selector struct {
 	err      error
 }
 
-func newSelector(cfg Config) *selector {
+func newSelector(cfg Config, red *reducer) *selector {
 	return &selector{
 		cfg:    cfg,
+		red:    red,
 		greedy: selection.NewGreedy(cfg.Steps, cfg.Select),
 	}
 }
@@ -504,11 +522,10 @@ func newSelector(cfg Config) *selector {
 // round-trips bit-for-bit — so the selection unfolds identically.
 func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 	sum.step = t
-	s.sumBytes += sum.memBytes
 	s.idBytes += sum.idBytes
 	s.nSeen++
 	s.rt.stepsDone.Inc()
-	s.rt.observeStep(ctx, t, sum)
+	s.rt.observeStep(ctx, t)
 	if t == 0 { // step 0 is always selected (paper Figure 3)
 		s.prev = sum
 		s.write(ctx, sum)
@@ -537,45 +554,33 @@ func (s *selector) offer(ctx context.Context, t int, sum *stepSummary) {
 	s.applyScore(ctx, t, sum, score)
 }
 
-// applyScore acts on the greedy's outcome for one scored step. Every
-// summary that leaves the selection here — a losing interval candidate or
-// the superseded previous selection once a new step is committed — retires
-// its cached bitmaps: queries will never see those index generations again.
+// applyScore acts on the greedy's outcome for one scored step: a kept step
+// becomes the interval's incumbent, and a committed incumbent the new
+// selection, written at once.
 func (s *selector) applyScore(ctx context.Context, t int, sum *stepSummary, score float64) {
 	out := s.greedy.Offer(t, score)
 	if out&selection.Keep != 0 {
-		s.retire(s.best)
 		s.best = sum
-	} else {
-		s.retire(sum)
 	}
 	if out&selection.Commit != 0 {
-		superseded := s.prev
 		s.prev = s.best
 		s.write(ctx, s.best)
-		s.retire(superseded)
 		s.best = nil
 	}
 }
 
-// retire invalidates the default bitmap cache's entries for a summary whose
-// indices have been superseded by a newly published step (or discarded as a
-// losing candidate). Without this, a long-running in-situ service would keep
-// serving cached results for retired generations' keys — never wrong (keys
-// embed the generation) but dead weight crowding out live entries.
-func (s *selector) retire(sum *stepSummary) {
-	c := bitcache.Default()
-	if sum == nil || c == nil {
+// write commits one selected step: encode it, then account and persist what
+// it writes. Its bitmaps are dropped once written; the step stays the
+// selection as its run streams.
+func (s *selector) write(ctx context.Context, sum *stepSummary) {
+	if err := s.encode(ctx, sum); err != nil {
+		s.fail(err)
 		return
 	}
-	for _, p := range sum.parts {
-		if bs, ok := p.(*selection.BitmapSummary); ok && bs.X != nil {
-			c.InvalidateGeneration(bs.X.Generation())
-		}
+	if sum.memBytes > 0 {
+		s.sumBytes += sum.memBytes
+		s.nSums++
 	}
-}
-
-func (s *selector) write(ctx context.Context, sum *stepSummary) {
 	err := s.rt.phase(ctx, phaseWrite, sum.step, func(ctx context.Context) error {
 		sp := telemetry.SpanFromContext(ctx)
 		sp.SetAttrInt("step", int64(sum.step))
@@ -590,7 +595,31 @@ func (s *selector) write(ctx context.Context, sum *stepSummary) {
 		}
 		return s.w.writeStep(ctx, sum)
 	})
+	sum.xs = nil
 	s.fail(err)
+}
+
+// encode makes a committed bitmap step's indexes — bitmap generation, timed
+// as the reduce phase's encode — and folds them into the run status. A step
+// whose artifacts a resumed run found durable is not encoded: its byte count
+// is the journal's, as a replay stub's is.
+func (s *selector) encode(ctx context.Context, sum *stepSummary) error {
+	if sum.replay || s.cfg.Method != Bitmaps {
+		return nil
+	}
+	if rs := s.cfg.resume; rs != nil {
+		if files, ok := rs.durable[sum.step]; ok {
+			sum.outBytes = journalBytes(files)
+			return nil
+		}
+	}
+	return s.rt.phase(ctx, phaseReduce, sum.step, func(ctx context.Context) error {
+		return s.rt.phase(ctx, phaseEncode, sum.step, func(context.Context) error {
+			s.red.encode(sum)
+			s.rt.observeIndexes(sum.xs)
+			return nil
+		})
+	})
 }
 
 // fail keeps the run's first persistence (or phase) error.
@@ -604,8 +633,14 @@ func (r *Result) finishMemory(cfg Config, red *reducer) {
 	stepBytes := int64(8*cfg.Sim.Elements()) * int64(len(cfg.Sim.Vars()))
 	r.StepBytes = stepBytes
 	r.StagedBytes = red.stagedBytes()
-	r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.SummaryBytes+r.IDBytes, memoryWindow) +
-		int64(r.QueuePeak)*r.StagedBytes
+	if cfg.Method == Bitmaps {
+		// Steps wait for selection as run streams; one committed step at a
+		// time is encoded, and its bitmaps are dropped once written.
+		r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.IDBytes, memoryWindow) + r.SummaryBytes
+	} else {
+		r.PeakMemory = MemoryModel(cfg.Method, stepBytes, r.SummaryBytes, memoryWindow)
+	}
+	r.PeakMemory += int64(r.QueuePeak) * r.StagedBytes
 }
 
 // memoryWindow is how many current time-steps the run's memory model
@@ -616,8 +651,7 @@ const memoryWindow = 10
 // the previous selected step, one in-flight (simulating) step, and `window`
 // current steps — all raw. The reduced methods hold the in-flight raw step,
 // the previous selected summary, and `window` current summaries, each at its
-// in-memory size (a summary scored by a run merge carries its run stream
-// too).
+// in-memory size (a bitmap summary waits as its run streams).
 func MemoryModel(m Method, stepBytes, summaryBytes int64, window int) int64 {
 	switch m {
 	case FullData:

@@ -7,6 +7,7 @@ import (
 	"insitubits/internal/selection"
 	"insitubits/internal/sim/heat3d"
 	"insitubits/internal/sim/lulesh"
+	"insitubits/internal/telemetry"
 )
 
 func heatConfig(t *testing.T, method Method) Config {
@@ -256,6 +257,56 @@ func TestLuleshPipelineAllArrays(t *testing.T) {
 	if res.StepBytes != int64(12*8*l.Elements()) {
 		t.Fatalf("StepBytes=%d", res.StepBytes)
 	}
+}
+
+// Only the written steps are bitmap-indexed: every step is scanned into its
+// run streams, and a step's bitmaps are encoded when it is committed — one
+// index build per variable of each selected step, one encode phase per
+// selected step, and a codec mix over exactly their bins — on a one- and a
+// twelve-variable simulator under both strategies. (The index counters live
+// in telemetry.Default, so this reads before/after deltas; package tests
+// never run pipelines in parallel with this one.)
+func TestOnlyWrittenStepsAreEncoded(t *testing.T) {
+	builds := telemetry.Default.Counter("index.builds")
+	for name, cfg := range map[string]Config{"heat3d": heatConfig(t, Bitmaps), "lulesh": luleshConfig(t)} {
+		for strategyName, strategy := range bothStrategies {
+			cfg.Strategy, cfg.Telemetry = strategy, telemetry.NewRegistry()
+			before := builds.Value()
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vars, written := len(cfg.Sim.Vars()), len(res.Selected)
+			if got := builds.Value() - before; got != int64(written*vars) {
+				t.Errorf("%s %s: %d indexes built, want %d written steps × %d vars", name, strategyName, got, written, vars)
+			}
+			v, _ := cfg.Telemetry.StatusValue(RunStatusName)
+			st := v.(RunStatus)
+			if got := st.Phases[SpanEncode].Count; got != int64(written) {
+				t.Errorf("%s %s: %d encode phases, want one per written step (%d)", name, strategyName, got, written)
+			}
+			bins := int64(0)
+			for _, n := range st.CodecBins {
+				bins += n
+			}
+			if want := int64(written * vars * cfg.Bins); bins != want {
+				t.Errorf("%s %s: codec mix over %d bins, want the written steps' %d", name, strategyName, bins, want)
+			}
+			if written != cfg.Select || res.Breakdown.Reduce <= 0 {
+				t.Errorf("%s %s: %d steps written, reduce %v", name, strategyName, written, res.Breakdown.Reduce)
+			}
+		}
+	}
+}
+
+// luleshConfig is a bitmap run of the twelve-array simulator.
+func luleshConfig(t *testing.T) Config {
+	t.Helper()
+	l, err := lulesh.New(8, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{Sim: l, Steps: 12, Select: 4, Method: Bitmaps, Bins: 48, Metric: selection.EMDSpatial, Cores: 4}
 }
 
 func TestMemoryModel(t *testing.T) {

@@ -23,9 +23,10 @@ type resumeState struct {
 	log *RunLog
 	// durable maps committed steps whose artifacts verified (length and
 	// whole-file CRC32C) to their journal file records; the writer copies
-	// their manifest entries instead of rewriting them, and their replay
-	// stubs carry the journaled output volume so the resumed run's
-	// accounting stays honest.
+	// their manifest entries instead of rewriting them, such a step is not
+	// encoded again, and its summary — a replay stub or re-reduced —
+	// carries the journaled output volume so the resumed run's accounting
+	// stays honest.
 	durable map[int][]JournalFile
 	// needed marks steps the replay must re-reduce for real: the last
 	// committed winner (future steps score against it), the open
@@ -35,11 +36,15 @@ type resumeState struct {
 }
 
 func (rs *resumeState) stub(t int) *stepSummary {
-	s := &stepSummary{step: t, replay: true}
-	for _, jf := range rs.durable[t] {
-		s.outBytes += jf.Bytes
+	return &stepSummary{step: t, replay: true, outBytes: journalBytes(rs.durable[t])}
+}
+
+// journalBytes is the bytes a step's journaled artifacts hold.
+func journalBytes(files []JournalFile) (n int64) {
+	for _, jf := range files {
+		n += jf.Bytes
 	}
-	return s
+	return n
 }
 
 // Resume continues a crashed or cancelled run from dir's journal. It

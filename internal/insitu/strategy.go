@@ -250,8 +250,10 @@ func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, er
 func finishResult(cfg Config, sel *selector, res *Result) {
 	res.Selected = sel.greedy.Selected
 	res.BytesWritten = sel.written
+	if sel.nSums > 0 {
+		res.SummaryBytes = sel.sumBytes / int64(sel.nSums)
+	}
 	if sel.nSeen > 0 {
-		res.SummaryBytes = sel.sumBytes / int64(sel.nSeen)
 		res.IDBytes = sel.idBytes / int64(sel.nSeen)
 	}
 	if cfg.Store != nil {
@@ -267,10 +269,11 @@ const calibSteps = 2
 // Calibrate implements the paper's Equations 1 and 2: run calibSteps steps
 // with all cores, measure the average time of the work each side of the queue
 // does under the split it returns — simulating and staging on one, building
-// the summary on the other — and split the cores proportionally. The returned
-// strategy always grants each side at least one core, so it needs at least
-// two. The calibration steps advance the simulator, mirroring the paper's
-// "initial set of cores" warm-up.
+// the summary on the other, with a bitmap step's encode weighted by the
+// share of steps that are written (Select/Steps) — and split the cores
+// proportionally. The returned strategy always grants each side at least
+// one core, so it needs at least two. The calibration steps advance the
+// simulator, mirroring the paper's "initial set of cores" warm-up.
 func Calibrate(cfg Config) (SeparateCores, error) {
 	if err := cfg.validate(); err != nil {
 		return SeparateCores{}, err
@@ -291,9 +294,13 @@ func Calibrate(cfg Config) (SeparateCores, error) {
 			return SeparateCores{}, err
 		}
 		t1 := time.Now()
-		red.summarize(st, cfg.Cores)
+		sum := red.summarize(st, cfg.Cores)
+		t2 := time.Now()
+		if cfg.Method == Bitmaps {
+			red.encode(sum)
+		}
 		simTime += t1.Sub(t0)
-		redTime += time.Since(t1)
+		redTime += t2.Sub(t1) + time.Since(t2)*time.Duration(cfg.Select)/time.Duration(cfg.Steps)
 	}
 	total := simTime + redTime
 	simCores := int(float64(cfg.Cores) * float64(simTime) / float64(total)) // Equation 1

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"insitubits/internal/codec"
-	"insitubits/internal/selection"
+	"insitubits/internal/index"
 	"insitubits/internal/telemetry"
 )
 
@@ -19,13 +19,15 @@ const RunStatusName = "run"
 // The per-step phases of a run. Each is timed once, into the run's phase
 // record — the one source of Result.Breakdown, StageTime, WriteTime and
 // RunStatus.Phases — and opened as a child span of the step's identity
-// trace under the same name. SpanStage nests under SpanReduce: the part of
-// the reduction that reads the raw step, paid on the simulate side under
-// separate cores.
+// trace under the same name. SpanStage and SpanEncode nest under SpanReduce:
+// the part of the reduction that reads the raw step, paid on the simulate
+// side under separate cores, and the encode of a committed step's bitmaps
+// from its run streams, paid in the trace of the step that commits it.
 const (
 	SpanSimulate = "simulate"
 	SpanReduce   = "reduce"
 	SpanStage    = "stage"
+	SpanEncode   = "encode"
 	SpanSelect   = "select"
 	SpanWrite    = "write"
 )
@@ -41,12 +43,13 @@ const (
 	phaseSimulate phase = iota
 	phaseReduce
 	phaseStage
+	phaseEncode
 	phaseSelect
 	phaseWrite
 	numPhases
 )
 
-var phaseNames = [numPhases]string{SpanSimulate, SpanReduce, SpanStage, SpanSelect, SpanWrite}
+var phaseNames = [numPhases]string{SpanSimulate, SpanReduce, SpanStage, SpanEncode, SpanSelect, SpanWrite}
 
 // RunStatus is the live snapshot of the current (or most recent) pipeline
 // run, published under the registry status key RunStatusName and served as
@@ -66,17 +69,19 @@ type RunStatus struct {
 	QueueDepth   int   `json:"queue_depth"`
 	QueuePeak    int   `json:"queue_peak"`
 	BytesWritten int64 `json:"bytes_written"`
-	// CodecBins is the cumulative per-codec bin mix of every bitmap summary
-	// the run reduced ("wah"/"bbc"/"other"); empty for non-bitmap methods.
+	// CodecBins is the cumulative per-codec bin mix of every step the run
+	// encoded — the committed ones ("wah"/"bbc"/"other"); empty for
+	// non-bitmap methods.
 	CodecBins map[string]int64 `json:"codec_bins,omitempty"`
 	// Phases is the run's phase record so far: count and total time of
-	// each phase that has run (simulate, reduce, stage, select, write).
+	// each phase that has run (simulate, reduce, stage, encode, select,
+	// write).
 	Phases    map[string]PhaseStatus `json:"phases,omitempty"`
 	ElapsedNs int64                  `json:"elapsed_ns"`
 	Done      bool                   `json:"done"`
-	// Generation is the highest index generation observed among the run's
-	// bitmap summaries — /healthz reports it so probes can tell whether the
-	// indexes a query layer serves are from the current run.
+	// Generation is the highest index generation among the indexes the run
+	// encoded for its committed steps — /healthz reports it so probes can
+	// tell whether the indexes a query layer serves are from the current run.
 	Generation uint64 `json:"generation,omitempty"`
 	// Journal is the run journal's lifecycle state: "none" (no output
 	// directory), "active" (begin record on disk, run in flight), or
@@ -238,19 +243,19 @@ func (rt *runTelemetry) currentStepCount() int64 {
 }
 
 // observeStep folds one offered step into the live run status: current
-// step, the step's identity-trace ID (if any), and the per-codec bin mix of
-// its bitmap summaries — O(bins) metadata reads, no bitmap is decoded.
-func (rt *runTelemetry) observeStep(ctx context.Context, t int, sum *stepSummary) {
+// step and the step's identity-trace ID (if any).
+func (rt *runTelemetry) observeStep(ctx context.Context, t int) {
 	rt.currentStep.Store(int64(t))
 	if id := telemetry.TraceIDOf(ctx); id != "" {
 		rt.lastTraceID.Store(id)
 	}
-	for _, part := range sum.parts {
-		bs, ok := part.(*selection.BitmapSummary)
-		if !ok || bs.X == nil {
-			continue
-		}
-		x := bs.X
+}
+
+// observeIndexes folds a committed step's encoded indexes into the live run
+// status: their generation and per-codec bin mix — O(bins) metadata reads,
+// no bitmap is decoded.
+func (rt *runTelemetry) observeIndexes(xs []*index.Index) {
+	for _, x := range xs {
 		rt.observeGeneration(x.Generation())
 		for b := 0; b < x.Bins(); b++ {
 			rt.codecBins[x.Codec(b)].Add(1)

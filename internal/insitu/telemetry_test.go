@@ -66,8 +66,9 @@ func TestPhaseRecordIsTheRunReport(t *testing.T) {
 // TestStepTraceHasEveryPhase asserts the identity trace of each step: with
 // a recorder installed, every insitu.step trace has simulate, a reduce with
 // a stage under it and the reduce that summarizes, a select for every step
-// scored against a selection (all but step 0), and the write phases add up
-// to the selected steps, step 0's among them.
+// scored against a selection (all but step 0), and, where a step commits a
+// selection, a reduce with the encode under it and a write; the write
+// phases add up to the selected steps, step 0's among them.
 func TestStepTraceHasEveryPhase(t *testing.T) {
 	for name, strategy := range bothStrategies {
 		t.Run(name, func(t *testing.T) {
@@ -95,10 +96,16 @@ func TestStepTraceHasEveryPhase(t *testing.T) {
 				for _, sp := range tr.Spans {
 					names[sp.SpanID] = sp.Name
 				}
-				n := map[string]int{} // phases where they belong: stage under reduce, the rest under the step
+				n := map[string]int{} // phases where they belong: stage and encode under reduce, the rest under the step
 				for _, sp := range tr.Spans[1:] {
-					if sp.Name == SpanStage && names[sp.ParentID] == SpanReduce ||
-						sp.Name != SpanStage && sp.ParentID == root.SpanID {
+					under := root.SpanID
+					if sp.Name == SpanStage || sp.Name == SpanEncode {
+						under = ""
+						if names[sp.ParentID] == SpanReduce {
+							under = sp.ParentID
+						}
+					}
+					if sp.ParentID == under {
 						n[sp.Name]++
 					}
 				}
@@ -109,8 +116,8 @@ func TestStepTraceHasEveryPhase(t *testing.T) {
 						t.Errorf("step 0 (always selected) has %d write phases, want 1", n[SpanWrite])
 					}
 				}
-				if n[SpanSimulate] != 1 || n[SpanReduce] != 2 || n[SpanStage] != 1 || n[SpanSelect] != wantSelect {
-					t.Errorf("step %s trace phases %v, want simulate 1, reduce 2, stage 1 under reduce, select %d",
+				if n[SpanSimulate] != 1 || n[SpanReduce] != 2+n[SpanWrite] || n[SpanStage] != 1 || n[SpanEncode] != n[SpanWrite] || n[SpanSelect] != wantSelect {
+					t.Errorf("step %s trace phases %v, want simulate 1, reduce 2 and one per write, stage 1 and encode 1 per write under reduce, select %d",
 						step, n, wantSelect)
 				}
 				writes += n[SpanWrite]

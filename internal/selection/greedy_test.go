@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"insitubits/internal/codec"
 	"insitubits/internal/index"
 )
 
@@ -83,8 +82,8 @@ func TestGreedyOutcomes(t *testing.T) {
 
 // TestNodeSplitScoresEqualWhole is the distributed form of the paper's
 // claim (§5.3): a step pair cut into contiguous node pieces of uneven sizes,
-// each piece a bitmap or a raw array, scores exactly like the whole arrays'
-// BitmapSummary and DataSummary, for every metric.
+// each piece a run stream, a bitmap or a raw array, scores exactly like the
+// whole arrays' RunSummary, BitmapSummary and DataSummary, for every metric.
 func TestNodeSplitScoresEqualWhole(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	m := mapper(t)
@@ -92,8 +91,12 @@ func TestNodeSplitScoresEqualWhole(t *testing.T) {
 	for _, metric := range []Metric{ConditionalEntropy, EMDCount, EMDSpatial} {
 		wantBitmaps := NewBitmapSummary(index.Build(raw[1], m)).Dissimilarity(NewBitmapSummary(index.Build(raw[0], m)), metric)
 		wantData := NewDataSummary(raw[1], m).Dissimilarity(NewDataSummary(raw[0], m), metric)
-		if math.Float64bits(wantBitmaps) != math.Float64bits(wantData) {
-			t.Fatalf("%v: whole bitmaps %v, whole data %v", metric, wantBitmaps, wantData)
+		stream := func(data []float64) *RunSummary {
+			return NewRunSummary(index.ScanIDs(index.MapIDs(data, m, 2), m, 2), 2)
+		}
+		wantRuns := stream(raw[1]).Dissimilarity(stream(raw[0]), metric)
+		if math.Float64bits(wantBitmaps) != math.Float64bits(wantData) || math.Float64bits(wantRuns) != math.Float64bits(wantData) {
+			t.Fatalf("%v: whole bitmaps %v, whole run streams %v, whole data %v", metric, wantBitmaps, wantRuns, wantData)
 		}
 		for nodes := 1; nodes <= 4; nodes++ {
 			cuts := make([]int, nodes+1) // node k holds about (2k+1)/nodes² of the elements
@@ -102,9 +105,8 @@ func TestNodeSplitScoresEqualWhole(t *testing.T) {
 			}
 			for kind, part := range map[string]func(node int, piece []float64) Summary{
 				"bitmaps": func(node int, piece []float64) Summary {
-					if node%2 == 0 { // handed run streams and decoded ones
-						x, runs := index.BuildFromIDs(index.MapIDs(piece, m, 1), m, 1, codec.WAH)
-						return NewBuiltSummary(x, runs, 1)
+					if node%2 == 0 { // scanned run streams and decoded ones
+						return NewRunSummary(index.ScanIDs(index.MapIDs(piece, m, 1), m, 1), 1)
 					}
 					return NewBitmapSummary(index.Build(piece, m))
 				},

@@ -4,8 +4,9 @@
 // keep the step least correlated with the previously selected one — is one
 // streaming Greedy, fed by Select, the in-situ pipeline, its resume and the
 // cluster run. It runs over an abstract Summary, so the same code drives
-// the full-data baseline, the bitmap path, the sampling baseline and a step
-// distributed over nodes (NodeSummary); only the metric evaluation differs.
+// the full-data baseline, the bitmap path (a run stream in situ, an index
+// read from a file offline), the sampling baseline and a step distributed
+// over nodes (NodeSummary); only the metric evaluation differs.
 package selection
 
 import (
@@ -105,23 +106,51 @@ func (s *DataSummary) len() int          { return len(s.Data) }
 // SizeBytes implements Summary: 8 bytes per float64.
 func (s *DataSummary) SizeBytes() int { return 8 * len(s.Data) }
 
-// BitmapSummary is the paper's method: only the compressed index is kept;
-// the raw data has been discarded.
+// RunSummary is the paper's method as the in-situ pipeline holds a step
+// while it waits for selection: one array's bin ids as their run stream
+// (index.Runs), the histogram the stream sums to, and its length; the raw
+// data has been discarded. The stream is the bitmaps' content in run-length
+// form, so it scores exactly as the bitmaps do, and the bitmaps are made
+// from it (index.FromRuns) only for a step that is written.
+type RunSummary struct {
+	Runs    *index.Runs
+	hist    []int
+	workers int
+}
+
+// NewRunSummary wraps a step's run stream; workers is how many goroutines
+// one score of it may merge over (below 2, the caller's).
+func NewRunSummary(r *index.Runs, workers int) *RunSummary {
+	return &RunSummary{Runs: r, hist: r.Histogram(), workers: workers}
+}
+
+// Dissimilarity implements Summary by merging the two run streams: the
+// scorer of a one-node step, its joint counts merged over the summary's
+// workers.
+func (s *RunSummary) Dissimilarity(selected Summary, m Metric) float64 {
+	o, ok := selected.(*RunSummary)
+	if !ok {
+		panic(fmt.Sprintf("selection: RunSummary compared against %T", selected))
+	}
+	return score([]nodePart{s}, []nodePart{o}, m, s.workers)
+}
+
+func (s *RunSummary) histogram() []int  { return s.hist }
+func (s *RunSummary) runs() *index.Runs { return s.Runs }
+func (s *RunSummary) len() int          { return s.Runs.Len() }
+
+// SizeBytes implements Summary: the run stream.
+func (s *RunSummary) SizeBytes() int { return s.Runs.SizeBytes() }
+
+// BitmapSummary is the paper's method over an index read from a file: only
+// the compressed index is kept. The conditional-entropy and spatial-EMD
+// scores merge run streams; the first such score decodes X's ids and scans
+// them once, and the stream then stays with the summary, a fraction of the
+// ids' size, so a kept step is decoded at most once however many candidates
+// are scored against it.
 type BitmapSummary struct {
 	X *index.Index
 
-	// Workers is how many goroutines one score of this summary may use to
-	// decode and merge; below 2 it runs on the caller's. The in-situ reducer
-	// sets it to the cores the step was given. More than one needs an index
-	// built in this process (index.DecodeBinIDs).
-	Workers int
-
-	// X's run stream (index.Runs), which the conditional-entropy and
-	// spatial-EMD scores merge. Either the build that produced X handed it
-	// over (NewBuiltSummary) or the first such score decodes X's ids and
-	// scans them once; it then stays with the summary, a fraction of the ids'
-	// size, so a kept step is decoded at most once however many candidates
-	// are scored against it.
 	mu sync.Mutex
 	rs *index.Runs
 }
@@ -129,31 +158,23 @@ type BitmapSummary struct {
 // NewBitmapSummary wraps a built index; its scores run on one goroutine.
 func NewBitmapSummary(x *index.Index) *BitmapSummary { return &BitmapSummary{X: x} }
 
-// NewBuiltSummary wraps an index together with the run stream its build
-// returned (index.BuildFromIDs; a nil stream is decoded on demand) and the
-// worker count its scores may use.
-func NewBuiltSummary(x *index.Index, runs *index.Runs, workers int) *BitmapSummary {
-	return &BitmapSummary{X: x, Workers: workers, rs: runs}
-}
-
 // runs returns the summary's run stream, decoding it on first use.
 func (s *BitmapSummary) runs() *index.Runs {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rs == nil {
-		s.rs = index.RunsOf(index.DecodeBinIDs(s.X, s.Workers))
+		s.rs = index.RunsOf(index.DecodeBinIDs(s.X, 1))
 	}
 	return s.rs
 }
 
-// Dissimilarity implements Summary on the compressed form: the scorer of a
-// one-node step, its joint counts merged over Workers goroutines.
+// Dissimilarity implements Summary on the compressed form.
 func (s *BitmapSummary) Dissimilarity(selected Summary, m Metric) float64 {
 	o, ok := selected.(*BitmapSummary)
 	if !ok {
 		panic(fmt.Sprintf("selection: BitmapSummary compared against %T", selected))
 	}
-	return score([]nodePart{s}, []nodePart{o}, m, s.Workers)
+	return score([]nodePart{s}, []nodePart{o}, m, 1)
 }
 
 func (s *BitmapSummary) histogram() []int { return s.X.Histogram() }
@@ -168,8 +189,8 @@ func (s *BitmapSummary) SizeBytes() int {
 }
 
 // NodeSummary is one time-step distributed over nodes (§5.3, Figure 2): a
-// *BitmapSummary or *DataSummary per node over the node's own elements, in
-// the same node order at every step.
+// *RunSummary, *BitmapSummary or *DataSummary per node over the node's own
+// elements, in the same node order at every step.
 type NodeSummary struct {
 	Parts []Summary
 }

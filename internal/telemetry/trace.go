@@ -40,8 +40,8 @@ type TraceConfig struct {
 	SlowThreshold time.Duration
 }
 
-// maxSpans caps the spans recorded per trace; further spans are counted but
-// dropped.
+// maxSpans caps the spans recorded per trace, the root's among them; further
+// spans are dropped and the trace is marked truncated.
 const maxSpans = 512
 
 func (c TraceConfig) withDefaults() TraceConfig {
@@ -403,25 +403,24 @@ func (s *ActiveSpan) End() {
 	at := s.at
 	rec := at.rec
 	at.mu.Lock()
-	if len(at.spans) < maxSpans {
-		span := TraceSpan{
-			SpanID:   s.spanID,
-			ParentID: s.parentID,
-			Name:     s.name,
-			StartNs:  s.start.UnixNano(),
-			DurNs:    int64(dur),
-			Attrs:    s.attrs,
-		}
-		if s.root {
-			// Root first, so exporters and readers can treat
-			// spans[0] as the tree root.
-			at.spans = append(at.spans, TraceSpan{})
-			copy(at.spans[1:], at.spans)
-			at.spans[0] = span
-		} else {
-			at.spans = append(at.spans, span)
-		}
-	} else {
+	span := TraceSpan{
+		SpanID:   s.spanID,
+		ParentID: s.parentID,
+		Name:     s.name,
+		StartNs:  s.start.UnixNano(),
+		DurNs:    int64(dur),
+		Attrs:    s.attrs,
+	}
+	switch {
+	case s.root:
+		// Root first, so exporters and readers can treat spans[0] as the
+		// tree root. Its slot is reserved: children stop at maxSpans-1.
+		at.spans = append(at.spans, TraceSpan{})
+		copy(at.spans[1:], at.spans)
+		at.spans[0] = span
+	case len(at.spans) < maxSpans-1:
+		at.spans = append(at.spans, span)
+	default:
 		at.truncated = true
 	}
 	if !s.root {

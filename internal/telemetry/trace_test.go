@@ -143,6 +143,9 @@ func TestKeepSlowOverridesSampling(t *testing.T) {
 	}
 }
 
+// A trace past the span cap keeps its root first: 522 children then the
+// root give maxSpans spans, spans[0] the root with no parent, and the trace
+// marked truncated.
 func TestSpanCapTruncation(t *testing.T) {
 	rec := NewTraceRecorder(TraceConfig{})
 	_, root := rec.StartTrace(context.Background(), "big")
@@ -159,6 +162,9 @@ func TestSpanCapTruncation(t *testing.T) {
 	}
 	if len(tr.Spans) != maxSpans {
 		t.Errorf("%d spans survived a cap of %d", len(tr.Spans), maxSpans)
+	}
+	if sp := tr.Spans[0]; sp.SpanID != root.SpanID() || sp.ParentID != "" || sp.Name != "big" {
+		t.Errorf("spans[0] is %q (id %s, parent %q), want the root %s with no parent", sp.Name, sp.SpanID, sp.ParentID, root.SpanID())
 	}
 }
 
