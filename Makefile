@@ -42,8 +42,8 @@ race:
 # consumer share (TestQueueBackpressure) and the phase record both
 # strategies' goroutines add into (TestPhaseRecord). ./internal/query/...
 # includes the correlation's pooled id array: concurrent requests over two
-# index sizes (TestPooledScratchNeverEscapes) and the arrays that requests
-# on broken indexes abandon (TestCorrelationOnBrokenPartition), both again
+# index sizes (TestPooledScratchNeverEscapes) and the wrong array a request
+# drops (TestCorrelationDropsAWrongIDArray), both again
 # with every pass split into one-, two- and seven-word windows on their own
 # goroutines (TestExecutorAtForcedWindows). ./internal/index/ includes the
 # lazily derived high-level groups: eight first calls racing to build and
@@ -164,9 +164,11 @@ overhead:
 	TELEMETRY_OVERHEAD_GUARD=1 $(GO) test -p 1 -count 1 -run 'TestInstrumentationOverhead|TestAnalyzeOverheadDisabled|TestQlogCaptureOverhead|TestDisabledLabelZeroCost' -v ./internal/bitvec/ ./internal/query/ ./internal/telemetry/
 
 # Short fuzz passes: the untrusted parsers (docs/FORMATS.md) — the
-# index-file reader, the raw-step and dataset readers, the run-journal
-# parser and the workload-log parser — the query oracle property
-# (any request, codec and cache state answers exactly as the brute-force
+# index-file reader (every index it accepts tiles its elements: the
+# histogram sums to N, decodes at 1 and 3 workers agree, and small ones
+# equal the []bool model's partition), the raw-step and dataset readers,
+# the run-journal parser and the workload-log parser — the query oracle
+# property (any request, codec and cache state answers exactly as the brute-force
 # model over the binned raw array does), the flat kernels under it
 # (OrInto, FromFlat, WriteIDs, CountRange and the masked kernels —
 # WriteIDsMasked, TallyMasked, CountMasked × mask shape × word window × id
@@ -204,11 +206,14 @@ fuzz-smoke:
 # the binned raw array exactly; plus EXPLAIN/ANALYZE shape agreement, the
 # one-plan-per-request check, the generation-invalidation check, the
 # cheaper side of every value OR (its seeds, the side choice over every run
-# of bins, the groups' partition proof and their concurrent first build,
-# bits on broken partitions), and the mining property (Mine = MineParallel
-# = MineFullData) with its broken-partition check.
+# of bins, the groups and their concurrent first build), the index door
+# every file passes (FromParts refuses bins that do not tile the elements,
+# checked against the []bool model, so no value OR ever reads the
+# complement of a broken index), the correlation's internal error on a
+# wrong id array, and the mining property (Mine = MineParallel =
+# MineFullData).
 plan-diff:
-	$(GO) test -run 'TestPlanned|FuzzQueryMatchesOracle|TestOracleSeedsReadBothSidesAndLevels|TestExplainMatchesAnalyzeShape|TestOnePlanPerRequest|TestCacheGenerationInvalidationMidStream|TestCorrelationOnBrokenPartition|TestChooseSideReadsTheCheaperSide|TestGroupsConcurrentFirstUse|TestPaperFigure1|TestMultiLevelHighIsOrOfChildren|TestMineProperty|TestMineOnBrokenPartition' -v ./internal/query/ ./internal/index/ ./internal/mining/
+	$(GO) test -run 'TestPlanned|FuzzQueryMatchesOracle|TestOracleSeedsReadBothSidesAndLevels|TestExplainMatchesAnalyzeShape|TestOnePlanPerRequest|TestCacheGenerationInvalidationMidStream|TestCorrelationDropsAWrongIDArray|TestChooseSideReadsTheCheaperSide|TestGroupsConcurrentFirstUse|TestPaperFigure1|TestMultiLevelHighIsOrOfChildren|TestFromPartsRefusesBrokenIndexes|TestTileMatchesTheModel|TestMineProperty' -v ./internal/query/ ./internal/index/ ./internal/mining/
 
 # Workload capture/replay regression gate (docs/OBSERVABILITY.md "Workload
 # capture & replay"): a captured log must replay with byte-identical result

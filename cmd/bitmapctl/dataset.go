@@ -85,8 +85,7 @@ func indexVar(ds *insitubits.DatasetFile, name string, bins int) (*insitubits.In
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := insitubits.MinMax(data)
-	m, err := insitubits.NewUniformBins(lo, hi+1e-9, bins)
+	m, err := uniformBins(data, bins)
 	if err != nil {
 		return nil, err
 	}

@@ -188,8 +188,7 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	lo, hi := insitubits.MinMax(data)
-	m, err := insitubits.NewUniformBins(lo, hi+1e-9, *bins)
+	m, err := uniformBins(data, *bins)
 	if err != nil {
 		return err
 	}
@@ -206,6 +205,16 @@ func cmdBuild(args []string) error {
 	fmt.Printf("indexed %d elements into %d bins: %d bytes (%.1f%% of raw)\n",
 		x.N(), x.Bins(), written, 100*float64(written)/float64(insitubits.RawFileSize(x.N())))
 	return nil
+}
+
+// uniformBins is build's and mine's binning: bins equal-width bins over the
+// array's range, refused above what an index holds before anything is built.
+func uniformBins(data []float64, bins int) (insitubits.Mapper, error) {
+	if bins > insitubits.MaxIndexBins {
+		return nil, fmt.Errorf("%d bins, an index holds at most %d", bins, insitubits.MaxIndexBins)
+	}
+	lo, hi := insitubits.MinMax(data)
+	return insitubits.NewUniformBins(lo, hi+1e-9, bins)
 }
 
 func cmdInfo(args []string) error {
@@ -442,10 +451,6 @@ func cmdPair(args []string, kind string) error {
 	}
 	if xa.N() != xb.N() {
 		return fmt.Errorf("indices cover %d and %d elements", xa.N(), xb.N())
-	}
-	// Both metrics pair the elements up through bin ids of at most two bytes.
-	if bins := max(xa.Bins(), xb.Bins()); bins > 1<<16 {
-		return fmt.Errorf("%s needs indexes of at most %d bins, not %d", kind, 1<<16, bins)
 	}
 	switch kind {
 	case "mi":

@@ -57,12 +57,22 @@ func TestPairRefusesTooManyBins(t *testing.T) {
 	if err := cmdGenRaw([]string{"-out", raw, "-steps", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdBuild([]string{"-in", raw, "-out", idx, "-bins", "65537"}); err != nil {
+	// No index of more than 65 536 bins is built ...
+	if err := cmdBuild([]string{"-in", raw, "-out", idx, "-bins", "65537"}); err == nil || !strings.Contains(err.Error(), "at most 65536") {
+		t.Fatalf("build -bins 65537: %v", err)
+	}
+	// ... or loaded: a header declaring 65 537 bins is refused before the
+	// edges it sizes are read, so the file holds nothing past it.
+	header := []byte("ISBM")
+	header = binary.LittleEndian.AppendUint32(header, 3)
+	header = binary.LittleEndian.AppendUint64(header, 3)
+	header = binary.LittleEndian.AppendUint32(header, 65537)
+	if err := os.WriteFile(idx, header, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"mi", "emd"} {
-		if err := cmdPair([]string{idx, idx}, kind); err == nil || !strings.Contains(err.Error(), "at most 65536 bins") {
-			t.Fatalf("%s over 65537 bins: %v", kind, err)
+		if err := cmdPair([]string{idx, idx}, kind); err == nil || !strings.Contains(err.Error(), "65537 bins, want 1 to 65536") {
+			t.Fatalf("%s over a 65537-bin header: %v", kind, err)
 		}
 	}
 }

@@ -212,7 +212,7 @@ func subsetMI(a, b []float64, ma, mb insitubits.Mapper) float64 {
 // distribution and marginals from them.
 func unitMIBitmaps(s *miningSetup, unit int) []float64 {
 	n := s.xt.N()
-	ida, idb := s.xt.BinIDs(nil), s.xs.BinIDs(nil)
+	ida, idb := insitubits.DecodeBinIDs(s.xt, 1), insitubits.DecodeBinIDs(s.xs, 1)
 	out := make([]float64, (n+unit-1)/unit)
 	for u := range out {
 		lo, hi := u*unit, min((u+1)*unit, n)
@@ -222,9 +222,10 @@ func unitMIBitmaps(s *miningSetup, unit int) []float64 {
 		}
 		ha, hb := make([]int, s.xt.Bins()), make([]int, s.xs.Bins())
 		for k := lo; k < hi; k++ {
-			joint[ida[k]][idb[k]]++
-			ha[ida[k]]++
-			hb[idb[k]]++
+			a, b := ida.At(k), idb.At(k)
+			joint[a][b]++
+			ha[a]++
+			hb[b]++
 		}
 		out[u] = insitubits.MutualInformation(joint, ha, hb, hi-lo)
 	}

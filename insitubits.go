@@ -171,6 +171,9 @@ var (
 // per-bin counts (the histogram) cached.
 type Index = index.Index
 
+// MaxIndexBins is the most bins an index holds: two bytes address a bin.
+const MaxIndexBins = index.MaxIDBins
+
 // Re-exported index constructors.
 var (
 	BuildIndex           = index.Build
@@ -178,6 +181,7 @@ var (
 	BuildIndexAlgorithm1 = index.BuildAlgorithm1
 	BuildIndexTwoPhase   = index.BuildTwoPhase
 	BuildIndexParallel   = index.BuildParallel
+	DecodeBinIDs         = index.DecodeBinIDs
 )
 
 // --- Metrics (internal/metrics) ---

@@ -348,9 +348,83 @@ func countAll(buf []byte) int {
 // Iterate calls fn for each set bit in ascending order, over the WAH form.
 func (b *BBC) Iterate(fn func(pos int) bool) { ToVector(b).Iterate(fn) }
 
-// Runs streams the contents at 31-bit segment granularity: the words of the
-// WAH form.
-func (b *BBC) Runs() RunReader { return ToVector(b).Runs() }
+// Runs streams the contents at 31-bit segment granularity, read off the
+// byte stream a token at a time: the whole segments inside a run token are
+// one fill however many bytes it covers, and a segment that holds a token
+// boundary is a literal, or a fill when it is all zeros or all ones. Fills
+// of one bit may come cut where tokens meet; merged, the runs are the WAH
+// form's words. Nothing is expanded, so a walk costs O(encoded bytes).
+func (b *BBC) Runs() RunReader { return &bbcRunReader{b: b} }
+
+// bbcRunReader is a walk in segments: the token in hand (i its index, next
+// the following one's, [at, end) the bytes it covers) and the next bit.
+type bbcRunReader struct {
+	b                     *BBC
+	i, next, at, end, pos int
+}
+
+// NextRun reads the next segments; a malformed stream ends at its damage.
+func (r *bbcRunReader) NextRun() (Run, bool) {
+	n := r.b.nbits
+	if r.pos >= n || !r.token(r.pos) {
+		r.pos = n
+		return Run{}, false
+	}
+	if tok := r.b.data[r.i]; tok == bbcZeroRun || tok == bbcOneRun {
+		if k := min((min(r.end<<3, n)-r.pos)/SegmentBits, maxRun); k > 0 {
+			r.pos += k * SegmentBits
+			return Run{Fill: true, Bit: uint32(tok - bbcZeroRun), N: k}, true
+		}
+	}
+	width, word := min(SegmentBits, n-r.pos), uint32(0)
+	for p := r.pos; p < r.pos+width; {
+		if !r.token(p) {
+			r.pos = n
+			return Run{}, false
+		}
+		q := min(r.end<<3, r.pos+width)
+		switch r.b.data[r.i] {
+		case bbcZeroRun:
+		case bbcOneRun:
+			word |= uint32(1)<<uint(q-r.pos) - uint32(1)<<uint(p-r.pos)
+		default: // the chunk's bytes end at next; at most five hold [p, q)
+			v, at := uint64(0), r.next-(r.end-r.at)+p>>3-r.at
+			if at+8 <= len(r.b.data) {
+				v = binary.LittleEndian.Uint64(r.b.data[at:])
+			} else {
+				for k, b := range r.b.data[at:r.next] {
+					v |= uint64(b) << (8 * uint(k))
+				}
+			}
+			word |= uint32(v>>uint(p&7)) & (uint32(1)<<uint(q-p) - 1) << uint(p-r.pos)
+		}
+		p = q
+	}
+	r.pos += width
+	switch word {
+	case 0:
+		return Run{Fill: true, N: 1}, true
+	case literalMask:
+		return Run{Fill: true, Bit: 1, N: 1}, true
+	}
+	return Run{N: 1, Word: word}, true
+}
+
+// token moves to the token covering bit p, reporting false at a malformed
+// one.
+func (r *bbcRunReader) token(p int) bool {
+	for r.end<<3 <= p {
+		if r.next >= len(r.b.data) {
+			return false
+		}
+		next, end, ok := r.b.step(r.next, r.end)
+		if !ok {
+			return false
+		}
+		r.i, r.at, r.next, r.end = r.next, r.end, next, end
+	}
+	return true
+}
 
 // Stats describes the physical composition. For the byte-aligned stream the
 // WAH word tallies don't apply; PhysicalBytes carries the true footprint.

@@ -56,7 +56,8 @@ type Run struct {
 	Word uint32 // 31-bit literal payload when !Fill
 }
 
-// RunReader pulls a bitmap's runs in order: the words of its WAH form.
+// RunReader pulls a bitmap's runs in order: the words of its WAH form, but
+// for fills of one bit that may come cut in several runs.
 type RunReader interface {
 	// NextRun returns the next run; ok is false when exhausted.
 	NextRun() (r Run, ok bool)

@@ -215,10 +215,28 @@ func checkOrInto(t *testing.T, tag string, bm Bitmap, bs, pre []bool, w0, w1 int
 	}
 }
 
+// runsOf reads all of a bitmap's runs, merging fills of one bit as the WAH
+// form does.
+func runsOf(b Bitmap) []Run {
+	var out []Run
+	for rd := b.Runs(); ; {
+		r, ok := rd.NextRun()
+		if !ok {
+			return out
+		}
+		if k := len(out) - 1; k >= 0 && r.Fill && out[k].Fill && out[k].Bit == r.Bit {
+			out[k].N += r.N
+			continue
+		}
+		out = append(out, r)
+	}
+}
+
 // checkWhole checks what reads a whole bitmap: Count, CountUnits, Iterate
 // (all of it and stopped early), ToVector (the canonical WAH words, also
-// through a wrapper that hides the codec) and Equal, which must tell the
-// bitmap from one with a bit flipped.
+// through a wrapper that hides the codec), Runs (those words again, read
+// off each codec's own stream, fills merged) and Equal, which must tell the bitmap from
+// one with a bit flipped.
 func checkWhole(t *testing.T, tag string, bm Bitmap, bs []bool) {
 	t.Helper()
 	n := len(bs)
@@ -256,6 +274,9 @@ func checkWhole(t *testing.T, tag string, bm Bitmap, bs []bool) {
 		if v := ToVector(b); !slices.Equal(v.RawWords(), ref.RawWords()) || v.Len() != n {
 			t.Fatalf("%s: ToVector(%T) = %v, want %v", tag, b, v, ref)
 		}
+	}
+	if got, want := runsOf(bm), runsOf(ref); !slices.Equal(got, want) {
+		t.Fatalf("%s: Runs = %v, want the WAH words' %v", tag, got, want)
 	}
 	for cname, o := range codecsOf(bs) {
 		if !bm.Equal(o) || !o.Equal(bm) {

@@ -136,10 +136,7 @@ func benchField(b *testing.B) ([]float64, binning.Mapper) {
 	return field, m
 }
 
-var (
-	sinkIndex *Index
-	sinkIDs   *BinIDs
-)
+var sinkIndex *Index
 
 func BenchmarkBuildParallelCodec(b *testing.B) {
 	data, m := benchField(b)
@@ -149,14 +146,6 @@ func BenchmarkBuildParallelCodec(b *testing.B) {
 			b.SetBytes(int64(8 * len(data)))
 			for i := 0; i < b.N; i++ {
 				sinkIndex = BuildParallelCodec(data, m, w, codec.Auto)
-			}
-		})
-		b.Run(fmt.Sprintf("ids/%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * len(data)))
-			for i := 0; i < b.N; i++ {
-				sinkIDs = MapIDs(data, m, w)
-				sinkIndex = BuildFromIDs(sinkIDs, m, w, codec.Auto)
 			}
 		})
 	}

@@ -88,10 +88,10 @@ var buildDigests = map[string]string{
 	"1000/auto": "df2862dab6f75c54",
 }
 
-// BuildFromIDs(MapIDs(data)) stores, for any worker count, exactly the bytes
-// the build from raw values stored before the map was split from it — codec
-// tag, count and payload of every bin — and so does the build in two steps,
-// FromRuns(ScanIDs(ids)); decoding the index gives the ids back.
+// The build from ids, FromRuns(ScanIDs(MapIDs(data))), stores for any worker
+// count exactly the bytes the build from raw values stored before the map
+// was split from it — codec tag, count and payload of every bin — and
+// decoding the index gives the ids back.
 func TestBuildFromIDsMatchesBuild(t *testing.T) {
 	for _, bins := range []int{2, 120, 160, 256, 257, 1000} {
 		m, err := binning.NewUniform(0, 10, bins)
@@ -105,18 +105,12 @@ func TestBuildFromIDsMatchesBuild(t *testing.T) {
 				for _, n := range fromIDsLengths() {
 					data := frontsAndNoise(r, n)
 					ids := index.MapIDs(data, m, w)
-					x := index.BuildFromIDs(ids, m, w, id)
-					var eager, streamed bytes.Buffer
-					if _, err := store.WriteIndex(&eager, x); err != nil {
+					x := index.FromRuns(index.ScanIDs(ids, m, w), m, w, id)
+					var stored bytes.Buffer
+					if _, err := store.WriteIndex(&stored, x); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := store.WriteIndex(&streamed, index.FromRuns(index.ScanIDs(ids, m, w), m, w, id)); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(eager.Bytes(), streamed.Bytes()) {
-						t.Fatalf("bins=%d %v workers=%d n=%d: the build from the run stream stores other bytes", bins, id, w, n)
-					}
-					h.Write(eager.Bytes())
+					h.Write(stored.Bytes())
 					back := index.DecodeBinIDs(x, w)
 					if x.N() != n || back.Bins != bins || !slices.Equal(back.U8, ids.U8) || !slices.Equal(back.U16, ids.U16) {
 						t.Fatalf("bins=%d %v workers=%d n=%d: decoding the index does not give back the ids it was built from", bins, id, w, n)
@@ -140,8 +134,8 @@ func TestBuildFromIDsMatchesBuild(t *testing.T) {
 }
 
 // Ids that are not the mapper's — another bin count, or the wrong width for
-// it — are refused before anything is indexed or scanned, and so is a run
-// stream of another bin count.
+// it — are refused before anything is scanned, and so is a run stream of
+// another bin count and a mapper of more bins than ids address.
 func TestBuildFromIDsRefusesForeignIDs(t *testing.T) {
 	mapper := func(bins int) binning.Mapper {
 		m, err := binning.NewUniform(0, 10, bins)
@@ -162,23 +156,17 @@ func TestBuildFromIDsRefusesForeignIDs(t *testing.T) {
 		"one byte, wide":    {&index.BinIDs{U8: narrow.U8, Bins: 300}, mapper(300)},
 		"two bytes, narrow": {&index.BinIDs{U16: wide.U16, Bins: 100}, mapper(100)},
 		"both widths":       {&index.BinIDs{U8: narrow.U8, U16: wide.U16, Bins: 100}, mapper(100)},
-		"beyond MaxIDBins":  {&index.BinIDs{U16: wide.U16, Bins: index.MaxIDBins + 1}, mapper(index.MaxIDBins + 1)},
 	} {
-		for call, build := range map[string]func(){
-			"BuildFromIDs": func() { index.BuildFromIDs(c.ids, c.m, 2, codec.Auto) },
-			"ScanIDs":      func() { index.ScanIDs(c.ids, c.m, 2) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: %s took ids that are not the mapper's", name, call)
-					}
-				}()
-				build()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ScanIDs took ids that are not the mapper's", name)
+				}
 			}()
-		}
+			index.ScanIDs(c.ids, c.m, 2)
+		}()
 	}
-	for name, r := range map[string]*index.Runs{"nil stream": nil, "fewer bins": index.RunsOf(narrow)} {
+	for name, r := range map[string]*index.Runs{"nil stream": nil, "fewer bins": index.ScanIDs(narrow, mapper(100), 1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -188,18 +176,28 @@ func TestBuildFromIDsRefusesForeignIDs(t *testing.T) {
 			index.FromRuns(r, mapper(101), 2, codec.Auto)
 		}()
 	}
-	if index.MapIDs(data, mapper(index.MaxIDBins+1), 2) != nil {
-		t.Error("MapIDs produced narrow ids above MaxIDBins")
+	for call, build := range map[string]func(){
+		"MapIDs":             func() { index.MapIDs(data, mapper(index.MaxIDBins+1), 2) },
+		"BuildParallelCodec": func() { index.BuildParallelCodec(data, mapper(index.MaxIDBins+1), 2, codec.Auto) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s took a mapper of more than %d bins", call, index.MaxIDBins)
+				}
+			}()
+			build()
+		}()
 	}
 }
 
 // checkBuildFromIDs builds the index of want — one bin id per element, bins
-// bins — at every worker count and codec, both in one go (BuildFromIDs) and
-// from the run stream ScanIDs finds (FromRuns), and holds each to a []bool
-// model: every bin has the model's bits and count, in the canonical bytes of
-// its codec (BBCFromBytes for BBC, its ToVector for WAH), and auto keeps BBC
-// exactly when its encoding is the smaller, WAH on a tie. The stream's
-// histogram is the model's counts.
+// bins — at every worker count and codec from the run stream ScanIDs finds
+// (FromRuns), and holds it to a []bool model: every bin has the model's bits
+// and count, in the canonical bytes of its codec (BBCFromBytes for BBC, its
+// ToVector for WAH), and auto keeps BBC exactly when its encoding is the
+// smaller, WAH on a tie. The stream's histogram is the model's counts, and
+// one worker's stream is held at its exact size.
 func checkBuildFromIDs(t *testing.T, want []int, bins int) {
 	t.Helper()
 	m, err := binning.NewUniform(0, 10, bins)
@@ -243,21 +241,20 @@ func checkBuildFromIDs(t *testing.T, want []int, bins int) {
 	for _, w := range []int{1, 2, 3, 5, 7} {
 		runs := index.ScanIDs(ids, m, w)
 		checkRuns(t, runs, want, bins)
+		if w == 1 && cap(runs.End) != len(runs.End) {
+			t.Fatalf("n=%d bins=%d: one worker's stream holds %d ends in room for %d", len(want), bins, len(runs.End), cap(runs.End))
+		}
 		hist := runs.Histogram()
 		for id, bms := range enc {
-			for build, x := range map[string]*index.Index{
-				"eager":    index.BuildFromIDs(ids, m, w, id),
-				"streamed": index.FromRuns(runs, m, w, id),
-			} {
-				for b, want := range bms {
-					got := x.Bitmap(b)
-					if x.N() != want.Len() || codec.Of(got) != codec.Of(want) ||
-						!bytes.Equal(codec.Payload(got), codec.Payload(want)) || !slices.Equal(bitvec.Bools(got), model[b]) {
-						t.Fatalf("n=%d bins=%d workers=%d %v %s: bin %d is %v %v, want %v %v", x.N(), bins, w, id, build, b, codec.Of(got), got, codec.Of(want), want)
-					}
-					if x.Count(b) != want.Count() || hist[b] != want.Count() {
-						t.Fatalf("n=%d bins=%d workers=%d %v %s: bin %d counted %d, stream sums %d, holds %d", x.N(), bins, w, id, build, b, x.Count(b), hist[b], want.Count())
-					}
+			x := index.FromRuns(runs, m, w, id)
+			for b, want := range bms {
+				got := x.Bitmap(b)
+				if x.N() != want.Len() || codec.Of(got) != codec.Of(want) ||
+					!bytes.Equal(codec.Payload(got), codec.Payload(want)) || !slices.Equal(bitvec.Bools(got), model[b]) {
+					t.Fatalf("n=%d bins=%d workers=%d %v: bin %d is %v %v, want %v %v", x.N(), bins, w, id, b, codec.Of(got), got, codec.Of(want), want)
+				}
+				if x.Count(b) != want.Count() || hist[b] != want.Count() {
+					t.Fatalf("n=%d bins=%d workers=%d %v: bin %d counted %d, stream sums %d, holds %d", x.N(), bins, w, id, b, x.Count(b), hist[b], want.Count())
 				}
 			}
 		}
@@ -396,7 +393,7 @@ func BenchmarkBuildFromIDs(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * len(field)))
 			for i := 0; i < b.N; i++ {
-				sinkIndex = index.BuildFromIDs(ids, m, w, codec.Auto)
+				sinkIndex = index.FromRuns(index.ScanIDs(ids, m, w), m, w, codec.Auto)
 			}
 		})
 		b.Run(fmt.Sprintf("lulesh/%d", w), func(b *testing.B) {
@@ -404,7 +401,7 @@ func BenchmarkBuildFromIDs(b *testing.B) {
 			b.SetBytes(int64(8 * len(fields) * l.Elements()))
 			for i := 0; i < b.N; i++ {
 				for k := range lids {
-					sinkIndex = index.BuildFromIDs(lids[k], lm[k], w, codec.Auto)
+					sinkIndex = index.FromRuns(index.ScanIDs(lids[k], lm[k], w), lm[k], w, codec.Auto)
 				}
 			}
 		})

@@ -1,13 +1,15 @@
 package index
 
 import (
+	"fmt"
+
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
 	"insitubits/internal/sim"
 )
 
-// MaxIDBins is the most bins an index can have for BinIDs to hold its
-// elements' ids: two bytes address 65 536 bins.
+// MaxIDBins is the most bins an index can have: two bytes address 65 536
+// bins, so BinIDs hold the ids of every index's elements.
 const MaxIDBins = 1 << 16
 
 // BinIDs is an index in decoded form, one bin id per element, in the
@@ -15,9 +17,9 @@ const MaxIDBins = 1 << 16
 // 256 bins, U16 up to MaxIDBins — one or two bytes per element against the
 // raw array's eight. Exactly one of the two arrays is non-nil. The ids are a
 // pure function of the bitmaps, and the bitmaps of the ids: MapIDs computes
-// them from the raw array for ScanIDs or BuildFromIDs to index, DecodeBinIDs
-// recovers them from the finished index, to the same bytes. Their runs (Runs)
-// are the smaller form selection scores by and FromRuns encodes.
+// them from the raw array for ScanIDs to scan, DecodeBinIDs recovers them
+// from the finished index, to the same bytes. Their runs (Runs) are the
+// smaller form selection scores by and FromRuns encodes.
 type BinIDs struct {
 	U8   []uint8
 	U16  []uint16
@@ -25,7 +27,7 @@ type BinIDs struct {
 }
 
 // newBinIDs returns a zeroed id array for n elements over the given number
-// of bins, or nil above MaxIDBins.
+// of bins; more than MaxIDBins bins is a caller's bug, and panics.
 func newBinIDs(n, bins int) *BinIDs {
 	switch {
 	case bins <= 1<<8:
@@ -33,12 +35,20 @@ func newBinIDs(n, bins int) *BinIDs {
 	case bins <= MaxIDBins:
 		return &BinIDs{U16: make([]uint16, n), Bins: bins}
 	default:
-		return nil
+		panic(fmt.Sprintf("index: a %d-bin mapper, more than %d", bins, MaxIDBins))
 	}
 }
 
 // Len is the number of elements.
 func (ids *BinIDs) Len() int { return len(ids.U8) + len(ids.U16) }
+
+// At is element k's bin id, at whichever width the array has.
+func (ids *BinIDs) At(k int) int {
+	if ids.U8 != nil {
+		return int(ids.U8[k])
+	}
+	return int(ids.U16[k])
+}
 
 // SizeBytes is the array's in-memory size; nil ids hold nothing.
 func (ids *BinIDs) SizeBytes() int {
@@ -49,8 +59,8 @@ func (ids *BinIDs) SizeBytes() int {
 }
 
 // MapIDs bins data under m, element ranges split over nWorkers goroutines:
-// the only part of a build that reads the raw array. It returns nil when m
-// has more than MaxIDBins bins.
+// the only part of a build that reads the raw array. A mapper of more than
+// MaxIDBins bins panics.
 func MapIDs(data []float64, m binning.Mapper, nWorkers int) *BinIDs {
 	return MapIDsInto(nil, data, m, nWorkers)
 }
@@ -62,46 +72,37 @@ func MapIDsInto(ids *BinIDs, data []float64, m binning.Mapper, nWorkers int) *Bi
 	if ids == nil || ids.Len() != len(data) || (ids.U8 != nil) != (m.Bins() <= 1<<8) || m.Bins() > MaxIDBins {
 		ids = newBinIDs(len(data), m.Bins())
 	}
-	switch {
-	case ids == nil:
-		return nil
-	case ids.U8 != nil:
+	if ids.U8 != nil {
 		mapIDs(m, ids.U8, data, nWorkers)
-	default:
+	} else {
 		mapIDs(m, ids.U16, data, nWorkers)
 	}
 	ids.Bins = m.Bins()
 	return ids
 }
 
-func mapIDs[T uint8 | uint16 | int32](m binning.Mapper, dst []T, data []float64, nWorkers int) {
+func mapIDs[T uint8 | uint16](m binning.Mapper, dst []T, data []float64, nWorkers int) {
 	sim.ParallelFor(len(data), nWorkers, func(lo, hi int) {
 		binning.BinInto(m, dst[lo:hi], data[lo:hi])
 	})
 }
 
 // DecodeBinIDs decodes x into a BinIDs of its own, bins striped over
-// nWorkers goroutines; it returns nil when x has more than MaxIDBins bins.
-// More than one worker needs bins that partition the elements — true of
-// every index built in this process — because overlapping bins would race
-// on a position. The array starts zeroed and only x's own ids are written,
-// in bin order on one worker, so an element no bin covers reads as bin 0,
-// one several bins claim as the highest of them, and no id reaches x.Bins().
+// nWorkers goroutines: the bins tile the elements, so each position is
+// written once, in O(n + encoded size) in all.
 func DecodeBinIDs(x *Index, nWorkers int) *BinIDs {
 	ids := newBinIDs(x.n, len(x.vecs))
-	switch {
-	case ids == nil:
-	case ids.U8 != nil:
+	if ids.U8 != nil {
 		decodeIDs(x, ids.U8, nWorkers)
-	default:
+	} else {
 		decodeIDs(x, ids.U16, nWorkers)
 	}
 	return ids
 }
 
 // decodeIDs writes the id of every occupied bin of x over its elements'
-// positions in dst: the one id decoder, at any width.
-func decodeIDs[T bitvec.ID](x *Index, dst []T, nWorkers int) {
+// positions in dst: the one id decoder, at either width.
+func decodeIDs[T uint8 | uint16](x *Index, dst []T, nWorkers int) {
 	nWorkers = max(1, min(nWorkers, len(x.vecs)))
 	sim.ParallelEach(nWorkers, func(w int) {
 		for b := w; b < len(x.vecs); b += nWorkers {
@@ -141,20 +142,6 @@ func (r *Runs) SizeBytes() int {
 	return len(r.U8) + 2*len(r.U16) + 4*len(r.End)
 }
 
-// RunsOf is the run stream of ids, found in one scan (ScanIDs on one
-// goroutine, for ids of any bin count); nil ids (an index of more than
-// MaxIDBins bins) have none.
-func RunsOf(ids *BinIDs) *Runs {
-	switch {
-	case ids == nil:
-		return nil
-	case ids.U8 != nil:
-		return scanIDs(ids.U8, ids.Bins, 1)
-	default:
-		return scanIDs(ids.U16, ids.Bins, 1)
-	}
-}
-
 // Histogram is the stream's per-id element sum: the element count of every
 // bin, the counts of the index FromRuns builds from it.
 func (r *Runs) Histogram() []int {
@@ -177,7 +164,7 @@ func addRunLengths[T uint8 | uint16](h []int, ids []T, end []uint32) {
 
 // joinRuns concatenates the streams of lists, which cover consecutive
 // element ranges of ids, into one of its own, at the id width of bins.
-func joinRuns[T bitvec.ID](ids []T, lists []*runList, bins int) *Runs {
+func joinRuns[T uint8 | uint16](ids []T, lists []*runList, bins int) *Runs {
 	r := &Runs{Bins: bins}
 	if bins <= 1<<8 {
 		r.U8, r.End = gatherRuns[uint8](ids, lists)
@@ -189,18 +176,9 @@ func joinRuns[T bitvec.ID](ids []T, lists []*runList, bins int) *Runs {
 
 // gatherRuns reads each run's id from ids at its start. A run cut where one
 // list ends and the next begins is joined again, so the stream does not
-// depend on how many workers found it. A lone list's ends become the
-// stream's, and the list goes back to the pool without them.
-func gatherRuns[O uint8 | uint16, T bitvec.ID](ids []T, lists []*runList) ([]O, []uint32) {
-	if len(lists) == 1 {
-		end := lists[0].ends
-		lists[0].ends = nil
-		out, from := make([]O, len(end)), 0
-		for k, to := range end {
-			out[k], from = O(ids[from]), int(to)
-		}
-		return out, end
-	}
+// depend on how many workers found it. The stream is copied out at its
+// exact size, and the lists keep their buffers for the pool.
+func gatherRuns[O, T uint8 | uint16](ids []T, lists []*runList) ([]O, []uint32) {
 	total := 0
 	for _, rl := range lists {
 		total += len(rl.ends)

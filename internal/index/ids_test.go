@@ -11,14 +11,6 @@ import (
 	"insitubits/internal/codec"
 )
 
-// at reads element k's id at whichever width the array has.
-func (ids *BinIDs) at(k int) int {
-	if ids.U8 != nil {
-		return int(ids.U8[k])
-	}
-	return int(ids.U16[k])
-}
-
 // The ids a build emits are a pure function of the bitmaps it builds: they
 // are the mapper's bin of every element, they are what decoding the finished
 // index gives back (through DecodeBinIDs, striped or not, and through
@@ -39,18 +31,21 @@ func TestBuildIDsMatchMapperAndDecode(t *testing.T) {
 			plain := BuildParallelCodec(data, m, 1, codec.Auto)
 			for _, w := range []int{1, 2, 3, 7} {
 				ids := MapIDs(data, m, w)
-				x := BuildFromIDs(ids, m, w, codec.Auto)
+				x := FromRuns(ScanIDs(ids, m, w), m, w, codec.Auto)
 				if wide := bins > 256; ids == nil || ids.Bins != bins || ids.Len() != n ||
 					(ids.U16 != nil) != wide || (ids.U8 != nil) == wide || ids.SizeBytes() != len(ids.U8)+2*len(ids.U16) {
 					t.Fatalf("bins=%d n=%d workers=%d: ids %+v have the wrong shape", bins, n, w, ids)
 				}
-				wide32 := x.BinIDs(nil)
+				wide32 := make([]int32, n)
+				for b := 0; b < bins; b++ {
+					bitvec.WriteIDs(x.Bitmap(b), wide32, int32(b))
+				}
 				for _, dw := range []int{1, 3} {
 					decoded := DecodeBinIDs(x, dw)
 					for k, v := range data {
-						if got, want := ids.at(k), m.Bin(v); got != want || decoded.at(k) != want || int(wide32[k]) != want {
-							t.Fatalf("bins=%d n=%d workers=%d: element %d is in bin %d; emitted %d, decoded(%d workers) %d, BinIDs %d",
-								bins, n, w, k, want, got, dw, decoded.at(k), wide32[k])
+						if got, want := ids.At(k), m.Bin(v); got != want || decoded.At(k) != want || int(wide32[k]) != want {
+							t.Fatalf("bins=%d n=%d workers=%d: element %d is in bin %d; emitted %d, decoded(%d workers) %d, WriteIDs %d",
+								bins, n, w, k, want, got, dw, decoded.At(k), wide32[k])
 						}
 					}
 				}
@@ -68,28 +63,6 @@ func TestBuildIDsMatchMapperAndDecode(t *testing.T) {
 	}
 }
 
-// Two bytes address 65 536 bins; beyond that neither the build nor the
-// decoder produces narrow ids, and the index itself is unaffected.
-func TestNoIDsAboveMaxIDBins(t *testing.T) {
-	data := heatLike(rand.New(rand.NewSource(34)), 500)
-	for _, bins := range []int{MaxIDBins, MaxIDBins + 1} {
-		m := mustUniform(t, bins)
-		x, ids := BuildParallelCodec(data, m, 2, codec.WAH), MapIDs(data, m, 2)
-		if decoded := DecodeBinIDs(x, 2); (ids != nil) != (bins <= MaxIDBins) || (decoded != nil) != (bins <= MaxIDBins) {
-			t.Fatalf("%d bins: emitted ids %v, decoded ids %v", bins, ids != nil, decoded != nil)
-		}
-		wide := make([]int32, len(data))
-		for b := 0; b < bins; b++ {
-			bitvec.WriteIDs(x.Bitmap(b), wide, int32(b))
-		}
-		for k, v := range data {
-			if int(wide[k]) != m.Bin(v) || (ids != nil && ids.at(k) != m.Bin(v)) {
-				t.Fatalf("%d bins: element %d decodes to %d, mapper says %d", bins, k, wide[k], m.Bin(v))
-			}
-		}
-	}
-}
-
 // sameRuns reports whether two streams hold the same runs at the same width.
 func sameRuns(a, b *Runs) bool {
 	return a.Bins == b.Bins && (a.U8 == nil) == (b.U8 == nil) &&
@@ -99,7 +72,7 @@ func sameRuns(a, b *Runs) bool {
 // twoScanRuns is the run layout the build made before it kept a run
 // stream: one scan of the ids counts each bin's runs, a second places them,
 // bin b's (start, length) pairs at runs[2*at[b] : 2*at[b+1]].
-func twoScanRuns[T bitvec.ID](ids []T, bins, base int) (runs []uint32, at, counts []int) {
+func twoScanRuns[T uint8 | uint16](ids []T, bins, base int) (runs []uint32, at, counts []int) {
 	at, counts = make([]int, bins+1), make([]int, bins)
 	for i := 0; i < len(ids); i = runEnd(ids, i) {
 		at[int(ids[i])+1]++
@@ -119,12 +92,10 @@ func twoScanRuns[T bitvec.ID](ids []T, bins, base int) (runs []uint32, at, count
 	return runs, at, counts
 }
 
-// The run lists a build encodes are placed in O(runs), from the ids a scan
-// of its element range found (runsOf) or from a run stream (placeRuns): every
-// bin's runs and count must be what the two scans of the ids gave, on any
-// element range of run-structured ids at both widths, and on any share of
-// the stream; and the stream RunsOf scans from ids is the one ScanIDs finds
-// at any worker count.
+// The run lists a build encodes are placed in O(runs) from a run stream
+// (placeRuns): every bin's runs and count must be what the two scans of the
+// ids gave, on any share of the stream of run-structured ids at both
+// widths; and the stream ScanIDs finds is the same at any worker count.
 func TestRunListMatchesTwoScans(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	check := func(t *testing.T, name string, got *runList, runs []uint32, at, counts []int) {
@@ -143,28 +114,24 @@ func TestRunListMatchesTwoScans(t *testing.T) {
 					ids = append(ids, id)
 				}
 			}
-			base := r.Intn(1000)
-			name := fmt.Sprintf("bins=%d n=%d base=%d", bins, n, base)
+			name := fmt.Sprintf("bins=%d n=%d", bins, n)
 			x := &BinIDs{Bins: bins}
 			if bins <= 1<<8 {
 				x.U8 = make([]uint8, n)
 				for i, id := range ids {
 					x.U8[i] = uint8(id)
 				}
-				runs, at, counts := twoScanRuns(x.U8, bins, base)
-				check(t, name, runsOf(x.U8, bins, base), runs, at, counts)
 			} else {
 				x.U16 = make([]uint16, n)
 				for i, id := range ids {
 					x.U16[i] = uint16(id)
 				}
-				runs, at, counts := twoScanRuns(x.U16, bins, base)
-				check(t, name, runsOf(x.U16, bins, base), runs, at, counts)
 			}
-			m, stream := mustUniform(t, bins), RunsOf(x)
-			for _, w := range []int{1, 2, 5} {
+			m := mustUniform(t, bins)
+			stream := ScanIDs(x, m, 1)
+			for _, w := range []int{2, 5} {
 				if !sameRuns(ScanIDs(x, m, w), stream) {
-					t.Fatalf("%s workers=%d: ScanIDs' run stream is not RunsOf's", name, w)
+					t.Fatalf("%s workers=%d: the run stream is not the one worker's", name, w)
 				}
 			}
 			// The runs from a cut of the stream on: a share starting at run

@@ -49,8 +49,8 @@ func nextGeneration() uint64 { return genCounter.Add(1) }
 func (x *Index) Generation() uint64 { return x.gen }
 
 // Build generates the index on one core, every bin in WAH, from the runs of
-// equal bin ids (buildParallel): a run is a few bits or a fill in one bin
-// and nothing in the others. The bitmaps are the paper's Algorithm 1's (see
+// equal bin ids (BuildParallelCodec): a run is a few bits or a fill in one
+// bin and nothing in the others. The bitmaps are Algorithm 1's (see
 // BuildAlgorithm1), at O(values + runs) instead of O(values + segments×bins).
 func Build(data []float64, m binning.Mapper) *Index {
 	return BuildParallelCodec(data, m, 1, codec.WAH)
@@ -95,21 +95,27 @@ func BuildAlgorithm1(data []float64, m binning.Mapper) *Index {
 	return idx
 }
 
-// FromParts reassembles an Index from deserialized bitmaps (the store
-// package's read path). Every bitmap must cover exactly n bits and there
-// must be one per bin of the mapper; codecs may differ per bin.
+// FromParts reassembles an Index from deserialized bitmaps, the store's read
+// path: the file door, which refuses what no build makes. The shape must be
+// one CheckShape allows, with one n-bit bitmap per bin of m, in any codecs,
+// and the bins must tile the elements (tile).
 func FromParts(m binning.Mapper, vecs []bitvec.Bitmap, n int) (*Index, error) {
+	if err := CheckShape(uint64(n), len(vecs)); err != nil { // a negative n is huge
+		return nil, err
+	}
 	if len(vecs) != m.Bins() {
 		return nil, fmt.Errorf("index: %d vectors for %d bins", len(vecs), m.Bins())
 	}
-	x := &Index{mapper: m, vecs: vecs, counts: make([]int, len(vecs)), n: n, gen: nextGeneration()}
 	for b, v := range vecs {
 		if v.Len() != n {
 			return nil, fmt.Errorf("index: bin %d covers %d bits, want %d", b, v.Len(), n)
 		}
-		x.counts[b] = v.Count()
 	}
-	return x, nil
+	counts, err := tile(vecs, n)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{mapper: m, vecs: vecs, counts: counts, n: n, gen: nextGeneration()}, nil
 }
 
 // BuildTwoPhase is the strawman Algorithm 1 replaces: materialize every
@@ -182,20 +188,6 @@ func (x *Index) Count(b int) int {
 // Histogram returns the per-bin element counts (shared slice; copy to mutate).
 func (x *Index) Histogram() []int { return x.counts }
 
-// BinIDs decodes the index into a per-element bin-id array: out[i] is the
-// bin containing element i. One pass over the compressed vectors (every
-// element is set in exactly one bin, so the total decode work is O(n)).
-// This powers the scale-robust joint-histogram path: at reproduction scale
-// bins² compressed ANDs can exceed an O(n) decode, while both use only the
-// bitmaps and produce identical numbers.
-func (x *Index) BinIDs(dst []int32) []int32 {
-	if len(dst) != x.n {
-		dst = make([]int32, x.n)
-	}
-	decodeIDs(x, dst, 1)
-	return dst
-}
-
 // SizeBytes returns the total compressed size of all bitvectors — the
 // number that must stay well under the raw data size (paper: < 30 %).
 func (x *Index) SizeBytes() int {
@@ -235,41 +227,18 @@ func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 	return BuildParallelCodec(data, m, nWorkers, codec.WAH)
 }
 
-// BuildParallelCodec is the write path from raw values: MapIDs, then
-// BuildFromIDs, over the same nWorkers goroutines. The result equals
-// Build(data, m).Recode(id) bit for bit. Above MaxIDBins bins it maps into
-// wide ids of its own.
+// BuildParallelCodec is the one write path from raw values: MapIDs, ScanIDs,
+// then FromRuns, over the same nWorkers goroutines. An index is a pure
+// function of (bin ids, mapper), so only the ids or their run stream need
+// travel from the raw array. The result equals Build(data, m).Recode(id) bit
+// for bit. A mapper of more than MaxIDBins bins panics.
 func BuildParallelCodec(data []float64, m binning.Mapper, nWorkers int, id codec.ID) *Index {
-	start := buildStart()
-	switch ids := MapIDs(data, m, nWorkers); {
-	case ids == nil:
-		wide := make([]int32, len(data))
-		mapIDs(m, wide, data, nWorkers)
-		return buildParallel(wide, m, nWorkers, id, start)
-	case ids.U8 != nil:
-		return buildParallel(ids.U8, m, nWorkers, id, start)
-	default:
-		return buildParallel(ids.U16, m, nWorkers, id, start)
-	}
-}
-
-// BuildFromIDs builds the index of the array whose elements' bins ids names
-// in one go: an index is a pure function of (bin ids, mapper), so whoever
-// holds the raw array maps it (MapIDs) and only the ids — one or two bytes
-// per element — travel to the build. FromRuns(ScanIDs(ids)) builds the same
-// bitmaps in two steps, with the run stream between them. Ids that are not
-// the mapper's panic before anything is indexed.
-func BuildFromIDs(ids *BinIDs, m binning.Mapper, nWorkers int, id codec.ID) *Index {
-	checkIDs(ids, m)
-	start := buildStart()
-	if ids.U8 != nil {
-		return buildParallel(ids.U8, m, nWorkers, id, start)
-	}
-	return buildParallel(ids.U16, m, nWorkers, id, start)
+	return FromRuns(ScanIDs(MapIDs(data, m, nWorkers), m, nWorkers), m, nWorkers, id)
 }
 
 // checkIDs panics unless ids are m's: its bin count, at the width MapIDs
-// gives that count — anything else is a caller's bug.
+// gives that count — anything else, a mapper of more than MaxIDBins bins
+// included, is a caller's bug.
 func checkIDs(ids *BinIDs, m binning.Mapper) {
 	if ids == nil || ids.Bins != m.Bins() || ids.Bins > MaxIDBins ||
 		(ids.U8 != nil) != (ids.Bins <= 1<<8) || (ids.U16 != nil) != (ids.Bins > 1<<8) {
@@ -296,7 +265,7 @@ func scanIDs[T uint8 | uint16](ids []T, bins, nWorkers int) *Runs {
 	sim.ParallelEach(nWorkers, func(w int) {
 		lo, hi := w*len(ids)/nWorkers, (w+1)*len(ids)/nWorkers
 		lists[w] = runLists.Get().(*runList)
-		scanRuns(lists[w], ids[lo:hi], lo, nil)
+		scanRuns(lists[w], ids[lo:hi], lo)
 	})
 	r := joinRuns(ids, lists, bins)
 	for _, rl := range lists {
@@ -306,8 +275,7 @@ func scanIDs[T uint8 | uint16](ids []T, bins, nWorkers int) *Runs {
 }
 
 // FromRuns is the second half of a build: the index of the array whose run
-// stream r is, under m, bit for bit the one BuildFromIDs builds from the ids
-// r was scanned from. Each of nWorkers goroutines places the runs of one
+// stream r is, under m. Each of nWorkers goroutines places the runs of one
 // share of the stream bin by bin — O(runs), reading no ids — and fromRuns
 // encodes every bin. A stream that is not m's panics.
 func FromRuns(r *Runs, m binning.Mapper, nWorkers int, id codec.ID) *Index {
@@ -328,25 +296,6 @@ func FromRuns(r *Runs, m binning.Mapper, nWorkers int, id codec.ID) *Index {
 	})
 	tel.idRuns.Add(int64(runs))
 	return fromRuns(m, lists, r.Len(), nWorkers, id, start)
-}
-
-// buildParallel is the build from ids in one go, in two parallel phases over
-// the same nWorkers goroutines. First each worker lays out the runs of its
-// element range per bin — the paper's Figure 2, where each
-// bitmap-generation core owns one sub-block; no alignment is needed, as runs
-// that touch encode as one. Then fromRuns encodes every bin. A non-zero
-// start records the build's time.
-func buildParallel[T bitvec.ID](ids []T, m binning.Mapper, nWorkers int, id codec.ID, start time.Time) *Index {
-	nWorkers = max(1, min(nWorkers, len(ids)))
-	lists := make([]*runList, nWorkers)
-	sim.ParallelEach(nWorkers, func(w int) {
-		lo, hi := w*len(ids)/nWorkers, (w+1)*len(ids)/nWorkers
-		lists[w] = runsOf(ids[lo:hi], m.Bins(), lo)
-	})
-	for _, rl := range lists {
-		tel.idRuns.Add(int64(len(rl.ends)))
-	}
-	return fromRuns(m, lists, len(ids), nWorkers, id, start)
 }
 
 // runList is one element range's runs of equal bin ids — what a spatially
@@ -392,22 +341,6 @@ func (rl *runList) put(b int, from, to uint32) {
 	rl.counts[b] += int(to - from)
 }
 
-// runsOf lays out the runs of ids, elements base on of the array: one scan
-// of the ids finds them and counts each bin's (scanRuns), then one pass over
-// the runs places them, reading each run's id at its start.
-func runsOf[T bitvec.ID](ids []T, bins, base int) *runList {
-	rl := runLists.Get().(*runList)
-	rl.reset(bins)
-	scanRuns(rl, ids, base, rl.at[1:])
-	rl.open()
-	from := uint32(base)
-	for _, to := range rl.ends {
-		rl.put(int(ids[int(from)-base]), from, to)
-		from = to
-	}
-	return rl
-}
-
 // placeRuns lays out runs lo on of a stream whose ends are end, their ids
 // ids: one pass counts each bin's runs, one places them.
 func placeRuns[T uint8 | uint16](ids []T, end []uint32, lo, bins int) *runList {
@@ -430,8 +363,8 @@ func placeRuns[T uint8 | uint16](ids []T, end []uint32, lo, bins int) *runList {
 }
 
 // scanRuns records in rl where the runs of ids, elements base on of the
-// array, end, and counts each bin's runs into perBin unless it is nil.
-func scanRuns[T bitvec.ID](rl *runList, ids []T, base int, perBin []int) {
+// array, end.
+func scanRuns[T uint8 | uint16](rl *runList, ids []T, base int) {
 	if uint64(base+len(ids)) > math.MaxUint32 {
 		panic("index: a build indexes at most 2³² elements")
 	}
@@ -443,9 +376,6 @@ func scanRuns[T bitvec.ID](rl *runList, ids []T, base int, perBin []int) {
 			// or twice instead of by append's quarters.
 			rl.ends = slices.Grow(rl.ends, int(float64(k)*float64(len(ids)-i)/float64(max(i, 1)))+k/8+16)
 		}
-		if perBin != nil {
-			perBin[ids[i]]++
-		}
 		i = runEnd(ids, i)
 		rl.ends = append(rl.ends, uint32(base+i))
 	}
@@ -453,7 +383,7 @@ func scanRuns[T bitvec.ID](rl *runList, ids []T, base int, perBin []int) {
 
 // runEnd returns the end of the run of ids that starts at i, one-byte ids
 // eight a load: their XOR with the id broadcast is zero up to a change.
-func runEnd[T bitvec.ID](ids []T, i int) int {
+func runEnd[T uint8 | uint16](ids []T, i int) int {
 	j := i + 1
 	if u8, ok := any(ids).([]uint8); ok {
 		for id := uint64(u8[i]) * 0x0101010101010101; j+8 <= len(u8); j += 8 {
@@ -507,16 +437,11 @@ type MultiLevel struct {
 	Low  *Index
 	High *Index
 	G    *binning.Grouped
-	// Partition reports that the build proved the low bins partition the
-	// elements: each group holds as many elements as its children's counts
-	// sum to, the counts sum to N, and the groups' union holds N elements.
-	// Only then may a value OR be read through its complement.
-	Partition bool
 }
 
 // BuildMultiLevel derives a high-level index with the given fanout from an
-// existing low-level index, and checks in the same pass whether the low
-// bins partition the elements (MultiLevel.Partition).
+// existing low-level index. The low bins tile the elements, so a group's
+// count is its children's sum.
 func BuildMultiLevel(low *Index, fanout int) (*MultiLevel, error) {
 	g, err := binning.NewGrouped(low.mapper, fanout)
 	if err != nil {
@@ -524,8 +449,6 @@ func BuildMultiLevel(low *Index, fanout int) (*MultiLevel, error) {
 	}
 	high := &Index{mapper: g, vecs: make([]bitvec.Bitmap, g.Bins()), counts: make([]int, g.Bins()), n: low.n, gen: nextGeneration()}
 	buf := make([]uint64, bitvec.FlatWords(low.n))
-	union := make([]uint64, len(buf))
-	sound, total := true, 0
 	for h := 0; h < g.Bins(); h++ {
 		lo, hi := g.Children(h)
 		clear(buf)
@@ -533,15 +456,9 @@ func BuildMultiLevel(low *Index, fanout int) (*MultiLevel, error) {
 			low.vecs[b].OrInto(buf, 0, len(buf))
 			high.counts[h] += low.counts[b]
 		}
-		total += high.counts[h]
-		sound = sound && bitvec.CountFlat(buf) == high.counts[h]
-		for w, v := range buf {
-			union[w] |= v
-		}
 		high.vecs[h] = codec.Encode(bitvec.FromFlat(buf, low.n), codec.Auto)
 	}
-	sound = sound && total == low.n && bitvec.CountFlat(union) == low.n
-	return &MultiLevel{Low: low, High: high, G: g, Partition: sound}, nil
+	return &MultiLevel{Low: low, High: high, G: g}, nil
 }
 
 // Levels returns the index's high level, groups of groupFanout bins, built
@@ -579,10 +496,11 @@ type Cover struct {
 // ChooseSide returns the cheaper cover of the OR of the occupied bins sel.
 // Either side is covered the same way: a group replaces its children when
 // every occupied child is on that side and the group encodes in fewer
-// words than they do. The complement side — the occupied bins not in sel —
-// is only built when the partition is proved, and it is taken when it reads
-// fewer words: one comparison, ties to sel. Its NOT costs a pass over the
-// flat words the OR writes anyway, so no threshold is needed.
+// words than they do. The bins tile the elements, so the complement side —
+// the occupied bins not in sel — holds exactly the elements sel does not;
+// it is taken when it reads fewer words: one comparison, ties to sel. Its
+// NOT costs a pass over the flat words the OR writes anyway, so no
+// threshold is needed.
 func (x *Index) ChooseSide(sel []int) Cover {
 	ml := x.Levels()
 	in := make([]bool, len(x.vecs))
@@ -590,14 +508,12 @@ func (x *Index) ChooseSide(sel []int) Cover {
 		in[b] = true
 	}
 	c := ml.cover(in, len(sel))
-	if ml.Partition {
-		for b := range in {
-			in[b] = !in[b] && x.counts[b] > 0
-		}
-		if not := ml.cover(in, len(in)-len(sel)); not.Words < c.Words {
-			not.Complement = true
-			c = not
-		}
+	for b := range in {
+		in[b] = !in[b] && x.counts[b] > 0
+	}
+	if not := ml.cover(in, len(in)-len(sel)); not.Words < c.Words {
+		not.Complement = true
+		c = not
 	}
 	return c
 }

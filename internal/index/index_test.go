@@ -201,42 +201,6 @@ func TestPaperFigure1(t *testing.T) {
 			}
 		}
 	}
-	if !ml.Partition {
-		t.Fatal("Figure 1's bins partition its elements, yet the proof failed")
-	}
-	for name, edit := range brokenEdits(x) {
-		broken, err := FromParts(m, edit, x.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ml, err := BuildMultiLevel(broken, 2); err != nil || ml.Partition {
-			t.Fatalf("%s: the proof passed a broken Figure 1 (%v)", name, err)
-		}
-	}
-}
-
-// brokenEdits returns x's bins three ways broken, as a file might hold
-// them: a bin emptied (a hole), a bin ORed into its neighbour (an
-// overlap), and the first element of bin 0 moved into the last bin (a hole
-// and an overlap at equal counts).
-func brokenEdits(x *Index) map[string][]bitvec.Bitmap {
-	bins := func() []bitvec.Bitmap { return append([]bitvec.Bitmap(nil), x.vecs...) }
-	hole, twice, moved := bins(), bins(), bins()
-	hole[len(hole)-1] = bitvec.FromBools(make([]bool, x.N()))
-	twice[1] = twice[1].Or(twice[0])
-	from, to := bitvec.Bools(moved[0]), bitvec.Bools(moved[len(moved)-1])
-	first := func(bs []bool) int {
-		for i, v := range bs {
-			if v {
-				return i
-			}
-		}
-		return -1
-	}
-	p, q := first(from), first(to)
-	from[p], from[q] = false, true
-	moved[0] = bitvec.FromBools(from)
-	return map[string][]bitvec.Bitmap{"hole": hole, "overlap": twice, "moved": moved}
 }
 
 func TestMultiLevelHighIsOrOfChildren(t *testing.T) {
@@ -265,46 +229,22 @@ func TestMultiLevelHighIsOrOfChildren(t *testing.T) {
 	if sum != x.N() {
 		t.Fatalf("high histogram sums to %d want %d", sum, x.N())
 	}
-	// The groups are encoded under the adaptive policy, and the proof
-	// passes the sound index and fails each broken one.
+	// The groups are encoded under the adaptive policy.
 	for h := 0; h < ml.High.Bins(); h++ {
 		if got, want := codec.Of(ml.High.Bitmap(h)), codec.Of(codec.Encode(ml.High.Bitmap(h), codec.Auto)); got != want {
 			t.Fatalf("high bin %d is %s, the adaptive policy picks %s", h, got, want)
 		}
 	}
-	if !ml.Partition {
-		t.Fatal("the proof failed a sound index")
-	}
-	for name, vecs := range brokenEdits(x) {
-		broken, err := FromParts(x.Mapper(), vecs, x.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bml, err := BuildMultiLevel(broken, 5); err != nil || bml.Partition {
-			t.Fatalf("%s: the proof passed a broken index (%v)", name, err)
-		}
-		if broken.Levels().Partition {
-			t.Fatalf("%s: Levels proved a broken index", name)
-		}
-	}
 }
 
 // TestChooseSideReadsTheCheaperSide: over every contiguous run of bins of a
-// 37-bin index (the last group of four partial) — sound, recoded, and three
-// ways broken — the chosen cover's value is the OR of the selected bins, it
-// reads no more words than they encode to, and only a proved partition is
-// ever read through its complement.
+// 37-bin index (the last group of four partial), as built and recoded, the
+// chosen cover's value is the OR of the selected bins, it reads no more
+// words than they encode to, and both sides are taken.
 func TestChooseSideReadsTheCheaperSide(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	x := BuildCodec(testData(r, 5000), mustUniform(t, 37), codec.Auto)
-	xs := map[string]*Index{"sound": x, "recoded": BuildCodec(testData(r, 5000), mustUniform(t, 37), codec.WAH).Recode(codec.BBC)}
-	for name, vecs := range brokenEdits(x) {
-		broken, err := FromParts(x.Mapper(), vecs, x.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs[name] = broken
-	}
+	xs := map[string]*Index{"built": x, "recoded": BuildCodec(testData(r, 5000), mustUniform(t, 37), codec.WAH).Recode(codec.BBC)}
 	for name, y := range xs {
 		sides := map[bool]int{}
 		for lo := 0; lo < y.Bins(); lo++ {
@@ -331,13 +271,10 @@ func TestChooseSideReadsTheCheaperSide(t *testing.T) {
 				if c.Words > words {
 					t.Fatalf("%s bins [%d,%d): the cover reads %d words, the selected bins %d", name, lo, hi, c.Words, words)
 				}
-				if c.Complement && !y.Levels().Partition {
-					t.Fatalf("%s bins [%d,%d): complement taken on an unproved index", name, lo, hi)
-				}
 				sides[c.Complement]++
 			}
 		}
-		if name == "sound" && (sides[true] == 0 || sides[false] == 0) {
+		if sides[true] == 0 || sides[false] == 0 {
 			t.Fatalf("%s: sides taken %v, want both", name, sides)
 		}
 	}
@@ -412,27 +349,22 @@ func TestSizeBytesMatchesVectors(t *testing.T) {
 	}
 }
 
+// DecodeBinIDs gives every element the mapper's bin, read back through At at
+// either id width.
 func TestBinIDs(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	data := testData(r, 3000)
-	m := mustUniform(t, 40)
-	x := Build(data, m)
-	ids := x.BinIDs(nil)
-	if len(ids) != len(data) {
-		t.Fatalf("BinIDs len %d", len(ids))
-	}
-	for i, v := range data {
-		if int(ids[i]) != m.Bin(v) {
-			t.Fatalf("element %d: BinIDs=%d, mapper=%d", i, ids[i], m.Bin(v))
+	for _, bins := range []int{40, 300} {
+		m := mustUniform(t, bins)
+		ids := DecodeBinIDs(Build(data, m), 2)
+		if ids.Len() != len(data) || ids.Bins != bins {
+			t.Fatalf("%d bins: %d ids of %d bins", bins, ids.Len(), ids.Bins)
 		}
-	}
-	// Buffer reuse: correct length reuses, wrong length reallocates.
-	buf := make([]int32, len(data))
-	if got := x.BinIDs(buf); &got[0] != &buf[0] {
-		t.Fatal("BinIDs did not reuse the buffer")
-	}
-	if got := x.BinIDs(make([]int32, 5)); len(got) != len(data) {
-		t.Fatal("BinIDs kept a wrong-size buffer")
+		for i, v := range data {
+			if ids.At(i) != m.Bin(v) {
+				t.Fatalf("%d bins: element %d decodes to %d, mapper says %d", bins, i, ids.At(i), m.Bin(v))
+			}
+		}
 	}
 }
 

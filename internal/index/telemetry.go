@@ -15,7 +15,7 @@ var tel struct {
 	values     *telemetry.Counter   // float64 values indexed
 	idRuns     *telemetry.Counter   // runs of equal bin ids the build scans found
 	compressed *telemetry.Counter   // compressed bytes produced
-	buildNs    *telemetry.Histogram // wall time of BuildFromIDs / BuildParallel* builds
+	buildNs    *telemetry.Histogram // wall time of FromRuns, the second half of every build
 	queries    *telemetry.Counter   // range queries answered
 	orMergeNs  *telemetry.Histogram // OR-merge time per range query
 	cacheHits  *telemetry.Counter   // cached per-bin count lookups

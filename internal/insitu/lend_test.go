@@ -252,7 +252,7 @@ func TestModelledPeakCountsIDs(t *testing.T) {
 	streams, fields := 0, make([][]float64, steps)
 	for step := range fields {
 		fields[step] = slices.Clone(h.StepLent(1)[0].Data)
-		streams += index.RunsOf(index.MapIDs(fields[step], m, 1)).SizeBytes()
+		streams += index.ScanIDs(index.MapIDs(fields[step], m, 1), m, 1).SizeBytes()
 	}
 	want := int64(streams / steps)
 	for metric, res := range map[string]*Result{"cond-entropy": run(selection.ConditionalEntropy), "emd-count": run(selection.EMDCount)} {
@@ -402,7 +402,7 @@ func BenchmarkStepHandoff(b *testing.B) {
 					sinkIndex = index.BuildParallelCodec(h.StepLent(2)[0].Data, m, 2, codec.Auto)
 				default:
 					ids := index.MapIDs(h.StepLent(2)[0].Data, m, 2)
-					sinkIndex = index.BuildFromIDs(ids, m, 2, codec.Auto)
+					sinkIndex = index.FromRuns(index.ScanIDs(ids, m, 2), m, 2, codec.Auto)
 				}
 			}
 		})

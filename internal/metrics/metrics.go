@@ -53,12 +53,8 @@ func JointHistogram(a, b []float64, ma, mb binning.Mapper) [][]int {
 // JointHistogram from the two indices alone (the raw data may already be
 // discarded). It decodes each index into per-element bin ids in one pass —
 // O(n) total regardless of bin count — and tallies the pairs, where the
-// paper's Figure 5 ANDs every bin pair: bins² × compressed words.
-//
-// It runs on one goroutine and accepts any index of up to index.MaxIDBins
-// bins, including one read from an untrusted file whose bins do not
-// partition its elements: a position no bin covers counts as bin 0, one
-// several bins claim as the highest of them.
+// paper's Figure 5 ANDs every bin pair: bins² × compressed words. It runs on
+// one goroutine.
 func JointHistogramBitmaps(xa, xb *index.Index) [][]int {
 	if xa.N() != xb.N() {
 		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", xa.N(), xb.N()))
@@ -69,13 +65,8 @@ func JointHistogramBitmaps(xa, xb *index.Index) [][]int {
 // JointFromIDs is the joint histogram of two indexes in decoded form:
 // joint[i][j] = |{k : a_k = i, b_k = j}|. The pairs are tallied over one
 // element range per worker into flat per-worker tables, which are then
-// summed, so the integers do not depend on nWorkers. A nil operand is an
-// index of more than index.MaxIDBins bins, whose joint table would not fit
-// in memory anyway.
+// summed, so the integers do not depend on nWorkers.
 func JointFromIDs(a, b *index.BinIDs, nWorkers int) [][]int {
-	if a == nil || b == nil {
-		panic(fmt.Sprintf("metrics: joint histogram over an index of more than %d bins", index.MaxIDBins))
-	}
 	if a.Len() != b.Len() {
 		panic(fmt.Sprintf("metrics: joint histogram over indices of %d and %d elements", a.Len(), b.Len()))
 	}
@@ -144,12 +135,8 @@ func AddSpatialDiffsRuns(a, b *index.Runs, diffs []int) {
 	mergeRuns(a, b, 0, uint32(sameLength(a, b)), diffs, true)
 }
 
-// sameLength returns the elements two run streams cover, which must agree;
-// a nil stream is an index of more than index.MaxIDBins bins.
+// sameLength returns the elements two run streams cover, which must agree.
 func sameLength(a, b *index.Runs) int {
-	if a == nil || b == nil {
-		panic(fmt.Sprintf("metrics: run merge over an index of more than %d bins", index.MaxIDBins))
-	}
 	if a.Len() != b.Len() {
 		panic(fmt.Sprintf("metrics: run merge over streams of %d and %d elements", a.Len(), b.Len()))
 	}
@@ -313,16 +300,11 @@ func EMDFromDiffs(diffs []int) float64 {
 // the same bin count: both are decoded into bin ids and compared position by
 // position (AddSpatialDiffs). Figure 4's XOR popcount of bin j is the same
 // number, the positions where exactly one of the two steps lies in bin j.
-// Like JointHistogramBitmaps it accepts any index of up to
-// index.MaxIDBins bins.
 func EMDSpatialBitmaps(xa, xb *index.Index) float64 {
 	if xa.Bins() != xb.Bins() || xa.N() != xb.N() {
 		panic(fmt.Sprintf("metrics: spatial EMD over indices of %d and %d elements in %d and %d bins", xa.N(), xb.N(), xa.Bins(), xb.Bins()))
 	}
 	a, b := index.DecodeBinIDs(xa, 1), index.DecodeBinIDs(xb, 1)
-	if a == nil {
-		panic(fmt.Sprintf("metrics: spatial EMD over an index of more than %d bins", index.MaxIDBins))
-	}
 	diffs := make([]int, xa.Bins())
 	AddSpatialDiffs(a, b, diffs)
 	return EMDFromDiffs(diffs)

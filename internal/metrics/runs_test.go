@@ -36,11 +36,16 @@ func randomIDs(r *rand.Rand, n, bins int, runs []byte) *index.BinIDs {
 	return ids
 }
 
-// cutStream is RunsOf(ids) cut at every element of cuts: a run that spans a
-// cut is two runs of the same id, as the streams of a build's workers are
-// before they are joined.
-func cutStream(ids *index.BinIDs, cuts []int) *index.Runs {
-	r := index.RunsOf(ids)
+// streamOf is the run stream of ids, scanned on one goroutine.
+func streamOf(t *testing.T, ids *index.BinIDs) *index.Runs {
+	return index.ScanIDs(ids, uniform(t, ids.Bins), 1)
+}
+
+// cutStream is the run stream of ids cut at every element of cuts: a run
+// that spans a cut is two runs of the same id, as the streams of a build's
+// workers are before they are joined.
+func cutStream(t *testing.T, ids *index.BinIDs, cuts []int) *index.Runs {
+	r := streamOf(t, ids)
 	out := &index.Runs{Bins: r.Bins}
 	if r.U8 != nil {
 		out.U8 = []uint8{}
@@ -115,7 +120,7 @@ func FuzzRunMerge(f *testing.F) {
 		for k, c := range cuts {
 			at[k] = int(c) * (n + 1) / 256
 		}
-		checkMerge(t, a, b, index.RunsOf(a), index.RunsOf(b))
-		checkMerge(t, a, b, cutStream(a, at), cutStream(b, at[len(at)/2:]))
+		checkMerge(t, a, b, streamOf(t, a), streamOf(t, b))
+		checkMerge(t, a, b, cutStream(t, a, at), cutStream(t, b, at[len(at)/2:]))
 	})
 }

@@ -13,12 +13,10 @@
 package mining
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"insitubits/internal/binning"
-	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 	"insitubits/internal/metrics"
 	"insitubits/internal/sim"
@@ -67,13 +65,12 @@ type Finding struct {
 }
 
 // Mine runs Algorithm 2 over two single-level indices built over the same
-// element layout. An index whose bins do not partition its elements — one
-// read from a damaged file — is an error naming it, never findings.
+// element layout.
 func Mine(xa, xb *index.Index, cfg Config) ([]Finding, error) { return mine(xa, xb, cfg, 1) }
 
-// MineParallel is Mine with the two tallies split over nWorkers goroutines
-// — the parallel setting of the authors' correlation framework [30]. The
-// output is identical to Mine's, order included.
+// MineParallel is Mine with the decodes and the two tallies split over
+// nWorkers goroutines — the parallel setting of the authors' correlation
+// framework [30]. The output is identical to Mine's, order included.
 func MineParallel(xa, xb *index.Index, cfg Config, nWorkers int) ([]Finding, error) {
 	return mine(xa, xb, cfg, nWorkers)
 }
@@ -83,15 +80,10 @@ func mine(xa, xb *index.Index, cfg Config, workers int) ([]Finding, error) {
 	if err := cfg.validate(n, xb.N()); err != nil {
 		return nil, err
 	}
-	wide := max(xa.Bins(), xb.Bins()) >= 1<<8 // both at one width
-	ida, errA := decode(xa, "A", wide)
-	idb, errB := decode(xb, "B", wide)
-	if err := errors.Join(errA, errB); err != nil {
-		return nil, err
-	}
+	ida, idb := index.DecodeBinIDs(xa, workers), index.DecodeBinIDs(xb, workers)
 	// Lines 1-5, in bin-pair order; slot numbers the survivors (-1: pruned).
-	// Both indexes were just shown to partition the elements, so their
-	// histograms are the joint table's marginals.
+	// The bins tile the elements, so the histograms are the joint table's
+	// marginals.
 	ca, cb := xa.Histogram(), xb.Histogram()
 	t := tables{units: (n + cfg.UnitSize - 1) / cfg.UnitSize, size: cfg.UnitSize, nb: xb.Bins(),
 		slot: make([]int32, xa.Bins()*xb.Bins())}
@@ -110,10 +102,15 @@ func mine(xa, xb *index.Index, cfg Config, workers int) ([]Finding, error) {
 	}
 	t.joint = make([]int32, len(kept)*t.units)
 	t.ua, t.ub = make([]int32, xa.Bins()*t.units), make([]int32, xb.Bins()*t.units)
-	if wide {
-		tallyUnits(&t, ida.U16, idb.U16, workers)
-	} else {
+	switch {
+	case ida.U8 != nil && idb.U8 != nil:
 		tallyUnits(&t, ida.U8, idb.U8, workers)
+	case ida.U8 != nil:
+		tallyUnits(&t, ida.U8, idb.U16, workers)
+	case idb.U8 != nil:
+		tallyUnits(&t, ida.U16, idb.U8, workers)
+	default:
+		tallyUnits(&t, ida.U16, idb.U16, workers)
 	}
 	var out []Finding // lines 6-11
 	for s, p := range kept {
@@ -137,7 +134,7 @@ func (t *tables) row(cells []int32, r int) []int32 { return cells[r*t.units : (r
 // one to its unit's cell in the marginal rows of its two bins and, when its
 // joint bin survived, in that survivor's row. Workers take unit ranges, so
 // they write disjoint cells.
-func tallyUnits[T bitvec.ID](t *tables, a, b []T, workers int) {
+func tallyUnits[A, B uint8 | uint16](t *tables, a []A, b []B, workers int) {
 	sim.ParallelFor(t.units, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			for k, to := u*t.size, min((u+1)*t.size, len(a)); k < to; k++ {
@@ -150,50 +147,6 @@ func tallyUnits[T bitvec.ID](t *tables, a, b []T, workers int) {
 			}
 		}
 	})
-}
-
-// decode turns x into one bin id per element, two bytes an id when wide, or
-// names side in an error when x's bins do not partition its elements, by
-// the query layer's NoID protocol: the array starts all NoID, which is no
-// bin id of x, and each bin stores its id over NoID slots only
-// (bitvec.WriteIDsMasked under an all-ones mask). A slot already taken is an
-// element two bins hold; with none, a total short of n is an element no bin
-// holds, so a hole and an overlap cannot cancel out.
-func decode(x *index.Index, side string, wide bool) (*index.BinIDs, error) {
-	ids := &index.BinIDs{Bins: x.Bins()}
-	var got, bad int
-	switch {
-	case x.Bins() > 1<<16-1:
-		return nil, fmt.Errorf("mining: index %s has %d bins, more than %d", side, x.Bins(), 1<<16-1)
-	case wide:
-		ids.U16 = make([]uint16, x.N())
-		got, bad = decodeInto(x, ids.U16)
-	default:
-		ids.U8 = make([]uint8, x.N())
-		got, bad = decodeInto(x, ids.U8)
-	}
-	if bad >= 0 {
-		return nil, fmt.Errorf("mining: index %s is not a partition: element %d lies in two bins", side, bad)
-	}
-	if got != x.N() {
-		return nil, fmt.Errorf("mining: index %s is not a partition: its bins hold %d of %d elements", side, got, x.N())
-	}
-	return ids, nil
-}
-
-func decodeInto[T bitvec.ID](x *index.Index, ids []T) (got, bad int) {
-	for p := range ids {
-		ids[p] = bitvec.NoID[T]()
-	}
-	all := make([]uint64, bitvec.FlatWords(len(ids)))
-	bitvec.SetFlatRange(all, 0, len(ids))
-	for b := 0; b < x.Bins(); b++ {
-		n, bad := bitvec.WriteIDsMasked(x.Bitmap(b), all, ids, T(b), 0)
-		if got += n; bad >= 0 {
-			return got, bad
-		}
-	}
-	return got, -1
 }
 
 // scanUnits is Algorithm 2's spatial loop (lines 6-11) over one surviving

@@ -211,19 +211,11 @@ func TestPooledScratchNeverEscapes(t *testing.T) {
 	pass(cached, 1)
 }
 
-// TestCorrelationOnBrokenPartition: the bins of an index read from a file
-// may leave an element in no bin, or in two. Every such index fails its first
-// correlation — on a cold pool and on the one the calls before it left
-// behind — with an error naming it, and a sound pair keeps answering in
-// between: the id array a failed request abandons never returns to the pool.
-// The last three cases are the ones counts cannot see: the bins hold as many
-// of the subset's elements as it has, one twice and one never (element 16 or
-// 48 of this data moved between bins 2 and 6). It is the id array that shows
-// them, not the counts, because it is all NoID between requests — a tally
-// takes every id it counts: in B the second store at the doubled element
-// finds the first one's id, in A the second tally there finds none. Bits on
-// each broken index still answers: the plain OR of its selected bins.
-func TestCorrelationOnBrokenPartition(t *testing.T) {
+// TestCorrelationDropsAWrongIDArray: the id array is all NoID between
+// requests and the bins tile the elements, so a store that finds an id is
+// an internal error. The request fails saying so and drops the array, and
+// the next one, on a fresh array, answers as before.
+func TestCorrelationDropsAWrongIDArray(t *testing.T) {
 	const n = 31 * 40
 	data := make([]float64, n)
 	for i := range data {
@@ -234,92 +226,30 @@ func TestCorrelationOnBrokenPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := index.Build(data, m)
-	// rebuilt is x with some bins replaced.
-	rebuilt := func(edit func(vecs []bitvec.Bitmap)) *index.Index {
-		vecs := make([]bitvec.Bitmap, x.Bins())
-		for b := range vecs {
-			vecs[b] = x.Bitmap(b)
-		}
-		edit(vecs)
-		broken, err := index.FromParts(m, vecs, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return broken
-	}
-	// moved is bin `from` of x with its first element cleared and the first
-	// element of bin `to` set: a hole and an overlap, the same count.
-	moved := func(vecs []bitvec.Bitmap, from, to int) {
-		bs := make([]bool, n)
-		vecs[from].Iterate(func(p int) bool { bs[p] = true; return true })
-		first := func(b int) (at int) {
-			vecs[b].Iterate(func(p int) bool { at = p; return false })
-			return at
-		}
-		bs[first(from)], bs[first(to)] = false, true
-		vecs[from] = bitvec.FromBools(bs)
-	}
-	hole := rebuilt(func(vecs []bitvec.Bitmap) { vecs[7] = bitvec.FromBools(make([]bool, n)) })
-	twice := rebuilt(func(vecs []bitvec.Bitmap) { vecs[3] = vecs[3].Or(vecs[5]) })
 	ctx := WithCache(context.Background(), nil)
 	sound, err := Correlation(ctx, x, x, Subset{}, Subset{})
 	if err != nil || sound.MI == 0 {
-		t.Fatalf("the sound pair answers %+v, %v", sound, err)
+		t.Fatalf("the pair answers %+v, %v", sound, err)
 	}
-	// plainBits is the OR of the bins s selects in y, read one by one.
-	plainBits := func(y *index.Index, s Subset) bitvec.Bitmap {
-		flat := make([]uint64, bitvec.FlatWords(n))
-		for _, b := range selectedOccupied(y, s) {
-			y.Bitmap(b).OrInto(flat, 0, len(flat))
+	drain := func() {
+		for {
+			select {
+			case <-idFree:
+			default:
+				return
+			}
 		}
-		if s.hasSpatial() {
-			bitvec.KeepFlatRange(flat, s.SpatialLo, s.SpatialHi)
-		}
-		return bitvec.FromFlat(flat, n)
 	}
-	for _, c := range []struct {
-		name   string
-		xa, xb *index.Index
-		want   string
-	}{
-		{"hole in A", hole, x, "index A is not a partition: an element of the subset lies in no bin"},
-		{"hole in B", x, hole, "index B is not a partition: an element of the subset lies in no bin"},
-		{"bin duplicated in A", twice, x, "index A is not a partition: element 40 lies in two bins"},
-		{"bin duplicated in B", x, twice, "index B is not a partition: element 40 lies in two bins"},
-		{"hole and overlap in B", x, rebuilt(func(vecs []bitvec.Bitmap) { moved(vecs, 6, 2) }), "index B is not a partition: element 16 lies in two bins"},
-		{"overlap and hole in B", x, rebuilt(func(vecs []bitvec.Bitmap) { moved(vecs, 2, 6) }), "index B is not a partition: element 48 lies in two bins"},
-		{"hole and overlap in A", rebuilt(func(vecs []bitvec.Bitmap) { moved(vecs, 6, 2) }), x, "index A is not a partition: element 16 lies in two bins"},
-	} {
-		// Bits on the broken index is the plain OR of its selected bins,
-		// for every run of bins, with and without a spatial window: the
-		// partition is not proved, so no value OR reads the complement.
-		broken := c.xa
-		if broken == x {
-			broken = c.xb
-		}
-		if broken.Levels().Partition {
-			t.Fatalf("%s: the partition proof passed", c.name)
-		}
-		for lo := 0; lo < 8; lo++ {
-			for hi := lo + 1; hi <= 8; hi++ {
-				for _, w := range [][2]int{{0, 0}, {31, n/2 + 5}} {
-					s := Subset{ValueLo: float64(8 * lo), ValueHi: float64(8 * hi), SpatialLo: w[0], SpatialHi: w[1]}
-					got, err := Bits(ctx, broken, s)
-					if err != nil || !got.Equal(plainBits(broken, s)) {
-						t.Fatalf("%s: bits %s is not the OR of its selected bins (%v)", c.name, s.describe(), err)
-					}
-				}
-			}
-		}
-		for round := 0; round < 2; round++ { // the second on the pool the first left behind
-			_, err := Correlation(ctx, c.xa, c.xb, Subset{}, Subset{})
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("%s, call %d: error %v, want one saying %q", c.name, round+1, err, c.want)
-			}
-			if got, err := Correlation(ctx, x, x, Subset{}, Subset{}); err != nil || got != sound {
-				t.Fatalf("after %s: the sound pair answers %+v, %v, before it %+v", c.name, got, err, sound)
-			}
-		}
+	drain()
+	defer drain()
+	wrong := make([]int32, n) // every element already holds bin 0
+	idFree.put(&wrong)
+	want := "query: internal: decode-b of index B found the id array wrong at element "
+	if _, err := Correlation(ctx, x, x, Subset{}, Subset{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("on a wrong id array: error %v, want one saying %q", err, want)
+	}
+	if got, err := Correlation(ctx, x, x, Subset{}, Subset{}); err != nil || got != sound {
+		t.Fatalf("after a wrong id array the pair answers %+v, %v, before it %+v", got, err, sound)
 	}
 }
 
@@ -372,15 +302,15 @@ func TestShortCircuitSeesEveryWord(t *testing.T) {
 
 // TestExecutorAtForcedWindows runs the executor's checks with every parallel
 // pass cut into windows of one, two and seven words, a goroutine each (the
-// ocean splits into two): the partition errors, element numbers included,
-// the pooled scratch under concurrent requests, the deadline, the EXPLAIN
-// shape and the oracle, with its fuzz seeds, must not see the split.
+// ocean splits into two): the internal error on a wrong id array, the
+// pooled scratch under concurrent requests, the deadline, the EXPLAIN shape
+// and the oracle, with its fuzz seeds, must not see the split.
 func TestExecutorAtForcedWindows(t *testing.T) {
 	defer func() { testHookWindow = 0 }()
 	for _, size := range []int{1, 2, 7} {
 		testHookWindow = size
 		t.Run(fmt.Sprintf("%d-word", size), func(t *testing.T) {
-			t.Run("broken-partition", TestCorrelationOnBrokenPartition)
+			t.Run("wrong-id-array", TestCorrelationDropsAWrongIDArray)
 			t.Run("pooled-scratch", TestPooledScratchNeverEscapes)
 			t.Run("deadline", TestDeadlineStopsExecution)
 			t.Run("explain-shape", TestExplainMatchesAnalyzeShape)

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"insitubits/internal/bitvec"
@@ -209,12 +208,10 @@ var (
 // bin of B stores its id at the elements it shares with the mask, and each
 // selected bin of A tallies the ids at the elements it shares with the mask
 // into its row of the joint distribution; both phases walk the mask's words
-// from its first set one to its last, in parallel windows. An index read
-// from a file may not partition its elements, and the id array, all NoID
-// between requests, is what shows it: a store that finds an id, or a tally
-// that finds none, is at an element two bins of its index hold; past that,
-// bins that visit fewer of a window's elements than the mask has there
-// leave one in no bin.
+// from its first set one to its last, in parallel windows. The id array is
+// all NoID between requests and the bins tile the elements, so each store
+// finds NoID and each tally an id; a kernel that finds otherwise is an
+// internal error, and the array is dropped.
 func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair, error) {
 	e.plan, e.cache = lower(req, xa, xb), cacheFrom(e.ctx)
 	mn := e.prof.child("mask", "elements satisfying both predicates")
@@ -242,12 +239,12 @@ func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair,
 	}
 	ids := idFree.get(xa.N(), bitvec.NoID[int32]())
 	na, nb := xa.Bins(), xb.Bins()
-	_, err = e.overMask(decodePhase, xb, req.B, mask, w0, w1, n, func(w *maskWindow, b int, bm bitvec.Bitmap) (int, int) {
+	_, err = e.overMask(decodePhase, xb, req.B, w0, w1, func(w *maskWindow, b int, bm bitvec.Bitmap) (int, int) {
 		return bitvec.WriteIDsMasked(bm, mask[:w.hi], *ids, int32(b), w.lo)
 	})
 	var windows []*maskWindow
 	if err == nil {
-		windows, err = e.overMask(jointPhase, xa, req.A, mask, w0, w1, n, func(w *maskWindow, a int, bm bitvec.Bitmap) (int, int) {
+		windows, err = e.overMask(jointPhase, xa, req.A, w0, w1, func(w *maskWindow, a int, bm bitvec.Bitmap) (int, int) {
 			if w.cells == nil {
 				w.cells = make([]int, na*nb)
 			}
@@ -275,20 +272,16 @@ func (e *executor) correlation(req *Request, xa, xb *index.Index) (metrics.Pair,
 	return metrics.PairFromJoint(joint, ha, hb, n), nil
 }
 
-// maskWindow is a worker's share of a phase: mask words [lo, hi) holding want
-// elements, those its bins visited, the first in two (-1: none), its cells.
+// maskWindow is a worker's share of a phase: mask words [lo, hi), the first
+// element a kernel found the id array wrong at (-1: none), its cells.
 type maskWindow struct {
-	lo, hi, want int
-	got, bad     int
-	cells        []int
+	lo, hi, bad int
+	cells       []int
 }
 
 // overMask runs one phase of a correlation: kernel over every value-selected
-// occupied bin of x in each window of the mask's words [w0, w1). Each window
-// checks that its bins visit each of its mask elements once, so whether a
-// phase fails does not depend on the split; the lowest failing window names
-// the element.
-func (e *executor) overMask(ph phase, x *index.Index, s Subset, mask []uint64, w0, w1, want int, kernel func(w *maskWindow, b int, bm bitvec.Bitmap) (n, bad int)) ([]*maskWindow, error) {
+// occupied bin of x in each window of the mask's words [w0, w1).
+func (e *executor) overMask(ph phase, x *index.Index, s Subset, w0, w1 int, kernel func(w *maskWindow, b int, bm bitvec.Bitmap) (n, bad int)) ([]*maskWindow, error) {
 	o := openOperator(e.prof.child(ph.op, ph.detail), e.sp, ph.op)
 	defer o.end()
 	bins := s.occupiedBins(x)
@@ -298,14 +291,12 @@ func (e *executor) overMask(ph phase, x *index.Index, s Subset, mask []uint64, w
 	var mu sync.Mutex
 	var windows []*maskWindow
 	e.par(w0, w1, func(lo, hi int) {
-		w := &maskWindow{lo: lo, hi: hi, bad: -1, want: bitvec.CountFlat(mask[lo:hi])}
+		w := &maskWindow{lo: lo, hi: hi, bad: -1}
 		for _, b := range bins {
 			if e.ctx.Err() != nil {
 				break
 			}
-			n, bad := kernel(w, b, x.Bitmap(b))
-			if w.got += n; bad >= 0 {
-				w.bad = bad
+			if _, w.bad = kernel(w, b, x.Bitmap(b)); w.bad >= 0 {
 				break
 			}
 		}
@@ -316,17 +307,9 @@ func (e *executor) overMask(ph phase, x *index.Index, s Subset, mask []uint64, w
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
-	slices.SortFunc(windows, func(a, b *maskWindow) int { return a.lo - b.lo })
-	got := 0
-	for _, w := range windows {
-		got += w.got
-	}
 	for _, w := range windows {
 		if w.bad >= 0 {
-			return nil, fmt.Errorf("query: index %s is not a partition: element %d lies in two bins", ph.side, w.bad)
-		}
-		if w.got != w.want {
-			return nil, fmt.Errorf("query: index %s is not a partition: an element of the subset lies in no bin (its selected bins hold %d of %d)", ph.side, got, want)
+			return nil, fmt.Errorf("query: internal: %s of index %s found the id array wrong at element %d", ph.op, ph.side, w.bad)
 		}
 	}
 	return windows, nil

@@ -249,7 +249,7 @@ func (m *Masked) Impute(window int) ([]float64, error) {
 	n := m.X.N()
 	out := make([]float64, n)
 	// Valid elements reconstruct to their bin midpoint.
-	ids := m.X.BinIDs(nil)
+	ids := index.DecodeBinIDs(m.X, 1)
 	mid := make([]float64, m.X.Bins())
 	for b := 0; b < m.X.Bins(); b++ {
 		mid[b] = (m.X.Mapper().Low(b) + m.X.Mapper().High(b)) / 2
@@ -261,7 +261,7 @@ func (m *Masked) Impute(window int) ([]float64, error) {
 	isValid := func(i int) bool { return valid[i>>6]&(1<<uint(i&63)) != 0 }
 	for i := 0; i < n; i++ {
 		if isValid(i) {
-			out[i] = mid[ids[i]]
+			out[i] = mid[ids.At(i)]
 			continue
 		}
 		lo := i - window
@@ -275,7 +275,7 @@ func (m *Masked) Impute(window int) ([]float64, error) {
 		sum, cnt := 0.0, 0
 		for j := lo; j < hi; j++ {
 			if isValid(j) {
-				sum += mid[ids[j]]
+				sum += mid[ids.At(j)]
 				cnt++
 			}
 		}

@@ -100,7 +100,7 @@ func (s *DataSummary) Dissimilarity(selected Summary, m Metric) float64 {
 }
 
 // runs maps the array and scans it for a NodeSummary's score.
-func (s *DataSummary) runs() *index.Runs { return index.RunsOf(index.MapIDs(s.Data, s.M, 1)) }
+func (s *DataSummary) runs() *index.Runs { return index.ScanIDs(index.MapIDs(s.Data, s.M, 1), s.M, 1) }
 func (s *DataSummary) len() int          { return len(s.Data) }
 
 // SizeBytes implements Summary: 8 bytes per float64.
@@ -163,7 +163,7 @@ func (s *BitmapSummary) runs() *index.Runs {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rs == nil {
-		s.rs = index.RunsOf(index.DecodeBinIDs(s.X, 1))
+		s.rs = index.ScanIDs(index.DecodeBinIDs(s.X, 1), s.X.Mapper(), 1)
 	}
 	return s.rs
 }

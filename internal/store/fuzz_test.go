@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"insitubits/internal/binning"
+	"insitubits/internal/bitvec"
 	"insitubits/internal/index"
 )
 
@@ -30,6 +32,11 @@ func FuzzReadIndex(f *testing.F) {
 	past := readFixture(f, "v1-three.isbm")
 	binary.LittleEndian.PutUint32(past[len(past)-4:], 1<<5)
 	f.Add(past)
+	// The same file with the second bin's literal setting bit 1, which the
+	// first bin holds: an element in two bins, which the door refuses.
+	twice := readFixture(f, "v1-three.isbm")
+	binary.LittleEndian.PutUint32(twice[len(twice)-4:], 1<<1)
+	f.Add(twice)
 	f.Add(readFixture(f, "v1.isbm"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		y, err := ReadIndex(bytes.NewReader(data))
@@ -39,6 +46,7 @@ func FuzzReadIndex(f *testing.F) {
 		if y.Bins() == 0 {
 			t.Fatal("parsed index with zero bins")
 		}
+		total := 0
 		for b := 0; b < y.Bins(); b++ {
 			bm, n := y.Bitmap(b), 0
 			bm.Iterate(func(p int) bool {
@@ -48,8 +56,36 @@ func FuzzReadIndex(f *testing.F) {
 				n++
 				return true
 			})
-			if n != bm.Count() {
-				t.Fatalf("bin %d: Count %d, Iterate visits %d", b, bm.Count(), n)
+			if n != bm.Count() || n != y.Count(b) {
+				t.Fatalf("bin %d: Count %d, histogram %d, Iterate visits %d", b, bm.Count(), y.Count(b), n)
+			}
+			total += y.Count(b)
+		}
+		if total != y.N() {
+			t.Fatalf("the histogram sums to %d of %d elements", total, y.N())
+		}
+		one, three := index.DecodeBinIDs(y, 1), index.DecodeBinIDs(y, 3)
+		if !slices.Equal(one.U8, three.U8) || !slices.Equal(one.U16, three.U16) {
+			t.Fatal("decodes at 1 and 3 workers disagree")
+		}
+		if y.N() > 4096 {
+			return
+		}
+		// The []bool model: every element in exactly one bin, the one
+		// its decoded id names.
+		holders := make([]int, y.N())
+		for b := 0; b < y.Bins(); b++ {
+			for p, set := range bitvec.Bools(y.Bitmap(b)) {
+				if set {
+					if holders[p]++; one.Bins <= 1<<8 && int(one.U8[p]) != b || one.Bins > 1<<8 && int(one.U16[p]) != b {
+						t.Fatalf("element %d is in bin %d, decoded as another", p, b)
+					}
+				}
+			}
+		}
+		for p, k := range holders {
+			if k != 1 {
+				t.Fatalf("element %d lies in %d bins", p, k)
 			}
 		}
 	})

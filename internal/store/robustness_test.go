@@ -2,8 +2,15 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"insitubits/internal/binning"
+	"insitubits/internal/bitvec"
+	"insitubits/internal/index"
 )
 
 // The readers parse untrusted bytes; none of them may panic or allocate
@@ -89,5 +96,58 @@ func TestHeaderBombsRejected(t *testing.T) {
 	)
 	if _, err := ReadDataset(bytes.NewReader(bomb)); err == nil {
 		t.Error("variable-count bomb accepted")
+	}
+}
+
+// ReadIndex costs what the file holds, not what its header declares: a v3
+// file whose one bin is a single one-fill loads, and its read allocates the
+// same whether the fill covers 31·2²⁰ elements or sixteen times as many —
+// as a WAH fill word and as a BBC one-run. The index door proves the bins
+// tile the elements from their runs, and a fill is one run however long.
+func TestReadCostIsBoundedByTheFile(t *testing.T) {
+	one, err := binning.NewExplicit([]float64{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills := map[string]func(segs, n int) (bitvec.Bitmap, error){
+		"wah": func(segs, n int) (bitvec.Bitmap, error) {
+			return bitvec.FromRawWords([]uint32{1<<31 | 1<<30 | uint32(segs)}, n)
+		},
+		"bbc": func(segs, n int) (bitvec.Bitmap, error) { // n is a multiple of 8
+			return bitvec.BBCFromRaw(binary.AppendUvarint([]byte{0x81}, uint64(n/8)), n)
+		},
+	}
+	for name, fill := range fills {
+		read := func(segs int) uint64 {
+			n := segs * bitvec.SegmentBits
+			bm, err := fill(segs, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := index.FromParts(one, []bitvec.Bitmap{bm}, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var file bytes.Buffer
+			if _, err := WriteIndex(&file, x); err != nil {
+				t.Fatal(err)
+			}
+			least := uint64(math.MaxUint64)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				y, err := ReadIndex(bytes.NewReader(file.Bytes()))
+				runtime.ReadMemStats(&after)
+				if err != nil || y.N() != n || y.Count(0) != n {
+					t.Fatalf("%s, %d segments: loaded %v, %v", name, segs, y, err)
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			return least
+		}
+		small, large := read(1<<20), read(1<<24)
+		if small != large || large > 64<<10 {
+			t.Fatalf("%s: reading 31·2²⁰ elements allocates %d bytes, sixteen times as many %d", name, small, large)
+		}
 	}
 }

@@ -53,8 +53,6 @@ const (
 	version   = 3
 	versionV2 = 2
 	versionV1 = 1
-	// maxBins bounds allocation from untrusted headers.
-	maxBins = 1 << 20
 	// maxWords bounds a single bitvector's word count on a v1 read.
 	maxWords = 1 << 28
 	// maxPayload bounds a single bin's byte count on a v2/v3 read.
@@ -162,6 +160,9 @@ func validEdges(edges []float64) error {
 // every per-bin checksum and the whole-file footer are verified — a
 // mismatch returns an error wrapping ErrChecksum, never a silently wrong
 // index. Trailing bytes after the container are rejected for all versions.
+// Whatever the version, the header's shape is checked before anything it
+// sizes is allocated, and the bitmaps go through index.FromParts, which
+// refuses bins that do not tile the elements.
 func ReadIndex(r io.Reader) (*index.Index, error) {
 	defer timeIO(tel.readNs)()
 	cr := &sumReader{r: bufio.NewReader(r)}
@@ -187,8 +188,8 @@ func ReadIndex(r io.Reader) (*index.Index, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &bins); err != nil {
 		return nil, err
 	}
-	if bins == 0 || bins > maxBins {
-		return nil, fmt.Errorf("store: implausible bin count %d", bins)
+	if err := index.CheckShape(n, int(bins)); err != nil { // before the edges are allocated
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	edges := make([]float64, bins+1)
 	if err := binary.Read(cr, binary.LittleEndian, edges); err != nil {
@@ -205,13 +206,10 @@ func ReadIndex(r io.Reader) (*index.Index, error) {
 	for b := range vecs {
 		var bm bitvec.Bitmap
 		var err error
-		switch ver {
-		case versionV1:
+		if ver == versionV1 {
 			bm, err = readBinV1(cr, int(n))
-		case versionV2:
-			bm, err = readBinV2(cr, int(n))
-		default:
-			bm, err = readBinV3(cr, int(n))
+		} else {
+			bm, err = readBin(cr, int(n), ver == version)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("store: bin %d: %w", b, err)
@@ -280,29 +278,11 @@ func readBinV1(r io.Reader, nbits int) (bitvec.Bitmap, error) {
 	return bitvec.FromRawWords(raw, nbits)
 }
 
-func readBinV2(r io.Reader, nbits int) (bitvec.Bitmap, error) {
-	var tag [1]byte
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
-		return nil, fmt.Errorf("header: %w", err)
-	}
-	var nbytes uint32
-	if err := binary.Read(r, binary.LittleEndian, &nbytes); err != nil {
-		return nil, fmt.Errorf("header: %w", err)
-	}
-	if nbytes > maxPayload {
-		return nil, fmt.Errorf("declares %d payload bytes", nbytes)
-	}
-	payload := make([]byte, nbytes)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("payload: %w", err)
-	}
-	return codec.New(codec.ID(tag[0]), payload, nbits)
-}
-
-// readBinV3 parses one checksummed bin record: the v2 record followed by a
-// CRC32C of it. The checksum is verified before the payload is decoded, so
-// a flipped bit can never reach the codec parsers as plausible input.
-func readBinV3(cr *sumReader, nbits int) (bitvec.Bitmap, error) {
+// readBin parses one codec-tagged bin record (v2), followed under v3
+// (summed) by a CRC32C of it, which is verified before the payload is
+// decoded, so a flipped bit can never reach the codec parsers as plausible
+// input.
+func readBin(cr *sumReader, nbits int, summed bool) (bitvec.Bitmap, error) {
 	cr.sect = 0
 	var tag [1]byte
 	if _, err := io.ReadFull(cr, tag[:]); err != nil {
@@ -319,13 +299,14 @@ func readBinV3(cr *sumReader, nbits int) (bitvec.Bitmap, error) {
 	if _, err := io.ReadFull(cr, payload); err != nil {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
-	sect := cr.sect
-	var stored uint32
-	if err := binary.Read(cr, binary.LittleEndian, &stored); err != nil {
-		return nil, fmt.Errorf("checksum: %w", err)
-	}
-	if stored != sect {
-		return nil, fmt.Errorf("record checksum %08x, stored %08x: %w", sect, stored, ErrChecksum)
+	if sect := cr.sect; summed {
+		var stored uint32
+		if err := binary.Read(cr, binary.LittleEndian, &stored); err != nil {
+			return nil, fmt.Errorf("checksum: %w", err)
+		}
+		if stored != sect {
+			return nil, fmt.Errorf("record checksum %08x, stored %08x: %w", sect, stored, ErrChecksum)
+		}
 	}
 	return codec.New(codec.ID(tag[0]), payload, nbits)
 }
