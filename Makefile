@@ -242,6 +242,9 @@ serve-smoke:
 # every recorded write boundary and every mid-write offset, resume, and
 # require a byte-identical directory plus a clean fsck — under the race
 # detector, together with the fault-injection and fsck corruption tables,
+# the one repair Resume and fsck -repair share (TestFsck*/TestResume*: a
+# second fsck after a repair is clean, a refused Resume moves nothing, a
+# completed run resumes only when it audits clean),
 # the query server's run-directory loader and the offline archive: both
 # read a run's committed steps through the same recovery reader as Resume
 # and fsck, so a crashed run's committed prefix, an escaping path or a

@@ -82,14 +82,18 @@ func ExampleSubsetSum() {
 }
 
 // A value query on the compressed index.
-func ExampleIndex_Query() {
+func ExampleSubsetBits() {
 	data := []float64{0.5, 1.5, 2.5, 3.5, 4.5, 1.4}
 	m, err := insitubits.NewUniformBins(0, 5, 5)
 	if err != nil {
 		panic(err)
 	}
 	x := insitubits.BuildIndex(data, m)
-	hits := x.Query(1, 3) // bins [1,2) and [2,3)
+	// bins [1,2) and [2,3)
+	hits, err := insitubits.SubsetBits(context.Background(), x, insitubits.QuerySubset{ValueLo: 1, ValueHi: 3})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("matches:", hits.Count())
 	hits.Iterate(func(pos int) bool {
 		fmt.Println("  element", pos)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -43,7 +44,10 @@ func main() {
 		xa.SizeBytes(), 100*float64(xa.SizeBytes())/float64(8*n), xa.Bins())
 
 	// Value query on the compressed form: where is the anomaly (>85)?
-	hot := xa.Query(85, 200)
+	hot, err := insitubits.SubsetBits(context.Background(), xa, insitubits.QuerySubset{ValueLo: 85, ValueHi: 200})
+	if err != nil {
+		log.Fatal(err)
+	}
 	first, last := -1, -1
 	hot.Iterate(func(pos int) bool {
 		if first < 0 {

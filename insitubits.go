@@ -272,6 +272,7 @@ type (
 // Re-exported query API — all of it consumes indices only.
 var (
 	SubsetCount      = query.Count
+	SubsetBits       = query.Bits
 	SubsetSum        = query.Sum
 	SubsetMean       = query.Mean
 	SubsetMinMax     = query.MinMax

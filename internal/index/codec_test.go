@@ -36,10 +36,10 @@ func TestIndexDifferentialAcrossCodecs(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				lo := r.Float64() * 10
 				hi := lo + r.Float64()*(10-lo)
-				want := ref.Query(lo, hi)
-				got := x.Query(lo, hi)
+				want := rangeBits(ref, lo, hi)
+				got := rangeBits(x, lo, hi)
 				if got.Count() != want.Count() || !got.Equal(want) {
-					t.Fatalf("n=%d %v: Query(%g,%g) differs", n, id, lo, hi)
+					t.Fatalf("n=%d %v: range [%g,%g) differs", n, id, lo, hi)
 				}
 			}
 		}

@@ -198,30 +198,6 @@ func (x *Index) SizeBytes() int {
 	return total
 }
 
-// Query returns the bitvector of elements whose value lies in [lo, hi),
-// reading the cheaper side of the occupied bins overlapping the range
-// (ChooseSide) into one flat buffer and encoding it once, as WAH. Bins
-// straddling the endpoints are included whole (bin-granular semantics, as
-// in the paper).
-func (x *Index) Query(lo, hi float64) bitvec.Bitmap {
-	tel.queries.Inc()
-	if tel.orMergeNs != nil {
-		start := time.Now()
-		defer func() { tel.orMergeNs.Record(time.Since(start).Nanoseconds()) }()
-	}
-	var sel []int
-	for b := 0; b < x.Bins(); b++ {
-		if x.counts[b] > 0 && x.mapper.High(b) > lo && x.mapper.Low(b) < hi {
-			sel = append(sel, b)
-		}
-	}
-	buf := make([]uint64, bitvec.FlatWords(x.n))
-	if len(sel) > 0 {
-		x.ChooseSide(sel).Or(buf, 0, len(buf), nil)
-	}
-	return bitvec.FromFlat(buf, x.n)
-}
-
 // BuildParallel is BuildParallelCodec with every bin in WAH.
 func BuildParallel(data []float64, m binning.Mapper, nWorkers int) *Index {
 	return BuildParallelCodec(data, m, nWorkers, codec.WAH)

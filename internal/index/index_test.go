@@ -139,23 +139,20 @@ func TestBuildParallelTinyInput(t *testing.T) {
 	}
 }
 
-func TestQuery(t *testing.T) {
-	data := []float64{0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 1.4, 2.2}
-	m := mustUniform(t, 10) // bins of width 1 over [0,10)
-	x := Build(data, m)
-	q := x.Query(1, 3) // bins [1,2) and [2,3): elements 1.5, 2.5, 1.4, 2.2
-	if q.Count() != 4 {
-		t.Fatalf("Query(1,3) count=%d want 4", q.Count())
-	}
-	for _, i := range []int{1, 2, 6, 7} {
-		if !bitvec.Bools(q)[i] {
-			t.Fatalf("Query(1,3) missing element %d", i)
+// rangeBits is the value OR of the occupied bins overlapping [lo, hi), read
+// on the side ChooseSide picks, as the query planner reads it.
+func rangeBits(x *Index, lo, hi float64) bitvec.Bitmap {
+	var sel []int
+	for b := 0; b < x.Bins(); b++ {
+		if x.Count(b) > 0 && x.Mapper().High(b) > lo && x.Mapper().Low(b) < hi {
+			sel = append(sel, b)
 		}
 	}
-	empty := x.Query(100, 200)
-	if empty.Count() != 0 || empty.Len() != len(data) {
-		t.Fatalf("out-of-range query: count=%d len=%d", empty.Count(), empty.Len())
+	flat := make([]uint64, bitvec.FlatWords(x.N()))
+	if len(sel) > 0 {
+		x.ChooseSide(sel).Or(flat, 0, len(flat), nil)
 	}
+	return bitvec.FromFlat(flat, x.N())
 }
 
 func TestPaperFigure1(t *testing.T) {
@@ -291,7 +288,7 @@ func TestGroupsConcurrentFirstUse(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	x := BuildCodec(testData(r, 20000), mustUniform(t, 30), codec.Auto)
 	flat := make([]uint64, bitvec.FlatWords(x.N()))
-	for b := 0; b < x.Bins(); b++ { // the bins Query(2, 7) selects, read alone
+	for b := 0; b < x.Bins(); b++ { // the bins [2, 7) overlaps, read alone
 		if x.Mapper().High(b) > 2 && x.Mapper().Low(b) < 7 {
 			x.Bitmap(b).OrInto(flat, 0, len(flat))
 		}
@@ -306,8 +303,8 @@ func TestGroupsConcurrentFirstUse(t *testing.T) {
 			defer wg.Done()
 			<-start
 			if g%2 == 1 {
-				if q := x.Query(2, 7); !q.Equal(want) {
-					t.Errorf("goroutine %d: Query differs from the OR of its bins", g)
+				if q := rangeBits(x, 2, 7); !q.Equal(want) {
+					t.Errorf("goroutine %d: the chosen side differs from the OR of the bins", g)
 				}
 			}
 			got[g] = x.Levels()

@@ -7,8 +7,7 @@ import (
 )
 
 // tel holds the package's telemetry handles: build volume/cost, the
-// compressed-vs-raw ratio inputs, query OR-merge cost, and the histogram
-// cache traffic. Nil-safe; bound to telemetry.Default at init.
+// compressed-vs-raw ratio inputs and the histogram cache traffic. Nil-safe; bound to telemetry.Default at init.
 var tel struct {
 	builds     *telemetry.Counter   // indexes completed (any build path)
 	bins       *telemetry.Counter   // bitvectors those indexes hold
@@ -16,8 +15,6 @@ var tel struct {
 	idRuns     *telemetry.Counter   // runs of equal bin ids the build scans found
 	compressed *telemetry.Counter   // compressed bytes produced
 	buildNs    *telemetry.Histogram // wall time of FromRuns, the second half of every build
-	queries    *telemetry.Counter   // range queries answered
-	orMergeNs  *telemetry.Histogram // OR-merge time per range query
 	cacheHits  *telemetry.Counter   // cached per-bin count lookups
 }
 
@@ -30,8 +27,6 @@ func SetTelemetry(r *telemetry.Registry) {
 	tel.idRuns = r.Counter("index.id_runs")
 	tel.compressed = r.Counter("index.compressed_bytes")
 	tel.buildNs = r.Histogram("index.build_ns")
-	tel.queries = r.Counter("index.queries")
-	tel.orMergeNs = r.Histogram("index.or_merge_ns")
 	tel.cacheHits = r.Counter("index.count_cache_hits")
 }
 

@@ -355,21 +355,96 @@ func TestFsckCleanAfterRejectedSplit(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedConfig guards against splicing two different
-// runs into one directory.
+// runs into one directory: the config is checked before anything moves, so
+// a refused resume of a crashed run leaves its torn journal, its files and
+// the absence of quarantine/ as they were.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	dir := t.TempDir()
 	cfg := triConfig(dir)
-	cfg.Steps, cfg.Select = 10, 3
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg.Ctx = ctx
-	cancel()
+	cfg.FS = iosim.NewFaultFS(iosim.OS, &iosim.FaultPlan{CrashAtByte: 3001})
 	if _, err := Run(cfg); err == nil {
-		t.Fatal("cancelled run reported success")
+		t.Fatal("crashed run reported success")
 	}
+	if log, err := ReadRunLog(dir); err != nil || len(log.Tail) == 0 {
+		t.Fatalf("the crash left no torn journal tail (%v)", err)
+	}
+	before := snapshot(t, dir)
 	other := triConfig(dir)
-	other.Steps, other.Select = 12, 3
+	other.Steps = 12
 	if _, err := Resume(dir, other); err == nil {
 		t.Fatal("resume accepted a mismatched config")
+	}
+	sameSnapshot(t, "crashed run after a refused resume", before, snapshot(t, dir))
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a refused resume made %s: %v", QuarantineDir, err)
+	}
+}
+
+// TestResumeCompletedRunVerifiesArtifacts: a completed run's selection is
+// returned only when the directory audits clean. A damaged artifact makes
+// the call an error naming the file, and nothing moves: repairing a
+// completed run is fsck -repair's.
+func TestResumeCompletedRunVerifiesArtifacts(t *testing.T) {
+	dir := completedRun(t)
+	name := artifactNames(t, dir)[4]
+	flipByte(t, filepath.Join(dir, name), -10)
+	before := snapshot(t, dir)
+	_, err := Resume(dir, triConfig(dir))
+	if err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("resume of a completed run with %s damaged returned %v, want an error naming it", name, err)
+	}
+	sameSnapshot(t, "completed run after a refused resume", before, snapshot(t, dir))
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a refused resume made %s: %v", QuarantineDir, err)
+	}
+}
+
+// TestResumeRepairsDamagedStep: Resume repairs a crashed run's directory
+// the way fsck -repair does — a committed step with one damaged artifact
+// goes to quarantine/ whole, and so does a file no select record commits —
+// and the replay writes the step again: every artifact and the manifest
+// come out as an uninterrupted run's (the journal commits the step twice),
+// and fsck is clean.
+func TestResumeRepairsDamagedStep(t *testing.T) {
+	want := snapshot(t, completedRun(t))
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg := triConfig(dir)
+	cfg.Sim = &cancelSim{triSim: triSim{n: 60}, at: 13, cancel: cancel}
+	cfg.Ctx = ctx
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("the cancelled run completed")
+	}
+	log, err := ReadRunLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Committed()) < 2 {
+		t.Fatalf("the cancelled run committed %d steps, want at least 2", len(log.Committed()))
+	}
+	victim := log.Committed()[1]
+	flipByte(t, filepath.Join(dir, victim.Files[0].Path), -10)
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(dir, triConfig(dir)); err != nil {
+		t.Fatal(err)
+	}
+	got := snapshot(t, dir)
+	delete(want, JournalName)
+	delete(got, JournalName)
+	sameSnapshot(t, "resumed over a damaged step", want, got)
+	for _, jf := range append(victim.Files, JournalFile{Path: "notes.txt"}) {
+		if _, err := os.Stat(filepath.Join(dir, QuarantineDir, jf.Path)); err != nil {
+			t.Errorf("%s not quarantined: %v", jf.Path, err)
+		}
+	}
+	rep, err := Fsck(dir, FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || !rep.Complete {
+		t.Fatalf("fsck after resume: complete %v, issues %+v", rep.Complete, rep.Issues)
 	}
 }
 

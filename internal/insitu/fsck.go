@@ -1,6 +1,7 @@
 package insitu
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -16,9 +17,9 @@ import (
 // file the journal references, that is not on disk; "truncated" is a file
 // (or journal tail) cut short, the signature of a crash; "corrupt" is
 // content that fails its checksum or parses invalid — flipped bytes, not a
-// crash; "orphan" is a file nothing references (stray staging files
-// included); "incomplete" is a journal without an end record — the run
-// never finished and can be resumed.
+// crash; "orphan" is a file no select record commits, whatever the
+// manifest lists (stray staging files included); "incomplete" is a journal
+// without an end record — the run never finished and can be resumed.
 const (
 	DamageMissing    = "missing"
 	DamageTruncated  = "truncated"
@@ -62,104 +63,180 @@ func (r *FsckReport) Clean() bool { return len(r.Issues) == 0 }
 
 // FsckOptions configures Fsck.
 type FsckOptions struct {
-	// Repair quarantines damaged steps and strays and, for a completed run,
-	// rewrites a consistent manifest and journal covering only the
-	// surviving steps. Nothing is deleted — everything moves to
-	// quarantine/. A directory whose journal is missing or corrupt is left
-	// as it is.
+	// Repair brings the directory back to its journal — the torn journal
+	// tail, orphans and every file of a damaged step move to quarantine/ —
+	// and, for a completed run, rewrites the journal and the manifest over
+	// the surviving steps. Nothing is deleted. A directory whose journal
+	// cannot be folded is left as it is.
 	Repair bool
 }
 
 // Fsck verifies an output directory end to end against its journal, the
 // only record of what the run committed: the journal's integrity (header,
 // frame checksums, torn tail, a begin record first), every committed
-// artifact's length and whole-file CRC32C, the manifest against the select
-// records, and files nothing references. A directory without a journal is
-// reported as missing it. Damage is classified per FsckIssue; the error
-// return is reserved for fsck itself failing, not for problems it found.
+// artifact's length and whole-file CRC32C, a completed run's manifest
+// against the journal's rendering, and files no select record commits. A
+// journal that cannot be folded (missing, a header that does not verify, no
+// begin record first) is the one issue reported: there is nothing to check
+// the directory against or repair it from. Damage is classified per
+// FsckIssue; the error return is reserved for fsck itself failing, not for
+// problems it found.
 func Fsck(dir string, opt FsckOptions) (*FsckReport, error) {
-	rep := &FsckReport{Dir: dir}
-	issue := func(path string, step int, class, detail string) {
-		rep.Issues = append(rep.Issues, FsckIssue{Path: path, Step: step, Class: class, Detail: detail})
-	}
 	log, err := ReadRunLog(dir)
 	if err != nil {
 		return nil, fmt.Errorf("insitu: fsck: %w", err)
 	}
+	rep, bad, err := restore(dir, log, opt.Repair && log.Damage == nil)
+	if err != nil || !rep.Repaired || log.End == nil {
+		// An incomplete run stays resumable: rewriting its manifest would
+		// claim a completeness it does not have.
+		return rep, err
+	}
+	return rep, rewrite(dir, rep, log, bad)
+}
 
-	// Journal pass: damage, torn tail and incompleteness, then every
-	// committed artifact against its journaled length + CRC32C.
-	switch {
-	case log.Damage != nil:
+// audit checks dir against its folded journal and returns the report and
+// the committed steps with a damaged artifact. Issues come in a fixed
+// order: the journal, the committed artifacts in step order, the manifest,
+// the orphans.
+func audit(dir string, log *RunLog) (*FsckReport, map[int]bool) {
+	rep := &FsckReport{Dir: dir, Begin: log.Begin, Complete: log.End != nil}
+	issue := func(path string, step int, class, detail string) {
+		rep.Issues = append(rep.Issues, FsckIssue{Path: path, Step: step, Class: class, Detail: detail})
+	}
+	bad := map[int]bool{}
+	if log.Damage != nil {
 		issue(JournalName, -1, classifyDamage(log.Damage), log.Damage.Error())
-	case len(log.Tail) > 0:
+		return rep, bad
+	}
+	if len(log.Tail) > 0 {
 		issue(JournalName, -1, DamageTruncated,
 			fmt.Sprintf("torn tail of %d bytes after a valid prefix of %d", len(log.Tail), log.ValidLen))
 	}
-	if log.Damage == nil && log.End == nil {
+	if log.End == nil {
 		issue(JournalName, -1, DamageIncomplete,
 			"no end record: the run did not finish (resumable with insitu-run -resume)")
 	}
-	rep.Begin, rep.Complete = log.Begin, log.End != nil
-	journaled := map[string]int64{} // committed artifact → its length
-	badSteps := map[int]bool{}
+	committed := map[string]bool{}
 	for _, rec := range log.Committed() {
 		rep.Committed = append(rep.Committed, rec.Step)
 		for _, jf := range rec.Files {
-			journaled[jf.Path] = jf.Bytes
+			committed[jf.Path] = true
 			rep.FilesChecked++
 			rep.BytesChecked += jf.Bytes
 			if _, err := ReadArtifact(dir, jf); err != nil {
-				badSteps[rec.Step] = true
+				bad[rec.Step] = true
 				issue(jf.Path, rec.Step, classifyDamage(err), err.Error())
 			}
 		}
 	}
-
-	// Manifest pass: structural validation, and every entry must be one a
-	// select record commits (same path, same length).
-	listed := map[string]bool{}
-	m, merr := ReadManifest(dir)
-	switch {
-	case errors.Is(merr, fs.ErrNotExist):
-		if log.End != nil {
-			issue(ManifestName, -1, DamageMissing, "journal records a completed run but the manifest is gone")
-		}
-		// An incomplete run legitimately has no manifest yet.
-	case merr != nil:
-		issue(ManifestName, -1, DamageCorrupt, merr.Error())
-	default:
-		for _, mf := range m.Files {
-			listed[mf.Path] = true
-			if n, ok := journaled[mf.Path]; log.Damage == nil && (!ok || n != mf.Bytes) {
-				issue(ManifestName, mf.Step, DamageCorrupt,
-					fmt.Sprintf("lists %s (%d bytes), which no select record commits", mf.Path, mf.Bytes))
-			}
+	// A completed run's manifest is the journal's rendering, byte for byte;
+	// an unfinished run's is written when it finishes.
+	if log.End != nil {
+		_, want := manifestOf(log)
+		if got, err := os.ReadFile(filepath.Join(dir, ManifestName)); err != nil {
+			issue(ManifestName, -1, classifyDamage(err), err.Error())
+		} else if !bytes.Equal(got, want) {
+			issue(ManifestName, -1, DamageCorrupt, "differs from the journal's rendering")
 		}
 	}
-
-	// Orphan pass: staging strays and unreferenced files.
-	var orphans []string
 	for _, name := range log.Files {
-		if _, ok := journaled[name]; ok || listed[name] {
+		if committed[name] {
 			continue
 		}
-		orphans = append(orphans, name)
-		detail := "referenced by neither journal nor manifest"
+		detail := "committed by no select record"
 		if strings.HasSuffix(name, store.TempSuffix) {
 			detail = "staging file stranded by a crash"
 		}
 		issue(name, -1, DamageOrphan, detail)
 	}
+	return rep, bad
+}
 
-	if !opt.Repair || rep.Clean() || log.Damage != nil {
-		return rep, nil // a missing or corrupt journal leaves nothing to repair from
+// restore audits dir against its folded journal and, with repair set and
+// anything found, brings the directory back to the journal: the torn tail
+// is quarantined and the journal truncated to its valid prefix, orphans —
+// staging strays included — are quarantined, and so is every file of a
+// damaged step. It rewrites neither journal nor manifest. Fsck and Resume
+// both call it; it returns the report and the damaged steps.
+func restore(dir string, log *RunLog, repair bool) (*FsckReport, map[int]bool, error) {
+	rep, bad := audit(dir, log)
+	if !repair || rep.Clean() {
+		return rep, bad, nil
 	}
-	if err := repair(dir, rep, log, badSteps, orphans); err != nil {
-		return rep, err
+	if len(log.Tail) > 0 {
+		if err := quarantineBytes(dir, JournalName+".tail", log.Tail); err != nil {
+			return rep, bad, err
+		}
+		if err := os.Truncate(filepath.Join(dir, JournalName), log.ValidLen); err != nil {
+			return rep, bad, fmt.Errorf("insitu: truncating torn journal tail: %w", err)
+		}
+		rep.act(JournalName, "torn tail quarantined and truncated")
+	}
+	for _, is := range rep.Issues {
+		if is.Class == DamageOrphan {
+			if err := quarantineFile(dir, is.Path); err != nil {
+				return rep, bad, err
+			}
+			rep.act(is.Path, "quarantined")
+		}
+	}
+	// Whole-step granularity: a step is one file per variable, so a step
+	// with any damaged artifact goes whole, its surviving siblings with it.
+	for _, rec := range log.Committed() {
+		if !bad[rec.Step] {
+			continue
+		}
+		for _, jf := range rec.Files {
+			if err := quarantineFile(dir, jf.Path); err != nil {
+				return rep, bad, err
+			}
+			rep.act(jf.Path, "step quarantined")
+		}
 	}
 	rep.Repaired = true
-	return rep, nil
+	return rep, bad, nil
+}
+
+// rewrite ends the repair of a completed run: the journal becomes its begin
+// record, the surviving select records and an end record over them, and the
+// manifest that journal's rendering.
+func rewrite(dir string, rep *FsckReport, log *RunLog, bad map[int]bool) error {
+	kept := &RunLog{Begin: log.Begin}
+	for _, rec := range log.Committed() {
+		if !bad[rec.Step] {
+			kept.committed = append(kept.committed, rec)
+		}
+	}
+	m, data := manifestOf(kept)
+	if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, ManifestName), data); err != nil {
+		return err
+	}
+	buf := journalHeader()
+	recs := append([]*JournalRecord{log.Begin}, kept.committed...)
+	for _, rec := range append(recs, &JournalRecord{Kind: KindEnd, Selected: m.Selected}) {
+		frame, err := encodeFrame(rec)
+		if err != nil {
+			return err
+		}
+		buf = append(buf, frame...)
+	}
+	if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, JournalName), buf); err != nil {
+		return err
+	}
+	rep.act(ManifestName, "rewritten")
+	rep.act(JournalName, "rewritten")
+	return nil
+}
+
+// act records what the repair did on every issue of path it has not acted
+// on yet.
+func (r *FsckReport) act(path, action string) {
+	for i := range r.Issues {
+		if r.Issues[i].Path == path && r.Issues[i].Action == "" {
+			r.Issues[i].Action = action
+		}
+	}
 }
 
 // classifyDamage maps a verification error to a damage class.
@@ -174,91 +251,30 @@ func classifyDamage(err error) string {
 	}
 }
 
-// repair executes the -repair plan: quarantine the torn journal tail,
-// orphans, and every file of each damaged step, then — for a completed run
-// only — rewrite a manifest and a journal that cover only the surviving
-// steps. An incomplete journal is left in place minus its torn tail so
-// Resume can still continue the run; without a begin record nothing is
-// rewritten. Fsck never calls it on a damaged journal.
-func repair(dir string, rep *FsckReport, log *RunLog, badSteps map[int]bool, orphans []string) error {
-	act := func(path, action string) {
-		for i := range rep.Issues {
-			if rep.Issues[i].Path == path && rep.Issues[i].Action == "" {
-				rep.Issues[i].Action = action
-			}
-		}
-	}
-	if len(log.Tail) > 0 {
-		if err := quarantineBytes(dir, JournalName+".tail", log.Tail); err != nil {
-			return err
-		}
-		if err := os.Truncate(filepath.Join(dir, JournalName), log.ValidLen); err != nil {
-			return err
-		}
-		act(JournalName, "torn tail quarantined and truncated")
-	}
-	for _, name := range orphans {
-		if err := quarantineFile(dir, name); err != nil {
-			return err
-		}
-		act(name, "quarantined")
-	}
-	// Whole-step granularity: the manifest invariant is one file per
-	// variable per selected step, so a step with any damaged artifact is
-	// dropped entirely and its surviving siblings quarantined with it.
-	var kept []*JournalRecord
-	for _, rec := range log.Committed() {
-		if !badSteps[rec.Step] {
-			kept = append(kept, rec)
-			continue
-		}
-		for _, jf := range rec.Files {
-			if err := quarantineFile(dir, jf.Path); err != nil {
-				return err
-			}
-			act(jf.Path, "step quarantined")
-		}
-	}
-	if log.End == nil {
-		// The run is resumable (or has no begin record to rebuild from);
-		// rewriting the manifest now would claim completeness it does not
-		// have. Quarantining was enough.
+// quarantineFile moves dir/name, if it exists, into dir/quarantine/,
+// replacing any earlier quarantined file of the same name.
+func quarantineFile(dir, name string) error {
+	if _, err := os.Lstat(filepath.Join(dir, name)); errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
+	qdir := filepath.Join(dir, QuarantineDir)
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		return fmt.Errorf("insitu: quarantine dir: %w", err)
+	}
+	if err := os.Rename(filepath.Join(dir, name), filepath.Join(qdir, name)); err != nil {
+		return fmt.Errorf("insitu: quarantining %s: %w", name, err)
+	}
+	return nil
+}
 
-	// Rebuild the manifest and the journal from the surviving select
-	// records: begin, those selects, and an end record over them.
-	begin := log.Begin
-	nm := Manifest{Workload: begin.Workload, Method: begin.Method, Vars: begin.Vars, Steps: begin.Steps}
-	out := []*JournalRecord{begin}
-	for _, rec := range kept {
-		nm.Selected = append(nm.Selected, rec.Step)
-		out = append(out, rec)
-		for _, jf := range rec.Files {
-			nm.Files = append(nm.Files, ManifestFile{Step: rec.Step, Var: jf.Var, Path: jf.Path, Bytes: jf.Bytes})
-		}
+// quarantineBytes writes raw bytes (a torn journal tail) into quarantine.
+func quarantineBytes(dir, name string, data []byte) error {
+	qdir := filepath.Join(dir, QuarantineDir)
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		return fmt.Errorf("insitu: quarantine dir: %w", err)
 	}
-	data, err := marshalManifest(&nm)
-	if err != nil {
-		return err
+	if err := os.WriteFile(filepath.Join(qdir, name), data, 0o644); err != nil {
+		return fmt.Errorf("insitu: quarantining %s: %w", name, err)
 	}
-	if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, ManifestName), data); err != nil {
-		return err
-	}
-	act(ManifestName, "rewritten")
-
-	buf := journalHeader()
-	out = append(out, &JournalRecord{Kind: KindEnd, Selected: nm.Selected})
-	for _, rec := range out {
-		frame, err := encodeFrame(rec)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, frame...)
-	}
-	if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, JournalName), buf); err != nil {
-		return err
-	}
-	act(JournalName, "rewritten")
 	return nil
 }

@@ -1,7 +1,9 @@
 package insitu
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -236,6 +238,57 @@ func TestFsckRepair(t *testing.T) {
 	}
 	if !rep2.Clean() || !rep2.Complete {
 		t.Fatalf("fsck after repair not clean: %+v", rep2.Issues)
+	}
+}
+
+// TestFsckRepairIsIdempotent: files no select record commits are orphans
+// even when the manifest lists them, so one repair quarantines them and puts
+// back the journal's rendering of the manifest, and a second fsck is clean.
+func TestFsckRepairIsIdempotent(t *testing.T) {
+	dir := completedRun(t)
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshot(t, dir)
+	m.Selected = append(m.Selected, 99)
+	for _, v := range m.Vars {
+		name := "step0099_" + v + ".isbm"
+		body := []byte("no select record commits " + name)
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.Files = append(m.Files, ManifestFile{Step: 99, Var: v, Path: name, Bytes: int64(len(body))})
+	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fsck(dir, FsckOptions{Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Repaired || len(rep.Issues) != 4 {
+		t.Fatalf("first repair: repaired %v, issues %+v; want the manifest and three orphans", rep.Repaired, rep.Issues)
+	}
+	rep, err = Fsck(dir, FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || !rep.Complete {
+		t.Fatalf("fsck after one repair: complete %v, issues %+v", rep.Complete, rep.Issues)
+	}
+	got := snapshot(t, dir)
+	if !bytes.Equal(got[ManifestName], want[ManifestName]) {
+		t.Errorf("repaired manifest differs from the run's")
+	}
+	for _, v := range m.Vars {
+		if _, ok := got["step0099_"+v+".isbm"]; ok {
+			t.Errorf("step0099_%s.isbm still in the directory", v)
+		}
 	}
 }
 

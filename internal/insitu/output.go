@@ -48,15 +48,14 @@ const QuarantineDir = "quarantine"
 // with a fsync'd journal record before the run moves on — the contract
 // Resume and fsck build on.
 type writer struct {
-	dir      string
-	vars     []string
-	manifest Manifest
-	fs       iosim.FS
-	jnl      *journal
-	ctx      context.Context
-	retry    iosim.Backoff
-	resume   *resumeState
-	rt       *runTelemetry
+	dir    string
+	vars   []string
+	fs     iosim.FS
+	jnl    *journal
+	ctx    context.Context
+	retry  iosim.Backoff
+	resume *resumeState
+	rt     *runTelemetry
 }
 
 func newWriter(cfg Config, rt *runTelemetry) (*writer, error) {
@@ -73,12 +72,6 @@ func newWriter(cfg Config, rt *runTelemetry) (*writer, error) {
 		ctx:    cfg.context(),
 		resume: cfg.resume,
 		rt:     rt,
-		manifest: Manifest{
-			Workload: cfg.Sim.Name(),
-			Method:   cfg.Method.String(),
-			Vars:     cfg.Sim.Vars(),
-			Steps:    cfg.Steps,
-		},
 	}
 	// iosim.Retry's default policy; each retry surfaces in telemetry.
 	w.retry.OnRetry = func(int, error) { rt.storeRetries.Inc() }
@@ -103,19 +96,12 @@ func newWriter(cfg Config, rt *runTelemetry) (*writer, error) {
 
 // writeStep persists one selected step's per-variable summaries, then seals
 // the step with a journal select record. Steps the resume state already
-// verified as durable are not rewritten — their manifest entries are copied
-// from the journal. When ctx carries an identity-trace span, each artifact
-// write records a store.* child span and the select record is stamped with
-// the step's trace ID.
+// verified as durable are not rewritten: their select records stand. When
+// ctx carries an identity-trace span, each artifact write records a store.*
+// child span and the select record is stamped with the step's trace ID.
 func (w *writer) writeStep(ctx context.Context, sum *stepSummary) error {
-	w.manifest.Selected = append(w.manifest.Selected, sum.step)
 	if w.resume != nil {
-		if files, ok := w.resume.durable[sum.step]; ok {
-			for _, jf := range files {
-				w.manifest.Files = append(w.manifest.Files, ManifestFile{
-					Step: sum.step, Var: jf.Var, Path: jf.Path, Bytes: jf.Bytes,
-				})
-			}
+		if _, ok := w.resume.durable[sum.step]; ok {
 			return nil
 		}
 	}
@@ -139,9 +125,6 @@ func (w *writer) writeStep(ctx context.Context, sum *stepSummary) error {
 		if err != nil {
 			return err
 		}
-		w.manifest.Files = append(w.manifest.Files, ManifestFile{
-			Step: sum.step, Var: w.vars[k], Path: filepath.Base(path), Bytes: n,
-		})
 		rec.Files = append(rec.Files, JournalFile{
 			Var: w.vars[k], Path: filepath.Base(path), Bytes: n, CRC: crc,
 		})
@@ -173,14 +156,19 @@ func (w *writer) recordScore(t int, score float64, traceID string) error {
 	return w.jnl.append(&JournalRecord{Kind: KindScore, Step: t, Score: score, TraceID: traceID})
 }
 
-// finish commits the manifest atomically, then seals the run with the
-// journal's end record — in that order, so an end record on disk implies a
-// durable manifest.
+// finish commits the manifest — the rendering of the journal read back, every
+// append of which is already fsync'd — atomically, then seals the run with
+// the journal's end record over the same selection: in that order, so an end
+// record on disk implies a durable manifest.
 func (w *writer) finish() error {
-	data, err := marshalManifest(&w.manifest)
+	log, err := ReadRunLog(w.dir)
 	if err != nil {
 		return err
 	}
+	if log.Damage != nil {
+		return log.Damage
+	}
+	m, data := manifestOf(log)
 	path := filepath.Join(w.dir, ManifestName)
 	if err := iosim.Retry(w.ctx, w.retry, func() error {
 		_, werr := store.AtomicWriteBytes(w.fs, path, data)
@@ -188,7 +176,7 @@ func (w *writer) finish() error {
 	}); err != nil {
 		return err
 	}
-	if err := w.jnl.append(&JournalRecord{Kind: KindEnd, Selected: w.manifest.Selected}); err != nil {
+	if err := w.jnl.append(&JournalRecord{Kind: KindEnd, Selected: m.Selected}); err != nil {
 		return err
 	}
 	if err := w.jnl.close(); err != nil {
@@ -238,9 +226,25 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// marshalManifest renders a manifest: writer.finish and fsck's repair both
-// write through it, so a repaired manifest is byte-identical to a freshly
-// written one.
-func marshalManifest(m *Manifest) ([]byte, error) {
-	return json.MarshalIndent(m, "", "  ")
+// manifestOf renders the manifest a folded journal implies, and its
+// manifest.json bytes: the begin record's workload, method, variables and
+// step count, the committed steps in step order, and each committed step's
+// files in its select record's variable order. It is the one place a
+// manifest is built — the writer writes it, fsck compares manifest.json with
+// it and its repair rewrites it — so the manifest never says more or less
+// than the journal.
+func manifestOf(log *RunLog) (*Manifest, []byte) {
+	b := log.Begin
+	m := &Manifest{Workload: b.Workload, Method: b.Method, Vars: b.Vars, Steps: b.Steps}
+	for _, rec := range log.Committed() {
+		m.Selected = append(m.Selected, rec.Step)
+		for _, jf := range rec.Files {
+			m.Files = append(m.Files, ManifestFile{Step: rec.Step, Var: jf.Var, Path: jf.Path, Bytes: jf.Bytes})
+		}
+	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		panic(err) // strings and integers always marshal
+	}
+	return m, data
 }

@@ -224,6 +224,33 @@ func TestBitsMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestQuery: a value range selects whole bins — those it overlaps — and a
+// range outside every bin selects nothing over all the elements.
+func TestQuery(t *testing.T) {
+	data := []float64{0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 1.4, 2.2}
+	x := build(t, data, 10) // bins of width 1 over [0,10)
+	q, err := Bits(context.Background(), x, Subset{ValueLo: 1, ValueHi: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// bins [1,2) and [2,3): elements 1.5, 2.5, 1.4, 2.2
+	if q.Count() != 4 {
+		t.Fatalf("[1,3) count=%d want 4", q.Count())
+	}
+	for _, i := range []int{1, 2, 6, 7} {
+		if !bitvec.Bools(q)[i] {
+			t.Fatalf("[1,3) missing element %d", i)
+		}
+	}
+	empty, err := Bits(context.Background(), x, Subset{ValueLo: 100, ValueHi: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Count() != 0 || empty.Len() != len(data) {
+		t.Fatalf("out-of-range query: count=%d len=%d", empty.Count(), empty.Len())
+	}
+}
+
 // TestRangeVectorCompact: a spatial range is set straight into the flat
 // words and encoded once, and that one encode still finds the fills.
 func TestRangeVectorCompact(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"insitubits/internal/bitvec"
 	"insitubits/internal/codec"
 )
 
@@ -34,10 +35,18 @@ func TestV2PreservesCodecs(t *testing.T) {
 				t.Fatalf("%v: bin %d bits changed", id, b)
 			}
 		}
-		// Ops on the reloaded index must behave: a full-range query selects
-		// every element.
-		if got := y.Query(0, 10).Count(); got != y.N() {
-			t.Fatalf("%v: full-range query counts %d of %d after reload", id, got, y.N())
+		// Ops on the reloaded index must behave: the OR of every occupied
+		// bin, on the side ChooseSide picks, selects every element.
+		var occupied []int
+		for b := 0; b < y.Bins(); b++ {
+			if y.Count(b) > 0 {
+				occupied = append(occupied, b)
+			}
+		}
+		flat := make([]uint64, bitvec.FlatWords(y.N()))
+		y.ChooseSide(occupied).Or(flat, 0, len(flat), nil)
+		if got := bitvec.FromFlat(flat, y.N()).Count(); got != y.N() {
+			t.Fatalf("%v: the OR of every bin counts %d of %d after reload", id, got, y.N())
 		}
 	}
 }
