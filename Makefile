@@ -166,8 +166,13 @@ overhead:
 # Short fuzz passes: the untrusted parsers (docs/FORMATS.md) — the
 # index-file reader (every index it accepts tiles its elements: the
 # histogram sums to N, decodes at 1 and 3 workers agree, and small ones
-# equal the []bool model's partition), the raw-step and dataset readers,
-# the run-journal parser and the workload-log parser — the query oracle
+# equal the []bool model's partition; the retired v1/v2 containers and
+# Dense bins are must-refuse seeds), the raw-step reader (a footer-less
+# array is a must-refuse seed) and the dataset reader, the run-journal
+# parser and the workload-log parser — the query server's request path
+# (any POST /v1/query body: no status >= 500, no handler panic, and every
+# 200 answer's digest equals in-process execution of the decoded
+# request) — the query oracle
 # property (any request, codec and cache state answers exactly as the brute-force
 # model over the binned raw array does), the flat kernels under it
 # (OrInto, FromFlat, WriteIDs, CountRange and the masked kernels —
@@ -192,6 +197,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadDataset$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run xxx -fuzz 'FuzzParseJournal$$' -fuzztime 10s ./internal/insitu/
 	$(GO) test -run xxx -fuzz 'FuzzParseLog$$' -fuzztime 10s ./internal/qlog/
+	$(GO) test -run xxx -fuzz 'FuzzServeRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzQueryMatchesOracle$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run xxx -fuzz 'FuzzFlatKernels$$' -fuzztime 10s ./internal/bitvec/
 	$(GO) test -run xxx -fuzz 'FuzzBBCEncode$$' -fuzztime 10s ./internal/bitvec/

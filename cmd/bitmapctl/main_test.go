@@ -130,31 +130,14 @@ func TestCodecFlagConvertAndStat(t *testing.T) {
 			t.Fatalf("bin %d diverged after conversion", b)
 		}
 	}
-	// A legacy v1 file converts to v3 with the same bits.
+	// A retired v1 file is refused from its header; convert writes nothing.
 	v1 := filepath.Join("..", "..", "internal", "store", "testdata", "v1.isbm")
 	v3 := filepath.Join(dir, "from-v1.isbm")
-	if err := cmdConvert([]string{"-in", v1, "-out", v3, "-codec", "auto"}); err != nil {
-		t.Fatal(err)
+	if err := cmdConvert([]string{"-in", v1, "-out", v3, "-codec", "auto"}); err == nil || !strings.Contains(err.Error(), "unsupported index version 1") {
+		t.Fatalf("convert of a v1 file: %v, want the version refused", err)
 	}
-	old, err := loadIndex(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := os.ReadFile(v3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(head) < 8 || binary.LittleEndian.Uint32(head[4:8]) != 3 {
-		t.Fatalf("convert of a v1 file wrote header % x, want version 3", head[:min(8, len(head))])
-	}
-	x, err = loadIndex(v3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < old.Bins(); b++ {
-		if !x.Bitmap(b).Equal(old.Bitmap(b)) || x.Count(b) != old.Count(b) {
-			t.Fatalf("bin %d diverged converting v1 to v3", b)
-		}
+	if _, err := os.Stat(v3); err == nil {
+		t.Fatal("convert of a refused v1 file wrote an output")
 	}
 	// Bad codec names — the retired dense included — error cleanly everywhere.
 	for _, c := range []string{"zstd", "dense"} {

@@ -540,7 +540,7 @@ var (
 type DatasetFile = store.Dataset
 
 // Re-exported storage API. WriteIndexFile emits the v3 checksummed
-// container; ReadIndexFile also reads the v2 and legacy all-WAH v1 layouts.
+// container, the one layout ReadIndexFile accepts.
 // ReadIndexFileCtx records a store.* child span when the context carries an
 // identity-trace span (see TraceRecorder).
 var (

@@ -14,7 +14,7 @@ import (
 )
 
 // ID names a bitmap encoding. The numeric values are the on-disk codec
-// tags of the v2 index format (see docs/FORMATS.md) — do not renumber.
+// tags of the index format (see docs/FORMATS.md) — do not renumber.
 type ID uint8
 
 const (
@@ -25,10 +25,9 @@ const (
 	WAH ID = 1
 	// BBC is the byte-aligned run-length codec (bitvec.BBC).
 	BBC ID = 2
-	// Dense is the tag of the retired uncompressed codec: one 31-bit
-	// segment per 32-bit word, no fill words. Files written before it was
-	// retired still carry it; New reads such a payload into a WAH vector.
-	// Nothing encodes or writes it.
+	// Dense is the tag of the retired uncompressed codec. Nothing encodes,
+	// writes or reads it: New refuses the tag. The name stays only as the
+	// key of a benchmark probe counter.
 	Dense ID = 3
 )
 
@@ -121,8 +120,8 @@ func EncodeRuns(e *bitvec.RunEncoder, id ID, n int, runs ...[]uint32) bitvec.Bit
 }
 
 // New decodes stored payload bytes under the given codec tag, validating
-// the encoding; the inverse of the store writer's Payload. A legacy Dense
-// payload is read into the WAH vector of the same bits.
+// the encoding; the inverse of the store writer's Payload. Only the two
+// tags Payload produces are accepted; the retired Dense tag is refused.
 func New(id ID, payload []byte, nbits int) (bitvec.Bitmap, error) {
 	switch id {
 	case WAH:
@@ -131,14 +130,10 @@ func New(id ID, payload []byte, nbits int) (bitvec.Bitmap, error) {
 			return nil, err
 		}
 		return bitvec.FromRawWords(words, nbits)
-	case Dense:
-		words, err := wordsOf(payload)
-		if err != nil {
-			return nil, err
-		}
-		return fromDenseWords(words, nbits)
 	case BBC:
 		return bitvec.BBCFromRaw(payload, nbits)
+	case Dense:
+		return nil, fmt.Errorf("codec: tag %d (dense) is retired", uint8(id))
 	default:
 		return nil, fmt.Errorf("codec: unknown codec tag %d", uint8(id))
 	}
@@ -178,30 +173,4 @@ func wordsOf(payload []byte) ([]uint32, error) {
 			uint32(payload[4*i+2])<<16 | uint32(payload[4*i+3])<<24
 	}
 	return words, nil
-}
-
-// fromDenseWords validates a Dense payload — one word per 31-bit segment,
-// bit 31 of every word clear, no set bit at or beyond nbits — and appends
-// its segments to a WAH vector, which merges the all-zero and all-one words
-// into fills.
-func fromDenseWords(words []uint32, nbits int) (*bitvec.Vector, error) {
-	if nbits < 0 {
-		return nil, fmt.Errorf("codec: negative bit length %d", nbits)
-	}
-	segs := (nbits + bitvec.SegmentBits - 1) / bitvec.SegmentBits
-	if len(words) != segs {
-		return nil, fmt.Errorf("codec: dense encoding has %d words, want %d for %d bits", len(words), segs, nbits)
-	}
-	var a bitvec.Appender
-	for i, w := range words {
-		width := min(bitvec.SegmentBits, nbits-i*bitvec.SegmentBits)
-		if w>>bitvec.SegmentBits != 0 {
-			return nil, fmt.Errorf("codec: dense word %d has bit 31 set (%#x)", i, w)
-		}
-		if w>>uint(width) != 0 {
-			return nil, fmt.Errorf("codec: dense encoding has set bits beyond length %d", nbits)
-		}
-		a.AppendPartial(w, width)
-	}
-	return a.Vector(), nil
 }

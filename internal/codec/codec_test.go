@@ -2,7 +2,7 @@ package codec
 
 import (
 	"math/rand"
-	"slices"
+	"strings"
 	"testing"
 
 	"insitubits/internal/bitvec"
@@ -146,50 +146,23 @@ func TestNewRejectsMalformed(t *testing.T) {
 	}
 }
 
-// densePayload writes bs the way the retired Dense codec stored it: one
-// little-endian u32 per 31-bit segment, bits 0–30 the segment, bit 31 clear.
-func densePayload(bs []bool) []byte {
-	out := make([]byte, 4*((len(bs)+bitvec.SegmentBits-1)/bitvec.SegmentBits))
-	for i, b := range bs {
-		if b {
-			j := i % bitvec.SegmentBits
-			out[4*(i/bitvec.SegmentBits)+j/8] |= 1 << uint(j%8)
-		}
-	}
-	return out
-}
-
-// Tag 3 is read-only: a Dense payload decodes to the WAH vector of the same
-// bits, under the three checks the Dense reader made.
-func TestNewReadsLegacyDense(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for _, p := range []float64{0, 0.01, 0.6, 1} {
-		for _, n := range []int{0, 1, 30, 31, 32, 62, 100, 997} {
-			bs := boolsAtDensity(r, n, p)
-			v := bitvec.FromBools(bs)
-			back, err := New(Dense, densePayload(bs), n)
-			if err != nil {
-				t.Fatalf("n=%d p=%.2f: New(Dense): %v", n, p, err)
-			}
-			if Of(back) != WAH || !slices.Equal(back.(*bitvec.Vector).RawWords(), v.RawWords()) {
-				t.Fatalf("n=%d p=%.2f: Dense payload read as %v %v, want WAH %v", n, p, Of(back), back, v)
-			}
-		}
-	}
-	for name, c := range map[string]struct {
+// The retired Dense tag is refused whatever its payload — a well-formed
+// Dense encoding included — and the error names the tag.
+func TestNewRefusesRetiredDense(t *testing.T) {
+	for _, c := range []struct {
 		payload []byte
 		nbits   int
 	}{
-		"word count":       {make([]byte, 8), 31},
-		"short":            {make([]byte, 4), 32},
-		"bit 31 set":       {[]byte{0, 0, 0, 0x80}, 31},
-		"bit past length":  {[]byte{0, 0x04, 0, 0}, 10},
-		"bit 30 of a tail": {[]byte{0, 0, 0, 0, 0, 0, 0, 0x40}, 33},
-		"ragged":           {make([]byte, 5), 31},
-		"negative length":  {nil, -1},
+		{nil, 0},
+		{[]byte{0xff, 0xff, 0xff, 0x7f}, 31},
+		{make([]byte, 8), 62},
 	} {
-		if _, err := New(Dense, c.payload, c.nbits); err == nil {
-			t.Fatalf("%s: malformed Dense payload accepted", name)
+		bm, err := New(Dense, c.payload, c.nbits)
+		if err == nil || bm != nil {
+			t.Fatalf("%d-bit Dense payload read as %v", c.nbits, bm)
+		}
+		if !strings.Contains(err.Error(), "tag 3 (dense) is retired") {
+			t.Fatalf("Dense refused with %q, want it to name the retired tag", err)
 		}
 	}
 }

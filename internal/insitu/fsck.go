@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"insitubits/internal/store"
@@ -65,9 +66,9 @@ func (r *FsckReport) Clean() bool { return len(r.Issues) == 0 }
 type FsckOptions struct {
 	// Repair brings the directory back to its journal — the torn journal
 	// tail, orphans and every file of a damaged step move to quarantine/ —
-	// and, for a completed run, rewrites the journal and the manifest over
-	// the surviving steps. Nothing is deleted. A directory whose journal
-	// cannot be folded is left as it is.
+	// and, for a completed run, drops the damaged steps from the journal
+	// and puts back the manifest as the journal's rendering. Nothing is
+	// deleted. A directory whose journal cannot be folded is left as it is.
 	Repair bool
 }
 
@@ -198,9 +199,12 @@ func restore(dir string, log *RunLog, repair bool) (*FsckReport, map[int]bool, e
 	return rep, bad, nil
 }
 
-// rewrite ends the repair of a completed run: the journal becomes its begin
-// record, the surviving select records and an end record over them, and the
-// manifest that journal's rendering.
+// rewrite ends the repair of a completed run. When damaged steps were
+// quarantined, the journal keeps every record of its valid prefix but
+// their select records and the end record, and closes with an end record
+// over the surviving steps. The manifest is rewritten as the journal's
+// rendering when the journal changed or the audit found it at fault;
+// otherwise both keep their bytes.
 func rewrite(dir string, rep *FsckReport, log *RunLog, bad map[int]bool) error {
 	kept := &RunLog{Begin: log.Begin}
 	for _, rec := range log.Committed() {
@@ -209,23 +213,34 @@ func rewrite(dir string, rep *FsckReport, log *RunLog, bad map[int]bool) error {
 		}
 	}
 	m, data := manifestOf(kept)
-	if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, ManifestName), data); err != nil {
-		return err
-	}
-	buf := journalHeader()
-	recs := append([]*JournalRecord{log.Begin}, kept.committed...)
-	for _, rec := range append(recs, &JournalRecord{Kind: KindEnd, Selected: m.Selected}) {
-		frame, err := encodeFrame(rec)
+	if len(bad) > 0 {
+		buf := journalHeader()
+		for i := range log.records {
+			rec := &log.records[i]
+			if rec.Kind == KindEnd || rec.Kind == KindSelect && bad[rec.Step] {
+				continue
+			}
+			frame, err := encodeFrame(rec)
+			if err != nil {
+				return err
+			}
+			buf = append(buf, frame...)
+		}
+		frame, err := encodeFrame(&JournalRecord{Kind: KindEnd, Selected: m.Selected})
 		if err != nil {
 			return err
 		}
-		buf = append(buf, frame...)
+		if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, JournalName), append(buf, frame...)); err != nil {
+			return err
+		}
+		rep.act(JournalName, "rewritten")
+	} else if !slices.ContainsFunc(rep.Issues, func(is FsckIssue) bool { return is.Path == ManifestName }) {
+		return nil
 	}
-	if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, JournalName), buf); err != nil {
+	if _, err := store.AtomicWriteBytes(nil, filepath.Join(dir, ManifestName), data); err != nil {
 		return err
 	}
 	rep.act(ManifestName, "rewritten")
-	rep.act(JournalName, "rewritten")
 	return nil
 }
 

@@ -369,3 +369,88 @@ func TestFsckRejectsEscapingPath(t *testing.T) {
 		t.Fatalf("escaping select record verified: %+v", rep)
 	}
 }
+
+// TestFsckRepairOfAStrayLeavesTheJournal: repairing a completed run whose
+// only fault is a stray file quarantines the stray and nothing else — the
+// journal and the manifest keep their bytes — and a second fsck is clean.
+func TestFsckRepairOfAStrayLeavesTheJournal(t *testing.T) {
+	dir := completedRun(t)
+	want := snapshot(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fsck(dir, FsckOptions{Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Repaired || len(rep.Issues) != 1 || rep.Issues[0].Action != "quarantined" {
+		t.Fatalf("repair of a stray: repaired %v, issues %+v", rep.Repaired, rep.Issues)
+	}
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, "notes.txt")); err != nil {
+		t.Fatalf("the stray is not in quarantine: %v", err)
+	}
+	sameSnapshot(t, "repaired stray", want, snapshot(t, dir))
+	if rep, err := Fsck(dir, FsckOptions{}); err != nil || !rep.Clean() {
+		t.Fatalf("fsck after repair: %v, issues %+v", err, rep.Issues)
+	}
+}
+
+// TestFsckRepairKeepsScoreRecords: dropping a damaged step from a completed
+// run's journal removes that step's select record and the end record and
+// nothing else — every score record survives — and closes the journal with
+// an end record over the surviving steps.
+func TestFsckRepairKeepsScoreRecords(t *testing.T) {
+	dir := completedRun(t)
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := m.Files[len(m.Files)-1]
+	flipByte(t, filepath.Join(dir, victim.Path), -10)
+	before := journalRecords(t, dir)
+	want := []JournalRecord{}
+	scores := 0
+	for _, rec := range before {
+		switch {
+		case rec.Kind == KindScore:
+			scores++
+		case rec.Kind == KindEnd, rec.Kind == KindSelect && rec.Step == victim.Step:
+			continue
+		}
+		want = append(want, rec)
+	}
+	if scores == 0 {
+		t.Fatal("the run journaled no score records")
+	}
+	var selected []int
+	for _, s := range m.Selected {
+		if s != victim.Step {
+			selected = append(selected, s)
+		}
+	}
+	want = append(want, JournalRecord{Kind: KindEnd, Selected: selected})
+
+	if _, err := Fsck(dir, FsckOptions{Repair: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := journalRecords(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("repaired journal holds %d records, want %d, %d of them scores", len(got), len(want), scores)
+	}
+	if rep, err := Fsck(dir, FsckOptions{}); err != nil || !rep.Clean() {
+		t.Fatalf("fsck after repair: %v, issues %+v", err, rep.Issues)
+	}
+}
+
+// journalRecords parses dir's journal, which must be whole.
+func journalRecords(t *testing.T, dir string) []JournalRecord {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, valid, err := ParseJournal(data)
+	if err != nil || valid != int64(len(data)) {
+		t.Fatalf("journal: %v, valid prefix %d of %d bytes", err, valid, len(data))
+	}
+	return recs
+}

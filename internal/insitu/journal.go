@@ -292,6 +292,8 @@ type RunLog struct {
 	// Frontier is the last step with a score or select record, -1 if none.
 	Frontier int
 
+	// records is the valid prefix as journaled, begin record first.
+	records   []JournalRecord
 	committed []*JournalRecord
 }
 
@@ -332,7 +334,7 @@ func ReadRunLog(dir string) (*RunLog, error) {
 		log.Damage = fmt.Errorf("insitu: journal does not open with a begin record (got %q)", recs[0].Kind)
 		return log, nil
 	}
-	log.Begin = &recs[0]
+	log.Begin, log.records = &recs[0], recs
 	selects := map[int]*JournalRecord{}
 	for i := 1; i < len(recs); i++ {
 		switch rec := &recs[i]; rec.Kind {

@@ -64,8 +64,8 @@ type Config struct {
 	Seed      int64   // sampler seed
 
 	// Codec selects the per-bin bitmap encoding for Method == Bitmaps. The
-	// zero value (codec.Auto) stores each bin in the smaller of WAH and BBC.
-	// Pin codec.WAH to reproduce pre-v2 output exactly.
+	// zero value (codec.Auto) stores each bin in the smaller of WAH and BBC;
+	// codec.WAH or codec.BBC stores every bin in that one.
 	Codec codec.ID
 
 	// Metric scores each step against the previous selection; the steps

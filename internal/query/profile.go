@@ -17,7 +17,7 @@ import (
 // explain mode they are estimates from the per-bin index stats (encoded
 // size, cached count, codec) without executing anything.
 //
-// Word semantics are codec-native: for WAH and Dense, WordsScanned is the
+// Word semantics are codec-native: for WAH, WordsScanned is the
 // number of encoded 32-bit words and FillWords/LiteralWords split them by
 // kind; for BBC, WordsScanned is the byte stream rounded up to 32-bit words
 // while FillWords counts run tokens and LiteralWords literal payload bytes.

@@ -208,25 +208,29 @@ func TestBitsAnswerWalksOnce(t *testing.T) {
 	}
 }
 
+// badRequests are requests the two-variable test catalog refuses, with the
+// status each gets; FuzzServeRequest mutates them.
+var badRequests = []struct {
+	name string
+	req  *QueryRequest
+	code int
+}{
+	{"unknown op", &QueryRequest{Op: "drop-tables", Var: "temp"}, http.StatusBadRequest},
+	{"unknown var", &QueryRequest{Op: "count", Var: "nope"}, http.StatusBadRequest},
+	{"ambiguous var", &QueryRequest{Op: "count"}, http.StatusBadRequest},
+	{"correlation missing b", &QueryRequest{Op: "correlation", Var: "temp"}, http.StatusBadRequest},
+	{"inverted spatial range", &QueryRequest{Op: "count", Var: "temp", SpatialLo: 9000, SpatialHi: 100}, http.StatusBadRequest},
+	{"empty spatial range", &QueryRequest{Op: "bits", Var: "temp", SpatialLo: 5, SpatialHi: 5}, http.StatusBadRequest},
+	{"inverted correlation range", &QueryRequest{Op: "correlation", Var: "temp", VarB: "temp", SpatialLo: 9000, SpatialHi: 100, BSpatialLo: 9000, BSpatialHi: 100}, http.StatusBadRequest},
+	{"inverted explain range", &QueryRequest{Op: "explain", Var: "temp", SpatialLo: 9000, SpatialHi: 100}, http.StatusBadRequest},
+	{"inverted value range", &QueryRequest{Op: "count", Var: "temp", ValueLo: 60, ValueHi: 20}, http.StatusBadRequest},
+	{"value range without hi", &QueryRequest{Op: "sum", Var: "temp", ValueLo: 50}, http.StatusBadRequest},
+	{"inverted correlation value range", &QueryRequest{Op: "correlation", Var: "temp", VarB: "temp", BValueLo: 60, BValueHi: 20}, http.StatusBadRequest},
+}
+
 func TestHandlerErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, tc := range []struct {
-		name string
-		req  *QueryRequest
-		code int
-	}{
-		{"unknown op", &QueryRequest{Op: "drop-tables", Var: "temp"}, http.StatusBadRequest},
-		{"unknown var", &QueryRequest{Op: "count", Var: "nope"}, http.StatusBadRequest},
-		{"ambiguous var", &QueryRequest{Op: "count"}, http.StatusBadRequest},
-		{"correlation missing b", &QueryRequest{Op: "correlation", Var: "temp"}, http.StatusBadRequest},
-		{"inverted spatial range", &QueryRequest{Op: "count", Var: "temp", SpatialLo: 9000, SpatialHi: 100}, http.StatusBadRequest},
-		{"empty spatial range", &QueryRequest{Op: "bits", Var: "temp", SpatialLo: 5, SpatialHi: 5}, http.StatusBadRequest},
-		{"inverted correlation range", &QueryRequest{Op: "correlation", Var: "temp", VarB: "temp", SpatialLo: 9000, SpatialHi: 100, BSpatialLo: 9000, BSpatialHi: 100}, http.StatusBadRequest},
-		{"inverted explain range", &QueryRequest{Op: "explain", Var: "temp", SpatialLo: 9000, SpatialHi: 100}, http.StatusBadRequest},
-		{"inverted value range", &QueryRequest{Op: "count", Var: "temp", ValueLo: 60, ValueHi: 20}, http.StatusBadRequest},
-		{"value range without hi", &QueryRequest{Op: "sum", Var: "temp", ValueLo: 50}, http.StatusBadRequest},
-		{"inverted correlation value range", &QueryRequest{Op: "correlation", Var: "temp", VarB: "temp", BValueLo: 60, BValueHi: 20}, http.StatusBadRequest},
-	} {
+	for _, tc := range badRequests {
 		_, hresp := postQuery(t, ts.URL, tc.req)
 		if hresp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d", tc.name, hresp.StatusCode, tc.code)

@@ -10,6 +10,7 @@ import (
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
+	"insitubits/internal/codec"
 	"insitubits/internal/index"
 )
 
@@ -26,22 +27,42 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("ISBM"))
 	f.Add([]byte{})
-	f.Add(LegacyDenseFile(LegacyDenseIndex(f), 3, nil))
-	// A v1 file of three elements whose second bin, one literal word, has
-	// bit 5 set: a bit past the length, which no reader may accept.
-	past := readFixture(f, "v1-three.isbm")
-	binary.LittleEndian.PutUint32(past[len(past)-4:], 1<<5)
-	f.Add(past)
-	// The same file with the second bin's literal setting bit 1, which the
-	// first bin holds: an element in two bins, which the door refuses.
-	twice := readFixture(f, "v1-three.isbm")
-	binary.LittleEndian.PutUint32(twice[len(twice)-4:], 1<<1)
-	f.Add(twice)
-	f.Add(readFixture(f, "v1.isbm"))
+	// Must-refuse seeds: the retired layouts — the v1 fixtures, a v2 file
+	// and a v3 file carrying a Dense bin — and two v3 files of three
+	// elements whose second bin, one WAH literal, sets bit 5 (past the
+	// length, which no reader may accept) or bit 1 (held by the first bin
+	// too, an element in two bins, which the door refuses).
+	three := buildIndexF(f, 3, 2)
+	literal := func(word uint32) []byte {
+		return handFile(three, 3, func(b int) (byte, []byte) {
+			if b == 0 {
+				return byte(three.Codec(0)), codec.Payload(three.Bitmap(0))
+			}
+			return byte(codec.WAH), binary.LittleEndian.AppendUint32(nil, word)
+		})
+	}
+	refuse := map[string]bool{}
+	for _, seed := range [][]byte{
+		readFixture(f, "v1.isbm"),
+		readFixture(f, "v1-three.isbm"),
+		LegacyDenseFile(LegacyDenseIndex(f), 2),
+		LegacyDenseFile(LegacyDenseIndex(f), 3),
+		literal(1 << 5),
+		literal(1 << 1),
+	} {
+		refuse[string(seed)] = true
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		y, err := ReadIndex(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if refuse[string(data)] {
+			t.Fatal("accepted a must-refuse seed")
+		}
+		if binary.LittleEndian.Uint32(data[4:8]) != version {
+			t.Fatalf("accepted a file of version %d", binary.LittleEndian.Uint32(data[4:8]))
 		}
 		if y.Bins() == 0 {
 			t.Fatal("parsed index with zero bins")
@@ -98,8 +119,13 @@ func FuzzReadRaw(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte("ISRW"))
+	// Must refuse: the same array without its checksum footer.
+	bare := footerless([]float64{1, 2, 3})
+	f.Add(bare)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadRaw(bytes.NewReader(data))
+		if _, err := ReadRaw(bytes.NewReader(data)); err == nil && bytes.Equal(data, bare) {
+			t.Fatal("accepted a footer-less array")
+		}
 	})
 }
 
@@ -122,8 +148,8 @@ func FuzzReadDataset(f *testing.F) {
 // readFixture returns a file of testdata/. The v1 files there were written
 // once by the v1 writer this package had at commit 420eb42, the last to
 // have one: v1.isbm is buildIndex(t, 22, 2000, 12) recoded under codec.Auto,
-// v1-three.isbm is buildIndexF(f, 3, 2). Nothing writes v1 any more; the
-// reader must keep reading it.
+// v1-three.isbm is buildIndexF(f, 3, 2). Nothing writes v1 any more, and
+// the reader must refuse it.
 func readFixture(tb testing.TB, name string) []byte {
 	tb.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))

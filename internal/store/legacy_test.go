@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
-	"slices"
+	"strings"
 	"testing"
 
 	"insitubits/internal/binning"
@@ -13,15 +15,41 @@ import (
 	"insitubits/internal/index"
 )
 
-// Files written while the adaptive policy still stored bins at ≥ 50 %
-// density as the uncompressed Dense codec (tag 3). They are built here by
-// hand from docs/FORMATS.md, so the reader is held to the format rather than
-// to a writer that no longer exists.
+// Retired layouts: the v1 and v2 index containers and the Dense codec
+// (tag 3). Nothing writes them and ReadIndex refuses them. The files here
+// are built by hand from docs/FORMATS.md, or are the v1 fixtures in
+// testdata/, so the refusal is held to the bytes those layouts had.
 
-// LegacyDenseIndex is an index with what those files held: one bin with
-// 70 % of the elements, the others under the adaptive policy's WAH and BBC.
-// n = 3000 leaves a 24-bit final segment, so a Dense word can carry bits
-// past the length.
+// handFile frames x's header by hand under the given version, then each
+// bin as the record bin returns; under version 3 each record is followed
+// by its CRC32C and the file by the "ISCK" footer, as WriteIndex does.
+func handFile(x *index.Index, version uint32, bin func(b int) (tag byte, payload []byte)) []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint32([]byte("ISBM"), version)
+	out = le.AppendUint64(out, uint64(x.N()))
+	out = le.AppendUint32(out, uint32(x.Bins()))
+	for _, e := range binning.Edges(x.Mapper()) {
+		out = le.AppendUint64(out, math.Float64bits(e))
+	}
+	for b := 0; b < x.Bins(); b++ {
+		tag, payload := bin(b)
+		rec := le.AppendUint32([]byte{tag}, uint32(len(payload)))
+		rec = append(rec, payload...)
+		out = append(out, rec...)
+		if version == 3 {
+			out = le.AppendUint32(out, CRC32C(rec))
+		}
+	}
+	if version == 3 {
+		crc := CRC32C(out)
+		out = le.AppendUint32(append(out, "ISCK"...), crc)
+	}
+	return out
+}
+
+// LegacyDenseIndex is an index with what the Dense-era files held: one bin
+// with 70 % of the elements, which the retired policy stored as Dense, the
+// others under the adaptive policy's WAH and BBC.
 func LegacyDenseIndex(tb testing.TB) *index.Index {
 	tb.Helper()
 	data := make([]float64, 3000)
@@ -38,94 +66,109 @@ func LegacyDenseIndex(tb testing.TB) *index.Index {
 	return index.Build(data, m).Recode(codec.Auto)
 }
 
-// isLegacyDense reports whether the retired policy stored bin b as Dense.
-func isLegacyDense(x *index.Index, b int) bool { return 2*x.Count(b) >= x.N() }
-
 // LegacyDenseFile is x as a version-2 or -3 file of that time: every bin
-// the retired policy made Dense carries tag 3 and one u32 per 31-bit segment,
-// the others their own codec. mutate, when not nil, edits each Dense payload
-// before it is framed and, in v3, checksummed.
-func LegacyDenseFile(x *index.Index, version uint32, mutate func([]byte) []byte) []byte {
-	le := binary.LittleEndian
-	out := le.AppendUint32([]byte("ISBM"), version)
-	out = le.AppendUint64(out, uint64(x.N()))
-	out = le.AppendUint32(out, uint32(x.Bins()))
-	for _, e := range binning.Edges(x.Mapper()) {
-		out = le.AppendUint64(out, math.Float64bits(e))
-	}
-	for b := 0; b < x.Bins(); b++ {
-		tag, payload := byte(x.Codec(b)), codec.Payload(x.Bitmap(b))
-		if isLegacyDense(x, b) {
-			tag, payload = byte(codec.Dense), densePayload(x.Bitmap(b))
-			if mutate != nil {
-				payload = mutate(payload)
-			}
+// holding at least half the elements carries tag 3 and one u32 per 31-bit
+// segment (bit 31 clear), the others their own codec.
+func LegacyDenseFile(x *index.Index, version uint32) []byte {
+	return handFile(x, version, func(b int) (byte, []byte) {
+		if 2*x.Count(b) < x.N() {
+			return byte(x.Codec(b)), codec.Payload(x.Bitmap(b))
 		}
-		rec := le.AppendUint32([]byte{tag}, uint32(len(payload)))
-		rec = append(rec, payload...)
-		out = append(out, rec...)
-		if version == 3 {
-			out = le.AppendUint32(out, CRC32C(rec))
-		}
-	}
-	if version == 3 {
-		crc := CRC32C(out)
-		out = le.AppendUint32(append(out, "ISCK"...), crc)
-	}
-	return out
-}
-
-// densePayload is the Dense encoding of bm: bit j of segment s is bit j of
-// the s-th little-endian u32, bit 31 clear.
-func densePayload(bm bitvec.Bitmap) []byte {
-	out := make([]byte, 4*((bm.Len()+bitvec.SegmentBits-1)/bitvec.SegmentBits))
-	for i, set := range bitvec.Bools(bm) {
-		if set {
+		bm := x.Bitmap(b)
+		payload := make([]byte, 4*((bm.Len()+bitvec.SegmentBits-1)/bitvec.SegmentBits))
+		bm.Iterate(func(i int) bool {
 			j := i % bitvec.SegmentBits
-			out[4*(i/bitvec.SegmentBits)+j/8] |= 1 << uint(j%8)
-		}
-	}
-	return out
+			payload[4*(i/bitvec.SegmentBits)+j/8] |= 1 << uint(j%8)
+			return true
+		})
+		return byte(codec.Dense), payload
+	})
 }
 
-// A tag-3 bin reads as its WAH twin, in v2 and v3 files alike; a malformed
-// Dense payload is an error, never a bitmap.
-func TestReadsLegacyDenseBins(t *testing.T) {
-	x := LegacyDenseIndex(t)
-	for _, version := range []uint32{2, 3} {
-		y, err := ReadIndex(bytes.NewReader(LegacyDenseFile(x, version, nil)))
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		dense := 0
-		for b := 0; b < x.Bins(); b++ {
-			if y.Count(b) != x.Count(b) || !y.Bitmap(b).Equal(x.Bitmap(b)) {
-				t.Fatalf("v%d: bin %d read back different bits", version, b)
-			}
-			if !isLegacyDense(x, b) {
-				if y.Codec(b) != x.Codec(b) {
-					t.Fatalf("v%d: bin %d read as %v, stored as %v", version, b, y.Codec(b), x.Codec(b))
-				}
-				continue
-			}
-			dense++
-			twin := bitvec.ToVector(x.Bitmap(b)).RawWords()
-			if got, ok := y.Bitmap(b).(*bitvec.Vector); !ok || !slices.Equal(got.RawWords(), twin) {
-				t.Fatalf("v%d: Dense bin %d read as %v, want its WAH twin", version, b, y.Bitmap(b))
-			}
-		}
-		if dense == 0 {
-			t.Fatal("the index holds no bin the retired policy made Dense")
-		}
+// countingReader counts the bytes a reader pulled from r.
+type countingReader struct {
+	r io.Reader
+	n int
+}
 
-		for name, mutate := range map[string]func([]byte) []byte{
-			"word count":       func(p []byte) []byte { return p[:len(p)-4] },
-			"bit 31 set":       func(p []byte) []byte { p[3] |= 0x80; return p },
-			"bits past length": func(p []byte) []byte { p[len(p)-1] |= 0x40; return p },
-		} {
-			if _, err := ReadIndex(bytes.NewReader(LegacyDenseFile(x, version, mutate))); err == nil {
-				t.Errorf("v%d: Dense payload with a bad %s accepted", version, name)
-			}
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// Every retired container — the v1 fixtures, a v2 file, and a v3 file
+// whose version field reads 1 or 2 — is refused from its header, after
+// reading exactly its 8 bytes of magic and version.
+func TestRetiredLayoutsRefusedFromHeader(t *testing.T) {
+	var v3 bytes.Buffer
+	if _, err := WriteIndex(&v3, LegacyDenseIndex(t)); err != nil {
+		t.Fatal(err)
+	}
+	relabel := func(ver uint32) []byte {
+		d := bytes.Clone(v3.Bytes())
+		binary.LittleEndian.PutUint32(d[4:], ver)
+		return d
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		ver  int
+	}{
+		{"testdata/v1.isbm", readFixture(t, "v1.isbm"), 1},
+		{"testdata/v1-three.isbm", readFixture(t, "v1-three.isbm"), 1},
+		{"v2 with Dense bins", LegacyDenseFile(LegacyDenseIndex(t), 2), 2},
+		{"v3 relabelled 1", relabel(1), 1},
+		{"v3 relabelled 2", relabel(2), 2},
+	} {
+		r := &countingReader{r: bytes.NewReader(c.data)}
+		x, err := ReadIndex(r)
+		want := fmt.Sprintf("store: unsupported index version %d", c.ver)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: read %v, %v; want %q", c.name, x, err, want)
+		}
+		if r.n != 8 {
+			t.Errorf("%s: refused after reading %d bytes, want 8", c.name, r.n)
 		}
 	}
+}
+
+// A v3 file with a Dense bin, checksums intact, is refused at that bin with
+// the codec's error naming the retired tag.
+func TestRefusesLegacyDenseBins(t *testing.T) {
+	x := LegacyDenseIndex(t)
+	dense := -1
+	for b := 0; b < x.Bins() && dense < 0; b++ {
+		if 2*x.Count(b) >= x.N() {
+			dense = b
+		}
+	}
+	if dense < 0 {
+		t.Fatal("the index holds no bin the retired policy made Dense")
+	}
+	_, err := ReadIndex(bytes.NewReader(LegacyDenseFile(x, 3)))
+	want := fmt.Sprintf("store: bin %d: codec: tag 3 (dense) is retired", dense)
+	if err == nil || err.Error() != want {
+		t.Fatalf("v3 file with a Dense bin read with error %v, want %q", err, want)
+	}
+}
+
+// A raw array without the "ISCK" footer — the layout before checksums — is
+// refused, its last element spelling the footer magic or not.
+func TestReadRawRefusesFooterless(t *testing.T) {
+	for _, last := range []float64{3, math.Float64frombits(binary.LittleEndian.Uint64([]byte("ISCK\x00\x00\x00\x00")))} {
+		file := footerless([]float64{1, 2, last})
+		if data, err := ReadRaw(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "footer") {
+			t.Errorf("footer-less array ending %v read as %v, %v", last, data, err)
+		}
+	}
+}
+
+// footerless is data in the raw layout without its checksum footer.
+func footerless(data []float64) []byte {
+	out := binary.LittleEndian.AppendUint64([]byte("ISRW"), uint64(len(data)))
+	for _, v := range data {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
 }

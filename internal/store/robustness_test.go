@@ -76,7 +76,7 @@ func TestReadersNeverPanic(t *testing.T) {
 func TestHeaderBombsRejected(t *testing.T) {
 	// Index declaring 2^31 bins.
 	bomb := append([]byte("ISBM"),
-		1, 0, 0, 0, // version
+		3, 0, 0, 0, // version
 		0, 0, 0, 0, 0, 0, 0, 0, // n
 		0xFF, 0xFF, 0xFF, 0x7F, // bins
 	)

@@ -1,32 +1,29 @@
 // Package store defines the on-disk formats: a compact binary container for
 // compressed bitmap indices (what the in-situ pipeline writes instead of raw
 // data) and a raw float64 array format for the full-data baseline. Both are
-// little-endian, versioned, validated on read, and — from container version
-// 3 — checksummed with CRC32C so torn writes and flipped bits are detected
-// instead of silently decoded. docs/FORMATS.md specifies every layout
-// byte-by-byte; docs/ROBUSTNESS.md covers the crash model.
+// little-endian, validated on read, and checksummed with CRC32C so torn
+// writes and flipped bits are detected instead of silently decoded. Each
+// reader accepts exactly the one layout its writer produces.
+// docs/FORMATS.md specifies both byte-by-byte; docs/ROBUSTNESS.md covers
+// the crash model.
 //
 // Index file layout (all integers little-endian):
 //
 //	magic   "ISBM" (4 bytes)
-//	version u32 (3; version-1 and -2 files are still read)
+//	version u32 (3)
 //	n       u64  elements indexed
 //	bins    u32
 //	edges   (bins+1) × f64   bin boundaries (reconstructs the binning)
-//	per bin (v3):
-//	    codec  u8            codec tag (1=WAH, 2=BBC; 3=Dense is read, never written)
+//	per bin:
+//	    codec  u8            codec tag (1=WAH, 2=BBC)
 //	    nbytes u32
 //	    nbytes × u8          encoded payload
 //	    crc    u32           CRC32C of codec ‖ nbytes ‖ payload
-//	per bin (v2): as v3 without the trailing crc
-//	per bin (v1):
-//	    words u32
-//	    words × u32          WAH-encoded words
-//	footer (v3 only):
+//	footer:
 //	    magic "ISCK" (4 bytes)
 //	    crc   u32            CRC32C of every byte before the footer
 //
-// The raw-array format gains the same footer; see WriteRaw.
+// The raw-array format closes with the same footer; see WriteRaw.
 package store
 
 import (
@@ -45,18 +42,14 @@ import (
 const (
 	indexMagic = "ISBM"
 	rawMagic   = "ISRW"
-	// footerMagic opens the whole-file checksum footer of the v3 index and
-	// checksummed raw containers.
+	// footerMagic opens the whole-file checksum footer of the index and
+	// raw containers.
 	footerMagic = "ISCK"
-	// version is the container version WriteIndex produces; ReadIndex also
-	// accepts the un-checksummed version 2 and the all-WAH version 1.
-	version   = 3
-	versionV2 = 2
-	versionV1 = 1
-	// maxWords bounds a single bitvector's word count on a v1 read.
-	maxWords = 1 << 28
-	// maxPayload bounds a single bin's byte count on a v2/v3 read.
-	maxPayload = 4 * maxWords
+	// version is the one index container version WriteIndex produces and
+	// ReadIndex accepts.
+	version = 3
+	// maxPayload bounds a single bin's byte count on a read.
+	maxPayload = 1 << 30
 	// footerSize is the byte size of the "ISCK" + crc footer.
 	footerSize = 8
 )
@@ -74,7 +67,7 @@ func WriteIndex(w io.Writer, x *index.Index) (int64, error) {
 	}
 	for b := 0; b < x.Bins(); b++ {
 		cw.sect = 0
-		if err := writeBinV2(cw, x, b); err != nil {
+		if err := writeBin(cw, x, b); err != nil {
 			return cw.n, err
 		}
 		if err := binary.Write(cw, binary.LittleEndian, cw.sect); err != nil {
@@ -96,9 +89,9 @@ func WriteIndex(w io.Writer, x *index.Index) (int64, error) {
 	return cw.n, nil
 }
 
-// writeBinV2 emits one codec-tagged bin record (the v2 layout, which v3
-// wraps with a trailing checksum).
-func writeBinV2(cw *sumWriter, x *index.Index, b int) error {
+// writeBin emits one bin record's codec tag, payload length and payload;
+// WriteIndex follows it with the record's checksum.
+func writeBin(cw *sumWriter, x *index.Index, b int) error {
 	bm := x.Bitmap(b)
 	id := codec.Of(bm)
 	if !id.Concrete() {
@@ -127,7 +120,7 @@ func writeHeader(w io.Writer, x *index.Index) error {
 	return binary.Write(w, binary.LittleEndian, binning.Edges(x.Mapper()))
 }
 
-// IndexSize returns the exact byte size WriteIndex (v3) will produce,
+// IndexSize returns the exact byte size WriteIndex will produce,
 // letting the pipeline account modelled I/O without serializing.
 func IndexSize(x *index.Index) int64 {
 	n := int64(4 + 4 + 8 + 4) // magic, version, n, bins
@@ -154,32 +147,27 @@ func validEdges(edges []float64) error {
 	return nil
 }
 
-// ReadIndex parses an index written by WriteIndex (v3), an un-checksummed
-// v2 file, or a legacy all-WAH v1 file (nothing writes v1 or v2 any more);
-// v1 bins load as WAH. For v3 files
-// every per-bin checksum and the whole-file footer are verified — a
-// mismatch returns an error wrapping ErrChecksum, never a silently wrong
-// index. Trailing bytes after the container are rejected for all versions.
-// Whatever the version, the header's shape is checked before anything it
+// ReadIndex parses an index written by WriteIndex: version 3 only. Magic
+// and version are read unbuffered, so another file kind or a retired
+// layout (v1, v2) is refused after 8 bytes. Every per-bin checksum and the
+// whole-file footer are verified — a mismatch returns an error wrapping
+// ErrChecksum, never a silently wrong index — and trailing bytes after the
+// container are rejected. The header's shape is checked before anything it
 // sizes is allocated, and the bitmaps go through index.FromParts, which
 // refuses bins that do not tile the elements.
 func ReadIndex(r io.Reader) (*index.Index, error) {
 	defer timeIO(tel.readNs)()
-	cr := &sumReader{r: bufio.NewReader(r)}
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("store: reading magic: %w", err)
+	var head [8]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("store: reading header: %w", err)
 	}
-	if string(magic[:]) != indexMagic {
-		return nil, fmt.Errorf("store: bad magic %q, not a bitmap index file", magic)
+	if string(head[:4]) != indexMagic {
+		return nil, fmt.Errorf("store: bad magic %q, not a bitmap index file", head[:4])
 	}
-	var ver uint32
-	if err := binary.Read(cr, binary.LittleEndian, &ver); err != nil {
-		return nil, err
-	}
-	if ver != version && ver != versionV2 && ver != versionV1 {
+	if ver := binary.LittleEndian.Uint32(head[4:]); ver != version {
 		return nil, fmt.Errorf("store: unsupported index version %d", ver)
 	}
+	cr := &sumReader{r: bufio.NewReader(r), file: CRC32C(head[:])}
 	var n uint64
 	if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
 		return nil, err
@@ -204,22 +192,12 @@ func ReadIndex(r io.Reader) (*index.Index, error) {
 	}
 	vecs := make([]bitvec.Bitmap, bins)
 	for b := range vecs {
-		var bm bitvec.Bitmap
-		var err error
-		if ver == versionV1 {
-			bm, err = readBinV1(cr, int(n))
-		} else {
-			bm, err = readBin(cr, int(n), ver == version)
-		}
-		if err != nil {
+		if vecs[b], err = readBin(cr, int(n)); err != nil {
 			return nil, fmt.Errorf("store: bin %d: %w", b, err)
 		}
-		vecs[b] = bm
 	}
-	if ver == version {
-		if err := readFooter(cr); err != nil {
-			return nil, err
-		}
+	if err := readFooter(cr); err != nil {
+		return nil, err
 	}
 	if err := expectEOF(cr); err != nil {
 		return nil, err
@@ -263,26 +241,10 @@ func expectEOF(r io.Reader) error {
 	return nil
 }
 
-func readBinV1(r io.Reader, nbits int) (bitvec.Bitmap, error) {
-	var words uint32
-	if err := binary.Read(r, binary.LittleEndian, &words); err != nil {
-		return nil, fmt.Errorf("header: %w", err)
-	}
-	if words > maxWords {
-		return nil, fmt.Errorf("declares %d words", words)
-	}
-	raw := make([]uint32, words)
-	if err := binary.Read(r, binary.LittleEndian, raw); err != nil {
-		return nil, fmt.Errorf("payload: %w", err)
-	}
-	return bitvec.FromRawWords(raw, nbits)
-}
-
-// readBin parses one codec-tagged bin record (v2), followed under v3
-// (summed) by a CRC32C of it, which is verified before the payload is
-// decoded, so a flipped bit can never reach the codec parsers as plausible
-// input.
-func readBin(cr *sumReader, nbits int, summed bool) (bitvec.Bitmap, error) {
+// readBin parses one codec-tagged bin record and the CRC32C that follows
+// it, which is verified before the payload is decoded, so a flipped bit can
+// never reach the codec parsers as plausible input.
+func readBin(cr *sumReader, nbits int) (bitvec.Bitmap, error) {
 	cr.sect = 0
 	var tag [1]byte
 	if _, err := io.ReadFull(cr, tag[:]); err != nil {
@@ -299,22 +261,20 @@ func readBin(cr *sumReader, nbits int, summed bool) (bitvec.Bitmap, error) {
 	if _, err := io.ReadFull(cr, payload); err != nil {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
-	if sect := cr.sect; summed {
-		var stored uint32
-		if err := binary.Read(cr, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("checksum: %w", err)
-		}
-		if stored != sect {
-			return nil, fmt.Errorf("record checksum %08x, stored %08x: %w", sect, stored, ErrChecksum)
-		}
+	sect := cr.sect
+	var stored uint32
+	if err := binary.Read(cr, binary.LittleEndian, &stored); err != nil {
+		return nil, fmt.Errorf("checksum: %w", err)
+	}
+	if stored != sect {
+		return nil, fmt.Errorf("record checksum %08x, stored %08x: %w", sect, stored, ErrChecksum)
 	}
 	return codec.New(codec.ID(tag[0]), payload, nbits)
 }
 
 // WriteRaw serializes a raw float64 array (the full-data baseline's
-// output), closing with the same "ISCK" checksum footer as the v3 index
-// container. Pre-footer files (written before checksumming existed) are
-// still read.
+// output), closing with the same "ISCK" checksum footer as the index
+// container.
 func WriteRaw(w io.Writer, data []float64) (int64, error) {
 	defer timeIO(tel.writeNs)()
 	bw := bufio.NewWriter(w)
@@ -372,9 +332,8 @@ func readFloats(r io.Reader, n uint64) ([]float64, error) {
 	return data, nil
 }
 
-// ReadRaw parses an array written by WriteRaw. Files that end exactly
-// after the data are the legacy un-checksummed layout and load as-is; a
-// present footer is verified.
+// ReadRaw parses an array written by WriteRaw: the footer is required and
+// verified, and trailing bytes after it are rejected.
 func ReadRaw(r io.Reader) ([]float64, error) {
 	defer timeIO(tel.readNs)()
 	cr := &sumReader{r: bufio.NewReader(r)}
@@ -393,39 +352,11 @@ func ReadRaw(r io.Reader) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	fileCRC := cr.file
-	var fmagic [4]byte
-	switch _, err := io.ReadFull(cr, fmagic[:]); err {
-	case io.EOF:
-		// Legacy layout: the file ends exactly after the data. One corruption
-		// can masquerade as it — a count inflated to swallow the footer into
-		// the data region — so a final element whose bytes open with the
-		// footer magic is rejected as ambiguous rather than returned as data
-		// (a genuine legacy array hits this with probability ~2^-32 per
-		// element; checksummed rewrites are the way out).
-		if len(data) > 0 {
-			var lb [8]byte
-			binary.LittleEndian.PutUint64(lb[:], math.Float64bits(data[len(data)-1]))
-			if string(lb[:4]) == footerMagic {
-				return nil, fmt.Errorf("store: raw array's last element looks like a checksum footer the count does not account for: %w", ErrChecksum)
-			}
-		}
-	case nil:
-		if string(fmagic[:]) != footerMagic {
-			return nil, fmt.Errorf("store: trailing data after raw array")
-		}
-		var stored uint32
-		if err := binary.Read(cr, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("store: reading footer checksum: %w", err)
-		}
-		if stored != fileCRC {
-			return nil, fmt.Errorf("store: file checksum %08x, footer says %08x: %w", fileCRC, stored, ErrChecksum)
-		}
-		if err := expectEOF(cr); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("store: reading checksum footer: %w", err)
+	if err := readFooter(cr); err != nil {
+		return nil, err
+	}
+	if err := expectEOF(cr); err != nil {
+		return nil, err
 	}
 	tel.rawRead.Inc()
 	tel.bytesRead.Add(RawSize(len(data)))

@@ -10,7 +10,8 @@ import (
 	"insitubits/internal/codec"
 )
 
-// TestV2PreservesCodecs writes an index whose bins carry different codecs
+// TestV2PreservesCodecs (named for the container version that introduced
+// per-bin codec tags) writes an index whose bins carry different codecs
 // and checks each bin comes back under the same encoding with the same bits.
 func TestV2PreservesCodecs(t *testing.T) {
 	for _, id := range []codec.ID{codec.Auto, codec.WAH, codec.BBC} {
@@ -51,32 +52,9 @@ func TestV2PreservesCodecs(t *testing.T) {
 	}
 }
 
-// TestV1Compat checks the legacy all-WAH layout still loads, bit-for-bit,
-// from a file the retired v1 writer made of an index recoded under auto.
-func TestV1Compat(t *testing.T) {
-	x := buildIndex(t, 22, 2000, 12).Recode(codec.Auto)
-	data := readFixture(t, "v1.isbm")
-	// The v1 header literally declares version 1.
-	if ver := binary.LittleEndian.Uint32(data[4:8]); ver != 1 {
-		t.Fatalf("fixture declares version %d", ver)
-	}
-	y, err := ReadIndex(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < x.Bins(); b++ {
-		if y.Codec(b) != codec.WAH {
-			t.Fatalf("bin %d loaded from v1 as %v, want WAH", b, y.Codec(b))
-		}
-		if !x.Bitmap(b).Equal(y.Bitmap(b)) {
-			t.Fatalf("bin %d differs after v1 round trip", b)
-		}
-	}
-}
-
-// v2File builds a small valid v2 index file for the corruption table to
+// smallFile builds a small valid index file for the corruption table to
 // mutate, along with the offset of the first bin's codec tag.
-func v2File(t *testing.T) ([]byte, int) {
+func smallFile(t *testing.T) ([]byte, int) {
 	t.Helper()
 	x := buildIndex(t, 23, 400, 4)
 	var buf bytes.Buffer
@@ -89,10 +67,10 @@ func v2File(t *testing.T) ([]byte, int) {
 }
 
 // TestReadIndexCorruptionTable mutates specific header and bin fields of a
-// valid v2 file; every mutation must be rejected with an error, not a panic
+// valid file; every mutation must be rejected with an error, not a panic
 // or a silently wrong index.
 func TestReadIndexCorruptionTable(t *testing.T) {
-	base, firstTag := v2File(t)
+	base, firstTag := smallFile(t)
 	mutate := func(f func(d []byte) []byte) []byte {
 		return f(append([]byte(nil), base...))
 	}
