@@ -59,11 +59,16 @@ race:
 # into one step, whose scores then add every node's counts into one table,
 # and the nodes that encode a written step's parts concurrently. The
 # insitu names include the encode at commit, one index per variable over
-# the step's cores on either strategy's consumer (TestOnlyWrittenStepsAreEncoded).
+# the step's cores on either strategy's consumer (TestOnlyWrittenStepsAreEncoded),
+# and the one step loop both strategies run: every core split agreeing
+# with shared cores (TestSeparateCoresMatchesShared), and its failure, drain
+# and cancel paths — a worker or stage panic ending the run as an error
+# (TestWorkerPanicBecomesError, TestStageAndSummarizePanicsBecomeErrors)
+# and a cancelled run resumed (TestResumeAfterCancel).
 race-hot:
 	$(GO) test -race . ./internal/query/... ./internal/telemetry/ ./internal/qlog/ ./internal/serve/ ./internal/index/ ./internal/selection/ ./internal/metrics/ ./internal/mining/... ./internal/sim/... ./internal/cluster/
 	$(GO) test -race -run 'TestWindowsTileTheWhole|TestSkipTableConcurrentFirstUse|TestBBCWalkers' ./internal/bitvec/
-	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate|TestQueueBackpressure|TestPhaseRecord|TestOnlyWrittenStepsAreEncoded' ./internal/insitu/
+	$(GO) test -race -run 'TestLentStep|TestRunOutputIdenticalAcrossCores|TestStage|TestResumeStages|TestQueueSized|TestCalibrate|TestQueueBackpressure|TestPhaseRecord|TestOnlyWrittenStepsAreEncoded|TestSeparateCoresMatchesShared|TestWorkerPanicBecomesError|TestStageAndSummarizePanicsBecomeErrors|TestResumeAfterCancel' ./internal/insitu/
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): one workload
 # or all four, untraced end to end and then traced per layer, every

@@ -136,7 +136,7 @@ func BenchmarkFig12SeparateCores(b *testing.B) {
 			Sim: s, Steps: 12, Select: 3,
 			Method: insitubits.MethodBitmaps, Bins: 160,
 			Metric: insitubits.MetricConditionalEntropy, Cores: 4,
-			Strategy: insitubits.SeparateCores{SimCores: 2, ReduceCores: 2, QueueCap: 2},
+			Strategy: insitubits.SeparateCores{SimCores: 2, ReduceCores: 2},
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -236,14 +236,7 @@ func figAllocation(panel string) error {
 	// The paper's Equation 1/2 recommendation.
 	simT := amdahl(simStep, total, w.fracs.sim)
 	redT := amdahl(redStep, total, w.fracs.reduce)
-	eqSim := int(float64(total) * float64(simT) / float64(simT+redT))
-	if eqSim < 1 {
-		eqSim = 1
-	}
-	if eqSim >= total {
-		eqSim = total - 1
-	}
-	row("best allocation: %s (%.3f ms); Eq.1/2 recommends c%d_c%d", bestName, 1e3*bestTime, eqSim, total-eqSim)
+	row("best allocation: %s (%.3f ms); Eq.1/2 recommends %s", bestName, 1e3*bestTime, insitubits.SplitCores(total, simT, redT).Describe())
 	return nil
 }
 

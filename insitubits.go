@@ -433,6 +433,7 @@ const (
 var (
 	RunPipeline = insitu.Run
 	Calibrate   = insitu.Calibrate
+	SplitCores  = insitu.SplitCores
 	MemoryModel = insitu.MemoryModel
 )
 

@@ -314,7 +314,7 @@ func TestExternalFeedDrivesPipeline(t *testing.T) {
 		Method: insitubits.MethodBitmaps, Bins: 64,
 		Metric:   insitubits.MetricConditionalEntropy,
 		Cores:    2,
-		Strategy: insitubits.SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 2},
+		Strategy: insitubits.SeparateCores{SimCores: 1, ReduceCores: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,14 +69,13 @@ func runPoisoned(t *testing.T, cfg Config) (map[string][]byte, *poisoningLender)
 	return snapshot(t, cfg.OutputDir), p
 }
 
-// A lent step is never retained: whatever the strategy and the queue's
-// capacity, bitmap and sampling runs read each step where the simulator keeps
-// it — staging it before the simulator steps on — and must write exactly the
-// bytes — manifest, journal with its scores, every artifact — of the same run
-// over a simulator that hands out copies.
+// A lent step is never retained: under either strategy, bitmap and sampling
+// runs read each step where the simulator keeps it — staging it before the
+// simulator steps on — and must write exactly the bytes — manifest, journal
+// with its scores, every artifact — of the same run over a simulator that
+// hands out copies.
 func TestLentStepNeverRetained(t *testing.T) {
-	strategies := []Strategy{SharedCores{},
-		SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 1}, SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 4}}
+	strategies := []Strategy{SharedCores{}, SeparateCores{SimCores: 1, ReduceCores: 1}}
 	for _, method := range []Method{Bitmaps, Sampling} {
 		for _, mk := range []func() sim.Simulator{
 			func() sim.Simulator { h, _ := heat3d.New(14, 14, 14); return h },
@@ -272,11 +271,11 @@ func TestModelledPeakCountsIDs(t *testing.T) {
 	}
 }
 
-// The separate-cores queue holds QueueCap staged steps (2 unless set) and is
-// modelled in their bytes: one byte per element for bitmaps of up to 256
-// bins, two beyond, the sample, or the raw step for full data. The modelled
-// peak of a separate-cores run is the shared-cores one plus the steps that
-// were in flight.
+// The separate-cores queue holds stepQueueCap staged steps (a blocked
+// producer holds one more) and is modelled in their bytes: one byte per
+// element for bitmaps of up to 256 bins, two beyond, the sample, or the raw
+// step for full data. The modelled peak of a separate-cores run is the
+// shared-cores one plus the steps that were in flight.
 func TestQueueSizedAndModelledInStagedBytes(t *testing.T) {
 	config := func(method Method, bins int, strategy Strategy) Config {
 		l, err := lulesh.New(8, 8, 8)
@@ -288,12 +287,6 @@ func TestQueueSizedAndModelledInStagedBytes(t *testing.T) {
 	}
 	const n, vars = 8 * 8 * 8, 12
 	split := SeparateCores{SimCores: 1, ReduceCores: 1}
-	if got := split.queueCap(); got != 2 {
-		t.Errorf("an unset QueueCap gives the queue %d slots, want 2", got)
-	}
-	if got := (SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: 3}).queueCap(); got != 3 {
-		t.Errorf("an explicit QueueCap of 3 became %d", got)
-	}
 	for _, c := range []struct {
 		name   string
 		method Method
@@ -322,7 +315,7 @@ func TestQueueSizedAndModelledInStagedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if separate.QueuePeak < 1 || shared.QueuePeak != 0 || separate.StagedBytes != c.staged {
+		if separate.QueuePeak < 1 || separate.QueuePeak > stepQueueCap+1 || shared.QueuePeak != 0 || separate.StagedBytes != c.staged {
 			t.Fatalf("%s: queue peak %d (shared %d), staged step %d bytes", c.name, separate.QueuePeak, shared.QueuePeak, separate.StagedBytes)
 		}
 		if got, want := separate.PeakMemory-shared.PeakMemory, int64(separate.QueuePeak)*c.staged; got != want {

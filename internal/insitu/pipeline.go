@@ -246,10 +246,7 @@ func runReducer(cfg Config, red *reducer) (*Result, error) {
 	sel := newSelector(cfg, red)
 	sel.w = w
 	sel.rt = rt
-	res, err := strategy.run(cfg, red, sel)
-	if err == nil && sel.err != nil {
-		err = sel.err
-	}
+	res, err := runSteps(cfg, red, sel, strategy)
 	if err != nil {
 		// Abort without sealing: the journal keeps its last durable record
 		// and Resume can pick the run up from there.
@@ -456,22 +453,15 @@ func (s *stepSummary) Dissimilarity(other selection.Summary, m selection.Metric)
 	if !ok {
 		panic(fmt.Sprintf("insitu: stepSummary compared against %T", other))
 	}
-	if s.cores > 1 && len(s.parts) > 1 {
-		scores := make([]float64, len(s.parts))
-		sim.ParallelFor(len(s.parts), s.cores, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				scores[k] = s.parts[k].Dissimilarity(o.parts[k], m)
-			}
-		})
-		total := 0.0
-		for _, v := range scores { // fixed order: deterministic sum
-			total += v
+	scores := make([]float64, len(s.parts))
+	sim.ParallelFor(len(s.parts), s.cores, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			scores[k] = s.parts[k].Dissimilarity(o.parts[k], m)
 		}
-		return total
-	}
+	})
 	total := 0.0
-	for k := range s.parts {
-		total += s.parts[k].Dissimilarity(o.parts[k], m)
+	for _, v := range scores { // fixed order: deterministic sum
+		total += v
 	}
 	return total
 }
@@ -514,7 +504,7 @@ func newSelector(cfg Config, red *reducer) *selector {
 // offer consumes step t's summary in order; metric evaluation is timed as
 // the select phase and committed writes as write phases, which is where the
 // run report's Select phase and WriteTime come from. When ctx carries the
-// step's identity-trace span (the strategies open one per step while a
+// step's identity-trace span (the step loop opens one per step while a
 // trace recorder is installed) the same phases appear as child spans of
 // that trace and the journaled score carries its trace ID. On a resumed
 // run, steps whose score is already journaled skip the metric evaluation

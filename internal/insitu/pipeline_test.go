@@ -1,7 +1,10 @@
 package insitu
 
 import (
+	"os"
+	"slices"
 	"testing"
+	"time"
 
 	"insitubits/internal/iosim"
 	"insitubits/internal/selection"
@@ -149,28 +152,28 @@ func TestSamplingMethodRuns(t *testing.T) {
 	}
 }
 
+// The selection is a pure function of the data: how the cores are split,
+// and so how far the simulator runs ahead of the reduction, changes
+// throughput only — every split selects what shared cores select and
+// writes as many bytes.
 func TestSeparateCoresMatchesShared(t *testing.T) {
-	shared := heatConfig(t, Bitmaps)
-	res1, err := Run(shared)
+	shared, err := Run(heatConfig(t, Bitmaps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sep := heatConfig(t, Bitmaps)
-	sep.Strategy = SeparateCores{SimCores: 2, ReduceCores: 2, QueueCap: 3}
-	res2, err := Run(sep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res1.Selected) != len(res2.Selected) {
-		t.Fatalf("strategies selected different counts: %v vs %v", res1.Selected, res2.Selected)
-	}
-	for i := range res1.Selected {
-		if res1.Selected[i] != res2.Selected[i] {
-			t.Fatalf("strategies disagree: shared %v separate %v", res1.Selected, res2.Selected)
+	for _, split := range []SeparateCores{{SimCores: 2, ReduceCores: 2}, {SimCores: 1, ReduceCores: 1}, {SimCores: 3, ReduceCores: 1}} {
+		sep := heatConfig(t, Bitmaps)
+		sep.Strategy = split
+		res, err := Run(sep)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res2.BytesWritten != res1.BytesWritten {
-		t.Fatalf("bytes differ: %d vs %d", res1.BytesWritten, res2.BytesWritten)
+		if !slices.Equal(res.Selected, shared.Selected) {
+			t.Fatalf("strategies disagree: shared %v, %s %v", shared.Selected, split.Describe(), res.Selected)
+		}
+		if res.BytesWritten != shared.BytesWritten {
+			t.Fatalf("bytes differ: shared %d, %s %d", shared.BytesWritten, split.Describe(), res.BytesWritten)
+		}
 	}
 }
 
@@ -207,6 +210,49 @@ func TestCalibrate(t *testing.T) {
 	}
 	if split.SimCores+split.ReduceCores != cfg.Cores {
 		t.Fatalf("split %+v does not use all %d cores", split, cfg.Cores)
+	}
+}
+
+// SplitCores is Equations 1 and 2: the simulate side's share of the time is
+// its share of the cores, rounded down, and each side keeps one core.
+func TestSplitCores(t *testing.T) {
+	for _, c := range []struct {
+		cores       int
+		sim, reduce time.Duration
+		want        SeparateCores
+	}{
+		{8, 3 * time.Second, 5 * time.Second, SeparateCores{3, 5}}, // proportional
+		{8, time.Second, time.Second, SeparateCores{4, 4}},
+		{12, 2 * time.Second, time.Second, SeparateCores{8, 4}},
+		{7, 1, 1, SeparateCores{3, 4}},           // 3.5 rounds down
+		{8, 0, time.Second, SeparateCores{1, 7}}, // no simulate time: clamped to 1
+		{8, time.Second, 0, SeparateCores{7, 1}}, // no reduce time: clamped to cores−1
+		{2, time.Hour, time.Second, SeparateCores{1, 1}},
+		{4, 0, 0, SeparateCores{1, 3}},
+	} {
+		if got := SplitCores(c.cores, c.sim, c.reduce); got != c.want {
+			t.Errorf("SplitCores(%d, %v, %v) = %s, want %s", c.cores, c.sim, c.reduce, got.Describe(), c.want.Describe())
+		}
+	}
+}
+
+// Calibrate times its steps into a phase record of its own: it publishes
+// no run status and writes nothing to the output directory.
+func TestCalibratePublishesNothing(t *testing.T) {
+	cfg := heatConfig(t, Bitmaps)
+	cfg.Telemetry, cfg.OutputDir = telemetry.NewRegistry(), t.TempDir()
+	if _, err := Calibrate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := cfg.Telemetry.StatusValue(RunStatusName); ok {
+		t.Errorf("Calibrate published a %q status: %+v", RunStatusName, v)
+	}
+	entries, err := os.ReadDir(cfg.OutputDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("Calibrate wrote %d entries to the output directory, first %q", len(entries), entries[0].Name())
 	}
 }
 

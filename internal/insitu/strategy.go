@@ -9,9 +9,15 @@ import (
 	"insitubits/internal/telemetry"
 )
 
-// Strategy is a core-allocation policy for running the pipeline (§2.3).
+// Strategy is a split of the run's cores between simulation and bitmap
+// generation (§2.3). Both strategies run the same step loop (runSteps); a
+// strategy only says how many cores each side gets and whether a queue lies
+// between them.
 type Strategy interface {
-	run(cfg Config, red *reducer, sel *selector) (*Result, error)
+	// cores splits the run's total cores: the simulate side's, the reduce
+	// side's, and how many staged steps the queue between them holds — 0
+	// for no queue, when the two sides take turns on the same cores.
+	cores(total int) (simulate, reduce, queue int)
 	// validate checks the strategy against the run's core count.
 	validate(cores int) error
 	// Describe names the strategy for experiment output (e.g. "c_all",
@@ -83,41 +89,9 @@ type SharedCores struct{}
 // Describe implements Strategy.
 func (SharedCores) Describe() string { return "c_all" }
 
-func (SharedCores) validate(int) error { return nil }
+func (SharedCores) cores(total int) (int, int, int) { return total, total, 0 }
 
-func (SharedCores) run(cfg Config, red *reducer, sel *selector) (*Result, error) {
-	res := &Result{}
-	rt := sel.rt
-	ctx := cfg.context()
-	wallStart := time.Now()
-	for t := 0; t < cfg.Steps; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("insitu: run cancelled at step %d: %w", t, err)
-		}
-		// Identity trace: one trace per step when a recorder is installed
-		// (no-op context otherwise), with a child span per phase.
-		stepCtx, st := telemetry.StartSpan(ctx, SpanStep)
-		st.SetAttrInt("step", int64(t))
-		var summary *stepSummary
-		staged, err := rt.produce(stepCtx, cfg, red, t, cfg.Cores)
-		if err == nil {
-			summary, err = rt.consume(stepCtx, red, t, staged, cfg.Cores)
-		}
-		if err != nil {
-			st.End()
-			return nil, err
-		}
-		sel.offer(stepCtx, t, summary)
-		st.End()
-		if sel.err != nil {
-			// Persistence failed; later steps could compute but never land.
-			return nil, sel.err
-		}
-	}
-	res.Wall = time.Since(wallStart)
-	finishResult(cfg, sel, res)
-	return res, nil
-}
+func (SharedCores) validate(int) error { return nil }
 
 // SeparateCores splits the cores into a simulation set and a reduction set
 // connected by a bounded time-step queue — the paper's second strategy. The
@@ -129,14 +103,18 @@ func (SharedCores) run(cfg Config, red *reducer, sel *selector) (*Result, error)
 type SeparateCores struct {
 	SimCores    int
 	ReduceCores int
-	// QueueCap bounds the in-memory step queue; 0 means 2.
-	QueueCap int
 }
+
+// stepQueueCap is how many staged steps the separate-cores queue holds: the
+// paper's bound on how far simulation may run ahead of reduction.
+const stepQueueCap = 2
 
 // Describe implements Strategy.
 func (s SeparateCores) Describe() string {
 	return fmt.Sprintf("c%d_c%d", s.SimCores, s.ReduceCores)
 }
+
+func (s SeparateCores) cores(int) (int, int, int) { return s.SimCores, s.ReduceCores, stepQueueCap }
 
 func (s SeparateCores) validate(cores int) error {
 	if s.SimCores < 1 || s.ReduceCores < 1 {
@@ -148,99 +126,105 @@ func (s SeparateCores) validate(cores int) error {
 	return nil
 }
 
-// queueCap is the capacity of the run's step queue — the paper's bound on how
-// far simulation may run ahead of reduction: QueueCap when set, else 2.
-func (s SeparateCores) queueCap() int {
-	if s.QueueCap > 0 {
-		return s.QueueCap
-	}
-	return 2
+// handoff is one step passed from the simulate side to the reduce side: its
+// staged form, or the error that stopped it, and the step's identity trace
+// (ctx/span, no-ops without a trace recorder), which the reduce side ends.
+type handoff struct {
+	step   int
+	staged staged
+	err    error
+	ctx    context.Context
+	span   *telemetry.ActiveSpan
 }
 
-func (s SeparateCores) run(cfg Config, red *reducer, sel *selector) (*Result, error) {
-	type queued struct {
-		step   int
-		staged staged
-		err    error
-		// ctx/span carry the step's identity trace from the producer to the
-		// consumer; both are no-ops when no trace recorder is installed.
-		ctx  context.Context
-		span *telemetry.ActiveSpan
-	}
+// runSteps is the pipeline's step loop under a strategy's core split. The
+// simulate side opens each step's identity trace, produces the step on its
+// cores and hands it on; the reduce side consumes it on its own, offers the
+// summary to the selector and ends the trace. Without a queue a step is
+// handed on inline, so the sides take turns on the same cores. With one,
+// the simulate side runs on its own goroutine and a single consumer takes
+// the steps in order (selection is order-dependent; the parallelism is
+// inside each side's step). Either way the phases of both sides add into
+// the one phase record.
+func runSteps(cfg Config, red *reducer, sel *selector, s Strategy) (*Result, error) {
+	simCores, redCores, queueCap := s.cores(cfg.Cores)
 	rt := sel.rt
 	ctx := cfg.context()
-	queue := make(chan queued, s.queueCap())
-	simDone := make(chan struct{})
-
-	// Producer: the simulation owns its core set, and stages each step there
-	// before simulating the next; its phases add into the same record as the
-	// consumer's. Before each send the queue depth counts the step it holds,
-	// so a producer blocked on a full queue reads as depth cap+1 — the
-	// backpressure signal; after each receive the depth is what the channel
-	// holds. A simulator or staging panic travels through the queue as an
-	// error; cancellation unblocks a full-queue send so the producer can
-	// exit.
-	go func() {
-		defer close(simDone)
-		defer close(queue)
-		for t := 0; t < cfg.Steps; t++ {
-			if ctx.Err() != nil {
-				return
-			}
-			stepCtx, st := telemetry.StartSpan(ctx, SpanStep)
-			st.SetAttrInt("step", int64(t))
-			staged, err := rt.produce(stepCtx, cfg, red, t, s.SimCores)
-			rt.queueAt(len(queue) + 1)
-			select {
-			case queue <- queued{step: t, staged: staged, err: err, ctx: stepCtx, span: st}:
-			case <-ctx.Done():
-				rt.queueAt(len(queue))
-				st.End()
-				return
-			}
-			if err != nil {
+	// simulate hands on every step until the context is done or hand
+	// refuses one; a step that failed is the last.
+	simulate := func(hand func(handoff) bool) {
+		for t := 0; t < cfg.Steps && ctx.Err() == nil; t++ {
+			stepCtx, span := telemetry.StartSpan(ctx, SpanStep)
+			span.SetAttrInt("step", int64(t))
+			st, err := rt.produce(stepCtx, cfg, red, t, simCores)
+			if !hand(handoff{step: t, staged: st, err: err, ctx: stepCtx, span: span}) || err != nil {
 				return
 			}
 		}
-	}()
-
-	// Consumer: the rest of the reduction + streaming selection own the other
-	// set. A single consumer preserves step order (selection is
-	// order-dependent); the parallelism is inside the per-step reduction.
-	drain := func() {
-		for q := range queue {
-			rt.queueAt(len(queue))
-			q.span.End()
-		}
-		<-simDone
 	}
-	res := &Result{}
-	wallStart := time.Now()
-	for q := range queue {
-		rt.queueAt(len(queue))
-		var summary *stepSummary
-		err := q.err
+	taken := 0
+	reduce := func(h handoff) error {
+		var sum *stepSummary
+		err := h.err
 		if err == nil {
-			summary, err = rt.consume(q.ctx, red, q.step, q.staged, s.ReduceCores)
+			sum, err = rt.consume(h.ctx, red, h.step, h.staged, redCores)
 		}
-		if err != nil {
-			// Drain so the producer can finish; first error wins.
-			q.span.End()
-			drain()
-			return nil, err
+		if err == nil {
+			sel.offer(h.ctx, h.step, sum)
+			// A persistence failure: later steps could compute but never land.
+			err = sel.err
 		}
-		sel.offer(q.ctx, q.step, summary)
-		q.span.End()
-		if sel.err != nil {
-			drain()
-			return nil, sel.err
+		h.span.End()
+		if err == nil {
+			taken++
+		}
+		return err
+	}
+
+	var err error
+	start := time.Now()
+	if queueCap == 0 {
+		simulate(func(h handoff) bool {
+			err = reduce(h)
+			return err == nil
+		})
+	} else {
+		queue := make(chan handoff, queueCap)
+		// Before each send the queue depth counts the step the producer
+		// holds, so a producer blocked on a full queue reads as depth cap+1
+		// — the backpressure signal; after each receive the depth is what
+		// the channel holds. Cancellation unblocks a full-queue send. The
+		// queue closes when the simulate side is done, which ends the range.
+		go func() {
+			defer close(queue)
+			simulate(func(h handoff) bool {
+				rt.queueAt(len(queue) + 1)
+				select {
+				case queue <- h:
+					return true
+				case <-ctx.Done():
+					rt.queueAt(len(queue))
+					h.span.End()
+					return false
+				}
+			})
+		}()
+		for h := range queue {
+			rt.queueAt(len(queue))
+			if err == nil {
+				err = reduce(h)
+			} else {
+				h.span.End() // drain so the producer can finish; the first error wins
+			}
 		}
 	}
-	<-simDone
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("insitu: run cancelled: %w", err)
+	if err != nil {
+		return nil, err
 	}
-	res.Wall = time.Since(wallStart)
+	if taken < cfg.Steps {
+		return nil, fmt.Errorf("insitu: run cancelled at step %d: %w", taken, ctx.Err())
+	}
+	res := &Result{Wall: time.Since(start)}
 	finishResult(cfg, sel, res)
 	return res, nil
 }
@@ -266,14 +250,15 @@ func finishResult(cfg Config, sel *selector, res *Result) {
 // set of steps.
 const calibSteps = 2
 
-// Calibrate implements the paper's Equations 1 and 2: run calibSteps steps
-// with all cores, measure the average time of the work each side of the queue
-// does under the split it returns — simulating and staging on one, building
-// the summary on the other, with a bitmap step's encode weighted by the
-// share of steps that are written (Select/Steps) — and split the cores
-// proportionally. The returned strategy always grants each side at least
-// one core, so it needs at least two. The calibration steps advance the
-// simulator, mirroring the paper's "initial set of cores" warm-up.
+// Calibrate implements the paper's Equations 1 and 2: it runs calibSteps
+// steps with all cores through the run's own produce and consume, plus a
+// bitmap step's encode, into a phase record of its own — nothing is
+// published, selected or written — and splits the cores (SplitCores) by
+// the time of the work each side of the queue does under the split:
+// simulating and staging on one; summarizing, and encoding weighted by the
+// share of steps that are written (Select/Steps), on the other. It needs
+// at least two cores. The calibration steps advance the simulator,
+// mirroring the paper's "initial set of cores" warm-up.
 func Calibrate(cfg Config) (SeparateCores, error) {
 	if err := cfg.validate(); err != nil {
 		return SeparateCores{}, err
@@ -285,30 +270,36 @@ func Calibrate(cfg Config) (SeparateCores, error) {
 	if err != nil {
 		return SeparateCores{}, err
 	}
-	var simTime, redTime time.Duration
+	rt, ctx := &runTelemetry{}, cfg.context()
 	for t := 0; t < calibSteps; t++ {
-		t0 := time.Now()
-		fields, owned := lentStep(cfg.Sim, cfg.Cores)
-		st, err := red.stage(fields, owned, cfg.Cores)
+		var sum *stepSummary
+		st, err := rt.produce(ctx, cfg, red, t, cfg.Cores)
+		if err == nil {
+			sum, err = rt.consume(ctx, red, t, st, cfg.Cores)
+		}
+		if err == nil && cfg.Method == Bitmaps {
+			err = rt.phase(ctx, phaseEncode, t, func(context.Context) error {
+				red.encode(sum)
+				return nil
+			})
+		}
 		if err != nil {
 			return SeparateCores{}, err
 		}
-		t1 := time.Now()
-		sum := red.summarize(st, cfg.Cores)
-		t2 := time.Now()
-		if cfg.Method == Bitmaps {
-			red.encode(sum)
-		}
-		simTime += t1.Sub(t0)
-		redTime += t2.Sub(t1) + time.Since(t2)*time.Duration(cfg.Select)/time.Duration(cfg.Steps)
 	}
-	total := simTime + redTime
-	simCores := int(float64(cfg.Cores) * float64(simTime) / float64(total)) // Equation 1
-	if simCores < 1 {
-		simCores = 1
+	stage := rt.phaseTime(phaseStage)
+	encode := rt.phaseTime(phaseEncode) * time.Duration(cfg.Select) / time.Duration(cfg.Steps)
+	return SplitCores(cfg.Cores, rt.phaseTime(phaseSimulate)+stage, rt.phaseTime(phaseReduce)-stage+encode), nil
+}
+
+// SplitCores is the paper's Equations 1 and 2: of cores (at least two) the
+// simulate side gets the share simTime/(simTime+reduceTime), but at least
+// one core and at most cores−1, and the reduce side the rest.
+func SplitCores(cores int, simTime, reduceTime time.Duration) SeparateCores {
+	simCores := 0
+	if total := simTime + reduceTime; total > 0 {
+		simCores = int(float64(cores) * float64(simTime) / float64(total)) // Equation 1
 	}
-	if simCores >= cfg.Cores {
-		simCores = cfg.Cores - 1
-	}
-	return SeparateCores{SimCores: simCores, ReduceCores: cfg.Cores - simCores}, nil // Equation 2
+	simCores = min(max(simCores, 1), cores-1)
+	return SeparateCores{SimCores: simCores, ReduceCores: cores - simCores} // Equation 2
 }

@@ -1,6 +1,7 @@
 package insitu
 
 import (
+	"slices"
 	"testing"
 
 	"insitubits/internal/iosim"
@@ -26,58 +27,56 @@ func (c *countingSim) Step(n int) []sim.Field {
 	return c.inner.Step(n)
 }
 
-// TestSeparateCoresQueueInvariants runs the separate-cores strategy with
-// the tightest possible queue over many steps and checks: every step
-// simulated exactly once, every step consumed exactly once and in order
-// (the streaming selector requires order — a violated invariant would
-// corrupt the selection), and no deadlock (the test finishing is the
-// proof).
+// TestSeparateCoresQueueInvariants runs the separate-cores strategy over
+// many steps and checks: every step simulated exactly once, every step
+// consumed exactly once and in order (the streaming selector requires order
+// — a violated invariant would corrupt the selection), and no deadlock (the
+// test finishing is the proof).
 func TestSeparateCoresQueueInvariants(t *testing.T) {
-	for _, qcap := range []int{1, 2, 7} {
-		h, err := heat3d.New(8, 8, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := &countingSim{inner: h}
-		st, err := iosim.NewStore(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const steps = 64
-		res, err := Run(Config{
-			Sim:    cs,
-			Steps:  steps,
-			Select: 16,
-			Method: Bitmaps,
-			Bins:   32,
-			Metric: selection.EMDCount,
-			Cores:  2,
-			Strategy: SeparateCores{
-				SimCores: 1, ReduceCores: 1, QueueCap: qcap,
-			},
-			Store: st,
-		})
-		if err != nil {
-			t.Fatalf("qcap=%d: %v", qcap, err)
-		}
-		if cs.steps != steps {
-			t.Fatalf("qcap=%d: simulator stepped %d times, want %d", qcap, cs.steps, steps)
-		}
-		if len(res.Selected) != 16 {
-			t.Fatalf("qcap=%d: selected %v", qcap, res.Selected)
-		}
-		for i := 1; i < len(res.Selected); i++ {
-			if res.Selected[i] <= res.Selected[i-1] {
-				t.Fatalf("qcap=%d: out-of-order selection %v (queue reordered steps?)", qcap, res.Selected)
-			}
+	h, err := heat3d.New(8, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &countingSim{inner: h}
+	st, err := iosim.NewStore(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 64
+	res, err := Run(Config{
+		Sim:      cs,
+		Steps:    steps,
+		Select:   16,
+		Method:   Bitmaps,
+		Bins:     32,
+		Metric:   selection.EMDCount,
+		Cores:    2,
+		Strategy: SeparateCores{SimCores: 1, ReduceCores: 1},
+		Store:    st,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.steps != steps {
+		t.Fatalf("simulator stepped %d times, want %d", cs.steps, steps)
+	}
+	if len(res.Selected) != 16 {
+		t.Fatalf("selected %v", res.Selected)
+	}
+	for i := 1; i < len(res.Selected); i++ {
+		if res.Selected[i] <= res.Selected[i-1] {
+			t.Fatalf("out-of-order selection %v (queue reordered steps?)", res.Selected)
 		}
 	}
 }
 
 // TestSeparateCoresDeterministicAcrossQueueCaps verifies the selection is a
-// pure function of the data: queue capacity affects throughput only.
+// pure function of the data: the hand-off affects throughput only. The queue
+// holds stepQueueCap steps; repeated runs through it, where the producer
+// blocks on a full queue at different moments, and a run with no queue at
+// all (SharedCores) must all select the same steps.
 func TestSeparateCoresDeterministicAcrossQueueCaps(t *testing.T) {
-	run := func(qcap int) []int {
+	run := func(strategy Strategy) []int {
 		h, err := heat3d.New(10, 10, 10)
 		if err != nil {
 			t.Fatal(err)
@@ -87,20 +86,18 @@ func TestSeparateCoresDeterministicAcrossQueueCaps(t *testing.T) {
 			Method: Bitmaps, Bins: 64,
 			Metric:   selection.ConditionalEntropy,
 			Cores:    2,
-			Strategy: SeparateCores{SimCores: 1, ReduceCores: 1, QueueCap: qcap},
+			Strategy: strategy,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Selected
 	}
-	want := run(1)
-	for _, qcap := range []int{2, 5, 30} {
-		got := run(qcap)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("qcap=%d selected %v, qcap=1 selected %v", qcap, got, want)
-			}
+	want := run(SharedCores{})
+	for i := 0; i < 3; i++ {
+		got := run(SeparateCores{SimCores: 1, ReduceCores: 1})
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d through the cap-%d queue selected %v, no queue selected %v", i, stepQueueCap, got, want)
 		}
 	}
 }

@@ -98,7 +98,7 @@ type PhaseStatus struct {
 	TotalNs int64 `json:"total_ns"`
 }
 
-// runTelemetry carries one run's measurement state through the strategies
+// runTelemetry carries one run's measurement state through the step loop
 // and the selector.
 type runTelemetry struct {
 	// phases is the run's phase record: per phase, how often it ran and

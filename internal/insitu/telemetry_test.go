@@ -155,13 +155,13 @@ func TestRunCountsBitvecActivity(t *testing.T) {
 	}
 }
 
-// TestQueueBackpressure runs separate cores with a tiny queue and checks
-// the watermark saturates: with a slow consumer the producer must hit the
-// memory-capacity bound (depth cap+1 counts the blocked producer).
+// TestQueueBackpressure runs separate cores and checks the watermark stays
+// within the queue's memory-capacity bound (depth cap+1 counts the blocked
+// producer), agrees with the gauge, and drains to 0.
 func TestQueueBackpressure(t *testing.T) {
 	cfg := heatConfig(t, Bitmaps)
-	const qcap = 1
-	cfg.Strategy = SeparateCores{SimCores: 2, ReduceCores: 2, QueueCap: qcap}
+	const qcap = stepQueueCap
+	cfg.Strategy = SeparateCores{SimCores: 2, ReduceCores: 2}
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
 	res, err := Run(cfg)

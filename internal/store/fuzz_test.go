@@ -67,23 +67,35 @@ func FuzzReadIndex(f *testing.F) {
 		if y.Bins() == 0 {
 			t.Fatal("parsed index with zero bins")
 		}
+		// What costs O(encoded size) holds for every accepted file: each
+		// bin's count is its histogram entry, and the histogram sums to N.
 		total := 0
 		for b := 0; b < y.Bins(); b++ {
-			bm, n := y.Bitmap(b), 0
-			bm.Iterate(func(p int) bool {
+			if c := y.Bitmap(b).Count(); c != y.Count(b) {
+				t.Fatalf("bin %d: Count %d, histogram %d", b, c, y.Count(b))
+			}
+			total += y.Count(b)
+		}
+		if total != y.N() {
+			t.Fatalf("the histogram sums to %d of %d elements", total, y.N())
+		}
+		// A file of a few dozen bytes may declare up to 2³²−1 elements, so
+		// the element-wise walks run on the smaller ones only.
+		if y.N() > 1<<16 {
+			return
+		}
+		for b := 0; b < y.Bins(); b++ {
+			n := 0
+			y.Bitmap(b).Iterate(func(p int) bool {
 				if p >= y.N() {
 					t.Fatalf("bin %d has bit %d set past %d elements", b, p, y.N())
 				}
 				n++
 				return true
 			})
-			if n != bm.Count() || n != y.Count(b) {
-				t.Fatalf("bin %d: Count %d, histogram %d, Iterate visits %d", b, bm.Count(), y.Count(b), n)
+			if n != y.Count(b) {
+				t.Fatalf("bin %d: histogram %d, Iterate visits %d", b, y.Count(b), n)
 			}
-			total += y.Count(b)
-		}
-		if total != y.N() {
-			t.Fatalf("the histogram sums to %d of %d elements", total, y.N())
 		}
 		one, three := index.DecodeBinIDs(y, 1), index.DecodeBinIDs(y, 3)
 		if !slices.Equal(one.U8, three.U8) || !slices.Equal(one.U16, three.U16) {

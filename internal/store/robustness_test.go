@@ -10,6 +10,7 @@ import (
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
+	"insitubits/internal/codec"
 	"insitubits/internal/index"
 )
 
@@ -82,6 +83,24 @@ func TestHeaderBombsRejected(t *testing.T) {
 	)
 	if _, err := ReadIndex(bytes.NewReader(bomb)); err == nil {
 		t.Error("bin-count bomb accepted")
+	}
+	// Index whose one bin declares maxPayload bytes and holds four: refused
+	// at the end of the file, having allocated about what the file holds.
+	bomb = binary.LittleEndian.AppendUint64(append([]byte("ISBM"), 3, 0, 0, 0), 8)
+	bomb = binary.LittleEndian.AppendUint32(bomb, 1)
+	bomb = binary.LittleEndian.AppendUint64(bomb, math.Float64bits(0))
+	bomb = binary.LittleEndian.AppendUint64(bomb, math.Float64bits(1))
+	bomb = binary.LittleEndian.AppendUint32(append(bomb, byte(codec.WAH)), maxPayload)
+	bomb = append(bomb, 0, 0, 0, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadIndex(bytes.NewReader(bomb))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("payload bomb accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*payloadChunk {
+		t.Errorf("a %d-byte file declaring a %d-byte bin allocated %d bytes", len(bomb), maxPayload, got)
 	}
 	// Raw file declaring 2^60 elements.
 	bomb = append([]byte("ISRW"), 0, 0, 0, 0, 0, 0, 0, 0x10)

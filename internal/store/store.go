@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"insitubits/internal/binning"
 	"insitubits/internal/bitvec"
@@ -50,6 +51,9 @@ const (
 	version = 3
 	// maxPayload bounds a single bin's byte count on a read.
 	maxPayload = 1 << 30
+	// payloadChunk is the most a bin's read allocates ahead of the bytes it
+	// has read.
+	payloadChunk = 1 << 20
 	// footerSize is the byte size of the "ISCK" + crc footer.
 	footerSize = 8
 )
@@ -257,9 +261,17 @@ func readBin(cr *sumReader, nbits int) (bitvec.Bitmap, error) {
 	if nbytes > maxPayload {
 		return nil, fmt.Errorf("declares %d payload bytes", nbytes)
 	}
-	payload := make([]byte, nbytes)
-	if _, err := io.ReadFull(cr, payload); err != nil {
-		return nil, fmt.Errorf("payload: %w", err)
+	// The payload grows as its bytes arrive, so a short file that declares
+	// a large bin costs what it holds; a bin of up to payloadChunk bytes is
+	// one exact allocation.
+	payload := make([]byte, 0, min(nbytes, payloadChunk))
+	for len(payload) < int(nbytes) {
+		k := min(int(nbytes)-len(payload), max(len(payload), payloadChunk))
+		payload = slices.Grow(payload, k)
+		if _, err := io.ReadFull(cr, payload[len(payload):len(payload)+k]); err != nil {
+			return nil, fmt.Errorf("payload: %w", err)
+		}
+		payload = payload[:len(payload)+k]
 	}
 	sect := cr.sect
 	var stored uint32

@@ -73,30 +73,20 @@ func (r *Registry) ServeDebug(addr string) (*DebugServer, error) {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("/debug/traces", handleTraces)
-	mux.HandleFunc("/debug/run", func(w http.ResponseWriter, _ *http.Request) {
-		v, ok := r.StatusValue("run")
-		if !ok {
-			http.Error(w, "no run status published", http.StatusNotFound)
-			return
+	// A published status served as JSON, or a 404 saying what is missing.
+	status := func(name, missing string) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			v, ok := r.StatusValue(name)
+			if !ok {
+				http.Error(w, missing, http.StatusNotFound)
+				return
+			}
+			writeJSON(w, v)
 		}
-		writeJSON(w, v)
-	})
-	mux.HandleFunc("/debug/cache", func(w http.ResponseWriter, _ *http.Request) {
-		v, ok := r.StatusValue("cache")
-		if !ok {
-			http.Error(w, "no cache status published", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, v)
-	})
-	mux.HandleFunc("/debug/metrics/history", func(w http.ResponseWriter, _ *http.Request) {
-		v, ok := r.StatusValue(HistoryStatusName)
-		if !ok {
-			http.Error(w, "no metrics history started (StartHistory)", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, v)
-	})
+	}
+	mux.HandleFunc("/debug/run", status("run", "no run status published"))
+	mux.HandleFunc("/debug/cache", status("cache", "no cache status published"))
+	mux.HandleFunc("/debug/metrics/history", status(HistoryStatusName, "no metrics history started (StartHistory)"))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

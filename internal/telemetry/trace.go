@@ -230,25 +230,7 @@ func newID(bits int) string {
 // returns a context carrying it. Nil-safe: a nil recorder returns the
 // context unchanged and a nil span.
 func (r *TraceRecorder) StartTrace(ctx context.Context, name string) (context.Context, *ActiveSpan) {
-	if r == nil {
-		return ctx, nil
-	}
-	seq := r.started.Add(1)
-	at := &activeTrace{
-		rec:     r,
-		traceID: newID(128),
-		name:    name,
-		sampled: r.cfg.SampleEvery == 1 || seq%uint64(r.cfg.SampleEvery) == 1,
-		startNs: time.Now().UnixNano(),
-	}
-	sp := &ActiveSpan{
-		at:     at,
-		spanID: newID(64),
-		name:   name,
-		start:  time.Now(),
-		root:   true,
-	}
-	return ContextWithSpan(ctx, sp), sp
+	return r.StartTraceWithID(ctx, name, "")
 }
 
 // StartTraceWithID begins a new trace like StartTrace, but adopts the
@@ -262,7 +244,7 @@ func (r *TraceRecorder) StartTraceWithID(ctx context.Context, name, traceID stri
 		return ctx, nil
 	}
 	if !ValidTraceID(traceID) {
-		return r.StartTrace(ctx, name)
+		traceID = newID(128)
 	}
 	seq := r.started.Add(1)
 	at := &activeTrace{
